@@ -5,19 +5,17 @@
 // query in O(arity · log_arity n) node visits instead of O(n) item
 // visits.
 //
-// The framework subsumes the two hand-written indexes it grew out of —
-// internal/mmtree (counter min/max trees) and internal/mragg (interval
-// dominance pyramids) — which are now instantiations of the algorithms
-// here, and carries the new window-mergeable summaries (communication
-// matrices, duration histograms, detector baselines) on the same
-// machinery.
+// Every index in the repository — internal/mmtree (counter min/max
+// trees), internal/mragg (interval dominance pyramids) and
+// stats.HistIndex (windowed duration histograms) — is an Agg
+// implementation plus a query helper over one Tree.
 //
 // # The aggregation contract
 //
 // An aggregate is described by the monoid-style Agg interface: Zero is
 // the identity summary, Leaf the summary of one source item, and
-// Combine an associative merge. Grow and Query evaluate folds in a
-// fixed documented order, so instantiations whose Combine is also
+// Combine an associative merge. Tree evaluates folds in a fixed
+// documented order, so instantiations whose Combine is also
 // commutative and idempotent (min/max, dominance) produce results
 // byte-identical to any sequential scan, while plain monoids (sums,
 // histograms, matrices) still see every item in a queried range
@@ -25,22 +23,20 @@
 //
 // # Storage
 //
-// The framework does not own the pyramid's memory: algorithms operate
-// through the Store interface, so instantiations keep their historical
-// layouts (mmtree's min/max column arrays, mragg's max/arg columns)
-// and their existing structural tests keep passing unmodified. New
-// aggregates use the framework-owned Tree, which stores levels as
-// [][]S.
+// Tree is the only type that holds pyramid levels: one []S per level.
+// It owns construction and copy-on-write extension (Extend), the range
+// walk (Query), byte-overhead accounting (OverheadBytes) and the
+// columnar-store round trip (Levels, and FromLevels which validates
+// the shape of adopted levels so a corrupt file fails at open).
 //
 // # Persistent append
 //
-// Grow supports the amortized persistent extension mode of the live
-// streaming ingest path (mirroring the original mmtree.Tree.Append):
-// levels are fresh arrays whose leading blocks — those built purely
-// from unchanged items — are copied from the previous generation, and
-// only tail blocks are recomputed. The previous generation stays valid
-// and immutable, so snapshot readers keep querying older pyramids
-// while the writer extends the chain.
+// There is one construction path: a tree over n leaves is the empty
+// tree extended to n. Extend returns fresh level arrays whose leading
+// blocks — those built purely from unchanged leaves — are copied from
+// the receiver, and recomputes only tail blocks. The receiver stays
+// valid and immutable, so live-trace snapshot readers keep querying
+// older generations while the writer extends the chain.
 package agg
 
 // Agg describes one aggregate over an indexed sequence of source
@@ -57,131 +53,4 @@ type Agg[S any] interface {
 	// Combine merges two summaries covering adjacent index ranges,
 	// left before right.
 	Combine(a, b S) S
-}
-
-// Store is the level storage the pyramid's internal nodes live in.
-// Implementations own the memory layout. During Grow, Levels and Len
-// describe the previous generation (queried once, before building),
-// while Add, Set and Node address the generation being built; during
-// Query, a store reads the single built generation.
-type Store[S any] interface {
-	// Levels returns the number of built levels.
-	Levels() int
-	// Len returns the number of nodes in a level.
-	Len(level int) int
-	// Node returns node i of a level. Level 0 nodes each cover arity
-	// leaves; level l nodes cover arity^(l+1) leaves.
-	Node(level, i int) S
-	// Add allocates level `level` with n nodes in the generation
-	// being built, copying nodes [0, keep) from the previous
-	// generation of the same level.
-	Add(level, n, keep int)
-	// Set writes node i of a level in the generation being built.
-	Set(level, i int, s S)
-}
-
-// Grow builds the pyramid levels over n leaves on top of a store
-// whose previous generation covered oldN leaves (0 for a fresh
-// build). Only blocks containing leaves at index >= oldN are
-// recomputed; every block built purely from the first oldN leaves is
-// copied from the previous generation, which is what makes a chain of
-// appends cost O(new leaves) amortized. The resulting levels are
-// structurally identical to a fresh build over all n leaves.
-func Grow[S any](a Agg[S], st Store[S], n, oldN, arity int) {
-	if arity < 2 {
-		panic("agg: arity must be at least 2")
-	}
-	oldLevels := st.Levels()
-	oldLen := make([]int, oldLevels)
-	for l := range oldLen {
-		oldLen[l] = st.Len(l)
-	}
-	keepChildren := oldN
-	childLen := n
-	for level := 0; childLen > 1; level++ {
-		blocks := (childLen + arity - 1) / arity
-		keep := keepChildren / arity
-		if level >= oldLevels {
-			keep = 0
-		} else if keep > oldLen[level] {
-			keep = oldLen[level]
-		}
-		st.Add(level, blocks, keep)
-		for i := keep; i < blocks; i++ {
-			lo := i * arity
-			hi := lo + arity
-			if hi > childLen {
-				hi = childLen
-			}
-			var s S
-			if level == 0 {
-				s = a.Leaf(lo)
-				for j := lo + 1; j < hi; j++ {
-					s = a.Combine(s, a.Leaf(j))
-				}
-			} else {
-				s = st.Node(level-1, lo)
-				for j := lo + 1; j < hi; j++ {
-					s = a.Combine(s, st.Node(level-1, j))
-				}
-			}
-			st.Set(level, i, s)
-		}
-		keepChildren = keep
-		childLen = blocks
-	}
-}
-
-// Query folds the summaries of leaves [lo, hi): unaligned head and
-// tail nodes are consumed at each level (head ascending, tail
-// descending), then the aligned middle ascends to its parents — the
-// walk of the original mmtree.MinMaxIndex and mragg range-max,
-// generalized. Each leaf in the range contributes exactly once. ok is
-// false (and the summary is Zero) when the range is empty.
-func Query[S any](a Agg[S], st Store[S], arity, lo, hi int) (s S, ok bool) {
-	if lo >= hi {
-		return a.Zero(), false
-	}
-	var acc S
-	have := false
-	take := func(s S) {
-		if !have {
-			acc, have = s, true
-		} else {
-			acc = a.Combine(acc, s)
-		}
-	}
-	node := func(level, i int) S {
-		if level < 0 {
-			return a.Leaf(i)
-		}
-		return st.Node(level, i)
-	}
-	l, r := lo, hi-1 // inclusive node indexes at the current level
-	level := -1      // -1 = leaves, >= 0 = stored levels
-	levels := st.Levels()
-	for l <= r {
-		for l <= r && l%arity != 0 {
-			take(node(level, l))
-			l++
-		}
-		for l <= r && (r+1)%arity != 0 {
-			take(node(level, r))
-			r--
-		}
-		if l > r {
-			break
-		}
-		l /= arity
-		r /= arity
-		level++
-		if level >= levels {
-			// Single root block: consume directly.
-			for i := l; i <= r; i++ {
-				take(node(level-1, i))
-			}
-			break
-		}
-	}
-	return acc, true
 }

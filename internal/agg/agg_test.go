@@ -45,8 +45,9 @@ func randomVals(rng *rand.Rand, n int, base int64) []int64 {
 
 // TestAggAppendEqualsBuild: for random batch splits, a chain of
 // Extends is structurally identical (level by level, node by node) to
-// a one-shot build over all leaves, including at MaxInt64/2 value
-// bases, and queries on the chained tree equal brute force.
+// one Extend from the empty tree over all leaves — the only other way
+// to build — including at MaxInt64/2 value bases, and queries on the
+// chained tree equal brute force.
 func TestAggAppendEqualsBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, base := range []int64{0, math.MaxInt64 / 2} {
@@ -54,7 +55,7 @@ func TestAggAppendEqualsBuild(t *testing.T) {
 			for _, total := range []int{0, 1, 2, 63, 64, 65, 1000, 4097} {
 				vals := randomVals(rng, total, base)
 				a := mmTestAgg{vals}
-				chain := NewTree[mm](a, 0, arity)
+				chain := NewTree[mm](arity)
 				for n := 0; n < total; {
 					n += rng.Intn(total/3 + 2)
 					if n > total {
@@ -63,7 +64,7 @@ func TestAggAppendEqualsBuild(t *testing.T) {
 					chain = chain.Extend(a, n)
 				}
 				chain = chain.Extend(a, total)
-				want := NewTree[mm](a, total, arity)
+				want := NewTree[mm](arity).Extend(a, total)
 				if chain.Len() != want.Len() {
 					t.Fatalf("base=%d arity=%d total=%d: Len = %d, want %d",
 						base, arity, total, chain.Len(), want.Len())
@@ -113,7 +114,7 @@ func TestAggQueryMatchesScan(t *testing.T) {
 		for _, total := range []int{1, 2, 99, 100, 101, 2500} {
 			vals := randomVals(rng, total, 0)
 			a := sumAgg{vals}
-			tree := NewTree[int64](a, total, arity)
+			tree := NewTree[int64](arity).Extend(a, total)
 			for q := 0; q < 200; q++ {
 				lo := rng.Intn(total + 1)
 				hi := rng.Intn(total + 1)
@@ -153,7 +154,7 @@ func TestAggExtendPreservesOld(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	vals := randomVals(rng, 900, 0)
 	a := sumAgg{vals}
-	old := NewTree[int64](a, 500, 10)
+	old := NewTree[int64](10).Extend(a, 500)
 	_ = old.Extend(a, 900)
 	if old.Len() != 500 {
 		t.Fatalf("old tree Len = %d after Extend, want 500", old.Len())
@@ -175,13 +176,13 @@ func TestAggExtendPreservesOld(t *testing.T) {
 	}
 }
 
-// TestAggOverhead: with the default arity the internal node count is a
-// small fraction of the leaf count (the paper's <=5% memory budget).
+// TestAggOverhead: with the paper's arity the internal node bytes are a
+// small fraction of the leaf bytes (the paper's <=5% memory budget).
 func TestAggOverhead(t *testing.T) {
 	vals := make([]int64, 1<<17)
 	a := sumAgg{vals}
-	tree := NewTree[int64](a, len(vals), 100)
-	if frac := float64(tree.Nodes()) / float64(len(vals)); frac > 0.05 {
+	tree := NewTree[int64](100).Extend(a, len(vals))
+	if frac := float64(tree.OverheadBytes()) / float64(8*len(vals)); frac > 0.05 {
 		t.Fatalf("node overhead %.2f%% exceeds 5%%", 100*frac)
 	}
 	if tree.Arity() != 100 {
@@ -198,5 +199,78 @@ func TestAggValsNoOverflow(t *testing.T) {
 		if v < 0 {
 			t.Fatal("value overflowed")
 		}
+	}
+}
+
+// TestAggFromLevelsRoundTrip: a tree adopted from another's Levels
+// answers every query like the original, and extending the adopted
+// tree never writes the adopted arrays (store views are read-only
+// mappings) while still matching a build over all leaves.
+func TestAggFromLevelsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, arity := range []int{2, 7, 64} {
+		for _, total := range []int{0, 1, 2, 64, 65, 1000} {
+			vals := randomVals(rng, total+300, 0)
+			a := sumAgg{vals}
+			orig := NewTree[int64](arity).Extend(a, total)
+			adopted := make([][]int64, len(orig.Levels()))
+			for l, lv := range orig.Levels() {
+				adopted[l] = append([]int64(nil), lv...)
+			}
+			rt, err := FromLevels(arity, total, adopted)
+			if err != nil {
+				t.Fatalf("arity=%d total=%d: FromLevels: %v", arity, total, err)
+			}
+			for lo := 0; lo <= total; lo += 1 + total/37 {
+				for hi := lo; hi <= total; hi += 1 + total/41 {
+					g, gok := rt.Query(a, lo, hi)
+					w, wok := orig.Query(a, lo, hi)
+					if g != w || gok != wok {
+						t.Fatalf("arity=%d total=%d: adopted Query(%d,%d) = %d,%v want %d,%v", arity, total, lo, hi, g, gok, w, wok)
+					}
+				}
+			}
+			ext := rt.Extend(a, total+300)
+			for l := range adopted {
+				if !reflect.DeepEqual(adopted[l], orig.levels[l]) {
+					t.Fatalf("arity=%d total=%d: Extend wrote adopted level %d", arity, total, l)
+				}
+				if &ext.levels[l][0] == &adopted[l][0] {
+					t.Fatalf("arity=%d total=%d: extended level %d aliases adopted memory", arity, total, l)
+				}
+			}
+			if want := NewTree[int64](arity).Extend(a, total+300); !reflect.DeepEqual(ext.levels, want.levels) {
+				t.Fatalf("arity=%d total=%d: extended adopted tree differs from a build", arity, total)
+			}
+		}
+	}
+}
+
+// TestAggFromLevelsRejectsBadShapes: every shape relation a later
+// Query or Extend indexes by is checked at adoption.
+func TestAggFromLevelsRejectsBadShapes(t *testing.T) {
+	a := sumAgg{make([]int64, 1000)}
+	good := NewTree[int64](10).Extend(a, 1000).Levels() // 100, 10, 1
+	cases := []struct {
+		name     string
+		arity, n int
+		levels   [][]int64
+	}{
+		{"arity below 2", 1, 1000, good},
+		{"negative leaf count", 10, -1, nil},
+		{"missing top level", 10, 1000, good[:2]},
+		{"extra level", 10, 1000, append(good[:3:3], []int64{0})},
+		{"levels for one leaf", 10, 1, good[2:]},
+		{"short level", 10, 1000, [][]int64{good[0][:99], good[1], good[2]}},
+		{"long level", 10, 1000, [][]int64{good[0], make([]int64, 11), good[2]}},
+		{"leaf count disagrees", 10, 1001, good},
+	}
+	for _, c := range cases {
+		if _, err := FromLevels(c.arity, c.n, c.levels); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+	}
+	if _, err := FromLevels(10, 1000, good); err != nil {
+		t.Fatalf("valid levels rejected: %v", err)
 	}
 }

@@ -29,14 +29,14 @@ func (a eventCount) Combine(x, y int) int { return x + y }
 
 // Example_newAggregate defines a new multi-resolution aggregate —
 // "how many tasks in this index window ran at least 100 cycles" — in
-// three methods, builds its pyramid, extends it with freshly ingested
-// tasks the way the live path does, and answers window queries in
-// O(arity · log n).
+// three methods, builds its pyramid (a build is an Extend from the
+// empty tree), extends it with freshly ingested tasks the way the live
+// path does, and answers window queries in O(arity · log n).
 func Example_newAggregate() {
 	durations := []int64{40, 250, 99, 100, 512, 7}
 	a := eventCount{durations: durations, threshold: 100}
 
-	tree := agg.NewTree[int](a, len(durations), 2)
+	tree := agg.NewTree[int](2).Extend(a, len(durations))
 	if n, ok := tree.Query(a, 0, tree.Len()); ok {
 		fmt.Println("long tasks:", n)
 	}

@@ -58,45 +58,8 @@ func (ci *CounterIndex) entry(key counterCPU) *indexEntry {
 // Tree returns the min/max tree over the counter's raw values on cpu.
 func (ci *CounterIndex) Tree(c *Counter, cpu int32) *mmtree.Tree {
 	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, false})
-	e.once.Do(func() {
-		samples := c.Samples(cpu)
-		times := make([]int64, len(samples))
-		values := make([]int64, len(samples))
-		for i, s := range samples {
-			times[i], values[i] = s.Time, s.Value
-		}
-		e.tree = mmtree.Build(times, values, ci.arity)
-	})
+	e.once.Do(func() { e.tree = appendValues(nil, c.Samples(cpu), ci.arity) })
 	return e.tree
-}
-
-// rateSamples computes the fixed-point rate entries derived from a
-// counter's sample array: entry i (for i in [from, len(samples)-1))
-// covers [samples[i].Time, samples[i+1].Time) at the constant rate
-// (dv * 1000 * RateScale / dt) events per kilocycle, 0 when dt <= 0.
-// Both the lazy RateTree build and the live ingest path's incremental
-// tree extension derive their entries here, so the two stay
-// bit-identical by construction.
-func rateSamples(samples []trace.CounterSample, from int) (times, values []int64) {
-	if from < 0 {
-		from = 0
-	}
-	n := len(samples) - 1 - from
-	if n <= 0 {
-		return nil, nil
-	}
-	times = make([]int64, n)
-	values = make([]int64, n)
-	for i := 0; i < n; i++ {
-		s := from + i
-		dt := samples[s+1].Time - samples[s].Time
-		times[i] = samples[s].Time
-		if dt > 0 {
-			dv := samples[s+1].Value - samples[s].Value
-			values[i] = dv * 1000 * RateScale / dt
-		}
-	}
-	return times, values
 }
 
 // RateTree returns the min/max tree over the counter's discrete
@@ -106,11 +69,51 @@ func rateSamples(samples []trace.CounterSample, from int) (times, values []int64
 // constant over each execution).
 func (ci *CounterIndex) RateTree(c *Counter, cpu int32) *mmtree.Tree {
 	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, true})
-	e.once.Do(func() {
-		times, values := rateSamples(c.Samples(cpu), 0)
-		e.tree = mmtree.Build(times, values, ci.arity)
-	})
+	e.once.Do(func() { e.tree = appendRates(nil, c.Samples(cpu), ci.arity) })
 	return e.tree
+}
+
+// appendTree extends t by the given (time, value) entries; a nil t is
+// the chain start, built with the given arity. The lazy builds above
+// and the live ingest path's incremental extension both end here, so a
+// batch tree is a chain extended once from empty.
+func appendTree(t *mmtree.Tree, times, values []int64, arity int) *mmtree.Tree {
+	if t == nil {
+		return mmtree.Build(times, values, arity)
+	}
+	return t.Append(times, values)
+}
+
+// appendValues extends a value tree by the samples of win.
+func appendValues(t *mmtree.Tree, win []trace.CounterSample, arity int) *mmtree.Tree {
+	times := make([]int64, len(win))
+	values := make([]int64, len(win))
+	for i, s := range win {
+		times[i], values[i] = s.Time, s.Value
+	}
+	return appendTree(t, times, values, arity)
+}
+
+// appendRates extends a rate tree by the fixed-point rate entries
+// between consecutive samples of win: entry i covers
+// [win[i].Time, win[i+1].Time) at the constant rate
+// (dv * 1000 * RateScale / dt) events per kilocycle, 0 when dt <= 0.
+// The derivation is purely pairwise, so a window starting at the
+// chain's last covered sample yields exactly the entries a
+// whole-array derivation would.
+func appendRates(t *mmtree.Tree, win []trace.CounterSample, arity int) *mmtree.Tree {
+	n := max(len(win)-1, 0)
+	times := make([]int64, n)
+	values := make([]int64, n)
+	for i := 0; i < n; i++ {
+		dt := win[i+1].Time - win[i].Time
+		times[i] = win[i].Time
+		if dt > 0 {
+			dv := win[i+1].Value - win[i].Value
+			values[i] = dv * 1000 * RateScale / dt
+		}
+	}
+	return appendTree(t, times, values, arity)
 }
 
 // seed installs a prebuilt tree for a key. The live ingest path uses

@@ -50,6 +50,12 @@ type DomCPU struct {
 	states []trace.StateEvent
 	segs   [][]trace.StateEvent
 	cum    []int
+	domSets
+}
+
+// domSets is one CPU's pyramids, shared by the published DomCPU and
+// the live builder's domChain.
+type domSets struct {
 	// all spans every state interval; leaf i is the i-th logical state
 	// event.
 	all *mragg.Set
@@ -57,6 +63,67 @@ type DomCPU struct {
 	// into the logical state array; byState[StateTaskExec] doubles as
 	// the task-execution dominance set.
 	byState [trace.NumWorkerStates]*mragg.Set
+}
+
+// domChain is the one way a CPU's pyramids get built: sets covering
+// the first n logical state events, extended in mragg append mode so
+// the cost is proportional to the appended events. A batch build is a
+// chain extended once from empty; the live builder keeps one chain per
+// CPU across epochs. A CPU whose intervals are disordered or overlap
+// goes dead: it holds no pyramids and is never extended again, and
+// its queries fall back to the lazy per-snapshot build (or, if still
+// invalid, to event scans).
+type domChain struct {
+	domSets
+	n    int
+	dead bool
+}
+
+// appendSet extends s by the given intervals; a nil s is the chain
+// start.
+func appendSet(s *mragg.Set, starts, ends []int64, refs []int32) *mragg.Set {
+	if s == nil {
+		return mragg.Build(starts, ends, refs, 0)
+	}
+	return s.Append(starts, ends, refs)
+}
+
+// extend appends win, the state events at logical indices
+// [ch.n, ch.n+len(win)), to every set. Out-of-range states are left
+// out of the per-state sets (their events still participate in the
+// all-states set, just not in per-state queries).
+func (ch *domChain) extend(win []trace.StateEvent) {
+	if ch.dead {
+		return
+	}
+	starts := make([]int64, len(win))
+	ends := make([]int64, len(win))
+	var perStarts, perEnds [trace.NumWorkerStates][]int64
+	var perRefs [trace.NumWorkerStates][]int32
+	for j := range win {
+		starts[j], ends[j] = win[j].Start, win[j].End
+		k := int(win[j].State)
+		if k >= trace.NumWorkerStates {
+			continue
+		}
+		perStarts[k] = append(perStarts[k], win[j].Start)
+		perEnds[k] = append(perEnds[k], win[j].End)
+		perRefs[k] = append(perRefs[k], int32(ch.n+j))
+	}
+	all := appendSet(ch.all, starts, ends, nil)
+	if all == nil {
+		// Dead chains free their pyramids: nothing will ever be seeded
+		// with them again.
+		*ch = domChain{dead: true}
+		return
+	}
+	ch.all = all
+	for k := range ch.byState {
+		// Subsets of a disjoint sorted set stay disjoint and sorted,
+		// so these appends cannot fail.
+		ch.byState[k] = appendSet(ch.byState[k], perStarts[k], perEnds[k], perRefs[k])
+	}
+	ch.n += len(win)
 }
 
 // stateAt resolves logical state index i against the single array or
@@ -96,8 +163,7 @@ func (di *DomIndex) seed(cpu int32, e *DomCPU) {
 		slot.states = e.states
 		slot.segs = e.segs
 		slot.cum = e.cum
-		slot.all = e.all
-		slot.byState = e.byState
+		slot.domSets = e.domSets
 	})
 }
 
@@ -108,73 +174,27 @@ func (di *DomIndex) seed(cpu int32, e *DomCPU) {
 func (di *DomIndex) CPU(tr *Trace, cpu int32) *DomCPU {
 	e := di.entry(cpu)
 	e.once.Do(func() {
-		var tail []trace.StateEvent
-		if int(cpu) < len(tr.CPUs) {
-			tail = tr.CPUs[cpu].States
-		}
-		if fc := tr.frozenFor(cpu); fc != nil && len(fc.states) > 0 {
-			cols := make([][]trace.StateEvent, 0, len(fc.states)+1)
+		var cols [][]trace.StateEvent
+		if fc := tr.frozenFor(cpu); fc != nil {
 			cols = append(cols, fc.states...)
-			cols = append(cols, tail)
-			e.buildSegs(cols)
-		} else {
-			e.build(tail)
 		}
+		if int(cpu) < len(tr.CPUs) {
+			cols = append(cols, tr.CPUs[cpu].States)
+		}
+		e.build(cols...)
 	})
 	return e
 }
 
-// build constructs the entry's pyramids from a sorted state array.
-func (e *DomCPU) build(states []trace.StateEvent) {
-	e.states = states
-	n := len(states)
-	starts := make([]int64, n)
-	ends := make([]int64, n)
-	for i := range states {
-		starts[i], ends[i] = states[i].Start, states[i].End
-	}
-	e.all = mragg.Build(starts, ends, nil, 0)
-	if e.all == nil {
-		return
-	}
-	perStarts, perEnds, perRefs := perStateIntervals(states, 0)
-	for k := range e.byState {
-		// Subsets of a disjoint sorted set stay disjoint and sorted,
-		// so these builds cannot fail.
-		e.byState[k] = mragg.Build(perStarts[k], perEnds[k], perRefs[k], 0)
-	}
-}
-
-// buildSegs constructs the entry's pyramids over a segmented state
-// array: the time-ordered column list of a spilled CPU (frozen
-// segments, then the RAM tail; empty columns allowed). Used by the
-// lazy path when a spilled snapshot's incremental chain is unavailable
-// (dirty producer, post-drop rebuild). Disordered or overlapping
-// intervals leave all == nil, as in build: queries fall back to the
-// stitched event scan.
-func (e *DomCPU) buildSegs(cols [][]trace.StateEvent) {
-	total := 0
-	nonEmpty := 0
-	for _, s := range cols {
-		total += len(s)
-		if len(s) > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty <= 1 {
-		var one []trace.StateEvent
-		for _, s := range cols {
-			if len(s) > 0 {
-				one = s
-			}
-		}
-		e.build(one)
-		return
-	}
-	starts := make([]int64, 0, total)
-	ends := make([]int64, 0, total)
-	var perStarts, perEnds [trace.NumWorkerStates][]int64
-	var perRefs [trace.NumWorkerStates][]int32
+// build constructs the entry's pyramids over the CPU's state array,
+// given as its time-ordered column list: one sorted array for batch
+// and unspilled traces; frozen segments then the RAM tail for a
+// spilled CPU whose incremental chain is unavailable (dirty producer,
+// post-drop rebuild). Empty columns are allowed. Disordered or
+// overlapping intervals leave all == nil: queries fall back to the
+// (stitched) event scan.
+func (e *DomCPU) build(cols ...[]trace.StateEvent) {
+	var ch domChain
 	at := 0
 	for _, s := range cols {
 		if len(s) == 0 {
@@ -182,50 +202,21 @@ func (e *DomCPU) buildSegs(cols [][]trace.StateEvent) {
 		}
 		e.segs = append(e.segs, s)
 		e.cum = append(e.cum, at)
-		for i := range s {
-			starts = append(starts, s[i].Start)
-			ends = append(ends, s[i].End)
-		}
-		ps, pe, pr := perStateIntervalsAt(s, at)
-		for k := 0; k < trace.NumWorkerStates; k++ {
-			perStarts[k] = append(perStarts[k], ps[k]...)
-			perEnds[k] = append(perEnds[k], pe[k]...)
-			perRefs[k] = append(perRefs[k], pr[k]...)
-		}
 		at += len(s)
+		ch.extend(s)
 	}
-	e.all = mragg.Build(starts, ends, nil, 0)
-	if e.all == nil {
-		return
+	if at == 0 {
+		// No events: an empty but indexed entry.
+		ch.extend(nil)
 	}
-	for k := range e.byState {
-		e.byState[k] = mragg.Build(perStarts[k], perEnds[k], perRefs[k], 0)
-	}
-}
-
-// perStateIntervals splits states[from:] into per-worker-state
-// interval triples, with refs giving each interval's index in the
-// full array. Out-of-range states are dropped (their events still
-// participate in the all-states set, just not in per-state queries).
-// Shared by the batch entry build and the live incremental extension
-// so the two classify events identically.
-func perStateIntervals(states []trace.StateEvent, from int) (starts, ends [trace.NumWorkerStates][]int64, refs [trace.NumWorkerStates][]int32) {
-	return perStateIntervalsAt(states[from:], from)
-}
-
-// perStateIntervalsAt is perStateIntervals over a window whose first
-// event has logical index base: refs come out absolute (base + j).
-func perStateIntervalsAt(win []trace.StateEvent, base int) (starts, ends [trace.NumWorkerStates][]int64, refs [trace.NumWorkerStates][]int32) {
-	for j := range win {
-		k := int(win[j].State)
-		if k >= trace.NumWorkerStates {
-			continue
+	if len(e.segs) <= 1 {
+		// A single column resolves leaves directly.
+		if len(e.segs) == 1 {
+			e.states = e.segs[0]
 		}
-		starts[k] = append(starts[k], win[j].Start)
-		ends[k] = append(ends[k], win[j].End)
-		refs[k] = append(refs[k], int32(base+j))
+		e.segs, e.cum = nil, nil
 	}
-	return starts, ends, refs
+	e.domSets = ch.domSets
 }
 
 // DominantState returns the state event covering the largest part of

@@ -2,9 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -178,4 +181,107 @@ func TestDomIndexLiveOutOfOrder(t *testing.T) {
 	}
 	snap, _ = lv.Publish()
 	checkDomAgainstScan(t, "out-of-order-2", snap, rng, 300)
+}
+
+// sameSet asserts two dominance sets are structurally identical: leaf
+// columns, prefix sums and every pyramid level, node for node.
+func sameSet(t *testing.T, ctx string, got, want *mragg.Set) {
+	t.Helper()
+	if (got == nil) != (want == nil) {
+		t.Fatalf("%s: set presence %v, want %v", ctx, got != nil, want != nil)
+	}
+	if got == nil {
+		return
+	}
+	gs, ge, gp, gr, gy := got.Columns()
+	ws, we, wp, wr, wy := want.Columns()
+	if !slices.Equal(gs, ws) || !slices.Equal(ge, we) || !slices.Equal(gp, wp) || !slices.Equal(gr, wr) {
+		t.Fatalf("%s: leaf columns differ", ctx)
+	}
+	if gy.Arity() != wy.Arity() || gy.Len() != wy.Len() || len(gy.Levels()) != len(wy.Levels()) {
+		t.Fatalf("%s: pyramid shape differs", ctx)
+	}
+	for l := range wy.Levels() {
+		if !slices.Equal(gy.Levels()[l], wy.Levels()[l]) {
+			t.Fatalf("%s: pyramid level %d differs", ctx, l)
+		}
+	}
+}
+
+func sameDomSets(t *testing.T, ctx string, got, want domSets) {
+	t.Helper()
+	sameSet(t, ctx+": all-states set", got.all, want.all)
+	for k := range want.byState {
+		sameSet(t, fmt.Sprintf("%s: state %d set", ctx, k), got.byState[k], want.byState[k])
+	}
+}
+
+// TestDomIndexOneConstructionPath: the eager batch build, the lazy
+// build of a hand-assembled trace, a segmented build and a live chain
+// extended over several epochs (plain and spilled) all go through
+// domChain.extend, so the same states give structurally identical
+// pyramids whichever way they arrived.
+func TestDomIndexOneConstructionPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var states []trace.StateEvent
+	at := int64(0)
+	for i := 0; i < 9000; i++ {
+		// One state value past the worker states: such events index
+		// into the all-states set only.
+		st := trace.WorkerState(rng.Intn(trace.NumWorkerStates + 1))
+		d := int64(rng.Intn(30))
+		ev := trace.StateEvent{State: st, Start: at, End: at + d}
+		if st == trace.StateTaskExec {
+			ev.Task = trace.TaskID(i + 1)
+		}
+		at += d + int64(rng.Intn(3))
+		states = append(states, ev)
+	}
+
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, ev := range states {
+		if err := w.WriteState(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := FromReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := batch.DomIndex().CPU(batch, 0)
+	if want.all == nil || want.all.Len() != len(states) {
+		t.Fatalf("batch index missing or short")
+	}
+
+	lazyTr := newTrace()
+	lazyTr.CPUs = []CPUData{{States: states}}
+	sameDomSets(t, "lazy", lazyTr.DomIndex().CPU(lazyTr, 0).domSets, want.domSets)
+
+	var segs DomCPU
+	segs.build(states[:100], nil, states[100:4097], states[4097:])
+	sameDomSets(t, "segmented", segs.domSets, want.domSets)
+	if len(segs.segs) != 3 || segs.stateAt(4097) != states[4097] {
+		t.Fatalf("segmented view resolves leaves wrong")
+	}
+
+	for _, spill := range []bool{false, true} {
+		lv := NewLive()
+		if spill {
+			lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+		}
+		var snap *Trace
+		for _, cut := range [][2]int{{0, 1}, {1, 64}, {64, 5000}, {5000, len(states)}} {
+			snap = publish(t, lv, &trace.RecordBatch{States: states[cut[0]:cut[1]]})
+		}
+		ctx := fmt.Sprintf("live (spill=%v)", spill)
+		if _, ok := snap.SpillStats(); ok != spill {
+			t.Fatalf("%s: spill state %v", ctx, ok)
+		}
+		sameDomSets(t, ctx, snap.DomIndex().CPU(snap, 0).domSets, want.domSets)
+		lv.Close()
+	}
 }

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"github.com/openstream/aftermath/internal/mmtree"
-	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -145,20 +144,6 @@ type cpuOrder struct {
 	nStateF    int
 	nDiscreteF int
 	nCommF     int
-}
-
-// domChain tracks one CPU's incrementally extended dominance
-// pyramids: the mragg counterpart of liveCounter's min/max trees.
-// Pyramids cover the first n state events; publish extends them in
-// mragg append mode, so the per-epoch index cost is proportional to
-// the appended events. A CPU that violates per-CPU state order (or
-// delivers overlapping intervals) goes dead: its snapshots fall back
-// to the lazy per-epoch build (or, if still invalid, to event scans).
-type domChain struct {
-	all     *mragg.Set
-	byState [trace.NumWorkerStates]*mragg.Set
-	n       int
-	dead    bool
 }
 
 // liveCounter wraps one counter with per-CPU order tracking and the
@@ -571,9 +556,9 @@ func (lv *Live) snapshotLocked() *Trace {
 			// Spilled CPU: leaves resolve through the segmented view
 			// (frozen columns + this snapshot's tail).
 			segs, cum := lv.stateSegViewLocked(cpu, tr.CPUs[cpu].States)
-			di.seed(int32(cpu), &DomCPU{segs: segs, cum: cum, all: ch.all, byState: ch.byState})
+			di.seed(int32(cpu), &DomCPU{segs: segs, cum: cum, domSets: ch.domSets})
 		} else {
-			di.seed(int32(cpu), &DomCPU{states: tr.CPUs[cpu].States, all: ch.all, byState: ch.byState})
+			di.seed(int32(cpu), &DomCPU{states: tr.CPUs[cpu].States, domSets: ch.domSets})
 		}
 	}
 	tr.domOnce.Do(func() { tr.dom = di })
@@ -766,56 +751,24 @@ func (lv *Live) updateAggLocked(tr *Trace) {
 	lv.aggMaxCPU = lv.maxCPU
 }
 
-// extendDomsLocked brings the per-CPU dominance pyramids up to the
-// current state-event counts in mragg append mode: only appended
-// events are scanned. A CPU that went dirty (out-of-order producer)
-// or whose intervals overlap goes dead and is never extended again —
-// its snapshots rebuild (or scan) instead.
+// extendDomsLocked brings the per-CPU dominance chains up to the
+// current state-event counts: only appended events are scanned. A CPU
+// that went dirty (out-of-order producer) or whose intervals overlap
+// goes dead and is never extended again — its snapshots rebuild (or
+// scan) instead.
 func (lv *Live) extendDomsLocked() {
 	for cpu := range lv.doms {
 		ch := &lv.doms[cpu]
-		if ch.dead || lv.order[cpu].stateDirty {
-			// Dead chains free their pyramids: no snapshot will ever
-			// be seeded with them again.
-			ch.dead, ch.all = true, nil
-			ch.byState = [trace.NumWorkerStates]*mragg.Set{}
-			continue
+		if lv.order[cpu].stateDirty {
+			*ch = domChain{dead: true}
 		}
 		// The logical array is the spilled columns followed by the RAM
 		// tail; the window gather is zero-copy in the steady state
 		// (new events are all in the tail) and only copies on a
 		// post-drop rebuild.
-		n0 := ch.n
-		m := lv.order[cpu].nStateF + len(lv.cpus[cpu].States)
-		if m == n0 {
-			continue
+		if m := lv.order[cpu].nStateF + len(lv.cpus[cpu].States); !ch.dead && m != ch.n {
+			ch.extend(lv.stateWindowLocked(cpu, ch.n))
 		}
-		win := lv.stateWindowLocked(cpu, n0)
-		starts := make([]int64, len(win))
-		ends := make([]int64, len(win))
-		for i := range win {
-			starts[i], ends[i] = win[i].Start, win[i].End
-		}
-		if ch.all == nil {
-			ch.all = mragg.Build(starts, ends, nil, 0)
-		} else {
-			ch.all = ch.all.Append(starts, ends, nil)
-		}
-		if ch.all == nil {
-			// Sorted starts but overlapping intervals: unindexable.
-			ch.dead = true
-			ch.byState = [trace.NumWorkerStates]*mragg.Set{}
-			continue
-		}
-		perStarts, perEnds, perRefs := perStateIntervalsAt(win, n0)
-		for k := range ch.byState {
-			if ch.byState[k] == nil {
-				ch.byState[k] = mragg.Build(perStarts[k], perEnds[k], perRefs[k], 0)
-			} else {
-				ch.byState[k] = ch.byState[k].Append(perStarts[k], perEnds[k], perRefs[k])
-			}
-		}
-		ch.n = m
 	}
 }
 
@@ -836,37 +789,13 @@ func (lv *Live) extendTreesLocked() {
 			if m == n0 {
 				continue
 			}
-			win := lv.sampleWindowLocked(ci, cpu, n0)
-			times := make([]int64, len(win))
-			values := make([]int64, len(win))
-			for i := range win {
-				times[i], values[i] = win[i].Time, win[i].Value
-			}
-			if lc.trees[cpu] == nil {
-				lc.trees[cpu] = mmtree.Build(times, values, mmtree.DefaultArity)
-			} else {
-				lc.trees[cpu] = lc.trees[cpu].Append(times, values)
-			}
 			// Rates: entry i spans samples (i, i+1), so appending
-			// samples [n0, m) adds the rate entries [max(n0-1,0), m-1).
-			// Gathering the window [max(n0-1,0), m) and deriving rates
-			// at offset 0 yields exactly those entries — rateSamples is
-			// purely pairwise, so the window gather and the full-array
-			// derivation are bit-identical.
-			rFrom := n0 - 1
-			if rFrom < 0 {
-				rFrom = 0
-			}
-			rWin := win
-			if rFrom < n0 {
-				rWin = lv.sampleWindowLocked(ci, cpu, rFrom)
-			}
-			rTimes, rValues := rateSamples(rWin, 0)
-			if lc.rateTrees[cpu] == nil {
-				lc.rateTrees[cpu] = mmtree.Build(rTimes, rValues, mmtree.DefaultArity)
-			} else {
-				lc.rateTrees[cpu] = lc.rateTrees[cpu].Append(rTimes, rValues)
-			}
+			// samples [n0, m) adds the rate entries [max(n0-1,0), m-1):
+			// gather the window from the last covered sample on.
+			from := max(n0-1, 0)
+			win := lv.sampleWindowLocked(ci, cpu, from)
+			lc.trees[cpu] = appendValues(lc.trees[cpu], win[n0-from:], 0)
+			lc.rateTrees[cpu] = appendRates(lc.rateTrees[cpu], win, 0)
 			lc.treeN[cpu] = m
 		}
 	}

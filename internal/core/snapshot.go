@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/openstream/aftermath/internal/agg"
 	"github.com/openstream/aftermath/internal/mmtree"
 	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/store"
@@ -11,8 +12,11 @@ import (
 )
 
 // snapshotFormatVersion is the columnar snapshot meta layout version.
-// Segment files (spill.go) version independently.
-const snapshotFormatVersion = 1
+// Segment files (spill.go) version independently. Version 2 stores
+// each pyramid level as one column of nodes (version 1 wrote two
+// parallel columns per level); older snapshots must be re-saved from
+// their source trace.
+const snapshotFormatVersion = 2
 
 // SaveStore writes the trace as a columnar snapshot: every per-CPU
 // event array, counter sample array and table dumped as raw columns,
@@ -113,7 +117,41 @@ func SaveStore(tr *Trace, path string) (err error) {
 	return w.Finish(e.Bytes())
 }
 
-// putSet appends a dominance set's raw columns; nil sets store a
+// putPyramid appends a pyramid: arity, level count, one node column
+// per level.
+func putPyramid[S any](w *store.Writer, e *store.Enc, t agg.Tree[S]) {
+	levels := t.Levels()
+	e.Int(t.Arity())
+	e.Int(len(levels))
+	for _, lv := range levels {
+		e.Ref(store.Put(w, lv))
+	}
+}
+
+// viewPyramid adopts a pyramid over n leaves written by putPyramid.
+// The meta blob is not trusted: the level count is bounded before
+// anything is allocated for it and agg.FromLevels checks every level
+// length against n, so a corrupt file fails here, not in a query.
+func viewPyramid[S any](m *store.Mapped, d *store.Dec, n int) (agg.Tree[S], error) {
+	arity := d.Int()
+	count := d.Int() // 0 after a decode error, which d.Err reports below
+	if count > agg.MaxLevels {
+		return agg.Tree[S]{}, fmt.Errorf("store: corrupt snapshot: pyramid with %d levels", count)
+	}
+	levels := make([][]S, count)
+	for l := range levels {
+		var err error
+		if levels[l], err = store.View[S](m, d.Ref()); err != nil {
+			return agg.Tree[S]{}, err
+		}
+	}
+	if err := d.Err(); err != nil {
+		return agg.Tree[S]{}, err
+	}
+	return agg.FromLevels(arity, n, levels)
+}
+
+// putSet appends a dominance set's columns; nil sets store a
 // present=0 flag only.
 func putSet(w *store.Writer, e *store.Enc, s *mragg.Set) {
 	if s == nil {
@@ -121,27 +159,18 @@ func putSet(w *store.Writer, e *store.Enc, s *mragg.Set) {
 		return
 	}
 	e.Int(1)
-	arity, starts, ends, prefix, refs, maxs, args := s.Raw()
-	e.Int(arity)
+	starts, ends, prefix, refs, pyramid := s.Columns()
 	e.Ref(store.Put(w, starts))
 	e.Ref(store.Put(w, ends))
 	e.Ref(store.Put(w, prefix))
 	e.Ref(store.Put(w, refs))
-	e.Int(len(maxs))
-	for _, lvl := range maxs {
-		e.Ref(store.Put(w, lvl))
-	}
-	e.Int(len(args))
-	for _, lvl := range args {
-		e.Ref(store.Put(w, lvl))
-	}
+	putPyramid(w, e, pyramid)
 }
 
 func viewSet(m *store.Mapped, d *store.Dec) (*mragg.Set, error) {
 	if d.Int() == 0 {
 		return nil, d.Err()
 	}
-	arity := d.Int()
 	starts, err := store.View[int64](m, d.Ref())
 	if err != nil {
 		return nil, err
@@ -158,39 +187,22 @@ func viewSet(m *store.Mapped, d *store.Dec) (*mragg.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	maxs := make([][]int64, d.Int())
-	for i := range maxs {
-		if maxs[i], err = store.View[int64](m, d.Ref()); err != nil {
-			return nil, err
-		}
-	}
-	args := make([][]int32, d.Int())
-	for i := range args {
-		if args[i], err = store.View[int32](m, d.Ref()); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.Err(); err != nil {
+	pyramid, err := viewPyramid[mragg.Node](m, d, len(starts))
+	if err != nil {
 		return nil, err
 	}
-	return mragg.FromRaw(arity, starts, ends, prefix, refs, maxs, args), nil
+	return mragg.Adopt(starts, ends, prefix, refs, pyramid)
 }
 
-// putTree appends a min/max tree's raw columns.
+// putTree appends a min/max tree's columns.
 func putTree(w *store.Writer, e *store.Enc, t *mmtree.Tree) {
-	arity, times, values, mins, maxs := t.Raw()
-	e.Int(arity)
+	times, values, pyramid := t.Columns()
 	e.Ref(store.Put(w, times))
 	e.Ref(store.Put(w, values))
-	e.Int(len(mins))
-	for i := range mins {
-		e.Ref(store.Put(w, mins[i]))
-		e.Ref(store.Put(w, maxs[i]))
-	}
+	putPyramid(w, e, pyramid)
 }
 
 func viewTree(m *store.Mapped, d *store.Dec) (*mmtree.Tree, error) {
-	arity := d.Int()
 	times, err := store.View[int64](m, d.Ref())
 	if err != nil {
 		return nil, err
@@ -199,21 +211,11 @@ func viewTree(m *store.Mapped, d *store.Dec) (*mmtree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := d.Int()
-	mins := make([][]int64, n)
-	maxs := make([][]int64, n)
-	for i := 0; i < n; i++ {
-		if mins[i], err = store.View[int64](m, d.Ref()); err != nil {
-			return nil, err
-		}
-		if maxs[i], err = store.View[int64](m, d.Ref()); err != nil {
-			return nil, err
-		}
-	}
-	if err := d.Err(); err != nil {
+	pyramid, err := viewPyramid[mmtree.Node](m, d, len(values))
+	if err != nil {
 		return nil, err
 	}
-	return mmtree.FromRaw(arity, times, values, mins, maxs), nil
+	return mmtree.Adopt(times, values, pyramid)
 }
 
 // OpenStore maps a columnar snapshot written by SaveStore. Event and
@@ -235,7 +237,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 
 	d := store.NewDec(m.Meta())
 	if v := d.Int(); v != snapshotFormatVersion {
-		return nil, fmt.Errorf("store: snapshot format version %d, want %d", v, snapshotFormatVersion)
+		return nil, fmt.Errorf("store: snapshot format version %d, this build reads version %d (re-save the snapshot from its source trace)", v, snapshotFormatVersion)
 	}
 	if h := d.U64(); h != layoutHash() {
 		return nil, fmt.Errorf("store: snapshot written with incompatible type layout (hash %#x, want %#x)", h, layoutHash())
@@ -319,7 +321,11 @@ func OpenStore(path string) (tr *Trace, err error) {
 		if err != nil {
 			return nil, err
 		}
-		dc := &DomCPU{states: tr.CPUs[cpu].States, all: all}
+		if all != nil && all.Len() != len(tr.CPUs[cpu].States) {
+			return nil, fmt.Errorf("store: corrupt snapshot: cpu %d dominance set over %d intervals, %d state events",
+				cpu, all.Len(), len(tr.CPUs[cpu].States))
+		}
+		dc := &DomCPU{states: tr.CPUs[cpu].States, domSets: domSets{all: all}}
 		for k := 0; k < trace.NumWorkerStates; k++ {
 			if dc.byState[k], err = viewSet(m, d); err != nil {
 				return nil, err

@@ -2,11 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"github.com/openstream/aftermath/internal/mmtree"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -58,6 +63,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for cpu := int32(0); int(cpu) < want.NumCPUs(); cpu++ {
 		ge := got.DomIndex().CPU(got, cpu)
 		we := want.DomIndex().CPU(want, cpu)
+		sameDomSets(t, fmt.Sprintf("mapped cpu %d", cpu), ge.domSets, we.domSets)
 		for t0 := span.Start; t0 < span.End; t0 += step {
 			gd, gok, gidx := ge.DominantState(t0, t0+step)
 			wd, wok, widx := we.DominantState(t0, t0+step)
@@ -90,6 +96,19 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			wrt := want.CounterIndex().RateTree(c, int32(cpu))
 			if grt.Len() != wrt.Len() {
 				t.Fatalf("counter %d cpu %d rate tree Len %d, want %d", i, cpu, grt.Len(), wrt.Len())
+			}
+			// The mapped trees are the saved ones, node for node.
+			for _, p := range [][2]*mmtree.Tree{{gt, wt}, {grt, wrt}} {
+				gtm, gv, gp := p[0].Columns()
+				wtm, wv, wp := p[1].Columns()
+				if !slices.Equal(gtm, wtm) || !slices.Equal(gv, wv) || gp.Arity() != wp.Arity() || len(gp.Levels()) != len(wp.Levels()) {
+					t.Fatalf("counter %d cpu %d mapped tree columns differ", i, cpu)
+				}
+				for l := range wp.Levels() {
+					if !slices.Equal(gp.Levels()[l], wp.Levels()[l]) {
+						t.Fatalf("counter %d cpu %d mapped tree level %d differs", i, cpu, l)
+					}
+				}
 			}
 		}
 	}
@@ -142,4 +161,141 @@ func TestSnapshotRejectsWrongFormat(t *testing.T) {
 	if _, err := OpenStore(raw); err == nil {
 		t.Fatal("open of a raw trace stream succeeded")
 	}
+}
+
+// tamperMeta rewrites the snapshot at src to dst with its meta blob
+// edited as a list of raw uvarints. The blob is varints plus ASCII
+// strings, so the list re-encodes byte for byte (checked), and an edit
+// cannot accidentally shift a field.
+func tamperMeta(t *testing.T, src, dst string, edit func(vals []uint64) []uint64) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := binary.LittleEndian.Uint64(data[24:32])
+	n := binary.LittleEndian.Uint64(data[32:40])
+	meta := data[off : off+n]
+	var vals []uint64
+	for rest := meta; len(rest) > 0; {
+		v, k := binary.Uvarint(rest)
+		if k <= 0 {
+			t.Fatal("meta blob is not a uvarint stream")
+		}
+		vals, rest = append(vals, v), rest[k:]
+	}
+	encode := func(vals []uint64) []byte {
+		var out []byte
+		for _, v := range vals {
+			out = binary.AppendUvarint(out, v)
+		}
+		return out
+	}
+	if !bytes.Equal(encode(vals), meta) {
+		t.Fatal("meta blob does not re-encode canonically")
+	}
+	out := append([]byte(nil), data[:off]...)
+	newMeta := encode(edit(vals))
+	out = append(out, newMeta...)
+	binary.LittleEndian.PutUint64(out[32:40], uint64(len(newMeta)))
+	if err := os.WriteFile(dst, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOpenStoreCorruptPyramids: OpenStore does not trust the pyramid
+// shapes the meta blob claims. A hostile level count, a level or
+// prefix column of the wrong length, leaf columns that disagree, and a
+// snapshot of an older format version are all descriptive errors at
+// open — never an allocation sized by the attacker or an index panic
+// in a later render.
+func TestOpenStoreCorruptPyramids(t *testing.T) {
+	tr := loadLive(t)
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.atms")
+	if err := SaveStore(tr, good); err != nil {
+		t.Fatal(err)
+	}
+
+	// zz is the zigzag encoding store refs use for non-negative values.
+	zz := func(v int) uint64 { return uint64(v) << 1 }
+	// The first dominance set, CPU 0's all-states set, is laid out as
+	// present, starts/ends/prefix/refs refs (offset, bytes), arity,
+	// level count, level refs.
+	set := tr.DomIndex().CPU(tr, 0).all
+	nSet := set.Len()
+	_, _, _, _, setPyr := set.Columns()
+	nSetLevels := len(setPyr.Levels())
+	findSet := func(vals []uint64) int {
+		for i := 0; i+11 < len(vals); i++ {
+			if vals[i] == 1 && vals[i+2] == zz(8*nSet) && vals[i+4] == zz(8*nSet) && vals[i+6] == zz(8*(nSet+1)) &&
+				vals[i+7] == 0 && vals[i+8] == 0 && vals[i+9] == uint64(setPyr.Arity()) && vals[i+10] == uint64(nSetLevels) {
+				return i
+			}
+		}
+		t.Fatal("all-states set not found in meta")
+		return 0
+	}
+	// The first counter tree: times/values refs, arity, level count.
+	tree := tr.CounterIndex().Tree(tr.Counters[0], 0)
+	nTree := tree.Len()
+	findTree := func(vals []uint64) int {
+		for i := 0; i+5 < len(vals); i++ {
+			if vals[i+1] == zz(8*nTree) && vals[i+3] == zz(8*nTree) && vals[i+4] == uint64(tree.Arity()) && vals[i+5] == 1 {
+				return i
+			}
+		}
+		t.Fatal("counter tree not found in meta")
+		return 0
+	}
+	if nSetLevels < 2 || nTree < 2 {
+		t.Fatalf("precondition: %d set levels, %d tree samples", nSetLevels, nTree)
+	}
+
+	cases := []struct {
+		name, want string
+		edit       func(vals []uint64) []uint64
+	}{
+		{"format version 1", "version 1", func(v []uint64) []uint64 { v[0] = 1; return v }},
+		{"attacker-sized level count", "levels", func(v []uint64) []uint64 { v[findSet(v)+10] = 1 << 40; return v }},
+		{"missing level", "levels", func(v []uint64) []uint64 {
+			i := findSet(v)
+			v[i+10]--
+			return append(v[:i+11+2*(nSetLevels-1)], v[i+11+2*nSetLevels:]...)
+		}},
+		{"short level", "level 0", func(v []uint64) []uint64 { v[findSet(v)+12] -= zz(16); return v }},
+		{"short prefix sums", "prefix", func(v []uint64) []uint64 { v[findSet(v)+6] -= zz(8); return v }},
+		{"ends shorter than starts", "ends", func(v []uint64) []uint64 { v[findSet(v)+4] -= zz(8); return v }},
+		{"set over fewer intervals than state events", "state events", func(v []uint64) []uint64 {
+			i := findSet(v)
+			v[i+2], v[i+4], v[i+6] = zz(8*64), zz(8*64), zz(8*65)
+			v[i+10], v[i+12] = 1, zz(16) // one level holding one node
+			return append(v[:i+13], v[i+11+2*nSetLevels:]...)
+		}},
+		{"tree level count", "levels", func(v []uint64) []uint64 { v[findTree(v)+5] = 1 << 40; return v }},
+		{"tree times shorter than values", "times", func(v []uint64) []uint64 { v[findTree(v)+1] -= zz(8); return v }},
+	}
+	for _, c := range cases {
+		bad := filepath.Join(dir, "bad.atms")
+		tamperMeta(t, good, bad, c.edit)
+		got, err := OpenStore(bad)
+		if err == nil {
+			got.Close()
+			t.Errorf("%s: OpenStore accepted the snapshot", c.name)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+
+	// The untampered rewrite still opens: the cases above fail for
+	// their edit, not for the rewriting.
+	same := filepath.Join(dir, "same.atms")
+	tamperMeta(t, good, same, func(v []uint64) []uint64 { return v })
+	got, err := OpenStore(same)
+	if err != nil {
+		t.Fatalf("identity rewrite: %v", err)
+	}
+	got.Close()
 }

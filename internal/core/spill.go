@@ -27,6 +27,8 @@ import (
 	"sort"
 	"unsafe"
 
+	"github.com/openstream/aftermath/internal/mmtree"
+	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/store"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -69,11 +71,11 @@ const (
 // container (which has its own magic + version).
 const segFormatVersion = 1
 
-// layoutHash fingerprints the in-memory layout of every record type
-// the store dumps raw, plus the word size. A file written by a build
-// with a different field layout (or architecture) fails to open
-// instead of misparsing. Endianness is checked separately by the store
-// header probe.
+// layoutHash fingerprints the in-memory layout of every record and
+// pyramid node type the store dumps raw, plus the word size. A file
+// written by a build with a different field layout (or architecture)
+// fails to open instead of misparsing. Endianness is checked separately
+// by the store header probe.
 func layoutHash() uint64 {
 	var se trace.StateEvent
 	var de trace.DiscreteEvent
@@ -81,6 +83,8 @@ func layoutHash() uint64 {
 	var cs trace.CounterSample
 	var mr trace.MemRegion
 	var ti TaskInfo
+	var mn mmtree.Node
+	var dn mragg.Node
 	h := uint64(1469598103934665603) // FNV-1a offset basis
 	mix := func(vs ...uintptr) {
 		for _, v := range vs {
@@ -103,6 +107,8 @@ func layoutHash() uint64 {
 	mix(unsafe.Sizeof(ti), unsafe.Offsetof(ti.ID), unsafe.Offsetof(ti.Type),
 		unsafe.Offsetof(ti.Created), unsafe.Offsetof(ti.CreatorCPU),
 		unsafe.Offsetof(ti.ExecCPU), unsafe.Offsetof(ti.ExecStart), unsafe.Offsetof(ti.ExecEnd))
+	mix(unsafe.Sizeof(mn), unsafe.Offsetof(mn.Min), unsafe.Offsetof(mn.Max))
+	mix(unsafe.Sizeof(dn), unsafe.Offsetof(dn.Max), unsafe.Offsetof(dn.Arg))
 	return h
 }
 

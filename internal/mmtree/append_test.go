@@ -41,7 +41,7 @@ func TestAppendEqualsBuild(t *testing.T) {
 			if tree.Len() != want.Len() {
 				t.Fatalf("arity %d total %d: Len = %d, want %d", arity, total, tree.Len(), want.Len())
 			}
-			if !reflect.DeepEqual(tree.mins, want.mins) || !reflect.DeepEqual(tree.maxs, want.maxs) {
+			if !reflect.DeepEqual(tree.pyramid.Levels(), want.pyramid.Levels()) {
 				t.Fatalf("arity %d total %d: internal levels differ from Build", arity, total)
 			}
 			// Spot-check queries too, covering the traversal.

@@ -6,17 +6,18 @@
 // rather than the sample count.
 //
 // The tree is an instantiation of the generic aggregation framework in
-// internal/agg: the summary is a (min, max) pair, Combine is the
+// internal/agg: the summary is a (min, max) Node, Combine is the
 // componentwise min/max (commutative and idempotent, so any range
-// decomposition yields byte-identical results), and the level storage
-// keeps the historical min/max column layout. Build, Append and the
-// range query delegate to agg.Grow and agg.Query.
+// decomposition yields byte-identical results), and an agg.Tree[Node]
+// holds the pyramid. This package adds the (time, value) leaf columns
+// and the time-to-index searches.
 //
 // The default arity of 100 keeps the tree's memory overhead below 5%
 // of the sample data, as in the paper.
 package mmtree
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/openstream/aftermath/internal/agg"
@@ -28,84 +29,108 @@ const DefaultArity = 100
 // Tree is an immutable n-ary min/max tree over (time, value) samples
 // sorted by time.
 type Tree struct {
-	arity  int
-	times  []int64
-	values []int64
-	// mins[l][i] / maxs[l][i] cover arity^(l+1) consecutive samples.
-	mins [][]int64
-	maxs [][]int64
+	times   []int64
+	values  []int64
+	pyramid agg.Tree[Node]
 }
 
-// minmax is the aggregation summary: the value range of a sample run.
-type minmax struct{ mn, mx int64 }
+// Node is the aggregation summary: the value range of a sample run.
+// Its memory image is what the columnar store persists per pyramid
+// node.
+type Node struct{ Min, Max int64 }
 
 // mmAgg adapts a Tree's sample values to the agg.Agg contract.
 type mmAgg Tree
 
 // Zero implements agg.Agg.
-func (a *mmAgg) Zero() minmax { return minmax{} }
+func (a *mmAgg) Zero() Node { return Node{} }
 
 // Leaf implements agg.Agg.
-func (a *mmAgg) Leaf(i int) minmax { v := a.values[i]; return minmax{v, v} }
+func (a *mmAgg) Leaf(i int) Node { v := a.values[i]; return Node{v, v} }
 
 // Combine implements agg.Agg: componentwise min/max.
-func (a *mmAgg) Combine(x, y minmax) minmax {
-	if y.mn < x.mn {
-		x.mn = y.mn
+func (a *mmAgg) Combine(x, y Node) Node {
+	if y.Min < x.Min {
+		x.Min = y.Min
 	}
-	if y.mx > x.mx {
-		x.mx = y.mx
+	if y.Max > x.Max {
+		x.Max = y.Max
 	}
 	return x
 }
 
-// mmStore adapts a Tree's min/max column arrays to the agg.Store
-// contract, for fresh builds (the previous generation is the empty
-// tree itself) and for queries.
-type mmStore Tree
-
-// Levels implements agg.Store.
-func (s *mmStore) Levels() int { return len(s.mins) }
-
-// Len implements agg.Store.
-func (s *mmStore) Len(level int) int { return len(s.mins[level]) }
-
-// Node implements agg.Store.
-func (s *mmStore) Node(level, i int) minmax {
-	return minmax{s.mins[level][i], s.maxs[level][i]}
-}
-
-// Add implements agg.Store.
-func (s *mmStore) Add(level, n, keep int) {
-	mins := make([]int64, n)
-	maxs := make([]int64, n)
-	if keep > 0 {
-		copy(mins, s.mins[level][:keep])
-		copy(maxs, s.maxs[level][:keep])
-	}
-	s.mins = append(s.mins, mins)
-	s.maxs = append(s.maxs, maxs)
-}
-
-// Set implements agg.Store.
-func (s *mmStore) Set(level, i int, v minmax) {
-	s.mins[level][i] = v.mn
-	s.maxs[level][i] = v.mx
-}
-
-// Build constructs a tree over samples sorted by non-decreasing time.
-// times and values must have equal length. Arity values below 2 fall
-// back to DefaultArity. The input slices are retained, not copied.
+// Build constructs a tree over samples sorted by non-decreasing time:
+// the empty tree, appended to once. times and values must have equal
+// length. Arity values below 2 fall back to DefaultArity. The input
+// slices are retained, not copied.
 func Build(times, values []int64, arity int) *Tree {
-	if len(times) != len(values) {
-		panic("mmtree: times and values length mismatch")
-	}
 	if arity < 2 {
 		arity = DefaultArity
 	}
-	t := &Tree{arity: arity, times: times, values: values}
-	agg.Grow[minmax]((*mmAgg)(t), (*mmStore)(t), len(values), 0, arity)
-	return t
+	return (&Tree{pyramid: agg.NewTree[Node](arity)}).Append(times, values)
+}
+
+// extend returns col followed by add. An empty column adopts add
+// itself, which is how Build retains its inputs without copying.
+func extend(col, add []int64) []int64 {
+	if len(col) == 0 {
+		return add
+	}
+	return append(col, add...)
+}
+
+// Append returns a tree over the concatenation of t's samples and the
+// given (time, value) samples — the amortized extension mode used by
+// the live streaming ingest path, which would otherwise rebuild every
+// tree from scratch on each published snapshot.
+//
+// The returned tree is structurally identical to
+// Build(allTimes, allValues, arity) over the concatenated sample
+// sequence (see TestAppendEqualsBuild): agg.Tree.Extend copies
+// internal blocks whose leaves are all old from t unchanged and
+// recomputes only the partial tail block of each level plus the blocks
+// covering new leaves, so an append of k samples costs
+// O(k + levels·arity) plus one O(n/arity) header copy per level.
+//
+// t itself remains valid and immutable: internal levels are fresh
+// arrays, and leaf storage is extended with append, which never
+// touches elements below t's length. Consequently trees must form a
+// linear chain — appending twice to the same tree would make both
+// results share tail storage. The caller keeps exactly one live chain,
+// as Build-then-Append-per-epoch naturally does.
+func (t *Tree) Append(times, values []int64) *Tree {
+	if len(times) != len(values) {
+		panic("mmtree: times and values length mismatch")
+	}
+	if len(times) == 0 {
+		return t
+	}
+	nt := &Tree{times: extend(t.times, times), values: extend(t.values, values)}
+	nt.pyramid = t.pyramid.Extend((*mmAgg)(nt), len(nt.values))
+	return nt
+}
+
+// Columns exposes the tree's storage for serialization into the
+// columnar store format: the retained (time, value) sample columns and
+// the pyramid. The returned slices alias the tree's storage and must
+// not be mutated.
+func (t *Tree) Columns() (times, values []int64, pyramid agg.Tree[Node]) {
+	return t.times, t.values, t.pyramid
+}
+
+// Adopt reconstructs a tree from columns previously produced by
+// Columns — typically mmap-backed views of a store file — without
+// copying. The column lengths must agree with the pyramid's leaf
+// count (agg.FromLevels has validated the pyramid's own shape); sample
+// order and node contents are trusted. The resulting tree is immutable
+// like any other: Append never mutates adopted columns because appends
+// on full slices reallocate.
+func Adopt(times, values []int64, pyramid agg.Tree[Node]) (*Tree, error) {
+	if len(times) != len(values) || pyramid.Len() != len(values) {
+		return nil, fmt.Errorf("mmtree: %d times, %d values and a pyramid over %d leaves do not describe one tree",
+			len(times), len(values), pyramid.Len())
+	}
+	return &Tree{times: times, values: values, pyramid: pyramid}, nil
 }
 
 // Len returns the number of samples.
@@ -118,18 +143,12 @@ func (t *Tree) Time(i int) int64 { return t.times[i] }
 func (t *Tree) Value(i int) int64 { return t.values[i] }
 
 // Arity returns the tree's arity.
-func (t *Tree) Arity() int { return t.arity }
+func (t *Tree) Arity() int { return t.pyramid.Arity() }
 
 // OverheadBytes returns the memory consumed by the tree's internal
 // nodes (the paper keeps this below 5% of the sample data with arity
 // 100).
-func (t *Tree) OverheadBytes() int64 {
-	var n int64
-	for l := range t.mins {
-		n += int64(len(t.mins[l]) + len(t.maxs[l]))
-	}
-	return n * 8
-}
+func (t *Tree) OverheadBytes() int64 { return t.pyramid.OverheadBytes() }
 
 // DataBytes returns the memory consumed by the samples themselves.
 func (t *Tree) DataBytes() int64 {
@@ -145,16 +164,10 @@ func (t *Tree) MinMax(t0, t1 int64) (min, max int64, ok bool) {
 }
 
 // MinMaxIndex returns the minimum and maximum over samples with index
-// in [lo, hi), evaluated by the generic pyramid walk.
+// in [lo, hi) (clamped), evaluated by the generic pyramid walk.
 func (t *Tree) MinMaxIndex(lo, hi int) (min, max int64, ok bool) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(t.values) {
-		hi = len(t.values)
-	}
-	s, ok := agg.Query[minmax]((*mmAgg)(t), (*mmStore)(t), t.arity, lo, hi)
-	return s.mn, s.mx, ok
+	s, ok := t.pyramid.Query((*mmAgg)(t), lo, hi)
+	return s.Min, s.Max, ok
 }
 
 // NaiveMinMax scans all samples in [t0, t1); it exists as the baseline

@@ -149,3 +149,19 @@ func TestMinMaxProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Adopt is the store's way in: columns that do not describe one tree
+// are an error, never a later index panic.
+func TestAdoptChecksColumnLengths(t *testing.T) {
+	tree := buildRandom(1000, 10, 5)
+	times, values, pyramid := tree.Columns()
+	if rt, err := Adopt(times, values, pyramid); err != nil || rt.Len() != tree.Len() {
+		t.Fatalf("Adopt(Columns()) = %v, %v", rt, err)
+	}
+	if _, err := Adopt(times[:999], values, pyramid); err == nil {
+		t.Error("short times column accepted")
+	}
+	if _, err := Adopt(times[:999], values[:999], pyramid); err == nil {
+		t.Error("pyramid over more leaves than samples accepted")
+	}
+}

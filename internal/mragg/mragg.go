@@ -31,15 +31,17 @@
 //
 // The pyramid is an instantiation of the generic aggregation framework
 // in internal/agg: the summary is a (max duration, lowest achieving
-// leaf index) pair, Combine keeps the larger duration tie-broken
+// leaf index) Node, Combine keeps the larger duration tie-broken
 // toward the lower index (commutative and idempotent, so any range
-// decomposition yields byte-identical results), and the level storage
-// keeps the historical max/arg column layout. Build, Append and the
-// range-max query delegate to agg.Grow and agg.Query; the prefix sums
-// behind Cover stay local to this package.
+// decomposition yields byte-identical results), and an agg.Tree[Node]
+// holds the levels. This package adds the interval leaf columns, the
+// order validation, the clipped-edge handling and the prefix sums
+// behind Cover.
 package mragg
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/openstream/aftermath/internal/agg"
@@ -55,20 +57,19 @@ const DefaultArity = 64
 // Set is an immutable dominance/cover index over disjoint intervals
 // sorted by start time.
 type Set struct {
-	arity  int
 	starts []int64
 	ends   []int64
 	// refs optionally maps leaf i to an index in the caller's source
 	// array (used for subset indexes, e.g. task-execution intervals
 	// within a CPU's full state array); nil means identity.
 	refs []int32
-	// prefix[i] is the total duration of intervals [0, i).
+	// prefix[i] is the total duration of intervals [0, i); nil for the
+	// empty set, else len(starts)+1 long.
 	prefix []int64
-	// maxs[l][b] is the maximum duration among the leaves below
-	// bucket b of level l; args[l][b] is the lowest leaf index
-	// achieving it. Level 0 buckets cover arity leaves.
-	maxs [][]int64
-	args [][]int32
+	// pyramid summarizes, per bucket of arity children, the maximum
+	// duration among the leaves below it and the lowest leaf index
+	// achieving it.
+	pyramid agg.Tree[Node]
 }
 
 // ordered reports whether appending (starts, ends) after an interval
@@ -91,171 +92,130 @@ func ordered(prevStart, prevEnd int64, has bool, starts, ends []int64) bool {
 
 // Build constructs a Set over intervals [starts[i], ends[i]), which
 // must be disjoint and sorted by start; nil is returned otherwise
-// (callers fall back to scanning). refs may be nil (identity) or give
-// the source index of each leaf. Arity values below 2 fall back to
-// DefaultArity. The input slices are retained, not copied.
+// (callers fall back to scanning). It is the empty set, appended to
+// once. refs may be nil (identity) or give the source index of each
+// leaf. Arity values below 2 fall back to DefaultArity. The input
+// slices are retained, not copied.
 func Build(starts, ends []int64, refs []int32, arity int) *Set {
-	if len(starts) != len(ends) || (refs != nil && len(refs) != len(starts)) {
-		panic("mragg: slice length mismatch")
-	}
-	if !ordered(0, 0, false, starts, ends) {
-		return nil
-	}
 	if arity < 2 {
 		arity = DefaultArity
 	}
-	s := &Set{arity: arity, starts: starts, ends: ends, refs: refs}
-	s.prefix = make([]int64, len(starts)+1)
-	for i := range starts {
-		s.prefix[i+1] = s.prefix[i] + (ends[i] - starts[i])
-	}
-	agg.Grow[dom]((*domAgg)(s), (*domStore)(s), len(starts), 0, arity)
-	return s
+	return (&Set{pyramid: agg.NewTree[Node](arity)}).Append(starts, ends, refs)
 }
 
-// dom is the aggregation summary: the maximum interval duration in a
-// leaf run and the lowest leaf index achieving it.
-type dom struct {
-	mx  int64
-	arg int32
+// Node is the aggregation summary: the maximum interval duration in a
+// leaf run and the lowest leaf index achieving it. Its memory image is
+// what the columnar store persists per pyramid node, hence the
+// explicit padding: dumped bytes must not depend on what the
+// allocator left between Arg and the next node.
+type Node struct {
+	Max int64
+	Arg int32
+	_   int32
 }
 
 // domAgg adapts a Set's interval durations to the agg.Agg contract.
 type domAgg Set
 
 // Zero implements agg.Agg.
-func (a *domAgg) Zero() dom { return dom{arg: -1} }
+func (a *domAgg) Zero() Node { return Node{Arg: -1} }
 
 // Leaf implements agg.Agg.
-func (a *domAgg) Leaf(i int) dom { return dom{a.ends[i] - a.starts[i], int32(i)} }
+func (a *domAgg) Leaf(i int) Node { return Node{Max: a.ends[i] - a.starts[i], Arg: int32(i)} }
 
 // Combine implements agg.Agg: the larger duration wins, ties break
 // toward the lower leaf index. In build folds the left operand always
 // carries the lower index, so ties keep the left summary — the
 // first-strictly-greater semantics of the sequential scan this index
 // replaces.
-func (a *domAgg) Combine(x, y dom) dom {
-	if y.mx > x.mx || (y.mx == x.mx && y.arg < x.arg) {
+func (a *domAgg) Combine(x, y Node) Node {
+	if y.Max > x.Max || (y.Max == x.Max && y.Arg < x.Arg) {
 		return y
 	}
 	return x
-}
-
-// domStore adapts a Set's max/arg column arrays to the agg.Store
-// contract, for fresh builds and queries.
-type domStore Set
-
-// Levels implements agg.Store.
-func (s *domStore) Levels() int { return len(s.maxs) }
-
-// Len implements agg.Store.
-func (s *domStore) Len(level int) int { return len(s.maxs[level]) }
-
-// Node implements agg.Store.
-func (s *domStore) Node(level, i int) dom {
-	return dom{s.maxs[level][i], s.args[level][i]}
-}
-
-// Add implements agg.Store.
-func (s *domStore) Add(level, n, keep int) {
-	maxs := make([]int64, n)
-	args := make([]int32, n)
-	if keep > 0 {
-		copy(maxs, s.maxs[level][:keep])
-		copy(args, s.args[level][:keep])
-	}
-	s.maxs = append(s.maxs, maxs)
-	s.args = append(s.args, args)
-}
-
-// Set implements agg.Store.
-func (s *domStore) Set(level, i int, v dom) {
-	s.maxs[level][i] = v.mx
-	s.args[level][i] = v.arg
-}
-
-// domGrow is the two-generation store append mode uses: Levels and
-// Len describe the pre-append set, Add/Set/Node the set being built.
-type domGrow struct{ old, ns *Set }
-
-// Levels implements agg.Store (previous generation).
-func (g *domGrow) Levels() int { return len(g.old.maxs) }
-
-// Len implements agg.Store (previous generation).
-func (g *domGrow) Len(level int) int { return len(g.old.maxs[level]) }
-
-// Node implements agg.Store (generation being built).
-func (g *domGrow) Node(level, i int) dom {
-	return dom{g.ns.maxs[level][i], g.ns.args[level][i]}
-}
-
-// Add implements agg.Store: fresh level arrays with the unchanged
-// prefix copied from the previous generation.
-func (g *domGrow) Add(level, n, keep int) {
-	maxs := make([]int64, n)
-	args := make([]int32, n)
-	if keep > 0 {
-		copy(maxs, g.old.maxs[level][:keep])
-		copy(args, g.old.args[level][:keep])
-	}
-	g.ns.maxs = append(g.ns.maxs, maxs)
-	g.ns.args = append(g.ns.args, args)
-}
-
-// Set implements agg.Store (generation being built).
-func (g *domGrow) Set(level, i int, v dom) {
-	g.ns.maxs[level][i] = v.mx
-	g.ns.args[level][i] = v.arg
 }
 
 // Append returns a Set over the concatenation of s's intervals and
 // the given ones — the amortized extension mode of the live streaming
 // ingest path, mirroring mmtree.Tree.Append. Returns nil if the
 // appended intervals break the disjoint-sorted invariant (the caller
-// then rebuilds or falls back to scanning).
+// then rebuilds or falls back to scanning). The empty set adopts the
+// incoming slices (and refs presence) wholesale; this is how Build
+// retains its inputs and how per-class chains bootstrap.
 //
 // s itself stays valid and immutable: pyramid levels are fresh
 // arrays, and leaf storage is extended with append, which never
 // touches elements below s's length. As with mmtree, sets must form a
 // linear chain — append once per epoch to the latest set only.
 func (s *Set) Append(starts, ends []int64, refs []int32) *Set {
-	if len(starts) != len(ends) {
+	if len(starts) != len(ends) || (refs != nil && len(refs) != len(starts)) {
 		panic("mragg: slice length mismatch")
 	}
 	if len(starts) == 0 {
 		return s
 	}
-	if len(s.starts) == 0 {
-		// An empty set adopts the incoming data (and refs presence)
-		// wholesale; this is how per-class chains bootstrap.
-		return Build(starts, ends, refs, s.arity)
-	}
-	if (s.refs == nil) != (refs == nil) || (refs != nil && len(refs) != len(starts)) {
-		panic("mragg: refs presence mismatch with existing set")
-	}
 	n := len(s.starts)
-	var ps, pe int64
+	var prevStart, prevEnd int64
 	if n > 0 {
-		ps, pe = s.starts[n-1], s.ends[n-1]
+		if (s.refs == nil) != (refs == nil) {
+			panic("mragg: refs presence mismatch with existing set")
+		}
+		prevStart, prevEnd = s.starts[n-1], s.ends[n-1]
 	}
-	if !ordered(ps, pe, n > 0, starts, ends) {
+	if !ordered(prevStart, prevEnd, n > 0, starts, ends) {
 		return nil
 	}
 	ns := &Set{
-		arity:  s.arity,
-		starts: append(s.starts, starts...),
-		ends:   append(s.ends, ends...),
-		prefix: s.prefix,
+		starts: extend(s.starts, starts),
+		ends:   extend(s.ends, ends),
+		refs:   extend(s.refs, refs),
+		prefix: slices.Grow(s.prefix, len(starts)+1),
 	}
-	if s.refs != nil {
-		ns.refs = append(s.refs, refs...)
+	if n == 0 {
+		ns.prefix = append(ns.prefix, 0)
 	}
-	ns.prefix = append(ns.prefix, make([]int64, len(starts))...)
 	for i := range starts {
-		ns.prefix[n+1+i] = ns.prefix[n+i] + (ends[i] - starts[i])
+		ns.prefix = append(ns.prefix, ns.prefix[n+i]+(ends[i]-starts[i]))
 	}
-	agg.Grow[dom]((*domAgg)(ns), &domGrow{old: s, ns: ns}, len(ns.starts), n, s.arity)
+	ns.pyramid = s.pyramid.Extend((*domAgg)(ns), len(ns.starts))
 	return ns
+}
+
+// extend returns col followed by add; an empty column adopts add
+// itself rather than copying it.
+func extend[T any](col, add []T) []T {
+	if len(col) == 0 {
+		return add
+	}
+	return append(col, add...)
+}
+
+// Columns exposes the set's storage for serialization into the
+// columnar store format: the interval columns, the optional leaf refs
+// (nil means identity), the duration prefix sums and the pyramid. The
+// returned slices alias the set's storage and must not be mutated.
+func (s *Set) Columns() (starts, ends, prefix []int64, refs []int32, pyramid agg.Tree[Node]) {
+	return s.starts, s.ends, s.prefix, s.refs, s.pyramid
+}
+
+// Adopt reconstructs a set from columns previously produced by
+// Columns — typically mmap-backed views of a store file — without
+// copying. Every length relation a query indexes by is checked
+// (agg.FromLevels has validated the pyramid's own shape); the
+// disjoint-sorted invariant and the node contents are trusted. The
+// resulting set is immutable like any other: Append never mutates
+// adopted columns because appends on full slices reallocate.
+func Adopt(starts, ends, prefix []int64, refs []int32, pyramid agg.Tree[Node]) (*Set, error) {
+	n := len(starts)
+	wantPrefix := n + 1
+	if n == 0 {
+		wantPrefix = 0
+	}
+	if len(ends) != n || len(prefix) != wantPrefix || (refs != nil && len(refs) != n) || pyramid.Len() != n {
+		return nil, fmt.Errorf("mragg: %d starts, %d ends, %d prefix sums, %d refs and a pyramid over %d leaves do not describe one set",
+			n, len(ends), len(prefix), len(refs), pyramid.Len())
+	}
+	return &Set{starts: starts, ends: ends, refs: refs, prefix: prefix, pyramid: pyramid}, nil
 }
 
 // Len returns the number of intervals.
@@ -279,11 +239,7 @@ func (s *Set) Ref(i int) int {
 // OverheadBytes returns the memory consumed by the pyramid levels and
 // prefix sums beyond the leaf interval data.
 func (s *Set) OverheadBytes() int64 {
-	n := int64(len(s.prefix)) * 8
-	for l := range s.maxs {
-		n += int64(len(s.maxs[l]))*8 + int64(len(s.args[l]))*4
-	}
-	return n
+	return int64(len(s.prefix))*8 + s.pyramid.OverheadBytes()
 }
 
 // span returns the leaf index range [lo, hi) of intervals overlapping
@@ -319,7 +275,7 @@ func (s *Set) Dominant(t0, t1 int64) (idx int, cover int64, ok bool) {
 	if lo >= hi {
 		return 0, 0, false
 	}
-	if hi-lo <= s.arity {
+	if hi-lo <= s.pyramid.Arity() {
 		// Exact-scan fallback for narrow windows: few enough leaves
 		// that walking them beats setting up the pyramid walk.
 		return s.scan(lo, hi, t0, t1)
@@ -365,15 +321,13 @@ func (s *Set) scan(lo, hi int, t0, t1 int64) (int, int64, bool) {
 }
 
 // rangeMax returns the maximum duration among leaves [lo, hi) and the
-// lowest leaf index achieving it, via the generic pyramid walk of
-// agg.Query (unaligned head and tail nodes consumed per level, the
-// aligned middle ascending to its parents).
+// lowest leaf index achieving it, via the generic pyramid walk.
 func (s *Set) rangeMax(lo, hi int) (int64, int) {
-	d, ok := agg.Query[dom]((*domAgg)(s), (*domStore)(s), s.arity, lo, hi)
+	d, ok := s.pyramid.Query((*domAgg)(s), lo, hi)
 	if !ok {
 		return 0, -1
 	}
-	return d.mx, int(d.arg)
+	return d.Max, int(d.Arg)
 }
 
 // Cover returns the total time of [t0, t1) covered by the set's

@@ -181,6 +181,22 @@ func TestInvalidInputsRejected(t *testing.T) {
 	if s.Append([]int64{20, 19}, []int64{25, 40}, nil) != nil {
 		t.Error("Append accepted unsorted intervals")
 	}
+	// Adopt (the store's way in) rejects columns whose lengths do not
+	// describe one set: an error at open, never a later index panic.
+	starts, ends, prefix, _, pyramid := s.Columns()
+	if rt, err := Adopt(starts, ends, prefix, nil, pyramid); err != nil || rt.Len() != 2 {
+		t.Fatalf("Adopt(Columns()) = %v, %v", rt, err)
+	}
+	for name, bad := range map[string]func() (*Set, error){
+		"short ends":     func() (*Set, error) { return Adopt(starts, ends[:1], prefix, nil, pyramid) },
+		"short prefix":   func() (*Set, error) { return Adopt(starts, ends, prefix[:2], nil, pyramid) },
+		"short refs":     func() (*Set, error) { return Adopt(starts, ends, prefix, []int32{0}, pyramid) },
+		"pyramid leaves": func() (*Set, error) { return Adopt(starts[:1], ends[:1], prefix[:2], nil, pyramid) },
+	} {
+		if _, err := bad(); err == nil {
+			t.Errorf("Adopt accepted %s", name)
+		}
+	}
 }
 
 // TestRefsAndAccessors covers the subset-ref mapping and the basic

@@ -33,7 +33,7 @@ type HistIndex struct {
 	min    float64
 	max    float64
 	bins   int
-	tree   *agg.Tree[*Histogram]
+	tree   agg.Tree[*Histogram]
 }
 
 // histAgg instantiates agg.Agg for HistIndex: a leaf is the one-value
@@ -103,7 +103,7 @@ func NewHistIndex(tr *core.Trace, bins int) *HistIndex {
 	if ix.min == ix.max {
 		ix.max = ix.min + 1
 	}
-	ix.tree = agg.NewTree[*Histogram](histAgg{ix}, len(recs), histArity)
+	ix.tree = agg.NewTree[*Histogram](histArity).Extend(histAgg{ix}, len(recs))
 	return ix
 }
 

@@ -248,11 +248,19 @@ func (m *Mapped) parseHeader() error {
 	}
 	off := int64(le.Uint64(m.data[24:32]))
 	n := int64(le.Uint64(m.data[32:40]))
-	if off < headerSize || n < 0 || off+n > int64(len(m.data)) {
+	if !m.holds(off, n) {
 		return fmt.Errorf("store: corrupt header (meta %d+%d beyond %d bytes)", off, n, len(m.data))
 	}
 	m.meta = m.data[off : off+n]
 	return nil
+}
+
+// holds reports whether [off, off+n) is a section inside the file. It
+// compares n against the room left after off rather than forming
+// off+n, which overflows for hostile values.
+func (m *Mapped) holds(off, n int64) bool {
+	size := int64(len(m.data))
+	return n >= 0 && off >= headerSize && off <= size && n <= size-off
 }
 
 // Meta returns the metadata blob written by Finish.
@@ -271,7 +279,7 @@ func View[T any](m *Mapped, r Ref) ([]T, error) {
 	}
 	var t T
 	sz := int64(unsafe.Sizeof(t))
-	if r.Off < headerSize || r.Off+r.Bytes > int64(len(m.data)) || r.Bytes%sz != 0 {
+	if !m.holds(r.Off, r.Bytes) || r.Bytes%sz != 0 {
 		return nil, fmt.Errorf("store: corrupt section ref %+v (file %d bytes, elem %d)", r, len(m.data), sz)
 	}
 	p := unsafe.Pointer(&m.data[r.Off])

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -190,4 +192,90 @@ func TestWriterAbortLeavesNoFile(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("temp files left after Abort: %v", ents)
 	}
+}
+
+// openSmall writes and opens a store file holding one int64 section.
+func openSmall(t testing.TB) (*Mapped, Ref) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "small.atms")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := Put(w, []int64{1, 2, 3, 4})
+	if err := w.Finish([]byte("meta")); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.Close() })
+	return m, ref
+}
+
+// TestStoreViewRefBounds: refs whose Off+Bytes overflows, or whose
+// Bytes is negative, are corrupt-ref errors — they used to pass the
+// bounds check and panic inside View.
+func TestStoreViewRefBounds(t *testing.T) {
+	m, ref := openSmall(t)
+	if got, err := View[int64](m, ref); err != nil || len(got) != 4 || got[3] != 4 {
+		t.Fatalf("valid ref: %v, %v", got, err)
+	}
+	for _, r := range []Ref{
+		{Off: 48, Bytes: -16},
+		{Off: 1 << 62, Bytes: 1 << 62},
+		{Off: math.MaxInt64, Bytes: 8},
+		{Off: ref.Off, Bytes: math.MaxInt64 - 7},
+		{Off: 40, Bytes: 8},
+		{Off: m.Size(), Bytes: 8},
+		{Off: m.Size() - 8, Bytes: 16},
+		{Off: -8, Bytes: 8},
+	} {
+		if got, err := View[int64](m, r); err == nil {
+			t.Errorf("View(%+v) accepted a corrupt ref (%d elems)", r, len(got))
+		}
+	}
+
+	// The header's meta ref takes the same check.
+	path := filepath.Join(t.TempDir(), "hdr.atms")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Finish([]byte("meta")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(data[24:32], 1<<62)
+	binary.LittleEndian.PutUint64(data[32:40], 1<<62)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(path); err == nil {
+		t.Fatal("Open accepted an overflowing meta ref")
+	}
+}
+
+// FuzzViewRef: whatever the ref, View returns an error or a slice
+// lying entirely inside the file.
+func FuzzViewRef(f *testing.F) {
+	m, ref := openSmall(f)
+	f.Add(ref.Off, ref.Bytes)
+	f.Add(int64(48), int64(-16))
+	f.Add(int64(1)<<62, int64(1)<<62)
+	f.Add(m.Size(), int64(8))
+	f.Fuzz(func(t *testing.T, off, n int64) {
+		got, err := View[byte](m, Ref{Off: off, Bytes: n})
+		if err != nil || len(got) == 0 {
+			return
+		}
+		if off < headerSize || int64(len(got)) != n || off+n > m.Size() {
+			t.Fatalf("View(%d, %d) returned %d bytes of a %d-byte file", off, n, len(got), m.Size())
+		}
+		_ = got[0] + got[len(got)-1] // in-bounds views are readable end to end
+	})
 }
