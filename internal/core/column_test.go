@@ -1,0 +1,230 @@
+package core
+
+import (
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+	"unsafe"
+
+	"github.com/openstream/aftermath/internal/trace"
+)
+
+// Row sizes of the spillable columns — what liveCol.rowBytes charges a
+// segment per event — for sizing retention budgets in the spill tests.
+const (
+	stateEventBytes    = int64(unsafe.Sizeof(trace.StateEvent{}))
+	commEventBytes     = int64(unsafe.Sizeof(trace.CommEvent{}))
+	counterSampleBytes = int64(unsafe.Sizeof(trace.CounterSample{}))
+)
+
+// modelEv is the small event type the column model test runs on.
+type modelEv struct {
+	t  trace.Time
+	id int
+}
+
+func modelEvTime(e *modelEv) trace.Time { return e.t }
+
+// capturedCol is a column value as a snapshot holds it, with the
+// contents it had at capture.
+type capturedCol struct {
+	parts []colPart[modelEv]
+	tail  []modelEv
+	want  []modelEv
+}
+
+func (s *capturedCol) read() []modelEv {
+	var got []modelEv
+	for _, col := range partRows(s.parts, s.tail) {
+		got = append(got, col...)
+	}
+	return got
+}
+
+// TestColumnModel drives a liveCol through seeded random sequences of
+// every builder operation and checks it after each step against a
+// plain slice: logical contents, len, from(i), the bytes charged to
+// segments — and that every snapshot value captured so far still reads
+// exactly what it read at capture, which a concurrent reader also
+// re-checks while the writer goes on (under -race that reader is the
+// proof that no operation writes at an index a captured value covers).
+func TestColumnModel(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		runColumnModel(t, seed, 600)
+	}
+}
+
+func runColumnModel(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	var (
+		c       liveCol[modelEv]
+		model   []modelEv // logical contents, stream order
+		partLen []int     // model of the part list: rows per part
+		partSeg []*spillSeg
+		dirty   bool
+		seen    bool
+		nextSeg int
+		nextID  int
+		now     trace.Time
+		caught  []*capturedCol
+	)
+	rowBytes := int64(unsafe.Sizeof(modelEv{}))
+
+	// The concurrent reader re-reads every captured value it is handed
+	// until the writer is done.
+	feed := make(chan *capturedCol, steps)
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		var held []*capturedCol
+		check := func(s *capturedCol) {
+			if !slices.Equal(s.read(), s.want) {
+				t.Errorf("seed %d: concurrent reader: captured snapshot changed", seed)
+			}
+		}
+		for s := range feed {
+			held = append(held, s)
+			check(s)
+			check(held[len(held)/2])
+		}
+		for _, s := range held {
+			check(s)
+		}
+	}()
+	defer func() {
+		close(feed)
+		<-readerDone
+	}()
+
+	push := func(ts trace.Time) {
+		ev := modelEv{t: ts, id: nextID}
+		nextID++
+		went := c.push(ev, ts)
+		// seen and now survive freezes and drops emptying the column:
+		// neither may re-arm the first-event exemption.
+		if want := seen && ts < now && !dirty; went != want {
+			t.Fatalf("seed %d: push(%d) reported wentDirty=%v, want %v", seed, ts, went, want)
+		}
+		now, seen = ts, true
+		model = append(model, ev)
+		if went {
+			dirty = true
+			c.unspill()
+			partLen, partSeg = nil, nil
+		}
+	}
+
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(20); {
+		case op < 9: // in-order pushes
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				push(now + trace.Time(rng.Intn(3)))
+			}
+		case op == 9: // a late event, in the last third of the run
+			if step > 2*steps/3 {
+				push(now - 1 - trace.Time(rng.Intn(5)))
+			}
+		case op < 13: // freeze
+			seg := &spillSeg{id: nextSeg}
+			nextSeg++
+			tail := len(c.tail)
+			rows := c.freeze(seg)
+			if dirty || tail == 0 {
+				if rows != nil {
+					t.Fatalf("seed %d: froze a dirty or empty column", seed)
+				}
+				break
+			}
+			if len(rows) != tail || seg.bytes != int64(tail)*rowBytes {
+				t.Fatalf("seed %d: freeze moved %d rows / %d bytes, tail had %d", seed, len(rows), seg.bytes, tail)
+			}
+			partLen, partSeg = append(partLen, tail), append(partSeg, seg)
+		case op < 15: // install: swap one part's rows for an equal copy
+			if len(partSeg) == 0 {
+				break
+			}
+			k := rng.Intn(len(partSeg))
+			before := c.parts
+			view := append([]modelEv(nil), c.parts[k].rows...)
+			c.install(partSeg[k], view)
+			if &c.parts[k].rows[0] != &view[0] {
+				t.Fatalf("seed %d: install left part %d on its old rows", seed, k)
+			}
+			if &before[k].rows[0] == &view[0] {
+				t.Fatalf("seed %d: install edited the captured part list in place", seed)
+			}
+			// Installing for a segment the column has no part of is a
+			// no-op.
+			c.install(&spillSeg{id: -1}, view)
+		case op < 16: // drop the oldest parts
+			if len(partSeg) == 0 {
+				break
+			}
+			k := 1 + rng.Intn(len(partSeg))
+			keep := nextSeg
+			if k < len(partSeg) {
+				keep = partSeg[k].id
+			}
+			want := 0
+			for _, n := range partLen[:k] {
+				want += n
+			}
+			if got := c.drop(keep); got != want {
+				t.Fatalf("seed %d: drop(%d) removed %d events, want %d", seed, keep, got, want)
+			}
+			model = model[want:]
+			partLen, partSeg = partLen[k:], partSeg[k:]
+		case op < 17: // unspill
+			c.unspill()
+			for _, seg := range partSeg {
+				if seg.bytes != 0 {
+					t.Fatalf("seed %d: unspill left %d bytes charged to segment %d", seed, seg.bytes, seg.id)
+				}
+			}
+			partLen, partSeg = nil, nil
+		default: // capture a snapshot value
+			s := &capturedCol{want: append([]modelEv(nil), model...)}
+			if dirty {
+				sort.SliceStable(s.want, func(a, b int) bool { return s.want[a].t < s.want[b].t })
+			}
+			s.parts, s.tail = c.snapshot(modelEvTime)
+			caught = append(caught, s)
+			feed <- s
+		}
+
+		// The column against the model.
+		if c.len() != len(model) {
+			t.Fatalf("seed %d step %d: len = %d, want %d", seed, step, c.len(), len(model))
+		}
+		spilled := 0
+		for k, n := range partLen {
+			spilled += n
+			if len(c.parts[k].rows) != n || c.parts[k].seg != partSeg[k] {
+				t.Fatalf("seed %d step %d: part %d has %d rows of segment %d, want %d of %d",
+					seed, step, k, len(c.parts[k].rows), c.parts[k].seg.id, n, partSeg[k].id)
+			}
+			if partSeg[k].bytes != int64(n)*rowBytes {
+				t.Fatalf("seed %d step %d: segment %d charged %d bytes for %d rows", seed, step, partSeg[k].id, partSeg[k].bytes, n)
+			}
+		}
+		if len(c.parts) != len(partLen) || c.nPart != spilled || c.dirty != dirty {
+			t.Fatalf("seed %d step %d: %d parts / nPart %d / dirty %v, want %d / %d / %v",
+				seed, step, len(c.parts), c.nPart, c.dirty, len(partLen), spilled, dirty)
+		}
+		if c.tailBytes() != int64(len(model)-spilled)*rowBytes {
+			t.Fatalf("seed %d step %d: tailBytes = %d for a %d-row tail", seed, step, c.tailBytes(), len(model)-spilled)
+		}
+		for _, i := range []int{0, rng.Intn(len(model) + 1), len(model)} {
+			if got := c.from(i); !slices.Equal(got, model[i:]) {
+				t.Fatalf("seed %d step %d: from(%d) = %v, want %v", seed, step, i, got, model[i:])
+			}
+		}
+		// Immutability: every value captured so far reads as it did.
+		for k, s := range caught {
+			if got := s.read(); !slices.Equal(got, s.want) {
+				t.Fatalf("seed %d step %d: snapshot %d changed after capture:\n got %v\nwant %v", seed, step, k, got, s.want)
+			}
+		}
+	}
+}

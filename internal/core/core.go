@@ -66,16 +66,16 @@ type CPUData struct {
 
 // Counter holds one performance counter's description and per-CPU
 // sample arrays sorted by time. For live traces with spilling enabled,
-// PerCPU holds only the RAM tail; the spilled columns live in frozen
+// PerCPU holds only the RAM tail; the spilled parts live in spilled
 // and the accessors (Samples, SamplesIn, ValueAt, NumSamples) stitch
 // the two transparently.
 type Counter struct {
 	Desc   trace.CounterDesc
 	PerCPU [][]trace.CounterSample
 
-	// frozen[cpu][seg] holds the spilled sample columns (spill.go);
-	// nil for traces that never spilled.
-	frozen [][][]trace.CounterSample
+	// spilled[cpu] lists the spilled parts of the sample column
+	// (spill.go); nil for traces that never spilled.
+	spilled [][]colPart[trace.CounterSample]
 }
 
 // Trace is a fully loaded, indexed trace.
@@ -108,10 +108,12 @@ type Trace struct {
 	lazyTaskIDs bool
 	taskIDOnce  sync.Once
 
-	// frozen holds the spilled event columns of a live trace with
-	// retention enabled (spill.go); nil otherwise. The event accessors
-	// stitch it with the RAM-tail arrays in CPUs.
-	frozen *frozenTrace
+	// spilled[cpu] holds the spilled parts of a CPU's event columns,
+	// for snapshots of a live trace that has spilled (spill.go); nil
+	// otherwise. The event accessors stitch them with the RAM-tail
+	// arrays in CPUs. spill is that trace's segment status.
+	spilled []cpuParts
+	spill   *SpillStats
 
 	// backing is the mapped store file of an OpenStore trace (the
 	// event arrays above are views into it); Close releases it.
@@ -252,8 +254,8 @@ func (tr *Trace) StatesIn(cpu int32, t0, t1 trace.Time) []trace.StateEvent {
 		return nil
 	}
 	states := tr.CPUs[cpu].States
-	if fc := tr.frozenFor(cpu); fc != nil && len(fc.states) > 0 {
-		return stitchWin(fc.states, states, stateWin(t0, t1))
+	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].states) > 0 {
+		return stitchWin(tr.spilled[cpu].states, states, stateWin(t0, t1))
 	}
 	lo := sort.Search(len(states), func(i int) bool { return states[i].End > t0 })
 	hi := sort.Search(len(states), func(i int) bool { return states[i].Start >= t1 })
@@ -270,8 +272,8 @@ func (tr *Trace) DiscreteIn(cpu int32, t0, t1 trace.Time) []trace.DiscreteEvent 
 		return nil
 	}
 	evs := tr.CPUs[cpu].Discrete
-	if fc := tr.frozenFor(cpu); fc != nil && len(fc.discrete) > 0 {
-		return stitchWin(fc.discrete, evs, discreteWin(t0, t1))
+	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].discrete) > 0 {
+		return stitchWin(tr.spilled[cpu].discrete, evs, discreteWin(t0, t1))
 	}
 	lo := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t0 })
 	hi := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t1 })
@@ -285,8 +287,8 @@ func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []trace.CommEvent {
 		return nil
 	}
 	evs := tr.CPUs[cpu].Comm
-	if fc := tr.frozenFor(cpu); fc != nil && len(fc.comm) > 0 {
-		return stitchWin(fc.comm, evs, commWin(t0, t1))
+	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].comm) > 0 {
+		return stitchWin(tr.spilled[cpu].comm, evs, commWin(t0, t1))
 	}
 	lo := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t0 })
 	hi := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t1 })
@@ -338,17 +340,10 @@ func (c *Counter) Samples(cpu int32) []trace.CounterSample {
 	if int(cpu) < len(c.PerCPU) {
 		tail = c.PerCPU[cpu]
 	}
-	if int(cpu) < len(c.frozen) && len(c.frozen[cpu]) > 0 {
-		n := len(tail)
-		for _, s := range c.frozen[cpu] {
-			n += len(s)
-		}
-		if n == len(tail) {
-			return tail
-		}
-		out := make([]trace.CounterSample, 0, n)
-		for _, s := range c.frozen[cpu] {
-			out = append(out, s...)
+	if int(cpu) < len(c.spilled) && len(c.spilled[cpu]) > 0 {
+		out := make([]trace.CounterSample, 0, c.NumSamples(cpu))
+		for _, p := range c.spilled[cpu] {
+			out = append(out, p.rows...)
 		}
 		return append(out, tail...)
 	}
@@ -362,8 +357,8 @@ func (c *Counter) SamplesIn(cpu int32, t0, t1 trace.Time) []trace.CounterSample 
 	if int(cpu) < len(c.PerCPU) {
 		tail = c.PerCPU[cpu]
 	}
-	if int(cpu) < len(c.frozen) && len(c.frozen[cpu]) > 0 {
-		return stitchWin(c.frozen[cpu], tail, sampleWin(t0, t1))
+	if int(cpu) < len(c.spilled) && len(c.spilled[cpu]) > 0 {
+		return stitchWin(c.spilled[cpu], tail, sampleWin(t0, t1))
 	}
 	lo := sort.Search(len(tail), func(i int) bool { return tail[i].Time >= t0 })
 	hi := sort.Search(len(tail), func(i int) bool { return tail[i].Time >= t1 })
@@ -382,10 +377,10 @@ func (c *Counter) ValueAt(cpu int32, t trace.Time) (int64, bool) {
 	if i > 0 {
 		return tail[i-1].Value, true
 	}
-	if int(cpu) < len(c.frozen) {
-		row := c.frozen[cpu]
-		for k := len(row) - 1; k >= 0; k-- {
-			s := row[k]
+	if int(cpu) < len(c.spilled) {
+		parts := c.spilled[cpu]
+		for k := len(parts) - 1; k >= 0; k-- {
+			s := parts[k].rows
 			j := sort.Search(len(s), func(i int) bool { return s[i].Time > t })
 			if j > 0 {
 				return s[j-1].Value, true

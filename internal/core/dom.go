@@ -45,8 +45,8 @@ type DomCPU struct {
 	// over (dominant leaves resolve back into it). For spilled live
 	// traces the array is segmented instead: segs lists the non-empty
 	// columns in time order and cum their cumulative start offsets, so
-	// leaf i resolves to segs[k][i-cum[k]]. Exactly one of states/segs
-	// is used (segs wins when non-nil).
+	// leaf i resolves to segs[k][i-cum[k]]. segs wins when non-nil
+	// (see over).
 	states []trace.StateEvent
 	segs   [][]trace.StateEvent
 	cum    []int
@@ -173,50 +173,51 @@ func (di *DomIndex) seed(cpu int32, e *DomCPU) {
 // yield an empty, indexed entry, mirroring StatesIn's nil result.
 func (di *DomIndex) CPU(tr *Trace, cpu int32) *DomCPU {
 	e := di.entry(cpu)
-	e.once.Do(func() {
-		var cols [][]trace.StateEvent
-		if fc := tr.frozenFor(cpu); fc != nil {
-			cols = append(cols, fc.states...)
-		}
-		if int(cpu) < len(tr.CPUs) {
-			cols = append(cols, tr.CPUs[cpu].States)
-		}
-		e.build(cols...)
-	})
+	e.once.Do(func() { e.build(tr.stateCols(cpu)...) })
 	return e
 }
 
 // build constructs the entry's pyramids over the CPU's state array,
 // given as its time-ordered column list: one sorted array for batch
-// and unspilled traces; frozen segments then the RAM tail for a
-// spilled CPU whose incremental chain is unavailable (dirty producer,
+// and unspilled traces; spilled parts then the RAM tail for a spilled
+// CPU whose incremental chain is unavailable (dirty producer,
 // post-drop rebuild). Empty columns are allowed. Disordered or
 // overlapping intervals leave all == nil: queries fall back to the
 // (stitched) event scan.
 func (e *DomCPU) build(cols ...[]trace.StateEvent) {
 	var ch domChain
+	for _, s := range cols {
+		if len(s) > 0 {
+			ch.extend(s)
+		}
+	}
+	if ch.n == 0 {
+		// No events: an empty but indexed entry.
+		ch.extend(nil)
+	}
+	e.over(cols...)
+	e.domSets = ch.domSets
+}
+
+// over sets the leaf array the pyramids resolve into, given as its
+// time-ordered column list: a single non-empty column resolves leaves
+// directly, more go through the segmented view.
+func (e *DomCPU) over(cols ...[]trace.StateEvent) {
 	at := 0
 	for _, s := range cols {
 		if len(s) == 0 {
 			continue
 		}
-		e.segs = append(e.segs, s)
-		e.cum = append(e.cum, at)
-		at += len(s)
-		ch.extend(s)
-	}
-	if at == 0 {
-		// No events: an empty but indexed entry.
-		ch.extend(nil)
-	}
-	if len(e.segs) <= 1 {
-		// A single column resolves leaves directly.
-		if len(e.segs) == 1 {
-			e.states = e.segs[0]
+		switch {
+		case at == 0:
+			e.states = s
+		case e.segs == nil:
+			e.segs, e.cum = [][]trace.StateEvent{e.states, s}, []int{0, at}
+		default:
+			e.segs, e.cum = append(e.segs, s), append(e.cum, at)
 		}
-		e.segs, e.cum = nil, nil
+		at += len(s)
 	}
-	e.domSets = ch.domSets
 }
 
 // DominantState returns the state event covering the largest part of

@@ -5,16 +5,18 @@
 //
 // The design separates a mutable builder from immutable snapshots. The
 // builder accumulates exactly the state a batch load accumulates
-// before indexing (per-CPU event arrays in stream order, first-touch
-// task/type/counter tables, the raw region list), guarded by a coarse
-// epoch lock. Publish finalizes a snapshot through the same helpers
-// the batch indexer uses (applyExecs, finalizeTypes, sortRegions,
+// before indexing — first-touch task/type/counter tables, the raw
+// region list, and one liveCol (column.go) per per-CPU event array and
+// per (counter, CPU) sample array — guarded by a coarse epoch lock.
+// Publish finalizes a snapshot through the same helpers the batch
+// indexer uses (applyExecs, finalizeTypes, sortRegions,
 // buildCounterNameIndex), so a snapshot is — provably, see
 // TestStreamEqualsBatch — byte-identical to a cold Load of the stream
-// prefix consumed so far. Snapshots share the large event arrays with
-// the builder: appends only ever write beyond a snapshot's slice
-// lengths, so readers keep querying older epochs race-free while the
-// writer appends.
+// prefix consumed so far. A snapshot captures each column as a
+// (parts, tail) value and shares the event storage with the builder;
+// the column never writes at an index a captured value covers, so
+// readers keep querying older epochs race-free while the writer
+// appends, spills and ages data out.
 package core
 
 import (
@@ -42,8 +44,7 @@ type Live struct {
 	maxCPU  int32
 
 	// Per-CPU builder tables, guarded by mu.
-	cpus  []CPUData
-	order []cpuOrder
+	cols  []cpuCols
 	execs [][]execSpan
 	doms  []domChain
 
@@ -81,12 +82,12 @@ type Live struct {
 	aggHasTopo   bool
 	aggMaxCPU    int32
 
-	// Spilling state (spill.go): the retention policy, the immutable
-	// frozen (spilled) generation shared with published snapshots and
-	// the segment id sequence. All guarded by mu.
+	// Spilling state (spill.go): the retention policy, the segment
+	// list and counters (nil until the first freeze) and the segment
+	// id sequence. All guarded by mu.
 	ret      RetentionPolicy
 	retSwept bool // stale-file sweep of ret.Dir done (first enable)
-	frozen   *frozenTrace
+	spill    *spillState
 	segSeq   int
 
 	// spillWG tracks in-flight background compactions. Add happens
@@ -120,49 +121,29 @@ type liveSnap struct {
 	epoch uint64
 }
 
-// cpuOrder tracks per-family timestamp monotonicity for one CPU. The
-// format guarantees per-CPU order, so the dirty flags stay false in
-// practice; a producer that violates the guarantee only costs that
-// CPU a copy + stable sort per snapshot (the same repair a batch load
-// performs once).
-type cpuOrder struct {
-	lastState     trace.Time
-	lastDiscrete  trace.Time
-	lastComm      trace.Time
-	stateDirty    bool
-	discreteDirty bool
-	commDirty     bool
-	// seen* record that at least one event of the family arrived, so
-	// order checks survive spilling emptying the RAM tail (a length
-	// check would re-arm the first-event exemption at every spill).
-	seenState    bool
-	seenDiscrete bool
-	seenComm     bool
-	// n*F count the family's spilled (frozen) events: the logical
-	// array is the frozen columns followed by the RAM tail, and these
-	// give the tail's logical offset.
-	nStateF    int
-	nDiscreteF int
-	nCommF     int
+// cpuCols is one CPU's event columns.
+type cpuCols struct {
+	states   liveCol[trace.StateEvent]
+	discrete liveCol[trace.DiscreteEvent]
+	comm     liveCol[trace.CommEvent]
 }
 
-// liveCounter wraps one counter with per-CPU order tracking and the
-// incrementally extended min/max trees.
+// liveCounter is one counter's builder slot: its description and one
+// sample column per CPU.
 type liveCounter struct {
-	c     *Counter
-	last  []trace.Time
-	dirty []bool
-	// trees/rateTrees[cpu] cover the first treeN[cpu] samples, extended
-	// via mmtree append mode at publish; nil rows build lazily in the
-	// snapshot instead (dirty pairs).
-	trees     []*mmtree.Tree
-	rateTrees []*mmtree.Tree
-	treeN     []int
-	// seen/fsamp mirror cpuOrder's seen*/n*F for the sample family:
-	// seen[cpu] arms the order check past spills, fsamp[cpu] counts
-	// the pair's spilled samples (treeN stays logical).
-	seen  []bool
-	fsamp []int
+	desc trace.CounterDesc
+	per  []livePair
+}
+
+// livePair is one (counter, CPU) sample column with its incrementally
+// extended min/max trees: tree and rate cover the first treeN logical
+// samples, extended via mmtree append mode at publish; nil trees build
+// lazily in the snapshot instead (dirty pairs).
+type livePair struct {
+	col   liveCol[trace.CounterSample]
+	tree  *mmtree.Tree
+	rate  *mmtree.Tree
+	treeN int
 }
 
 // NewLive returns an empty live trace at epoch 0. Its initial snapshot
@@ -255,19 +236,18 @@ func (lv *Live) Feed(sr trace.Decoder) (int, error) {
 	return n, err
 }
 
-// cpuLocked returns the builder slots for a CPU id, growing the
-// per-CPU tables as needed. Callers hold mu.
-func (lv *Live) cpuLocked(id int32) (*CPUData, *cpuOrder) {
-	for int(id) >= len(lv.cpus) {
-		lv.cpus = append(lv.cpus, CPUData{})
-		lv.order = append(lv.order, cpuOrder{})
+// cpuLocked returns the columns of a CPU id, growing the per-CPU
+// tables as needed. Callers hold mu.
+func (lv *Live) cpuLocked(id int32) *cpuCols {
+	for int(id) >= len(lv.cols) {
+		lv.cols = append(lv.cols, cpuCols{})
 		lv.execs = append(lv.execs, nil)
 		lv.doms = append(lv.doms, domChain{})
 	}
 	if id > lv.maxCPU {
 		lv.maxCPU = id
 	}
-	return &lv.cpus[id], &lv.order[id]
+	return &lv.cols[id]
 }
 
 // counterForLocked returns the live slot for a counter, registering
@@ -276,7 +256,7 @@ func (lv *Live) counterForLocked(id trace.CounterID) *liveCounter {
 	if i, ok := lv.counterByID[id]; ok {
 		return lv.counters[i]
 	}
-	lc := &liveCounter{c: &Counter{Desc: trace.CounterDesc{ID: id, Monotonic: true}}}
+	lc := &liveCounter{desc: trace.CounterDesc{ID: id, Monotonic: true}}
 	lv.counterByID[id] = len(lv.counters)
 	lv.counters = append(lv.counters, lc)
 	return lc
@@ -312,9 +292,47 @@ func (lv *Live) growSpanLocked(lo, hi trace.Time) {
 	lv.spanSet = true
 }
 
+// batchCPUErr reports the first implausible CPU id among a batch's
+// per-CPU records.
+func batchCPUErr(b *trace.RecordBatch) error {
+	check := func(id int32) error {
+		if id < 0 || id > trace.MaxCPUID {
+			return fmt.Errorf("trace: implausible CPU id %d in appended batch", id)
+		}
+		return nil
+	}
+	for i := range b.States {
+		if err := check(b.States[i].CPU); err != nil {
+			return err
+		}
+	}
+	for i := range b.Discrete {
+		if err := check(b.Discrete[i].CPU); err != nil {
+			return err
+		}
+	}
+	for i := range b.Comms {
+		if err := check(b.Comms[i].CPU); err != nil {
+			return err
+		}
+	}
+	for i := range b.Samples {
+		if err := check(b.Samples[i].CPU); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // appendLocked routes one batch into the builder — the streaming
-// counterpart of the batch loader's router + shard stage.
+// counterpart of the batch loader's router + shard stage. A batch is
+// applied whole or not at all: the only way it can fail is a CPU id
+// the per-CPU tables must not be sized by, checked before the first
+// mutation.
 func (lv *Live) appendLocked(b *trace.RecordBatch) error {
+	if err := batchCPUErr(b); err != nil {
+		return err
+	}
 	for _, t := range b.Topologies {
 		lv.topo = t
 		lv.hasTopo = true
@@ -337,87 +355,40 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 		lv.counterForLocked(id)
 	}
 	for _, d := range b.Descs {
-		lv.counterForLocked(d.ID).c.Desc = d
+		lv.counterForLocked(d.ID).desc = d
 	}
 	lv.regions = append(lv.regions, b.Regions...)
 	if b.MaxCPU > lv.maxCPU {
 		lv.maxCPU = b.MaxCPU
 	}
 
-	checkCPU := func(id int32) error {
-		if id < 0 || id > trace.MaxCPUID {
-			return fmt.Errorf("trace: implausible CPU id %d in appended batch", id)
-		}
-		return nil
-	}
 	for _, s := range b.States {
-		if err := checkCPU(s.CPU); err != nil {
-			return err
+		if c := &lv.cpuLocked(s.CPU).states; c.push(s, s.Start) {
+			c.unspill()
 		}
-		c, o := lv.cpuLocked(s.CPU)
-		if o.seenState && s.Start < o.lastState && !o.stateDirty {
-			// The family just went dirty: its snapshot repair sorts the
-			// whole array, so any spilled columns come back to RAM
-			// first (dirty families never spill again).
-			o.stateDirty = true
-			lv.unspillStatesLocked(s.CPU)
-		}
-		o.lastState = s.Start
-		o.seenState = true
-		c.States = append(c.States, s)
 		if s.State == trace.StateTaskExec && s.Task != trace.NoTask {
 			lv.execs[s.CPU] = append(lv.execs[s.CPU], execSpan{s.Task, s.Start, s.End})
 		}
 		lv.growSpanLocked(s.Start, s.End)
 	}
 	for _, ev := range b.Discrete {
-		if err := checkCPU(ev.CPU); err != nil {
-			return err
+		if c := &lv.cpuLocked(ev.CPU).discrete; c.push(ev, ev.Time) {
+			c.unspill()
 		}
-		c, o := lv.cpuLocked(ev.CPU)
-		if o.seenDiscrete && ev.Time < o.lastDiscrete && !o.discreteDirty {
-			o.discreteDirty = true
-			lv.unspillDiscreteLocked(ev.CPU)
-		}
-		o.lastDiscrete = ev.Time
-		o.seenDiscrete = true
-		c.Discrete = append(c.Discrete, ev)
 	}
 	for _, ev := range b.Comms {
-		if err := checkCPU(ev.CPU); err != nil {
-			return err
+		if c := &lv.cpuLocked(ev.CPU).comm; c.push(ev, ev.Time) {
+			c.unspill()
 		}
-		c, o := lv.cpuLocked(ev.CPU)
-		if o.seenComm && ev.Time < o.lastComm && !o.commDirty {
-			o.commDirty = true
-			lv.unspillCommLocked(ev.CPU)
-		}
-		o.lastComm = ev.Time
-		o.seenComm = true
-		c.Comm = append(c.Comm, ev)
 	}
 	for _, s := range b.Samples {
-		if err := checkCPU(s.CPU); err != nil {
-			return err
-		}
 		lc := lv.counterForLocked(s.Counter)
-		for int(s.CPU) >= len(lc.c.PerCPU) {
-			lc.c.PerCPU = append(lc.c.PerCPU, nil)
-			lc.last = append(lc.last, 0)
-			lc.dirty = append(lc.dirty, false)
-			lc.trees = append(lc.trees, nil)
-			lc.rateTrees = append(lc.rateTrees, nil)
-			lc.treeN = append(lc.treeN, 0)
-			lc.seen = append(lc.seen, false)
-			lc.fsamp = append(lc.fsamp, 0)
+		for int(s.CPU) >= len(lc.per) {
+			lc.per = append(lc.per, livePair{})
 		}
-		if lc.seen[s.CPU] && s.Time < lc.last[s.CPU] && !lc.dirty[s.CPU] {
-			lc.dirty[s.CPU] = true
-			lv.unspillSamplesLocked(lv.counterByID[s.Counter], s.CPU)
+		if c := &lc.per[s.CPU].col; c.push(s, s.Time) {
+			c.unspill()
 		}
-		lc.last[s.CPU] = s.Time
-		lc.seen[s.CPU] = true
-		lc.c.PerCPU[s.CPU] = append(lc.c.PerCPU[s.CPU], s)
 		if s.CPU > lv.maxCPU {
 			lv.maxCPU = s.CPU
 		}
@@ -455,41 +426,41 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 // amortize it, at the cost of reimplementing (rather than reusing) the
 // batch indexer's placement semantics.
 func (lv *Live) snapshotLocked() *Trace {
-	tr := &Trace{Topology: lv.topo, frozen: lv.frozen}
+	tr := &Trace{Topology: lv.topo}
 	if !lv.hasTopo {
 		tr.Topology = synthTopology(lv.maxCPU)
 	}
+	spilled := lv.spill != nil
+	if spilled {
+		st := lv.spill.stats()
+		tr.spill = &st
+	}
 
-	// Per-CPU arrays: copy the slice headers, padded to maxCPU+1 like
-	// the batch indexer. Rows of a CPU that violated per-CPU order are
-	// deep-copied and stable-sorted — the identical repair index()
-	// performs — leaving the builder's stream-order row untouched.
+	// Per-CPU arrays, padded to maxCPU+1 like the batch indexer: each
+	// column is captured as its (parts, tail) value; a column that
+	// violated per-CPU order is captured repaired — the identical
+	// stable sort index() performs.
 	execs := make([][]execSpan, int(lv.maxCPU)+1)
 	if n := int(lv.maxCPU) + 1; n > 0 {
-		cpus := make([]CPUData, n)
-		copy(cpus, lv.cpus)
-		for i := range lv.cpus {
-			o := &lv.order[i]
-			if o.stateDirty {
-				s := append([]trace.StateEvent(nil), cpus[i].States...)
-				sort.SliceStable(s, func(a, b int) bool { return s[a].Start < s[b].Start })
-				cpus[i].States = s
-				execs[i] = collectExecs(s)
+		tr.CPUs = make([]CPUData, n)
+		if spilled {
+			tr.spilled = make([]cpuParts, n)
+		}
+		for i := range lv.cols {
+			cc, c := &lv.cols[i], &tr.CPUs[i]
+			var sp cpuParts
+			sp.states, c.States = cc.states.snapshot(stateTime)
+			sp.discrete, c.Discrete = cc.discrete.snapshot(discreteTime)
+			sp.comm, c.Comm = cc.comm.snapshot(commTime)
+			if spilled {
+				tr.spilled[i] = sp
+			}
+			if cc.states.dirty {
+				execs[i] = collectExecs(c.States)
 			} else {
 				execs[i] = lv.execs[i]
 			}
-			if o.discreteDirty {
-				d := append([]trace.DiscreteEvent(nil), cpus[i].Discrete...)
-				sort.SliceStable(d, func(a, b int) bool { return d[a].Time < d[b].Time })
-				cpus[i].Discrete = d
-			}
-			if o.commDirty {
-				c := append([]trace.CommEvent(nil), cpus[i].Comm...)
-				sort.SliceStable(c, func(a, b int) bool { return c[a].Time < c[b].Time })
-				cpus[i].Comm = c
-			}
 		}
-		tr.CPUs = cpus
 	}
 
 	// Small tables: finalize copies so the builder keeps its
@@ -513,27 +484,25 @@ func (lv *Live) snapshotLocked() *Trace {
 	}
 	lv.extendTreesLocked()
 	ci := NewCounterIndex(0)
-	for i, lc := range lv.counters {
-		c := &Counter{Desc: lc.c.Desc}
-		if lv.frozen != nil && i < len(lv.frozen.samples) {
-			c.frozen = lv.frozen.samples[i]
-		}
-		if len(lc.c.PerCPU) > 0 {
-			c.PerCPU = make([][]trace.CounterSample, len(lc.c.PerCPU))
-			copy(c.PerCPU, lc.c.PerCPU)
-			for cpu := range lc.dirty {
-				if lc.dirty[cpu] && len(c.PerCPU[cpu]) > 1 {
-					s := append([]trace.CounterSample(nil), c.PerCPU[cpu]...)
-					sort.SliceStable(s, func(a, b int) bool { return s[a].Time < s[b].Time })
-					c.PerCPU[cpu] = s
-				}
+	for _, lc := range lv.counters {
+		c := &Counter{Desc: lc.desc}
+		if len(lc.per) > 0 {
+			c.PerCPU = make([][]trace.CounterSample, len(lc.per))
+			if spilled {
+				c.spilled = make([][]colPart[trace.CounterSample], len(lc.per))
 			}
-			for cpu := range lc.trees {
-				if lc.trees[cpu] != nil && !lc.dirty[cpu] {
+			for cpu := range lc.per {
+				p := &lc.per[cpu]
+				parts, tail := p.col.snapshot(sampleTime)
+				c.PerCPU[cpu] = tail
+				if spilled {
+					c.spilled[cpu] = parts
+				}
+				if p.tree != nil {
 					key := counterCPU{uint64(c.Desc.ID), int32(cpu), false}
-					ci.seed(key, lc.trees[cpu])
+					ci.seed(key, p.tree)
 					key.rate = true
-					ci.seed(key, lc.rateTrees[cpu])
+					ci.seed(key, p.rate)
 				}
 			}
 		}
@@ -552,14 +521,14 @@ func (lv *Live) snapshotLocked() *Trace {
 		if ch.dead || ch.all == nil {
 			continue
 		}
-		if lv.order[cpu].nStateF > 0 {
-			// Spilled CPU: leaves resolve through the segmented view
-			// (frozen columns + this snapshot's tail).
-			segs, cum := lv.stateSegViewLocked(cpu, tr.CPUs[cpu].States)
-			di.seed(int32(cpu), &DomCPU{segs: segs, cum: cum, domSets: ch.domSets})
+		e := &DomCPU{domSets: ch.domSets}
+		if spilled && len(tr.spilled[cpu].states) > 0 {
+			// Leaves resolve through the spilled parts, then the tail.
+			e.over(tr.stateCols(int32(cpu))...)
 		} else {
-			di.seed(int32(cpu), &DomCPU{states: tr.CPUs[cpu].States, domSets: ch.domSets})
+			e.states = tr.CPUs[cpu].States
 		}
+		di.seed(int32(cpu), e)
 	}
 	tr.domOnce.Do(func() { tr.dom = di })
 
@@ -598,19 +567,14 @@ func (lv *Live) updateAggLocked(tr *Trace) {
 	// Consumption counts (commN) are logical: spilled events plus the
 	// RAM tail. The unconsumed suffix always lies in the tail, because
 	// freezing happens after the publish that consumed the events.
-	minNew := make([]trace.Time, len(lv.cpus))
-	hasNew := make([]bool, len(lv.cpus))
+	for len(lv.commN) < len(lv.cols) {
+		lv.commN = append(lv.commN, 0)
+	}
+	minNew := make([]trace.Time, len(lv.cols))
+	hasNew := make([]bool, len(lv.cols))
 	anyNewComm := false
-	for cpu := range lv.cpus {
-		n0 := 0
-		if cpu < len(lv.commN) {
-			n0 = lv.commN[cpu]
-		}
-		from := n0 - lv.order[cpu].nCommF
-		if from < 0 {
-			from = 0
-		}
-		for _, ev := range lv.cpus[cpu].Comm[from:] {
+	for cpu := range lv.cols {
+		for _, ev := range lv.cols[cpu].comm.from(lv.commN[cpu]) {
 			if !hasNew[cpu] || ev.Time < minNew[cpu] {
 				minNew[cpu], hasNew[cpu] = ev.Time, true
 			}
@@ -626,32 +590,24 @@ func (lv *Live) updateAggLocked(tr *Trace) {
 	n := tr.NumNodes()
 	if lv.commTot == nil || rebuildAll || lv.commTot.N != n {
 		lv.commTot = &CommTotals{N: n, Reads: make([]int64, n*n), Writes: make([]int64, n*n)}
-		lv.commN = make([]int, len(lv.cpus))
-		for cpu := range lv.cpus {
-			// Rebuild over the whole retained window: spilled columns
-			// first, then the tail. (Events already dropped under the
-			// retention budget leave the totals — the totals describe
-			// the retained trace.)
-			if lv.frozen != nil && cpu < len(lv.frozen.cpus) {
-				for _, s := range lv.frozen.cpus[cpu].comm {
-					lv.commTot.addComm(tr, int32(cpu), s, 0)
-				}
+		for cpu := range lv.cols {
+			// Rebuild over the whole retained window, part by part (no
+			// gather: the spilled parts stay on disk). Events already
+			// dropped under the retention budget leave the totals — the
+			// totals describe the retained trace.
+			c := &lv.cols[cpu].comm
+			for _, p := range c.parts {
+				lv.commTot.addComm(tr, int32(cpu), p.rows, 0)
 			}
-			lv.commTot.addComm(tr, int32(cpu), lv.cpus[cpu].Comm, 0)
-			lv.commN[cpu] = lv.order[cpu].nCommF + len(lv.cpus[cpu].Comm)
+			lv.commTot.addComm(tr, int32(cpu), c.tail, 0)
+			lv.commN[cpu] = c.len()
 		}
 	} else if anyNewComm {
 		ct := lv.commTot.clone()
-		for len(lv.commN) < len(lv.cpus) {
-			lv.commN = append(lv.commN, 0)
-		}
-		for cpu := range lv.cpus {
-			from := lv.commN[cpu] - lv.order[cpu].nCommF
-			if from < 0 {
-				from = 0
-			}
-			ct.addComm(tr, int32(cpu), lv.cpus[cpu].Comm, from)
-			lv.commN[cpu] = lv.order[cpu].nCommF + len(lv.cpus[cpu].Comm)
+		for cpu := range lv.cols {
+			c := &lv.cols[cpu].comm
+			ct.addComm(tr, int32(cpu), c.from(lv.commN[cpu]), 0)
+			lv.commN[cpu] = c.len()
 		}
 		lv.commTot = ct
 	}
@@ -758,16 +714,12 @@ func (lv *Live) updateAggLocked(tr *Trace) {
 // scan) instead.
 func (lv *Live) extendDomsLocked() {
 	for cpu := range lv.doms {
-		ch := &lv.doms[cpu]
-		if lv.order[cpu].stateDirty {
+		ch, c := &lv.doms[cpu], &lv.cols[cpu].states
+		if c.dirty {
 			*ch = domChain{dead: true}
 		}
-		// The logical array is the spilled columns followed by the RAM
-		// tail; the window gather is zero-copy in the steady state
-		// (new events are all in the tail) and only copies on a
-		// post-drop rebuild.
-		if m := lv.order[cpu].nStateF + len(lv.cpus[cpu].States); !ch.dead && m != ch.n {
-			ch.extend(lv.stateWindowLocked(cpu, ch.n))
+		if !ch.dead && c.len() != ch.n {
+			ch.extend(c.from(ch.n))
 		}
 	}
 }
@@ -778,14 +730,14 @@ func (lv *Live) extendDomsLocked() {
 // data, not the trace size. Pairs that went dirty fall back to the
 // snapshot's lazy per-epoch rebuild.
 func (lv *Live) extendTreesLocked() {
-	for ci, lc := range lv.counters {
-		for cpu := range lc.c.PerCPU {
-			if lc.dirty[cpu] {
-				lc.trees[cpu], lc.rateTrees[cpu] = nil, nil
+	for _, lc := range lv.counters {
+		for cpu := range lc.per {
+			p := &lc.per[cpu]
+			if p.col.dirty {
+				p.tree, p.rate = nil, nil
 				continue
 			}
-			n0 := lc.treeN[cpu]
-			m := lc.fsamp[cpu] + len(lc.c.PerCPU[cpu])
+			n0, m := p.treeN, p.col.len()
 			if m == n0 {
 				continue
 			}
@@ -793,10 +745,10 @@ func (lv *Live) extendTreesLocked() {
 			// samples [n0, m) adds the rate entries [max(n0-1,0), m-1):
 			// gather the window from the last covered sample on.
 			from := max(n0-1, 0)
-			win := lv.sampleWindowLocked(ci, cpu, from)
-			lc.trees[cpu] = appendValues(lc.trees[cpu], win[n0-from:], 0)
-			lc.rateTrees[cpu] = appendRates(lc.rateTrees[cpu], win, 0)
-			lc.treeN[cpu] = m
+			win := p.col.from(from)
+			p.tree = appendValues(p.tree, win[n0-from:], 0)
+			p.rate = appendRates(p.rate, win, 0)
+			p.treeN = m
 		}
 	}
 }

@@ -222,6 +222,55 @@ func TestLiveOutOfOrderProducer(t *testing.T) {
 	}
 }
 
+// TestAppendRejectsWholeBatch: a batch with an implausible CPU id in
+// any family is rejected before anything of it is applied — no events,
+// no task, type or counter registrations — so a later Publish (Feed
+// publishes whatever a failing poll appended) cannot expose half of it.
+func TestAppendRejectsWholeBatch(t *testing.T) {
+	lv := NewLive()
+	good := &trace.RecordBatch{
+		Tasks:  []trace.Task{{ID: 1, Type: 1}},
+		States: []trace.StateEvent{{CPU: 0, State: trace.StateTaskExec, Start: 0, End: 10, Task: 1}},
+		MaxCPU: 0,
+	}
+	if err := lv.Append(good); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := lv.Publish()
+	wantEvents, wantSamples := before.EventCounts()
+
+	for name, poison := range map[string]func(*trace.RecordBatch){
+		"states":   func(b *trace.RecordBatch) { b.States = append(b.States, trace.StateEvent{CPU: -1}) },
+		"discrete": func(b *trace.RecordBatch) { b.Discrete = []trace.DiscreteEvent{{CPU: trace.MaxCPUID + 1}} },
+		"comms":    func(b *trace.RecordBatch) { b.Comms = []trace.CommEvent{{CPU: trace.MaxCPUID + 1}} },
+		"samples": func(b *trace.RecordBatch) {
+			b.Samples = []trace.CounterSample{{CPU: trace.MaxCPUID + 1, Counter: 9}}
+		},
+	} {
+		bad := &trace.RecordBatch{
+			TaskTypes:  []trace.TaskType{{ID: 5, Name: "late"}},
+			Tasks:      []trace.Task{{ID: 2, Type: 5}},
+			CounterIDs: []trace.CounterID{9},
+			States:     []trace.StateEvent{{CPU: 1, State: trace.StateIdle, Start: 10, End: 20}},
+			MaxCPU:     1,
+		}
+		poison(bad)
+		if err := lv.Append(bad); err == nil {
+			t.Fatalf("%s: batch with an implausible CPU id accepted", name)
+		}
+		after, _ := lv.Publish()
+		if ev, sm := after.EventCounts(); ev != wantEvents || sm != wantSamples {
+			t.Errorf("%s: EventCounts (%d, %d) after a rejected batch, want (%d, %d)", name, ev, sm, wantEvents, wantSamples)
+		}
+		if len(after.Tasks) != len(before.Tasks) || len(after.Types) != len(before.Types) ||
+			len(after.Counters) != len(before.Counters) || after.NumCPUs() != before.NumCPUs() {
+			t.Errorf("%s: rejected batch left %d tasks, %d types, %d counters, %d CPUs; want %d, %d, %d, %d", name,
+				len(after.Tasks), len(after.Types), len(after.Counters), after.NumCPUs(),
+				len(before.Tasks), len(before.Types), len(before.Counters), before.NumCPUs())
+		}
+	}
+}
+
 // limitedByteReader mirrors the trace package's test reader: data up
 // to limit, io.EOF beyond.
 type limitedByteReader struct {

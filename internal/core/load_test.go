@@ -84,13 +84,20 @@ func equalTraces(t *testing.T, want, got *Trace, label string) {
 }
 
 // TestLoadParallelMatchesSequential proves the parallel ingest
-// pipeline builds exactly the trace the sequential loader builds.
+// pipeline builds exactly the trace the sequential loader builds, and
+// that the sequential loader agrees with the independent live path
+// (stream decoder into core.Live, drained to EOF).
 func TestLoadParallelMatchesSequential(t *testing.T) {
 	data := seidelStream(t, 6, 4)
 	want, err := fromReaderSeq(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := FromDecoder(trace.NewStreamReader(bytes.NewReader(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	equalTraces(t, ref, want, "seidel/sequential vs FromDecoder")
 	for _, workers := range []int{2, 3, 4, 8} {
 		got, err := fromReader(bytes.NewReader(data), workers)
 		if err != nil {

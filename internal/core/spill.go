@@ -1,29 +1,34 @@
 // Epoch spilling: bounded-memory live ingest.
 //
 // A long-lived -follow session accumulates per-CPU event arrays and
-// counter samples without bound. Spilling moves frozen epoch ranges —
-// the clean, already-published prefixes of each column — out of the
-// builder's RAM tail into mmap-backed columnar segment files
-// (internal/store), so the hot tail stays small while reads stitch the
-// spilled columns and the RAM tail behind the unchanged Trace snapshot
-// interface. Aged-out segments are dropped under a configurable
-// byte/age budget (RetentionPolicy), turning the live trace into a
-// sliding window over the run.
+// counter samples without bound. Every such array is a liveCol
+// (column.go): an ordered list of spilled parts followed by a RAM
+// tail. After a publish, once the tails together exceed the budget,
+// each clean tail is frozen into a new part of one new segment; a
+// background goroutine writes the segment's parts to an mmap-backed
+// columnar file (internal/store) and installs the mapped views in
+// place of the heap rows, which die with the snapshots that captured
+// them. Retention (RetentionPolicy) drops the oldest segments, and
+// with them the leading parts of every column, turning the live trace
+// into a sliding window over the run; a column whose producer breaks
+// timestamp order is unspilled — pulled back into its tail — because
+// its snapshot repair sorts the whole array. Reads stitch parts and
+// tail behind the unchanged Trace snapshot interface.
 //
-// Concurrency model: all builder mutation happens under Live.mu.
-// Published snapshots hold an immutable *frozenTrace; every change to
-// the frozen state (freeze, install, drop, unspill) clones it first
-// (copy-on-write of the slice spines — the event columns themselves
-// are shared), so readers of older epochs never observe a mutation.
-// Segment files are written by a background goroutine; the install
-// step swaps the heap columns for the mapped views under the lock, and
-// the heap copies die with the snapshots that reference them.
+// Concurrency model: all builder mutation happens under Live.mu. A
+// published snapshot holds each column as the (parts, tail) value it
+// had at publish, and a column never writes at an index a captured
+// value covers (see liveCol), so readers of older epochs never
+// observe a mutation. Segment bookkeeping (spillState, spillSeg) is
+// builder state read only under the lock; a snapshot carries a copy
+// of the counters.
 package core
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -57,15 +62,6 @@ type RetentionPolicy struct {
 }
 
 func (p RetentionPolicy) enabled() bool { return p.Dir != "" && p.SpillBytes > 0 }
-
-// Per-element byte sizes of the spillable columns, as stored (raw
-// in-memory layout).
-const (
-	stateEventBytes    = int64(unsafe.Sizeof(trace.StateEvent{}))
-	discreteEventBytes = int64(unsafe.Sizeof(trace.DiscreteEvent{}))
-	commEventBytes     = int64(unsafe.Sizeof(trace.CommEvent{}))
-	counterSampleBytes = int64(unsafe.Sizeof(trace.CounterSample{}))
-)
 
 // segFormatVersion versions the segment meta layout inside the store
 // container (which has its own magic + version).
@@ -112,79 +108,72 @@ func layoutHash() uint64 {
 	return h
 }
 
-// spillSeg is one frozen epoch range: the columns moved out of the RAM
-// tail together at one publish. Its fields are written only under
-// Live.mu; snapshot readers never touch them (they read the
-// frozenTrace aggregates instead).
+// spillSeg is one frozen epoch range: the column tails that left RAM
+// together at one publish (each as a colPart naming this segment). Its
+// fields are written only under Live.mu; snapshot readers hold the
+// pointer only to keep the mapping alive.
 type spillSeg struct {
-	id      int
-	bytes   int64
-	records int64
+	id int
+	// bytes counts the rows currently charged to the segment: freeze
+	// adds, unspill credits back.
+	bytes int64
 	// minTime/maxTime approximate the segment's time range (from the
 	// first/last event of each moved column); used by age retention.
 	minTime trace.Time
 	maxTime trace.Time
 	hasTime bool
 	// path and m are set once the background compaction installs the
-	// written file; until then the columns are heap-backed.
+	// written file; until then the parts are heap-backed.
 	path string
 	m    *store.Mapped
 }
 
-// frozenCPU holds one CPU's spilled columns, one entry per segment,
-// aligned with frozenTrace.segs. A nil entry means the segment carried
-// nothing for this (cpu, family).
-type frozenCPU struct {
-	states   [][]trace.StateEvent
-	discrete [][]trace.DiscreteEvent
-	comm     [][]trace.CommEvent
+// cover grows the segment's time range to include [lo, hi].
+func (seg *spillSeg) cover(lo, hi trace.Time) {
+	if !seg.hasTime || lo < seg.minTime {
+		seg.minTime = lo
+	}
+	if !seg.hasTime || hi > seg.maxTime {
+		seg.maxTime = hi
+	}
+	seg.hasTime = true
 }
 
-// frozenTrace is the immutable spilled portion of a live trace. A
-// published snapshot references one; every mutation goes through
-// clone, so the spines below are never written after publication. The
-// event columns themselves are shared between generations (and swap
-// from heap to mmap backing on install, in a fresh clone).
-type frozenTrace struct {
-	segs []*spillSeg
-	cpus []frozenCPU
-	// samples[counter][cpu][seg] holds the spilled sample columns, in
-	// counter-table order.
-	samples [][][][]trace.CounterSample
-
-	spilledBytes int64
-	pending      int // segments frozen but not yet compacted to disk
+// spillState is a live trace's segment bookkeeping, guarded by Live.mu.
+type spillState struct {
+	segs         []*spillSeg // retained segments, oldest first
+	pending      int         // segments frozen but not yet compacted to disk
 	droppedSegs  int
 	droppedBytes int64
-	spillErr     string // first compaction failure, sticky
+	err          string // first compaction failure, sticky
 }
 
-func (f *frozenTrace) clone() *frozenTrace {
-	nf := &frozenTrace{
-		segs:         append([]*spillSeg(nil), f.segs...),
-		cpus:         make([]frozenCPU, len(f.cpus)),
-		samples:      make([][][][]trace.CounterSample, len(f.samples)),
-		spilledBytes: f.spilledBytes,
-		pending:      f.pending,
-		droppedSegs:  f.droppedSegs,
-		droppedBytes: f.droppedBytes,
-		spillErr:     f.spillErr,
+// spilledBytes sums the rows charged to the retained segments.
+func (sp *spillState) spilledBytes() (n int64) {
+	for _, seg := range sp.segs {
+		n += seg.bytes
 	}
-	for i := range f.cpus {
-		nf.cpus[i] = frozenCPU{
-			states:   append([][]trace.StateEvent(nil), f.cpus[i].states...),
-			discrete: append([][]trace.DiscreteEvent(nil), f.cpus[i].discrete...),
-			comm:     append([][]trace.CommEvent(nil), f.cpus[i].comm...),
-		}
+	return n
+}
+
+// stats snapshots the bookkeeping into its public form.
+func (sp *spillState) stats() SpillStats {
+	return SpillStats{
+		Segments:     len(sp.segs),
+		SpilledBytes: sp.spilledBytes(),
+		Pending:      sp.pending,
+		DroppedSegs:  sp.droppedSegs,
+		DroppedBytes: sp.droppedBytes,
+		Err:          sp.err,
 	}
-	for i := range f.samples {
-		rows := make([][][]trace.CounterSample, len(f.samples[i]))
-		for cpu := range f.samples[i] {
-			rows[cpu] = append([][]trace.CounterSample(nil), f.samples[i][cpu]...)
-		}
-		nf.samples[i] = rows
-	}
-	return nf
+}
+
+// cpuParts is the spilled half of one CPU's columns in a snapshot; the
+// RAM tails are the CPUData arrays.
+type cpuParts struct {
+	states   []colPart[trace.StateEvent]
+	discrete []colPart[trace.DiscreteEvent]
+	comm     []colPart[trace.CommEvent]
 }
 
 // SpillStats reports a snapshot's spill/retention state. ok is false
@@ -210,18 +199,10 @@ type SpillStats struct {
 // SpillStats reports the snapshot's spill state; ok is false when the
 // trace has no spilled data.
 func (tr *Trace) SpillStats() (s SpillStats, ok bool) {
-	f := tr.frozen
-	if f == nil {
+	if tr.spill == nil {
 		return SpillStats{}, false
 	}
-	return SpillStats{
-		Segments:     len(f.segs),
-		SpilledBytes: f.spilledBytes,
-		Pending:      f.pending,
-		DroppedSegs:  f.droppedSegs,
-		DroppedBytes: f.droppedBytes,
-		Err:          f.spillErr,
-	}, true
+	return *tr.spill, true
 }
 
 // EventCounts returns the trace's total event count (states, discrete,
@@ -231,31 +212,25 @@ func (tr *Trace) EventCounts() (events, samples int64) {
 		c := &tr.CPUs[i]
 		events += int64(len(c.States) + len(c.Discrete) + len(c.Comm))
 	}
-	if tr.frozen != nil {
-		for i := range tr.frozen.cpus {
-			fc := &tr.frozen.cpus[i]
-			for _, s := range fc.states {
-				events += int64(len(s))
-			}
-			for _, s := range fc.discrete {
-				events += int64(len(s))
-			}
-			for _, s := range fc.comm {
-				events += int64(len(s))
-			}
-		}
+	for i := range tr.spilled {
+		sp := &tr.spilled[i]
+		events += int64(partsLen(sp.states) + partsLen(sp.discrete) + partsLen(sp.comm))
 	}
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
-			samples += int64(len(c.PerCPU[cpu]))
-		}
-		for _, row := range c.frozen {
-			for _, s := range row {
-				samples += int64(len(s))
-			}
+			samples += int64(c.NumSamples(int32(cpu)))
 		}
 	}
 	return events, samples
+}
+
+// partsLen returns the event count of a column's spilled parts.
+func partsLen[T any](parts []colPart[T]) int {
+	n := 0
+	for _, p := range parts {
+		n += len(p.rows)
+	}
+	return n
 }
 
 // Close releases the file mapping of a store-backed trace (OpenStore).
@@ -269,68 +244,28 @@ func (tr *Trace) Close() error {
 	return nil
 }
 
-// stitchWin collects the window slices of time-ordered column segments
-// plus the RAM tail into one slice: zero-copy when the window touches
-// a single part (the overwhelmingly common case — viewer windows are
-// small), a copy-concat when it crosses a segment boundary. win
-// returns the [lo, hi) window of one sorted part. Returns nil for an
-// empty window.
-func stitchWin[T any](segs [][]T, tail []T, win func([]T) (int, int)) []T {
-	var single []T
-	var parts [][]T
-	total := 0
-	add := func(s []T) {
-		if len(s) == 0 {
-			return
-		}
-		lo, hi := win(s)
-		if lo >= hi {
-			return
-		}
-		p := s[lo:hi]
-		switch {
-		case total == 0:
-			single = p
-		case parts == nil:
-			parts = [][]T{single, p}
-		default:
-			parts = append(parts, p)
-		}
-		total += len(p)
-	}
-	for _, s := range segs {
-		add(s)
-	}
-	add(tail)
-	if parts == nil {
-		return single
-	}
-	out := make([]T, 0, total)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	return out
-}
-
-// frozenFor returns the spilled columns of a CPU, or nil.
-func (tr *Trace) frozenFor(cpu int32) *frozenCPU {
-	if tr.frozen == nil || int(cpu) >= len(tr.frozen.cpus) {
+// stateCols returns a CPU's state array as its time-ordered column
+// list: the spilled parts, then the RAM tail.
+func (tr *Trace) stateCols(cpu int32) [][]trace.StateEvent {
+	if int(cpu) >= len(tr.CPUs) {
 		return nil
 	}
-	return &tr.frozen.cpus[cpu]
+	var parts []colPart[trace.StateEvent]
+	if int(cpu) < len(tr.spilled) {
+		parts = tr.spilled[cpu].states
+	}
+	return partRows(parts, tr.CPUs[cpu].States)
 }
 
 // NumSamples returns the counter's sample count on a CPU, spilled
-// columns included.
+// parts included.
 func (c *Counter) NumSamples(cpu int32) int {
 	n := 0
 	if int(cpu) < len(c.PerCPU) {
 		n = len(c.PerCPU[cpu])
 	}
-	if int(cpu) < len(c.frozen) {
-		for _, s := range c.frozen[cpu] {
-			n += len(s)
-		}
+	if int(cpu) < len(c.spilled) {
+		n += partsLen(c.spilled[cpu])
 	}
 	return n
 }
@@ -379,15 +314,13 @@ func (lv *Live) Close() error {
 // sample columns.
 func (lv *Live) tailBytesLocked() int64 {
 	var n int64
-	for i := range lv.cpus {
-		c := &lv.cpus[i]
-		n += int64(len(c.States))*stateEventBytes +
-			int64(len(c.Discrete))*discreteEventBytes +
-			int64(len(c.Comm))*commEventBytes
+	for i := range lv.cols {
+		c := &lv.cols[i]
+		n += c.states.tailBytes() + c.discrete.tailBytes() + c.comm.tailBytes()
 	}
 	for _, lc := range lv.counters {
-		for cpu := range lc.c.PerCPU {
-			n += int64(len(lc.c.PerCPU[cpu])) * counterSampleBytes
+		for cpu := range lc.per {
+			n += lc.per[cpu].col.tailBytes()
 		}
 	}
 	return n
@@ -429,47 +362,6 @@ func (lv *Live) maybeSpillLocked() {
 	lv.applyRetentionLocked()
 }
 
-// padTo pads a per-segment column list with nil entries up to n, so
-// lists of CPUs/counters that appeared after earlier segments stay
-// aligned with the segment list.
-func padTo[T any](lists [][]T, n int) [][]T {
-	for len(lists) < n {
-		lists = append(lists, nil)
-	}
-	return lists
-}
-
-// ensureFrozenLocked returns a fresh frozen generation grown to the
-// current CPU and counter table sizes.
-func (lv *Live) ensureFrozenLocked() *frozenTrace {
-	var f *frozenTrace
-	if lv.frozen == nil {
-		f = &frozenTrace{}
-	} else {
-		f = lv.frozen.clone()
-	}
-	nseg := len(f.segs)
-	for len(f.cpus) < len(lv.cpus) {
-		f.cpus = append(f.cpus, frozenCPU{
-			states:   make([][]trace.StateEvent, nseg),
-			discrete: make([][]trace.DiscreteEvent, nseg),
-			comm:     make([][]trace.CommEvent, nseg),
-		})
-	}
-	for len(f.samples) < len(lv.counters) {
-		f.samples = append(f.samples, nil)
-	}
-	for ci, lc := range lv.counters {
-		rows := f.samples[ci]
-		for len(rows) < len(lc.c.PerCPU) {
-			row := make([][]trace.CounterSample, nseg)
-			rows = append(rows, row)
-		}
-		f.samples[ci] = rows
-	}
-	return f
-}
-
 // segPayload lists the columns of one segment, for the compaction
 // writer (heap slices going in, mmap views coming back out).
 type segPayload struct {
@@ -490,101 +382,48 @@ type segSamples struct {
 	samples []trace.CounterSample
 }
 
-// freezeTailsLocked moves every clean, non-empty RAM tail column into
-// a new frozen segment — O(columns) slice-header moves, no event is
-// copied — and returns the segment and its compaction payload. Dirty
-// families (out-of-order producers) never freeze: their repair path
-// needs the whole array in RAM. Returns nil if nothing was freezable.
+// freezeTailsLocked freezes every clean, non-empty column tail into a
+// part of one new segment — O(columns) slice-header moves, no event is
+// copied — and returns the segment and its compaction payload. Returns
+// nil if nothing was freezable (every column empty or dirty).
 func (lv *Live) freezeTailsLocked() (*spillSeg, *segPayload) {
-	f := lv.ensureFrozenLocked()
 	seg := &spillSeg{id: lv.segSeq}
 	p := &segPayload{}
-	idx := len(f.segs)
-	grow := func(ts ...trace.Time) {
-		for _, t := range ts {
-			if !seg.hasTime || t < seg.minTime {
-				seg.minTime = t
-			}
-			if !seg.hasTime || t > seg.maxTime {
-				seg.maxTime = t
-			}
-			seg.hasTime = true
-		}
-	}
-	for cpu := range lv.cpus {
-		c := &lv.cpus[cpu]
-		o := &lv.order[cpu]
-		fc := &f.cpus[cpu]
-		fc.states = padTo(fc.states, idx)
-		fc.discrete = padTo(fc.discrete, idx)
-		fc.comm = padTo(fc.comm, idx)
+	for cpu := range lv.cols {
+		c := &lv.cols[cpu]
 		sc := segCPU{cpu: int32(cpu)}
-		if s := c.States; !o.stateDirty && len(s) > 0 {
-			fc.states = append(fc.states, s)
-			o.nStateF += len(s)
-			c.States = nil
-			seg.records += int64(len(s))
-			seg.bytes += int64(len(s)) * stateEventBytes
-			grow(s[0].Start, s[len(s)-1].End)
+		if s := c.states.freeze(seg); s != nil {
+			seg.cover(s[0].Start, s[len(s)-1].End)
 			sc.states = s
-		} else {
-			fc.states = append(fc.states, nil)
 		}
-		if s := c.Discrete; !o.discreteDirty && len(s) > 0 {
-			fc.discrete = append(fc.discrete, s)
-			o.nDiscreteF += len(s)
-			c.Discrete = nil
-			seg.records += int64(len(s))
-			seg.bytes += int64(len(s)) * discreteEventBytes
-			grow(s[0].Time, s[len(s)-1].Time)
+		if s := c.discrete.freeze(seg); s != nil {
+			seg.cover(s[0].Time, s[len(s)-1].Time)
 			sc.discrete = s
-		} else {
-			fc.discrete = append(fc.discrete, nil)
 		}
-		if s := c.Comm; !o.commDirty && len(s) > 0 {
-			fc.comm = append(fc.comm, s)
-			o.nCommF += len(s)
-			c.Comm = nil
-			seg.records += int64(len(s))
-			seg.bytes += int64(len(s)) * commEventBytes
-			grow(s[0].Time, s[len(s)-1].Time)
+		if s := c.comm.freeze(seg); s != nil {
+			seg.cover(s[0].Time, s[len(s)-1].Time)
 			sc.comm = s
-		} else {
-			fc.comm = append(fc.comm, nil)
 		}
 		if sc.states != nil || sc.discrete != nil || sc.comm != nil {
 			p.cpus = append(p.cpus, sc)
 		}
 	}
 	for ci, lc := range lv.counters {
-		rows := f.samples[ci]
-		for cpu := range lc.c.PerCPU {
-			rows[cpu] = padTo(rows[cpu], idx)
-			if s := lc.c.PerCPU[cpu]; !lc.dirty[cpu] && len(s) > 0 {
-				rows[cpu] = append(rows[cpu], s)
-				lc.fsamp[cpu] += len(s)
-				lc.c.PerCPU[cpu] = nil
-				seg.records += int64(len(s))
-				seg.bytes += int64(len(s)) * counterSampleBytes
-				grow(s[0].Time, s[len(s)-1].Time)
+		for cpu := range lc.per {
+			if s := lc.per[cpu].col.freeze(seg); s != nil {
+				seg.cover(s[0].Time, s[len(s)-1].Time)
 				p.samples = append(p.samples, segSamples{counter: ci, cpu: int32(cpu), samples: s})
-			} else {
-				rows[cpu] = append(rows[cpu], nil)
 			}
 		}
-		f.samples[ci] = rows
 	}
 	if seg.bytes == 0 {
-		// Nothing freezable: every column is empty or dirty. The clone
-		// is discarded, so the published generation keeps its segment
-		// alignment. (No builder state was touched: counts only moved
-		// together with a column.)
 		return nil, nil
 	}
-	f.segs = append(f.segs, seg)
-	f.spilledBytes += seg.bytes
-	f.pending++
-	lv.frozen = f
+	if lv.spill == nil {
+		lv.spill = &spillState{}
+	}
+	lv.spill.segs = append(lv.spill.segs, seg)
+	lv.spill.pending++
 	lv.segSeq++
 	return seg, p
 }
@@ -676,70 +515,41 @@ func readSegment(m *store.Mapped) (*segPayload, error) {
 	return p, nil
 }
 
-// installLocked swaps a compacted segment's heap columns for its mmap
-// views, in a fresh frozen generation (published snapshots keep the
-// heap backing until released). Columns an unspill pulled back to the
-// RAM tail meanwhile (nil entries) stay nil; a segment dropped by
-// retention while compacting is deleted again.
+// installLocked swaps a compacted segment's heap rows for their mmap
+// views, column by column. A segment dropped by retention while
+// compacting is deleted again.
 func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, vp *segPayload, path string, err error) {
-	if lv.frozen == nil {
-		if m != nil {
-			m.Close()
-			os.Remove(path)
-		}
-		return
-	}
-	f := lv.frozen.clone()
-	f.pending--
-	idx := -1
-	for i, s := range f.segs {
-		if s == seg {
-			idx = i
-			break
-		}
-	}
+	sp := lv.spill // non-nil: the freeze that made seg created it
+	sp.pending--
 	if err != nil {
-		if f.spillErr == "" {
-			f.spillErr = err.Error()
+		if sp.err == "" {
+			sp.err = err.Error()
 		}
-		lv.frozen = f
 		return
 	}
-	if idx < 0 {
+	if !slices.Contains(sp.segs, seg) {
 		// Aged out while compacting: no snapshot references the
 		// mapping, unmap and delete the orphan file.
 		m.Close()
 		os.Remove(path)
-		lv.frozen = f
 		return
 	}
 	seg.path = path
 	seg.m = m
 	for _, sc := range vp.cpus {
-		if int(sc.cpu) >= len(f.cpus) {
+		if int(sc.cpu) >= len(lv.cols) {
 			continue
 		}
-		fc := &f.cpus[sc.cpu]
-		if sc.states != nil && idx < len(fc.states) && fc.states[idx] != nil {
-			fc.states[idx] = sc.states
-		}
-		if sc.discrete != nil && idx < len(fc.discrete) && fc.discrete[idx] != nil {
-			fc.discrete[idx] = sc.discrete
-		}
-		if sc.comm != nil && idx < len(fc.comm) && fc.comm[idx] != nil {
-			fc.comm[idx] = sc.comm
-		}
+		c := &lv.cols[sc.cpu]
+		c.states.install(seg, sc.states)
+		c.discrete.install(seg, sc.discrete)
+		c.comm.install(seg, sc.comm)
 	}
 	for _, ss := range vp.samples {
-		if ss.counter >= len(f.samples) {
-			continue
-		}
-		rows := f.samples[ss.counter]
-		if int(ss.cpu) < len(rows) && idx < len(rows[ss.cpu]) && rows[ss.cpu][idx] != nil && ss.samples != nil {
-			rows[ss.cpu][idx] = ss.samples
+		if ss.counter < len(lv.counters) && int(ss.cpu) < len(lv.counters[ss.counter].per) {
+			lv.counters[ss.counter].per[ss.cpu].col.install(seg, ss.samples)
 		}
 	}
-	lv.frozen = f
 }
 
 // applyRetentionLocked drops the oldest spilled segments while the
@@ -747,17 +557,17 @@ func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, vp *segPayload, pa
 // Dropped events leave the trace: logical indices shift, so the
 // affected incremental indexes (dominance chains, counter trees, comm
 // consumption counts) reset and rebuild over the remaining window at
-// the next publish. Published snapshots keep their generation — their
-// mappings stay valid after the file unlink until released.
+// the next publish. Published snapshots keep the parts they captured —
+// their mappings stay valid after the file unlink until released.
 func (lv *Live) applyRetentionLocked() {
-	f := lv.frozen
-	if f == nil || len(f.segs) == 0 {
+	sp := lv.spill
+	if sp == nil || len(sp.segs) == 0 {
 		return
 	}
 	drop := 0
-	spilled := f.spilledBytes
-	for drop < len(f.segs) {
-		seg := f.segs[drop]
+	spilled := sp.spilledBytes()
+	for drop < len(sp.segs) {
+		seg := sp.segs[drop]
 		over := lv.ret.MaxBytes > 0 && spilled > lv.ret.MaxBytes
 		aged := lv.ret.MaxAge > 0 && lv.spanSet && seg.hasTime &&
 			seg.maxTime < lv.spanMax-lv.ret.MaxAge
@@ -770,267 +580,43 @@ func (lv *Live) applyRetentionLocked() {
 	if drop == 0 {
 		return
 	}
-	nf := f.clone()
-	for i := 0; i < drop; i++ {
-		seg := nf.segs[i]
-		nf.droppedSegs++
-		nf.droppedBytes += seg.bytes
+	for _, seg := range sp.segs[:drop] {
+		sp.droppedSegs++
+		sp.droppedBytes += seg.bytes
 		if seg.path != "" {
 			os.Remove(seg.path)
 		}
 	}
-	nf.segs = nf.segs[drop:]
-	nf.spilledBytes = spilled
-	droppedComm := false
-	for cpu := range nf.cpus {
-		fc := &nf.cpus[cpu]
-		o := &lv.order[cpu]
-		droppedStates := false
-		for i := 0; i < drop; i++ {
-			if i < len(fc.states) && len(fc.states[i]) > 0 {
-				o.nStateF -= len(fc.states[i])
-				droppedStates = true
-			}
-			if i < len(fc.discrete) {
-				o.nDiscreteF -= len(fc.discrete[i])
-			}
-			if i < len(fc.comm) && len(fc.comm[i]) > 0 {
-				n := len(fc.comm[i])
-				o.nCommF -= n
-				if cpu < len(lv.commN) {
-					lv.commN[cpu] -= n
-				}
-				droppedComm = true
-			}
-		}
-		fc.states = dropSegs(fc.states, drop)
-		fc.discrete = dropSegs(fc.discrete, drop)
-		fc.comm = dropSegs(fc.comm, drop)
-		if droppedStates {
+	sp.segs = append([]*spillSeg(nil), sp.segs[drop:]...)
+	keep := lv.segSeq
+	if len(sp.segs) > 0 {
+		keep = sp.segs[0].id
+	}
+	for cpu := range lv.cols {
+		c := &lv.cols[cpu]
+		if c.states.drop(keep) > 0 {
 			// Logical state indices shifted: the dominance chain's leaf
 			// refs are stale. Rebuild over the remaining window.
 			lv.doms[cpu] = domChain{}
 		}
-	}
-	if droppedComm {
-		// The communication totals included the dropped events; force
-		// a rebuild over the retained window at the next publish.
-		lv.commTot = nil
-	}
-	for ci := range nf.samples {
-		lc := lv.counters[ci]
-		for cpu := range nf.samples[ci] {
-			row := nf.samples[ci][cpu]
-			removed := 0
-			for i := 0; i < drop && i < len(row); i++ {
-				removed += len(row[i])
+		c.discrete.drop(keep)
+		if n := c.comm.drop(keep); n > 0 {
+			if cpu < len(lv.commN) {
+				lv.commN[cpu] -= n
 			}
-			nf.samples[ci][cpu] = dropSegs(row, drop)
-			if removed > 0 && cpu < len(lc.fsamp) {
-				lc.fsamp[cpu] -= removed
-				lc.trees[cpu], lc.rateTrees[cpu], lc.treeN[cpu] = nil, nil, 0
+			// The communication totals included the dropped events;
+			// force a rebuild over the retained window at the next
+			// publish.
+			lv.commTot = nil
+		}
+	}
+	for _, lc := range lv.counters {
+		for cpu := range lc.per {
+			if p := &lc.per[cpu]; p.col.drop(keep) > 0 {
+				p.tree, p.rate, p.treeN = nil, nil, 0
 			}
 		}
 	}
-	lv.frozen = nf
-}
-
-// dropSegs removes the first drop per-segment entries of a column
-// list, tolerating lists shorter than the segment list (never grown
-// past their last freeze).
-func dropSegs[T any](lists [][]T, drop int) [][]T {
-	if drop >= len(lists) {
-		return lists[:0]
-	}
-	return lists[drop:]
-}
-
-// --- unspill: pulling frozen columns back into the RAM tail ---
-//
-// A family that goes dirty (an out-of-order producer) is repaired at
-// snapshot time by sorting the whole array — which requires the whole
-// array in RAM. The moment a family transitions to dirty, its frozen
-// columns are concatenated back in front of the RAM tail and the
-// frozen entries nil out (in a fresh generation); dirty families never
-// freeze again, so this happens at most once per family.
-
-func (lv *Live) unspillStatesLocked(cpu int32) {
-	o := &lv.order[cpu]
-	if o.nStateF == 0 || lv.frozen == nil {
-		return
-	}
-	f := lv.frozen.clone()
-	fc := &f.cpus[cpu]
-	merged := make([]trace.StateEvent, 0, o.nStateF+len(lv.cpus[cpu].States))
-	for si, s := range fc.states {
-		if len(s) > 0 {
-			merged = append(merged, s...)
-			delta := int64(len(s)) * stateEventBytes
-			f.segs[si].records -= int64(len(s))
-			f.segs[si].bytes -= delta
-			f.spilledBytes -= delta
-		}
-		fc.states[si] = nil
-	}
-	lv.cpus[cpu].States = append(merged, lv.cpus[cpu].States...)
-	o.nStateF = 0
-	lv.frozen = f
-}
-
-func (lv *Live) unspillDiscreteLocked(cpu int32) {
-	o := &lv.order[cpu]
-	if o.nDiscreteF == 0 || lv.frozen == nil {
-		return
-	}
-	f := lv.frozen.clone()
-	fc := &f.cpus[cpu]
-	merged := make([]trace.DiscreteEvent, 0, o.nDiscreteF+len(lv.cpus[cpu].Discrete))
-	for si, s := range fc.discrete {
-		if len(s) > 0 {
-			merged = append(merged, s...)
-			delta := int64(len(s)) * discreteEventBytes
-			f.segs[si].records -= int64(len(s))
-			f.segs[si].bytes -= delta
-			f.spilledBytes -= delta
-		}
-		fc.discrete[si] = nil
-	}
-	lv.cpus[cpu].Discrete = append(merged, lv.cpus[cpu].Discrete...)
-	o.nDiscreteF = 0
-	lv.frozen = f
-}
-
-func (lv *Live) unspillCommLocked(cpu int32) {
-	o := &lv.order[cpu]
-	if o.nCommF == 0 || lv.frozen == nil {
-		return
-	}
-	f := lv.frozen.clone()
-	fc := &f.cpus[cpu]
-	merged := make([]trace.CommEvent, 0, o.nCommF+len(lv.cpus[cpu].Comm))
-	for si, s := range fc.comm {
-		if len(s) > 0 {
-			merged = append(merged, s...)
-			delta := int64(len(s)) * commEventBytes
-			f.segs[si].records -= int64(len(s))
-			f.segs[si].bytes -= delta
-			f.spilledBytes -= delta
-		}
-		fc.comm[si] = nil
-	}
-	lv.cpus[cpu].Comm = append(merged, lv.cpus[cpu].Comm...)
-	o.nCommF = 0
-	lv.frozen = f
-}
-
-func (lv *Live) unspillSamplesLocked(ci int, cpu int32) {
-	lc := lv.counters[ci]
-	if int(cpu) >= len(lc.fsamp) || lc.fsamp[cpu] == 0 || lv.frozen == nil ||
-		ci >= len(lv.frozen.samples) || int(cpu) >= len(lv.frozen.samples[ci]) {
-		return
-	}
-	f := lv.frozen.clone()
-	row := f.samples[ci][cpu]
-	merged := make([]trace.CounterSample, 0, lc.fsamp[cpu]+len(lc.c.PerCPU[cpu]))
-	for si, s := range row {
-		if len(s) > 0 {
-			merged = append(merged, s...)
-			delta := int64(len(s)) * counterSampleBytes
-			f.segs[si].records -= int64(len(s))
-			f.segs[si].bytes -= delta
-			f.spilledBytes -= delta
-		}
-		row[si] = nil
-	}
-	lc.c.PerCPU[cpu] = append(merged, lc.c.PerCPU[cpu]...)
-	lc.fsamp[cpu] = 0
-	lv.frozen = f
-}
-
-// --- logical views for the incremental index extenders ---
-
-// stateWindowLocked gathers the logical state events [from, total) of
-// a CPU — frozen columns first, then the RAM tail. Zero-copy while the
-// window lies entirely in the tail (the steady state: the extenders
-// only ever ask for the newly appended suffix); a drop-triggered
-// rebuild re-gathers the remaining frozen window once.
-func (lv *Live) stateWindowLocked(cpu, from int) []trace.StateEvent {
-	o := &lv.order[cpu]
-	tail := lv.cpus[cpu].States
-	if from >= o.nStateF {
-		return tail[from-o.nStateF:]
-	}
-	out := make([]trace.StateEvent, 0, o.nStateF+len(tail)-from)
-	at := 0
-	if lv.frozen != nil && cpu < len(lv.frozen.cpus) {
-		for _, s := range lv.frozen.cpus[cpu].states {
-			if at+len(s) <= from {
-				at += len(s)
-				continue
-			}
-			start := 0
-			if from > at {
-				start = from - at
-			}
-			out = append(out, s[start:]...)
-			at += len(s)
-		}
-	}
-	return append(out, tail...)
-}
-
-// sampleWindowLocked gathers the logical samples [from, total) of a
-// (counter, cpu) pair, like stateWindowLocked.
-func (lv *Live) sampleWindowLocked(ci int, cpu, from int) []trace.CounterSample {
-	lc := lv.counters[ci]
-	tail := lc.c.PerCPU[cpu]
-	nf := 0
-	if cpu < len(lc.fsamp) {
-		nf = lc.fsamp[cpu]
-	}
-	if from >= nf {
-		return tail[from-nf:]
-	}
-	out := make([]trace.CounterSample, 0, nf+len(tail)-from)
-	at := 0
-	if lv.frozen != nil && ci < len(lv.frozen.samples) && cpu < len(lv.frozen.samples[ci]) {
-		for _, s := range lv.frozen.samples[ci][cpu] {
-			if at+len(s) <= from {
-				at += len(s)
-				continue
-			}
-			start := 0
-			if from > at {
-				start = from - at
-			}
-			out = append(out, s[start:]...)
-			at += len(s)
-		}
-	}
-	return append(out, tail...)
-}
-
-// stateSegViewLocked returns the non-empty state columns of a CPU in
-// logical order (frozen segments, then the given RAM tail) with their
-// cumulative start offsets, for seeding a snapshot's segmented
-// dominance entry.
-func (lv *Live) stateSegViewLocked(cpu int, tail []trace.StateEvent) (segs [][]trace.StateEvent, cum []int) {
-	at := 0
-	if lv.frozen != nil && cpu < len(lv.frozen.cpus) {
-		for _, s := range lv.frozen.cpus[cpu].states {
-			if len(s) == 0 {
-				continue
-			}
-			segs = append(segs, s)
-			cum = append(cum, at)
-			at += len(s)
-		}
-	}
-	if len(tail) > 0 {
-		segs = append(segs, tail)
-		cum = append(cum, at)
-	}
-	return segs, cum
 }
 
 // Window search helpers shared by the stitched accessors (core.go).

@@ -127,19 +127,9 @@ func (lv *Live) notifyWatchers(ev TraceEvent) {
 // ok is false while nothing has spilled.
 func (lv *Live) SpillStats() (SpillStats, bool) {
 	lv.mu.Lock()
-	f := lv.frozen
-	lv.mu.Unlock()
-	if f == nil {
+	defer lv.mu.Unlock()
+	if lv.spill == nil {
 		return SpillStats{}, false
 	}
-	// Frozen generations are immutable once installed (every mutation
-	// clones first), so reading f outside the lock is safe.
-	return SpillStats{
-		Segments:     len(f.segs),
-		SpilledBytes: f.spilledBytes,
-		Pending:      f.pending,
-		DroppedSegs:  f.droppedSegs,
-		DroppedBytes: f.droppedBytes,
-		Err:          f.spillErr,
-	}, true
+	return lv.spill.stats(), true
 }

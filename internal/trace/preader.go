@@ -273,7 +273,8 @@ func readBatchedPar(br *bufio.Reader, workers int, emit func(*RecordBatch) error
 
 // decodeInto decodes one record payload and appends it to the batch.
 // Unknown record kinds are skipped, matching Read with a nil Unknown
-// handler. seen deduplicates CounterIDs within the batch.
+// handler. seen deduplicates CounterIDs within the batch; a nil seen
+// leaves CounterIDs alone (Read's one-record scratch batch).
 func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]struct{}) error {
 	d := &dec{b: payload}
 	cpu := func(c int32) (int32, error) {
@@ -286,7 +287,7 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		return c, nil
 	}
 	touch := func(id CounterID) {
-		if _, ok := seen[id]; !ok {
+		if _, ok := seen[id]; !ok && seen != nil {
 			seen[id] = struct{}{}
 			b.CounterIDs = append(b.CounterIDs, id)
 		}

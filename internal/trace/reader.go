@@ -211,6 +211,7 @@ func Read(r io.Reader, h Handler) error {
 	}
 
 	var payload []byte
+	var scratch RecordBatch
 	for {
 		kind, err := binary.ReadUvarint(br)
 		if err == io.EOF {
@@ -226,134 +227,52 @@ func Read(r io.Reader, h Handler) error {
 		if payload, err = readPayload(br, payload, size); err != nil {
 			return err
 		}
-		if err := dispatch(kind, payload, h); err != nil {
+		if err := dispatch(kind, payload, &h, &scratch); err != nil {
 			return err
 		}
 	}
 }
 
-func dispatch(kind uint64, payload []byte, h Handler) error {
-	d := &dec{b: payload}
+// dispatch hands one record to its callback. Record kinds without a
+// callback are skipped undecoded; the others go through decodeInto,
+// the one wire decoder, into the reused scratch batch.
+func dispatch(kind uint64, payload []byte, h *Handler, b *RecordBatch) error {
 	switch kind {
 	case recTopology:
-		if h.Topology == nil {
-			return nil
-		}
-		t, err := decodeTopology(d)
-		if err != nil {
-			return err
-		}
-		return h.Topology(t)
+		return deliver(h.Topology, kind, payload, b, &b.Topologies)
 	case recTaskType:
-		if h.TaskType == nil {
-			return nil
-		}
-		var tt TaskType
-		tt.ID = TypeID(d.uvarint())
-		tt.Addr = d.uvarint()
-		tt.Name = d.str()
-		if d.err != nil {
-			return d.err
-		}
-		return h.TaskType(tt)
+		return deliver(h.TaskType, kind, payload, b, &b.TaskTypes)
 	case recTask:
-		if h.Task == nil {
-			return nil
-		}
-		var t Task
-		t.ID = TaskID(d.uvarint())
-		t.Type = TypeID(d.uvarint())
-		t.Created = d.varint()
-		t.CreatorCPU = d.cpuID(true)
-		if d.err != nil {
-			return d.err
-		}
-		return h.Task(t)
+		return deliver(h.Task, kind, payload, b, &b.Tasks)
 	case recState:
-		if h.State == nil {
-			return nil
-		}
-		var s StateEvent
-		s.CPU = d.cpuID(false)
-		s.State = WorkerState(d.uvarint())
-		s.Start = d.varint()
-		s.End = s.Start + int64(d.uvarint())
-		s.Task = TaskID(d.uvarint())
-		if d.err != nil {
-			return d.err
-		}
-		return h.State(s)
+		return deliver(h.State, kind, payload, b, &b.States)
 	case recDiscrete:
-		if h.Discrete == nil {
-			return nil
-		}
-		var ev DiscreteEvent
-		ev.CPU = d.cpuID(false)
-		ev.Kind = EventKind(d.uvarint())
-		ev.Time = d.varint()
-		ev.Arg = d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		return h.Discrete(ev)
+		return deliver(h.Discrete, kind, payload, b, &b.Discrete)
 	case recCounterDesc:
-		if h.CounterDesc == nil {
-			return nil
-		}
-		var c CounterDesc
-		c.ID = CounterID(d.uvarint())
-		c.Monotonic = d.bool()
-		c.Name = d.str()
-		if d.err != nil {
-			return d.err
-		}
-		return h.CounterDesc(c)
+		return deliver(h.CounterDesc, kind, payload, b, &b.Descs)
 	case recCounterSample:
-		if h.Sample == nil {
-			return nil
-		}
-		var s CounterSample
-		s.CPU = d.cpuID(false)
-		s.Counter = CounterID(d.uvarint())
-		s.Time = d.varint()
-		s.Value = d.varint()
-		if d.err != nil {
-			return d.err
-		}
-		return h.Sample(s)
+		return deliver(h.Sample, kind, payload, b, &b.Samples)
 	case recComm:
-		if h.Comm == nil {
-			return nil
-		}
-		var c CommEvent
-		c.Kind = CommKind(d.uvarint())
-		c.CPU = d.cpuID(false)
-		c.SrcCPU = d.cpuID(true)
-		c.Time = d.varint()
-		c.Task = TaskID(d.uvarint())
-		c.Addr = d.uvarint()
-		c.Size = d.uvarint()
-		if d.err != nil {
-			return d.err
-		}
-		return h.Comm(c)
+		return deliver(h.Comm, kind, payload, b, &b.Comms)
 	case recMemRegion:
-		if h.Region == nil {
-			return nil
-		}
-		var r MemRegion
-		r.ID = RegionID(d.uvarint())
-		r.Addr = d.uvarint()
-		r.Size = d.uvarint()
-		r.Node = int32(d.varint())
-		if d.err != nil {
-			return d.err
-		}
-		return h.Region(r)
-	default:
-		if h.Unknown != nil {
-			return h.Unknown(kind, payload)
-		}
+		return deliver(h.Region, kind, payload, b, &b.Regions)
+	}
+	if h.Unknown != nil {
+		return h.Unknown(kind, payload)
+	}
+	return nil
+}
+
+// deliver decodes one record of the kind that decodeInto appends to
+// *got (a field of b) and passes the decoded value to cb.
+func deliver[T any](cb func(T) error, kind uint64, payload []byte, b *RecordBatch, got *[]T) error {
+	if cb == nil {
 		return nil
 	}
+	if err := decodeInto(kind, payload, b, nil); err != nil {
+		return err
+	}
+	v := (*got)[0]
+	*got = (*got)[:0]
+	return cb(v)
 }
