@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-
-	"github.com/openstream/aftermath/internal/core"
-	"github.com/openstream/aftermath/internal/trace"
 )
 
 // traceBuffer is an io.Writer collecting a trace in memory.
@@ -22,36 +19,3 @@ func byteReader(b []byte) io.Reader { return bytes.NewReader(b) }
 
 // benchName formats a sub-benchmark name.
 func benchName(prefix string, v int) string { return fmt.Sprintf("%s-%d", prefix, v) }
-
-// denseStateTrace hand-builds a trace whose every CPU row carries
-// `events` short alternating state intervals — the dense-window
-// stress shape where per-pixel event scans degrade linearly with the
-// event count. Durations come from a deterministic LCG so runs are
-// reproducible.
-func denseStateTrace(nCPU, events int) *core.Trace {
-	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU)}
-	var hi int64
-	for c := range tr.CPUs {
-		states := make([]trace.StateEvent, events)
-		t := int64(0)
-		seed := uint32(c + 1)
-		for i := range states {
-			seed = seed*1664525 + 1013904223
-			d := int64(seed%5) + 1
-			st := trace.StateIdle
-			var task trace.TaskID
-			if i%2 == 0 {
-				st = trace.StateTaskExec
-				task = trace.TaskID(i + 1)
-			}
-			states[i] = trace.StateEvent{CPU: int32(c), State: st, Task: task, Start: t, End: t + d}
-			t += d
-		}
-		tr.CPUs[c].States = states
-		if t > hi {
-			hi = t
-		}
-	}
-	tr.Span = core.Interval{Start: 0, End: hi}
-	return tr
-}

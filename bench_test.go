@@ -189,52 +189,6 @@ func BenchmarkAblationRenderStateNaive(b *testing.B) {
 	}
 }
 
-// BenchmarkTimelineDenseWindow measures state-timeline rendering of a
-// window holding ~10k events per pixel — the regime where the
-// multi-resolution dominance index (internal/mragg) makes the cost
-// O(pixels·log events) while the per-pixel event scan stays
-// O(events). The "indexed" and "scan" sub-benchmarks render
-// byte-identical framebuffers (asserted in setup); their ratio is the
-// index's headline speedup. CI parses this benchmark's output into
-// BENCH_timeline.json (cmd/benchjson).
-func BenchmarkTimelineDenseWindow(b *testing.B) {
-	const nCPU, events, width = 2, 1 << 20, 100
-	tr := denseStateTrace(nCPU, events)
-	cfg := render.TimelineConfig{Width: width, Height: 8, Mode: render.ModeState}
-	scanCfg := cfg
-	scanCfg.NoIndex = true
-
-	// Golden self-check: both paths must agree pixel for pixel (the
-	// broader property test is TestTimelineIndexMatchesScan). This
-	// also warms the lazily built index before timing starts.
-	fbIdx, _, err := render.Timeline(tr, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fbScan, _, err := render.Timeline(tr, scanCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !bytes.Equal(fbIdx.Img.Pix, fbScan.Img.Pix) {
-		b.Fatal("indexed and scan renderings differ")
-	}
-
-	for _, sub := range []struct {
-		name string
-		cfg  render.TimelineConfig
-	}{{"indexed", cfg}, {"scan", scanCfg}} {
-		b.Run(sub.name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := render.Timeline(tr, sub.cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(events)/float64(width), "events/pixel")
-		})
-	}
-}
-
 // BenchmarkAblationCounterTree renders a counter overlay through the
 // min/max trees (Section VI-B-c).
 func BenchmarkAblationCounterTree(b *testing.B) {
@@ -248,7 +202,7 @@ func BenchmarkAblationCounterTree(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ci := render.NewCounterIndex(0)
+	ci := tr.CounterIndex()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		render.OverlayCounter(fb, tr, cfg, render.OverlayConfig{
@@ -270,7 +224,7 @@ func BenchmarkAblationCounterNaive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ci := render.NewCounterIndex(0)
+	ci := tr.CounterIndex()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		render.OverlayCounter(fb, tr, cfg, render.OverlayConfig{
@@ -472,7 +426,10 @@ func BenchmarkLiveScanIncremental(b *testing.B) {
 	g := &growingTrace{data: data}
 	sr := trace.NewStreamReader(g)
 	lv := core.NewLive()
-	var snaps []*core.Trace
+	// colds[e] is the batch load of the bytes snaps[e] was fed: the same
+	// trace without the aggregate baselines, so scanning it is the full
+	// walk a cold refresh would pay.
+	var snaps, colds []*core.Trace
 	step := len(data)/epochs + 1
 	for g.limit < len(data) {
 		g.limit += step
@@ -484,19 +441,25 @@ func BenchmarkLiveScanIncremental(b *testing.B) {
 		}
 		snap, _ := lv.Snapshot()
 		snaps = append(snaps, snap)
+		cold, err := core.FromReader(bytes.NewReader(data[:sr.Consumed()]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		colds = append(colds, cold)
 	}
 	if err := sr.Done(); err != nil {
 		b.Fatal(err)
 	}
 	cfg := AnomalyConfig{}
-	ncfg := cfg
-	ncfg.NoIndex = true
-	for _, snap := range snaps {
+	for e, snap := range snaps {
 		if snap.TaskLocality() == nil || snap.CommTotals() == nil {
 			b.Fatal("live snapshot carries no aggregate baselines")
 		}
-		if !reflect.DeepEqual(ScanAnomalies(snap, cfg), ScanAnomalies(snap, ncfg)) {
-			b.Fatal("indexed and full-rescan rankings differ; refusing to time divergent work")
+		if colds[e].TaskLocality() != nil || colds[e].CommTotals() != nil {
+			b.Fatal("batch load carries aggregate baselines; the baseline would not walk the trace")
+		}
+		if !reflect.DeepEqual(ScanAnomalies(snap, cfg), ScanAnomalies(colds[e], cfg)) {
+			b.Fatal("incremental and full-rescan rankings differ; refusing to time divergent work")
 		}
 	}
 	if len(ScanAnomalies(snaps[len(snaps)-1], cfg)) == 0 {
@@ -512,7 +475,7 @@ func BenchmarkLiveScanIncremental(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			e := i / liveScanPolls
-			ScanAnomalies(snaps[e%len(snaps)], ncfg)
+			ScanAnomalies(colds[e%len(colds)], cfg)
 		}
 	})
 }

@@ -270,7 +270,31 @@ func runServe(args []string, o runOptions) error {
 	}
 	fmt.Printf("serving %d traces on http://%s (index at /, JSON listing at /traces, push events at /events)\n",
 		len(hub.Names()), o.httpAddr)
-	return http.ListenAndServe(o.httpAddr, hub)
+	return newServer(o.httpAddr, hub).ListenAndServe()
+}
+
+// Limits every serve mode's HTTP server applies to a connection before
+// a handler runs: how long a client may take to send its request
+// headers, how large they may be, and how long an idle keep-alive
+// connection is held.
+const (
+	serveHeaderTimeout  = 10 * time.Second
+	serveIdleTimeout    = 2 * time.Minute
+	serveMaxHeaderBytes = 64 << 10
+)
+
+// newServer returns the server the viewer, the live follower and the
+// hub all listen with. It sets no ReadTimeout or WriteTimeout: those
+// run over the whole exchange, and an /events stream stays open for
+// as long as its client does.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+		MaxHeaderBytes:    serveMaxHeaderBytes,
+	}
 }
 
 // buildHub mounts the given traces into a hub, upgrading tailable
@@ -362,7 +386,7 @@ func runFollow(path string, o runOptions) error {
 	viewer.SetPush(o.push)
 	fmt.Printf("serving live viewer on http://%s (polling every %s; /live reports ingest status, /events pushes epoch advances)\n",
 		o.httpAddr, o.pollEvery)
-	return http.ListenAndServe(o.httpAddr, viewer)
+	return newServer(o.httpAddr, viewer).ListenAndServe()
 }
 
 // openTrace loads the trace at path; a span stream additionally
@@ -513,7 +537,7 @@ func run(path string, o runOptions) error {
 			viewer.SetAnnotations(anns)
 		}
 		fmt.Printf("\nserving interactive viewer on http://%s\n", httpAddr)
-		return http.ListenAndServe(httpAddr, viewer)
+		return newServer(httpAddr, viewer).ListenAndServe()
 	}
 	return nil
 }

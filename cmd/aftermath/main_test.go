@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +14,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	aftermath "github.com/openstream/aftermath"
 	"github.com/openstream/aftermath/internal/trace"
@@ -247,4 +251,107 @@ func TestOpenTraceImportReport(t *testing.T) {
 	if rep != nil {
 		t.Fatalf("native open produced an import report: %+v", rep)
 	}
+}
+
+// TestServerDropsStalledHeadersKeepsEventStreams: the server every
+// serve mode listens with disconnects a client that stalls half way
+// through its request line once the header timeout passes, while an
+// /events stream opened before — headers long sent, response never
+// finished — stays open past the same timeout and still delivers the
+// next epoch. That is the reason the helper bounds header reads only
+// and sets no whole-exchange timeout.
+func TestServerDropsStalledHeadersKeepsEventStreams(t *testing.T) {
+	lv := aftermath.NewLiveTrace()
+	t.Cleanup(func() { lv.Close() })
+	if _, err := lv.Feed(trace.NewStreamReader(bytes.NewReader(nativeTraceBytes(t)))); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer("", aftermath.NewLiveViewer(lv, "serve-test"))
+	if srv.ReadHeaderTimeout != serveHeaderTimeout || srv.IdleTimeout != serveIdleTimeout ||
+		srv.MaxHeaderBytes != serveMaxHeaderBytes || serveHeaderTimeout <= 0 {
+		t.Fatalf("server limits not taken from the constants: %+v", srv)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("whole-exchange timeouts set (read %v, write %v): /events streams would be cut", srv.ReadTimeout, srv.WriteTimeout)
+	}
+	// Same server, header timeout shrunk so the test can wait it out.
+	const headerTimeout = 150 * time.Millisecond
+	srv.ReadHeaderTimeout = headerTimeout
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		srv.Close()
+		<-served
+	})
+
+	resp, err := http.Get("http://" + ln.Addr().String() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/events = %d", resp.StatusCode)
+	}
+	epochs := make(chan string, 16) // closed when the stream ends
+	go func() {
+		defer close(epochs)
+		sc := bufio.NewScanner(resp.Body)
+		for sc.Scan() {
+			if id, ok := strings.CutPrefix(sc.Text(), "id: "); ok {
+				epochs <- id
+			}
+		}
+	}()
+	nextEpoch := func(want string) {
+		t.Helper()
+		select {
+		case id, ok := <-epochs:
+			if !ok {
+				t.Fatalf("/events stream closed waiting for epoch %s", want)
+			}
+			if id != want {
+				t.Fatalf("/events delivered epoch %s, want %s", id, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timeout waiting for epoch %s on /events", want)
+		}
+	}
+	nextEpoch("1")
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /render?mode=st"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	// Reading to EOF returns once the server hangs up (it may say 408
+	// first); only the read deadline means it never did.
+	reply, err := io.ReadAll(conn)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("half a request line still connected %v after a %v header timeout", time.Since(start), headerTimeout)
+	}
+	if bytes.HasPrefix(reply, []byte("HTTP/1.1 2")) {
+		t.Fatalf("half a request line was served: %q", reply)
+	}
+	if waited := time.Since(start); waited < headerTimeout {
+		t.Fatalf("stalled client dropped after %v, before the %v header timeout", waited, headerTimeout)
+	}
+
+	// The stream is now older than the header timeout; it must still
+	// be delivering.
+	if err := lv.Append(&trace.RecordBatch{MaxCPU: 1, States: []trace.StateEvent{
+		{CPU: 1, State: trace.StateIdle, Start: 300, End: 400},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	lv.Publish()
+	nextEpoch("2")
 }

@@ -110,13 +110,6 @@ type Config struct {
 	// Workers bounds the scan's parallelism (<=0 selects the shared
 	// pool default).
 	Workers int
-	// NoIndex disables the trace-carried aggregate baselines (the
-	// per-type sorted duration populations, per-task locality
-	// summaries and communication totals live snapshots maintain
-	// incrementally — see core.TaskAgg), forcing every detector onto
-	// its full-scan path. Findings are identical either way; the flag
-	// exists as the ablation baseline and for verifying that identity.
-	NoIndex bool
 }
 
 // Defaults for Config's zero value.

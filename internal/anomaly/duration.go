@@ -47,7 +47,7 @@ func (DurationDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	// sorted populations (live snapshots maintain them incrementally)
 	// instead of sorting each group; under any filter or sub-window
 	// the group is not the population, so the scan path stands.
-	useIdx := !cfg.NoIndex && cfg.Filter == nil && cfg.Window == tr.Span
+	useIdx := cfg.Filter == nil && cfg.Window == tr.Span
 
 	// Type groups are independent; score them in parallel, one result
 	// slot per type.

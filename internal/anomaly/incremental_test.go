@@ -9,14 +9,19 @@ import (
 	"github.com/openstream/aftermath/internal/openstream"
 )
 
-// TestScanIndexedEqualsNoIndex is the detector-level ablation: on a
-// live-fed snapshot (which carries the incrementally maintained
-// aggregate baselines) every configuration must produce findings
-// byte-identical to the same scan with the index disabled.
+// TestScanIndexedEqualsNoIndex is the detector-level equivalence: a
+// live-fed snapshot carries the incrementally maintained aggregate
+// baselines, a batch load of the same bytes carries none and so walks
+// the whole trace by construction; every configuration must produce
+// byte-identical findings on the two.
 func TestScanIndexedEqualsNoIndex(t *testing.T) {
 	snap := atmtest.SeidelLiveTrace(t, 6, 4, openstream.SchedRandom, 16)
 	if snap.TaskLocality() == nil || snap.CommTotals() == nil {
 		t.Fatal("live snapshot carries no aggregate baselines")
+	}
+	batch := atmtest.SeidelTrace(t, 6, 4, openstream.SchedRandom)
+	if batch.TaskLocality() != nil || batch.CommTotals() != nil {
+		t.Fatal("batch load carries aggregate baselines; nothing walks the trace")
 	}
 	mid := snap.Span.Start + snap.Span.Duration()/2
 	cases := []struct {
@@ -32,11 +37,9 @@ func TestScanIndexedEqualsNoIndex(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			indexed := Scan(snap, tc.cfg)
-			ncfg := tc.cfg
-			ncfg.NoIndex = true
-			cold := Scan(snap, ncfg)
+			cold := Scan(batch, tc.cfg)
 			if !reflect.DeepEqual(indexed, cold) {
-				t.Fatalf("indexed scan (%d findings) differs from NoIndex scan (%d findings)",
+				t.Fatalf("scan of the live snapshot (%d findings) differs from the batch load's (%d findings)",
 					len(indexed), len(cold))
 			}
 			if tc.name == "default" && len(indexed) == 0 {

@@ -40,15 +40,10 @@ func (d NUMADetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 		model = hw.Default()
 	}
 	// The trace-global baseline: CommMatrixOf inside LocalityFraction
-	// already answers full-coverage windows from the incrementally
-	// maintained totals when the trace carries them; NoIndex pins the
-	// event scan explicitly.
-	var baseline float64
-	if cfg.NoIndex {
-		baseline = 1 - stats.CommMatrixScanOf(tr, stats.ReadsAndWrites, cfg.Window.Start, cfg.Window.End).LocalFraction()
-	} else {
-		baseline = 1 - stats.LocalityFraction(tr, stats.ReadsAndWrites, cfg.Window.Start, cfg.Window.End)
-	}
+	// answers full-coverage windows from the incrementally maintained
+	// totals when the trace carries them, from the event scan
+	// otherwise.
+	baseline := 1 - stats.LocalityFraction(tr, stats.ReadsAndWrites, cfg.Window.Start, cfg.Window.End)
 
 	// Per-task locality summaries: the trace-carried index (aligned
 	// with Tasks, maintained from appended events only) replaces the
@@ -56,7 +51,7 @@ func (d NUMADetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	// per-task quantity, so the index applies under any filter or
 	// window.
 	loc := tr.TaskLocality()
-	if cfg.NoIndex || len(loc) != len(tr.Tasks) {
+	if len(loc) != len(tr.Tasks) {
 		loc = nil
 	}
 

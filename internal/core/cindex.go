@@ -19,7 +19,6 @@ const RateScale = 1 << 16
 // own one shared index (see Trace.CounterIndex), so every renderer,
 // overlay and viewer request reuses the same trees.
 type CounterIndex struct {
-	arity   int
 	mu      sync.Mutex
 	entries map[counterCPU]*indexEntry
 }
@@ -35,10 +34,10 @@ type indexEntry struct {
 	tree *mmtree.Tree
 }
 
-// NewCounterIndex returns an empty index with the given tree arity
-// (mmtree.DefaultArity when < 2).
-func NewCounterIndex(arity int) *CounterIndex {
-	return &CounterIndex{arity: arity, entries: make(map[counterCPU]*indexEntry)}
+// NewCounterIndex returns an empty index; trees build lazily, with
+// mmtree's default arity.
+func NewCounterIndex() *CounterIndex {
+	return &CounterIndex{entries: make(map[counterCPU]*indexEntry)}
 }
 
 // entry returns the guarded slot for a key, creating it under the map
@@ -58,7 +57,7 @@ func (ci *CounterIndex) entry(key counterCPU) *indexEntry {
 // Tree returns the min/max tree over the counter's raw values on cpu.
 func (ci *CounterIndex) Tree(c *Counter, cpu int32) *mmtree.Tree {
 	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, false})
-	e.once.Do(func() { e.tree = appendValues(nil, c.Samples(cpu), ci.arity) })
+	e.once.Do(func() { e.tree = appendValues(nil, c.Samples(cpu)) })
 	return e.tree
 }
 
@@ -69,29 +68,29 @@ func (ci *CounterIndex) Tree(c *Counter, cpu int32) *mmtree.Tree {
 // constant over each execution).
 func (ci *CounterIndex) RateTree(c *Counter, cpu int32) *mmtree.Tree {
 	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, true})
-	e.once.Do(func() { e.tree = appendRates(nil, c.Samples(cpu), ci.arity) })
+	e.once.Do(func() { e.tree = appendRates(nil, c.Samples(cpu)) })
 	return e.tree
 }
 
 // appendTree extends t by the given (time, value) entries; a nil t is
-// the chain start, built with the given arity. The lazy builds above
-// and the live ingest path's incremental extension both end here, so a
-// batch tree is a chain extended once from empty.
-func appendTree(t *mmtree.Tree, times, values []int64, arity int) *mmtree.Tree {
+// the chain start. The lazy builds above and the live ingest path's
+// incremental extension both end here, so a batch tree is a chain
+// extended once from empty.
+func appendTree(t *mmtree.Tree, times, values []int64) *mmtree.Tree {
 	if t == nil {
-		return mmtree.Build(times, values, arity)
+		return mmtree.Build(times, values, 0)
 	}
 	return t.Append(times, values)
 }
 
 // appendValues extends a value tree by the samples of win.
-func appendValues(t *mmtree.Tree, win []trace.CounterSample, arity int) *mmtree.Tree {
+func appendValues(t *mmtree.Tree, win []trace.CounterSample) *mmtree.Tree {
 	times := make([]int64, len(win))
 	values := make([]int64, len(win))
 	for i, s := range win {
 		times[i], values[i] = s.Time, s.Value
 	}
-	return appendTree(t, times, values, arity)
+	return appendTree(t, times, values)
 }
 
 // appendRates extends a rate tree by the fixed-point rate entries
@@ -101,7 +100,7 @@ func appendValues(t *mmtree.Tree, win []trace.CounterSample, arity int) *mmtree.
 // The derivation is purely pairwise, so a window starting at the
 // chain's last covered sample yields exactly the entries a
 // whole-array derivation would.
-func appendRates(t *mmtree.Tree, win []trace.CounterSample, arity int) *mmtree.Tree {
+func appendRates(t *mmtree.Tree, win []trace.CounterSample) *mmtree.Tree {
 	n := max(len(win)-1, 0)
 	times := make([]int64, n)
 	values := make([]int64, n)
@@ -113,7 +112,7 @@ func appendRates(t *mmtree.Tree, win []trace.CounterSample, arity int) *mmtree.T
 			values[i] = dv * 1000 * RateScale / dt
 		}
 	}
-	return appendTree(t, times, values, arity)
+	return appendTree(t, times, values)
 }
 
 // seed installs a prebuilt tree for a key. The live ingest path uses
@@ -129,7 +128,7 @@ func (ci *CounterIndex) seed(key counterCPU, t *mmtree.Tree) {
 // it on first use. Safe for concurrent callers.
 func (tr *Trace) CounterIndex() *CounterIndex {
 	tr.cindexOnce.Do(func() {
-		tr.cindex = NewCounterIndex(0)
+		tr.cindex = NewCounterIndex()
 	})
 	return tr.cindex
 }

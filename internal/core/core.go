@@ -257,8 +257,7 @@ func (tr *Trace) StatesIn(cpu int32, t0, t1 trace.Time) []trace.StateEvent {
 	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].states) > 0 {
 		return stitchWin(tr.spilled[cpu].states, states, stateWin(t0, t1))
 	}
-	lo := sort.Search(len(states), func(i int) bool { return states[i].End > t0 })
-	hi := sort.Search(len(states), func(i int) bool { return states[i].Start >= t1 })
+	lo, hi := stateWindow(states, t0, t1)
 	if lo >= hi {
 		return nil
 	}

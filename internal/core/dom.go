@@ -23,9 +23,9 @@ import (
 // build every CPU eagerly at index time; live snapshots are seeded
 // with incrementally extended pyramids (mragg append mode). A CPU
 // whose state intervals violate the format's disjoint-sorted
-// guarantee gets no pyramid — queries then report unindexed and
-// callers fall back to the plain event scan, so malformed traces
-// degrade in speed, never in correctness.
+// guarantee gets no pyramid — its DomCPU answers from the event scan
+// instead, so malformed traces degrade in speed, never in correctness,
+// and no caller has to know which CPUs those are.
 //
 // CPU resolves one CPU's pyramids behind a single lock acquisition;
 // query loops (one per pixel, one per metric window) should resolve
@@ -35,10 +35,10 @@ type DomIndex struct {
 	entries map[int32]*DomCPU
 }
 
-// DomCPU is one CPU's built pyramids; its query methods are lock-free
-// and safe for concurrent use. A nil all set marks the CPU
-// unindexable (disordered or overlapping state intervals): queries
-// report indexed == false and callers must scan.
+// DomCPU is one CPU's built pyramids and the state array under them;
+// its query methods are lock-free and safe for concurrent use. A nil
+// all set marks the CPU unindexable (disordered or overlapping state
+// intervals): its queries are answered by scan.
 type DomCPU struct {
 	once sync.Once
 	// states is the CPU's sorted state array the pyramids were built
@@ -71,8 +71,8 @@ type domSets struct {
 // chain extended once from empty; the live builder keeps one chain per
 // CPU across epochs. A CPU whose intervals are disordered or overlap
 // goes dead: it holds no pyramids and is never extended again, and
-// its queries fall back to the lazy per-snapshot build (or, if still
-// invalid, to event scans).
+// its snapshots fall back to the lazy per-snapshot build (or, if
+// still invalid, to DomCPU.scan).
 type domChain struct {
 	domSets
 	n    int
@@ -182,8 +182,7 @@ func (di *DomIndex) CPU(tr *Trace, cpu int32) *DomCPU {
 // and unspilled traces; spilled parts then the RAM tail for a spilled
 // CPU whose incremental chain is unavailable (dirty producer,
 // post-drop rebuild). Empty columns are allowed. Disordered or
-// overlapping intervals leave all == nil: queries fall back to the
-// (stitched) event scan.
+// overlapping intervals leave all == nil: queries scan the columns.
 func (e *DomCPU) build(cols ...[]trace.StateEvent) {
 	var ch domChain
 	for _, s := range cols {
@@ -220,14 +219,50 @@ func (e *DomCPU) over(cols ...[]trace.StateEvent) {
 	}
 }
 
+// scan is the one event loop behind every query the pyramids cannot
+// serve: unindexable CPUs, out-of-range states and filtered
+// task-execution queries. Per column it visits exactly StatesIn's
+// window (the same binary search, approximate on overlapping
+// intervals), restricted to one state (any when state < 0) and to the
+// tasks keep admits (all when nil), and returns the first event of
+// strictly greatest clipped cover with that cover, and the sum of the
+// positive clipped covers.
+func (e *DomCPU) scan(t0, t1 trace.Time, state int, keep func(trace.TaskID) bool) (best trace.StateEvent, bestCover, total trace.Time) {
+	for k := 0; k < max(len(e.segs), 1); k++ {
+		col := e.states
+		if e.segs != nil {
+			col = e.segs[k]
+		}
+		lo, hi := stateWindow(col, t0, t1)
+		for i := lo; i < hi; i++ {
+			ev := &col[i]
+			if state >= 0 && int(ev.State) != state {
+				continue
+			}
+			if keep != nil && !keep(ev.Task) {
+				continue
+			}
+			cover := min(ev.End, t1) - max(ev.Start, t0)
+			if cover > bestCover {
+				bestCover, best = cover, *ev
+			}
+			if cover > 0 {
+				total += cover
+			}
+		}
+	}
+	return best, bestCover, total
+}
+
 // DominantState returns the state event covering the largest part of
-// [t0, t1). indexed is false when the CPU has no pyramid (malformed
-// interval order) and the caller must scan instead; when indexed,
-// the result is exactly the scan's (first strictly-greater cover
-// wins).
+// [t0, t1): the first of strictly greatest cover in event order.
+// indexed only reports whether a pyramid served the answer (false on
+// a CPU with malformed interval order, which is scanned); the answer
+// is the same either way.
 func (e *DomCPU) DominantState(t0, t1 trace.Time) (ev trace.StateEvent, ok, indexed bool) {
 	if e.all == nil {
-		return trace.StateEvent{}, false, false
+		ev, cover, _ := e.scan(t0, t1, -1, nil)
+		return ev, cover > 0, false
 	}
 	idx, _, ok := e.all.Dominant(t0, t1)
 	if !ok {
@@ -237,33 +272,33 @@ func (e *DomCPU) DominantState(t0, t1 trace.Time) (ev trace.StateEvent, ok, inde
 }
 
 // DominantExec is DominantState restricted to task-execution
-// intervals (unfiltered; filtered queries must scan, as the filter
-// match set is not known to the index).
-func (e *DomCPU) DominantExec(t0, t1 trace.Time) (ev trace.StateEvent, ok, indexed bool) {
+// intervals, and further to the tasks keep admits. A nil keep is the
+// unfiltered query the pyramid serves; the match set of a filter is
+// not known to the index, so a non-nil keep scans.
+func (e *DomCPU) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool) {
 	set := e.byState[trace.StateTaskExec]
-	if set == nil {
-		return trace.StateEvent{}, false, false
+	if set == nil || keep != nil {
+		ev, cover, _ := e.scan(t0, t1, int(trace.StateTaskExec), keep)
+		return ev, cover > 0
 	}
 	idx, _, ok := set.Dominant(t0, t1)
 	if !ok {
-		return trace.StateEvent{}, false, true
+		return trace.StateEvent{}, false
 	}
-	return e.stateAt(int32(set.Ref(idx))), true, true
+	return e.stateAt(int32(set.Ref(idx))), true
 }
 
 // StateCover returns the total time the CPU spent in state within
-// [t0, t1). indexed is false when the CPU has no pyramid or the
-// state is out of range; when indexed, the sum equals the clipped
-// event scan exactly.
-func (e *DomCPU) StateCover(state trace.WorkerState, t0, t1 trace.Time) (cover trace.Time, indexed bool) {
-	if int(state) >= trace.NumWorkerStates {
-		return 0, false
+// [t0, t1): the sum of the clipped covers of its intervals in that
+// state, from the state's pyramid when it has one.
+func (e *DomCPU) StateCover(state trace.WorkerState, t0, t1 trace.Time) trace.Time {
+	if int(state) < trace.NumWorkerStates {
+		if set := e.byState[state]; set != nil {
+			return set.Cover(t0, t1)
+		}
 	}
-	set := e.byState[state]
-	if set == nil {
-		return 0, false
-	}
-	return set.Cover(t0, t1), true
+	_, _, total := e.scan(t0, t1, int(state), nil)
+	return total
 }
 
 // DomIndex returns the trace's shared dominance index, creating it on

@@ -13,12 +13,15 @@ import (
 
 // bruteDominant reimplements the renderer's sequential scan (first
 // strictly-greater cover wins) over StatesIn, optionally restricted
-// to task-execution states.
-func bruteDominant(tr *Trace, cpu int32, t0, t1 trace.Time, execOnly bool) (trace.StateEvent, bool) {
+// to task-execution states and, among those, to the tasks keep admits.
+func bruteDominant(tr *Trace, cpu int32, t0, t1 trace.Time, execOnly bool, keep func(trace.TaskID) bool) (trace.StateEvent, bool) {
 	var best trace.StateEvent
 	var bestCover trace.Time
 	for _, ev := range tr.StatesIn(cpu, t0, t1) {
 		if execOnly && ev.State != trace.StateTaskExec {
+			continue
+		}
+		if keep != nil && !keep(ev.Task) {
 			continue
 		}
 		s, e := ev.Start, ev.End
@@ -55,8 +58,12 @@ func bruteCover(tr *Trace, cpu int32, state trace.WorkerState, t0, t1 trace.Time
 	return in
 }
 
-// checkDomAgainstScan compares every DomIndex answer on a snapshot
-// against the brute-force scans, over randomized windows.
+// checkDomAgainstScan compares every DomCPU answer on a snapshot —
+// pyramid-served or scanned, the caller cannot tell and must not need
+// to — against the brute-force scans over StatesIn, over randomized
+// windows: the dominant state, the dominant task execution unfiltered
+// and under a random keep predicate, and the cover of every state
+// including one past the worker states.
 func checkDomAgainstScan(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, queries int) {
 	t.Helper()
 	if tr.Span.Duration() <= 0 {
@@ -69,22 +76,27 @@ func checkDomAgainstScan(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, qu
 		dc := di.CPU(tr, cpu)
 		t0 := tr.Span.Start - 10 + rng.Int63n(span+20)
 		t1 := t0 + rng.Int63n(span/3+2)
-		ev, ok, indexed := dc.DominantState(t0, t1)
-		wantEv, wantOK := bruteDominant(tr, cpu, t0, t1, false)
-		if indexed && (ok != wantOK || (ok && ev != wantEv)) {
+		ev, ok, _ := dc.DominantState(t0, t1)
+		wantEv, wantOK := bruteDominant(tr, cpu, t0, t1, false, nil)
+		if ok != wantOK || ev != wantEv {
 			t.Fatalf("%s: DominantState(%d, %d, %d) = (%+v, %v), scan wants (%+v, %v)",
 				ctx, cpu, t0, t1, ev, ok, wantEv, wantOK)
 		}
-		ev, ok, indexed = dc.DominantExec(t0, t1)
-		wantEv, wantOK = bruteDominant(tr, cpu, t0, t1, true)
-		if indexed && (ok != wantOK || (ok && ev != wantEv)) {
-			t.Fatalf("%s: DominantExec(%d, %d, %d) = (%+v, %v), scan wants (%+v, %v)",
-				ctx, cpu, t0, t1, ev, ok, wantEv, wantOK)
+		mod, rem := trace.TaskID(rng.Intn(4)+1), trace.TaskID(rng.Intn(2))
+		for _, keep := range []func(trace.TaskID) bool{nil, func(id trace.TaskID) bool { return id%mod >= rem }} {
+			ev, ok = dc.DominantExec(t0, t1, keep)
+			wantEv, wantOK = bruteDominant(tr, cpu, t0, t1, true, keep)
+			if ok != wantOK || ev != wantEv {
+				t.Fatalf("%s: DominantExec(%d, %d, %d, filtered=%v) = (%+v, %v), scan wants (%+v, %v)",
+					ctx, cpu, t0, t1, keep != nil, ev, ok, wantEv, wantOK)
+			}
 		}
-		st := trace.WorkerState(rng.Intn(trace.NumWorkerStates))
-		cover, indexed := dc.StateCover(st, t0, t1)
-		if want := bruteCover(tr, cpu, st, t0, t1); indexed && cover != want {
-			t.Fatalf("%s: StateCover(%d, %v, %d, %d) = %d, scan wants %d", ctx, cpu, st, t0, t1, cover, want)
+		for k := 0; k <= trace.NumWorkerStates; k++ { // ==: out-of-range state
+			st := trace.WorkerState(k)
+			cover := dc.StateCover(st, t0, t1)
+			if want := bruteCover(tr, cpu, st, t0, t1); cover != want {
+				t.Fatalf("%s: StateCover(%d, %v, %d, %d) = %d, scan wants %d", ctx, cpu, st, t0, t1, cover, want)
+			}
 		}
 	}
 }
@@ -181,6 +193,103 @@ func TestDomIndexLiveOutOfOrder(t *testing.T) {
 	}
 	snap, _ = lv.Publish()
 	checkDomAgainstScan(t, "out-of-order-2", snap, rng, 300)
+}
+
+// scanCaseStates generates n state events for one CPU starting at
+// base: sorted starts, every worker state plus one value past them
+// (indexed in the all-states set only, so its cover must be scanned),
+// task IDs on executions. overlap stretches every 97th interval over
+// its successors, which makes the CPU unindexable and StatesIn's
+// binary search approximate — the case where the scan must visit
+// exactly StatesIn's window to stay equal to it.
+func scanCaseStates(rng *rand.Rand, cpu int32, n int, base int64, overlap bool) []trace.StateEvent {
+	states := make([]trace.StateEvent, 0, n)
+	at := base
+	for i := 0; i < n; i++ {
+		st := trace.WorkerState(rng.Intn(trace.NumWorkerStates + 1))
+		d := int64(rng.Intn(25))
+		ev := trace.StateEvent{CPU: cpu, State: st, Start: at, End: at + d}
+		if st == trace.StateTaskExec {
+			ev.Task = trace.TaskID(rng.Intn(9) + 1)
+		}
+		if overlap && i%97 == 5 {
+			ev.End += 400
+		}
+		at += d + int64(rng.Intn(3))
+		states = append(states, ev)
+	}
+	return states
+}
+
+// TestDomIndexScannedMatchesScan pins the answers the pyramids cannot
+// serve, where the decision now lives: a CPU with overlapping
+// intervals (no pyramid at all) beside a well-formed one, as a
+// hand-built trace, a batch load and a spilled live snapshot whose
+// random windows straddle part boundaries — so DomCPU.scan walks the
+// segmented columns, for the unindexable CPU on every query and for
+// the indexed one on filtered and out-of-range-state queries.
+func TestDomIndexScannedMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const n = 3000
+	cpus := [][]trace.StateEvent{
+		scanCaseStates(rng, 0, n, 50, false),
+		scanCaseStates(rng, 1, n, 0, true),
+	}
+	assertShape := func(ctx string, tr *Trace) {
+		t.Helper()
+		if _, _, indexed := tr.DomIndex().CPU(tr, 0).DominantState(tr.Span.Start, tr.Span.End); !indexed {
+			t.Fatalf("%s: well-formed CPU is not pyramid-served", ctx)
+		}
+		if _, _, indexed := tr.DomIndex().CPU(tr, 1).DominantState(tr.Span.Start, tr.Span.End); indexed {
+			t.Fatalf("%s: overlapping CPU claims a pyramid", ctx)
+		}
+	}
+
+	hand := newTrace()
+	hand.CPUs = []CPUData{{States: cpus[0]}, {States: cpus[1]}}
+	hand.Span = Interval{Start: 0, End: cpus[1][n-1].End + 400}
+	assertShape("hand-built", hand)
+	checkDomAgainstScan(t, "hand-built", hand, rng, 400)
+
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, states := range cpus {
+		for _, ev := range states {
+			if err := w.WriteState(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := FromReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertShape("batch", batch)
+	checkDomAgainstScan(t, "batch", batch, rng, 400)
+
+	lv := NewLive()
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	defer lv.Close()
+	var snap *Trace
+	for _, cut := range [][2]int{{0, 700}, {700, 1500}, {1500, 2900}, {2900, n}} {
+		b := &trace.RecordBatch{MaxCPU: 1}
+		b.States = append(b.States, cpus[0][cut[0]:cut[1]]...)
+		b.States = append(b.States, cpus[1][cut[0]:cut[1]]...)
+		snap = publish(t, lv, b)
+	}
+	if st, ok := snap.SpillStats(); !ok || st.Segments < 2 {
+		t.Fatalf("snapshot not spilled into parts: %+v ok %v", st, ok)
+	}
+	for cpu := int32(0); cpu < 2; cpu++ {
+		if dc := snap.DomIndex().CPU(snap, cpu); len(dc.segs) < 2 {
+			t.Fatalf("cpu %d resolves through %d columns, want a segmented view", cpu, len(dc.segs))
+		}
+	}
+	assertShape("spilled", snap)
+	checkDomAgainstScan(t, "spilled", snap, rng, 600)
 }
 
 // sameSet asserts two dominance sets are structurally identical: leaf

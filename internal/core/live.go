@@ -483,7 +483,7 @@ func (lv *Live) snapshotLocked() *Trace {
 		tr.counterByID[k] = v
 	}
 	lv.extendTreesLocked()
-	ci := NewCounterIndex(0)
+	ci := NewCounterIndex()
 	for _, lc := range lv.counters {
 		c := &Counter{Desc: lc.desc}
 		if len(lc.per) > 0 {
@@ -746,8 +746,8 @@ func (lv *Live) extendTreesLocked() {
 			// gather the window from the last covered sample on.
 			from := max(n0-1, 0)
 			win := p.col.from(from)
-			p.tree = appendValues(p.tree, win[n0-from:], 0)
-			p.rate = appendRates(p.rate, win, 0)
+			p.tree = appendValues(p.tree, win[n0-from:])
+			p.rate = appendRates(p.rate, win)
 			p.treeN = m
 		}
 	}

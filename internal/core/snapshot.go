@@ -340,7 +340,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 	}
 	tr.domOnce.Do(func() { tr.dom = di })
 
-	ci := NewCounterIndex(0)
+	ci := NewCounterIndex()
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
 			if d.Int() == 0 {

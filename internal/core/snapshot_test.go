@@ -70,10 +70,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			if gd != wd || gok != wok || gidx != widx {
 				t.Fatalf("cpu %d DominantState(%d) = (%+v,%v,%v), want (%+v,%v,%v)", cpu, t0, gd, gok, gidx, wd, wok, widx)
 			}
-			gc, gi := ge.StateCover(trace.StateTaskExec, t0, t0+step)
-			wc, wi := we.StateCover(trace.StateTaskExec, t0, t0+step)
-			if gc != wc || gi != wi {
-				t.Fatalf("cpu %d StateCover(%d) = (%d,%v), want (%d,%v)", cpu, t0, gc, gi, wc, wi)
+			gc := ge.StateCover(trace.StateTaskExec, t0, t0+step)
+			wc := we.StateCover(trace.StateTaskExec, t0, t0+step)
+			if gc != wc {
+				t.Fatalf("cpu %d StateCover(%d) = %d, want %d", cpu, t0, gc, wc)
 			}
 		}
 	}

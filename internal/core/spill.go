@@ -621,12 +621,19 @@ func (lv *Live) applyRetentionLocked() {
 
 // Window search helpers shared by the stitched accessors (core.go).
 
+// stateWindow is the [lo, hi) index window of the state events of one
+// sorted run overlapping [t0, t1); lo can exceed hi on an empty or
+// inverted window. StatesIn and DomCPU.scan share it so they visit the
+// same events even where overlapping intervals make the search
+// approximate.
+func stateWindow(s []trace.StateEvent, t0, t1 trace.Time) (lo, hi int) {
+	lo = sort.Search(len(s), func(i int) bool { return s[i].End > t0 })
+	hi = sort.Search(len(s), func(i int) bool { return s[i].Start >= t1 })
+	return lo, hi
+}
+
 func stateWin(t0, t1 trace.Time) func([]trace.StateEvent) (int, int) {
-	return func(s []trace.StateEvent) (int, int) {
-		lo := sort.Search(len(s), func(i int) bool { return s[i].End > t0 })
-		hi := sort.Search(len(s), func(i int) bool { return s[i].Start >= t1 })
-		return lo, hi
-	}
+	return func(s []trace.StateEvent) (int, int) { return stateWindow(s, t0, t1) }
 }
 
 func discreteWin(t0, t1 trace.Time) func([]trace.DiscreteEvent) (int, int) {

@@ -9,7 +9,7 @@
 // builder updates them from the appended data alone (see live.go) and
 // seeds each snapshot, so consumers ask the trace first and fall back
 // to the full walk only when no index was seeded (batch loads,
-// hand-built traces) or when explicitly ablated.
+// hand-built traces).
 //
 // Every value is defined to be byte-identical to what the
 // corresponding full walk computes — the live batch-equivalence

@@ -332,7 +332,7 @@ func (r *Runner) Fig18() Report {
 	if err != nil {
 		return rep.fail(err)
 	}
-	ci := render.NewCounterIndex(0)
+	ci := tr.CounterIndex()
 	render.OverlayCounter(fb, tr, cfg, render.OverlayConfig{
 		Counter: c, Rate: true, Color: render.CategoryColor(7),
 	}, ci)
@@ -351,7 +351,7 @@ func (r *Runner) Fig18() Report {
 		}
 		_, mx, ok := t.MinMaxIndex(0, t.Len())
 		if ok {
-			if rate := float64(mx) / render.RateScale / 1000; rate > maxRate {
+			if rate := float64(mx) / core.RateScale / 1000; rate > maxRate {
 				maxRate = rate
 			}
 		}

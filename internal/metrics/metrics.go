@@ -64,23 +64,6 @@ func boundaries(tr *core.Trace, n int) []trace.Time {
 	return ts
 }
 
-// stateTime returns the time cpu spent in state within [t0, t1): from
-// the CPU's resolved dominance/cover pyramids in O(log events) when
-// indexable, by scanning the overlapping events otherwise. Both paths
-// sum the same clipped integer covers, so the result is identical.
-func stateTime(tr *core.Trace, dc *core.DomCPU, cpu int32, state trace.WorkerState, t0, t1 trace.Time) trace.Time {
-	if cover, ok := dc.StateCover(state, t0, t1); ok {
-		return cover
-	}
-	var in trace.Time
-	for _, ev := range tr.StatesIn(cpu, t0, t1) {
-		if ev.State == state {
-			in += clip(ev.Start, ev.End, t0, t1)
-		}
-	}
-	return in
-}
-
 // WorkersInState computes the average number of workers simultaneously
 // in the given state for each of n intervals — the derived counter of
 // Section III-A used for Figure 3 (number of idle workers): per
@@ -98,10 +81,11 @@ func workersInState(tr *core.Trace, state trace.WorkerState, n, workers int) Ser
 		Values: make([]float64, len(bs)-1),
 	}
 	// The per-CPU interval queries are independent; fan them out and
-	// accumulate integer in-state times per CPU (served from the
-	// dominance/cover pyramids, so each window costs O(log events)
-	// rather than a scan). The float merge then runs serially in CPU
-	// order, so the result is bit-identical to a sequential pass.
+	// accumulate integer in-state times per CPU (core.DomCPU.StateCover:
+	// O(log events) per window from the cover pyramids, the equal
+	// clipped-cover event sum on a CPU that has none). The float merge
+	// then runs serially in CPU order, so the result is bit-identical
+	// to a sequential pass.
 	nCPU := tr.NumCPUs()
 	dom := tr.DomIndex()
 	inState := make([][]trace.Time, nCPU)
@@ -114,7 +98,7 @@ func workersInState(tr *core.Trace, state trace.WorkerState, n, workers int) Ser
 			if t1 <= t0 {
 				continue
 			}
-			in[i] = stateTime(tr, dc, cpu, state, t0, t1)
+			in[i] = dc.StateCover(state, t0, t1)
 		}
 		inState[c] = in
 	})
@@ -166,7 +150,7 @@ func inStateFractions(tr *core.Trace, state trace.WorkerState, n int, t0, t1 tra
 			if w1 <= w0 {
 				continue
 			}
-			row[w] = float64(stateTime(tr, dc, cpu, state, w0, w1)) / float64(w1-w0)
+			row[w] = float64(dc.StateCover(state, w0, w1)) / float64(w1-w0)
 		}
 		out[c] = row
 	})
@@ -340,18 +324,4 @@ func CounterDeltaPerTask(tr *core.Trace, c *core.Counter, f *filter.TaskFilter) 
 		out = append(out, d)
 	}
 	return out
-}
-
-// clip returns the overlap length of [s,e) with [t0,t1).
-func clip(s, e, t0, t1 trace.Time) trace.Time {
-	if s < t0 {
-		s = t0
-	}
-	if e > t1 {
-		e = t1
-	}
-	if e <= s {
-		return 0
-	}
-	return e - s
 }

@@ -26,8 +26,10 @@
 // The index requires its intervals to be disjoint and sorted — the
 // ordering the trace format guarantees per CPU and per event family.
 // Build and Append verify the invariant and return nil when a
-// producer violated it; callers keep the plain scan as fallback, so a
-// malformed trace degrades to the old cost instead of a wrong answer.
+// producer violated it. The owner of the sets and of the events under
+// them (core.DomCPU) answers such a CPU's queries from its event scan,
+// so users of the index never branch on it and a malformed trace
+// degrades to the old cost instead of a wrong answer.
 //
 // The pyramid is an instantiation of the generic aggregation framework
 // in internal/agg: the summary is a (max duration, lowest achieving

@@ -197,10 +197,9 @@ func TimelineConfigOf(tr *core.Trace, q *Query) render.TimelineConfig {
 		CPUs:    q.cpus,
 		Mode:    mode,
 		HeatMin: q.heatMin, HeatMax: q.heatMax,
-		Shades:  q.shades,
-		Filter:  FilterOf(tr, q),
-		Labels:  !q.labelsOff,
-		NoIndex: q.noIndex,
+		Shades: q.shades,
+		Filter: FilterOf(tr, q),
+		Labels: !q.labelsOff,
 	}
 }
 
@@ -261,7 +260,6 @@ func AnomalyConfigOf(tr *core.Trace, q *Query) anomaly.Config {
 		MaxPerKind: q.maxPerKind,
 		Workers:    q.workers,
 		Filter:     FilterOf(tr, q),
-		NoIndex:    q.noIndex,
 	}
 	if q.hasT0 || q.hasT1 {
 		t0, t1 := WindowOf(tr, q)

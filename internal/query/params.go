@@ -89,7 +89,6 @@ func FlagParam(v url.Values, key string, def bool) bool {
 //	mode            timeline mode name
 //	counter         counter name for overlays
 //	rate            "0" selects raw cumulative counter values
-//	noindex         "1" forces per-pixel event scans (render ablation)
 //
 // Malformed values return a BadParamError instead of being silently
 // ignored or clamped: a reordered, duplicated or oddly-spelled request
@@ -152,6 +151,5 @@ func FromValues(v url.Values) (*Query, error) {
 		q.Counter(s)
 	}
 	q.Rate(FlagParam(v, "rate", true))
-	q.NoIndex(FlagParam(v, "noindex", false))
 	return q, nil
 }

@@ -124,7 +124,6 @@ type Query struct {
 	heatMin, heatMax trace.Time
 	shades           int
 	marksOff         bool
-	noIndex          bool
 	cell             int
 
 	bins     int
@@ -268,15 +267,6 @@ func (q *Query) Shades(n int) *Query { q.shades = n; return q }
 // Marks toggles annotation markers on rendered timelines (default on).
 func (q *Query) Marks(on bool) *Query { q.marksOff = !on; return q }
 
-// NoIndex disables the incremental acceleration structures — the
-// multi-resolution dominance index behind timeline renderings and the
-// aggregate baselines behind anomaly scans — forcing full event scans:
-// the Section VI-B ablation/debug switch. Output is byte-identical;
-// only the cost changes, so it is still part of the canonical form (an
-// ablation request must not share a cache entry's timing with an
-// indexed one).
-func (q *Query) NoIndex(on bool) *Query { q.noIndex = on; return q }
-
 // Cell sets the communication-matrix cell size in pixels.
 func (q *Query) Cell(px int) *Query { q.cell = px; return q }
 
@@ -366,7 +356,6 @@ func (q *Query) ScanOnly() *Query {
 	q.copyWindow(c)
 	q.copyFilter(c)
 	c.windows, c.minScore, c.maxPerKind = q.windows, q.minScore, q.maxPerKind
-	c.noIndex = q.noIndex
 	return c
 }
 
@@ -450,9 +439,6 @@ func (q *Query) Canonical() string {
 	}
 	if q.marksOff {
 		field("marks", "0")
-	}
-	if q.noIndex {
-		field("noindex", "1")
 	}
 	if q.cell != 0 {
 		num("cell", int64(q.cell))

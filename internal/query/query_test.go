@@ -1,7 +1,6 @@
 package query
 
 import (
-	"bytes"
 	"net/url"
 	"reflect"
 	"strings"
@@ -47,7 +46,6 @@ func TestCanonicalDistinguishes(t *testing.T) {
 		{New().Mode(render.ModeHeat), New().Mode(render.ModeType)},
 		{New().Limit(5), New().Limit(6)},
 		{New().WithFilter(&filter.TaskFilter{MinDuration: 3}), New().WithFilter(&filter.TaskFilter{MinDuration: 4})},
-		{New().Mode(render.ModeHeat), New().Mode(render.ModeHeat).NoIndex(true)},
 	}
 	for i, c := range cases {
 		if c.a.Canonical() == c.b.Canonical() {
@@ -231,25 +229,18 @@ func TestExecutorsMatchDirectCalls(t *testing.T) {
 		t.Error("TimelineRawOf differs from render.Timeline")
 	}
 
-	// The noindex ablation flag round-trips from URL values into the
-	// render config and stays byte-identical to the indexed rendering.
+	// A request still carrying the removed noindex switch parses as the
+	// same query without it: one cache entry, one rendering.
 	qv, err := FromValues(url.Values{"mode": {"state"}, "noindex": {"1"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !TimelineConfigOf(tr, qv).NoIndex {
-		t.Error("noindex=1 did not reach the render config")
-	}
-	fbScan, _, err := TimelineRawOf(tr, qv.Size(300, 120))
+	plain, err := FromValues(url.Values{"mode": {"state"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fbIdx, _, err := TimelineRawOf(tr, New().Size(300, 120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fbScan.Img.Pix, fbIdx.Img.Pix) {
-		t.Error("noindex rendering differs from indexed rendering")
+	if qv.Canonical() != plain.Canonical() {
+		t.Errorf("legacy noindex=1 changes the canonical form: %q vs %q", qv.Canonical(), plain.Canonical())
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"github.com/openstream/aftermath/internal/core"
-	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -47,7 +46,6 @@ func ASCIITimeline(tr *core.Trace, width, maxRows int) string {
 	if end <= start {
 		return ""
 	}
-	span := end - start
 	dom := tr.DomIndex()
 	var b strings.Builder
 	for r := 0; r < rows; r++ {
@@ -55,15 +53,7 @@ func ASCIITimeline(tr *core.Trace, width, maxRows int) string {
 		dc := dom.CPU(tr, cpu)
 		line := make([]byte, width)
 		for x := 0; x < width; x++ {
-			t0 := start + tmath.MulDiv(span, int64(x), int64(width))
-			t1 := start + tmath.MulDiv(span, int64(x+1), int64(width))
-			if t1 <= t0 {
-				t1 = tmath.SatAdd(t0, 1)
-			}
-			ev, ok, indexed := dc.DominantState(t0, t1)
-			if !indexed {
-				ev, ok = dominantStateScan(tr, cpu, t0, t1)
-			}
+			ev, ok, _ := dc.DominantState(pixelWindow(start, end-start, x, width))
 			if !ok {
 				line[x] = ' '
 				continue

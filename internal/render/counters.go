@@ -8,24 +8,6 @@ import (
 	"github.com/openstream/aftermath/internal/tmath"
 )
 
-// CounterIndex caches one min/max tree per (counter, cpu) pair — the
-// index structure of Section VI-B-c. It now lives in core so a trace
-// can own one shared, concurrency-safe instance (Trace.CounterIndex)
-// reused by every render, overlay and viewer request; this alias and
-// constructor remain for rendering-layer callers.
-type CounterIndex = core.CounterIndex
-
-// NewCounterIndex returns an index with the given tree arity
-// (mmtree.DefaultArity when <2). Prefer Trace.CounterIndex, which
-// shares one index per trace.
-func NewCounterIndex(arity int) *CounterIndex {
-	return core.NewCounterIndex(arity)
-}
-
-// RateScale is the fixed-point scale for rate trees: rates are stored
-// as events per kilocycle times RateScale.
-const RateScale = core.RateScale
-
 // OverlayConfig parameterizes a per-CPU counter overlay on a timeline.
 type OverlayConfig struct {
 	// Counter is the counter to draw.
@@ -47,7 +29,7 @@ type OverlayConfig struct {
 // framebuffer previously rendered with cfg. For every horizontal
 // pixel, the vertical extent between the interval's minimum and
 // maximum is drawn as a single line (Figure 21b-d).
-func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov OverlayConfig, ci *CounterIndex) Stats {
+func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov OverlayConfig, ci *core.CounterIndex) Stats {
 	var st Stats
 	start, end := cfg.Start, cfg.End
 	if start == 0 && end == 0 {
@@ -60,16 +42,10 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 			cpus[i] = int32(i)
 		}
 	}
-	gutter := 0
-	if cfg.Labels {
-		gutter = TextWidth("CPU 000 ")
+	g, err := timelineGeometry(fb.H(), fb.W(), len(cpus), cfg.Labels)
+	if err != nil {
+		return st
 	}
-	plotW := fb.W() - gutter
-	rowH := fb.H() / len(cpus)
-	if rowH < 1 {
-		rowH = 1
-	}
-	span := end - start
 
 	vmin, vmax := ov.VMin, ov.VMax
 	if vmin == 0 && vmax == 0 {
@@ -95,33 +71,29 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 	}
 
 	for row, cpu := range cpus {
-		y := row * rowH
+		y := row * g.rowH
 		tree := overlayTree(ci, ov, cpu)
 		if ov.Naive {
-			st.Rects += overlayNaive(fb, tree, gutter, y, plotW, rowH, start, end, vmin, vmax, ov.Color)
+			st.Rects += overlayNaive(fb, tree, g.gutter, y, g.plotW, g.rowH, start, end, vmin, vmax, ov.Color)
 			continue
 		}
-		for x := 0; x < plotW; x++ {
-			t0 := start + tmath.MulDiv(span, int64(x), int64(plotW))
-			t1 := start + tmath.MulDiv(span, int64(x+1), int64(plotW))
-			if t1 <= t0 {
-				t1 = tmath.SatAdd(t0, 1)
-			}
+		for x := 0; x < g.plotW; x++ {
+			t0, t1 := pixelWindow(start, end-start, x, g.plotW)
 			st.PixelColumns++
 			mn, mx, ok := tree.MinMax(t0, t1)
 			if !ok {
 				continue
 			}
-			y0 := valueToY(float64(mx), vmin, vmax, y, rowH)
-			y1 := valueToY(float64(mn), vmin, vmax, y, rowH)
-			fb.VLine(gutter+x, y0, y1, ov.Color)
+			y0 := valueToY(float64(mx), vmin, vmax, y, g.rowH)
+			y1 := valueToY(float64(mn), vmin, vmax, y, g.rowH)
+			fb.VLine(g.gutter+x, y0, y1, ov.Color)
 			st.Rects++
 		}
 	}
 	return st
 }
 
-func overlayTree(ci *CounterIndex, ov OverlayConfig, cpu int32) *mmtree.Tree {
+func overlayTree(ci *core.CounterIndex, ov OverlayConfig, cpu int32) *mmtree.Tree {
 	if ov.Rate {
 		return ci.RateTree(ov.Counter, cpu)
 	}

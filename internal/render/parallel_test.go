@@ -30,12 +30,12 @@ func TestTimelineParallelMatchesSequential(t *testing.T) {
 		{Width: 640, Height: 200, Mode: ModeNUMAHeat},
 	}
 	for _, cfg := range cfgs {
-		seqFB, seqStats, err := timeline(tr, cfg, 1)
+		seqFB, seqStats, err := timeline(tr, cfg, 1, indexResolver(tr))
 		if err != nil {
 			t.Fatalf("%v sequential: %v", cfg.Mode, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			parFB, parStats, err := timeline(tr, cfg, workers)
+			parFB, parStats, err := timeline(tr, cfg, workers, indexResolver(tr))
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", cfg.Mode, workers, err)
 			}
@@ -65,11 +65,11 @@ func TestTimelineParallelZoomed(t *testing.T) {
 		CPUs:  []int32{0, 2, 3},
 		Mode:  ModeState,
 	}
-	seqFB, seqStats, err := timeline(tr, cfg, 1)
+	seqFB, seqStats, err := timeline(tr, cfg, 1, indexResolver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parFB, parStats, err := timeline(tr, cfg, 4)
+	parFB, parStats, err := timeline(tr, cfg, 4, indexResolver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"github.com/openstream/aftermath/internal/apps"
 	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/metrics"
 	"github.com/openstream/aftermath/internal/openstream"
@@ -255,7 +256,7 @@ func TestCounterOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci := NewCounterIndex(0)
+	ci := tr.CounterIndex()
 	olc := color.RGBA{0x00, 0xff, 0x00, 0xff}
 	st := OverlayCounter(fb, tr, cfg, OverlayConfig{Counter: c, Rate: true, Color: olc}, ci)
 	if st.Rects == 0 {
@@ -286,7 +287,7 @@ func TestRateTreeValues(t *testing.T) {
 	if !ok {
 		t.Fatal("missing counter")
 	}
-	ci := NewCounterIndex(0)
+	ci := tr.CounterIndex()
 	for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
 		tree := ci.RateTree(c, cpu)
 		if tree.Len() == 0 {
@@ -304,8 +305,8 @@ func TestRateTreeValues(t *testing.T) {
 		}
 		// Rates are per kilocycle, fixed point; sanity bound: below
 		// 1000 mispredictions per kilocycle.
-		if float64(mx)/RateScale > 1000 {
-			t.Errorf("cpu %d: absurd rate %f", cpu, float64(mx)/RateScale)
+		if float64(mx)/core.RateScale > 1000 {
+			t.Errorf("cpu %d: absurd rate %f", cpu, float64(mx)/core.RateScale)
 		}
 	}
 	// The index caches trees.

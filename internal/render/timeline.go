@@ -87,12 +87,6 @@ type TimelineConfig struct {
 	Filter *filter.TaskFilter
 	// Labels enables CPU row labels.
 	Labels bool
-	// NoIndex disables the multi-resolution dominance index
-	// (internal/mragg) and resolves every pixel by scanning its
-	// overlapping events — the Section VI-B ablation baseline. Output
-	// is byte-identical either way (see TestTimelineIndexMatchesScan);
-	// only the cost per dense pixel changes.
-	NoIndex bool
 }
 
 // Stats reports rendering work, exposing the effect of the Section
@@ -121,7 +115,25 @@ func MinTimelineWidth(labels bool) int {
 // worker pool; the output is byte-identical to a sequential rendering
 // (see TestTimelineParallelMatchesSequential).
 func Timeline(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats, error) {
-	return timeline(tr, cfg, par.Workers())
+	return timeline(tr, cfg, par.Workers(), indexResolver(tr))
+}
+
+// dominance answers the per-pixel questions for one CPU row: which
+// state, and which admitted task execution, covers most of a pixel.
+// Timeline resolves each row to the trace's *core.DomCPU, which
+// decides on its own between pyramid and event scan; the interface
+// exists so tests can render the same rows from a brute-force scan
+// and compare pixels (TestTimelineIndexMatchesScan).
+type dominance interface {
+	DominantState(t0, t1 trace.Time) (ev trace.StateEvent, ok, indexed bool)
+	DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool)
+}
+
+// indexResolver resolves CPUs against the trace's shared dominance
+// index.
+func indexResolver(tr *core.Trace) func(int32) dominance {
+	dom := tr.DomIndex()
+	return func(cpu int32) dominance { return dom.CPU(tr, cpu) }
 }
 
 // pixelRun is one aggregated run of identically colored pixels within
@@ -131,9 +143,10 @@ type pixelRun struct {
 	c      color.RGBA
 }
 
-// timeline implements Timeline with an explicit worker count (tests
-// compare worker counts against each other).
-func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, Stats, error) {
+// timeline implements Timeline with an explicit worker count and
+// per-CPU dominance resolver (tests compare worker counts, and the
+// index against a scan, with each other).
+func timeline(tr *core.Trace, cfg TimelineConfig, workers int, dom func(cpu int32) dominance) (*Framebuffer, Stats, error) {
 	var st Stats
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, st, fmt.Errorf("render: invalid dimensions %dx%d", cfg.Width, cfg.Height)
@@ -172,9 +185,13 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, St
 	}
 
 	typeIdx := typeIndexOf(tr)
-	var dom *core.DomIndex
-	if !cfg.NoIndex {
-		dom = tr.DomIndex()
+	// The filter as core's keep predicate, built once per rendering.
+	var keep func(trace.TaskID) bool
+	if f := cfg.Filter; f != nil {
+		keep = func(id trace.TaskID) bool {
+			task, ok := tr.TaskByID(id)
+			return ok && f.Match(tr, task)
+		}
 	}
 
 	// Phase 1: compute each row's aggregated pixel runs. Rows are
@@ -185,11 +202,11 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, St
 	rows := make([][]pixelRun, g.visible)
 	if workers > 1 {
 		par.Do(workers, g.visible, func(row int) {
-			px := newPixelizer(tr, cfg.Filter, typeIdx, dom)
+			px := newPixelizer(tr, keep, typeIdx, dom)
 			rows[row] = rowRuns(px, cfg.Mode, cpus[row], start, end, g.plotW, heatMin, heatMax, shades)
 		})
 	} else {
-		px := newPixelizer(tr, cfg.Filter, typeIdx, dom)
+		px := newPixelizer(tr, keep, typeIdx, dom)
 		for row := 0; row < g.visible; row++ {
 			rows[row] = rowRuns(px, cfg.Mode, cpus[row], start, end, g.plotW, heatMin, heatMax, shades)
 		}
@@ -209,10 +226,10 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, St
 	return fb, st, nil
 }
 
-// rowGeometry is the shared row/gutter layout of Timeline and its
-// naive ablation counterpart: the two must agree exactly so the
-// Section VI-B ablation compares rendering strategies, not coordinate
-// systems.
+// rowGeometry is the shared row/gutter layout of Timeline, its counter
+// overlay and its naive ablation counterpart: they must agree exactly
+// so overlays land on their rows and the Section VI-B ablation
+// compares rendering strategies, not coordinate systems.
 type rowGeometry struct {
 	// gutter is the label column width; plotW the plot width.
 	gutter, plotW int
@@ -269,11 +286,26 @@ func labelY(y, rowH int) int {
 	return ty
 }
 
+// pixelWindow returns the time window [t0, t1) of column x of a
+// w-column plot over span cycles from start — the one pixel->time
+// mapping of the timeline, its counter overlay and the ASCII
+// renderer. The 128-bit multiply keeps it exact where span*x
+// overflows int64, which real cycle-count timestamps reach (see
+// TestTimelineExtremeTimestamps); a column narrower than a cycle
+// widens to one.
+func pixelWindow(start, span trace.Time, x, w int) (t0, t1 trace.Time) {
+	t0 = start + tmath.MulDiv(span, int64(x), int64(w))
+	t1 = start + tmath.MulDiv(span, int64(x+1), int64(w))
+	if t1 <= t0 {
+		t1 = tmath.SatAdd(t0, 1)
+	}
+	return t0, t1
+}
+
 // rowRuns walks one CPU row's pixels, aggregating runs of identical
 // color into single rectangle spans (optimization b of Section VI-B).
 func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW int, heatMin, heatMax trace.Time, shades int) []pixelRun {
 	var runs []pixelRun
-	span := end - start
 	runStart := -1
 	var runColor color.RGBA
 	flush := func(xEnd int) {
@@ -283,14 +315,7 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 		}
 	}
 	for x := 0; x < plotW; x++ {
-		// 128-bit pixel->time mapping: span*x overflows int64 once
-		// span*width exceeds 2^63, which real cycle-count timestamps
-		// reach (see TestTimelineExtremeTimestamps).
-		t0 := start + tmath.MulDiv(span, int64(x), int64(plotW))
-		t1 := start + tmath.MulDiv(span, int64(x+1), int64(plotW))
-		if t1 <= t0 {
-			t1 = tmath.SatAdd(t0, 1)
-		}
+		t0, t1 := pixelWindow(start, end-start, x, plotW)
 		c, ok := px.pixelColor(mode, cpu, t0, t1, heatMin, heatMax, shades)
 		if !ok {
 			flush(x)
@@ -310,20 +335,20 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 }
 
 // pixelizer computes per-pixel colors for one renderer goroutine. The
-// nodeCache is private to its goroutine; the type index and dominance
-// index are read-only and shared across all rows of a rendering.
+// nodeCache is private to its goroutine; the type index, keep
+// predicate and dominance resolver are read-only and shared across all
+// rows of a rendering.
 type pixelizer struct {
-	tr     *core.Trace
-	filter *filter.TaskFilter
+	tr *core.Trace
+	// keep admits the tasks the filter matches; nil without a filter.
+	keep func(trace.TaskID) bool
 	// nodeCache memoizes DominantNode lookups per task and kind.
 	nodeCache map[nodeKey]int32
 	typeIdx   map[trace.TypeID]int
-	// dom resolves dominant intervals from the multi-resolution
-	// pyramid instead of scanning events; nil forces scans (the
-	// NoIndex ablation). domEnt memoizes the current CPU's resolved
-	// pyramids so the per-pixel loop stays lock-free.
-	dom      *core.DomIndex
-	domEnt   *core.DomCPU
+	// dom resolves a CPU's dominant-interval answers; domEnt memoizes
+	// the current CPU's so the per-pixel loop stays lock-free.
+	dom      func(cpu int32) dominance
+	domEnt   dominance
 	domEntID int32
 }
 
@@ -342,8 +367,8 @@ func typeIndexOf(tr *core.Trace) map[trace.TypeID]int {
 	return ti
 }
 
-func newPixelizer(tr *core.Trace, f *filter.TaskFilter, typeIdx map[trace.TypeID]int, dom *core.DomIndex) *pixelizer {
-	return &pixelizer{tr: tr, filter: f, nodeCache: make(map[nodeKey]int32), typeIdx: typeIdx, dom: dom}
+func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trace.TypeID]int, dom func(cpu int32) dominance) *pixelizer {
+	return &pixelizer{tr: tr, keep: keep, nodeCache: make(map[nodeKey]int32), typeIdx: typeIdx, dom: dom}
 }
 
 // pixelColor implements optimization (a) of Section VI-B: each pixel
@@ -352,7 +377,7 @@ func newPixelizer(tr *core.Trace, f *filter.TaskFilter, typeIdx map[trace.TypeID
 func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool) {
 	switch mode {
 	case ModeState:
-		ev, ok := p.dominantState(cpu, t0, t1)
+		ev, ok, _ := p.domFor(cpu).DominantState(t0, t1)
 		if !ok {
 			return color.RGBA{}, false
 		}
@@ -360,7 +385,7 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin,
 	case ModeNUMAHeat:
 		return p.numaHeat(cpu, t0, t1)
 	default:
-		ev, ok := p.dominantExec(cpu, t0, t1)
+		ev, ok := p.domFor(cpu).DominantExec(t0, t1, p.keep)
 		if !ok {
 			return color.RGBA{}, false
 		}
@@ -394,87 +419,15 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin,
 	return color.RGBA{}, false
 }
 
-// domFor resolves the dominance pyramids for a CPU, memoizing the
-// last resolution: rows render pixel by pixel over one CPU, so the
+// domFor resolves a CPU's dominance answers, memoizing the last
+// resolution: rows render pixel by pixel over one CPU, so the
 // per-pixel path never touches the index's lock.
-func (p *pixelizer) domFor(cpu int32) *core.DomCPU {
+func (p *pixelizer) domFor(cpu int32) dominance {
 	if p.domEnt == nil || p.domEntID != cpu {
-		p.domEnt = p.dom.CPU(p.tr, cpu)
+		p.domEnt = p.dom(cpu)
 		p.domEntID = cpu
 	}
 	return p.domEnt
-}
-
-// dominantState returns the state covering the largest part of
-// [t0, t1) on cpu: from the dominance pyramid when the CPU has one,
-// by scanning the overlapping events otherwise. Both paths implement
-// the same first-strictly-greater-cover rule, so the choice never
-// changes a pixel.
-func (p *pixelizer) dominantState(cpu int32, t0, t1 trace.Time) (trace.StateEvent, bool) {
-	if p.dom != nil {
-		if ev, ok, indexed := p.domFor(cpu).DominantState(t0, t1); indexed {
-			return ev, ok
-		}
-	}
-	return dominantStateScan(p.tr, cpu, t0, t1)
-}
-
-// dominantStateScan is the per-event scan: the pre-index renderer's
-// inner loop, kept as the fallback for unindexable CPUs and as the
-// NoIndex ablation baseline.
-func dominantStateScan(tr *core.Trace, cpu int32, t0, t1 trace.Time) (trace.StateEvent, bool) {
-	var best trace.StateEvent
-	var bestCover trace.Time
-	for _, ev := range tr.StatesIn(cpu, t0, t1) {
-		s, e := ev.Start, ev.End
-		if s < t0 {
-			s = t0
-		}
-		if e > t1 {
-			e = t1
-		}
-		if cover := e - s; cover > bestCover {
-			bestCover = cover
-			best = ev
-		}
-	}
-	return best, bestCover > 0
-}
-
-// dominantExec returns the task-execution state covering the largest
-// part of [t0, t1) on cpu, honoring the task filter. Unfiltered
-// queries resolve from the dominance pyramid; a filter changes the
-// candidate set per task, which only the scan knows.
-func (p *pixelizer) dominantExec(cpu int32, t0, t1 trace.Time) (trace.StateEvent, bool) {
-	if p.dom != nil && p.filter == nil {
-		if ev, ok, indexed := p.domFor(cpu).DominantExec(t0, t1); indexed {
-			return ev, ok
-		}
-	}
-	var best trace.StateEvent
-	var bestCover trace.Time
-	for _, ev := range p.tr.StatesIn(cpu, t0, t1) {
-		if ev.State != trace.StateTaskExec {
-			continue
-		}
-		if p.filter != nil {
-			if task, ok := p.tr.TaskByID(ev.Task); !ok || !p.filter.Match(p.tr, task) {
-				continue
-			}
-		}
-		s, e := ev.Start, ev.End
-		if s < t0 {
-			s = t0
-		}
-		if e > t1 {
-			e = t1
-		}
-		if cover := e - s; cover > bestCover {
-			bestCover = cover
-			best = ev
-		}
-	}
-	return best, bestCover > 0
 }
 
 func (p *pixelizer) taskNode(id trace.TaskID, kinds stats.CommKinds) (int32, bool) {
@@ -515,7 +468,7 @@ func (p *pixelizer) numaHeat(cpu int32, t0, t1 trace.Time) (color.RGBA, bool) {
 	if total == 0 {
 		// No accesses recorded in this pixel: show the executing
 		// task's interval as fully local only if a task runs here.
-		if _, ok := p.dominantExec(cpu, t0, t1); !ok {
+		if _, ok := p.domFor(cpu).DominantExec(t0, t1, p.keep); !ok {
 			return color.RGBA{}, false
 		}
 		return NUMAHeatShade(0), true

@@ -10,6 +10,7 @@ import (
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/openstream"
+	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -56,13 +57,140 @@ func synthStateTrace(rng *rand.Rand, nCPU, n int, base int64, shuffled bool) *co
 	return tr
 }
 
+// scanDominance answers the renderer's per-pixel questions for one CPU
+// with the pre-index renderer's inner loop: every event StatesIn
+// returns for the pixel, first strictly-greater clipped cover wins.
+// It is the reference the tests (and BenchmarkTimelineDenseWindow's
+// baseline) render through the timeline's resolver seam.
+type scanDominance struct {
+	tr  *core.Trace
+	cpu int32
+}
+
+func scanResolver(tr *core.Trace) func(int32) dominance {
+	return func(cpu int32) dominance { return scanDominance{tr, cpu} }
+}
+
+func (s scanDominance) dominant(t0, t1 trace.Time, execOnly bool, keep func(trace.TaskID) bool) (trace.StateEvent, bool) {
+	var best trace.StateEvent
+	var bestCover trace.Time
+	for _, ev := range s.tr.StatesIn(s.cpu, t0, t1) {
+		if execOnly && (ev.State != trace.StateTaskExec || keep != nil && !keep(ev.Task)) {
+			continue
+		}
+		a, b := ev.Start, ev.End
+		if a < t0 {
+			a = t0
+		}
+		if b > t1 {
+			b = t1
+		}
+		if cover := b - a; cover > bestCover {
+			bestCover, best = cover, ev
+		}
+	}
+	return best, bestCover > 0
+}
+
+func (s scanDominance) DominantState(t0, t1 trace.Time) (trace.StateEvent, bool, bool) {
+	ev, ok := s.dominant(t0, t1, false, nil)
+	return ev, ok, false
+}
+
+func (s scanDominance) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (trace.StateEvent, bool) {
+	return s.dominant(t0, t1, true, keep)
+}
+
+// denseStateTrace hand-builds a trace whose every CPU row carries
+// `events` short alternating state intervals — the dense-window
+// stress shape where per-pixel event scans degrade linearly with the
+// event count. Durations come from a deterministic LCG so runs are
+// reproducible.
+func denseStateTrace(nCPU, events int) *core.Trace {
+	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU)}
+	var hi int64
+	for c := range tr.CPUs {
+		states := make([]trace.StateEvent, events)
+		t := int64(0)
+		seed := uint32(c + 1)
+		for i := range states {
+			seed = seed*1664525 + 1013904223
+			d := int64(seed%5) + 1
+			st := trace.StateIdle
+			var task trace.TaskID
+			if i%2 == 0 {
+				st = trace.StateTaskExec
+				task = trace.TaskID(i + 1)
+			}
+			states[i] = trace.StateEvent{CPU: int32(c), State: st, Task: task, Start: t, End: t + d}
+			t += d
+		}
+		tr.CPUs[c].States = states
+		if t > hi {
+			hi = t
+		}
+	}
+	tr.Span = core.Interval{Start: 0, End: hi}
+	return tr
+}
+
+// BenchmarkTimelineDenseWindow measures state-timeline rendering of a
+// window holding ~10k events per pixel — the regime where the
+// multi-resolution dominance index (internal/mragg) makes the cost
+// O(pixels·log events) while a per-pixel event scan stays O(events).
+// "indexed" is Timeline; "scan" renders the same rows through
+// scanDominance. Both produce byte-identical framebuffers (asserted in
+// setup); their ratio is the index's headline speedup. CI parses this
+// benchmark's output into BENCH_timeline.json (cmd/benchjson).
+func BenchmarkTimelineDenseWindow(b *testing.B) {
+	const nCPU, events, width = 2, 1 << 20, 100
+	tr := denseStateTrace(nCPU, events)
+	cfg := TimelineConfig{Width: width, Height: 8, Mode: ModeState}
+	scan := func() (*Framebuffer, Stats, error) { return timeline(tr, cfg, par.Workers(), scanResolver(tr)) }
+
+	// Golden self-check: both paths must agree pixel for pixel (the
+	// broader property test is TestTimelineIndexMatchesScan). This
+	// also warms the lazily built index before timing starts.
+	fbIdx, _, err := Timeline(tr, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fbScan, _, err := scan()
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !bytes.Equal(fbIdx.Img.Pix, fbScan.Img.Pix) {
+		b.Fatal("indexed and scan renderings differ")
+	}
+
+	for _, sub := range []struct {
+		name   string
+		render func() (*Framebuffer, Stats, error)
+	}{
+		{"indexed", func() (*Framebuffer, Stats, error) { return Timeline(tr, cfg) }},
+		{"scan", scan},
+	} {
+		b.Run(sub.name, func(b *testing.B) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := sub.render(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(events)/float64(width), "events/pixel")
+		})
+	}
+}
+
 // TestTimelineIndexMatchesScan is the golden equality test of the
 // dominance index: for every timeline mode, over simulated and
 // randomized synthetic traces (including extreme-coordinate and
 // unindexable ones) with randomized windows and filters, rendering
-// with the multi-resolution index must produce a framebuffer
-// byte-identical to the per-pixel event-scan path, with identical
-// draw-call accounting.
+// through the trace's dominance index (pyramid-served, or scanned
+// inside core for the filtered and unindexable cases) must produce a
+// framebuffer byte-identical to rendering the same rows through the
+// per-pixel event scan (scanDominance), with identical draw-call
+// accounting.
 func TestTimelineIndexMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	seidel := atmtest.SeidelTrace(t, 6, 3, openstream.SchedRandom)
@@ -104,10 +232,9 @@ func TestTimelineIndexMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v: %v", tc.name, mode, err)
 				}
-				cfg.NoIndex = true
-				scan, scanStats, err := Timeline(tc.tr, cfg)
+				scan, scanStats, err := timeline(tc.tr, cfg, par.Workers(), scanResolver(tc.tr))
 				if err != nil {
-					t.Fatalf("%s/%v noindex: %v", tc.name, mode, err)
+					t.Fatalf("%s/%v scan: %v", tc.name, mode, err)
 				}
 				if !bytes.Equal(idx.Img.Pix, scan.Img.Pix) {
 					t.Errorf("%s/%v trial %d (window [%d,%d)): indexed pixels differ from event scan",
@@ -138,8 +265,8 @@ func TestTimelineExtremeTimestamps(t *testing.T) {
 		Span: core.Interval{Start: base, End: base + span},
 	}
 	const w = 100
-	for _, noIndex := range []bool{false, true} {
-		fb, _, err := Timeline(tr, TimelineConfig{Width: w, Height: 8, Mode: ModeState, NoIndex: noIndex})
+	for name, dom := range map[string]func(int32) dominance{"index": indexResolver(tr), "scan": scanResolver(tr)} {
+		fb, _, err := timeline(tr, TimelineConfig{Width: w, Height: 8, Mode: ModeState}, par.Workers(), dom)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +277,7 @@ func TestTimelineExtremeTimestamps(t *testing.T) {
 				want = exec
 			}
 			if got := fb.At(x, 0); got != want {
-				t.Fatalf("noindex=%v: pixel %d = %v, want %v (pixel->time mapping overflowed)", noIndex, x, got, want)
+				t.Fatalf("%s: pixel %d = %v, want %v (pixel->time mapping overflowed)", name, x, got, want)
 			}
 		}
 	}
@@ -240,11 +367,11 @@ func TestTimelineLabelsThinRows(t *testing.T) {
 	tr.Span = core.Interval{Start: 0, End: 1000}
 	cfg := TimelineConfig{Width: 400, Height: 100, Mode: ModeState, Labels: true}
 
-	seqFB, _, err := timeline(tr, cfg, 1)
+	seqFB, _, err := timeline(tr, cfg, 1, indexResolver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parFB, _, err := timeline(tr, cfg, 4)
+	parFB, _, err := timeline(tr, cfg, 4, indexResolver(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

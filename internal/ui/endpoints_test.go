@@ -205,6 +205,10 @@ func TestEndpointCacheHit(t *testing.T) {
 		"/stats?t0=0&t1=500000&mode=heatmap&counter=cycles",
 		"/render?mode=state&w=300&h=100&rate=0", // rate is overlay-only; no counter set
 		"/anomalies?n=10&mode=heatmap&counter=cycles&rate=0",
+		// URLs from before the index switch was removed: the key is no
+		// longer read, so they share the plain request's entry.
+		"/render?mode=state&w=300&h=100&noindex=1",
+		"/anomalies?n=10&noindex=1",
 	} {
 		resp, _ := get(t, srv, path)
 		if xc := resp.Header.Get("X-Cache"); xc != "HIT" {

@@ -1,0 +1,31 @@
+package ui
+
+import (
+	"net/http/httptest"
+	"testing"
+
+	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/openstream"
+)
+
+// FuzzEndpoints sends arbitrary raw query strings to every request/
+// response endpoint of a viewer over a small static trace. Whatever
+// the parameters say, the answer is a result or a client error: never
+// a panic, never a 5xx. The seed corpus (testdata/fuzz/FuzzEndpoints)
+// is internal/query's FuzzFromValues corpus, file for file.
+func FuzzEndpoints(f *testing.F) {
+	srv := NewServer(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA), "fuzz")
+	paths := []string{"/render", "/matrix", "/plot", "/stats", "/task", "/graph.dot", "/anomalies", "/live"}
+	f.Add("")
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, path := range paths {
+			req := httptest.NewRequest("GET", path, nil)
+			req.URL.RawQuery = raw
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code >= 500 {
+				t.Fatalf("GET %s?%s = %d: %s", path, raw, rec.Code, rec.Body)
+			}
+		}
+	})
+}
