@@ -326,12 +326,18 @@ func batchCPUErr(b *trace.RecordBatch) error {
 
 // appendLocked routes one batch into the builder — the streaming
 // counterpart of the batch loader's router + shard stage. A batch is
-// applied whole or not at all: the only way it can fail is a CPU id
-// the per-CPU tables must not be sized by, checked before the first
+// applied whole or not at all: the only ways it can fail are a CPU id
+// the per-CPU tables must not be sized by and a topology whose node ids
+// the NUMA tables must not be indexed by, checked before the first
 // mutation.
 func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 	if err := batchCPUErr(b); err != nil {
 		return err
+	}
+	for _, t := range b.Topologies {
+		if err := t.Validate(); err != nil {
+			return err
+		}
 	}
 	for _, t := range b.Topologies {
 		lv.topo = t

@@ -246,6 +246,9 @@ func TestAppendRejectsWholeBatch(t *testing.T) {
 		"samples": func(b *trace.RecordBatch) {
 			b.Samples = []trace.CounterSample{{CPU: trace.MaxCPUID + 1, Counter: 9}}
 		},
+		"topology": func(b *trace.RecordBatch) {
+			b.Topologies = []trace.Topology{{Name: "bad", NumNodes: 2, NodeOfCPU: []int32{-1, 0}, Distance: make([]int32, 4)}}
+		},
 	} {
 		bad := &trace.RecordBatch{
 			TaskTypes:  []trace.TaskType{{ID: 5, Name: "late"}},
@@ -256,17 +259,18 @@ func TestAppendRejectsWholeBatch(t *testing.T) {
 		}
 		poison(bad)
 		if err := lv.Append(bad); err == nil {
-			t.Fatalf("%s: batch with an implausible CPU id accepted", name)
+			t.Fatalf("%s: batch with an implausible CPU or node id accepted", name)
 		}
 		after, _ := lv.Publish()
 		if ev, sm := after.EventCounts(); ev != wantEvents || sm != wantSamples {
 			t.Errorf("%s: EventCounts (%d, %d) after a rejected batch, want (%d, %d)", name, ev, sm, wantEvents, wantSamples)
 		}
 		if len(after.Tasks) != len(before.Tasks) || len(after.Types) != len(before.Types) ||
-			len(after.Counters) != len(before.Counters) || after.NumCPUs() != before.NumCPUs() {
-			t.Errorf("%s: rejected batch left %d tasks, %d types, %d counters, %d CPUs; want %d, %d, %d, %d", name,
-				len(after.Tasks), len(after.Types), len(after.Counters), after.NumCPUs(),
-				len(before.Tasks), len(before.Types), len(before.Counters), before.NumCPUs())
+			len(after.Counters) != len(before.Counters) || after.NumCPUs() != before.NumCPUs() ||
+			!reflect.DeepEqual(after.Topology, before.Topology) {
+			t.Errorf("%s: rejected batch left %d tasks, %d types, %d counters, %d CPUs, topology %+v; want %d, %d, %d, %d, %+v", name,
+				len(after.Tasks), len(after.Types), len(after.Counters), after.NumCPUs(), after.Topology,
+				len(before.Tasks), len(before.Types), len(before.Counters), before.NumCPUs(), before.Topology)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
@@ -23,14 +22,18 @@ func Load(path string) (*Trace, error) {
 // FromReader reads and indexes a trace from a stream.
 //
 // Loading is a pipeline: the decode stage turns the byte stream into
-// typed record batches (parallel varint decoding inside
-// trace.ReadBatched), a router applies global records (topology,
-// types, tasks, counter registrations, regions) in stream order, and
-// per-CPU shard workers append state, discrete, communication and
-// sample arrays concurrently — records for different CPUs are
-// independent, and batches arrive in stream order, so every per-CPU
-// array is built in trace order without post-hoc merging. On a single
-// CPU the whole pipeline collapses to a sequential loop.
+// typed record batches (trace.ReadBatched: the trace package's one
+// framer cuts runs of whole records on its own goroutine and decode
+// workers turn each run into a batch), a router applies global records
+// (topology, types, tasks, counter registrations, regions) in stream
+// order, and per-CPU shard workers append state, discrete,
+// communication and sample arrays concurrently — records for different
+// CPUs are independent, and batches arrive in stream order, so every
+// per-CPU array is built in trace order without post-hoc merging. On a
+// single CPU the pipeline collapses to fromReaderSeq: the same framer
+// driven record by record (trace.Read) into one loop that applies each
+// record as it is cut. FromDecoder is the third driver of that framer,
+// the pollable trace.StreamReader, fed through the live ingest path.
 func FromReader(r io.Reader) (*Trace, error) {
 	return fromReader(r, par.Workers())
 }
@@ -173,19 +176,11 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 // fromReaderSeq is the sequential load path, used when a single
 // worker is available. It is the reference implementation the
 // parallel pipeline must reproduce exactly (see TestLoadParallelMatch).
+// CPU ids need no check here: the decoder rejects the implausible ones.
 func fromReaderSeq(r io.Reader) (*Trace, error) {
 	tr := newTrace()
 	var hasTopo bool
 	maxCPU := int32(-1)
-	// checkCPU mirrors the parallel decoder's validation so both
-	// paths reject a corrupt negative CPU id with the same error
-	// instead of panicking.
-	checkCPU := func(id int32) error {
-		if id < 0 {
-			return fmt.Errorf("trace: negative CPU id %d", id)
-		}
-		return nil
-	}
 	cpu := func(id int32) *CPUData {
 		for int(id) >= len(tr.CPUs) {
 			tr.CPUs = append(tr.CPUs, CPUData{})
@@ -214,16 +209,10 @@ func fromReaderSeq(r io.Reader) (*Trace, error) {
 			return nil
 		},
 		State: func(s trace.StateEvent) error {
-			if err := checkCPU(s.CPU); err != nil {
-				return err
-			}
 			cpu(s.CPU).States = append(cpu(s.CPU).States, s)
 			return nil
 		},
 		Discrete: func(d trace.DiscreteEvent) error {
-			if err := checkCPU(d.CPU); err != nil {
-				return err
-			}
 			cpu(d.CPU).Discrete = append(cpu(d.CPU).Discrete, d)
 			return nil
 		},
@@ -232,9 +221,6 @@ func fromReaderSeq(r io.Reader) (*Trace, error) {
 			return nil
 		},
 		Sample: func(s trace.CounterSample) error {
-			if err := checkCPU(s.CPU); err != nil {
-				return err
-			}
 			c := tr.counterFor(s.Counter)
 			for int(s.CPU) >= len(c.PerCPU) {
 				c.PerCPU = append(c.PerCPU, nil)
@@ -246,9 +232,6 @@ func fromReaderSeq(r io.Reader) (*Trace, error) {
 			return nil
 		},
 		Comm: func(c trace.CommEvent) error {
-			if err := checkCPU(c.CPU); err != nil {
-				return err
-			}
 			cpu(c.CPU).Comm = append(cpu(c.CPU).Comm, c)
 			return nil
 		},

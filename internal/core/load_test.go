@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -173,6 +175,50 @@ func TestLoadNegativeCPU(t *testing.T) {
 	}
 	if _, err := fromReader(bytes.NewReader(data), 4); err == nil {
 		t.Error("parallel load accepted negative CPU")
+	}
+}
+
+// negativeNodeTrace hand-encodes what a validating Writer refuses to
+// write: a topology whose first CPU sits on node 2^32-1 (-1 once it is
+// an int32), then a region and an access to it from that CPU — the
+// trace that indexed the communication matrix at [-1].
+func negativeNodeTrace(t *testing.T) []byte {
+	t.Helper()
+	topo := []byte{1, 'm', 2, 2}                   // name, 2 nodes, 2 CPUs
+	topo = binary.AppendUvarint(topo, 1<<32-1)     // CPU 0 on node -1
+	topo = append(topo, 0 /* CPU 1 */, 0, 1, 1, 0) // distances
+	var rest bytes.Buffer
+	w := trace.NewWriter(&rest)
+	if err := w.WriteRegion(trace.MemRegion{ID: 1, Addr: 0x1000, Size: 4096, Node: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteComm(trace.CommEvent{Kind: trace.CommRead, CPU: 0, SrcCPU: -1, Time: 5, Task: 1, Addr: 0x1000, Size: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const header = 5 // magic and version
+	out := append([]byte(nil), rest.Bytes()[:header]...)
+	out = append(out, 1 /* topology record */, byte(len(topo)))
+	out = append(out, topo...)
+	return append(out, rest.Bytes()[header:]...)
+}
+
+// TestTopologyValidateAtEveryEntrance: a topology record with a node
+// id consumers cannot index by is refused by every loader, by name,
+// before anything is built on it.
+func TestTopologyValidateAtEveryEntrance(t *testing.T) {
+	data := negativeNodeTrace(t)
+	for name, load := range map[string]func() (*Trace, error){
+		"fromReaderSeq": func() (*Trace, error) { return fromReaderSeq(bytes.NewReader(data)) },
+		"fromReader/4":  func() (*Trace, error) { return fromReader(bytes.NewReader(data), 4) },
+		"FromReader":    func() (*Trace, error) { return FromReader(bytes.NewReader(data)) },
+		"FromDecoder":   func() (*Trace, error) { return FromDecoder(trace.NewStreamReader(bytes.NewReader(data))) },
+	} {
+		if _, err := load(); err == nil || !strings.Contains(err.Error(), "NUMA node -1") {
+			t.Errorf("%s: %v, want the topology refused for its node id", name, err)
+		}
 	}
 }
 

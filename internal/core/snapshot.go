@@ -258,6 +258,9 @@ func OpenStore(path string) (tr *Trace, err error) {
 	if tr.Topology.Distance, err = store.View[int32](m, d.Ref()); err != nil {
 		return nil, err
 	}
+	if err := tr.Topology.Validate(); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
 
 	nTypes := d.Int()
 	if err := d.Err(); err != nil {

@@ -272,6 +272,10 @@ func TestOpenStoreCorruptPyramids(t *testing.T) {
 			v[i+10], v[i+12] = 1, zz(16) // one level holding one node
 			return append(v[:i+13], v[i+11+2*nSetLevels:]...)
 		}},
+		// The topology sits behind the version, the layout hash, the span
+		// and its name: node count, then the CPU and distance columns.
+		{"more nodes than the distance matrix covers", "distance matrix", func(v []uint64) []uint64 { v[5+v[4]] = 4; return v }},
+		{"CPUs on nodes past the node count", "NUMA node 1", func(v []uint64) []uint64 { v[5+v[4]] = 1; return v }},
 		{"tree level count", "levels", func(v []uint64) []uint64 { v[findTree(v)+5] = 1 << 40; return v }},
 		{"tree times shorter than values", "times", func(v []uint64) []uint64 { v[findTree(v)+1] -= zz(8); return v }},
 	}

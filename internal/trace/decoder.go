@@ -3,11 +3,13 @@ package trace
 // Decoder is the incremental ingest contract every input format
 // implements: a Decoder sits on a (possibly still growing) byte stream
 // and turns whatever is currently available into normalized record
-// batches. The native binary StreamReader is one implementation; the
-// foreign-format importers under internal/ingest provide others. Both
-// the batch load path (drain once, then Done) and the -follow tailing
-// loop (Poll per tick) consume this one interface, so a new input
-// format becomes loadable and tailable by implementing it once.
+// batches. The native binary StreamReader — the framer behind Read and
+// ReadBatched, polled instead of read to the end — is one
+// implementation; the foreign-format importers under internal/ingest
+// provide others. Both the batch load path (drain once, then Done) and
+// the -follow tailing loop (Poll per tick) consume this one interface,
+// so a new input format becomes loadable and tailable by implementing
+// it once.
 type Decoder interface {
 	// Poll drains the bytes currently available from the underlying
 	// reader, decodes every complete record into batches delivered to

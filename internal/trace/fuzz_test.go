@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 )
 
@@ -71,12 +70,13 @@ func collectAll(data []byte, workers int) (*RecordBatch, error) {
 	return all, err
 }
 
-// FuzzReadTrace: arbitrary bytes through the sequential reader and the
-// batched reader (sequential and parallel decode paths) must return an
-// error or decode cleanly — never panic, and never allocate
-// proportionally to corrupt length fields. Whenever the sequential
-// reader accepts the input, the batched readers must accept it too and
-// agree record by record.
+// FuzzReadTrace: arbitrary bytes through every reader — Read, the
+// batched reader (inline and parallel decode) and the StreamReader (fed
+// whole, a byte per read, and in small chunks) — must return an error or
+// decode cleanly: never panic, and never allocate in proportion to a
+// corrupt length field rather than to the input. The readers accept or
+// reject an input together, with the same class of error, and agree
+// record by record on what they accept.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzSeedTrace(f)
 	f.Add(valid)
@@ -93,49 +93,19 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(append(append([]byte{}, valid...), 0x04, 0x02, 0x01)) // valid trace + trailing truncated record
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var seq RecordBatch
-		seq.MaxCPU = -1
-		seqErr := Read(bytes.NewReader(data), Handler{
-			Topology: func(v Topology) error { seq.Topologies = append(seq.Topologies, v); return nil },
-			TaskType: func(v TaskType) error { seq.TaskTypes = append(seq.TaskTypes, v); return nil },
-			Task:     func(v Task) error { seq.Tasks = append(seq.Tasks, v); return nil },
-			State:    func(v StateEvent) error { seq.States = append(seq.States, v); return nil },
-			Discrete: func(v DiscreteEvent) error { seq.Discrete = append(seq.Discrete, v); return nil },
-			CounterDesc: func(v CounterDesc) error {
-				seq.Descs = append(seq.Descs, v)
-				return nil
-			},
-			Sample: func(v CounterSample) error { seq.Samples = append(seq.Samples, v); return nil },
-			Comm:   func(v CommEvent) error { seq.Comms = append(seq.Comms, v); return nil },
-			Region: func(v MemRegion) error { seq.Regions = append(seq.Regions, v); return nil },
-		})
-
-		for _, workers := range []int{1, 4} {
-			got, err := collectAll(data, workers)
-			if (err == nil) != (seqErr == nil) {
-				t.Fatalf("workers=%d: batched err = %v, sequential err = %v", workers, err, seqErr)
-			}
-			if seqErr != nil {
-				continue
-			}
-			for _, cmp := range []struct {
-				name     string
-				seq, bat interface{}
-			}{
-				{"topologies", seq.Topologies, got.Topologies},
-				{"tasktypes", seq.TaskTypes, got.TaskTypes},
-				{"tasks", seq.Tasks, got.Tasks},
-				{"states", seq.States, got.States},
-				{"discrete", seq.Discrete, got.Discrete},
-				{"descs", seq.Descs, got.Descs},
-				{"samples", seq.Samples, got.Samples},
-				{"comms", seq.Comms, got.Comms},
-				{"regions", seq.Regions, got.Regions},
-			} {
-				if !reflect.DeepEqual(cmp.seq, cmp.bat) {
-					t.Fatalf("workers=%d: %s diverge\nseq: %v\nbat: %v", workers, cmp.name, cmp.seq, cmp.bat)
-				}
-			}
+		var rs []reading
+		var err error
+		n := allocated(func() { rs, err = readEveryWay(data) })
+		if err == nil {
+			err = agree(rs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Six readers' buffers, and decoded records a small multiple of
+		// the bytes they were decoded from.
+		if limit := uint64(8<<20 + 1024*len(data)); n > limit {
+			t.Fatalf("readers allocated %d bytes on a %d byte input (limit %d)", n, len(data), limit)
 		}
 	})
 }

@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 
 	"github.com/openstream/aftermath/internal/par"
@@ -42,8 +39,8 @@ func (b *RecordBatch) empty() bool {
 		len(b.Samples) == 0 && len(b.Comms) == 0 && len(b.Regions) == 0
 }
 
-// Batching parameters: a frame batch is flushed to a decode worker
-// once it holds this many records or payload bytes, whichever comes
+// Batching parameters: a batch is flushed (a run handed to a decode
+// worker) once it holds this many records or bytes, whichever comes
 // first. Large enough to amortize channel hand-offs, small enough to
 // keep all workers busy on medium traces.
 const (
@@ -51,95 +48,32 @@ const (
 	batchBytes   = 1 << 18
 )
 
-// readHeader consumes and validates the stream magic and version.
-func readHeader(br *bufio.Reader) error {
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		if err == io.EOF {
-			return ErrBadMagic
-		}
-		return err
-	}
-	if m != magic {
-		return ErrBadMagic
-	}
-	version, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fmt.Errorf("trace: reading version: %w", err)
-	}
-	if version > formatVersion {
-		return fmt.Errorf("trace: unsupported format version %d (max %d)", version, formatVersion)
-	}
-	return nil
-}
-
 // ReadBatched decodes all records from r and delivers them as
-// RecordBatch values, in stream order, to emit. Payload decoding is
-// spread over up to workers goroutines (workers <= 0 selects
-// GOMAXPROCS); emit always runs on the calling goroutine. It stops at
-// the first framing or decode error, or the first error returned by
-// emit.
+// RecordBatch values, in stream order, to emit, which always runs on
+// the calling goroutine. It stops at the first framing or decode error
+// or the first error returned by emit; the stream must end at a record
+// boundary. With one worker it is a StreamReader polled to io.EOF — the
+// batch reader and the live reader are the same code. With more
+// (workers <= 0 selects GOMAXPROCS) the framer runs on its own
+// goroutine and hands runs of whole records to that many decoders.
 func ReadBatched(r io.Reader, workers int, emit func(*RecordBatch) error) error {
 	if workers <= 0 {
 		workers = par.Workers()
 	}
-	br := bufio.NewReaderSize(r, 1<<16)
-	if err := readHeader(br); err != nil {
-		return err
+	if workers > 1 {
+		return readBatchedPar(r, workers, emit)
 	}
-	if workers <= 1 {
-		return readBatchedSeq(br, emit)
-	}
-	return readBatchedPar(br, workers, emit)
+	sr := NewStreamReader(r)
+	sr.f.toEOF = true
+	sr.Poll(emit) // an error sticks, and is what Done reports
+	return sr.Done()
 }
 
-// readBatchedSeq is the single-goroutine path: decode frames directly
-// into batches and emit them inline.
-func readBatchedSeq(br *bufio.Reader, emit func(*RecordBatch) error) error {
-	var payload []byte
-	b := &RecordBatch{MaxCPU: -1}
-	seen := make(map[CounterID]struct{})
-	n := 0
-	for {
-		kind, err := binary.ReadUvarint(br)
-		if err == io.EOF {
-			if !b.empty() {
-				return emit(b)
-			}
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("trace: reading record kind: %w", err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return ErrTruncated
-		}
-		if payload, err = readPayload(br, payload, size); err != nil {
-			return err
-		}
-		if err := decodeInto(kind, payload, b, seen); err != nil {
-			return err
-		}
-		if n++; n >= batchRecords {
-			if err := emit(b); err != nil {
-				return err
-			}
-			b = &RecordBatch{MaxCPU: -1}
-			clear(seen)
-			n = 0
-		}
-	}
-}
-
-// frameJob is a batch of raw frames awaiting decode: payloads are
-// packed back to back in arena, frame i is kinds[i] with payload
-// arena[offs[i]:offs[i+1]].
+// frameJob is a run of whole records awaiting decode: bytes of the
+// framer's buffer, released for good, which the worker reads in place.
 type frameJob struct {
-	arena []byte
-	kinds []uint64
-	offs  []int
-	out   chan decoded
+	run []byte
+	out chan decoded
 }
 
 type decoded struct {
@@ -147,10 +81,9 @@ type decoded struct {
 	err   error
 }
 
-// readBatchedPar frames records on one goroutine, decodes frame
-// batches on workers goroutines, and emits decoded batches in stream
-// order on the calling goroutine.
-func readBatchedPar(br *bufio.Reader, workers int, emit func(*RecordBatch) error) error {
+// readBatchedPar frames on one goroutine, decodes the released runs on
+// workers more and emits the batches in stream order on the caller's.
+func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) error {
 	done := make(chan struct{})
 	defer close(done)
 
@@ -159,23 +92,17 @@ func readBatchedPar(br *bufio.Reader, workers int, emit func(*RecordBatch) error
 	frameErr := make(chan error, 1)
 
 	// Framing stage.
-	newJob := func() *frameJob {
-		// Start small and let growth double: tiny traces stay cheap,
-		// large ones amortize the copies within the first batch.
-		return &frameJob{
-			arena: make([]byte, 0, 16<<10),
-			offs:  []int{0},
-		}
-	}
 	go func() {
 		defer close(jobs)
 		defer close(order)
-		job := newJob()
-		flush := func() bool {
-			if len(job.kinds) == 0 {
+		f := newFramer(r, batchBytes, true, true)
+		// send releases the records cut so far to a worker; false: the
+		// consumer has gone away.
+		send := func() bool {
+			job := &frameJob{run: f.release(), out: make(chan decoded, 1)}
+			if len(job.run) == 0 {
 				return true
 			}
-			job.out = make(chan decoded, 1)
 			select {
 			case jobs <- job:
 			case <-done:
@@ -186,55 +113,21 @@ func readBatchedPar(br *bufio.Reader, workers int, emit func(*RecordBatch) error
 			case <-done:
 				return false
 			}
-			job = newJob()
 			return true
 		}
-		for {
-			kind, err := binary.ReadUvarint(br)
-			if err == io.EOF {
-				flush()
-				frameErr <- nil
-				return
-			}
-			if err != nil {
-				frameErr <- fmt.Errorf("trace: reading record kind: %w", err)
-				return
-			}
-			size, err := binary.ReadUvarint(br)
-			if err != nil {
-				frameErr <- ErrTruncated
-				return
-			}
-			if size > maxRecordSize {
-				frameErr <- fmt.Errorf("trace: record payload of %d bytes exceeds the %d byte limit", size, maxRecordSize)
-				return
-			}
-			// Grow the arena in bounded chunks as payload bytes
-			// actually arrive: frames must stay contiguous in the
-			// arena, and a corrupt length field must not trigger a
-			// huge allocation before the stream runs dry.
-			for remaining := int(size); remaining > 0; {
-				c := remaining
-				if c > payloadChunk {
-					c = payloadChunk
+		for nrec := 0; ; {
+			if _, _, err := f.record(); err != nil {
+				// What was cut before the failure goes out first: an
+				// earlier decode error wins, as in the other readers.
+				send()
+				if err == io.EOF {
+					err = nil
 				}
-				start := len(job.arena)
-				if need := start + c; need > cap(job.arena) {
-					grown := make([]byte, start, 2*need)
-					copy(grown, job.arena)
-					job.arena = grown
-				}
-				job.arena = job.arena[:start+c]
-				if _, err := io.ReadFull(br, job.arena[start:]); err != nil {
-					frameErr <- ErrTruncated
-					return
-				}
-				remaining -= c
+				frameErr <- err
+				return
 			}
-			job.kinds = append(job.kinds, kind)
-			job.offs = append(job.offs, len(job.arena))
-			if len(job.kinds) >= batchRecords || len(job.arena) >= batchBytes {
-				if !flush() {
+			if nrec++; nrec >= batchRecords || f.off-f.lo >= batchBytes {
+				if nrec = 0; !send() {
 					return
 				}
 			}
@@ -248,10 +141,10 @@ func readBatchedPar(br *bufio.Reader, workers int, emit func(*RecordBatch) error
 				b := &RecordBatch{MaxCPU: -1}
 				seen := make(map[CounterID]struct{})
 				var err error
-				for i, kind := range job.kinds {
-					if err = decodeInto(kind, job.arena[job.offs[i]:job.offs[i+1]], b, seen); err != nil {
-						break
-					}
+				for run := job.run; len(run) > 0 && err == nil; { // whole records: cutRecord cannot fail
+					kind, payload, n, _ := cutRecord(run)
+					err = decodeInto(kind, payload, b, seen)
+					run = run[n:]
 				}
 				job.out <- decoded{batch: b, err: err}
 			}
@@ -277,15 +170,6 @@ func readBatchedPar(br *bufio.Reader, workers int, emit func(*RecordBatch) error
 // leaves CounterIDs alone (Read's one-record scratch batch).
 func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]struct{}) error {
 	d := &dec{b: payload}
-	cpu := func(c int32) (int32, error) {
-		if c < 0 {
-			return 0, fmt.Errorf("trace: negative CPU id %d", c)
-		}
-		if c > b.MaxCPU {
-			b.MaxCPU = c
-		}
-		return c, nil
-	}
 	touch := func(id CounterID) {
 		if _, ok := seen[id]; !ok && seen != nil {
 			seen[id] = struct{}{}
@@ -304,20 +188,18 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		tt.ID = TypeID(d.uvarint())
 		tt.Addr = d.uvarint()
 		tt.Name = d.str()
-		if d.err != nil {
-			return d.err
+		if d.err == nil {
+			b.TaskTypes = append(b.TaskTypes, tt)
 		}
-		b.TaskTypes = append(b.TaskTypes, tt)
 	case recTask:
 		var t Task
 		t.ID = TaskID(d.uvarint())
 		t.Type = TypeID(d.uvarint())
 		t.Created = d.varint()
 		t.CreatorCPU = d.cpuID(true)
-		if d.err != nil {
-			return d.err
+		if d.err == nil {
+			b.Tasks = append(b.Tasks, t)
 		}
-		b.Tasks = append(b.Tasks, t)
 	case recState:
 		var s StateEvent
 		s.CPU = d.cpuID(false)
@@ -325,53 +207,40 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		s.Start = d.varint()
 		s.End = s.Start + int64(d.uvarint())
 		s.Task = TaskID(d.uvarint())
-		if d.err != nil {
-			return d.err
+		if d.err == nil {
+			b.MaxCPU = max(b.MaxCPU, s.CPU)
+			b.States = append(b.States, s)
 		}
-		var err error
-		if s.CPU, err = cpu(s.CPU); err != nil {
-			return err
-		}
-		b.States = append(b.States, s)
 	case recDiscrete:
 		var ev DiscreteEvent
 		ev.CPU = d.cpuID(false)
 		ev.Kind = EventKind(d.uvarint())
 		ev.Time = d.varint()
 		ev.Arg = d.uvarint()
-		if d.err != nil {
-			return d.err
+		if d.err == nil {
+			b.MaxCPU = max(b.MaxCPU, ev.CPU)
+			b.Discrete = append(b.Discrete, ev)
 		}
-		var err error
-		if ev.CPU, err = cpu(ev.CPU); err != nil {
-			return err
-		}
-		b.Discrete = append(b.Discrete, ev)
 	case recCounterDesc:
 		var c CounterDesc
 		c.ID = CounterID(d.uvarint())
 		c.Monotonic = d.bool()
 		c.Name = d.str()
-		if d.err != nil {
-			return d.err
+		if d.err == nil {
+			touch(c.ID)
+			b.Descs = append(b.Descs, c)
 		}
-		touch(c.ID)
-		b.Descs = append(b.Descs, c)
 	case recCounterSample:
 		var s CounterSample
 		s.CPU = d.cpuID(false)
 		s.Counter = CounterID(d.uvarint())
 		s.Time = d.varint()
 		s.Value = d.varint()
-		if d.err != nil {
-			return d.err
+		if d.err == nil {
+			b.MaxCPU = max(b.MaxCPU, s.CPU)
+			touch(s.Counter)
+			b.Samples = append(b.Samples, s)
 		}
-		var err error
-		if s.CPU, err = cpu(s.CPU); err != nil {
-			return err
-		}
-		touch(s.Counter)
-		b.Samples = append(b.Samples, s)
 	case recComm:
 		var c CommEvent
 		c.Kind = CommKind(d.uvarint())
@@ -381,24 +250,19 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		c.Task = TaskID(d.uvarint())
 		c.Addr = d.uvarint()
 		c.Size = d.uvarint()
-		if d.err != nil {
-			return d.err
+		if d.err == nil {
+			b.MaxCPU = max(b.MaxCPU, c.CPU)
+			b.Comms = append(b.Comms, c)
 		}
-		var err error
-		if c.CPU, err = cpu(c.CPU); err != nil {
-			return err
-		}
-		b.Comms = append(b.Comms, c)
 	case recMemRegion:
 		var r MemRegion
 		r.ID = RegionID(d.uvarint())
 		r.Addr = d.uvarint()
 		r.Size = d.uvarint()
 		r.Node = int32(d.varint())
-		if d.err != nil {
-			return d.err
+		if d.err == nil {
+			b.Regions = append(b.Regions, r)
 		}
-		b.Regions = append(b.Regions, r)
 	}
-	return nil
+	return d.err
 }

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,52 +31,11 @@ var ErrBadMagic = errors.New("trace: bad magic (not an Aftermath trace)")
 // ErrTruncated reports a stream that ends inside a record.
 var ErrTruncated = errors.New("trace: truncated record")
 
-// maxRecordSize bounds a single record's payload. Real records are a
-// handful of varints (the largest, a topology for thousands of CPUs,
-// stays in kilobytes); a length field beyond this bound is a corrupt
-// or malicious stream, rejected before any allocation happens.
-const maxRecordSize = 1 << 28
-
 // MaxCPUID bounds the CPU ids the decoders accept. The format stores
 // CPU ids as varints, so a corrupt stream can claim ids near 2^31;
 // consumers index per-CPU arrays by id, which such ids would blow up.
 // No machine the trace model targets comes near a million CPUs.
 const MaxCPUID = 1 << 20
-
-// payloadChunk is the allocation granularity of readPayload: corrupt
-// length fields cost at most one chunk before the stream runs dry.
-const payloadChunk = 1 << 20
-
-// readPayload reads a size-byte record payload into buf (reused
-// across records), growing the buffer in bounded chunks as bytes
-// actually arrive, so a corrupt length field cannot trigger a huge
-// up-front allocation.
-func readPayload(br *bufio.Reader, buf []byte, size uint64) ([]byte, error) {
-	if size > maxRecordSize {
-		return buf, fmt.Errorf("trace: record payload of %d bytes exceeds the %d byte limit", size, maxRecordSize)
-	}
-	n := int(size)
-	if cap(buf) >= n {
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return buf, ErrTruncated
-		}
-		return buf, nil
-	}
-	buf = buf[:0]
-	for len(buf) < n {
-		c := n - len(buf)
-		if c > payloadChunk {
-			c = payloadChunk
-		}
-		start := len(buf)
-		buf = append(buf, make([]byte, c)...)
-		if _, err := io.ReadFull(br, buf[start:]); err != nil {
-			return buf, ErrTruncated
-		}
-	}
-	return buf, nil
-}
 
 // dec decodes a record payload.
 type dec struct {
@@ -173,9 +131,9 @@ func (d *dec) count() int {
 	return int(v)
 }
 
-// decodeTopology decodes a topology payload, shared by the sequential
-// and parallel readers. The element counts are validated against the
-// remaining payload, so corrupt streams cannot demand huge arrays.
+// decodeTopology decodes and validates a topology payload. The element
+// counts are checked against the remaining payload first, so corrupt
+// streams cannot demand huge arrays.
 func decodeTopology(d *dec) (Topology, error) {
 	var t Topology
 	t.Name = d.str()
@@ -198,35 +156,25 @@ func decodeTopology(d *dec) (Topology, error) {
 	if d.err != nil {
 		return Topology{}, d.err
 	}
-	return t, nil
+	return t, t.Validate()
 }
 
-// Read decodes all records from r, invoking the handler's callbacks.
-// It stops at the first error returned by a callback or at end of
-// stream.
+// Read decodes all records from r, invoking the handler's callbacks:
+// the framer driven record by record, each going to its callback as it
+// is cut. It stops at the first framing or decode error or the first
+// error a callback returns; the stream must end at a record boundary.
 func Read(r io.Reader, h Handler) error {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if err := readHeader(br); err != nil {
-		return err
-	}
-
-	var payload []byte
+	f := newFramer(r, readSize, true, false)
 	var scratch RecordBatch
 	for {
-		kind, err := binary.ReadUvarint(br)
+		kind, payload, err := f.record()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("trace: reading record kind: %w", err)
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			return ErrTruncated
-		}
-		if payload, err = readPayload(br, payload, size); err != nil {
 			return err
 		}
+		f.release()
 		if err := dispatch(kind, payload, &h, &scratch); err != nil {
 			return err
 		}

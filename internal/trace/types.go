@@ -17,7 +17,21 @@
 // The binary format is record-oriented and forward compatible: each
 // record carries its payload length, so readers skip record kinds they
 // do not know. Traces are optionally gzip-compressed (.gz suffix).
+//
+// One framer (framer.go) reads that format: it validates the header,
+// cuts whole records out of its buffer and keeps the partial one at the
+// end. Four drivers sit on it. Read hands each record to a Handler
+// callback, skipping kinds without one undecoded. ReadBatched decodes
+// everything into RecordBatch values, inline or, with more than one
+// worker, on goroutines that are handed runs of whole records — the
+// framer's buffer itself, never written again. StreamReader is
+// ReadBatched's inline reader, polled: for the first three the data
+// ends at io.EOF and must end on a record boundary; for a StreamReader
+// the end of what is there so far ends only the Poll, and a partial
+// record waits for the producer's next write.
 package trace
+
+import "fmt"
 
 // Time is a point in time, measured in CPU cycles since the start of
 // the traced execution.
@@ -272,6 +286,26 @@ type Topology struct {
 	Distance []int32
 	// NumNodes is the NUMA node count.
 	NumNodes int32
+}
+
+// Validate checks what consumers index by: a node count that is not
+// negative, every CPU on a node in [0, NumNodes) and a NumNodes x
+// NumNodes distance matrix. Topologies are validated wherever they
+// enter — the wire decoder, the Writer, core.Live.Append and
+// core.OpenStore — so no reader of a loaded trace has to.
+func (t Topology) Validate() error {
+	if t.NumNodes < 0 {
+		return fmt.Errorf("trace: topology with %d NUMA nodes", t.NumNodes)
+	}
+	for cpu, node := range t.NodeOfCPU {
+		if node < 0 || node >= t.NumNodes {
+			return fmt.Errorf("trace: topology puts CPU %d on NUMA node %d, outside [0, %d)", cpu, node, t.NumNodes)
+		}
+	}
+	if n := int64(t.NumNodes); int64(len(t.Distance)) != n*n {
+		return fmt.Errorf("trace: topology distance matrix has %d entries, want %d", len(t.Distance), n*n)
+	}
+	return nil
 }
 
 // WellKnown counter names emitted by the runtime simulator and

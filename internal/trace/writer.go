@@ -157,16 +157,15 @@ func (w *Writer) emit(kind uint64, e *enc) error {
 
 // WriteTopology writes the machine topology record.
 func (w *Writer) WriteTopology(t Topology) error {
+	if err := t.Validate(); err != nil {
+		return err
+	}
 	e := w.enc()
 	e.str(t.Name)
 	e.uvarint(uint64(t.NumNodes))
 	e.uvarint(uint64(len(t.NodeOfCPU)))
 	for _, n := range t.NodeOfCPU {
 		e.uvarint(uint64(n))
-	}
-	if len(t.Distance) != int(t.NumNodes)*int(t.NumNodes) {
-		return fmt.Errorf("trace: topology distance matrix has %d entries, want %d",
-			len(t.Distance), int(t.NumNodes)*int(t.NumNodes))
 	}
 	for _, d := range t.Distance {
 		e.uvarint(uint64(d))
