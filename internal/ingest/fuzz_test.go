@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/ingest"
 	"github.com/openstream/aftermath/internal/trace"
 	"github.com/openstream/aftermath/internal/ui"
@@ -71,7 +72,9 @@ func TestOpenReaderRejectsNegativeNode(t *testing.T) {
 // FuzzOpenServe sends hostile trace bytes down the serving path:
 // whatever ingest.OpenReader accepts, a viewer over it answers its
 // data endpoints — every render mode included — without a panic or a
-// 5xx. Inputs it rejects only have to be rejected with an error.
+// 5xx, and every PNG among the answers decodes (out-of-range states
+// and arbitrary type and node counts decide how many colours a tile
+// has). Inputs it rejects only have to be rejected with an error.
 func FuzzOpenServe(f *testing.F) {
 	f.Add(serveTrace(f, &twoNodes, 1))
 	f.Add(negativeNodeTrace(f))
@@ -91,9 +94,7 @@ func FuzzOpenServe(f *testing.F) {
 		for _, u := range urls {
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, httptest.NewRequest("GET", u, nil))
-			if rec.Code >= 500 {
-				t.Fatalf("GET %s = %d: %s", u, rec.Code, rec.Body)
-			}
+			atmtest.CheckServed(t, u, rec)
 		}
 	})
 }

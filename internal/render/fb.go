@@ -12,10 +12,14 @@
 //
 // The paper's GTK+/Cairo GUI is replaced by PNG/PPM output and the
 // interactive HTTP viewer in internal/ui; the rendering algorithms are
-// unchanged by this substitution.
+// unchanged by this substitution. Drawing goes to an RGBA framebuffer;
+// EncodePNG writes it as an indexed-colour PNG when it holds at most
+// 256 opaque colours and as a truecolour one otherwise, with identical
+// pixels either way.
 package render
 
 import (
+	"encoding/binary"
 	"fmt"
 	"image"
 	"image/color"
@@ -133,9 +137,80 @@ func (fb *Framebuffer) At(x, y int) color.RGBA {
 	return fb.Img.RGBAAt(x, y)
 }
 
-// EncodePNG writes the framebuffer as PNG.
+// pngEncoder is the one encoder configuration every PNG leaves through.
+// BestSpeed, because a tile is waited for and is small at any level:
+// on a 900x380 indexed timeline the default level takes a quarter
+// longer (4.6 ms against 3.6) to turn 4.8 kB into 2.6. It holds no
+// buffer pool, so it carries nothing from one Encode to the next and
+// is safe to share.
+var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed}
+
+// EncodePNG writes the framebuffer as PNG: indexed-colour when it
+// holds at most 256 colours, all opaque (every timeline mode, plots,
+// an ordinary matrix), truecolour otherwise. The decoded pixels equal
+// Img's either way; only the bytes differ. One byte per pixel (four
+// bits up to 16 colours) instead of four spares the encoder its
+// per-row filter search and three quarters of the deflate input. The
+// output depends on the pixels alone: encoding twice, or from several
+// goroutines, yields the same bytes.
 func (fb *Framebuffer) EncodePNG(w io.Writer) error {
-	return png.Encode(w, fb.Img)
+	if p := palettise(fb.Img); p != nil {
+		return pngEncoder.Encode(w, p)
+	}
+	return pngEncoder.Encode(w, fb.Img)
+}
+
+// palettise returns img as an indexed-colour image with the palette in
+// order of first appearance, or nil when img has more than 256 colours
+// or one that is not opaque. Pixels arrive in long runs, so the last
+// colour is remembered and a run costs one compare per pixel; a colour
+// change is a probe of a small open-addressed table on the stack.
+func palettise(img *image.RGBA) *image.Paletted {
+	// 512 slots for at most 256 keys: load stays at or below one half.
+	// A key is the pixel's four bytes; an opaque pixel's is never 0,
+	// which marks an empty slot.
+	const slots = 512
+	w, h := img.Rect.Dx(), img.Rect.Dy()
+	if w == 0 || h == 0 {
+		return nil // the encoder rejects it by name
+	}
+	var (
+		keys [slots]uint32
+		vals [slots]uint8
+		pal  = make(color.Palette, 0, 16)
+		// Unequal to the first pixel, which is therefore looked up.
+		last = ^binary.LittleEndian.Uint32(img.Pix)
+		cur  uint8
+	)
+	p := image.NewPaletted(img.Rect, nil)
+	for y := 0; y < h; y++ {
+		row := img.Pix[y*img.Stride:][:4*w]
+		out := p.Pix[y*p.Stride:][:w]
+		for x := range out {
+			k := binary.LittleEndian.Uint32(row[4*x:])
+			if k != last {
+				if k>>24 != 0xff {
+					return nil
+				}
+				s := (k * 0x9e3779b1) >> (32 - 9)
+				for keys[s] != k {
+					if keys[s] == 0 {
+						if len(pal) == 256 {
+							return nil
+						}
+						keys[s], vals[s] = k, uint8(len(pal))
+						pal = append(pal, color.RGBA{R: uint8(k), G: uint8(k >> 8), B: uint8(k >> 16), A: 0xff})
+						break
+					}
+					s = (s + 1) % slots
+				}
+				last, cur = k, vals[s]
+			}
+			out[x] = cur
+		}
+	}
+	p.Palette = pal
+	return p
 }
 
 // WritePNG writes the framebuffer to a PNG file.

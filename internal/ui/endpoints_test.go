@@ -253,6 +253,39 @@ func TestEndpointCacheHit(t *testing.T) {
 	}
 }
 
+// TestCachedPNGBodiesAreExactlySized: the cache charges len(body)
+// against its byte bound and keeps cap(body) alive, so every PNG
+// producer must hand it a slice with nothing behind its end — not the
+// backing array of the buffer the encoder grew by doubling.
+func TestCachedPNGBodiesAreExactlySized(t *testing.T) {
+	s := NewServer(atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA), "exact")
+	srv := httptest.NewServer(s)
+	t.Cleanup(srv.Close)
+	paths := []string{"/matrix?cell=20", "/plot?kind=idle&w=300&h=100", "/render?mode=heatmap&w=900&h=380&level=3"}
+	for _, mode := range []string{"state", "heatmap", "typemap", "numa-read", "numa-write", "numa-heat"} {
+		paths = append(paths, "/render?w=900&h=380&counter=cycles&mode="+mode)
+	}
+	for _, path := range paths {
+		if resp, _ := get(t, srv, path); resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "MISS" {
+			t.Fatalf("%s: status %d, X-Cache %q", path, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+	}
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	if len(s.cache.items) != len(paths) {
+		t.Fatalf("%d entries cached for %d requests", len(s.cache.items), len(paths))
+	}
+	for key, el := range s.cache.items {
+		ent := el.Value.(*cachedResponse)
+		if ent.contentType != "image/png" {
+			t.Fatalf("%s: content type %q", key, ent.contentType)
+		}
+		if cap(ent.body) != len(ent.body) {
+			t.Errorf("%s: body of %d bytes retains %d", key, len(ent.body), cap(ent.body))
+		}
+	}
+}
+
 // TestAnomaliesEndpoint: the ranked JSON respects window, kind and
 // count parameters.
 func TestAnomaliesEndpoint(t *testing.T) {

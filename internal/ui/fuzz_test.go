@@ -11,8 +11,10 @@ import (
 // FuzzEndpoints sends arbitrary raw query strings to every request/
 // response endpoint of a viewer over a small static trace. Whatever
 // the parameters say, the answer is a result or a client error: never
-// a panic, never a 5xx. The seed corpus (testdata/fuzz/FuzzEndpoints)
-// is internal/query's FuzzFromValues corpus, file for file.
+// a panic, never a 5xx, and every PNG decodes (hostile w, h, shades and
+// cell reach the encoder's palette and bit-depth choices). The seed
+// corpus (testdata/fuzz/FuzzEndpoints) is internal/query's
+// FuzzFromValues corpus, file for file.
 func FuzzEndpoints(f *testing.F) {
 	srv := NewServer(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA), "fuzz")
 	paths := []string{"/render", "/matrix", "/plot", "/stats", "/task", "/graph.dot", "/anomalies", "/live"}
@@ -23,9 +25,7 @@ func FuzzEndpoints(f *testing.F) {
 			req.URL.RawQuery = raw
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, req)
-			if rec.Code >= 500 {
-				t.Fatalf("GET %s?%s = %d: %s", path, raw, rec.Code, rec.Body)
-			}
+			atmtest.CheckServed(t, path+"?"+raw, rec)
 		}
 	})
 }

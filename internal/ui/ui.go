@@ -413,12 +413,22 @@ func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
 		if marks && anns != nil {
 			render.OverlayAnnotations(fb, tr, query.TimelineConfigOf(tr, q), anns)
 		}
-		var buf bytes.Buffer
-		if err := fb.EncodePNG(&buf); err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return buf.Bytes(), 0, nil
+		return encodePNG(fb)
 	})
+}
+
+// encodePNG is the tail of every PNG producer. The body it returns is
+// exactly sized: the cache charges len(body) against its bound but
+// keeps the whole backing array alive, and a bytes.Buffer's, grown by
+// doubling, can be twice what was written.
+func encodePNG(fb *render.Framebuffer) ([]byte, int, error) {
+	var buf bytes.Buffer
+	if err := fb.EncodePNG(&buf); err != nil {
+		return nil, http.StatusInternalServerError, err
+	}
+	body := make([]byte, buf.Len())
+	copy(body, buf.Bytes())
+	return body, 0, nil
 }
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
@@ -444,11 +454,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	s.serveCached(w, s.key(epoch, "matrix", q), "image/png", func() ([]byte, int, error) {
 		m := query.CommMatrixOf(tr, q)
 		fb := render.RenderMatrix(m, cell)
-		var buf bytes.Buffer
-		if err := fb.EncodePNG(&buf); err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return buf.Bytes(), 0, nil
+		return encodePNG(fb)
 	})
 }
 
@@ -492,11 +498,7 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, http.StatusBadRequest, err
 		}
-		var buf bytes.Buffer
-		if err := fb.EncodePNG(&buf); err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return buf.Bytes(), 0, nil
+		return encodePNG(fb)
 	})
 }
 
