@@ -9,19 +9,15 @@
 package aftermath
 
 import (
-	"bytes"
 	"math/rand"
-	"reflect"
 	"testing"
 
-	"github.com/openstream/aftermath/internal/anomaly"
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/figs"
 	"github.com/openstream/aftermath/internal/mmtree"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/render"
-	"github.com/openstream/aftermath/internal/stats"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -398,127 +394,4 @@ func BenchmarkSimulator(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// liveScanPolls is the viewer-polls-per-publish ratio the live-scan
-// benchmark models: the anomaly panel refreshes at rendering rate
-// while the ingest side publishes an epoch per file-tail poll, so many
-// scans hit an unchanged epoch for each one that sees new data.
-const liveScanPolls = 16
-
-// BenchmarkLiveScanIncremental is the headline ablation for the
-// incremental aggregation layer: the steady-state cost of serving
-// live anomaly results, timed per viewer poll. "incremental" is this
-// PR's path — each new epoch's snapshot carries baselines maintained
-// from appended events (per-type sorted duration populations, per-task
-// locality, comm totals) and is scanned once through the LiveScanner,
-// with the epoch's remaining polls answered from the memo; "full"
-// rescans every poll with the index disabled, the cost a viewer paid
-// when every refresh was a cold Scan. Rankings are checked
-// byte-identical on every snapshot before timing, so the ratio is pure
-// serving-path speedup; the publish-side maintenance cost the
-// incremental path shifts onto ingest is covered by
-// BenchmarkStreamAppend. The ratio is the number the CI benchmark gate
-// (cmd/benchgate) enforces.
-func BenchmarkLiveScanIncremental(b *testing.B) {
-	data := simTraceBytes(b, 8, 6)
-	const epochs = 8
-	g := &growingTrace{data: data}
-	sr := trace.NewStreamReader(g)
-	lv := core.NewLive()
-	// colds[e] is the batch load of the bytes snaps[e] was fed: the same
-	// trace without the aggregate baselines, so scanning it is the full
-	// walk a cold refresh would pay.
-	var snaps, colds []*core.Trace
-	step := len(data)/epochs + 1
-	for g.limit < len(data) {
-		g.limit += step
-		if g.limit > len(data) {
-			g.limit = len(data)
-		}
-		if _, err := lv.Feed(sr); err != nil {
-			b.Fatal(err)
-		}
-		snap, _ := lv.Snapshot()
-		snaps = append(snaps, snap)
-		cold, err := core.FromReader(bytes.NewReader(data[:sr.Consumed()]))
-		if err != nil {
-			b.Fatal(err)
-		}
-		colds = append(colds, cold)
-	}
-	if err := sr.Done(); err != nil {
-		b.Fatal(err)
-	}
-	cfg := AnomalyConfig{}
-	for e, snap := range snaps {
-		if snap.TaskLocality() == nil || snap.CommTotals() == nil {
-			b.Fatal("live snapshot carries no aggregate baselines")
-		}
-		if colds[e].TaskLocality() != nil || colds[e].CommTotals() != nil {
-			b.Fatal("batch load carries aggregate baselines; the baseline would not walk the trace")
-		}
-		if !reflect.DeepEqual(ScanAnomalies(snap, cfg), ScanAnomalies(colds[e], cfg)) {
-			b.Fatal("incremental and full-rescan rankings differ; refusing to time divergent work")
-		}
-	}
-	if len(ScanAnomalies(snaps[len(snaps)-1], cfg)) == 0 {
-		b.Fatal("scan found nothing; the identity checks are vacuous")
-	}
-	b.Run("incremental", func(b *testing.B) {
-		s := anomaly.NewLiveScanner()
-		for i := 0; i < b.N; i++ {
-			e := i / liveScanPolls
-			s.Scan(snaps[e%len(snaps)], uint64(e+1), "bench", cfg)
-		}
-	})
-	b.Run("full", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			e := i / liveScanPolls
-			ScanAnomalies(colds[e%len(colds)], cfg)
-		}
-	})
-}
-
-// BenchmarkHistogramWindow times windowed duration-histogram queries
-// through the mergeable histogram pyramid (stats.HistIndex) against
-// the re-binning scan over the same window, after checking the two
-// agree bin for bin. The trace is synthetic and large (2^17 executed
-// tasks): the pyramid answers windows from O(log n) pre-merged
-// histograms, so its payoff is the many-tasks-per-window regime, the
-// duration-histogram analogue of the dense timeline window above.
-func BenchmarkHistogramWindow(b *testing.B) {
-	const nTasks = 1 << 17
-	rng := rand.New(rand.NewSource(11))
-	tr := &core.Trace{Span: core.Interval{Start: 0, End: 1 << 30}}
-	tr.Tasks = make([]core.TaskInfo, nTasks)
-	for i := range tr.Tasks {
-		start := trace.Time(rng.Int63n(1 << 30))
-		tr.Tasks[i] = core.TaskInfo{
-			ID:        trace.TaskID(i),
-			Type:      trace.TypeID(i % 7),
-			ExecCPU:   int32(i % 16),
-			ExecStart: start,
-			ExecEnd:   start + 1 + trace.Time(rng.Int63n(5000)),
-		}
-	}
-	ix := stats.NewHistIndex(tr, 20)
-	if ix.Len() != nTasks {
-		b.Fatalf("index covers %d of %d tasks", ix.Len(), nTasks)
-	}
-	q := tr.Span.Duration() / 4
-	t0, t1 := tr.Span.Start+q, tr.Span.End-q
-	if !reflect.DeepEqual(ix.Window(t0, t1), ix.WindowScan(t0, t1)) {
-		b.Fatal("indexed and scanned window histograms differ")
-	}
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.Window(t0, t1)
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ix.WindowScan(t0, t1)
-		}
-	})
 }

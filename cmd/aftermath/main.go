@@ -54,7 +54,6 @@ func main() {
 		annOut   = flag.String("annotations", "", "write the top anomalies as an annotation JSON file")
 		follow   = flag.Bool("follow", false, "tail a trace that is still being written and serve it live (requires -http; uncompressed traces only)")
 		pollIv   = flag.Duration("poll", 500*time.Millisecond, "poll interval for -follow mode")
-		push     = flag.Bool("push", true, "with -follow/-serve: enable the /events push channel (SSE epoch streams); -push=false falls back to polling /live")
 		serve    = flag.Bool("serve", false, "serve a multi-trace hub over the given trace files and directories (requires -http; with -follow, uncompressed traces are tailed live)")
 
 		spillDir    = flag.String("spill-dir", "", "with -follow: spill frozen live-trace epochs to columnar segment files under this directory, bounding ingest RAM (a subdirectory per trace is created)")
@@ -77,7 +76,7 @@ func main() {
 		httpAddr: *httpAddr, dotOut: *dotOut, dotMax: *dotMax,
 		width: *width, rows: *rows, nmPath: *nmPath,
 		anomalies: *anoms, anomTop: *anomTop, anomMinScore: *anomMin, annOut: *annOut,
-		follow: *follow, pollEvery: *pollIv, push: *push,
+		follow: *follow, pollEvery: *pollIv,
 		spillDir: *spillDir, spillBytes: *spillBytes,
 		retainBytes: *retainBytes, retainAge: *retainAge,
 	}
@@ -105,7 +104,6 @@ type runOptions struct {
 	annOut                   string
 	follow                   bool
 	pollEvery                time.Duration
-	push                     bool
 
 	spillDir                string
 	spillBytes, retainBytes int64
@@ -333,8 +331,6 @@ func buildHub(paths, names []string, o runOptions) (*aftermath.Hub, error) {
 		}
 		fmt.Printf("  /t/%s/ <- %s (%d tasks, %d CPUs)\n", name, path, len(tr.Tasks), tr.NumCPUs())
 	}
-	// After registration: SetPush propagates to every mounted viewer.
-	hub.SetPush(o.push)
 	return hub, nil
 }
 
@@ -383,7 +379,6 @@ func runFollow(path string, o runOptions) error {
 	fmt.Printf("following %s: epoch %d, %d tasks, %d CPUs, span %d cycles so far\n",
 		path, epoch, len(tr.Tasks), tr.NumCPUs(), tr.Span.Duration())
 	viewer := aftermath.NewLiveViewer(lv, path)
-	viewer.SetPush(o.push)
 	fmt.Printf("serving live viewer on http://%s (polling every %s; /live reports ingest status, /events pushes epoch advances)\n",
 		o.httpAddr, o.pollEvery)
 	return newServer(o.httpAddr, viewer).ListenAndServe()

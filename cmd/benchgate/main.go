@@ -2,8 +2,8 @@
 // document (cmd/benchjson): it looks up the fast and slow
 // sub-benchmarks of one benchmark, computes slow/fast from a chosen
 // metric (ns/op by default), and exits non-zero when the ratio falls
-// below the floor — the CI regression gate for the incremental
-// live-scan and store-open paths.
+// below the floor — the CI regression gate for the store-open,
+// follow-retention and push-latency paths.
 //
 // With -max instead of -min the gate inverts: the ratio must stay AT
 // OR BELOW a ceiling. That is the shape of the store gates — opening a
@@ -12,7 +12,6 @@
 //
 // Usage:
 //
-//	benchgate -min 5 BENCH_anomaly.json
 //	benchgate -bench BenchmarkTimelineDenseWindow -fast indexed -slow scan -min 2 BENCH_timeline.json
 //	benchgate -bench BenchmarkStoreOpen -fast small -slow large -max 20 BENCH_store.json
 //	benchgate -bench BenchmarkFollowRetention -fast spill -slow unbounded -metric peak-bytes -min 2 BENCH_store.json
@@ -54,21 +53,16 @@ func metricOf(doc document, name, metric string) (float64, error) {
 }
 
 func main() {
-	bench := flag.String("bench", "BenchmarkLiveScanIncremental", "benchmark holding the two sub-benchmarks")
-	fast := flag.String("fast", "incremental", "sub-benchmark expected to be fast (ratio denominator)")
-	slow := flag.String("slow", "full", "sub-benchmark expected to be slow (ratio numerator)")
+	bench := flag.String("bench", "", "benchmark holding the two sub-benchmarks")
+	fast := flag.String("fast", "", "sub-benchmark expected to be fast (ratio denominator)")
+	slow := flag.String("slow", "", "sub-benchmark expected to be slow (ratio numerator)")
 	metric := flag.String("metric", "ns/op", "metric compared between the two sub-benchmarks")
 	min := flag.Float64("min", 0, "least acceptable slow/fast ratio (0 = no floor)")
 	max := flag.Float64("max", 0, "greatest acceptable slow/fast ratio (0 = no ceiling)")
 	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [flags] BENCH.json")
+	if flag.NArg() != 1 || *bench == "" || *fast == "" || *slow == "" || (*min <= 0 && *max <= 0) {
+		fmt.Fprintln(os.Stderr, "usage: benchgate -bench B -fast F -slow S (-min R | -max R) [-metric M] BENCH.json")
 		os.Exit(2)
-	}
-	if *min <= 0 && *max <= 0 {
-		// Preserve the original default: a bare benchgate invocation
-		// gates the live-scan speedup at 5x.
-		*min = 5
 	}
 
 	data, err := os.ReadFile(flag.Arg(0))

@@ -5,9 +5,8 @@
 // query in O(arity · log_arity n) node visits instead of O(n) item
 // visits.
 //
-// Every index in the repository — internal/mmtree (counter min/max
-// trees), internal/mragg (interval dominance pyramids) and
-// stats.HistIndex (windowed duration histograms) — is an Agg
+// Both indexes in the repository — internal/mmtree (counter min/max
+// trees) and internal/mragg (interval dominance pyramids) — are an Agg
 // implementation plus a query helper over one Tree.
 //
 // # The aggregation contract

@@ -43,21 +43,11 @@ func (DurationDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	}
 	sort.Slice(typeOrder, func(i, j int) bool { return typeOrder[i] < typeOrder[j] })
 
-	// An unfiltered full-span scan can score against the trace-carried
-	// sorted populations (live snapshots maintain them incrementally)
-	// instead of sorting each group; under any filter or sub-window
-	// the group is not the population, so the scan path stands.
-	useIdx := cfg.Filter == nil && cfg.Window == tr.Span
-
 	// Type groups are independent; score them in parallel, one result
 	// slot per type.
 	perType := make([][]Anomaly, len(typeOrder))
 	par.Do(cfg.Workers, len(typeOrder), func(i int) {
-		var pop []float64
-		if useIdx {
-			pop = tr.TaskDurations(typeOrder[i])
-		}
-		perType[i] = scoreTypeDurations(tr, typeOrder[i], byType[typeOrder[i]], pop)
+		perType[i] = scoreTypeDurations(tr, typeOrder[i], byType[typeOrder[i]])
 	})
 	var out []Anomaly
 	for _, as := range perType {
@@ -66,15 +56,9 @@ func (DurationDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	return out
 }
 
-// scoreTypeDurations scores one type group. pop, when non-nil, is the
-// trace-global ascending-sorted duration population of the type; it is
-// used in place of sorting the group only when it provably holds
-// exactly the group's durations (same count — a zero-duration task at
-// the exact span end is excluded from the group by Overlaps but
-// present in the population, so counts can differ). The sorted
-// estimators return bitwise-identical statistics for the same
-// multiset, so both paths emit byte-identical findings.
-func scoreTypeDurations(tr *core.Trace, typ trace.TypeID, tasks []*core.TaskInfo, pop []float64) []Anomaly {
+// scoreTypeDurations scores one type group against its own median and
+// robust spread.
+func scoreTypeDurations(tr *core.Trace, typ trace.TypeID, tasks []*core.TaskInfo) []Anomaly {
 	if len(tasks) < minGroupSize {
 		return nil
 	}
@@ -82,14 +66,8 @@ func scoreTypeDurations(tr *core.Trace, typ trace.TypeID, tasks []*core.TaskInfo
 	for i, t := range tasks {
 		durs[i] = float64(t.Duration())
 	}
-	var med, spread float64
-	if pop != nil && len(pop) == len(tasks) {
-		med = stats.MedianSorted(pop)
-		spread = stats.RobustSpreadSorted(pop)
-	} else {
-		med = stats.Median(durs)
-		spread = stats.RobustSpread(durs)
-	}
+	med := stats.Median(durs)
+	spread := stats.RobustSpread(durs)
 	// Floor the spread so near-constant groups do not inflate tiny
 	// absolute jitter into huge scores: an outlier must stand out by
 	// at least ~1% of the median duration per score unit.

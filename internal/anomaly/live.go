@@ -18,6 +18,12 @@ import (
 // forbids. Within one epoch, though, nothing is dirty, and a polling
 // viewer hits the memo until the next publish.
 //
+// This memo is the only thing that makes a live scan cheaper than a
+// batch one. A publish derives no baselines (core.snapshotLocked), so
+// the first scan of an epoch costs what Scan costs on a batch load of
+// the same prefix — one walk of the tasks and their communication
+// events — and an epoch nobody asks about costs nothing.
+//
 // Memo entries are keyed by a caller-supplied canonical string rather
 // than the Config itself: Config carries a *TaskFilter, and callers
 // like the HTTP viewer build a fresh (pointer-distinct) filter per

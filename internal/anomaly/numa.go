@@ -7,6 +7,7 @@ import (
 	"github.com/openstream/aftermath/internal/hw"
 	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/stats"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
 // numaMinBytes is the least data a task must touch before its access
@@ -39,21 +40,7 @@ func (d NUMADetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	if model.CacheLineBytes == 0 {
 		model = hw.Default()
 	}
-	// The trace-global baseline: CommMatrixOf inside LocalityFraction
-	// answers full-coverage windows from the incrementally maintained
-	// totals when the trace carries them, from the event scan
-	// otherwise.
 	baseline := 1 - stats.LocalityFraction(tr, stats.ReadsAndWrites, cfg.Window.Start, cfg.Window.End)
-
-	// Per-task locality summaries: the trace-carried index (aligned
-	// with Tasks, maintained from appended events only) replaces the
-	// per-task communication scan when present. LocSum is a pure
-	// per-task quantity, so the index applies under any filter or
-	// window.
-	loc := tr.TaskLocality()
-	if len(loc) != len(tr.Tasks) {
-		loc = nil
-	}
 
 	// Task chunks are scored in parallel and merged in chunk order.
 	bounds := par.Chunks(cfg.Workers, len(tr.Tasks))
@@ -69,13 +56,7 @@ func (d NUMADetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 			if !cfg.Window.Overlaps(t.ExecStart, t.ExecEnd) {
 				continue
 			}
-			var ls core.LocSum
-			if loc != nil {
-				ls = loc[i]
-			} else {
-				ls = core.TaskLocalityOf(tr, t)
-			}
-			if a, ok := scoreTaskLocality(tr, model, t, ls, baseline); ok {
+			if a, ok := scoreTaskLocality(tr, model, t, taskLocalityOf(tr, t), baseline); ok {
 				out = append(out, a)
 			}
 		}
@@ -88,25 +69,70 @@ func (d NUMADetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	return out
 }
 
-// scoreTaskLocality scores a task's remote-access summary (computed by
-// core.TaskLocalityOf, directly or via the trace-carried index)
-// against the baseline: a task 100% remote against a fully local
-// baseline scores 10.
-func scoreTaskLocality(tr *core.Trace, model hw.Model, t *core.TaskInfo, ls core.LocSum, baseline float64) (Anomaly, bool) {
-	if ls.Total < numaMinBytes {
+// locSum summarizes one task's memory-access locality: the bytes it
+// touched in known regions, the bytes homed away from its executing
+// node, and the remote node holding the most of them (ties toward the
+// lowest node id; -1 when nothing was remote).
+type locSum struct {
+	total     int64
+	remote    int64
+	worstNode int32
+}
+
+// taskLocalityOf computes a task's locSum by scanning its
+// communication events. The result is independent of event order:
+// total and remote are sums, and worstNode resolves to the argmax of
+// the final per-node byte counts with ties toward the lowest node id,
+// because a node can only take the lead when its running count
+// strictly exceeds the leader's (or equals it with a lower id), and
+// counts only grow.
+func taskLocalityOf(tr *core.Trace, t *core.TaskInfo) locSum {
+	execNode := tr.NodeOfCPU(t.ExecCPU)
+	ls := locSum{worstNode: -1}
+	var worstBytes int64
+	var perNode map[int32]int64
+	for _, ev := range tr.TaskComm(t) {
+		if ev.Kind != trace.CommRead && ev.Kind != trace.CommWrite {
+			continue
+		}
+		home := tr.NodeOfAddr(ev.Addr)
+		if home < 0 {
+			continue
+		}
+		n := int64(ev.Size)
+		ls.total += n
+		if home != execNode {
+			ls.remote += n
+			if perNode == nil {
+				perNode = make(map[int32]int64)
+			}
+			perNode[home] += n
+			if b := perNode[home]; b > worstBytes || (b == worstBytes && home < ls.worstNode) {
+				ls.worstNode, worstBytes = home, b
+			}
+		}
+	}
+	return ls
+}
+
+// scoreTaskLocality scores a task's remote-access summary against the
+// baseline: a task 100% remote against a fully local baseline scores
+// 10.
+func scoreTaskLocality(tr *core.Trace, model hw.Model, t *core.TaskInfo, ls locSum, baseline float64) (Anomaly, bool) {
+	if ls.total < numaMinBytes {
 		return Anomaly{}, false
 	}
-	frac := float64(ls.Remote) / float64(ls.Total)
+	frac := float64(ls.remote) / float64(ls.total)
 	excess := frac - baseline
 	if excess <= 0 {
 		return Anomaly{}, false
 	}
 	execNode := tr.NodeOfCPU(t.ExecCPU)
-	dist := int(tr.Distance(execNode, ls.WorstNode))
+	dist := int(tr.Distance(execNode, ls.worstNode))
 	if dist < 1 {
 		dist = 1
 	}
-	penalty := model.MemCost(ls.Remote, dist, 0) - model.MemCost(ls.Remote, 0, 0)
+	penalty := model.MemCost(ls.remote, dist, 0) - model.MemCost(ls.remote, 0, 0)
 	return Anomaly{
 		Kind:   KindNUMARemote,
 		Score:  excess * 10,
@@ -114,7 +140,7 @@ func scoreTaskLocality(tr *core.Trace, model hw.Model, t *core.TaskInfo, ls core
 		CPU:    t.ExecCPU,
 		TaskID: t.ID,
 		Explanation: fmt.Sprintf("task %d (%s) on node %d accessed %.0f%% of %d bytes remotely (baseline %.0f%%), mostly node %d; ~%d cycles of remote-access penalty",
-			t.ID, tr.TypeName(t.Type), execNode, 100*frac, ls.Total, 100*baseline, ls.WorstNode, penalty),
+			t.ID, tr.TypeName(t.Type), execNode, 100*frac, ls.total, 100*baseline, ls.worstNode, penalty),
 	}, true
 }
 

@@ -86,9 +86,8 @@ func (g *prefixReader) Read(p []byte) (int, error) {
 }
 
 // RunToLiveTrace simulates a program and streams its trace through the
-// live ingest path in several publishes, returning the final snapshot —
-// a trace carrying the incrementally maintained aggregate baselines
-// (core.TaskAgg), unlike the index-free batch load of RunToTrace.
+// live ingest path in several publishes, returning the final snapshot
+// (RunToTrace is the batch load of the same bytes).
 func RunToLiveTrace(tb testing.TB, p *openstream.Program, cfg openstream.Config, publishes int) *core.Trace {
 	tb.Helper()
 	var buf bytes.Buffer

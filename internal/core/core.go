@@ -124,12 +124,6 @@ type Trace struct {
 
 	domOnce sync.Once
 	dom     *DomIndex
-
-	// taskAgg and commTotals are the incrementally maintained
-	// trace-global aggregate baselines (taskagg.go), seeded by live
-	// snapshots; nil for batch loads, which derive them by scanning.
-	taskAgg    *TaskAgg
-	commTotals *CommTotals
 }
 
 // NumCPUs returns the number of CPUs.

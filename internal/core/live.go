@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -68,20 +67,6 @@ type Live struct {
 	spanMin trace.Time
 	spanMax trace.Time
 
-	// Incremental aggregate baselines (taskagg.go), carried across
-	// epochs so each publish seeds its snapshot with trace-global
-	// detector baselines updated from the appended data alone.
-	// All guarded by mu.
-	taskRec      []taskRec
-	durs         map[trace.TypeID][]float64
-	loc          []LocSum
-	commTot      *CommTotals
-	commN        []int
-	aggRegionLen int
-	aggTopoDirty bool
-	aggHasTopo   bool
-	aggMaxCPU    int32
-
 	// Spilling state (spill.go): the retention policy, the segment
 	// list and counters (nil until the first freeze) and the segment
 	// id sequence. All guarded by mu.
@@ -99,17 +84,6 @@ type Live struct {
 
 	// Push subscriptions (watch.go). watch.mu is a leaf lock under mu.
 	watch watchState
-}
-
-// taskRec is the placement record of one task as of the last publish;
-// the per-publish diff pass against the fresh task table finds the
-// tasks whose duration population entries and locality summaries must
-// move.
-type taskRec struct {
-	typ   trace.TypeID
-	cpu   int32
-	start trace.Time
-	end   trace.Time
 }
 
 // ingestErr boxes the first sticky ingest error for atomic publication.
@@ -342,9 +316,6 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 	for _, t := range b.Topologies {
 		lv.topo = t
 		lv.hasTopo = true
-		// Node assignments may have changed wholesale: every locality
-		// summary and communication total is stale.
-		lv.aggTopoDirty = true
 	}
 	for _, t := range b.TaskTypes {
 		if _, ok := lv.typeByID[t.ID]; !ok {
@@ -422,15 +393,17 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 // tables the finalization mutates).
 //
 // Cost per publish: the event and sample arrays — the bulk of a trace
-// — are shared, never copied or re-scanned, and the min/max trees
-// extend in amortized append mode, so those scale with the appended
-// data only. The task table and its id maps, however, are copied per
-// publish (exec application mutates task entries in place, and the
-// batch semantics re-apply every placement in CPU order), as are the
-// small type/region/counter tables — O(tasks) work per epoch. That is
-// the price of strict batch equivalence; per-task delta tracking could
-// amortize it, at the cost of reimplementing (rather than reusing) the
-// batch indexer's placement semantics.
+// — are shared, never copied or re-scanned, and the min/max trees and
+// dominance pyramids extend in amortized append mode, so those scale
+// with the appended data only. What still scales with the history is
+// the task table: it and its id map are copied per publish (exec
+// application mutates task entries in place, and the batch semantics
+// re-apply every placement in CPU order), as are the small
+// type/region/counter tables and the region sort — O(tasks + regions)
+// per epoch. Nothing else is derived here: detector baselines and
+// communication totals are computed by whoever asks a snapshot for
+// them, the same scan a batch-loaded trace runs (anomaly/live.go
+// memoizes it per epoch).
 func (lv *Live) snapshotLocked() *Trace {
 	tr := &Trace{Topology: lv.topo}
 	if !lv.hasTopo {
@@ -541,176 +514,7 @@ func (lv *Live) snapshotLocked() *Trace {
 	if lv.spanSet {
 		tr.Span = Interval{Start: lv.spanMin, End: lv.spanMax}
 	}
-	lv.updateAggLocked(tr)
 	return tr
-}
-
-// updateAggLocked brings the incremental aggregate baselines up to the
-// snapshot being published and seeds them into it. Steady-state cost
-// is O(tasks) bookkeeping (the diff pass; snapshotLocked already pays
-// O(tasks) per publish for the table copy) plus work proportional to
-// the appended data: new communication events extend the totals, and
-// only tasks whose placement changed — or whose execution window can
-// contain a newly appended communication event — recompute their
-// locality summary. Epochs in which the region table grew or the
-// topology changed invalidate everything address- or node-derived and
-// rebuild it from the snapshot (regions normally arrive once, early).
-//
-// Every seeded value is computed by the same definitions the cold scan
-// uses (TaskLocalityOf, CommTotals.addComm mirroring the stats scan),
-// over the same immutable snapshot, so indexed and cold results are
-// byte-identical — the property TestStreamEqualsBatch enforces.
-func (lv *Live) updateAggLocked(tr *Trace) {
-	regionsGrew := len(lv.regions) != lv.aggRegionLen
-	topoChanged := lv.aggTopoDirty || lv.aggHasTopo != lv.hasTopo ||
-		(!lv.hasTopo && lv.aggMaxCPU != lv.maxCPU)
-	rebuildAll := regionsGrew || topoChanged
-
-	// Per-CPU: the earliest newly appended communication time, which
-	// bounds the tasks whose locality can have changed this epoch.
-	// Derived from the pre-update consumption counts, before the
-	// totals advance them.
-	// Consumption counts (commN) are logical: spilled events plus the
-	// RAM tail. The unconsumed suffix always lies in the tail, because
-	// freezing happens after the publish that consumed the events.
-	for len(lv.commN) < len(lv.cols) {
-		lv.commN = append(lv.commN, 0)
-	}
-	minNew := make([]trace.Time, len(lv.cols))
-	hasNew := make([]bool, len(lv.cols))
-	anyNewComm := false
-	for cpu := range lv.cols {
-		for _, ev := range lv.cols[cpu].comm.from(lv.commN[cpu]) {
-			if !hasNew[cpu] || ev.Time < minNew[cpu] {
-				minNew[cpu], hasNew[cpu] = ev.Time, true
-			}
-			anyNewComm = true
-		}
-	}
-
-	// Communication totals. Consumption iterates the builder's rows —
-	// stream order, never re-sorted, so positions are stable across
-	// publishes — while node resolution uses the snapshot; byte sums
-	// are order-independent, so the totals equal a scan of the
-	// snapshot's repaired rows.
-	n := tr.NumNodes()
-	if lv.commTot == nil || rebuildAll || lv.commTot.N != n {
-		lv.commTot = &CommTotals{N: n, Reads: make([]int64, n*n), Writes: make([]int64, n*n)}
-		for cpu := range lv.cols {
-			// Rebuild over the whole retained window, part by part (no
-			// gather: the spilled parts stay on disk). Events already
-			// dropped under the retention budget leave the totals — the
-			// totals describe the retained trace.
-			c := &lv.cols[cpu].comm
-			for _, p := range c.parts {
-				lv.commTot.addComm(tr, int32(cpu), p.rows, 0)
-			}
-			lv.commTot.addComm(tr, int32(cpu), c.tail, 0)
-			lv.commN[cpu] = c.len()
-		}
-	} else if anyNewComm {
-		ct := lv.commTot.clone()
-		for cpu := range lv.cols {
-			c := &lv.cols[cpu].comm
-			ct.addComm(tr, int32(cpu), c.from(lv.commN[cpu]), 0)
-			lv.commN[cpu] = c.len()
-		}
-		lv.commTot = ct
-	}
-
-	// Diff pass over the published task table: move duration
-	// population entries for tasks whose placement record changed and
-	// recompute locality summaries for stale tasks. The population
-	// slices and the loc slice are copy-on-write — snapshots hold
-	// earlier generations — so changed containers are fresh.
-	var adds, rems map[trace.TypeID][]float64
-	loc := lv.loc
-	locCopied := false
-	ensureLoc := func() {
-		if !locCopied {
-			nl := make([]LocSum, len(tr.Tasks))
-			copy(nl, loc)
-			loc, locCopied = nl, true
-		}
-	}
-	for i := range tr.Tasks {
-		t := &tr.Tasks[i]
-		cur := taskRec{typ: t.Type, cpu: t.ExecCPU, start: t.ExecStart, end: t.ExecEnd}
-		isNew := i >= len(lv.taskRec)
-		var prev taskRec
-		if !isNew {
-			prev = lv.taskRec[i]
-		}
-		changed := isNew || prev != cur
-		if changed {
-			if !isNew && prev.cpu >= 0 {
-				if rems == nil {
-					rems = make(map[trace.TypeID][]float64)
-				}
-				rems[prev.typ] = append(rems[prev.typ], float64(prev.end-prev.start))
-			}
-			if cur.cpu >= 0 {
-				if adds == nil {
-					adds = make(map[trace.TypeID][]float64)
-				}
-				adds[cur.typ] = append(adds[cur.typ], float64(t.Duration()))
-			}
-			if isNew {
-				lv.taskRec = append(lv.taskRec, cur)
-			} else {
-				lv.taskRec[i] = cur
-			}
-		}
-		stale := rebuildAll || changed
-		if !stale && cur.cpu >= 0 && int(cur.cpu) < len(hasNew) &&
-			hasNew[cur.cpu] && cur.end+1 > minNew[cur.cpu] {
-			stale = true
-		}
-		if stale {
-			ensureLoc()
-			loc[i] = TaskLocalityOf(tr, t)
-		}
-	}
-	if locCopied {
-		lv.loc = loc
-	}
-
-	if len(adds) > 0 || len(rems) > 0 {
-		nd := make(map[trace.TypeID][]float64, len(lv.durs)+len(adds))
-		for k, v := range lv.durs {
-			nd[k] = v
-		}
-		touched := make(map[trace.TypeID]bool, len(adds)+len(rems))
-		for typ := range adds {
-			touched[typ] = true
-		}
-		for typ := range rems {
-			touched[typ] = true
-		}
-		for typ := range touched {
-			s := nd[typ]
-			if r := rems[typ]; len(r) > 0 {
-				s = removeSorted(s, r)
-			}
-			if a := adds[typ]; len(a) > 0 {
-				sort.Float64s(a)
-				s = mergeSorted(s, a)
-			}
-			if len(s) == 0 {
-				delete(nd, typ)
-			} else {
-				nd[typ] = s
-			}
-		}
-		lv.durs = nd
-	}
-
-	tr.taskAgg = &TaskAgg{durs: lv.durs, loc: lv.loc}
-	tr.commTotals = lv.commTot
-	lv.aggRegionLen = len(lv.regions)
-	lv.aggTopoDirty = false
-	lv.aggHasTopo = lv.hasTopo
-	lv.aggMaxCPU = lv.maxCPU
 }
 
 // extendDomsLocked brings the per-CPU dominance chains up to the

@@ -600,15 +600,7 @@ func (lv *Live) applyRetentionLocked() {
 			lv.doms[cpu] = domChain{}
 		}
 		c.discrete.drop(keep)
-		if n := c.comm.drop(keep); n > 0 {
-			if cpu < len(lv.commN) {
-				lv.commN[cpu] -= n
-			}
-			// The communication totals included the dropped events;
-			// force a rebuild over the retained window at the next
-			// publish.
-			lv.commTot = nil
-		}
+		c.comm.drop(keep)
 	}
 	for _, lc := range lv.counters {
 		for cpu := range lc.per {

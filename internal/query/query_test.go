@@ -244,6 +244,30 @@ func TestExecutorsMatchDirectCalls(t *testing.T) {
 	}
 }
 
+// TestStatsLiveEqualsBatch: the statistics panel (which carries the
+// locality fraction) and the communication matrix answer a snapshot
+// fed through the live path in 16 publishes exactly as they answer a
+// batch load of the same bytes, over the full span and a sub-window.
+func TestStatsLiveEqualsBatch(t *testing.T) {
+	snap := atmtest.SeidelLiveTrace(t, 6, 4, openstream.SchedRandom, 16)
+	batch := atmtest.SeidelTrace(t, 6, 4, openstream.SchedRandom)
+	mid := snap.Span.Start + snap.Span.Duration()/2
+	for _, q := range []*Query{New(), New().Window(snap.Span.Start, mid)} {
+		if got, want := StatsOf(snap, q), StatsOf(batch, q); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stats of the live snapshot = %+v, batch load %+v", q.Canonical(), got, want)
+		}
+		for _, kinds := range []stats.CommKinds{stats.Reads, stats.Writes, stats.ReadsAndWrites} {
+			got, want := CommMatrixOf(snap, q.Clone().Comm(kinds)), CommMatrixOf(batch, q.Clone().Comm(kinds))
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s kinds %d: matrix of the live snapshot = %+v, batch load %+v", q.Canonical(), kinds, got, want)
+			}
+			if got.Total() == 0 {
+				t.Errorf("%s kinds %d: empty matrix; the equality above is vacuous", q.Canonical(), kinds)
+			}
+		}
+	}
+}
+
 // TestScanOnlyProjection: the scan memo key keeps exactly the fields
 // an anomaly scan depends on — view-only and selection parameters
 // must not fragment the memo.

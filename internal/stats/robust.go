@@ -80,75 +80,6 @@ func RobustZ(v, median, spread float64) float64 {
 	return (v - median) / spread
 }
 
-// Sorted variants: when the caller already holds an ascending-sorted
-// population — the incrementally maintained per-type duration
-// populations of core.TaskDurations — the estimators skip the copy and
-// sort and run in O(n) (O(1) for the quantiles). Each is defined to
-// return exactly what its unsorted counterpart returns on any
-// permutation of the same values, so indexed and cold anomaly scans
-// stay byte-identical.
-
-// MedianSorted returns the median of an ascending-sorted slice,
-// equal to Median on any permutation of it.
-func MedianSorted(s []float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	return sortedQuantile(s, 0.5)
-}
-
-// QuartilesSorted returns the first and third quartile of an
-// ascending-sorted slice, equal to Quartiles on any permutation.
-func QuartilesSorted(s []float64) (q1, q3 float64) {
-	if len(s) == 0 {
-		return 0, 0
-	}
-	return sortedQuantile(s, 0.25), sortedQuantile(s, 0.75)
-}
-
-// MADSorted returns the median absolute deviation of an
-// ascending-sorted slice, equal to MAD on any permutation: the
-// deviations |v - med| form two monotone runs around the median — the
-// prefix below it descending, the suffix ascending — so merging the
-// runs yields the sorted deviation array without another sort. The
-// per-element values match MAD's bitwise (IEEE negation is exact:
-// med-v == -(v-med)).
-func MADSorted(s []float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	med := sortedQuantile(s, 0.5)
-	k := sort.SearchFloat64s(s, med) // first index with s[i] >= med
-	dev := make([]float64, 0, len(s))
-	i, j := k-1, k
-	for i >= 0 && j < len(s) {
-		if a, b := med-s[i], s[j]-med; a <= b {
-			dev = append(dev, a)
-			i--
-		} else {
-			dev = append(dev, b)
-			j++
-		}
-	}
-	for ; i >= 0; i-- {
-		dev = append(dev, med-s[i])
-	}
-	for ; j < len(s); j++ {
-		dev = append(dev, s[j]-med)
-	}
-	return sortedQuantile(dev, 0.5)
-}
-
-// RobustSpreadSorted returns RobustSpread of an ascending-sorted
-// slice, equal to RobustSpread on any permutation.
-func RobustSpreadSorted(s []float64) float64 {
-	if mad := MADSorted(s); mad > 0 {
-		return mad * madScale
-	}
-	q1, q3 := QuartilesSorted(s)
-	return (q3 - q1) / iqrScale
-}
-
 // sortedQuantile returns the q-quantile (0..1) of an ascending-sorted
 // non-empty slice using linear interpolation.
 func sortedQuantile(s []float64, q float64) float64 {

@@ -42,35 +42,27 @@ func NewHistogram(values []float64, bins int, min, max float64) *Histogram {
 		}
 	}
 	h := &Histogram{Min: min, Max: max, Counts: make([]int, bins)}
+	width := (max - min) / float64(bins)
 	for _, v := range values {
-		h.add(v)
+		switch {
+		case v < min:
+			h.Under++
+		case v > max:
+			h.Over++
+		default:
+			f := (v - min) / width
+			i := int(f)
+			if math.IsNaN(f) || i < 0 {
+				i = 0
+			}
+			if i >= bins {
+				i = bins - 1
+			}
+			h.Counts[i]++
+		}
+		h.Total++
 	}
 	return h
-}
-
-// add bins one value — the single definition of the bin function, so
-// histograms built value-by-value (HistIndex leaves) and in bulk agree
-// exactly.
-func (h *Histogram) add(v float64) {
-	switch {
-	case v < h.Min:
-		h.Under++
-	case v > h.Max:
-		h.Over++
-	default:
-		bins := len(h.Counts)
-		width := (h.Max - h.Min) / float64(bins)
-		f := (v - h.Min) / width
-		i := int(f)
-		if math.IsNaN(f) || i < 0 {
-			i = 0
-		}
-		if i >= bins {
-			i = bins - 1
-		}
-		h.Counts[i]++
-	}
-	h.Total++
 }
 
 // Fraction returns the fraction of all values in bin i.
@@ -235,38 +227,7 @@ func (k CommKinds) matches(ck trace.CommKind) bool {
 // The home node of each access is derived by looking up the address in
 // the region table (Section VI-A); accesses to unknown regions are
 // skipped.
-//
-// Traces carrying the incrementally maintained communication totals
-// (live snapshots, see core.CommTotals) answer windows that cover
-// every communication event — the full-span queries the anomaly
-// baselines and the statistics panel default to — in O(nodes²) from
-// the totals, without touching the events; the result is byte-equal to
-// the scan (integer byte sums accumulated by the same per-event
-// logic). Other windows, and traces without totals, scan.
 func CommMatrixOf(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time) *CommMatrix {
-	if ct := tr.CommTotals(); ct != nil && ct.N == tr.NumNodes() && ct.Covers(t0, t1) {
-		n := ct.N
-		m := &CommMatrix{N: n, Bytes: make([]int64, n*n)}
-		if kinds&Reads != 0 {
-			for i, b := range ct.Reads {
-				m.Bytes[i] += b
-			}
-		}
-		if kinds&Writes != 0 {
-			for i, b := range ct.Writes {
-				m.Bytes[i] += b
-			}
-		}
-		return m
-	}
-	return CommMatrixScanOf(tr, kinds, t0, t1)
-}
-
-// CommMatrixScanOf accumulates the communication matrix by scanning
-// the events in [t0, t1) — the path every window takes on traces
-// without totals, exported as the ablation baseline for the
-// incremental path.
-func CommMatrixScanOf(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time) *CommMatrix {
 	return commMatrixOf(tr, kinds, t0, t1, par.Workers())
 }
 

@@ -81,10 +81,6 @@ func writeSSE(w io.Writer, event, id string, payload interface{}) error {
 // this file for the schema). Static sources have no epochs to push —
 // the stream carries the initial status and heartbeats only.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.pushOff {
-		errorf(w, http.StatusNotFound, "push channel disabled")
-		return
-	}
 	serveEvents(w, r, []sseTarget{{srv: s}}, s.heartbeat)
 }
 
@@ -197,35 +193,25 @@ func emitStatus(w io.Writer, t sseTarget, cs *sseState, spill bool) bool {
 	return true
 }
 
-// SetPush enables or disables the push channel hub-wide: the hub-level
-// /events multiplexer and every registered trace's /t/<name>/events.
-// Call after registering the traces.
-func (h *Hub) SetPush(on bool) {
-	h.mu.Lock()
-	h.pushOff = !on
-	for _, srv := range h.servers {
-		srv.SetPush(on)
-	}
-	h.mu.Unlock()
-}
-
 // handleEvents streams several registered traces on one connection:
 // /events?traces=a,b selects a subset, the default is every registered
-// trace. Payloads carry the trace name (see hubTrace).
+// trace. Payloads carry the trace name (see hubTrace). A name listed
+// more than once is streamed once, at its first position: every target
+// holds a Watch subscription and a forwarder goroutine for the life of
+// the connection, so the goroutines one request can pin are bounded by
+// the registered traces, not by the length of its query string.
 func (h *Hub) handleEvents(w http.ResponseWriter, r *http.Request) {
-	h.mu.RLock()
-	off := h.pushOff
-	h.mu.RUnlock()
-	if off {
-		errorf(w, http.StatusNotFound, "push channel disabled")
-		return
-	}
 	names := h.Names()
 	if sel := r.URL.Query().Get("traces"); sel != "" {
 		names = strings.Split(sel, ",")
 	}
-	targets := make([]sseTarget, 0, len(names))
+	var targets []sseTarget
+	seen := make(map[string]bool)
 	for _, name := range names {
+		if seen[name] {
+			continue
+		}
+		seen[name] = true
 		srv, ok := h.Server(name)
 		if !ok {
 			errorf(w, http.StatusNotFound, "no trace %q registered", name)

@@ -201,19 +201,6 @@ func TestEventsIngestError(t *testing.T) {
 	}
 }
 
-// TestEventsPushDisabled: SetPush(false) turns the channel off.
-func TestEventsPushDisabled(t *testing.T) {
-	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	view := NewServer(tr, "off-test")
-	view.SetPush(false)
-	srv := httptest.NewServer(view)
-	t.Cleanup(srv.Close)
-	resp, _ := get(t, srv, "/events")
-	if resp.StatusCode != 404 {
-		t.Errorf("/events with push off: status %d, want 404", resp.StatusCode)
-	}
-}
-
 // TestHubEvents: the hub multiplexes several traces onto one stream,
 // tagging payloads with the trace name.
 func TestHubEvents(t *testing.T) {
@@ -262,19 +249,25 @@ func TestHubEvents(t *testing.T) {
 		t.Fatalf("pushed hub payload = %s (%v), want lv epoch 2", ev.data, err)
 	}
 
-	// Unknown names 404 instead of streaming forever.
-	resp, _ := get(t, srv, "/events?traces=nope")
-	if resp.StatusCode != 404 {
-		t.Errorf("unknown trace: status %d, want 404", resp.StatusCode)
+	// A repeated name is streamed once: one initial frame, then one
+	// frame per publish. Frames of one connection are written in order,
+	// so a second subscription to lv would put a second epoch-2 frame
+	// ahead of epoch 3 (and of epoch 4).
+	dup := openEvents(t, srv.URL, "/events?traces=lv,lv")
+	for want := uint64(2); want <= 4; want++ {
+		ev := nextEvent(t, dup, "epoch")
+		if err := json.Unmarshal([]byte(ev.data), &ht); err != nil || ht.Name != "lv" || ht.Epoch != want {
+			t.Fatalf("traces=lv,lv: frame = %s (%v), want exactly one lv frame for epoch %d", ev.data, err, want)
+		}
+		lv.Publish()
 	}
 
-	// SetPush(false) reaches the hub endpoint and every mounted viewer.
-	hub.SetPush(false)
-	if resp, _ := get(t, srv, "/events"); resp.StatusCode != 404 {
-		t.Errorf("hub /events with push off: status %d, want 404", resp.StatusCode)
-	}
-	if resp, _ := get(t, srv, "/t/lv/events"); resp.StatusCode != 404 {
-		t.Errorf("/t/lv/events with push off: status %d, want 404", resp.StatusCode)
+	// Unknown names 404 instead of streaming forever, also behind a
+	// known or a repeated one.
+	for _, sel := range []string{"nope", "lv,nope", "lv,lv,nope"} {
+		if resp, _ := get(t, srv, "/events?traces="+sel); resp.StatusCode != 404 {
+			t.Errorf("traces=%s: status %d, want 404", sel, resp.StatusCode)
+		}
 	}
 }
 

@@ -38,10 +38,8 @@ type Hub struct {
 	names   []string // registration order
 	cache   *responseCache
 	closers []io.Closer
-	// pushOff disables the hub-level /events multiplexer (SetPush,
-	// events.go); heartbeat overrides its SSE keepalive interval
-	// (0 = default).
-	pushOff   bool
+	// heartbeat overrides the SSE keepalive interval of the hub-level
+	// /events multiplexer (events.go); 0 = default.
 	heartbeat time.Duration
 }
 

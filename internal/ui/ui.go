@@ -81,19 +81,10 @@ type Server struct {
 	statusSnap *core.Trace
 	statusResp liveResponse
 
-	// pushOff disables the /events SSE endpoint (zero value: enabled).
 	// heartbeat is the SSE keepalive interval; 0 means the default.
-	// Both are set before serving (SetPush, tests) — never concurrently
-	// with requests.
-	pushOff   bool
+	// Set before serving (tests) — never concurrently with requests.
 	heartbeat time.Duration
 }
-
-// SetPush enables or disables the push channel (/events). Push is on
-// by default; -push=false turns the viewer back into a pure
-// poll-driven server (the /live endpoint is unaffected). Must be
-// called before serving requests.
-func (s *Server) SetPush(on bool) { s.pushOff = !on }
 
 // Close releases the server's trace source, if it owns releasable
 // resources: a live trace flushes its background spill compactions, a
