@@ -466,7 +466,9 @@ func StdDev(xs []float64) float64 { return regress.StdDev(xs) }
 
 // ---- Rendering ----
 
-// Framebuffer is an offscreen RGBA image.
+// Framebuffer is an offscreen image: one palette byte per pixel, RGBA
+// from the first translucent or 257th colour drawn. Read pixels with
+// At, or take a copy with RGBA.
 type Framebuffer = render.Framebuffer
 
 // TimelineConfig parameterizes timeline rendering.

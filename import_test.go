@@ -69,10 +69,10 @@ func TestImportTimelineDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prev != nil && !bytes.Equal(prev, fb.Img.Pix) {
+		if prev != nil && !bytes.Equal(prev, fb.RGBA().Pix) {
 			t.Fatal("two imports of the same span file rendered different timelines")
 		}
-		prev = append([]byte(nil), fb.Img.Pix...)
+		prev = append([]byte(nil), fb.RGBA().Pix...)
 	}
 }
 

@@ -260,32 +260,42 @@ func (e *DomCPU) scan(t0, t1 trace.Time, state int, keep func(trace.TaskID) bool
 // a CPU with malformed interval order, which is scanned); the answer
 // is the same either way.
 func (e *DomCPU) DominantState(t0, t1 trace.Time) (ev trace.StateEvent, ok, indexed bool) {
-	if e.all == nil {
-		ev, cover, _ := e.scan(t0, t1, -1, nil)
-		return ev, cover > 0, false
-	}
-	idx, _, ok := e.all.Dominant(t0, t1)
-	if !ok {
-		return trace.StateEvent{}, false, true
-	}
-	return e.stateAt(int32(idx)), true, true
+	ev, ok, _ = e.DominantStateUntil(t0, t1)
+	return ev, ok, e.all != nil
 }
 
-// DominantExec is DominantState restricted to task-execution
+// DominantStateUntil is DominantState for callers walking adjacent
+// windows, such as a row of pixels. until is mragg's horizon: when
+// until > t1, every window [a, b) with t0 <= a < b <= until has this
+// same answer, so none of them needs asking. A scanned answer knows no
+// horizon and says t1.
+func (e *DomCPU) DominantStateUntil(t0, t1 trace.Time) (ev trace.StateEvent, ok bool, until trace.Time) {
+	if e.all == nil {
+		ev, cover, _ := e.scan(t0, t1, -1, nil)
+		return ev, cover > 0, t1
+	}
+	idx, _, ok, until := e.all.Dominant(t0, t1)
+	if !ok {
+		return trace.StateEvent{}, false, until
+	}
+	return e.stateAt(int32(idx)), true, until
+}
+
+// DominantExec is DominantStateUntil restricted to task-execution
 // intervals, and further to the tasks keep admits. A nil keep is the
 // unfiltered query the pyramid serves; the match set of a filter is
-// not known to the index, so a non-nil keep scans.
-func (e *DomCPU) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool) {
+// not known to the index, so a non-nil keep scans (until == t1).
+func (e *DomCPU) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool, until trace.Time) {
 	set := e.byState[trace.StateTaskExec]
 	if set == nil || keep != nil {
 		ev, cover, _ := e.scan(t0, t1, int(trace.StateTaskExec), keep)
-		return ev, cover > 0
+		return ev, cover > 0, t1
 	}
-	idx, _, ok := set.Dominant(t0, t1)
+	idx, _, ok, until := set.Dominant(t0, t1)
 	if !ok {
-		return trace.StateEvent{}, false
+		return trace.StateEvent{}, false, until
 	}
-	return e.stateAt(int32(set.Ref(idx))), true
+	return e.stateAt(int32(set.Ref(idx))), true, until
 }
 
 // StateCover returns the total time the CPU spent in state within

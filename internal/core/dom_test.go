@@ -82,14 +82,40 @@ func checkDomAgainstScan(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, qu
 			t.Fatalf("%s: DominantState(%d, %d, %d) = (%+v, %v), scan wants (%+v, %v)",
 				ctx, cpu, t0, t1, ev, ok, wantEv, wantOK)
 		}
+		// A horizon past t1 promises the same answer for every window
+		// inside [t0, until): try one, and the last cycle before until.
+		within := func(what string, until trace.Time, execOnly bool, ev trace.StateEvent, ok bool) {
+			if until <= t1 {
+				return
+			}
+			hi := min(until, tr.Span.End+10)
+			a := t0 + rng.Int63n(hi-t0)
+			b := a + 1 + rng.Int63n(hi-a)
+			for _, w := range [][2]trace.Time{{a, b}, {hi - 1, hi}} {
+				if wantEv, wantOK := bruteDominant(tr, cpu, w[0], w[1], execOnly, nil); ok != wantOK || ev != wantEv {
+					t.Fatalf("%s: %s(%d, %d, %d) = (%+v, %v) until %d, but the scan of [%d, %d) wants (%+v, %v)",
+						ctx, what, cpu, t0, t1, ev, ok, until, w[0], w[1], wantEv, wantOK)
+				}
+			}
+		}
+		if uev, uok, until := dc.DominantStateUntil(t0, t1); uev != ev || uok != ok || until < t1 {
+			t.Fatalf("%s: DominantStateUntil(%d, %d, %d) = (%+v, %v, %d), DominantState says (%+v, %v)",
+				ctx, cpu, t0, t1, uev, uok, until, ev, ok)
+		} else {
+			within("DominantStateUntil", until, false, ev, ok)
+		}
 		mod, rem := trace.TaskID(rng.Intn(4)+1), trace.TaskID(rng.Intn(2))
 		for _, keep := range []func(trace.TaskID) bool{nil, func(id trace.TaskID) bool { return id%mod >= rem }} {
-			ev, ok = dc.DominantExec(t0, t1, keep)
+			ev, ok, until := dc.DominantExec(t0, t1, keep)
 			wantEv, wantOK = bruteDominant(tr, cpu, t0, t1, true, keep)
 			if ok != wantOK || ev != wantEv {
 				t.Fatalf("%s: DominantExec(%d, %d, %d, filtered=%v) = (%+v, %v), scan wants (%+v, %v)",
 					ctx, cpu, t0, t1, keep != nil, ev, ok, wantEv, wantOK)
 			}
+			if keep != nil && until != t1 {
+				t.Fatalf("%s: filtered DominantExec(%d, %d, %d) claims a horizon %d; a scan has none", ctx, cpu, t0, t1, until)
+			}
+			within("DominantExec", until, true, ev, ok)
 		}
 		for k := 0; k <= trace.NumWorkerStates; k++ { // ==: out-of-range state
 			st := trace.WorkerState(k)

@@ -43,6 +43,7 @@ package mragg
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -272,15 +273,31 @@ func (s *Set) clip(i int, t0, t1 int64) int64 {
 // lowest index, and ok is false when no interval covers a positive
 // amount — exactly the semantics of a sequential scan that keeps the
 // first interval with a strictly greater cover.
-func (s *Set) Dominant(t0, t1 int64) (idx int, cover int64, ok bool) {
+//
+// until tells how far the answer reaches, for callers walking
+// adjacent windows: when until > t1, every window [a, b) with
+// t0 <= a < b <= until has this same answer (the same idx, or the same
+// !ok). That is the case when one interval covers [t0, t1) whole —
+// disjointness leaves it alone up to its end — and when nothing
+// overlaps it, up to the next interval's start. Every other answer
+// depends on where the window's edges fall and says until == t1.
+func (s *Set) Dominant(t0, t1 int64) (idx int, cover int64, ok bool, until int64) {
 	lo, hi := s.span(t0, t1)
 	if lo >= hi {
-		return 0, 0, false
+		until = math.MaxInt64
+		if lo < len(s.starts) {
+			until = s.starts[lo]
+		}
+		return 0, 0, false, until
+	}
+	if hi-lo == 1 && s.starts[lo] <= t0 && t1 <= s.ends[lo] && t0 < t1 {
+		return lo, t1 - t0, true, s.ends[lo]
 	}
 	if hi-lo <= s.pyramid.Arity() {
 		// Exact-scan fallback for narrow windows: few enough leaves
 		// that walking them beats setting up the pyramid walk.
-		return s.scan(lo, hi, t0, t1)
+		idx, cover, ok = s.scan(lo, hi, t0, t1)
+		return idx, cover, ok, t1
 	}
 	best, bestIdx := int64(0), -1
 	take := func(cover int64, i int) {
@@ -305,9 +322,9 @@ func (s *Set) Dominant(t0, t1 int64) (idx int, cover int64, ok bool) {
 		take(mx, arg)
 	}
 	if best <= 0 {
-		return 0, 0, false
+		return 0, 0, false, t1
 	}
-	return bestIdx, best, true
+	return bestIdx, best, true, t1
 }
 
 // scan is the exact per-leaf evaluation over [lo, hi), used for

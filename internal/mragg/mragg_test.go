@@ -88,7 +88,7 @@ func TestDominantMatchesScan(t *testing.T) {
 			t0 := starts[0] - 5 + rng.Int63n(span)
 			t1 := t0 + rng.Int63n(span/2+1)
 			wantIdx, wantCover, wantOK := bruteDominant(starts, ends, t0, t1)
-			gotIdx, gotCover, gotOK := s.Dominant(t0, t1)
+			gotIdx, gotCover, gotOK, _ := s.Dominant(t0, t1)
 			if gotOK != wantOK || (wantOK && (gotIdx != wantIdx || gotCover != wantCover)) {
 				t.Fatalf("round %d arity %d Dominant(%d, %d) = (%d, %d, %v), want (%d, %d, %v)",
 					round, arity, t0, t1, gotIdx, gotCover, gotOK, wantIdx, wantCover, wantOK)
@@ -97,6 +97,92 @@ func TestDominantMatchesScan(t *testing.T) {
 				t.Fatalf("round %d arity %d Cover(%d, %d) = %d, want %d", round, arity, t0, t1, got, want)
 			}
 		}
+	}
+}
+
+// TestDominantUntil is the property the renderer's row sweep rests
+// on: a horizon until > t1 promises that every window inside
+// [t0, until) has the answer [t0, t1) has. Random sets (gaps,
+// zero-length intervals, refs, built in one go or appended in pieces)
+// and random windows, wide ones and ones that fit inside an interval
+// or a gap; each promise is checked against the brute-force scan on
+// random sub-windows and on the two windows that touch until. A
+// horizon is never behind t1, and the promise must actually be made —
+// a Dominant that always said t1 would pass everything else.
+func TestDominantUntil(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	promised := 0
+	for round := 0; round < 60; round++ {
+		n := rng.Intn(300) + 1
+		base := int64(rng.Intn(1000))
+		if round%5 == 0 {
+			base = math.MaxInt64/2 + int64(rng.Intn(1000))
+		}
+		starts, ends := randIntervals(rng, n, base)
+		var refs []int32
+		if round%2 == 1 {
+			refs = make([]int32, n)
+			for i := range refs {
+				refs[i] = int32(3 * i)
+			}
+		}
+		arity := []int{2, 3, 8, 64}[round%4]
+		s := Build(starts, ends, refs, arity)
+		if round%3 == 0 {
+			// The same set, appended in pieces.
+			s = nil
+			for cut := 0; cut < n; {
+				step := min(rng.Intn(n/3+1)+1, n-cut)
+				var r []int32
+				if refs != nil {
+					r = refs[cut : cut+step]
+				}
+				if s == nil {
+					s = Build(starts[:step], ends[:step], r, arity)
+				} else {
+					s = s.Append(starts[cut:cut+step], ends[cut:cut+step], r)
+				}
+				cut += step
+			}
+		}
+		if s == nil {
+			t.Fatal("valid interval set rejected")
+		}
+		span := ends[n-1] - starts[0] + 10
+		for q := 0; q < 300; q++ {
+			t0 := starts[0] - 5 + rng.Int63n(span)
+			t1 := t0 + rng.Int63n(span/2+1)
+			if q%2 == 0 {
+				t1 = t0 + 1 + rng.Int63n(6) // the size of an interval or a gap
+			}
+			idx, _, ok, until := s.Dominant(t0, t1)
+			if until < t1 {
+				t.Fatalf("round %d: Dominant(%d, %d) reaches back to %d", round, t0, t1, until)
+			}
+			if until == t1 {
+				continue
+			}
+			promised++
+			same := func(a, b int64) {
+				t.Helper()
+				if wi, _, wok := bruteDominant(starts, ends, a, b); wok != ok || (ok && wi != idx) {
+					t.Fatalf("round %d: Dominant(%d, %d) = (%d, %v) until %d, but the scan of [%d, %d) finds (%d, %v)",
+						round, t0, t1, idx, ok, until, a, b, wi, wok)
+				}
+			}
+			// Past the last interval the horizon is the end of time;
+			// sample the part of it near the data.
+			hi := min(until, max(t1, ends[n-1])+20)
+			same(t0, hi)
+			same(hi-1, hi)
+			for k := 0; k < 8; k++ {
+				a := t0 + rng.Int63n(hi-t0)
+				same(a, a+1+rng.Int63n(hi-a))
+			}
+		}
+	}
+	if promised < 1000 {
+		t.Errorf("only %d of 18000 windows were promised anything", promised)
 	}
 }
 
@@ -140,7 +226,7 @@ func TestAppendEqualsBuild(t *testing.T) {
 				t0 := starts[0] - 5 + rng.Int63n(span)
 				t1 := t0 + rng.Int63n(span+1)
 				wi, wc, wok := bruteDominant(starts[:m], ends[:m], t0, t1)
-				gi, gc, gok := s.Dominant(t0, t1)
+				gi, gc, gok, _ := s.Dominant(t0, t1)
 				if gok != wok || (wok && (gi != wi || gc != wc)) {
 					t.Fatalf("checkpoint %d/%d: Dominant(%d,%d) = (%d,%d,%v), want (%d,%d,%v)",
 						m, total, t0, t1, gi, gc, gok, wi, wc, wok)
@@ -223,7 +309,7 @@ func TestRefsAndAccessors(t *testing.T) {
 	if s2 == nil || s2.Ref(3) != 11 {
 		t.Error("appended refs wrong")
 	}
-	idx, cover, ok := s2.Dominant(0, 50)
+	idx, cover, ok, _ := s2.Dominant(0, 50)
 	if !ok || idx != 1 || cover != 10 {
 		t.Errorf("Dominant = (%d, %d, %v), want (1, 10, true)", idx, cover, ok)
 	}
@@ -239,7 +325,7 @@ func TestZeroLengthOnly(t *testing.T) {
 	if s == nil {
 		t.Fatal("zero-length intervals rejected")
 	}
-	if _, _, ok := s.Dominant(0, 10); ok {
+	if _, _, ok, _ := s.Dominant(0, 10); ok {
 		t.Error("zero-cover interval reported dominant")
 	}
 	if s.Cover(0, 10) != 0 {

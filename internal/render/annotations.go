@@ -39,26 +39,20 @@ func OverlayAnnotations(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, set
 	if len(cpus) == 0 {
 		return 0
 	}
-	rowOf := make(map[int32]int, len(cpus))
-	for row, cpu := range cpus {
-		rowOf[cpu] = row
-	}
-	gutter := 0
-	if cfg.Labels {
-		gutter = TextWidth("CPU 000 ")
-	}
-	plotW := fb.W() - gutter
-	if plotW < 1 {
+	g, err := timelineGeometry(fb.H(), fb.W(), len(cpus), cfg.Labels)
+	if err != nil {
 		return 0
 	}
-	rowH := fb.H() / len(cpus)
-	if rowH < 1 {
-		rowH = 1
+	// Only the rows the timeline drew: an annotation on a CPU below the
+	// framebuffer's bottom has no row to mark.
+	rowOf := make(map[int32]int, g.visible)
+	for row, cpu := range cpus[:g.visible] {
+		rowOf[cpu] = row
 	}
 	span := end - start
 	drawn := 0
 	for _, a := range set.In(start, end) {
-		x := gutter + int(tmath.MulDiv(a.Time-start, int64(plotW), span))
+		x := g.gutter + int(tmath.MulDiv(a.Time-start, int64(g.plotW), span))
 		if x >= fb.W() {
 			x = fb.W() - 1
 		}
@@ -68,13 +62,13 @@ func OverlayAnnotations(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, set
 			if !ok {
 				continue
 			}
-			y0 = row * rowH
-			y1 = y0 + rowH - 1
+			y0 = row * g.rowH
+			y1 = y0 + g.rowH - 1
 		}
 		fb.VLine(x, y0, y1, AnnotationColor)
 		// Flag: a short horizontal tick at the marker top.
 		fb.HLine(x, minInt(x+4, fb.W()-1), y0, AnnotationColor)
-		fb.HLine(x, minInt(x+3, fb.W()-1), minInt(y0+1, fb.H()-1), AnnotationColor)
+		fb.HLine(x, minInt(x+3, fb.W()-1), y0+1, AnnotationColor)
 		drawn++
 	}
 	return drawn

@@ -70,7 +70,9 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 		}
 	}
 
-	for row, cpu := range cpus {
+	// Rows below the framebuffer's bottom would clip to nothing; the
+	// auto-scale above still covers every selected CPU.
+	for row, cpu := range cpus[:g.visible] {
 		y := row * g.rowH
 		tree := overlayTree(ci, ov, cpu)
 		if ov.Naive {

@@ -2,10 +2,13 @@ package render
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"image"
 	"image/color"
 	"image/png"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,6 +40,10 @@ func roundTrip(t *testing.T, fb *Framebuffer) (depth, colourType byte) {
 		t.Fatalf("encode: %v", err)
 	}
 	b := buf.Bytes()
+	if want := stdlibPNG(t, fb); !bytes.Equal(b, want) {
+		t.Errorf("EncodePNG wrote %d bytes (bit depth %d, colour type %d), image/png writes %d (%d, %d) for the same pixels",
+			len(b), b[ihdrDepth], b[ihdrColourType], len(want), want[ihdrDepth], want[ihdrColourType])
+	}
 	img, err := png.Decode(bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -55,19 +62,56 @@ func roundTrip(t *testing.T, fb *Framebuffer) (depth, colourType byte) {
 	return b[ihdrDepth], b[ihdrColourType]
 }
 
+// stdlibPNG is the reference the hand-written chunk writer is held to:
+// what image/png writes at BestSpeed for fb's pixels, read through At
+// — as an image.Paletted with the palette in order of first
+// appearance while fb is indexed, as an image.RGBA once it is not.
+// (Which of the two fb should be is not decided here:
+// TestEncodePNGRoundTrip's table and TestFramebufferModel do that.)
+func stdlibPNG(t *testing.T, fb *Framebuffer) []byte {
+	t.Helper()
+	bounds := image.Rect(0, 0, fb.W(), fb.H())
+	indexed, rgba := image.NewPaletted(bounds, nil), image.NewRGBA(bounds)
+	index := map[color.RGBA]uint8{}
+	for y := 0; y < fb.H(); y++ {
+		for x := 0; x < fb.W(); x++ {
+			c := fb.At(x, y)
+			rgba.SetRGBA(x, y, c)
+			if _, ok := index[c]; !ok {
+				index[c] = uint8(len(index)) // wraps past 256 colours, where indexed is not used
+				indexed.Palette = append(indexed.Palette, c)
+			}
+			indexed.SetColorIndex(x, y, index[c])
+		}
+	}
+	var img image.Image = rgba
+	if fb.rgba == nil {
+		img = indexed
+	}
+	var buf bytes.Buffer
+	if err := (&png.Encoder{CompressionLevel: png.BestSpeed}).Encode(&buf, img); err != nil {
+		t.Fatalf("image/png: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // colourRamp returns a framebuffer holding exactly n distinct opaque
 // colours, in runs of three pixels on every other row with the first
 // colour on the rows between, so both the run shortcut and the table
 // lookup are exercised.
-func colourRamp(n int) *Framebuffer {
+func colourRamp(n int) *Framebuffer { return colourRampWide(n, 48) }
+
+// colourRampWide is colourRamp at a width of w pixels; a run that
+// reaches the right edge is cut short there.
+func colourRampWide(n, w int) *Framebuffer {
 	nth := func(i int) color.RGBA {
 		return color.RGBA{R: uint8(i), G: uint8(i>>8) * 40, B: 0x7f, A: 0xff}
 	}
-	fb := NewFramebuffer(48, 2*(n*3/48+1))
+	fb := NewFramebuffer(w, 2*(n*3/w+1))
 	fb.Clear(nth(0))
 	for i := 1; i < n; i++ {
 		p := 3 * i
-		fb.FillRect(p%48, 2*(p/48), 3, 1, nth(i))
+		fb.FillRect(p%w, 2*(p/w), 3, 1, nth(i))
 	}
 	return fb
 }
@@ -192,6 +236,227 @@ func TestEncodePNGRoundTrip(t *testing.T) {
 			t.Errorf("colour type %d, want truecolour with alpha", ct)
 		}
 	})
+}
+
+// TestEncodePNGMatchesStdlib: an indexed framebuffer leaves as the very
+// bytes image/png writes for the same pixels (roundTrip compares them,
+// so every view of TestEncodePNGRoundTrip is held to it as well). Here:
+// each side of every bit-depth edge, at widths whose rows end in a
+// partly filled byte at 1, 2 and 4 bits a pixel, and a palette whose
+// order of drawing is not its order of appearance and which holds
+// entries that were painted over.
+func TestEncodePNGMatchesStdlib(t *testing.T) {
+	for _, colours := range []int{1, 2, 3, 4, 5, 16, 17, 256} {
+		for _, w := range []int{1, 7, 47, 48, 49} {
+			t.Run(fmt.Sprintf("colours=%d/w=%d", colours, w), func(t *testing.T) {
+				fb := colourRampWide(colours, w)
+				if n := distinctColours(fb); n != colours {
+					t.Fatalf("ramp holds %d colours, want %d", n, colours)
+				}
+				if _, ct := roundTrip(t, fb); ct != pngIndexed {
+					t.Errorf("colour type %d, want indexed", ct)
+				}
+			})
+		}
+	}
+	t.Run("drawn in another order", func(t *testing.T) {
+		fb := NewFramebuffer(31, 9)
+		for i := 0; i < 20; i++ { // later colours further left, the first six painted over
+			fb.FillRect(30-i, 0, 1, 9, color.RGBA{R: uint8(10 * i), G: 0x33, B: uint8(i), A: 0xff})
+		}
+		fb.FillRect(25, 0, 6, 9, color.RGBA{R: 0xee, A: 0xff})
+		if depth, _ := roundTrip(t, fb); depth != 4 {
+			t.Errorf("bit depth %d for %d colours, want 4: painted-over entries must not count", depth, distinctColours(fb))
+		}
+	})
+}
+
+// plainImage is the model a Framebuffer is checked against: an
+// image.RGBA written a pixel at a time, the operation counter, and
+// the colours that have reached a pixel since the last opaque clear —
+// which is all that decides when a Framebuffer stops being indexed.
+type plainImage struct {
+	img        *image.RGBA
+	ops        int
+	drawn      map[color.RGBA]bool
+	truecolour bool
+}
+
+func (m *plainImage) set(x, y int, c color.RGBA) {
+	if !image.Pt(x, y).In(m.img.Rect) {
+		return
+	}
+	m.img.SetRGBA(x, y, c)
+	m.drawn[c] = true
+	m.truecolour = m.truecolour || c.A != 0xff || len(m.drawn) > 256
+}
+
+func (m *plainImage) fill(x, y, w, h int, c color.RGBA) {
+	if image.Rect(x, y, x+w, y+h).Intersect(m.img.Rect).Empty() || w <= 0 || h <= 0 {
+		return
+	}
+	m.ops++
+	for yy := y; yy < y+h; yy++ {
+		for xx := x; xx < x+w; xx++ {
+			m.set(xx, yy, c)
+		}
+	}
+}
+
+func (m *plainImage) clear(c color.RGBA) {
+	if !m.truecolour && c.A == 0xff {
+		clear(m.drawn)
+	}
+	m.fill(0, 0, m.img.Rect.Dx(), m.img.Rect.Dy(), c)
+}
+
+// line is Bresenham's, one set per point.
+func (m *plainImage) line(x0, y0, x1, y1 int, c color.RGBA) {
+	m.ops++
+	dx, dy := abs(x1-x0), -abs(y1-y0)
+	sx, sy := 1, 1
+	if x0 > x1 {
+		sx = -1
+	}
+	if y0 > y1 {
+		sy = -1
+	}
+	for e := dx + dy; ; {
+		m.set(x0, y0, c)
+		if x0 == x1 && y0 == y1 {
+			return
+		}
+		e2 := 2 * e
+		if e2 >= dy {
+			e += dy
+			x0 += sx
+		}
+		if e2 <= dx {
+			e += dx
+			y0 += sy
+		}
+	}
+}
+
+func (m *plainImage) text(x, y int, s string, c color.RGBA) {
+	for _, r := range s {
+		if r >= 'a' && r <= 'z' {
+			r += 'A' - 'a'
+		}
+		g, ok := glyphs[r]
+		if !ok {
+			g = glyphs['?']
+		}
+		m.ops++
+		for row, bits := range g {
+			for col := 0; col < 5; col++ {
+				if bits&(0x10>>col) != 0 {
+					m.set(x+col, y+row, c)
+				}
+			}
+		}
+		x += GlyphWidth
+	}
+}
+
+// TestFramebufferModel drives a Framebuffer and a plainImage through
+// seeded random sequences of every drawing primitive — coordinates
+// negative and overhanging included — with colours from pools of 3, 40
+// and 300, and a pool with a few translucent ones. After every step
+// every pixel, the operation count and the representation agree: the
+// framebuffer turns truecolour exactly when the model has drawn its
+// 257th distinct or its first non-opaque colour since the last opaque
+// clear, and allocates no RGBA image before. What it encodes decodes
+// to the model.
+func TestFramebufferModel(t *testing.T) {
+	translucent := []color.RGBA{{0x80, 0x80, 0x80, 0x80}, {0, 0, 0, 0x80}, {}}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pool := make([]color.RGBA, []int{3, 40, 300, 40}[seed%4])
+		// Long enough for the pool of 300 to put its 257th colour on
+		// screen; clears stop after the first quarter so that it does.
+		steps := 8*len(pool) + 200
+		for i := range pool {
+			pool[i] = color.RGBA{R: uint8(rng.Intn(256)), G: uint8(rng.Intn(256)), B: uint8(rng.Intn(4)), A: 0xff}
+		}
+		if seed%4 == 3 {
+			pool = append(pool, translucent...)
+		}
+		w, h := 1+rng.Intn(40), 1+rng.Intn(30)
+		fb := NewFramebuffer(w, h)
+		m := &plainImage{img: image.NewRGBA(image.Rect(0, 0, w, h)), drawn: map[color.RGBA]bool{}}
+		m.clear(Background)
+		m.ops = 0
+
+		for step := 0; step < steps; step++ {
+			// Colours come round in pool order, give or take: a random
+			// pick would take thousands of steps to show 257 of 300.
+			c := pool[(step+rng.Intn(3))%len(pool)]
+			// Points up to a third of the picture outside it.
+			mx, my := w/3+2, h/3+2
+			x, y := rng.Intn(w+2*mx)-mx, rng.Intn(h+2*my)-my
+			x1, y1 := rng.Intn(w+2*mx)-mx, rng.Intn(h+2*my)-my
+			var what string
+			switch op := rng.Intn(40); {
+			case op == 0 && step < steps/4:
+				what = "Clear"
+				fb.Clear(c)
+				m.clear(c)
+			case op < 14:
+				what = "FillRect"
+				rw, rh := rng.Intn(w+5)-2, rng.Intn(h+5)-2
+				fb.FillRect(x, y, rw, rh, c)
+				m.fill(x, y, rw, rh, c)
+			case op < 20:
+				what = "HLine"
+				fb.HLine(x, x1, y, c)
+				m.fill(min(x, x1), y, abs(x1-x)+1, 1, c)
+			case op < 26:
+				what = "VLine"
+				fb.VLine(x, y, y1, c)
+				m.fill(x, min(y, y1), 1, abs(y1-y)+1, c)
+			case op < 34:
+				what = "Line"
+				fb.Line(x, y, x1, y1, c)
+				m.line(x, y, x1, y1, c)
+			default:
+				what = "DrawText"
+				s := []string{"CPU 12", "r2=0.5", "é~", ""}[rng.Intn(4)]
+				fb.DrawText(x, y, s, c)
+				m.text(x, y, s, c)
+			}
+			if fb.Ops != m.ops {
+				t.Fatalf("seed %d step %d (%s): %d operations counted, model has %d", seed, step, what, fb.Ops, m.ops)
+			}
+			if got := fb.rgba != nil; got != m.truecolour {
+				t.Fatalf("seed %d step %d (%s of %v): truecolour=%v with %d colours drawn since the last clear, model says %v",
+					seed, step, what, c, got, len(m.drawn), m.truecolour)
+			}
+			for py := -1; py <= h; py++ {
+				for px := -1; px <= w; px++ {
+					// Outside, both read the zero colour.
+					if got, want := fb.At(px, py), m.img.RGBAAt(px, py); got != want {
+						t.Fatalf("seed %d step %d (%s): pixel (%d,%d) = %v, model has %v", seed, step, what, px, py, got, want)
+					}
+				}
+			}
+			if step%100 == 99 {
+				roundTrip(t, fb)
+				if !bytes.Equal(fb.RGBA().Pix, m.img.Pix) {
+					t.Fatalf("seed %d step %d: RGBA() differs from the model", seed, step)
+				}
+			}
+		}
+		if seed%4 >= 2 && !m.truecolour {
+			t.Errorf("seed %d: a pool of %d colours never left the palette of a %dx%d framebuffer in %d steps (%d drawn)", seed, len(pool), w, h, steps, len(m.drawn))
+		}
+	}
+
+	// An empty framebuffer is image/png's to refuse, by name.
+	var invalid png.FormatError
+	if err := NewFramebuffer(0, 0).EncodePNG(&bytes.Buffer{}); !errors.As(err, &invalid) || !strings.Contains(err.Error(), "invalid image size: 0x0") {
+		t.Errorf("0x0 framebuffer: EncodePNG = %v, want image/png's invalid image size", err)
+	}
 }
 
 // TestEncodePNGDeterministic: the bytes depend on the pixels alone —

@@ -12,15 +12,19 @@
 //
 // The paper's GTK+/Cairo GUI is replaced by PNG/PPM output and the
 // interactive HTTP viewer in internal/ui; the rendering algorithms are
-// unchanged by this substitution. Drawing goes to an RGBA framebuffer;
-// EncodePNG writes it as an indexed-colour PNG when it holds at most
-// 256 opaque colours and as a truecolour one otherwise, with identical
-// pixels either way.
+// unchanged by this substitution. Drawing goes to an indexed-colour
+// framebuffer — one palette byte per pixel, which is also what
+// EncodePNG deflates — that turns into a truecolour image the moment a
+// 257th or a translucent colour is drawn. The pixels read back the
+// same either way.
 package render
 
 import (
+	"bufio"
+	"compress/zlib"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"image"
 	"image/color"
 	"image/png"
@@ -28,32 +32,112 @@ import (
 	"os"
 )
 
-// Framebuffer is an RGBA image with drawing-operation accounting, used
-// to verify the rectangle aggregation optimization.
+// Framebuffer is an image with drawing-operation accounting, used to
+// verify the rectangle aggregation optimization. It holds one palette
+// index per pixel for as long as at most 256 colours, all opaque, have
+// been drawn since the last Clear — every timeline mode, plots, an
+// ordinary matrix — and an *image.RGBA from the first colour that does
+// not fit, for good. FillRect and set are the only two places that
+// know which; every other primitive draws through them.
 type Framebuffer struct {
-	Img *image.RGBA
+	w, h int
+	// pix holds w*h indices into pal, row by row; nil once rgba is set.
+	pix []uint8
+	pal []color.RGBA
+	// The palette's lookup table, open-addressed: 512 slots for at most
+	// 256 keys, so load stays at or below one half. A key is the
+	// colour's four bytes; an opaque colour's is never 0, which marks
+	// an empty slot. Colours arrive in long runs, so the last one is
+	// remembered (last == 0: none yet) and costs one compare.
+	keys    [palSlots]uint32
+	vals    [palSlots]uint8
+	last    uint32
+	lastIdx uint8
+	// rgba replaces pix and pal after the conversion.
+	rgba *image.RGBA
 	// Ops counts drawing calls (rectangle fills, lines, glyphs).
 	Ops int
 }
 
+const palSlots = 512
+
 // NewFramebuffer allocates a w x h framebuffer cleared to the
 // background color.
 func NewFramebuffer(w, h int) *Framebuffer {
-	fb := &Framebuffer{Img: image.NewRGBA(image.Rect(0, 0, w, h))}
+	if w < 0 || h < 0 {
+		panic(fmt.Sprintf("render: negative framebuffer size %dx%d", w, h))
+	}
+	fb := &Framebuffer{w: w, h: h, pix: make([]uint8, w*h)}
 	fb.Clear(Background)
 	fb.Ops = 0
 	return fb
 }
 
 // W returns the width in pixels.
-func (fb *Framebuffer) W() int { return fb.Img.Rect.Dx() }
+func (fb *Framebuffer) W() int { return fb.w }
 
 // H returns the height in pixels.
-func (fb *Framebuffer) H() int { return fb.Img.Rect.Dy() }
+func (fb *Framebuffer) H() int { return fb.h }
 
-// Clear fills the whole framebuffer.
+// Clear fills the whole framebuffer. Nothing drawn before survives it,
+// so an opaque clear of an indexed framebuffer starts the palette over
+// with c as its only entry.
 func (fb *Framebuffer) Clear(c color.RGBA) {
-	fb.FillRect(0, 0, fb.W(), fb.H(), c)
+	if fb.rgba == nil && c.A == 0xff {
+		fb.pal = fb.pal[:0]
+		fb.keys = [palSlots]uint32{}
+		fb.last = 0
+	}
+	fb.FillRect(0, 0, fb.w, fb.h, c)
+}
+
+// index returns c's palette index, entering c on first sight. ok is
+// false when c cannot be a palette entry: it is not opaque, or it
+// would be the 257th.
+func (fb *Framebuffer) index(c color.RGBA) (idx uint8, ok bool) {
+	if c.A != 0xff {
+		return 0, false
+	}
+	k := uint32(c.R) | uint32(c.G)<<8 | uint32(c.B)<<16 | uint32(c.A)<<24
+	if k == fb.last {
+		return fb.lastIdx, true
+	}
+	s := (k * 0x9e3779b1) >> (32 - 9)
+	for fb.keys[s] != k {
+		if fb.keys[s] == 0 {
+			if len(fb.pal) == 256 {
+				return 0, false
+			}
+			fb.keys[s], fb.vals[s] = k, uint8(len(fb.pal))
+			fb.pal = append(fb.pal, c)
+			break
+		}
+		s = (s + 1) % palSlots
+	}
+	fb.last, fb.lastIdx = k, fb.vals[s]
+	return fb.lastIdx, true
+}
+
+// truecolour converts the framebuffer to an RGBA image holding the
+// pixels drawn so far, and gives up the indices and the palette.
+func (fb *Framebuffer) truecolour() {
+	fb.rgba = fb.RGBA()
+	fb.pix, fb.pal = nil, nil
+}
+
+// RGBA returns a copy of the framebuffer as an RGBA image.
+func (fb *Framebuffer) RGBA() *image.RGBA {
+	img := image.NewRGBA(image.Rect(0, 0, fb.w, fb.h))
+	if fb.rgba != nil {
+		copy(img.Pix, fb.rgba.Pix)
+		return img
+	}
+	for i, p := range fb.pix {
+		c := fb.pal[p]
+		px := img.Pix[4*i : 4*i+4 : 4*i+4]
+		px[0], px[1], px[2], px[3] = c.R, c.G, c.B, c.A
+	}
+	return img
 }
 
 // FillRect fills the rectangle [x, x+w) x [y, y+h), clipped to the
@@ -62,13 +146,26 @@ func (fb *Framebuffer) FillRect(x, y, w, h int, c color.RGBA) {
 	if w <= 0 || h <= 0 {
 		return
 	}
-	x0, y0, x1, y1 := clipRect(x, y, x+w, y+h, fb.W(), fb.H())
+	x0, y0, x1, y1 := clipRect(x, y, x+w, y+h, fb.w, fb.h)
 	if x0 >= x1 || y0 >= y1 {
 		return
 	}
 	fb.Ops++
+	if fb.rgba == nil {
+		if idx, ok := fb.index(c); ok {
+			first := fb.pix[y0*fb.w+x0 : y0*fb.w+x1]
+			for i := range first {
+				first[i] = idx
+			}
+			for yy := y0 + 1; yy < y1; yy++ {
+				copy(fb.pix[yy*fb.w+x0:yy*fb.w+x1], first)
+			}
+			return
+		}
+		fb.truecolour()
+	}
 	for yy := y0; yy < y1; yy++ {
-		row := fb.Img.Pix[yy*fb.Img.Stride+4*x0 : yy*fb.Img.Stride+4*x1]
+		row := fb.rgba.Pix[yy*fb.rgba.Stride+4*x0 : yy*fb.rgba.Stride+4*x1]
 		for i := 0; i < len(row); i += 4 {
 			row[i] = c.R
 			row[i+1] = c.G
@@ -126,91 +223,178 @@ func (fb *Framebuffer) Line(x0, y0, x1, y1 int, c color.RGBA) {
 
 // set writes one pixel, clipped.
 func (fb *Framebuffer) set(x, y int, c color.RGBA) {
-	if x < 0 || y < 0 || x >= fb.W() || y >= fb.H() {
+	if x < 0 || y < 0 || x >= fb.w || y >= fb.h {
 		return
 	}
-	fb.Img.SetRGBA(x, y, c)
+	if fb.rgba == nil {
+		if idx, ok := fb.index(c); ok {
+			fb.pix[y*fb.w+x] = idx
+			return
+		}
+		fb.truecolour()
+	}
+	fb.rgba.SetRGBA(x, y, c)
 }
 
-// At returns the pixel color at (x, y).
+// At returns the pixel color at (x, y), the zero color outside the
+// framebuffer.
 func (fb *Framebuffer) At(x, y int) color.RGBA {
-	return fb.Img.RGBAAt(x, y)
+	if x < 0 || y < 0 || x >= fb.w || y >= fb.h {
+		return color.RGBA{}
+	}
+	if fb.rgba != nil {
+		return fb.rgba.RGBAAt(x, y)
+	}
+	return fb.pal[fb.pix[y*fb.w+x]]
 }
 
-// pngEncoder is the one encoder configuration every PNG leaves through.
-// BestSpeed, because a tile is waited for and is small at any level:
-// on a 900x380 indexed timeline the default level takes a quarter
-// longer (4.6 ms against 3.6) to turn 4.8 kB into 2.6. It holds no
-// buffer pool, so it carries nothing from one Encode to the next and
-// is safe to share.
+// pngEncoder encodes what no palette holds: a truecolour framebuffer,
+// and the empty one, which it rejects by name. BestSpeed, like the
+// indexed writer below and for its reason.
 var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed}
 
-// EncodePNG writes the framebuffer as PNG: indexed-colour when it
-// holds at most 256 colours, all opaque (every timeline mode, plots,
-// an ordinary matrix), truecolour otherwise. The decoded pixels equal
-// Img's either way; only the bytes differ. One byte per pixel (four
-// bits up to 16 colours) instead of four spares the encoder its
-// per-row filter search and three quarters of the deflate input. The
-// output depends on the pixels alone: encoding twice, or from several
-// goroutines, yields the same bytes.
+// EncodePNG writes the framebuffer as PNG: indexed-colour while it is
+// indexed, truecolour through image/png once it is not; the decoded
+// pixels are the framebuffer's either way. The indexed image is
+// written here — signature, IHDR, PLTE, the rows unfiltered at 1, 2, 4
+// or 8 bits a pixel by palette size, deflated into IDAT chunks cut by
+// a 32 KiB buffer, IEND — to the byte as image/png writes an indexed
+// image of these pixels (TestEncodePNGMatchesStdlib), but from the
+// index bytes as they lie, without a copy and without image/png's
+// interface call per pixel. BestSpeed, because a tile is waited for
+// and is small at any level: on a 900x380 timeline the default level
+// takes a quarter longer to turn 4.8 kB into 2.6.
+//
+// The palette is renumbered on the way out, in order of first
+// appearance in the pixels and without the entries no pixel holds any
+// more, so the bytes depend on the pixels alone, not on the order they
+// were drawn in. Nothing here writes to fb: encoding twice, or from
+// several goroutines, yields the same bytes.
 func (fb *Framebuffer) EncodePNG(w io.Writer) error {
-	if p := palettise(fb.Img); p != nil {
-		return pngEncoder.Encode(w, p)
+	if fb.rgba != nil {
+		return pngEncoder.Encode(w, fb.rgba)
 	}
-	return pngEncoder.Encode(w, fb.Img)
-}
+	if fb.w == 0 || fb.h == 0 {
+		return pngEncoder.Encode(w, fb.RGBA())
+	}
 
-// palettise returns img as an indexed-colour image with the palette in
-// order of first appearance, or nil when img has more than 256 colours
-// or one that is not opaque. Pixels arrive in long runs, so the last
-// colour is remembered and a run costs one compare per pixel; a colour
-// change is a probe of a small open-addressed table on the stack.
-func palettise(img *image.RGBA) *image.Paletted {
-	// 512 slots for at most 256 keys: load stays at or below one half.
-	// A key is the pixel's four bytes; an opaque pixel's is never 0,
-	// which marks an empty slot.
-	const slots = 512
-	w, h := img.Rect.Dx(), img.Rect.Dy()
-	if w == 0 || h == 0 {
-		return nil // the encoder rejects it by name
-	}
+	// remap[i] is palette entry i's number on the wire; plte collects
+	// the entries in that order.
 	var (
-		keys [slots]uint32
-		vals [slots]uint8
-		pal  = make(color.Palette, 0, 16)
-		// Unequal to the first pixel, which is therefore looked up.
-		last = ^binary.LittleEndian.Uint32(img.Pix)
-		cur  uint8
+		remap [256]uint8
+		seen  [256]bool
+		plte  = make([]byte, 0, 3*len(fb.pal))
 	)
-	p := image.NewPaletted(img.Rect, nil)
-	for y := 0; y < h; y++ {
-		row := img.Pix[y*img.Stride:][:4*w]
-		out := p.Pix[y*p.Stride:][:w]
-		for x := range out {
-			k := binary.LittleEndian.Uint32(row[4*x:])
-			if k != last {
-				if k>>24 != 0xff {
-					return nil
-				}
-				s := (k * 0x9e3779b1) >> (32 - 9)
-				for keys[s] != k {
-					if keys[s] == 0 {
-						if len(pal) == 256 {
-							return nil
-						}
-						keys[s], vals[s] = k, uint8(len(pal))
-						pal = append(pal, color.RGBA{R: uint8(k), G: uint8(k >> 8), B: uint8(k >> 16), A: 0xff})
-						break
-					}
-					s = (s + 1) % slots
-				}
-				last, cur = k, vals[s]
+	last := -1
+	for _, p := range fb.pix {
+		if int(p) == last {
+			continue
+		}
+		last = int(p)
+		if !seen[p] {
+			seen[p], remap[p] = true, uint8(len(plte)/3)
+			c := fb.pal[p]
+			plte = append(plte, c.R, c.G, c.B)
+			if len(plte) == 3*len(fb.pal) {
+				break
 			}
-			out[x] = cur
 		}
 	}
-	p.Palette = pal
-	return p
+	depth := 8
+	switch n := len(plte) / 3; {
+	case n <= 2:
+		depth = 1
+	case n <= 4:
+		depth = 2
+	case n <= 16:
+		depth = 4
+	}
+
+	e := chunkWriter{w: w}
+	e.write([]byte("\x89PNG\r\n\x1a\n"))
+	var ihdr [13]byte
+	binary.BigEndian.PutUint32(ihdr[0:], uint32(fb.w))
+	binary.BigEndian.PutUint32(ihdr[4:], uint32(fb.h))
+	ihdr[8], ihdr[9] = uint8(depth), 3 // indexed colour; deflate, filter method 0, no interlace
+	e.chunk("IHDR", ihdr[:])
+	e.chunk("PLTE", plte)
+
+	bw := bufio.NewWriterSize(&e, 1<<15)
+	zw, err := zlib.NewWriterLevel(bw, zlib.BestSpeed)
+	if err != nil {
+		return err
+	}
+	// One row on the wire: filter type 0, then the pixels packed most
+	// significant bits first, the last byte padded with zero bits.
+	perByte := 8 / depth
+	row := make([]byte, 1+(fb.w+perByte-1)/perByte)
+	for y := 0; y < fb.h; y++ {
+		src := fb.pix[y*fb.w : (y+1)*fb.w]
+		out := row[1:]
+		switch depth {
+		case 8:
+			for i, p := range src {
+				out[i] = remap[p]
+			}
+		case 4:
+			for i := 0; i < len(src)/2; i++ {
+				out[i] = remap[src[2*i]]<<4 | remap[src[2*i+1]]
+			}
+			if len(src)%2 == 1 {
+				out[len(src)/2] = remap[src[len(src)-1]] << 4
+			}
+		default:
+			clear(out)
+			for i, p := range src {
+				out[i/perByte] |= remap[p] << (8 - depth - i%perByte*depth)
+			}
+		}
+		if _, err := zw.Write(row); err != nil {
+			return err
+		}
+	}
+	if err := zw.Close(); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	e.chunk("IEND", nil)
+	return e.err
+}
+
+// chunkWriter writes PNG chunks and keeps the first error.
+type chunkWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (e *chunkWriter) write(b []byte) {
+	if e.err == nil {
+		_, e.err = e.w.Write(b)
+	}
+}
+
+// chunk writes one chunk: length, name, data, and the CRC of name and
+// data.
+func (e *chunkWriter) chunk(name string, data []byte) {
+	var head [8]byte
+	binary.BigEndian.PutUint32(head[:4], uint32(len(data)))
+	copy(head[4:], name)
+	crc := crc32.Update(crc32.ChecksumIEEE(head[4:]), crc32.IEEETable, data)
+	e.write(head[:])
+	e.write(data)
+	e.write(binary.BigEndian.AppendUint32(head[:0], crc))
+}
+
+// Write makes b one IDAT chunk; the deflate stream's buffer drains
+// through it.
+func (e *chunkWriter) Write(b []byte) (int, error) {
+	e.chunk("IDAT", b)
+	if e.err != nil {
+		return 0, e.err
+	}
+	return len(b), nil
 }
 
 // WritePNG writes the framebuffer to a PNG file.

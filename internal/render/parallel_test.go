@@ -39,7 +39,7 @@ func TestTimelineParallelMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", cfg.Mode, workers, err)
 			}
-			if !bytes.Equal(seqFB.Img.Pix, parFB.Img.Pix) {
+			if !bytes.Equal(seqFB.RGBA().Pix, parFB.RGBA().Pix) {
 				t.Errorf("mode %v labels=%v workers=%d: pixels differ from sequential rendering",
 					cfg.Mode, cfg.Labels, workers)
 			}
@@ -73,7 +73,7 @@ func TestTimelineParallelZoomed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(seqFB.Img.Pix, parFB.Img.Pix) || seqStats != parStats {
+	if !bytes.Equal(seqFB.RGBA().Pix, parFB.RGBA().Pix) || seqStats != parStats {
 		t.Error("zoomed parallel rendering differs from sequential")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/openstream/aftermath/internal/annotations"
 	"github.com/openstream/aftermath/internal/apps"
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
@@ -278,6 +279,71 @@ func TestCounterOverlay(t *testing.T) {
 	st2 := OverlayCounter(fb2, tr, cfg, OverlayConfig{Counter: c, Rate: true, Color: olc, Naive: true}, ci)
 	if st2.Rects == 0 {
 		t.Error("naive overlay drew nothing")
+	}
+}
+
+// TestOverlayBelowFold: 64 CPUs at h=50 is one pixel a row and 50
+// rows drawn — /render accepts it. What lies below the fold is not
+// marked on some other CPU's row, not counted as drawn, and not
+// queried.
+func TestOverlayBelowFold(t *testing.T) {
+	const nCPU, h = 64, 50
+	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU), Span: core.Interval{Start: 0, End: 1000}}
+	for c := range tr.CPUs {
+		tr.CPUs[c].States = []trace.StateEvent{{CPU: int32(c), State: trace.StateIdle, Start: 0, End: 1000}}
+	}
+	cfg := TimelineConfig{Width: 300, Height: h, Mode: ModeState, Labels: true}
+	fb, _, err := Timeline(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	marked := func() (n int) {
+		for y := 0; y < fb.H(); y++ {
+			for x := 0; x < fb.W(); x++ {
+				if fb.At(x, y) == AnnotationColor {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	below := &annotations.Set{}
+	below.Add(annotations.Annotation{Time: 500, CPU: 60, Text: "below the fold"})
+	if drawn := OverlayAnnotations(fb, tr, cfg, below); drawn != 0 || marked() != 0 {
+		t.Errorf("annotation on CPU 60 of %d at h=%d: %d drawn, %d marker pixels; its row is not in the picture", nCPU, h, drawn, marked())
+	}
+	last := &annotations.Set{}
+	last.Add(annotations.Annotation{Time: 500, CPU: h - 1, Text: "last visible row"})
+	if drawn := OverlayAnnotations(fb, tr, cfg, last); drawn != 1 || marked() == 0 {
+		t.Errorf("annotation on the last visible row: %d drawn, %d marker pixels", drawn, marked())
+	}
+
+	// The counter overlay: rows past the fold are not queried, and the
+	// rows above it look as they do when nothing is below them.
+	km := atmtest.KMeansTrace(t, 8, 1000, 3, false)
+	c, ok := km.CounterByName(trace.CounterBranchMisses)
+	if !ok {
+		t.Fatal("missing counter")
+	}
+	cpus := make([]int32, nCPU)
+	for i := range cpus {
+		cpus[i] = int32(i % km.NumCPUs())
+	}
+	overlaid := func(cpus []int32) (*Framebuffer, Stats) {
+		cfg := TimelineConfig{Width: 300, Height: h, Mode: ModeState, CPUs: cpus}
+		fb, _, err := Timeline(km, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fb, OverlayCounter(fb, km, cfg, OverlayConfig{Counter: c, Rate: true, Color: AnnotationColor}, km.CounterIndex())
+	}
+	all, allStats := overlaid(cpus)
+	top, topStats := overlaid(cpus[:h])
+	if allStats.PixelColumns != h*300 || allStats != topStats {
+		t.Errorf("overlay over %d CPUs at h=%d: stats %+v, want those of its %d visible rows %+v", nCPU, h, allStats, h, topStats)
+	}
+	if allStats.Rects == 0 || !bytes.Equal(all.RGBA().Pix, top.RGBA().Pix) {
+		t.Errorf("overlay over %d CPUs differs from the overlay over the %d that fit (%d lines drawn)", nCPU, h, allStats.Rects)
 	}
 }
 

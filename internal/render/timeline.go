@@ -118,15 +118,19 @@ func Timeline(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats, error) {
 	return timeline(tr, cfg, par.Workers(), indexResolver(tr))
 }
 
-// dominance answers the per-pixel questions for one CPU row: which
-// state, and which admitted task execution, covers most of a pixel.
-// Timeline resolves each row to the trace's *core.DomCPU, which
-// decides on its own between pyramid and event scan; the interface
-// exists so tests can render the same rows from a brute-force scan
-// and compare pixels (TestTimelineIndexMatchesScan).
+// dominance answers a CPU row's questions: which state, and which
+// admitted task execution, covers most of a pixel's window [t0, t1) —
+// and until when. A horizon until > t1 promises the same answer for
+// every window inside [t0, until), which lets rowRuns step over the
+// columns an event spans instead of asking once per column; until ==
+// t1 promises nothing. Timeline resolves each row to the trace's
+// *core.DomCPU, which decides on its own between pyramid and event
+// scan; the interface exists so tests can render the same rows from a
+// brute-force scan, which never looks past its pixel, and compare
+// pixels (TestTimelineIndexMatchesScan).
 type dominance interface {
-	DominantState(t0, t1 trace.Time) (ev trace.StateEvent, ok, indexed bool)
-	DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool)
+	DominantStateUntil(t0, t1 trace.Time) (ev trace.StateEvent, ok bool, until trace.Time)
+	DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool, until trace.Time)
 }
 
 // indexResolver resolves CPUs against the trace's shared dominance
@@ -302,8 +306,33 @@ func pixelWindow(start, span trace.Time, x, w int) (t0, t1 trace.Time) {
 	return t0, t1
 }
 
+// lastColumnBy returns the last column of a w-column plot over
+// [start, end) whose window ends at or before until, or -1 when not
+// even column 0's does: the inverse of pixelWindow. until must lie
+// past start.
+func lastColumnBy(start, end, until trace.Time, w int) int {
+	if until >= end {
+		return w - 1
+	}
+	// The column until falls into. Every later one starts at or past
+	// until, so it ends past it; this one or the one before is the
+	// answer, and pixelWindow itself (rounding, and the widening of
+	// columns narrower than a cycle) says which.
+	x := int(tmath.MulDiv(until-start, int64(w), end-start))
+	for ; x >= 0; x-- {
+		if _, t1 := pixelWindow(start, end-start, x, w); t1 <= until {
+			break
+		}
+	}
+	return x
+}
+
 // rowRuns walks one CPU row's pixels, aggregating runs of identical
 // color into single rectangle spans (optimization b of Section VI-B).
+// It asks once per answer, not once per column: where the answer
+// reaches past the pixel's window, the columns it covers are stepped
+// over — they would have extended the open run, or left none open,
+// exactly as the asked column did.
 func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW int, heatMin, heatMax trace.Time, shades int) []pixelRun {
 	var runs []pixelRun
 	runStart := -1
@@ -314,20 +343,22 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 			runStart = -1
 		}
 	}
-	for x := 0; x < plotW; x++ {
+	for x := 0; x < plotW; {
 		t0, t1 := pixelWindow(start, end-start, x, plotW)
-		c, ok := px.pixelColor(mode, cpu, t0, t1, heatMin, heatMax, shades)
+		c, ok, until := px.pixelColor(mode, cpu, t0, t1, heatMin, heatMax, shades)
 		if !ok {
 			flush(x)
-			continue
-		}
-		if runStart < 0 {
+		} else if runStart < 0 {
 			runStart = x
 			runColor = c
 		} else if c != runColor {
 			flush(x)
 			runStart = x
 			runColor = c
+		}
+		x++
+		if until > t1 {
+			x = max(x, lastColumnBy(start, end, until, plotW)+1)
 		}
 	}
 	flush(plotW)
@@ -373,21 +404,26 @@ func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trac
 
 // pixelColor implements optimization (a) of Section VI-B: each pixel
 // is colored once, from the predominant state (or task) covered by its
-// interval.
-func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool) {
+// interval. The time returned is the answer's horizon (see dominance):
+// in five modes the color is a function of the dominant event, so it
+// reaches as far as the event's answer does; the NUMA heatmap's
+// depends on the accesses inside the pixel and reaches no further than
+// t1.
+func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool, trace.Time) {
 	switch mode {
 	case ModeState:
-		ev, ok, _ := p.domFor(cpu).DominantState(t0, t1)
+		ev, ok, until := p.domFor(cpu).DominantStateUntil(t0, t1)
 		if !ok {
-			return color.RGBA{}, false
+			return color.RGBA{}, false, until
 		}
-		return StateColor(ev.State), true
+		return StateColor(ev.State), true, until
 	case ModeNUMAHeat:
-		return p.numaHeat(cpu, t0, t1)
+		c, ok := p.numaHeat(cpu, t0, t1)
+		return c, ok, t1
 	default:
-		ev, ok := p.domFor(cpu).DominantExec(t0, t1, p.keep)
+		ev, ok, until := p.domFor(cpu).DominantExec(t0, t1, p.keep)
 		if !ok {
-			return color.RGBA{}, false
+			return color.RGBA{}, false, until
 		}
 		switch mode {
 		case ModeHeat:
@@ -401,9 +437,9 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin,
 				// accurate for <=64 shades.
 				frac = (float64(d) - float64(heatMin)) / (float64(heatMax) - float64(heatMin))
 			}
-			return HeatShade(frac, shades), true
+			return HeatShade(frac, shades), true, until
 		case ModeType:
-			return CategoryColor(p.typeIdx[taskType(p.tr, ev.Task)]), true
+			return CategoryColor(p.typeIdx[taskType(p.tr, ev.Task)]), true, until
 		case ModeNUMARead, ModeNUMAWrite:
 			kinds := stats.Reads
 			if mode == ModeNUMAWrite {
@@ -411,12 +447,12 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin,
 			}
 			node, ok := p.taskNode(ev.Task, kinds)
 			if !ok {
-				return color.RGBA{}, false
+				return color.RGBA{}, false, until
 			}
-			return CategoryColor(int(node)), true
+			return CategoryColor(int(node)), true, until
 		}
 	}
-	return color.RGBA{}, false
+	return color.RGBA{}, false, t1
 }
 
 // domFor resolves a CPU's dominance answers, memoizing the last
@@ -468,7 +504,7 @@ func (p *pixelizer) numaHeat(cpu int32, t0, t1 trace.Time) (color.RGBA, bool) {
 	if total == 0 {
 		// No accesses recorded in this pixel: show the executing
 		// task's interval as fully local only if a task runs here.
-		if _, ok := p.domFor(cpu).DominantExec(t0, t1, p.keep); !ok {
+		if _, ok, _ := p.domFor(cpu).DominantExec(t0, t1, p.keep); !ok {
 			return color.RGBA{}, false
 		}
 		return NUMAHeatShade(0), true

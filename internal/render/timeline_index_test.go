@@ -17,17 +17,18 @@ import (
 // synthStateTrace hand-builds a trace of random disjoint state
 // intervals: nCPU rows starting at base, each with n events across
 // the worker states (task-execution events carry task IDs), with
-// occasional gaps and zero-length intervals. shuffled marks one CPU
+// occasional gaps and zero-length intervals. Events last up to 30
+// cycles times scale, gaps up to 4 times scale. shuffled marks one CPU
 // whose intervals overlap — the unindexable fallback case.
-func synthStateTrace(rng *rand.Rand, nCPU, n int, base int64, shuffled bool) *core.Trace {
+func synthStateTrace(rng *rand.Rand, nCPU, n int, base, scale int64, shuffled bool) *core.Trace {
 	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU)}
 	var lo, hi int64
 	for c := 0; c < nCPU; c++ {
-		t := base + int64(rng.Intn(50))
+		t := base + int64(rng.Intn(50))*scale
 		states := make([]trace.StateEvent, 0, n)
 		for i := 0; i < n; i++ {
-			t += int64(rng.Intn(4))
-			d := int64(rng.Intn(30))
+			t += int64(rng.Intn(4)) * scale
+			d := int64(rng.Intn(30)) * scale
 			if rng.Intn(16) == 0 {
 				d = 0
 			}
@@ -92,13 +93,17 @@ func (s scanDominance) dominant(t0, t1 trace.Time, execOnly bool, keep func(trac
 	return best, bestCover > 0
 }
 
-func (s scanDominance) DominantState(t0, t1 trace.Time) (trace.StateEvent, bool, bool) {
+// A scan sees its pixel and nothing after it: until is always t1, so
+// rendering through it asks once per column — the per-pixel reference
+// the run sweep is held to.
+func (s scanDominance) DominantStateUntil(t0, t1 trace.Time) (trace.StateEvent, bool, trace.Time) {
 	ev, ok := s.dominant(t0, t1, false, nil)
-	return ev, ok, false
+	return ev, ok, t1
 }
 
-func (s scanDominance) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (trace.StateEvent, bool) {
-	return s.dominant(t0, t1, true, keep)
+func (s scanDominance) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (trace.StateEvent, bool, trace.Time) {
+	ev, ok := s.dominant(t0, t1, true, keep)
+	return ev, ok, t1
 }
 
 // denseStateTrace hand-builds a trace whose every CPU row carries
@@ -159,7 +164,7 @@ func BenchmarkTimelineDenseWindow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if !bytes.Equal(fbIdx.Img.Pix, fbScan.Img.Pix) {
+	if !bytes.Equal(fbIdx.RGBA().Pix, fbScan.RGBA().Pix) {
 		b.Fatal("indexed and scan renderings differ")
 	}
 
@@ -183,36 +188,66 @@ func BenchmarkTimelineDenseWindow(b *testing.B) {
 }
 
 // TestTimelineIndexMatchesScan is the golden equality test of the
-// dominance index: for every timeline mode, over simulated and
-// randomized synthetic traces (including extreme-coordinate and
-// unindexable ones) with randomized windows and filters, rendering
-// through the trace's dominance index (pyramid-served, or scanned
-// inside core for the filtered and unindexable cases) must produce a
-// framebuffer byte-identical to rendering the same rows through the
-// per-pixel event scan (scanDominance), with identical draw-call
-// accounting.
+// dominance index and of the row sweep built on its horizons: for
+// every timeline mode, over simulated and randomized synthetic traces
+// (including extreme-coordinate and unindexable ones) with randomized
+// windows and filters, rendering through the trace's dominance index
+// (pyramid-served, or scanned inside core for the filtered and
+// unindexable cases) must produce a framebuffer byte-identical to
+// rendering the same rows through the per-pixel event scan
+// (scanDominance, which reports no horizon and so is asked about every
+// column), with identical draw-call accounting. The windows go where
+// the sweep does its stepping: deep enough that one event spans tens
+// to hundreds of columns, and narrower in cycles than the plot is in
+// columns, where pixelWindow widens each column to a cycle and
+// neighbours overlap.
 func TestTimelineIndexMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	seidel := atmtest.SeidelTrace(t, 6, 3, openstream.SchedRandom)
 	f := filter.ByTypeNames(seidel, "seidel_block")
 
+	// One event over the whole span, one over its middle, and nothing.
+	const soloBase, soloSpan = 1 << 40, 1 << 30
+	solo := &core.Trace{
+		CPUs: []core.CPUData{
+			{States: []trace.StateEvent{{CPU: 0, State: trace.StateTaskExec, Task: 1, Start: soloBase, End: soloBase + soloSpan}}},
+			{States: []trace.StateEvent{{CPU: 1, State: trace.StateSync, Start: soloBase + soloSpan/3, End: soloBase + soloSpan/2}}},
+			{},
+		},
+		Span: core.Interval{Start: soloBase, End: soloBase + soloSpan},
+	}
+
 	type tcase struct {
 		name string
 		tr   *core.Trace
 		f    *filter.TaskFilter
+		// event is the length of a typical event, which the deep windows
+		// are sized by.
+		event int64
 	}
 	cases := []tcase{
-		{"seidel", seidel, nil},
-		{"seidel-filtered", seidel, f},
-		{"synthetic", synthStateTrace(rng, 6, 800, 0, false), nil},
-		{"extreme-base", synthStateTrace(rng, 4, 500, math.MaxInt64/2, false), nil},
-		{"unindexable-cpu", synthStateTrace(rng, 4, 400, 1000, true), nil},
-		{"empty-cpu", &core.Trace{CPUs: make([]core.CPUData, 3), Span: core.Interval{Start: 0, End: 100}}, nil},
+		{"seidel", seidel, nil, seidel.Span.Duration() / 500},
+		{"seidel-filtered", seidel, f, seidel.Span.Duration() / 500},
+		{"synthetic", synthStateTrace(rng, 6, 800, 0, 1, false), nil, 15},
+		{"extreme-base", synthStateTrace(rng, 4, 500, math.MaxInt64/2, 1, false), nil, 15},
+		{"unindexable-cpu", synthStateTrace(rng, 4, 400, 1000, 1, true), nil, 15},
+		{"empty-cpu", &core.Trace{CPUs: make([]core.CPUData, 3), Span: core.Interval{Start: 0, End: 100}}, nil, 10},
+		{"wide-1e3", synthStateTrace(rng, 6, 800, 0, 1000, false), nil, 15_000},
+		{"wide-1e5", synthStateTrace(rng, 4, 300, 77, 35_000, false), nil, 500_000},
+		{"wide-extreme-base", synthStateTrace(rng, 4, 300, math.MaxInt64/2, 35_000, false), nil, 500_000},
+		{"wide-unindexable-cpu", synthStateTrace(rng, 3, 300, 1000, 1000, true), nil, 15_000},
+		{"single-event-row", solo, nil, soloSpan},
 	}
+	const (
+		fullSpan  = 0
+		anyWindow = 3 // trials 1..3
+		deep      = 6 // trials 4..6: a few events wide
+		subCycle  = 8 // trials 7..8: fewer cycles than columns
+	)
 	for _, tc := range cases {
 		span := tc.tr.Span.Duration()
 		for mode := ModeState; mode <= ModeNUMAHeat; mode++ {
-			for trial := 0; trial < 4; trial++ {
+			for trial := 0; trial <= subCycle; trial++ {
 				cfg := TimelineConfig{
 					Width:  90 + rng.Intn(300),
 					Height: 30 + rng.Intn(100),
@@ -220,13 +255,17 @@ func TestTimelineIndexMatchesScan(t *testing.T) {
 					Filter: tc.f,
 					Labels: trial%2 == 0,
 				}
-				if trial > 0 && span > 2 {
+				if trial > fullSpan && span > 2 {
 					off := rng.Int63n(span)
 					cfg.Start = tc.tr.Span.Start + off
-					cfg.End = cfg.Start + 1 + rng.Int63n(span-off)
-					if cfg.End <= cfg.Start {
-						cfg.End = cfg.Start + 1
+					width := span - off
+					switch {
+					case trial > deep:
+						width = min(width, int64(cfg.Width))
+					case trial > anyWindow:
+						width = min(width, 8*tc.event)
 					}
+					cfg.End = cfg.Start + 1 + rng.Int63n(width)
 				}
 				idx, idxStats, err := Timeline(tc.tr, cfg)
 				if err != nil {
@@ -236,13 +275,64 @@ func TestTimelineIndexMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%v scan: %v", tc.name, mode, err)
 				}
-				if !bytes.Equal(idx.Img.Pix, scan.Img.Pix) {
-					t.Errorf("%s/%v trial %d (window [%d,%d)): indexed pixels differ from event scan",
-						tc.name, mode, trial, cfg.Start, cfg.End)
+				if !bytes.Equal(idx.RGBA().Pix, scan.RGBA().Pix) {
+					t.Errorf("%s/%v trial %d (window [%d,%d), %d columns): indexed pixels differ from event scan",
+						tc.name, mode, trial, cfg.Start, cfg.End, cfg.Width)
 				}
 				if idxStats != scanStats {
 					t.Errorf("%s/%v: stats %+v != scan stats %+v", tc.name, mode, idxStats, scanStats)
 				}
+			}
+		}
+	}
+}
+
+// TestColumnInverse: lastColumnBy is the exact inverse of pixelWindow
+// — the last column whose window ends at or before until — from plots
+// of one column to the widest /render accepts, over spans from fewer
+// cycles than columns (every window widened to a cycle) to 2^58
+// cycles at the far end of the time axis (span*x overflows int64).
+func TestColumnInverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, w := range []int{1, 2, 952, 4000} {
+		spans := []int64{int64(w) - 1, int64(w), int64(w) + 1, 3 * int64(w) / 2, 7 * int64(w), 1_000_003, 1 << 40, 1 << 58}
+		for _, span := range spans {
+			if span < 1 {
+				continue
+			}
+			for _, start := range []int64{0, -span / 2, math.MaxInt64/2 - 12345} {
+				end := start + span
+				// The brute-force inverse, one pass over the columns:
+				// ends[x] is column x's t1.
+				ends := make([]int64, w)
+				for x := range ends {
+					_, ends[x] = pixelWindow(start, span, x, w)
+				}
+				check := func(until int64) {
+					t.Helper()
+					want := -1
+					for want+1 < w && ends[want+1] <= until {
+						want++
+					}
+					if got := lastColumnBy(start, end, until, w); got != want {
+						t.Fatalf("w=%d span=%d start=%d: lastColumnBy(until=start+%d) = %d, want %d", w, span, start, until-start, got, want)
+					}
+				}
+				// Every column boundary and its neighbours, then
+				// random instants, then everything past the end.
+				for x := 0; x < w; x += max(1, w/97) {
+					for d := int64(-1); d <= 1; d++ {
+						if u := ends[x] + d; u > start {
+							check(u)
+						}
+					}
+				}
+				for i := 0; i < 200; i++ {
+					check(start + 1 + rng.Int63n(span))
+				}
+				check(end)
+				check(end + 1)
+				check(math.MaxInt64)
 			}
 		}
 	}
@@ -344,7 +434,7 @@ func TestNaiveTimelineWindowStraddle(t *testing.T) {
 	}
 	// Geometry parity: naive and optimized agree pixel-for-pixel here
 	// (disjoint events, one per half).
-	if !bytes.Equal(naive.Img.Pix, opt.Img.Pix) {
+	if !bytes.Equal(naive.RGBA().Pix, opt.RGBA().Pix) {
 		t.Error("naive and optimized renderings differ on the straddle window")
 	}
 }
@@ -375,7 +465,7 @@ func TestTimelineLabelsThinRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(seqFB.Img.Pix, parFB.Img.Pix) {
+	if !bytes.Equal(seqFB.RGBA().Pix, parFB.RGBA().Pix) {
 		t.Error("thin-row labeled rendering differs between worker counts")
 	}
 

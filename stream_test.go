@@ -129,7 +129,7 @@ func assertStreamEqualsBatch(t *testing.T, ctx string, snap, cold *core.Trace) {
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("%s: timeline errors differ: %v vs %v", ctx, gerr, werr)
 		}
-		if gerr == nil && !bytes.Equal(gfb.Img.Pix, wfb.Img.Pix) {
+		if gerr == nil && !bytes.Equal(gfb.RGBA().Pix, wfb.RGBA().Pix) {
 			t.Fatalf("%s: timeline pixels differ", ctx)
 		}
 	}
@@ -275,7 +275,7 @@ func assertSpilledEqualsBatch(t *testing.T, ctx string, snap, cold *core.Trace) 
 		if (gerr == nil) != (werr == nil) {
 			t.Fatalf("%s: timeline errors differ: %v vs %v", ctx, gerr, werr)
 		}
-		if gerr == nil && !bytes.Equal(gfb.Img.Pix, wfb.Img.Pix) {
+		if gerr == nil && !bytes.Equal(gfb.RGBA().Pix, wfb.RGBA().Pix) {
 			t.Fatalf("%s: timeline pixels differ", ctx)
 		}
 	}
