@@ -82,7 +82,7 @@ func init() {
 		{
 			Name:       "spans",
 			Sniff:      otlp.SniffSpans,
-			OpenReader: func(r io.Reader) (*core.Trace, error) { tr, _, err := ImportSpans(r); return tr, err },
+			OpenReader: func(r io.Reader) (*core.Trace, error) { return core.FromDecoder(otlp.NewDecoder(r)) },
 			NewDecoder: func(r io.Reader) trace.Decoder { return otlp.NewDecoder(r) },
 		},
 	}

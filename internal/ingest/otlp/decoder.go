@@ -1,8 +1,6 @@
 package otlp
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,36 +16,48 @@ import (
 // converge on the same trace.
 const flushSpans = 2048
 
-// readChunk is the read granularity of one Poll iteration.
+// readChunk is the most one Read is asked for, and the size of the
+// buffer unless one long document needs more.
 const readChunk = 1 << 16
 
-// partialRetry is how much the buffer must grow past a partial
-// document before the decoder re-attempts a parse. Each attempt
-// re-scans the buffered tail from its start, so retrying after every
-// small read would cost O(len²) on a document arriving in dribbles;
-// deferring until the buffer grows by a chunk (or the reader reports
-// EOF) keeps the total parse cost linear in the document size.
-const partialRetry = readChunk
+// maxDocSize bounds a single document — the native framer's bound on a
+// record. Nothing else limits what a stream that opens a string and
+// never closes it makes a decoder buffer, in a server that may follow
+// it for days.
+const maxDocSize = 1 << 28
 
 // Decoder incrementally parses a span stream (stdouttrace lines or
 // concatenated OTLP-JSON documents) and emits normalized record
 // batches; it implements trace.Decoder, so core.Live and the follow
-// loop ingest span files exactly like native traces. A partial
-// document at the end of the available bytes is kept buffered until
-// the producer appends the rest — Consumed advances only over fully
-// parsed documents, mirroring the native reader's record-aligned
-// accounting that the truncation check depends on.
+// loop ingest span files exactly like native traces.
+//
+// Bytes are read in place into one buffer and scanned there (scanDoc);
+// a span costs the strings it is the first to mention — service,
+// operation and trace id are interned — and its share of the record
+// batch. A partial document at the end of the available bytes stays
+// buffered until the producer appends the rest: Consumed advances only
+// over fully parsed documents, mirroring the native reader's
+// record-aligned accounting that the truncation check depends on. A
+// document that did not scan whole is not scanned again while it
+// grows: the bytes that arrive are searched for its closing brace,
+// once each, and it is scanned when that is there — so a poll costs
+// what it delivered, not what is buffered, and a document what it
+// holds, however it arrives.
 type Decoder struct {
-	r        io.Reader
-	buf      []byte
-	scratch  []byte
+	r   io.Reader
+	buf []byte // buf[off:] is read and not consumed
+	off int
+	// partial says the document at buf[off] ran past the buffer when it
+	// was scanned, and end is the state of the search for its end.
+	partial  bool
+	end      docEnd
 	consumed int64
-	eof      bool
+	scanned  int64 // bytes scanDoc and docEnd.find have looked at
+	maxDoc   int   // maxDocSize
 	err      error
-	// minParse is the buffer length below which a parse attempt is
-	// known to be futile: the buffered bytes end mid-document and not
-	// enough has arrived since the last attempt.
-	minParse int
+
+	s        scanner
+	interned map[string]string // service and operation names
 
 	st       *inferState
 	spanBuf  []span
@@ -60,7 +70,11 @@ var _ trace.Decoder = (*Decoder)(nil)
 
 // NewDecoder returns a Decoder reading the span stream from r.
 func NewDecoder(r io.Reader) *Decoder {
-	return &Decoder{r: r, st: newInferState(), batch: &trace.RecordBatch{}}
+	return &Decoder{
+		r: r, maxDoc: maxDocSize,
+		interned: make(map[string]string),
+		st:       newInferState(), batch: &trace.RecordBatch{},
+	}
 }
 
 // Poll parses all complete documents currently available from the
@@ -74,89 +88,97 @@ func (d *Decoder) Poll(emit func(*trace.RecordBatch) error) (int, error) {
 	}
 	total := 0
 	for {
-		n, err := d.parseBuffered(emit)
-		total += n
-		if err != nil {
-			d.err = err
-			return total, err
-		}
-		if d.eof {
-			break
-		}
-		if d.scratch == nil {
-			d.scratch = make([]byte, readChunk)
-		}
-		nr, rerr := d.r.Read(d.scratch)
-		d.buf = append(d.buf, d.scratch[:nr]...)
-		if rerr == io.EOF {
-			// EOF is not sticky for the reader: a growing file yields
-			// EOF at its current end and more bytes on the next poll.
-			d.eof = true
-		} else if rerr != nil {
+		nr, rerr := d.fill()
+		if rerr != nil && rerr != io.EOF {
 			d.err = rerr
 			return total, rerr
 		}
-		if nr == 0 && rerr == nil {
+		if nr > 0 {
+			n, err := d.parseBuffered(emit)
+			total += n
+			if err != nil {
+				d.err = err
+				return total, err
+			}
+		}
+		// EOF is not sticky for the reader: a growing file yields EOF
+		// at its current end and more bytes on the next poll.
+		if rerr == io.EOF || nr == 0 {
 			break
 		}
-	}
-	if n, err := d.parseBuffered(emit); err != nil {
-		total += n
-		d.err = err
-		return total, err
-	} else {
-		total += n
 	}
 	if err := d.flush(emit); err != nil {
 		d.err = err
 		return total, err
 	}
-	d.eof = false
 	return total, nil
+}
+
+// fill reads once, at most readChunk bytes, behind the buffered bytes.
+// A full buffer makes room first, like trace.framer's: consumed bytes
+// are dropped, and a buffer that is mostly one unfinished document
+// doubles, so a long document is moved O(1) times a byte. An empty one
+// returns to readChunk.
+func (d *Decoder) fill() (int, error) {
+	if keep := d.buf[d.off:]; len(d.buf) == cap(d.buf) || len(keep) == 0 {
+		size := min(max(readChunk, 2*len(keep)), d.maxDoc+readChunk)
+		if size == cap(d.buf) {
+			d.buf = d.buf[:copy(d.buf, keep)]
+		} else {
+			d.buf = append(make([]byte, 0, size), keep...)
+		}
+		d.end.pos -= d.off
+		d.off = 0
+	}
+	n, err := d.r.Read(d.buf[len(d.buf):min(cap(d.buf), len(d.buf)+readChunk)])
+	d.buf = d.buf[:len(d.buf)+n]
+	return n, err
 }
 
 // parseBuffered consumes complete JSON documents from the front of the
 // buffer, folding their spans into the inference state.
 func (d *Decoder) parseBuffered(emit func(*trace.RecordBatch) error) (int, error) {
 	total := 0
-	moved := false
 	for {
-		// Leading whitespace between documents is consumed eagerly so
-		// the buffered tail is exactly the partial document.
-		i := 0
-		for i < len(d.buf) && isJSONSpace(d.buf[i]) {
-			i++
+		// Whitespace between documents is consumed eagerly so the
+		// buffered tail is exactly the partial document.
+		for d.off < len(d.buf) && isJSONSpace(d.buf[d.off]) {
+			d.off++
+			d.consumed++
 		}
-		if i > 0 {
-			d.buf = d.buf[i:]
-			d.consumed += int64(i)
-			moved = true
+		doc := d.buf[d.off:]
+		if len(doc) == 0 {
+			return total, nil
 		}
-		if len(d.buf) == 0 {
-			break
-		}
-		if len(d.buf) < d.minParse && !d.eof {
-			break // known-partial document, not enough new bytes yet
-		}
-		dec := json.NewDecoder(bytes.NewReader(d.buf))
-		var doc spanDoc
-		if err := dec.Decode(&doc); err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-				// Partial document: wait for more bytes, and don't
-				// rescan until a chunk's worth has arrived.
-				d.minParse = len(d.buf) + partialRetry
-				break
+		if d.partial {
+			before := d.end.pos
+			whole := d.end.find(d.buf)
+			d.scanned += int64(d.end.pos - before)
+			if !whole {
+				return total, d.tooLong(len(doc))
 			}
-			return total, fmt.Errorf("spans: offset %d: %w", d.consumed+dec.InputOffset(), err)
+			doc = d.buf[d.off:d.end.pos]
 		}
-		d.minParse = 0
-		n := int(dec.InputOffset())
-		d.sawDoc = true
-		spans, err := docSpans(d.spanBuf[:0], &doc)
+		spans, n, err := d.scanDoc(d.spanBuf[:0], doc)
 		d.spanBuf = spans[:0]
-		if err != nil {
-			return total, fmt.Errorf("spans: offset %d: %w", d.consumed, err)
+		d.scanned += int64(d.s.pos)
+		if err == errShort && !d.partial {
+			d.partial, d.end = true, docEnd{pos: d.off}
+			return total, d.tooLong(len(doc))
 		}
+		if err != nil {
+			at := d.consumed
+			var syn *syntaxError
+			if errors.As(err, &syn) {
+				at += int64(syn.off)
+			}
+			return total, fmt.Errorf("spans: offset %d: %w", at, err)
+		}
+		if err := d.tooLong(n); err != nil {
+			return total, err
+		}
+		d.partial = false
+		d.sawDoc = true
 		for i := range spans {
 			d.batch = d.st.addSpan(&spans[i], d.batch)
 			d.pollSeen++
@@ -167,32 +189,69 @@ func (d *Decoder) parseBuffered(emit func(*trace.RecordBatch) error) (int, error
 				}
 			}
 		}
-		d.buf = d.buf[n:]
+		d.off += n
 		d.consumed += int64(n)
-		moved = true
 	}
-	// Re-anchor the tail so the consumed prefix does not pin the
-	// backing array across polls. An unmoved buffer pins nothing and
-	// copying it on every skipped parse would itself be quadratic.
-	if moved {
-		if len(d.buf) > 0 {
-			d.buf = append([]byte(nil), d.buf...)
-		} else {
-			d.buf = nil
+}
+
+// tooLong is the error for a document of n bytes, or n bytes of one so
+// far, past the size limit; nil within it.
+func (d *Decoder) tooLong(n int) error {
+	if n <= d.maxDoc {
+		return nil
+	}
+	return fmt.Errorf("spans: offset %d: document exceeds the %d byte limit", d.consumed, d.maxDoc)
+}
+
+// docEnd searches for the end of a document without parsing it:
+// brackets are counted and strings stepped over, nothing is checked —
+// scanDoc does that, once, when the document is whole. The search
+// stops at the end of the buffer and goes on from there when more has
+// arrived.
+type docEnd struct {
+	pos        int // buf[pos:] is not searched yet
+	depth      int
+	inStr, esc bool
+}
+
+// find searches on and reports whether buf[:pos] now ends the document.
+func (e *docEnd) find(buf []byte) bool {
+	for i := e.pos; i < len(buf); i++ {
+		c := buf[i]
+		switch {
+		case e.esc:
+			e.esc = false
+		case e.inStr:
+			e.esc, e.inStr = c == '\\', c != '"'
+		case c == '"':
+			e.inStr = true
+		case c == '{' || c == '[':
+			e.depth++
+		case c == '}' || c == ']':
+			if e.depth--; e.depth <= 0 {
+				e.pos = i + 1
+				return true
+			}
 		}
 	}
-	return total, nil
+	e.pos = len(buf)
+	return false
 }
 
 // flush completes and emits the in-progress batch; an empty batch (an
-// idle poll) publishes nothing.
+// idle poll) publishes nothing. The next batch starts at the size this
+// one reached.
 func (d *Decoder) flush(emit func(*trace.RecordBatch) error) error {
 	if d.pollSeen == 0 && batchEmpty(d.batch) {
 		return nil
 	}
 	d.st.finishBatch(d.batch)
 	b := d.batch
-	d.batch = &trace.RecordBatch{}
+	d.batch = &trace.RecordBatch{
+		Tasks:    make([]trace.Task, 0, len(b.Tasks)),
+		States:   make([]trace.StateEvent, 0, len(b.States)),
+		Discrete: make([]trace.DiscreteEvent, 0, len(b.Discrete)),
+	}
 	d.pollSeen = 0
 	return emit(b)
 }
@@ -208,7 +267,7 @@ func (d *Decoder) Consumed() int64 { return d.consumed }
 
 // Buffered returns the bytes of the partial document held back for the
 // next poll.
-func (d *Decoder) Buffered() int { return len(d.buf) }
+func (d *Decoder) Buffered() int { return len(d.buf) - d.off }
 
 // Done verifies the stream ended cleanly: no sticky error, no partial
 // document in the buffer, and at least one span document seen (an
@@ -218,8 +277,8 @@ func (d *Decoder) Done() error {
 	if d.err != nil {
 		return d.err
 	}
-	if len(bytes.TrimLeft(d.buf, " \t\r\n")) != 0 {
-		return fmt.Errorf("spans: stream ends with a truncated document (%d bytes after offset %d)", len(d.buf), d.consumed)
+	if n := d.Buffered(); n != 0 {
+		return fmt.Errorf("spans: stream ends with a truncated document (%d bytes after offset %d)", n, d.consumed)
 	}
 	if !d.sawDoc {
 		return errors.New("spans: stream contained no span documents")

@@ -1,6 +1,7 @@
 package otlp
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"reflect"
@@ -64,38 +65,49 @@ func tracesEqual(t *testing.T, a, b *core.Trace) {
 	}
 }
 
-// TestImportStreamEqualsBatch: importing the fixture in one batch read
-// and dribbling it through the live ingest path one byte per poll must
+// TestImportStreamEqualsBatch: importing a stream in one batch read and
+// dribbling it through the live ingest path one byte per poll must
 // build identical traces and identical inference reports — the
-// batch/stream convergence guarantee, extended to the span importer.
+// batch/stream convergence guarantee, extended to the span importer —
+// for the stdouttrace fixture and for a stream of OTLP envelopes.
 func TestImportStreamEqualsBatch(t *testing.T) {
-	data, err := os.ReadFile("testdata/spans.jsonl")
+	fixture, err := os.ReadFile("testdata/spans.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	batchDec := NewDecoder(strings.NewReader(string(data)))
-	batch, err := core.FromDecoder(batchDec)
-	if err != nil {
-		t.Fatal(err)
+	// otlpDoc five times over, each copy with ids of its own.
+	var envelopes strings.Builder
+	for i := 1; i <= 5; i++ {
+		id := func(v int) string { return fmt.Sprintf(`"%02x"`, 16*i+v) }
+		envelopes.WriteString(strings.NewReplacer(`"0a"`, id(0xa), `"0b"`, id(0xb), `"0c"`, id(0xc), `"02"`, id(0)).Replace(otlpDoc))
 	}
-
-	streamDec := NewDecoder(&oneByteReader{data: data})
-	lv := core.NewLive()
-	defer lv.Close()
-	for i := 0; i <= len(data); i++ {
-		if _, err := lv.Feed(streamDec); err != nil {
-			t.Fatalf("poll %d: %v", i, err)
+	for _, data := range [][]byte{fixture, []byte(envelopes.String())} {
+		batchDec := NewDecoder(strings.NewReader(string(data)))
+		batch, err := core.FromDecoder(batchDec)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if err := streamDec.Done(); err != nil {
-		t.Fatal(err)
-	}
-	streamed, _ := lv.Snapshot()
 
-	tracesEqual(t, batch, streamed)
-	if !reflect.DeepEqual(batchDec.Report(), streamDec.Report()) {
-		t.Fatalf("reports differ:\n%+v\n%+v", batchDec.Report(), streamDec.Report())
+		streamDec := NewDecoder(&oneByteReader{data: data})
+		lv := core.NewLive()
+		defer lv.Close()
+		for i := 0; i <= len(data); i++ {
+			if _, err := lv.Feed(streamDec); err != nil {
+				t.Fatalf("poll %d: %v", i, err)
+			}
+		}
+		if err := streamDec.Done(); err != nil {
+			t.Fatal(err)
+		}
+		streamed, _ := lv.Snapshot()
+
+		tracesEqual(t, batch, streamed)
+		if !reflect.DeepEqual(batchDec.Report(), streamDec.Report()) {
+			t.Fatalf("reports differ:\n%+v\n%+v", batchDec.Report(), streamDec.Report())
+		}
+		if batchDec.Report().Spans != len(batch.Tasks) || len(batch.Tasks) == 0 {
+			t.Fatalf("%d spans imported as %d tasks", batchDec.Report().Spans, len(batch.Tasks))
+		}
 	}
 }
 

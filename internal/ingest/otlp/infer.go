@@ -1,9 +1,10 @@
 package otlp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -43,17 +44,16 @@ type inferState struct {
 	ops     []*opState
 	opByKey map[opKey]int
 
-	spans   map[uint64]*spanState
-	order   []uint64            // span ids in arrival order
+	spans   []spanState         // in arrival order
+	byID    map[uint64]int32    // span id -> index in spans
 	pending map[uint64][]uint64 // parent span id -> children seen before it
 
 	errsByCPU   []int64 // cumulative error-span count per CPU
 	errsSeen    bool
 	descEmitted bool
 
-	traces map[string]struct{}
+	traces map[string]string // every trace id seen, under itself
 
-	nspans  int
 	dropped int // duplicate span ids skipped
 
 	winStart, winEnd trace.Time
@@ -120,9 +120,9 @@ func newInferState() *inferState {
 	return &inferState{
 		svcByName: make(map[string]int),
 		opByKey:   make(map[opKey]int),
-		spans:     make(map[uint64]*spanState),
+		byID:      make(map[uint64]int32),
 		pending:   make(map[uint64][]uint64),
-		traces:    make(map[string]struct{}),
+		traces:    make(map[string]string),
 	}
 }
 
@@ -133,20 +133,19 @@ func newInferState() *inferState {
 // were waiting for it, and an error-counter sample if its status was
 // an error.
 func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch {
-	if _, dup := st.spans[sp.ID]; dup {
+	if _, dup := st.byID[sp.ID]; dup {
 		st.dropped++
 		return b
 	}
 	if sp.TraceID != "" {
-		st.traces[sp.TraceID] = struct{}{}
+		st.traces[sp.TraceID] = sp.TraceID
 	}
-	if st.nspans == 0 || sp.Start < st.winStart {
+	if len(st.spans) == 0 || sp.Start < st.winStart {
 		st.winStart = sp.Start
 	}
-	if st.nspans == 0 || sp.End > st.winEnd {
+	if len(st.spans) == 0 || sp.End > st.winEnd {
 		st.winEnd = sp.End
 	}
-	st.nspans++
 
 	svcIdx := st.serviceIdx(sp.Service)
 	typeIdx := st.typeIdx(svcIdx, sp.Op, b)
@@ -199,7 +198,8 @@ func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch
 	// last-writer-wins), and a root keeps -1.
 	creator := int32(-1)
 	if sp.Parent != 0 {
-		if par, ok := st.spans[sp.Parent]; ok {
+		if pi, ok := st.byID[sp.Parent]; ok {
+			par := &st.spans[pi]
 			creator = par.cpu
 			b.Discrete = append(b.Discrete, trace.DiscreteEvent{
 				CPU: par.cpu, Kind: trace.EventTaskCreated,
@@ -216,16 +216,16 @@ func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch
 		Created: sp.Start, CreatorCPU: creator,
 	})
 
-	rec := &spanState{cpu: cpu, start: sp.Start, end: sp.End, typeIdx: typeIdx}
-	st.spans[sp.ID] = rec
-	st.order = append(st.order, sp.ID)
+	st.byID[sp.ID] = int32(len(st.spans))
+	st.spans = append(st.spans, spanState{cpu: cpu, start: sp.Start, end: sp.End, typeIdx: typeIdx})
+	rec := &st.spans[len(st.spans)-1]
 
 	// Resolve children that arrived before this span (stdouttrace
 	// emits a span at its end, so parents usually follow children).
 	if waiting, ok := st.pending[sp.ID]; ok {
 		delete(st.pending, sp.ID)
 		for _, childID := range waiting {
-			child := st.spans[childID]
+			child := &st.spans[st.byID[childID]]
 			b.Discrete = append(b.Discrete, trace.DiscreteEvent{
 				CPU: cpu, Kind: trace.EventTaskCreated,
 				Time: child.start, Arg: childID,
@@ -266,6 +266,15 @@ func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch
 		})
 	}
 	return b
+}
+
+// traceID returns the string for a trace id: the one an imported span
+// already carries, a new one only for an id not seen before.
+func (st *inferState) traceID(b []byte) string {
+	if s, ok := st.traces[string(b)]; ok {
+		return s
+	}
+	return string(b)
 }
 
 // serviceIdx interns a service name; a new service becomes the next
@@ -418,12 +427,14 @@ func (st *inferState) report() *Report {
 	parVotes := make([]int, len(st.ops))
 	seqVotes := make([]int, len(st.ops))
 	mixVotes := make([]int, len(st.ops))
-	for _, id := range st.order {
-		rec := st.spans[id]
+	var scratch []childRef // voteStyle sorts what it is given
+	for i := range st.spans {
+		rec := &st.spans[i]
 		if len(rec.children) < 2 {
 			continue
 		}
-		switch voteStyle(rec.children) {
+		scratch = append(scratch[:0], rec.children...)
+		switch voteStyle(scratch) {
 		case StyleParallel:
 			parVotes[rec.typeIdx]++
 		case StyleSequential:
@@ -434,7 +445,7 @@ func (st *inferState) report() *Report {
 	}
 
 	rep := &Report{
-		Spans:   st.nspans,
+		Spans:   len(st.spans),
 		Traces:  len(st.traces),
 		Dropped: st.dropped,
 		Start:   st.winStart,
@@ -474,14 +485,10 @@ func (st *inferState) report() *Report {
 	return rep
 }
 
-// voteStyle classifies one multi-child invocation.
-func voteStyle(children []childRef) CallStyle {
-	cs := append([]childRef(nil), children...)
-	sort.Slice(cs, func(a, b int) bool {
-		if cs[a].start != cs[b].start {
-			return cs[a].start < cs[b].start
-		}
-		return cs[a].end < cs[b].end
+// voteStyle classifies one multi-child invocation; it sorts cs.
+func voteStyle(cs []childRef) CallStyle {
+	slices.SortFunc(cs, func(a, b childRef) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(a.end, b.end))
 	})
 	if cs[len(cs)-1].start-cs[0].start <= parallelEps {
 		return StyleParallel

@@ -1,21 +1,17 @@
 package otlp
 
 import (
-	"encoding/json"
-	"strings"
+	"errors"
 	"testing"
 )
 
+// parseOne runs one document through the production one-document
+// entry.
 func parseOne(t *testing.T, doc string) []span {
 	t.Helper()
-	var d spanDoc
-	dec := json.NewDecoder(strings.NewReader(doc))
-	if err := dec.Decode(&d); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	spans, err := docSpans(nil, &d)
+	spans, _, err := NewDecoder(nil).scanDoc(nil, []byte(doc))
 	if err != nil {
-		t.Fatalf("docSpans: %v", err)
+		t.Fatalf("scanDoc: %v", err)
 	}
 	return spans
 }
@@ -131,12 +127,11 @@ func TestDocErrors(t *testing.T) {
 		{"otlp zero id", `{"resourceSpans":[{"scopeSpans":[{"spans":[{"spanId":"0000000000000000","startTimeUnixNano":"1","endTimeUnixNano":"2"}]}]}]}`},
 	}
 	for _, c := range cases {
-		var d spanDoc
-		if err := json.NewDecoder(strings.NewReader(c.doc)).Decode(&d); err != nil {
-			t.Fatalf("%s: decode: %v", c.name, err)
-		}
-		if _, err := docSpans(nil, &d); err == nil {
+		var syn *syntaxError
+		if _, _, err := NewDecoder(nil).scanDoc(nil, []byte(c.doc)); err == nil {
 			t.Errorf("%s: no error", c.name)
+		} else if err == errShort || errors.As(err, &syn) {
+			t.Fatalf("%s: decode: %v", c.name, err)
 		}
 	}
 }
