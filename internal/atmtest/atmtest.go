@@ -90,6 +90,13 @@ func (g *prefixReader) Read(p []byte) (int, error) {
 // (RunToTrace is the batch load of the same bytes).
 func RunToLiveTrace(tb testing.TB, p *openstream.Program, cfg openstream.Config, publishes int) *core.Trace {
 	tb.Helper()
+	return runToLive(tb, p, cfg, publishes, core.RetentionPolicy{})
+}
+
+// runToLive is RunToLiveTrace under a retention policy; the zero policy
+// keeps everything in memory.
+func runToLive(tb testing.TB, p *openstream.Program, cfg openstream.Config, publishes int, policy core.RetentionPolicy) *core.Trace {
+	tb.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
 	if _, err := openstream.Run(p, cfg, w); err != nil {
@@ -105,6 +112,14 @@ func RunToLiveTrace(tb testing.TB, p *openstream.Program, cfg openstream.Config,
 	g := &prefixReader{data: data}
 	sr := trace.NewStreamReader(g)
 	lv := core.NewLive()
+	if policy.Dir != "" {
+		lv.SetRetention(policy)
+		tb.Cleanup(func() {
+			if err := lv.Close(); err != nil {
+				tb.Error(err)
+			}
+		})
+	}
 	step := len(data)/publishes + 1
 	for g.limit < len(data) {
 		g.limit += step
@@ -125,6 +140,25 @@ func RunToLiveTrace(tb testing.TB, p *openstream.Program, cfg openstream.Config,
 // SeidelLiveTrace is SeidelTrace streamed through the live ingest path.
 func SeidelLiveTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy, publishes int) *core.Trace {
 	tb.Helper()
+	return seidelLive(tb, blocks, iters, sched, publishes, core.RetentionPolicy{})
+}
+
+// SeidelSpilledTrace is SeidelLiveTrace with every publish spilling the
+// tail it finds, so the final snapshot stitches most of its events from
+// segment files (removed, with the live trace closed, when the test
+// ends).
+func SeidelSpilledTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy, publishes int) *core.Trace {
+	tb.Helper()
+	snap := seidelLive(tb, blocks, iters, sched, publishes,
+		core.RetentionPolicy{Dir: tb.TempDir(), SpillBytes: 1, Sync: true})
+	if st, ok := snap.SpillStats(); !ok || st.Segments == 0 || st.Err != "" {
+		tb.Fatalf("snapshot did not spill: %+v", st)
+	}
+	return snap
+}
+
+func seidelLive(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy, publishes int, policy core.RetentionPolicy) *core.Trace {
+	tb.Helper()
 	p, err := apps.BuildSeidel(apps.ScaledSeidelConfig(blocks, iters))
 	if err != nil {
 		tb.Fatal(err)
@@ -132,5 +166,5 @@ func SeidelLiveTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPol
 	cfg := openstream.DefaultConfig(topology.Small(4, 4))
 	cfg.Sched = sched
 	cfg.Seed = 5
-	return RunToLiveTrace(tb, p, cfg, publishes)
+	return runToLive(tb, p, cfg, publishes, policy)
 }

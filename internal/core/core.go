@@ -124,6 +124,9 @@ type Trace struct {
 
 	domOnce sync.Once
 	dom     *DomIndex
+
+	taskWinOnce sync.Once
+	taskWin     *taskWindows
 }
 
 // NumCPUs returns the number of CPUs.

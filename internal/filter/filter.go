@@ -125,6 +125,29 @@ func (f *TaskFilter) Match(tr *core.Trace, t *core.TaskInfo) bool {
 	return true
 }
 
+// Each calls visit for every task in tr matching f, in unspecified
+// order: for counts, extrema and bins, which need none. A windowed
+// filter is answered from the trace's task window index
+// (core.Trace.EachTaskIn), so it costs what the window holds; without a
+// window every task is a candidate.
+func Each(tr *core.Trace, f *TaskFilter, visit func(*core.TaskInfo)) {
+	if f != nil && f.Window != nil {
+		// Match admits no unexecuted task under a window, and the index
+		// holds none.
+		tr.EachTaskIn(f.Window.Start, f.Window.End, func(t *core.TaskInfo) {
+			if f.Match(tr, t) {
+				visit(t)
+			}
+		})
+		return
+	}
+	for i := range tr.Tasks {
+		if t := &tr.Tasks[i]; f.Match(tr, t) {
+			visit(t)
+		}
+	}
+}
+
 // Tasks returns pointers to all tasks in tr matching f, in task order.
 func Tasks(tr *core.Trace, f *TaskFilter) []*core.TaskInfo {
 	var out []*core.TaskInfo

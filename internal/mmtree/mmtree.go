@@ -169,23 +169,3 @@ func (t *Tree) MinMaxIndex(lo, hi int) (min, max int64, ok bool) {
 	s, ok := t.pyramid.Query((*mmAgg)(t), lo, hi)
 	return s.Min, s.Max, ok
 }
-
-// NaiveMinMax scans all samples in [t0, t1); it exists as the baseline
-// for the ablation benchmarks of the rendering optimizations.
-func (t *Tree) NaiveMinMax(t0, t1 int64) (min, max int64, ok bool) {
-	lo := sort.Search(len(t.times), func(i int) bool { return t.times[i] >= t0 })
-	hi := sort.Search(len(t.times), func(i int) bool { return t.times[i] >= t1 })
-	if lo >= hi {
-		return 0, 0, false
-	}
-	min, max = t.values[lo], t.values[lo]
-	for i := lo + 1; i < hi; i++ {
-		if t.values[i] < min {
-			min = t.values[i]
-		}
-		if t.values[i] > max {
-			max = t.values[i]
-		}
-	}
-	return min, max, true
-}

@@ -19,6 +19,25 @@ func buildRandom(n int, arity int, seed int64) *Tree {
 	return Build(times, values, arity)
 }
 
+// naiveMinMax is the brute-force reference: a scan of every sample with
+// time in [t0, t1).
+func naiveMinMax(t *Tree, t0, t1 int64) (min, max int64, ok bool) {
+	for i, at := range t.times {
+		if at < t0 || at >= t1 {
+			continue
+		}
+		v := t.values[i]
+		if !ok || v < min {
+			min = v
+		}
+		if !ok || v > max {
+			max = v
+		}
+		ok = true
+	}
+	return min, max, ok
+}
+
 func TestMinMaxMatchesNaive(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 99, 100, 101, 1000, 12345} {
 		for _, arity := range []int{2, 3, 10, 100} {
@@ -35,7 +54,7 @@ func TestMinMaxMatchesNaive(t *testing.T) {
 					a, b = b, a
 				}
 				m1, x1, ok1 := tree.MinMax(a, b)
-				m2, x2, ok2 := tree.NaiveMinMax(a, b)
+				m2, x2, ok2 := naiveMinMax(tree, a, b)
 				if ok1 != ok2 || m1 != m2 || x1 != x2 {
 					t.Fatalf("n=%d arity=%d [%d,%d): tree (%d,%d,%v) != naive (%d,%d,%v)",
 						n, arity, a, b, m1, x1, ok1, m2, x2, ok2)

@@ -151,23 +151,36 @@ func StatsOf(tr *core.Trace, q *Query) StatsResult {
 }
 
 // StatsOver is StatsOf with an explicit prebuilt filter and window
-// (the form the viewer's /stats handler and the CLI use).
+// (the form the viewer's /stats handler and the CLI use). The matching
+// tasks are visited once, through filter.Each — a windowed filter, the
+// only kind StatsOf builds, reads the task window index and never
+// ranges over tr.Tasks — for the count and the histogram's durations;
+// the state cycles come from one stats.StateTimes, whose task-execution
+// entry is also the average parallelism's numerator. What still walks
+// the window's events is the locality fraction.
 func StatsOver(tr *core.Trace, f *filter.TaskFilter, t0, t1 trace.Time) StatsResult {
 	resp := StatsResult{
 		Start: t0, End: t1,
-		Tasks:          len(filter.Tasks(tr, f)),
-		AvgParallelism: stats.AverageParallelism(tr, t0, t1),
-		StateCycles:    map[string]int64{},
-		LocalFraction:  stats.LocalityFraction(tr, stats.ReadsAndWrites, t0, t1),
+		StateCycles:   map[string]int64{},
+		LocalFraction: stats.LocalityFraction(tr, stats.ReadsAndWrites, t0, t1),
 	}
+	var durs []float64
+	filter.Each(tr, f, func(t *core.TaskInfo) {
+		resp.Tasks++
+		if t.ExecCPU >= 0 {
+			durs = append(durs, float64(t.Duration()))
+		}
+	})
 	times := stats.StateTimes(tr, t0, t1)
+	if t1 > t0 {
+		resp.AvgParallelism = float64(times[trace.StateTaskExec]) / float64(t1-t0)
+	}
 	for st, v := range times {
 		if v > 0 {
 			resp.StateCycles[trace.WorkerState(st).String()] = v
 		}
 	}
-	bins := 20
-	h := stats.DurationHistogram(tr, f, bins)
+	h := stats.NewHistogram(durs, 20, 0, 0)
 	resp.DurationHist = h.Counts
 	resp.HistMin, resp.HistMax = h.Min, h.Max
 	return resp

@@ -28,7 +28,12 @@ type OverlayConfig struct {
 // OverlayCounter draws a counter curve into each CPU row of a timeline
 // framebuffer previously rendered with cfg. For every horizontal
 // pixel, the vertical extent between the interval's minimum and
-// maximum is drawn as a single line (Figure 21b-d).
+// maximum is drawn as a single line (Figure 21b-d). A row is one walk
+// along the counter's tree: a column's samples are found from the
+// previous column's by galloping, their extrema by one index-range
+// query, and columns between two samples are stepped over, so a row
+// costs O(columns holding samples x log samples a column), with no
+// search over the whole sample array per column.
 func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov OverlayConfig, ci *core.CounterIndex) Stats {
 	var st Stats
 	start, end := cfg.Start, cfg.End
@@ -79,17 +84,29 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 			st.Rects += overlayNaive(fb, tree, g.gutter, y, g.plotW, g.rowH, start, end, vmin, vmax, ov.Color)
 			continue
 		}
-		for x := 0; x < g.plotW; x++ {
+		// One forward cursor over the row's samples: lo is the first at
+		// or after the column's t0, found from the last column's.
+		st.PixelColumns += g.plotW
+		n := tree.Len()
+		for x, lo := 0, 0; x < g.plotW; {
 			t0, t1 := pixelWindow(start, end-start, x, g.plotW)
-			st.PixelColumns++
-			mn, mx, ok := tree.MinMax(t0, t1)
-			if !ok {
+			lo = seekFrom(lo, n, func(i int) bool { return tree.Time(i) >= t0 })
+			if lo == n {
+				break
+			}
+			hi := seekFrom(lo, n, func(i int) bool { return tree.Time(i) >= t1 })
+			if lo == hi {
+				// No sample here, nor in any column that ends by the
+				// next sample's time: go to the column holding it.
+				x = max(x, lastColumnBy(start, end, tree.Time(lo), g.plotW)) + 1
 				continue
 			}
+			mn, mx, _ := tree.MinMaxIndex(lo, hi)
 			y0 := valueToY(float64(mx), vmin, vmax, y, g.rowH)
 			y1 := valueToY(float64(mn), vmin, vmax, y, g.rowH)
 			fb.VLine(g.gutter+x, y0, y1, ov.Color)
 			st.Rects++
+			x++
 		}
 	}
 	return st

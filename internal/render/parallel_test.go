@@ -28,6 +28,20 @@ func TestTimelineParallelMatchesSequential(t *testing.T) {
 		{Width: 640, Height: 200, Mode: ModeNUMARead},
 		{Width: 640, Height: 200, Mode: ModeNUMAWrite},
 		{Width: 640, Height: 200, Mode: ModeNUMAHeat},
+		// The same CPU twice: numa-heat's cursor is a row's, and the
+		// sequential rendering walks both rows with one pixelizer.
+		{Width: 640, Height: 200, Mode: ModeNUMAHeat, CPUs: []int32{3, 3, 1, 3}},
+		{Width: 640, Height: 200, Mode: ModeNUMAHeat, CPUs: []int32{3, 3, 1, 3}, Filter: f},
+	}
+	c, ok := tr.CounterByName(trace.CounterBranchMisses)
+	if !ok {
+		t.Fatal("missing branch-miss counter")
+	}
+	// sameRows reports whether rows a and b of a len(cfg.CPUs)-row
+	// rendering hold the same pixels.
+	sameRows := func(fb *Framebuffer, cfg TimelineConfig, a, b int) bool {
+		pix, stride, rowH := fb.RGBA().Pix, fb.RGBA().Stride, fb.H()/len(cfg.CPUs)
+		return bytes.Equal(pix[a*rowH*stride:(a+1)*rowH*stride], pix[b*rowH*stride:(b+1)*rowH*stride])
 	}
 	for _, cfg := range cfgs {
 		seqFB, seqStats, err := timeline(tr, cfg, 1, indexResolver(tr))
@@ -48,6 +62,22 @@ func TestTimelineParallelMatchesSequential(t *testing.T) {
 			}
 			if seqFB.Ops != parFB.Ops {
 				t.Errorf("mode %v workers=%d: ops = %d, want %d", cfg.Mode, workers, parFB.Ops, seqFB.Ops)
+			}
+		}
+		if cfg.CPUs == nil {
+			continue
+		}
+		// A CPU selected twice renders twice the same, and so does its
+		// overlay.
+		for _, overlaid := range []bool{false, true} {
+			if overlaid {
+				OverlayCounter(seqFB, tr, cfg, OverlayConfig{Counter: c, Rate: true, Color: AnnotationColor}, tr.CounterIndex())
+			}
+			if !sameRows(seqFB, cfg, 0, 1) || !sameRows(seqFB, cfg, 0, 3) {
+				t.Errorf("mode %v filter=%v overlay=%v: the rows of CPU 3, selected three times, differ", cfg.Mode, cfg.Filter != nil, overlaid)
+			}
+			if sameRows(seqFB, cfg, 0, 2) {
+				t.Errorf("mode %v overlay=%v: CPU 3's row equals CPU 1's; the comparison above is vacuous", cfg.Mode, overlaid)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package render
 import (
 	"fmt"
 	"image/color"
+	"sort"
 
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
@@ -327,6 +328,23 @@ func lastColumnBy(start, end, until trace.Time, w int) int {
 	return x
 }
 
+// seekFrom returns the least i in [from, n) for which ge holds, or n
+// when it holds for none; ge must be false and then true over that
+// range. It gallops out from from, so a cursor moving forward a column
+// at a time pays O(log distance moved) rather than a search over all n.
+func seekFrom(from, n int, ge func(int) bool) int {
+	if from >= n || ge(from) {
+		return from
+	}
+	lo, step := from, 1
+	for lo+step < n && !ge(lo+step) {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, n)
+	return lo + 1 + sort.Search(hi-lo-1, func(i int) bool { return ge(lo + 1 + i) })
+}
+
 // rowRuns walks one CPU row's pixels, aggregating runs of identical
 // color into single rectangle spans (optimization b of Section VI-B).
 // It asks once per answer, not once per column: where the answer
@@ -337,6 +355,14 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 	var runs []pixelRun
 	runStart := -1
 	var runColor color.RGBA
+	// numaHeat's cursor belongs to this row, not to its CPU or its
+	// pixelizer: a CPU selected twice, and the rows a sequential
+	// rendering puts through one pixelizer, each start from their own
+	// first event.
+	px.comm, px.commAt = nil, 0
+	if mode == ModeNUMAHeat {
+		px.comm = px.tr.CommIn(cpu, start, end)
+	}
 	flush := func(xEnd int) {
 		if runStart >= 0 {
 			runs = append(runs, pixelRun{runStart, xEnd, runColor})
@@ -381,6 +407,12 @@ type pixelizer struct {
 	dom      func(cpu int32) dominance
 	domEnt   dominance
 	domEntID int32
+	// comm holds the current row's communication events over the
+	// rendered interval (ModeNUMAHeat only) and commAt the first of them
+	// not before the last window asked about: numaHeat's forward cursor,
+	// which rowRuns resets per row.
+	comm   []trace.CommEvent
+	commAt int
 }
 
 type nodeKey struct {
@@ -407,8 +439,7 @@ func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trac
 // interval. The time returned is the answer's horizon (see dominance):
 // in five modes the color is a function of the dominant event, so it
 // reaches as far as the event's answer does; the NUMA heatmap's
-// depends on the accesses inside the pixel and reaches no further than
-// t1.
+// depends on the accesses inside the pixel too (see numaHeat).
 func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool, trace.Time) {
 	switch mode {
 	case ModeState:
@@ -418,8 +449,7 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin,
 		}
 		return StateColor(ev.State), true, until
 	case ModeNUMAHeat:
-		c, ok := p.numaHeat(cpu, t0, t1)
-		return c, ok, t1
+		return p.numaHeat(cpu, t0, t1)
 	default:
 		ev, ok, until := p.domFor(cpu).DominantExec(t0, t1, p.keep)
 		if !ok {
@@ -482,12 +512,26 @@ func (p *pixelizer) taskNode(id trace.TaskID, kinds stats.CommKinds) (int32, boo
 }
 
 // numaHeat returns the remote-access shade for the accesses in
-// [t0, t1) on cpu.
-func (p *pixelizer) numaHeat(cpu int32, t0, t1 trace.Time) (color.RGBA, bool) {
+// [t0, t1) on cpu by the tasks keep admits, and the answer's horizon.
+// The row's events are walked with one forward cursor: rowRuns asks
+// about windows whose t0 never decreases, so the first event at or
+// after t0 is found from where the last window's was. A window holding
+// no access shows a running task as fully local, and that answer holds
+// as far as DominantExec's does or up to the next event on the row,
+// whichever comes first, so rowRuns steps over the stretch; a window
+// holding accesses answers for itself alone.
+func (p *pixelizer) numaHeat(cpu int32, t0, t1 trace.Time) (color.RGBA, bool, trace.Time) {
+	evs := p.comm
+	i := seekFrom(p.commAt, len(evs), func(i int) bool { return evs[i].Time >= t0 })
+	p.commAt = i
 	myNode := p.tr.NodeOfCPU(cpu)
 	var local, remote int64
-	for _, ev := range p.tr.CommIn(cpu, t0, t1) {
+	for ; i < len(evs) && evs[i].Time < t1; i++ {
+		ev := &evs[i]
 		if ev.Kind != trace.CommRead && ev.Kind != trace.CommWrite {
+			continue
+		}
+		if p.keep != nil && !p.keep(ev.Task) {
 			continue
 		}
 		home := p.tr.NodeOfAddr(ev.Addr)
@@ -502,14 +546,16 @@ func (p *pixelizer) numaHeat(cpu int32, t0, t1 trace.Time) (color.RGBA, bool) {
 	}
 	total := local + remote
 	if total == 0 {
-		// No accesses recorded in this pixel: show the executing
-		// task's interval as fully local only if a task runs here.
-		if _, ok, _ := p.domFor(cpu).DominantExec(t0, t1, p.keep); !ok {
-			return color.RGBA{}, false
+		_, ok, until := p.domFor(cpu).DominantExec(t0, t1, p.keep)
+		if i < len(evs) {
+			until = min(until, evs[i].Time)
 		}
-		return NUMAHeatShade(0), true
+		if !ok {
+			return color.RGBA{}, false, until
+		}
+		return NUMAHeatShade(0), true, until
 	}
-	return NUMAHeatShade(float64(remote) / float64(total)), true
+	return NUMAHeatShade(float64(remote) / float64(total)), true, t1
 }
 
 func taskType(tr *core.Trace, id trace.TaskID) trace.TypeID {
@@ -520,17 +566,13 @@ func taskType(tr *core.Trace, id trace.TaskID) trace.TypeID {
 }
 
 // visibleDurationRange returns the min and max duration of filtered
-// tasks overlapping [start, end).
+// tasks overlapping [start, end), from the task window index.
 func visibleDurationRange(tr *core.Trace, f *filter.TaskFilter, start, end trace.Time) (trace.Time, trace.Time) {
 	var min, max trace.Time
 	first := true
-	for i := range tr.Tasks {
-		t := &tr.Tasks[i]
-		if t.ExecCPU < 0 || t.ExecEnd <= start || t.ExecStart >= end {
-			continue
-		}
+	tr.EachTaskIn(start, end, func(t *core.TaskInfo) {
 		if !f.Match(tr, t) {
-			continue
+			return
 		}
 		d := t.Duration()
 		if first || d < min {
@@ -540,7 +582,7 @@ func visibleDurationRange(tr *core.Trace, f *filter.TaskFilter, start, end trace
 			max = d
 		}
 		first = false
-	}
+	})
 	return min, max
 }
 

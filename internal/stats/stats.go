@@ -109,48 +109,30 @@ func DurationHistogram(tr *core.Trace, f *filter.TaskFilter, bins int) *Histogra
 
 // AverageParallelism returns the mean number of simultaneously
 // executing tasks over [t0, t1) — the "average parallelism" text field
-// of the statistics group.
+// of the statistics group: StateTimes' task-execution entry over the
+// window's length.
 func AverageParallelism(tr *core.Trace, t0, t1 trace.Time) float64 {
 	if t1 <= t0 {
 		return 0
 	}
-	var busy trace.Time
-	for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
-		for _, ev := range tr.StatesIn(cpu, t0, t1) {
-			if ev.State != trace.StateTaskExec {
-				continue
-			}
-			s, e := ev.Start, ev.End
-			if s < t0 {
-				s = t0
-			}
-			if e > t1 {
-				e = t1
-			}
-			if e > s {
-				busy += e - s
-			}
-		}
-	}
-	return float64(busy) / float64(t1-t0)
+	return float64(StateTimes(tr, t0, t1)[trace.StateTaskExec]) / float64(t1-t0)
 }
 
 // StateTimes aggregates the time spent in each worker state across all
-// CPUs over [t0, t1).
+// CPUs over [t0, t1): per CPU and state, the sum of the intervals'
+// clipped covers, which core.DomCPU.StateCover reads off the state's
+// prefix sums (and scans for on a CPU it could not index), so the cost
+// follows the CPU count, not the events in the window.
 func StateTimes(tr *core.Trace, t0, t1 trace.Time) []trace.Time {
 	out := make([]trace.Time, trace.NumWorkerStates)
+	if t1 <= t0 {
+		return out
+	}
+	dom := tr.DomIndex()
 	for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
-		for _, ev := range tr.StatesIn(cpu, t0, t1) {
-			s, e := ev.Start, ev.End
-			if s < t0 {
-				s = t0
-			}
-			if e > t1 {
-				e = t1
-			}
-			if e > s && int(ev.State) < len(out) {
-				out[ev.State] += e - s
-			}
+		d := dom.CPU(tr, cpu)
+		for st := range out {
+			out[st] += d.StateCover(trace.WorkerState(st), t0, t1)
 		}
 	}
 	return out
