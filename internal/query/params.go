@@ -1,7 +1,7 @@
 // URL parameter parsing: one strict, shared implementation of the
 // window/filter/mode/counter parameters every HTTP endpoint accepts,
-// replacing the per-handler re-parsing (and its silently-ignored
-// malformed values) the viewer used to carry.
+// and the one reader (Params) both it and the endpoints' own
+// parameters go through.
 package query
 
 import (
@@ -30,55 +30,79 @@ func badParam(param, format string, args ...interface{}) error {
 	return &BadParamError{Param: param, Reason: fmt.Sprintf(format, args...)}
 }
 
-// IntParam parses an integer parameter, returning def when absent and
-// a BadParamError when malformed. Out-of-range values are the caller's
-// policy (serving layers clamp them); syntax errors are not.
-func IntParam(v url.Values, key string, def int) (int, error) {
-	s := v.Get(key)
-	if s == "" {
-		return def, nil
-	}
-	p, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, badParam(key, "not an integer: %q", s)
-	}
-	return p, nil
+// Params reads typed parameters off URL values. An absent (or empty)
+// parameter reads as its default and an out-of-range integer is
+// clamped, but a malformed value is a BadParamError, and the first
+// failure sticks: later reads keep returning usable values, so a
+// caller reads all it needs and checks Err once. The parameter blamed
+// is the first bad one in reading order, not in URL order.
+type Params struct {
+	v   url.Values
+	err error
 }
 
-// Int64Param is IntParam for 64-bit values (trace times, durations).
-func Int64Param(v url.Values, key string, def int64) (int64, error) {
-	s := v.Get(key)
-	if s == "" {
-		return def, nil
+// NewParams returns a reader over v.
+func NewParams(v url.Values) *Params { return &Params{v: v} }
+
+// Err returns the first failure recorded, nil when every read parsed.
+func (p *Params) Err() error { return p.err }
+
+// Reject records err (say, a value that parsed but means nothing)
+// unless an earlier failure already stuck.
+func (p *Params) Reject(err error) {
+	if p.err == nil {
+		p.err = err
 	}
-	p, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, badParam(key, "not an integer: %q", s)
-	}
-	return p, nil
 }
 
-// FloatParam parses a float parameter with the same contract.
-func FloatParam(v url.Values, key string, def float64) (float64, error) {
-	s := v.Get(key)
-	if s == "" {
-		return def, nil
+// Str returns a string parameter, def when absent.
+func (p *Params) Str(key, def string) string {
+	if s := p.v.Get(key); s != "" {
+		return s
 	}
-	p, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, badParam(key, "not a number: %q", s)
-	}
-	return p, nil
+	return def
 }
 
-// FlagParam parses a boolean toggle with the viewer's convention:
-// absent defaults to def, "0" is false, anything else is true.
-func FlagParam(v url.Values, key string, def bool) bool {
-	s := v.Get(key)
+// Int64 reads a 64-bit integer (trace times, durations).
+func (p *Params) Int64(key string, def int64) int64 {
+	s := p.v.Get(key)
 	if s == "" {
 		return def
 	}
-	return s != "0"
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		p.Reject(badParam(key, "not an integer: %q", s))
+		return def
+	}
+	return n
+}
+
+// Int reads an integer clamped to [lo, hi].
+func (p *Params) Int(key string, def, lo, hi int) int {
+	return int(min(max(p.Int64(key, int64(def)), int64(lo)), int64(hi)))
+}
+
+// Float reads a float.
+func (p *Params) Float(key string, def float64) float64 {
+	s := p.v.Get(key)
+	if s == "" {
+		return def
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		p.Reject(badParam(key, "not a number: %q", s))
+		return def
+	}
+	return f
+}
+
+// Flag reads a boolean toggle with the viewer's convention: absent
+// defaults to def, "0" is false, anything else is true.
+func (p *Params) Flag(key string, def bool) bool {
+	if s := p.v.Get(key); s != "" {
+		return s != "0"
+	}
+	return def
 }
 
 // FromValues parses the shared query parameters from URL values:
@@ -95,18 +119,11 @@ func FlagParam(v url.Values, key string, def bool) bool {
 // either means exactly one canonical query or is rejected.
 func FromValues(v url.Values) (*Query, error) {
 	q := New()
-	t0, err := Int64Param(v, "t0", 0)
-	if err != nil {
-		return nil, err
-	}
-	if v.Get("t0") != "" {
+	p := Params{v: v}
+	if t0 := p.Int64("t0", 0); v.Get("t0") != "" {
 		q.From(t0)
 	}
-	t1, err := Int64Param(v, "t1", 0)
-	if err != nil {
-		return nil, err
-	}
-	if v.Get("t1") != "" {
+	if t1 := p.Int64("t1", 0); v.Get("t1") != "" {
 		q.Until(t1)
 	}
 	// t0=0&t1=0 means "the full span" — the render-config convention,
@@ -119,37 +136,33 @@ func FromValues(v url.Values) (*Query, error) {
 		if q.t0 == 0 && q.t1 == 0 {
 			q.hasT0, q.hasT1 = false, false
 		} else if q.t1 < q.t0 {
-			return nil, badParam("t1", "inverted window: t1 (%d) must not precede t0 (%d)", q.t1, q.t0)
+			p.Reject(badParam("t1", "inverted window: t1 (%d) must not precede t0 (%d)", q.t1, q.t0))
 		}
 	}
 	if s := v.Get("types"); s != "" {
 		q.Types(strings.Split(s, ",")...)
 	}
-	min, err := Int64Param(v, "mindur", 0)
-	if err != nil {
-		return nil, err
-	}
-	max, err := Int64Param(v, "maxdur", 0)
-	if err != nil {
-		return nil, err
-	}
+	min, max := p.Int64("mindur", 0), p.Int64("maxdur", 0)
 	if min < 0 {
-		return nil, badParam("mindur", "must be non-negative, got %d", min)
+		p.Reject(badParam("mindur", "must be non-negative, got %d", min))
 	}
 	if max < 0 {
-		return nil, badParam("maxdur", "must be non-negative, got %d", max)
+		p.Reject(badParam("maxdur", "must be non-negative, got %d", max))
 	}
 	q.Durations(min, max)
 	if s := v.Get("mode"); s != "" {
-		m, err := render.ParseMode(s)
-		if err != nil {
-			return nil, badParam("mode", "unknown timeline mode %q", s)
+		if m, err := render.ParseMode(s); err != nil {
+			p.Reject(badParam("mode", "unknown timeline mode %q", s))
+		} else {
+			q.Mode(m)
 		}
-		q.Mode(m)
 	}
 	if s := v.Get("counter"); s != "" {
 		q.Counter(s)
 	}
-	q.Rate(FlagParam(v, "rate", true))
+	q.Rate(p.Flag("rate", true))
+	if p.err != nil {
+		return nil, p.err
+	}
 	return q, nil
 }

@@ -2,6 +2,7 @@ package ui
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -44,28 +45,54 @@ func newResponseCache(maxBytes int) *responseCache {
 	}
 }
 
-// flightCall is one in-flight build. The leader fills ent (or status +
-// err) and closes done; followers block on done and serve the shared
-// result.
+// flightCall is one in-flight build. The leader fills ent (or err) and
+// closes done; followers block on done and serve the shared result.
 type flightCall struct {
-	done   chan struct{}
-	ent    *cachedResponse
-	status int
-	err    error
+	done chan struct{}
+	ent  *cachedResponse
+	err  error
 }
 
+// errBuildIncomplete is what a flight holds until its build returns:
+// what followers get if it never does (it panicked).
+var errBuildIncomplete error = serverError{errors.New("build did not complete")}
+
 // begin registers an in-flight build for key. The first caller per key
-// becomes the leader (leader=true) and MUST call finish exactly once;
-// later callers get the leader's call to wait on.
+// becomes the leader (leader=true) and MUST call lead; later callers
+// get the leader's call to wait on.
 func (c *responseCache) begin(key string) (f *flightCall, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if f, ok := c.flight[key]; ok {
 		return f, false
 	}
-	f = &flightCall{done: make(chan struct{})}
+	f = &flightCall{done: make(chan struct{}), err: errBuildIncomplete}
 	c.flight[key] = f
 	return f, true
+}
+
+// lead is the leader's half of a flight: run build, store its body,
+// and retire the flight however build ends — a panic (net/http recovers
+// it per connection) would otherwise leave the key with waiters and no
+// builder for good. Returns the X-Cache value.
+func (c *responseCache) lead(key, contentType string, f *flightCall, build func() ([]byte, error)) string {
+	defer c.finish(key, f)
+	// Re-check under the flight: a previous leader may have filled the
+	// cache between our miss and begin.
+	if ent, ok := c.get(key); ok {
+		f.ent, f.err = ent, nil
+		return "HIT"
+	}
+	body, err := build()
+	if err != nil {
+		// Errors propagate to the waiting followers but are never
+		// cached: the next request retries the build.
+		f.err = err
+		return ""
+	}
+	c.put(key, contentType, body)
+	f.ent, f.err = &cachedResponse{key: key, contentType: contentType, body: body}, nil
+	return "MISS"
 }
 
 // finish publishes the leader's result to the waiting followers and

@@ -1,0 +1,255 @@
+package ui
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"strconv"
+	"strings"
+
+	"github.com/openstream/aftermath/internal/anomaly"
+	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/query"
+	"github.com/openstream/aftermath/internal/render"
+	"github.com/openstream/aftermath/internal/taskgraph"
+)
+
+// windowPolicy says what a cached verb does with the request window
+// (see resolveWindow).
+type windowPolicy int
+
+const (
+	windowIgnored  windowPolicy = iota // parsed, but kept out of the key
+	windowResolved                     // resolved against the snapshot's span
+	windowClamped                      // and clamped to it: the anomaly scan's contract
+)
+
+// request is what Server.serve hands a verb's plan: the pinned
+// snapshot and its epoch, the shared parameters parsed into q with
+// the window already resolved, and the reader for the verb's own.
+type request struct {
+	tr    *core.Trace
+	epoch uint64
+	q     *query.Query
+	p     *query.Params
+}
+
+// endpoint is one cached verb, served at path by Server.serve. plan
+// reads the verb's own parameters (failures stick in rq.p) and returns
+// the projection of the query the response depends on — the cache key,
+// so parameters the verb ignores never fragment the LRU — any key text
+// the query cannot carry, and the closure that builds the body on a
+// miss, whose error is the request's unless it is a serverError.
+type endpoint struct {
+	path        string // "/" + the verb the cache key names
+	contentType string
+	window      windowPolicy
+	plan        func(s *Server, rq request) (key *query.Query, extra string, build func() ([]byte, error))
+}
+
+// endpoints is every cached verb of the viewer.
+var endpoints = []endpoint{
+	{"/render", "image/png", windowResolved, planRender},
+	{"/matrix", "image/png", windowResolved, planMatrix},
+	{"/plot", "image/png", windowIgnored, planPlot},
+	{"/stats", "application/json", windowResolved, planStats},
+	{"/anomalies", "application/json", windowClamped, planAnomalies},
+	{"/graph.dot", "text/vnd.graphviz", windowIgnored, planGraphDOT},
+}
+
+// serverError marks a failure that is the server's, not the request's:
+// an encoder that could not write, a build that did not complete.
+type serverError struct{ error }
+
+func (e serverError) Unwrap() error { return e.error }
+
+// exactBody copies what an encoder wrote into an exactly sized body:
+// the cache charges len(body) against its bound but keeps the whole
+// backing array alive, and a bytes.Buffer's, grown by doubling, can be
+// twice what was written.
+func exactBody(buf *bytes.Buffer) []byte {
+	body := make([]byte, buf.Len())
+	copy(body, buf.Bytes())
+	return body
+}
+
+// encodePNG is the tail of every PNG producer.
+func encodePNG(fb *render.Framebuffer) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := fb.EncodePNG(&buf); err != nil {
+		return nil, serverError{err}
+	}
+	return exactBody(&buf), nil
+}
+
+// encodeJSON is the tail of every cached JSON producer: one value, one
+// line.
+func encodeJSON(v interface{}) ([]byte, error) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		return nil, serverError{err}
+	}
+	return append(body, '\n'), nil
+}
+
+func planRender(s *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+	tr, q, p := rq.tr, rq.q, rq.p
+	q.Size(p.Int("w", 1000, 100, 4000), p.Int("h", 400, 50, 2000)).
+		Heat(p.Int64("heatmin", 0), p.Int64("heatmax", 0)).
+		Shades(p.Int("shades", 10, 2, 64)).
+		Level(p.Int("level", 0, 0, 12)).
+		Labels(p.Flag("labels", true))
+	if p.Str("counter", "") == "" {
+		// rate only modifies a counter overlay; without one it must
+		// not fragment the cache key.
+		q.Rate(true)
+	}
+	anns, annsVer := s.annotationsState()
+	marks := p.Flag("marks", true)
+	if anns != nil {
+		// marks only modifies rendering when an annotation set is
+		// attached; without one it must not fragment the cache key.
+		q.Marks(marks)
+	}
+	return q, "|a" + strconv.Itoa(annsVer), func() ([]byte, error) {
+		fb, _, err := query.TimelineOf(tr, q)
+		if err != nil {
+			return nil, err
+		}
+		if marks && anns != nil {
+			render.OverlayAnnotations(fb, tr, query.TimelineConfigOf(tr, q), anns)
+		}
+		return encodePNG(fb)
+	}
+}
+
+func planMatrix(_ *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+	cell := rq.p.Int("cell", 14, 4, 64)
+	// The matrix-only projection (window + cell): filter, mode and
+	// counter parameters do not change the matrix.
+	q := rq.q.MatrixOnly(cell)
+	return q, "", func() ([]byte, error) {
+		return encodePNG(render.RenderMatrix(query.CommMatrixOf(rq.tr, q), cell))
+	}
+}
+
+func planPlot(_ *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+	p := rq.p
+	rq.q.Intervals(p.Int("n", 200, 10, 2000))
+	width, height := p.Int("w", 800, 100, 4000), p.Int("h", 220, 50, 2000)
+	rq.q.Level(p.Int("level", 0, 0, 12)).Metric(p.Str("kind", "idle"))
+	// The series-only projection: the window (and, for
+	// filter-insensitive metrics, the filter) does not change the
+	// plotted series.
+	q := rq.q.SeriesOnly(width, height)
+	return q, "", func() ([]byte, error) {
+		series, err := query.SeriesOf(rq.tr, q)
+		if err != nil {
+			return nil, err
+		}
+		fb, err := render.PlotSeries(render.PlotConfig{
+			Width: width, Height: height,
+			Title: strings.ToUpper(series.Name),
+		}, series)
+		if err != nil {
+			return nil, err
+		}
+		return encodePNG(fb)
+	}
+}
+
+func planStats(_ *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+	// The stats-only projection (window + filter): mode and counter
+	// parameters do not change the summary.
+	q := rq.q.StatsOnly()
+	return q, "", func() ([]byte, error) {
+		return encodeJSON(query.StatsOf(rq.tr, q))
+	}
+}
+
+// anomalyItem is one finding in the /anomalies JSON body.
+type anomalyItem struct {
+	Kind        string  `json:"kind"`
+	Score       float64 `json:"score"`
+	Start       int64   `json:"start"`
+	End         int64   `json:"end"`
+	CPU         int32   `json:"cpu"`
+	Task        uint64  `json:"task,omitempty"`
+	Counter     string  `json:"counter,omitempty"`
+	Explanation string  `json:"explanation"`
+}
+
+// anomaliesResponse is the JSON body of /anomalies.
+type anomaliesResponse struct {
+	Start     int64         `json:"start"`
+	End       int64         `json:"end"`
+	Count     int           `json:"count"`
+	Anomalies []anomalyItem `json:"anomalies"`
+}
+
+// planAnomalies runs the anomaly detectors over the requested window
+// and returns the ranked findings as JSON. Parameters: t0/t1 (scan
+// window, clamped to the trace span as the scan itself clamps, so the
+// echoed window and the cache key are exactly the interval scanned),
+// types/mindur/maxdur (task filter), kind (restrict to one anomaly
+// kind), n (max results, default 50), windows (analysis window count),
+// minscore (severity cutoff).
+func planAnomalies(s *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+	tr, p := rq.tr, rq.p
+	n := p.Int("n", 50, 1, 1000)
+	windows := p.Int("windows", anomaly.DefaultWindows, 8, 4096)
+	minScore := p.Float("minscore", 0)
+	if minScore < 0 {
+		p.Reject(&query.BadParamError{Param: "minscore", Reason: "must be non-negative"})
+	}
+	// Project to the scan-relevant fields plus the result selection:
+	// view parameters (mode, counter, ...) change neither the scan
+	// nor the response, so they must not fragment the cache.
+	q := rq.q.AnomalyWindows(windows).MinScore(minScore).ScanOnly()
+	// The scan memo key is the scan-only projection alone: result
+	// selection (n, kind) does not change what is scanned, so requests
+	// differing only in those share one memoized scan per epoch.
+	scanKey := q.Canonical()
+	q.Limit(n).AnomalyKind(p.Str("kind", ""))
+	// Validate the kind selection up front — through its one
+	// definition site — so an invalid kind cannot trigger a scan.
+	if _, err := query.SelectAnomalies(nil, q); err != nil {
+		p.Reject(err)
+	}
+	return q, "", func() ([]byte, error) {
+		found := s.scanner.Scan(tr, rq.epoch, scanKey, query.AnomalyConfigOf(tr, q))
+		selected, err := query.SelectAnomalies(found, q)
+		if err != nil {
+			return nil, err
+		}
+		t0, t1 := query.WindowOf(tr, q)
+		resp := anomaliesResponse{Start: t0, End: t1, Anomalies: []anomalyItem{}}
+		for _, a := range selected {
+			resp.Anomalies = append(resp.Anomalies, anomalyItem{
+				Kind:        a.Kind.String(),
+				Score:       a.Score,
+				Start:       a.Window.Start,
+				End:         a.Window.End,
+				CPU:         a.CPU,
+				Task:        uint64(a.TaskID),
+				Counter:     a.Counter,
+				Explanation: a.Explanation,
+			})
+		}
+		resp.Count = len(resp.Anomalies)
+		return encodeJSON(resp)
+	}
+}
+
+func planGraphDOT(s *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+	// max <= 0 exports every task, so all such values are one entry.
+	max := rq.p.Int("max", 500, 0, math.MaxInt)
+	return query.New().Limit(max), "", func() ([]byte, error) {
+		var buf bytes.Buffer
+		g := taskgraph.Reconstruct(rq.tr)
+		if err := g.WriteDOT(&buf, taskgraph.DOTOptions{MaxTasks: max, Label: s.Name}); err != nil {
+			return nil, serverError{err}
+		}
+		return exactBody(&buf), nil
+	}
+}

@@ -1,6 +1,7 @@
 package ui
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -12,32 +13,122 @@ import (
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/openstream"
+	"github.com/openstream/aftermath/internal/taskgraph"
 	"github.com/openstream/aftermath/internal/trace"
 )
+
+// endpointParams are the parameters the table-driven tests request a
+// cached verb with. A verb without an entry is requested bare, so one
+// added to the endpoint table is walked without touching this map.
+var endpointParams = map[string]string{
+	"/render":    "mode=state&w=300&h=100",
+	"/plot":      "kind=idle&w=300&h=100",
+	"/stats":     "t0=0&t1=500000",
+	"/anomalies": "n=10",
+}
+
+// endpointPath is the request path the tests use for one table entry.
+func endpointPath(ep endpoint) string {
+	if params := endpointParams[ep.path]; params != "" {
+		return ep.path + "?" + params
+	}
+	return ep.path
+}
+
+// checkContentTypes: every endpoint mounted at prefix declares the
+// right content type on success — the cached verbs the one their table
+// entry names.
+func checkContentTypes(t *testing.T, srv *httptest.Server, prefix string) {
+	t.Helper()
+	type ctCase struct{ path, ct string }
+	cases := []ctCase{
+		{"/", "text/html; charset=utf-8"},
+		{"/task?id=1", "application/json"},
+	}
+	for _, ep := range endpoints {
+		cases = append(cases, ctCase{endpointPath(ep), ep.contentType})
+	}
+	for _, c := range cases {
+		resp, body := get(t, srv, prefix+c.path)
+		if resp.StatusCode != 200 {
+			t.Errorf("%s: status %d: %s", prefix+c.path, resp.StatusCode, body)
+			continue
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != c.ct {
+			t.Errorf("%s: content type %q, want %q", prefix+c.path, ct, c.ct)
+		}
+	}
+}
+
+// checkMissThenHit: the second identical request of every cached verb
+// mounted at prefix is served from the LRU response cache.
+func checkMissThenHit(t *testing.T, srv *httptest.Server, prefix string) {
+	t.Helper()
+	for _, ep := range endpoints {
+		path := prefix + endpointPath(ep)
+		resp, first := get(t, srv, path)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		if xc := resp.Header.Get("X-Cache"); xc != "MISS" {
+			t.Errorf("%s: first request X-Cache = %q, want MISS", path, xc)
+		}
+		resp, second := get(t, srv, path)
+		if xc := resp.Header.Get("X-Cache"); xc != "HIT" {
+			t.Errorf("%s: second request X-Cache = %q, want HIT", path, xc)
+		}
+		if string(first) != string(second) {
+			t.Errorf("%s: cached body differs from computed body", path)
+		}
+	}
+}
 
 // TestEndpointContentTypes: every endpoint declares the right content
 // type on success.
 func TestEndpointContentTypes(t *testing.T) {
-	srv := newTestServer(t)
-	cases := []struct{ path, ct string }{
-		{"/", "text/html; charset=utf-8"},
-		{"/render?w=200&h=80", "image/png"},
-		{"/matrix", "image/png"},
-		{"/plot?kind=idle", "image/png"},
-		{"/stats", "application/json"},
-		{"/task?id=1", "application/json"},
-		{"/graph.dot", "text/vnd.graphviz"},
-		{"/anomalies", "application/json"},
+	checkContentTypes(t, newTestServer(t), "")
+}
+
+// TestEndpointTableWalk: what TestEndpointContentTypes and
+// TestEndpointCacheHit's first loop check of a standalone viewer holds
+// for every entry of the table mounted under a hub's /t/<name>/, batch
+// and live, where the entries of both traces share one LRU.
+func TestEndpointTableWalk(t *testing.T) {
+	h, _, _ := newTestHub(t)
+	srv := httptest.NewServer(h)
+	t.Cleanup(srv.Close)
+	for _, prefix := range []string{"/t/batch", "/t/live"} {
+		checkMissThenHit(t, srv, prefix)
+		checkContentTypes(t, srv, prefix)
 	}
-	for _, c := range cases {
-		resp, body := get(t, srv, c.path)
-		if resp.StatusCode != 200 {
-			t.Errorf("%s: status %d: %s", c.path, resp.StatusCode, body)
-			continue
+}
+
+// TestGraphDOTCached: /graph.dot is a cached verb like the rest. Every
+// max <= 0 means "all tasks" and shares one entry, and what the cache
+// serves is byte for byte a direct WriteDOT.
+func TestGraphDOTCached(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	srv := httptest.NewServer(NewServer(tr, "dot-test"))
+	t.Cleanup(srv.Close)
+	var want bytes.Buffer
+	if err := taskgraph.Reconstruct(tr).WriteDOT(&want, taskgraph.DOTOptions{Label: "dot-test"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, path := range []string{"/graph.dot?max=0", "/graph.dot?max=-3", "/graph.dot?max=0"} {
+		resp, body := get(t, srv, path)
+		wantCache := "HIT"
+		if i == 0 {
+			wantCache = "MISS"
 		}
-		if ct := resp.Header.Get("Content-Type"); ct != c.ct {
-			t.Errorf("%s: content type %q, want %q", c.path, ct, c.ct)
+		if xc := resp.Header.Get("X-Cache"); resp.StatusCode != 200 || xc != wantCache {
+			t.Errorf("%s: status %d, X-Cache %q, want 200 %s", path, resp.StatusCode, xc, wantCache)
 		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Errorf("%s: body differs from a direct WriteDOT", path)
+		}
+	}
+	if resp, body := get(t, srv, "/graph.dot?max=2"); resp.Header.Get("X-Cache") != "MISS" || bytes.Equal(body, want.Bytes()) {
+		t.Errorf("/graph.dot?max=2: X-Cache %q, want a MISS of a bounded graph", resp.Header.Get("X-Cache"))
 	}
 }
 
@@ -121,6 +212,12 @@ func TestStructuredErrors(t *testing.T) {
 		{"/task?cpu=x", "cpu"},
 		{"/graph.dot?max=lots", "max"},
 		{"/?t1=oops", "t1"},
+		// Two bad parameters: the one blamed is the first in the order
+		// the server reads them, not the order the URL spells them.
+		{"/render?h=x&w=y", "w"},
+		{"/plot?level=x&n=y", "n"},
+		{"/anomalies?minscore=-1&windows=x", "windows"},
+		{"/stats?maxdur=x&t0=y", "t0"},
 	}
 
 	check := func(t *testing.T, srv *httptest.Server, prefix string) {
@@ -165,27 +262,7 @@ func TestStructuredErrors(t *testing.T) {
 // the LRU response cache.
 func TestEndpointCacheHit(t *testing.T) {
 	srv := newTestServer(t)
-	for _, path := range []string{
-		"/stats?t0=0&t1=500000",
-		"/plot?kind=idle&w=300&h=100",
-		"/render?mode=state&w=300&h=100",
-		"/anomalies?n=10",
-	} {
-		resp, first := get(t, srv, path)
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s: status %d", path, resp.StatusCode)
-		}
-		if xc := resp.Header.Get("X-Cache"); xc != "MISS" {
-			t.Errorf("%s: first request X-Cache = %q, want MISS", path, xc)
-		}
-		resp, second := get(t, srv, path)
-		if xc := resp.Header.Get("X-Cache"); xc != "HIT" {
-			t.Errorf("%s: second request X-Cache = %q, want HIT", path, xc)
-		}
-		if string(first) != string(second) {
-			t.Errorf("%s: cached body differs from computed body", path)
-		}
-	}
+	checkMissThenHit(t, srv, "")
 	// Plots cache under the series-only projection: parameters that do
 	// not change the plotted series (the window; the filter, for
 	// filter-insensitive metrics) must not fragment the cache.

@@ -3,6 +3,7 @@ package ui
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
@@ -360,10 +361,10 @@ func TestServeCachedSingleflight(t *testing.T) {
 		go func(w *httptest.ResponseRecorder) {
 			defer wg.Done()
 			<-start
-			view.serveCached(w, "sf-key", "text/plain", func() ([]byte, int, error) {
+			view.serveCached(w, httptest.NewRequest("GET", "/", nil), "sf-key", "text/plain", func() ([]byte, error) {
 				atomic.AddInt32(&builds, 1)
 				time.Sleep(30 * time.Millisecond)
-				return []byte("expensive"), 0, nil
+				return []byte("expensive"), nil
 			})
 		}(recs[i])
 	}
@@ -407,10 +408,10 @@ func TestServeCachedSingleflightError(t *testing.T) {
 		go func(w *httptest.ResponseRecorder) {
 			defer wg.Done()
 			<-start
-			view.serveCached(w, "sferr-key", "text/plain", func() ([]byte, int, error) {
+			view.serveCached(w, httptest.NewRequest("GET", "/", nil), "sferr-key", "text/plain", func() ([]byte, error) {
 				atomic.AddInt32(&builds, 1)
 				time.Sleep(10 * time.Millisecond)
-				return nil, 400, &query.BadParamError{Param: "w", Reason: "boom"}
+				return nil, &query.BadParamError{Param: "w", Reason: "boom"}
 			})
 		}(recs[i])
 	}
@@ -423,12 +424,132 @@ func TestServeCachedSingleflightError(t *testing.T) {
 	}
 	// Errors must not be cached: a later request builds again.
 	w := httptest.NewRecorder()
-	view.serveCached(w, "sferr-key", "text/plain", func() ([]byte, int, error) {
+	view.serveCached(w, httptest.NewRequest("GET", "/", nil), "sferr-key", "text/plain", func() ([]byte, error) {
 		atomic.AddInt32(&builds, 1)
-		return []byte("ok"), 0, nil
+		return []byte("ok"), nil
 	})
 	if w.Code != 200 || w.Header().Get("X-Cache") != "MISS" {
 		t.Fatalf("retry after error got (%d, %q), want fresh 200 MISS", w.Code, w.Header().Get("X-Cache"))
+	}
+}
+
+// waitingCtx is a request context that reports when the serving path
+// first asks for its Done channel: a singleflight follower does so only
+// once it holds the leader's flight and is about to wait on it.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
+
+func newWaitingCtx(parent context.Context) *waitingCtx {
+	return &waitingCtx{Context: parent, waiting: make(chan struct{})}
+}
+
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestServeCachedPanicRetiresFlight: a build that panics (net/http
+// recovers it per connection) must still retire its flight. Followers
+// already waiting on it get a 500 instead of hanging, and the next
+// request for the key builds afresh instead of joining a flight nobody
+// will ever finish.
+func TestServeCachedPanicRetiresFlight(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	view := NewServer(tr, "sfpanic-test")
+	mustNotBuild := func() ([]byte, error) {
+		t.Error("a follower ran its own build")
+		return nil, nil
+	}
+	building, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() {
+			if recover() == nil {
+				t.Error("the leader's panic did not reach its caller")
+			}
+		}()
+		view.serveCached(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil), "sfpanic-key", "text/plain", func() ([]byte, error) {
+			close(building)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-building
+	const n = 4
+	recs := make([]*httptest.ResponseRecorder, n)
+	for i := range recs {
+		recs[i] = httptest.NewRecorder()
+		ctx := newWaitingCtx(context.Background())
+		wg.Add(1)
+		go func(w *httptest.ResponseRecorder) {
+			defer wg.Done()
+			view.serveCached(w, httptest.NewRequest("GET", "/", nil).WithContext(ctx), "sfpanic-key", "text/plain", mustNotBuild)
+		}(recs[i])
+		<-ctx.waiting
+	}
+	close(release)
+	wg.Wait()
+	for _, w := range recs {
+		if w.Code != 500 {
+			t.Errorf("follower of a panicked build got status %d, want 500", w.Code)
+		}
+	}
+	w := httptest.NewRecorder()
+	view.serveCached(w, httptest.NewRequest("GET", "/", nil), "sfpanic-key", "text/plain", func() ([]byte, error) {
+		return []byte("ok"), nil
+	})
+	if w.Code != 200 || w.Header().Get("X-Cache") != "MISS" {
+		t.Fatalf("request after a panicked build got (%d, %q), want fresh 200 MISS", w.Code, w.Header().Get("X-Cache"))
+	}
+}
+
+// TestServeCachedFollowerCancel: a follower whose client has gone
+// returns while the leader is still building, writing nothing; the
+// leader's result is cached all the same and the next request is a HIT.
+func TestServeCachedFollowerCancel(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	view := NewServer(tr, "sfcancel-test")
+	building, release := make(chan struct{}), make(chan struct{})
+	leader := httptest.NewRecorder()
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		view.serveCached(leader, httptest.NewRequest("GET", "/", nil), "sfcancel-key", "text/plain", func() ([]byte, error) {
+			close(building)
+			<-release
+			return []byte("late"), nil
+		})
+	}()
+	<-building
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	follower := httptest.NewRecorder()
+	// Called on the test's goroutine: at the parent commit this call
+	// never returns (the leader is blocked until it does).
+	view.serveCached(follower, httptest.NewRequest("GET", "/", nil).WithContext(ctx), "sfcancel-key", "text/plain", func() ([]byte, error) {
+		t.Error("a follower ran its own build")
+		return nil, nil
+	})
+	if follower.Body.Len() != 0 || follower.Header().Get("X-Cache") != "" {
+		t.Errorf("cancelled follower wrote a response: %q", follower.Body.String())
+	}
+	close(release)
+	<-leaderDone
+	if leader.Code != 200 || leader.Header().Get("X-Cache") != "MISS" || leader.Body.String() != "late" {
+		t.Errorf("leader got (%d, %q, %q), want 200 MISS late", leader.Code, leader.Header().Get("X-Cache"), leader.Body.String())
+	}
+	next := httptest.NewRecorder()
+	view.serveCached(next, httptest.NewRequest("GET", "/", nil), "sfcancel-key", "text/plain", func() ([]byte, error) {
+		t.Error("the leader's result was not cached")
+		return nil, nil
+	})
+	if next.Header().Get("X-Cache") != "HIT" || next.Body.String() != "late" {
+		t.Errorf("request after the leader got (%q, %q), want HIT late", next.Header().Get("X-Cache"), next.Body.String())
 	}
 }
 

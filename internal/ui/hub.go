@@ -10,7 +10,6 @@
 package ui
 
 import (
-	"encoding/json"
 	"fmt"
 	"html/template"
 	"io"
@@ -209,11 +208,8 @@ func (h *Hub) listing() []hubTrace {
 // handleTraces lists the registered traces as JSON. Never cached: it
 // reports live epochs.
 func (h *Hub) handleTraces(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
-	if err := json.NewEncoder(w).Encode(h.listing()); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-	}
+	writeJSON(w, h.listing())
 }
 
 var hubTmpl = template.Must(template.New("hub").Parse(`<!DOCTYPE html>

@@ -6,35 +6,41 @@
 // derived metric overlays (5). Zooming, scrolling and filtering
 // re-render server-side through the optimized rendering engine.
 //
-// Every handler is a thin shell over the query layer
-// (internal/query): request parameters parse into one canonical Query,
-// the Query executes against an immutable epoch-versioned snapshot,
-// and the response caches under (trace, epoch, canonical query) — so
-// equivalent requests share one cache entry however their parameters
-// were spelled or ordered. A Server serves one trace; a Hub (hub.go)
+// Every cached verb — /render, /matrix, /plot, /stats, /anomalies,
+// /graph.dot — is an entry of one table (endpoints.go) declaring its
+// content type, its window policy, and a plan that reads the verb's own
+// parameters and returns the projection of the query its response
+// depends on plus the closure that builds the body. One function,
+// Server.serve, is their front door: it pins an immutable
+// epoch-versioned snapshot, parses the shared parameters into one
+// canonical Query (internal/query), resolves the window, reports the
+// first bad parameter, formats the cache key — (trace, epoch, verb,
+// canonical query), so equivalent requests share one entry however
+// they were spelled or ordered — runs the cache and its singleflight
+// (X-Cache: MISS or HIT on every such response), and takes a failure's
+// status from the error itself: the request's is a structured JSON 400
+// naming the parameter, an encoder's or an unfinished build's a 500;
+// an unknown task or path is a 404. /task, /live, /events and the index
+// page are plain handlers. A Server serves one trace; a Hub (hub.go)
 // serves many from one process behind one shared cache.
 package ui
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
 	"io"
 	"net/http"
-	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"github.com/openstream/aftermath/internal/annotations"
 	"github.com/openstream/aftermath/internal/anomaly"
 	"github.com/openstream/aftermath/internal/core"
-	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/query"
 	"github.com/openstream/aftermath/internal/render"
-	"github.com/openstream/aftermath/internal/taskgraph"
 	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -154,24 +160,15 @@ func newServer(src query.Source, name string, cache *responseCache, scope string
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/render", s.handleRender)
-	mux.HandleFunc("/matrix", s.handleMatrix)
-	mux.HandleFunc("/plot", s.handlePlot)
-	mux.HandleFunc("/stats", s.handleStats)
+	for i := range endpoints {
+		ep := &endpoints[i]
+		mux.HandleFunc(ep.path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, ep) })
+	}
 	mux.HandleFunc("/task", s.handleTask)
-	mux.HandleFunc("/graph.dot", s.handleGraphDOT)
-	mux.HandleFunc("/anomalies", s.handleAnomalies)
 	mux.HandleFunc("/live", s.handleLive)
 	mux.HandleFunc("/events", s.handleEvents)
 	s.mux = mux
 	return s
-}
-
-// snapshot returns the trace to answer the current request from, with
-// the epoch that versions every cache key derived from it. Static
-// traces are forever epoch 0.
-func (s *Server) snapshot() (*core.Trace, uint64) {
-	return s.src.Snapshot()
 }
 
 // errorBody is the structured JSON error every endpoint returns for
@@ -188,10 +185,7 @@ type errorBody struct {
 func writeError(w http.ResponseWriter, status int, err error) {
 	body := errorBody{Error: err.Error(), Status: status}
 	var bp *query.BadParamError
-	if e, ok := err.(*query.BadParamError); ok {
-		bp = e
-	}
-	if bp != nil {
+	if errors.As(err, &bp) {
 		body.Param = bp.Param
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -204,62 +198,80 @@ func errorf(w http.ResponseWriter, status int, format string, args ...interface{
 	writeError(w, status, fmt.Errorf(format, args...))
 }
 
-// key builds the cache key for a verb: scope (hub trace identity),
-// epoch, verb, canonical query. Everything the response depends on is
-// in the canonical encoding, so permuted-but-equivalent requests hit
-// one entry.
-func (s *Server) key(epoch uint64, verb string, q *query.Query) string {
-	return fmt.Sprintf("%se%d|%s|%s", s.scope, epoch, verb, q.Canonical())
+// statusOf takes a failed build's status from the error itself: a
+// serverError is a 500; anything else a request can provoke (a bad
+// parameter, an unknown metric, a size the renderer rejects) a 400.
+func statusOf(err error) int {
+	var se serverError
+	if errors.As(err, &se) {
+		return http.StatusInternalServerError
+	}
+	return http.StatusBadRequest
+}
+
+// writeJSON writes v as the body of an uncached JSON endpoint.
+func writeJSON(w http.ResponseWriter, v interface{}) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+	}
+}
+
+// serve is the one request path of every cached verb (see the package
+// comment). The key it formats — scope (hub trace identity), epoch,
+// verb, canonical query, the plan's extra text — holds everything the
+// response depends on, so permuted-but-equivalent requests hit one
+// entry.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
+	tr, epoch := s.src.Snapshot()
+	v := r.URL.Query()
+	q, err := query.FromValues(v)
+	if err == nil && ep.window != windowIgnored {
+		err = resolveWindow(tr, q, ep.window == windowClamped)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	rq := request{tr: tr, epoch: epoch, q: q, p: query.NewParams(v)}
+	keyQ, extra, build := ep.plan(s, rq)
+	if err := rq.p.Err(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	key := s.scope + "e" + strconv.FormatUint(epoch, 10) + "|" + ep.path[1:] + "|" + keyQ.Canonical() + extra
+	s.serveCached(w, r, key, ep.contentType, build)
 }
 
 // serveCached serves the response for key from the cache, invoking
-// build on a miss. build returns the body, or the HTTP status and
-// error to report. Error responses are never cached.
+// build on a miss. Error responses are never cached.
 //
 // Concurrent misses on one key coalesce (singleflight): exactly one
-// request runs build, the rest wait and serve its result as a HIT.
-// Without this, a push notification synchronizing N clients on an
-// epoch advance triggers N identical expensive renders at once.
-func (s *Server) serveCached(w http.ResponseWriter, key, contentType string, build func() ([]byte, int, error)) {
-	if ent, ok := s.cache.get(key); ok {
-		serveEntry(w, ent, "HIT")
-		return
-	}
-	f, leader := s.cache.begin(key)
-	if !leader {
-		<-f.done
+// request, the leader, runs build, the rest wait and serve its result
+// as a HIT. Without this, a push notification synchronizing N clients
+// on an epoch advance triggers N identical expensive renders at once.
+// A follower whose client has gone stops waiting; the leader builds on,
+// so its result still lands in the cache.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, contentType string, build func() ([]byte, error)) {
+	ent, ok := s.cache.get(key)
+	xCache := "HIT"
+	if !ok {
+		f, leader := s.cache.begin(key)
+		if leader {
+			xCache = s.cache.lead(key, contentType, f, build)
+		} else {
+			select {
+			case <-f.done:
+			case <-r.Context().Done():
+				return
+			}
+		}
 		if f.err != nil {
-			writeError(w, f.status, f.err)
+			writeError(w, statusOf(f.err), f.err)
 			return
 		}
-		serveEntry(w, f.ent, "HIT")
-		return
+		ent = f.ent
 	}
-	// Re-check under the flight: a previous leader may have filled the
-	// cache between our miss and begin.
-	if ent, ok := s.cache.get(key); ok {
-		f.ent = ent
-		s.cache.finish(key, f)
-		serveEntry(w, ent, "HIT")
-		return
-	}
-	body, status, err := build()
-	if err != nil {
-		// Errors propagate to the waiting followers but are never
-		// cached: the next request retries the build.
-		f.status, f.err = status, err
-		s.cache.finish(key, f)
-		writeError(w, status, err)
-		return
-	}
-	s.cache.put(key, contentType, body)
-	f.ent = &cachedResponse{key: key, contentType: contentType, body: body}
-	s.cache.finish(key, f)
-	serveEntry(w, f.ent, "MISS")
-}
-
-// serveEntry writes one cached (or just-built) response body.
-func serveEntry(w http.ResponseWriter, ent *cachedResponse, xCache string) {
 	w.Header().Set("Content-Type", ent.contentType)
 	w.Header().Set("X-Cache", xCache)
 	w.Write(ent.body)
@@ -270,55 +282,19 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// parseQuery parses the shared request parameters into a canonical
-// Query, reporting malformed values as a structured 400. Returns nil
-// after writing the error. Callers parse the URL once and pass the
-// values through every helper.
-func parseQuery(w http.ResponseWriter, v url.Values) *query.Query {
-	q, err := query.FromValues(v)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return nil
-	}
-	return q
-}
-
-// intParam parses and clamps an integer parameter, writing a
-// structured 400 for syntax errors (ok=false).
-func intParam(w http.ResponseWriter, v url.Values, key string, def, lo, hi int) (int, bool) {
-	p, err := query.IntParam(v, key, def)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return 0, false
-	}
-	return clampInt(p, lo, hi), true
-}
-
-// resolveWindow resolves the query window against the snapshot,
-// rejecting windows that are empty after resolution — e.g. a
-// one-sided t0 beyond the trace end — with a structured 400 (ok=false).
-// Queries with no explicit bounds always pass, and so does everything
-// on an empty-span trace (a live source before data arrives), whose
-// windows all degenerate.
-func resolveWindow(w http.ResponseWriter, tr *core.Trace, q *query.Query) (int64, int64, bool) {
-	return resolveWindowClamped(w, tr, q, false)
-}
-
-// resolveWindowClamped is resolveWindow with the anomaly scan's
-// additional contract: the window is clamped to the trace span before
-// the emptiness check, so a valid-but-overhanging window serves the
-// overlapping part and a non-overlapping one is rejected. Both
-// variants share one policy site for the rejection and its
-// empty-span carve-out.
-func resolveWindowClamped(w http.ResponseWriter, tr *core.Trace, q *query.Query, clamp bool) (int64, int64, bool) {
+// resolveWindow resolves the query window against the snapshot into
+// the query — so an explicit full-span request and an unwindowed one
+// share one entry — rejecting windows that are empty after resolution,
+// e.g. a one-sided t0 beyond the trace end. Queries with no explicit
+// bounds always pass, and so does everything on an empty-span trace (a
+// live source before data arrives), whose windows all degenerate. With
+// clamp the window is first clamped to the trace span, so an
+// overhanging window serves the overlapping part and a non-overlapping
+// one is rejected.
+func resolveWindow(tr *core.Trace, q *query.Query, clamp bool) error {
 	t0, t1 := query.WindowOf(tr, q)
 	if clamp {
-		if t0 < tr.Span.Start {
-			t0 = tr.Span.Start
-		}
-		if t1 > tr.Span.End {
-			t1 = tr.Span.End
-		}
+		t0, t1 = max(t0, tr.Span.Start), min(t1, tr.Span.End)
 	}
 	if t1 <= t0 {
 		if q.HasWindow() && tr.Span.End > tr.Span.Start {
@@ -328,200 +304,17 @@ func resolveWindowClamped(w http.ResponseWriter, tr *core.Trace, q *query.Query,
 			if q.HasEnd() {
 				param = "t1"
 			}
-			writeError(w, http.StatusBadRequest, &query.BadParamError{
+			return &query.BadParamError{
 				Param:  param,
 				Reason: fmt.Sprintf("window [%d,%d) is empty once resolved against the trace span [%d,%d)", t0, t1, tr.Span.Start, tr.Span.End),
-			})
-			return 0, 0, false
+			}
 		}
 		// No explicit bounds (or nothing to serve at all): the full
 		// span, however degenerate, is the honest answer.
 		t0, t1 = tr.Span.Start, tr.Span.End
 	}
-	return t0, t1, true
-}
-
-func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
-	tr, epoch := s.snapshot()
-	v := r.URL.Query()
-	q := parseQuery(w, v)
-	if q == nil {
-		return
-	}
-	t0, t1, ok := resolveWindow(w, tr, q)
-	if !ok {
-		return
-	}
-	// Canonicalize the resolved window into the key, so an explicit
-	// full-span request and an unwindowed one share one entry.
 	q.Window(t0, t1)
-	width, ok := intParam(w, v, "w", 1000, 100, 4000)
-	if !ok {
-		return
-	}
-	height, ok := intParam(w, v, "h", 400, 50, 2000)
-	if !ok {
-		return
-	}
-	heatMin, err := query.Int64Param(v, "heatmin", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	heatMax, err := query.Int64Param(v, "heatmax", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	shades, ok := intParam(w, v, "shades", 10, 2, 64)
-	if !ok {
-		return
-	}
-	level, ok := intParam(w, v, "level", 0, 0, 12)
-	if !ok {
-		return
-	}
-	q.Size(width, height).Heat(heatMin, heatMax).Shades(shades).Level(level)
-	q.Labels(query.FlagParam(v, "labels", true))
-	if v.Get("counter") == "" {
-		// rate only modifies a counter overlay; without one it must
-		// not fragment the cache key.
-		q.Rate(true)
-	}
-	anns, annsVer := s.annotationsState()
-	marks := query.FlagParam(v, "marks", true)
-	if anns != nil {
-		// marks only modifies rendering when an annotation set is
-		// attached; without one it must not fragment the cache key.
-		q.Marks(marks)
-	}
-	key := fmt.Sprintf("%s|a%d", s.key(epoch, "render", q), annsVer)
-	s.serveCached(w, key, "image/png", func() ([]byte, int, error) {
-		fb, _, err := query.TimelineOf(tr, q)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		if marks && anns != nil {
-			render.OverlayAnnotations(fb, tr, query.TimelineConfigOf(tr, q), anns)
-		}
-		return encodePNG(fb)
-	})
-}
-
-// encodePNG is the tail of every PNG producer. The body it returns is
-// exactly sized: the cache charges len(body) against its bound but
-// keeps the whole backing array alive, and a bytes.Buffer's, grown by
-// doubling, can be twice what was written.
-func encodePNG(fb *render.Framebuffer) ([]byte, int, error) {
-	var buf bytes.Buffer
-	if err := fb.EncodePNG(&buf); err != nil {
-		return nil, http.StatusInternalServerError, err
-	}
-	body := make([]byte, buf.Len())
-	copy(body, buf.Bytes())
-	return body, 0, nil
-}
-
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	tr, epoch := s.snapshot()
-	v := r.URL.Query()
-	q := parseQuery(w, v)
-	if q == nil {
-		return
-	}
-	t0, t1, ok := resolveWindow(w, tr, q)
-	if !ok {
-		return
-	}
-	q.Window(t0, t1)
-	cell, ok := intParam(w, v, "cell", 14, 4, 64)
-	if !ok {
-		return
-	}
-	// Cache under the matrix-only projection (window + cell): filter,
-	// mode and counter parameters do not change the matrix and must
-	// not fragment the LRU.
-	q = q.MatrixOnly(cell)
-	s.serveCached(w, s.key(epoch, "matrix", q), "image/png", func() ([]byte, int, error) {
-		m := query.CommMatrixOf(tr, q)
-		fb := render.RenderMatrix(m, cell)
-		return encodePNG(fb)
-	})
-}
-
-func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
-	tr, epoch := s.snapshot()
-	v := r.URL.Query()
-	q := parseQuery(w, v)
-	if q == nil {
-		return
-	}
-	intervals, ok := intParam(w, v, "n", 200, 10, 2000)
-	if !ok {
-		return
-	}
-	width, ok := intParam(w, v, "w", 800, 100, 4000)
-	if !ok {
-		return
-	}
-	height, ok := intParam(w, v, "h", 220, 50, 2000)
-	if !ok {
-		return
-	}
-	level, ok := intParam(w, v, "level", 0, 0, 12)
-	if !ok {
-		return
-	}
-	q.Metric(defaultStr(v.Get("kind"), "idle")).Intervals(intervals).Level(level)
-	// Cache under the series-only projection: the window (and, for
-	// filter-insensitive metrics, the filter) does not change the
-	// plotted series, so it must not fragment the LRU.
-	q = q.SeriesOnly(width, height)
-	s.serveCached(w, s.key(epoch, "plot", q), "image/png", func() ([]byte, int, error) {
-		series, err := query.SeriesOf(tr, q)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		fb, err := render.PlotSeries(render.PlotConfig{
-			Width: width, Height: height,
-			Title: strings.ToUpper(series.Name),
-		}, series)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		return encodePNG(fb)
-	})
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	tr, epoch := s.snapshot()
-	q := parseQuery(w, r.URL.Query())
-	if q == nil {
-		return
-	}
-	t0, t1, ok := resolveWindow(w, tr, q)
-	if !ok {
-		return
-	}
-	q.Window(t0, t1)
-	// Cache under the stats-only projection (window + filter): mode
-	// and counter parameters do not change the summary.
-	q = q.StatsOnly()
-	s.serveCached(w, s.key(epoch, "stats", q), "application/json", func() ([]byte, int, error) {
-		st := query.StatsOf(tr, q)
-		body, err := json.Marshal(st)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return append(body, '\n'), 0, nil
-	})
-}
-
-// StatsFor computes the statistics-panel values for a window (exposed
-// for tests and the CLI). The result is the schema-stable typed
-// summary query.StatsResult.
-func StatsFor(tr *core.Trace, f *filter.TaskFilter, t0, t1 int64) query.StatsResult {
-	return query.StatsOver(tr, f, t0, t1)
+	return nil
 }
 
 // taskResponse is the JSON body of /task — the detailed text view of
@@ -547,7 +340,7 @@ type accessResponse struct {
 }
 
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
-	tr, _ := s.snapshot()
+	tr, _ := s.src.Snapshot()
 	v := r.URL.Query()
 	// Select by id, or by cpu+time (clicking the timeline).
 	var task *core.TaskInfo
@@ -564,23 +357,19 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		}
 		task = t
 	} else {
-		cpu, err := query.IntParam(v, "cpu", 0)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if cpu < 0 || cpu > int(trace.MaxCPUID) {
+		p := query.NewParams(v)
+		cpu := p.Int64("cpu", 0)
+		if cpu < 0 || cpu > trace.MaxCPUID {
 			// Reject before the int32 cast: a negative or implausible id
 			// would otherwise silently truncate into some other CPU's row
 			// (or a panic-prone negative index) instead of a clean error.
-			writeError(w, http.StatusBadRequest, &query.BadParamError{
+			p.Reject(&query.BadParamError{
 				Param:  "cpu",
 				Reason: fmt.Sprintf("cpu %d out of range [0, %d]", cpu, trace.MaxCPUID),
 			})
-			return
 		}
-		at, err := query.Int64Param(v, "at", 0)
-		if err != nil {
+		at := p.Int64("at", 0)
+		if err := p.Err(); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -622,129 +411,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 			resp.Writes = append(resp.Writes, a)
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-	}
-}
-
-func (s *Server) handleGraphDOT(w http.ResponseWriter, r *http.Request) {
-	tr, _ := s.snapshot()
-	max, err := query.IntParam(r.URL.Query(), "max", 500)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	g := taskgraph.Reconstruct(tr)
-	w.Header().Set("Content-Type", "text/vnd.graphviz")
-	if err := g.WriteDOT(w, taskgraph.DOTOptions{MaxTasks: max, Label: s.Name}); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-	}
-}
-
-// anomalyItem is one finding in the /anomalies JSON body.
-type anomalyItem struct {
-	Kind        string  `json:"kind"`
-	Score       float64 `json:"score"`
-	Start       int64   `json:"start"`
-	End         int64   `json:"end"`
-	CPU         int32   `json:"cpu"`
-	Task        uint64  `json:"task,omitempty"`
-	Counter     string  `json:"counter,omitempty"`
-	Explanation string  `json:"explanation"`
-}
-
-// anomaliesResponse is the JSON body of /anomalies.
-type anomaliesResponse struct {
-	Start     int64         `json:"start"`
-	End       int64         `json:"end"`
-	Count     int           `json:"count"`
-	Anomalies []anomalyItem `json:"anomalies"`
-}
-
-// handleAnomalies runs the anomaly detectors over the requested window
-// and returns the ranked findings as JSON. Parameters: t0/t1 (scan
-// window), types/mindur/maxdur (task filter), kind (restrict to one
-// anomaly kind), n (max results, default 50), windows (analysis window
-// count), minscore (severity cutoff). Results are cached like every
-// other endpoint: a loaded trace is immutable, so a repeated query is
-// a cache hit.
-func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
-	tr, epoch := s.snapshot()
-	v := r.URL.Query()
-	q := parseQuery(w, v)
-	if q == nil {
-		return
-	}
-	// Windows that are empty once resolved are rejected like on every
-	// other endpoint; valid ones clamp to the trace span (mirroring
-	// the scan's own clamping), so the echoed window — and the
-	// canonical cache key — is exactly the interval that was scanned.
-	t0, t1, ok := resolveWindowClamped(w, tr, q, true)
-	if !ok {
-		return
-	}
-	q.Window(t0, t1)
-	n, ok := intParam(w, v, "n", 50, 1, 1000)
-	if !ok {
-		return
-	}
-	windows, ok := intParam(w, v, "windows", anomaly.DefaultWindows, 8, 4096)
-	if !ok {
-		return
-	}
-	minScore, err := query.FloatParam(v, "minscore", 0)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if minScore < 0 {
-		writeError(w, http.StatusBadRequest, &query.BadParamError{Param: "minscore", Reason: "must be non-negative"})
-		return
-	}
-	q.AnomalyWindows(windows).MinScore(minScore)
-	// Project to the scan-relevant fields plus the result selection:
-	// view parameters (mode, counter, ...) change neither the scan
-	// nor the response, so they must not fragment the cache.
-	q = q.ScanOnly().Limit(n).AnomalyKind(v.Get("kind"))
-	// Validate the kind selection up front — through its one
-	// definition site — so an invalid kind cannot trigger a scan.
-	if _, err := query.SelectAnomalies(nil, q); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// The scan memo key is the scan-only projection of the query:
-	// result selection (n, kind) and view-only parameters do not
-	// change what is scanned, so requests differing only in those
-	// share one memoized scan per epoch.
-	scanKey := q.ScanOnly().Canonical()
-	s.serveCached(w, s.key(epoch, "anomalies", q), "application/json", func() ([]byte, int, error) {
-		cfg := query.AnomalyConfigOf(tr, q)
-		found := s.scanner.Scan(tr, epoch, scanKey, cfg)
-		selected, err := query.SelectAnomalies(found, q)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
-		}
-		resp := anomaliesResponse{Start: t0, End: t1, Anomalies: []anomalyItem{}}
-		for _, a := range selected {
-			resp.Anomalies = append(resp.Anomalies, anomalyItem{
-				Kind:        a.Kind.String(),
-				Score:       a.Score,
-				Start:       a.Window.Start,
-				End:         a.Window.End,
-				CPU:         a.CPU,
-				Task:        uint64(a.TaskID),
-				Counter:     a.Counter,
-				Explanation: a.Explanation,
-			})
-		}
-		resp.Count = len(resp.Anomalies)
-		body, err := json.Marshal(resp)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return append(body, '\n'), 0, nil
-	})
+	writeJSON(w, resp)
 }
 
 // liveResponse is the JSON body of /live: the ingest status of the
@@ -792,7 +459,7 @@ type spillStatus struct {
 // installs or fails), so memoizing them with the snapshot would serve
 // stale — and hide failing — retention status indefinitely.
 func (s *Server) liveStatus() liveResponse {
-	tr, epoch := s.snapshot()
+	tr, epoch := s.src.Snapshot()
 	ls, isLive := s.src.(query.LiveSource)
 	s.statusMu.Lock()
 	if s.statusSnap != tr {
@@ -846,12 +513,8 @@ func (s *Server) liveStatus() liveResponse {
 // handleLive reports the current epoch and snapshot totals. Never
 // cached: its whole point is telling pollers whether anything changed.
 func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
-	resp := s.liveStatus()
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Cache-Control", "no-store")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-	}
+	writeJSON(w, s.liveStatus())
 }
 
 // The index template links relatively ("render?...", not "/render?..."),
@@ -956,16 +619,17 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		errorf(w, http.StatusNotFound, "no such endpoint %q", r.URL.Path)
 		return
 	}
-	tr, epoch := s.snapshot()
+	tr, epoch := s.src.Snapshot()
 	v := r.URL.Query()
-	q := parseQuery(w, v)
-	if q == nil {
+	q, err := query.FromValues(v)
+	if err == nil {
+		err = resolveWindow(tr, q, false)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	t0, t1, ok := resolveWindow(w, tr, q)
-	if !ok {
-		return
-	}
+	t0, t1 := query.WindowOf(tr, q)
 	// All navigation arithmetic saturates: trace times are raw cycle
 	// counts that may sit anywhere in int64, so t1 + span/2 (zoom out
 	// near the end) or t0 - quarter (pan left near MinInt64) would wrap
@@ -984,7 +648,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		Span:        tr.Span.Duration(),
 		Live:        isLive,
 		Epoch:       epoch,
-		Mode:        defaultStr(v.Get("mode"), "state"),
+		Mode:        query.NewParams(v).Str("mode", "state"),
 		CoarseLevel: indexCoarseLevel,
 		T0:          t0, T1: t1,
 		ZoomInT0: tmath.SatAdd(t0, quarter), ZoomInT1: tmath.SatSub(t1, quarter),
@@ -999,21 +663,4 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if err := indexTmpl.Execute(w, d); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 	}
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-func defaultStr(v, def string) string {
-	if v == "" {
-		return def
-	}
-	return v
 }
