@@ -101,12 +101,11 @@ type Trace struct {
 	counterByID   map[trace.CounterID]int
 	counterByName map[string]int
 
-	// lazyTaskIDs defers building taskByID until the first TaskByID
-	// call. OpenStore sets it so opening a snapshot stays O(touched
-	// pages) instead of O(tasks); hand-built and loaded traces keep
-	// their eager map (a nil map here means "no tasks", not "build").
-	lazyTaskIDs bool
-	taskIDOnce  sync.Once
+	// A trace with tasks and no taskByID builds it under taskIDOnce at
+	// the first TaskByID call: OpenStore stays O(touched pages) instead
+	// of O(tasks), and a live publish copies no map. The batch loader
+	// fills the map as it reads.
+	taskIDOnce sync.Once
 
 	// spilled[cpu] holds the spilled parts of a CPU's event columns,
 	// for snapshots of a live trace that has spilled (spill.go); nil
@@ -172,15 +171,16 @@ func (tr *Trace) TypeName(id trace.TypeID) string {
 
 // TaskByID returns the task with the given ID.
 func (tr *Trace) TaskByID(id trace.TaskID) (*TaskInfo, bool) {
-	if tr.lazyTaskIDs {
-		tr.taskIDOnce.Do(func() {
-			m := make(map[trace.TaskID]int, len(tr.Tasks))
-			for i := range tr.Tasks {
-				m[tr.Tasks[i].ID] = i
-			}
-			tr.taskByID = m
-		})
-	}
+	tr.taskIDOnce.Do(func() {
+		if tr.taskByID != nil || len(tr.Tasks) == 0 {
+			return
+		}
+		m := make(map[trace.TaskID]int, len(tr.Tasks))
+		for i := range tr.Tasks {
+			m[tr.Tasks[i].ID] = i
+		}
+		tr.taskByID = m
+	})
 	i, ok := tr.taskByID[id]
 	if !ok {
 		return nil, false

@@ -4,23 +4,29 @@
 // while its timeline, metrics and anomaly rankings are served.
 //
 // The design separates a mutable builder from immutable snapshots. The
-// builder accumulates exactly the state a batch load accumulates
-// before indexing — first-touch task/type/counter tables, the raw
-// region list, and one liveCol (column.go) per per-CPU event array and
-// per (counter, CPU) sample array — guarded by a coarse epoch lock.
-// Publish finalizes a snapshot through the same helpers the batch
-// indexer uses (applyExecs, finalizeTypes, sortRegions,
-// buildCounterNameIndex), so a snapshot is — provably, see
-// TestStreamEqualsBatch — byte-identical to a cold Load of the stream
-// prefix consumed so far. A snapshot captures each column as a
-// (parts, tail) value and shares the event storage with the builder;
-// the column never writes at an index a captured value covers, so
-// readers keep querying older epochs race-free while the writer
-// appends, spills and ages data out.
+// builder accumulates the state a batch load accumulates — first-touch
+// task/type/counter tables, the region list, and one liveCol
+// (column.go) per per-CPU event array and per (counter, CPU) sample
+// array — guarded by a coarse epoch lock, and keeps the two tables a
+// batch load finalizes over its whole input finalized as it goes: the
+// region list stays address-sorted (a publish sorts the epoch's
+// arrivals and merges them in) and task placements are applied to the
+// task table once, as their execution spans arrive. Publish derives the
+// rest through the helpers the batch indexer uses (finalizeTypes,
+// buildCounterNameIndex; sortRegions and applyExecs for the arrivals
+// and the not-yet-declared tasks), so a snapshot is — provably, see
+// TestStreamEqualsBatch and TestPublishIncrementalEqualsBatch —
+// byte-identical to a cold Load of the stream prefix consumed so far. A
+// snapshot captures each column as a (parts, tail) value and the region
+// list as a (len == cap) prefix, sharing that storage with the
+// builder, which never writes at an index a captured value covers; the
+// task table is the one thing copied. So readers keep querying older
+// epochs race-free while the writer appends, spills and ages data out.
 package core
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 
@@ -42,16 +48,24 @@ type Live struct {
 	hasTopo bool
 	maxCPU  int32
 
-	// Per-CPU builder tables, guarded by mu.
-	cols  []cpuCols
-	execs [][]execSpan
-	doms  []domChain
+	// Per-CPU builder tables, guarded by mu. execs[cpu] lists the CPU's
+	// task execution spans in stream order; the first execDone[cpu] of
+	// them have been applied to tasks, except those whose task has no
+	// record yet, which wait in orphans[cpu] (placeExecsLocked). execs
+	// keeps its full history only for the dirty arm of snapshotLocked,
+	// which re-applies every placement, the aged-out ones included.
+	cols     []cpuCols
+	execs    [][]execSpan
+	execDone []int
+	orphans  [][]execSpan
+	doms     []domChain
 
 	// Type table, guarded by mu.
 	types    []trace.TaskType
 	typeByID map[trace.TypeID]int
 
-	// Task table, guarded by mu.
+	// Task table, guarded by mu: first-touch order, placements applied
+	// in place while every state column is clean.
 	tasks    []TaskInfo
 	taskByID map[trace.TaskID]int
 
@@ -59,8 +73,12 @@ type Live struct {
 	counters    []*liveCounter
 	counterByID map[trace.CounterID]int
 
-	// Raw region list, guarded by mu.
-	regions []trace.MemRegion
+	// Region table, guarded by mu: regions is address-sorted and shared
+	// with the snapshots that captured a prefix of it, so it is only
+	// ever appended to or replaced; a batch's regions wait in
+	// regionArrivals for the next publish (mergeRegionsLocked).
+	regions        []trace.MemRegion
+	regionArrivals []trace.MemRegion
 
 	// Observed span, guarded by mu.
 	spanSet bool
@@ -216,6 +234,8 @@ func (lv *Live) cpuLocked(id int32) *cpuCols {
 	for int(id) >= len(lv.cols) {
 		lv.cols = append(lv.cols, cpuCols{})
 		lv.execs = append(lv.execs, nil)
+		lv.execDone = append(lv.execDone, 0)
+		lv.orphans = append(lv.orphans, nil)
 		lv.doms = append(lv.doms, domChain{})
 	}
 	if id > lv.maxCPU {
@@ -334,7 +354,7 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 	for _, d := range b.Descs {
 		lv.counterForLocked(d.ID).desc = d
 	}
-	lv.regions = append(lv.regions, b.Regions...)
+	lv.regionArrivals = append(lv.regionArrivals, b.Regions...)
 	if b.MaxCPU > lv.maxCPU {
 		lv.maxCPU = b.MaxCPU
 	}
@@ -387,23 +407,29 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 	return tr, epoch
 }
 
-// snapshotLocked finalizes the builder state into an immutable Trace,
-// through the same helpers the batch indexer runs, sharing the large
-// event and sample arrays with the builder (copy-on-write only for the
-// tables the finalization mutates).
+// snapshotLocked finalizes the builder state into an immutable Trace
+// equal to a batch load of everything appended so far.
 //
-// Cost per publish: the event and sample arrays — the bulk of a trace
-// — are shared, never copied or re-scanned, and the min/max trees and
-// dominance pyramids extend in amortized append mode, so those scale
-// with the appended data only. What still scales with the history is
-// the task table: it and its id map are copied per publish (exec
-// application mutates task entries in place, and the batch semantics
-// re-apply every placement in CPU order), as are the small
-// type/region/counter tables and the region sort — O(tasks + regions)
-// per epoch. Nothing else is derived here: detector baselines and
+// Cost per publish. Shared, never copied or re-scanned: the event and
+// sample arrays (the bulk of a trace) and the sorted region list.
+// O(what the epoch appended): the min/max trees and dominance pyramids
+// extend in append mode, the epoch's regions are sorted and merged into
+// the list (one copy of the list when they interleave with it, none
+// when they lie past its end), and the epoch's execution spans are
+// applied to the task table. One memmove of the history: the task
+// table, 48 B a task, because later placements edit it in place.
+// O(their size): the small type and counter tables. No task-ID map is
+// made; Trace.TaskByID builds it for the first reader who asks a
+// snapshot by ID. Nothing else is derived here: detector baselines and
 // communication totals are computed by whoever asks a snapshot for
 // them, the same scan a batch-loaded trace runs (anomaly/live.go
 // memoizes it per epoch).
+//
+// The exception is a trace with a dirty state column (an out-of-order
+// producer; sticky): its execution spans have no stream order to apply
+// incrementally, so every publish re-applies every placement to a copy
+// of the tasks and copies the ID map — O(tasks + executions) per epoch,
+// on top of the column's own per-snapshot repair.
 func (lv *Live) snapshotLocked() *Trace {
 	tr := &Trace{Topology: lv.topo}
 	if !lv.hasTopo {
@@ -419,7 +445,7 @@ func (lv *Live) snapshotLocked() *Trace {
 	// column is captured as its (parts, tail) value; a column that
 	// violated per-CPU order is captured repaired — the identical
 	// stable sort index() performs.
-	execs := make([][]execSpan, int(lv.maxCPU)+1)
+	dirty := false
 	if n := int(lv.maxCPU) + 1; n > 0 {
 		tr.CPUs = make([]CPUData, n)
 		if spilled {
@@ -434,11 +460,7 @@ func (lv *Live) snapshotLocked() *Trace {
 			if spilled {
 				tr.spilled[i] = sp
 			}
-			if cc.states.dirty {
-				execs[i] = collectExecs(c.States)
-			} else {
-				execs[i] = lv.execs[i]
-			}
+			dirty = dirty || cc.states.dirty
 		}
 	}
 
@@ -448,14 +470,31 @@ func (lv *Live) snapshotLocked() *Trace {
 	tr.typeByID = make(map[trace.TypeID]int, len(lv.typeByID))
 	finalizeTypes(tr.Types, tr.typeByID)
 
-	tr.Regions = append([]trace.MemRegion(nil), lv.regions...)
-	sortRegions(tr.Regions)
+	tr.Regions = lv.mergeRegionsLocked()
 
-	tr.taskByID = make(map[trace.TaskID]int, len(lv.taskByID))
-	for k, v := range lv.taskByID {
-		tr.taskByID[k] = v
+	if dirty {
+		execs := make([][]execSpan, len(tr.CPUs))
+		for i := range lv.cols {
+			if lv.cols[i].states.dirty {
+				execs[i] = collectExecs(tr.CPUs[i].States)
+			} else {
+				execs[i] = lv.execs[i]
+			}
+		}
+		// The copies may carry placements from epochs before the column
+		// went dirty; each came from a span, every span is re-applied,
+		// and applyExecs overwrites, so none survives as it stands.
+		tr.taskByID = maps.Clone(lv.taskByID)
+		tr.Tasks = applyExecs(append([]TaskInfo(nil), lv.tasks...), tr.taskByID, execs)
+	} else if orphans := lv.placeExecsLocked(); orphans == 0 {
+		tr.Tasks = append([]TaskInfo(nil), lv.tasks...)
+	} else {
+		// Spans still without a task record are the snapshot's alone:
+		// their tasks are synthesized past the declared ones, in CPU and
+		// event order, and declared by no later epoch's table.
+		tasks := append(make([]TaskInfo, 0, len(lv.tasks)+orphans), lv.tasks...)
+		tr.Tasks = applyExecs(tasks, make(map[trace.TaskID]int), lv.orphans)
 	}
-	tr.Tasks = applyExecs(append([]TaskInfo(nil), lv.tasks...), tr.taskByID, execs)
 
 	tr.counterByID = make(map[trace.CounterID]int, len(lv.counterByID))
 	for k, v := range lv.counterByID {
@@ -515,6 +554,53 @@ func (lv *Live) snapshotLocked() *Trace {
 		tr.Span = Interval{Start: lv.spanMin, End: lv.spanMax}
 	}
 	return tr
+}
+
+// mergeRegionsLocked folds the regions that arrived since the last
+// publish into the sorted list and returns the list as a snapshot may
+// keep it: len == cap, so a reader's append cannot reach the spare room
+// the builder extends into.
+func (lv *Live) mergeRegionsLocked() []trace.MemRegion {
+	if arr := lv.regionArrivals; len(arr) > 0 {
+		sortRegions(arr)
+		if n := len(lv.regions); n == 0 || arr[0].Addr >= lv.regions[n-1].Addr {
+			// Past every captured prefix: no snapshot covers these indices.
+			lv.regions = append(lv.regions, arr...)
+		} else {
+			lv.regions = mergeRegions(lv.regions, arr)
+		}
+		lv.regionArrivals = arr[:0]
+	}
+	n := len(lv.regions)
+	return lv.regions[:n:n]
+}
+
+// placeExecsLocked applies the execution spans appended since the last
+// publish to the task table and returns how many spans are orphaned,
+// their task still undeclared. A span on CPU c replaces a task's
+// placement iff c >= the task's ExecCPU. That is the batch loader's
+// last-writer-wins over (CPU, event) order whatever order the CPUs are
+// visited in, provided one CPU's spans are applied in event order —
+// which, for clean columns, is the stream order execs holds; so a
+// CPU's orphans, which are older than its new spans, are retried first.
+func (lv *Live) placeExecsLocked() (orphans int) {
+	for cpu, spans := range lv.execs {
+		waiting := lv.orphans[cpu]
+		kept := waiting[:0]
+		for _, run := range [2][]execSpan{waiting, spans[lv.execDone[cpu]:]} {
+			for _, e := range run {
+				i, ok := lv.taskByID[e.task]
+				if !ok {
+					kept = append(kept, e)
+				} else if ti := &lv.tasks[i]; int32(cpu) >= ti.ExecCPU {
+					ti.ExecCPU, ti.ExecStart, ti.ExecEnd = int32(cpu), e.start, e.end
+				}
+			}
+		}
+		lv.orphans[cpu], lv.execDone[cpu] = kept, len(spans)
+		orphans += len(kept)
+	}
+	return orphans
 }
 
 // extendDomsLocked brings the per-CPU dominance chains up to the

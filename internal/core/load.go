@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -390,9 +392,25 @@ func finalizeTypes(types []trace.TaskType, byID map[trace.TypeID]int) {
 	}
 }
 
-// sortRegions sorts the region table by address in place.
+// sortRegions sorts the region table by address in place. The sort is
+// stable, so of two regions registered at one address (memory freed and
+// allocated again) the later one sorts last and is the one RegionAt
+// finds.
 func sortRegions(regions []trace.MemRegion) {
-	sort.Slice(regions, func(a, b int) bool { return regions[a].Addr < regions[b].Addr })
+	slices.SortStableFunc(regions, func(a, b trace.MemRegion) int { return cmp.Compare(a.Addr, b.Addr) })
+}
+
+// mergeRegions merges two address-sorted region lists into a fresh
+// array; at equal addresses the regions of sorted, which arrived
+// earlier, come first — the order sortRegions gives the concatenation.
+func mergeRegions(sorted, arrivals []trace.MemRegion) []trace.MemRegion {
+	out := make([]trace.MemRegion, 0, len(sorted)+len(arrivals))
+	for _, r := range arrivals {
+		n := sort.Search(len(sorted), func(i int) bool { return sorted[i].Addr > r.Addr })
+		out = append(append(out, sorted[:n]...), r)
+		sorted = sorted[n:]
+	}
+	return append(out, sorted...)
 }
 
 // buildCounterNameIndex returns the name index over the counter table:

@@ -244,8 +244,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 	}
 
 	tr = newTrace()
-	tr.lazyTaskIDs = true
-	tr.taskByID = nil
+	tr.taskByID = nil // built by the first TaskByID
 	tr.backing = m
 	tr.Span.Start = d.I64()
 	tr.Span.End = d.I64()

@@ -413,6 +413,14 @@ func TestLiveConcurrentAppendAndQuery(t *testing.T) {
 				}
 				lastEpoch, lastEnd = epoch, tr.Span.End
 				run(tr)
+				// The ID map of a live snapshot is built by whichever
+				// reader asks first, while the writer keeps publishing.
+				if n := len(tr.Tasks); n > 0 {
+					if ti, ok := tr.TaskByID(tr.Tasks[n-1].ID); !ok || ti != &tr.Tasks[n-1] {
+						t.Errorf("reader: TaskByID does not resolve the last task of epoch %d", epoch)
+						return
+					}
+				}
 				// A snapshot must be frozen: re-reading its span after
 				// running queries (while the writer kept appending)
 				// must give the same value.
