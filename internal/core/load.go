@@ -5,7 +5,6 @@ import (
 	"io"
 	"slices"
 	"sort"
-	"sync"
 
 	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/trace"
@@ -23,19 +22,25 @@ func Load(path string) (*Trace, error) {
 
 // FromReader reads and indexes a trace from a stream.
 //
-// Loading is a pipeline: the decode stage turns the byte stream into
-// typed record batches (trace.ReadBatched: the trace package's one
-// framer cuts runs of whole records on its own goroutine and decode
-// workers turn each run into a batch), a router applies global records
-// (topology, types, tasks, counter registrations, regions) in stream
-// order, and per-CPU shard workers append state, discrete,
-// communication and sample arrays concurrently — records for different
-// CPUs are independent, and batches arrive in stream order, so every
-// per-CPU array is built in trace order without post-hoc merging. On a
-// single CPU the pipeline collapses to fromReaderSeq: the same framer
-// driven record by record (trace.Read) into one loop that applies each
-// record as it is cut. FromDecoder is the third driver of that framer,
-// the pollable trace.StreamReader, fed through the live ingest path.
+// Loading writes each per-CPU record twice and allocates each array
+// once. The decode stage turns the byte stream into typed record batches
+// (trace.ReadBatched: the trace package's one framer cuts runs of whole
+// records on its own goroutine, counting them by kind, and decode
+// workers turn each run into a batch whose slices are allocated at that
+// count and which carries how many of its records belong to each CPU
+// and each counter on each CPU). The calling goroutine applies the
+// global records (topology, types, tasks, counter registrations) in
+// stream order and keeps the batches. At the end of the stream the
+// counts are summed, every per-CPU state, discrete, communication and
+// sample array is allocated at its final length, each batch learns the
+// offsets its records start at by a prefix sum in stream order, and the
+// batches are scattered into the arrays concurrently — they write
+// disjoint ranges, so every per-CPU array comes out in trace order
+// without merging (Trace.scatter). Then Trace.index. On a single CPU
+// all of this collapses to fromReaderSeq: the same framer driven record
+// by record (trace.Read) into one loop that applies each record as it
+// is cut. FromDecoder is the third driver of that framer, the pollable
+// trace.StreamReader, fed through the live ingest path.
 func FromReader(r io.Reader) (*Trace, error) {
 	return fromReader(r, par.Workers())
 }
@@ -59,44 +64,20 @@ func FromDecoder(d trace.Decoder) (*Trace, error) {
 	return tr, nil
 }
 
-// Pipeline sizing: decode parallelism saturates well below large
-// GOMAXPROCS values, and each extra shard re-scans every batch, so
-// both are capped independently of the machine size.
-const (
-	maxDecodeWorkers = 16
-	maxLoadShards    = 8
-)
+// maxDecodeWorkers caps the pipeline: decode parallelism saturates well
+// below large GOMAXPROCS values.
+const maxDecodeWorkers = 16
 
 func fromReader(r io.Reader, workers int) (*Trace, error) {
 	if workers <= 1 {
 		return fromReaderSeq(r)
 	}
-	if workers > maxDecodeWorkers {
-		workers = maxDecodeWorkers
-	}
+	workers = min(workers, maxDecodeWorkers)
 	tr := newTrace()
-
-	nsh := workers
-	if nsh > maxLoadShards {
-		nsh = maxLoadShards
-	}
-	shards := make([]*loadShard, nsh)
-	var wg sync.WaitGroup
-	for i := range shards {
-		shards[i] = &loadShard{
-			n: nsh, id: i,
-			ch:      make(chan *trace.RecordBatch, 4),
-			samples: make(map[trace.CounterID][][]trace.CounterSample),
-		}
-		wg.Add(1)
-		go func(sh *loadShard) {
-			defer wg.Done()
-			sh.run()
-		}(shards[i])
-	}
 
 	var hasTopo bool
 	maxCPU := int32(-1)
+	var batches []*trace.RecordBatch
 	err := trace.ReadBatched(r, workers, func(b *trace.RecordBatch) error {
 		// Global records are rare; apply them in stream order here.
 		for _, t := range b.Topologies {
@@ -120,59 +101,135 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 		for _, d := range b.Descs {
 			tr.counterFor(d.ID).Desc = d
 		}
-		tr.Regions = append(tr.Regions, b.Regions...)
-		if b.MaxCPU > maxCPU {
-			maxCPU = b.MaxCPU
-		}
-		// Per-CPU families fan out to the shard workers. Every shard
-		// sees every batch in order and keeps only its own CPUs, so
-		// per-CPU order is preserved without coordination.
-		for _, sh := range shards {
-			sh.ch <- b
-		}
+		maxCPU = max(maxCPU, b.MaxCPU)
+		// The per-CPU families and the regions wait for the end of the
+		// stream, when their arrays can be allocated at their final size.
+		batches = append(batches, b)
 		return nil
 	})
-	for _, sh := range shards {
-		close(sh.ch)
-	}
-	wg.Wait()
 	if err != nil {
 		return nil, err
 	}
-
-	// Stitch the shard-owned arrays into the trace. Only slice headers
-	// move here; the event data stays where the shards built it.
-	if maxCPU >= 0 {
-		tr.CPUs = make([]CPUData, maxCPU+1)
-		for _, sh := range shards {
-			for cpu := sh.id; cpu < len(sh.cpus); cpu += sh.n {
-				tr.CPUs[cpu] = sh.cpus[cpu]
-			}
-		}
-	}
-	for _, c := range tr.Counters {
-		id := c.Desc.ID
-		perLen := 0
-		for _, sh := range shards {
-			if l := len(sh.samples[id]); l > perLen {
-				perLen = l
-			}
-		}
-		if perLen == 0 {
-			continue
-		}
-		c.PerCPU = make([][]trace.CounterSample, perLen)
-		for _, sh := range shards {
-			for cpu, s := range sh.samples[id] {
-				if s != nil {
-					c.PerCPU[cpu] = s
-				}
-			}
-		}
-	}
-
+	tr.scatter(batches, maxCPU, workers)
 	tr.index(hasTopo, maxCPU, workers)
 	return tr, nil
+}
+
+// scatter builds the per-CPU event and sample arrays and the region
+// table from the batches of a whole stream, given in stream order with
+// the counts ReadBatched left on them: every array is allocated once at
+// its final length and every record copied once to its final place. The
+// counts of a batch are turned into the offsets its records start at (a
+// prefix sum in stream order), so batches write disjoint ranges, are
+// scattered concurrently, and per-CPU stream order holds by
+// construction. batches is consumed: a batch is dropped as soon as it is
+// scattered.
+func (tr *Trace) scatter(batches []*trace.RecordBatch, maxCPU int32, workers int) {
+	total := make([]trace.CPUCount, maxCPU+1)
+	samples := make([][]int, len(tr.Counters)) // [counter index][cpu]
+	regions := 0
+	for _, b := range batches {
+		for i := range b.CPUCounts {
+			e := &b.CPUCounts[i]
+			t := &total[e.CPU]
+			e.States, t.States = t.States, t.States+e.States
+			e.Discrete, t.Discrete = t.Discrete, t.Discrete+e.Discrete
+			e.Comms, t.Comms = t.Comms, t.Comms+e.Comms
+		}
+		for i := range b.SampleCounts {
+			e := &b.SampleCounts[i]
+			ci := tr.counterByID[e.Counter]
+			if grow := int(e.CPU) + 1 - len(samples[ci]); grow > 0 {
+				samples[ci] = append(samples[ci], make([]int, grow)...)
+			}
+			t := &samples[ci][e.CPU]
+			e.N, *t = *t, *t+e.N
+		}
+		regions += len(b.Regions)
+	}
+
+	// Allocation clears 40 bytes a record: worth the workers too.
+	tr.CPUs = sized[CPUData](len(total))
+	par.Do(workers, len(total), func(cpu int) {
+		c, t := &tr.CPUs[cpu], &total[cpu]
+		c.States = sized[trace.StateEvent](t.States)
+		c.Discrete = sized[trace.DiscreteEvent](t.Discrete)
+		c.Comm = sized[trace.CommEvent](t.Comms)
+	})
+	par.Do(workers, len(samples), func(ci int) {
+		per := sized[[]trace.CounterSample](len(samples[ci]))
+		for cpu, n := range samples[ci] {
+			per[cpu] = sized[trace.CounterSample](n)
+		}
+		tr.Counters[ci].PerCPU = per
+	})
+	tr.Regions = sized[trace.MemRegion](regions)[:0]
+	for _, b := range batches {
+		tr.Regions = append(tr.Regions, b.Regions...)
+	}
+
+	// Each worker takes a contiguous share of the batches, so its look-up
+	// tables are allocated once: at, where a CPU's offsets are, and rest,
+	// which of ranges is what remains of a (counter, CPU) pair's range.
+	// The pair is packed into one integer: built as a struct in memory it
+	// stalls every look-up behind the stores of the sample before.
+	pair := func(id trace.CounterID, cpu int32) uint64 { return uint64(id)<<32 | uint64(uint32(cpu)) }
+	bounds := par.Chunks(workers, len(batches))
+	par.Do(workers, len(bounds)-1, func(chunk int) {
+		at := make(map[int32]*trace.CPUCount)
+		rest := make(map[uint64]int)
+		var ranges [][]trace.CounterSample
+		for i := bounds[chunk]; i < bounds[chunk+1]; i++ {
+			b := batches[i]
+			batches[i] = nil
+			clear(at)
+			for j := range b.CPUCounts {
+				at[b.CPUCounts[j].CPU] = &b.CPUCounts[j]
+			}
+			// Records of one CPU come in runs: most look-ups repeat the last.
+			e := &trace.CPUCount{CPU: -1}
+			for _, s := range b.States {
+				if s.CPU != e.CPU {
+					e = at[s.CPU]
+				}
+				tr.CPUs[s.CPU].States[e.States] = s
+				e.States++
+			}
+			for _, ev := range b.Discrete {
+				if ev.CPU != e.CPU {
+					e = at[ev.CPU]
+				}
+				tr.CPUs[ev.CPU].Discrete[e.Discrete] = ev
+				e.Discrete++
+			}
+			for _, ev := range b.Comms {
+				if ev.CPU != e.CPU {
+					e = at[ev.CPU]
+				}
+				tr.CPUs[ev.CPU].Comm[e.Comms] = ev
+				e.Comms++
+			}
+			clear(rest)
+			ranges = ranges[:0]
+			for _, e := range b.SampleCounts {
+				rest[pair(e.Counter, e.CPU)] = len(ranges)
+				ranges = append(ranges, tr.Counters[tr.counterByID[e.Counter]].PerCPU[e.CPU][e.N:])
+			}
+			for _, s := range b.Samples {
+				r := &ranges[rest[pair(s.Counter, s.CPU)]]
+				(*r)[0], *r = s, (*r)[1:]
+			}
+		}
+	})
+}
+
+// sized returns a slice of n zero records, nil for none, as a CPU
+// without records of a family has in a sequential load.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, n)
 }
 
 // fromReaderSeq is the sequential load path, used when a single
@@ -272,59 +329,6 @@ func (tr *Trace) applyTask(t trace.Task) {
 	})
 }
 
-// loadShard owns the CPUs whose id is congruent to id modulo n and
-// appends their per-CPU event and sample arrays. Batches arrive in
-// stream order on ch, so each owned array is built in trace order.
-type loadShard struct {
-	n, id   int
-	ch      chan *trace.RecordBatch
-	cpus    []CPUData // indexed by CPU id; entries with cpu%n != id stay zero
-	samples map[trace.CounterID][][]trace.CounterSample
-}
-
-func (sh *loadShard) owns(cpu int32) bool { return int(cpu)%sh.n == sh.id }
-
-func (sh *loadShard) cpu(id int32) *CPUData {
-	for int(id) >= len(sh.cpus) {
-		sh.cpus = append(sh.cpus, CPUData{})
-	}
-	return &sh.cpus[id]
-}
-
-func (sh *loadShard) run() {
-	for b := range sh.ch {
-		for _, s := range b.States {
-			if sh.owns(s.CPU) {
-				c := sh.cpu(s.CPU)
-				c.States = append(c.States, s)
-			}
-		}
-		for _, ev := range b.Discrete {
-			if sh.owns(ev.CPU) {
-				c := sh.cpu(ev.CPU)
-				c.Discrete = append(c.Discrete, ev)
-			}
-		}
-		for _, ev := range b.Comms {
-			if sh.owns(ev.CPU) {
-				c := sh.cpu(ev.CPU)
-				c.Comm = append(c.Comm, ev)
-			}
-		}
-		for _, s := range b.Samples {
-			if !sh.owns(s.CPU) {
-				continue
-			}
-			per := sh.samples[s.Counter]
-			for int(s.CPU) >= len(per) {
-				per = append(per, nil)
-			}
-			per[s.CPU] = append(per[s.CPU], s)
-			sh.samples[s.Counter] = per
-		}
-	}
-}
-
 // execSpan is one task execution interval collected from a CPU's
 // state events, in event order. Both the batch indexer and the live
 // snapshot path apply these through applyExecs.
@@ -374,9 +378,16 @@ func applyExecs(tasks []TaskInfo, byID map[trace.TaskID]int, perCPU [][]execSpan
 // collectExecs returns the task execution intervals of a sorted state
 // array, in event order.
 func collectExecs(states []trace.StateEvent) []execSpan {
-	var out []execSpan
-	for _, s := range states {
-		if s.State == trace.StateTaskExec && s.Task != trace.NoTask {
+	isExec := func(s *trace.StateEvent) bool { return s.State == trace.StateTaskExec && s.Task != trace.NoTask }
+	n := 0
+	for i := range states {
+		if isExec(&states[i]) {
+			n++
+		}
+	}
+	out := make([]execSpan, 0, n)
+	for i := range states {
+		if s := &states[i]; isExec(s) {
 			out = append(out, execSpan{s.Task, s.Start, s.End})
 		}
 	}
@@ -392,12 +403,42 @@ func finalizeTypes(types []trace.TaskType, byID map[trace.TypeID]int) {
 	}
 }
 
-// sortRegions sorts the region table by address in place. The sort is
-// stable, so of two regions registered at one address (memory freed and
-// allocated again) the later one sorts last and is the one RegionAt
-// finds.
+// sortRegions sorts the region table by address in place, stably: of two
+// regions registered at one address (memory freed and allocated again)
+// the later one sorts last and is the one RegionAt finds. A table that
+// arrives sorted is left alone; any other goes through a byte-wise radix
+// sort from the low address byte up, which keeps arrival order among
+// equal addresses and skips the bytes every address shares.
 func sortRegions(regions []trace.MemRegion) {
-	slices.SortStableFunc(regions, func(a, b trace.MemRegion) int { return cmp.Compare(a.Addr, b.Addr) })
+	if slices.IsSortedFunc(regions, func(a, b trace.MemRegion) int { return cmp.Compare(a.Addr, b.Addr) }) {
+		return
+	}
+	var hist [8][256]int // per address byte, how many regions hold each value
+	for i := range regions {
+		for k := range hist {
+			hist[k][byte(regions[i].Addr>>(8*k))]++
+		}
+	}
+	src, dst := regions, make([]trace.MemRegion, len(regions))
+	for k := range hist {
+		h, shift := &hist[k], 8*k
+		if h[byte(src[0].Addr>>shift)] == len(src) {
+			continue
+		}
+		next := 0 // counts become the position each value's run starts at
+		for v, n := range h {
+			h[v], next = next, next+n
+		}
+		for i := range src {
+			v := byte(src[i].Addr >> shift)
+			dst[h[v]] = src[i]
+			h[v]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &regions[0] {
+		copy(regions, src)
+	}
 }
 
 // mergeRegions merges two address-sorted region lists into a fresh

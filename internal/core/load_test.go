@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/openstream/aftermath/internal/apps"
 	"github.com/openstream/aftermath/internal/openstream"
@@ -109,40 +111,77 @@ func TestLoadParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("fromReader(workers=%d): %v", workers, err)
 		}
 		equalTraces(t, want, got, "seidel/workers="+itoa(workers))
+		assertExactColumns(t, want, got, "seidel/workers="+itoa(workers))
+	}
+}
+
+// assertExactColumns checks what the scatter promises beyond equality:
+// every per-CPU array of the parallel load got is exactly as long as its
+// allocation, and nil wherever the sequential load want has nil.
+func assertExactColumns(t *testing.T, want, got *Trace, label string) {
+	t.Helper()
+	check := func(what string, cpu, length, capacity int, isNil, wantNil bool) {
+		if capacity != length || isNil != wantNil {
+			t.Errorf("%s: CPU %d %s: len %d cap %d nil %v, sequential nil %v", label, cpu, what, length, capacity, isNil, wantNil)
+		}
+	}
+	for i := range got.CPUs {
+		g, w := &got.CPUs[i], &want.CPUs[i]
+		check("states", i, len(g.States), cap(g.States), g.States == nil, w.States == nil)
+		check("discrete", i, len(g.Discrete), cap(g.Discrete), g.Discrete == nil, w.Discrete == nil)
+		check("comm", i, len(g.Comm), cap(g.Comm), g.Comm == nil, w.Comm == nil)
+	}
+	for i, c := range got.Counters {
+		check("counter "+c.Desc.Name, -1, len(c.PerCPU), cap(c.PerCPU), c.PerCPU == nil, want.Counters[i].PerCPU == nil)
+		for cpu, per := range c.PerCPU {
+			check("samples of "+c.Desc.Name, cpu, len(per), cap(per), per == nil, want.Counters[i].PerCPU[cpu] == nil)
+		}
 	}
 }
 
 // TestLoadParallelEdgeCases loads handcrafted streams exercising the
-// tolerance paths: no topology record, out-of-order producers,
-// sample-only counters, and tasks synthesized from execution states.
+// tolerance paths and the corners of the scatter: no topology record,
+// out-of-order producers, sample-only counters, tasks synthesized from
+// execution states, streams without a per-CPU record, columns that span
+// many batches, and a stream that fails in its last batch.
 func TestLoadParallelEdgeCases(t *testing.T) {
 	must := func(err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	stream := func(write func(w *trace.Writer)) []byte {
+		var buf bytes.Buffer
+		w := trace.NewWriter(&buf)
+		write(w)
+		must(w.Flush())
+		return buf.Bytes()
+	}
+	header := len(stream(func(*trace.Writer) {}))
+	idle := func(w *trace.Writer, cpu int32, i int) {
+		must(w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: int64(i) * 10, End: int64(i)*10 + 10}))
+	}
+	// Enough records of one CPU to span more than three decode batches.
+	const long = 4*4096 + 17
+
 	// The Writer enforces per-CPU order, so build an out-of-order
 	// stream by splicing two valid streams: the second stream's
 	// records rewind time on CPU 2 and counter 9. Also exercised: no
 	// topology record, a task (77) without a task record, and a
 	// counter (9) with samples but no description.
-	var first, second, empty bytes.Buffer
-	w := trace.NewWriter(&first)
-	must(w.WriteState(trace.StateEvent{CPU: 2, State: trace.StateTaskExec, Start: 500, End: 600, Task: 77}))
-	must(w.WriteSample(trace.CounterSample{CPU: 5, Counter: 9, Time: 700, Value: 3}))
-	must(w.Flush())
-	w = trace.NewWriter(&second)
-	must(w.WriteState(trace.StateEvent{CPU: 2, State: trace.StateIdle, Start: 0, End: 500}))
-	must(w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateIdle, Start: 10, End: 610}))
-	must(w.WriteSample(trace.CounterSample{CPU: 5, Counter: 9, Time: 20, Value: 1}))
-	must(w.Flush())
-	must(trace.NewWriter(&empty).Flush())
-	data := append(first.Bytes(), second.Bytes()[empty.Len():]...)
-
-	want, err := fromReaderSeq(bytes.NewReader(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := stream(func(w *trace.Writer) {
+		must(w.WriteState(trace.StateEvent{CPU: 2, State: trace.StateTaskExec, Start: 500, End: 600, Task: 77}))
+		must(w.WriteSample(trace.CounterSample{CPU: 5, Counter: 9, Time: 700, Value: 3}))
+	})
+	second := stream(func(w *trace.Writer) {
+		must(w.WriteState(trace.StateEvent{CPU: 2, State: trace.StateIdle, Start: 0, End: 500}))
+		must(w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateIdle, Start: 10, End: 610}))
+		must(w.WriteSample(trace.CounterSample{CPU: 5, Counter: 9, Time: 20, Value: 1}))
+	})
+	spliced := append(first, second[header:]...)
+	want, err := fromReaderSeq(bytes.NewReader(spliced))
+	must(err)
 	if want.NumCPUs() != 6 {
 		t.Fatalf("NumCPUs = %d, want 6 (sample on CPU 5)", want.NumCPUs())
 	}
@@ -152,12 +191,156 @@ func TestLoadParallelEdgeCases(t *testing.T) {
 	if want.Span != (Interval{Start: 0, End: 700}) {
 		t.Fatalf("span = %+v", want.Span)
 	}
-	for _, workers := range []int{2, 8} {
-		got, err := fromReader(bytes.NewReader(data), workers)
-		if err != nil {
-			t.Fatalf("fromReader(workers=%d): %v", workers, err)
+
+	long2 := stream(func(w *trace.Writer) {
+		for i := 0; i < long; i++ {
+			idle(w, 0, i)
+			idle(w, 3, i)
+			must(w.WriteSample(trace.CounterSample{CPU: 3, Counter: 1, Time: int64(i), Value: int64(i)}))
 		}
-		equalTraces(t, want, got, "edge/workers="+itoa(workers))
+	})
+	cases := []struct {
+		name    string
+		data    []byte
+		wantErr bool
+	}{
+		{"out of order", spliced, false},
+		{"no per-CPU record", stream(func(w *trace.Writer) {
+			must(w.WriteTaskType(trace.TaskType{ID: 1, Name: "t"}))
+			must(w.WriteTask(trace.Task{ID: 4, Type: 1, Created: 3, CreatorCPU: -1}))
+			must(w.WriteCounterDesc(trace.CounterDesc{ID: 2, Name: "quiet"}))
+			must(w.WriteRegion(trace.MemRegion{ID: 1, Addr: 0x2000, Size: 64}))
+		}), false},
+		{"samples above every state", stream(func(w *trace.Writer) {
+			idle(w, 1, 0)
+			must(w.WriteSample(trace.CounterSample{CPU: 6, Counter: 1, Time: 5, Value: 1}))
+			must(w.WriteSample(trace.CounterSample{CPU: 4, Counter: 2, Time: 6, Value: 2}))
+		}), false},
+		{"counters described late or never sampled", stream(func(w *trace.Writer) {
+			must(w.WriteSample(trace.CounterSample{CPU: 0, Counter: 8, Time: 1, Value: 1}))
+			must(w.WriteCounterDesc(trace.CounterDesc{ID: 5, Name: "never sampled", Monotonic: true}))
+			for i := 0; i < long; i++ { // the description arrives batches later
+				idle(w, 1, i)
+			}
+			must(w.WriteCounterDesc(trace.CounterDesc{ID: 8, Name: "described late"}))
+			must(w.WriteSample(trace.CounterSample{CPU: 2, Counter: 8, Time: 2, Value: 2}))
+		}), false},
+		{"columns spanning many batches", long2, false},
+		// A state whose payload ends inside its first varint, after
+		// batches that decoded cleanly.
+		{"decode error in the last batch", append(append([]byte(nil), long2...), 4, 1, 0x80), true},
+	}
+	for _, tc := range cases {
+		want, err := fromReaderSeq(bytes.NewReader(tc.data))
+		if (err != nil) != tc.wantErr {
+			t.Fatalf("%s: fromReaderSeq: %v", tc.name, err)
+		}
+		for _, workers := range []int{2, 3, 4, 8} {
+			label := tc.name + "/workers=" + itoa(workers)
+			got, err := fromReader(bytes.NewReader(tc.data), workers)
+			if tc.wantErr {
+				if err == nil || got != nil {
+					t.Errorf("%s: trace %v, error %v; want the decode error and no trace", label, got != nil, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			equalTraces(t, want, got, label)
+			assertExactColumns(t, want, got, label)
+		}
+	}
+}
+
+// TestLoadSparseCPUIDs: CPU ids are whatever the producer wrote, so a
+// stream may use two CPUs a long way apart. What the parallel load keeps
+// per batch must be sized by the batch's records, not by the largest
+// id: it builds the same trace as the sequential load and allocates no
+// more than twice as much doing so. The far CPU is 2^14, not
+// trace.MaxCPUID: every CPU id up to the largest costs the index 2 KB
+// whether it has events or not, in either loader, and at MaxCPUID that
+// is 2 GB a load.
+func TestLoadSparseCPUIDs(t *testing.T) {
+	const far = 1 << 14
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for i := 0; i < 40*4096; i++ { // 40 batches and more
+		cpu, tm := int32(i%2)*far, int64(i)*10
+		err := w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: tm, End: tm + 10})
+		if err == nil && cpu == far && i%8 == 1 {
+			err = w.WriteSample(trace.CounterSample{CPU: cpu, Counter: 3, Time: tm, Value: int64(i)})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	load := func(open func() (*Trace, error)) (*Trace, uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tr, err := open()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, after.TotalAlloc - before.TotalAlloc
+	}
+	want, seq := load(func() (*Trace, error) { return fromReaderSeq(bytes.NewReader(buf.Bytes())) })
+	got, par := load(func() (*Trace, error) { return fromReader(bytes.NewReader(buf.Bytes()), 4) })
+	equalTraces(t, want, got, "sparse CPU ids")
+	assertExactColumns(t, want, got, "sparse CPU ids")
+	if par > 2*seq {
+		t.Errorf("parallel load allocated %d bytes, sequential %d: more than twice", par, seq)
+	}
+
+	// The index's 2 KB a CPU id hides a small per-batch table in that
+	// comparison, so weigh the scatter alone: it may allocate the arrays
+	// themselves and one table of totals per stream (32 bytes a CPU id),
+	// not one per batch.
+	tr := newTrace()
+	var batches []*trace.RecordBatch
+	err := trace.ReadBatched(bytes.NewReader(buf.Bytes()), 4, func(b *trace.RecordBatch) error {
+		for _, id := range b.CounterIDs {
+			tr.counterFor(id)
+		}
+		batches = append(batches, b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, samples := want.EventCounts()
+	arrays := uint64(events)*uint64(unsafe.Sizeof(trace.StateEvent{})) + uint64(samples)*uint64(unsafe.Sizeof(trace.CounterSample{})) +
+		(far+1)*uint64(unsafe.Sizeof(CPUData{})+unsafe.Sizeof([]trace.CounterSample{}))
+	_, scattered := load(func() (*Trace, error) { tr.scatter(batches, far, 4); return tr, nil })
+	if limit := arrays + (far+1)*32 + 1<<20; scattered > limit {
+		t.Errorf("scatter of %d batches allocated %d bytes for %d bytes of arrays (limit %d)", len(batches), scattered, arrays, limit)
+	}
+}
+
+// TestLoadAllocationPin keeps the parallel load's allocations where
+// writing each event once put them. The parent of that change (growing
+// every batch slice and every per-CPU column by append) allocated
+// 4 503 568 bytes loading this fixture on four workers; the load now
+// allocates under half of that, and fails here above 60 %.
+func TestLoadAllocationPin(t *testing.T) {
+	const parent = 4_503_568
+	data := seidelStream(t, 12, 6)
+	load := func() {
+		if _, err := fromReader(bytes.NewReader(data), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load() // warm the runtime's own one-off allocations
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	load()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > parent*6/10 {
+		t.Errorf("fromReader allocated %d bytes on a %d byte stream: more than 60%% of the %d it took before", got, len(data), parent)
 	}
 }
 

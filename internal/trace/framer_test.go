@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,7 +33,16 @@ func pollAll(name string, data []byte, wrap func(io.Reader) io.Reader, chunk fun
 	sr := NewStreamReader(wrap(g))
 	for i := 0; ; i++ {
 		g.limit = min(g.limit+chunk(i), len(data))
-		if _, rd.err = sr.Poll(func(b *RecordBatch) error { collectBatches(&rd.recs, b); return nil }); rd.err != nil {
+		var miscounted error
+		_, rd.err = sr.Poll(func(b *RecordBatch) error {
+			miscounted = cmp.Or(miscounted, checkBatchCounts(b, false))
+			collectBatches(&rd.recs, b)
+			return nil
+		})
+		if miscounted != nil {
+			return rd, fmt.Errorf("%s: %w", name, miscounted)
+		}
+		if rd.err != nil {
 			break
 		}
 		if sr.Consumed()+int64(sr.Buffered()) != int64(g.off) {

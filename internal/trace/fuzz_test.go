@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"testing"
 )
 
@@ -47,27 +49,85 @@ func fuzzSeedTrace(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// collectAll reads every record kind through both the sequential
-// handler reader and the batched reader, returning the two batched
-// record sets for cross-checking. Any panic is the fuzz failure.
+// collectAll reads data through the batched reader and returns every
+// record it delivered as one batch, after checking the counts each
+// batch carried against the batch itself. Any panic is the fuzz failure.
 func collectAll(data []byte, workers int) (*RecordBatch, error) {
 	all := &RecordBatch{MaxCPU: -1}
 	err := ReadBatched(bytes.NewReader(data), workers, func(b *RecordBatch) error {
-		all.Topologies = append(all.Topologies, b.Topologies...)
-		all.TaskTypes = append(all.TaskTypes, b.TaskTypes...)
-		all.Tasks = append(all.Tasks, b.Tasks...)
-		all.States = append(all.States, b.States...)
-		all.Discrete = append(all.Discrete, b.Discrete...)
-		all.Descs = append(all.Descs, b.Descs...)
-		all.Samples = append(all.Samples, b.Samples...)
-		all.Comms = append(all.Comms, b.Comms...)
-		all.Regions = append(all.Regions, b.Regions...)
-		if b.MaxCPU > all.MaxCPU {
-			all.MaxCPU = b.MaxCPU
+		if err := checkBatchCounts(b, workers > 1); err != nil {
+			return fmt.Errorf("ReadBatched(workers=%d): %w", workers, err)
 		}
+		collectBatches(all, b)
 		return nil
 	})
 	return all, err
+}
+
+// checkBatchCounts recounts a batch ReadBatched emitted: CPUCounts and
+// SampleCounts must hold exactly one entry per CPU and per (counter,
+// CPU) pair the batch has records for, with the number of those
+// records, and MaxCPU the largest CPU among them. With sized set (the
+// parallel reader, whose framer counted the run) every record slice
+// must also be exactly as long as its array, and nil when empty.
+func checkBatchCounts(b *RecordBatch, sized bool) error {
+	cpus := map[int32]*CPUCount{}
+	maxCPU := int32(-1)
+	cpu := func(id int32) *CPUCount {
+		maxCPU = max(maxCPU, id)
+		if cpus[id] == nil {
+			cpus[id] = &CPUCount{CPU: id}
+		}
+		return cpus[id]
+	}
+	for _, s := range b.States {
+		cpu(s.CPU).States++
+	}
+	for _, ev := range b.Discrete {
+		cpu(ev.CPU).Discrete++
+	}
+	for _, ev := range b.Comms {
+		cpu(ev.CPU).Comms++
+	}
+	if len(b.CPUCounts) != len(cpus) {
+		return fmt.Errorf("CPUCounts has %d entries for %d CPUs: %+v", len(b.CPUCounts), len(cpus), b.CPUCounts)
+	}
+	for _, c := range b.CPUCounts {
+		if want := cpus[c.CPU]; want == nil || *want != c {
+			return fmt.Errorf("CPUCounts entry %+v, recount %+v", c, want)
+		}
+	}
+	pairs := map[SampleCount]int{}
+	for _, s := range b.Samples {
+		maxCPU = max(maxCPU, s.CPU)
+		pairs[SampleCount{Counter: s.Counter, CPU: s.CPU}]++
+	}
+	if len(b.SampleCounts) != len(pairs) {
+		return fmt.Errorf("SampleCounts has %d entries for %d pairs: %+v", len(b.SampleCounts), len(pairs), b.SampleCounts)
+	}
+	for _, c := range b.SampleCounts {
+		if want := pairs[SampleCount{Counter: c.Counter, CPU: c.CPU}]; want != c.N {
+			return fmt.Errorf("SampleCounts entry %+v, recount %d", c, want)
+		}
+	}
+	if b.MaxCPU != maxCPU {
+		return fmt.Errorf("MaxCPU = %d, recount %d", b.MaxCPU, maxCPU)
+	}
+	if !sized {
+		return nil
+	}
+	return cmp.Or(tight("Topologies", b.Topologies), tight("TaskTypes", b.TaskTypes), tight("Tasks", b.Tasks),
+		tight("States", b.States), tight("Discrete", b.Discrete), tight("Descs", b.Descs),
+		tight("Samples", b.Samples), tight("Comms", b.Comms), tight("Regions", b.Regions))
+}
+
+// tight reports a slice that is longer in memory than in records, or
+// empty without being nil.
+func tight[T any](name string, s []T) error {
+	if cap(s) != len(s) || (s != nil && len(s) == 0) {
+		return fmt.Errorf("%s: len %d, cap %d, nil %v", name, len(s), cap(s), s == nil)
+	}
+	return nil
 }
 
 // FuzzReadTrace: arbitrary bytes through every reader — Read, the
@@ -76,7 +136,9 @@ func collectAll(data []byte, workers int) (*RecordBatch, error) {
 // decode cleanly: never panic, and never allocate in proportion to a
 // corrupt length field rather than to the input. The readers accept or
 // reject an input together, with the same class of error, and agree
-// record by record on what they accept.
+// record by record on what they accept; every batch a batched or
+// streaming reader emits carries counts equal to a recount of it, and
+// the parallel reader's slices are exactly sized.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzSeedTrace(f)
 	f.Add(valid)
@@ -91,6 +153,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("ATMG\x01\x04\x05\x7f\x00\x00\x00\x00"))       // state on implausible CPU 127... truncated
 	f.Add([]byte("ATMG\x01\x63\x02\x01\x02"))                   // unknown record kind 0x63, skipped
 	f.Add(append(append([]byte{}, valid...), 0x04, 0x02, 0x01)) // valid trace + trailing truncated record
+	f.Add(farCPUStream(f, 40))                                  // records alternating CPU 0 and MaxCPUID
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rs []reading

@@ -30,6 +30,31 @@ type RecordBatch struct {
 	// MaxCPU is the largest CPU id referenced by any record in the
 	// batch, or -1 if none.
 	MaxCPU int32
+	// CPUCounts and SampleCounts say where the batch's per-CPU records
+	// go: one entry per CPU with states, discrete events or
+	// communication in the batch, one per (counter, CPU) pair with
+	// samples, each in first-touch order — never more entries than the
+	// batch has records, however large the CPU ids. A consumer that sums
+	// them over the stream can size every per-CPU array before it copies
+	// a record. ReadBatched and StreamReader fill them; other producers
+	// leave them nil.
+	CPUCounts    []CPUCount
+	SampleCounts []SampleCount
+}
+
+// CPUCount is the number of records of each per-CPU family a batch
+// holds for one CPU.
+type CPUCount struct {
+	CPU                     int32
+	States, Discrete, Comms int
+}
+
+// SampleCount is the number of samples a batch holds for one counter on
+// one CPU.
+type SampleCount struct {
+	Counter CounterID
+	CPU     int32
+	N       int
 }
 
 // empty reports whether the batch decoded no records.
@@ -70,10 +95,42 @@ func ReadBatched(r io.Reader, workers int, emit func(*RecordBatch) error) error 
 }
 
 // frameJob is a run of whole records awaiting decode: bytes of the
-// framer's buffer, released for good, which the worker reads in place.
+// framer's buffer, released for good, which the worker reads in place,
+// and how many records of each kind the framer cut into it (kinds it
+// does not know are not counted: they decode to nothing).
 type frameJob struct {
-	run []byte
-	out chan decoded
+	run   []byte
+	kinds kindCounts
+	out   chan decoded
+}
+
+// kindCounts holds a number of records per record kind, indexed by kind.
+type kindCounts [recMemRegion + 1]int
+
+// withCap returns an empty slice with room for exactly n records, nil
+// for none: a kind absent from a run stays nil in its batch.
+func withCap[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
+// newBatch returns the batch a run decodes into, every slice allocated
+// once at the length the run will fill it to.
+func (j *frameJob) newBatch() *RecordBatch {
+	return &RecordBatch{
+		Topologies: withCap[Topology](j.kinds[recTopology]),
+		TaskTypes:  withCap[TaskType](j.kinds[recTaskType]),
+		Tasks:      withCap[Task](j.kinds[recTask]),
+		States:     withCap[StateEvent](j.kinds[recState]),
+		Discrete:   withCap[DiscreteEvent](j.kinds[recDiscrete]),
+		Descs:      withCap[CounterDesc](j.kinds[recCounterDesc]),
+		Samples:    withCap[CounterSample](j.kinds[recCounterSample]),
+		Comms:      withCap[CommEvent](j.kinds[recComm]),
+		Regions:    withCap[MemRegion](j.kinds[recMemRegion]),
+		MaxCPU:     -1,
+	}
 }
 
 type decoded struct {
@@ -96,13 +153,15 @@ func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) err
 		defer close(jobs)
 		defer close(order)
 		f := newFramer(r, batchBytes, true, true)
+		var kinds kindCounts
 		// send releases the records cut so far to a worker; false: the
 		// consumer has gone away.
 		send := func() bool {
-			job := &frameJob{run: f.release(), out: make(chan decoded, 1)}
+			job := &frameJob{run: f.release(), kinds: kinds, out: make(chan decoded, 1)}
 			if len(job.run) == 0 {
 				return true
 			}
+			kinds = kindCounts{}
 			select {
 			case jobs <- job:
 			case <-done:
@@ -116,7 +175,8 @@ func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) err
 			return true
 		}
 		for nrec := 0; ; {
-			if _, _, err := f.record(); err != nil {
+			kind, _, err := f.record()
+			if err != nil {
 				// What was cut before the failure goes out first: an
 				// earlier decode error wins, as in the other readers.
 				send()
@@ -125,6 +185,9 @@ func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) err
 				}
 				frameErr <- err
 				return
+			}
+			if kind < uint64(len(kinds)) {
+				kinds[kind]++
 			}
 			if nrec++; nrec >= batchRecords || f.off-f.lo >= batchBytes {
 				if nrec = 0; !send() {
@@ -137,15 +200,16 @@ func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) err
 	// Decode workers.
 	for w := 0; w < workers; w++ {
 		go func() {
+			t := newTally()
 			for job := range jobs {
-				b := &RecordBatch{MaxCPU: -1}
-				seen := make(map[CounterID]struct{})
+				b := job.newBatch()
 				var err error
 				for run := job.run; len(run) > 0 && err == nil; { // whole records: cutRecord cannot fail
 					kind, payload, n, _ := cutRecord(run)
-					err = decodeInto(kind, payload, b, seen)
+					err = decodeInto(kind, payload, b, t)
 					run = run[n:]
 				}
+				t.reset(b)
 				job.out <- decoded{batch: b, err: err}
 			}
 		}()
@@ -164,25 +228,106 @@ func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) err
 	return <-frameErr
 }
 
+// tally is the bookkeeping a decoder keeps beside the batch it is
+// filling: which counters the batch already lists in CounterIDs, where
+// each CPU's entry sits in CPUCounts and each (counter, CPU) pair's in
+// SampleCounts. Maps, not tables indexed by CPU id: an id may be
+// anything up to MaxCPUID and a batch is a few thousand records.
+type tally struct {
+	// pairs maps pairKey(id, cpu) to the pair's entry in SampleCounts;
+	// pairKey(id, noCPU) only marks counter id as listed.
+	pairs map[uint64]int
+	cpus  map[int32]int
+	// last is the CPUCounts entry of the record before, the one most
+	// records want: a CPU's records come in runs.
+	last int
+	// nCPU and nPair are the lengths the last batch's CPUCounts and
+	// SampleCounts reached, the capacity the next batch's start with.
+	nCPU, nPair int
+}
+
+const noCPU = -1
+
+// pairKey packs a counter and a CPU into one map key.
+func pairKey(id CounterID, cpu int32) uint64 { return uint64(id)<<32 | uint64(uint32(cpu)) }
+
+func newTally() *tally {
+	return &tally{pairs: make(map[uint64]int), cpus: make(map[int32]int)}
+}
+
+// reset forgets the finished batch b.
+func (t *tally) reset(b *RecordBatch) {
+	clear(t.pairs)
+	clear(t.cpus)
+	t.last, t.nCPU, t.nPair = 0, len(b.CPUCounts), len(b.SampleCounts)
+}
+
+// counter lists id in the batch's CounterIDs at its first touch.
+func (t *tally) counter(b *RecordBatch, id CounterID) {
+	if t == nil {
+		return
+	}
+	k := pairKey(id, noCPU)
+	if _, ok := t.pairs[k]; !ok {
+		t.pairs[k] = 0
+		b.CounterIDs = append(b.CounterIDs, id)
+	}
+}
+
+// sample accounts for one sample of counter id on cpu.
+func (t *tally) sample(b *RecordBatch, id CounterID, cpu int32) {
+	if t == nil {
+		return
+	}
+	k := pairKey(id, cpu)
+	i, ok := t.pairs[k]
+	if !ok {
+		t.counter(b, id)
+		if b.SampleCounts == nil {
+			b.SampleCounts = make([]SampleCount, 0, t.nPair)
+		}
+		i = len(b.SampleCounts)
+		t.pairs[k] = i
+		b.SampleCounts = append(b.SampleCounts, SampleCount{Counter: id, CPU: cpu})
+	}
+	b.SampleCounts[i].N++
+}
+
+// cpu returns the batch's CPUCounts entry for cpu, nil from a nil t.
+func (t *tally) cpu(b *RecordBatch, cpu int32) *CPUCount {
+	if t == nil {
+		return nil
+	}
+	if t.last < len(b.CPUCounts) && b.CPUCounts[t.last].CPU == cpu {
+		return &b.CPUCounts[t.last]
+	}
+	i, ok := t.cpus[cpu]
+	if !ok {
+		if b.CPUCounts == nil {
+			b.CPUCounts = make([]CPUCount, 0, t.nCPU)
+		}
+		i = len(b.CPUCounts)
+		t.cpus[cpu] = i
+		b.CPUCounts = append(b.CPUCounts, CPUCount{CPU: cpu})
+	}
+	t.last = i
+	return &b.CPUCounts[i]
+}
+
 // decodeInto decodes one record payload and appends it to the batch.
 // Unknown record kinds are skipped, matching Read with a nil Unknown
-// handler. seen deduplicates CounterIDs within the batch; a nil seen
-// leaves CounterIDs alone (Read's one-record scratch batch).
-func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]struct{}) error {
+// handler. t deduplicates CounterIDs within the batch and keeps the
+// batch's counts; a nil t leaves both alone (Read's one-record scratch
+// batch).
+func decodeInto(kind uint64, payload []byte, b *RecordBatch, t *tally) error {
 	d := &dec{b: payload}
-	touch := func(id CounterID) {
-		if _, ok := seen[id]; !ok && seen != nil {
-			seen[id] = struct{}{}
-			b.CounterIDs = append(b.CounterIDs, id)
-		}
-	}
 	switch kind {
 	case recTopology:
-		t, err := decodeTopology(d)
+		topo, err := decodeTopology(d)
 		if err != nil {
 			return err
 		}
-		b.Topologies = append(b.Topologies, t)
+		b.Topologies = append(b.Topologies, topo)
 	case recTaskType:
 		var tt TaskType
 		tt.ID = TypeID(d.uvarint())
@@ -192,13 +337,13 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 			b.TaskTypes = append(b.TaskTypes, tt)
 		}
 	case recTask:
-		var t Task
-		t.ID = TaskID(d.uvarint())
-		t.Type = TypeID(d.uvarint())
-		t.Created = d.varint()
-		t.CreatorCPU = d.cpuID(true)
+		var tk Task
+		tk.ID = TaskID(d.uvarint())
+		tk.Type = TypeID(d.uvarint())
+		tk.Created = d.varint()
+		tk.CreatorCPU = d.cpuID(true)
 		if d.err == nil {
-			b.Tasks = append(b.Tasks, t)
+			b.Tasks = append(b.Tasks, tk)
 		}
 	case recState:
 		var s StateEvent
@@ -210,6 +355,9 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		if d.err == nil {
 			b.MaxCPU = max(b.MaxCPU, s.CPU)
 			b.States = append(b.States, s)
+			if c := t.cpu(b, s.CPU); c != nil {
+				c.States++
+			}
 		}
 	case recDiscrete:
 		var ev DiscreteEvent
@@ -220,6 +368,9 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		if d.err == nil {
 			b.MaxCPU = max(b.MaxCPU, ev.CPU)
 			b.Discrete = append(b.Discrete, ev)
+			if c := t.cpu(b, ev.CPU); c != nil {
+				c.Discrete++
+			}
 		}
 	case recCounterDesc:
 		var c CounterDesc
@@ -227,7 +378,7 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		c.Monotonic = d.bool()
 		c.Name = d.str()
 		if d.err == nil {
-			touch(c.ID)
+			t.counter(b, c.ID)
 			b.Descs = append(b.Descs, c)
 		}
 	case recCounterSample:
@@ -238,7 +389,7 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		s.Value = d.varint()
 		if d.err == nil {
 			b.MaxCPU = max(b.MaxCPU, s.CPU)
-			touch(s.Counter)
+			t.sample(b, s.Counter, s.CPU)
 			b.Samples = append(b.Samples, s)
 		}
 	case recComm:
@@ -253,6 +404,9 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, seen map[CounterID]
 		if d.err == nil {
 			b.MaxCPU = max(b.MaxCPU, c.CPU)
 			b.Comms = append(b.Comms, c)
+			if n := t.cpu(b, c.CPU); n != nil {
+				n.Comms++
+			}
 		}
 	case recMemRegion:
 		var r MemRegion

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"reflect"
 	"testing"
 )
@@ -299,5 +300,85 @@ func TestReadMatchesBatched(t *testing.T) {
 	}
 	if _, err := collectAll(buf.Bytes(), 1); err == nil {
 		t.Error("ReadBatched accepted a garbage state payload")
+	}
+}
+
+// farCPUStream writes n rounds of records that alternate CPU 0 and
+// MaxCPUID, with a counter sampled only on the far CPU: what a per-batch
+// table indexed by CPU id would pay megabytes for.
+func farCPUStream(tb testing.TB, n int) []byte { return twoCPUStream(tb, n, MaxCPUID) }
+
+// twoCPUStream writes n rounds of a state, a discrete event and a
+// communication event alternating between CPU 0 and CPU far, with a
+// counter sampled only on far.
+func twoCPUStream(tb testing.TB, n int, far int32) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := 0; i < n; i++ {
+		cpu, tm := int32(i%2)*far, int64(i)*10
+		err := cmp.Or(
+			w.WriteState(StateEvent{CPU: cpu, State: StateIdle, Start: tm, End: tm + 10}),
+			w.WriteDiscrete(DiscreteEvent{CPU: cpu, Kind: EventSteal, Time: tm}),
+			w.WriteComm(CommEvent{Kind: CommRead, CPU: cpu, SrcCPU: far - cpu, Time: tm, Size: 8}))
+		if err == nil && cpu != 0 {
+			err = w.WriteSample(CounterSample{CPU: cpu, Counter: 3, Time: tm, Value: int64(i)})
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBatchCountsMatchRecount: every batch ReadBatched emits carries
+// counts equal to a recount of its own slices; decoded on several
+// workers its slices are exactly as long as their arrays and nil for
+// the kinds the run did not hold; and the counts stay as small as the
+// batch whatever the CPU ids are.
+func TestBatchCountsMatchRecount(t *testing.T) {
+	far := farCPUStream(t, 3*batchRecords)
+	for name, data := range map[string][]byte{
+		"seed":      fuzzSeedTrace(t),
+		"synthetic": syntheticStream(t),
+		"far CPU":   far,
+	} {
+		want := dumpViaRead(t, data)
+		for _, workers := range []int{1, 4} {
+			var batches, states, samples int
+			err := ReadBatched(bytes.NewReader(data), workers, func(b *RecordBatch) error {
+				batches++
+				states += len(b.States)
+				samples += len(b.Samples)
+				if n := len(b.States) + len(b.Discrete) + len(b.Comms); len(b.CPUCounts) > n || len(b.SampleCounts) > len(b.Samples) {
+					t.Errorf("%s: %d CPU and %d pair entries on a batch of %d events and %d samples",
+						name, len(b.CPUCounts), len(b.SampleCounts), n, len(b.Samples))
+				}
+				return checkBatchCounts(b, workers > 1)
+			})
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", name, workers, err)
+			}
+			if states != len(want.states) || samples != len(want.samples) {
+				t.Errorf("%s, workers=%d: %d states and %d samples counted, Read delivered %d and %d",
+					name, workers, states, samples, len(want.states), len(want.samples))
+			}
+			if name != "seed" && batches < 3 {
+				t.Errorf("%s, workers=%d: %d batches, want the stream to span several", name, workers, batches)
+			}
+		}
+	}
+
+	// A batch's bookkeeping is paid for in records, not in CPU ids: the
+	// same records on CPUs 0 and 1 cost as much, give or take the varints.
+	near := twoCPUStream(t, 3*batchRecords, 1)
+	drain := func(data []byte) func() {
+		return func() { ReadBatched(bytes.NewReader(data), 4, func(*RecordBatch) error { return nil }) }
+	}
+	if onNear, onFar := allocated(drain(near)), allocated(drain(far)); onFar > onNear+onNear/2 {
+		t.Errorf("ReadBatched allocated %d bytes on records of CPUs 0 and %d, %d on the same records of CPUs 0 and 1", onFar, MaxCPUID, onNear)
 	}
 }

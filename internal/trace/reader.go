@@ -48,6 +48,11 @@ func (d *dec) uvarint() uint64 {
 	if d.err != nil {
 		return 0
 	}
+	// Most fields — CPU, state, kind, small deltas — fit one byte.
+	if d.off < len(d.b) && d.b[d.off] < 0x80 {
+		d.off++
+		return uint64(d.b[d.off-1])
+	}
 	v, n := binary.Uvarint(d.b[d.off:])
 	if n <= 0 {
 		d.err = ErrTruncated
@@ -57,16 +62,13 @@ func (d *dec) uvarint() uint64 {
 	return v
 }
 
+// varint decodes a zig-zag encoded signed value, as binary.Varint does.
 func (d *dec) varint() int64 {
-	if d.err != nil {
-		return 0
+	u := d.uvarint()
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(d.b[d.off:])
-	if n <= 0 {
-		d.err = ErrTruncated
-		return 0
-	}
-	d.off += n
 	return v
 }
 

@@ -19,14 +19,14 @@ import (
 // stream cannot be tailed (see OpenStream). Not safe for concurrent
 // use: callers serialize Polls (core.Live.Feed under its epoch lock).
 type StreamReader struct {
-	f    *framer
-	seen map[CounterID]struct{}
-	err  error
+	f   *framer
+	t   *tally
+	err error
 }
 
 // NewStreamReader returns a StreamReader decoding the trace stream r.
 func NewStreamReader(r io.Reader) *StreamReader {
-	return &StreamReader{f: newFramer(r, readSize, false, false), seen: make(map[CounterID]struct{})}
+	return &StreamReader{f: newFramer(r, readSize, false, false), t: newTally()}
 }
 
 // Consumed returns the number of stream bytes cut into records so far.
@@ -64,14 +64,14 @@ func (sr *StreamReader) Poll(emit func(*RecordBatch) error) (int, error) {
 		}
 		full := b
 		b = &RecordBatch{MaxCPU: -1}
-		clear(sr.seen)
+		sr.t.reset(full)
 		return emit(full)
 	}
 	total := 0
 	for {
 		kind, payload, ok, err := sr.f.next()
 		if ok {
-			if err = decodeInto(kind, payload, b, sr.seen); err == nil {
+			if err = decodeInto(kind, payload, b, sr.t); err == nil {
 				if total++; total%batchRecords == 0 {
 					err = flush()
 				}
