@@ -190,13 +190,22 @@ func (e *DomCPU) build(cols ...[]trace.StateEvent) {
 			ch.extend(s)
 		}
 	}
-	if ch.n == 0 {
+	if ch.n == 0 && !ch.dead {
 		// No events: an empty but indexed entry.
-		ch.extend(nil)
+		ch.domSets = emptySets()
 	}
 	e.over(cols...)
 	e.domSets = ch.domSets
 }
+
+// emptySets returns the pyramids of a CPU without state events, built
+// once and shared (sets are immutable): CPU ids are sparse, and a sweep
+// over all of them may ask for a million such CPUs.
+var emptySets = sync.OnceValue(func() domSets {
+	var ch domChain
+	ch.extend(nil)
+	return ch.domSets
+})
 
 // over sets the leaf array the pyramids resolve into, given as its
 // time-ordered column list: a single non-empty column resolves leaves

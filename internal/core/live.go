@@ -231,12 +231,12 @@ func (lv *Live) Feed(sr trace.Decoder) (int, error) {
 // cpuLocked returns the columns of a CPU id, growing the per-CPU
 // tables as needed. Callers hold mu.
 func (lv *Live) cpuLocked(id int32) *cpuCols {
-	for int(id) >= len(lv.cols) {
-		lv.cols = append(lv.cols, cpuCols{})
-		lv.execs = append(lv.execs, nil)
-		lv.execDone = append(lv.execDone, 0)
-		lv.orphans = append(lv.orphans, nil)
-		lv.doms = append(lv.doms, domChain{})
+	if n := int(id) + 1; n > len(lv.cols) {
+		lv.cols = padTo(lv.cols, n)
+		lv.execs = padTo(lv.execs, n)
+		lv.execDone = padTo(lv.execDone, n)
+		lv.orphans = padTo(lv.orphans, n)
+		lv.doms = padTo(lv.doms, n)
 	}
 	if id > lv.maxCPU {
 		lv.maxCPU = id
@@ -256,25 +256,9 @@ func (lv *Live) counterForLocked(id trace.CounterID) *liveCounter {
 	return lc
 }
 
-// applyTaskLocked mirrors Trace.applyTask on the builder tables.
-// Callers hold mu.
-func (lv *Live) applyTaskLocked(t trace.Task) {
-	if i, ok := lv.taskByID[t.ID]; ok {
-		ti := &lv.tasks[i]
-		ti.Type, ti.Created, ti.CreatorCPU = t.Type, t.Created, t.CreatorCPU
-		return
-	}
-	lv.taskByID[t.ID] = len(lv.tasks)
-	lv.tasks = append(lv.tasks, TaskInfo{
-		ID: t.ID, Type: t.Type, Created: t.Created,
-		CreatorCPU: t.CreatorCPU, ExecCPU: -1,
-	})
-}
-
 // growSpanLocked extends the incremental span, under mu. For sorted
-// inputs this equals
-// the span the batch indexer derives from first/last samples and
-// state bounds; for disordered inputs it still tracks the true
+// inputs this equals the span the batch indexer derives from first/last
+// samples and state bounds; for disordered inputs it is still the true
 // min/max.
 func (lv *Live) growSpanLocked(lo, hi trace.Time) {
 	if !lv.spanSet || lo < lv.spanMin {
@@ -319,7 +303,7 @@ func batchCPUErr(b *trace.RecordBatch) error {
 }
 
 // appendLocked routes one batch into the builder — the streaming
-// counterpart of the batch loader's router + shard stage. A batch is
+// counterpart of fromReader's callback and Trace.scatter. A batch is
 // applied whole or not at all: the only ways it can fail are a CPU id
 // the per-CPU tables must not be sized by and a topology whose node ids
 // the NUMA tables must not be indexed by, checked before the first
@@ -338,13 +322,10 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 		lv.hasTopo = true
 	}
 	for _, t := range b.TaskTypes {
-		if _, ok := lv.typeByID[t.ID]; !ok {
-			lv.typeByID[t.ID] = len(lv.types)
-			lv.types = append(lv.types, t)
-		}
+		lv.types = registerType(lv.types, lv.typeByID, t)
 	}
 	for _, t := range b.Tasks {
-		lv.applyTaskLocked(t)
+		lv.tasks = applyTask(lv.tasks, lv.taskByID, t)
 	}
 	// Register counters in first-touch order, then apply descriptions,
 	// reproducing the counter table order of a sequential read.
@@ -380,8 +361,8 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 	}
 	for _, s := range b.Samples {
 		lc := lv.counterForLocked(s.Counter)
-		for int(s.CPU) >= len(lc.per) {
-			lc.per = append(lc.per, livePair{})
+		if n := int(s.CPU) + 1; n > len(lc.per) {
+			lc.per = padTo(lc.per, n)
 		}
 		if c := &lc.per[s.CPU].col; c.push(s, s.Time) {
 			c.unspill()
@@ -496,10 +477,7 @@ func (lv *Live) snapshotLocked() *Trace {
 		tr.Tasks = applyExecs(tasks, make(map[trace.TaskID]int), lv.orphans)
 	}
 
-	tr.counterByID = make(map[trace.CounterID]int, len(lv.counterByID))
-	for k, v := range lv.counterByID {
-		tr.counterByID[k] = v
-	}
+	tr.counterByID = maps.Clone(lv.counterByID)
 	lv.extendTreesLocked()
 	ci := NewCounterIndex()
 	for _, lc := range lv.counters {

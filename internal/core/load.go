@@ -36,11 +36,12 @@ func Load(path string) (*Trace, error) {
 // offsets its records start at by a prefix sum in stream order, and the
 // batches are scattered into the arrays concurrently — they write
 // disjoint ranges, so every per-CPU array comes out in trace order
-// without merging (Trace.scatter). Then Trace.index. On a single CPU
-// all of this collapses to fromReaderSeq: the same framer driven record
-// by record (trace.Read) into one loop that applies each record as it
-// is cut. FromDecoder is the third driver of that framer, the pollable
-// trace.StreamReader, fed through the live ingest path.
+// without merging (Trace.scatter). Then Trace.index. This is the one
+// batch loader at every worker count: with one worker ReadBatched
+// frames and decodes inline on the calling goroutine, and the scatter
+// and the index run their loops inline through par.Do. FromDecoder is
+// the other way to a Trace, the pollable trace.StreamReader fed through
+// the live ingest path.
 func FromReader(r io.Reader) (*Trace, error) {
 	return fromReader(r, par.Workers())
 }
@@ -69,10 +70,7 @@ func FromDecoder(d trace.Decoder) (*Trace, error) {
 const maxDecodeWorkers = 16
 
 func fromReader(r io.Reader, workers int) (*Trace, error) {
-	if workers <= 1 {
-		return fromReaderSeq(r)
-	}
-	workers = min(workers, maxDecodeWorkers)
+	workers = min(max(workers, 1), maxDecodeWorkers)
 	tr := newTrace()
 
 	var hasTopo bool
@@ -85,16 +83,13 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 			hasTopo = true
 		}
 		for _, t := range b.TaskTypes {
-			if _, ok := tr.typeByID[t.ID]; !ok {
-				tr.typeByID[t.ID] = len(tr.Types)
-				tr.Types = append(tr.Types, t)
-			}
+			tr.Types = registerType(tr.Types, tr.typeByID, t)
 		}
 		for _, t := range b.Tasks {
-			tr.applyTask(t)
+			tr.Tasks = applyTask(tr.Tasks, tr.taskByID, t)
 		}
-		// Register counters in first-touch order so the counter table
-		// matches a sequential read, then apply the descriptions.
+		// Register counters in first-touch order, as the live applier
+		// does, then apply the descriptions.
 		for _, id := range b.CounterIDs {
 			tr.counterFor(id)
 		}
@@ -139,8 +134,8 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, maxCPU int32, workers int
 		for i := range b.SampleCounts {
 			e := &b.SampleCounts[i]
 			ci := tr.counterByID[e.Counter]
-			if grow := int(e.CPU) + 1 - len(samples[ci]); grow > 0 {
-				samples[ci] = append(samples[ci], make([]int, grow)...)
+			if n := int(e.CPU) + 1; n > len(samples[ci]) {
+				samples[ci] = padTo(samples[ci], n)
 			}
 			t := &samples[ci][e.CPU]
 			e.N, *t = *t, *t+e.N
@@ -223,87 +218,24 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, maxCPU int32, workers int
 	})
 }
 
-// sized returns a slice of n zero records, nil for none, as a CPU
-// without records of a family has in a sequential load.
+// padTo returns s extended with zero values to length n > len(s): in
+// one allocation of that size when n is far past its capacity, doubling
+// when ids arrive one above the last. It is for tables that only grow,
+// whose spare capacity is therefore still zero.
+func padTo[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(make([]T, 0, max(n, 2*cap(s))), s...)
+	}
+	return s[:n]
+}
+
+// sized returns a slice of n zero records, nil for none: a CPU without
+// records of a family holds no array for it.
 func sized[T any](n int) []T {
 	if n == 0 {
 		return nil
 	}
 	return make([]T, n)
-}
-
-// fromReaderSeq is the sequential load path, used when a single
-// worker is available. It is the reference implementation the
-// parallel pipeline must reproduce exactly (see TestLoadParallelMatch).
-// CPU ids need no check here: the decoder rejects the implausible ones.
-func fromReaderSeq(r io.Reader) (*Trace, error) {
-	tr := newTrace()
-	var hasTopo bool
-	maxCPU := int32(-1)
-	cpu := func(id int32) *CPUData {
-		for int(id) >= len(tr.CPUs) {
-			tr.CPUs = append(tr.CPUs, CPUData{})
-		}
-		if id > maxCPU {
-			maxCPU = id
-		}
-		return &tr.CPUs[id]
-	}
-
-	err := trace.Read(r, trace.Handler{
-		Topology: func(t trace.Topology) error {
-			tr.Topology = t
-			hasTopo = true
-			return nil
-		},
-		TaskType: func(t trace.TaskType) error {
-			if _, ok := tr.typeByID[t.ID]; !ok {
-				tr.typeByID[t.ID] = len(tr.Types)
-				tr.Types = append(tr.Types, t)
-			}
-			return nil
-		},
-		Task: func(t trace.Task) error {
-			tr.applyTask(t)
-			return nil
-		},
-		State: func(s trace.StateEvent) error {
-			cpu(s.CPU).States = append(cpu(s.CPU).States, s)
-			return nil
-		},
-		Discrete: func(d trace.DiscreteEvent) error {
-			cpu(d.CPU).Discrete = append(cpu(d.CPU).Discrete, d)
-			return nil
-		},
-		CounterDesc: func(d trace.CounterDesc) error {
-			tr.counterFor(d.ID).Desc = d
-			return nil
-		},
-		Sample: func(s trace.CounterSample) error {
-			c := tr.counterFor(s.Counter)
-			for int(s.CPU) >= len(c.PerCPU) {
-				c.PerCPU = append(c.PerCPU, nil)
-			}
-			c.PerCPU[s.CPU] = append(c.PerCPU[s.CPU], s)
-			if s.CPU > maxCPU {
-				maxCPU = s.CPU
-			}
-			return nil
-		},
-		Comm: func(c trace.CommEvent) error {
-			cpu(c.CPU).Comm = append(cpu(c.CPU).Comm, c)
-			return nil
-		},
-		Region: func(rg trace.MemRegion) error {
-			tr.Regions = append(tr.Regions, rg)
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	tr.index(hasTopo, maxCPU, 1)
-	return tr, nil
 }
 
 func newTrace() *Trace {
@@ -314,16 +246,28 @@ func newTrace() *Trace {
 	}
 }
 
-// applyTask merges one task record: the first record creates the
-// entry, later records for the same ID update its metadata.
-func (tr *Trace) applyTask(t trace.Task) {
-	if i, ok := tr.taskByID[t.ID]; ok {
-		ti := &tr.Tasks[i]
-		ti.Type, ti.Created, ti.CreatorCPU = t.Type, t.Created, t.CreatorCPU
-		return
+// registerType adds a task type to a type table in first-touch order:
+// the first record for an ID is kept, later ones ignored. byID is
+// updated; the (possibly grown) table is returned.
+func registerType(types []trace.TaskType, byID map[trace.TypeID]int, t trace.TaskType) []trace.TaskType {
+	if _, ok := byID[t.ID]; ok {
+		return types
 	}
-	tr.taskByID[t.ID] = len(tr.Tasks)
-	tr.Tasks = append(tr.Tasks, TaskInfo{
+	byID[t.ID] = len(types)
+	return append(types, t)
+}
+
+// applyTask merges one task record into a task table: the first record
+// for an ID creates the entry, later ones update its metadata. byID is
+// updated; the (possibly grown) table is returned.
+func applyTask(tasks []TaskInfo, byID map[trace.TaskID]int, t trace.Task) []TaskInfo {
+	if i, ok := byID[t.ID]; ok {
+		ti := &tasks[i]
+		ti.Type, ti.Created, ti.CreatorCPU = t.Type, t.Created, t.CreatorCPU
+		return tasks
+	}
+	byID[t.ID] = len(tasks)
+	return append(tasks, TaskInfo{
 		ID: t.ID, Type: t.Type, Created: t.Created,
 		CreatorCPU: t.CreatorCPU, ExecCPU: -1,
 	})
@@ -340,14 +284,10 @@ type execSpan struct {
 // synthTopology returns the flat single-node topology synthesized for
 // traces without a topology record.
 func synthTopology(maxCPU int32) trace.Topology {
-	n := int(maxCPU) + 1
-	if n < 1 {
-		n = 1
-	}
 	return trace.Topology{
 		Name:      "unknown",
 		NumNodes:  1,
-		NodeOfCPU: make([]int32, n),
+		NodeOfCPU: make([]int32, max(int(maxCPU)+1, 1)),
 		Distance:  []int32{0},
 	}
 }
@@ -476,9 +416,6 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 	if !hasTopo {
 		tr.Topology = synthTopology(maxCPU)
 	}
-	for int(maxCPU) >= len(tr.CPUs) {
-		tr.CPUs = append(tr.CPUs, CPUData{})
-	}
 
 	// Per-CPU finalization: verify/repair event order (the format
 	// guarantees per-CPU order; tolerate producers that violated it by
@@ -515,9 +452,13 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 		res.execs = collectExecs(c.States)
 		// Build the dominance pyramid over the freshly sorted states
 		// (Section VI-B: rendering cost proportional to pixels, not
-		// events), eagerly so the first viewer request pays nothing.
-		res.dom = &DomCPU{}
-		res.dom.build(c.States)
+		// events), eagerly so the first viewer request pays nothing. A
+		// CPU without states gets none: ids are sparse, and DomIndex.CPU
+		// builds the empty entry for whoever asks.
+		if len(c.States) > 0 {
+			res.dom = &DomCPU{}
+			res.dom.build(c.States)
+		}
 	})
 
 	// Per-(counter, cpu) sample arrays are independent too.

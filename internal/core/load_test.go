@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -35,6 +36,13 @@ func seidelStream(tb testing.TB, blocks, iters int) []byte {
 	return buf.Bytes()
 }
 
+// sameSlice is reflect.DeepEqual for a slice of plain records — equal
+// elements, and nil only together — without the reflection, which a
+// table of a million CPUs makes the whole cost of a comparison.
+func sameSlice[T comparable](a, b []T) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
+}
+
 // equalTraces compares every externally observable part of two loaded
 // traces.
 func equalTraces(t *testing.T, want, got *Trace, label string) {
@@ -42,18 +50,15 @@ func equalTraces(t *testing.T, want, got *Trace, label string) {
 	if !reflect.DeepEqual(want.Topology, got.Topology) {
 		t.Fatalf("%s: topology differs", label)
 	}
-	if !reflect.DeepEqual(want.CPUs, got.CPUs) {
-		if len(want.CPUs) != len(got.CPUs) {
-			t.Fatalf("%s: CPUs = %d, want %d", label, len(got.CPUs), len(want.CPUs))
-		}
-		for i := range want.CPUs {
-			if !reflect.DeepEqual(want.CPUs[i], got.CPUs[i]) {
-				t.Fatalf("%s: CPU %d event arrays differ (states %d/%d, discrete %d/%d, comm %d/%d)",
-					label, i,
-					len(got.CPUs[i].States), len(want.CPUs[i].States),
-					len(got.CPUs[i].Discrete), len(want.CPUs[i].Discrete),
-					len(got.CPUs[i].Comm), len(want.CPUs[i].Comm))
-			}
+	if len(want.CPUs) != len(got.CPUs) {
+		t.Fatalf("%s: CPUs = %d, want %d", label, len(got.CPUs), len(want.CPUs))
+	}
+	for i := range want.CPUs {
+		w, g := &want.CPUs[i], &got.CPUs[i]
+		if !sameSlice(w.States, g.States) || !sameSlice(w.Discrete, g.Discrete) || !sameSlice(w.Comm, g.Comm) {
+			t.Fatalf("%s: CPU %d event arrays differ (states %d/%d, discrete %d/%d, comm %d/%d)",
+				label, i,
+				len(g.States), len(w.States), len(g.Discrete), len(w.Discrete), len(g.Comm), len(w.Comm))
 		}
 	}
 	if !reflect.DeepEqual(want.Types, got.Types) {
@@ -90,51 +95,57 @@ func equalTraces(t *testing.T, want, got *Trace, label string) {
 	assertTaskByID(t, label+", got", got)
 }
 
-// TestLoadParallelMatchesSequential proves the parallel ingest
-// pipeline builds exactly the trace the sequential loader builds, and
-// that the sequential loader agrees with the independent live path
+// loadWorkers are the worker counts the batch loader is held to its
+// reference at: one (ReadBatched's inline arm, par.Do's inline loops),
+// and counts below, at and above the number of batches and cores.
+var loadWorkers = []int{1, 2, 3, 4, 8}
+
+// streamRef loads a stream the other way core builds a Trace: the
+// pollable stream decoder drained through the live applier. It is the
+// independent reference the batch loader is compared against.
+func streamRef(data []byte) (*Trace, error) {
+	return FromDecoder(trace.NewStreamReader(bytes.NewReader(data)))
+}
+
+// TestLoadParallelMatchesSequential proves the batch loader builds, at
+// every worker count, exactly the trace the independent live path builds
 // (stream decoder into core.Live, drained to EOF).
 func TestLoadParallelMatchesSequential(t *testing.T) {
 	data := seidelStream(t, 6, 4)
-	want, err := fromReaderSeq(bytes.NewReader(data))
+	want, err := streamRef(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := FromDecoder(trace.NewStreamReader(bytes.NewReader(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalTraces(t, ref, want, "seidel/sequential vs FromDecoder")
-	for _, workers := range []int{2, 3, 4, 8} {
+	for _, workers := range loadWorkers {
 		got, err := fromReader(bytes.NewReader(data), workers)
 		if err != nil {
 			t.Fatalf("fromReader(workers=%d): %v", workers, err)
 		}
 		equalTraces(t, want, got, "seidel/workers="+itoa(workers))
-		assertExactColumns(t, want, got, "seidel/workers="+itoa(workers))
+		assertExactColumns(t, got, "seidel/workers="+itoa(workers))
 	}
 }
 
 // assertExactColumns checks what the scatter promises beyond equality:
-// every per-CPU array of the parallel load got is exactly as long as its
-// allocation, and nil wherever the sequential load want has nil.
-func assertExactColumns(t *testing.T, want, got *Trace, label string) {
+// every per-CPU array of the batch load is exactly as long as its
+// allocation, and nil where the stream held no record for it.
+func assertExactColumns(t *testing.T, got *Trace, label string) {
 	t.Helper()
-	check := func(what string, cpu, length, capacity int, isNil, wantNil bool) {
-		if capacity != length || isNil != wantNil {
-			t.Errorf("%s: CPU %d %s: len %d cap %d nil %v, sequential nil %v", label, cpu, what, length, capacity, isNil, wantNil)
+	check := func(what string, cpu, length, capacity int, isNil bool) {
+		if capacity != length || isNil != (length == 0) {
+			t.Errorf("%s: CPU %d %s: len %d cap %d nil %v", label, cpu, what, length, capacity, isNil)
 		}
 	}
 	for i := range got.CPUs {
-		g, w := &got.CPUs[i], &want.CPUs[i]
-		check("states", i, len(g.States), cap(g.States), g.States == nil, w.States == nil)
-		check("discrete", i, len(g.Discrete), cap(g.Discrete), g.Discrete == nil, w.Discrete == nil)
-		check("comm", i, len(g.Comm), cap(g.Comm), g.Comm == nil, w.Comm == nil)
+		g := &got.CPUs[i]
+		check("states", i, len(g.States), cap(g.States), g.States == nil)
+		check("discrete", i, len(g.Discrete), cap(g.Discrete), g.Discrete == nil)
+		check("comm", i, len(g.Comm), cap(g.Comm), g.Comm == nil)
 	}
-	for i, c := range got.Counters {
-		check("counter "+c.Desc.Name, -1, len(c.PerCPU), cap(c.PerCPU), c.PerCPU == nil, want.Counters[i].PerCPU == nil)
+	for _, c := range got.Counters {
+		check("counter "+c.Desc.Name, -1, len(c.PerCPU), cap(c.PerCPU), c.PerCPU == nil)
 		for cpu, per := range c.PerCPU {
-			check("samples of "+c.Desc.Name, cpu, len(per), cap(per), per == nil, want.Counters[i].PerCPU[cpu] == nil)
+			check("samples of "+c.Desc.Name, cpu, len(per), cap(per), per == nil)
 		}
 	}
 }
@@ -180,7 +191,7 @@ func TestLoadParallelEdgeCases(t *testing.T) {
 		must(w.WriteSample(trace.CounterSample{CPU: 5, Counter: 9, Time: 20, Value: 1}))
 	})
 	spliced := append(first, second[header:]...)
-	want, err := fromReaderSeq(bytes.NewReader(spliced))
+	want, err := streamRef(spliced)
 	must(err)
 	if want.NumCPUs() != 6 {
 		t.Fatalf("NumCPUs = %d, want 6 (sample on CPU 5)", want.NumCPUs())
@@ -231,11 +242,11 @@ func TestLoadParallelEdgeCases(t *testing.T) {
 		{"decode error in the last batch", append(append([]byte(nil), long2...), 4, 1, 0x80), true},
 	}
 	for _, tc := range cases {
-		want, err := fromReaderSeq(bytes.NewReader(tc.data))
+		want, err := streamRef(tc.data)
 		if (err != nil) != tc.wantErr {
-			t.Fatalf("%s: fromReaderSeq: %v", tc.name, err)
+			t.Fatalf("%s: FromDecoder: %v", tc.name, err)
 		}
-		for _, workers := range []int{2, 3, 4, 8} {
+		for _, workers := range loadWorkers {
 			label := tc.name + "/workers=" + itoa(workers)
 			got, err := fromReader(bytes.NewReader(tc.data), workers)
 			if tc.wantErr {
@@ -248,77 +259,149 @@ func TestLoadParallelEdgeCases(t *testing.T) {
 				t.Fatalf("%s: %v", label, err)
 			}
 			equalTraces(t, want, got, label)
-			assertExactColumns(t, want, got, label)
+			assertExactColumns(t, got, label)
 		}
 	}
 }
 
+// domEntries returns how many CPUs a trace's dominance index holds an
+// entry for, without asking it anything.
+func domEntries(tr *Trace) int {
+	di := tr.DomIndex()
+	di.mu.Lock()
+	defer di.mu.Unlock()
+	return len(di.entries)
+}
+
 // TestLoadSparseCPUIDs: CPU ids are whatever the producer wrote, so a
-// stream may use two CPUs a long way apart. What the parallel load keeps
-// per batch must be sized by the batch's records, not by the largest
-// id: it builds the same trace as the sequential load and allocates no
-// more than twice as much doing so. The far CPU is 2^14, not
-// trace.MaxCPUID: every CPU id up to the largest costs the index 2 KB
-// whether it has events or not, in either loader, and at MaxCPUID that
-// is 2 GB a load.
+// stream may use CPUs as far apart as the decoder admits. What a load
+// keeps per batch must be sized by the batch's records, and what it
+// builds per CPU by the CPU's records, not by the largest id: the batch
+// loader, inline and on workers, builds the same trace as the live
+// path, and no load indexes a CPU that has no states.
 func TestLoadSparseCPUIDs(t *testing.T) {
-	const far = 1 << 14
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	for i := 0; i < 40*4096; i++ { // 40 batches and more
-		cpu, tm := int32(i%2)*far, int64(i)*10
-		err := w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: tm, End: tm + 10})
-		if err == nil && cpu == far && i%8 == 1 {
-			err = w.WriteSample(trace.CounterSample{CPU: cpu, Counter: 3, Time: tm, Value: int64(i)})
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	load := func(open func() (*Trace, error)) (*Trace, uint64) {
+	const far = trace.MaxCPUID
+	// measure returns what open built and the bytes it allocated doing so.
+	measure := func(t *testing.T, label string, open func() (*Trace, error)) (*Trace, uint64) {
+		t.Helper()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		tr, err := open()
 		runtime.ReadMemStats(&after)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", label, err)
 		}
 		return tr, after.TotalAlloc - before.TotalAlloc
 	}
-	want, seq := load(func() (*Trace, error) { return fromReaderSeq(bytes.NewReader(buf.Bytes())) })
-	got, par := load(func() (*Trace, error) { return fromReader(bytes.NewReader(buf.Bytes()), 4) })
-	equalTraces(t, want, got, "sparse CPU ids")
-	assertExactColumns(t, want, got, "sparse CPU ids")
-	if par > 2*seq {
-		t.Errorf("parallel load allocated %d bytes, sequential %d: more than twice", par, seq)
+	// load measures a load of a stream in which states CPUs have states:
+	// its dominance index must hold those and no other before any query.
+	load := func(t *testing.T, label string, states int, open func() (*Trace, error)) (*Trace, uint64) {
+		t.Helper()
+		tr, alloc := measure(t, label, open)
+		if n := domEntries(tr); n != states {
+			t.Errorf("%s: dominance index holds %d CPUs before any query, want the %d with states", label, n, states)
+		}
+		return tr, alloc
+	}
+	batch := func(data []byte, workers int) func() (*Trace, error) {
+		return func() (*Trace, error) { return fromReader(bytes.NewReader(data), workers) }
 	}
 
-	// The index's 2 KB a CPU id hides a small per-batch table in that
-	// comparison, so weigh the scatter alone: it may allocate the arrays
-	// themselves and one table of totals per stream (32 bytes a CPU id),
-	// not one per batch.
-	tr := newTrace()
-	var batches []*trace.RecordBatch
-	err := trace.ReadBatched(bytes.NewReader(buf.Bytes()), 4, func(b *trace.RecordBatch) error {
-		for _, id := range b.CounterIDs {
-			tr.counterFor(id)
+	// Fifteen bytes of trace: every load pays for the per-CPU tables and
+	// for nothing per empty CPU, and the one row answers.
+	t.Run("one record at MaxCPUID", func(t *testing.T) {
+		var buf bytes.Buffer
+		w := trace.NewWriter(&buf)
+		ev := trace.StateEvent{CPU: far, State: trace.StateIdle, Start: 0, End: 10}
+		if err := w.WriteState(ev); err != nil {
+			t.Fatal(err)
 		}
-		batches = append(batches, b)
-		return nil
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		var want *Trace
+		for _, l := range []struct {
+			label string
+			open  func() (*Trace, error)
+		}{
+			{"FromDecoder", func() (*Trace, error) { return streamRef(data) }},
+			{"workers=1", batch(data, 1)},
+			{"workers=4", batch(data, 4)},
+		} {
+			tr, alloc := load(t, l.label, 1, l.open)
+			if alloc > 512<<20 {
+				t.Errorf("%s allocated %d bytes for a %d byte stream: over 512 MB", l.label, alloc, len(data))
+			}
+			if want == nil {
+				want = tr
+			} else {
+				equalTraces(t, want, tr, l.label)
+			}
+			got, ok, indexed := tr.DomIndex().CPU(tr, far).DominantState(0, 10)
+			if !ok || !indexed || got != ev {
+				t.Errorf("%s: dominant state on the far CPU = %+v, %v, %v", l.label, got, ok, indexed)
+			}
+			if _, ok, indexed := tr.DomIndex().CPU(tr, 7).DominantState(0, 10); ok || !indexed {
+				t.Errorf("%s: an empty CPU answered %v, indexed %v", l.label, ok, indexed)
+			}
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events, samples := want.EventCounts()
-	arrays := uint64(events)*uint64(unsafe.Sizeof(trace.StateEvent{})) + uint64(samples)*uint64(unsafe.Sizeof(trace.CounterSample{})) +
-		(far+1)*uint64(unsafe.Sizeof(CPUData{})+unsafe.Sizeof([]trace.CounterSample{}))
-	_, scattered := load(func() (*Trace, error) { tr.scatter(batches, far, 4); return tr, nil })
-	if limit := arrays + (far+1)*32 + 1<<20; scattered > limit {
-		t.Errorf("scatter of %d batches allocated %d bytes for %d bytes of arrays (limit %d)", len(batches), scattered, arrays, limit)
-	}
+
+	// Two CPUs at the ends of the id range over 40 batches and more: the
+	// batch load allocates no more than twice what the live load does.
+	t.Run("two CPUs far apart", func(t *testing.T) {
+		var buf bytes.Buffer
+		w := trace.NewWriter(&buf)
+		for i := 0; i < 40*4096; i++ {
+			cpu, tm := int32(i%2)*far, int64(i)*10
+			err := w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: tm, End: tm + 10})
+			if err == nil && cpu == far && i%8 == 1 {
+				err = w.WriteSample(trace.CounterSample{CPU: cpu, Counter: 3, Time: tm, Value: int64(i)})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		want, live := load(t, "FromDecoder", 2, func() (*Trace, error) { return streamRef(data) })
+		for _, workers := range []int{1, 4} {
+			label := "workers=" + itoa(workers)
+			got, alloc := load(t, label, 2, batch(data, workers))
+			equalTraces(t, want, got, label)
+			assertExactColumns(t, got, label)
+			if alloc > 2*live {
+				t.Errorf("%s allocated %d bytes, the live load %d: more than twice", label, alloc, live)
+			}
+		}
+
+		// The per-CPU tables hide a small per-batch table in that
+		// comparison, so weigh the scatter alone: it may allocate the arrays
+		// themselves and the tables of totals per stream (32 bytes a CPU
+		// id, and 8 for the one counter's samples), not one per batch.
+		tr := newTrace()
+		var batches []*trace.RecordBatch
+		err := trace.ReadBatched(bytes.NewReader(data), 4, func(b *trace.RecordBatch) error {
+			for _, id := range b.CounterIDs {
+				tr.counterFor(id)
+			}
+			batches = append(batches, b)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, samples := want.EventCounts()
+		arrays := uint64(events)*uint64(unsafe.Sizeof(trace.StateEvent{})) + uint64(samples)*uint64(unsafe.Sizeof(trace.CounterSample{})) +
+			(far+1)*uint64(unsafe.Sizeof(CPUData{})+unsafe.Sizeof([]trace.CounterSample{}))
+		_, scattered := measure(t, "scatter", func() (*Trace, error) { tr.scatter(batches, far, 4); return tr, nil })
+		if limit := arrays + (far+1)*(32+8) + 1<<20; scattered > limit {
+			t.Errorf("scatter of %d batches allocated %d bytes for %d bytes of arrays (limit %d)", len(batches), scattered, arrays, limit)
+		}
+	})
 }
 
 // TestLoadAllocationPin keeps the parallel load's allocations where
@@ -344,8 +427,9 @@ func TestLoadAllocationPin(t *testing.T) {
 	}
 }
 
-// TestLoadNegativeCPU: both load paths must reject a corrupt record
-// with a negative CPU id with an error, not a panic.
+// TestLoadNegativeCPU: the batch loader, inline and on workers, and the
+// live path must reject a corrupt record with a negative CPU id with an
+// error, not a panic.
 func TestLoadNegativeCPU(t *testing.T) {
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -356,11 +440,13 @@ func TestLoadNegativeCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	if _, err := fromReaderSeq(bytes.NewReader(data)); err == nil {
-		t.Error("sequential load accepted negative CPU")
+	for _, workers := range []int{1, 4} {
+		if _, err := fromReader(bytes.NewReader(data), workers); err == nil {
+			t.Errorf("batch load on %d workers accepted negative CPU", workers)
+		}
 	}
-	if _, err := fromReader(bytes.NewReader(data), 4); err == nil {
-		t.Error("parallel load accepted negative CPU")
+	if _, err := streamRef(data); err == nil {
+		t.Error("live load accepted negative CPU")
 	}
 }
 
@@ -397,10 +483,9 @@ func negativeNodeTrace(t *testing.T) []byte {
 func TestTopologyValidateAtEveryEntrance(t *testing.T) {
 	data := negativeNodeTrace(t)
 	for name, load := range map[string]func() (*Trace, error){
-		"fromReaderSeq": func() (*Trace, error) { return fromReaderSeq(bytes.NewReader(data)) },
-		"fromReader/4":  func() (*Trace, error) { return fromReader(bytes.NewReader(data), 4) },
-		"FromReader":    func() (*Trace, error) { return FromReader(bytes.NewReader(data)) },
-		"FromDecoder":   func() (*Trace, error) { return FromDecoder(trace.NewStreamReader(bytes.NewReader(data))) },
+		"fromReader/4": func() (*Trace, error) { return fromReader(bytes.NewReader(data), 4) },
+		"FromReader":   func() (*Trace, error) { return FromReader(bytes.NewReader(data)) },
+		"FromDecoder":  func() (*Trace, error) { return streamRef(data) },
 	} {
 		if _, err := load(); err == nil || !strings.Contains(err.Error(), "NUMA node -1") {
 			t.Errorf("%s: %v, want the topology refused for its node id", name, err)
@@ -479,7 +564,8 @@ func TestCounterIndexConcurrent(t *testing.T) {
 
 // BenchmarkFromReaderWorkers measures the ingest pipeline at explicit
 // worker counts, independent of GOMAXPROCS, over a larger seidel
-// trace. workers=1 is the sequential reference.
+// trace. workers=1 is the same loader with ReadBatched framing and
+// decoding inline.
 func BenchmarkFromReaderWorkers(b *testing.B) {
 	data := seidelStream(b, 16, 8)
 	for _, workers := range []int{1, 2, 4, 8} {

@@ -192,7 +192,7 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 	// of the (repaired) columns the snapshot holds.
 	rng := rand.New(rand.NewSource(42))
 	lv := NewLive()
-	ref := newTrace() // the declared tasks, by the batch loader's applyTask
+	ref := newTrace() // the declared tasks, by the appliers' applyTask
 	var clock [4]trace.Time
 	dirtyAt := 12
 	for epoch := 0; epoch < 30; epoch++ {
@@ -203,7 +203,7 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				task := trace.Task{ID: id, Type: 1, Created: trace.Time(rng.Intn(100)), CreatorCPU: cpu}
 				b.Tasks = append(b.Tasks, task)
-				ref.applyTask(task)
+				ref.Tasks = applyTask(ref.Tasks, ref.taskByID, task)
 			}
 			// Task 77 runs on CPU 2 only: once in order, then — the event
 			// that takes the column dirty — once more back in time, which

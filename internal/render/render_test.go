@@ -434,6 +434,36 @@ func TestRenderMatrix(t *testing.T) {
 	}
 }
 
+// TestTimelineFarCPURow: a trace whose one state sits on the largest CPU
+// id the decoder admits renders that CPU's row, and a timeline of every
+// CPU — a million rows without states — still renders.
+func TestTimelineFarCPURow(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	if err := w.WriteState(trace.StateEvent{CPU: trace.MaxCPUID, State: trace.StateIdle, Start: 0, End: 10}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, _, err := Timeline(tr, TimelineConfig{Width: 20, Height: 4, CPUs: []int32{trace.MaxCPUID}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := 0; x < fb.W(); x++ {
+		if got := fb.At(x, 0); got != StateColor(trace.StateIdle) {
+			t.Fatalf("pixel %d of the far CPU's row = %v, want the idle colour", x, got)
+		}
+	}
+	if _, _, err := Timeline(tr, TimelineConfig{Width: 20, Height: 64}); err != nil {
+		t.Fatalf("timeline of every CPU: %v", err)
+	}
+}
+
 func TestASCIITimeline(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 2, openstream.SchedRandom)
 	out := ASCIITimeline(tr, 60, 8)
