@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 
 	"github.com/openstream/aftermath/internal/mragg"
@@ -17,6 +16,15 @@ import (
 // this window?") in O(log events) instead of scanning every
 // overlapping event, with answers exactly equal to the sequential
 // scans they replace.
+//
+// The index holds summaries, not a second copy of the states: per CPU
+// the all-states pyramid, and per worker state the refs of its
+// intervals, their cover prefix sums and a pyramid — 12.5 bytes a
+// state against the 32 of the event. Interval bounds are read through
+// the DomCPU's view of the state column itself (mragg.Leaves), also
+// where it is a spilled live CPU's parts and tail, so what a state
+// costs in RAM after it was spilled is its share of the index and
+// nothing else.
 //
 // Safe for concurrent use: each CPU's pyramid is built exactly once,
 // on first request, and different CPUs build in parallel. Batch loads
@@ -35,82 +43,75 @@ type DomIndex struct {
 	entries map[int32]*DomCPU
 }
 
-// DomCPU is one CPU's built pyramids and the state array under them;
-// its query methods are lock-free and safe for concurrent use. A nil
-// all set marks the CPU unindexable (disordered or overlapping state
-// intervals): its queries are answered by scan.
+// DomCPU is one CPU's built pyramids and the view of the state array
+// under them; its query methods are lock-free and safe for concurrent
+// use. A nil all set marks the CPU unindexable (disordered or
+// overlapping state intervals): its queries are answered by scan.
 type DomCPU struct {
 	once sync.Once
-	// states is the CPU's sorted state array the pyramids were built
-	// over (dominant leaves resolve back into it). For spilled live
-	// traces the array is segmented instead: segs lists the non-empty
-	// columns in time order and cum their cumulative start offsets, so
-	// leaf i resolves to segs[k][i-cum[k]]. segs wins when non-nil
-	// (see over).
-	states []trace.StateEvent
-	segs   [][]trace.StateEvent
-	cum    []int
+	// leaves is the CPU's sorted state array — one array, or a spilled
+	// live CPU's parts then its RAM tail, as captured by the snapshot
+	// this entry belongs to. The sets own no interval: they read their
+	// leaves here and resolve their answers back into it.
+	leaves mragg.Leaves
 	domSets
 }
 
 // domSets is one CPU's pyramids, shared by the published DomCPU and
-// the live builder's domChain.
+// the live builder's domChain. They hold summaries only and are bound
+// to no view: each query passes the one it reads through.
 type domSets struct {
-	// all spans every state interval; leaf i is the i-th logical state
-	// event.
+	// all is the identity set over every state interval.
 	all *mragg.Set
-	// byState[s] spans only the intervals in state s, with refs back
-	// into the logical state array; byState[StateTaskExec] doubles as
-	// the task-execution dominance set.
+	// byState[s] is the subset of the intervals in state s: refs into
+	// the logical state array, cover prefix sums and a pyramid;
+	// byState[StateTaskExec] doubles as the task-execution dominance
+	// set.
 	byState [trace.NumWorkerStates]*mragg.Set
 }
+
+// emptySets returns the pyramids of a CPU without state events — where
+// every chain starts — built once and shared (sets are immutable): CPU
+// ids are sparse, and a sweep over all of them may ask for a million
+// such CPUs.
+var emptySets = sync.OnceValue(func() domSets {
+	sets := domSets{all: mragg.All(0)}
+	for k := range sets.byState {
+		sets.byState[k] = mragg.Sub(0)
+	}
+	return sets
+})
 
 // domChain is the one way a CPU's pyramids get built: sets covering
 // the first n logical state events, extended in mragg append mode so
 // the cost is proportional to the appended events. A batch build is a
 // chain extended once from empty; the live builder keeps one chain per
-// CPU across epochs. A CPU whose intervals are disordered or overlap
-// goes dead: it holds no pyramids and is never extended again, and
-// its snapshots fall back to the lazy per-snapshot build (or, if
-// still invalid, to DomCPU.scan).
+// CPU across epochs and extends it through the view each publish
+// captures — the chain itself references no event, so it never keeps a
+// part's heap rows alive once the part is an mmap view or aged out. A
+// CPU whose intervals are disordered or overlap goes dead: it holds no
+// pyramids and is never extended again, and its snapshots fall back to
+// the lazy per-snapshot build (or, if still invalid, to DomCPU.scan).
 type domChain struct {
 	domSets
 	n    int
 	dead bool
 }
 
-// appendSet extends s by the given intervals; a nil s is the chain
-// start.
-func appendSet(s *mragg.Set, starts, ends []int64, refs []int32) *mragg.Set {
-	if s == nil {
-		return mragg.Build(starts, ends, refs, 0)
-	}
-	return s.Append(starts, ends, refs)
-}
-
-// extend appends win, the state events at logical indices
-// [ch.n, ch.n+len(win)), to every set. Out-of-range states are left
-// out of the per-state sets (their events still participate in the
-// all-states set, just not in per-state queries).
-func (ch *domChain) extend(win []trace.StateEvent) {
-	if ch.dead {
+// extend grows every set to cover lv, the view the chain covers the
+// first ch.n events of. Out-of-range states are left out of the
+// per-state sets (their events still participate in the all-states set,
+// just not in per-state queries). Members are counted before a state's
+// refs are allocated, so a batch build allocates each column once, at
+// its size; the live chain's columns grow by amortized append.
+func (ch *domChain) extend(lv *mragg.Leaves) {
+	if ch.dead || lv.Len() == ch.n {
 		return
 	}
-	starts := make([]int64, len(win))
-	ends := make([]int64, len(win))
-	var perStarts, perEnds [trace.NumWorkerStates][]int64
-	var perRefs [trace.NumWorkerStates][]int32
-	for j := range win {
-		starts[j], ends[j] = win[j].Start, win[j].End
-		k := int(win[j].State)
-		if k >= trace.NumWorkerStates {
-			continue
-		}
-		perStarts[k] = append(perStarts[k], win[j].Start)
-		perEnds[k] = append(perEnds[k], win[j].End)
-		perRefs[k] = append(perRefs[k], int32(ch.n+j))
+	if ch.all == nil {
+		ch.domSets = emptySets()
 	}
-	all := appendSet(ch.all, starts, ends, nil)
+	all := ch.all.Extend(lv)
 	if all == nil {
 		// Dead chains free their pyramids: nothing will ever be seeded
 		// with them again.
@@ -118,22 +119,27 @@ func (ch *domChain) extend(win []trace.StateEvent) {
 		return
 	}
 	ch.all = all
+	var counts [trace.NumWorkerStates]int
+	lv.Each(ch.n, func(_ int, ev *trace.StateEvent) {
+		if k := int(ev.State); k < trace.NumWorkerStates {
+			counts[k]++
+		}
+	})
+	var refs [trace.NumWorkerStates][]int32
+	for k, n := range counts {
+		if n > 0 {
+			refs[k] = make([]int32, 0, n)
+		}
+	}
+	lv.Each(ch.n, func(i int, ev *trace.StateEvent) {
+		if k := int(ev.State); k < trace.NumWorkerStates {
+			refs[k] = append(refs[k], int32(i))
+		}
+	})
 	for k := range ch.byState {
-		// Subsets of a disjoint sorted set stay disjoint and sorted,
-		// so these appends cannot fail.
-		ch.byState[k] = appendSet(ch.byState[k], perStarts[k], perEnds[k], perRefs[k])
+		ch.byState[k] = ch.byState[k].Append(lv, refs[k])
 	}
-	ch.n += len(win)
-}
-
-// stateAt resolves logical state index i against the single array or
-// the segmented view.
-func (e *DomCPU) stateAt(i int32) trace.StateEvent {
-	if e.segs == nil {
-		return e.states[i]
-	}
-	k := sort.Search(len(e.cum), func(j int) bool { return e.cum[j] > int(i) }) - 1
-	return e.segs[k][int(i)-e.cum[k]]
+	ch.n = lv.Len()
 }
 
 // NewDomIndex returns an empty index; entries build lazily per CPU.
@@ -160,9 +166,7 @@ func (di *DomIndex) entry(cpu int32) *DomCPU {
 func (di *DomIndex) seed(cpu int32, e *DomCPU) {
 	slot := di.entry(cpu)
 	slot.once.Do(func() {
-		slot.states = e.states
-		slot.segs = e.segs
-		slot.cum = e.cum
+		slot.leaves = e.leaves
 		slot.domSets = e.domSets
 	})
 }
@@ -173,59 +177,24 @@ func (di *DomIndex) seed(cpu int32, e *DomCPU) {
 // yield an empty, indexed entry, mirroring StatesIn's nil result.
 func (di *DomIndex) CPU(tr *Trace, cpu int32) *DomCPU {
 	e := di.entry(cpu)
-	e.once.Do(func() { e.build(tr.stateCols(cpu)...) })
+	e.once.Do(func() { e.build(tr.stateLeaves(cpu)) })
 	return e
 }
 
-// build constructs the entry's pyramids over the CPU's state array,
-// given as its time-ordered column list: one sorted array for batch
-// and unspilled traces; spilled parts then the RAM tail for a spilled
-// CPU whose incremental chain is unavailable (dirty producer,
-// post-drop rebuild). Empty columns are allowed. Disordered or
-// overlapping intervals leave all == nil: queries scan the columns.
-func (e *DomCPU) build(cols ...[]trace.StateEvent) {
+// build constructs the entry's pyramids over the CPU's state array:
+// one sorted array for batch and unspilled traces; spilled parts then
+// the RAM tail for a spilled CPU whose incremental chain is unavailable
+// (dirty producer, post-drop rebuild). Disordered or overlapping
+// intervals leave all == nil: queries scan the columns.
+func (e *DomCPU) build(leaves mragg.Leaves) {
+	e.leaves = leaves
 	var ch domChain
-	for _, s := range cols {
-		if len(s) > 0 {
-			ch.extend(s)
-		}
-	}
+	ch.extend(&e.leaves)
 	if ch.n == 0 && !ch.dead {
 		// No events: an empty but indexed entry.
 		ch.domSets = emptySets()
 	}
-	e.over(cols...)
 	e.domSets = ch.domSets
-}
-
-// emptySets returns the pyramids of a CPU without state events, built
-// once and shared (sets are immutable): CPU ids are sparse, and a sweep
-// over all of them may ask for a million such CPUs.
-var emptySets = sync.OnceValue(func() domSets {
-	var ch domChain
-	ch.extend(nil)
-	return ch.domSets
-})
-
-// over sets the leaf array the pyramids resolve into, given as its
-// time-ordered column list: a single non-empty column resolves leaves
-// directly, more go through the segmented view.
-func (e *DomCPU) over(cols ...[]trace.StateEvent) {
-	at := 0
-	for _, s := range cols {
-		if len(s) == 0 {
-			continue
-		}
-		switch {
-		case at == 0:
-			e.states = s
-		case e.segs == nil:
-			e.segs, e.cum = [][]trace.StateEvent{e.states, s}, []int{0, at}
-		default:
-			e.segs, e.cum = append(e.segs, s), append(e.cum, at)
-		}
-		at += len(s)
-	}
 }
 
 // scan is the one event loop behind every query the pyramids cannot
@@ -237,11 +206,8 @@ func (e *DomCPU) over(cols ...[]trace.StateEvent) {
 // strictly greatest clipped cover with that cover, and the sum of the
 // positive clipped covers.
 func (e *DomCPU) scan(t0, t1 trace.Time, state int, keep func(trace.TaskID) bool) (best trace.StateEvent, bestCover, total trace.Time) {
-	for k := 0; k < max(len(e.segs), 1); k++ {
-		col := e.states
-		if e.segs != nil {
-			col = e.segs[k]
-		}
+	for k := 0; k < e.leaves.Cols(); k++ {
+		col := e.leaves.Col(k)
 		lo, hi := stateWindow(col, t0, t1)
 		for i := lo; i < hi; i++ {
 			ev := &col[i]
@@ -283,11 +249,11 @@ func (e *DomCPU) DominantStateUntil(t0, t1 trace.Time) (ev trace.StateEvent, ok 
 		ev, cover, _ := e.scan(t0, t1, -1, nil)
 		return ev, cover > 0, t1
 	}
-	idx, _, ok, until := e.all.Dominant(t0, t1)
+	leaf, _, ok, until := e.all.Dominant(&e.leaves, t0, t1)
 	if !ok {
 		return trace.StateEvent{}, false, until
 	}
-	return e.stateAt(int32(idx)), true, until
+	return *e.leaves.At(leaf), true, until
 }
 
 // DominantExec is DominantStateUntil restricted to task-execution
@@ -300,11 +266,11 @@ func (e *DomCPU) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (
 		ev, cover, _ := e.scan(t0, t1, int(trace.StateTaskExec), keep)
 		return ev, cover > 0, t1
 	}
-	idx, _, ok, until := set.Dominant(t0, t1)
+	leaf, _, ok, until := set.Dominant(&e.leaves, t0, t1)
 	if !ok {
 		return trace.StateEvent{}, false, until
 	}
-	return e.stateAt(int32(set.Ref(idx))), true, until
+	return *e.leaves.At(leaf), true, until
 }
 
 // StateCover returns the total time the CPU spent in state within
@@ -313,7 +279,7 @@ func (e *DomCPU) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (
 func (e *DomCPU) StateCover(state trace.WorkerState, t0, t1 trace.Time) trace.Time {
 	if int(state) < trace.NumWorkerStates {
 		if set := e.byState[state]; set != nil {
-			return set.Cover(t0, t1)
+			return set.Cover(&e.leaves, t0, t1)
 		}
 	}
 	_, _, total := e.scan(t0, t1, int(state), nil)

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/trace"
@@ -58,71 +61,84 @@ func bruteCover(tr *Trace, cpu int32, state trace.WorkerState, t0, t1 trace.Time
 	return in
 }
 
-// checkDomAgainstScan compares every DomCPU answer on a snapshot —
-// pyramid-served or scanned, the caller cannot tell and must not need
-// to — against the brute-force scans over StatesIn, over randomized
-// windows: the dominant state, the dominant task execution unfiltered
-// and under a random keep predicate, and the cover of every state
-// including one past the worker states.
+// checkDomAgainstScan compares every DomCPU answer on a snapshot
+// against the brute-force scans over StatesIn on randomized windows of
+// random CPUs, one past the trace's included.
 func checkDomAgainstScan(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, queries int) {
 	t.Helper()
 	if tr.Span.Duration() <= 0 {
 		return
 	}
-	di := tr.DomIndex()
 	span := tr.Span.Duration()
 	for q := 0; q < queries; q++ {
 		cpu := int32(rng.Intn(tr.NumCPUs() + 1)) // +1: out-of-range CPU
-		dc := di.CPU(tr, cpu)
 		t0 := tr.Span.Start - 10 + rng.Int63n(span+20)
-		t1 := t0 + rng.Int63n(span/3+2)
-		ev, ok, _ := dc.DominantState(t0, t1)
-		wantEv, wantOK := bruteDominant(tr, cpu, t0, t1, false, nil)
+		checkDomWindow(t, ctx, tr, rng, cpu, t0, t0+rng.Int63n(span/3+2))
+	}
+}
+
+// checkDomWindow compares every DomCPU answer for one window —
+// pyramid-served or scanned, the caller cannot tell and must not need
+// to — against the brute-force scans over StatesIn: the dominant state,
+// the dominant task execution unfiltered and under a random keep
+// predicate, the cover of every state including one past the worker
+// states, every horizon a pyramid promises, and DomCPU.scan itself,
+// which has to agree whether or not it is what answered.
+func checkDomWindow(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, cpu int32, t0, t1 trace.Time) {
+	t.Helper()
+	dc := tr.DomIndex().CPU(tr, cpu)
+	ev, ok, _ := dc.DominantState(t0, t1)
+	wantEv, wantOK := bruteDominant(tr, cpu, t0, t1, false, nil)
+	if ok != wantOK || ev != wantEv {
+		t.Fatalf("%s: DominantState(%d, %d, %d) = (%+v, %v), scan wants (%+v, %v)",
+			ctx, cpu, t0, t1, ev, ok, wantEv, wantOK)
+	}
+	if sev, cover, _ := dc.scan(t0, t1, -1, nil); cover > 0 != wantOK || sev != wantEv {
+		t.Fatalf("%s: DomCPU.scan(%d, %d, %d) = (%+v, %d), StatesIn wants (%+v, %v)", ctx, cpu, t0, t1, sev, cover, wantEv, wantOK)
+	}
+	// A horizon past t1 promises the same answer for every window
+	// inside [t0, until): try one, and the last cycle before until.
+	within := func(what string, until trace.Time, execOnly bool, ev trace.StateEvent, ok bool) {
+		if until <= t1 {
+			return
+		}
+		hi := min(until, tr.Span.End+10)
+		a := t0 + rng.Int63n(hi-t0)
+		b := a + 1 + rng.Int63n(hi-a)
+		for _, w := range [][2]trace.Time{{a, b}, {hi - 1, hi}} {
+			if wantEv, wantOK := bruteDominant(tr, cpu, w[0], w[1], execOnly, nil); ok != wantOK || ev != wantEv {
+				t.Fatalf("%s: %s(%d, %d, %d) = (%+v, %v) until %d, but the scan of [%d, %d) wants (%+v, %v)",
+					ctx, what, cpu, t0, t1, ev, ok, until, w[0], w[1], wantEv, wantOK)
+			}
+		}
+	}
+	if uev, uok, until := dc.DominantStateUntil(t0, t1); uev != ev || uok != ok || until < t1 {
+		t.Fatalf("%s: DominantStateUntil(%d, %d, %d) = (%+v, %v, %d), DominantState says (%+v, %v)",
+			ctx, cpu, t0, t1, uev, uok, until, ev, ok)
+	} else {
+		within("DominantStateUntil", until, false, ev, ok)
+	}
+	mod, rem := trace.TaskID(rng.Intn(4)+1), trace.TaskID(rng.Intn(2))
+	for _, keep := range []func(trace.TaskID) bool{nil, func(id trace.TaskID) bool { return id%mod >= rem }} {
+		ev, ok, until := dc.DominantExec(t0, t1, keep)
+		wantEv, wantOK = bruteDominant(tr, cpu, t0, t1, true, keep)
 		if ok != wantOK || ev != wantEv {
-			t.Fatalf("%s: DominantState(%d, %d, %d) = (%+v, %v), scan wants (%+v, %v)",
-				ctx, cpu, t0, t1, ev, ok, wantEv, wantOK)
+			t.Fatalf("%s: DominantExec(%d, %d, %d, filtered=%v) = (%+v, %v), scan wants (%+v, %v)",
+				ctx, cpu, t0, t1, keep != nil, ev, ok, wantEv, wantOK)
 		}
-		// A horizon past t1 promises the same answer for every window
-		// inside [t0, until): try one, and the last cycle before until.
-		within := func(what string, until trace.Time, execOnly bool, ev trace.StateEvent, ok bool) {
-			if until <= t1 {
-				return
-			}
-			hi := min(until, tr.Span.End+10)
-			a := t0 + rng.Int63n(hi-t0)
-			b := a + 1 + rng.Int63n(hi-a)
-			for _, w := range [][2]trace.Time{{a, b}, {hi - 1, hi}} {
-				if wantEv, wantOK := bruteDominant(tr, cpu, w[0], w[1], execOnly, nil); ok != wantOK || ev != wantEv {
-					t.Fatalf("%s: %s(%d, %d, %d) = (%+v, %v) until %d, but the scan of [%d, %d) wants (%+v, %v)",
-						ctx, what, cpu, t0, t1, ev, ok, until, w[0], w[1], wantEv, wantOK)
-				}
-			}
+		if keep != nil && until != t1 {
+			t.Fatalf("%s: filtered DominantExec(%d, %d, %d) claims a horizon %d; a scan has none", ctx, cpu, t0, t1, until)
 		}
-		if uev, uok, until := dc.DominantStateUntil(t0, t1); uev != ev || uok != ok || until < t1 {
-			t.Fatalf("%s: DominantStateUntil(%d, %d, %d) = (%+v, %v, %d), DominantState says (%+v, %v)",
-				ctx, cpu, t0, t1, uev, uok, until, ev, ok)
-		} else {
-			within("DominantStateUntil", until, false, ev, ok)
+		within("DominantExec", until, true, ev, ok)
+	}
+	for k := 0; k <= trace.NumWorkerStates; k++ { // ==: out-of-range state
+		st := trace.WorkerState(k)
+		cover := dc.StateCover(st, t0, t1)
+		if want := bruteCover(tr, cpu, st, t0, t1); cover != want {
+			t.Fatalf("%s: StateCover(%d, %v, %d, %d) = %d, scan wants %d", ctx, cpu, st, t0, t1, cover, want)
 		}
-		mod, rem := trace.TaskID(rng.Intn(4)+1), trace.TaskID(rng.Intn(2))
-		for _, keep := range []func(trace.TaskID) bool{nil, func(id trace.TaskID) bool { return id%mod >= rem }} {
-			ev, ok, until := dc.DominantExec(t0, t1, keep)
-			wantEv, wantOK = bruteDominant(tr, cpu, t0, t1, true, keep)
-			if ok != wantOK || ev != wantEv {
-				t.Fatalf("%s: DominantExec(%d, %d, %d, filtered=%v) = (%+v, %v), scan wants (%+v, %v)",
-					ctx, cpu, t0, t1, keep != nil, ev, ok, wantEv, wantOK)
-			}
-			if keep != nil && until != t1 {
-				t.Fatalf("%s: filtered DominantExec(%d, %d, %d) claims a horizon %d; a scan has none", ctx, cpu, t0, t1, until)
-			}
-			within("DominantExec", until, true, ev, ok)
-		}
-		for k := 0; k <= trace.NumWorkerStates; k++ { // ==: out-of-range state
-			st := trace.WorkerState(k)
-			cover := dc.StateCover(st, t0, t1)
-			if want := bruteCover(tr, cpu, st, t0, t1); cover != want {
-				t.Fatalf("%s: StateCover(%d, %v, %d, %d) = %d, scan wants %d", ctx, cpu, st, t0, t1, cover, want)
-			}
+		if _, _, total := dc.scan(t0, t1, k, nil); total != cover {
+			t.Fatalf("%s: DomCPU.scan(%d, %v, %d, %d) sums %d, StateCover says %d", ctx, cpu, st, t0, t1, total, cover)
 		}
 	}
 }
@@ -310,16 +326,16 @@ func TestDomIndexScannedMatchesScan(t *testing.T) {
 		t.Fatalf("snapshot not spilled into parts: %+v ok %v", st, ok)
 	}
 	for cpu := int32(0); cpu < 2; cpu++ {
-		if dc := snap.DomIndex().CPU(snap, cpu); len(dc.segs) < 2 {
-			t.Fatalf("cpu %d resolves through %d columns, want a segmented view", cpu, len(dc.segs))
+		if dc := snap.DomIndex().CPU(snap, cpu); dc.leaves.Cols() < 2 {
+			t.Fatalf("cpu %d resolves through %d columns, want a segmented view", cpu, dc.leaves.Cols())
 		}
 	}
 	assertShape("spilled", snap)
 	checkDomAgainstScan(t, "spilled", snap, rng, 600)
 }
 
-// sameSet asserts two dominance sets are structurally identical: leaf
-// columns, prefix sums and every pyramid level, node for node.
+// sameSet asserts two dominance sets are structurally identical: refs,
+// prefix sums and every pyramid level, node for node.
 func sameSet(t *testing.T, ctx string, got, want *mragg.Set) {
 	t.Helper()
 	if (got == nil) != (want == nil) {
@@ -328,10 +344,10 @@ func sameSet(t *testing.T, ctx string, got, want *mragg.Set) {
 	if got == nil {
 		return
 	}
-	gs, ge, gp, gr, gy := got.Columns()
-	ws, we, wp, wr, wy := want.Columns()
-	if !slices.Equal(gs, ws) || !slices.Equal(ge, we) || !slices.Equal(gp, wp) || !slices.Equal(gr, wr) {
-		t.Fatalf("%s: leaf columns differ", ctx)
+	gr, gp, gy := got.Columns()
+	wr, wp, wy := want.Columns()
+	if !slices.Equal(gr, wr) || !slices.Equal(gp, wp) || (gp == nil) != (wp == nil) {
+		t.Fatalf("%s: refs or prefix sums differ", ctx)
 	}
 	if gy.Arity() != wy.Arity() || gy.Len() != wy.Len() || len(gy.Levels()) != len(wy.Levels()) {
 		t.Fatalf("%s: pyramid shape differs", ctx)
@@ -355,7 +371,8 @@ func sameDomSets(t *testing.T, ctx string, got, want domSets) {
 // build of a hand-assembled trace, a segmented build and a live chain
 // extended over several epochs (plain and spilled) all go through
 // domChain.extend, so the same states give structurally identical
-// pyramids whichever way they arrived.
+// pyramids whichever way they arrived — and a batch build allocates a
+// bounded number of times.
 func TestDomIndexOneConstructionPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	var states []trace.StateEvent
@@ -396,10 +413,22 @@ func TestDomIndexOneConstructionPath(t *testing.T) {
 	lazyTr.CPUs = []CPUData{{States: states}}
 	sameDomSets(t, "lazy", lazyTr.DomIndex().CPU(lazyTr, 0).domSets, want.domSets)
 
+	// Counted, then allocated: a batch build makes the sets, two columns
+	// for each state present and the pyramid levels, whatever the number
+	// of events — where append-grown columns made some 170 allocations.
+	allocs := testing.AllocsPerRun(5, func() {
+		var e DomCPU
+		e.build(mragg.Over(states))
+	})
+	t.Logf("a batch build of %d states: %.0f allocations", len(states), allocs)
+	if allocs > 64 {
+		t.Errorf("a batch build of %d states made %.0f allocations, want at most 64", len(states), allocs)
+	}
+
 	var segs DomCPU
-	segs.build(states[:100], nil, states[100:4097], states[4097:])
+	segs.build(mragg.Over(states[:100], nil, states[100:4097], states[4097:]))
 	sameDomSets(t, "segmented", segs.domSets, want.domSets)
-	if len(segs.segs) != 3 || segs.stateAt(4097) != states[4097] {
+	if segs.leaves.Cols() != 3 || *segs.leaves.At(4097) != states[4097] {
 		t.Fatalf("segmented view resolves leaves wrong")
 	}
 
@@ -419,4 +448,247 @@ func TestDomIndexOneConstructionPath(t *testing.T) {
 		sameDomSets(t, ctx, snap.DomIndex().CPU(snap, 0).domSets, want.domSets)
 		lv.Close()
 	}
+}
+
+// domOverhead is what one CPU's dominance sets own: everything the
+// index costs beyond the state events it reads through its view.
+func domOverhead(dc *DomCPU) (bytes int64) {
+	if dc.all != nil {
+		bytes = dc.all.OverheadBytes()
+	}
+	for _, s := range dc.byState {
+		if s != nil {
+			bytes += s.OverheadBytes()
+		}
+	}
+	return bytes
+}
+
+// TestDomIndexOverhead holds the index to what an index may cost: on
+// the Seidel fixture everything the dominance sets own is at most 0.45
+// of the state arrays they index — 4 B of refs and 8 B of prefix sums a
+// state plus two pyramids, 12.5 of 32 B. With its own copies of every
+// interval's bounds, once for all states and again per state, it was
+// 1.66. This is the core.dom_overhead_ratio the harness will report as
+// a layer metric beside mmtree.overhead_ratio.
+func TestDomIndexOverhead(t *testing.T) {
+	tr, err := FromReader(bytes.NewReader(seidelStream(t, 12, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var index, states int64
+	for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
+		dc := tr.DomIndex().CPU(tr, cpu)
+		if _, _, indexed := dc.DominantState(tr.Span.Start, tr.Span.End); !indexed {
+			t.Fatalf("cpu %d is not pyramid-served", cpu)
+		}
+		index += domOverhead(dc)
+		states += int64(len(tr.CPUs[cpu].States)) * int64(unsafe.Sizeof(trace.StateEvent{}))
+	}
+	if states == 0 {
+		t.Fatal("fixture has no states")
+	}
+	ratio := float64(index) / float64(states)
+	t.Logf("dominance index: %d bytes over %d bytes of states, ratio %.3f", index, states, ratio)
+	if ratio > 0.45 {
+		t.Errorf("the dominance index owns %d bytes over %d bytes of states: ratio %.2f, want at most 0.45", index, states, ratio)
+	}
+}
+
+// segCaseStates is scanCaseStates without overlaps and with a pair of
+// zero-length states sitting on each cut: the last event before it and
+// the first after it both start and end at the cut's time.
+func segCaseStates(rng *rand.Rand, cpu int32, n int, cuts []int) []trace.StateEvent {
+	states := scanCaseStates(rng, cpu, n, 40, false)
+	var shift int64
+	for i := range states {
+		ev := &states[i]
+		ev.Start, ev.End = ev.Start-shift, ev.End-shift
+		if slices.Contains(cuts, i) || slices.Contains(cuts, i+1) {
+			shift += ev.End - ev.Start
+			ev.End = ev.Start
+		}
+		if slices.Contains(cuts, i) {
+			shift += ev.Start - states[i-1].End
+			ev.Start, ev.End = states[i-1].End, states[i-1].End
+		}
+	}
+	return states
+}
+
+// TestDomIndexSegmentedMatchesScan: index ≡ scan where the view is
+// segmented. A live trace is frozen into four parts with a RAM tail
+// behind them and queried (a) while the parts are still the heap rows
+// the tails were, (b) once they are mmap views of their segment files,
+// (c) after retention dropped the oldest parts and the chains were
+// rebuilt over what is left, and (d) saved as one snapshot file and
+// mapped back. Every DomCPU answer — and every horizon — is checked on
+// seeded random windows and on windows around each part boundary,
+// where zero-length states sit on both sides.
+func TestDomIndexSegmentedMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	const n = 4000
+	cuts := []int{900, 1800, 2700, 3600}
+	cpus := [][]trace.StateEvent{segCaseStates(rng, 0, n, cuts), segCaseStates(rng, 1, n, cuts)}
+	for _, c := range cuts {
+		if a, b := cpus[0][c-1], cpus[0][c]; a.Start != a.End || b.Start != b.End || a.End != b.Start {
+			t.Fatalf("precondition: no zero-length pair on cut %d: %+v %+v", c, a, b)
+		}
+	}
+
+	dir := t.TempDir()
+	lv := NewLive()
+	// Spilling on, but never on its own: the test freezes and installs.
+	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1 << 40})
+	defer lv.Close()
+	type frozen struct {
+		seg *spillSeg
+		p   *segPayload
+	}
+	var parts []frozen
+	var snap *Trace
+	for k, from := 0, 0; k <= len(cuts); k++ {
+		to := n
+		if k < len(cuts) {
+			to = cuts[k]
+		}
+		b := &trace.RecordBatch{MaxCPU: 1}
+		b.States = append(append(b.States, cpus[0][from:to]...), cpus[1][from:to]...)
+		snap = publish(t, lv, b)
+		if k < len(cuts) {
+			lv.mu.Lock()
+			seg, p := lv.freezeTailsLocked()
+			lv.mu.Unlock()
+			parts = append(parts, frozen{seg, p})
+		}
+		from = to
+	}
+
+	check := func(ctx string, tr *Trace, wantCols int, from int) {
+		t.Helper()
+		for cpu := int32(0); cpu < 2; cpu++ {
+			dc := tr.DomIndex().CPU(tr, cpu)
+			if _, _, indexed := dc.DominantState(tr.Span.Start, tr.Span.End); !indexed || dc.all.Len() != n-from {
+				t.Fatalf("%s: cpu %d indexed %v over %d states, want %d", ctx, cpu, indexed, dc.all.Len(), n-from)
+			}
+			if dc.leaves.Cols() != wantCols {
+				t.Fatalf("%s: cpu %d resolves through %d columns, want %d", ctx, cpu, dc.leaves.Cols(), wantCols)
+			}
+			for _, c := range cuts {
+				at := cpus[cpu][c].Start
+				for _, w := range [][2]trace.Time{
+					{at, at}, {at - 1, at}, {at, at + 1}, {at - 1, at + 1},
+					{at - 1 - rng.Int63n(40), at + 1 + rng.Int63n(40)},
+					{at - 1 - rng.Int63n(4000), at + 1 + rng.Int63n(4000)},
+				} {
+					checkDomWindow(t, ctx, tr, rng, cpu, w[0], w[1])
+				}
+			}
+		}
+		checkDomAgainstScan(t, ctx, tr, rng, 400)
+	}
+
+	// (a) Frozen, not yet written: the parts are the heap rows.
+	snap, _ = lv.Publish()
+	for _, p := range snap.spilled[0].states {
+		if p.seg.m != nil {
+			t.Fatal("precondition: a part is mapped before its segment was installed")
+		}
+	}
+	check("heap parts", snap, len(cuts)+1, 0)
+
+	// (b) Written and installed: the same rows, mapped.
+	for _, f := range parts {
+		m, vp, path, err := writeSegment(dir, f.seg.id, f.p)
+		lv.mu.Lock()
+		lv.installLocked(f.seg, m, vp, path, err)
+		lv.mu.Unlock()
+	}
+	mapped, _ := lv.Publish()
+	if st, ok := mapped.SpillStats(); !ok || st.Err != "" || st.Pending != 0 {
+		t.Fatalf("install: %+v", st)
+	}
+	for _, p := range mapped.spilled[0].states {
+		if p.seg.m == nil {
+			t.Fatal("precondition: a part is still heap rows after install")
+		}
+	}
+	check("mapped parts", mapped, len(cuts)+1, 0)
+	check("heap parts, after install", snap, len(cuts)+1, 0)
+
+	// (d) One file, mapped back: a single column under the same sets.
+	path := filepath.Join(dir, "whole.atms")
+	if err := SaveStore(mapped, path); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	check("reopened", reopened, 1, 0)
+	for cpu := int32(0); cpu < 2; cpu++ {
+		sameDomSets(t, fmt.Sprintf("reopened cpu %d", cpu), reopened.DomIndex().CPU(reopened, cpu).domSets, mapped.DomIndex().CPU(mapped, cpu).domSets)
+	}
+
+	// (c) Retention drops the two oldest parts: logical indices shift,
+	// the chains restart and are rebuilt through the segmented view.
+	perSeg := int64(2 * 900 * unsafe.Sizeof(trace.StateEvent{}))
+	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1 << 40, MaxBytes: 2*perSeg + perSeg/2})
+	lv.Publish() // retention applies after a publish stored its snapshot
+	dropped, _ := lv.Publish()
+	if st, _ := dropped.SpillStats(); st.DroppedSegs != 2 || st.Segments != 2 {
+		t.Fatalf("retention: %+v, want 2 segments dropped and 2 kept", st)
+	}
+	check("after drop", dropped, 3, cuts[1])
+	check("mapped parts, after drop", mapped, len(cuts)+1, 0)
+}
+
+// TestSpillBoundCoversIndex: the memory bound of a spilling follow
+// covers the dominance index. Once a CPU's states have all left RAM,
+// what a fresh snapshot's index owns for it is at most 16 B a state —
+// refs, prefix sums and pyramids, no copy of an interval — and neither
+// the snapshot nor the builder's chain holds on to the heap rows the
+// states were before their segment was installed: dropping the one old
+// snapshot that captured them frees them.
+func TestSpillBoundCoversIndex(t *testing.T) {
+	const n = 100_000
+	b := &trace.RecordBatch{MaxCPU: 0, States: make([]trace.StateEvent, n)}
+	for i := range b.States {
+		b.States[i] = trace.StateEvent{State: trace.WorkerState(i % trace.NumWorkerStates), Start: int64(10 * i), End: int64(10*i + 7)}
+	}
+	rows := int64(n * unsafe.Sizeof(trace.StateEvent{}))
+	lv := NewLive()
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	defer lv.Close()
+	old := publish(t, lv, b) // captures the tail; the publish then spills and installs it
+	b = nil
+	fresh, _ := lv.Publish()
+	if st, ok := fresh.SpillStats(); !ok || st.Segments != 1 || st.Pending != 0 || len(fresh.CPUs[0].States) != 0 {
+		t.Fatalf("precondition: cpu 0 not fully spilled: %+v, %d states in RAM", st, len(fresh.CPUs[0].States))
+	}
+	dc := fresh.DomIndex().CPU(fresh, 0)
+	if _, _, indexed := dc.DominantState(0, 10*n); !indexed || dc.all.Len() != n {
+		t.Fatalf("fully spilled cpu indexed %v over %d states", indexed, dc.all.Len())
+	}
+	got := domOverhead(dc)
+	t.Logf("index of %d spilled states: %d bytes, %.2f a state", n, got, float64(got)/n)
+	if got > 16*n {
+		t.Errorf("the index of %d spilled states owns %d bytes, %.1f a state: want at most 16", n, got, float64(got)/n)
+	}
+
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
+	runtime.KeepAlive(old)
+	old = nil
+	if freed := before - heap(); freed < rows*9/10 {
+		t.Errorf("dropping the pre-install snapshot freed %d bytes, want the tail's %d: the heap rows are still referenced", freed, rows)
+	}
+	runtime.KeepAlive(fresh)
 }

@@ -508,23 +508,26 @@ func (lv *Live) snapshotLocked() *Trace {
 	tr.cindexOnce.Do(func() { tr.cindex = ci })
 
 	// Dominance pyramids: extend the per-CPU chains by the appended
-	// events and seed the snapshot's index with them; dirty CPUs fall
-	// back to the snapshot's lazy build over its repaired arrays.
-	lv.extendDomsLocked()
+	// events, read through the columns this snapshot captured, and seed
+	// the snapshot's index with them. A CPU that went dirty
+	// (out-of-order producer) or whose intervals overlap goes dead and
+	// is never extended again — its snapshots fall back to the lazy
+	// build over their repaired arrays (or scan).
 	di := NewDomIndex()
 	for cpu := range lv.doms {
-		ch := &lv.doms[cpu]
-		if ch.dead || ch.all == nil {
+		ch, c := &lv.doms[cpu], &lv.cols[cpu].states
+		if c.dirty {
+			*ch = domChain{dead: true}
+		}
+		if ch.dead || c.len() == 0 {
 			continue
 		}
-		e := &DomCPU{domSets: ch.domSets}
-		if spilled && len(tr.spilled[cpu].states) > 0 {
-			// Leaves resolve through the spilled parts, then the tail.
-			e.over(tr.stateCols(int32(cpu))...)
-		} else {
-			e.states = tr.CPUs[cpu].States
+		e := &DomCPU{leaves: tr.stateLeaves(int32(cpu))}
+		ch.extend(&e.leaves)
+		if !ch.dead {
+			e.domSets = ch.domSets
+			di.seed(int32(cpu), e)
 		}
-		di.seed(int32(cpu), e)
 	}
 	tr.domOnce.Do(func() { tr.dom = di })
 
@@ -579,23 +582,6 @@ func (lv *Live) placeExecsLocked() (orphans int) {
 		orphans += len(kept)
 	}
 	return orphans
-}
-
-// extendDomsLocked brings the per-CPU dominance chains up to the
-// current state-event counts: only appended events are scanned. A CPU
-// that went dirty (out-of-order producer) or whose intervals overlap
-// goes dead and is never extended again — its snapshots rebuild (or
-// scan) instead.
-func (lv *Live) extendDomsLocked() {
-	for cpu := range lv.doms {
-		ch, c := &lv.doms[cpu], &lv.cols[cpu].states
-		if c.dirty {
-			*ch = domChain{dead: true}
-		}
-		if !ch.dead && c.len() != ch.n {
-			ch.extend(c.from(ch.n))
-		}
-	}
 }
 
 // extendTreesLocked brings the incremental min/max trees up to the

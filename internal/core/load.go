@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -457,7 +458,7 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 		// builds the empty entry for whoever asks.
 		if len(c.States) > 0 {
 			res.dom = &DomCPU{}
-			res.dom.build(c.States)
+			res.dom.build(mragg.Over(c.States))
 		}
 	})
 

@@ -405,12 +405,14 @@ func TestLoadSparseCPUIDs(t *testing.T) {
 }
 
 // TestLoadAllocationPin keeps the parallel load's allocations where
-// writing each event once put them. The parent of that change (growing
-// every batch slice and every per-CPU column by append) allocated
-// 4 503 568 bytes loading this fixture on four workers; the load now
-// allocates under half of that, and fails here above 60 %.
+// writing each event once, and indexing the states without copying
+// them, put them. Growing every batch slice and every per-CPU column by
+// append, the load of this fixture on four workers allocated 4 503 568
+// bytes; writing each event once, 2 152 000, of which the dominance
+// index's copies of every interval were 236 000; it now allocates
+// 1 918 000, and fails here 10 % above that.
 func TestLoadAllocationPin(t *testing.T) {
-	const parent = 4_503_568
+	const ceiling = 2_110_000
 	data := seidelStream(t, 12, 6)
 	load := func() {
 		if _, err := fromReader(bytes.NewReader(data), 4); err != nil {
@@ -422,8 +424,8 @@ func TestLoadAllocationPin(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	load()
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > parent*6/10 {
-		t.Errorf("fromReader allocated %d bytes on a %d byte stream: more than 60%% of the %d it took before", got, len(data), parent)
+	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
+		t.Errorf("fromReader allocated %d bytes on a %d byte stream: more than the %d it may", got, len(data), ceiling)
 	}
 }
 

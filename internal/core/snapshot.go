@@ -12,11 +12,13 @@ import (
 )
 
 // snapshotFormatVersion is the columnar snapshot meta layout version.
-// Segment files (spill.go) version independently. Version 2 stores
-// each pyramid level as one column of nodes (version 1 wrote two
-// parallel columns per level); older snapshots must be re-saved from
-// their source trace.
-const snapshotFormatVersion = 2
+// Segment files (spill.go) version independently. Version 3 stores a
+// dominance set as what it owns — per CPU the all-states pyramid, per
+// worker state refs, cover prefix sums and pyramid — and no interval
+// bounds: OpenStore binds the sets to the mapped States column they
+// index (version 2 also dumped every state's start and end, twice).
+// Older snapshots must be re-saved from their source trace.
+const snapshotFormatVersion = 3
 
 // SaveStore writes the trace as a columnar snapshot: every per-CPU
 // event array, counter sample array and table dumped as raw columns,
@@ -88,7 +90,7 @@ func SaveStore(tr *Trace, path string) (err error) {
 
 	// Dominance pyramids, one entry per CPU: the all-states set and the
 	// per-worker-state sets. CPUs whose intervals were unindexable
-	// store empty sets; OpenStore leaves those entries to the lazy
+	// store absent sets; OpenStore leaves those entries to the lazy
 	// builder, which reproduces the unindexable verdict from the
 	// columns.
 	for cpu := int32(0); int(cpu) < len(tr.CPUs); cpu++ {
@@ -151,31 +153,45 @@ func viewPyramid[S any](m *store.Mapped, d *store.Dec, n int) (agg.Tree[S], erro
 	return agg.FromLevels(arity, n, levels)
 }
 
-// putSet appends a dominance set's columns; nil sets store a
-// present=0 flag only.
+// putSet appends what a dominance set owns — a subset's refs and
+// prefix sums, then the pyramid; nil sets store a present=0 flag only.
 func putSet(w *store.Writer, e *store.Enc, s *mragg.Set) {
 	if s == nil {
 		e.Int(0)
 		return
 	}
 	e.Int(1)
-	starts, ends, prefix, refs, pyramid := s.Columns()
-	e.Ref(store.Put(w, starts))
-	e.Ref(store.Put(w, ends))
-	e.Ref(store.Put(w, prefix))
-	e.Ref(store.Put(w, refs))
+	refs, prefix, pyramid := s.Columns()
+	if prefix != nil {
+		e.Ref(store.Put(w, refs))
+		e.Ref(store.Put(w, prefix))
+	}
 	putPyramid(w, e, pyramid)
 }
 
-func viewSet(m *store.Mapped, d *store.Dec) (*mragg.Set, error) {
+// viewAllSet adopts an all-states set written by putSet for a CPU with
+// the given number of state events. The pyramid's shape is checked
+// against that count, so a corrupt file fails at open.
+func viewAllSet(m *store.Mapped, d *store.Dec, states int) (*mragg.Set, error) {
 	if d.Int() == 0 {
 		return nil, d.Err()
 	}
-	starts, err := store.View[int64](m, d.Ref())
+	pyramid, err := viewPyramid[mragg.Node](m, d, states)
 	if err != nil {
 		return nil, err
 	}
-	ends, err := store.View[int64](m, d.Ref())
+	return mragg.AdoptAll(states, pyramid)
+}
+
+// viewSubSet is viewAllSet for a per-state subset. Everything a query
+// indexes by is checked here — the prefix sums and the pyramid against
+// the refs, the refs' two ends (two touched pages) against the state
+// events.
+func viewSubSet(m *store.Mapped, d *store.Dec, states int) (*mragg.Set, error) {
+	if d.Int() == 0 {
+		return nil, d.Err()
+	}
+	refs, err := store.View[int32](m, d.Ref())
 	if err != nil {
 		return nil, err
 	}
@@ -183,15 +199,11 @@ func viewSet(m *store.Mapped, d *store.Dec) (*mragg.Set, error) {
 	if err != nil {
 		return nil, err
 	}
-	refs, err := store.View[int32](m, d.Ref())
+	pyramid, err := viewPyramid[mragg.Node](m, d, len(refs))
 	if err != nil {
 		return nil, err
 	}
-	pyramid, err := viewPyramid[mragg.Node](m, d, len(starts))
-	if err != nil {
-		return nil, err
-	}
-	return mragg.Adopt(starts, ends, prefix, refs, pyramid)
+	return mragg.AdoptSub(states, refs, prefix, pyramid)
 }
 
 // putTree appends a min/max tree's columns.
@@ -319,18 +331,15 @@ func OpenStore(path string) (tr *Trace, err error) {
 
 	di := NewDomIndex()
 	for cpu := int32(0); int(cpu) < nCPU; cpu++ {
-		all, err := viewSet(m, d)
+		states := tr.CPUs[cpu].States
+		all, err := viewAllSet(m, d, len(states))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("store: cpu %d all-states dominance set: %w", cpu, err)
 		}
-		if all != nil && all.Len() != len(tr.CPUs[cpu].States) {
-			return nil, fmt.Errorf("store: corrupt snapshot: cpu %d dominance set over %d intervals, %d state events",
-				cpu, all.Len(), len(tr.CPUs[cpu].States))
-		}
-		dc := &DomCPU{states: tr.CPUs[cpu].States, domSets: domSets{all: all}}
+		dc := &DomCPU{leaves: mragg.Over(states), domSets: domSets{all: all}}
 		for k := 0; k < trace.NumWorkerStates; k++ {
-			if dc.byState[k], err = viewSet(m, d); err != nil {
-				return nil, err
+			if dc.byState[k], err = viewSubSet(m, d, len(states)); err != nil {
+				return nil, fmt.Errorf("store: cpu %d state %d dominance set: %w", cpu, k, err)
 			}
 		}
 		// A stored nil all-set means the CPU was empty or unindexable;

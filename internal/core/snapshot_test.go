@@ -161,13 +161,26 @@ func TestSnapshotRejectsWrongFormat(t *testing.T) {
 	if _, err := OpenStore(raw); err == nil {
 		t.Fatal("open of a raw trace stream succeeded")
 	}
+	// A snapshot of the previous format (dominance sets with their own
+	// copies of every interval) says how to get a current one.
+	cur, old := filepath.Join(dir, "cur.atms"), filepath.Join(dir, "old.atms")
+	if err := SaveStore(loadLive(t), cur); err != nil {
+		t.Fatal(err)
+	}
+	tamperMeta(t, cur, old, func(v []uint64, _ []byte) []uint64 { v[0] = 2; return v })
+	if _, err := OpenStore(old); err == nil || !strings.Contains(err.Error(), "version 2") ||
+		!strings.Contains(err.Error(), "re-save the snapshot from its source trace") {
+		t.Fatalf("format-2 snapshot: %v", err)
+	}
 }
 
 // tamperMeta rewrites the snapshot at src to dst with its meta blob
 // edited as a list of raw uvarints. The blob is varints plus ASCII
 // strings, so the list re-encodes byte for byte (checked), and an edit
-// cannot accidentally shift a field.
-func tamperMeta(t *testing.T, src, dst string, edit func(vals []uint64) []uint64) {
+// cannot accidentally shift a field. The edit is also handed the file's
+// bytes before the blob, the columns the blob's refs point into, to
+// overwrite in place.
+func tamperMeta(t *testing.T, src, dst string, edit func(vals []uint64, file []byte) []uint64) {
 	t.Helper()
 	data, err := os.ReadFile(src)
 	if err != nil {
@@ -195,7 +208,7 @@ func tamperMeta(t *testing.T, src, dst string, edit func(vals []uint64) []uint64
 		t.Fatal("meta blob does not re-encode canonically")
 	}
 	out := append([]byte(nil), data[:off]...)
-	newMeta := encode(edit(vals))
+	newMeta := encode(edit(vals, out))
 	out = append(out, newMeta...)
 	binary.LittleEndian.PutUint64(out[32:40], uint64(len(newMeta)))
 	if err := os.WriteFile(dst, out, 0o644); err != nil {
@@ -204,11 +217,13 @@ func tamperMeta(t *testing.T, src, dst string, edit func(vals []uint64) []uint64
 }
 
 // TestOpenStoreCorruptPyramids: OpenStore does not trust the pyramid
-// shapes the meta blob claims. A hostile level count, a level or
-// prefix column of the wrong length, leaf columns that disagree, and a
-// snapshot of an older format version are all descriptive errors at
-// open — never an allocation sized by the attacker or an index panic
-// in a later render.
+// shapes the meta blob claims, nor the refs a per-state window is mapped
+// through. A hostile level count, a level, refs or prefix column of the
+// wrong length, a pyramid over another leaf count than the state events
+// (all-states) or the refs (per-state), refs pointing outside the state
+// array, and a snapshot of an older format version are all descriptive
+// errors at open — never an allocation sized by the attacker or an index
+// panic in a later render.
 func TestOpenStoreCorruptPyramids(t *testing.T) {
 	tr := loadLive(t)
 	dir := t.TempDir()
@@ -219,23 +234,30 @@ func TestOpenStoreCorruptPyramids(t *testing.T) {
 
 	// zz is the zigzag encoding store refs use for non-negative values.
 	zz := func(v int) uint64 { return uint64(v) << 1 }
-	// The first dominance set, CPU 0's all-states set, is laid out as
-	// present, starts/ends/prefix/refs refs (offset, bytes), arity,
-	// level count, level refs.
-	set := tr.DomIndex().CPU(tr, 0).all
-	nSet := set.Len()
-	_, _, _, _, setPyr := set.Columns()
+	// The first dominance entry is CPU 0's: the all-states set — present,
+	// arity, level count, level refs (offset, bytes) — then its first
+	// per-state subset: present, refs and prefix refs, arity, level
+	// count, level refs.
+	dc := tr.DomIndex().CPU(tr, 0)
+	nSet := dc.all.Len()
+	_, _, setPyr := dc.all.Columns()
 	nSetLevels := len(setPyr.Levels())
+	nSub := dc.byState[0].Len()
+	_, _, subPyr := dc.byState[0].Columns()
 	findSet := func(vals []uint64) int {
-		for i := 0; i+11 < len(vals); i++ {
-			if vals[i] == 1 && vals[i+2] == zz(8*nSet) && vals[i+4] == zz(8*nSet) && vals[i+6] == zz(8*(nSet+1)) &&
-				vals[i+7] == 0 && vals[i+8] == 0 && vals[i+9] == uint64(setPyr.Arity()) && vals[i+10] == uint64(nSetLevels) {
+		for i := 0; i+3+2*nSetLevels+6 < len(vals); i++ {
+			sub := i + 3 + 2*nSetLevels
+			if vals[i] == 1 && vals[i+1] == uint64(setPyr.Arity()) && vals[i+2] == uint64(nSetLevels) &&
+				vals[i+4] == zz(16*len(setPyr.Levels()[0])) &&
+				vals[sub] == 1 && vals[sub+2] == zz(4*nSub) && vals[sub+4] == zz(8*(nSub+1)) &&
+				vals[sub+5] == uint64(subPyr.Arity()) && vals[sub+6] == uint64(len(subPyr.Levels())) {
 				return i
 			}
 		}
-		t.Fatal("all-states set not found in meta")
+		t.Fatal("CPU 0's dominance sets not found in meta")
 		return 0
 	}
+	findSub := func(vals []uint64) int { return findSet(vals) + 3 + 2*nSetLevels }
 	// The first counter tree: times/values refs, arity, level count.
 	tree := tr.CounterIndex().Tree(tr.Counters[0], 0)
 	nTree := tree.Len()
@@ -248,36 +270,54 @@ func TestOpenStoreCorruptPyramids(t *testing.T) {
 		t.Fatal("counter tree not found in meta")
 		return 0
 	}
-	if nSetLevels < 2 || nTree < 2 {
-		t.Fatalf("precondition: %d set levels, %d tree samples", nSetLevels, nTree)
+	if nSetLevels < 2 || nSub < 2 || len(subPyr.Levels()) < 1 || nTree < 2 {
+		t.Fatalf("precondition: %d set levels, %d members of state 0 under %d levels, %d tree samples",
+			nSetLevels, nSub, len(subPyr.Levels()), nTree)
+	}
+	// patchRef returns an edit overwriting one int32 of the subset's refs
+	// column, in the file's data: the meta blob stays as it is.
+	patchRef := func(member int, ref int32) func(v []uint64, file []byte) []uint64 {
+		return func(v []uint64, file []byte) []uint64 {
+			off := int(v[findSub(v)+1]>>1) + 4*member
+			binary.LittleEndian.PutUint32(file[off:], uint32(ref))
+			return v
+		}
+	}
+	meta := func(edit func(v []uint64) []uint64) func([]uint64, []byte) []uint64 {
+		return func(v []uint64, _ []byte) []uint64 { return edit(v) }
 	}
 
 	cases := []struct {
 		name, want string
-		edit       func(vals []uint64) []uint64
+		edit       func(vals []uint64, file []byte) []uint64
 	}{
-		{"format version 1", "version 1", func(v []uint64) []uint64 { v[0] = 1; return v }},
-		{"attacker-sized level count", "levels", func(v []uint64) []uint64 { v[findSet(v)+10] = 1 << 40; return v }},
-		{"missing level", "levels", func(v []uint64) []uint64 {
+		{"format version 1", "version 1", meta(func(v []uint64) []uint64 { v[0] = 1; return v })},
+		{"attacker-sized level count", "levels", meta(func(v []uint64) []uint64 { v[findSet(v)+2] = 1 << 40; return v })},
+		{"missing level", "levels", meta(func(v []uint64) []uint64 {
 			i := findSet(v)
-			v[i+10]--
-			return append(v[:i+11+2*(nSetLevels-1)], v[i+11+2*nSetLevels:]...)
-		}},
-		{"short level", "level 0", func(v []uint64) []uint64 { v[findSet(v)+12] -= zz(16); return v }},
-		{"short prefix sums", "prefix", func(v []uint64) []uint64 { v[findSet(v)+6] -= zz(8); return v }},
-		{"ends shorter than starts", "ends", func(v []uint64) []uint64 { v[findSet(v)+4] -= zz(8); return v }},
-		{"set over fewer intervals than state events", "state events", func(v []uint64) []uint64 {
+			v[i+2]--
+			return append(v[:i+3+2*(nSetLevels-1)], v[i+3+2*nSetLevels:]...)
+		})},
+		{"short level", "level 0", meta(func(v []uint64) []uint64 { v[findSet(v)+4] -= zz(16); return v })},
+		{"all-states pyramid over fewer leaves than state events", fmt.Sprintf("for %d leaves", nSet), meta(func(v []uint64) []uint64 {
 			i := findSet(v)
-			v[i+2], v[i+4], v[i+6] = zz(8*64), zz(8*64), zz(8*65)
-			v[i+10], v[i+12] = 1, zz(16) // one level holding one node
-			return append(v[:i+13], v[i+11+2*nSetLevels:]...)
-		}},
+			v[i+2], v[i+4] = 1, zz(16) // one level holding one node
+			return append(v[:i+5], v[i+3+2*nSetLevels:]...)
+		})},
+		{"short prefix sums", "prefix sums", meta(func(v []uint64) []uint64 { v[findSub(v)+4] -= zz(8); return v })},
+		{"per-state pyramid over more leaves than refs", "for 1 leaves", meta(func(v []uint64) []uint64 {
+			i := findSub(v)
+			v[i+2], v[i+4] = zz(4), zz(8*2)
+			return v
+		})},
+		{"first ref negative", "outside", patchRef(0, -1)},
+		{"last ref past the state events", "outside", patchRef(nSub-1, int32(nSet))},
 		// The topology sits behind the version, the layout hash, the span
 		// and its name: node count, then the CPU and distance columns.
-		{"more nodes than the distance matrix covers", "distance matrix", func(v []uint64) []uint64 { v[5+v[4]] = 4; return v }},
-		{"CPUs on nodes past the node count", "NUMA node 1", func(v []uint64) []uint64 { v[5+v[4]] = 1; return v }},
-		{"tree level count", "levels", func(v []uint64) []uint64 { v[findTree(v)+5] = 1 << 40; return v }},
-		{"tree times shorter than values", "times", func(v []uint64) []uint64 { v[findTree(v)+1] -= zz(8); return v }},
+		{"more nodes than the distance matrix covers", "distance matrix", meta(func(v []uint64) []uint64 { v[5+v[4]] = 4; return v })},
+		{"CPUs on nodes past the node count", "NUMA node 1", meta(func(v []uint64) []uint64 { v[5+v[4]] = 1; return v })},
+		{"tree level count", "levels", meta(func(v []uint64) []uint64 { v[findTree(v)+5] = 1 << 40; return v })},
+		{"tree times shorter than values", "times", meta(func(v []uint64) []uint64 { v[findTree(v)+1] -= zz(8); return v })},
 	}
 	for _, c := range cases {
 		bad := filepath.Join(dir, "bad.atms")
@@ -296,7 +336,7 @@ func TestOpenStoreCorruptPyramids(t *testing.T) {
 	// The untampered rewrite still opens: the cases above fail for
 	// their edit, not for the rewriting.
 	same := filepath.Join(dir, "same.atms")
-	tamperMeta(t, good, same, func(v []uint64) []uint64 { return v })
+	tamperMeta(t, good, same, func(v []uint64, _ []byte) []uint64 { return v })
 	got, err := OpenStore(same)
 	if err != nil {
 		t.Fatalf("identity rewrite: %v", err)

@@ -244,17 +244,16 @@ func (tr *Trace) Close() error {
 	return nil
 }
 
-// stateCols returns a CPU's state array as its time-ordered column
-// list: the spilled parts, then the RAM tail.
-func (tr *Trace) stateCols(cpu int32) [][]trace.StateEvent {
+// stateLeaves returns a CPU's state array as the dominance index reads
+// it: the spilled parts, then the RAM tail.
+func (tr *Trace) stateLeaves(cpu int32) mragg.Leaves {
 	if int(cpu) >= len(tr.CPUs) {
-		return nil
+		return mragg.Leaves{}
 	}
-	var parts []colPart[trace.StateEvent]
-	if int(cpu) < len(tr.spilled) {
-		parts = tr.spilled[cpu].states
+	if int(cpu) >= len(tr.spilled) || len(tr.spilled[cpu].states) == 0 {
+		return mragg.Over(tr.CPUs[cpu].States)
 	}
-	return partRows(parts, tr.CPUs[cpu].States)
+	return mragg.Over(partRows(tr.spilled[cpu].states, tr.CPUs[cpu].States)...)
 }
 
 // NumSamples returns the counter's sample count on a CPU, spilled

@@ -13,97 +13,282 @@
 // only the first and last overlapping intervals can be clipped by the
 // window; every other overlapping interval contributes its full
 // duration. The dominant interval is therefore the best of (clipped
-// first, pyramid range-max over the fully-contained middle, clipped
-// last), tie-broken toward the lowest index — precisely the result of
-// the sequential first-strictly-greater scan the renderer used, which
-// is why replacing the scan keeps framebuffers byte-identical.
+// first, range-max over the fully-contained middle, clipped last),
+// tie-broken toward the lowest index — precisely the result of the
+// sequential first-strictly-greater scan the renderer used, which is
+// why replacing the scan keeps framebuffers byte-identical.
 //
-// A Set also carries prefix sums of interval durations, answering
-// "how much of [t0, t1) is covered?" (per worker state: the derived
-// metrics of paper Section III-A) in O(log n) with the same exactness
-// argument.
+// The index holds summaries, never a copy of an interval. The
+// intervals are a CPU's state events, read where they already live
+// through a Leaves view (one array, or the spilled parts of a live
+// column followed by its RAM tail), and every query is handed the view
+// its set was built over. A Set is one of two shapes of one type. The
+// identity set (All) spans every leaf of the view and owns its pyramid
+// and nothing else. A subset (Sub) picks leaves by ascending refs —
+// the intervals of one worker state — and owns refs, the prefix sums
+// of their durations and a pyramid: 12 bytes an interval plus
+// 16/(arity-1). Prefix sums answer "how much of [t0, t1) is covered?"
+// (per worker state: the derived metrics of paper Section III-A) in
+// O(log n), and give a subset's pyramid its leaf durations without
+// chasing a ref. A subset's window is found by the view's own two
+// searches run over the subset's members, their bounds read through
+// refs: a subset of a disjoint sorted set keeps its order, so what they
+// find is exactly the refs inside the view's window — without searching
+// the whole view for it first, which costs a sparse state three times
+// its own search (TestRankMapping holds the two equal).
 //
 // The index requires its intervals to be disjoint and sorted — the
-// ordering the trace format guarantees per CPU and per event family.
-// Build and Append verify the invariant and return nil when a
-// producer violated it. The owner of the sets and of the events under
-// them (core.DomCPU) answers such a CPU's queries from its event scan,
-// so users of the index never branch on it and a malformed trace
-// degrades to the old cost instead of a wrong answer.
+// ordering the trace format guarantees per CPU. Extend verifies the
+// invariant and returns nil when a producer violated it. The owner of
+// the sets and of the events under them (core.DomCPU) answers such a
+// CPU's queries from its event scan, so users of the index never branch
+// on it and a malformed trace degrades to the old cost instead of a
+// wrong answer.
 //
 // The pyramid is an instantiation of the generic aggregation framework
 // in internal/agg: the summary is a (max duration, lowest achieving
 // leaf index) Node, Combine keeps the larger duration tie-broken
 // toward the lower index (commutative and idempotent, so any range
 // decomposition yields byte-identical results), and an agg.Tree[Node]
-// holds the levels. This package adds the interval leaf columns, the
-// order validation, the clipped-edge handling and the prefix sums
-// behind Cover.
+// holds the levels.
 package mragg
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/openstream/aftermath/internal/agg"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
 // DefaultArity is the pyramid fan-out. Smaller than mmtree's 100: a
 // dominance query scans up to 2·arity buckets per level, and state
 // pyramids are built eagerly at load time, so the balance tilts
-// toward cheaper queries; the overhead stays ~2·16/(64·16) ≈ 3% of
-// the leaf data.
+// toward cheaper queries; a pyramid stays at 16/(64-1) ≈ 0.25 bytes a
+// leaf.
 const DefaultArity = 64
 
-// Set is an immutable dominance/cover index over disjoint intervals
-// sorted by start time.
+// Leaves is a logical array of state events given as its time-ordered
+// columns: one array for a batch or store-backed trace; the spilled
+// parts then the RAM tail for a live one. Leaf i of a single column is
+// one[i]; with more, segs lists the non-empty columns and cum their
+// logical start offsets, so leaf i is segs[k][i-cum[k]]. The zero value
+// is the empty view. A view is a value over shared, immutable columns:
+// copy it freely, never write through it.
+type Leaves struct {
+	one  []trace.StateEvent
+	segs [][]trace.StateEvent
+	cum  []int
+	n    int
+}
+
+// Over returns the view of the given time-ordered column list; empty
+// columns are skipped.
+func Over(cols ...[]trace.StateEvent) Leaves {
+	var lv Leaves
+	for _, s := range cols {
+		if len(s) == 0 {
+			continue
+		}
+		switch {
+		case lv.n == 0:
+			lv.one = s
+		case lv.segs == nil:
+			lv.segs, lv.cum = [][]trace.StateEvent{lv.one, s}, []int{0, lv.n}
+		default:
+			lv.segs, lv.cum = append(lv.segs, s), append(lv.cum, lv.n)
+		}
+		lv.n += len(s)
+	}
+	return lv
+}
+
+// Len returns the number of leaves.
+func (lv *Leaves) Len() int { return lv.n }
+
+// Cols returns the number of columns, and Col the k-th of them: the
+// view as the event loop of a scan wants it.
+func (lv *Leaves) Cols() int {
+	if lv.segs != nil {
+		return len(lv.segs)
+	}
+	return min(lv.n, 1)
+}
+
+// Col returns column k of Cols.
+func (lv *Leaves) Col(k int) []trace.StateEvent {
+	if lv.segs != nil {
+		return lv.segs[k]
+	}
+	return lv.one
+}
+
+// At returns leaf i.
+func (lv *Leaves) At(i int) *trace.StateEvent {
+	if lv.segs == nil {
+		return &lv.one[i]
+	}
+	return lv.segAt(i)
+}
+
+func (lv *Leaves) segAt(i int) *trace.StateEvent {
+	// The last column starting at or before leaf i.
+	k, hi := 0, len(lv.cum)
+	for hi-k > 1 {
+		if m := int(uint(k+hi) >> 1); lv.cum[m] <= i {
+			k = m
+		} else {
+			hi = m
+		}
+	}
+	return &lv.segs[k][i-lv.cum[k]]
+}
+
+// Each calls fn for leaves [from, Len()) in order, column by column.
+func (lv *Leaves) Each(from int, fn func(i int, ev *trace.StateEvent)) {
+	for k, at := 0, 0; k < lv.Cols(); k++ {
+		col := lv.Col(k)
+		for j := max(from-at, 0); j < len(col); j++ {
+			fn(at+j, &col[j])
+		}
+		at += len(col)
+	}
+}
+
+// Window returns the leaf range [lo, hi) of the events overlapping
+// [t0, t1): lo is the first leaf ending after t0, hi the first from lo
+// on starting at or after t1 — on a window that is not inverted, per
+// column the binary searches of core.Trace.StatesIn. Exact on a
+// disjoint sorted view, where both bounds grow with the index across
+// columns as within one.
+func (lv *Leaves) Window(t0, t1 int64) (lo, hi int) {
+	if lv.segs == nil {
+		lo = endsAfter(lv.one, t0)
+		return lo, startsFrom(lv.one, lo, t1)
+	}
+	// The first column whose last event ends after t0 holds lo; the
+	// first from there on whose last event starts at or after t1 holds
+	// hi.
+	segs := lv.segs
+	a, n := 0, len(segs)
+	for b := n; a < b; {
+		if m := int(uint(a+b) >> 1); segs[m][len(segs[m])-1].End > t0 {
+			b = m
+		} else {
+			a = m + 1
+		}
+	}
+	if a == n {
+		return lv.n, lv.n
+	}
+	from := endsAfter(segs[a], t0)
+	lo = lv.cum[a] + from
+	if segs[a][len(segs[a])-1].Start < t1 {
+		// The window ends in a later column, or past the last.
+		from = 0
+		for a++; a < n; {
+			if m := int(uint(a+n) >> 1); segs[m][len(segs[m])-1].Start >= t1 {
+				n = m
+			} else {
+				a = m + 1
+			}
+		}
+		if a == len(segs) {
+			return lo, lv.n
+		}
+	}
+	return lo, lv.cum[a] + startsFrom(segs[a], from, t1)
+}
+
+// endsAfter returns the first index of s whose event ends after t.
+func endsAfter(s []trace.StateEvent, t int64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s[m].End > t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// startsFrom returns the first index of s from lo on whose event starts
+// at or after t. It gallops: the upper bound of a window is looked for
+// from its lower one, and a pixel's window holds few events however
+// many the array does.
+func startsFrom(s []trace.StateEvent, lo int, t int64) int {
+	step := 1
+	for lo+step <= len(s) && s[lo+step-1].Start < t {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step-1, len(s))
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s[m].Start >= t {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// ordered reports whether leaves [from, Len()) keep the disjoint-sorted
+// invariant after leaf from-1: starts non-decreasing, ends
+// non-decreasing, no interval beginning before the previous one ended,
+// and no negative-length intervals.
+func (lv *Leaves) ordered(from int) bool {
+	var prevStart, prevEnd int64
+	has := from > 0
+	if has {
+		prev := lv.At(from - 1)
+		prevStart, prevEnd = prev.Start, prev.End
+	}
+	ok := true
+	lv.Each(from, func(_ int, ev *trace.StateEvent) {
+		if ev.End < ev.Start || has && (ev.Start < prevStart || ev.End < prevEnd || ev.Start < prevEnd) {
+			ok = false
+		}
+		prevStart, prevEnd, has = ev.Start, ev.End, true
+	})
+	return ok
+}
+
+// Set is an immutable dominance/cover index over intervals of a Leaves
+// view: every leaf (All) or the leaves refs picks (Sub). It holds no
+// reference to the view or its events.
 type Set struct {
-	starts []int64
-	ends   []int64
-	// refs optionally maps leaf i to an index in the caller's source
-	// array (used for subset indexes, e.g. task-execution intervals
-	// within a CPU's full state array); nil means identity.
+	// refs maps member i of a subset to its leaf in the view, ascending;
+	// nil in the identity set, whose member i is leaf i.
 	refs []int32
-	// prefix[i] is the total duration of intervals [0, i); nil for the
-	// empty set, else len(starts)+1 long.
+	// prefix[i] is the total duration of a subset's members [0, i),
+	// len(refs)+1 long; nil in the identity set — that is what tells
+	// the two apart.
 	prefix []int64
 	// pyramid summarizes, per bucket of arity children, the maximum
-	// duration among the leaves below it and the lowest leaf index
+	// duration among the members below it and the lowest member index
 	// achieving it.
 	pyramid agg.Tree[Node]
 }
 
-// ordered reports whether appending (starts, ends) after an interval
-// ending at prevEnd (with start prevStart) keeps the disjoint-sorted
-// invariant: starts non-decreasing, ends non-decreasing, no interval
-// beginning before the previous one ended, and no negative-length
-// intervals.
-func ordered(prevStart, prevEnd int64, has bool, starts, ends []int64) bool {
-	for i := range starts {
-		if ends[i] < starts[i] {
-			return false
-		}
-		if has && (starts[i] < prevStart || ends[i] < prevEnd || starts[i] < prevEnd) {
-			return false
-		}
-		prevStart, prevEnd, has = starts[i], ends[i], true
+func orDefault(arity int) int {
+	if arity < 2 {
+		return DefaultArity
 	}
-	return true
+	return arity
 }
 
-// Build constructs a Set over intervals [starts[i], ends[i]), which
-// must be disjoint and sorted by start; nil is returned otherwise
-// (callers fall back to scanning). It is the empty set, appended to
-// once. refs may be nil (identity) or give the source index of each
-// leaf. Arity values below 2 fall back to DefaultArity. The input
-// slices are retained, not copied.
-func Build(starts, ends []int64, refs []int32, arity int) *Set {
-	if arity < 2 {
-		arity = DefaultArity
-	}
-	return (&Set{pyramid: agg.NewTree[Node](arity)}).Append(starts, ends, refs)
+// All returns the empty identity set; Extend grows it over a view.
+// Arity values below 2 fall back to DefaultArity.
+func All(arity int) *Set {
+	return &Set{pyramid: agg.NewTree[Node](orDefault(arity))}
+}
+
+// Sub returns the empty subset; Append adds members.
+func Sub(arity int) *Set {
+	return &Set{prefix: []int64{0}, pyramid: agg.NewTree[Node](orDefault(arity))}
 }
 
 // Node is the aggregation summary: the maximum interval duration in a
@@ -117,252 +302,288 @@ type Node struct {
 	_   int32
 }
 
-// domAgg adapts a Set's interval durations to the agg.Agg contract.
-type domAgg Set
+// viewAgg presents a view's event durations to the agg.Agg contract:
+// the leaves of the identity set's pyramid.
+type viewAgg Leaves
+
+// sumAgg presents a subset's member durations, read off its prefix
+// sums.
+type sumAgg Set
 
 // Zero implements agg.Agg.
-func (a *domAgg) Zero() Node { return Node{Arg: -1} }
+func (a *viewAgg) Zero() Node { return Node{Arg: -1} }
+
+// Zero implements agg.Agg.
+func (a *sumAgg) Zero() Node { return Node{Arg: -1} }
 
 // Leaf implements agg.Agg.
-func (a *domAgg) Leaf(i int) Node { return Node{Max: a.ends[i] - a.starts[i], Arg: int32(i)} }
+func (a *viewAgg) Leaf(i int) Node {
+	ev := (*Leaves)(a).At(i)
+	return Node{Max: ev.End - ev.Start, Arg: int32(i)}
+}
+
+// Leaf implements agg.Agg.
+func (a *sumAgg) Leaf(i int) Node { return Node{Max: a.prefix[i+1] - a.prefix[i], Arg: int32(i)} }
 
 // Combine implements agg.Agg: the larger duration wins, ties break
 // toward the lower leaf index. In build folds the left operand always
 // carries the lower index, so ties keep the left summary — the
 // first-strictly-greater semantics of the sequential scan this index
 // replaces.
-func (a *domAgg) Combine(x, y Node) Node {
+func (a *viewAgg) Combine(x, y Node) Node { return combine(x, y) }
+
+// Combine implements agg.Agg.
+func (a *sumAgg) Combine(x, y Node) Node { return combine(x, y) }
+
+func combine(x, y Node) Node {
 	if y.Max > x.Max || (y.Max == x.Max && y.Arg < x.Arg) {
 		return y
 	}
 	return x
 }
 
-// Append returns a Set over the concatenation of s's intervals and
-// the given ones — the amortized extension mode of the live streaming
-// ingest path, mirroring mmtree.Tree.Append. Returns nil if the
-// appended intervals break the disjoint-sorted invariant (the caller
-// then rebuilds or falls back to scanning). The empty set adopts the
-// incoming slices (and refs presence) wholesale; this is how Build
-// retains its inputs and how per-class chains bootstrap.
+// Extend returns the identity set over every leaf of lv, which must be
+// the view s covers with leaves added at its end — the amortized
+// extension mode of the live streaming ingest path, mirroring
+// mmtree.Tree.Append; a build is the empty set extended once. Returns
+// nil if the added leaves break the disjoint-sorted invariant (the
+// caller then falls back to scanning).
 //
-// s itself stays valid and immutable: pyramid levels are fresh
-// arrays, and leaf storage is extended with append, which never
-// touches elements below s's length. As with mmtree, sets must form a
-// linear chain — append once per epoch to the latest set only.
-func (s *Set) Append(starts, ends []int64, refs []int32) *Set {
-	if len(starts) != len(ends) || (refs != nil && len(refs) != len(starts)) {
-		panic("mragg: slice length mismatch")
+// s itself stays valid and immutable: pyramid levels are fresh arrays.
+// As with mmtree, sets must form a linear chain — extend the latest set
+// only.
+func (s *Set) Extend(lv *Leaves) *Set {
+	if s.prefix != nil {
+		panic("mragg: Extend on a subset")
 	}
-	if len(starts) == 0 {
+	n := s.pyramid.Len()
+	if lv.Len() == n {
 		return s
 	}
-	n := len(s.starts)
-	var prevStart, prevEnd int64
-	if n > 0 {
-		if (s.refs == nil) != (refs == nil) {
-			panic("mragg: refs presence mismatch with existing set")
-		}
-		prevStart, prevEnd = s.starts[n-1], s.ends[n-1]
-	}
-	if !ordered(prevStart, prevEnd, n > 0, starts, ends) {
+	if !lv.ordered(n) {
 		return nil
 	}
-	ns := &Set{
-		starts: extend(s.starts, starts),
-		ends:   extend(s.ends, ends),
-		refs:   extend(s.refs, refs),
-		prefix: slices.Grow(s.prefix, len(starts)+1),
+	return &Set{pyramid: s.pyramid.Extend((*viewAgg)(lv), lv.Len())}
+}
+
+// Append returns the subset s with the leaves refs of lv added: they
+// must ascend and lie past s's last member, in a view the identity set
+// has accepted (a subset of a disjoint sorted set is one itself, so
+// nothing is left to verify). The empty subset adopts refs itself, not
+// a copy; s stays valid and immutable, because storage is extended with
+// append, which never touches elements below s's length.
+func (s *Set) Append(lv *Leaves, refs []int32) *Set {
+	if s.prefix == nil {
+		panic("mragg: Append on the identity set")
 	}
-	if n == 0 {
-		ns.prefix = append(ns.prefix, 0)
+	if len(refs) == 0 {
+		return s
 	}
-	for i := range starts {
-		ns.prefix = append(ns.prefix, ns.prefix[n+i]+(ends[i]-starts[i]))
+	ns := &Set{}
+	if len(s.refs) == 0 {
+		ns.refs, ns.prefix = refs, make([]int64, 1, len(refs)+1)
+	} else {
+		ns.refs, ns.prefix = append(s.refs, refs...), slices.Grow(s.prefix, len(refs))
 	}
-	ns.pyramid = s.pyramid.Extend((*domAgg)(ns), len(ns.starts))
+	sum := s.prefix[len(s.refs)]
+	for _, r := range refs {
+		ev := lv.At(int(r))
+		sum += ev.End - ev.Start
+		ns.prefix = append(ns.prefix, sum)
+	}
+	ns.pyramid = s.pyramid.Extend((*sumAgg)(ns), len(ns.refs))
 	return ns
 }
 
-// extend returns col followed by add; an empty column adopts add
-// itself rather than copying it.
-func extend[T any](col, add []T) []T {
-	if len(col) == 0 {
-		return add
-	}
-	return append(col, add...)
-}
-
 // Columns exposes the set's storage for serialization into the
-// columnar store format: the interval columns, the optional leaf refs
-// (nil means identity), the duration prefix sums and the pyramid. The
-// returned slices alias the set's storage and must not be mutated.
-func (s *Set) Columns() (starts, ends, prefix []int64, refs []int32, pyramid agg.Tree[Node]) {
-	return s.starts, s.ends, s.prefix, s.refs, s.pyramid
+// columnar store format: a subset's refs and prefix sums (both nil for
+// the identity set) and the pyramid. The returned slices alias the
+// set's storage and must not be mutated.
+func (s *Set) Columns() (refs []int32, prefix []int64, pyramid agg.Tree[Node]) {
+	return s.refs, s.prefix, s.pyramid
 }
 
-// Adopt reconstructs a set from columns previously produced by
-// Columns — typically mmap-backed views of a store file — without
-// copying. Every length relation a query indexes by is checked
-// (agg.FromLevels has validated the pyramid's own shape); the
-// disjoint-sorted invariant and the node contents are trusted. The
-// resulting set is immutable like any other: Append never mutates
-// adopted columns because appends on full slices reallocate.
-func Adopt(starts, ends, prefix []int64, refs []int32, pyramid agg.Tree[Node]) (*Set, error) {
-	n := len(starts)
-	wantPrefix := n + 1
-	if n == 0 {
-		wantPrefix = 0
+// AdoptAll reconstructs an identity set from a pyramid previously
+// produced by Columns — typically mmap-backed views of a store file —
+// for a view of the given leaf count, without copying. The length
+// relations a query indexes by are checked (agg.FromLevels has
+// validated the pyramid's own shape); the disjoint-sorted invariant and
+// the node contents are trusted.
+func AdoptAll(leaves int, pyramid agg.Tree[Node]) (*Set, error) {
+	if pyramid.Len() != leaves {
+		return nil, fmt.Errorf("mragg: pyramid over %d leaves for %d state events", pyramid.Len(), leaves)
 	}
-	if len(ends) != n || len(prefix) != wantPrefix || (refs != nil && len(refs) != n) || pyramid.Len() != n {
-		return nil, fmt.Errorf("mragg: %d starts, %d ends, %d prefix sums, %d refs and a pyramid over %d leaves do not describe one set",
-			n, len(ends), len(prefix), len(refs), pyramid.Len())
-	}
-	return &Set{starts: starts, ends: ends, refs: refs, prefix: prefix, pyramid: pyramid}, nil
+	return &Set{pyramid: pyramid}, nil
 }
 
-// Len returns the number of intervals.
-func (s *Set) Len() int { return len(s.starts) }
+// AdoptSub is AdoptAll for a subset. refs take part in every window a
+// subset answers, so besides the lengths its two ends are checked
+// against the view; that they ascend in between is trusted, like the
+// order of the events. The resulting set is immutable like any other:
+// Append never mutates adopted columns because appends on full slices
+// reallocate.
+func AdoptSub(leaves int, refs []int32, prefix []int64, pyramid agg.Tree[Node]) (*Set, error) {
+	n := len(refs)
+	if len(prefix) != n+1 || pyramid.Len() != n {
+		return nil, fmt.Errorf("mragg: %d refs, %d prefix sums and a pyramid over %d leaves do not describe one set",
+			n, len(prefix), pyramid.Len())
+	}
+	if n > 0 && (refs[0] < 0 || int(refs[n-1]) >= leaves) {
+		return nil, fmt.Errorf("mragg: refs [%d … %d] point outside %d state events", refs[0], refs[n-1], leaves)
+	}
+	return &Set{refs: refs, prefix: prefix, pyramid: pyramid}, nil
+}
 
-// Start and End return the bounds of interval i.
-func (s *Set) Start(i int) int64 { return s.starts[i] }
+// Len returns the number of intervals in the set.
+func (s *Set) Len() int { return s.pyramid.Len() }
 
-// End returns the end of interval i.
-func (s *Set) End(i int) int64 { return s.ends[i] }
+// OverheadBytes returns the memory the set owns: everything the index
+// costs beyond the events it reads through the view.
+func (s *Set) OverheadBytes() int64 {
+	return int64(len(s.refs))*4 + int64(len(s.prefix))*8 + s.pyramid.OverheadBytes()
+}
 
-// Ref returns the source index of leaf i (identity when the set was
-// built without refs).
-func (s *Set) Ref(i int) int {
-	if s.refs == nil {
+// leaf returns the leaf of member i.
+func (s *Set) leaf(i int) int {
+	if s.prefix == nil {
 		return i
 	}
 	return int(s.refs[i])
 }
 
-// OverheadBytes returns the memory consumed by the pyramid levels and
-// prefix sums beyond the leaf interval data.
-func (s *Set) OverheadBytes() int64 {
-	return int64(len(s.prefix))*8 + s.pyramid.OverheadBytes()
+// dur returns the duration of member i: a subset reads it off its
+// prefix sums, chasing no ref.
+func (s *Set) dur(lv *Leaves, i int) int64 {
+	if s.prefix != nil {
+		return s.prefix[i+1] - s.prefix[i]
+	}
+	ev := lv.At(i)
+	return ev.End - ev.Start
 }
 
-// span returns the leaf index range [lo, hi) of intervals overlapping
-// [t0, t1) — identical to the binary searches of core.Trace.StatesIn.
-func (s *Set) span(t0, t1 int64) (int, int) {
-	lo := sort.Search(len(s.ends), func(i int) bool { return s.ends[i] > t0 })
-	hi := sort.Search(len(s.starts), func(i int) bool { return s.starts[i] >= t1 })
-	return lo, hi
+// span returns the member range [lo, hi) overlapping [t0, t1): the
+// view's window for the identity set; for a subset, the same two
+// searches over its members' bounds, read through refs — a subset of a
+// disjoint sorted set keeps its order. That is exactly the refs inside
+// the view's window, found without searching the whole view first.
+func (s *Set) span(lv *Leaves, t0, t1 int64) (lo, hi int) {
+	if s.prefix == nil {
+		return lv.Window(t0, t1)
+	}
+	refs := s.refs
+	lo, hi = 0, len(refs)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); lv.At(int(refs[m])).End > t0 {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	// The upper bound gallops from the lower one, like startsFrom.
+	at, step := lo, 1
+	for at+step <= len(refs) && lv.At(int(refs[at+step-1])).Start < t1 {
+		at += step
+		step <<= 1
+	}
+	hi = min(at+step-1, len(refs))
+	for at < hi {
+		if m := int(uint(at+hi) >> 1); lv.At(int(refs[m])).Start >= t1 {
+			hi = m
+		} else {
+			at = m + 1
+		}
+	}
+	return lo, at
 }
 
-// clip returns the length of interval i's overlap with [t0, t1).
-func (s *Set) clip(i int, t0, t1 int64) int64 {
-	a, b := s.starts[i], s.ends[i]
-	if a < t0 {
-		a = t0
-	}
-	if b > t1 {
-		b = t1
-	}
-	if b <= a {
-		return 0
-	}
-	return b - a
+// clip returns the length of ev's overlap with [t0, t1).
+func clip(ev *trace.StateEvent, t0, t1 int64) int64 {
+	return max(min(ev.End, t1)-max(ev.Start, t0), 0)
 }
 
-// Dominant returns the leaf index of the interval covering the
-// largest part of [t0, t1) and that cover. Ties break toward the
-// lowest index, and ok is false when no interval covers a positive
-// amount — exactly the semantics of a sequential scan that keeps the
-// first interval with a strictly greater cover.
+// Dominant returns the leaf of lv — the view s was built over — whose
+// interval covers the largest part of [t0, t1) among the set's, and
+// that cover. Ties break toward the lowest index, and ok is false when
+// no interval covers a positive amount — exactly the semantics of a
+// sequential scan that keeps the first interval with a strictly greater
+// cover.
 //
 // until tells how far the answer reaches, for callers walking
 // adjacent windows: when until > t1, every window [a, b) with
-// t0 <= a < b <= until has this same answer (the same idx, or the same
+// t0 <= a < b <= until has this same answer (the same leaf, or the same
 // !ok). That is the case when one interval covers [t0, t1) whole —
 // disjointness leaves it alone up to its end — and when nothing
 // overlaps it, up to the next interval's start. Every other answer
 // depends on where the window's edges fall and says until == t1.
-func (s *Set) Dominant(t0, t1 int64) (idx int, cover int64, ok bool, until int64) {
-	lo, hi := s.span(t0, t1)
+func (s *Set) Dominant(lv *Leaves, t0, t1 int64) (leaf int, cover int64, ok bool, until int64) {
+	lo, hi := s.span(lv, t0, t1)
 	if lo >= hi {
 		until = math.MaxInt64
-		if lo < len(s.starts) {
-			until = s.starts[lo]
+		if lo < s.Len() {
+			until = lv.At(s.leaf(lo)).Start
 		}
 		return 0, 0, false, until
 	}
-	if hi-lo == 1 && s.starts[lo] <= t0 && t1 <= s.ends[lo] && t0 < t1 {
-		return lo, t1 - t0, true, s.ends[lo]
+	// Only the first and last overlapping intervals can be clipped by
+	// the window; the middle contributes full durations, walked when
+	// they are few enough to beat setting up the pyramid walk and
+	// answered by the pyramid otherwise. Taken in index order, a
+	// strictly greater cover is the lowest index of the greatest.
+	first := lv.At(s.leaf(lo))
+	if hi-lo == 1 && first.Start <= t0 && t1 <= first.End && t0 < t1 {
+		return s.leaf(lo), t1 - t0, true, first.End
 	}
-	if hi-lo <= s.pyramid.Arity() {
-		// Exact-scan fallback for narrow windows: few enough leaves
-		// that walking them beats setting up the pyramid walk.
-		idx, cover, ok = s.scan(lo, hi, t0, t1)
-		return idx, cover, ok, t1
-	}
-	best, bestIdx := int64(0), -1
-	take := func(cover int64, i int) {
-		if cover > best || (cover == best && bestIdx >= 0 && i < bestIdx) {
-			best, bestIdx = cover, i
+	best, at := clip(first, t0, t1), lo
+	if mlo, mhi := lo+1, hi-1; mhi-mlo > s.pyramid.Arity() {
+		if d := s.rangeMax(lv, mlo, mhi); d.Max > best {
+			best, at = d.Max, int(d.Arg)
+		}
+	} else {
+		for i := mlo; i < mhi; i++ {
+			if d := s.dur(lv, i); d > best {
+				best, at = d, i
+			}
 		}
 	}
-	// Only the first and last overlapping intervals can be clipped by
-	// the window; the middle contributes full durations, answered by
-	// the pyramid.
-	mlo, mhi := lo, hi
-	if s.starts[lo] < t0 {
-		take(s.clip(lo, t0, t1), lo)
-		mlo = lo + 1
-	}
-	if s.ends[hi-1] > t1 {
-		take(s.clip(hi-1, t0, t1), hi-1)
-		mhi = hi - 1
-	}
-	if mlo < mhi {
-		mx, arg := s.rangeMax(mlo, mhi)
-		take(mx, arg)
+	if hi-1 > lo {
+		if c := clip(lv.At(s.leaf(hi-1)), t0, t1); c > best {
+			best, at = c, hi-1
+		}
 	}
 	if best <= 0 {
 		return 0, 0, false, t1
 	}
-	return bestIdx, best, true, t1
+	return s.leaf(at), best, true, t1
 }
 
-// scan is the exact per-leaf evaluation over [lo, hi), used for
-// narrow windows and as the reference the pyramid path must match.
-func (s *Set) scan(lo, hi int, t0, t1 int64) (int, int64, bool) {
-	best, bestIdx := int64(0), 0
-	for i := lo; i < hi; i++ {
-		if c := s.clip(i, t0, t1); c > best {
-			best, bestIdx = c, i
-		}
+// rangeMax returns the maximum duration among members [lo, hi) and the
+// lowest member index achieving it, via the generic pyramid walk.
+func (s *Set) rangeMax(lv *Leaves, lo, hi int) Node {
+	if s.prefix != nil {
+		d, _ := s.pyramid.Query((*sumAgg)(s), lo, hi)
+		return d
 	}
-	return bestIdx, best, best > 0
+	d, _ := s.pyramid.Query((*viewAgg)(lv), lo, hi)
+	return d
 }
 
-// rangeMax returns the maximum duration among leaves [lo, hi) and the
-// lowest leaf index achieving it, via the generic pyramid walk.
-func (s *Set) rangeMax(lo, hi int) (int64, int) {
-	d, ok := s.pyramid.Query((*domAgg)(s), lo, hi)
-	if !ok {
-		return 0, -1
-	}
-	return d.Max, int(d.Arg)
-}
-
-// Cover returns the total time of [t0, t1) covered by the set's
-// intervals: prefix sums over the fully-contained middle plus the
-// clipped first and last interval. Exact, O(log n).
-func (s *Set) Cover(t0, t1 int64) int64 {
-	lo, hi := s.span(t0, t1)
-	if lo >= hi {
+// Cover returns the total time of [t0, t1) covered by the intervals of
+// a subset of lv: prefix sums over its members in the window, less what
+// the window clips off the first and the last. Exact, O(log n). The
+// identity set keeps no prefix sums and cannot be asked.
+func (s *Set) Cover(lv *Leaves, t0, t1 int64) int64 {
+	lo, hi := s.span(lv, t0, t1)
+	if lo >= hi || t1 <= t0 {
+		// An inverted window can sit inside one interval, which then is
+		// both bounds' answer; it covers nothing.
 		return 0
 	}
 	total := s.prefix[hi] - s.prefix[lo]
-	if s.starts[lo] < t0 {
-		total -= t0 - s.starts[lo]
+	if first := lv.At(int(s.refs[lo])); first.Start < t0 {
+		total -= t0 - first.Start
 	}
-	if s.ends[hi-1] > t1 {
-		total -= s.ends[hi-1] - t1
+	if last := lv.At(int(s.refs[hi-1])); last.End > t1 {
+		total -= last.End - t1
 	}
 	return total
 }

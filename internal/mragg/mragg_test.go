@@ -3,12 +3,18 @@ package mragg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"github.com/openstream/aftermath/internal/agg"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
-// randIntervals generates n disjoint sorted intervals starting at
-// base, with occasional zero-length intervals and gaps.
-func randIntervals(rng *rand.Rand, n int, base int64) (starts, ends []int64) {
+// randEvents generates n disjoint sorted state events starting at base,
+// with occasional zero-length intervals and gaps, in random states — one
+// value past the worker states included, which belongs to no subset.
+func randEvents(rng *rand.Rand, n int, base int64) []trace.StateEvent {
+	evs := make([]trace.StateEvent, 0, n)
 	t := base
 	for i := 0; i < n; i++ {
 		t += int64(rng.Intn(5)) // gap, possibly zero
@@ -16,56 +22,108 @@ func randIntervals(rng *rand.Rand, n int, base int64) (starts, ends []int64) {
 		if rng.Intn(20) == 0 {
 			d = 0
 		}
-		starts = append(starts, t)
-		ends = append(ends, t+d)
+		st := trace.WorkerState(rng.Intn(trace.NumWorkerStates + 1))
+		evs = append(evs, trace.StateEvent{State: st, Start: t, End: t + d, Task: trace.TaskID(i)})
 		t += d
 	}
-	return starts, ends
+	return evs
 }
 
-// bruteDominant is the reference sequential scan: first interval with
-// a strictly greater cover wins.
-func bruteDominant(starts, ends []int64, t0, t1 int64) (int, int64, bool) {
+// split cuts evs into a random column list, empty columns included: the
+// segmented view of a spilled live CPU.
+func split(rng *rand.Rand, evs []trace.StateEvent) [][]trace.StateEvent {
+	var cols [][]trace.StateEvent
+	for at := 0; at < len(evs); {
+		if rng.Intn(4) == 0 {
+			cols = append(cols, nil)
+		}
+		step := min(rng.Intn(len(evs)/2+1)+1, len(evs)-at)
+		cols = append(cols, evs[at:at+step])
+		at += step
+	}
+	return cols
+}
+
+// inState returns the membership test of one state's subset; every
+// admits every leaf, the identity set's membership.
+func inState(evs []trace.StateEvent, st trace.WorkerState) func(int) bool {
+	return func(i int) bool { return evs[i].State == st }
+}
+
+func every(int) bool { return true }
+
+// refsOf lists the leaves [from, len(evs)) a membership test admits.
+func refsOf(evs []trace.StateEvent, from int, member func(int) bool) []int32 {
+	var refs []int32
+	for i := from; i < len(evs); i++ {
+		if member(i) {
+			refs = append(refs, int32(i))
+		}
+	}
+	return refs
+}
+
+// buildSub is the one-shot build of a subset over lv.
+func buildSub(lv *Leaves, evs []trace.StateEvent, member func(int) bool, arity int) *Set {
+	return Sub(arity).Append(lv, refsOf(evs, 0, member))
+}
+
+// bruteDominant is the reference sequential scan over the members:
+// first interval with a strictly greater cover wins.
+func bruteDominant(evs []trace.StateEvent, member func(int) bool, t0, t1 int64) (int, int64, bool) {
 	best, bestIdx := int64(0), 0
-	for i := range starts {
-		if ends[i] <= t0 || starts[i] >= t1 {
+	for i := range evs {
+		if !member(i) || evs[i].End <= t0 || evs[i].Start >= t1 {
 			continue
 		}
-		a, b := starts[i], ends[i]
-		if a < t0 {
-			a = t0
-		}
-		if b > t1 {
-			b = t1
-		}
-		if c := b - a; c > best {
+		if c := min(evs[i].End, t1) - max(evs[i].Start, t0); c > best {
 			best, bestIdx = c, i
 		}
 	}
 	return bestIdx, best, best > 0
 }
 
-func bruteCover(starts, ends []int64, t0, t1 int64) int64 {
+func bruteCover(evs []trace.StateEvent, member func(int) bool, t0, t1 int64) int64 {
 	var total int64
-	for i := range starts {
-		a, b := starts[i], ends[i]
-		if a < t0 {
-			a = t0
-		}
-		if b > t1 {
-			b = t1
-		}
-		if b > a {
-			total += b - a
+	for i := range evs {
+		if c := min(evs[i].End, t1) - max(evs[i].Start, t0); member(i) && c > 0 {
+			total += c
 		}
 	}
 	return total
 }
 
-// TestDominantMatchesScan is the core property: on randomized
-// interval sets and windows, for several arities, Dominant and Cover
-// must equal the brute-force scan exactly — including tie-breaks and
-// the positive-cover requirement.
+// checkSet compares Dominant (and, for a subset, Cover) with the
+// brute-force scan over the members on random windows.
+func checkSet(t *testing.T, ctx string, rng *rand.Rand, s *Set, lv *Leaves, evs []trace.StateEvent, member func(int) bool, sub bool, queries int) {
+	t.Helper()
+	span := evs[len(evs)-1].End - evs[0].Start + 10
+	for q := 0; q < queries; q++ {
+		t0 := evs[0].Start - 5 + rng.Int63n(span)
+		t1 := t0 + rng.Int63n(span/2+1)
+		if q%7 == 0 {
+			t1 = t0 + rng.Int63n(span+1)
+		}
+		wantLeaf, wantCover, wantOK := bruteDominant(evs, member, t0, t1)
+		gotLeaf, gotCover, gotOK, _ := s.Dominant(lv, t0, t1)
+		if gotOK != wantOK || (wantOK && (gotLeaf != wantLeaf || gotCover != wantCover)) {
+			t.Fatalf("%s: Dominant(%d, %d) = (%d, %d, %v), want (%d, %d, %v)",
+				ctx, t0, t1, gotLeaf, gotCover, gotOK, wantLeaf, wantCover, wantOK)
+		}
+		if !sub {
+			continue
+		}
+		if got, want := s.Cover(lv, t0, t1), bruteCover(evs, member, t0, t1); got != want {
+			t.Fatalf("%s: Cover(%d, %d) = %d, want %d", ctx, t0, t1, got, want)
+		}
+	}
+}
+
+// TestDominantMatchesScan is the core property: on randomized event
+// arrays — one column or a segmented view — and windows, for several
+// arities, Dominant of the identity set and of every state's subset,
+// and every subset's Cover, must equal the brute-force scan exactly —
+// including tie-breaks and the positive-cover requirement.
 func TestDominantMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 60; round++ {
@@ -74,27 +132,162 @@ func TestDominantMatchesScan(t *testing.T) {
 		if round%5 == 0 {
 			// Extreme-coordinate rounds: the index must stay exact at
 			// timestamps near MaxInt64/2 (the overflow regime of the
-			// pixel mapping bugs this PR fixes).
+			// pixel mapping).
 			base = math.MaxInt64/2 + int64(rng.Intn(1000))
 		}
-		starts, ends := randIntervals(rng, n, base)
+		evs := randEvents(rng, n, base)
 		arity := []int{2, 3, 8, 64}[round%4]
-		s := Build(starts, ends, nil, arity)
-		if s == nil {
+		lv := Over(evs)
+		if round%3 == 0 {
+			lv = Over(split(rng, evs)...)
+		}
+		all := All(arity).Extend(&lv)
+		if all == nil {
 			t.Fatal("valid interval set rejected")
 		}
-		span := ends[n-1] - starts[0] + 10
-		for q := 0; q < 200; q++ {
-			t0 := starts[0] - 5 + rng.Int63n(span)
-			t1 := t0 + rng.Int63n(span/2+1)
-			wantIdx, wantCover, wantOK := bruteDominant(starts, ends, t0, t1)
-			gotIdx, gotCover, gotOK, _ := s.Dominant(t0, t1)
-			if gotOK != wantOK || (wantOK && (gotIdx != wantIdx || gotCover != wantCover)) {
-				t.Fatalf("round %d arity %d Dominant(%d, %d) = (%d, %d, %v), want (%d, %d, %v)",
-					round, arity, t0, t1, gotIdx, gotCover, gotOK, wantIdx, wantCover, wantOK)
+		checkSet(t, "identity set", rng, all, &lv, evs, every, false, 200)
+		for k := 0; k < trace.NumWorkerStates; k++ {
+			member := inState(evs, trace.WorkerState(k))
+			checkSet(t, "subset", rng, buildSub(&lv, evs, member, arity), &lv, evs, member, true, 40)
+		}
+	}
+}
+
+// TestLeavesSegmentedEqualsFlat: a view over every split of an array —
+// empty columns anywhere — resolves every leaf, visits every suffix and
+// finds every window exactly as the one-column view does.
+func TestLeavesSegmentedEqualsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 40; round++ {
+		evs := randEvents(rng, rng.Intn(300)+1, int64(rng.Intn(100)))
+		flat, seg := Over(evs), Over(split(rng, evs)...)
+		if seg.Len() != len(evs) || flat.Len() != len(evs) {
+			t.Fatalf("Len = %d and %d, want %d", flat.Len(), seg.Len(), len(evs))
+		}
+		var stitched []trace.StateEvent
+		for k := 0; k < seg.Cols(); k++ {
+			if len(seg.Col(k)) == 0 {
+				t.Fatal("view kept an empty column")
 			}
-			if got, want := s.Cover(t0, t1), bruteCover(starts, ends, t0, t1); got != want {
-				t.Fatalf("round %d arity %d Cover(%d, %d) = %d, want %d", round, arity, t0, t1, got, want)
+			stitched = append(stitched, seg.Col(k)...)
+		}
+		if !slices.Equal(stitched, evs) {
+			t.Fatal("columns do not concatenate to the array")
+		}
+		for i := range evs {
+			if *seg.At(i) != evs[i] {
+				t.Fatalf("At(%d) = %+v, want %+v", i, *seg.At(i), evs[i])
+			}
+		}
+		from := rng.Intn(len(evs) + 1)
+		next := from
+		seg.Each(from, func(i int, ev *trace.StateEvent) {
+			if i != next || *ev != evs[i] {
+				t.Fatalf("Each(%d) visited leaf %d as %+v, want leaf %d", from, i, *ev, next)
+			}
+			next++
+		})
+		if next != len(evs) {
+			t.Fatalf("Each(%d) stopped at %d of %d", from, next, len(evs))
+		}
+		span := evs[len(evs)-1].End - evs[0].Start + 10
+		for q := 0; q < 300; q++ {
+			t0 := evs[0].Start - 5 + rng.Int63n(span)
+			t1 := t0 - 3 + rng.Int63n(span/2+4) // inverted windows too
+			flo, fhi := flat.Window(t0, t1)
+			slo, shi := seg.Window(t0, t1)
+			if flo != slo || fhi != shi {
+				t.Fatalf("Window(%d, %d) = [%d, %d) segmented, [%d, %d) flat", t0, t1, slo, shi, flo, fhi)
+			}
+		}
+	}
+	var empty Leaves
+	if lo, hi := empty.Window(0, 10); lo != 0 || hi != 0 || empty.Cols() != 0 || empty.Len() != 0 {
+		t.Fatal("the zero view is not the empty view")
+	}
+}
+
+// TestRankMapping is the property a subset's window rests on: a subset
+// of a disjoint sorted set keeps its order, so the members a search
+// over the subset's own bounds finds overlapping [t0, t1) are exactly
+// the refs inside the view's window — the view's window mapped through
+// refs by rank. span is held to both. The generator is adversarial
+// where that could break: events sharing a start (a zero-length one
+// before its successor), touching intervals, zero-length intervals
+// sitting on both window edges, states past the worker states
+// interleaved with the others, and states with no event at all. Every
+// window edge is put on, just before and just after an event bound.
+func TestRankMapping(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for round := 0; round < 40; round++ {
+		n := rng.Intn(200) + 1
+		present := 1 + rng.Intn(3) // states 0..present-1 occur, the others stay empty
+		var evs []trace.StateEvent
+		at := int64(rng.Intn(50))
+		for i := 0; i < n; i++ {
+			st := trace.WorkerState(rng.Intn(present))
+			if rng.Intn(4) == 0 {
+				st = trace.WorkerState(trace.NumWorkerStates + rng.Intn(3))
+			}
+			var d int64
+			switch rng.Intn(4) {
+			case 0: // zero-length, sharing its start with the next event
+			case 1:
+				d = 1
+			default:
+				d = int64(rng.Intn(12))
+			}
+			evs = append(evs, trace.StateEvent{State: st, Start: at, End: at + d})
+			at += d
+			if rng.Intn(3) == 0 { // otherwise the next event touches this one
+				at += int64(rng.Intn(3))
+			}
+		}
+		lv := Over(evs)
+		if round%2 == 0 {
+			lv = Over(split(rng, evs)...)
+		}
+		arity := []int{2, 4, 64}[round%3]
+		if All(arity).Extend(&lv) == nil {
+			t.Fatal("valid interval set rejected")
+		}
+		var edges []int64
+		for _, ev := range evs {
+			edges = append(edges, ev.Start-1, ev.Start, ev.Start+1, ev.End-1, ev.End, ev.End+1)
+		}
+		for k := 0; k < trace.NumWorkerStates; k++ {
+			member := inState(evs, trace.WorkerState(k))
+			refs := refsOf(evs, 0, member)
+			s := buildSub(&lv, evs, member, arity)
+			if s.Len() != len(refs) || (k >= present && s.Len() != 0) {
+				t.Fatalf("state %d: subset of %d members, want %d", k, s.Len(), len(refs))
+			}
+			for q := 0; q < 400; q++ {
+				t0, t1 := edges[rng.Intn(len(edges))], edges[rng.Intn(len(edges))]
+				wantLo, wantHi := 0, 0
+				for wantLo < len(refs) && evs[refs[wantLo]].End <= t0 {
+					wantLo++
+				}
+				for wantHi < len(refs) && evs[refs[wantHi]].Start < t1 {
+					wantHi++
+				}
+				wantHi = max(wantLo, wantHi) // an inverted window is an empty one
+				vlo, vhi := lv.Window(t0, t1)
+				rankLo, _ := slices.BinarySearch(refs, int32(vlo))
+				rankHi, _ := slices.BinarySearch(refs, int32(vhi))
+				if lo, hi := s.span(&lv, t0, t1); lo != wantLo || hi != wantHi || lo != rankLo || hi != max(rankLo, rankHi) {
+					t.Fatalf("round %d state %d: span(%d, %d) = [%d, %d), the subset's own bounds say [%d, %d), the view's window [%d, %d) by rank [%d, %d)",
+						round, k, t0, t1, lo, hi, wantLo, wantHi, vlo, vhi, rankLo, rankHi)
+				}
+				wantLeaf, wantCover, wantOK := bruteDominant(evs, member, t0, t1)
+				leaf, cover, ok, until := s.Dominant(&lv, t0, t1)
+				if ok != wantOK || (ok && (leaf != wantLeaf || cover != wantCover)) || until < t1 {
+					t.Fatalf("round %d state %d: Dominant(%d, %d) = (%d, %d, %v) until %d, want (%d, %d, %v)",
+						round, k, t0, t1, leaf, cover, ok, until, wantLeaf, wantCover, wantOK)
+				}
+				if got, want := s.Cover(&lv, t0, t1), bruteCover(evs, member, t0, t1); got != want {
+					t.Fatalf("round %d state %d: Cover(%d, %d) = %d, want %d", round, k, t0, t1, got, want)
+				}
 			}
 		}
 	}
@@ -102,13 +295,14 @@ func TestDominantMatchesScan(t *testing.T) {
 
 // TestDominantUntil is the property the renderer's row sweep rests
 // on: a horizon until > t1 promises that every window inside
-// [t0, until) has the answer [t0, t1) has. Random sets (gaps,
-// zero-length intervals, refs, built in one go or appended in pieces)
-// and random windows, wide ones and ones that fit inside an interval
-// or a gap; each promise is checked against the brute-force scan on
-// random sub-windows and on the two windows that touch until. A
-// horizon is never behind t1, and the promise must actually be made —
-// a Dominant that always said t1 would pass everything else.
+// [t0, until) has the answer [t0, t1) has. Random arrays (gaps,
+// zero-length intervals; the identity set or one state's subset, built
+// in one go or grown in pieces over a growing view) and random windows,
+// wide ones and ones that fit inside an interval or a gap; each promise
+// is checked against the brute-force scan on random sub-windows and on
+// the two windows that touch until. A horizon is never behind t1, and
+// the promise must actually be made — a Dominant that always said t1
+// would pass everything else.
 func TestDominantUntil(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	promised := 0
@@ -118,44 +312,47 @@ func TestDominantUntil(t *testing.T) {
 		if round%5 == 0 {
 			base = math.MaxInt64/2 + int64(rng.Intn(1000))
 		}
-		starts, ends := randIntervals(rng, n, base)
-		var refs []int32
-		if round%2 == 1 {
-			refs = make([]int32, n)
-			for i := range refs {
-				refs[i] = int32(3 * i)
-			}
+		evs := randEvents(rng, n, base)
+		sub := round%2 == 1
+		member := every
+		if sub {
+			member = inState(evs, trace.WorkerState(rng.Intn(3)))
 		}
 		arity := []int{2, 3, 8, 64}[round%4]
-		s := Build(starts, ends, refs, arity)
+		lv := Over(evs)
+		var s *Set
 		if round%3 == 0 {
-			// The same set, appended in pieces.
-			s = nil
+			// The same set, grown in pieces.
+			s = All(arity)
+			if sub {
+				s = Sub(arity)
+			}
 			for cut := 0; cut < n; {
 				step := min(rng.Intn(n/3+1)+1, n-cut)
-				var r []int32
-				if refs != nil {
-					r = refs[cut : cut+step]
-				}
-				if s == nil {
-					s = Build(starts[:step], ends[:step], r, arity)
+				part := Over(evs[:cut+step])
+				if sub {
+					s = s.Append(&part, refsOf(evs[:cut+step], cut, member))
 				} else {
-					s = s.Append(starts[cut:cut+step], ends[cut:cut+step], r)
+					s = s.Extend(&part)
 				}
 				cut += step
 			}
+		} else if sub {
+			s = buildSub(&lv, evs, member, arity)
+		} else {
+			s = All(arity).Extend(&lv)
 		}
 		if s == nil {
 			t.Fatal("valid interval set rejected")
 		}
-		span := ends[n-1] - starts[0] + 10
+		span := evs[n-1].End - evs[0].Start + 10
 		for q := 0; q < 300; q++ {
-			t0 := starts[0] - 5 + rng.Int63n(span)
+			t0 := evs[0].Start - 5 + rng.Int63n(span)
 			t1 := t0 + rng.Int63n(span/2+1)
 			if q%2 == 0 {
 				t1 = t0 + 1 + rng.Int63n(6) // the size of an interval or a gap
 			}
-			idx, _, ok, until := s.Dominant(t0, t1)
+			leaf, _, ok, until := s.Dominant(&lv, t0, t1)
 			if until < t1 {
 				t.Fatalf("round %d: Dominant(%d, %d) reaches back to %d", round, t0, t1, until)
 			}
@@ -165,14 +362,14 @@ func TestDominantUntil(t *testing.T) {
 			promised++
 			same := func(a, b int64) {
 				t.Helper()
-				if wi, _, wok := bruteDominant(starts, ends, a, b); wok != ok || (ok && wi != idx) {
+				if wl, _, wok := bruteDominant(evs, member, a, b); wok != ok || (ok && wl != leaf) {
 					t.Fatalf("round %d: Dominant(%d, %d) = (%d, %v) until %d, but the scan of [%d, %d) finds (%d, %v)",
-						round, t0, t1, idx, ok, until, a, b, wi, wok)
+						round, t0, t1, leaf, ok, until, a, b, wl, wok)
 				}
 			}
 			// Past the last interval the horizon is the end of time;
 			// sample the part of it near the data.
-			hi := min(until, max(t1, ends[n-1])+20)
+			hi := min(until, max(t1, evs[n-1].End)+20)
 			same(t0, hi)
 			same(hi-1, hi)
 			for k := 0; k < 8; k++ {
@@ -186,149 +383,198 @@ func TestDominantUntil(t *testing.T) {
 	}
 }
 
+// sameSet asserts two sets own identical columns, node for node.
+func sameSet(t *testing.T, ctx string, got, want *Set) {
+	t.Helper()
+	gr, gp, gy := got.Columns()
+	wr, wp, wy := want.Columns()
+	if !slices.Equal(gr, wr) || !slices.Equal(gp, wp) || (gp == nil) != (wp == nil) {
+		t.Fatalf("%s: refs or prefix sums differ", ctx)
+	}
+	if gy.Arity() != wy.Arity() || gy.Len() != wy.Len() || len(gy.Levels()) != len(wy.Levels()) {
+		t.Fatalf("%s: pyramid shape differs", ctx)
+	}
+	for l := range wy.Levels() {
+		if !slices.Equal(gy.Levels()[l], wy.Levels()[l]) {
+			t.Fatalf("%s: pyramid level %d differs", ctx, l)
+		}
+	}
+}
+
 // TestAppendEqualsBuild checks the amortized extension mode: a chain
-// of appends must answer identically to a one-shot build over the
-// concatenated intervals, and earlier sets in the chain must keep
-// answering for their own prefix.
+// of Extends (Appends, for a subset) over a view that grows — by events
+// pushed on its last column or by a new column — is structurally the
+// one-shot build over the final view and answers like it, and earlier
+// sets in the chain keep answering for their own prefix.
 func TestAppendEqualsBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 30; round++ {
 		total := rng.Intn(700) + 50
-		starts, ends := randIntervals(rng, total, int64(rng.Intn(100)))
+		evs := randEvents(rng, total, int64(rng.Intn(100)))
 		arity := []int{2, 5, 64}[round%3]
+		member := inState(evs, trace.WorkerState(round%trace.NumWorkerStates))
 
-		var chain *Set
-		cut := 0
-		var checkpoints []*Set
-		var cutoffs []int
-		for cut < total {
-			step := rng.Intn(total/4+1) + 1
-			if cut+step > total {
-				step = total - cut
-			}
-			if chain == nil {
-				chain = Build(starts[:cut+step], ends[:cut+step], nil, arity)
-			} else {
-				chain = chain.Append(starts[cut:cut+step], ends[cut:cut+step], nil)
-			}
-			if chain == nil {
-				t.Fatal("append rejected ordered intervals")
-			}
-			cut += step
-			checkpoints = append(checkpoints, chain)
-			cutoffs = append(cutoffs, cut)
+		type checkpoint struct {
+			all, sub *Set
+			lv       Leaves
+			n        int
 		}
-
-		for ci, s := range checkpoints {
-			m := cutoffs[ci]
-			span := ends[m-1] - starts[0] + 10
-			for q := 0; q < 60; q++ {
-				t0 := starts[0] - 5 + rng.Int63n(span)
-				t1 := t0 + rng.Int63n(span+1)
-				wi, wc, wok := bruteDominant(starts[:m], ends[:m], t0, t1)
-				gi, gc, gok, _ := s.Dominant(t0, t1)
-				if gok != wok || (wok && (gi != wi || gc != wc)) {
-					t.Fatalf("checkpoint %d/%d: Dominant(%d,%d) = (%d,%d,%v), want (%d,%d,%v)",
-						m, total, t0, t1, gi, gc, gok, wi, wc, wok)
-				}
-				if got, want := s.Cover(t0, t1), bruteCover(starts[:m], ends[:m], t0, t1); got != want {
-					t.Fatalf("checkpoint %d/%d: Cover = %d, want %d", m, total, got, want)
-				}
+		var checkpoints []checkpoint
+		all, sub := All(arity), Sub(arity)
+		var cols [][]trace.StateEvent
+		for cut := 0; cut < total; {
+			step := min(rng.Intn(total/4+1)+1, total-cut)
+			if len(cols) > 0 && rng.Intn(2) == 0 {
+				last := len(cols) - 1
+				cols[last] = evs[cut-len(cols[last]) : cut+step]
+			} else {
+				cols = append(cols, evs[cut:cut+step])
 			}
+			lv := Over(cols...)
+			all = all.Extend(&lv)
+			if all == nil {
+				t.Fatal("Extend rejected ordered intervals")
+			}
+			sub = sub.Append(&lv, refsOf(evs[:cut+step], cut, member))
+			cut += step
+			checkpoints = append(checkpoints, checkpoint{all, sub, lv, cut})
+		}
+		whole := Over(evs)
+		sameSet(t, "chained identity set", all, All(arity).Extend(&whole))
+		sameSet(t, "chained subset", sub, buildSub(&whole, evs, member, arity))
+
+		for _, c := range checkpoints {
+			checkSet(t, "identity checkpoint", rng, c.all, &c.lv, evs[:c.n], every, false, 60)
+			checkSet(t, "subset checkpoint", rng, c.sub, &c.lv, evs[:c.n], member, true, 60)
 		}
 	}
 }
 
 // TestInvalidInputsRejected: overlapping or unsorted intervals must
-// yield nil (the scan-fallback signal), never a wrong index.
+// yield nil (the scan-fallback signal), never a wrong index; adopted
+// columns that do not describe one set over the view are an error.
 func TestInvalidInputsRejected(t *testing.T) {
+	ev := func(start, end int64) trace.StateEvent { return trace.StateEvent{Start: start, End: end} }
 	cases := []struct {
-		name         string
-		starts, ends []int64
+		name string
+		evs  []trace.StateEvent
 	}{
-		{"overlap", []int64{0, 5}, []int64{10, 15}},
-		{"unsorted starts", []int64{10, 0}, []int64{15, 5}},
-		{"negative length", []int64{0, 20}, []int64{-5, 30}},
-		{"end regression", []int64{0, 6}, []int64{10, 8}},
+		{"overlap", []trace.StateEvent{ev(0, 10), ev(5, 15)}},
+		{"unsorted starts", []trace.StateEvent{ev(10, 15), ev(0, 5)}},
+		{"negative length", []trace.StateEvent{ev(0, -5), ev(20, 30)}},
+		{"end regression", []trace.StateEvent{ev(0, 10), ev(6, 8)}},
 	}
 	for _, c := range cases {
-		if Build(c.starts, c.ends, nil, 4) != nil {
-			t.Errorf("%s: Build accepted invalid intervals", c.name)
+		if lv := Over(c.evs); All(4).Extend(&lv) != nil {
+			t.Errorf("%s: Extend accepted invalid intervals", c.name)
+		}
+		// The same break across a column boundary.
+		if lv := Over(c.evs[:1], c.evs[1:]); All(4).Extend(&lv) != nil {
+			t.Errorf("%s: Extend accepted invalid intervals in two columns", c.name)
 		}
 	}
-	// Append that breaks ordering against the existing tail.
-	s := Build([]int64{0, 10}, []int64{5, 20}, nil, 4)
+	// An extension that breaks ordering against the existing tail.
+	good := []trace.StateEvent{ev(0, 5), ev(10, 20)}
+	lv := Over(good)
+	s := All(4).Extend(&lv)
 	if s == nil {
 		t.Fatal("valid build rejected")
 	}
-	if s.Append([]int64{15}, []int64{30}, nil) != nil {
-		t.Error("Append accepted an interval overlapping the tail")
+	if bad := Over(good, []trace.StateEvent{ev(15, 30)}); s.Extend(&bad) != nil {
+		t.Error("Extend accepted an interval overlapping the tail")
 	}
-	if s.Append([]int64{20, 19}, []int64{25, 40}, nil) != nil {
-		t.Error("Append accepted unsorted intervals")
+	if bad := Over(good, []trace.StateEvent{ev(20, 25), ev(19, 40)}); s.Extend(&bad) != nil {
+		t.Error("Extend accepted unsorted intervals")
 	}
-	// Adopt (the store's way in) rejects columns whose lengths do not
-	// describe one set: an error at open, never a later index panic.
-	starts, ends, prefix, _, pyramid := s.Columns()
-	if rt, err := Adopt(starts, ends, prefix, nil, pyramid); err != nil || rt.Len() != 2 {
-		t.Fatalf("Adopt(Columns()) = %v, %v", rt, err)
+	if s.Extend(&lv) != s {
+		t.Error("Extend over the same view is not the same set")
 	}
+
+	// Adopt (the store's way in) rejects columns that do not describe
+	// one set over the view: an error at open, never a later index
+	// panic.
+	_, _, allPyr := s.Columns()
+	if rt, err := AdoptAll(2, allPyr); err != nil || rt.Len() != 2 {
+		t.Fatalf("AdoptAll(Columns()) = %v, %v", rt, err)
+	}
+	if _, err := AdoptAll(3, allPyr); err == nil {
+		t.Error("AdoptAll accepted a pyramid over fewer leaves than the view")
+	}
+	sub := Sub(4).Append(&lv, []int32{0, 1})
+	refs, prefix, pyr := sub.Columns()
+	if rt, err := AdoptSub(2, refs, prefix, pyr); err != nil || rt.Len() != 2 {
+		t.Fatalf("AdoptSub(Columns()) = %v, %v", rt, err)
+	}
+	one, _ := agg.FromLevels[Node](4, 1, nil)
 	for name, bad := range map[string]func() (*Set, error){
-		"short ends":     func() (*Set, error) { return Adopt(starts, ends[:1], prefix, nil, pyramid) },
-		"short prefix":   func() (*Set, error) { return Adopt(starts, ends, prefix[:2], nil, pyramid) },
-		"short refs":     func() (*Set, error) { return Adopt(starts, ends, prefix, []int32{0}, pyramid) },
-		"pyramid leaves": func() (*Set, error) { return Adopt(starts[:1], ends[:1], prefix[:2], nil, pyramid) },
+		"short prefix":        func() (*Set, error) { return AdoptSub(2, refs, prefix[:2], pyr) },
+		"no prefix":           func() (*Set, error) { return AdoptSub(2, nil, nil, agg.NewTree[Node](4)) },
+		"short refs":          func() (*Set, error) { return AdoptSub(2, refs[:1], prefix, pyr) },
+		"pyramid leaves":      func() (*Set, error) { return AdoptSub(2, refs, prefix, one) },
+		"negative first ref":  func() (*Set, error) { return AdoptSub(2, []int32{-1, 1}, prefix, pyr) },
+		"last ref past view":  func() (*Set, error) { return AdoptSub(2, []int32{0, 2}, prefix, pyr) },
+		"refs past empty CPU": func() (*Set, error) { return AdoptSub(0, refs, prefix, pyr) },
 	} {
 		if _, err := bad(); err == nil {
-			t.Errorf("Adopt accepted %s", name)
+			t.Errorf("AdoptSub accepted %s", name)
 		}
 	}
 }
 
-// TestRefsAndAccessors covers the subset-ref mapping and the basic
-// accessors.
+// TestRefsAndAccessors covers the subset-ref mapping, the accessors and
+// the footprint accounting: a set owns its refs, prefix sums and
+// pyramid nodes, and says so.
 func TestRefsAndAccessors(t *testing.T) {
-	starts := []int64{0, 10, 30}
-	ends := []int64{5, 20, 31}
-	refs := []int32{2, 5, 9}
-	s := Build(starts, ends, refs, 2)
-	if s == nil {
-		t.Fatal("build failed")
+	evs := make([]trace.StateEvent, 12)
+	for i := range evs {
+		evs[i] = trace.StateEvent{Start: int64(100 * i), End: int64(100*i + 1)}
 	}
-	if s.Len() != 3 || s.Start(1) != 10 || s.End(1) != 20 {
-		t.Error("accessors wrong")
+	evs[2] = trace.StateEvent{Start: 200, End: 205}
+	evs[5] = trace.StateEvent{Start: 500, End: 510}
+	evs[9] = trace.StateEvent{Start: 900, End: 901}
+	lv := Over(evs)
+	s := Sub(2).Append(&lv, []int32{2, 5, 9})
+	if s.Len() != 3 {
+		t.Errorf("Len = %d, want 3", s.Len())
 	}
-	if s.Ref(1) != 5 {
-		t.Errorf("Ref(1) = %d, want 5", s.Ref(1))
+	refs, prefix, pyr := s.Columns()
+	if !slices.Equal(refs, []int32{2, 5, 9}) || !slices.Equal(prefix, []int64{0, 5, 15, 16}) {
+		t.Errorf("columns = %v, %v", refs, prefix)
 	}
-	noRefs := Build(starts, ends, nil, 2)
-	if noRefs.Ref(2) != 2 {
-		t.Error("identity refs wrong")
+	if got, want := s.OverheadBytes(), int64(3*4+4*8)+pyr.OverheadBytes(); got != want || pyr.OverheadBytes() <= 0 {
+		t.Errorf("OverheadBytes = %d, want %d: refs, prefix sums and %d bytes of nodes", got, want, pyr.OverheadBytes())
 	}
-	s2 := s.Append([]int64{40}, []int64{45}, []int32{11})
-	if s2 == nil || s2.Ref(3) != 11 {
+	all := All(2).Extend(&lv)
+	if _, _, allPyr := all.Columns(); all.Len() != 12 || all.OverheadBytes() != allPyr.OverheadBytes() {
+		t.Errorf("identity set over %d leaves owns %d bytes, want its pyramid's %d", all.Len(), all.OverheadBytes(), allPyr.OverheadBytes())
+	}
+	s2 := s.Append(&lv, []int32{11})
+	if r, _, _ := s2.Columns(); s2.Len() != 4 || r[3] != 11 || s.Len() != 3 {
 		t.Error("appended refs wrong")
 	}
-	idx, cover, ok, _ := s2.Dominant(0, 50)
-	if !ok || idx != 1 || cover != 10 {
-		t.Errorf("Dominant = (%d, %d, %v), want (1, 10, true)", idx, cover, ok)
-	}
-	if s.OverheadBytes() <= 0 {
-		t.Error("overhead accounting empty")
+	// A dominant member is reported as its leaf in the view.
+	leaf, cover, ok, _ := s2.Dominant(&lv, 0, 2000)
+	if !ok || leaf != 5 || cover != 10 {
+		t.Errorf("Dominant = (%d, %d, %v), want (5, 10, true)", leaf, cover, ok)
 	}
 }
 
 // TestZeroLengthOnly: a set of only zero-length intervals never
 // dominates (positive cover required), and covers nothing.
 func TestZeroLengthOnly(t *testing.T) {
-	s := Build([]int64{1, 2, 3}, []int64{1, 2, 3}, nil, 2)
-	if s == nil {
+	evs := []trace.StateEvent{{Start: 1, End: 1}, {Start: 2, End: 2}, {Start: 3, End: 3}}
+	lv := Over(evs)
+	all := All(2).Extend(&lv)
+	if all == nil {
 		t.Fatal("zero-length intervals rejected")
 	}
-	if _, _, ok, _ := s.Dominant(0, 10); ok {
-		t.Error("zero-cover interval reported dominant")
+	sub := buildSub(&lv, evs, every, 2)
+	for _, s := range []*Set{all, sub} {
+		if _, _, ok, _ := s.Dominant(&lv, 0, 10); ok {
+			t.Error("zero-cover interval reported dominant")
+		}
 	}
-	if s.Cover(0, 10) != 0 {
+	if sub.Cover(&lv, 0, 10) != 0 {
 		t.Error("zero-length intervals covered time")
 	}
 }
