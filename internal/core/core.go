@@ -126,6 +126,10 @@ type Trace struct {
 
 	taskWinOnce sync.Once
 	taskWin     *taskWindows
+
+	// home is the home-node sums HomeBytes reads (home.go); nil on a
+	// snapshot of a live trace, whose region table is not final.
+	home *homeIndex
 }
 
 // NumCPUs returns the number of CPUs.
@@ -262,7 +266,8 @@ func (tr *Trace) StatesIn(cpu int32, t0, t1 trace.Time) []trace.StateEvent {
 }
 
 // DiscreteIn returns the discrete events on cpu with time in [t0, t1),
-// stitching spilled columns like StatesIn.
+// stitching spilled columns like StatesIn; nil for an empty or inverted
+// window.
 func (tr *Trace) DiscreteIn(cpu int32, t0, t1 trace.Time) []trace.DiscreteEvent {
 	if int(cpu) >= len(tr.CPUs) {
 		return nil
@@ -271,13 +276,16 @@ func (tr *Trace) DiscreteIn(cpu int32, t0, t1 trace.Time) []trace.DiscreteEvent 
 	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].discrete) > 0 {
 		return stitchWin(tr.spilled[cpu].discrete, evs, discreteWin(t0, t1))
 	}
-	lo := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t0 })
-	hi := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t1 })
+	lo, hi := discreteWindow(evs, t0, t1)
+	if lo == hi {
+		return nil
+	}
 	return evs[lo:hi]
 }
 
 // CommIn returns the communication events on cpu with time in [t0, t1),
-// stitching spilled columns like StatesIn.
+// stitching spilled columns like StatesIn; nil for an empty or inverted
+// window.
 func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []trace.CommEvent {
 	if int(cpu) >= len(tr.CPUs) {
 		return nil
@@ -286,8 +294,10 @@ func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []trace.CommEvent {
 	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].comm) > 0 {
 		return stitchWin(tr.spilled[cpu].comm, evs, commWin(t0, t1))
 	}
-	lo := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t0 })
-	hi := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t1 })
+	lo, hi := commWindow(evs, t0, t1)
+	if lo == hi {
+		return nil
+	}
 	return evs[lo:hi]
 }
 
@@ -347,7 +357,8 @@ func (c *Counter) Samples(cpu int32) []trace.CounterSample {
 }
 
 // SamplesIn returns the samples of a counter on cpu with time in
-// [t0, t1), stitching spilled columns with the RAM tail.
+// [t0, t1), stitching spilled columns with the RAM tail; nil for an
+// empty or inverted window.
 func (c *Counter) SamplesIn(cpu int32, t0, t1 trace.Time) []trace.CounterSample {
 	var tail []trace.CounterSample
 	if int(cpu) < len(c.PerCPU) {
@@ -356,8 +367,10 @@ func (c *Counter) SamplesIn(cpu int32, t0, t1 trace.Time) []trace.CounterSample 
 	if int(cpu) < len(c.spilled) && len(c.spilled[cpu]) > 0 {
 		return stitchWin(c.spilled[cpu], tail, sampleWin(t0, t1))
 	}
-	lo := sort.Search(len(tail), func(i int) bool { return tail[i].Time >= t0 })
-	hi := sort.Search(len(tail), func(i int) bool { return tail[i].Time >= t1 })
+	lo, hi := sampleWindow(tail, t0, t1)
+	if lo == hi {
+		return nil
+	}
 	return tail[lo:hi]
 }
 

@@ -1,0 +1,474 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"slices"
+	"sync"
+	"testing"
+	"unsafe"
+
+	"github.com/openstream/aftermath/internal/trace"
+)
+
+// scanHomeBytes is the loop stats.commMatrixOf ran over every access of
+// a window before the home-node sums existed — NodeOfAddr per access —
+// kept as the reference HomeBytes is held to. It is handed the column
+// and tests every access's time itself, so it shares no window search
+// with what it checks.
+func scanHomeBytes(tr *Trace, col []trace.CommEvent, t0, t1 trace.Time, row []int64) {
+	n := tr.NumNodes()
+	for _, ev := range col {
+		if ev.Time < t0 || ev.Time >= t1 {
+			continue
+		}
+		at := 0
+		switch ev.Kind {
+		case trace.CommRead:
+		case trace.CommWrite:
+			at = n
+		default:
+			continue
+		}
+		home := tr.NodeOfAddr(ev.Addr)
+		if home < 0 || int(home) >= n {
+			continue
+		}
+		row[at+int(home)] += int64(ev.Size)
+	}
+}
+
+// homeSumBytes returns the bytes of home-node sums tr has built.
+func homeSumBytes(tr *Trace) (n int64) {
+	if tr.home == nil {
+		return 0
+	}
+	for i := range tr.home.cpus {
+		n += int64(len(tr.home.cpus[i].sums)) * int64(unsafe.Sizeof(int64(0)))
+	}
+	return n
+}
+
+// homeCase is a topology, a region table in arrival order and one
+// time-ordered communication column per CPU.
+type homeCase struct {
+	topo    trace.Topology
+	regions []trace.MemRegion
+	comm    [][]trace.CommEvent
+}
+
+// genHomeCase draws a case with one column of each given length on a
+// machine of the given node count. It holds what a simulated run never
+// does: regions homed on node -1 and on nodes the topology lacks, a
+// region registered again at the address of an earlier one on another
+// node, holes between regions, accesses below, between and past every
+// region, steals and pushes between the reads and writes, runs of equal
+// timestamps, and sizes whose running sum wraps.
+func genHomeCase(rng *rand.Rand, nodes int, lens []int) *homeCase {
+	c := &homeCase{topo: trace.Topology{
+		Name:      "home",
+		NumNodes:  int32(nodes),
+		NodeOfCPU: make([]int32, len(lens)),
+		Distance:  make([]int32, nodes*nodes),
+	}}
+	if nodes == 0 {
+		c.topo.NodeOfCPU = nil // no CPU can be placed: every one reads as node 0
+	}
+	for cpu := range c.topo.NodeOfCPU {
+		c.topo.NodeOfCPU[cpu] = int32(rng.Intn(nodes))
+	}
+	homes := []int32{-1, int32(nodes), int32(nodes) + 2}
+	for h := 0; h < nodes; h++ {
+		homes = append(homes, int32(h), int32(h), int32(h))
+	}
+	for i := 0; i < 24; i++ {
+		page := uint64(2 + rng.Intn(16))
+		c.regions = append(c.regions, trace.MemRegion{
+			ID:   trace.RegionID(i + 1),
+			Addr: page << 12,
+			Size: uint64(1 + rng.Intn(0x1000)),
+			Node: homes[rng.Intn(len(homes))],
+		})
+	}
+	sizes := []uint64{0, 1, 64, 4096, 1 << 62, 1 << 63, math.MaxUint64, math.MaxUint64 - 63}
+	kinds := []trace.CommKind{trace.CommRead, trace.CommRead, trace.CommRead, trace.CommWrite, trace.CommWrite, trace.CommSteal, trace.CommPush}
+	c.comm = make([][]trace.CommEvent, len(lens))
+	for cpu, n := range lens {
+		at := trace.Time(rng.Intn(50))
+		for i := 0; i < n; i++ {
+			at += trace.Time([]int{0, 0, 1, 2, 7}[rng.Intn(5)])
+			c.comm[cpu] = append(c.comm[cpu], trace.CommEvent{
+				Kind:   kinds[rng.Intn(len(kinds))],
+				CPU:    int32(cpu),
+				SrcCPU: -1,
+				Time:   at,
+				Task:   trace.TaskID(i + 1),
+				Addr:   uint64(rng.Intn(20))<<12 + uint64(rng.Intn(0x1000)),
+				Size:   sizes[rng.Intn(len(sizes))],
+			})
+		}
+	}
+	return c
+}
+
+// stream writes the case as a native trace: topology, regions, columns.
+func (c *homeCase) stream(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	err := w.WriteTopology(c.topo)
+	for _, r := range c.regions {
+		if err == nil {
+			err = w.WriteRegion(r)
+		}
+	}
+	for _, col := range c.comm {
+		for _, ev := range col {
+			if err == nil {
+				err = w.WriteComm(ev)
+			}
+		}
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// batch returns part p of parts of the case for a live trace: that share
+// of every column and of the region table, the topology with part 0.
+func (c *homeCase) batch(p, parts int) *trace.RecordBatch {
+	b := &trace.RecordBatch{MaxCPU: int32(len(c.comm) - 1)}
+	if p == 0 {
+		b.Topologies = []trace.Topology{c.topo}
+	}
+	share := func(n int) (int, int) { return n * p / parts, n * (p + 1) / parts }
+	lo, hi := share(len(c.regions))
+	b.Regions = c.regions[lo:hi]
+	for _, col := range c.comm {
+		lo, hi := share(len(col))
+		b.Comms = append(b.Comms, col[lo:hi]...)
+	}
+	return b
+}
+
+// resident builds the case as the trace a batch load gives — newTrace,
+// so it keeps home-node sums — without the decode.
+func (c *homeCase) resident() *Trace {
+	tr := newTrace()
+	tr.Topology = c.topo
+	tr.Regions = slices.Clone(c.regions)
+	sortRegions(tr.Regions)
+	tr.CPUs = make([]CPUData, len(c.comm))
+	for cpu, col := range c.comm {
+		tr.CPUs[cpu].Comm = col
+	}
+	return tr
+}
+
+// live feeds the case to a live trace in four epochs, spilling every
+// tail when dir is set, and returns the last snapshot.
+func (c *homeCase) live(t testing.TB, dir string) (*Live, *Trace) {
+	t.Helper()
+	lv := NewLive()
+	if dir != "" {
+		lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1, Sync: true})
+	}
+	const parts = 4
+	for p := 0; p < parts; p++ {
+		if err := lv.Append(c.batch(p, parts)); err != nil {
+			t.Fatal(err)
+		}
+		lv.Publish()
+	}
+	// A publish spills after it stored its snapshot: one more sees it.
+	snap, _ := lv.Publish()
+	return lv, snap
+}
+
+// checkHomeWindow holds HomeBytes on tr to the scan of col, the column
+// cpu was given (nil for a CPU the trace lacks), for one window.
+func checkHomeWindow(t testing.TB, ctx string, tr *Trace, cpu int32, col []trace.CommEvent, t0, t1 trace.Time) {
+	t.Helper()
+	w := 2 * tr.NumNodes()
+	got, ref := make([]int64, w), make([]int64, w)
+	tr.HomeBytes(cpu, t0, t1, got)
+	scanHomeBytes(tr, col, t0, t1, ref)
+	if !slices.Equal(got, ref) {
+		t.Fatalf("%s: HomeBytes(cpu %d, [%d, %d)) = %v, the scan wants %v", ctx, cpu, t0, t1, got, ref)
+	}
+}
+
+// homeWindows returns the windows a column is asked: the whole axis,
+// empty and inverted ones, every window whose ends sit on the events one
+// before, at and one after a multiple of stride, and count random ones.
+func homeWindows(rng *rand.Rand, col []trace.CommEvent, stride, count int) [][2]trace.Time {
+	wins := [][2]trace.Time{
+		{math.MinInt64, math.MaxInt64}, {math.MaxInt64, math.MinInt64}, {0, 0}, {5, 3},
+	}
+	if len(col) == 0 {
+		return wins
+	}
+	var edges []trace.Time
+	for k := 0; k*stride <= len(col)+1; k++ {
+		for i := k*stride - 1; i <= k*stride+1; i++ {
+			if i >= 0 && i < len(col) {
+				edges = append(edges, col[i].Time)
+			}
+		}
+	}
+	for _, a := range edges {
+		for _, b := range edges {
+			wins = append(wins, [2]trace.Time{a, b}, [2]trace.Time{a, b + 1})
+		}
+	}
+	first, span := col[0].Time-3, col[len(col)-1].Time-col[0].Time+6
+	for i := 0; i < count; i++ {
+		a := first + rng.Int63n(span)
+		wins = append(wins, [2]trace.Time{a, a + rng.Int63n(span)})
+	}
+	return wins
+}
+
+// TestHomeBytesMatchesScan: sums ≡ scan. One case — every column shape
+// around the stride, a hostile region table — is batch-loaded, saved and
+// mapped back, fed through a live trace and fed through a spilling one;
+// on each, HomeBytes must give the row — bytes read and bytes written,
+// by home node — that the scan of the column it was given gives, on
+// every boundary window and on random ones.
+// The two loaded traces must have answered from sums, and the two live
+// ones must have built none: their region table is not final.
+func TestHomeBytesMatchesScan(t *testing.T) {
+	for nodes := 1; nodes <= 3; nodes++ {
+		rng := rand.New(rand.NewSource(int64(nodes)))
+		stride := homeStride(nodes)
+		lens := []int{0, 1, stride - 1, stride, stride + 1, 2 * stride, 2*stride + 1, 5 * stride, 5*stride + 1, 3*stride + rng.Intn(4*stride)}
+		c := genHomeCase(rng, nodes, lens)
+
+		batch, err := FromReader(bytes.NewReader(c.stream(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cpu, col := range c.comm {
+			if !slices.Equal(batch.CPUs[cpu].Comm, col) {
+				t.Fatalf("precondition: cpu %d loaded %d accesses, wrote %d", cpu, len(batch.CPUs[cpu].Comm), len(col))
+			}
+		}
+		path := filepath.Join(t.TempDir(), "home.atms")
+		if err := SaveStore(batch, path); err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer mapped.Close()
+		lv, live := c.live(t, "")
+		defer lv.Close()
+		sp, spilled := c.live(t, t.TempDir())
+		defer sp.Close()
+		if parts := len(spilled.spilled[len(lens)-1].comm); parts < 2 {
+			t.Fatalf("precondition: the longest column spilled into %d parts", parts)
+		}
+		arms := []struct {
+			ctx  string
+			tr   *Trace
+			sums bool
+		}{{"batch", batch, true}, {"store", mapped, true}, {"live", live, false}, {"live spilled", spilled, false}}
+		for _, arm := range arms {
+			ctx := fmt.Sprintf("%d nodes, %s", nodes, arm.ctx)
+			if got := homeSumBytes(arm.tr); got != 0 {
+				t.Fatalf("%s: %d bytes of sums before any question", ctx, got)
+			}
+			for cpu := int32(-1); int(cpu) <= len(lens); cpu++ { // -1 and len: no such CPU
+				var col []trace.CommEvent
+				if cpu >= 0 && int(cpu) < len(lens) {
+					col = c.comm[cpu]
+				}
+				for _, w := range homeWindows(rng, col, stride, 60) {
+					checkHomeWindow(t, ctx, arm.tr, cpu, col, w[0], w[1])
+				}
+			}
+			switch got := homeSumBytes(arm.tr); {
+			case arm.sums && got == 0:
+				t.Errorf("%s: no sums were built; every answer was a scan", ctx)
+			case !arm.sums && got != 0:
+				t.Errorf("%s: %d bytes of sums on a snapshot whose region table is not final", ctx, got)
+			}
+		}
+	}
+}
+
+// TestHomeBytesFirstUseConcurrent: eight goroutines ask overlapping
+// windows of a cold trace; each CPU's sums are built once, by whoever
+// comes first, and every answer is the scan's.
+func TestHomeBytesFirstUseConcurrent(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const nodes = 2
+	stride := homeStride(nodes)
+	c := genHomeCase(rng, nodes, []int{9 * stride, 4*stride + 3, stride, 0})
+	cold := c.resident()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		rng := rand.New(rand.NewSource(int64(g)))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for cpu, col := range c.comm {
+				for _, w := range homeWindows(rng, col, stride, 20) {
+					got, ref := make([]int64, 2*nodes), make([]int64, 2*nodes)
+					cold.HomeBytes(int32(cpu), w[0], w[1], got)
+					scanHomeBytes(cold, col, w[0], w[1], ref)
+					if !slices.Equal(got, ref) {
+						t.Errorf("HomeBytes(cpu %d, [%d, %d)) = %v, the scan wants %v", cpu, w[0], w[1], got, ref)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if homeSumBytes(cold) == 0 {
+		t.Error("no sums were built")
+	}
+}
+
+// TestHomeSumsOverhead pins what the sums cost beside the columns they
+// index, as TestDomIndexOverhead pins the dominance index: at most a
+// twentieth (the paper's bound for its counter tree, Section VI-B-c) on
+// the Seidel fixture's two nodes and on a 32-node machine — the stride
+// follows the node count — and nothing on a trace nobody asked.
+func TestHomeSumsOverhead(t *testing.T) {
+	seidel, err := FromReader(bytes.NewReader(seidelStream(t, 12, 6)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := genHomeCase(rand.New(rand.NewSource(32)), 32, []int{4000, 2500, 257, 256, 255}).resident()
+	for _, tc := range []struct {
+		name string
+		tr   *Trace
+	}{{"seidel", seidel}, {"32 nodes", wide}} {
+		tr := tc.tr
+		if got := homeSumBytes(tr); got != 0 {
+			t.Errorf("%s: %d bytes of sums on a trace nobody asked", tc.name, got)
+		}
+		var comm int64
+		row := make([]int64, 2*tr.NumNodes())
+		for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
+			tr.HomeBytes(cpu, math.MinInt64, math.MaxInt64, row)
+			comm += int64(len(tr.CPUs[cpu].Comm)) * int64(unsafe.Sizeof(trace.CommEvent{}))
+		}
+		sums := homeSumBytes(tr)
+		t.Logf("%s: stride %d, %d bytes of sums over %d bytes of accesses, ratio %.3f", tc.name, homeStride(tr.NumNodes()), sums, comm, float64(sums)/float64(comm))
+		if sums == 0 {
+			t.Errorf("%s: a full-span question built no sums", tc.name)
+		}
+		if sums*20 > comm {
+			t.Errorf("%s: the sums own %d bytes over %d bytes of accesses, want at most a twentieth", tc.name, sums, comm)
+		}
+	}
+}
+
+// TestWindowAccessorsTotal: the windowed accessors answer any window.
+// An empty or inverted one is nil — it used to slice evs[lo:hi] with
+// lo > hi — on a resident column and on one stitched from spilled parts,
+// and the whole axis is every event.
+func TestWindowAccessorsTotal(t *testing.T) {
+	ram := NewLive()
+	defer ram.Close()
+	spill := NewLive()
+	spill.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	defer spill.Close()
+	var resident, spilled *Trace
+	for k := 0; k < 3; k++ {
+		b := spillBatch(2, 20, int64(10_000*k))
+		for i := range b.States {
+			s := b.States[i]
+			b.Discrete = append(b.Discrete, trace.DiscreteEvent{CPU: s.CPU, Time: s.Start})
+		}
+		resident = publish(t, ram, b)
+		publish(t, spill, b)
+	}
+	spilled, _ = spill.Publish()
+	if len(spilled.spilled[0].comm) < 2 {
+		t.Fatalf("precondition: cpu 0 spilled %d parts", len(spilled.spilled[0].comm))
+	}
+
+	const events = 60 // per CPU and family
+	windows := []struct {
+		name   string
+		t0, t1 trace.Time
+		want   int
+	}{
+		{"empty", 10_070, 10_070, 0},
+		{"empty between events", 10_061, 10_099, 0},
+		{"inverted", 20_500, 500, 0},
+		{"inverted whole axis", math.MaxInt64, math.MinInt64, 0},
+		{"whole axis", math.MinInt64, math.MaxInt64, events},
+	}
+	for _, arm := range []struct {
+		name string
+		tr   *Trace
+	}{{"resident", resident}, {"spilled live", spilled}} {
+		counter := arm.tr.Counters[0]
+		for _, w := range windows {
+			states, discrete := arm.tr.StatesIn(0, w.t0, w.t1), arm.tr.DiscreteIn(0, w.t0, w.t1)
+			comm, samples := arm.tr.CommIn(0, w.t0, w.t1), counter.SamplesIn(0, w.t0, w.t1)
+			for _, got := range []struct {
+				name  string
+				n     int
+				isNil bool
+			}{
+				{"StatesIn", len(states), states == nil}, {"DiscreteIn", len(discrete), discrete == nil},
+				{"CommIn", len(comm), comm == nil}, {"SamplesIn", len(samples), samples == nil},
+			} {
+				if got.n != w.want || got.isNil != (w.want == 0) {
+					t.Errorf("%s, %s window [%d, %d): %s returns %d events (nil: %v), want %d", arm.name, w.name, w.t0, w.t1, got.name, got.n, got.isNil, w.want)
+				}
+			}
+			row := make([]int64, 2)
+			arm.tr.HomeBytes(0, w.t0, w.t1, row)
+			if w.want == 0 && (row[0] != 0 || row[1] != 0) {
+				t.Errorf("%s, %s window: HomeBytes counted %v", arm.name, w.name, row)
+			}
+		}
+	}
+}
+
+// FuzzHomeBytes: whatever the column's shape, the region table and the
+// window, the sums answer what the scan answers and nothing panics. The
+// window is given as two event positions and nudged by up to one cycle,
+// so the fuzzer steers it onto checkpoint rows; the seeds sit on every
+// boundary the property test names.
+func FuzzHomeBytes(f *testing.F) {
+	for _, length := range []uint16{0, 1, 7, 8, 9, 16, 17, 40} { // one node: stride 8
+		for _, w := range [][2]uint16{{0, length}, {7, 9}, {8, 16}, {9, 15}, {1, 17}, {16, 8}} {
+			f.Add(int64(length), uint8(1), length, w[0], w[1], uint8(0))
+		}
+	}
+	f.Add(int64(3), uint8(3), uint16(100), uint16(31), uint16(65), uint8(5)) // three nodes: stride 32
+	f.Add(int64(4), uint8(0), uint16(20), uint16(0), uint16(20), uint8(0))   // no node at all
+	f.Fuzz(func(t *testing.T, seed int64, nodes uint8, length, lo, hi uint16, nudge uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		c := genHomeCase(rng, int(nodes%5), []int{int(length % 2048)})
+		col := c.comm[0]
+		at := func(i uint16) trace.Time {
+			if len(col) == 0 {
+				return trace.Time(i)
+			}
+			return col[min(int(i), len(col)-1)].Time
+		}
+		t0, t1 := at(lo)+trace.Time(nudge%3)-1, at(hi)+trace.Time(nudge/3%3)-1
+		tr := c.resident()
+		checkHomeWindow(t, "cold", tr, 0, col, t0, t1)
+		checkHomeWindow(t, "whole axis", tr, 0, col, math.MinInt64, math.MaxInt64)
+		checkHomeWindow(t, "warm", tr, 0, col, t0, t1)
+	})
+}

@@ -403,8 +403,9 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 // made; Trace.TaskByID builds it for the first reader who asks a
 // snapshot by ID. Nothing else is derived here: detector baselines and
 // communication totals are computed by whoever asks a snapshot for
-// them, the same scan a batch-loaded trace runs (anomaly/live.go
-// memoizes it per epoch).
+// them, by the scan of the window's accesses (anomaly/live.go memoizes
+// it per epoch) — a snapshot keeps no home-node sums (home.go): they
+// hold for one region table, and this one is still growing.
 //
 // The exception is a trace with a dirty state column (an out-of-order
 // producer; sticky): its execution spans have no stream order to apply

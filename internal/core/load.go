@@ -244,6 +244,7 @@ func newTrace() *Trace {
 		typeByID:    make(map[trace.TypeID]int),
 		taskByID:    make(map[trace.TaskID]int),
 		counterByID: make(map[trace.CounterID]int),
+		home:        &homeIndex{},
 	}
 }
 
@@ -395,6 +396,19 @@ func mergeRegions(sorted, arrivals []trace.MemRegion) []trace.MemRegion {
 	return append(out, sorted...)
 }
 
+// inOrder reports whether no event of s comes before its predecessor
+// by key — what the format guarantees of every per-CPU array, so this
+// check is all a load pays for the repair it almost never runs. Small
+// enough to inline with its key, it is one typed pass over the array.
+func inOrder[T any](s []T, key func(*T) trace.Time) bool {
+	for i := 1; i < len(s); i++ {
+		if key(&s[i]) < key(&s[i-1]) {
+			return false
+		}
+	}
+	return true
+}
+
 // buildCounterNameIndex returns the name index over the counter table:
 // the first counter (in table order) wins each name.
 func buildCounterNameIndex(counters []*Counter) map[string]int {
@@ -431,13 +445,13 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 	perCPU := make([]cpuIndex, len(tr.CPUs))
 	par.Do(workers, len(tr.CPUs), func(i int) {
 		c := &tr.CPUs[i]
-		if !sort.SliceIsSorted(c.States, func(a, b int) bool { return c.States[a].Start < c.States[b].Start }) {
+		if !inOrder(c.States, stateTime) {
 			sort.SliceStable(c.States, func(a, b int) bool { return c.States[a].Start < c.States[b].Start })
 		}
-		if !sort.SliceIsSorted(c.Discrete, func(a, b int) bool { return c.Discrete[a].Time < c.Discrete[b].Time }) {
+		if !inOrder(c.Discrete, discreteTime) {
 			sort.SliceStable(c.Discrete, func(a, b int) bool { return c.Discrete[a].Time < c.Discrete[b].Time })
 		}
-		if !sort.SliceIsSorted(c.Comm, func(a, b int) bool { return c.Comm[a].Time < c.Comm[b].Time }) {
+		if !inOrder(c.Comm, commTime) {
 			sort.SliceStable(c.Comm, func(a, b int) bool { return c.Comm[a].Time < c.Comm[b].Time })
 		}
 		res := &perCPU[i]
@@ -477,7 +491,7 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 	}
 	par.Do(workers, len(pairs), func(i int) {
 		s := pairs[i].c.PerCPU[pairs[i].cpu]
-		if !sort.SliceIsSorted(s, func(a, b int) bool { return s[a].Time < s[b].Time }) {
+		if !inOrder(s, sampleTime) {
 			sort.SliceStable(s, func(a, b int) bool { return s[a].Time < s[b].Time })
 		}
 	})

@@ -627,26 +627,36 @@ func stateWin(t0, t1 trace.Time) func([]trace.StateEvent) (int, int) {
 	return func(s []trace.StateEvent) (int, int) { return stateWindow(s, t0, t1) }
 }
 
+// discreteWindow, commWindow and sampleWindow are the [lo, hi) index
+// windows of the events of one sorted run with time in [t0, t1). hi is
+// searched from lo, so lo <= hi on every window, empty and inverted
+// ones included.
+func discreteWindow(s []trace.DiscreteEvent, t0, t1 trace.Time) (lo, hi int) {
+	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
+	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time >= t1 })
+	return lo, hi
+}
+
+func commWindow(s []trace.CommEvent, t0, t1 trace.Time) (lo, hi int) {
+	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
+	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time >= t1 })
+	return lo, hi
+}
+
+func sampleWindow(s []trace.CounterSample, t0, t1 trace.Time) (lo, hi int) {
+	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
+	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time >= t1 })
+	return lo, hi
+}
+
 func discreteWin(t0, t1 trace.Time) func([]trace.DiscreteEvent) (int, int) {
-	return func(s []trace.DiscreteEvent) (int, int) {
-		lo := sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
-		hi := sort.Search(len(s), func(i int) bool { return s[i].Time >= t1 })
-		return lo, hi
-	}
+	return func(s []trace.DiscreteEvent) (int, int) { return discreteWindow(s, t0, t1) }
 }
 
 func commWin(t0, t1 trace.Time) func([]trace.CommEvent) (int, int) {
-	return func(s []trace.CommEvent) (int, int) {
-		lo := sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
-		hi := sort.Search(len(s), func(i int) bool { return s[i].Time >= t1 })
-		return lo, hi
-	}
+	return func(s []trace.CommEvent) (int, int) { return commWindow(s, t0, t1) }
 }
 
 func sampleWin(t0, t1 trace.Time) func([]trace.CounterSample) (int, int) {
-	return func(s []trace.CounterSample) (int, int) {
-		lo := sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
-		hi := sort.Search(len(s), func(i int) bool { return s[i].Time >= t1 })
-		return lo, hi
-	}
+	return func(s []trace.CounterSample) (int, int) { return sampleWindow(s, t0, t1) }
 }

@@ -156,8 +156,11 @@ func StatsOf(tr *core.Trace, q *Query) StatsResult {
 // only kind StatsOf builds, reads the task window index and never
 // ranges over tr.Tasks — for the count and the histogram's durations;
 // the state cycles come from one stats.StateTimes, whose task-execution
-// entry is also the average parallelism's numerator. What still walks
-// the window's events is the locality fraction.
+// entry is also the average parallelism's numerator; the locality
+// fraction reads each CPU's bytes per home node off core.HomeBytes'
+// prefix sums. On a loaded trace nothing here walks the window's events;
+// on a live snapshot, which keeps no home-node sums, the locality
+// fraction still does.
 func StatsOver(tr *core.Trace, f *filter.TaskFilter, t0, t1 trace.Time) StatsResult {
 	resp := StatsResult{
 		Start: t0, End: t1,

@@ -208,7 +208,11 @@ func (k CommKinds) matches(ck trace.CommKind) bool {
 // CommMatrixOf accumulates the communication matrix over [t0, t1).
 // The home node of each access is derived by looking up the address in
 // the region table (Section VI-A); accesses to unknown regions are
-// skipped.
+// skipped. Per CPU the bytes per home node come from core.HomeBytes,
+// which on a loaded trace reads them off checkpointed prefix sums and
+// resolves only the accesses at the window's two edges, so the cost
+// follows the CPU count, not the accesses in the window; on a live
+// snapshot it resolves every access of the window.
 func CommMatrixOf(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time) *CommMatrix {
 	return commMatrixOf(tr, kinds, t0, t1, par.Workers())
 }
@@ -216,46 +220,36 @@ func CommMatrixOf(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time) *CommMatri
 func commMatrixOf(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time, workers int) *CommMatrix {
 	n := tr.NumNodes()
 	m := &CommMatrix{N: n, Bytes: make([]int64, n*n)}
-	// Per-CPU communication windows are independent: accumulate one
-	// local matrix per CPU in parallel and sum them (integer adds, so
-	// the merge order cannot change the result).
-	nCPU := tr.NumCPUs()
-	perCPU := make([][]int64, nCPU)
+	// Per-CPU communication windows are independent: fill one row of
+	// bytes per (read | write, home node) per CPU in parallel, then add
+	// each to its accessor's matrix row (integer adds, so the merge order
+	// cannot change the result).
+	nCPU, w := tr.NumCPUs(), 2*n
+	rows := make([]int64, nCPU*w)
 	par.Do(workers, nCPU, func(c int) {
-		cpu := int32(c)
-		accessor := tr.NodeOfCPU(cpu)
-		if int(accessor) >= n {
-			return
-		}
-		var local []int64
-		for _, ev := range tr.CommIn(cpu, t0, t1) {
-			if !kinds.matches(ev.Kind) {
-				continue
-			}
-			home := tr.NodeOfAddr(ev.Addr)
-			if home < 0 || int(home) >= n {
-				continue
-			}
-			if local == nil {
-				local = make([]int64, n*n)
-			}
-			local[int(accessor)*n+int(home)] += int64(ev.Size)
-		}
-		perCPU[c] = local
+		tr.HomeBytes(int32(c), t0, t1, rows[c*w:(c+1)*w])
 	})
-	for _, local := range perCPU {
-		if local == nil {
+	for c := 0; c < nCPU; c++ {
+		accessor := int(tr.NodeOfCPU(int32(c)))
+		if accessor >= n {
 			continue
 		}
-		for i, b := range local {
-			m.Bytes[i] += b
+		row, cells := rows[c*w:(c+1)*w], m.Bytes[accessor*n:(accessor+1)*n]
+		for home := range cells {
+			if kinds&Reads != 0 {
+				cells[home] += row[home]
+			}
+			if kinds&Writes != 0 {
+				cells[home] += row[n+home]
+			}
 		}
 	}
 	return m
 }
 
 // LocalityFraction returns the fraction of accessed bytes homed on the
-// accessing worker's own node over [t0, t1).
+// accessing worker's own node over [t0, t1): the diagonal of
+// CommMatrixOf, at its cost.
 func LocalityFraction(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time) float64 {
 	return CommMatrixOf(tr, kinds, t0, t1).LocalFraction()
 }
