@@ -14,6 +14,7 @@ import (
 	"sort"
 	"testing"
 
+	"github.com/openstream/aftermath/internal/agg"
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/figs"
@@ -234,20 +235,12 @@ func BenchmarkAblationCounterNaive(b *testing.B) {
 // BenchmarkAblationTreeArity sweeps the min/max tree arity: the paper
 // chose 100 to balance query speed against a <=5% memory overhead.
 func BenchmarkAblationTreeArity(b *testing.B) {
-	const n = 1 << 20
 	rng := rand.New(rand.NewSource(3))
-	times := make([]int64, n)
-	values := make([]int64, n)
-	t := int64(0)
-	for i := range times {
-		t += int64(rng.Intn(20) + 1)
-		times[i] = t
-		values[i] = rng.Int63n(1 << 30)
-	}
+	samples, t := ablationSamples(rng)
 	for _, arity := range []int{2, 10, 100, 1000} {
 		arity := arity
 		b.Run(benchName("arity", arity), func(b *testing.B) {
-			tree := mmtree.Build(times, values, arity)
+			tree := mmtree.Build(agg.Over(samples), arity)
 			b.ReportMetric(100*float64(tree.OverheadBytes())/float64(tree.DataBytes()), "overhead%")
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -262,17 +255,9 @@ func BenchmarkAblationTreeArity(b *testing.B) {
 // BenchmarkAblationMinMaxScan is the no-index baseline: a linear scan
 // per query.
 func BenchmarkAblationMinMaxScan(b *testing.B) {
-	const n = 1 << 20
 	rng := rand.New(rand.NewSource(3))
-	times := make([]int64, n)
-	values := make([]int64, n)
-	t := int64(0)
-	for i := range times {
-		t += int64(rng.Intn(20) + 1)
-		times[i] = t
-		values[i] = rng.Int63n(1 << 30)
-	}
-	tree := mmtree.Build(times, values, 100)
+	samples, t := ablationSamples(rng)
+	tree := mmtree.Build(agg.Over(samples), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := rng.Int63n(t)
@@ -294,6 +279,18 @@ func BenchmarkAblationMinMaxScan(b *testing.B) {
 
 // scanSink keeps the scan's result live, so the loop is not dead code.
 var scanSink int64
+
+// ablationSamples returns the 2^20-sample counter column of the tree
+// ablations, and its last time.
+func ablationSamples(rng *rand.Rand) ([]trace.CounterSample, int64) {
+	samples := make([]trace.CounterSample, 1<<20)
+	t := int64(0)
+	for i := range samples {
+		t += int64(rng.Intn(20) + 1)
+		samples[i] = trace.CounterSample{Time: t, Value: rng.Int63n(1 << 30)}
+	}
+	return samples, t
+}
 
 // BenchmarkTraceLoad measures loading and indexing a trace from memory
 // (the paper emphasizes fast loading of multi-gigabyte traces).

@@ -28,6 +28,13 @@
 // columnar-store round trip (Levels, and FromLevels which validates
 // the shape of adopted levels so a corrupt file fails at open).
 //
+// Neither index copies the items it summarizes: both read them where
+// they live through one Leaves view — a trace's state column under
+// mragg, a (counter, CPU) sample column under mmtree — whose columns
+// may be one array or a live trace's spilled parts and RAM tail. What
+// an index owns is its pyramid plus whatever it derives per item (a
+// state subset's refs and prefix sums, a rate tree's rates).
+//
 // # Persistent append
 //
 // There is one construction path: a tree over n leaves is the empty

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"sync"
 
 	"github.com/openstream/aftermath/internal/mmtree"
@@ -18,6 +20,12 @@ const RateScale = 1 << 16
 // concurrent requests for different trees build in parallel. Traces
 // own one shared index (see Trace.CounterIndex), so every renderer,
 // overlay and viewer request reuses the same trees.
+//
+// The index holds summaries, not a second copy of the samples: each
+// tree is a view of the (counter, CPU) sample column it indexes — one
+// array, or a spilled live column's parts then its RAM tail — plus its
+// pyramid, and a rate tree owns its derived rates besides: 8 bytes a
+// sample and two pyramids for the pair, against the 24 of the sample.
 type CounterIndex struct {
 	mu      sync.Mutex
 	entries map[counterCPU]*indexEntry
@@ -57,7 +65,7 @@ func (ci *CounterIndex) entry(key counterCPU) *indexEntry {
 // Tree returns the min/max tree over the counter's raw values on cpu.
 func (ci *CounterIndex) Tree(c *Counter, cpu int32) *mmtree.Tree {
 	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, false})
-	e.once.Do(func() { e.tree = appendValues(nil, c.Samples(cpu)) })
+	e.once.Do(func() { e.tree = mmtree.Build(c.sampleLeaves(cpu), 0) })
 	return e.tree
 }
 
@@ -68,51 +76,68 @@ func (ci *CounterIndex) Tree(c *Counter, cpu int32) *mmtree.Tree {
 // constant over each execution).
 func (ci *CounterIndex) RateTree(c *Counter, cpu int32) *mmtree.Tree {
 	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, true})
-	e.once.Do(func() { e.tree = appendRates(nil, c.Samples(cpu)) })
+	e.once.Do(func() { e.tree = appendRates(mmtree.Rates(0), c.sampleLeaves(cpu), 0) })
 	return e.tree
 }
 
-// appendTree extends t by the given (time, value) entries; a nil t is
-// the chain start. The lazy builds above and the live ingest path's
-// incremental extension both end here, so a batch tree is a chain
-// extended once from empty.
-func appendTree(t *mmtree.Tree, times, values []int64) *mmtree.Tree {
-	if t == nil {
-		return mmtree.Build(times, values, 0)
+// appendRates extends a rate tree over col, the view of the column it
+// covers with samples added, by the entries between consecutive samples
+// of col from sample from on: entry i covers [col[i].Time,
+// col[i+1].Time) at rate(col[i], col[i+1]). The derivation is purely
+// pairwise, so starting at the chain's last covered sample yields
+// exactly the entries a whole-column derivation would. The lazy build
+// above and the live ingest path's incremental extension both end
+// here, so a batch tree is a chain extended once from empty.
+func appendRates(t *mmtree.Tree, col mmtree.Samples, from int) *mmtree.Tree {
+	var rates []int64
+	if n := col.Len() - 1 - from; n > 0 {
+		rates = make([]int64, 0, n)
+		prev := col.At(from)
+		col.Each(from+1, func(_ int, s *trace.CounterSample) {
+			rates = append(rates, rate(prev, s))
+			prev = s
+		})
 	}
-	return t.Append(times, values)
+	return t.Append(col, rates)
 }
 
-// appendValues extends a value tree by the samples of win.
-func appendValues(t *mmtree.Tree, win []trace.CounterSample) *mmtree.Tree {
-	times := make([]int64, len(win))
-	values := make([]int64, len(win))
-	for i, s := range win {
-		times[i], values[i] = s.Time, s.Value
+// rate returns the fixed-point rate between two samples,
+// (b.Value - a.Value) * 1000 * RateScale / (b.Time - a.Time) events per
+// kilocycle, and 0 unless b is later than a. The quotient is that of
+// the exact 128-bit product, truncated toward zero as int64 division
+// truncates and clamped to int64: the int64 expression wraps once
+// |Δv| exceeds 2^63 / (1000 * RateScale), about 1.4e11, and equals this
+// wherever it does not.
+func rate(a, b *trace.CounterSample) int64 {
+	if b.Time <= a.Time {
+		return 0
 	}
-	return appendTree(t, times, values)
+	// Both differences are exact as unsigned magnitudes: the true values
+	// lie in (-2^64, 2^64), and b.Time - a.Time is positive.
+	dt := uint64(b.Time) - uint64(a.Time)
+	neg := b.Value < a.Value
+	dv := uint64(b.Value) - uint64(a.Value)
+	if neg {
+		dv = uint64(a.Value) - uint64(b.Value)
+	}
+	hi, lo := bits.Mul64(dv, 1000*RateScale)
+	if hi >= dt {
+		// The quotient needs more than 64 bits.
+		return clampRate(math.MaxUint64, neg)
+	}
+	q, _ := bits.Div64(hi, lo, dt)
+	return clampRate(q, neg)
 }
 
-// appendRates extends a rate tree by the fixed-point rate entries
-// between consecutive samples of win: entry i covers
-// [win[i].Time, win[i+1].Time) at the constant rate
-// (dv * 1000 * RateScale / dt) events per kilocycle, 0 when dt <= 0.
-// The derivation is purely pairwise, so a window starting at the
-// chain's last covered sample yields exactly the entries a
-// whole-array derivation would.
-func appendRates(t *mmtree.Tree, win []trace.CounterSample) *mmtree.Tree {
-	n := max(len(win)-1, 0)
-	times := make([]int64, n)
-	values := make([]int64, n)
-	for i := 0; i < n; i++ {
-		dt := win[i+1].Time - win[i].Time
-		times[i] = win[i].Time
-		if dt > 0 {
-			dv := win[i+1].Value - win[i].Value
-			values[i] = dv * 1000 * RateScale / dt
-		}
+// clampRate returns the magnitude q with its sign, clamped to int64.
+func clampRate(q uint64, neg bool) int64 {
+	if !neg {
+		return int64(min(q, math.MaxInt64))
 	}
-	return appendTree(t, times, values)
+	if q >= 1<<63 {
+		return math.MinInt64
+	}
+	return -int64(q)
 }
 
 // seed installs a prebuilt tree for a key. The live ingest path uses
@@ -150,7 +175,7 @@ func (tr *Trace) BuildCounterIndex(workers int) *CounterIndex {
 	var jobs []job
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
-			if len(c.PerCPU[cpu]) > 0 {
+			if c.NumSamples(int32(cpu)) > 0 {
 				jobs = append(jobs, job{c, int32(cpu)})
 			}
 		}

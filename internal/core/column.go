@@ -4,6 +4,7 @@ import (
 	"sort"
 	"unsafe"
 
+	"github.com/openstream/aftermath/internal/agg"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -138,25 +139,6 @@ func (c *liveCol[T]) unspill() {
 	c.parts, c.nPart = nil, 0
 }
 
-// from returns the logical events [i, len) for the incremental index
-// extenders. Zero-copy while the window lies in the tail — the steady
-// state, the extenders only ask for the newly appended suffix; a
-// rebuild after a drop gathers the retained parts once.
-func (c *liveCol[T]) from(i int) []T {
-	if i >= c.nPart {
-		return c.tail[i-c.nPart:]
-	}
-	out := make([]T, 0, c.len()-i)
-	at := 0
-	for _, p := range c.parts {
-		if skip := i - at; skip < len(p.rows) {
-			out = append(out, p.rows[max(skip, 0):]...)
-		}
-		at += len(p.rows)
-	}
-	return append(out, c.tail...)
-}
-
 // snapshot captures the column for a published trace. A dirty column
 // (all in the tail, see push) is captured as a repaired copy: sorted
 // stably by key, leaving the builder's stream-order tail untouched.
@@ -175,14 +157,17 @@ func discreteTime(e *trace.DiscreteEvent) trace.Time { return e.Time }
 func commTime(e *trace.CommEvent) trace.Time         { return e.Time }
 func sampleTime(e *trace.CounterSample) trace.Time   { return e.Time }
 
-// partRows returns the rows of parts followed by tail, as one
-// time-ordered column list.
-func partRows[T any](parts []colPart[T], tail []T) [][]T {
+// leavesOf returns the rows of parts followed by tail as one view, the
+// way the indexes read a column: no allocation for an unspilled one.
+func leavesOf[T any](parts []colPart[T], tail []T) agg.Leaves[T] {
+	if len(parts) == 0 {
+		return agg.Over(tail)
+	}
 	cols := make([][]T, 0, len(parts)+1)
 	for _, p := range parts {
 		cols = append(cols, p.rows)
 	}
-	return append(cols, tail)
+	return agg.Over(append(cols, tail)...)
 }
 
 // stitchWin collects the window slices of a column's spilled parts and

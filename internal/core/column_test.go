@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"github.com/openstream/aftermath/internal/agg"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -34,17 +35,19 @@ type capturedCol struct {
 	want  []modelEv
 }
 
-func (s *capturedCol) read() []modelEv {
+func (s *capturedCol) read() []modelEv { return suffix(leavesOf(s.parts, s.tail), 0) }
+
+// suffix returns items [from, Len()) of a view.
+func suffix(lv agg.Leaves[modelEv], from int) []modelEv {
 	var got []modelEv
-	for _, col := range partRows(s.parts, s.tail) {
-		got = append(got, col...)
-	}
+	lv.Each(from, func(_ int, e *modelEv) { got = append(got, *e) })
 	return got
 }
 
 // TestColumnModel drives a liveCol through seeded random sequences of
 // every builder operation and checks it after each step against a
-// plain slice: logical contents, len, from(i), the bytes charged to
+// plain slice: logical contents, len, the view an index reads it
+// through from every i on, the bytes charged to
 // segments — and that every snapshot value captured so far still reads
 // exactly what it read at capture, which a concurrent reader also
 // re-checks while the writer goes on (under -race that reader is the
@@ -216,8 +219,8 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 			t.Fatalf("seed %d step %d: tailBytes = %d for a %d-row tail", seed, step, c.tailBytes(), len(model)-spilled)
 		}
 		for _, i := range []int{0, rng.Intn(len(model) + 1), len(model)} {
-			if got := c.from(i); !slices.Equal(got, model[i:]) {
-				t.Fatalf("seed %d step %d: from(%d) = %v, want %v", seed, step, i, got, model[i:])
+			if got := suffix(leavesOf(c.parts, c.tail), i); !slices.Equal(got, model[i:]) {
+				t.Fatalf("seed %d step %d: view from %d = %v, want %v", seed, step, i, got, model[i:])
 			}
 		}
 		// Immutability: every value captured so far reads as it did.

@@ -645,19 +645,22 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 }
 
 // TestSpillBoundCoversIndex: the memory bound of a spilling follow
-// covers the dominance index. Once a CPU's states have all left RAM,
-// what a fresh snapshot's index owns for it is at most 16 B a state —
-// refs, prefix sums and pyramids, no copy of an interval — and neither
-// the snapshot nor the builder's chain holds on to the heap rows the
-// states were before their segment was installed: dropping the one old
-// snapshot that captured them frees them.
+// covers the dominance and the counter index. Once a CPU's states and a
+// counter's samples on it have all left RAM, what a fresh snapshot's
+// indexes own for them is at most 16 B a state — refs, prefix sums and
+// pyramids, no copy of an interval — and 8.5 B a sample — rates and
+// pyramids, no copy of a sample — and neither the snapshot nor the
+// builder's chains hold on to the heap rows the events were before
+// their segment was installed: dropping the one old snapshot that
+// captured them frees them.
 func TestSpillBoundCoversIndex(t *testing.T) {
 	const n = 100_000
-	b := &trace.RecordBatch{MaxCPU: 0, States: make([]trace.StateEvent, n)}
+	b := &trace.RecordBatch{MaxCPU: 0, States: make([]trace.StateEvent, n), Samples: make([]trace.CounterSample, n), CounterIDs: []trace.CounterID{3}}
 	for i := range b.States {
 		b.States[i] = trace.StateEvent{State: trace.WorkerState(i % trace.NumWorkerStates), Start: int64(10 * i), End: int64(10*i + 7)}
+		b.Samples[i] = trace.CounterSample{Counter: 3, Time: int64(10 * i), Value: int64(i * i % 1000)}
 	}
-	rows := int64(n * unsafe.Sizeof(trace.StateEvent{}))
+	rows := int64(n * (unsafe.Sizeof(trace.StateEvent{}) + unsafe.Sizeof(trace.CounterSample{})))
 	lv := NewLive()
 	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
 	defer lv.Close()
@@ -676,6 +679,20 @@ func TestSpillBoundCoversIndex(t *testing.T) {
 	if got > 16*n {
 		t.Errorf("the index of %d spilled states owns %d bytes, %.1f a state: want at most 16", n, got, float64(got)/n)
 	}
+	c := fresh.Counters[0]
+	if len(c.PerCPU[0]) != 0 || c.NumSamples(0) != n {
+		t.Fatalf("precondition: %d of %d samples still in RAM", len(c.PerCPU[0]), c.NumSamples(0))
+	}
+	ci := fresh.CounterIndex()
+	vt, rt := ci.Tree(c, 0), ci.RateTree(c, 0)
+	if _, _, ok := vt.MinMax(0, 10*n); !ok || vt.Len() != n || rt.Len() != n-1 {
+		t.Fatalf("fully spilled pair indexed over %d and %d entries", vt.Len(), rt.Len())
+	}
+	got = vt.OverheadBytes() + rt.OverheadBytes()
+	t.Logf("trees of %d spilled samples: %d bytes, %.2f a sample", n, got, float64(got)/n)
+	if got*2 > 17*n {
+		t.Errorf("the trees of %d spilled samples own %d bytes, %.2f a sample: want at most 8.5", n, got, float64(got)/n)
+	}
 
 	heap := func() int64 {
 		runtime.GC()
@@ -688,7 +705,7 @@ func TestSpillBoundCoversIndex(t *testing.T) {
 	runtime.KeepAlive(old)
 	old = nil
 	if freed := before - heap(); freed < rows*9/10 {
-		t.Errorf("dropping the pre-install snapshot freed %d bytes, want the tail's %d: the heap rows are still referenced", freed, rows)
+		t.Errorf("dropping the pre-install snapshot freed %d bytes, want the tails' %d: the heap rows are still referenced", freed, rows)
 	}
 	runtime.KeepAlive(fresh)
 }

@@ -129,13 +129,18 @@ type liveCounter struct {
 
 // livePair is one (counter, CPU) sample column with its incrementally
 // extended min/max trees: tree and rate cover the first treeN logical
-// samples, extended via mmtree append mode at publish; nil trees build
-// lazily in the snapshot instead (dirty pairs).
+// samples, read through a view of the column's parts and tail taken at
+// their last extension, and extend via mmtree append mode at publish;
+// nil trees build lazily in the snapshot instead (dirty pairs). moved
+// marks a pair one of whose parts was swapped for its mapped segment
+// since: the next publish rebinds the trees to the column as it is now,
+// so the chain stops holding the heap rows the part was.
 type livePair struct {
 	col   liveCol[trace.CounterSample]
 	tree  *mmtree.Tree
 	rate  *mmtree.Tree
 	treeN int
+	moved bool
 }
 
 // NewLive returns an empty live trace at epoch 0. Its initial snapshot
@@ -586,10 +591,12 @@ func (lv *Live) placeExecsLocked() (orphans int) {
 }
 
 // extendTreesLocked brings the incremental min/max trees up to the
-// current sample counts via mmtree append mode: only new samples are
-// scanned, so the per-epoch index cost is proportional to the appended
-// data, not the trace size. Pairs that went dirty fall back to the
-// snapshot's lazy per-epoch rebuild.
+// current sample counts via mmtree append mode: the trees index the
+// column through a view of it, so only new samples are read and only
+// their rates are derived — the per-epoch index cost is proportional to
+// the appended data, not the trace size, and an unspilled pair's view
+// allocates nothing. Pairs that went dirty fall back to the snapshot's
+// lazy per-epoch rebuild.
 func (lv *Live) extendTreesLocked() {
 	for _, lc := range lv.counters {
 		for cpu := range lc.per {
@@ -599,17 +606,19 @@ func (lv *Live) extendTreesLocked() {
 				continue
 			}
 			n0, m := p.treeN, p.col.len()
-			if m == n0 {
+			if m == n0 && !p.moved {
 				continue
 			}
-			// Rates: entry i spans samples (i, i+1), so appending
-			// samples [n0, m) adds the rate entries [max(n0-1,0), m-1):
-			// gather the window from the last covered sample on.
-			from := max(n0-1, 0)
-			win := p.col.from(from)
-			p.tree = appendValues(p.tree, win[n0-from:])
-			p.rate = appendRates(p.rate, win)
-			p.treeN = m
+			if p.tree == nil {
+				p.tree, p.rate = mmtree.Values(0), mmtree.Rates(0)
+			}
+			// Rates: entry i spans samples (i, i+1), so appending samples
+			// [n0, m) adds the rate entries [max(n0-1,0), m-1): derive them
+			// from the last covered sample on.
+			col := leavesOf(p.col.parts, p.col.tail)
+			p.tree = p.tree.Append(col, nil)
+			p.rate = appendRates(p.rate, col, max(n0-1, 0))
+			p.treeN, p.moved = m, false
 		}
 	}
 }

@@ -12,13 +12,16 @@ import (
 )
 
 // snapshotFormatVersion is the columnar snapshot meta layout version.
-// Segment files (spill.go) version independently. Version 3 stores a
-// dominance set as what it owns — per CPU the all-states pyramid, per
-// worker state refs, cover prefix sums and pyramid — and no interval
-// bounds: OpenStore binds the sets to the mapped States column they
-// index (version 2 also dumped every state's start and end, twice).
-// Older snapshots must be re-saved from their source trace.
-const snapshotFormatVersion = 3
+// Segment files (spill.go) version independently. Every index is stored
+// as what it owns, never a copy of the events it indexes: a dominance
+// set as per CPU the all-states pyramid, per worker state refs, cover
+// prefix sums and pyramid (since version 3; version 2 also dumped every
+// state's start and end, twice); a counter's value tree as its pyramid
+// and its rate tree as its rates and pyramid (since version 4; version
+// 3 also dumped every sample's time and value, twice). OpenStore binds
+// them to the mapped columns they index. Older snapshots must be
+// re-saved from their source trace.
+const snapshotFormatVersion = 4
 
 // SaveStore writes the trace as a columnar snapshot: every per-CPU
 // event array, counter sample array and table dumped as raw columns,
@@ -106,13 +109,16 @@ func SaveStore(tr *Trace, path string) (err error) {
 	ci := tr.CounterIndex()
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
-			if len(c.Samples(int32(cpu))) == 0 {
+			if c.NumSamples(int32(cpu)) == 0 {
 				e.Int(0)
 				continue
 			}
 			e.Int(1)
-			putTree(w, &e, ci.Tree(c, int32(cpu)))
-			putTree(w, &e, ci.RateTree(c, int32(cpu)))
+			_, pyramid := ci.Tree(c, int32(cpu)).Columns()
+			putPyramid(w, &e, pyramid)
+			rates, pyramid := ci.RateTree(c, int32(cpu)).Columns()
+			e.Ref(store.Put(w, rates))
+			putPyramid(w, &e, pyramid)
 		}
 	}
 
@@ -206,28 +212,29 @@ func viewSubSet(m *store.Mapped, d *store.Dec, states int) (*mragg.Set, error) {
 	return mragg.AdoptSub(states, refs, prefix, pyramid)
 }
 
-// putTree appends a min/max tree's columns.
-func putTree(w *store.Writer, e *store.Enc, t *mmtree.Tree) {
-	times, values, pyramid := t.Columns()
-	e.Ref(store.Put(w, times))
-	e.Ref(store.Put(w, values))
-	putPyramid(w, e, pyramid)
-}
-
-func viewTree(m *store.Mapped, d *store.Dec) (*mmtree.Tree, error) {
-	times, err := store.View[int64](m, d.Ref())
+// viewTrees adopts a pair's value and rate trees written by SaveStore
+// over the pair's mapped sample column. The pyramids and the rates are
+// checked against the column's length, so a corrupt file fails at
+// open.
+func viewTrees(m *store.Mapped, d *store.Dec, col mmtree.Samples) (vt, rt *mmtree.Tree, err error) {
+	pyramid, err := viewPyramid[mmtree.Node](m, d, col.Len())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	values, err := store.View[int64](m, d.Ref())
+	if vt, err = mmtree.Adopt(col, pyramid); err != nil {
+		return nil, nil, err
+	}
+	rates, err := store.View[int64](m, d.Ref())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	pyramid, err := viewPyramid[mmtree.Node](m, d, len(values))
-	if err != nil {
-		return nil, err
+	if pyramid, err = viewPyramid[mmtree.Node](m, d, max(col.Len()-1, 0)); err != nil {
+		return nil, nil, err
 	}
-	return mmtree.Adopt(times, values, pyramid)
+	if rt, err = mmtree.AdoptRates(col, rates, pyramid); err != nil {
+		return nil, nil, err
+	}
+	return vt, rt, nil
 }
 
 // OpenStore maps a columnar snapshot written by SaveStore. Event and
@@ -357,13 +364,9 @@ func OpenStore(path string) (tr *Trace, err error) {
 			if d.Int() == 0 {
 				continue
 			}
-			vt, err := viewTree(m, d)
+			vt, rt, err := viewTrees(m, d, c.sampleLeaves(int32(cpu)))
 			if err != nil {
-				return nil, err
-			}
-			rt, err := viewTree(m, d)
-			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("store: counter %d cpu %d trees: %w", c.Desc.ID, cpu, err)
 			}
 			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), false}, vt)
 			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), true}, rt)

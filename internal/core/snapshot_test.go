@@ -99,9 +99,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			}
 			// The mapped trees are the saved ones, node for node.
 			for _, p := range [][2]*mmtree.Tree{{gt, wt}, {grt, wrt}} {
-				gtm, gv, gp := p[0].Columns()
-				wtm, wv, wp := p[1].Columns()
-				if !slices.Equal(gtm, wtm) || !slices.Equal(gv, wv) || gp.Arity() != wp.Arity() || len(gp.Levels()) != len(wp.Levels()) {
+				gr, gp := p[0].Columns()
+				wr, wp := p[1].Columns()
+				if !slices.Equal(gr, wr) || gp.Arity() != wp.Arity() || len(gp.Levels()) != len(wp.Levels()) {
 					t.Fatalf("counter %d cpu %d mapped tree columns differ", i, cpu)
 				}
 				for l := range wp.Levels() {
@@ -161,16 +161,16 @@ func TestSnapshotRejectsWrongFormat(t *testing.T) {
 	if _, err := OpenStore(raw); err == nil {
 		t.Fatal("open of a raw trace stream succeeded")
 	}
-	// A snapshot of the previous format (dominance sets with their own
-	// copies of every interval) says how to get a current one.
+	// A snapshot of a previous format (counter trees with their own
+	// copies of every sample) says how to get a current one.
 	cur, old := filepath.Join(dir, "cur.atms"), filepath.Join(dir, "old.atms")
 	if err := SaveStore(loadLive(t), cur); err != nil {
 		t.Fatal(err)
 	}
-	tamperMeta(t, cur, old, func(v []uint64, _ []byte) []uint64 { v[0] = 2; return v })
-	if _, err := OpenStore(old); err == nil || !strings.Contains(err.Error(), "version 2") ||
+	tamperMeta(t, cur, old, func(v []uint64, _ []byte) []uint64 { v[0] = 3; return v })
+	if _, err := OpenStore(old); err == nil || !strings.Contains(err.Error(), "version 3") ||
 		!strings.Contains(err.Error(), "re-save the snapshot from its source trace") {
-		t.Fatalf("format-2 snapshot: %v", err)
+		t.Fatalf("format-3 snapshot: %v", err)
 	}
 }
 
@@ -258,21 +258,29 @@ func TestOpenStoreCorruptPyramids(t *testing.T) {
 		return 0
 	}
 	findSub := func(vals []uint64) int { return findSet(vals) + 3 + 2*nSetLevels }
-	// The first counter tree: times/values refs, arity, level count.
+	// The first counter's trees on CPU 0: present, the value tree's
+	// arity, level count and level refs, then the rate tree's rates ref,
+	// arity and level count.
 	tree := tr.CounterIndex().Tree(tr.Counters[0], 0)
 	nTree := tree.Len()
+	_, treePyr := tree.Columns()
+	nTreeLevels := len(treePyr.Levels())
 	findTree := func(vals []uint64) int {
-		for i := 0; i+5 < len(vals); i++ {
-			if vals[i+1] == zz(8*nTree) && vals[i+3] == zz(8*nTree) && vals[i+4] == uint64(tree.Arity()) && vals[i+5] == 1 {
+		for i := 0; i+3+2*nTreeLevels+3 < len(vals); i++ {
+			rates := i + 3 + 2*nTreeLevels
+			if vals[i] == 1 && vals[i+1] == uint64(tree.Arity()) && vals[i+2] == uint64(nTreeLevels) &&
+				vals[i+4] == zz(16*len(treePyr.Levels()[0])) &&
+				vals[rates+1] == zz(8*(nTree-1)) && vals[rates+2] == uint64(tree.Arity()) {
 				return i
 			}
 		}
-		t.Fatal("counter tree not found in meta")
+		t.Fatal("counter trees not found in meta")
 		return 0
 	}
-	if nSetLevels < 2 || nSub < 2 || len(subPyr.Levels()) < 1 || nTree < 2 {
-		t.Fatalf("precondition: %d set levels, %d members of state 0 under %d levels, %d tree samples",
-			nSetLevels, nSub, len(subPyr.Levels()), nTree)
+	findRates := func(vals []uint64) int { return findTree(vals) + 3 + 2*nTreeLevels }
+	if nSetLevels < 2 || nSub < 2 || len(subPyr.Levels()) < 1 || nTree < 2 || nTreeLevels < 1 {
+		t.Fatalf("precondition: %d set levels, %d members of state 0 under %d levels, %d tree samples under %d levels",
+			nSetLevels, nSub, len(subPyr.Levels()), nTree, nTreeLevels)
 	}
 	// patchRef returns an edit overwriting one int32 of the subset's refs
 	// column, in the file's data: the meta blob stays as it is.
@@ -316,8 +324,9 @@ func TestOpenStoreCorruptPyramids(t *testing.T) {
 		// and its name: node count, then the CPU and distance columns.
 		{"more nodes than the distance matrix covers", "distance matrix", meta(func(v []uint64) []uint64 { v[5+v[4]] = 4; return v })},
 		{"CPUs on nodes past the node count", "NUMA node 1", meta(func(v []uint64) []uint64 { v[5+v[4]] = 1; return v })},
-		{"tree level count", "levels", meta(func(v []uint64) []uint64 { v[findTree(v)+5] = 1 << 40; return v })},
-		{"tree times shorter than values", "times", meta(func(v []uint64) []uint64 { v[findTree(v)+1] -= zz(8); return v })},
+		{"tree level count", "levels", meta(func(v []uint64) []uint64 { v[findTree(v)+2] = 1 << 40; return v })},
+		{"rates shorter than the sample pairs", "rates", meta(func(v []uint64) []uint64 { v[findRates(v)+1] -= zz(8); return v })},
+		{"rate tree level count", "levels", meta(func(v []uint64) []uint64 { v[findRates(v)+3] = 1 << 40; return v })},
 	}
 	for _, c := range cases {
 		bad := filepath.Join(dir, "bad.atms")

@@ -250,10 +250,25 @@ func (tr *Trace) stateLeaves(cpu int32) mragg.Leaves {
 	if int(cpu) >= len(tr.CPUs) {
 		return mragg.Leaves{}
 	}
-	if int(cpu) >= len(tr.spilled) || len(tr.spilled[cpu].states) == 0 {
-		return mragg.Over(tr.CPUs[cpu].States)
+	var parts []colPart[trace.StateEvent]
+	if int(cpu) < len(tr.spilled) {
+		parts = tr.spilled[cpu].states
 	}
-	return mragg.Over(partRows(tr.spilled[cpu].states, tr.CPUs[cpu].States)...)
+	return mragg.Leaves{Leaves: leavesOf(parts, tr.CPUs[cpu].States)}
+}
+
+// sampleLeaves returns a counter's sample array on a CPU as its min/max
+// trees read it: the spilled parts, then the RAM tail.
+func (c *Counter) sampleLeaves(cpu int32) mmtree.Samples {
+	var parts []colPart[trace.CounterSample]
+	var tail []trace.CounterSample
+	if int(cpu) < len(c.spilled) {
+		parts = c.spilled[cpu]
+	}
+	if int(cpu) < len(c.PerCPU) {
+		tail = c.PerCPU[cpu]
+	}
+	return leavesOf(parts, tail)
 }
 
 // NumSamples returns the counter's sample count on a CPU, spilled
@@ -546,7 +561,9 @@ func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, vp *segPayload, pa
 	}
 	for _, ss := range vp.samples {
 		if ss.counter < len(lv.counters) && int(ss.cpu) < len(lv.counters[ss.counter].per) {
-			lv.counters[ss.counter].per[ss.cpu].col.install(seg, ss.samples)
+			p := &lv.counters[ss.counter].per[ss.cpu]
+			p.col.install(seg, ss.samples)
+			p.moved = true
 		}
 	}
 }

@@ -4,40 +4,34 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/openstream/aftermath/internal/agg"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
-// randomSamples returns n samples with non-decreasing times.
-func randomSamples(rng *rand.Rand, n int, t0 int64) (times, values []int64) {
-	times = make([]int64, n)
-	values = make([]int64, n)
-	t := t0
-	for i := 0; i < n; i++ {
-		t += int64(rng.Intn(5))
-		times[i] = t
-		values[i] = rng.Int63n(1<<20) - 1<<19
-	}
-	return times, values
-}
-
-// TestAppendEqualsBuild: a chain of Appends produces a tree that is
-// structurally identical to a one-shot Build over the concatenated
-// samples, for randomized chunkings, sizes and arities.
+// TestAppendEqualsBuild: a chain of Appends, each over the column grown
+// by one more part, produces a tree structurally identical to a one-shot
+// Build over the concatenated samples, for randomized chunkings, sizes
+// and arities.
 func TestAppendEqualsBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, arity := range []int{2, 3, 10, 100} {
 		for _, total := range []int{0, 1, 2, 99, 100, 101, 1000, 12345} {
-			times, values := randomSamples(rng, total, 0)
-			// Build incrementally in random chunks (including empty ones).
-			tree := Build(nil, nil, arity)
+			s := randomSamples(rng, total)
+			// Build incrementally in random chunks (including empty ones),
+			// each chunk a part of the growing view.
+			tree := Values(arity)
+			var parts [][]trace.CounterSample
 			for off := 0; off < total; {
 				k := rng.Intn(total/3 + 2)
 				if off+k > total {
 					k = total - off
 				}
-				tree = tree.Append(times[off:off+k], values[off:off+k])
+				parts = append(parts, s[off:off+k])
+				tree = tree.Append(agg.Over(parts...), nil)
 				off += k
 			}
-			want := Build(times, values, arity)
+			want := Build(agg.Over(s), arity)
 			if tree.Len() != want.Len() {
 				t.Fatalf("arity %d total %d: Len = %d, want %d", arity, total, tree.Len(), want.Len())
 			}
@@ -48,8 +42,8 @@ func TestAppendEqualsBuild(t *testing.T) {
 			for q := 0; q < 50; q++ {
 				var lo, hi int64
 				if total > 0 {
-					lo = times[0] + rng.Int63n(times[total-1]-times[0]+1)
-					hi = lo + rng.Int63n(times[total-1]-times[0]+2)
+					lo = s[0].Time + rng.Int63n(s[total-1].Time-s[0].Time+1)
+					hi = lo + rng.Int63n(s[total-1].Time-s[0].Time+2)
 				}
 				gmn, gmx, gok := tree.MinMax(lo, hi)
 				wmn, wmx, wok := want.MinMax(lo, hi)
@@ -64,19 +58,20 @@ func TestAppendEqualsBuild(t *testing.T) {
 
 // TestAppendPreservesOld: the pre-append tree keeps answering queries
 // correctly after the chain has been extended (snapshot readers hold
-// older trees while the writer appends).
+// older trees while the writer appends) — over the column it was built
+// on, whatever the writer's view has since grown to.
 func TestAppendPreservesOld(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	times, values := randomSamples(rng, 500, 0)
-	old := Build(times[:200], values[:200], 10)
-	want := Build(append([]int64(nil), times[:200]...), append([]int64(nil), values[:200]...), 10)
-	_ = old.Append(times[200:], values[200:])
+	s := randomSamples(rng, 500)
+	old := Build(agg.Over(s[:200]), 10)
+	want := Build(agg.Over(append(s[:0:0], s[:200]...)), 10)
+	_ = old.Append(agg.Over(s[:200], s[200:]), nil)
 	if old.Len() != 200 {
 		t.Fatalf("old tree Len = %d after append, want 200", old.Len())
 	}
 	for q := 0; q < 100; q++ {
-		lo := rng.Int63n(times[199] + 1)
-		hi := lo + rng.Int63n(times[199]+1)
+		lo := rng.Int63n(s[199].Time + 1)
+		hi := lo + rng.Int63n(s[199].Time+1)
 		gmn, gmx, gok := old.MinMax(lo, hi)
 		wmn, wmx, wok := want.MinMax(lo, hi)
 		if gmn != wmn || gmx != wmx || gok != wok {

@@ -4,34 +4,53 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/openstream/aftermath/internal/agg"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
-func buildRandom(n int, arity int, seed int64) *Tree {
-	rng := rand.New(rand.NewSource(seed))
-	times := make([]int64, n)
-	values := make([]int64, n)
+// randomSamples returns n samples with non-decreasing times.
+func randomSamples(rng *rand.Rand, n int) []trace.CounterSample {
+	s := make([]trace.CounterSample, n)
 	t := int64(0)
-	for i := 0; i < n; i++ {
-		t += int64(rng.Intn(10) + 1)
-		times[i] = t
-		values[i] = int64(rng.Intn(2000) - 1000)
+	for i := range s {
+		t += int64(rng.Intn(10))
+		s[i] = trace.CounterSample{Time: t, Value: int64(rng.Intn(2000) - 1000)}
 	}
-	return Build(times, values, arity)
+	return s
 }
 
-// naiveMinMax is the brute-force reference: a scan of every sample with
-// time in [t0, t1).
-func naiveMinMax(t *Tree, t0, t1 int64) (min, max int64, ok bool) {
-	for i, at := range t.times {
-		if at < t0 || at >= t1 {
+func buildRandom(n int, arity int, seed int64) (*Tree, []trace.CounterSample) {
+	s := randomSamples(rand.New(rand.NewSource(seed)), n)
+	return Build(agg.Over(s), arity), s
+}
+
+// rangeOf is the brute-force reference: the value range of s.
+func rangeOf(s []trace.CounterSample) (min, max int64, ok bool) {
+	for _, x := range s {
+		if !ok || x.Value < min {
+			min = x.Value
+		}
+		if !ok || x.Value > max {
+			max = x.Value
+		}
+		ok = true
+	}
+	return min, max, ok
+}
+
+// naiveMinMax is the brute-force reference: the value range of the
+// samples with time in [t0, t1).
+func naiveMinMax(s []trace.CounterSample, t0, t1 int64) (min, max int64, ok bool) {
+	for _, x := range s {
+		if x.Time < t0 || x.Time >= t1 {
 			continue
 		}
-		v := t.values[i]
-		if !ok || v < min {
-			min = v
+		if !ok || x.Value < min {
+			min = x.Value
 		}
-		if !ok || v > max {
-			max = v
+		if !ok || x.Value > max {
+			max = x.Value
 		}
 		ok = true
 	}
@@ -41,10 +60,10 @@ func naiveMinMax(t *Tree, t0, t1 int64) (min, max int64, ok bool) {
 func TestMinMaxMatchesNaive(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 99, 100, 101, 1000, 12345} {
 		for _, arity := range []int{2, 3, 10, 100} {
-			tree := buildRandom(n, arity, int64(n*31+arity))
+			tree, s := buildRandom(n, arity, int64(n*31+arity))
 			maxT := int64(0)
 			if n > 0 {
-				maxT = tree.times[n-1]
+				maxT = s[n-1].Time
 			}
 			rng := rand.New(rand.NewSource(99))
 			for q := 0; q < 200; q++ {
@@ -54,7 +73,7 @@ func TestMinMaxMatchesNaive(t *testing.T) {
 					a, b = b, a
 				}
 				m1, x1, ok1 := tree.MinMax(a, b)
-				m2, x2, ok2 := naiveMinMax(tree, a, b)
+				m2, x2, ok2 := naiveMinMax(s, a, b)
 				if ok1 != ok2 || m1 != m2 || x1 != x2 {
 					t.Fatalf("n=%d arity=%d [%d,%d): tree (%d,%d,%v) != naive (%d,%d,%v)",
 						n, arity, a, b, m1, x1, ok1, m2, x2, ok2)
@@ -65,35 +84,25 @@ func TestMinMaxMatchesNaive(t *testing.T) {
 }
 
 func TestMinMaxFullRange(t *testing.T) {
-	tree := buildRandom(5000, 100, 7)
+	tree, s := buildRandom(5000, 100, 7)
 	min, max, ok := tree.MinMaxIndex(0, tree.Len())
-	if !ok {
-		t.Fatal("expected samples")
-	}
-	wantMin, wantMax := tree.values[0], tree.values[0]
-	for _, v := range tree.values {
-		if v < wantMin {
-			wantMin = v
-		}
-		if v > wantMax {
-			wantMax = v
-		}
-	}
-	if min != wantMin || max != wantMax {
-		t.Errorf("full range = (%d,%d), want (%d,%d)", min, max, wantMin, wantMax)
+	wantMin, wantMax, _ := rangeOf(s)
+	if !ok || min != wantMin || max != wantMax {
+		t.Errorf("full range = (%d,%d,%v), want (%d,%d)", min, max, ok, wantMin, wantMax)
 	}
 }
 
 func TestEmptyAndOutOfRange(t *testing.T) {
-	tree := Build(nil, nil, 100)
-	if _, _, ok := tree.MinMax(0, 100); ok {
-		t.Error("empty tree must report no samples")
+	for _, tree := range []*Tree{Build(agg.Leaves[trace.CounterSample]{}, 100), Rates(100)} {
+		if _, _, ok := tree.MinMax(0, 100); ok || tree.Len() != 0 {
+			t.Error("empty tree must report no samples")
+		}
 	}
-	tree = buildRandom(10, 100, 1)
+	tree, s := buildRandom(10, 100, 1)
 	if _, _, ok := tree.MinMax(-100, -50); ok {
 		t.Error("interval before all samples must be empty")
 	}
-	if _, _, ok := tree.MinMax(tree.times[9]+1, tree.times[9]+100); ok {
+	if _, _, ok := tree.MinMax(s[9].Time+1, s[9].Time+100); ok {
 		t.Error("interval after all samples must be empty")
 	}
 	if _, _, ok := tree.MinMaxIndex(5, 5); ok {
@@ -102,18 +111,23 @@ func TestEmptyAndOutOfRange(t *testing.T) {
 }
 
 func TestSingleSample(t *testing.T) {
-	tree := Build([]int64{42}, []int64{-7}, 100)
+	col := agg.Over([]trace.CounterSample{{Time: 42, Value: -7}})
+	tree := Build(col, 100)
 	min, max, ok := tree.MinMax(0, 100)
 	if !ok || min != -7 || max != -7 {
 		t.Errorf("single sample: got (%d,%d,%v)", min, max, ok)
 	}
+	// One sample is no pair: its rate tree is empty.
+	if rt := Rates(100).Append(col, nil); rt.Len() != 0 {
+		t.Errorf("rate tree over one sample has %d entries", rt.Len())
+	}
 }
 
-// Section VI-B-c: with the default arity of 100, the tree overhead
-// stays below 5% of the counter data.
+// Section VI-B-c: with the default arity of 100, what a value tree owns
+// stays below 5% of the counter data it indexes.
 func TestOverheadBelowFivePercent(t *testing.T) {
 	for _, n := range []int{1000, 100000, 1000000} {
-		tree := buildRandom(n, DefaultArity, 3)
+		tree, _ := buildRandom(n, DefaultArity, 3)
 		frac := float64(tree.OverheadBytes()) / float64(tree.DataBytes())
 		if frac > 0.05 {
 			t.Errorf("n=%d: overhead %.2f%% exceeds 5%%", n, 100*frac)
@@ -121,19 +135,33 @@ func TestOverheadBelowFivePercent(t *testing.T) {
 	}
 }
 
+// A rate tree holds one entry per pair of consecutive samples: rates
+// that do not pair up the column, or rates handed to a value tree, are
+// a caller's bug and panic instead of indexing out of range later.
 func TestMismatchedLengthsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Build([]int64{1}, []int64{1, 2}, 100)
+	col := agg.Over([]trace.CounterSample{{Time: 1}, {Time: 2}, {Time: 3}})
+	for name, f := range map[string]func(){
+		"one rate short":    func() { Rates(100).Append(col, []int64{1}) },
+		"one rate too many": func() { Rates(100).Append(col, []int64{1, 2, 3}) },
+		"rates on values":   func() { Values(100).Append(col, []int64{1, 2}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestInvalidArityFallsBack(t *testing.T) {
-	tree := Build([]int64{1, 2, 3}, []int64{1, 2, 3}, 0)
-	if tree.Arity() != DefaultArity {
-		t.Errorf("arity = %d, want %d", tree.Arity(), DefaultArity)
+	col := agg.Over([]trace.CounterSample{{Time: 1}, {Time: 2}, {Time: 3}})
+	for _, tree := range []*Tree{Build(col, 0), Rates(1).Append(col, []int64{0, 0})} {
+		if tree.Arity() != DefaultArity {
+			t.Errorf("arity = %d, want %d", tree.Arity(), DefaultArity)
+		}
 	}
 }
 
@@ -143,44 +171,43 @@ func TestMinMaxProperty(t *testing.T) {
 	f := func(seed int64, loFrac, hiFrac uint16, aritySel uint8) bool {
 		n := 500
 		arity := []int{2, 7, 100}[int(aritySel)%3]
-		tree := buildRandom(n, arity, seed)
+		tree, s := buildRandom(n, arity, seed)
 		lo := int(loFrac) % (n + 1)
 		hi := int(hiFrac) % (n + 1)
 		if lo > hi {
 			lo, hi = hi, lo
 		}
 		m1, x1, ok1 := tree.MinMaxIndex(lo, hi)
-		if lo == hi {
-			return !ok1
-		}
-		wantMin, wantMax := tree.values[lo], tree.values[lo]
-		for _, v := range tree.values[lo:hi] {
-			if v < wantMin {
-				wantMin = v
-			}
-			if v > wantMax {
-				wantMax = v
-			}
-		}
-		return ok1 && m1 == wantMin && x1 == wantMax
+		m2, x2, ok2 := rangeOf(s[lo:hi])
+		return ok1 == ok2 && m1 == m2 && x1 == x2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Adopt is the store's way in: columns that do not describe one tree
-// are an error, never a later index panic.
+// Adopt is the store's way in: a pyramid or rates that do not describe
+// one tree over the column are an error, never a later index panic.
 func TestAdoptChecksColumnLengths(t *testing.T) {
-	tree := buildRandom(1000, 10, 5)
-	times, values, pyramid := tree.Columns()
-	if rt, err := Adopt(times, values, pyramid); err != nil || rt.Len() != tree.Len() {
-		t.Fatalf("Adopt(Columns()) = %v, %v", rt, err)
+	tree, s := buildRandom(1000, 10, 5)
+	col, short := agg.Over(s), agg.Over(s[:999])
+	_, pyramid := tree.Columns()
+	if vt, err := Adopt(col, pyramid); err != nil || vt.Len() != tree.Len() {
+		t.Fatalf("Adopt(Columns()) = %v, %v", vt, err)
 	}
-	if _, err := Adopt(times[:999], values, pyramid); err == nil {
-		t.Error("short times column accepted")
-	}
-	if _, err := Adopt(times[:999], values[:999], pyramid); err == nil {
+	if _, err := Adopt(short, pyramid); err == nil {
 		t.Error("pyramid over more leaves than samples accepted")
+	}
+	rates := make([]int64, len(s)-1)
+	rt := Rates(10).Append(col, rates)
+	_, rp := rt.Columns()
+	if got, err := AdoptRates(col, rates, rp); err != nil || got.Len() != len(s)-1 {
+		t.Fatalf("AdoptRates(Columns()) = %v, %v", got, err)
+	}
+	if _, err := AdoptRates(col, rates[1:], rp); err == nil {
+		t.Error("short rates column accepted")
+	}
+	if _, err := AdoptRates(short, rates, rp); err == nil {
+		t.Error("rates over more pairs than samples accepted")
 	}
 }

@@ -69,91 +69,18 @@ import (
 // leaf.
 const DefaultArity = 64
 
-// Leaves is a logical array of state events given as its time-ordered
-// columns: one array for a batch or store-backed trace; the spilled
-// parts then the RAM tail for a live one. Leaf i of a single column is
-// one[i]; with more, segs lists the non-empty columns and cum their
-// logical start offsets, so leaf i is segs[k][i-cum[k]]. The zero value
-// is the empty view. A view is a value over shared, immutable columns:
-// copy it freely, never write through it.
+// Leaves is the view of a CPU's state events the sets read their
+// intervals through: agg's column view (one array for a batch or
+// store-backed trace; the spilled parts then the RAM tail for a live
+// one), plus the window search a dominance query starts from.
 type Leaves struct {
-	one  []trace.StateEvent
-	segs [][]trace.StateEvent
-	cum  []int
-	n    int
+	agg.Leaves[trace.StateEvent]
 }
 
 // Over returns the view of the given time-ordered column list; empty
 // columns are skipped.
 func Over(cols ...[]trace.StateEvent) Leaves {
-	var lv Leaves
-	for _, s := range cols {
-		if len(s) == 0 {
-			continue
-		}
-		switch {
-		case lv.n == 0:
-			lv.one = s
-		case lv.segs == nil:
-			lv.segs, lv.cum = [][]trace.StateEvent{lv.one, s}, []int{0, lv.n}
-		default:
-			lv.segs, lv.cum = append(lv.segs, s), append(lv.cum, lv.n)
-		}
-		lv.n += len(s)
-	}
-	return lv
-}
-
-// Len returns the number of leaves.
-func (lv *Leaves) Len() int { return lv.n }
-
-// Cols returns the number of columns, and Col the k-th of them: the
-// view as the event loop of a scan wants it.
-func (lv *Leaves) Cols() int {
-	if lv.segs != nil {
-		return len(lv.segs)
-	}
-	return min(lv.n, 1)
-}
-
-// Col returns column k of Cols.
-func (lv *Leaves) Col(k int) []trace.StateEvent {
-	if lv.segs != nil {
-		return lv.segs[k]
-	}
-	return lv.one
-}
-
-// At returns leaf i.
-func (lv *Leaves) At(i int) *trace.StateEvent {
-	if lv.segs == nil {
-		return &lv.one[i]
-	}
-	return lv.segAt(i)
-}
-
-func (lv *Leaves) segAt(i int) *trace.StateEvent {
-	// The last column starting at or before leaf i.
-	k, hi := 0, len(lv.cum)
-	for hi-k > 1 {
-		if m := int(uint(k+hi) >> 1); lv.cum[m] <= i {
-			k = m
-		} else {
-			hi = m
-		}
-	}
-	return &lv.segs[k][i-lv.cum[k]]
-}
-
-// Each calls fn for leaves [from, Len()) in order, column by column.
-func (lv *Leaves) Each(from int, fn func(i int, ev *trace.StateEvent)) {
-	for k, at := 0, 0; k < lv.Cols(); k++ {
-		col := lv.Col(k)
-		for j := max(from-at, 0); j < len(col); j++ {
-			fn(at+j, &col[j])
-		}
-		at += len(col)
-	}
+	return Leaves{agg.Over(cols...)}
 }
 
 // Window returns the leaf range [lo, hi) of the events overlapping
@@ -163,42 +90,44 @@ func (lv *Leaves) Each(from int, fn func(i int, ev *trace.StateEvent)) {
 // disjoint sorted view, where both bounds grow with the index across
 // columns as within one.
 func (lv *Leaves) Window(t0, t1 int64) (lo, hi int) {
-	if lv.segs == nil {
-		lo = endsAfter(lv.one, t0)
-		return lo, startsFrom(lv.one, lo, t1)
+	n := lv.Cols()
+	if n <= 1 {
+		one := lv.Col(0)
+		lo = endsAfter(one, t0)
+		return lo, startsFrom(one, lo, t1)
 	}
 	// The first column whose last event ends after t0 holds lo; the
 	// first from there on whose last event starts at or after t1 holds
 	// hi.
-	segs := lv.segs
-	a, n := 0, len(segs)
+	last := func(k int) *trace.StateEvent { c := lv.Col(k); return &c[len(c)-1] }
+	a := 0
 	for b := n; a < b; {
-		if m := int(uint(a+b) >> 1); segs[m][len(segs[m])-1].End > t0 {
+		if m := int(uint(a+b) >> 1); last(m).End > t0 {
 			b = m
 		} else {
 			a = m + 1
 		}
 	}
 	if a == n {
-		return lv.n, lv.n
+		return lv.Len(), lv.Len()
 	}
-	from := endsAfter(segs[a], t0)
-	lo = lv.cum[a] + from
-	if segs[a][len(segs[a])-1].Start < t1 {
+	from := endsAfter(lv.Col(a), t0)
+	lo = lv.Start(a) + from
+	if last(a).Start < t1 {
 		// The window ends in a later column, or past the last.
 		from = 0
 		for a++; a < n; {
-			if m := int(uint(a+n) >> 1); segs[m][len(segs[m])-1].Start >= t1 {
+			if m := int(uint(a+n) >> 1); last(m).Start >= t1 {
 				n = m
 			} else {
 				a = m + 1
 			}
 		}
-		if a == len(segs) {
-			return lo, lv.n
+		if a == lv.Cols() {
+			return lo, lv.Len()
 		}
 	}
-	return lo, lv.cum[a] + startsFrom(segs[a], from, t1)
+	return lo, lv.Start(a) + startsFrom(lv.Col(a), from, t1)
 }
 
 // endsAfter returns the first index of s whose event ends after t.

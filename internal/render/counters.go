@@ -90,11 +90,11 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 		n := tree.Len()
 		for x, lo := 0, 0; x < g.plotW; {
 			t0, t1 := pixelWindow(start, end-start, x, g.plotW)
-			lo = seekFrom(lo, n, func(i int) bool { return tree.Time(i) >= t0 })
+			lo = tree.SeekTime(t0, lo)
 			if lo == n {
 				break
 			}
-			hi := seekFrom(lo, n, func(i int) bool { return tree.Time(i) >= t1 })
+			hi := tree.SeekTime(t1, lo)
 			if lo == hi {
 				// No sample here, nor in any column that ends by the
 				// next sample's time: go to the column holding it.
@@ -127,7 +127,7 @@ func overlayNaive(fb *Framebuffer, tree *mmtree.Tree, gutter, y, plotW, rowH int
 	var prevX, prevY int
 	have := false
 	for i := 0; i < tree.Len(); i++ {
-		t, v, _ := sampleAt(tree, i)
+		t, v := tree.Time(i), tree.Value(i)
 		if t < start || t >= end {
 			continue
 		}
@@ -140,15 +140,6 @@ func overlayNaive(fb *Framebuffer, tree *mmtree.Tree, gutter, y, plotW, rowH int
 		prevX, prevY, have = x, yy, true
 	}
 	return ops
-}
-
-// sampleAt exposes the i-th (time, value) pair of a tree.
-func sampleAt(t *mmtree.Tree, i int) (int64, int64, bool) {
-	mn, _, ok := t.MinMaxIndex(i, i+1)
-	if !ok {
-		return 0, 0, false
-	}
-	return t.Time(i), mn, true
 }
 
 func valueToY(v, vmin, vmax float64, rowTop, rowH int) int {

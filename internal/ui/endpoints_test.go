@@ -430,6 +430,57 @@ func TestAnomaliesEndpoint(t *testing.T) {
 	}
 }
 
+// TestAnomaliesQuoteExactSpikePeak: a counter that jumps by 2·10¹¹ in
+// one sample interval — where Δv · 1000 · RateScale no longer fits an
+// int64 — is flagged, and its explanation quotes the peak rate of the
+// exact quotient. The int64 expression wrapped it to a negative rate, so
+// the endpoint explained the spike with the counter's ordinary 10/kcycle.
+func TestAnomaliesQuoteExactSpikePeak(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	const cpus, samples = 4, 100
+	check(w.WriteCounterDesc(trace.CounterDesc{ID: 1, Name: "spiky", Monotonic: true}))
+	for cpu := int32(0); cpu < cpus; cpu++ {
+		check(w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: 0, End: 1000 * samples}))
+		for i := int64(0); i <= samples; i++ {
+			v := 10 * i
+			if cpu == 2 && i > samples/2 {
+				v += 2e11
+			}
+			check(w.WriteSample(trace.CounterSample{CPU: cpu, Counter: 1, Time: 1000 * i, Value: v}))
+		}
+	}
+	check(w.Flush())
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(tr, "spike-test"))
+	t.Cleanup(srv.Close)
+	resp, body := get(t, srv, "/anomalies?kind=counter-spike&n=5")
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var ar struct {
+		Anomalies []struct {
+			Explanation string `json:"explanation"`
+		} `json:"anomalies"`
+	}
+	if err := json.Unmarshal(body, &ar); err != nil {
+		t.Fatal(err)
+	}
+	// (2·10¹¹ + 10) · 1000 / 1000 events per kilocycle.
+	const want = "spiky rate on cpu 2 peaked at 200000000010.00/kcycle"
+	if len(ar.Anomalies) == 0 || !strings.Contains(ar.Anomalies[0].Explanation, want) {
+		t.Fatalf("top spike %+v, want an explanation quoting %q", ar.Anomalies, want)
+	}
+}
+
 // TestRenderAnnotationMarks: attaching annotations changes the
 // rendered timeline (markers drawn), and marks=0 suppresses them.
 func TestRenderAnnotationMarks(t *testing.T) {
