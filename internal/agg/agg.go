@@ -23,10 +23,16 @@
 // # Storage
 //
 // Tree is the only type that holds pyramid levels: one []S per level.
-// It owns construction and copy-on-write extension (Extend), the range
-// walk (Query), byte-overhead accounting (OverheadBytes) and the
+// It owns construction and in-place extension (Extend), the range walk
+// (Query), byte-overhead accounting (OverheadBytes) and the
 // columnar-store round trip (Levels, and FromLevels which validates
 // the shape of adopted levels so a corrupt file fails at open).
+//
+// A level stores complete blocks only: level l holds
+// floor(n / arity^(l+1)) nodes, and the run at the end of a level that
+// the leaves do not fill yet has no node. Query never needs one — it
+// reads a node only when the node's whole block lies inside the queried
+// range — and without them every node, once written, is final.
 //
 // Neither index copies the items it summarizes: both read them where
 // they live through one Leaves view — a trace's state column under
@@ -38,11 +44,21 @@
 // # Persistent append
 //
 // There is one construction path: a tree over n leaves is the empty
-// tree extended to n. Extend returns fresh level arrays whose leading
-// blocks — those built purely from unchanged leaves — are copied from
-// the receiver, and recomputes only tail blocks. The receiver stays
-// valid and immutable, so live-trace snapshot readers keep querying
-// older generations while the writer extends the chain.
+// tree extended to n. Extend computes only the blocks the new leaves
+// complete and appends them to the receiver's level arrays, growing a
+// level by amortized reallocation when it runs out of room; it copies
+// nothing the chain already holds, and a one-shot build allocates each
+// level once.
+//
+// The receiver stays valid and immutable, so live-trace snapshot
+// readers keep querying older generations while the writer extends the
+// chain: no generation reads past its own level lengths, and nothing
+// below them is ever written. The price is the linear-chain rule,
+// which the columns an index derives per item share with its pyramid
+// (a rate tree's rates, a state subset's refs and prefix sums, all
+// appended the same way): only the head of a chain may be extended, as
+// two extensions of one generation would append into the same spare
+// capacity.
 package agg
 
 // Agg describes one aggregate over an indexed sequence of source

@@ -1,9 +1,11 @@
 package agg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -147,32 +149,135 @@ func TestAggQueryMatchesScan(t *testing.T) {
 	}
 }
 
-// TestAggExtendPreservesOld: pre-extension trees keep answering
-// queries correctly after the chain moved on (snapshot readers hold
-// older generations while the writer appends).
-func TestAggExtendPreservesOld(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	vals := randomVals(rng, 900, 0)
-	a := sumAgg{vals}
-	old := NewTree[int64](10).Extend(a, 500)
-	_ = old.Extend(a, 900)
-	if old.Len() != 500 {
-		t.Fatalf("old tree Len = %d after Extend, want 500", old.Len())
+// countingSum is sumAgg counting the leaves it is asked for and the
+// combines it makes.
+type countingSum struct {
+	vals             []int64
+	leaves, combines int
+}
+
+func (a *countingSum) Zero() int64      { return 0 }
+func (a *countingSum) Leaf(i int) int64 { a.leaves++; return a.vals[i] }
+func (a *countingSum) Combine(x, y int64) int64 {
+	a.combines++
+	return x + y
+}
+
+// checkFloorShape asserts that level l of tr holds the complete blocks
+// of arity^(l+1) leaves and nothing else.
+func checkFloorShape[S any](t *testing.T, ctx string, tr Tree[S]) {
+	t.Helper()
+	if want := depth(tr.n, tr.arity); len(tr.levels) != want {
+		t.Fatalf("%s: %d levels over %d leaves at arity %d, want %d", ctx, len(tr.levels), tr.n, tr.arity, want)
 	}
-	for q := 0; q < 100; q++ {
-		lo := rng.Intn(501)
-		hi := rng.Intn(501)
-		if lo > hi {
-			lo, hi = hi, lo
+	nodes := tr.n
+	for l, lv := range tr.levels {
+		if nodes /= tr.arity; len(lv) != nodes {
+			t.Fatalf("%s: level %d holds %d nodes over %d leaves at arity %d, want %d", ctx, l, len(lv), tr.n, tr.arity, nodes)
 		}
-		got, _ := old.Query(a, lo, hi)
+	}
+}
+
+// checkGeneration queries one generation of a chain over windows [lo,
+// hi), which may reach past either end, against brute force over its own
+// prefix of vals.
+func checkGeneration(t *testing.T, ctx string, tr Tree[int64], a Agg[int64], vals []int64, windows [][2]int) {
+	t.Helper()
+	n := tr.Len()
+	for _, w := range windows {
+		got, ok := tr.Query(a, w[0], w[1])
+		from, to := min(max(w[0], 0), n), min(w[1], n)
 		var want int64
-		for _, v := range vals[lo:hi] {
+		for _, v := range vals[from:max(to, from)] {
 			want += v
 		}
-		if got != want {
-			t.Fatalf("old tree Query(%d,%d) = %d, want %d after Extend", lo, hi, got, want)
+		if ok != (from < to) || got != want {
+			t.Fatalf("%s: Query(%d, %d) over %d leaves = %d, %v; the prefix sums to %d", ctx, w[0], w[1], n, got, ok, want)
 		}
+	}
+}
+
+// TestAggExtendPreservesOld: every generation of a chain keeps
+// answering for its own prefix after the chain moved on (snapshot
+// readers hold older generations while the writer appends); each Extend
+// computes exactly the nodes its new leaves complete — it reads the
+// leaves of those blocks and nothing else, so it never rewrites a node
+// below the receiver's lengths — and leaves every level in the floor
+// shape; and a first generation adopted from copies (a store's
+// read-only mapping) is never written, spare capacity behind each
+// level included.
+func TestAggExtendPreservesOld(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	adoptedLevels := 0
+	for _, arity := range []int{2, 3, 7, 64, 100} {
+		for round := 0; round < 4; round++ {
+			total := 1 + rng.Intn(max(3*arity*arity, 3000))
+			vals := randomVals(rng, total, 0)
+			a := &countingSum{vals: vals}
+			ctx := fmt.Sprintf("arity %d, %d leaves, round %d", arity, total, round)
+
+			// Generation 0: a one-shot build adopted from copies whose
+			// spare capacity holds a sentinel.
+			n0 := rng.Intn(total/3 + 1)
+			built := NewTree[int64](arity).Extend(a, n0)
+			copies := make([][]int64, len(built.levels))   // the levels and their spare capacity
+			pristine := make([][]int64, len(built.levels)) // the same bytes, kept apart
+			for l, lv := range built.levels {
+				copies[l] = append(slices.Clone(lv), slices.Repeat([]int64{math.MinInt64}, 1+rng.Intn(arity))...)
+				pristine[l] = slices.Clone(copies[l])
+			}
+			adopt := make([][]int64, len(copies))
+			for l, c := range copies {
+				adopt[l] = c[:len(built.levels[l])]
+			}
+			adopted, err := FromLevels(arity, n0, adopt)
+			if err != nil {
+				t.Fatalf("%s: FromLevels: %v", ctx, err)
+			}
+			adoptedLevels += len(copies)
+
+			gens := []Tree[int64]{adopted}
+			for head := adopted; head.Len() < total; {
+				n := min(head.Len()+[]int{0, 1, arity - 1, arity, rng.Intn(4 * arity), rng.Intn(total/4 + 1)}[rng.Intn(6)], total)
+				a.leaves, a.combines = 0, 0
+				next := head.Extend(a, n)
+				var nodes, firstLevel int
+				for l, d := 0, arity; d <= n; l, d = l+1, d*arity {
+					gained := n/d - head.Len()/d
+					nodes += gained
+					if l == 0 {
+						firstLevel = gained
+					}
+				}
+				if a.leaves != arity*firstLevel || a.combines != (arity-1)*nodes {
+					t.Fatalf("%s: Extend %d → %d read %d leaves and combined %d times, want %d and %d: the %d nodes its new leaves complete",
+						ctx, head.Len(), n, a.leaves, a.combines, arity*firstLevel, (arity-1)*nodes, nodes)
+				}
+				checkFloorShape(t, ctx, next)
+				gens = append(gens, next)
+				head = next
+			}
+
+			if want := NewTree[int64](arity).Extend(a, total); !reflect.DeepEqual(gens[len(gens)-1].levels, want.levels) {
+				t.Fatalf("%s: the chain's head differs from a one-shot build", ctx)
+			}
+			for g, tr := range gens {
+				windows := make([][2]int, 40)
+				for i := range windows {
+					lo := rng.Intn(tr.Len()+2) - 1
+					windows[i] = [2]int{lo, lo + rng.Intn(tr.Len()-lo+3)}
+				}
+				checkGeneration(t, fmt.Sprintf("%s, generation %d", ctx, g), tr, a, vals, windows)
+			}
+			for l, c := range copies {
+				if !slices.Equal(c, pristine[l]) {
+					t.Fatalf("%s: adopted level %d or the spare capacity behind it was written after the chain grew", ctx, l)
+				}
+			}
+		}
+	}
+	if adoptedLevels == 0 {
+		t.Fatal("no generation was adopted with levels: the adoption check tested nothing")
 	}
 }
 
@@ -235,8 +340,8 @@ func TestAggFromLevelsRoundTrip(t *testing.T) {
 				if !reflect.DeepEqual(adopted[l], orig.levels[l]) {
 					t.Fatalf("arity=%d total=%d: Extend wrote adopted level %d", arity, total, l)
 				}
-				if &ext.levels[l][0] == &adopted[l][0] {
-					t.Fatalf("arity=%d total=%d: extended level %d aliases adopted memory", arity, total, l)
+				if len(ext.levels[l]) > len(adopted[l]) && &ext.levels[l][0] == &adopted[l][0] {
+					t.Fatalf("arity=%d total=%d: level %d grew inside adopted memory", arity, total, l)
 				}
 			}
 			if want := NewTree[int64](arity).Extend(a, total+300); !reflect.DeepEqual(ext.levels, want.levels) {
@@ -247,7 +352,10 @@ func TestAggFromLevelsRoundTrip(t *testing.T) {
 }
 
 // TestAggFromLevelsRejectsBadShapes: every shape relation a later
-// Query or Extend indexes by is checked at adoption.
+// Query or Extend indexes by is checked at adoption — the floor shape,
+// complete blocks only, so a level holding the node of a block the
+// leaves do not fill (the shape pyramids were stored in before) is an
+// error — and adopted levels are clipped to their length in place.
 func TestAggFromLevelsRejectsBadShapes(t *testing.T) {
 	a := sumAgg{make([]int64, 1000)}
 	good := NewTree[int64](10).Extend(a, 1000).Levels() // 100, 10, 1
@@ -260,17 +368,77 @@ func TestAggFromLevelsRejectsBadShapes(t *testing.T) {
 		{"negative leaf count", 10, -1, nil},
 		{"missing top level", 10, 1000, good[:2]},
 		{"extra level", 10, 1000, append(good[:3:3], []int64{0})},
-		{"levels for one leaf", 10, 1, good[2:]},
+		{"a level for fewer leaves than arity", 10, 9, good[2:]},
 		{"short level", 10, 1000, [][]int64{good[0][:99], good[1], good[2]}},
 		{"long level", 10, 1000, [][]int64{good[0], make([]int64, 11), good[2]}},
-		{"leaf count disagrees", 10, 1001, good},
+		{"the node of a partial block", 10, 1005, [][]int64{make([]int64, 101), good[1], good[2]}},
+		{"the partial blocks' shape", 10, 1005, [][]int64{make([]int64, 101), make([]int64, 11), make([]int64, 2), good[2]}},
+		{"leaf count disagrees", 10, 1010, good},
 	}
 	for _, c := range cases {
 		if _, err := FromLevels(c.arity, c.n, c.levels); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := FromLevels(10, 1000, good); err != nil {
-		t.Fatalf("valid levels rejected: %v", err)
+	// A partial block at the end of the leaves has no node to check.
+	for _, n := range []int{1000, 1009} {
+		roomy := make([][]int64, len(good))
+		for l, lv := range good {
+			roomy[l] = append(slices.Clone(lv), 0)[:len(lv)]
+		}
+		tr, err := FromLevels(10, n, roomy)
+		if err != nil {
+			t.Fatalf("valid levels over %d leaves rejected: %v", n, err)
+		}
+		for l, lv := range tr.Levels() {
+			if cap(lv) != len(lv) || cap(roomy[l]) != len(lv) {
+				t.Fatalf("adopted level %d has room for %d nodes past its %d: an Extend would write into it", l, cap(lv)-len(lv), len(lv))
+			}
+		}
 	}
+}
+
+// FuzzAggExtend: whatever the arity (2 to 100) and the steps a chain
+// grows by, its head is the one-shot build level for level, every
+// generation keeps the floor shape, and every generation, queried after
+// the last Extend over the windows the input gives, answers what brute
+// force over its own prefix answers.
+func FuzzAggExtend(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 1, 2, 3, 5, 8, 13}, []byte{0, 255, 3, 4, 100, 101})
+	f.Add(uint8(1), []byte{2, 0, 9, 27, 255}, []byte{255, 0, 1, 200})
+	f.Add(uint8(62), []byte{63, 1, 64, 128, 255, 255}, []byte{64, 128, 0, 254})
+	f.Add(uint8(98), []byte{99, 1, 255, 255, 255, 255}, []byte{1, 2, 99, 100, 0, 255})
+	f.Add(uint8(5), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, arity uint8, steps, windows []byte) {
+		ar := 2 + int(arity)%99
+		steps = steps[:min(len(steps), 64)]
+		total := 0
+		for _, s := range steps {
+			total += int(s)
+		}
+		vals := make([]int64, total)
+		for i := range vals {
+			vals[i] = int64(i*2654435761%2001) - 1000
+		}
+		a := sumAgg{vals}
+		var gens []Tree[int64]
+		head := NewTree[int64](ar)
+		for _, s := range steps {
+			head = head.Extend(a, head.Len()+int(s))
+			gens = append(gens, head)
+		}
+		if want := NewTree[int64](ar).Extend(a, total); head.Len() != total || !reflect.DeepEqual(head.levels, want.levels) {
+			t.Fatalf("arity %d: the chain's head over %d leaves differs from a one-shot build", ar, head.Len())
+		}
+		for g, tr := range gens {
+			ctx := fmt.Sprintf("arity %d, generation %d", ar, g)
+			checkFloorShape(t, ctx, tr)
+			// Each pair of bytes is a window, scaled to the generation.
+			var ws [][2]int
+			for i := 0; i+1 < len(windows); i += 2 {
+				ws = append(ws, [2]int{int(windows[i]) * (tr.Len() + 1) / 255, int(windows[i+1]) * (tr.Len() + 1) / 255})
+			}
+			checkGeneration(t, ctx, tr, a, vals, ws)
+		}
+	})
 }

@@ -41,9 +41,9 @@ func Example_newAggregate() {
 		fmt.Println("long tasks:", n)
 	}
 
-	// A live trace appends events; Extend reuses every full block of
-	// the old pyramid and the old tree stays valid for snapshot
-	// readers.
+	// A live trace appends events; Extend computes only the blocks they
+	// complete, appends them to the old pyramid's levels, and the old
+	// tree stays valid for snapshot readers.
 	a.durations = append(a.durations, 3, 1000)
 	tree = tree.Extend(a, len(a.durations))
 	if n, ok := tree.Query(a, 4, tree.Len()); ok {

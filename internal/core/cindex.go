@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/openstream/aftermath/internal/mmtree"
@@ -44,8 +45,12 @@ type indexEntry struct {
 
 // NewCounterIndex returns an empty index; trees build lazily, with
 // mmtree's default arity.
-func NewCounterIndex() *CounterIndex {
-	return &CounterIndex{entries: make(map[counterCPU]*indexEntry)}
+func NewCounterIndex() *CounterIndex { return newCounterIndex(0) }
+
+// newCounterIndex returns an empty index whose map has room for n keys:
+// the trees its creator is about to seed.
+func newCounterIndex(n int) *CounterIndex {
+	return &CounterIndex{entries: make(map[counterCPU]*indexEntry, n)}
 }
 
 // entry returns the guarded slot for a key, creating it under the map
@@ -76,22 +81,25 @@ func (ci *CounterIndex) Tree(c *Counter, cpu int32) *mmtree.Tree {
 // constant over each execution).
 func (ci *CounterIndex) RateTree(c *Counter, cpu int32) *mmtree.Tree {
 	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, true})
-	e.once.Do(func() { e.tree = appendRates(mmtree.Rates(0), c.sampleLeaves(cpu), 0) })
+	e.once.Do(func() { e.tree = appendRates(mmtree.Rates(0), c.sampleLeaves(cpu)) })
 	return e.tree
 }
 
 // appendRates extends a rate tree over col, the view of the column it
 // covers with samples added, by the entries between consecutive samples
-// of col from sample from on: entry i covers [col[i].Time,
-// col[i+1].Time) at rate(col[i], col[i+1]). The derivation is purely
-// pairwise, so starting at the chain's last covered sample yields
-// exactly the entries a whole-column derivation would. The lazy build
-// above and the live ingest path's incremental extension both end
-// here, so a batch tree is a chain extended once from empty.
-func appendRates(t *mmtree.Tree, col mmtree.Samples, from int) *mmtree.Tree {
-	var rates []int64
-	if n := col.Len() - 1 - from; n > 0 {
-		rates = make([]int64, 0, n)
+// of col from its last covered sample on — sample t.Len(), where its
+// entry count is one short of the samples it covers: entry i covers
+// [col[i].Time, col[i+1].Time) at rate(col[i], col[i+1]). The
+// derivation is purely pairwise, so starting there yields exactly the
+// entries a whole-column derivation would. They are appended to the
+// tree's own rates, which grow like its pyramid levels: amortized along
+// a chain, at their exact size in a build. The lazy build above and the
+// live ingest path's incremental extension both end here, so a batch
+// tree is a chain extended once from empty.
+func appendRates(t *mmtree.Tree, col mmtree.Samples) *mmtree.Tree {
+	rates, _ := t.Columns()
+	if from, n := t.Len(), col.Len()-1-t.Len(); n > 0 {
+		rates = slices.Grow(rates, n)
 		prev := col.At(from)
 		col.Each(from+1, func(_ int, s *trace.CounterSample) {
 			rates = append(rates, rate(prev, s))
@@ -140,13 +148,19 @@ func clampRate(q uint64, neg bool) int64 {
 	return -int64(q)
 }
 
-// seed installs a prebuilt tree for a key. The live ingest path uses
-// this to hand each published snapshot the incrementally extended
-// trees (mmtree append mode) instead of letting the snapshot rebuild
-// them from scratch; unseeded keys still build lazily on first use.
-func (ci *CounterIndex) seed(key counterCPU, t *mmtree.Tree) {
-	e := ci.entry(key)
-	e.once.Do(func() { e.tree = t })
+// seed installs a prebuilt tree for a key, in e: an entry the caller
+// provides, so that a caller seeding many keys hands them out of one
+// slice. The live ingest path uses this to hand each published
+// snapshot the incrementally extended trees (mmtree append mode)
+// instead of letting the snapshot rebuild them from scratch, OpenStore
+// to install the trees it adopted; unseeded keys still build lazily on
+// first use. Seeding precedes any reader: a seeded key is new.
+func (ci *CounterIndex) seed(key counterCPU, t *mmtree.Tree, e *indexEntry) {
+	e.tree = t
+	e.once.Do(func() {})
+	ci.mu.Lock()
+	ci.entries[key] = e
+	ci.mu.Unlock()
 }
 
 // CounterIndex returns the trace's shared min/max tree index, creating

@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/openstream/aftermath/internal/mmtree"
 	"github.com/openstream/aftermath/internal/trace"
@@ -169,7 +170,7 @@ func checkOneBuild(t testing.TB, ctx string, tr *Trace) {
 	for _, c := range tr.Counters {
 		for cpu := int32(0); int(cpu) < len(c.PerCPU); cpu++ {
 			col := c.sampleLeaves(cpu)
-			if !sameTree(ci.Tree(c, cpu), mmtree.Build(col, 0)) || !sameTree(ci.RateTree(c, cpu), appendRates(mmtree.Rates(0), col, 0)) {
+			if !sameTree(ci.Tree(c, cpu), mmtree.Build(col, 0)) || !sameTree(ci.RateTree(c, cpu), appendRates(mmtree.Rates(0), col)) {
 				t.Fatalf("%s: counter %d cpu %d trees differ from one build over the column", ctx, c.Desc.ID, cpu)
 			}
 		}
@@ -477,11 +478,10 @@ func counterIndexBytes(tr *Trace) (n int64) {
 // TestCounterIndexOverhead holds the counter index to what an index may
 // cost, as TestDomIndexOverhead holds the dominance index: on the Seidel
 // fixture both trees of every pair own at most 8.5 B a sample — the
-// rates' 8 and two pyramids, 2·16/99 — plus the one root node each tree
-// has however short its column (the fixture's pairs hold 114 to 270
-// samples, where the roots alone weigh 0.1 to 0.3 B a sample), where
-// their copies of every sample's time and value were 32; and an index
-// nobody built owns nothing.
+// rates' 8 and two pyramids, 2·16/99 — plus each tree's header, which it
+// owns however short its column (the fixture's pairs hold 114 to 270
+// samples), where their copies of every sample's time and value were
+// 32; and an index nobody built owns nothing.
 func TestCounterIndexOverhead(t *testing.T) {
 	tr, err := FromReader(bytes.NewReader(seidelStream(t, 12, 6)))
 	if err != nil {
@@ -497,8 +497,8 @@ func TestCounterIndexOverhead(t *testing.T) {
 	ci := tr.BuildCounterIndex(0)
 	index, trees := counterIndexBytes(tr), int64(len(ci.entries))
 	t.Logf("counter index: %d bytes over %d samples in %d trees, %.2f a sample", index, samples, trees, float64(index)/float64(samples))
-	if bound := 17*samples/2 + 16*trees; index > bound {
-		t.Errorf("the counter index owns %d bytes over %d samples in %d trees: want at most 8.5 a sample and a root node a tree, %d", index, samples, trees, bound)
+	if bound := 17*samples/2 + int64(unsafe.Sizeof(mmtree.Tree{}))*trees; index > bound {
+		t.Errorf("the counter index owns %d bytes over %d samples in %d trees: want at most 8.5 a sample and a header a tree, %d", index, samples, trees, bound)
 	}
 }
 

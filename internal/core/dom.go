@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"github.com/openstream/aftermath/internal/mragg"
@@ -101,9 +102,10 @@ type domChain struct {
 // extend grows every set to cover lv, the view the chain covers the
 // first ch.n events of. Out-of-range states are left out of the
 // per-state sets (their events still participate in the all-states set,
-// just not in per-state queries). Members are counted before a state's
-// refs are allocated, so a batch build allocates each column once, at
-// its size; the live chain's columns grow by amortized append.
+// just not in per-state queries). A state's new members are appended to
+// its set's refs in place, counted first so that the column grows at
+// most once: a batch build allocates each column once, at its size; the
+// live chain's columns grow by amortized append.
 func (ch *domChain) extend(lv *mragg.Leaves) {
 	if ch.dead || lv.Len() == ch.n {
 		return
@@ -127,9 +129,8 @@ func (ch *domChain) extend(lv *mragg.Leaves) {
 	})
 	var refs [trace.NumWorkerStates][]int32
 	for k, n := range counts {
-		if n > 0 {
-			refs[k] = make([]int32, 0, n)
-		}
+		refs[k], _, _ = ch.byState[k].Columns()
+		refs[k] = slices.Grow(refs[k], n)
 	}
 	lv.Each(ch.n, func(i int, ev *trace.StateEvent) {
 		if k := int(ev.State); k < trace.NumWorkerStates {
@@ -143,8 +144,12 @@ func (ch *domChain) extend(lv *mragg.Leaves) {
 }
 
 // NewDomIndex returns an empty index; entries build lazily per CPU.
-func NewDomIndex() *DomIndex {
-	return &DomIndex{entries: make(map[int32]*DomCPU)}
+func NewDomIndex() *DomIndex { return newDomIndex(0) }
+
+// newDomIndex returns an empty index whose map has room for n CPUs: the
+// entries its creator is about to seed.
+func newDomIndex(n int) *DomIndex {
+	return &DomIndex{entries: make(map[int32]*DomCPU, n)}
 }
 
 // entry returns the guarded slot for a CPU, creating it under the map
@@ -160,15 +165,17 @@ func (di *DomIndex) entry(cpu int32) *DomCPU {
 	return e
 }
 
-// seed installs a prebuilt entry for a CPU. The batch indexer uses it
-// to publish the eagerly built pyramids; the live ingest path uses it
-// to hand each snapshot the incrementally extended ones.
+// seed installs e, a prebuilt entry, as a CPU's: not a copy, so that a
+// caller seeding many CPUs may hand their entries out of one slice. The
+// batch indexer uses it to publish the eagerly built pyramids, the live
+// ingest path to hand each snapshot the incrementally extended ones,
+// OpenStore to install the ones it adopted. Seeding precedes any
+// reader: a seeded CPU is new.
 func (di *DomIndex) seed(cpu int32, e *DomCPU) {
-	slot := di.entry(cpu)
-	slot.once.Do(func() {
-		slot.leaves = e.leaves
-		slot.domSets = e.domSets
-	})
+	e.once.Do(func() {})
+	di.mu.Lock()
+	di.entries[cpu] = e
+	di.mu.Unlock()
 }
 
 // CPU returns the built pyramids for a CPU (building them from the

@@ -415,14 +415,19 @@ func TestDomIndexOneConstructionPath(t *testing.T) {
 
 	// Counted, then allocated: a batch build makes the sets, two columns
 	// for each state present and the pyramid levels, whatever the number
-	// of events — where append-grown columns made some 170 allocations.
+	// of events — where append-grown columns made some 170 allocations,
+	// and pyramids that stored partial blocks 54.
 	allocs := testing.AllocsPerRun(5, func() {
 		var e DomCPU
 		e.build(mragg.Over(states))
 	})
+	limit := 45.0
+	if raceEnabled {
+		limit = 71
+	}
 	t.Logf("a batch build of %d states: %.0f allocations", len(states), allocs)
-	if allocs > 64 {
-		t.Errorf("a batch build of %d states made %.0f allocations, want at most 64", len(states), allocs)
+	if allocs > limit {
+		t.Errorf("a batch build of %d states made %.0f allocations, want at most %.0f", len(states), allocs, limit)
 	}
 
 	var segs DomCPU

@@ -399,11 +399,14 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 // Cost per publish. Shared, never copied or re-scanned: the event and
 // sample arrays (the bulk of a trace) and the sorted region list.
 // O(what the epoch appended): the min/max trees and dominance pyramids
-// extend in append mode, the epoch's regions are sorted and merged into
-// the list (one copy of the list when they interleave with it, none
-// when they lie past its end), and the epoch's execution spans are
-// applied to the task table. One memmove of the history: the task
-// table, 48 B a task, because later placements edit it in place.
+// extend in append mode — each chain's pyramid levels, rates, refs and
+// prefix sums grow in place by amortized append, and the snapshot's two
+// indexes take their entries from one slice each — the epoch's regions
+// are sorted and merged into the list (one copy of the list when they
+// interleave with it, none when they lie past its end), and the epoch's
+// execution spans are applied to the task table. One memmove of the
+// history: the task table, 48 B a task, because later placements edit
+// it in place.
 // O(their size): the small type and counter tables. No task-ID map is
 // made; Trace.TaskByID builds it for the first reader who asks a
 // snapshot by ID. Nothing else is derived here: detector baselines and
@@ -484,8 +487,10 @@ func (lv *Live) snapshotLocked() *Trace {
 	}
 
 	tr.counterByID = maps.Clone(lv.counterByID)
-	lv.extendTreesLocked()
-	ci := NewCounterIndex()
+	// The snapshot's indexes are seeded with the chains' heads, their
+	// entries handed out of one slice each and their maps sized for them.
+	pairs := lv.extendTreesLocked()
+	ci, entries := newCounterIndex(2*pairs), make([]indexEntry, 2*pairs)
 	for _, lc := range lv.counters {
 		c := &Counter{Desc: lc.desc}
 		if len(lc.per) > 0 {
@@ -502,9 +507,10 @@ func (lv *Live) snapshotLocked() *Trace {
 				}
 				if p.tree != nil {
 					key := counterCPU{uint64(c.Desc.ID), int32(cpu), false}
-					ci.seed(key, p.tree)
+					ci.seed(key, p.tree, &entries[0])
 					key.rate = true
-					ci.seed(key, p.rate)
+					ci.seed(key, p.rate, &entries[1])
+					entries = entries[2:]
 				}
 			}
 		}
@@ -519,20 +525,29 @@ func (lv *Live) snapshotLocked() *Trace {
 	// (out-of-order producer) or whose intervals overlap goes dead and
 	// is never extended again — its snapshots fall back to the lazy
 	// build over their repaired arrays (or scan).
-	di := NewDomIndex()
+	cpus := 0
 	for cpu := range lv.doms {
 		ch, c := &lv.doms[cpu], &lv.cols[cpu].states
 		if c.dirty {
 			*ch = domChain{dead: true}
 		}
-		if ch.dead || c.len() == 0 {
+		if !ch.dead && c.len() > 0 {
+			cpus++
+		}
+	}
+	di, doms := newDomIndex(cpus), make([]DomCPU, cpus)
+	for cpu := range lv.doms {
+		ch := &lv.doms[cpu]
+		if ch.dead || lv.cols[cpu].states.len() == 0 {
 			continue
 		}
-		e := &DomCPU{leaves: tr.stateLeaves(int32(cpu))}
+		e := &doms[0]
+		e.leaves = tr.stateLeaves(int32(cpu))
 		ch.extend(&e.leaves)
 		if !ch.dead {
 			e.domSets = ch.domSets
 			di.seed(int32(cpu), e)
+			doms = doms[1:]
 		}
 	}
 	tr.domOnce.Do(func() { tr.dom = di })
@@ -596,8 +611,8 @@ func (lv *Live) placeExecsLocked() (orphans int) {
 // their rates are derived — the per-epoch index cost is proportional to
 // the appended data, not the trace size, and an unspilled pair's view
 // allocates nothing. Pairs that went dirty fall back to the snapshot's
-// lazy per-epoch rebuild.
-func (lv *Live) extendTreesLocked() {
+// lazy per-epoch rebuild. It returns the number of pairs with trees.
+func (lv *Live) extendTreesLocked() (pairs int) {
 	for _, lc := range lv.counters {
 		for cpu := range lc.per {
 			p := &lc.per[cpu]
@@ -605,20 +620,19 @@ func (lv *Live) extendTreesLocked() {
 				p.tree, p.rate = nil, nil
 				continue
 			}
-			n0, m := p.treeN, p.col.len()
-			if m == n0 && !p.moved {
-				continue
+			if m := p.col.len(); m != p.treeN || p.moved {
+				if p.tree == nil {
+					p.tree, p.rate = mmtree.Values(0), mmtree.Rates(0)
+				}
+				col := leavesOf(p.col.parts, p.col.tail)
+				p.tree = p.tree.Append(col, nil)
+				p.rate = appendRates(p.rate, col)
+				p.treeN, p.moved = m, false
 			}
-			if p.tree == nil {
-				p.tree, p.rate = mmtree.Values(0), mmtree.Rates(0)
+			if p.tree != nil {
+				pairs++
 			}
-			// Rates: entry i spans samples (i, i+1), so appending samples
-			// [n0, m) adds the rate entries [max(n0-1,0), m-1): derive them
-			// from the last covered sample on.
-			col := leavesOf(p.col.parts, p.col.tail)
-			p.tree = p.tree.Append(col, nil)
-			p.rate = appendRates(p.rate, col, max(n0-1, 0))
-			p.treeN, p.moved = m, false
 		}
 	}
+	return pairs
 }

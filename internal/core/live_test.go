@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math/rand"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/openstream/aftermath/internal/trace"
@@ -12,7 +16,12 @@ import (
 // liveTestBytes writes a compact trace exercising every record kind,
 // including a task whose record arrives after its execution state and
 // a counter described after its first samples.
-func liveTestBytes(t *testing.T) []byte {
+func liveTestBytes(t *testing.T) []byte { return liveTestStream(t, 200) }
+
+// liveTestStream is liveTestBytes over the given number of tasks, one
+// execution and one idle state, an access and a sample each, dealt to
+// four CPUs in turn.
+func liveTestStream(t *testing.T, tasks int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -25,7 +34,7 @@ func liveTestBytes(t *testing.T) []byte {
 	must(w.WriteTaskType(trace.TaskType{ID: 1, Addr: 0x40, Name: "stencil"}))
 	must(w.WriteRegion(trace.MemRegion{ID: 1, Addr: 0x1000, Size: 4096, Node: 0}))
 	must(w.WriteRegion(trace.MemRegion{ID: 2, Addr: 0x8000, Size: 4096, Node: 1}))
-	for i := 0; i < 200; i++ {
+	for i := 0; i < tasks; i++ {
 		cpu := int32(i % 4)
 		t0 := int64(100 * i)
 		id := trace.TaskID(i + 1)
@@ -134,6 +143,137 @@ func TestLiveSnapshotEqualsLoad(t *testing.T) {
 	}
 	if err := sr.Done(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readerStream writes a seeded trace for TestLiveOldSnapshotReaders:
+// four CPUs of back-to-back states in random worker states, and two
+// counters sampled on each with random values, interleaved in time.
+func readerStream(t *testing.T, rng *rand.Rand, states int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	var err error
+	for _, id := range []trace.CounterID{1, 2} {
+		if err == nil {
+			err = w.WriteCounterDesc(trace.CounterDesc{ID: id, Name: fmt.Sprintf("c%d", id)})
+		}
+	}
+	var clock [4]int64
+	for i := 0; i < states && err == nil; i++ {
+		for cpu := int32(0); cpu < 4 && err == nil; cpu++ {
+			t0 := clock[cpu]
+			clock[cpu] += 1 + rng.Int63n(40)
+			err = w.WriteState(trace.StateEvent{CPU: cpu, State: trace.WorkerState(rng.Intn(trace.NumWorkerStates)), Start: t0, End: clock[cpu]})
+			for id := trace.CounterID(1); i%3 == 0 && id <= 2 && err == nil; id++ {
+				err = w.WriteSample(trace.CounterSample{CPU: cpu, Counter: id, Time: t0, Value: rng.Int63n(1 << 20)})
+			}
+		}
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestLiveOldSnapshotReaders: readers keep querying every published
+// snapshot while the writer extends the chains those snapshots' indexes
+// are generations of — pyramid levels, rates and refs grown in place,
+// past the lengths the older generations read. Every answer (dominant
+// state, per-state cover, value and rate MinMax on random windows)
+// must equal the same query on a batch load of the bytes the snapshot
+// had consumed, and, under the race detector, no reader may see a
+// write.
+func TestLiveOldSnapshotReaders(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	data := readerStream(t, rng, 5000)
+	type epoch struct{ snap, ref *Trace }
+	var (
+		mu     sync.Mutex
+		epochs []epoch
+		done   atomic.Bool
+		wg     sync.WaitGroup
+	)
+	// query asks one snapshot and its batch load the same questions about
+	// one random window of one CPU (one past the last included).
+	query := func(rng *rand.Rand, e epoch) bool {
+		span := e.ref.Span.Duration()
+		t0 := e.ref.Span.Start - 5 + rng.Int63n(span+10)
+		t1 := t0 + rng.Int63n(span/4+2)
+		cpu := int32(rng.Intn(e.ref.NumCPUs() + 1))
+		got, want := e.snap.DomIndex().CPU(e.snap, cpu), e.ref.DomIndex().CPU(e.ref, cpu)
+		gev, gok, _ := got.DominantState(t0, t1)
+		if wev, wok, _ := want.DominantState(t0, t1); gev != wev || gok != wok {
+			t.Errorf("cpu %d: DominantState(%d, %d) = %+v, %v; the batch load says %+v, %v", cpu, t0, t1, gev, gok, wev, wok)
+			return false
+		}
+		for k := 0; k < trace.NumWorkerStates; k++ {
+			st := trace.WorkerState(k)
+			if g, w := got.StateCover(st, t0, t1), want.StateCover(st, t0, t1); g != w {
+				t.Errorf("cpu %d: StateCover(%v, %d, %d) = %d; the batch load says %d", cpu, st, t0, t1, g, w)
+				return false
+			}
+		}
+		for i, c := range e.snap.Counters {
+			rc := e.ref.Counters[i]
+			for _, rate := range []bool{false, true} {
+				gt, wt := e.snap.CounterIndex().Tree(c, cpu), e.ref.CounterIndex().Tree(rc, cpu)
+				if rate {
+					gt, wt = e.snap.CounterIndex().RateTree(c, cpu), e.ref.CounterIndex().RateTree(rc, cpu)
+				}
+				gmn, gmx, gok := gt.MinMax(t0, t1)
+				if wmn, wmx, wok := wt.MinMax(t0, t1); gmn != wmn || gmx != wmx || gok != wok {
+					t.Errorf("counter %d cpu %d (rate %v): MinMax(%d, %d) = %d, %d, %v; the batch load says %d, %d, %v",
+						c.Desc.ID, cpu, rate, t0, t1, gmn, gmx, gok, wmn, wmx, wok)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for last := false; !last; {
+				last = done.Load()
+				mu.Lock()
+				seen := epochs
+				mu.Unlock()
+				for q := 0; q < 20 && len(seen) > 0; q++ {
+					if !query(rng, seen[rng.Intn(len(seen))]) {
+						return
+					}
+				}
+			}
+		}(rand.New(rand.NewSource(int64(r))))
+	}
+
+	g := &limitedByteReader{data: data}
+	sr := trace.NewStreamReader(g)
+	lv := NewLive()
+	for k := 1; k <= 30; k++ {
+		g.limit = len(data) * k / 30
+		if _, err := lv.Feed(sr); err != nil {
+			t.Fatal(err)
+		}
+		snap, _ := lv.Snapshot()
+		ref, err := FromReader(bytes.NewReader(data[:sr.Consumed()]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		epochs = append(epochs, epoch{snap, ref})
+		mu.Unlock()
+	}
+	done.Store(true)
+	wg.Wait()
+	for _, e := range epochs {
+		for q := 0; q < 20 && query(rng, e); q++ {
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -241,6 +242,62 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 		if ti, ok := snap.TaskByID(77); epoch >= dirtyAt && (!ok || ti.ExecStart == 5) {
 			t.Fatalf("epoch %d: task 77 = %+v, want the placement the repaired column ends on", epoch, ti)
 		}
+	}
+}
+
+// publishAllocs feeds data to a fresh Live in chunks equal byte shares
+// and returns how many heap allocations each publish made, the decode
+// and the append left out.
+func publishAllocs(t *testing.T, data []byte, chunks int) []uint64 {
+	t.Helper()
+	g := &limitedByteReader{data: data}
+	sr := trace.NewStreamReader(g)
+	lv := NewLive()
+	defer lv.Close()
+	allocs := make([]uint64, 0, chunks)
+	var before, after runtime.MemStats
+	for k := 1; k <= chunks; k++ {
+		g.limit = len(data) * k / chunks
+		var batches []*trace.RecordBatch
+		if _, err := sr.Poll(func(b *trace.RecordBatch) error { batches = append(batches, b); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if err := lv.Append(batches...); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		lv.Publish()
+		runtime.ReadMemStats(&after)
+		allocs = append(allocs, after.Mallocs-before.Mallocs)
+	}
+	return allocs
+}
+
+// TestPublishAllocs pins what a publish allocates on the Seidel fixture
+// fed in 24 chunks (8 CPUs and 32 counter pairs; ≈ 440 events and
+// ≈ 250 samples an epoch): a publish allocates for what the epoch
+// completed, not for the history. When every touched chain got fresh
+// pyramid levels and fresh per-epoch rate and ref slices, and the
+// snapshot's indexes an entry per key, a publish here made 440 to 590
+// allocations, more the longer the trace; grown in place, it makes 130
+// to 280 (the snapshot's tables, a header per touched tree and set, the
+// amortized reallocations), and fails here above 320. No term may grow
+// with the trace: the last epoch's publish makes at most the third's
+// plus 40.
+func TestPublishAllocs(t *testing.T) {
+	budget, slack := uint64(320), uint64(40)
+	if raceEnabled {
+		budget = 400
+	}
+	allocs := publishAllocs(t, seidelStream(t, 12, 6), 24)
+	t.Logf("allocations per publish: %v", allocs)
+	for e, n := range allocs {
+		if n > budget {
+			t.Errorf("epoch %d's publish made %d allocations, more than the %d it may", e+1, n, budget)
+		}
+	}
+	if last, third := allocs[len(allocs)-1], allocs[2]; last > third+slack {
+		t.Errorf("the last epoch's publish made %d allocations, the third's %d: a term grows with the trace", last, third)
 	}
 }
 

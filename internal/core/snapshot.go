@@ -18,10 +18,12 @@ import (
 // prefix sums and pyramid (since version 3; version 2 also dumped every
 // state's start and end, twice); a counter's value tree as its pyramid
 // and its rate tree as its rates and pyramid (since version 4; version
-// 3 also dumped every sample's time and value, twice). OpenStore binds
+// 3 also dumped every sample's time and value, twice). Every pyramid
+// level holds complete blocks only (since version 5; version 4 also
+// stored the node of each level's partial tail block). OpenStore binds
 // them to the mapped columns they index. Older snapshots must be
 // re-saved from their source trace.
-const snapshotFormatVersion = 4
+const snapshotFormatVersion = 5
 
 // SaveStore writes the trace as a columnar snapshot: every per-CPU
 // event array, counter sample array and table dumped as raw columns,
@@ -368,8 +370,8 @@ func OpenStore(path string) (tr *Trace, err error) {
 			if err != nil {
 				return nil, fmt.Errorf("store: counter %d cpu %d trees: %w", c.Desc.ID, cpu, err)
 			}
-			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), false}, vt)
-			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), true}, rt)
+			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), false}, vt, &indexEntry{})
+			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), true}, rt, &indexEntry{})
 		}
 	}
 	tr.cindexOnce.Do(func() { tr.cindex = ci })

@@ -161,16 +161,16 @@ func TestSnapshotRejectsWrongFormat(t *testing.T) {
 	if _, err := OpenStore(raw); err == nil {
 		t.Fatal("open of a raw trace stream succeeded")
 	}
-	// A snapshot of a previous format (counter trees with their own
-	// copies of every sample) says how to get a current one.
+	// A snapshot of a previous format (pyramids holding the nodes of
+	// partial blocks) says how to get a current one.
 	cur, old := filepath.Join(dir, "cur.atms"), filepath.Join(dir, "old.atms")
 	if err := SaveStore(loadLive(t), cur); err != nil {
 		t.Fatal(err)
 	}
-	tamperMeta(t, cur, old, func(v []uint64, _ []byte) []uint64 { v[0] = 3; return v })
-	if _, err := OpenStore(old); err == nil || !strings.Contains(err.Error(), "version 3") ||
+	tamperMeta(t, cur, old, func(v []uint64, _ []byte) []uint64 { v[0] = 4; return v })
+	if _, err := OpenStore(old); err == nil || !strings.Contains(err.Error(), "version 4") ||
 		!strings.Contains(err.Error(), "re-save the snapshot from its source trace") {
-		t.Fatalf("format-3 snapshot: %v", err)
+		t.Fatalf("format-4 snapshot: %v", err)
 	}
 }
 
@@ -225,7 +225,13 @@ func tamperMeta(t *testing.T, src, dst string, edit func(vals []uint64, file []b
 // errors at open — never an allocation sized by the attacker or an index
 // panic in a later render.
 func TestOpenStoreCorruptPyramids(t *testing.T) {
-	tr := loadLive(t)
+	// Pyramids store complete blocks only: 4 200 states a CPU give its
+	// all-states set two levels at arity 64, 2 100 samples its counter
+	// trees one at arity 100.
+	tr, err := FromReader(bytes.NewReader(liveTestStream(t, 8400)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.atms")
 	if err := SaveStore(tr, good); err != nil {

@@ -15,15 +15,18 @@
 // one (counter, CPU) sample column — one array, or a live column's
 // spilled parts then its RAM tail (an agg.Leaves) — plus its pyramid.
 // It comes in two shapes of one type. A value tree indexes the samples'
-// values and owns its pyramid only: at the default arity of 100 that is
-// 16/99 bytes a sample, below 5% of the (time, value) data it indexes,
-// as in the paper. A rate tree indexes the discrete derivative between
-// consecutive samples — entry i spans samples i and i+1 — and owns the
-// derived rates besides, 8 bytes an entry; the times are the column's.
+// values and owns its header and its pyramid only: at the default arity
+// of 100 the pyramid is at most 16/99 bytes a sample, below 5% of the
+// (time, value) data it indexes, as in the paper — and nothing at all
+// below 100 samples, since a pyramid stores complete blocks only. A
+// rate tree indexes the discrete derivative between consecutive
+// samples — entry i spans samples i and i+1 — and owns the derived
+// rates besides, 8 bytes an entry; the times are the column's.
 package mmtree
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/openstream/aftermath/internal/agg"
 	"github.com/openstream/aftermath/internal/trace"
@@ -109,44 +112,34 @@ func Build(col Samples, arity int) *Tree {
 	return Values(arity).Append(col, nil)
 }
 
-// extend returns col followed by add. An empty column adopts add
-// itself, which is how a build retains its rates without copying.
-func extend(col, add []int64) []int64 {
-	if len(col) == 0 {
-		return add
-	}
-	return append(col, add...)
-}
-
 // Append returns the tree over col, which must be the column t covers
 // with samples added at its end — or the same samples in other storage,
 // as when a live column's spilled part is swapped for its mapped
 // segment file. A value tree covers every sample of col, and rates
-// must be nil. A rate tree adds the entries rates, which must bring it
-// to one entry per pair of consecutive samples of col (else Append
-// panics): the caller derives them from sample t.Len() on. This is the
-// amortized extension mode of the live streaming ingest path.
+// must be nil. A rate tree covers rates, its whole entry column: t's
+// own rates (Columns) with the new entries appended, one per pair of
+// consecutive samples of col (else Append panics) — the caller derives
+// them from sample t.Len() on and appends them in place, amortized like
+// the pyramid's levels. This is the amortized extension mode of the
+// live streaming ingest path.
 //
 // The returned tree is structurally identical to one built over col in
 // a single step (TestAppendEqualsBuild here, and core's
-// TestCounterTreesMatchScan over live views): agg.Tree.Extend
-// copies internal blocks whose leaves are all old from t unchanged and
-// recomputes only the partial tail block of each level plus the blocks
-// covering new leaves, so an append of k samples costs
-// O(k + levels·arity) plus one O(n/arity) header copy per level.
+// TestCounterTreesMatchScan over live views): agg.Tree.Extend appends
+// to each pyramid level the nodes whose blocks the new leaves complete
+// and nothing else, so an append of k samples costs O(k + levels)
+// amortized.
 //
-// t itself remains valid and immutable: pyramid levels are fresh
-// arrays, and rates are extended with append, which never touches
-// elements below t's length. Consequently trees must form a linear
-// chain — appending twice to the same tree would make both results
-// share tail storage. The caller keeps exactly one live chain, as
-// build-then-Append-per-epoch naturally does.
+// t itself remains valid and immutable: the pyramid and the rates only
+// grow past t's lengths, and t never reads past them. Consequently
+// trees must form a linear chain — appending twice to the same tree
+// would make both results share tail storage. The caller keeps exactly
+// one live chain, as build-then-Append-per-epoch naturally does.
 func (t *Tree) Append(col Samples, rates []int64) *Tree {
-	nt := &Tree{col: col, rate: t.rate, rates: t.rates}
+	nt := &Tree{col: col, rate: t.rate, rates: rates}
 	n := col.Len()
 	if t.rate {
-		nt.rates = extend(t.rates, rates)
-		if n = len(nt.rates); n != max(col.Len()-1, 0) {
+		if n = len(rates); n != max(col.Len()-1, 0) {
 			panic(fmt.Sprintf("mmtree: %d rates between %d samples", n, col.Len()))
 		}
 		nt.pyramid = t.pyramid.Extend((*rateAgg)(nt), n)
@@ -162,7 +155,8 @@ func (t *Tree) Append(col Samples, rates []int64) *Tree {
 // Columns exposes what the tree owns for serialization into the
 // columnar store format: a rate tree's rates (nil for a value tree) and
 // the pyramid. The returned slices alias the tree's storage and must
-// not be mutated.
+// not be mutated; only the head of a chain's rates may be appended to,
+// to hand to Append.
 func (t *Tree) Columns() (rates []int64, pyramid agg.Tree[Node]) {
 	return t.rates, t.pyramid
 }
@@ -181,14 +175,16 @@ func Adopt(col Samples, pyramid agg.Tree[Node]) (*Tree, error) {
 
 // AdoptRates is Adopt for a rate tree: rates and the pyramid must hold
 // one entry per pair of consecutive samples. The resulting tree is
-// immutable like any other: Append never mutates adopted rates because
-// appends on full slices reallocate.
+// immutable like any other: the rates are clipped to their length, so
+// an entry appended to them reallocates instead of writing past the
+// adopted column.
 func AdoptRates(col Samples, rates []int64, pyramid agg.Tree[Node]) (*Tree, error) {
-	if want := max(col.Len()-1, 0); len(rates) != want || pyramid.Len() != want {
+	n := len(rates)
+	if want := max(col.Len()-1, 0); n != want || pyramid.Len() != want {
 		return nil, fmt.Errorf("mmtree: %d rates and a pyramid over %d leaves for %d samples do not describe one rate tree",
-			len(rates), pyramid.Len(), col.Len())
+			n, pyramid.Len(), col.Len())
 	}
-	return &Tree{col: col, rate: true, rates: rates, pyramid: pyramid}, nil
+	return &Tree{col: col, rate: true, rates: rates[:n:n], pyramid: pyramid}, nil
 }
 
 // Len returns the number of entries: samples in a value tree, pairs of
@@ -210,11 +206,11 @@ func (t *Tree) Value(i int) int64 {
 // Arity returns the tree's arity.
 func (t *Tree) Arity() int { return t.pyramid.Arity() }
 
-// OverheadBytes returns the memory the tree owns: its pyramid, and a
-// rate tree's rates — everything the index costs beyond the samples it
-// reads through its view.
+// OverheadBytes returns the memory the tree owns: its header, its
+// pyramid, and a rate tree's rates — everything the index costs beyond
+// the samples it reads through its view.
 func (t *Tree) OverheadBytes() int64 {
-	return int64(len(t.rates))*8 + t.pyramid.OverheadBytes()
+	return int64(unsafe.Sizeof(*t)) + int64(len(t.rates))*8 + t.pyramid.OverheadBytes()
 }
 
 // DataBytes returns the size of the (time, value) data the tree

@@ -278,9 +278,9 @@ func combine(x, y Node) Node {
 // nil if the added leaves break the disjoint-sorted invariant (the
 // caller then falls back to scanning).
 //
-// s itself stays valid and immutable: pyramid levels are fresh arrays.
-// As with mmtree, sets must form a linear chain — extend the latest set
-// only.
+// s itself stays valid and immutable: the pyramid only grows past its
+// level lengths (agg.Tree.Extend), which s never reads past. As with
+// mmtree, sets must form a linear chain — extend the latest set only.
 func (s *Set) Extend(lv *Leaves) *Set {
 	if s.prefix != nil {
 		panic("mragg: Extend on a subset")
@@ -295,39 +295,39 @@ func (s *Set) Extend(lv *Leaves) *Set {
 	return &Set{pyramid: s.pyramid.Extend((*viewAgg)(lv), lv.Len())}
 }
 
-// Append returns the subset s with the leaves refs of lv added: they
-// must ascend and lie past s's last member, in a view the identity set
-// has accepted (a subset of a disjoint sorted set is one itself, so
-// nothing is left to verify). The empty subset adopts refs itself, not
-// a copy; s stays valid and immutable, because storage is extended with
-// append, which never touches elements below s's length.
+// Append returns the subset of lv's leaves refs, which must be s's
+// members with more appended: ascending, past s's last member, in a
+// view the identity set has accepted (a subset of a disjoint sorted set
+// is one itself, so nothing is left to verify). The caller appends the
+// new members to s's own refs (Columns) in place, and Append extends
+// the prefix sums and the pyramid the same way — amortized, each
+// allocated once at its size when the chain starts empty. s stays valid
+// and immutable, because nothing below its lengths is written; hence
+// subsets, like identity sets, form a linear chain.
 func (s *Set) Append(lv *Leaves, refs []int32) *Set {
 	if s.prefix == nil {
 		panic("mragg: Append on the identity set")
 	}
-	if len(refs) == 0 {
+	n0 := len(s.refs)
+	if len(refs) == n0 {
 		return s
 	}
-	ns := &Set{}
-	if len(s.refs) == 0 {
-		ns.refs, ns.prefix = refs, make([]int64, 1, len(refs)+1)
-	} else {
-		ns.refs, ns.prefix = append(s.refs, refs...), slices.Grow(s.prefix, len(refs))
-	}
-	sum := s.prefix[len(s.refs)]
-	for _, r := range refs {
+	ns := &Set{refs: refs, prefix: slices.Grow(s.prefix, len(refs)-n0)}
+	sum := s.prefix[n0]
+	for _, r := range refs[n0:] {
 		ev := lv.At(int(r))
 		sum += ev.End - ev.Start
 		ns.prefix = append(ns.prefix, sum)
 	}
-	ns.pyramid = s.pyramid.Extend((*sumAgg)(ns), len(ns.refs))
+	ns.pyramid = s.pyramid.Extend((*sumAgg)(ns), len(refs))
 	return ns
 }
 
 // Columns exposes the set's storage for serialization into the
 // columnar store format: a subset's refs and prefix sums (both nil for
 // the identity set) and the pyramid. The returned slices alias the
-// set's storage and must not be mutated.
+// set's storage and must not be mutated; only the head of a chain's
+// refs may be appended to, to hand to Append.
 func (s *Set) Columns() (refs []int32, prefix []int64, pyramid agg.Tree[Node]) {
 	return s.refs, s.prefix, s.pyramid
 }
@@ -349,8 +349,8 @@ func AdoptAll(leaves int, pyramid agg.Tree[Node]) (*Set, error) {
 // subset answers, so besides the lengths its two ends are checked
 // against the view; that they ascend in between is trusted, like the
 // order of the events. The resulting set is immutable like any other:
-// Append never mutates adopted columns because appends on full slices
-// reallocate.
+// both columns are clipped to their length, so a member appended to
+// them reallocates instead of writing past the adopted column.
 func AdoptSub(leaves int, refs []int32, prefix []int64, pyramid agg.Tree[Node]) (*Set, error) {
 	n := len(refs)
 	if len(prefix) != n+1 || pyramid.Len() != n {
@@ -360,7 +360,7 @@ func AdoptSub(leaves int, refs []int32, prefix []int64, pyramid agg.Tree[Node]) 
 	if n > 0 && (refs[0] < 0 || int(refs[n-1]) >= leaves) {
 		return nil, fmt.Errorf("mragg: refs [%d … %d] point outside %d state events", refs[0], refs[n-1], leaves)
 	}
-	return &Set{refs: refs, prefix: prefix, pyramid: pyramid}, nil
+	return &Set{refs: refs[:n:n], prefix: prefix[: n+1 : n+1], pyramid: pyramid}, nil
 }
 
 // Len returns the number of intervals in the set.

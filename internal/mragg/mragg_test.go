@@ -68,6 +68,13 @@ func buildSub(lv *Leaves, evs []trace.StateEvent, member func(int) bool, arity i
 	return Sub(arity).Append(lv, refsOf(evs, 0, member))
 }
 
+// appendRefs extends subset s over lv by the members add, appended to
+// its own refs as the live builder appends them.
+func appendRefs(s *Set, lv *Leaves, add []int32) *Set {
+	refs, _, _ := s.Columns()
+	return s.Append(lv, append(refs, add...))
+}
+
 // bruteDominant is the reference sequential scan over the members:
 // first interval with a strictly greater cover wins.
 func bruteDominant(evs []trace.StateEvent, member func(int) bool, t0, t1 int64) (int, int64, bool) {
@@ -331,7 +338,7 @@ func TestDominantUntil(t *testing.T) {
 				step := min(rng.Intn(n/3+1)+1, n-cut)
 				part := Over(evs[:cut+step])
 				if sub {
-					s = s.Append(&part, refsOf(evs[:cut+step], cut, member))
+					s = appendRefs(s, &part, refsOf(evs[:cut+step], cut, member))
 				} else {
 					s = s.Extend(&part)
 				}
@@ -435,7 +442,7 @@ func TestAppendEqualsBuild(t *testing.T) {
 			if all == nil {
 				t.Fatal("Extend rejected ordered intervals")
 			}
-			sub = sub.Append(&lv, refsOf(evs[:cut+step], cut, member))
+			sub = appendRefs(sub, &lv, refsOf(evs[:cut+step], cut, member))
 			cut += step
 			checkpoints = append(checkpoints, checkpoint{all, sub, lv, cut})
 		}
@@ -548,7 +555,7 @@ func TestRefsAndAccessors(t *testing.T) {
 	if _, _, allPyr := all.Columns(); all.Len() != 12 || all.OverheadBytes() != allPyr.OverheadBytes() {
 		t.Errorf("identity set over %d leaves owns %d bytes, want its pyramid's %d", all.Len(), all.OverheadBytes(), allPyr.OverheadBytes())
 	}
-	s2 := s.Append(&lv, []int32{11})
+	s2 := appendRefs(s, &lv, []int32{11})
 	if r, _, _ := s2.Columns(); s2.Len() != 4 || r[3] != 11 || s.Len() != 3 {
 		t.Error("appended refs wrong")
 	}
