@@ -292,105 +292,6 @@ func ablationSamples(rng *rand.Rand) ([]trace.CounterSample, int64) {
 	return samples, t
 }
 
-// BenchmarkTraceLoad measures loading and indexing a trace from memory
-// (the paper emphasizes fast loading of multi-gigabyte traces).
-func BenchmarkTraceLoad(b *testing.B) {
-	prog, err := BuildSeidel(ScaledSeidelConfig(8, 6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf []byte
-	{
-		cfg := DefaultSimConfig(SmallMachine(4, 4))
-		var w traceBuffer
-		if _, err := Simulate(prog, cfg, &w); err != nil {
-			b.Fatal(err)
-		}
-		buf = w.data
-	}
-	b.SetBytes(int64(len(buf)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := OpenReader(byteReader(buf)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAnomalyScan measures the full anomaly detection engine
-// (all four registered detectors, merge and ranking) over a synthetic
-// seidel trace, so detector throughput regressions show up in future
-// PRs. Findings/op is reported as a sanity metric: a scan that stops
-// finding anything is as much a regression as a slow one.
-func BenchmarkAnomalyScan(b *testing.B) {
-	tr := atmtest.SeidelTrace(b, 8, 6, openstream.SchedRandom)
-	cfg := AnomalyConfig{}
-	var found []Anomaly
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		found = ScanAnomalies(tr, cfg)
-	}
-	b.ReportMetric(float64(len(found)), "findings/op")
-}
-
-// BenchmarkStreamAppend measures live ingest throughput: streaming a
-// complete trace through StreamReader → Live.Feed in file-tail-sized
-// chunks, publishing a snapshot per poll — the steady-state cost of
-// -follow mode (decode + incremental index + snapshot finalization).
-func BenchmarkStreamAppend(b *testing.B) {
-	data := simTraceBytes(b, 8, 6)
-	const chunk = 256 << 10
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := &growingTrace{data: data}
-		sr := trace.NewStreamReader(g)
-		lv := core.NewLive()
-		for g.limit < len(data) {
-			g.limit += chunk
-			if g.limit > len(data) {
-				g.limit = len(data)
-			}
-			if _, err := lv.Feed(sr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := sr.Done(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueryUnderAppend measures query latency while ingest is in
-// progress: each iteration appends the next chunk of the trace and
-// then runs a derived-metric query against the fresh snapshot, so the
-// number tracks how expensive "query a still-loading trace" is
-// end-to-end (publish + epoch-invalidated recompute).
-func BenchmarkQueryUnderAppend(b *testing.B) {
-	data := simTraceBytes(b, 8, 6)
-	chunk := len(data)/256 + 1
-	g := &growingTrace{data: data}
-	sr := trace.NewStreamReader(g)
-	lv := core.NewLive()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if g.limit < len(data) {
-			g.limit += chunk
-			if g.limit > len(data) {
-				g.limit = len(data)
-			}
-			if _, err := lv.Feed(sr); err != nil {
-				b.Fatal(err)
-			}
-		}
-		snap, _ := lv.Snapshot()
-		series := IdleWorkers(snap, 100)
-		if series.Len() == 0 && snap.Span.Duration() > 0 {
-			b.Fatal("empty series from live snapshot")
-		}
-	}
-}
-
 // BenchmarkSimulator measures raw simulation throughput (tasks/op
 // reported as custom metric).
 func BenchmarkSimulator(b *testing.B) {

@@ -564,24 +564,6 @@ func TestCounterIndexConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkFromReaderWorkers measures the ingest pipeline at explicit
-// worker counts, independent of GOMAXPROCS, over a larger seidel
-// trace. workers=1 is the same loader with ReadBatched framing and
-// decoding inline.
-func BenchmarkFromReaderWorkers(b *testing.B) {
-	data := seidelStream(b, 16, 8)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run("workers="+itoa(workers), func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			for i := 0; i < b.N; i++ {
-				if _, err := fromReader(bytes.NewReader(data), workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func itoa(v int) string {
 	if v < 10 {
 		return string(rune('0' + v))

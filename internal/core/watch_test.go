@@ -45,15 +45,34 @@ func TestWatchDelivers(t *testing.T) {
 
 // TestWatchCoalescing: a subscriber that does not read while many
 // epochs publish wakes to exactly ONE event describing the latest
-// epoch — never a backlog of stale ones.
+// epoch — never a backlog of stale ones. And the producer never waits
+// on a subscriber: beside one that never reads at all, every publish
+// returns.
 func TestWatchCoalescing(t *testing.T) {
 	lv := NewLive()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch := lv.Watch(ctx)
-	const rounds = 10
-	for i := 0; i < rounds; i++ {
-		publish(t, lv, spillBatch(2, 5, int64(i)*10000))
+	lv.Watch(ctx) // never read
+	const rounds = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := lv.Append(spillBatch(2, 5, int64(i)*10000)); err != nil {
+				done <- err
+				return
+			}
+			lv.Publish()
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d publishes beside a subscriber that never reads did not return within 10s", rounds)
 	}
 	ev := recvEvent(t, ch)
 	if ev.Epoch != rounds {

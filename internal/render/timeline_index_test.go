@@ -61,8 +61,8 @@ func synthStateTrace(rng *rand.Rand, nCPU, n int, base, scale int64, shuffled bo
 // scanDominance answers the renderer's per-pixel questions for one CPU
 // with the pre-index renderer's inner loop: every event StatesIn
 // returns for the pixel, first strictly-greater clipped cover wins.
-// It is the reference the tests (and BenchmarkTimelineDenseWindow's
-// baseline) render through the timeline's resolver seam.
+// It is the reference the tests render through the timeline's resolver
+// seam.
 type scanDominance struct {
 	tr  *core.Trace
 	cpu int32
@@ -107,9 +107,9 @@ func (s scanDominance) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) b
 }
 
 // denseStateTrace hand-builds a trace whose every CPU row carries
-// `events` short alternating state intervals — the dense-window
-// stress shape where per-pixel event scans degrade linearly with the
-// event count. Durations come from a deterministic LCG so runs are
+// `events` short alternating state intervals — the dense-window shape
+// where a column's dominance query answers from the pyramid's upper
+// levels. Durations come from a deterministic LCG so runs are
 // reproducible.
 func denseStateTrace(nCPU, events int) *core.Trace {
 	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU)}
@@ -137,54 +137,6 @@ func denseStateTrace(nCPU, events int) *core.Trace {
 	}
 	tr.Span = core.Interval{Start: 0, End: hi}
 	return tr
-}
-
-// BenchmarkTimelineDenseWindow measures state-timeline rendering of a
-// window holding ~10k events per pixel — the regime where the
-// multi-resolution dominance index (internal/mragg) makes the cost
-// O(pixels·log events) while a per-pixel event scan stays O(events).
-// "indexed" is Timeline; "scan" renders the same rows through
-// scanDominance. Both produce byte-identical framebuffers (asserted in
-// setup); their ratio is the index's headline speedup. CI parses this
-// benchmark's output into BENCH_timeline.json (cmd/benchjson).
-func BenchmarkTimelineDenseWindow(b *testing.B) {
-	const nCPU, events, width = 2, 1 << 20, 100
-	tr := denseStateTrace(nCPU, events)
-	cfg := TimelineConfig{Width: width, Height: 8, Mode: ModeState}
-	scan := func() (*Framebuffer, Stats, error) { return timeline(tr, cfg, par.Workers(), scanResolver(tr)) }
-
-	// Golden self-check: both paths must agree pixel for pixel (the
-	// broader property test is TestTimelineIndexMatchesScan). This
-	// also warms the lazily built index before timing starts.
-	fbIdx, _, err := Timeline(tr, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	fbScan, _, err := scan()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !bytes.Equal(fbIdx.RGBA().Pix, fbScan.RGBA().Pix) {
-		b.Fatal("indexed and scan renderings differ")
-	}
-
-	for _, sub := range []struct {
-		name   string
-		render func() (*Framebuffer, Stats, error)
-	}{
-		{"indexed", func() (*Framebuffer, Stats, error) { return Timeline(tr, cfg) }},
-		{"scan", scan},
-	} {
-		b.Run(sub.name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := sub.render(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(events)/float64(width), "events/pixel")
-		})
-	}
 }
 
 // TestTimelineIndexMatchesScan is the golden equality test of the
@@ -237,6 +189,7 @@ func TestTimelineIndexMatchesScan(t *testing.T) {
 		{"wide-extreme-base", synthStateTrace(rng, 4, 300, math.MaxInt64/2, 35_000, false), nil, 500_000},
 		{"wide-unindexable-cpu", synthStateTrace(rng, 3, 300, 1000, 1000, true), nil, 15_000},
 		{"single-event-row", solo, nil, soloSpan},
+		{"dense", denseStateTrace(2, 1<<18), nil, 3},
 	}
 	const (
 		fullSpan  = 0
@@ -254,6 +207,14 @@ func TestTimelineIndexMatchesScan(t *testing.T) {
 					Mode:   mode,
 					Filter: tc.f,
 					Labels: trial%2 == 0,
+				}
+				if tc.name == "dense" {
+					// ~10k events a full-span column: every column's
+					// query climbs past the pyramid's first level.
+					cfg.Width = 24
+					if cfg.Labels {
+						cfg.Width += TextWidth("CPU 000 ")
+					}
 				}
 				if trial > fullSpan && span > 2 {
 					off := rng.Int63n(span)

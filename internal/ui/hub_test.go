@@ -367,39 +367,3 @@ func TestHubAddValidation(t *testing.T) {
 		t.Errorf("Names = %v", got)
 	}
 }
-
-// BenchmarkHubConcurrentQueries measures hub serving throughput with
-// parallel clients spread over two traces: the mix of cache hits and
-// fresh renders a multi-tenant viewer sees.
-func BenchmarkHubConcurrentQueries(b *testing.B) {
-	batch := atmtest.SeidelTrace(b, 4, 3, openstream.SchedNUMA)
-	h := NewHub()
-	if err := h.Add("a", query.NewStatic(batch)); err != nil {
-		b.Fatal(err)
-	}
-	if err := h.Add("b", query.NewStatic(batch)); err != nil {
-		b.Fatal(err)
-	}
-	paths := []string{
-		"/t/a/stats",
-		"/t/b/stats?t0=0&t1=500000",
-		"/t/a/render?w=300&h=100",
-		"/t/b/render?w=300&h=100&mode=heatmap",
-		"/traces",
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			p := paths[i%len(paths)]
-			i++
-			req := httptest.NewRequest("GET", p, nil)
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, req)
-			if rec.Code != 200 {
-				b.Fatalf("%s: status %d", p, rec.Code)
-			}
-		}
-	})
-}
