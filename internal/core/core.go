@@ -237,9 +237,14 @@ func (tr *Trace) RegionAt(addr uint64) (trace.MemRegion, bool) {
 	return trace.MemRegion{}, false
 }
 
-// NodeOfAddr returns the NUMA node holding addr, or -1 if unknown.
+// NodeOfAddr returns the NUMA node holding addr, or -1 if unknown: addr
+// lies in no region, or in one homed outside the topology's
+// [0, NumNodes). Every reader that resolves an access to its home —
+// HomeBytes and through it /matrix, /stats and the NUMA detector's
+// baseline, the detector's per-task scores, the NUMA timeline modes —
+// asks here, so none of them counts such an access.
 func (tr *Trace) NodeOfAddr(addr uint64) int32 {
-	if r, ok := tr.RegionAt(addr); ok {
+	if r, ok := tr.RegionAt(addr); ok && r.Node >= 0 && r.Node < tr.Topology.NumNodes {
 		return r.Node
 	}
 	return -1

@@ -76,10 +76,10 @@ func (hi *homeIndex) rows(tr *Trace, cpu int32, stride int) []int64 {
 
 // addHomeBytes adds the sizes of the reads and writes among evs to row,
 // at the access's home node — row[home] for a read, row[n+home] for a
-// write, n = len(row)/2. Other kinds, accesses to no known region and
-// regions homed outside [0, n) are skipped. This is the one loop that
-// resolves an access to its home (Section VI-A): the scan of a window
-// and the build of the sums both run it.
+// write, n = len(row)/2 = NumNodes. Other kinds and accesses NodeOfAddr
+// cannot place are skipped. This is the one loop that resolves an
+// access to its home (Section VI-A): the scan of a window and the build
+// of the sums both run it.
 func (tr *Trace) addHomeBytes(evs []trace.CommEvent, row []int64) {
 	n := len(row) / 2
 	for i := range evs {
@@ -92,11 +92,9 @@ func (tr *Trace) addHomeBytes(evs []trace.CommEvent, row []int64) {
 		default:
 			continue
 		}
-		home := tr.NodeOfAddr(ev.Addr)
-		if home < 0 || int(home) >= n {
-			continue
+		if home := tr.NodeOfAddr(ev.Addr); home >= 0 {
+			row[at+int(home)] += int64(ev.Size)
 		}
-		row[at+int(home)] += int64(ev.Size)
 	}
 }
 

@@ -319,6 +319,8 @@ func TestRegionReRegisteredLatestWins(t *testing.T) {
 		regs = append(regs[:at], append([]trace.MemRegion{again}, regs[at:]...)...)
 
 		b := newStreamBuilder(t)
+		// Node 1 exists: NodeOfAddr places no region beyond the topology.
+		b.add(b.w.WriteTopology(trace.Topology{Name: "two-node", NumNodes: 2, NodeOfCPU: []int32{0}, Distance: []int32{0, 1, 1, 0}}))
 		for _, r := range regs {
 			b.add(b.w.WriteRegion(r))
 		}

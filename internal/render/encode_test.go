@@ -2,15 +2,20 @@ package render
 
 import (
 	"bytes"
+	"compress/zlib"
 	"errors"
 	"fmt"
 	"image"
 	"image/color"
 	"image/png"
+	"io"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
+	"weak"
 
 	"github.com/openstream/aftermath/internal/annotations"
 	"github.com/openstream/aftermath/internal/atmtest"
@@ -104,16 +109,18 @@ func colourRamp(n int) *Framebuffer { return colourRampWide(n, 48) }
 // colourRampWide is colourRamp at a width of w pixels; a run that
 // reaches the right edge is cut short there.
 func colourRampWide(n, w int) *Framebuffer {
-	nth := func(i int) color.RGBA {
-		return color.RGBA{R: uint8(i), G: uint8(i>>8) * 40, B: 0x7f, A: 0xff}
-	}
 	fb := NewFramebuffer(w, 2*(n*3/w+1))
-	fb.Clear(nth(0))
+	fb.Clear(rampColour(0))
 	for i := 1; i < n; i++ {
 		p := 3 * i
-		fb.FillRect(p%w, 2*(p/w), 3, 1, nth(i))
+		fb.FillRect(p%w, 2*(p/w), 3, 1, rampColour(i))
 	}
 	return fb
+}
+
+// rampColour is the ramp's i-th colour, distinct for i below 512.
+func rampColour(i int) color.RGBA {
+	return color.RGBA{R: uint8(i), G: uint8(i>>8) * 40, B: 0x7f, A: 0xff}
 }
 
 // distinctColours counts the colours a framebuffer holds.
@@ -267,6 +274,63 @@ func TestEncodePNGMatchesStdlib(t *testing.T) {
 		fb.FillRect(25, 0, 6, 9, color.RGBA{R: 0xee, A: 0xff})
 		if depth, _ := roundTrip(t, fb); depth != 4 {
 			t.Errorf("bit depth %d for %d colours, want 4: painted-over entries must not count", depth, distinctColours(fb))
+		}
+	})
+}
+
+// fuzzFramebuffer builds the picture FuzzEncodePNG encodes from data:
+// 1–70 pixels wide, 1–24 high, of 1–257 ramp colours; the first row
+// runs of one colour, every further row the one above with up to 15
+// pixels changed. The framebuffer is cleared to the last colour and
+// drawn from the bottom right, so its palette is not in order of
+// appearance and may hold an entry no pixel does. Missing bytes read
+// as zero.
+func fuzzFramebuffer(data []byte) *Framebuffer {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	w, h := 1+next()%70, 1+next()%24
+	colours := 1 + (next()|next()<<8)%257
+	run := 1 + next()%8
+	px := make([]int, w*h)
+	for x := range w {
+		px[x] = x / run % colours
+	}
+	for y := 1; y < h; y++ {
+		row := px[y*w : (y+1)*w]
+		copy(row, px[(y-1)*w:])
+		for k := next() % 16; k > 0; k-- {
+			row[next()%w] = (next() | next()<<8) % colours
+		}
+	}
+	fb := NewFramebuffer(w, h)
+	fb.Clear(rampColour(colours - 1))
+	for i := len(px) - 1; i >= 0; i-- {
+		fb.FillRect(i%w, i/w, 1, 1, rampColour(px[i]))
+	}
+	return fb
+}
+
+// FuzzEncodePNG: whatever the width — a multiple of 8 or not —, the
+// palette size and how each row differs from the one above, EncodePNG
+// writes the bytes image/png writes. The rows reach blocks equal to
+// the one above, first appearances in the tail past the last whole
+// block, and colours whose only block differs from the one above by a
+// pixel; the 257th colour reaches the truecolour path.
+func FuzzEncodePNG(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fb := fuzzFramebuffer(data)
+		var buf bytes.Buffer
+		if err := fb.EncodePNG(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want := stdlibPNG(t, fb); !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("%dx%d, %d colours: EncodePNG wrote %d bytes, image/png %d", fb.W(), fb.H(), distinctColours(fb), buf.Len(), len(want))
 		}
 	})
 }
@@ -461,9 +525,9 @@ func TestFramebufferModel(t *testing.T) {
 
 // TestEncodePNGDeterministic: the bytes depend on the pixels alone —
 // the harness's served-equals-direct audit, hot_revisit's body
-// equality and the singleflight followers rely on it — and an encode
-// shares nothing with another, so it allocates per call, but not per
-// row or per pixel.
+// equality and the singleflight followers rely on it — whether the
+// compressor is the spare or new, and an encode allocates per call,
+// but not per row or per pixel.
 func TestEncodePNGDeterministic(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	render := func(w, h int) *Framebuffer {
@@ -526,5 +590,68 @@ func TestEncodePNGDeterministic(t *testing.T) {
 	}
 	if b > a+2 {
 		t.Errorf("allocations grow with image size: %.0f at 150x50, %.0f at 1200x400", a, b)
+	}
+}
+
+// TestEncodePNGSpare: consecutive encodes share one compressor — 16 of
+// a 1000x400 timeline allocate at most two compressors' worth in all,
+// with no collection in between to clear the spare — the spare pins no
+// response, and it does not outlive the next collection.
+func TestEncodePNGSpare(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	fb, _, err := Timeline(tr, TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var out bytes.Buffer
+	out.Grow(1 << 20)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	compressor := allocated(func() {
+		zw, _ := zlib.NewWriterLevel(io.Discard, zlib.BestSpeed)
+		zw.Write([]byte{0})
+		zw.Close()
+	})
+	if got := allocated(func() {
+		for range 16 {
+			out.Reset()
+			if err := fb.EncodePNG(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); got > 2*compressor {
+		t.Errorf("16 encodes allocated %d bytes, more than two compressors' %d", got, 2*compressor)
+	}
+
+	held := func() *deflater {
+		spare.mu.Lock()
+		defer spare.mu.Unlock()
+		return spare.p.Value()
+	}
+	// Held alive, the spare keeps no writer it wrote into alive.
+	sink := new(bytes.Buffer)
+	if err := fb.EncodePNG(sink); err != nil {
+		t.Fatal(err)
+	}
+	written := weak.Make(sink)
+	d := held()
+	if d == nil {
+		t.Fatal("no spare compressor after an encode")
+	}
+	runtime.GC()
+	if written.Value() != nil {
+		t.Error("the spare compressor keeps the last encode's writer alive")
+	}
+	runtime.KeepAlive(d)
+
+	runtime.GC()
+	if held() != nil {
+		t.Error("the spare compressor survived a collection")
 	}
 }

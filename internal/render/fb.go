@@ -30,6 +30,8 @@ import (
 	"image/png"
 	"io"
 	"os"
+	"sync"
+	"weak"
 )
 
 // Framebuffer is an image with drawing-operation accounting, used to
@@ -269,7 +271,8 @@ var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed}
 // appearance in the pixels and without the entries no pixel holds any
 // more, so the bytes depend on the pixels alone, not on the order they
 // were drawn in. Nothing here writes to fb: encoding twice, or from
-// several goroutines, yields the same bytes.
+// several goroutines, yields the same bytes. The compressor is an
+// earlier encode's when one is spare (see spare).
 func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 	if fb.rgba != nil {
 		return pngEncoder.Encode(w, fb.rgba)
@@ -279,26 +282,34 @@ func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 	}
 
 	// remap[i] is palette entry i's number on the wire; plte collects
-	// the entries in that order.
+	// the entries in that order. Both loops below walk a row in blocks
+	// of 8 pixels and pass over a block equal to the one above it: none
+	// of its pixels appears first there, and its packed bytes are the
+	// ones the row buffer already holds. The w%8 pixels of the tail are
+	// never passed over.
 	var (
 		remap [256]uint8
 		seen  [256]bool
 		plte  = make([]byte, 0, 3*len(fb.pal))
 	)
-	last := -1
-	for _, p := range fb.pix {
-		if int(p) == last {
-			continue
-		}
-		last = int(p)
-		if !seen[p] {
-			seen[p], remap[p] = true, uint8(len(plte)/3)
-			c := fb.pal[p]
-			plte = append(plte, c.R, c.G, c.B)
-			if len(plte) == 3*len(fb.pal) {
-				break
+	appear := func(px []uint8) {
+		for _, p := range px {
+			if !seen[p] {
+				seen[p], remap[p] = true, uint8(len(plte)/3)
+				c := fb.pal[p]
+				plte = append(plte, c.R, c.G, c.B)
 			}
 		}
+	}
+	blocks := fb.w &^ 7
+	for y := 0; y < fb.h && len(plte) < 3*len(fb.pal); y++ {
+		src := fb.pix[y*fb.w : (y+1)*fb.w]
+		for x := 0; x < blocks; x += 8 {
+			if y == 0 || !sameBlock(src[x:], fb.pix[(y-1)*fb.w+x:]) {
+				appear(src[x : x+8])
+			}
+		}
+		appear(src[blocks:])
 	}
 	depth := 8
 	switch n := len(plte) / 3; {
@@ -319,48 +330,109 @@ func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 	e.chunk("IHDR", ihdr[:])
 	e.chunk("PLTE", plte)
 
-	bw := bufio.NewWriterSize(&e, 1<<15)
-	zw, err := zlib.NewWriterLevel(bw, zlib.BestSpeed)
+	d, err := takeDeflater(&e)
 	if err != nil {
 		return err
 	}
 	// One row on the wire: filter type 0, then the pixels packed most
-	// significant bits first, the last byte padded with zero bits.
+	// significant bits first, the last byte padded with zero bits. A
+	// block of 8 pixels packs into depth whole bytes.
 	perByte := 8 / depth
 	row := make([]byte, 1+(fb.w+perByte-1)/perByte)
+	out := row[1:]
 	for y := 0; y < fb.h; y++ {
 		src := fb.pix[y*fb.w : (y+1)*fb.w]
-		out := row[1:]
-		switch depth {
-		case 8:
-			for i, p := range src {
-				out[i] = remap[p]
+		for x, o := 0, 0; x < blocks; x, o = x+8, o+depth {
+			if y > 0 && sameBlock(src[x:], fb.pix[(y-1)*fb.w+x:]) {
+				continue
 			}
-		case 4:
-			for i := 0; i < len(src)/2; i++ {
-				out[i] = remap[src[2*i]]<<4 | remap[src[2*i+1]]
-			}
-			if len(src)%2 == 1 {
-				out[len(src)/2] = remap[src[len(src)-1]] << 4
-			}
-		default:
-			clear(out)
-			for i, p := range src {
-				out[i/perByte] |= remap[p] << (8 - depth - i%perByte*depth)
+			b := src[x : x+8 : x+8]
+			r0, r1, r2, r3 := remap[b[0]], remap[b[1]], remap[b[2]], remap[b[3]]
+			r4, r5, r6, r7 := remap[b[4]], remap[b[5]], remap[b[6]], remap[b[7]]
+			switch p := out[o : o+depth : o+depth]; depth {
+			case 8:
+				p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7] = r0, r1, r2, r3, r4, r5, r6, r7
+			case 4:
+				p[0], p[1], p[2], p[3] = r0<<4|r1, r2<<4|r3, r4<<4|r5, r6<<4|r7
+			case 2:
+				p[0], p[1] = r0<<6|r1<<4|r2<<2|r3, r4<<6|r5<<4|r6<<2|r7
+			default:
+				p[0] = r0<<7 | r1<<6 | r2<<5 | r3<<4 | r4<<3 | r5<<2 | r6<<1 | r7
 			}
 		}
-		if _, err := zw.Write(row); err != nil {
+		tail := out[blocks/perByte:]
+		clear(tail)
+		for i, p := range src[blocks:] {
+			tail[i/perByte] |= remap[p] << (8 - depth - i%perByte*depth)
+		}
+		if _, err := d.zw.Write(row); err != nil {
 			return err
 		}
 	}
-	if err := zw.Close(); err != nil {
+	if err := d.zw.Close(); err != nil {
 		return err
 	}
-	if err := bw.Flush(); err != nil {
+	if err := d.bw.Flush(); err != nil {
 		return err
 	}
+	putDeflater(d)
 	e.chunk("IEND", nil)
 	return e.err
+}
+
+// sameBlock reports whether the 8 pixels at the start of a equal those
+// at the start of b, in one compare.
+func sameBlock(a, b []uint8) bool {
+	return binary.LittleEndian.Uint64(a) == binary.LittleEndian.Uint64(b)
+}
+
+// deflater is the compressor EncodePNG deflates into, with the 32 KiB
+// buffer that cuts its output into IDAT chunks.
+type deflater struct {
+	zw *zlib.Writer
+	bw *bufio.Writer
+}
+
+// spare holds the deflater of the last encode to finish, weakly. A new
+// deflater allocates 1.2 MB and a Reset nothing, so an encode borrows
+// the spare when there is one; of two encodes that overlap, the second
+// allocates its own. It is not a sync.Pool: a pool's victim cache keeps
+// what it holds through one collection, so a server that has stopped
+// encoding would keep a compressor alive for nothing. The weak pointer
+// is cleared by the first collection after the spare was put back.
+var spare struct {
+	mu sync.Mutex
+	p  weak.Pointer[deflater]
+}
+
+// takeDeflater returns the spare, or a new deflater if there is none,
+// writing into e.
+func takeDeflater(e *chunkWriter) (*deflater, error) {
+	spare.mu.Lock()
+	d := spare.p.Value()
+	spare.p = weak.Pointer[deflater]{}
+	spare.mu.Unlock()
+	if d == nil {
+		bw := bufio.NewWriterSize(e, 1<<15)
+		zw, err := zlib.NewWriterLevel(bw, zlib.BestSpeed)
+		if err != nil {
+			return nil, err
+		}
+		return &deflater{zw: zw, bw: bw}, nil
+	}
+	d.bw.Reset(e)
+	d.zw.Reset(d.bw)
+	return d, nil
+}
+
+// putDeflater makes d, closed and flushed, the spare. It is pointed at
+// io.Discard first, so the spare holds on to no caller's writer.
+func putDeflater(d *deflater) {
+	d.bw.Reset(io.Discard)
+	d.zw.Reset(io.Discard)
+	spare.mu.Lock()
+	spare.p = weak.Make(d)
+	spare.mu.Unlock()
 }
 
 // chunkWriter writes PNG chunks and keeps the first error.
