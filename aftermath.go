@@ -9,15 +9,17 @@
 //
 // The package bundles three layers behind one import:
 //
-//   - Trace analysis: load binary traces (Open), reconstruct task
-//     graphs (ReconstructGraph), compute derived metrics
-//     (IdleWorkers, AverageTaskDuration, CounterDeltaPerTask),
-//     statistics (DurationHistogram, CommMatrix, AverageParallelism)
-//     and regressions (LinearRegression).
-//   - Rendering: the timeline in all five modes of the paper
-//     (RenderTimeline), counter overlays, plots, communication
-//     matrices and ASCII output, plus the interactive HTTP viewer
-//     (NewViewer).
+//   - Ingest: load traces in every supported format (Open, ImportSpans,
+//     SaveSnapshot) or follow one that is still being written
+//     (NewLiveTrace, FollowTrace).
+//   - Analysis and views: one Query over one TraceSource describes
+//     every view of the paper's interface — derived metrics
+//     (QuerySeries), statistics (QueryStats, QueryHistogram,
+//     QueryCommMatrix), the timeline in all five modes (QueryTimeline),
+//     task selection and counter attribution (QueryTasks,
+//     QueryTaskDeltas, QueryTasksCSV) and ranked anomalies
+//     (QueryAnomalies) — served interactively by NewViewer and NewHub.
+//     Task graphs, plots, regressions and annotations complete it.
 //   - Workload simulation: an OpenStream-like runtime simulator for
 //     dependent task graphs on NUMA machine models, with the paper's
 //     applications (seidel, k-means) as ready-made workloads — the
@@ -34,7 +36,6 @@ import (
 	"github.com/openstream/aftermath/internal/apps"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/export"
-	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/hw"
 	"github.com/openstream/aftermath/internal/ingest"
 	"github.com/openstream/aftermath/internal/ingest/otlp"
@@ -44,7 +45,6 @@ import (
 	"github.com/openstream/aftermath/internal/regress"
 	"github.com/openstream/aftermath/internal/render"
 	"github.com/openstream/aftermath/internal/stats"
-	"github.com/openstream/aftermath/internal/symbols"
 	"github.com/openstream/aftermath/internal/taskgraph"
 	"github.com/openstream/aftermath/internal/topology"
 	"github.com/openstream/aftermath/internal/trace"
@@ -71,9 +71,6 @@ import (
 // the query; together with the source's epoch it is the cache key the
 // serving layer (NewViewer, NewHub) uses, so equivalent requests share
 // one cache entry.
-//
-// The flat convenience functions below (IdleWorkers, DurationHistogram,
-// ScanAnomalies, ...) remain supported and delegate to this layer.
 
 // TraceSource yields epoch-versioned immutable trace snapshots.
 // *LiveTrace implements it directly; Static adapts a loaded trace.
@@ -119,7 +116,8 @@ func QueryTimeline(src TraceSource, q *Query) (*Framebuffer, uint64, error) {
 	return fb, epoch, err
 }
 
-// QueryHistogram bins the durations of the tasks a query selects.
+// QueryHistogram bins the durations of the executed tasks a query
+// selects, as QueryTasks selects them.
 func QueryHistogram(src TraceSource, q *Query) (*Histogram, uint64) {
 	tr, epoch := src.Snapshot()
 	return query.HistogramOf(tr, q), epoch
@@ -146,6 +144,16 @@ func QueryAnomalies(src TraceSource, q *Query) ([]Anomaly, uint64, error) {
 func QueryTasks(src TraceSource, q *Query) ([]*TaskInfo, uint64) {
 	tr, epoch := src.Snapshot()
 	return query.TasksOf(tr, q), epoch
+}
+
+// QueryTaskDeltas attributes the counter a query names (Query.Counter)
+// to the executed tasks it selects, as QueryTasks selects them: each
+// task's counter increase over its execution (paper Section V). An
+// unknown counter name is an error.
+func QueryTaskDeltas(src TraceSource, q *Query) ([]TaskDelta, uint64, error) {
+	tr, epoch := src.Snapshot()
+	deltas, err := query.TaskDeltasOf(tr, q)
+	return deltas, epoch, err
 }
 
 // QueryTasksCSV writes the tasks a query selects (with counter
@@ -275,21 +283,6 @@ func NewLiveTrace() *LiveTrace { return core.NewLive() }
 // NewStreamReader returns a StreamReader decoding the trace stream r.
 func NewStreamReader(r io.Reader) *StreamReader { return trace.NewStreamReader(r) }
 
-// OpenTraceStream opens a trace file for live tailing. The format is
-// detected from the file's content; formats that cannot be decoded
-// incrementally while still being written (gzip, store snapshots) are
-// rejected with a descriptive error.
-func OpenTraceStream(path string) (io.ReadCloser, error) {
-	rc, _, err := ingest.OpenStream(path)
-	return rc, err
-}
-
-// NewLiveViewer returns the interactive HTTP viewer for a live trace:
-// the same endpoints as NewViewer, updating as the trace grows, plus
-// the /live ingest-status endpoint. Cached responses are versioned by
-// the publish epoch.
-func NewLiveViewer(lv *LiveTrace, name string) *Viewer { return ui.NewLiveServer(lv, name) }
-
 // RetentionPolicy bounds a live trace's memory: epochs older than the
 // hot tail spill to columnar segment files under Dir once SpillBytes
 // of events accumulate in RAM, and spilled segments beyond MaxBytes or
@@ -318,26 +311,6 @@ func FollowTrace(lv *LiveTrace, path string, pollEvery time.Duration) (*Follower
 	return ingest.Follow(lv, path, pollEvery)
 }
 
-// ---- Filters ----
-
-// TaskFilter selects tasks for views, statistics and exports.
-type TaskFilter = filter.TaskFilter
-
-// FilterByTypes returns a filter matching tasks whose type name is one
-// of names.
-func FilterByTypes(tr *Trace, names ...string) *TaskFilter {
-	return filter.ByTypeNames(tr, names...)
-}
-
-// FilterTasks returns the tasks matching f (nil matches all).
-func FilterTasks(tr *Trace, f *TaskFilter) []*TaskInfo {
-	tasks, _ := QueryTasks(Static(tr), NewQuery().WithFilter(f))
-	return tasks
-}
-
-// TaskDurations returns the execution durations of matching tasks.
-func TaskDurations(tr *Trace, f *TaskFilter) []float64 { return filter.Durations(tr, f) }
-
 // ---- Derived metrics ----
 
 // Series is a derived metric over time.
@@ -345,46 +318,6 @@ type Series = metrics.Series
 
 // TaskDelta is a per-task counter increase.
 type TaskDelta = metrics.TaskDelta
-
-// IdleWorkers returns the average number of idle workers per interval
-// (paper Figure 3).
-func IdleWorkers(tr *Trace, intervals int) Series {
-	if intervals < 1 {
-		intervals = 1 // the historical clamp of the metrics layer
-	}
-	s, _, _ := QuerySeries(Static(tr), NewQuery().Metric("idle").Intervals(intervals))
-	return s
-}
-
-// WorkersInState generalizes IdleWorkers to any state.
-func WorkersInState(tr *Trace, s WorkerState, intervals int) Series {
-	return metrics.WorkersInState(tr, s, intervals)
-}
-
-// AverageTaskDuration returns the mean duration of tasks running in
-// each interval (paper Figure 8).
-func AverageTaskDuration(tr *Trace, intervals int, f *TaskFilter) Series {
-	if intervals < 1 {
-		intervals = 1 // the historical clamp of the metrics layer
-	}
-	s, _, _ := QuerySeries(Static(tr), NewQuery().Metric("avgdur").Intervals(intervals).WithFilter(f))
-	return s
-}
-
-// AggregateCounter sums a counter across CPUs at interval boundaries.
-func AggregateCounter(tr *Trace, c *Counter, intervals int) Series {
-	return metrics.AggregateCounter(tr, c, intervals)
-}
-
-// Derivative computes the discrete derivative of a cumulative series
-// (paper Figures 10 and 18).
-func Derivative(s Series) Series { return metrics.Derivative(s) }
-
-// CounterDeltaPerTask attributes a monotonic counter to tasks (paper
-// Section V).
-func CounterDeltaPerTask(tr *Trace, c *Counter, f *TaskFilter) []TaskDelta {
-	return metrics.CounterDeltaPerTask(tr, c, f)
-}
 
 // ---- Statistics ----
 
@@ -403,40 +336,6 @@ const (
 	Writes         = stats.Writes
 	ReadsAndWrites = stats.ReadsAndWrites
 )
-
-// DurationHistogram bins the durations of matching tasks (Figure 16).
-func DurationHistogram(tr *Trace, f *TaskFilter, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1 // the historical clamp of the stats layer
-	}
-	h, _ := QueryHistogram(Static(tr), NewQuery().WithFilter(f).Bins(bins))
-	return h
-}
-
-// NewHistogram bins arbitrary values.
-func NewHistogram(values []float64, bins int, min, max float64) *Histogram {
-	return stats.NewHistogram(values, bins, min, max)
-}
-
-// CommMatrixOf accumulates the node-to-node communication matrix over
-// a window (Figure 15).
-func CommMatrixOf(tr *Trace, kinds CommKinds, t0, t1 Time) *CommMatrix {
-	m, _ := QueryCommMatrix(Static(tr), NewQuery().Window(t0, t1).Comm(kinds))
-	return m
-}
-
-// LocalityFraction returns the fraction of bytes accessed locally.
-func LocalityFraction(tr *Trace, kinds CommKinds, t0, t1 Time) float64 {
-	return stats.LocalityFraction(tr, kinds, t0, t1)
-}
-
-// AverageParallelism returns the mean number of executing tasks.
-func AverageParallelism(tr *Trace, t0, t1 Time) float64 {
-	return stats.AverageParallelism(tr, t0, t1)
-}
-
-// StateTimes aggregates per-state time across CPUs.
-func StateTimes(tr *Trace, t0, t1 Time) []Time { return stats.StateTimes(tr, t0, t1) }
 
 // ---- Task graph ----
 
@@ -471,9 +370,6 @@ func StdDev(xs []float64) float64 { return regress.StdDev(xs) }
 // At, or take a copy with RGBA.
 type Framebuffer = render.Framebuffer
 
-// TimelineConfig parameterizes timeline rendering.
-type TimelineConfig = render.TimelineConfig
-
 // TimelineMode selects one of the five timeline modes.
 type TimelineMode = render.Mode
 
@@ -486,26 +382,6 @@ const (
 	ModeNUMAWrite = render.ModeNUMAWrite
 	ModeNUMAHeat  = render.ModeNUMAHeat
 )
-
-// RenderStats reports rendering work.
-type RenderStats = render.Stats
-
-// RenderTimeline renders the timeline with the paper's optimized
-// algorithms (Section VI-B). The configuration maps one-to-one onto a
-// Query (see QueryTimeline); rendering through either path is
-// byte-identical.
-func RenderTimeline(tr *Trace, cfg TimelineConfig) (*Framebuffer, RenderStats, error) {
-	q := NewQuery().
-		Window(cfg.Start, cfg.End).
-		Mode(cfg.Mode).
-		WithFilter(cfg.Filter).
-		CPUs(cfg.CPUs...).
-		Size(cfg.Width, cfg.Height).
-		Labels(cfg.Labels).
-		Heat(cfg.HeatMin, cfg.HeatMax).
-		Shades(cfg.Shades)
-	return query.TimelineRawOf(tr, q)
-}
 
 // ASCIITimeline renders the state timeline as text for terminals.
 func ASCIITimeline(tr *Trace, width, maxRows int) string {
@@ -534,15 +410,13 @@ func PlotScatter(cfg PlotConfig, xs, ys []float64, fit *Fit) (*Framebuffer, erro
 // http.Handler; SetAnnotations overlays markers on rendered timelines.
 type Viewer = ui.Server
 
-// NewViewer returns the interactive HTTP viewer for a trace: timeline
-// navigation, mode switching, filters, statistics, task details and
-// the ranked /anomalies endpoint.
-func NewViewer(tr *Trace, name string) *Viewer { return ui.NewServer(tr, name) }
-
-// NewSourceViewer returns the interactive HTTP viewer for any trace
-// source — batch (Static) or live — through the one TraceSource entry
-// point.
-func NewSourceViewer(src TraceSource, name string) *Viewer { return ui.NewSourceServer(src, name) }
+// NewViewer returns the interactive HTTP viewer for a trace source —
+// a loaded trace (Static) or a live one: timeline navigation, mode
+// switching, filters, statistics, task details and the ranked
+// /anomalies endpoint. On a live trace the views update as it grows,
+// /live reports ingest status and /events pushes every epoch advance;
+// cached responses are versioned by the publish epoch.
+func NewViewer(src TraceSource, name string) *Viewer { return ui.NewServer(src, name) }
 
 // ---- Anomaly detection ----
 
@@ -560,61 +434,18 @@ const (
 	AnomalyCounterSpike    = anomaly.KindCounterSpike
 )
 
-// AnomalyConfig parameterizes a scan (zero value selects defaults).
-type AnomalyConfig = anomaly.Config
-
-// AnomalyDetector finds one class of anomaly; implementations can be
-// added to the default scan with RegisterDetector.
-type AnomalyDetector = anomaly.Detector
-
-// ScanAnomalies runs every registered detector over the trace in
-// parallel and returns the merged findings ranked by severity,
-// deterministically across runs and worker counts.
-func ScanAnomalies(tr *Trace, cfg AnomalyConfig) []Anomaly {
-	q := NewQuery().
-		WithFilter(cfg.Filter).
-		AnomalyWindows(cfg.Windows).
-		MinScore(cfg.MinScore).
-		MaxPerKind(cfg.MaxPerKind).
-		Workers(cfg.Workers)
-	if cfg.Window.Duration() > 0 {
-		q.Window(cfg.Window.Start, cfg.Window.End)
-	}
-	found, _, _ := QueryAnomalies(Static(tr), q)
-	return found
-}
-
-// RegisterDetector adds a detector to the default scan set.
-func RegisterDetector(d AnomalyDetector) { anomaly.Register(d) }
-
 // AnomalyAnnotations converts the top max findings into an annotation
 // set that renders as timeline markers and saves as JSON.
 func AnomalyAnnotations(found []Anomaly, author string, max int) *AnnotationSet {
 	return anomaly.Annotations(found, author, max)
 }
 
-// ---- Export, symbols, annotations ----
-
-// ExportTasksCSV writes per-task data (with counter attribution) as
-// CSV for external statistics tools (paper Section V).
-func ExportTasksCSV(w io.Writer, tr *Trace, f *TaskFilter, counters []*Counter) error {
-	_, err := QueryTasksCSV(w, Static(tr), NewQuery().WithFilter(f), counters)
-	return err
-}
+// ---- Export and annotations ----
 
 // ExportSeriesCSV writes derived metric series as CSV.
 func ExportSeriesCSV(w io.Writer, series ...Series) error {
 	return export.SeriesCSV(w, series...)
 }
-
-// SymbolTable resolves work-function addresses to names.
-type SymbolTable = symbols.Table
-
-// ParseNM parses nm(1)-format output (paper Section VI-C).
-func ParseNM(r io.Reader) (*SymbolTable, error) { return symbols.ParseNM(r) }
-
-// ResolveSymbols fills missing task type names from a symbol table.
-func ResolveSymbols(tr *Trace, t *SymbolTable) int { return symbols.Resolve(tr, t) }
 
 // Annotation marks a point of interest in a trace.
 type Annotation = annotations.Annotation

@@ -2,7 +2,12 @@ package aftermath
 
 import (
 	"bytes"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -35,26 +40,29 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("loaded %d tasks", len(tr.Tasks))
 	}
 
-	// Filters and statistics.
-	dist := FilterByTypes(tr, KMeansDistanceType)
-	if n := len(FilterTasks(tr, dist)); n == 0 {
+	// Task selection and statistics.
+	src := Static(tr)
+	dist := NewQuery().Types(KMeansDistanceType)
+	if tasks, _ := QueryTasks(src, dist); len(tasks) == 0 {
 		t.Fatal("no distance tasks")
 	}
-	if p := AverageParallelism(tr, tr.Span.Start, tr.Span.End); p <= 0 {
+	if st, _ := QueryStats(src, NewQuery()); st.AvgParallelism <= 0 {
 		t.Error("no parallelism")
 	}
-	if h := DurationHistogram(tr, dist, 10); h.Total == 0 {
+	if h, _ := QueryHistogram(src, dist.Clone().Bins(10)); h.Total == 0 {
 		t.Error("empty histogram")
 	}
 
 	// Derived metrics and regression.
-	c, ok := tr.CounterByName(CounterBranchMisses)
-	if !ok {
-		t.Fatal("missing counter")
+	deltas, _, err := QueryTaskDeltas(src, dist.Clone().Counter(CounterBranchMisses))
+	if err != nil {
+		t.Fatal(err)
 	}
-	deltas := CounterDeltaPerTask(tr, c, dist)
 	if len(deltas) == 0 {
 		t.Fatal("no deltas")
+	}
+	if _, _, err := QueryTaskDeltas(src, dist.Clone().Counter("bogus")); err == nil {
+		t.Error("QueryTaskDeltas accepted an unknown counter")
 	}
 	var xs, ys []float64
 	for _, d := range deltas {
@@ -79,17 +87,17 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Rendering.
-	fb, st, err := RenderTimeline(tr, TimelineConfig{Width: 300, Height: 80, Mode: ModeState})
+	fb, _, err := QueryTimeline(src, NewQuery().Size(300, 80).Mode(ModeState).Labels(false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb.W() != 300 || st.Rects == 0 {
+	if fb.W() != 300 {
 		t.Error("render produced nothing")
 	}
 	if out := ASCIITimeline(tr, 60, 8); !strings.Contains(out, "#") {
 		t.Error("ASCII timeline empty")
 	}
-	m := CommMatrixOf(tr, ReadsAndWrites, tr.Span.Start, tr.Span.End+1)
+	m, _ := QueryCommMatrix(src, NewQuery().Window(tr.Span.Start, tr.Span.End+1))
 	if m.Total() == 0 {
 		t.Error("empty communication matrix")
 	}
@@ -98,8 +106,12 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Export.
+	c, ok := tr.CounterByName(CounterBranchMisses)
+	if !ok {
+		t.Fatal("missing counter")
+	}
 	var csv bytes.Buffer
-	if err := ExportTasksCSV(&csv, tr, dist, []*Counter{c}); err != nil {
+	if _, err := QueryTasksCSV(&csv, src, dist, []*Counter{c}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(csv.String(), "duration") {
@@ -107,8 +119,46 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Viewer constructs.
-	if NewViewer(tr, "test") == nil {
+	if NewViewer(src, "test") == nil {
 		t.Error("no viewer")
+	}
+}
+
+// TestQueryHistogramWindow: a windowed histogram bins exactly the
+// executed tasks QueryTasks selects with the same query, and the
+// unwindowed one every executed task.
+func TestQueryHistogramWindow(t *testing.T) {
+	prog, err := BuildSeidel(ScaledSeidelConfig(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, _, err := SimulateToTrace(prog, DefaultSimConfig(SmallMachine(2, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := Static(tr)
+	executed := func(q *Query) int {
+		tasks, _ := QueryTasks(src, q)
+		n := 0
+		for _, task := range tasks {
+			if task.ExecCPU >= 0 {
+				n++
+			}
+		}
+		return n
+	}
+	windowed := NewQuery().Window(tr.Span.Start, tr.Span.Start+tr.Span.Duration()/10)
+	all := NewQuery()
+	hw, _ := QueryHistogram(src, windowed)
+	ha, _ := QueryHistogram(src, all)
+	if want := executed(windowed); hw.Total != want {
+		t.Errorf("windowed histogram holds %d tasks, QueryTasks selects %d executed", hw.Total, want)
+	}
+	if want := executed(all); ha.Total != want {
+		t.Errorf("unwindowed histogram holds %d tasks, the trace executed %d", ha.Total, want)
+	}
+	if hw.Total == 0 || hw.Total >= ha.Total {
+		t.Errorf("window selects %d of %d tasks; the check above needs a proper non-empty subset", hw.Total, ha.Total)
 	}
 }
 
@@ -181,5 +231,60 @@ func TestCustomProgram(t *testing.T) {
 	}
 	if res.TasksExecuted != 2 {
 		t.Errorf("executed %d", res.TasksExecuted)
+	}
+}
+
+// TestPublicAPI: the exported top-level identifiers of the package's
+// non-test files are exactly those testdata/public_api.txt lists, one
+// "<kind> <name>" a line in name order, so a new export shows up as a
+// deliberate diff of that file rather than as silent growth.
+func TestPublicAPI(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var got []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					got = append(got, "func "+d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						if sp.Name.IsExported() {
+							got = append(got, "type "+sp.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							if n.IsExported() {
+								got = append(got, d.Tok.String()+" "+n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(got, func(i, j int) bool {
+		return strings.Fields(got[i])[1] < strings.Fields(got[j])[1]
+	})
+	want, err := os.ReadFile(filepath.Join("testdata", "public_api.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g := strings.Join(got, "\n") + "\n"; g != string(want) {
+		t.Errorf("exported identifiers differ from testdata/public_api.txt; got:\n%s", g)
 	}
 }

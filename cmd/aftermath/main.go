@@ -38,6 +38,8 @@ import (
 
 	aftermath "github.com/openstream/aftermath"
 	"github.com/openstream/aftermath/internal/ingest"
+	"github.com/openstream/aftermath/internal/stats"
+	"github.com/openstream/aftermath/internal/symbols"
 )
 
 func main() {
@@ -378,7 +380,7 @@ func runFollow(path string, o runOptions) error {
 	tr, epoch := lv.Snapshot()
 	fmt.Printf("following %s: epoch %d, %d tasks, %d CPUs, span %d cycles so far\n",
 		path, epoch, len(tr.Tasks), tr.NumCPUs(), tr.Span.Duration())
-	viewer := aftermath.NewLiveViewer(lv, path)
+	viewer := aftermath.NewViewer(lv, path)
 	fmt.Printf("serving live viewer on http://%s (polling every %s; /live reports ingest status, /events pushes epoch advances)\n",
 		o.httpAddr, o.pollEvery)
 	return newServer(o.httpAddr, viewer).ListenAndServe()
@@ -433,12 +435,12 @@ func run(path string, o runOptions) error {
 		if err != nil {
 			return err
 		}
-		table, err := aftermath.ParseNM(f)
+		table, err := symbols.ParseNM(f)
 		f.Close()
 		if err != nil {
 			return err
 		}
-		n := aftermath.ResolveSymbols(tr, table)
+		n := symbols.Resolve(tr, table)
 		fmt.Printf("resolved %d task type names from %s\n", n, nmPath)
 	}
 
@@ -459,11 +461,14 @@ func run(path string, o runOptions) error {
 	for _, tt := range tr.Types {
 		fmt.Printf("          %-24s %8d tasks (work fn 0x%x)\n", tr.TypeName(tt.ID), perType[uint32(tt.ID)], tt.Addr)
 	}
-	par := aftermath.AverageParallelism(tr, tr.Span.Start, tr.Span.End)
+	states := stats.StateTimes(tr, tr.Span.Start, tr.Span.End)
+	var par float64
+	if span := tr.Span.Duration(); span > 0 {
+		par = float64(states[aftermath.StateTaskExec]) / float64(span)
+	}
 	fmt.Printf("parallelism: %.1f average\n", par)
-	loc := aftermath.LocalityFraction(tr, aftermath.ReadsAndWrites, tr.Span.Start, tr.Span.End+1)
+	loc := stats.LocalityFraction(tr, stats.ReadsAndWrites, tr.Span.Start, tr.Span.End+1)
 	fmt.Printf("NUMA locality: %.1f%% of accessed bytes are node-local\n", 100*loc)
-	states := aftermath.StateTimes(tr, tr.Span.Start, tr.Span.End)
 	var total int64
 	for _, v := range states {
 		total += v
@@ -499,7 +504,10 @@ func run(path string, o runOptions) error {
 
 	var anns *aftermath.AnnotationSet
 	if o.anomalies {
-		found := aftermath.ScanAnomalies(tr, aftermath.AnomalyConfig{MinScore: o.anomMinScore})
+		found, _, err := aftermath.QueryAnomalies(aftermath.Static(tr), aftermath.NewQuery().MinScore(o.anomMinScore))
+		if err != nil {
+			return err
+		}
 		fmt.Printf("\nanomalies: %d findings", len(found))
 		top := o.anomTop
 		if top <= 0 || top > len(found) {
@@ -526,7 +534,7 @@ func run(path string, o runOptions) error {
 		// Warm the shared counter min/max trees before accepting
 		// traffic, so the first overlay request is already fast.
 		tr.BuildCounterIndex(0)
-		viewer := aftermath.NewViewer(tr, path)
+		viewer := aftermath.NewViewer(aftermath.Static(tr), path)
 		if anns != nil {
 			// Top findings render as timeline markers in the viewer.
 			viewer.SetAnnotations(anns)

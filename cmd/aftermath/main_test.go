@@ -266,7 +266,7 @@ func TestServerDropsStalledHeadersKeepsEventStreams(t *testing.T) {
 	if _, err := lv.Feed(trace.NewStreamReader(bytes.NewReader(nativeTraceBytes(t)))); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer("", aftermath.NewLiveViewer(lv, "serve-test"))
+	srv := newServer("", aftermath.NewViewer(lv, "serve-test"))
 	if srv.ReadHeaderTimeout != serveHeaderTimeout || srv.IdleTimeout != serveIdleTimeout ||
 		srv.MaxHeaderBytes != serveMaxHeaderBytes || serveHeaderTimeout <= 0 {
 		t.Fatalf("server limits not taken from the constants: %+v", srv)

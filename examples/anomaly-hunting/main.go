@@ -35,7 +35,11 @@ func main() {
 	// Scan with defaults: four detectors (duration outliers, NUMA
 	// locality, load imbalance, counter spikes) run in parallel and
 	// merge into one deterministic ranking.
-	found := aftermath.ScanAnomalies(tr, aftermath.AnomalyConfig{})
+	src := aftermath.Static(tr)
+	found, _, err := aftermath.QueryAnomalies(src, aftermath.NewQuery())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("anomaly scan: %d findings\n", len(found))
 	for i, a := range found {
 		if i >= 10 {
@@ -47,9 +51,12 @@ func main() {
 
 	// Narrow the hunt exactly like the viewer's /anomalies endpoint:
 	// only NUMA findings among the seidel block tasks.
-	cfg := aftermath.AnomalyConfig{Filter: aftermath.FilterByTypes(tr, aftermath.SeidelBlockType)}
+	blocks, _, err := aftermath.QueryAnomalies(src, aftermath.NewQuery().Types(aftermath.SeidelBlockType))
+	if err != nil {
+		log.Fatal(err)
+	}
 	numa := 0
-	for _, a := range aftermath.ScanAnomalies(tr, cfg) {
+	for _, a := range blocks {
 		if a.Kind == aftermath.AnomalyNUMARemote {
 			numa++
 		}

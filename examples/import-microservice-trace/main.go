@@ -113,7 +113,10 @@ func main() {
 
 	// 4. The full analysis stack works on the imported trace; the
 	// planted outlier tops the anomaly ranking.
-	found := aftermath.ScanAnomalies(tr, aftermath.AnomalyConfig{})
+	found, _, err := aftermath.QueryAnomalies(aftermath.Static(tr), aftermath.NewQuery())
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\n%d anomalies; top findings:\n", len(found))
 	for i, a := range found {
 		if i == 3 {

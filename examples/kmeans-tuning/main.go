@@ -51,8 +51,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	dist := aftermath.FilterByTypes(tr, aftermath.KMeansDistanceType)
-	durs := aftermath.TaskDurations(tr, dist)
+	src := aftermath.Static(tr)
+	dist := aftermath.NewQuery().Types(aftermath.KMeansDistanceType)
+	durs := durations(src, dist)
 	fmt.Printf("\ncomputation tasks: mean %.2f Mcycles, stddev %.2f Mcycles\n",
 		aftermath.Mean(durs)/1e6, aftermath.StdDev(durs)/1e6)
 
@@ -60,7 +61,10 @@ func main() {
 	if !ok {
 		log.Fatal("no branch misprediction counter")
 	}
-	deltas := aftermath.CounterDeltaPerTask(tr, counter, dist)
+	deltas, _, err := aftermath.QueryTaskDeltas(src, dist.Clone().Counter(aftermath.CounterBranchMisses))
+	if err != nil {
+		log.Fatal(err)
+	}
 	xs := make([]float64, 0, len(deltas))
 	ys := make([]float64, 0, len(deltas))
 	for _, d := range deltas {
@@ -79,7 +83,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := aftermath.ExportTasksCSV(f, tr, dist, []*aftermath.Counter{counter}); err != nil {
+	if _, err := aftermath.QueryTasksCSV(f, src, dist, []*aftermath.Counter{counter}); err != nil {
 		log.Fatal(err)
 	}
 	f.Close()
@@ -109,9 +113,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	udurs := aftermath.TaskDurations(utr, aftermath.FilterByTypes(utr, aftermath.KMeansDistanceType))
+	udurs := durations(aftermath.Static(utr), dist)
 	fmt.Printf("\nafter hoisting the conditional update (Section V):\n")
 	fmt.Printf("  mean %.2f -> %.2f Mcycles, stddev %.2f -> %.2f Mcycles\n",
 		aftermath.Mean(durs)/1e6, aftermath.Mean(udurs)/1e6,
 		aftermath.StdDev(durs)/1e6, aftermath.StdDev(udurs)/1e6)
+}
+
+// durations returns the execution durations of the executed tasks the
+// query selects, in task order.
+func durations(src aftermath.TraceSource, q *aftermath.Query) []float64 {
+	tasks, _ := aftermath.QueryTasks(src, q)
+	var out []float64
+	for _, t := range tasks {
+		if t.ExecCPU >= 0 {
+			out = append(out, float64(t.Duration()))
+		}
+	}
+	return out
 }

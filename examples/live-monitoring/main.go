@@ -108,7 +108,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer follower.Close()
-	viewer := aftermath.NewLiveViewer(lv, "run.atm")
+	viewer := aftermath.NewViewer(lv, "run.atm")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
@@ -170,8 +170,10 @@ func main() {
 				log.Fatalf("ingest error pushed: %s", ev.Error)
 			}
 			last = ev
-			tr, _ := lv.Snapshot()
-			found := aftermath.ScanAnomalies(tr, aftermath.AnomalyConfig{})
+			found, _, err := aftermath.QueryAnomalies(lv, aftermath.NewQuery())
+			if err != nil {
+				log.Fatal(err)
+			}
 			fmt.Printf("pushed epoch %2d: %4d tasks, span %9d cycles, %2d anomalies\n",
 				ev.Epoch, ev.Tasks, ev.End-ev.Start, len(found))
 		case <-quiet:
@@ -196,12 +198,11 @@ func main() {
 	fmt.Printf("\nfinal epoch %d: %d tasks (cold load agrees: %v)\n",
 		epoch, len(tr.Tasks), len(tr.Tasks) == len(cold.Tasks) && tr.Span == cold.Span)
 	fmt.Println("\ntop final anomalies:")
-	found := aftermath.ScanAnomalies(tr, aftermath.AnomalyConfig{})
-	top := 5
-	if len(found) < top {
-		top = len(found)
+	found, _, err := aftermath.QueryAnomalies(aftermath.Static(tr), aftermath.NewQuery().Limit(5))
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, a := range found[:top] {
+	for _, a := range found {
 		fmt.Println("  " + a.String())
 	}
 	fmt.Println("\nserve this live with: aftermath -follow -http :8080 " + path)

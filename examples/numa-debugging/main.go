@@ -44,14 +44,16 @@ func main() {
 		name string
 		tr   *aftermath.Trace
 	}{{"non-optimized", trRand}, {"optimized", trNUMA}} {
-		loc := aftermath.LocalityFraction(v.tr, aftermath.Reads, v.tr.Span.Start, v.tr.Span.End+1)
+		reads, _ := aftermath.QueryCommMatrix(aftermath.Static(v.tr),
+			aftermath.NewQuery().Comm(aftermath.Reads).Window(v.tr.Span.Start, v.tr.Span.End+1))
+		loc := reads.LocalFraction()
 		fmt.Printf("%-14s %5.1f%% of read bytes are node-local\n", v.name, 100*loc)
 	}
 
 	// The communication incidence matrix (Fig. 15): uniform red vs
 	// sharp diagonal.
-	mRand := aftermath.CommMatrixOf(trRand, aftermath.ReadsAndWrites, trRand.Span.Start, trRand.Span.End+1)
-	mNUMA := aftermath.CommMatrixOf(trNUMA, aftermath.ReadsAndWrites, trNUMA.Span.Start, trNUMA.Span.End+1)
+	mRand, _ := aftermath.QueryCommMatrix(aftermath.Static(trRand), aftermath.NewQuery().Window(trRand.Span.Start, trRand.Span.End+1))
+	mNUMA, _ := aftermath.QueryCommMatrix(aftermath.Static(trNUMA), aftermath.NewQuery().Window(trNUMA.Span.Start, trNUMA.Span.End+1))
 	fmt.Printf("\nmatrix diagonal share: %.1f%% vs %.1f%%\n",
 		100*mRand.LocalFraction(), 100*mNUMA.LocalFraction())
 	if err := aftermath.RenderCommMatrix(mRand, 24).WritePNG("matrix_random.png"); err != nil {
@@ -73,9 +75,7 @@ func main() {
 		{"numa_heat_random.png", trRand, aftermath.ModeNUMAHeat},
 		{"numa_heat_numa.png", trNUMA, aftermath.ModeNUMAHeat},
 	} {
-		fb, _, err := aftermath.RenderTimeline(v.tr, aftermath.TimelineConfig{
-			Width: 900, Height: 192, Mode: v.mode,
-		})
+		fb, _, err := aftermath.QueryTimeline(aftermath.Static(v.tr), aftermath.NewQuery().Size(900, 192).Mode(v.mode).Labels(false))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -87,13 +87,17 @@ func main() {
 
 	// The hunt above is manual: compare maps, spot the remote tasks.
 	// The detector-driven flow in examples/anomaly-hunting automates
-	// it — ScanAnomalies ranks the NUMA-remote stragglers (plus
+	// it — QueryAnomalies ranks the NUMA-remote stragglers (plus
 	// duration outliers, imbalance windows and counter spikes)
 	// directly, and the viewer serves the same list at /anomalies.
-	remote := 0
 	// MaxPerKind -1 lifts the per-detector cap so the count is a true
 	// total, not a saturated top-20.
-	for _, a := range aftermath.ScanAnomalies(trNUMA, aftermath.AnomalyConfig{MaxPerKind: -1}) {
+	found, _, err := aftermath.QueryAnomalies(aftermath.Static(trNUMA), aftermath.NewQuery().MaxPerKind(-1))
+	if err != nil {
+		log.Fatal(err)
+	}
+	remote := 0
+	for _, a := range found {
 		if a.Kind == aftermath.AnomalyNUMARemote {
 			remote++
 		}

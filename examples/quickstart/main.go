@@ -28,15 +28,20 @@ func main() {
 	fmt.Printf("executed %d tasks in %.2f Mcycles on %d CPUs\n",
 		res.TasksExecuted, float64(res.Makespan)/1e6, machine.NumCPUs())
 
-	// 3. Ask Aftermath questions about the execution.
-	par := aftermath.AverageParallelism(tr, tr.Span.Start, tr.Span.End)
-	fmt.Printf("average parallelism: %.1f\n", par)
+	// 3. Ask Aftermath questions about the execution: every view is a
+	// Query over a trace source.
+	src := aftermath.Static(tr)
+	stats, _ := aftermath.QueryStats(src, aftermath.NewQuery())
+	fmt.Printf("average parallelism: %.1f\n", stats.AvgParallelism)
 
-	idle := aftermath.IdleWorkers(tr, 20)
+	idle, _, err := aftermath.QuerySeries(src, aftermath.NewQuery().Metric("idle").Intervals(20))
+	if err != nil {
+		log.Fatal(err)
+	}
 	_, peakIdle := idle.MinMax()
 	fmt.Printf("peak idle workers:   %.0f of %d\n", peakIdle, machine.NumCPUs())
 
-	hist := aftermath.DurationHistogram(tr, nil, 10)
+	hist, _ := aftermath.QueryHistogram(src, aftermath.NewQuery().Bins(10))
 	fmt.Printf("task durations:      %.0f .. %.0f cycles over %d tasks\n",
 		hist.Min, hist.Max, hist.Total)
 
@@ -45,9 +50,7 @@ func main() {
 		g.NumEdges(), g.CriticalPathLength())
 
 	// 4. Render the timeline (state mode) to a PNG and the terminal.
-	fb, _, err := aftermath.RenderTimeline(tr, aftermath.TimelineConfig{
-		Width: 800, Height: 200, Mode: aftermath.ModeState, Labels: true,
-	})
+	fb, _, err := aftermath.QueryTimeline(src, aftermath.NewQuery().Size(800, 200).Mode(aftermath.ModeState))
 	if err != nil {
 		log.Fatal(err)
 	}

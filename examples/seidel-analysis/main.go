@@ -28,9 +28,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("seidel: %d tasks, makespan %.2f Gcycles\n\n", res.TasksExecuted, float64(res.Makespan)/1e9)
+	src := aftermath.Static(tr)
 
 	// Step 1 (Fig. 2-3): idle phases on the timeline.
-	idle := aftermath.IdleWorkers(tr, 100)
+	idle, _, err := aftermath.QuerySeries(src, aftermath.NewQuery().Metric("idle").Intervals(100))
+	if err != nil {
+		log.Fatal(err)
+	}
 	_, peak := idle.MinMax()
 	fmt.Printf("peak idle workers: %.0f of %d — idle phases confirmed\n", peak, tr.NumCPUs())
 
@@ -50,19 +54,17 @@ func main() {
 
 	// Step 3 (Fig. 7-9): why are early tasks slow? Compare durations
 	// by task type.
-	initDur := aftermath.Mean(aftermath.TaskDurations(tr, aftermath.FilterByTypes(tr, aftermath.SeidelInitType)))
-	blockDur := aftermath.Mean(aftermath.TaskDurations(tr, aftermath.FilterByTypes(tr, aftermath.SeidelBlockType)))
+	initDur := aftermath.Mean(durations(src, aftermath.NewQuery().Types(aftermath.SeidelInitType)))
+	blockDur := aftermath.Mean(durations(src, aftermath.NewQuery().Types(aftermath.SeidelBlockType)))
 	fmt.Printf("\ninit tasks average %.1f Mcycles vs %.1f Mcycles for compute tasks\n",
 		initDur/1e6, blockDur/1e6)
 
 	// Step 4 (Fig. 10): correlate with the OS — the system time and
 	// resident size grow almost exclusively during initialization.
-	sys, ok := tr.CounterByName(aftermath.CounterOSSystemTime)
-	if !ok {
-		log.Fatal("no rusage counters in trace")
+	dSys, _, err := aftermath.QuerySeries(src, aftermath.NewQuery().Metric(aftermath.CounterOSSystemTime).Intervals(50))
+	if err != nil {
+		log.Fatal(err)
 	}
-	agg := aftermath.AggregateCounter(tr, sys, 50)
-	dSys := aftermath.Derivative(agg)
 	firstHalf, secondHalf := 0.0, 0.0
 	for i, v := range dSys.Values {
 		if i < dSys.Len()/4 {
@@ -84,9 +86,7 @@ func main() {
 		{"seidel_heatmap.png", aftermath.ModeHeat},
 		{"seidel_typemap.png", aftermath.ModeType},
 	} {
-		fb, _, err := aftermath.RenderTimeline(tr, aftermath.TimelineConfig{
-			Width: 1000, Height: 256, Mode: v.mode,
-		})
+		fb, _, err := aftermath.QueryTimeline(src, aftermath.NewQuery().Size(1000, 256).Mode(v.mode).Labels(false))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -106,4 +106,17 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("wrote seidel_graph.dot (render with: dot -Tpdf seidel_graph.dot)")
+}
+
+// durations returns the execution durations of the executed tasks the
+// query selects, in task order.
+func durations(src aftermath.TraceSource, q *aftermath.Query) []float64 {
+	tasks, _ := aftermath.QueryTasks(src, q)
+	var out []float64
+	for _, t := range tasks {
+		if t.ExecCPU >= 0 {
+			out = append(out, float64(t.Duration()))
+		}
+	}
+	return out
 }

@@ -61,11 +61,11 @@ func TestImportGoldenTopology(t *testing.T) {
 // golden-tested render path, so any nondeterminism in the inference
 // (map ordering, lane assignment) would show up here as pixel churn.
 func TestImportTimelineDeterministic(t *testing.T) {
-	cfg := aftermath.TimelineConfig{Width: 320, Height: 160}
+	q := aftermath.NewQuery().Size(320, 160).Labels(false)
 	var prev []byte
 	for i := 0; i < 2; i++ {
 		tr, _ := importFixture(t)
-		fb, _, err := aftermath.RenderTimeline(tr, cfg)
+		fb, _, err := aftermath.QueryTimeline(aftermath.Static(tr), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +83,14 @@ func TestImportTimelineDeterministic(t *testing.T) {
 func TestImportAnomaliesDeterministic(t *testing.T) {
 	tr, _ := importFixture(t)
 
-	one := aftermath.ScanAnomalies(tr, aftermath.AnomalyConfig{Workers: 1})
-	four := aftermath.ScanAnomalies(tr, aftermath.AnomalyConfig{Workers: 4})
+	one, _, err := aftermath.QueryAnomalies(aftermath.Static(tr), aftermath.NewQuery().Workers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, _, err := aftermath.QueryAnomalies(aftermath.Static(tr), aftermath.NewQuery().Workers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(one, four) {
 		t.Fatalf("anomaly scan differs across worker counts:\n%+v\n%+v", one, four)
 	}

@@ -159,35 +159,16 @@ type Detector interface {
 	Detect(tr *core.Trace, cfg Config) []Anomaly
 }
 
-// registry holds the registered detectors sorted by name, so scan
-// order (and therefore slot assignment) is deterministic.
-var registry []Detector
+// detectors is the set Scan runs, sorted by name, so scan order (and
+// therefore slot assignment) is deterministic.
+var detectors = []Detector{SpikeDetector{}, DurationDetector{}, ImbalanceDetector{}, NUMADetector{}}
 
-// Register adds a detector to the default set scanned by Scan. A
-// detector with the same name replaces the previous registration.
-// Not safe for concurrent use; call from init or setup code.
-func Register(d Detector) {
-	for i, e := range registry {
-		if e.Name() == d.Name() {
-			registry[i] = d
-			return
-		}
-	}
-	registry = append(registry, d)
-	sort.Slice(registry, func(i, j int) bool { return registry[i].Name() < registry[j].Name() })
-}
-
-// Detectors returns the registered detectors in name order.
-func Detectors() []Detector {
-	return append([]Detector(nil), registry...)
-}
-
-// Scan runs every registered detector over the trace and returns the
-// merged findings ranked by severity. The ranking is deterministic:
-// detectors run in parallel but each writes to its own slot, and ties
-// break on (kind, window start, CPU, task, counter).
+// Scan runs every detector over the trace and returns the merged
+// findings ranked by severity. The ranking is deterministic: detectors
+// run in parallel but each writes to its own slot, and ties break on
+// (kind, window start, CPU, task, counter).
 func Scan(tr *core.Trace, cfg Config) []Anomaly {
-	return ScanWith(tr, cfg, registry...)
+	return ScanWith(tr, cfg, detectors...)
 }
 
 // ScanWith runs the given detectors (see Scan).

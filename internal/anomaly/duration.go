@@ -102,5 +102,3 @@ func maxf(a, b float64) float64 {
 	}
 	return b
 }
-
-func init() { Register(DurationDetector{}) }

@@ -185,3 +185,14 @@ func TestPublishGranularityInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectorsSortedByName: Scan's slot assignment, and so its
+// ranking among equal findings, follows the detector list's order,
+// which is the order of the detectors' names.
+func TestDetectorsSortedByName(t *testing.T) {
+	for i := 1; i < len(detectors); i++ {
+		if a, b := detectors[i-1].Name(), detectors[i].Name(); a >= b {
+			t.Errorf("detectors[%d] %q sorts at or after detectors[%d] %q", i-1, a, i, b)
+		}
+	}
+}

@@ -81,5 +81,3 @@ func imbalanceExplanation(cpu int32, lo, mean float64) string {
 	return fmt.Sprintf("cpu %d executed tasks %.0f%% of the window while the machine averaged %.0f%% busy",
 		cpu, 100*lo, 100*mean)
 }
-
-func init() { Register(ImbalanceDetector{}) }

@@ -143,5 +143,3 @@ func scoreTaskLocality(tr *core.Trace, model hw.Model, t *core.TaskInfo, ls locS
 			t.ID, tr.TypeName(t.Type), execNode, 100*frac, ls.total, 100*baseline, ls.worstNode, penalty),
 	}, true
 }
-
-func init() { Register(NUMADetector{}) }

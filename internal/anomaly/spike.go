@@ -139,5 +139,3 @@ func spikeExplanation(tr *core.Trace, ci *core.CounterIndex, c *core.Counter, cp
 	return fmt.Sprintf("%s rate on cpu %d peaked at %.2f/kcycle against a machine-wide median of %.2f/kcycle",
 		c.Desc.Name, cpu, peak, med)
 }
-
-func init() { Register(SpikeDetector{}) }

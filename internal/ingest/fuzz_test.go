@@ -9,6 +9,7 @@ import (
 
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/ingest"
+	"github.com/openstream/aftermath/internal/query"
 	"github.com/openstream/aftermath/internal/trace"
 	"github.com/openstream/aftermath/internal/ui"
 )
@@ -89,7 +90,7 @@ func FuzzOpenServe(f *testing.F) {
 		if err != nil {
 			return
 		}
-		srv := ui.NewServer(tr, "fuzz")
+		srv := ui.NewServer(query.NewStatic(tr), "fuzz")
 		defer srv.Close()
 		for _, u := range urls {
 			rec := httptest.NewRecorder()

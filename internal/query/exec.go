@@ -1,6 +1,6 @@
 // Executors: run a Query against one immutable snapshot. These are
-// the single entry points the HTTP viewer, the Hub server, the CLI and
-// the flat public API all delegate to, so parameter semantics (window
+// the single entry points the HTTP viewer, the Hub server and the
+// public Query* API all delegate to, so parameter semantics (window
 // defaulting, filter construction, metric kinds, anomaly selection)
 // are defined exactly once.
 package query
@@ -22,8 +22,8 @@ import (
 // WindowOf resolves the query window against the snapshot: unset
 // bounds default to the trace span; set bounds pass through verbatim
 // (the URL layer, not this resolver, owns the t0=0&t1=0-means-unset
-// convention — see FromValues — so the flat API's explicit windows
-// keep their exact historical semantics).
+// convention — see FromValues — so an explicit Window(0, 0) selects
+// nothing).
 func WindowOf(tr *core.Trace, q *Query) (t0, t1 trace.Time) {
 	t0, t1 = tr.Span.Start, tr.Span.End
 	if q.hasT0 {
@@ -219,13 +219,6 @@ func TimelineConfigOf(tr *core.Trace, q *Query) render.TimelineConfig {
 	}
 }
 
-// TimelineRawOf renders the timeline the query describes, without
-// overlays, returning the renderer's work statistics. Byte-identical
-// to render.Timeline with the equivalent configuration.
-func TimelineRawOf(tr *core.Trace, q *Query) (*render.Framebuffer, render.Stats, error) {
-	return render.Timeline(tr, TimelineConfigOf(tr, q))
-}
-
 // TimelineOf renders the timeline the query describes, including the
 // counter overlay when one is selected.
 func TimelineOf(tr *core.Trace, q *Query) (*render.Framebuffer, render.Stats, error) {
@@ -246,13 +239,14 @@ func TimelineOf(tr *core.Trace, q *Query) (*render.Framebuffer, render.Stats, er
 	return fb, st, nil
 }
 
-// HistogramOf bins the durations of matching tasks.
+// HistogramOf bins the durations of the executed tasks TasksOf
+// selects.
 func HistogramOf(tr *core.Trace, q *Query) *stats.Histogram {
 	bins := q.bins
 	if bins <= 0 {
 		bins = 20
 	}
-	return stats.DurationHistogram(tr, FilterOf(tr, q), bins)
+	return stats.DurationHistogram(tr, taskFilterOf(tr, q), bins)
 }
 
 // CommMatrixOf accumulates the node-to-node communication matrix over
@@ -316,24 +310,37 @@ func AnomaliesOf(tr *core.Trace, q *Query) ([]anomaly.Anomaly, error) {
 	return SelectAnomalies(found, q)
 }
 
-// TasksOf returns the tasks matching the query's filter. A window set
-// on the query restricts to tasks overlapping it.
-func TasksOf(tr *core.Trace, q *Query) []*core.TaskInfo {
+// taskFilterOf is FilterOf restricted, when the query sets a window,
+// to the tasks whose execution overlaps it: the task selection of
+// TasksOf, TasksCSVTo, HistogramOf and TaskDeltasOf.
+func taskFilterOf(tr *core.Trace, q *Query) *filter.TaskFilter {
 	f := FilterOf(tr, q)
 	if q.hasT0 || q.hasT1 {
 		t0, t1 := WindowOf(tr, q)
 		f = f.WithWindow(t0, t1)
 	}
-	return filter.Tasks(tr, f)
+	return f
+}
+
+// TasksOf returns the tasks matching the query's filter. A window set
+// on the query restricts to tasks overlapping it.
+func TasksOf(tr *core.Trace, q *Query) []*core.TaskInfo {
+	return filter.Tasks(tr, taskFilterOf(tr, q))
 }
 
 // TasksCSVTo writes the matching tasks (with counter attribution for
 // the given counters) as CSV.
 func TasksCSVTo(w io.Writer, tr *core.Trace, q *Query, counters []*core.Counter) error {
-	f := FilterOf(tr, q)
-	if q.hasT0 || q.hasT1 {
-		t0, t1 := WindowOf(tr, q)
-		f = f.WithWindow(t0, t1)
+	return export.TasksCSV(w, tr, taskFilterOf(tr, q), counters)
+}
+
+// TaskDeltasOf attributes the counter the query names (Counter) to the
+// executed tasks TasksOf selects: each task's counter increase over
+// its execution. An unknown counter name is an error.
+func TaskDeltasOf(tr *core.Trace, q *Query) ([]metrics.TaskDelta, error) {
+	c, ok := tr.CounterByName(q.counter)
+	if !ok {
+		return nil, fmt.Errorf("unknown counter %q", q.counter)
 	}
-	return export.TasksCSV(w, tr, f, counters)
+	return metrics.CounterDeltaPerTask(tr, c, taskFilterOf(tr, q)), nil
 }

@@ -18,11 +18,10 @@
 //     parameters were spelled or ordered.
 //
 // Executors (WindowOf, FilterOf, SeriesOf, StatsOf, TimelineOf,
-// HistogramOf, CommMatrixOf, AnomaliesOf, TasksOf, TasksCSVTo) run a
-// Query against one immutable snapshot. They own the parameter
-// semantics the HTTP viewer, the Hub server, the CLI and the flat
-// convenience API all share, replacing the per-handler re-parsing the
-// viewer used to do.
+// HistogramOf, CommMatrixOf, AnomaliesOf, TasksOf, TasksCSVTo,
+// TaskDeltasOf) run a Query against one immutable snapshot. They own
+// the parameter semantics the HTTP viewer, the Hub server and the
+// public Query* API share.
 package query
 
 import (

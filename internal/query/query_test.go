@@ -150,8 +150,7 @@ func TestFromValuesErrors(t *testing.T) {
 }
 
 // TestExecutorsMatchDirectCalls: the query executors compute exactly
-// what the direct package calls compute — the delegation contract of
-// the flat public API.
+// what the direct package calls compute.
 func TestExecutorsMatchDirectCalls(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	q := New().Types("seidel_block").Intervals(64)
@@ -195,6 +194,17 @@ func TestExecutorsMatchDirectCalls(t *testing.T) {
 	if !reflect.DeepEqual(mz, stats.CommMatrixOf(tr, 0, t0, t1)) {
 		t.Error("Comm(0) did not pass through to stats.CommMatrixOf")
 	}
+	if mz.Total() != 0 {
+		t.Errorf("Comm(0) counted %d bytes, want 0", mz.Total())
+	}
+	// An explicit empty window selects nothing: the URL layer's
+	// t0=0&t1=0-means-unset convention does not reach the executors.
+	if m0 := CommMatrixOf(tr, New().Window(0, 0)); m0.Total() != 0 {
+		t.Errorf("Window(0, 0) counted %d bytes, want 0", m0.Total())
+	}
+	if m.Total() == 0 {
+		t.Error("full-span matrix counted nothing; the zero checks above are vacuous")
+	}
 
 	st := StatsOf(tr, New())
 	if st.Tasks != len(filter.Tasks(tr, (&filter.TaskFilter{}).WithWindow(t0, t1))) {
@@ -207,14 +217,14 @@ func TestExecutorsMatchDirectCalls(t *testing.T) {
 	// The renderer's nil-vs-empty CPUs distinction survives the query
 	// round trip: nil means all CPUs, non-nil empty means none (an
 	// error).
-	if _, _, err := TimelineRawOf(tr, New().Size(300, 120).CPUs([]int32{}...)); err == nil {
+	if _, _, err := TimelineOf(tr, New().Size(300, 120).CPUs([]int32{}...)); err == nil {
 		t.Error("explicitly empty CPU selection did not error")
 	}
-	if _, _, err := TimelineRawOf(tr, New().Size(300, 120).CPUs([]int32(nil)...).Clone()); err != nil {
+	if _, _, err := TimelineOf(tr, New().Size(300, 120).CPUs([]int32(nil)...).Clone()); err != nil {
 		t.Errorf("nil CPU selection errored: %v", err)
 	}
 
-	fbQ, _, err := TimelineRawOf(tr, New().Mode(render.ModeHeat).Size(300, 120))
+	fbQ, _, err := TimelineOf(tr, New().Mode(render.ModeHeat).Size(300, 120))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +236,7 @@ func TestExecutorsMatchDirectCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(fbQ, fbD) {
-		t.Error("TimelineRawOf differs from render.Timeline")
+		t.Error("TimelineOf differs from render.Timeline")
 	}
 
 	// A request still carrying the removed noindex switch parses as the

@@ -107,17 +107,6 @@ func DurationHistogram(tr *core.Trace, f *filter.TaskFilter, bins int) *Histogra
 	return NewHistogram(filter.Durations(tr, f), bins, 0, 0)
 }
 
-// AverageParallelism returns the mean number of simultaneously
-// executing tasks over [t0, t1) — the "average parallelism" text field
-// of the statistics group: StateTimes' task-execution entry over the
-// window's length.
-func AverageParallelism(tr *core.Trace, t0, t1 trace.Time) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	return float64(StateTimes(tr, t0, t1)[trace.StateTaskExec]) / float64(t1-t0)
-}
-
 // StateTimes aggregates the time spent in each worker state across all
 // CPUs over [t0, t1): per CPU and state, the sum of the intervals'
 // clipped covers, which core.DomCPU.StateCover reads off the state's

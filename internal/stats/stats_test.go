@@ -83,17 +83,6 @@ func TestHistogramPeaks(t *testing.T) {
 	}
 }
 
-func TestAverageParallelism(t *testing.T) {
-	tr := atmtest.SeidelTrace(t, 6, 3, openstream.SchedRandom)
-	p := AverageParallelism(tr, tr.Span.Start, tr.Span.End)
-	if p <= 0 || p > float64(tr.NumCPUs()) {
-		t.Errorf("parallelism = %v outside (0,%d]", p, tr.NumCPUs())
-	}
-	if AverageParallelism(tr, 10, 10) != 0 {
-		t.Error("empty interval parallelism must be 0")
-	}
-}
-
 func TestStateTimesBounded(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 2, openstream.SchedRandom)
 	st := StateTimes(tr, tr.Span.Start, tr.Span.End)

@@ -13,6 +13,7 @@ import (
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/openstream"
+	"github.com/openstream/aftermath/internal/query"
 	"github.com/openstream/aftermath/internal/taskgraph"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -108,7 +109,7 @@ func TestEndpointTableWalk(t *testing.T) {
 // serves is byte for byte a direct WriteDOT.
 func TestGraphDOTCached(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	srv := httptest.NewServer(NewServer(tr, "dot-test"))
+	srv := httptest.NewServer(NewServer(query.NewStatic(tr), "dot-test"))
 	t.Cleanup(srv.Close)
 	var want bytes.Buffer
 	if err := taskgraph.Reconstruct(tr).WriteDOT(&want, taskgraph.DOTOptions{Label: "dot-test"}); err != nil {
@@ -245,7 +246,7 @@ func TestStructuredErrors(t *testing.T) {
 		if _, err := lv.Feed(sr); err != nil {
 			t.Fatal(err)
 		}
-		srv := httptest.NewServer(NewLiveServer(lv, "live-errors"))
+		srv := httptest.NewServer(NewServer(lv, "live-errors"))
 		t.Cleanup(srv.Close)
 		check(t, srv, "")
 	})
@@ -296,7 +297,7 @@ func TestEndpointCacheHit(t *testing.T) {
 	// full-span request shares the unwindowed request's entry, and
 	// marks without an attached annotation set is a no-op.
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	wsrv := httptest.NewServer(NewServer(tr, "window-canon"))
+	wsrv := httptest.NewServer(NewServer(query.NewStatic(tr), "window-canon"))
 	t.Cleanup(wsrv.Close)
 	for _, probe := range []struct{ warm, same string }{
 		{"/stats", fmt.Sprintf("/stats?t0=%d&t1=%d", tr.Span.Start, tr.Span.End)},
@@ -335,7 +336,7 @@ func TestEndpointCacheHit(t *testing.T) {
 // producer must hand it a slice with nothing behind its end — not the
 // backing array of the buffer the encoder grew by doubling.
 func TestCachedPNGBodiesAreExactlySized(t *testing.T) {
-	s := NewServer(atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA), "exact")
+	s := NewServer(query.NewStatic(atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)), "exact")
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	paths := []string{"/matrix?cell=20", "/plot?kind=idle&w=300&h=100", "/render?mode=heatmap&w=900&h=380&level=3"}
@@ -460,7 +461,7 @@ func TestAnomaliesQuoteExactSpikePeak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewServer(tr, "spike-test"))
+	srv := httptest.NewServer(NewServer(query.NewStatic(tr), "spike-test"))
 	t.Cleanup(srv.Close)
 	resp, body := get(t, srv, "/anomalies?kind=counter-spike&n=5")
 	if resp.StatusCode != 200 {
@@ -485,7 +486,7 @@ func TestAnomaliesQuoteExactSpikePeak(t *testing.T) {
 // rendered timeline (markers drawn), and marks=0 suppresses them.
 func TestRenderAnnotationMarks(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	s := NewServer(tr, "marks-test")
+	s := NewServer(query.NewStatic(tr), "marks-test")
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 

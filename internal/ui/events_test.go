@@ -109,7 +109,7 @@ func TestEventsPush(t *testing.T) {
 	if _, err := lv.Feed(sr); err != nil {
 		t.Fatal(err)
 	}
-	view := NewLiveServer(lv, "push-test")
+	view := NewServer(lv, "push-test")
 	view.heartbeat = 20 * time.Millisecond
 	srv := httptest.NewServer(view)
 	t.Cleanup(srv.Close)
@@ -182,7 +182,7 @@ func TestEventsIngestError(t *testing.T) {
 	if _, err := lv.Feed(trace.NewStreamReader(bytes.NewReader(data))); err != nil {
 		t.Fatal(err)
 	}
-	view := NewLiveServer(lv, "err-test")
+	view := NewServer(lv, "err-test")
 	view.heartbeat = 20 * time.Millisecond
 	srv := httptest.NewServer(view)
 	t.Cleanup(srv.Close)
@@ -287,7 +287,7 @@ func TestLiveSpillStatusFresh(t *testing.T) {
 	if !ok || st.Segments == 0 {
 		t.Fatalf("precondition: live source spilled nothing (%+v, %v)", st, ok)
 	}
-	srv := httptest.NewServer(NewLiveServer(lv, "spill-test"))
+	srv := httptest.NewServer(NewServer(lv, "spill-test"))
 	t.Cleanup(srv.Close)
 	lr := getLive(t, srv)
 	if lr.Spill == nil {
@@ -349,7 +349,7 @@ func TestTaskParamValidation(t *testing.T) {
 // the rest HITs of the shared result.
 func TestServeCachedSingleflight(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	view := NewServer(tr, "sf-test")
+	view := NewServer(query.NewStatic(tr), "sf-test")
 	const n = 16
 	var builds int32
 	start := make(chan struct{})
@@ -396,7 +396,7 @@ func TestServeCachedSingleflight(t *testing.T) {
 // waiting follower but is never cached — the next request retries.
 func TestServeCachedSingleflightError(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	view := NewServer(tr, "sferr-test")
+	view := NewServer(query.NewStatic(tr), "sferr-test")
 	const n = 8
 	var builds int32
 	start := make(chan struct{})
@@ -458,7 +458,7 @@ func (c *waitingCtx) Done() <-chan struct{} {
 // will ever finish.
 func TestServeCachedPanicRetiresFlight(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	view := NewServer(tr, "sfpanic-test")
+	view := NewServer(query.NewStatic(tr), "sfpanic-test")
 	mustNotBuild := func() ([]byte, error) {
 		t.Error("a follower ran its own build")
 		return nil, nil
@@ -513,7 +513,7 @@ func TestServeCachedPanicRetiresFlight(t *testing.T) {
 // leader's result is cached all the same and the next request is a HIT.
 func TestServeCachedFollowerCancel(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	view := NewServer(tr, "sfcancel-test")
+	view := NewServer(query.NewStatic(tr), "sfcancel-test")
 	building, release := make(chan struct{}), make(chan struct{})
 	leader := httptest.NewRecorder()
 	leaderDone := make(chan struct{})
@@ -560,7 +560,7 @@ func TestServeCachedFollowerCancel(t *testing.T) {
 // cache entry).
 func TestRenderProgressiveGolden(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	srv := httptest.NewServer(NewServer(tr, "golden-test"))
+	srv := httptest.NewServer(NewServer(query.NewStatic(tr), "golden-test"))
 	t.Cleanup(srv.Close)
 
 	// The direct render, through the same query pipeline the handler

@@ -6,6 +6,7 @@ import (
 
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/openstream"
+	"github.com/openstream/aftermath/internal/query"
 )
 
 // FuzzEndpoints sends arbitrary raw query strings to every request/
@@ -16,7 +17,7 @@ import (
 // corpus (testdata/fuzz/FuzzEndpoints) is internal/query's
 // FuzzFromValues corpus, file for file.
 func FuzzEndpoints(f *testing.F) {
-	srv := NewServer(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA), "fuzz")
+	srv := NewServer(query.NewStatic(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA)), "fuzz")
 	paths := []string{"/render", "/matrix", "/plot", "/stats", "/task", "/graph.dot", "/anomalies", "/live"}
 	f.Add("")
 	f.Fuzz(func(t *testing.T, raw string) {

@@ -296,18 +296,15 @@ func TestHubConcurrentMixedTraffic(t *testing.T) {
 	}
 }
 
-// TestSourceServerStaticTrace: every construction path over a static
-// source exposes the served trace via the documented Trace field;
-// live sources leave it nil.
+// TestSourceServerStaticTrace: a server over a static source exposes
+// the served trace via the documented Trace field; live sources leave
+// it nil.
 func TestSourceServerStaticTrace(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 2, 2, openstream.SchedNUMA)
-	if s := NewSourceServer(query.NewStatic(tr), "x"); s.Trace != tr {
-		t.Error("NewSourceServer(static) left Trace unset")
+	if s := NewServer(query.NewStatic(tr), "x"); s.Trace != tr {
+		t.Error("NewServer(query.NewStatic(tr)) left Trace unset")
 	}
-	if s := NewServer(tr, "x"); s.Trace != tr {
-		t.Error("NewServer left Trace unset")
-	}
-	if s := NewLiveServer(core.NewLive(), "y"); s.Trace != nil {
+	if s := NewServer(core.NewLive(), "y"); s.Trace != nil {
 		t.Error("live server populated the static Trace field")
 	}
 }

@@ -79,7 +79,7 @@ func TestLiveEndpointStatus(t *testing.T) {
 	if _, err := lv.Feed(sr); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewLiveServer(lv, "live-test"))
+	srv := httptest.NewServer(NewServer(lv, "live-test"))
 	t.Cleanup(srv.Close)
 
 	lr := getLive(t, srv)
@@ -120,7 +120,7 @@ func TestLiveEndpointStatus(t *testing.T) {
 // existed — but that must come back as the structured error shape,
 // and the page recovers on reload once the first records arrive.
 func TestLiveEmptyTraceViewer(t *testing.T) {
-	srv := httptest.NewServer(NewLiveServer(core.NewLive(), "pre-data"))
+	srv := httptest.NewServer(NewServer(core.NewLive(), "pre-data"))
 	t.Cleanup(srv.Close)
 	for _, path := range []string{"/", "/?mode=state&t0=0&t1=0", "/stats?t0=0&t1=0", "/anomalies?t0=0&t1=0&windows=16", "/live"} {
 		resp, body := get(t, srv, path)
@@ -160,7 +160,7 @@ func TestLiveEndpointIngestError(t *testing.T) {
 	if _, err := lv.Feed(sr); err == nil {
 		t.Fatal("corrupted stream fed without error")
 	}
-	srv := httptest.NewServer(NewLiveServer(lv, "live-err"))
+	srv := httptest.NewServer(NewServer(lv, "live-err"))
 	t.Cleanup(srv.Close)
 	lr := getLive(t, srv)
 	if lr.Error == "" {
@@ -201,7 +201,7 @@ func TestLiveCacheEpochVersioning(t *testing.T) {
 	if _, err := lv.Feed(sr); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(NewLiveServer(lv, "live-test"))
+	srv := httptest.NewServer(NewServer(lv, "live-test"))
 	t.Cleanup(srv.Close)
 
 	paths := []string{

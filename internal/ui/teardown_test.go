@@ -79,7 +79,7 @@ func TestLiveSpillStatusOnLive(t *testing.T) {
 	// served snapshot.
 	lv.Publish()
 
-	srv := httptest.NewServer(NewLiveServer(lv, "run"))
+	srv := httptest.NewServer(NewServer(lv, "run"))
 	defer srv.Close()
 	resp := getLive(t, srv)
 	if !resp.Live {

@@ -127,23 +127,12 @@ func (s *Server) annotationsState() (*annotations.Set, int) {
 	return s.anns, s.annsVer
 }
 
-// NewServer creates a viewer for a loaded trace.
-func NewServer(tr *core.Trace, name string) *Server {
-	return newServer(query.NewStatic(tr), name, newResponseCache(defaultCacheBytes), "")
-}
-
-// NewLiveServer creates a viewer for a live trace. Requests always see
-// the most recently published snapshot; timelines, metrics, statistics
-// and anomaly rankings update as the trace grows, and the /live
-// endpoint reports the current epoch and ingest progress.
-func NewLiveServer(lv *core.Live, name string) *Server {
-	return newServer(lv, name, newResponseCache(defaultCacheBytes), "")
-}
-
-// NewSourceServer creates a viewer for any trace source: batch traces
-// (query.NewStatic) and live traces alike, through the one Source
-// entry point.
-func NewSourceServer(src query.Source, name string) *Server {
+// NewServer creates a viewer for a trace source: a loaded trace
+// (query.NewStatic) or a live one. Requests always see the source's
+// most recently published snapshot, so on a live trace timelines,
+// metrics, statistics and anomaly rankings update as it grows, and the
+// /live endpoint reports the current epoch and ingest progress.
+func NewServer(src query.Source, name string) *Server {
 	return newServer(src, name, newResponseCache(defaultCacheBytes), "")
 }
 

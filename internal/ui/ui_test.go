@@ -9,12 +9,13 @@ import (
 
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/openstream"
+	"github.com/openstream/aftermath/internal/query"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	srv := httptest.NewServer(NewServer(tr, "seidel-test"))
+	srv := httptest.NewServer(NewServer(query.NewStatic(tr), "seidel-test"))
 	t.Cleanup(srv.Close)
 	return srv
 }
