@@ -155,7 +155,10 @@ func (cfg Config) withDefaults(tr *core.Trace) Config {
 type Detector interface {
 	// Name identifies the detector (stable, hyphenated).
 	Name() string
-	// Detect returns the detector's findings, unranked.
+	// Detect returns the detector's findings, unranked. It skips a
+	// candidate scoring below cfg.MinScore before building its finding
+	// — the explanation is formatted only for what Scan keeps — and the
+	// task detectors visit only the tasks cfg.Window holds.
 	Detect(tr *core.Trace, cfg Config) []Anomaly
 }
 

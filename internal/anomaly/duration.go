@@ -1,8 +1,10 @@
 package anomaly
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"unsafe"
 
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/par"
@@ -25,29 +27,27 @@ func (DurationDetector) Name() string { return "duration-outlier" }
 
 // Detect implements Detector.
 func (DurationDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
-	// Group matching executed tasks by type, in task order.
+	// Group the matching tasks the window holds by type.
 	byType := make(map[trace.TypeID][]*core.TaskInfo)
 	var typeOrder []trace.TypeID
-	for i := range tr.Tasks {
-		t := &tr.Tasks[i]
-		if t.ExecCPU < 0 || !cfg.Filter.Match(tr, t) {
-			continue
-		}
-		if !cfg.Window.Overlaps(t.ExecStart, t.ExecEnd) {
-			continue
+	tr.EachTaskIn(cfg.Window.Start, cfg.Window.End, func(t *core.TaskInfo) {
+		if !cfg.Filter.Match(tr, t) {
+			return
 		}
 		if _, ok := byType[t.Type]; !ok {
 			typeOrder = append(typeOrder, t.Type)
 		}
 		byType[t.Type] = append(byType[t.Type], t)
-	}
-	sort.Slice(typeOrder, func(i, j int) bool { return typeOrder[i] < typeOrder[j] })
+	})
+	slices.Sort(typeOrder)
 
 	// Type groups are independent; score them in parallel, one result
-	// slot per type.
+	// slot per type, each group first put back in task order.
 	perType := make([][]Anomaly, len(typeOrder))
 	par.Do(cfg.Workers, len(typeOrder), func(i int) {
-		perType[i] = scoreTypeDurations(tr, typeOrder[i], byType[typeOrder[i]])
+		tasks := byType[typeOrder[i]]
+		slices.SortFunc(tasks, taskOrder)
+		perType[i] = scoreTypeDurations(tr, typeOrder[i], tasks, cfg.MinScore)
 	})
 	var out []Anomaly
 	for _, as := range perType {
@@ -56,9 +56,16 @@ func (DurationDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	return out
 }
 
+// taskOrder orders tasks of one table by their position in it, where
+// pointers into one array compare as their indices do.
+func taskOrder(a, b *core.TaskInfo) int {
+	return cmp.Compare(uintptr(unsafe.Pointer(a)), uintptr(unsafe.Pointer(b)))
+}
+
 // scoreTypeDurations scores one type group against its own median and
-// robust spread.
-func scoreTypeDurations(tr *core.Trace, typ trace.TypeID, tasks []*core.TaskInfo) []Anomaly {
+// robust spread, building a finding only for a score of at least
+// minScore.
+func scoreTypeDurations(tr *core.Trace, typ trace.TypeID, tasks []*core.TaskInfo, minScore float64) []Anomaly {
 	if len(tasks) < minGroupSize {
 		return nil
 	}
@@ -80,7 +87,7 @@ func scoreTypeDurations(tr *core.Trace, typ trace.TypeID, tasks []*core.TaskInfo
 	var out []Anomaly
 	for i, t := range tasks {
 		z := stats.RobustZ(durs[i], med, spread)
-		if z <= 0 {
+		if z <= 0 || z < minScore {
 			continue
 		}
 		out = append(out, Anomaly{

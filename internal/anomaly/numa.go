@@ -42,21 +42,20 @@ func (d NUMADetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	}
 	baseline := 1 - stats.LocalityFraction(tr, stats.ReadsAndWrites, cfg.Window.Start, cfg.Window.End)
 
-	// Task chunks are scored in parallel and merged in chunk order.
-	bounds := par.Chunks(cfg.Workers, len(tr.Tasks))
+	// The window's tasks are scored in chunks, in parallel, and merged in
+	// chunk order.
+	var tasks []*core.TaskInfo
+	tr.EachTaskIn(cfg.Window.Start, cfg.Window.End, func(t *core.TaskInfo) { tasks = append(tasks, t) })
+	bounds := par.Chunks(cfg.Workers, len(tasks))
 	nChunks := len(bounds) - 1
 	perChunk := make([][]Anomaly, nChunks)
 	par.Do(cfg.Workers, nChunks, func(c int) {
 		var out []Anomaly
-		for i := bounds[c]; i < bounds[c+1]; i++ {
-			t := &tr.Tasks[i]
-			if t.ExecCPU < 0 || !cfg.Filter.Match(tr, t) {
+		for _, t := range tasks[bounds[c]:bounds[c+1]] {
+			if !cfg.Filter.Match(tr, t) {
 				continue
 			}
-			if !cfg.Window.Overlaps(t.ExecStart, t.ExecEnd) {
-				continue
-			}
-			if a, ok := scoreTaskLocality(tr, model, t, taskLocalityOf(tr, t), baseline); ok {
+			if a, ok := scoreTaskLocality(tr, model, t, taskLocalityOf(tr, t), baseline, cfg.MinScore); ok {
 				out = append(out, a)
 			}
 		}
@@ -117,14 +116,14 @@ func taskLocalityOf(tr *core.Trace, t *core.TaskInfo) locSum {
 
 // scoreTaskLocality scores a task's remote-access summary against the
 // baseline: a task 100% remote against a fully local baseline scores
-// 10.
-func scoreTaskLocality(tr *core.Trace, model hw.Model, t *core.TaskInfo, ls locSum, baseline float64) (Anomaly, bool) {
+// 10. A score below minScore builds no finding.
+func scoreTaskLocality(tr *core.Trace, model hw.Model, t *core.TaskInfo, ls locSum, baseline, minScore float64) (Anomaly, bool) {
 	if ls.total < numaMinBytes {
 		return Anomaly{}, false
 	}
 	frac := float64(ls.remote) / float64(ls.total)
 	excess := frac - baseline
-	if excess <= 0 {
+	if excess <= 0 || excess*10 < minScore {
 		return Anomaly{}, false
 	}
 	execNode := tr.NodeOfCPU(t.ExecCPU)

@@ -175,6 +175,15 @@ func (tr *Trace) TypeName(id trace.TypeID) string {
 
 // TaskByID returns the task with the given ID.
 func (tr *Trace) TaskByID(id trace.TaskID) (*TaskInfo, bool) {
+	i, ok := tr.taskIndex(id)
+	if !ok {
+		return nil, false
+	}
+	return &tr.Tasks[i], true
+}
+
+// taskIndex returns the position in Tasks of the task with the given ID.
+func (tr *Trace) taskIndex(id trace.TaskID) (int, bool) {
 	tr.taskIDOnce.Do(func() {
 		if tr.taskByID != nil || len(tr.Tasks) == 0 {
 			return
@@ -186,10 +195,7 @@ func (tr *Trace) TaskByID(id trace.TaskID) (*TaskInfo, bool) {
 		tr.taskByID = m
 	})
 	i, ok := tr.taskByID[id]
-	if !ok {
-		return nil, false
-	}
-	return &tr.Tasks[i], true
+	return i, ok
 }
 
 // CounterByID returns the counter with the given ID.
@@ -310,6 +316,25 @@ func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []trace.CommEvent {
 // so callers iterating many tasks do not allocate per call.
 var noComm = []trace.CommEvent{}
 
+// execComm returns the communication events on a task's CPU with time
+// in its execution window, both ends included — reads are recorded at
+// the start, writes at completion, which may be MaxInt64 — other tasks'
+// events among them; nil for an unexecuted task.
+func (tr *Trace) execComm(t *TaskInfo) []trace.CommEvent {
+	cpu := t.ExecCPU
+	if cpu < 0 || int(cpu) >= len(tr.CPUs) {
+		return nil
+	}
+	evs := tr.CPUs[cpu].Comm
+	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].comm) > 0 {
+		return stitchWin(tr.spilled[cpu].comm, evs, func(s []trace.CommEvent) (int, int) {
+			return commThrough(s, t.ExecStart, t.ExecEnd)
+		})
+	}
+	lo, hi := commThrough(evs, t.ExecStart, t.ExecEnd)
+	return evs[lo:hi]
+}
+
 // TaskComm returns the communication events belonging to a task's
 // execution (reads recorded at start, writes at completion). The
 // result aliases trace storage where possible and must not be
@@ -318,7 +343,7 @@ func (tr *Trace) TaskComm(t *TaskInfo) []trace.CommEvent {
 	if t.ExecCPU < 0 {
 		return nil
 	}
-	window := tr.CommIn(t.ExecCPU, t.ExecStart, t.ExecEnd+1)
+	window := tr.execComm(t)
 	n := 0
 	for i := range window {
 		if window[i].Task == t.ID {

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 	"unsafe"
 
+	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -29,9 +31,17 @@ import (
 // CPU's rows are summed by the first HomeBytes call that could use them,
 // which walks the column once — what every call cost before the index
 // existed.
+//
+// The same rule, and the same pointer, carry the trace's fourth index:
+// one TaskHome row per task of Tasks, which TaskHomes reads. Its rows are
+// resolved for the whole table by the first TaskHomes call, one pass
+// over the tasks shared by the workers.
 type homeIndex struct {
 	once sync.Once
 	cpus []homeCPU
+
+	taskOnce sync.Once
+	tasks    []TaskHome
 }
 
 type homeCPU struct {
@@ -143,4 +153,92 @@ func (tr *Trace) HomeBytes(cpu int32, t0, t1 trace.Time, row []int64) {
 		}
 	}
 	tr.addHomeBytes(evs[lo:hi], row)
+}
+
+// TaskHome is what the NUMA read and write modes colour a task by
+// (Section IV): the home node of most of the bytes it read, and of most
+// of those it wrote.
+type TaskHome struct {
+	Read, Write int32
+}
+
+// TaskHomes returns the TaskHome of the task with the given ID. For each
+// kind, its node is the one whose accesses of that kind among the task's
+// events (TaskComm) add up to the most bytes — sizes summed in int64,
+// wrapping; ties to the lowest node; a node whose accesses are all of
+// size 0 still counts when no other is seen — and -1 when NodeOfAddr
+// places none. An unknown ID, or an unexecuted task, is (-1, -1).
+//
+// A batch-loaded or store-opened trace reads it off its row, eight bytes
+// a task, all built by the first call (see homeIndex); a live snapshot
+// resolves the task's accesses on every call. The result is the same.
+func (tr *Trace) TaskHomes(id trace.TaskID) TaskHome {
+	i, ok := tr.taskIndex(id)
+	switch {
+	case !ok:
+		return TaskHome{-1, -1}
+	case tr.home == nil:
+		return tr.taskHomeOf(&tr.Tasks[i])
+	}
+	hi := tr.home
+	hi.taskOnce.Do(func() {
+		rows := make([]TaskHome, len(tr.Tasks))
+		workers := par.Workers()
+		bounds := par.Chunks(workers, len(rows))
+		par.Do(workers, len(bounds)-1, func(c int) {
+			for i := bounds[c]; i < bounds[c+1]; i++ {
+				rows[i] = tr.taskHomeOf(&tr.Tasks[i])
+			}
+		})
+		hi.tasks = rows
+	})
+	return hi.tasks[i]
+}
+
+// nodeBytes is one node's running byte count in taskHomeOf.
+type nodeBytes struct {
+	node  int32
+	bytes int64
+}
+
+// taskHomeOf resolves a task's reads and writes to their home nodes and
+// returns its TaskHome. The per-node counts live in small arrays on the
+// stack, searched linearly: a task touches few nodes.
+func (tr *Trace) taskHomeOf(t *TaskInfo) TaskHome {
+	var buf [2][8]nodeBytes
+	sums := [2][]nodeBytes{buf[0][:0], buf[1][:0]}
+	for _, ev := range tr.execComm(t) {
+		k := 0
+		switch {
+		case ev.Task != t.ID:
+			continue
+		case ev.Kind == trace.CommWrite:
+			k = 1
+		case ev.Kind != trace.CommRead:
+			continue
+		}
+		home := tr.NodeOfAddr(ev.Addr)
+		if home < 0 {
+			continue
+		}
+		at := slices.IndexFunc(sums[k], func(s nodeBytes) bool { return s.node == home })
+		if at < 0 {
+			at = len(sums[k])
+			sums[k] = append(sums[k], nodeBytes{node: home})
+		}
+		sums[k][at].bytes += int64(ev.Size)
+	}
+	return TaskHome{dominantNode(sums[0]), dominantNode(sums[1])}
+}
+
+// dominantNode returns the node with the most bytes, ties to the lowest;
+// -1 for none.
+func dominantNode(sums []nodeBytes) int32 {
+	best := nodeBytes{node: -1}
+	for _, s := range sums {
+		if best.node < 0 || s.bytes > best.bytes || (s.bytes == best.bytes && s.node < best.node) {
+			best = s
+		}
+	}
+	return best.node
 }

@@ -52,11 +52,14 @@ func homeSumBytes(tr *Trace) (n int64) {
 	return n
 }
 
-// homeCase is a topology, a region table in arrival order and one
-// time-ordered communication column per CPU.
+// homeCase is a topology, a region table in arrival order, a task
+// table, and per CPU the task executions and one time-ordered
+// communication column.
 type homeCase struct {
 	topo    trace.Topology
 	regions []trace.MemRegion
+	tasks   []trace.Task
+	execs   [][]trace.StateEvent
 	comm    [][]trace.CommEvent
 }
 
@@ -67,6 +70,15 @@ type homeCase struct {
 // node, holes between regions, accesses below, between and past every
 // region, steals and pushes between the reads and writes, runs of equal
 // timestamps, and sizes whose running sum wraps.
+//
+// Each column is cut into task executions of one to six events, from
+// the first one's time to the last one's, so that at a run of equal
+// timestamps one task's write and the next one's read fall into both
+// windows. Within an execution, one event in three repeats the kind and
+// size of the one before, so that two nodes can tie, and one in five
+// belongs to another task: the one executed before, or one of three
+// declared tasks that never execute. Half the executed tasks are
+// declared; the others are synthesized from their execution.
 func genHomeCase(rng *rand.Rand, nodes int, lens []int) *homeCase {
 	c := &homeCase{topo: trace.Topology{
 		Name:      "home",
@@ -105,16 +117,45 @@ func genHomeCase(rng *rand.Rand, nodes int, lens []int) *homeCase {
 				CPU:    int32(cpu),
 				SrcCPU: -1,
 				Time:   at,
-				Task:   trace.TaskID(i + 1),
 				Addr:   uint64(rng.Intn(20))<<12 + uint64(rng.Intn(0x1000)),
 				Size:   sizes[rng.Intn(len(sizes))],
 			})
 		}
 	}
+	idle := []trace.TaskID{1, 2, 3}
+	for _, id := range idle {
+		c.tasks = append(c.tasks, trace.Task{ID: id, Type: 1})
+	}
+	next := trace.TaskID(len(idle) + 1)
+	c.execs = make([][]trace.StateEvent, len(lens))
+	for cpu, col := range c.comm {
+		for i := 0; i < len(col); {
+			j := min(i+1+rng.Intn(6), len(col))
+			id := next
+			next++
+			if id%2 == 0 {
+				c.tasks = append(c.tasks, trace.Task{ID: id, Type: 1, CreatorCPU: int32(cpu)})
+			}
+			c.execs[cpu] = append(c.execs[cpu], trace.StateEvent{
+				CPU: int32(cpu), State: trace.StateTaskExec, Start: col[i].Time, End: col[j-1].Time, Task: id,
+			})
+			for k := i; k < j; k++ {
+				col[k].Task = id
+				if k > i && rng.Intn(3) == 0 {
+					col[k].Kind, col[k].Size = col[k-1].Kind, col[k-1].Size
+				}
+				if rng.Intn(5) == 0 {
+					col[k].Task = []trace.TaskID{id - 1, idle[rng.Intn(len(idle))]}[rng.Intn(2)]
+				}
+			}
+			i = j
+		}
+	}
 	return c
 }
 
-// stream writes the case as a native trace: topology, regions, columns.
+// stream writes the case as a native trace: topology, regions, tasks,
+// executions, columns.
 func (c *homeCase) stream(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -123,6 +164,18 @@ func (c *homeCase) stream(t testing.TB) []byte {
 	for _, r := range c.regions {
 		if err == nil {
 			err = w.WriteRegion(r)
+		}
+	}
+	for _, task := range c.tasks {
+		if err == nil {
+			err = w.WriteTask(task)
+		}
+	}
+	for _, states := range c.execs {
+		for _, s := range states {
+			if err == nil {
+				err = w.WriteState(s)
+			}
 		}
 	}
 	for _, col := range c.comm {
@@ -142,7 +195,8 @@ func (c *homeCase) stream(t testing.TB) []byte {
 }
 
 // batch returns part p of parts of the case for a live trace: that share
-// of every column and of the region table, the topology with part 0.
+// of every column and of the region and task tables, the topology with
+// part 0.
 func (c *homeCase) batch(p, parts int) *trace.RecordBatch {
 	b := &trace.RecordBatch{MaxCPU: int32(len(c.comm) - 1)}
 	if p == 0 {
@@ -151,6 +205,12 @@ func (c *homeCase) batch(p, parts int) *trace.RecordBatch {
 	share := func(n int) (int, int) { return n * p / parts, n * (p + 1) / parts }
 	lo, hi := share(len(c.regions))
 	b.Regions = c.regions[lo:hi]
+	lo, hi = share(len(c.tasks))
+	b.Tasks = c.tasks[lo:hi]
+	for _, states := range c.execs {
+		lo, hi := share(len(states))
+		b.States = append(b.States, states[lo:hi]...)
+	}
 	for _, col := range c.comm {
 		lo, hi := share(len(col))
 		b.Comms = append(b.Comms, col[lo:hi]...)
@@ -166,9 +226,16 @@ func (c *homeCase) resident() *Trace {
 	tr.Regions = slices.Clone(c.regions)
 	sortRegions(tr.Regions)
 	tr.CPUs = make([]CPUData, len(c.comm))
+	execs := make([][]execSpan, len(c.comm))
 	for cpu, col := range c.comm {
 		tr.CPUs[cpu].Comm = col
+		tr.CPUs[cpu].States = c.execs[cpu]
+		execs[cpu] = collectExecs(c.execs[cpu])
 	}
+	for _, task := range c.tasks {
+		tr.Tasks = applyTask(tr.Tasks, tr.taskByID, task)
+	}
+	tr.Tasks = applyExecs(tr.Tasks, tr.taskByID, execs)
 	return tr
 }
 
@@ -203,6 +270,107 @@ func checkHomeWindow(t testing.TB, ctx string, tr *Trace, cpu int32, col []trace
 	if !slices.Equal(got, ref) {
 		t.Fatalf("%s: HomeBytes(cpu %d, [%d, %d)) = %v, the scan wants %v", ctx, cpu, t0, t1, got, ref)
 	}
+}
+
+// taskNodeBytes is stats.TaskNodeBytes as the NUMA read and write modes
+// called it for every visible task before TaskHomes existed: a fresh map
+// of the bytes a task's accesses of one kind hold per home node. Kept,
+// with dominantNodeOf, as the reference TaskHomes is held to. It reads
+// the CPU's whole column — spilled parts, then the tail — and tests each
+// access's time and task itself, so it shares no window search with what
+// it checks.
+func taskNodeBytes(tr *Trace, t *TaskInfo, kind trace.CommKind) map[int32]int64 {
+	out := make(map[int32]int64)
+	if t.ExecCPU < 0 || int(t.ExecCPU) >= len(tr.CPUs) {
+		return out
+	}
+	var col []trace.CommEvent
+	if int(t.ExecCPU) < len(tr.spilled) {
+		for _, p := range tr.spilled[t.ExecCPU].comm {
+			col = append(col, p.rows...)
+		}
+	}
+	for _, ev := range append(col, tr.CPUs[t.ExecCPU].Comm...) {
+		if ev.Task != t.ID || ev.Kind != kind || ev.Time < t.ExecStart || ev.Time > t.ExecEnd {
+			continue
+		}
+		if home := tr.NodeOfAddr(ev.Addr); home >= 0 {
+			out[home] += int64(ev.Size)
+		}
+	}
+	return out
+}
+
+// dominantNodeOf is the reference TaskHomes answers: the node holding the most bytes,
+// ties to the lowest, -1 when nothing is known.
+func dominantNodeOf(bytes map[int32]int64) int32 {
+	best, bestBytes := int32(-1), int64(0)
+	for node, b := range bytes {
+		if b > bestBytes || (b == bestBytes && node < best) || best < 0 {
+			best, bestBytes = node, b
+		}
+	}
+	return best
+}
+
+// homeCover counts the corners checkTaskHomes met, so a test can tell
+// that its cases reach them.
+type homeCover struct {
+	unexecuted, foreign, zeroOnly, tie, wrapped int
+}
+
+// checkTaskHomes holds TaskHomes to the reference for every task of tr
+// and counts the corners in cov.
+func checkTaskHomes(t testing.TB, ctx string, tr *Trace, cov *homeCover) {
+	t.Helper()
+	for i := range tr.Tasks {
+		task := &tr.Tasks[i]
+		read, write := taskNodeBytes(tr, task, trace.CommRead), taskNodeBytes(tr, task, trace.CommWrite)
+		want := TaskHome{dominantNodeOf(read), dominantNodeOf(write)}
+		if got := tr.TaskHomes(task.ID); got != want {
+			t.Fatalf("%s: task %d: TaskHomes = %+v, the reference wants %+v (read %v, write %v)", ctx, task.ID, got, want, read, write)
+		}
+		if task.ExecCPU < 0 {
+			cov.unexecuted++
+		}
+		for _, ev := range tr.execComm(task) {
+			if ev.Task != task.ID {
+				cov.foreign++
+				break
+			}
+		}
+		for _, bytes := range []map[int32]int64{read, write} {
+			top, n := int64(math.MinInt64), 0
+			for _, b := range bytes {
+				switch {
+				case b > top:
+					top, n = b, 1
+				case b == top:
+					n++
+				}
+				if b < 0 {
+					cov.wrapped++
+				}
+			}
+			if n > 1 {
+				cov.tie++
+			}
+			if len(bytes) == 1 && top == 0 {
+				cov.zeroOnly++
+			}
+		}
+	}
+	if got := tr.TaskHomes(math.MaxUint64); got != (TaskHome{-1, -1}) {
+		t.Fatalf("%s: TaskHomes of an unknown task = %+v", ctx, got)
+	}
+}
+
+// taskRowBytes returns the bytes of task rows tr has built.
+func taskRowBytes(tr *Trace) int64 {
+	if tr.home == nil {
+		return 0
+	}
+	return int64(len(tr.home.tasks)) * int64(unsafe.Sizeof(TaskHome{}))
 }
 
 // homeWindows returns the windows a column is asked: the whole axis,
@@ -244,7 +412,13 @@ func homeWindows(rng *rand.Rand, col []trace.CommEvent, stride, count int) [][2]
 // every boundary window and on random ones.
 // The two loaded traces must have answered from sums, and the two live
 // ones must have built none: their region table is not final.
+//
+// On each, TaskHomes must give every task the reference's row, from
+// rows on the loaded traces — eight bytes a task, none before the first
+// question — and from the scan on the live ones, which build none; the
+// cases must reach every corner homeCover counts.
 func TestHomeBytesMatchesScan(t *testing.T) {
+	var cov homeCover
 	for nodes := 1; nodes <= 3; nodes++ {
 		rng := rand.New(rand.NewSource(int64(nodes)))
 		stride := homeStride(nodes)
@@ -283,8 +457,8 @@ func TestHomeBytesMatchesScan(t *testing.T) {
 		}{{"batch", batch, true}, {"store", mapped, true}, {"live", live, false}, {"live spilled", spilled, false}}
 		for _, arm := range arms {
 			ctx := fmt.Sprintf("%d nodes, %s", nodes, arm.ctx)
-			if got := homeSumBytes(arm.tr); got != 0 {
-				t.Fatalf("%s: %d bytes of sums before any question", ctx, got)
+			if got := homeSumBytes(arm.tr) + taskRowBytes(arm.tr); got != 0 {
+				t.Fatalf("%s: %d bytes of sums and rows before any question", ctx, got)
 			}
 			for cpu := int32(-1); int(cpu) <= len(lens); cpu++ { // -1 and len: no such CPU
 				var col []trace.CommEvent
@@ -301,7 +475,24 @@ func TestHomeBytesMatchesScan(t *testing.T) {
 			case !arm.sums && got != 0:
 				t.Errorf("%s: %d bytes of sums on a snapshot whose region table is not final", ctx, got)
 			}
+			checkTaskHomes(t, ctx, arm.tr, &cov)
+			switch got, want := taskRowBytes(arm.tr), 8*int64(len(arm.tr.Tasks)); {
+			case arm.sums && got != want:
+				t.Errorf("%s: %d bytes of task rows for %d tasks, want %d", ctx, got, len(arm.tr.Tasks), want)
+			case !arm.sums && got != 0:
+				t.Errorf("%s: %d bytes of task rows on a live snapshot", ctx, got)
+			}
+			for i := range batch.Tasks {
+				id := batch.Tasks[i].ID
+				if got, want := arm.tr.TaskHomes(id), batch.TaskHomes(id); got != want {
+					t.Fatalf("%s: task %d: TaskHomes = %+v, the batch load's is %+v", ctx, id, got, want)
+				}
+			}
 		}
+	}
+	t.Logf("corners: %+v", cov)
+	if cov.unexecuted == 0 || cov.foreign == 0 || cov.zeroOnly == 0 || cov.tie == 0 || cov.wrapped == 0 {
+		t.Errorf("the cases miss a corner: %+v", cov)
 	}
 }
 
@@ -443,7 +634,9 @@ func TestWindowAccessorsTotal(t *testing.T) {
 }
 
 // FuzzHomeBytes: whatever the column's shape, the region table and the
-// window, the sums answer what the scan answers and nothing panics. The
+// window, the sums answer what the scan answers and nothing panics; and
+// every task's TaskHomes, from rows and on a live snapshot from the
+// scan, is the reference's. The
 // window is given as two event positions and nudged by up to one cycle,
 // so the fuzzer steers it onto checkpoint rows; the seeds sit on every
 // boundary the property test names.
@@ -470,5 +663,10 @@ func FuzzHomeBytes(f *testing.F) {
 		checkHomeWindow(t, "cold", tr, 0, col, t0, t1)
 		checkHomeWindow(t, "whole axis", tr, 0, col, math.MinInt64, math.MaxInt64)
 		checkHomeWindow(t, "warm", tr, 0, col, t0, t1)
+		var cov homeCover
+		checkTaskHomes(t, "rows", tr, &cov)
+		lv, live := c.live(t, "")
+		defer lv.Close()
+		checkTaskHomes(t, "live", live, &cov)
 	})
 }

@@ -660,6 +660,14 @@ func commWindow(s []trace.CommEvent, t0, t1 trace.Time) (lo, hi int) {
 	return lo, hi
 }
 
+// commThrough is commWindow over the closed interval [t0, t1], which
+// reaches an event at MaxInt64.
+func commThrough(s []trace.CommEvent, t0, t1 trace.Time) (lo, hi int) {
+	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
+	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time > t1 })
+	return lo, hi
+}
+
 func sampleWindow(s []trace.CounterSample, t0, t1 trace.Time) (lo, hi int) {
 	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
 	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time >= t1 })

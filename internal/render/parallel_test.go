@@ -143,3 +143,48 @@ func TestTimelineConcurrentRenders(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTimelineNUMAFirstUseConcurrent: eight goroutines render NUMA-read
+// and NUMA-write tiles of a trace no one has asked before, so the first
+// of them builds the per-task home rows while the others wait for them;
+// under -race this proves the lazy build safe. Every tile must equal the
+// same tile of a live snapshot of the run, which resolves each task's
+// accesses per answer instead.
+func TestTimelineNUMAFirstUseConcurrent(t *testing.T) {
+	cold := atmtest.SeidelTrace(t, 8, 4, openstream.SchedRandom)
+	live := atmtest.SeidelLiveTrace(t, 8, 4, openstream.SchedRandom, 4)
+	mid := live.Span.Start + live.Span.Duration()/2
+	var cfgs []TimelineConfig
+	for _, mode := range []Mode{ModeNUMARead, ModeNUMAWrite} {
+		cfgs = append(cfgs,
+			TimelineConfig{Width: 300, Height: 80, Mode: mode},
+			TimelineConfig{Width: 300, Height: 80, Mode: mode, Start: mid, End: mid + live.Span.Duration()/16})
+	}
+	want := make([][]byte, len(cfgs))
+	for i, cfg := range cfgs {
+		fb, _, err := Timeline(live, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = fb.RGBA().Pix
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range cfgs {
+				i := (g + k) % len(cfgs)
+				fb, _, err := Timeline(cold, cfgs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(fb.RGBA().Pix, want[i]) {
+					t.Errorf("goroutine %d: %v tile over [%d, %d) differs from the live snapshot's", g, cfgs[i].Mode, cfgs[i].Start, cfgs[i].End)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}

@@ -8,7 +8,6 @@ import (
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/par"
-	"github.com/openstream/aftermath/internal/stats"
 	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -391,17 +390,15 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 	return runs
 }
 
-// pixelizer computes per-pixel colors for one renderer goroutine. The
-// nodeCache is private to its goroutine; the type index, keep
-// predicate and dominance resolver are read-only and shared across all
-// rows of a rendering.
+// pixelizer computes per-pixel colors for one renderer goroutine. Its
+// cursors are private to its goroutine; the type index, keep predicate
+// and dominance resolver are read-only and shared across all rows of a
+// rendering.
 type pixelizer struct {
 	tr *core.Trace
 	// keep admits the tasks the filter matches; nil without a filter.
-	keep func(trace.TaskID) bool
-	// nodeCache memoizes DominantNode lookups per task and kind.
-	nodeCache map[nodeKey]int32
-	typeIdx   map[trace.TypeID]int
+	keep    func(trace.TaskID) bool
+	typeIdx map[trace.TypeID]int
 	// dom resolves a CPU's dominant-interval answers; domEnt memoizes
 	// the current CPU's so the per-pixel loop stays lock-free.
 	dom      func(cpu int32) dominance
@@ -415,11 +412,6 @@ type pixelizer struct {
 	commAt int
 }
 
-type nodeKey struct {
-	task  trace.TaskID
-	kinds stats.CommKinds
-}
-
 // typeIndexOf maps type IDs to their position in tr.Types, for stable
 // category colors.
 func typeIndexOf(tr *core.Trace) map[trace.TypeID]int {
@@ -431,7 +423,7 @@ func typeIndexOf(tr *core.Trace) map[trace.TypeID]int {
 }
 
 func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trace.TypeID]int, dom func(cpu int32) dominance) *pixelizer {
-	return &pixelizer{tr: tr, keep: keep, nodeCache: make(map[nodeKey]int32), typeIdx: typeIdx, dom: dom}
+	return &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx, dom: dom}
 }
 
 // pixelColor implements optimization (a) of Section VI-B: each pixel
@@ -471,12 +463,12 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin,
 		case ModeType:
 			return CategoryColor(p.typeIdx[taskType(p.tr, ev.Task)]), true, until
 		case ModeNUMARead, ModeNUMAWrite:
-			kinds := stats.Reads
+			home := p.tr.TaskHomes(ev.Task)
+			node := home.Read
 			if mode == ModeNUMAWrite {
-				kinds = stats.Writes
+				node = home.Write
 			}
-			node, ok := p.taskNode(ev.Task, kinds)
-			if !ok {
+			if node < 0 {
 				return color.RGBA{}, false, until
 			}
 			return CategoryColor(int(node)), true, until
@@ -494,21 +486,6 @@ func (p *pixelizer) domFor(cpu int32) dominance {
 		p.domEntID = cpu
 	}
 	return p.domEnt
-}
-
-func (p *pixelizer) taskNode(id trace.TaskID, kinds stats.CommKinds) (int32, bool) {
-	key := nodeKey{id, kinds}
-	if n, ok := p.nodeCache[key]; ok {
-		return n, n >= 0
-	}
-	task, ok := p.tr.TaskByID(id)
-	if !ok {
-		p.nodeCache[key] = -1
-		return -1, false
-	}
-	n := stats.DominantNode(p.tr, task, kinds)
-	p.nodeCache[key] = n
-	return n, n >= 0
 }
 
 // numaHeat returns the remote-access shade for the accesses in

@@ -39,6 +39,17 @@ func scanCommMatrix(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time) *CommMat
 	return m
 }
 
+// matches reports whether the selection admits an access kind.
+func (k CommKinds) matches(ck trace.CommKind) bool {
+	switch ck {
+	case trace.CommRead:
+		return k&Reads != 0
+	case trace.CommWrite:
+		return k&Writes != 0
+	}
+	return false
+}
+
 // TestCommMatrixMatchesScan: one run batch-loaded, saved and mapped
 // back, fed through a live trace and through a spilling one gives one
 // matrix — the scan's — for reads, writes, both and neither, on the

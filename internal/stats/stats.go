@@ -184,16 +184,6 @@ const (
 	ReadsAndWrites = Reads | Writes
 )
 
-func (k CommKinds) matches(ck trace.CommKind) bool {
-	switch ck {
-	case trace.CommRead:
-		return k&Reads != 0
-	case trace.CommWrite:
-		return k&Writes != 0
-	}
-	return false
-}
-
 // CommMatrixOf accumulates the communication matrix over [t0, t1).
 // The home node of each access is derived by looking up the address in
 // the region table (Section VI-A); accesses to unknown regions are
@@ -241,33 +231,4 @@ func commMatrixOf(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time, workers in
 // CommMatrixOf, at its cost.
 func LocalityFraction(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time) float64 {
 	return CommMatrixOf(tr, kinds, t0, t1).LocalFraction()
-}
-
-// TaskNodeBytes returns the bytes a task reads (or writes) per home
-// NUMA node — the quantity behind the NUMA timeline modes, where every
-// task is colored by the node holding the largest fraction of the data
-// it reads (Section IV).
-func TaskNodeBytes(tr *core.Trace, t *core.TaskInfo, kinds CommKinds) map[int32]int64 {
-	out := make(map[int32]int64)
-	for _, ev := range tr.TaskComm(t) {
-		if !kinds.matches(ev.Kind) {
-			continue
-		}
-		if home := tr.NodeOfAddr(ev.Addr); home >= 0 {
-			out[home] += int64(ev.Size)
-		}
-	}
-	return out
-}
-
-// DominantNode returns the node holding most of the task's accessed
-// bytes, or -1 when nothing is known.
-func DominantNode(tr *core.Trace, t *core.TaskInfo, kinds CommKinds) int32 {
-	best, bestBytes := int32(-1), int64(0)
-	for node, b := range TaskNodeBytes(tr, t, kinds) {
-		if b > bestBytes || (b == bestBytes && node < best) || best < 0 {
-			best, bestBytes = node, b
-		}
-	}
-	return best
 }

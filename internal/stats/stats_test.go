@@ -150,6 +150,8 @@ func TestCommMatrixKinds(t *testing.T) {
 	}
 }
 
+// TestDominantNode: the node the NUMA read mode colours a Seidel block
+// task by holds at least as many of the bytes it read as any other node.
 func TestDominantNode(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	found := 0
@@ -158,9 +160,14 @@ func TestDominantNode(t *testing.T) {
 		if tr.TypeName(task.Type) != apps.SeidelBlockType {
 			continue
 		}
-		if n := DominantNode(tr, task, Reads); n >= 0 {
+		if n := tr.TaskHomes(task.ID).Read; n >= 0 {
 			found++
-			bytes := TaskNodeBytes(tr, task, Reads)
+			bytes := make(map[int32]int64)
+			for _, ev := range tr.TaskComm(task) {
+				if home := tr.NodeOfAddr(ev.Addr); home >= 0 && Reads.matches(ev.Kind) {
+					bytes[home] += int64(ev.Size)
+				}
+			}
 			for other, b := range bytes {
 				if b > bytes[n] && other != n {
 					t.Fatalf("node %d has more bytes than dominant %d", other, n)
