@@ -183,7 +183,18 @@ func (tr *Trace) TaskByID(id trace.TaskID) (*TaskInfo, bool) {
 }
 
 // taskIndex returns the position in Tasks of the task with the given ID.
+// A table whose IDs were handed out densely in table order — every
+// native trace's — holds task id at id − Tasks[0].ID, so that slot is
+// looked at first and taken when it holds id: IDs in Tasks are unique,
+// so a match is the task, whatever the table. Any other table, such as
+// a span import's random IDs, misses it and asks the ID map, built on
+// the first miss.
 func (tr *Trace) taskIndex(id trace.TaskID) (int, bool) {
+	if len(tr.Tasks) > 0 {
+		if i := uint64(id - tr.Tasks[0].ID); i < uint64(len(tr.Tasks)) && tr.Tasks[i].ID == id {
+			return int(i), true
+		}
+	}
 	tr.taskIDOnce.Do(func() {
 		if tr.taskByID != nil || len(tr.Tasks) == 0 {
 			return

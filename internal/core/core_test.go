@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/openstream/aftermath/internal/apps"
@@ -87,6 +90,89 @@ func TestTaskPlacementDerived(t *testing.T) {
 	}
 	if _, ok := tr.TaskByID(999); ok {
 		t.Error("task 999 should not exist")
+	}
+}
+
+// TestTaskByIDDirectSlot: TaskByID resolves exactly the IDs a table
+// holds, each to its entry, whether the slot at id − Tasks[0].ID answers
+// or the ID map does: dense IDs in table order (the slot answers every
+// one, and no map is built), the same shuffled, IDs with gaps, IDs from
+// MaxUint64−3 on (the subtraction wraps onto the low IDs after them),
+// and a live snapshot with a synthesized task past its declared ones.
+func TestTaskByIDDirectSlot(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	table := func(ids []trace.TaskID) *Trace {
+		tr := &Trace{Tasks: make([]TaskInfo, len(ids))}
+		for i, id := range ids {
+			tr.Tasks[i] = TaskInfo{ID: id, ExecCPU: -1}
+		}
+		return tr
+	}
+	dense := make([]trace.TaskID, 500)
+	for i := range dense {
+		dense[i] = trace.TaskID(i + 1)
+	}
+	shuffled := slices.Clone(dense)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	var gaps []trace.TaskID
+	for id := trace.TaskID(7); len(gaps) < 300; id += trace.TaskID(1 + rng.Intn(3)) {
+		gaps = append(gaps, id)
+	}
+	top := []trace.TaskID{math.MaxUint64 - 3, math.MaxUint64 - 2, math.MaxUint64 - 1, math.MaxUint64, 1, 2, 3}
+
+	lv := NewLive()
+	b := &trace.RecordBatch{MaxCPU: 1}
+	for i := 0; i < 40; i++ {
+		id := trace.TaskID(i + 1)
+		b.Tasks = append(b.Tasks, trace.Task{ID: id, Type: 1})
+		b.States = append(b.States, trace.StateEvent{CPU: int32(i % 2), State: trace.StateTaskExec, Start: int64(10 * i), End: int64(10*i + 5), Task: id})
+	}
+	// An execution without a task record: the snapshot synthesizes it.
+	b.States = append(b.States, trace.StateEvent{CPU: 0, State: trace.StateTaskExec, Start: 1000, End: 1010, Task: 900})
+	if err := lv.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := lv.Publish()
+	if len(snap.Tasks) != 41 {
+		t.Fatalf("the snapshot holds %d tasks, want 41", len(snap.Tasks))
+	}
+
+	for _, c := range []struct {
+		name string
+		tr   *Trace
+		slot bool // the slot answers every ID the table holds
+	}{
+		{"dense", table(dense), true},
+		{"shuffled", table(shuffled), false},
+		{"gaps", table(gaps), false},
+		{"top", table(top), false},
+		{"live", snap, false},
+	} {
+		want := make(map[trace.TaskID]int, len(c.tr.Tasks))
+		for i := range c.tr.Tasks {
+			want[c.tr.Tasks[i].ID] = i
+		}
+		ask := func(id trace.TaskID) {
+			t.Helper()
+			i, ok := want[id]
+			got, gotOK := c.tr.TaskByID(id)
+			if gotOK != ok || (ok && got != &c.tr.Tasks[i]) {
+				t.Fatalf("%s: TaskByID(%d) = (%p, %v), want entry %d (%v)", c.name, id, got, gotOK, i, ok)
+			}
+		}
+		for i := range c.tr.Tasks {
+			ask(c.tr.Tasks[i].ID)
+		}
+		if c.slot && c.tr.taskByID != nil {
+			t.Errorf("%s: the slot answers every ID, yet the ID map was built", c.name)
+		}
+		for id := range want {
+			ask(id + 1)
+			ask(id - 1)
+		}
+		for _, id := range []trace.TaskID{0, 1, 2, 1 << 40, math.MaxUint64, math.MaxUint64 - 4} {
+			ask(id)
+		}
 	}
 }
 

@@ -39,6 +39,15 @@ import (
 // CPU resolves one CPU's pyramids behind a single lock acquisition;
 // query loops (one per pixel, one per metric window) should resolve
 // once per CPU and query the returned DomCPU lock-free.
+//
+// A loop over windows whose starts never decrease — a timeline row,
+// left to right — also threads a hint through DominantStateUntil and
+// DominantExec: each answer's next, handed to the following query,
+// lets its search gallop forward from the last window's first event
+// instead of searching the CPU's whole column. Any int is a valid hint,
+// and 0 is the full search: a hint is followed only when the event
+// before it ends by the window's start, so no value can change an
+// answer (mragg's package doc).
 type DomIndex struct {
 	mu      sync.Mutex
 	entries map[int32]*DomCPU
@@ -242,42 +251,45 @@ func (e *DomCPU) scan(t0, t1 trace.Time, state int, keep func(trace.TaskID) bool
 // a CPU with malformed interval order, which is scanned); the answer
 // is the same either way.
 func (e *DomCPU) DominantState(t0, t1 trace.Time) (ev trace.StateEvent, ok, indexed bool) {
-	ev, ok, _ = e.DominantStateUntil(t0, t1)
+	ev, ok, _, _ = e.DominantStateUntil(0, t0, t1)
 	return ev, ok, e.all != nil
 }
 
 // DominantStateUntil is DominantState for callers walking adjacent
 // windows, such as a row of pixels. until is mragg's horizon: when
 // until > t1, every window [a, b) with t0 <= a < b <= until has this
-// same answer, so none of them needs asking. A scanned answer knows no
-// horizon and says t1.
-func (e *DomCPU) DominantStateUntil(t0, t1 trace.Time) (ev trace.StateEvent, ok bool, until trace.Time) {
+// same answer, so none of them needs asking. from is a hint and next
+// the one for the following window (see DomIndex); no value of from
+// changes the answer. A scanned answer knows no horizon and says t1,
+// and names no hint: next is 0.
+func (e *DomCPU) DominantStateUntil(from int, t0, t1 trace.Time) (ev trace.StateEvent, ok bool, until trace.Time, next int) {
 	if e.all == nil {
 		ev, cover, _ := e.scan(t0, t1, -1, nil)
-		return ev, cover > 0, t1
+		return ev, cover > 0, t1, 0
 	}
-	leaf, _, ok, until := e.all.Dominant(&e.leaves, t0, t1)
+	leaf, _, ok, until, next := e.all.Dominant(&e.leaves, from, t0, t1)
 	if !ok {
-		return trace.StateEvent{}, false, until
+		return trace.StateEvent{}, false, until, next
 	}
-	return *e.leaves.At(leaf), true, until
+	return *e.leaves.At(leaf), true, until, next
 }
 
 // DominantExec is DominantStateUntil restricted to task-execution
 // intervals, and further to the tasks keep admits. A nil keep is the
 // unfiltered query the pyramid serves; the match set of a filter is
-// not known to the index, so a non-nil keep scans (until == t1).
-func (e *DomCPU) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool, until trace.Time) {
+// not known to the index, so a non-nil keep scans (until == t1,
+// next == 0).
+func (e *DomCPU) DominantExec(from int, t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool, until trace.Time, next int) {
 	set := e.byState[trace.StateTaskExec]
 	if set == nil || keep != nil {
 		ev, cover, _ := e.scan(t0, t1, int(trace.StateTaskExec), keep)
-		return ev, cover > 0, t1
+		return ev, cover > 0, t1, 0
 	}
-	leaf, _, ok, until := set.Dominant(&e.leaves, t0, t1)
+	leaf, _, ok, until, next := set.Dominant(&e.leaves, from, t0, t1)
 	if !ok {
-		return trace.StateEvent{}, false, until
+		return trace.StateEvent{}, false, until, next
 	}
-	return *e.leaves.At(leaf), true, until
+	return *e.leaves.At(leaf), true, until, next
 }
 
 // StateCover returns the total time the CPU spent in state within

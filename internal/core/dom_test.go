@@ -112,22 +112,28 @@ func checkDomWindow(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, cpu int
 			}
 		}
 	}
-	if uev, uok, until := dc.DominantStateUntil(t0, t1); uev != ev || uok != ok || until < t1 {
-		t.Fatalf("%s: DominantStateUntil(%d, %d, %d) = (%+v, %v, %d), DominantState says (%+v, %v)",
-			ctx, cpu, t0, t1, uev, uok, until, ev, ok)
+	// Any hint gives the hint-free answer; next is the same either way.
+	hint := rng.Intn(dc.leaves.Len() + 3)
+	_, _, _, next0 := dc.DominantStateUntil(0, t0, t1)
+	if uev, uok, until, next := dc.DominantStateUntil(hint, t0, t1); uev != ev || uok != ok || until < t1 || next != next0 {
+		t.Fatalf("%s: DominantStateUntil(%d, %d, %d, %d) = (%+v, %v, %d, next %d), DominantState says (%+v, %v), hint 0 next %d",
+			ctx, hint, cpu, t0, t1, uev, uok, until, next, ev, ok, next0)
 	} else {
 		within("DominantStateUntil", until, false, ev, ok)
 	}
 	mod, rem := trace.TaskID(rng.Intn(4)+1), trace.TaskID(rng.Intn(2))
 	for _, keep := range []func(trace.TaskID) bool{nil, func(id trace.TaskID) bool { return id%mod >= rem }} {
-		ev, ok, until := dc.DominantExec(t0, t1, keep)
+		ev, ok, until, next := dc.DominantExec(hint, t0, t1, keep)
 		wantEv, wantOK = bruteDominant(tr, cpu, t0, t1, true, keep)
 		if ok != wantOK || ev != wantEv {
-			t.Fatalf("%s: DominantExec(%d, %d, %d, filtered=%v) = (%+v, %v), scan wants (%+v, %v)",
-				ctx, cpu, t0, t1, keep != nil, ev, ok, wantEv, wantOK)
+			t.Fatalf("%s: DominantExec(%d, %d, %d, %d, filtered=%v) = (%+v, %v), scan wants (%+v, %v)",
+				ctx, hint, cpu, t0, t1, keep != nil, ev, ok, wantEv, wantOK)
 		}
-		if keep != nil && until != t1 {
-			t.Fatalf("%s: filtered DominantExec(%d, %d, %d) claims a horizon %d; a scan has none", ctx, cpu, t0, t1, until)
+		if _, _, _, next0 := dc.DominantExec(0, t0, t1, keep); next != next0 {
+			t.Fatalf("%s: DominantExec(%d, %d, %d, %d) names next %d, hint 0 names %d", ctx, hint, cpu, t0, t1, next, next0)
+		}
+		if keep != nil && (until != t1 || next != 0) {
+			t.Fatalf("%s: filtered DominantExec(%d, %d, %d) claims a horizon %d and a next %d; a scan has neither", ctx, cpu, t0, t1, until, next)
 		}
 		within("DominantExec", until, true, ev, ok)
 	}

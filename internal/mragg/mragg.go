@@ -30,12 +30,23 @@
 // 16/(arity-1). Prefix sums answer "how much of [t0, t1) is covered?"
 // (per worker state: the derived metrics of paper Section III-A) in
 // O(log n), and give a subset's pyramid its leaf durations without
-// chasing a ref. A subset's window is found by the view's own two
-// searches run over the subset's members, their bounds read through
-// refs: a subset of a disjoint sorted set keeps its order, so what they
-// find is exactly the refs inside the view's window — without searching
-// the whole view for it first, which costs a sparse state three times
-// its own search (TestRankMapping holds the two equal).
+// chasing a ref. Both shapes find a window by one pair of searches over
+// their own members, bounds read through refs for a subset: a subset of
+// a disjoint sorted set keeps its order, so what they find is exactly
+// the refs inside the view's window — without searching the whole view
+// for it first, which costs a sparse state three times its own search
+// (TestRankMapping holds the two equal).
+//
+// A dominance query takes a hint, from, and returns the next one: the
+// window's first member. A caller asking about windows whose start
+// never decreases — a row of pixels, left to right — passes each
+// answer's next to the following query, whose lower bound then gallops
+// forward from it in O(log distance) instead of searching every member.
+// Any value is safe: the gallop is taken only when member from-1 ends
+// at or before the window's start, which puts the window's first member
+// at or past from; every other hint (0, past the end, or left over from
+// a later window) runs the full search. The answer never depends on the
+// hint, only its cost does.
 //
 // The index requires its intervals to be disjoint and sorted — the
 // ordering the trace format guarantees per CPU. Extend verifies the
@@ -72,7 +83,7 @@ const DefaultArity = 64
 // Leaves is the view of a CPU's state events the sets read their
 // intervals through: agg's column view (one array for a batch or
 // store-backed trace; the spilled parts then the RAM tail for a live
-// one), plus the window search a dominance query starts from.
+// one).
 type Leaves struct {
 	agg.Leaves[trace.StateEvent]
 }
@@ -81,87 +92,6 @@ type Leaves struct {
 // columns are skipped.
 func Over(cols ...[]trace.StateEvent) Leaves {
 	return Leaves{agg.Over(cols...)}
-}
-
-// Window returns the leaf range [lo, hi) of the events overlapping
-// [t0, t1): lo is the first leaf ending after t0, hi the first from lo
-// on starting at or after t1 — on a window that is not inverted, per
-// column the binary searches of core.Trace.StatesIn. Exact on a
-// disjoint sorted view, where both bounds grow with the index across
-// columns as within one.
-func (lv *Leaves) Window(t0, t1 int64) (lo, hi int) {
-	n := lv.Cols()
-	if n <= 1 {
-		one := lv.Col(0)
-		lo = endsAfter(one, t0)
-		return lo, startsFrom(one, lo, t1)
-	}
-	// The first column whose last event ends after t0 holds lo; the
-	// first from there on whose last event starts at or after t1 holds
-	// hi.
-	last := func(k int) *trace.StateEvent { c := lv.Col(k); return &c[len(c)-1] }
-	a := 0
-	for b := n; a < b; {
-		if m := int(uint(a+b) >> 1); last(m).End > t0 {
-			b = m
-		} else {
-			a = m + 1
-		}
-	}
-	if a == n {
-		return lv.Len(), lv.Len()
-	}
-	from := endsAfter(lv.Col(a), t0)
-	lo = lv.Start(a) + from
-	if last(a).Start < t1 {
-		// The window ends in a later column, or past the last.
-		from = 0
-		for a++; a < n; {
-			if m := int(uint(a+n) >> 1); last(m).Start >= t1 {
-				n = m
-			} else {
-				a = m + 1
-			}
-		}
-		if a == lv.Cols() {
-			return lo, lv.Len()
-		}
-	}
-	return lo, lv.Start(a) + startsFrom(lv.Col(a), from, t1)
-}
-
-// endsAfter returns the first index of s whose event ends after t.
-func endsAfter(s []trace.StateEvent, t int64) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); s[m].End > t {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
-}
-
-// startsFrom returns the first index of s from lo on whose event starts
-// at or after t. It gallops: the upper bound of a window is looked for
-// from its lower one, and a pixel's window holds few events however
-// many the array does.
-func startsFrom(s []trace.StateEvent, lo int, t int64) int {
-	step := 1
-	for lo+step <= len(s) && s[lo+step-1].Start < t {
-		lo += step
-		step <<= 1
-	}
-	hi := min(lo+step-1, len(s))
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); s[m].Start >= t {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	return lo
 }
 
 // ordered reports whether leaves [from, Len()) keep the disjoint-sorted
@@ -380,6 +310,9 @@ func (s *Set) leaf(i int) int {
 	return int(s.refs[i])
 }
 
+// at returns member i's interval.
+func (s *Set) at(lv *Leaves, i int) *trace.StateEvent { return lv.At(s.leaf(i)) }
+
 // dur returns the duration of member i: a subset reads it off its
 // prefix sums, chasing no ref.
 func (s *Set) dur(lv *Leaves, i int) int64 {
@@ -390,39 +323,76 @@ func (s *Set) dur(lv *Leaves, i int) int64 {
 	return ev.End - ev.Start
 }
 
-// span returns the member range [lo, hi) overlapping [t0, t1): the
-// view's window for the identity set; for a subset, the same two
-// searches over its members' bounds, read through refs — a subset of a
-// disjoint sorted set keeps its order. That is exactly the refs inside
-// the view's window, found without searching the whole view first.
-func (s *Set) span(lv *Leaves, t0, t1 int64) (lo, hi int) {
-	if s.prefix == nil {
-		return lv.Window(t0, t1)
+// span returns the member range [lo, hi) overlapping [t0, t1): lo is
+// the first member ending after t0, hi the first from lo on starting at
+// or after t1. Both bounds grow with the member index, in a subset as
+// in the view. The lower bound gallops forward from the hint when
+// member from-1 ends at or before t0 — every member before it then does
+// too — and is searched for among all members otherwise. The upper
+// bound gallops from the lower one: a pixel's window holds few members
+// however many the set does.
+func (s *Set) span(lv *Leaves, from int, t0, t1 int64) (lo, hi int) {
+	// Member i's interval, with what the set and the view fix hoisted
+	// out of the probes: on a one-column view it is an index or two.
+	one, refs, flat := lv.Col(0), s.refs, lv.Cols() <= 1
+	cols := colCursor{lv: lv}
+	at := func(i int) *trace.StateEvent {
+		if refs != nil {
+			i = int(refs[i])
+		}
+		if flat {
+			return &one[i]
+		}
+		return cols.at(i)
 	}
-	refs := s.refs
-	lo, hi = 0, len(refs)
+	n := s.Len()
+	hi = n
+	if 0 < from && from <= n && at(from-1).End <= t0 {
+		step := 1
+		for lo = from; lo+step <= n && at(lo+step-1).End <= t0; step <<= 1 {
+			lo += step
+		}
+		hi = min(lo+step-1, n)
+	}
 	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); lv.At(int(refs[m])).End > t0 {
+		if m := int(uint(lo+hi) >> 1); at(m).End > t0 {
 			hi = m
 		} else {
 			lo = m + 1
 		}
 	}
-	// The upper bound gallops from the lower one, like startsFrom.
-	at, step := lo, 1
-	for at+step <= len(refs) && lv.At(int(refs[at+step-1])).Start < t1 {
-		at += step
+	up, step := lo, 1
+	for up+step <= n && at(up+step-1).Start < t1 {
+		up += step
 		step <<= 1
 	}
-	hi = min(at+step-1, len(refs))
-	for at < hi {
-		if m := int(uint(at+hi) >> 1); lv.At(int(refs[m])).Start >= t1 {
+	hi = min(up+step-1, n)
+	for up < hi {
+		if m := int(uint(up+hi) >> 1); at(m).Start >= t1 {
 			hi = m
 		} else {
-			at = m + 1
+			up = m + 1
 		}
 	}
-	return lo, at
+	return lo, up
+}
+
+// colCursor reads the leaves of a view of several columns, keeping the
+// column of the last leaf read: a search's probes close in on one
+// column, so most of them skip the column lookup.
+type colCursor struct {
+	lv     *Leaves
+	col    []trace.StateEvent
+	lo, hi int // the logical range of col
+}
+
+func (c *colCursor) at(i int) *trace.StateEvent {
+	if i < c.lo || i >= c.hi {
+		k := c.lv.Locate(i)
+		c.col, c.lo = c.lv.Col(k), c.lv.Start(k)
+		c.hi = c.lo + len(c.col)
+	}
+	return &c.col[i-c.lo]
 }
 
 // clip returns the length of ev's overlap with [t0, t1).
@@ -444,23 +414,28 @@ func clip(ev *trace.StateEvent, t0, t1 int64) int64 {
 // disjointness leaves it alone up to its end — and when nothing
 // overlaps it, up to the next interval's start. Every other answer
 // depends on where the window's edges fall and says until == t1.
-func (s *Set) Dominant(lv *Leaves, t0, t1 int64) (leaf int, cover int64, ok bool, until int64) {
-	lo, hi := s.span(lv, t0, t1)
+//
+// from is the hint and next the one to pass on (see the package doc):
+// next is the window's first member, where the search for any window
+// starting at or after t0 may begin. No value of from changes the
+// answer.
+func (s *Set) Dominant(lv *Leaves, from int, t0, t1 int64) (leaf int, cover int64, ok bool, until int64, next int) {
+	lo, hi := s.span(lv, from, t0, t1)
 	if lo >= hi {
 		until = math.MaxInt64
 		if lo < s.Len() {
-			until = lv.At(s.leaf(lo)).Start
+			until = s.at(lv, lo).Start
 		}
-		return 0, 0, false, until
+		return 0, 0, false, until, lo
 	}
 	// Only the first and last overlapping intervals can be clipped by
 	// the window; the middle contributes full durations, walked when
 	// they are few enough to beat setting up the pyramid walk and
 	// answered by the pyramid otherwise. Taken in index order, a
 	// strictly greater cover is the lowest index of the greatest.
-	first := lv.At(s.leaf(lo))
+	first := s.at(lv, lo)
 	if hi-lo == 1 && first.Start <= t0 && t1 <= first.End && t0 < t1 {
-		return s.leaf(lo), t1 - t0, true, first.End
+		return s.leaf(lo), t1 - t0, true, first.End, lo
 	}
 	best, at := clip(first, t0, t1), lo
 	if mlo, mhi := lo+1, hi-1; mhi-mlo > s.pyramid.Arity() {
@@ -475,14 +450,14 @@ func (s *Set) Dominant(lv *Leaves, t0, t1 int64) (leaf int, cover int64, ok bool
 		}
 	}
 	if hi-1 > lo {
-		if c := clip(lv.At(s.leaf(hi-1)), t0, t1); c > best {
+		if c := clip(s.at(lv, hi-1), t0, t1); c > best {
 			best, at = c, hi-1
 		}
 	}
 	if best <= 0 {
-		return 0, 0, false, t1
+		return 0, 0, false, t1, lo
 	}
-	return s.leaf(at), best, true, t1
+	return s.leaf(at), best, true, t1, lo
 }
 
 // rangeMax returns the maximum duration among members [lo, hi) and the
@@ -501,7 +476,7 @@ func (s *Set) rangeMax(lv *Leaves, lo, hi int) Node {
 // the window clips off the first and the last. Exact, O(log n). The
 // identity set keeps no prefix sums and cannot be asked.
 func (s *Set) Cover(lv *Leaves, t0, t1 int64) int64 {
-	lo, hi := s.span(lv, t0, t1)
+	lo, hi := s.span(lv, 0, t0, t1)
 	if lo >= hi || t1 <= t0 {
 		// An inverted window can sit inside one interval, which then is
 		// both bounds' answer; it covers nothing.

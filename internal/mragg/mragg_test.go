@@ -112,7 +112,7 @@ func checkSet(t *testing.T, ctx string, rng *rand.Rand, s *Set, lv *Leaves, evs 
 			t1 = t0 + rng.Int63n(span+1)
 		}
 		wantLeaf, wantCover, wantOK := bruteDominant(evs, member, t0, t1)
-		gotLeaf, gotCover, gotOK, _ := s.Dominant(lv, t0, t1)
+		gotLeaf, gotCover, gotOK, _, _ := s.Dominant(lv, 0, t0, t1)
 		if gotOK != wantOK || (wantOK && (gotLeaf != wantLeaf || gotCover != wantCover)) {
 			t.Fatalf("%s: Dominant(%d, %d) = (%d, %d, %v), want (%d, %d, %v)",
 				ctx, t0, t1, gotLeaf, gotCover, gotOK, wantLeaf, wantCover, wantOK)
@@ -160,9 +160,142 @@ func TestDominantMatchesScan(t *testing.T) {
 	}
 }
 
+// firstEnding returns the rank among the members of the first one
+// ending after t0: the window's first member, which Dominant names as
+// next.
+func firstEnding(evs []trace.StateEvent, member func(int) bool, t0 int64) int {
+	first := 0
+	for i := range evs {
+		if !member(i) {
+			continue
+		}
+		if evs[i].End > t0 {
+			break
+		}
+		first++
+	}
+	return first
+}
+
+// checkHint asks s about [t0, t1) with hint 0 and with every hint
+// given, and holds the first answer to the scan's, every other to the
+// first, and every next to the window's first member. It returns how
+// many of the hints the gallop took: past 0, not past the end, and
+// member h-1 ending by t0.
+func checkHint(t *testing.T, ctx string, s *Set, lv *Leaves, evs []trace.StateEvent, member func(int) bool, t0, t1 int64, hints []int) (galloped int) {
+	t.Helper()
+	leaf, cover, ok, until, next := s.Dominant(lv, 0, t0, t1)
+	wantLeaf, wantCover, wantOK := bruteDominant(evs, member, t0, t1)
+	first := firstEnding(evs, member, t0)
+	if ok != wantOK || (ok && (leaf != wantLeaf || cover != wantCover)) || next != first {
+		t.Fatalf("%s: Dominant(0, %d, %d) = (%d, %d, %v) next %d, the scan wants (%d, %d, %v) and the window starts at member %d",
+			ctx, t0, t1, leaf, cover, ok, next, wantLeaf, wantCover, wantOK, first)
+	}
+	for _, h := range hints {
+		hl, hc, hok, hu, hn := s.Dominant(lv, h, t0, t1)
+		if hl != leaf || hc != cover || hok != ok || hu != until || hn != next {
+			t.Fatalf("%s: Dominant(%d, %d, %d) = (%d, %d, %v) until %d next %d; hint 0 answers (%d, %d, %v) until %d next %d",
+				ctx, h, t0, t1, hl, hc, hok, hu, hn, leaf, cover, ok, until, next)
+		}
+		if 0 < h && h <= s.Len() && s.at(lv, h-1).End <= t0 {
+			galloped++
+		}
+	}
+	return galloped
+}
+
+// TestDominantHint: a hint never changes an answer. On flat and
+// segmented views, for the identity set and every state's subset,
+// Dominant asked with the window's own first member as the hint, one
+// behind, far behind, one ahead, far ahead, Len(), Len()+5 and the
+// first member of a later window answers what the hint-free query and
+// the scan answer, and names the window's first member as next.
+func TestDominantHint(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	galloped := 0
+	for round := 0; round < 40; round++ {
+		evs := randEvents(rng, rng.Intn(400)+1, int64(rng.Intn(1000)))
+		lv := Over(evs)
+		if round%2 == 1 {
+			lv = Over(split(rng, evs)...)
+		}
+		arity := []int{2, 8, 64}[round%3]
+		type set struct {
+			s      *Set
+			member func(int) bool
+		}
+		sets := []set{{All(arity).Extend(&lv), every}}
+		for k := 0; k < trace.NumWorkerStates; k++ {
+			member := inState(evs, trace.WorkerState(k))
+			sets = append(sets, set{buildSub(&lv, evs, member, arity), member})
+		}
+		span := evs[len(evs)-1].End - evs[0].Start + 10
+		for _, c := range sets {
+			n := c.s.Len()
+			for q := 0; q < 30; q++ {
+				t0 := evs[0].Start - 5 + rng.Int63n(span)
+				t1 := t0 + 1 + rng.Int63n(span/4+1)
+				lo := firstEnding(evs, c.member, t0)
+				later := firstEnding(evs, c.member, t0+1+rng.Int63n(span))
+				hints := []int{lo, lo - 1, lo - 2 - rng.Intn(n+1), lo + 1, lo + 2 + rng.Intn(n+1), n, n + 5, later}
+				galloped += checkHint(t, "hint table", c.s, &lv, evs, c.member, t0, t1, hints)
+			}
+		}
+	}
+	if galloped < 1000 {
+		t.Errorf("the gallop was taken for %d hints only", galloped)
+	}
+}
+
+// FuzzDominantHint: whatever the leaves, their split into columns, the
+// set (the identity set or one state's subset, and its arity), the hint
+// and the window, Dominant answers what the hint-free query and the
+// scan answer, and names the window's first member as next.
+func FuzzDominantHint(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 2, 7, 0, 0, 0, 1, 3, 9, 1}, []byte{2}, uint8(1), 2, int64(3), int64(9))
+	f.Add([]byte{1, 30, 8, 0, 0, 1, 4, 12, 1, 0, 3, 0, 2, 2, 1}, []byte{0, 1, 1}, uint8(0x38), 4, int64(-7), int64(40))
+	f.Add([]byte{3, 3, 0}, []byte{}, uint8(8), -1, int64(0), int64(1))
+	f.Fuzz(func(t *testing.T, raw, cuts []byte, set uint8, hint int, a, b int64) {
+		// Every three bytes are an event: the gap before it, its length
+		// and its state, one past the worker states included.
+		var evs []trace.StateEvent
+		at := int64(0)
+		for i := 0; i+2 < len(raw) && len(evs) < 512; i += 3 {
+			at += int64(raw[i] % 8)
+			d := int64(raw[i+1] % 32)
+			evs = append(evs, trace.StateEvent{State: trace.WorkerState(int(raw[i+2]) % (trace.NumWorkerStates + 1)), Start: at, End: at + d})
+			at += d
+		}
+		if len(evs) == 0 {
+			return
+		}
+		// Each cut is the length of the next column, empty ones
+		// included; the rest is the last.
+		var cols [][]trace.StateEvent
+		rest := evs
+		for _, c := range cuts {
+			k := min(int(c), len(rest))
+			cols, rest = append(cols, rest[:k]), rest[k:]
+		}
+		lv := Over(append(cols, rest)...)
+		arity := 2 + int(set>>4)%7
+		member, s := every, All(arity).Extend(&lv)
+		if k := int(set&15) % (trace.NumWorkerStates + 1); k < trace.NumWorkerStates {
+			member = inState(evs, trace.WorkerState(k))
+			s = buildSub(&lv, evs, member, arity)
+		}
+		mod := func(x, m int64) int64 { return (x%m + m) % m }
+		span := at + 10
+		t0 := mod(a, span) - 5
+		t1 := t0 - 3 + mod(b, span+4) // inverted windows too
+		checkHint(t, "fuzz", s, &lv, evs, member, t0, t1, []int{hint, int(mod(int64(hint), int64(s.Len())+6))})
+	})
+}
+
 // TestLeavesSegmentedEqualsFlat: a view over every split of an array —
 // empty columns anywhere — resolves every leaf, visits every suffix and
-// finds every window exactly as the one-column view does.
+// has every window found over it exactly as over the one-column view,
+// starting at the first leaf ending after the window's start.
 func TestLeavesSegmentedEqualsFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for round := 0; round < 40; round++ {
@@ -197,19 +330,20 @@ func TestLeavesSegmentedEqualsFlat(t *testing.T) {
 		if next != len(evs) {
 			t.Fatalf("Each(%d) stopped at %d of %d", from, next, len(evs))
 		}
+		flatAll, segAll := All(4).Extend(&flat), All(4).Extend(&seg)
 		span := evs[len(evs)-1].End - evs[0].Start + 10
 		for q := 0; q < 300; q++ {
 			t0 := evs[0].Start - 5 + rng.Int63n(span)
 			t1 := t0 - 3 + rng.Int63n(span/2+4) // inverted windows too
-			flo, fhi := flat.Window(t0, t1)
-			slo, shi := seg.Window(t0, t1)
-			if flo != slo || fhi != shi {
-				t.Fatalf("Window(%d, %d) = [%d, %d) segmented, [%d, %d) flat", t0, t1, slo, shi, flo, fhi)
+			flo, fhi := flatAll.span(&flat, 0, t0, t1)
+			slo, shi := segAll.span(&seg, 0, t0, t1)
+			if flo != slo || fhi != shi || flo != firstEnding(evs, every, t0) {
+				t.Fatalf("window [%d, %d) = [%d, %d) segmented, [%d, %d) flat", t0, t1, slo, shi, flo, fhi)
 			}
 		}
 	}
 	var empty Leaves
-	if lo, hi := empty.Window(0, 10); lo != 0 || hi != 0 || empty.Cols() != 0 || empty.Len() != 0 {
+	if lo, hi := All(4).span(&empty, 0, 0, 10); lo != 0 || hi != 0 || empty.Cols() != 0 || empty.Len() != 0 {
 		t.Fatal("the zero view is not the empty view")
 	}
 }
@@ -255,7 +389,8 @@ func TestRankMapping(t *testing.T) {
 			lv = Over(split(rng, evs)...)
 		}
 		arity := []int{2, 4, 64}[round%3]
-		if All(arity).Extend(&lv) == nil {
+		all := All(arity).Extend(&lv)
+		if all == nil {
 			t.Fatal("valid interval set rejected")
 		}
 		var edges []int64
@@ -279,15 +414,15 @@ func TestRankMapping(t *testing.T) {
 					wantHi++
 				}
 				wantHi = max(wantLo, wantHi) // an inverted window is an empty one
-				vlo, vhi := lv.Window(t0, t1)
+				vlo, vhi := all.span(&lv, 0, t0, t1)
 				rankLo, _ := slices.BinarySearch(refs, int32(vlo))
 				rankHi, _ := slices.BinarySearch(refs, int32(vhi))
-				if lo, hi := s.span(&lv, t0, t1); lo != wantLo || hi != wantHi || lo != rankLo || hi != max(rankLo, rankHi) {
+				if lo, hi := s.span(&lv, 0, t0, t1); lo != wantLo || hi != wantHi || lo != rankLo || hi != max(rankLo, rankHi) {
 					t.Fatalf("round %d state %d: span(%d, %d) = [%d, %d), the subset's own bounds say [%d, %d), the view's window [%d, %d) by rank [%d, %d)",
 						round, k, t0, t1, lo, hi, wantLo, wantHi, vlo, vhi, rankLo, rankHi)
 				}
 				wantLeaf, wantCover, wantOK := bruteDominant(evs, member, t0, t1)
-				leaf, cover, ok, until := s.Dominant(&lv, t0, t1)
+				leaf, cover, ok, until, _ := s.Dominant(&lv, 0, t0, t1)
 				if ok != wantOK || (ok && (leaf != wantLeaf || cover != wantCover)) || until < t1 {
 					t.Fatalf("round %d state %d: Dominant(%d, %d) = (%d, %d, %v) until %d, want (%d, %d, %v)",
 						round, k, t0, t1, leaf, cover, ok, until, wantLeaf, wantCover, wantOK)
@@ -359,7 +494,7 @@ func TestDominantUntil(t *testing.T) {
 			if q%2 == 0 {
 				t1 = t0 + 1 + rng.Int63n(6) // the size of an interval or a gap
 			}
-			leaf, _, ok, until := s.Dominant(&lv, t0, t1)
+			leaf, _, ok, until, _ := s.Dominant(&lv, 0, t0, t1)
 			if until < t1 {
 				t.Fatalf("round %d: Dominant(%d, %d) reaches back to %d", round, t0, t1, until)
 			}
@@ -560,7 +695,7 @@ func TestRefsAndAccessors(t *testing.T) {
 		t.Error("appended refs wrong")
 	}
 	// A dominant member is reported as its leaf in the view.
-	leaf, cover, ok, _ := s2.Dominant(&lv, 0, 2000)
+	leaf, cover, ok, _, _ := s2.Dominant(&lv, 0, 0, 2000)
 	if !ok || leaf != 5 || cover != 10 {
 		t.Errorf("Dominant = (%d, %d, %v), want (5, 10, true)", leaf, cover, ok)
 	}
@@ -577,7 +712,7 @@ func TestZeroLengthOnly(t *testing.T) {
 	}
 	sub := buildSub(&lv, evs, every, 2)
 	for _, s := range []*Set{all, sub} {
-		if _, _, ok, _ := s.Dominant(&lv, 0, 10); ok {
+		if _, _, ok, _, _ := s.Dominant(&lv, 0, 0, 10); ok {
 			t.Error("zero-cover interval reported dominant")
 		}
 	}

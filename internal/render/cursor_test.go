@@ -41,7 +41,7 @@ func numaHeatPerPixel(p *pixelizer, cpu int32, t0, t1 trace.Time) (color.RGBA, b
 	}
 	total := local + remote
 	if total == 0 {
-		if _, ok, _ := p.domFor(cpu).DominantExec(t0, t1, p.keep); !ok {
+		if _, ok, _, _ := p.domFor(cpu).DominantExec(0, t0, t1, p.keep); !ok {
 			return color.RGBA{}, false
 		}
 		return NUMAHeatShade(0), true
@@ -261,14 +261,7 @@ func TestNUMAHeatCursor(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	stepped, promised := 0, 0
 	for _, tc := range cursorCases(t, rng) {
-		var keep func(trace.TaskID) bool
-		if f := tc.f; f != nil {
-			keep = func(id trace.TaskID) bool {
-				task, ok := tc.tr.TaskByID(id)
-				return ok && f.Match(tc.tr, task)
-			}
-		}
-		px := newPixelizer(tc.tr, keep, typeIndexOf(tc.tr), indexResolver(tc.tr))
+		px := newPixelizer(tc.tr, keepOf(tc.tr, tc.f), typeIndexOf(tc.tr), indexResolver(tc.tr))
 		plotW := 90 + rng.Intn(300)
 		for _, win := range cursorWindows(rng, tc, plotW) {
 			start, end := win[0], win[1]
@@ -286,7 +279,7 @@ func TestNUMAHeatCursor(t *testing.T) {
 					t0 := start + rng.Int63n(end-start)
 					t1 := t0 + 1 + rng.Int63n(min(end-t0, 4*tc.event))
 					px.commAt = 0
-					c, ok, until := px.numaHeat(cpu, t0, t1)
+					c, ok, until, _ := px.numaHeat(cpu, 0, t0, t1)
 					if until < t1 {
 						t.Fatalf("%s cpu %d: numaHeat(%d, %d) reaches back to %d", tc.name, cpu, t0, t1, until)
 					}
@@ -322,6 +315,72 @@ func TestNUMAHeatCursor(t *testing.T) {
 	}
 	if promised == 0 || stepped == 0 {
 		t.Errorf("%d horizons promised, %d rows of few runs: the sweep was not exercised", promised, stepped)
+	}
+}
+
+// asked answers a row's questions through d and counts in hinted those
+// that carry a cursor past 0 — or, when scratch, drops every cursor for
+// 0, the full search.
+type asked struct {
+	d       dominance
+	scratch bool
+	hinted  *int
+}
+
+func (a asked) hint(from int) int {
+	if a.scratch {
+		return 0
+	}
+	if from > 0 {
+		*a.hinted++
+	}
+	return from
+}
+
+func (a asked) DominantStateUntil(from int, t0, t1 trace.Time) (trace.StateEvent, bool, trace.Time, int) {
+	return a.d.DominantStateUntil(a.hint(from), t0, t1)
+}
+
+func (a asked) DominantExec(from int, t0, t1 trace.Time, keep func(trace.TaskID) bool) (trace.StateEvent, bool, trace.Time, int) {
+	return a.d.DominantExec(a.hint(from), t0, t1, keep)
+}
+
+// TestDominanceCursor: a row swept with the dominance cursor — every
+// query handed the previous answer's first event — has exactly the runs
+// of the row whose every query searches from scratch, in every mode,
+// with and without a filter, over TestNUMAHeatCursor's traces and
+// windows (the spilled trace's multi-column views and the far end of
+// the time axis among them). And the sweep hands hints on: in every
+// case some query carries one.
+func TestDominanceCursor(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for _, tc := range cursorCases(t, rng) {
+		index := indexResolver(tc.tr)
+		hinted := 0
+		resolver := func(scratch bool) func(int32) dominance {
+			return func(cpu int32) dominance { return asked{index(cpu), scratch, &hinted} }
+		}
+		keep := keepOf(tc.tr, tc.f)
+		swept := newPixelizer(tc.tr, keep, typeIndexOf(tc.tr), resolver(false))
+		fresh := newPixelizer(tc.tr, keep, typeIndexOf(tc.tr), resolver(true))
+		plotW := 90 + rng.Intn(300)
+		for _, win := range cursorWindows(rng, tc, plotW) {
+			start, end := win[0], win[1]
+			heatMin, heatMax := visibleDurationRange(tc.tr, tc.f, start, end)
+			for mode := ModeState; mode <= ModeNUMAHeat; mode++ {
+				for cpu := int32(0); int(cpu) < tc.tr.NumCPUs(); cpu++ {
+					got := rowRuns(swept, mode, cpu, start, end, plotW, heatMin, heatMax, 10)
+					want := rowRuns(fresh, mode, cpu, start, end, plotW, heatMin, heatMax, 10)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %v cpu %d window [%d, %d) %d columns: the swept row's runs differ from the row asked from scratch\n got %v\nwant %v",
+							tc.name, mode, cpu, start, end, plotW, got, want)
+					}
+				}
+			}
+		}
+		if hinted == 0 {
+			t.Errorf("%s: no query carried a cursor; the equality above is vacuous", tc.name)
+		}
 	}
 }
 

@@ -33,12 +33,17 @@ var StateColors = [trace.NumWorkerStates]color.RGBA{
 	trace.StateShutdown:   {0x4f, 0x4f, 0x4f, 0xff}, // dark gray
 }
 
+// unknownColor (magenta) paints what the palette has no entry for: a
+// state past the worker states, a task whose type the trace does not
+// declare.
+var unknownColor = color.RGBA{0xff, 0x00, 0xff, 0xff}
+
 // StateColor returns the color for a worker state.
 func StateColor(s trace.WorkerState) color.RGBA {
 	if int(s) < len(StateColors) {
 		return StateColors[s]
 	}
-	return color.RGBA{0xff, 0x00, 0xff, 0xff}
+	return unknownColor
 }
 
 // HeatShade returns the heatmap color for a value in [0,1]: white for

@@ -128,9 +128,14 @@ func Timeline(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats, error) {
 // scan; the interface exists so tests can render the same rows from a
 // brute-force scan, which never looks past its pixel, and compare
 // pixels (TestTimelineIndexMatchesScan).
+//
+// Each question carries the row's cursor, from, and its answer names
+// the next one (core.DomIndex's hint). The cursor is an int passed by
+// value: a pointer handed through this interface would escape, and
+// every row would allocate its cursor.
 type dominance interface {
-	DominantStateUntil(t0, t1 trace.Time) (ev trace.StateEvent, ok bool, until trace.Time)
-	DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool, until trace.Time)
+	DominantStateUntil(from int, t0, t1 trace.Time) (ev trace.StateEvent, ok bool, until trace.Time, next int)
+	DominantExec(from int, t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool, until trace.Time, next int)
 }
 
 // indexResolver resolves CPUs against the trace's shared dominance
@@ -189,14 +194,7 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int, dom func(cpu int3
 	}
 
 	typeIdx := typeIndexOf(tr)
-	// The filter as core's keep predicate, built once per rendering.
-	var keep func(trace.TaskID) bool
-	if f := cfg.Filter; f != nil {
-		keep = func(id trace.TaskID) bool {
-			task, ok := tr.TaskByID(id)
-			return ok && f.Match(tr, task)
-		}
-	}
+	keep := keepOf(tr, cfg.Filter)
 
 	// Phase 1: compute each row's aggregated pixel runs. Rows are
 	// independent (per-row dominance caches suffice: a task executes
@@ -354,10 +352,11 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 	var runs []pixelRun
 	runStart := -1
 	var runColor color.RGBA
-	// numaHeat's cursor belongs to this row, not to its CPU or its
-	// pixelizer: a CPU selected twice, and the rows a sequential
-	// rendering puts through one pixelizer, each start from their own
-	// first event.
+	// The cursors belong to this row, not to its CPU or its pixelizer:
+	// a CPU selected twice, and the rows a sequential rendering puts
+	// through one pixelizer, each start from their own first event. at
+	// is the dominance cursor (see dominance), numaHeat's is in px.
+	at := 0
 	px.comm, px.commAt = nil, 0
 	if mode == ModeNUMAHeat {
 		px.comm = px.tr.CommIn(cpu, start, end)
@@ -370,7 +369,8 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 	}
 	for x := 0; x < plotW; {
 		t0, t1 := pixelWindow(start, end-start, x, plotW)
-		c, ok, until := px.pixelColor(mode, cpu, t0, t1, heatMin, heatMax, shades)
+		c, ok, until, next := px.pixelColor(mode, cpu, at, t0, t1, heatMin, heatMax, shades)
+		at = next
 		if !ok {
 			flush(x)
 		} else if runStart < 0 {
@@ -422,6 +422,17 @@ func typeIndexOf(tr *core.Trace) map[trace.TypeID]int {
 	return ti
 }
 
+// keepOf returns a filter as core's keep predicate, nil without one.
+func keepOf(tr *core.Trace, f *filter.TaskFilter) func(trace.TaskID) bool {
+	if f == nil {
+		return nil
+	}
+	return func(id trace.TaskID) bool {
+		task, ok := tr.TaskByID(id)
+		return ok && f.Match(tr, task)
+	}
+}
+
 func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trace.TypeID]int, dom func(cpu int32) dominance) *pixelizer {
 	return &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx, dom: dom}
 }
@@ -431,21 +442,22 @@ func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trac
 // interval. The time returned is the answer's horizon (see dominance):
 // in five modes the color is a function of the dominant event, so it
 // reaches as far as the event's answer does; the NUMA heatmap's
-// depends on the accesses inside the pixel too (see numaHeat).
-func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool, trace.Time) {
+// depends on the accesses inside the pixel too (see numaHeat). from
+// and the int returned are the row's dominance cursor.
+func (p *pixelizer) pixelColor(mode Mode, cpu int32, from int, t0, t1 trace.Time, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool, trace.Time, int) {
 	switch mode {
 	case ModeState:
-		ev, ok, until := p.domFor(cpu).DominantStateUntil(t0, t1)
+		ev, ok, until, next := p.domFor(cpu).DominantStateUntil(from, t0, t1)
 		if !ok {
-			return color.RGBA{}, false, until
+			return color.RGBA{}, false, until, next
 		}
-		return StateColor(ev.State), true, until
+		return StateColor(ev.State), true, until, next
 	case ModeNUMAHeat:
-		return p.numaHeat(cpu, t0, t1)
+		return p.numaHeat(cpu, from, t0, t1)
 	default:
-		ev, ok, until := p.domFor(cpu).DominantExec(t0, t1, p.keep)
+		ev, ok, until, next := p.domFor(cpu).DominantExec(from, t0, t1, p.keep)
 		if !ok {
-			return color.RGBA{}, false, until
+			return color.RGBA{}, false, until, next
 		}
 		switch mode {
 		case ModeHeat:
@@ -459,9 +471,15 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin,
 				// accurate for <=64 shades.
 				frac = (float64(d) - float64(heatMin)) / (float64(heatMax) - float64(heatMin))
 			}
-			return HeatShade(frac, shades), true, until
+			return HeatShade(frac, shades), true, until, next
 		case ModeType:
-			return CategoryColor(p.typeIdx[taskType(p.tr, ev.Task)]), true, until
+			i, declared := p.typeIdx[taskType(p.tr, ev.Task)]
+			if !declared {
+				// Such as the type 0 of an execution whose task record
+				// never arrived, on a trace whose types start at 1.
+				return unknownColor, true, until, next
+			}
+			return CategoryColor(i), true, until, next
 		case ModeNUMARead, ModeNUMAWrite:
 			home := p.tr.TaskHomes(ev.Task)
 			node := home.Read
@@ -469,12 +487,12 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, t0, t1 trace.Time, heatMin,
 				node = home.Write
 			}
 			if node < 0 {
-				return color.RGBA{}, false, until
+				return color.RGBA{}, false, until, next
 			}
-			return CategoryColor(int(node)), true, until
+			return CategoryColor(int(node)), true, until, next
 		}
 	}
-	return color.RGBA{}, false, t1
+	return color.RGBA{}, false, t1, from
 }
 
 // domFor resolves a CPU's dominance answers, memoizing the last
@@ -496,8 +514,9 @@ func (p *pixelizer) domFor(cpu int32) dominance {
 // no access shows a running task as fully local, and that answer holds
 // as far as DominantExec's does or up to the next event on the row,
 // whichever comes first, so rowRuns steps over the stretch; a window
-// holding accesses answers for itself alone.
-func (p *pixelizer) numaHeat(cpu int32, t0, t1 trace.Time) (color.RGBA, bool, trace.Time) {
+// holding accesses answers for itself alone. from and the int returned
+// are the row's dominance cursor, which only DominantExec moves.
+func (p *pixelizer) numaHeat(cpu int32, from int, t0, t1 trace.Time) (color.RGBA, bool, trace.Time, int) {
 	evs := p.comm
 	i := seekFrom(p.commAt, len(evs), func(i int) bool { return evs[i].Time >= t0 })
 	p.commAt = i
@@ -523,16 +542,16 @@ func (p *pixelizer) numaHeat(cpu int32, t0, t1 trace.Time) (color.RGBA, bool, tr
 	}
 	total := local + remote
 	if total == 0 {
-		_, ok, until := p.domFor(cpu).DominantExec(t0, t1, p.keep)
+		_, ok, until, next := p.domFor(cpu).DominantExec(from, t0, t1, p.keep)
 		if i < len(evs) {
 			until = min(until, evs[i].Time)
 		}
 		if !ok {
-			return color.RGBA{}, false, until
+			return color.RGBA{}, false, until, next
 		}
-		return NUMAHeatShade(0), true, until
+		return NUMAHeatShade(0), true, until, next
 	}
-	return NUMAHeatShade(float64(remote) / float64(total)), true, t1
+	return NUMAHeatShade(float64(remote) / float64(total)), true, t1, from
 }
 
 func taskType(tr *core.Trace, id trace.TaskID) trace.TypeID {

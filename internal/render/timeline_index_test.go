@@ -95,15 +95,15 @@ func (s scanDominance) dominant(t0, t1 trace.Time, execOnly bool, keep func(trac
 
 // A scan sees its pixel and nothing after it: until is always t1, so
 // rendering through it asks once per column — the per-pixel reference
-// the run sweep is held to.
-func (s scanDominance) DominantStateUntil(t0, t1 trace.Time) (trace.StateEvent, bool, trace.Time) {
+// the run sweep is held to. It ignores the row's cursor and names none.
+func (s scanDominance) DominantStateUntil(_ int, t0, t1 trace.Time) (trace.StateEvent, bool, trace.Time, int) {
 	ev, ok := s.dominant(t0, t1, false, nil)
-	return ev, ok, t1
+	return ev, ok, t1, 0
 }
 
-func (s scanDominance) DominantExec(t0, t1 trace.Time, keep func(trace.TaskID) bool) (trace.StateEvent, bool, trace.Time) {
+func (s scanDominance) DominantExec(_ int, t0, t1 trace.Time, keep func(trace.TaskID) bool) (trace.StateEvent, bool, trace.Time, int) {
 	ev, ok := s.dominant(t0, t1, true, keep)
-	return ev, ok, t1
+	return ev, ok, t1, 0
 }
 
 // denseStateTrace hand-builds a trace whose every CPU row carries
@@ -245,6 +245,73 @@ func TestTimelineIndexMatchesScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTimelineAllocations pins as counts what a state and a typemap tile
+// allocate over a sixteenth of a 16×8 Seidel run's span, rendered on
+// one worker and on two: the framebuffer, the type index and the rows'
+// runs, nothing a query or a pixel. The rows' dominance cursors are ints
+// handed through the dominance interface by value; by pointer they
+// would escape, one allocation a row (+16 here).
+func TestTimelineAllocations(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 16, 8, openstream.SchedNUMA)
+	span := tr.Span.Duration()
+	start := tr.Span.Start + span/3
+	for _, c := range []struct {
+		mode    Mode
+		workers int
+		want    float64
+	}{
+		{ModeState, 1, 109},
+		{ModeState, 2, 114},
+		{ModeType, 1, 77},
+		{ModeType, 2, 82},
+	} {
+		cfg := TimelineConfig{Width: 900, Height: 380, Mode: c.mode, Start: start, End: start + span/16}
+		render := func() {
+			if _, _, err := timeline(tr, cfg, c.workers, indexResolver(tr)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := testing.AllocsPerRun(10, render); got != c.want {
+			t.Errorf("a %v tile on %d workers allocates %.0f times, want %.0f", c.mode, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestTypemapUndeclaredType: a task whose type the trace does not
+// declare — an execution whose task record never arrived, on a trace
+// whose types are 1 and 2 — is painted in the color of an unknown
+// state, not in the first declared type's.
+func TestTypemapUndeclaredType(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.WriteTaskType(trace.TaskType{ID: 1, Name: "alpha"}))
+	must(w.WriteTaskType(trace.TaskType{ID: 2, Name: "beta"}))
+	must(w.WriteTask(trace.Task{ID: 1, Type: 1}))
+	must(w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateTaskExec, Start: 0, End: 1000, Task: 1}))
+	must(w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateTaskExec, Start: 1000, End: 2000, Task: 2}))
+	must(w.Flush())
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, _, err := Timeline(tr, TimelineConfig{Width: 200, Height: 8, Start: 0, End: 2000, Mode: ModeType})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fb.At(50, 0), CategoryColor(0); got != want {
+		t.Errorf("task 1, of type alpha: %v, want alpha's %v", got, want)
+	}
+	if got, want := fb.At(150, 0), StateColor(trace.WorkerState(trace.NumWorkerStates)); got != want {
+		t.Errorf("task 2, of no declared type: %v, want the unknown color %v (alpha's is %v)", got, want, CategoryColor(0))
 	}
 }
 
