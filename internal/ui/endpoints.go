@@ -3,7 +3,10 @@ package ui
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
+	"path"
 	"strconv"
 	"strings"
 
@@ -14,8 +17,8 @@ import (
 	"github.com/openstream/aftermath/internal/taskgraph"
 )
 
-// windowPolicy says what a cached verb does with the request window
-// (see resolveWindow).
+// windowPolicy says what an entry does with the request window (see
+// resolveWindow).
 type windowPolicy int
 
 const (
@@ -24,37 +27,115 @@ const (
 	windowClamped                      // and clamped to it: the anomaly scan's contract
 )
 
-// request is what Server.serve hands a verb's plan: the pinned
-// snapshot and its epoch, the shared parameters parsed into q with
-// the window already resolved, and the reader for the verb's own.
+// mount says where an entry is answered: by every Server (standalone
+// or under a hub's /t/<name>/), at the hub's root, or both.
+type mount uint8
+
+const (
+	onServer mount = 1 << iota
+	onHub
+)
+
+// request is what serve hands an entry: who answers (srv, or hub at
+// its root), the pinned snapshot (a Server's), the shared parameters
+// with the window resolved, and the reader for the entry's own.
 type request struct {
+	srv   *Server
+	hub   *Hub
+	r     *http.Request
 	tr    *core.Trace
 	epoch uint64
 	q     *query.Query
 	p     *query.Params
 }
 
-// endpoint is one cached verb, served at path by Server.serve. plan
-// reads the verb's own parameters (failures stick in rq.p) and returns
-// the projection of the query the response depends on — the cache key,
-// so parameters the verb ignores never fragment the LRU — any key text
-// the query cannot carry, and the closure that builds the body on a
-// miss, whose error is the request's unless it is a serverError.
+// endpoint is one path answered by serve. A cached entry's plan reads
+// the verb's own parameters (failures stick in rq.p) and returns the
+// projection of the query the response depends on — the cache key, so
+// parameters the verb ignores never fragment the LRU — any key text the
+// query cannot carry, and the closure that builds the body on a miss,
+// whose error is the request's unless it is a serverError. An uncached
+// entry's write writes the body, or returns the error before any.
 type endpoint struct {
-	path        string // "/" + the verb the cache key names
+	path        string // "/" + the verb a cache key names
+	at          mount
 	contentType string
 	window      windowPolicy
-	plan        func(s *Server, rq request) (key *query.Query, extra string, build func() ([]byte, error))
+	plan        func(rq request) (key *query.Query, extra string, build func() ([]byte, error))
+	write       func(w http.ResponseWriter, rq request) error
 }
 
-// endpoints is every cached verb of the viewer.
+// endpoints is every path of the viewer and the hub.
 var endpoints = []endpoint{
-	{"/render", "image/png", windowResolved, planRender},
-	{"/matrix", "image/png", windowResolved, planMatrix},
-	{"/plot", "image/png", windowIgnored, planPlot},
-	{"/stats", "application/json", windowResolved, planStats},
-	{"/anomalies", "application/json", windowClamped, planAnomalies},
-	{"/graph.dot", "text/vnd.graphviz", windowIgnored, planGraphDOT},
+	{"/", onServer, "text/html; charset=utf-8", windowResolved, nil, writeIndex},
+	{"/render", onServer, "image/png", windowResolved, planRender, nil},
+	{"/matrix", onServer, "image/png", windowResolved, planMatrix, nil},
+	{"/plot", onServer, "image/png", windowIgnored, planPlot, nil},
+	{"/stats", onServer, "application/json", windowResolved, planStats, nil},
+	{"/anomalies", onServer, "application/json", windowClamped, planAnomalies, nil},
+	{"/graph.dot", onServer, "text/vnd.graphviz", windowIgnored, planGraphDOT, nil},
+	{"/task", onServer, "application/json", windowIgnored, nil, writeTask},
+	{"/live", onServer, "application/json", windowIgnored, nil, writeLive},
+	{"/events", onServer | onHub, "text/event-stream", windowIgnored, nil, writeEvents},
+	{"/", onHub, "text/html; charset=utf-8", windowIgnored, nil, writeHubIndex},
+	{"/traces", onHub, "application/json", windowIgnored, nil, writeTraces},
+}
+
+// serve is the front door of every path: rq says who answers, sub is
+// the path below its mount. Only serve looks the cleaned path up,
+// refuses any method but GET and HEAD, pins the snapshot, parses the
+// shared parameters and writes an entry's failure as the structured
+// error. A cached entry's key — scope (hub trace identity), epoch,
+// verb, canonical query, the plan's extra text — holds everything the
+// response depends on.
+func serve(w http.ResponseWriter, r *http.Request, sub string, rq request) {
+	at := onServer
+	if rq.srv == nil {
+		at = onHub
+	}
+	var ep *endpoint
+	clean := path.Clean(sub)
+	for i := range endpoints {
+		if e := &endpoints[i]; e.at&at != 0 && e.path == clean {
+			ep = e
+		}
+	}
+	if ep == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no such endpoint %q", clean))
+		return
+	}
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		w.Header().Set("Allow", "GET, HEAD")
+		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		return
+	}
+	if rq.srv != nil {
+		rq.tr, rq.epoch = rq.srv.src.Snapshot()
+	}
+	v := r.URL.Query()
+	q, err := query.FromValues(v)
+	if err == nil && ep.window != windowIgnored {
+		err = resolveWindow(rq.tr, q, ep.window == windowClamped)
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	rq.r, rq.q, rq.p = r, q, query.NewParams(v)
+	if ep.plan == nil {
+		w.Header().Set("Content-Type", ep.contentType)
+		if err := ep.write(w, rq); err != nil {
+			writeError(w, statusOf(err), err)
+		}
+		return
+	}
+	keyQ, extra, build := ep.plan(rq)
+	if err := rq.p.Err(); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	key := rq.srv.scope + "e" + strconv.FormatUint(rq.epoch, 10) + "|" + ep.path[1:] + "|" + keyQ.Canonical() + extra
+	rq.srv.serveCached(w, r, key, ep.contentType, build)
 }
 
 // serverError marks a failure that is the server's, not the request's:
@@ -62,6 +143,9 @@ var endpoints = []endpoint{
 type serverError struct{ error }
 
 func (e serverError) Unwrap() error { return e.error }
+
+// notFoundError marks a request for a task or trace that does not exist.
+type notFoundError struct{ error }
 
 // exactBody copies what an encoder wrote into an exactly sized body:
 // the cache charges len(body) against its bound but keeps the whole
@@ -92,7 +176,7 @@ func encodeJSON(v interface{}) ([]byte, error) {
 	return append(body, '\n'), nil
 }
 
-func planRender(s *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+func planRender(rq request) (*query.Query, string, func() ([]byte, error)) {
 	tr, q, p := rq.tr, rq.q, rq.p
 	q.Size(p.Int("w", 1000, 100, 4000), p.Int("h", 400, 50, 2000)).
 		Heat(p.Int64("heatmin", 0), p.Int64("heatmax", 0)).
@@ -104,7 +188,7 @@ func planRender(s *Server, rq request) (*query.Query, string, func() ([]byte, er
 		// not fragment the cache key.
 		q.Rate(true)
 	}
-	anns, annsVer := s.annotationsState()
+	anns, annsVer := rq.srv.annotationsState()
 	marks := p.Flag("marks", true)
 	if anns != nil {
 		// marks only modifies rendering when an annotation set is
@@ -123,7 +207,7 @@ func planRender(s *Server, rq request) (*query.Query, string, func() ([]byte, er
 	}
 }
 
-func planMatrix(_ *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+func planMatrix(rq request) (*query.Query, string, func() ([]byte, error)) {
 	cell := rq.p.Int("cell", 14, 4, 64)
 	// The matrix-only projection (window + cell): filter, mode and
 	// counter parameters do not change the matrix.
@@ -133,7 +217,7 @@ func planMatrix(_ *Server, rq request) (*query.Query, string, func() ([]byte, er
 	}
 }
 
-func planPlot(_ *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+func planPlot(rq request) (*query.Query, string, func() ([]byte, error)) {
 	p := rq.p
 	rq.q.Intervals(p.Int("n", 200, 10, 2000))
 	width, height := p.Int("w", 800, 100, 4000), p.Int("h", 220, 50, 2000)
@@ -158,7 +242,7 @@ func planPlot(_ *Server, rq request) (*query.Query, string, func() ([]byte, erro
 	}
 }
 
-func planStats(_ *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+func planStats(rq request) (*query.Query, string, func() ([]byte, error)) {
 	// The stats-only projection (window + filter): mode and counter
 	// parameters do not change the summary.
 	q := rq.q.StatsOnly()
@@ -194,7 +278,7 @@ type anomaliesResponse struct {
 // types/mindur/maxdur (task filter), kind (restrict to one anomaly
 // kind), n (max results, default 50), windows (analysis window count),
 // minscore (severity cutoff).
-func planAnomalies(s *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+func planAnomalies(rq request) (*query.Query, string, func() ([]byte, error)) {
 	tr, p := rq.tr, rq.p
 	n := p.Int("n", 50, 1, 1000)
 	windows := p.Int("windows", anomaly.DefaultWindows, 8, 4096)
@@ -217,7 +301,7 @@ func planAnomalies(s *Server, rq request) (*query.Query, string, func() ([]byte,
 		p.Reject(err)
 	}
 	return q, "", func() ([]byte, error) {
-		found := s.scanner.Scan(tr, rq.epoch, scanKey, query.AnomalyConfigOf(tr, q))
+		found := rq.srv.scanner.Scan(tr, rq.epoch, scanKey, query.AnomalyConfigOf(tr, q))
 		selected, err := query.SelectAnomalies(found, q)
 		if err != nil {
 			return nil, err
@@ -241,13 +325,13 @@ func planAnomalies(s *Server, rq request) (*query.Query, string, func() ([]byte,
 	}
 }
 
-func planGraphDOT(s *Server, rq request) (*query.Query, string, func() ([]byte, error)) {
+func planGraphDOT(rq request) (*query.Query, string, func() ([]byte, error)) {
 	// max <= 0 exports every task, so all such values are one entry.
 	max := rq.p.Int("max", 500, 0, math.MaxInt)
 	return query.New().Limit(max), "", func() ([]byte, error) {
 		var buf bytes.Buffer
 		g := taskgraph.Reconstruct(rq.tr)
-		if err := g.WriteDOT(&buf, taskgraph.DOTOptions{MaxTasks: max, Label: s.Name}); err != nil {
+		if err := g.WriteDOT(&buf, taskgraph.DOTOptions{MaxTasks: max, Label: rq.srv.Name}); err != nil {
 			return nil, serverError{err}
 		}
 		return exactBody(&buf), nil

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/openstream/aftermath/internal/annotations"
 	"github.com/openstream/aftermath/internal/atmtest"
@@ -18,14 +20,15 @@ import (
 	"github.com/openstream/aftermath/internal/trace"
 )
 
-// endpointParams are the parameters the table-driven tests request a
-// cached verb with. A verb without an entry is requested bare, so one
-// added to the endpoint table is walked without touching this map.
+// endpointParams are the parameters the table-driven tests request an
+// entry with. An entry without one is requested bare, so one added to
+// the endpoint table is walked without touching this map.
 var endpointParams = map[string]string{
 	"/render":    "mode=state&w=300&h=100",
 	"/plot":      "kind=idle&w=300&h=100",
 	"/stats":     "t0=0&t1=500000",
 	"/anomalies": "n=10",
+	"/task":      "id=1",
 }
 
 // endpointPath is the request path the tests use for one table entry.
@@ -36,40 +39,52 @@ func endpointPath(ep endpoint) string {
 	return ep.path
 }
 
-// checkContentTypes: every endpoint mounted at prefix declares the
-// right content type on success — the cached verbs the one their table
-// entry names.
-func checkContentTypes(t *testing.T, srv *httptest.Server, prefix string) {
+// checkContentTypes: every entry answered at mount, mounted at prefix,
+// declares the content type its table entry names on success.
+func checkContentTypes(t *testing.T, srv *httptest.Server, prefix string, at mount) {
 	t.Helper()
-	type ctCase struct{ path, ct string }
-	cases := []ctCase{
-		{"/", "text/html; charset=utf-8"},
-		{"/task?id=1", "application/json"},
-	}
 	for _, ep := range endpoints {
-		cases = append(cases, ctCase{endpointPath(ep), ep.contentType})
-	}
-	for _, c := range cases {
-		resp, body := get(t, srv, prefix+c.path)
-		if resp.StatusCode != 200 {
-			t.Errorf("%s: status %d: %s", prefix+c.path, resp.StatusCode, body)
+		if ep.at&at == 0 {
 			continue
 		}
-		if ct := resp.Header.Get("Content-Type"); ct != c.ct {
-			t.Errorf("%s: content type %q, want %q", prefix+c.path, ct, c.ct)
+		path := prefix + endpointPath(ep)
+		resp, body := get(t, srv, path)
+		if resp.StatusCode != 200 {
+			t.Errorf("%s: status %d: %s", path, resp.StatusCode, body)
+			continue
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != ep.contentType {
+			t.Errorf("%s: content type %q, want %q", path, ct, ep.contentType)
 		}
 	}
 }
 
-// checkMissThenHit: the second identical request of every cached verb
-// mounted at prefix is served from the LRU response cache.
-func checkMissThenHit(t *testing.T, srv *httptest.Server, prefix string) {
+// checkMissThenHit: the second identical request of every cached entry
+// answered at mount, mounted at prefix, is served from the LRU response
+// cache. An uncached entry carries no X-Cache, and one reporting live
+// state tells every cache on the way not to keep it.
+func checkMissThenHit(t *testing.T, srv *httptest.Server, prefix string, at mount) {
 	t.Helper()
 	for _, ep := range endpoints {
+		if ep.at&at == 0 {
+			continue
+		}
 		path := prefix + endpointPath(ep)
 		resp, first := get(t, srv, path)
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		if ep.plan == nil {
+			if xc, ok := resp.Header["X-Cache"]; ok {
+				t.Errorf("%s: uncached entry carries X-Cache %q", path, xc)
+			}
+			switch ep.path {
+			case "/live", "/events", "/traces":
+				if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
+					t.Errorf("%s: Cache-Control %q, want no-store", path, cc)
+				}
+			}
+			continue
 		}
 		if xc := resp.Header.Get("X-Cache"); xc != "MISS" {
 			t.Errorf("%s: first request X-Cache = %q, want MISS", path, xc)
@@ -87,20 +102,40 @@ func checkMissThenHit(t *testing.T, srv *httptest.Server, prefix string) {
 // TestEndpointContentTypes: every endpoint declares the right content
 // type on success.
 func TestEndpointContentTypes(t *testing.T) {
-	checkContentTypes(t, newTestServer(t), "")
+	checkContentTypes(t, newTestServer(t), "", onServer)
 }
 
-// TestEndpointTableWalk: what TestEndpointContentTypes and
-// TestEndpointCacheHit's first loop check of a standalone viewer holds
-// for every entry of the table mounted under a hub's /t/<name>/, batch
-// and live, where the entries of both traces share one LRU.
+// TestEndpointTableWalk: the table is the route list. Every entry is
+// answered standalone and under a hub's /t/<name>/, batch and live,
+// where the entries of both traces share one LRU, and the hub's own
+// entries at its root: cached ones go MISS then HIT, uncached ones
+// carry no X-Cache, each declares its content type, and a verb the
+// table does not list there is a structured JSON 404 in every place.
 func TestEndpointTableWalk(t *testing.T) {
 	h, _, _ := newTestHub(t)
-	srv := httptest.NewServer(h)
-	t.Cleanup(srv.Close)
-	for _, prefix := range []string{"/t/batch", "/t/live"} {
-		checkMissThenHit(t, srv, prefix)
-		checkContentTypes(t, srv, prefix)
+	hub := httptest.NewServer(h)
+	t.Cleanup(hub.Close)
+	for _, c := range []struct {
+		srv    *httptest.Server
+		prefix string
+		at     mount
+	}{
+		{newTestServer(t), "", onServer},
+		{hub, "/t/batch", onServer},
+		{hub, "/t/live", onServer},
+		{hub, "", onHub},
+	} {
+		checkMissThenHit(t, c.srv, c.prefix, c.at)
+		checkContentTypes(t, c.srv, c.prefix, c.at)
+		// The other mount's verbs are unknown here too.
+		other := "/traces"
+		if c.at == onHub {
+			other = "/render"
+		}
+		for _, verb := range []string{"/bogus", "/render/x", other} {
+			resp, body := get(t, c.srv, c.prefix+verb)
+			decodeError(t, c.prefix+verb, resp, body, 404)
+		}
 	}
 }
 
@@ -213,6 +248,10 @@ func TestStructuredErrors(t *testing.T) {
 		{"/task?cpu=x", "cpu"},
 		{"/graph.dot?max=lots", "max"},
 		{"/?t1=oops", "t1"},
+		// The shared parameters are checked on uncached paths too.
+		{"/live?t0=x", "t0"},
+		{"/events?t1=oops", "t1"},
+		{"/task?id=1&mode=bogus", "mode"},
 		// Two bad parameters: the one blamed is the first in the order
 		// the server reads them, not the order the URL spells them.
 		{"/render?h=x&w=y", "w"},
@@ -228,12 +267,14 @@ func TestStructuredErrors(t *testing.T) {
 				t.Errorf("%s: error names param %q, want %q", prefix+c.path, param, c.param)
 			}
 		}
-		// Not-found responses are structured JSON too — including
-		// unknown sub-paths falling through to the index handler.
+		// Not-found responses are structured JSON too.
 		for _, p := range []string{"/task?id=999999", "/bogus"} {
 			resp, body := get(t, srv, prefix+p)
 			decodeError(t, prefix+p, resp, body, 404)
 		}
+		// Any method but GET and HEAD is a 405, on a cached verb and an
+		// uncached one alike, before the cache sees the request.
+		checkMethods(t, srv, prefix, "/render?w=211&h=80", "/task?id=1", "/live")
 	}
 
 	t.Run("batch", func(t *testing.T) {
@@ -256,14 +297,58 @@ func TestStructuredErrors(t *testing.T) {
 		t.Cleanup(srv.Close)
 		check(t, srv, "/t/batch")
 		check(t, srv, "/t/live")
+		checkMethods(t, srv, "", "/traces", "/events", "/")
 	})
+}
+
+// checkMethods: POST, PUT and DELETE of each path mounted at prefix are
+// a structured JSON 405 naming the methods allowed, and leave nothing
+// in the cache — a GET afterwards is a MISS, or no cached entry at all.
+// HEAD is answered.
+func checkMethods(t *testing.T, srv *httptest.Server, prefix string, paths ...string) {
+	t.Helper()
+	// A stream answered to a refused method would never end.
+	client := *srv.Client()
+	client.Timeout = 5 * time.Second
+	for _, path := range paths {
+		for _, method := range []string{"POST", "PUT", "DELETE"} {
+			req, err := http.NewRequest(method, srv.URL+prefix+path, strings.NewReader("x"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			decodeError(t, method+" "+prefix+path, resp, body, http.StatusMethodNotAllowed)
+			if allow := resp.Header.Get("Allow"); allow != "GET, HEAD" {
+				t.Errorf("%s %s: Allow %q, want \"GET, HEAD\"", method, prefix+path, allow)
+			}
+		}
+		if strings.HasSuffix(path, "events") {
+			continue // a stream answered to GET or HEAD never ends
+		}
+		if resp, _ := get(t, srv, prefix+path); resp.Header.Get("X-Cache") == "HIT" {
+			t.Errorf("GET %s after POST, PUT and DELETE: X-Cache HIT, want nothing cached by them", prefix+path)
+		}
+		resp, err := client.Head(srv.URL + prefix + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Errorf("HEAD %s: status %d, want 200", prefix+path, resp.StatusCode)
+		}
+	}
 }
 
 // TestEndpointCacheHit: the second identical request is served from
 // the LRU response cache.
 func TestEndpointCacheHit(t *testing.T) {
 	srv := newTestServer(t)
-	checkMissThenHit(t, srv, "")
+	checkMissThenHit(t, srv, "", onServer)
 	// Plots cache under the series-only projection: parameters that do
 	// not change the plotted series (the window; the filter, for
 	// filter-insensitive metrics) must not fragment the cache.

@@ -1,9 +1,10 @@
 // The push channel: /events streams epoch advances, sticky ingest
 // errors and spill-state changes as Server-Sent Events, so live
 // viewers repaint the moment a publish happens instead of polling
-// /live. One handler serves both shapes: a single-trace Server streams
-// its own source, and the Hub multiplexes any subset of its registered
-// traces onto one connection (payloads tagged with the trace name).
+// /live. One entry of the endpoint table serves both shapes: a
+// Server's /events streams its own source, and the Hub's multiplexes
+// any subset of its registered traces onto one connection (payloads
+// tagged with the trace name).
 //
 // Event schema (all payloads JSON):
 //
@@ -19,10 +20,13 @@
 package ui
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -77,28 +81,45 @@ func writeSSE(w io.Writer, event, id string, payload interface{}) error {
 	return err
 }
 
-// handleEvents streams this server's trace (see the package comment of
-// this file for the schema). Static sources have no epochs to push —
-// the stream carries the initial status and heartbeats only.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	serveEvents(w, r, []sseTarget{{srv: s}}, s.heartbeat)
+// writeEvents streams the server's own trace or, at the hub's root, the
+// traces=a,b selection (default: every registered trace). A name listed
+// twice is streamed once: every target pins a Watch subscription and a
+// forwarder goroutine for the life of the connection, so one request
+// pins no more than the registered traces, whatever its query string.
+// A static source's stream carries its initial status and heartbeats.
+func writeEvents(w http.ResponseWriter, rq request) error {
+	if rq.hub == nil {
+		return serveEvents(w, rq.r, []sseTarget{{srv: rq.srv}}, rq.srv.heartbeat)
+	}
+	names := rq.hub.Names()
+	if sel := rq.p.Str("traces", ""); sel != "" {
+		names = strings.Split(sel, ",")
+	}
+	var targets []sseTarget
+	for _, name := range names {
+		srv, ok := rq.hub.Server(name)
+		if !ok {
+			return notFoundError{fmt.Errorf("no trace %q registered", name)}
+		}
+		if !slices.ContainsFunc(targets, func(t sseTarget) bool { return t.srv == srv }) {
+			targets = append(targets, sseTarget{name: name, srv: srv})
+		}
+	}
+	return serveEvents(w, rq.r, targets, rq.hub.heartbeat)
 }
 
 // serveEvents runs one SSE connection over the given targets until the
-// client disconnects.
-func serveEvents(w http.ResponseWriter, r *http.Request, targets []sseTarget, heartbeat time.Duration) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		errorf(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	if heartbeat <= 0 {
-		heartbeat = defaultHeartbeat
-	}
+// client disconnects. It flushes through http.ResponseController, so a
+// wrapping writer that only offers Unwrap streams too.
+func serveEvents(w http.ResponseWriter, r *http.Request, targets []sseTarget, heartbeat time.Duration) error {
 	ctx := r.Context()
-	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
+	// Commit the 200 before any frame, while a writer that cannot
+	// stream can still be answered with a 500.
+	rc := http.NewResponseController(w)
+	if err := rc.Flush(); errors.Is(err, http.ErrNotSupported) {
+		return serverError{errors.New("streaming unsupported by this connection")}
+	}
 
 	// One forwarder per live target pumps its coalescing Watch channel
 	// into the connection's update queue. A slow client blocks the
@@ -132,27 +153,27 @@ func serveEvents(w http.ResponseWriter, r *http.Request, targets []sseTarget, he
 	state := make([]sseState, len(targets))
 	for i := range targets {
 		if !emitStatus(w, targets[i], &state[i], true) {
-			return
+			return nil
 		}
 	}
-	fl.Flush()
+	rc.Flush()
 
-	tick := time.NewTicker(heartbeat)
+	tick := time.NewTicker(cmp.Or(heartbeat, defaultHeartbeat))
 	defer tick.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return
+			return nil
 		case u := <-updates:
 			if !emitStatus(w, targets[u.i], &state[u.i], u.ev.SpillChanged) {
-				return
+				return nil
 			}
-			fl.Flush()
+			rc.Flush()
 		case <-tick.C:
 			if _, err := io.WriteString(w, ": hb\n\n"); err != nil {
-				return
+				return nil
 			}
-			fl.Flush()
+			rc.Flush()
 		}
 	}
 }
@@ -164,14 +185,13 @@ func serveEvents(w http.ResponseWriter, r *http.Request, targets []sseTarget, he
 func emitStatus(w io.Writer, t sseTarget, cs *sseState, spill bool) bool {
 	st := t.srv.liveStatus()
 	if !cs.epochSent || st.Epoch != cs.lastEpoch {
+		// The epoch is the stream position on a single-trace
+		// connection; hub streams interleave traces, so no id.
 		var id string
-		if t.name == "" {
-			// The epoch is the stream position on a single-trace
-			// connection; hub streams interleave traces, so no id.
-			id = strconv.FormatUint(st.Epoch, 10)
-		}
 		var payload interface{} = st
-		if t.name != "" {
+		if t.name == "" {
+			id = strconv.FormatUint(st.Epoch, 10)
+		} else {
 			payload = hubTrace{Name: t.name, liveResponse: st}
 		}
 		if writeSSE(w, "epoch", id, payload) != nil {
@@ -191,33 +211,4 @@ func emitStatus(w io.Writer, t sseTarget, cs *sseState, spill bool) bool {
 		}
 	}
 	return true
-}
-
-// handleEvents streams several registered traces on one connection:
-// /events?traces=a,b selects a subset, the default is every registered
-// trace. Payloads carry the trace name (see hubTrace). A name listed
-// more than once is streamed once, at its first position: every target
-// holds a Watch subscription and a forwarder goroutine for the life of
-// the connection, so the goroutines one request can pin are bounded by
-// the registered traces, not by the length of its query string.
-func (h *Hub) handleEvents(w http.ResponseWriter, r *http.Request) {
-	names := h.Names()
-	if sel := r.URL.Query().Get("traces"); sel != "" {
-		names = strings.Split(sel, ",")
-	}
-	var targets []sseTarget
-	seen := make(map[string]bool)
-	for _, name := range names {
-		if seen[name] {
-			continue
-		}
-		seen[name] = true
-		srv, ok := h.Server(name)
-		if !ok {
-			errorf(w, http.StatusNotFound, "no trace %q registered", name)
-			return
-		}
-		targets = append(targets, sseTarget{name: name, srv: srv})
-	}
-	serveEvents(w, r, targets, h.heartbeat)
 }

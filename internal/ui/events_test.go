@@ -272,6 +272,40 @@ func TestHubEvents(t *testing.T) {
 	}
 }
 
+// unwrapOnly hides every optional interface of the writer it wraps
+// behind Unwrap, as a timing or logging middleware does.
+type unwrapOnly struct{ http.ResponseWriter }
+
+func (u unwrapOnly) Unwrap() http.ResponseWriter { return u.ResponseWriter }
+
+// noFlush is a writer that cannot stream at all.
+type noFlush struct{ http.ResponseWriter }
+
+// TestEventsBehindWrappingWriter: the SSE loop flushes through
+// http.ResponseController, so behind a wrapper that offers only Unwrap
+// the hub's /events and a mounted server's still stream their initial
+// epoch frame, where a type assertion to http.Flusher answered 500. A
+// writer that cannot flush at all gets the structured 500 before any
+// frame.
+func TestEventsBehindWrappingWriter(t *testing.T) {
+	h, _, _ := newTestHub(t)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(unwrapOnly{w}, r)
+	}))
+	t.Cleanup(srv.Close)
+	for _, path := range []string{"/events?traces=live", "/t/live/events"} {
+		ev := nextEvent(t, openEvents(t, srv.URL, path), "epoch")
+		var st liveResponse
+		if err := json.Unmarshal([]byte(ev.data), &st); err != nil || !st.Live {
+			t.Errorf("%s: initial epoch frame %q (%v), want the live trace's status", path, ev.data, err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(noFlush{rec}, httptest.NewRequest("GET", "/events", nil))
+	res := rec.Result()
+	decodeError(t, "/events", res, rec.Body.Bytes(), 500)
+}
+
 // TestLiveSpillStatusFresh is the stale-status regression: with Sync
 // retention the spill happens inside the same publish that installed
 // the snapshot, so a status memoized purely per snapshot predates it

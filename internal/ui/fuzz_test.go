@@ -1,16 +1,32 @@
 package ui
 
 import (
+	"bytes"
+	"context"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"testing"
 
 	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/query"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
-// FuzzEndpoints sends arbitrary raw query strings to every request/
-// response endpoint of a viewer over a small static trace. Whatever
+// gone is the context of a client that has already hung up: /events
+// writes its initial frames and returns instead of streaming forever.
+// Nothing else reads it but a singleflight follower, and a fuzzer runs
+// one request at a time.
+var gone = func() context.Context {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return ctx
+}()
+
+// FuzzEndpoints sends arbitrary raw query strings to every path of the
+// endpoint table a viewer over a small static trace answers. Whatever
 // the parameters say, the answer is a result or a client error: never
 // a panic, never a 5xx, and every PNG decodes (hostile w, h, shades and
 // cell reach the encoder's palette and bit-depth choices). The seed
@@ -18,15 +34,69 @@ import (
 // FuzzFromValues corpus, file for file.
 func FuzzEndpoints(f *testing.F) {
 	srv := NewServer(query.NewStatic(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA)), "fuzz")
-	paths := []string{"/render", "/matrix", "/plot", "/stats", "/task", "/graph.dot", "/anomalies", "/live"}
 	f.Add("")
 	f.Fuzz(func(t *testing.T, raw string) {
-		for _, path := range paths {
-			req := httptest.NewRequest("GET", path, nil)
+		for _, ep := range endpoints {
+			if ep.at&onServer == 0 {
+				continue
+			}
+			req := httptest.NewRequest("GET", ep.path, nil).WithContext(gone)
 			req.URL.RawQuery = raw
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, req)
-			atmtest.CheckServed(t, path+"?"+raw, rec)
+			atmtest.CheckServed(t, ep.path+"?"+raw, rec)
+		}
+	})
+}
+
+// FuzzHubRoutes sends arbitrary request paths to a hub of two traces,
+// one batch and one live: trace names escaped or not, dot segments,
+// doubled and encoded slashes, a mount without its trailing slash,
+// unknown names and verbs. Every answer is a result or a client error,
+// and a redirect never leads out of a registered trace's /t/<name>/.
+func FuzzHubRoutes(f *testing.F) {
+	lv := core.NewLive()
+	if _, err := lv.Feed(trace.NewStreamReader(bytes.NewReader(liveTraceBytes(f)))); err != nil {
+		f.Fatal(err)
+	}
+	h := NewHub()
+	if err := h.Add("batch", query.NewStatic(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA))); err != nil {
+		f.Fatal(err)
+	}
+	if err := h.Add("run 1", lv); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		"/", "/traces", "/events?traces=batch", "//traces", "/t/",
+		"/t/batch", "/t/batch?mode=heatmap", "/t/run%201", "/t/run%201/live",
+		"/t/batch/", "/t/batch/stats", "/t/batch//stats", "/t/batch/./stats",
+		"/t/batch/../traces", "/t/batch/%2E%2E/render", "/t/batch%2Fstats",
+		"/t/batch/render%2F", "/t/../t/batch/", "/t/nope/render", "/t/batch/bogus",
+		"/t/batch/events", "//t/batch/stats", "/t/batch/render/?w=100&h=50",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		u, err := url.ParseRequestURI(raw)
+		if err != nil {
+			return
+		}
+		req := httptest.NewRequest("GET", "/", nil).WithContext(gone)
+		req.URL = u
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		atmtest.CheckServed(t, raw, rec)
+		if rec.Code < 300 || rec.Code >= 400 {
+			return
+		}
+		loc := rec.Header().Get("Location")
+		to, err := url.Parse(loc)
+		if err != nil || to.Host != "" {
+			t.Fatalf("GET %s: redirect to %q", raw, loc)
+		}
+		name, _, mounted := strings.Cut(strings.TrimPrefix(to.Path, "/t/"), "/")
+		if _, ok := h.Server(name); !ok || !mounted || !strings.HasPrefix(to.Path, "/t/") {
+			t.Fatalf("GET %s: redirect to %q leaves every /t/<name>/", raw, loc)
 		}
 	})
 }

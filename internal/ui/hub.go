@@ -15,7 +15,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"path"
 	"sort"
 	"strings"
 	"sync"
@@ -28,7 +27,11 @@ import (
 //
 //	/                   HTML index of the registered traces
 //	/traces             JSON listing (name, live, epoch, totals)
+//	/events             SSE stream of the registered traces (events.go)
 //	/t/<name>/...       the full single-trace viewer for that source
+//
+// Its own paths are entries of the endpoint table (endpoints.go); of
+// the rest it splits /t/<name> off and hands them to the front door.
 //
 // Safe for concurrent clients and concurrent Add.
 type Hub struct {
@@ -97,19 +100,13 @@ func (h *Hub) Close() error {
 	h.mu.Lock()
 	closers := h.closers
 	h.closers = nil
-	servers := make([]*Server, 0, len(h.names))
 	for _, n := range h.names {
-		servers = append(servers, h.servers[n])
+		closers = append(closers, h.servers[n])
 	}
 	h.mu.Unlock()
 	var first error
 	for _, c := range closers {
 		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	for _, srv := range servers {
-		if err := srv.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -139,46 +136,33 @@ func (h *Hub) CacheStats() (entries, bytes int) {
 
 // ServeHTTP implements http.Handler.
 func (h *Hub) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.URL.Path == "/":
-		h.handleIndex(w, r)
-	case r.URL.Path == "/traces":
-		h.handleTraces(w, r)
-	case r.URL.Path == "/events":
-		h.handleEvents(w, r)
-	case strings.HasPrefix(r.URL.Path, "/t/"):
-		// r.URL.Path is already percent-decoded by net/http; do not
-		// decode again, or names containing literal escape sequences
-		// become unreachable (or alias another trace).
-		rest := strings.TrimPrefix(r.URL.Path, "/t/")
-		name, sub, found := strings.Cut(rest, "/")
-		srv, ok := h.Server(name)
-		if !ok {
-			errorf(w, http.StatusNotFound, "no trace %q registered", name)
-			return
-		}
-		if !found {
-			// /t/<name> -> /t/<name>/ so the viewer's relative links
-			// resolve under the trace's mount point; the query string
-			// (window, mode, ...) rides along, and the path keeps its
-			// original escaping.
-			target := r.URL.EscapedPath() + "/"
-			if r.URL.RawQuery != "" { //atmvet:ignore cachekeycheck the redirect echoes the client's query string verbatim; no cache key or identity is derived from it
-				target += "?" + r.URL.RawQuery
-			}
-			http.Redirect(w, r, target, http.StatusMovedPermanently)
-			return
-		}
-		r2 := r.Clone(r.Context())
-		// Clean the sub-path before delegating: the inner ServeMux
-		// would otherwise answer non-clean paths (//stats, ./stats)
-		// with a path-cleaning redirect whose Location has lost the
-		// /t/<name> mount prefix.
-		r2.URL.Path = path.Clean("/" + sub)
-		srv.ServeHTTP(w, r2)
-	default:
-		errorf(w, http.StatusNotFound, "no such endpoint %q", r.URL.Path)
+	// r.URL.Path is already percent-decoded by net/http; do not decode
+	// again, or names containing literal escape sequences become
+	// unreachable (or alias another trace).
+	rest, mounted := strings.CutPrefix(r.URL.Path, "/t/")
+	if !mounted {
+		serve(w, r, r.URL.Path, request{hub: h})
+		return
 	}
+	name, _, found := strings.Cut(rest, "/")
+	srv, ok := h.Server(name)
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no trace %q registered", name))
+		return
+	}
+	if !found {
+		// /t/<name> -> /t/<name>/ so the viewer's relative links
+		// resolve under the trace's mount point; the query string
+		// (window, mode, ...) rides along, and the path keeps its
+		// original escaping.
+		target := r.URL.EscapedPath() + "/"
+		if r.URL.RawQuery != "" { //atmvet:ignore cachekeycheck the redirect echoes the client's query string verbatim; no cache key or identity is derived from it
+			target += "?" + r.URL.RawQuery
+		}
+		http.Redirect(w, r, target, http.StatusMovedPermanently)
+		return
+	}
+	serve(w, r, rest[len(name):], request{srv: srv})
 }
 
 // hubTrace is one entry of the /traces JSON listing.
@@ -205,11 +189,11 @@ func (h *Hub) listing() []hubTrace {
 	return out
 }
 
-// handleTraces lists the registered traces as JSON. Never cached: it
+// writeTraces lists the registered traces as JSON. Never cached: it
 // reports live epochs.
-func (h *Hub) handleTraces(w http.ResponseWriter, r *http.Request) {
+func writeTraces(w http.ResponseWriter, rq request) error {
 	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, h.listing())
+	return writeJSON(w, rq.hub.listing())
 }
 
 var hubTmpl = template.Must(template.New("hub").Parse(`<!DOCTYPE html>
@@ -243,14 +227,14 @@ type hubIndexRow struct {
 	SpanCycles  int64
 }
 
-func (h *Hub) handleIndex(w http.ResponseWriter, r *http.Request) {
-	traces := h.listing()
+func writeHubIndex(w http.ResponseWriter, rq request) error {
+	traces := rq.hub.listing()
 	rows := make([]hubIndexRow, len(traces))
 	for i, t := range traces {
 		rows[i] = hubIndexRow{hubTrace: t, NameEscaped: url.PathEscape(t.Name), SpanCycles: t.End - t.Start}
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := hubTmpl.Execute(w, rows); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		return serverError{err}
 	}
+	return nil
 }

@@ -33,7 +33,7 @@ func (g *growingTraceReader) Read(p []byte) (int, error) {
 
 // liveTraceBytes simulates a small seidel run and returns the raw
 // trace bytes.
-func liveTraceBytes(t *testing.T) []byte {
+func liveTraceBytes(t testing.TB) []byte {
 	t.Helper()
 	prog, err := apps.BuildSeidel(apps.ScaledSeidelConfig(4, 3))
 	if err != nil {

@@ -6,23 +6,24 @@
 // derived metric overlays (5). Zooming, scrolling and filtering
 // re-render server-side through the optimized rendering engine.
 //
-// Every cached verb — /render, /matrix, /plot, /stats, /anomalies,
-// /graph.dot — is an entry of one table (endpoints.go) declaring its
-// content type, its window policy, and a plan that reads the verb's own
-// parameters and returns the projection of the query its response
-// depends on plus the closure that builds the body. One function,
-// Server.serve, is their front door: it pins an immutable
-// epoch-versioned snapshot, parses the shared parameters into one
-// canonical Query (internal/query), resolves the window, reports the
-// first bad parameter, formats the cache key — (trace, epoch, verb,
-// canonical query), so equivalent requests share one entry however
-// they were spelled or ordered — runs the cache and its singleflight
-// (X-Cache: MISS or HIT on every such response), and takes a failure's
-// status from the error itself: the request's is a structured JSON 400
-// naming the parameter, an encoder's or an unfinished build's a 500;
-// an unknown task or path is a 404. /task, /live, /events and the index
-// page are plain handlers. A Server serves one trace; a Hub (hub.go)
-// serves many from one process behind one shared cache.
+// Every path — a Server's cached verbs /render, /matrix, /plot,
+// /stats, /anomalies and /graph.dot, its uncached index page, /task,
+// /live and /events, and a Hub's own /, /traces and /events — is an
+// entry of one table (endpoints.go) naming its content type, its
+// window policy, and either a plan (the projection of the query its
+// response depends on, plus the closure that builds the body) or a
+// writer of its own body. One function, serve, is the front door: it
+// looks the cleaned path up, answers any method but GET and HEAD with
+// a 405, pins an immutable epoch-versioned snapshot, parses the shared
+// parameters into one canonical Query (internal/query) and resolves
+// the window. For a cached entry it keys the cache on (trace, epoch,
+// verb, canonical query), so equivalent requests share one entry
+// however they were spelled, and runs it with its singleflight
+// (X-Cache: MISS or HIT). A failure's status comes from the error
+// itself: the request's is a structured JSON 400 naming the parameter,
+// an encoder's or an unfinished build's a 500, an unknown task, trace
+// or path a 404. A Server serves one trace; a Hub (hub.go) serves many
+// from one process behind one shared cache.
 package ui
 
 import (
@@ -70,7 +71,6 @@ type Server struct {
 	// trace a distinct scope so many traces share one LRU without
 	// colliding.
 	scope string
-	mux   *http.ServeMux
 	// anns are annotations overlaid on rendered timelines (e.g. the
 	// top anomaly-scan findings); annsVer keys the response cache so
 	// tiles rendered against an older set are never served for a
@@ -147,16 +147,6 @@ func newServer(src query.Source, name string, cache *responseCache, scope string
 	if st, ok := src.(query.StaticSource); ok {
 		s.Trace = st.StaticTrace()
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/", s.handleIndex)
-	for i := range endpoints {
-		ep := &endpoints[i]
-		mux.HandleFunc(ep.path, func(w http.ResponseWriter, r *http.Request) { s.serve(w, r, ep) })
-	}
-	mux.HandleFunc("/task", s.handleTask)
-	mux.HandleFunc("/live", s.handleLive)
-	mux.HandleFunc("/events", s.handleEvents)
-	s.mux = mux
 	return s
 }
 
@@ -182,54 +172,25 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	json.NewEncoder(w).Encode(body)
 }
 
-// errorf is a writeError convenience for ad-hoc messages.
-func errorf(w http.ResponseWriter, status int, format string, args ...interface{}) {
-	writeError(w, status, fmt.Errorf(format, args...))
-}
-
-// statusOf takes a failed build's status from the error itself: a
-// serverError is a 500; anything else a request can provoke (a bad
-// parameter, an unknown metric, a size the renderer rejects) a 400.
+// statusOf takes a failure's status from the error: a serverError is a
+// 500, a notFoundError a 404, anything else a request can provoke (a
+// bad parameter, an unknown metric, a size the renderer rejects) a 400.
 func statusOf(err error) int {
-	var se serverError
-	if errors.As(err, &se) {
+	switch {
+	case errors.As(err, new(serverError)):
 		return http.StatusInternalServerError
+	case errors.As(err, new(notFoundError)):
+		return http.StatusNotFound
 	}
 	return http.StatusBadRequest
 }
 
-// writeJSON writes v as the body of an uncached JSON endpoint.
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+// writeJSON writes v as the body of an uncached JSON entry.
+func writeJSON(w http.ResponseWriter, v interface{}) error {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		return serverError{err}
 	}
-}
-
-// serve is the one request path of every cached verb (see the package
-// comment). The key it formats — scope (hub trace identity), epoch,
-// verb, canonical query, the plan's extra text — holds everything the
-// response depends on, so permuted-but-equivalent requests hit one
-// entry.
-func (s *Server) serve(w http.ResponseWriter, r *http.Request, ep *endpoint) {
-	tr, epoch := s.src.Snapshot()
-	v := r.URL.Query()
-	q, err := query.FromValues(v)
-	if err == nil && ep.window != windowIgnored {
-		err = resolveWindow(tr, q, ep.window == windowClamped)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	rq := request{tr: tr, epoch: epoch, q: q, p: query.NewParams(v)}
-	keyQ, extra, build := ep.plan(s, rq)
-	if err := rq.p.Err(); err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	key := s.scope + "e" + strconv.FormatUint(epoch, 10) + "|" + ep.path[1:] + "|" + keyQ.Canonical() + extra
-	s.serveCached(w, r, key, ep.contentType, build)
+	return nil
 }
 
 // serveCached serves the response for key from the cache, invoking
@@ -268,7 +229,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, conten
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	serve(w, r, r.URL.Path, request{srv: s})
 }
 
 // resolveWindow resolves the query window against the snapshot into
@@ -328,25 +289,21 @@ type accessResponse struct {
 	Node int32  `json:"node"`
 }
 
-func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
-	tr, _ := s.src.Snapshot()
-	v := r.URL.Query()
+func writeTask(w http.ResponseWriter, rq request) error {
+	tr, p := rq.tr, rq.p
 	// Select by id, or by cpu+time (clicking the timeline).
 	var task *core.TaskInfo
-	if idStr := v.Get("id"); idStr != "" {
+	if idStr := p.Str("id", ""); idStr != "" {
 		id, err := strconv.ParseUint(idStr, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, &query.BadParamError{Param: "id", Reason: "not a task id"})
-			return
+			return &query.BadParamError{Param: "id", Reason: "not a task id"}
 		}
 		t, ok := tr.TaskByID(trace.TaskID(id))
 		if !ok {
-			errorf(w, http.StatusNotFound, "no task with id %d", id)
-			return
+			return notFoundError{fmt.Errorf("no task with id %d", id)}
 		}
 		task = t
 	} else {
-		p := query.NewParams(v)
 		cpu := p.Int64("cpu", 0)
 		if cpu < 0 || cpu > trace.MaxCPUID {
 			// Reject before the int32 cast: a negative or implausible id
@@ -359,8 +316,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		}
 		at := p.Int64("at", 0)
 		if err := p.Err(); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return err
 		}
 		// Saturate the exclusive bound: at = MaxInt64 would overflow
 		// at+1 into an inverted window and silently find nothing.
@@ -372,8 +328,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if task == nil {
-			errorf(w, http.StatusNotFound, "no task at that position")
-			return
+			return notFoundError{errors.New("no task at that position")}
 		}
 	}
 	tt, _ := tr.TypeByID(task.Type)
@@ -400,7 +355,7 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 			resp.Writes = append(resp.Writes, a)
 		}
 	}
-	writeJSON(w, resp)
+	return writeJSON(w, resp)
 }
 
 // liveResponse is the JSON body of /live: the ingest status of the
@@ -487,8 +442,6 @@ func (s *Server) liveStatus() liveResponse {
 			DroppedBytes: st.DroppedBytes,
 			Error:        st.Err,
 		}
-	} else {
-		resp.Spill = nil
 	}
 	resp.Live = isLive
 	if isLive {
@@ -499,11 +452,11 @@ func (s *Server) liveStatus() liveResponse {
 	return resp
 }
 
-// handleLive reports the current epoch and snapshot totals. Never
+// writeLive reports the current epoch and snapshot totals. Never
 // cached: its whole point is telling pollers whether anything changed.
-func (s *Server) handleLive(w http.ResponseWriter, r *http.Request) {
+func writeLive(w http.ResponseWriter, rq request) error {
 	w.Header().Set("Cache-Control", "no-store")
-	writeJSON(w, s.liveStatus())
+	return writeJSON(w, rq.srv.liveStatus())
 }
 
 // The index template links relatively ("render?...", not "/render?..."),
@@ -603,22 +556,9 @@ type indexData struct {
 // paint: 2^3 = 8x fewer cells than the exact tile it refines into.
 const indexCoarseLevel = 3
 
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		errorf(w, http.StatusNotFound, "no such endpoint %q", r.URL.Path)
-		return
-	}
-	tr, epoch := s.src.Snapshot()
-	v := r.URL.Query()
-	q, err := query.FromValues(v)
-	if err == nil {
-		err = resolveWindow(tr, q, false)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	t0, t1 := query.WindowOf(tr, q)
+func writeIndex(w http.ResponseWriter, rq request) error {
+	s, tr := rq.srv, rq.tr
+	t0, t1 := query.WindowOf(tr, rq.q)
 	// All navigation arithmetic saturates: trace times are raw cycle
 	// counts that may sit anywhere in int64, so t1 + span/2 (zoom out
 	// near the end) or t0 - quarter (pan left near MinInt64) would wrap
@@ -636,8 +576,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		Tasks:       len(tr.Tasks),
 		Span:        tr.Span.Duration(),
 		Live:        isLive,
-		Epoch:       epoch,
-		Mode:        query.NewParams(v).Str("mode", "state"),
+		Epoch:       rq.epoch,
+		Mode:        rq.p.Str("mode", "state"),
 		CoarseLevel: indexCoarseLevel,
 		T0:          t0, T1: t1,
 		ZoomInT0: tmath.SatAdd(t0, quarter), ZoomInT1: tmath.SatSub(t1, quarter),
@@ -648,8 +588,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	for m := render.ModeState; m <= render.ModeNUMAHeat; m++ {
 		d.Modes = append(d.Modes, m.String())
 	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := indexTmpl.Execute(w, d); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		return serverError{err}
 	}
+	return nil
 }

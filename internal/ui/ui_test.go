@@ -20,6 +20,8 @@ func newTestServer(t *testing.T) *httptest.Server {
 	return srv
 }
 
+// get fetches path. An event stream does not end, so its body is left
+// unread and the stream closed.
 func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Get(srv.URL + path)
@@ -27,6 +29,9 @@ func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byt
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	if resp.Header.Get("Content-Type") == "text/event-stream" {
+		return resp, nil
+	}
 	var buf strings.Builder
 	b := make([]byte, 64*1024)
 	for {
