@@ -25,13 +25,14 @@ import (
 // events — and an epoch nobody asks about costs nothing.
 //
 // Memo entries are keyed by a caller-supplied canonical string rather
-// than the Config itself: Config carries a *TaskFilter, and callers
-// like the HTTP viewer build a fresh (pointer-distinct) filter per
-// request, which would defeat pointer-keyed memoization while filling
-// the memo with dead entries. The key must determine the scan inputs
-// (window bounds, window count, score cutoff, filter parameters);
-// callers that construct configs ad hoc can pass "" to bypass the
-// memo.
+// than the Config itself: Config carries a *TaskFilter, which the query
+// layer builds afresh (pointer-distinct) from the query on every
+// request, so a pointer key would never hit and would fill the memo
+// with dead entries. The key must determine the scan inputs (window
+// bounds, window count, score cutoff, and the filter's types,
+// durations and read/write nodes) — the HTTP viewer passes the scan
+// projection's canonical query; callers that construct configs ad hoc
+// can pass "" to bypass the memo.
 //
 // Safe for concurrent use. Returned slices are shared between callers
 // of the same (epoch, key) and must not be modified.

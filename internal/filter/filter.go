@@ -1,14 +1,17 @@
 // Package filter implements Aftermath's task filters (paper Section
 // II-A, interface group 3): the timeline and all statistical views can
 // be restricted to tasks of specific types, tasks whose execution
-// duration lies in a range, tasks executing on specific CPUs, or tasks
-// that read from or write to specific NUMA nodes.
+// duration lies in a range, or tasks that read from or write to
+// specific NUMA nodes. The group's CPU criterion is the row selection
+// (query.Query.CPUs, render.TimelineConfig.CPUs), not a filter field.
 //
 // Filters compose by conjunction: a task matches when it satisfies
 // every configured criterion. The zero value matches every task.
 package filter
 
 import (
+	"slices"
+
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -22,14 +25,12 @@ type TaskFilter struct {
 	// cycles; MaxDuration 0 means unbounded above.
 	MinDuration trace.Time
 	MaxDuration trace.Time
-	// CPUs restricts to tasks executed on these CPUs.
-	CPUs map[int32]bool
 	// ReadNodes restricts to tasks that read data homed on at least
 	// one of these NUMA nodes.
-	ReadNodes map[int32]bool
+	ReadNodes []int32
 	// WriteNodes restricts to tasks that write data homed on at
 	// least one of these NUMA nodes.
-	WriteNodes map[int32]bool
+	WriteNodes []int32
 	// Window restricts to tasks whose execution overlaps the
 	// interval.
 	Window *core.Interval
@@ -84,7 +85,7 @@ func (f *TaskFilter) Match(tr *core.Trace, t *core.TaskInfo) bool {
 	if t.ExecCPU < 0 {
 		// Tasks without execution intervals can only match the
 		// criteria that do not need one.
-		return f.MinDuration == 0 && f.MaxDuration == 0 && f.CPUs == nil &&
+		return f.MinDuration == 0 && f.MaxDuration == 0 &&
 			f.ReadNodes == nil && f.WriteNodes == nil && f.Window == nil
 	}
 	d := t.Duration()
@@ -92,9 +93,6 @@ func (f *TaskFilter) Match(tr *core.Trace, t *core.TaskInfo) bool {
 		return false
 	}
 	if f.MaxDuration > 0 && d > f.MaxDuration {
-		return false
-	}
-	if f.CPUs != nil && !f.CPUs[t.ExecCPU] {
 		return false
 	}
 	if f.Window != nil && !f.Window.Overlaps(t.ExecStart, t.ExecEnd) {
@@ -106,11 +104,11 @@ func (f *TaskFilter) Match(tr *core.Trace, t *core.TaskInfo) bool {
 		for _, ev := range tr.TaskComm(t) {
 			switch ev.Kind {
 			case trace.CommRead:
-				if !readOK && f.ReadNodes[tr.NodeOfAddr(ev.Addr)] {
+				if !readOK && slices.Contains(f.ReadNodes, tr.NodeOfAddr(ev.Addr)) {
 					readOK = true
 				}
 			case trace.CommWrite:
-				if !writeOK && f.WriteNodes[tr.NodeOfAddr(ev.Addr)] {
+				if !writeOK && slices.Contains(f.WriteNodes, tr.NodeOfAddr(ev.Addr)) {
 					writeOK = true
 				}
 			}
@@ -125,11 +123,11 @@ func (f *TaskFilter) Match(tr *core.Trace, t *core.TaskInfo) bool {
 	return true
 }
 
-// Each calls visit for every task in tr matching f, in unspecified
-// order: for counts, extrema and bins, which need none. A windowed
-// filter is answered from the trace's task window index
-// (core.Trace.EachTaskIn), so it costs what the window holds; without a
-// window every task is a candidate.
+// Each calls visit for every task in tr matching f. A windowed filter
+// is answered from the trace's task window index (core.Trace.EachTaskIn),
+// so it costs what the window holds and visits in no particular order:
+// for counts, extrema and bins, which need none. Without a window every
+// task is a candidate, visited in task order.
 func Each(tr *core.Trace, f *TaskFilter, visit func(*core.TaskInfo)) {
 	if f != nil && f.Window != nil {
 		// Match admits no unexecuted task under a window, and the index
@@ -160,14 +158,15 @@ func Tasks(tr *core.Trace, f *TaskFilter) []*core.TaskInfo {
 	return out
 }
 
-// Durations returns the execution durations of all matching tasks.
+// Durations returns the execution durations of the executed tasks
+// matching f, visited as Each visits them: in task order without a
+// window, so means over them are reproducible to the last bit.
 func Durations(tr *core.Trace, f *TaskFilter) []float64 {
 	var out []float64
-	for i := range tr.Tasks {
-		t := &tr.Tasks[i]
-		if t.ExecCPU >= 0 && f.Match(tr, t) {
+	Each(tr, f, func(t *core.TaskInfo) {
+		if t.ExecCPU >= 0 {
 			out = append(out, float64(t.Duration()))
 		}
-	}
+	})
 	return out
 }

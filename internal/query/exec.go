@@ -35,46 +35,22 @@ func WindowOf(tr *core.Trace, q *Query) (t0, t1 trace.Time) {
 	return t0, t1
 }
 
-// FilterOf builds the task filter the query describes: the explicit
-// filter (WithFilter) combined by conjunction with the declarative
-// criteria (Types resolved against the snapshot's type table,
-// Durations) — when both restrict the type set, the sets intersect.
-// Returns nil when the query filters nothing (matching every task).
+// FilterOf builds the task filter the query describes: Types resolved
+// against the snapshot's type table, Durations, ReadNodes and
+// WriteNodes. Returns nil when the query filters nothing (matching
+// every task). The filter shares the query's node lists and must not
+// be modified.
 func FilterOf(tr *core.Trace, q *Query) *filter.TaskFilter {
-	f := q.filt
-	if len(q.types) > 0 {
-		byName := filter.ByTypeNames(tr, q.types...)
-		if f == nil {
-			f = byName
-		} else {
-			g := *f
-			if g.Types == nil {
-				g.Types = byName.Types
-			} else {
-				inter := make(map[trace.TypeID]bool)
-				for id := range byName.Types {
-					if byName.Types[id] && g.Types[id] {
-						inter[id] = true
-					}
-				}
-				g.Types = inter
-			}
-			f = &g
-		}
+	durs := q.minDur > 0 || q.maxDur > 0
+	if len(q.types) == 0 && !durs && q.rnodes == nil && q.wnodes == nil {
+		return nil
 	}
-	if q.minDur > 0 || q.maxDur > 0 {
-		// Conjunction with the explicit filter's own bounds: the
-		// tighter minimum and the tighter (non-zero) maximum win.
-		min, max := q.minDur, q.maxDur
-		if f != nil {
-			if f.MinDuration > min {
-				min = f.MinDuration
-			}
-			if f.MaxDuration > 0 && (max == 0 || f.MaxDuration < max) {
-				max = f.MaxDuration
-			}
-		}
-		f = f.WithDuration(min, max)
+	f := &filter.TaskFilter{ReadNodes: q.rnodes, WriteNodes: q.wnodes}
+	if len(q.types) > 0 {
+		f.Types = filter.ByTypeNames(tr, q.types...).Types
+	}
+	if durs {
+		f.MinDuration, f.MaxDuration = q.minDur, q.maxDur
 	}
 	return f
 }
@@ -143,37 +119,24 @@ type StatsResult struct {
 }
 
 // StatsOf computes the statistics panel for the query's window and
-// filter.
+// filter. The matching tasks are visited once, by filter.Durations
+// under the window — which reads the task window index and never
+// ranges over tr.Tasks, and admits only executed tasks — for both the
+// count and the histogram's durations; the state cycles come from one
+// stats.StateTimes, whose task-execution entry is also the average
+// parallelism's numerator; the locality fraction reads each CPU's
+// bytes per home node off core.HomeBytes' prefix sums. On a loaded
+// trace nothing here walks the window's events; on a live snapshot,
+// which keeps no home-node sums, the locality fraction still does.
 func StatsOf(tr *core.Trace, q *Query) StatsResult {
 	t0, t1 := WindowOf(tr, q)
-	f := FilterOf(tr, q).WithWindow(t0, t1)
-	return StatsOver(tr, f, t0, t1)
-}
-
-// StatsOver is StatsOf with an explicit prebuilt filter and window
-// (the form the viewer's /stats handler and the CLI use). The matching
-// tasks are visited once, through filter.Each — a windowed filter, the
-// only kind StatsOf builds, reads the task window index and never
-// ranges over tr.Tasks — for the count and the histogram's durations;
-// the state cycles come from one stats.StateTimes, whose task-execution
-// entry is also the average parallelism's numerator; the locality
-// fraction reads each CPU's bytes per home node off core.HomeBytes'
-// prefix sums. On a loaded trace nothing here walks the window's events;
-// on a live snapshot, which keeps no home-node sums, the locality
-// fraction still does.
-func StatsOver(tr *core.Trace, f *filter.TaskFilter, t0, t1 trace.Time) StatsResult {
+	durs := filter.Durations(tr, FilterOf(tr, q).WithWindow(t0, t1))
 	resp := StatsResult{
 		Start: t0, End: t1,
+		Tasks:         len(durs),
 		StateCycles:   map[string]int64{},
 		LocalFraction: stats.LocalityFraction(tr, stats.ReadsAndWrites, t0, t1),
 	}
-	var durs []float64
-	filter.Each(tr, f, func(t *core.TaskInfo) {
-		resp.Tasks++
-		if t.ExecCPU >= 0 {
-			durs = append(durs, float64(t.Duration()))
-		}
-	})
 	times := stats.StateTimes(tr, t0, t1)
 	if t1 > t0 {
 		resp.AvgParallelism = float64(times[trace.StateTaskExec]) / float64(t1-t0)
@@ -246,7 +209,7 @@ func HistogramOf(tr *core.Trace, q *Query) *stats.Histogram {
 	if bins <= 0 {
 		bins = 20
 	}
-	return stats.DurationHistogram(tr, taskFilterOf(tr, q), bins)
+	return stats.NewHistogram(filter.Durations(tr, taskFilterOf(tr, q)), bins, 0, 0)
 }
 
 // CommMatrixOf accumulates the node-to-node communication matrix over

@@ -34,11 +34,12 @@ func reversedKeys(v url.Values) string {
 // removed noindex switch among them, so a legacy URL shares the plain
 // request's cache entry.
 func FuzzFromValues(f *testing.F) {
-	// The seed corpus is testdata/fuzz/FuzzFromValues (kept identical
-	// to internal/ui's FuzzEndpoints corpus): every parameter the parser
-	// and the HTTP endpoints read, well-formed and not, plus the shapes
-	// that have bitten before — duplicated keys, escapes in type names,
-	// extreme integers, keys nobody reads.
+	// The seed corpus is testdata/fuzz/FuzzFromValues (identical to
+	// internal/ui's FuzzEndpoints corpus, which internal/ui's
+	// TestFuzzCorporaIdentical checks): every parameter the parser and
+	// the HTTP endpoints read, well-formed and not, plus the shapes that
+	// have bitten before — duplicated keys, escapes in type and node
+	// lists, inverted ranges, extreme integers, keys nobody reads.
 	f.Add("")
 	f.Fuzz(func(t *testing.T, raw string) {
 		v, _ := url.ParseQuery(raw) // what the handlers see: the pairs that did parse

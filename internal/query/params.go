@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -96,6 +97,26 @@ func (p *Params) Float(key string, def float64) float64 {
 	return f
 }
 
+// nodes reads a comma-separated list of NUMA node ids, each a
+// non-negative integer (one beyond int32 is clamped: like one beyond
+// the topology, it names no node).
+func (p *Params) nodes(key string) []int32 {
+	s := p.v.Get(key)
+	if s == "" {
+		return nil
+	}
+	var ids []int32
+	for _, e := range strings.Split(s, ",") {
+		n, err := strconv.ParseInt(e, 10, 64)
+		if err != nil || n < 0 {
+			p.Reject(badParam(key, "not a node id: %q", e))
+			return nil
+		}
+		ids = append(ids, int32(min(n, math.MaxInt32)))
+	}
+	return ids
+}
+
 // Flag reads a boolean toggle with the viewer's convention: absent
 // defaults to def, "0" is false, anything else is true.
 func (p *Params) Flag(key string, def bool) bool {
@@ -109,7 +130,10 @@ func (p *Params) Flag(key string, def bool) bool {
 //
 //	t0, t1          window bounds (cycles)
 //	types           comma-separated task type names
-//	mindur, maxdur  duration filter bounds (cycles, non-negative)
+//	mindur, maxdur  duration filter bounds (cycles, non-negative; a
+//	                non-zero maxdur must not be below mindur)
+//	rnodes, wnodes  comma-separated NUMA node ids: tasks that read
+//	                from (write to) data homed on one of them
 //	mode            timeline mode name
 //	counter         counter name for overlays
 //	rate            "0" selects raw cumulative counter values
@@ -148,8 +172,11 @@ func FromValues(v url.Values) (*Query, error) {
 	}
 	if max < 0 {
 		p.Reject(badParam("maxdur", "must be non-negative, got %d", max))
+	} else if max != 0 && max < min {
+		p.Reject(badParam("maxdur", "inverted range: maxdur (%d) must not be below mindur (%d)", max, min))
 	}
 	q.Durations(min, max)
+	q.ReadNodes(p.nodes("rnodes")...).WriteNodes(p.nodes("wnodes")...)
 	if s := v.Get("mode"); s != "" {
 		if m, err := render.ParseMode(s); err != nil {
 			p.Reject(badParam("mode", "unknown timeline mode %q", s))

@@ -26,12 +26,12 @@ package query
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"github.com/openstream/aftermath/internal/core"
-	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/render"
 	"github.com/openstream/aftermath/internal/stats"
 	"github.com/openstream/aftermath/internal/trace"
@@ -49,32 +49,21 @@ type Source interface {
 	Snapshot() (*core.Trace, uint64)
 }
 
-// LiveSource is implemented by sources whose epoch can advance and
-// whose ingest can fail (core.Live). Serving layers use it to
-// distinguish live traces from static ones and to surface sticky
-// ingest errors.
+// LiveSource is implemented by sources whose epoch can advance
+// (core.Live). Serving layers use it to tell live traces from static
+// ones, to surface sticky ingest errors, to hold SSE streams open
+// instead of making clients poll, and to report retention status.
 type LiveSource interface {
 	Source
 	// Err returns the sticky ingest error, or nil while healthy.
 	Err() error
-}
-
-// WatchSource is implemented by sources that can push change
-// notifications (core.Live): Watch subscribes to epoch advances,
-// sticky ingest errors and spill-state changes, with drop-to-latest
-// coalescing per subscriber. Serving layers use it to hold SSE streams
-// open instead of making clients poll.
-type WatchSource interface {
-	Source
+	// Watch subscribes to epoch advances, sticky ingest errors and
+	// spill-state changes, with drop-to-latest coalescing per
+	// subscriber.
 	Watch(ctx context.Context) <-chan core.TraceEvent
-}
-
-// SpillSource is implemented by sources whose CURRENT spill/retention
-// state can differ from the published snapshot's (core.Live: background
-// compactions install without publishing). Status surfaces prefer it
-// over the snapshot's SpillStats.
-type SpillSource interface {
-	Source
+	// SpillStats returns the CURRENT spill/retention state, which can
+	// differ from the published snapshot's (background compactions
+	// install without publishing).
 	SpillStats() (core.SpillStats, bool)
 }
 
@@ -106,7 +95,9 @@ type Query struct {
 
 	types          []string // sorted, deduplicated
 	minDur, maxDur trace.Time
-	filt           *filter.TaskFilter
+	// Sorted and deduplicated. The builders replace them and nothing
+	// writes into them, so copies of a query share them.
+	rnodes, wnodes []int32
 
 	intervals int
 	metric    string
@@ -201,10 +192,27 @@ func (q *Query) Durations(min, max trace.Time) *Query {
 	return q
 }
 
-// WithFilter attaches a prebuilt task filter, combined with the
-// declarative criteria (Types, Durations) at execution time. The
-// filter must not be mutated afterwards.
-func (q *Query) WithFilter(f *filter.TaskFilter) *Query { q.filt = f; return q }
+// ReadNodes restricts to tasks that read data homed on at least one of
+// the given NUMA nodes. Like Types, ids are stored sorted and
+// deduplicated; negative ids name no node and are dropped.
+func (q *Query) ReadNodes(ids ...int32) *Query { q.rnodes = nodeSet(ids); return q }
+
+// WriteNodes restricts to tasks that write data homed on at least one
+// of the given NUMA nodes, stored as ReadNodes stores its ids.
+func (q *Query) WriteNodes(ids ...int32) *Query { q.wnodes = nodeSet(ids); return q }
+
+// nodeSet returns the non-negative ids sorted and deduplicated, nil
+// when none is left.
+func nodeSet(ids []int32) []int32 {
+	var out []int32
+	for _, id := range ids {
+		if id >= 0 {
+			out = append(out, id)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
 
 // Intervals sets the resolution of derived metric series.
 func (q *Query) Intervals(n int) *Query { q.intervals = n; return q }
@@ -306,7 +314,7 @@ func (q *Query) copyWindow(c *Query) {
 func (q *Query) copyFilter(c *Query) {
 	c.types = append([]string(nil), q.types...)
 	c.minDur, c.maxDur = q.minDur, q.maxDur
-	c.filt = q.filt
+	c.rnodes, c.wnodes = q.rnodes, q.wnodes
 }
 
 // StatsOnly returns a copy of q reduced to the fields StatsOf depends
@@ -394,8 +402,11 @@ func (q *Query) Canonical() string {
 	if q.maxDur != 0 {
 		num("maxdur", q.maxDur)
 	}
-	if q.filt != nil {
-		field("filter", canonicalFilter(q.filt))
+	if len(q.rnodes) > 0 {
+		field("rnodes", joinInt32(q.rnodes))
+	}
+	if len(q.wnodes) > 0 {
+		field("wnodes", joinInt32(q.wnodes))
 	}
 	if q.intervals != 0 {
 		num("n", int64(q.intervals))
@@ -488,61 +499,10 @@ func escapeElem(s string) string {
 	return b.String()
 }
 
-// canonicalFilter deterministically encodes an explicit task filter:
-// every active criterion in fixed order, sets sorted.
-func canonicalFilter(f *filter.TaskFilter) string {
-	var parts []string
-	if f.Types != nil {
-		ids := make([]int, 0, len(f.Types))
-		for id, on := range f.Types {
-			if on {
-				ids = append(ids, int(id))
-			}
-		}
-		sort.Ints(ids)
-		parts = append(parts, "ty:"+joinInts(ids))
-	}
-	if f.MinDuration != 0 || f.MaxDuration != 0 {
-		parts = append(parts, "dur:"+strconv.FormatInt(f.MinDuration, 10)+"-"+strconv.FormatInt(f.MaxDuration, 10))
-	}
-	if f.CPUs != nil {
-		parts = append(parts, "cpu:"+joinInt32Set(f.CPUs))
-	}
-	if f.ReadNodes != nil {
-		parts = append(parts, "rn:"+joinInt32Set(f.ReadNodes))
-	}
-	if f.WriteNodes != nil {
-		parts = append(parts, "wn:"+joinInt32Set(f.WriteNodes))
-	}
-	if f.Window != nil {
-		parts = append(parts, "win:"+strconv.FormatInt(f.Window.Start, 10)+"-"+strconv.FormatInt(f.Window.End, 10))
-	}
-	return strings.Join(parts, "|")
-}
-
-func joinInts(vs []int) string {
-	ss := make([]string, len(vs))
-	for i, v := range vs {
-		ss[i] = strconv.Itoa(v)
-	}
-	return strings.Join(ss, ",")
-}
-
 func joinInt32(vs []int32) string {
 	ss := make([]string, len(vs))
 	for i, v := range vs {
 		ss[i] = strconv.FormatInt(int64(v), 10)
 	}
 	return strings.Join(ss, ",")
-}
-
-func joinInt32Set(set map[int32]bool) string {
-	vs := make([]int, 0, len(set))
-	for v, on := range set {
-		if on {
-			vs = append(vs, int(v))
-		}
-	}
-	sort.Ints(vs)
-	return joinInts(vs)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/metrics"
 	"github.com/openstream/aftermath/internal/openstream"
@@ -45,7 +46,11 @@ func TestCanonicalDistinguishes(t *testing.T) {
 		{New().Counter("cycles"), New().Counter("cycles").Rate(false)},
 		{New().Mode(render.ModeHeat), New().Mode(render.ModeType)},
 		{New().Limit(5), New().Limit(6)},
-		{New().WithFilter(&filter.TaskFilter{MinDuration: 3}), New().WithFilter(&filter.TaskFilter{MinDuration: 4})},
+		{New().Durations(3, 0), New().Durations(4, 0)},
+		{New().ReadNodes(0), New().WriteNodes(0)},
+		{New().ReadNodes(0), New().ReadNodes(1)},
+		{New().ReadNodes(0, 1), New().ReadNodes(0)},
+		{New().ReadNodes(1).WriteNodes(0), New().ReadNodes(0).WriteNodes(1)},
 	}
 	for i, c := range cases {
 		if c.a.Canonical() == c.b.Canonical() {
@@ -54,25 +59,34 @@ func TestCanonicalDistinguishes(t *testing.T) {
 	}
 }
 
-// TestCanonicalFilterDeterminism: an explicit filter's canonical
-// encoding is stable across map iteration orders.
-func TestCanonicalFilterDeterminism(t *testing.T) {
-	f := &filter.TaskFilter{
-		Types: map[trace.TypeID]bool{7: true, 3: true, 9: true},
-		CPUs:  map[int32]bool{4: true, 1: true},
+// TestCanonicalNodeLists: the node lists canonicalize like the type
+// list — sorted, deduplicated, one key whatever the spelling — and
+// setting them on a Clone or a projection leaves the original alone.
+func TestCanonicalNodeLists(t *testing.T) {
+	q := New().ReadNodes(3, 1, 3).WriteNodes(2, -1)
+	const want = "rnodes=1,3&wnodes=2"
+	if got := q.Canonical(); got != want {
+		t.Fatalf("canonical %q, want %q", got, want)
 	}
-	want := New().WithFilter(f).Canonical()
-	for i := 0; i < 50; i++ {
-		g := &filter.TaskFilter{
-			Types: map[trace.TypeID]bool{9: true, 3: true, 7: true},
-			CPUs:  map[int32]bool{1: true, 4: true},
-		}
-		if got := New().WithFilter(g).Canonical(); got != want {
-			t.Fatalf("filter canonical unstable: %q vs %q", got, want)
-		}
+	if got := New().WriteNodes(2).ReadNodes(1, 3, 1).Canonical(); got != want {
+		t.Errorf("builder order changes the canonical form: %q, want %q", got, want)
 	}
-	if !strings.Contains(want, "ty:3,7,9") {
-		t.Errorf("filter canonical %q missing sorted type ids", want)
+	if got := New().ReadNodes(-1).WriteNodes().Canonical(); got != "" {
+		t.Errorf("lists naming no node canonicalize to %q, want empty", got)
+	}
+	c, proj := q.Clone(), q.StatsOnly()
+	c.ReadNodes(7).WriteNodes(7)
+	proj.ReadNodes().WriteNodes(5)
+	if got := q.Canonical(); got != want {
+		t.Errorf("deriving from a clone and a projection changed the original: %q", got)
+	}
+	if got := c.Canonical(); got != "rnodes=7&wnodes=7" {
+		t.Errorf("clone canonical %q", got)
+	}
+	for _, p := range []*Query{q.StatsOnly(), q.ScanOnly(), q.Clone().Metric("avgdur").SeriesOnly(1, 1)} {
+		if !strings.Contains(p.Canonical(), want) {
+			t.Errorf("projection %q lost the node lists", p.Canonical())
+		}
 	}
 }
 
@@ -90,15 +104,23 @@ func TestFromValuesPermutations(t *testing.T) {
 		}
 		return q.Canonical()
 	}
-	want := canon("t0=0&t1=500000&types=a,b&mindur=7")
-	for _, raw := range []string{
-		"t1=500000&mindur=7&types=a,b&t0=0",
-		"types=b,a&t0=0&t1=500000&mindur=7",
-		"t0=0&t0=0&t1=500000&types=a,b,a&mindur=007",
-		"mindur=7&maxdur=0&t0=0&t1=500000&types=a,b",
+	for want, raws := range map[string][]string{
+		canon("t0=0&t1=500000&types=a,b&mindur=7"): {
+			"t1=500000&mindur=7&types=a,b&t0=0",
+			"types=b,a&t0=0&t1=500000&mindur=7",
+			"t0=0&t0=0&t1=500000&types=a,b,a&mindur=007",
+			"mindur=7&maxdur=0&t0=0&t1=500000&types=a,b",
+		},
+		canon("rnodes=0,1&wnodes=2"): {
+			"wnodes=2&rnodes=1,0",
+			"rnodes=0,1,1&wnodes=02,2",
+			"rnodes=1,0&rnodes=3&wnodes=2",
+		},
 	} {
-		if got := canon(raw); got != want {
-			t.Errorf("%s: canonical %q, want %q", raw, got, want)
+		for _, raw := range raws {
+			if got := canon(raw); got != want {
+				t.Errorf("%s: canonical %q, want %q", raw, got, want)
+			}
 		}
 	}
 }
@@ -114,6 +136,12 @@ func TestFromValuesErrors(t *testing.T) {
 		{"mindur=-1", "mindur"},
 		{"maxdur=-5", "maxdur"},
 		{"mode=bogus", "mode"},
+		{"mindur=10&maxdur=5", "maxdur"},
+		{"rnodes=-1", "rnodes"},
+		{"rnodes=0,x", "rnodes"},
+		{"wnodes=1.5", "wnodes"},
+		{"wnodes=0,,1", "wnodes"},
+		{"wnodes=99999999999999999999", "wnodes"},
 	}
 	for _, c := range cases {
 		v, err := url.ParseQuery(c.raw)
@@ -143,9 +171,14 @@ func TestFromValuesErrors(t *testing.T) {
 	}
 	// Other equal-bounds windows parse too; the serving layer's
 	// resolution step judges them against the trace span.
-	v, _ = url.ParseQuery("t0=7&t1=7")
-	if _, err := FromValues(v); err != nil {
-		t.Errorf("t0=7&t1=7 rejected at parse time: %v", err)
+	// So do a bounded duration range of one value, a minimum with no
+	// maximum, and node ids beyond any topology, which match nothing as
+	// an unknown type name does.
+	for _, raw := range []string{"t0=7&t1=7", "mindur=5&maxdur=5", "mindur=10&maxdur=0", "rnodes=4096&wnodes=2147483648"} {
+		v, _ = url.ParseQuery(raw)
+		if _, err := FromValues(v); err != nil {
+			t.Errorf("%s rejected at parse time: %v", raw, err)
+		}
 	}
 }
 
@@ -177,9 +210,9 @@ func TestExecutorsMatchDirectCalls(t *testing.T) {
 	}
 
 	h := HistogramOf(tr, q)
-	hw := stats.DurationHistogram(tr, filter.ByTypeNames(tr, "seidel_block"), 20)
+	hw := stats.NewHistogram(filter.Durations(tr, filter.ByTypeNames(tr, "seidel_block")), 20, 0, 0)
 	if !reflect.DeepEqual(h, hw) {
-		t.Error("HistogramOf differs from stats.DurationHistogram")
+		t.Error("HistogramOf differs from stats.NewHistogram over filter.Durations")
 	}
 
 	t0, t1 := tr.Span.Start, tr.Span.End
@@ -296,8 +329,8 @@ func TestScanOnlyProjection(t *testing.T) {
 	}
 }
 
-// TestWindowAndFilterResolution: unset bounds default to the span,
-// declarative criteria layer onto an explicit filter.
+// TestWindowAndFilterResolution: unset bounds default to the span, and
+// every filter builder lands in the one TaskFilter FilterOf builds.
 func TestWindowAndFilterResolution(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	if t0, t1 := WindowOf(tr, New()); t0 != tr.Span.Start || t1 != tr.Span.End {
@@ -315,37 +348,19 @@ func TestWindowAndFilterResolution(t *testing.T) {
 	if f := FilterOf(tr, New()); f != nil {
 		t.Error("empty query built a non-nil filter")
 	}
-	explicit := &filter.TaskFilter{CPUs: map[int32]bool{0: true}}
-	f := FilterOf(tr, New().WithFilter(explicit).Types("seidel_block").Durations(3, 0))
-	if f.CPUs == nil || f.Types == nil || f.MinDuration != 3 {
-		t.Errorf("layered filter lost criteria: %+v", f)
+	// A duration range bounded on neither side filters nothing either.
+	if f := FilterOf(tr, New().Durations(-3, 0)); f != nil {
+		t.Errorf("Durations(-3, 0) built %+v, want nil", f)
 	}
-	if explicit.Types != nil || explicit.MinDuration != 0 {
-		t.Error("FilterOf mutated the caller's explicit filter")
+	got := FilterOf(tr, New().Types("seidel_block").Durations(3, 0).ReadNodes(1, 0).WriteNodes(2))
+	want := &filter.TaskFilter{
+		Types:       filter.ByTypeNames(tr, "seidel_block").Types,
+		MinDuration: 3,
+		ReadNodes:   []int32{0, 1},
+		WriteNodes:  []int32{2},
 	}
-	// When both the explicit filter and the declarative Types restrict
-	// the type set, the sets intersect (conjunction), never widen.
-	initOnly := filter.ByTypeNames(tr, "seidel_init")
-	inter := FilterOf(tr, New().WithFilter(initOnly).Types("seidel_block"))
-	for id, on := range inter.Types {
-		if on {
-			t.Errorf("disjoint type restrictions left type %d enabled", id)
-		}
-	}
-	both := FilterOf(tr, New().WithFilter(filter.ByTypeNames(tr, "seidel_init", "seidel_block")).Types("seidel_block"))
-	want := filter.ByTypeNames(tr, "seidel_block").Types
-	if !reflect.DeepEqual(both.Types, want) {
-		t.Errorf("type intersection = %v, want %v", both.Types, want)
-	}
-	// Duration bounds combine by conjunction too: the tighter minimum
-	// and the tighter non-zero maximum win.
-	durBase := (&filter.TaskFilter{}).WithDuration(100, 0)
-	durBoth := FilterOf(tr, New().WithFilter(durBase).Durations(50, 500))
-	if durBoth.MinDuration != 100 || durBoth.MaxDuration != 500 {
-		t.Errorf("duration conjunction = [%d,%d], want [100,500]", durBoth.MinDuration, durBoth.MaxDuration)
-	}
-	if durBase.MaxDuration != 0 {
-		t.Error("duration conjunction mutated the explicit filter")
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("FilterOf = %+v, want %+v", got, want)
 	}
 	// Source adapters: a static source snapshots at epoch 0 forever
 	// and exposes its trace through StaticSource.
@@ -357,6 +372,10 @@ func TestWindowAndFilterResolution(t *testing.T) {
 	if st, ok := src.(StaticSource); !ok || st.StaticTrace() != tr {
 		t.Error("static source does not expose its trace via StaticSource")
 	}
+	if _, ok := src.(LiveSource); ok {
+		t.Error("a static source claims to be live")
+	}
+	var _ LiveSource = core.NewLive()
 }
 
 // TestLevelCoarsens: level=N answers from 2^N-times-fewer cells —

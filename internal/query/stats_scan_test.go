@@ -63,13 +63,15 @@ func scanStateTimes(tr *core.Trace, t0, t1 trace.Time) []trace.Time {
 	return out
 }
 
-// scanStatsOver is StatsOver as it was composed from whole-table walks:
-// filter.Tasks for the count, filter.Durations (inside
-// stats.DurationHistogram) for the bins, and the two state walks above.
+// scanStatsOver is StatsOf over a hand-built filter and window as it was
+// composed from whole-table walks: filter.Tasks for the count, the
+// durations of the tasks it returns for the bins, and the two state
+// walks above.
 func scanStatsOver(tr *core.Trace, f *filter.TaskFilter, t0, t1 trace.Time) StatsResult {
+	tasks := filter.Tasks(tr, f)
 	resp := StatsResult{
 		Start: t0, End: t1,
-		Tasks:          len(filter.Tasks(tr, f)),
+		Tasks:          len(tasks),
 		AvgParallelism: scanAverageParallelism(tr, t0, t1),
 		StateCycles:    map[string]int64{},
 		LocalFraction:  stats.LocalityFraction(tr, stats.ReadsAndWrites, t0, t1),
@@ -80,8 +82,13 @@ func scanStatsOver(tr *core.Trace, f *filter.TaskFilter, t0, t1 trace.Time) Stat
 			resp.StateCycles[trace.WorkerState(st).String()] = v
 		}
 	}
-	bins := 20
-	h := stats.DurationHistogram(tr, f, bins)
+	var durs []float64
+	for _, t := range tasks {
+		if t.ExecCPU >= 0 {
+			durs = append(durs, float64(t.Duration()))
+		}
+	}
+	h := stats.NewHistogram(durs, 20, 0, 0)
 	resp.DurationHist = h.Counts
 	resp.HistMin, resp.HistMax = h.Min, h.Max
 	return resp
@@ -154,9 +161,11 @@ func walkWindows(rng *rand.Rand, span core.Interval) [][2]trace.Time {
 // window index and the states' prefix sums equals, field for field and
 // byte for byte, the panel composed from walks over every task and
 // every state event in the window — over the harness walk's windows,
-// with and without a type and duration filter, on a simulated trace, on
-// one with a CPU the dominance index cannot hold, and on a live
-// snapshot that reads most of its events back from spilled segments.
+// for queries with and without a type, duration or home-node filter
+// against the TaskFilter each one means, built by hand, on a simulated
+// trace, on one with a CPU the dominance index cannot hold, and on a
+// live snapshot that reads most of its events back from spilled
+// segments.
 func TestStatsMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	seidel := atmtest.SeidelTrace(t, 6, 4, openstream.SchedRandom)
@@ -170,27 +179,34 @@ func TestStatsMatchesScan(t *testing.T) {
 		{"spilled", atmtest.SeidelSpilledTrace(t, 6, 4, openstream.SchedRandom, 12), []string{"seidel_block"}},
 	}
 	for _, tc := range cases {
-		med := stats.Median(filter.Durations(tc.tr, nil))
-		filters := map[string]*filter.TaskFilter{
-			"unfiltered": nil,
-			"types":      filter.ByTypeNames(tc.tr, tc.types...),
-			"durations":  (*filter.TaskFilter)(nil).WithDuration(trace.Time(med), 0),
-			"both":       filter.ByTypeNames(tc.tr, tc.types...).WithDuration(1, trace.Time(med)),
+		med := trace.Time(stats.Median(filter.Durations(tc.tr, nil)))
+		types := filter.ByTypeNames(tc.tr, tc.types...).Types
+		filters := []struct {
+			name string
+			q    *Query
+			f    filter.TaskFilter
+		}{
+			{"unfiltered", New(), filter.TaskFilter{}},
+			{"types", New().Types(tc.types...), filter.TaskFilter{Types: types}},
+			{"durations", New().Durations(med, 0), filter.TaskFilter{MinDuration: med}},
+			{"both", New().Types(tc.types...).Durations(1, med), filter.TaskFilter{Types: types, MinDuration: 1, MaxDuration: med}},
+			{"rnodes", New().ReadNodes(0), filter.TaskFilter{ReadNodes: []int32{0}}},
+			{"wnodes", New().WriteNodes(1, 0), filter.TaskFilter{WriteNodes: []int32{0, 1}}},
 		}
 		tasks := 0
 		for _, w := range walkWindows(rng, tc.tr.Span) {
-			for name, f := range filters {
-				got := StatsOver(tc.tr, f.WithWindow(w[0], w[1]), w[0], w[1])
-				want := scanStatsOver(tc.tr, f.WithWindow(w[0], w[1]), w[0], w[1])
+			for _, c := range filters {
+				got := StatsOf(tc.tr, c.q.Clone().Window(w[0], w[1]))
+				want := scanStatsOver(tc.tr, c.f.WithWindow(w[0], w[1]), w[0], w[1])
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/%s window [%d, %d):\n got %+v\nwant %+v", tc.name, name, w[0], w[1], got, want)
+					t.Fatalf("%s/%s window [%d, %d):\n got %+v\nwant %+v", tc.name, c.name, w[0], w[1], got, want)
 				}
 				gj, err := json.Marshal(got)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if wj, _ := json.Marshal(want); !bytes.Equal(gj, wj) {
-					t.Fatalf("%s/%s window [%d, %d): JSON differs:\n got %s\nwant %s", tc.name, name, w[0], w[1], gj, wj)
+					t.Fatalf("%s/%s window [%d, %d): JSON differs:\n got %s\nwant %s", tc.name, c.name, w[0], w[1], gj, wj)
 				}
 				tasks += got.Tasks
 			}
@@ -198,11 +214,6 @@ func TestStatsMatchesScan(t *testing.T) {
 			// windows included.
 			if got, want := stats.StateTimes(tc.tr, w[0], w[1]), scanStateTimes(tc.tr, w[0], w[1]); !reflect.DeepEqual(got, want) {
 				t.Fatalf("%s window [%d, %d): StateTimes = %v, the event walk sums %v", tc.name, w[0], w[1], got, want)
-			}
-			// A filter without a window takes the plain loop; its
-			// count includes tasks that never ran.
-			if got, want := StatsOver(tc.tr, nil, w[0], w[1]), scanStatsOver(tc.tr, nil, w[0], w[1]); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s unwindowed filter, window [%d, %d):\n got %+v\nwant %+v", tc.name, w[0], w[1], got, want)
 			}
 		}
 		if tasks == 0 {

@@ -8,7 +8,6 @@ import (
 	"math"
 
 	"github.com/openstream/aftermath/internal/core"
-	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -99,12 +98,6 @@ func (h *Histogram) Peaks(minCount int) []int {
 		}
 	}
 	return peaks
-}
-
-// DurationHistogram bins the execution durations of matching tasks —
-// the task duration histogram view (Figure 16).
-func DurationHistogram(tr *core.Trace, f *filter.TaskFilter, bins int) *Histogram {
-	return NewHistogram(filter.Durations(tr, f), bins, 0, 0)
 }
 
 // StateTimes aggregates the time spent in each worker state across all

@@ -105,11 +105,11 @@ func TestStateTimesBounded(t *testing.T) {
 func TestDurationHistogramFiltered(t *testing.T) {
 	tr := atmtest.KMeansTrace(t, 8, 1000, 3, false)
 	dist := filter.ByTypeNames(tr, apps.KMeansDistanceType)
-	h := DurationHistogram(tr, dist, 20)
+	h := NewHistogram(filter.Durations(tr, dist), 20, 0, 0)
 	if h.Total == 0 {
 		t.Fatal("no tasks binned")
 	}
-	all := DurationHistogram(tr, nil, 20)
+	all := NewHistogram(filter.Durations(tr, nil), 20, 0, 0)
 	if all.Total <= h.Total {
 		t.Errorf("unfiltered histogram (%d) not larger than filtered (%d)", all.Total, h.Total)
 	}

@@ -275,7 +275,7 @@ type anomaliesResponse struct {
 // and returns the ranked findings as JSON. Parameters: t0/t1 (scan
 // window, clamped to the trace span as the scan itself clamps, so the
 // echoed window and the cache key are exactly the interval scanned),
-// types/mindur/maxdur (task filter), kind (restrict to one anomaly
+// types/mindur/maxdur/rnodes/wnodes (task filter), kind (restrict to one anomaly
 // kind), n (max results, default 50), windows (analysis window count),
 // minscore (severity cutoff).
 func planAnomalies(rq request) (*query.Query, string, func() ([]byte, error)) {

@@ -12,10 +12,15 @@ import (
 	"time"
 
 	"github.com/openstream/aftermath/internal/annotations"
+	"github.com/openstream/aftermath/internal/anomaly"
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/filter"
+	"github.com/openstream/aftermath/internal/metrics"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/query"
+	"github.com/openstream/aftermath/internal/render"
+	"github.com/openstream/aftermath/internal/stats"
 	"github.com/openstream/aftermath/internal/taskgraph"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -24,10 +29,10 @@ import (
 // entry with. An entry without one is requested bare, so one added to
 // the endpoint table is walked without touching this map.
 var endpointParams = map[string]string{
-	"/render":    "mode=state&w=300&h=100",
-	"/plot":      "kind=idle&w=300&h=100",
-	"/stats":     "t0=0&t1=500000",
-	"/anomalies": "n=10",
+	"/render":    "mode=state&w=300&h=100&wnodes=0",
+	"/plot":      "kind=idle&w=300&h=100&rnodes=1",
+	"/stats":     "t0=0&t1=500000&rnodes=0",
+	"/anomalies": "n=10&rnodes=1,0&wnodes=0",
 	"/task":      "id=1",
 }
 
@@ -365,13 +370,13 @@ func TestEndpointCacheHit(t *testing.T) {
 	// verb-only projections: parameters the verb ignores must share
 	// the entry warmed by the loop above.
 	for _, path := range []string{
-		"/stats?t0=0&t1=500000&mode=heatmap&counter=cycles",
-		"/render?mode=state&w=300&h=100&rate=0", // rate is overlay-only; no counter set
-		"/anomalies?n=10&mode=heatmap&counter=cycles&rate=0",
+		"/stats?t0=0&t1=500000&rnodes=0&mode=heatmap&counter=cycles",
+		"/render?mode=state&w=300&h=100&wnodes=0&rate=0", // rate is overlay-only; no counter set
+		"/anomalies?n=10&rnodes=0,1&wnodes=0&mode=heatmap&counter=cycles&rate=0",
 		// URLs from before the index switch was removed: the key is no
 		// longer read, so they share the plain request's entry.
-		"/render?mode=state&w=300&h=100&noindex=1",
-		"/anomalies?n=10&noindex=1",
+		"/render?mode=state&w=300&h=100&wnodes=0&noindex=1",
+		"/anomalies?n=10&wnodes=0&rnodes=1,0&noindex=1",
 	} {
 		resp, _ := get(t, srv, path)
 		if xc := resp.Header.Get("X-Cache"); xc != "HIT" {
@@ -598,5 +603,113 @@ func TestRenderAnnotationMarks(t *testing.T) {
 	}
 	if !strings.HasPrefix(string(marked), "\x89PNG") {
 		t.Error("marked render is not a PNG")
+	}
+}
+
+// TestServedNodeFilters: rnodes= and wnodes= reach every verb the task
+// filter shapes. On a NUMA-scheduled trace, /stats, /anomalies,
+// /plot?kind=avgdur and a heat-mode /render with either parameter serve
+// exactly what the renderers and analyses below the query layer answer
+// for a hand-built TaskFilter naming node 0, and a node list is one
+// cache entry however it is spelled.
+func TestServedNodeFilters(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	srv := httptest.NewServer(NewServer(query.NewStatic(tr), "nodes"))
+	t.Cleanup(srv.Close)
+	t0, t1 := tr.Span.Start, tr.Span.End
+	node0 := []int32{0}
+	for _, c := range []struct {
+		param string
+		f     *filter.TaskFilter
+	}{
+		{"rnodes", &filter.TaskFilter{ReadNodes: node0}},
+		{"wnodes", &filter.TaskFilter{WriteNodes: node0}},
+	} {
+		served := func(path string) []byte {
+			t.Helper()
+			resp, body := get(t, srv, path+"&"+c.param+"=0")
+			if resp.StatusCode != 200 {
+				t.Fatalf("%s %s=0: status %d: %s", path, c.param, resp.StatusCode, body)
+			}
+			return body
+		}
+
+		h := stats.NewHistogram(filter.Durations(tr, c.f.WithWindow(t0, t1)), 20, 0, 0)
+		times := stats.StateTimes(tr, t0, t1)
+		st := query.StatsResult{
+			Start: t0, End: t1,
+			Tasks:          len(filter.Tasks(tr, c.f.WithWindow(t0, t1))),
+			AvgParallelism: float64(times[trace.StateTaskExec]) / float64(t1-t0),
+			StateCycles:    map[string]int64{},
+			LocalFraction:  stats.LocalityFraction(tr, stats.ReadsAndWrites, t0, t1),
+			DurationHist:   h.Counts, HistMin: h.Min, HistMax: h.Max,
+		}
+		for s, v := range times {
+			if v > 0 {
+				st.StateCycles[trace.WorkerState(s).String()] = v
+			}
+		}
+		want, err := encodeJSON(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := served("/stats?t0=0&t1=0"); !bytes.Equal(got, want) {
+			t.Errorf("/stats %s=0:\n got %s\nwant %s", c.param, got, want)
+		}
+		if _, all := get(t, srv, "/stats?t0=0&t1=0"); bytes.Equal(all, want) {
+			t.Errorf("/stats %s=0 equals the unfiltered answer: the filter did nothing", c.param)
+		}
+
+		ar := anomaliesResponse{Start: t0, End: t1, Anomalies: []anomalyItem{}}
+		found := anomaly.Scan(tr, anomaly.Config{Windows: anomaly.DefaultWindows, Filter: c.f})
+		for _, a := range found[:min(len(found), 50)] {
+			ar.Anomalies = append(ar.Anomalies, anomalyItem{
+				Kind: a.Kind.String(), Score: a.Score, Start: a.Window.Start, End: a.Window.End,
+				CPU: a.CPU, Task: uint64(a.TaskID), Counter: a.Counter, Explanation: a.Explanation,
+			})
+		}
+		ar.Count = len(ar.Anomalies)
+		if want, err = encodeJSON(ar); err != nil {
+			t.Fatal(err)
+		}
+		if got := served("/anomalies?n=50"); !bytes.Equal(got, want) {
+			t.Errorf("/anomalies %s=0:\n got %s\nwant %s", c.param, got, want)
+		}
+
+		series := metrics.AverageTaskDuration(tr, 200, c.f)
+		plot, err := render.PlotSeries(render.PlotConfig{Width: 800, Height: 220, Title: strings.ToUpper(series.Name)}, series)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = encodePNG(plot); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served("/plot?kind=avgdur"), want) {
+			t.Errorf("/plot?kind=avgdur %s=0 differs from the series of the hand-built filter", c.param)
+		}
+
+		fb, _, err := render.Timeline(tr, render.TimelineConfig{
+			Width: 600, Height: 200, Start: t0, End: t1,
+			Mode: render.ModeHeat, Shades: 10, Filter: c.f, Labels: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = encodePNG(fb); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(served("/render?mode=heatmap&w=600&h=200"), want) {
+			t.Errorf("/render heat %s=0 differs from the timeline of the hand-built filter", c.param)
+		}
+	}
+
+	for i, path := range []string{"/stats?rnodes=1,0", "/stats?rnodes=0,1,1"} {
+		resp, body := get(t, srv, path)
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
+		}
+		if got, want := resp.Header.Get("X-Cache"), []string{"MISS", "HIT"}[i]; got != want {
+			t.Errorf("%s: X-Cache %q, want %q", path, got, want)
+		}
 	}
 }

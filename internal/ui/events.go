@@ -133,7 +133,7 @@ func serveEvents(w http.ResponseWriter, r *http.Request, targets []sseTarget, he
 	}
 	updates := make(chan tagged, len(targets))
 	for i, t := range targets {
-		if ws, ok := t.srv.src.(query.WatchSource); ok {
+		if ws, ok := t.srv.src.(query.LiveSource); ok {
 			ch := ws.Watch(ctx)
 			go func(i int, ch <-chan core.TraceEvent) {
 				for ev := range ch {

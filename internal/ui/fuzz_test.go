@@ -5,6 +5,8 @@ import (
 	"context"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -31,7 +33,7 @@ var gone = func() context.Context {
 // a panic, never a 5xx, and every PNG decodes (hostile w, h, shades and
 // cell reach the encoder's palette and bit-depth choices). The seed
 // corpus (testdata/fuzz/FuzzEndpoints) is internal/query's
-// FuzzFromValues corpus, file for file.
+// FuzzFromValues corpus, file for file (TestFuzzCorporaIdentical).
 func FuzzEndpoints(f *testing.F) {
 	srv := NewServer(query.NewStatic(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA)), "fuzz")
 	f.Add("")
@@ -47,6 +49,43 @@ func FuzzEndpoints(f *testing.F) {
 			atmtest.CheckServed(t, ep.path+"?"+raw, rec)
 		}
 	})
+}
+
+// TestFuzzCorporaIdentical: the URL shapes seeded into the parser's
+// fuzzer and into the endpoints' are one corpus, so a shape added for
+// one reaches both.
+func TestFuzzCorporaIdentical(t *testing.T) {
+	read := func(dir string) map[string]string {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := make(map[string]string, len(ents))
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(b)
+		}
+		return files
+	}
+	ui, parser := read("testdata/fuzz/FuzzEndpoints"), read("../query/testdata/fuzz/FuzzFromValues")
+	if len(parser) == 0 {
+		t.Fatal("empty corpus")
+	}
+	for name, body := range parser {
+		if got, ok := ui[name]; !ok {
+			t.Errorf("%s: in FuzzFromValues' corpus only", name)
+		} else if got != body {
+			t.Errorf("%s: FuzzEndpoints seeds %q, FuzzFromValues %q", name, got, body)
+		}
+	}
+	for name := range ui {
+		if _, ok := parser[name]; !ok {
+			t.Errorf("%s: in FuzzEndpoints' corpus only", name)
+		}
+	}
 }
 
 // FuzzHubRoutes sends arbitrary request paths to a hub of two traces,

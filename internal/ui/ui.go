@@ -423,15 +423,13 @@ func (s *Server) liveStatus() liveResponse {
 	}
 	resp := s.statusResp
 	s.statusMu.Unlock()
-	// Spill state, fresh per call. Sources exposing their current state
-	// (core.Live) are preferred over the published snapshot's, which
-	// predates any compaction still running at publish time. The local
-	// copy gets its own pointer; the memoized response is never mutated.
-	st, ok := core.SpillStats{}, false
-	if sp, live := s.src.(query.SpillSource); live {
-		st, ok = sp.SpillStats()
-	} else {
-		st, ok = tr.SpillStats()
+	// Spill state, fresh per call. A live source's current state is
+	// preferred over the published snapshot's, which predates any
+	// compaction still running at publish time. The local copy gets its
+	// own pointer; the memoized response is never mutated.
+	st, ok := tr.SpillStats()
+	if isLive {
+		st, ok = ls.SpillStats()
 	}
 	if ok {
 		resp.Spill = &spillStatus{
