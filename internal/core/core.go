@@ -138,8 +138,12 @@ func (tr *Trace) NumCPUs() int { return len(tr.CPUs) }
 // NumNodes returns the number of NUMA nodes.
 func (tr *Trace) NumNodes() int { return int(tr.Topology.NumNodes) }
 
-// NodeOfCPU returns the NUMA node of a CPU (0 if out of range).
+// NodeOfCPU returns the NUMA node of a CPU: -1 for a negative CPU —
+// a task's ExecCPU before it has run —, 0 past the topology's last.
 func (tr *Trace) NodeOfCPU(cpu int32) int32 {
+	if cpu < 0 {
+		return -1
+	}
 	if int(cpu) < len(tr.Topology.NodeOfCPU) {
 		return tr.Topology.NodeOfCPU[cpu]
 	}

@@ -1,0 +1,537 @@
+package render
+
+import (
+	"encoding/binary"
+	"math/bits"
+	"slices"
+)
+
+// The indexed PNG's image data is a zlib stream (RFC 1950) around a
+// deflate stream (RFC 1951), written by rowDeflater. A general
+// compressor hashes every byte to find its matches; a picture drawn in
+// rectangles has two kinds worth finding, and both are known without
+// a search: the row above, at a distance of one scanline, and a run of
+// the byte before, at a distance of 1. A scanline equal to the one
+// above is all one match, found by the caller's compare of the pixel
+// rows and never scanned here; any other scanline is tokenized
+// greedily with those two candidates at each position. The tokens of
+// a block are coded with Huffman tables built from the block's own
+// histogram, or with deflate's fixed tables when those cost fewer
+// bits.
+
+const (
+	minMatch = 3
+	maxMatch = 258
+	// window is the farthest back a deflate match may reach. A
+	// scanline longer than that is coded without the row above.
+	window = 1 << 15
+	// maxBlockTokens bounds a block: its tokens are held until its
+	// tables are built from their histogram.
+	maxBlockTokens = 1 << 14
+	// idatSize is the size the compressed bytes are collected to
+	// before they leave as one IDAT chunk.
+	idatSize = 1 << 13
+
+	numLitLen   = 286 // 256 literals, end of block, 29 length codes
+	numDist     = 30
+	numCodeLen  = 19
+	endOfBlock  = 256
+	maxCodeBits = 15
+	maxCLBits   = 7
+
+	// adlerMod is Adler-32's modulus.
+	adlerMod = 65521
+)
+
+// A token is a literal byte (below 256) or a match: matchFlag, the
+// length less minMatch in bits 15–22 and the distance less 1 in bits
+// 0–14.
+const matchFlag = 1 << 31
+
+// rowDeflater compresses a PNG's scanlines, filter byte included, into
+// IDAT chunks written through e, which also writes the chunks before
+// and after them. It holds one block's tokens and the running
+// Adler-32; it is meant to live on its caller's stack, so an encode
+// allocates nothing for it but out.
+type rowDeflater struct {
+	e   chunkWriter
+	out []byte // compressed bytes not yet written as IDAT
+	acc uint64 // bits not yet in out, the first in the low bit
+	n   uint   // how many bits acc holds, below 32 between writes
+
+	// The Adler-32 of the scanlines so far (s1, s2), and the sums of
+	// the last one tokenized, taken from zero (a, b): a repeated
+	// scanline folds those in without reading a byte.
+	s1, s2 uint32
+	a, b   uint32
+
+	toks     [maxBlockTokens]uint32
+	ntoks    int
+	litFreq  [numLitLen]uint32
+	distFreq [numDist]uint32
+
+	// scanned counts the scanline bytes tokenized.
+	scanned int
+}
+
+// start writes the zlib header: deflate with a 32 KiB window, no
+// preset dictionary, the fastest level's flag.
+func (d *rowDeflater) start(out []byte) {
+	d.out = append(out[:0], 0x78, 0x01)
+	d.s1, d.s2 = 1, 0
+}
+
+// scanline tokenizes s, the next scanline, and adds it to the
+// checksum. above is the scanline before it, or nil for the first.
+func (d *rowDeflater) scanline(s, above []byte) {
+	d.scanned += len(s)
+	d.a, d.b = adlerSums(s)
+	d.fold(len(s))
+	if len(s) < minMatch || len(s) > window {
+		above = nil
+	}
+	for i := 0; i < len(s); {
+		best, dist := 0, 0
+		if above != nil && s[i] == above[i] {
+			best, dist = matchLen(s[i:], above[i:]), len(s)
+		}
+		if i > 0 && s[i] == s[i-1] {
+			if l := matchLen(s[i:], s[i-1:len(s)-1]); l > best {
+				best, dist = l, 1
+			}
+		}
+		if best < minMatch {
+			d.literal(s[i])
+			i++
+			continue
+		}
+		d.match(best, dist)
+		i += best
+	}
+}
+
+// repeat deflates a scanline equal to s, the last one deflated: one
+// match of the row above, cut into pieces deflate can hold, unless the
+// row above is out of reach.
+func (d *rowDeflater) repeat(s []byte) {
+	if len(s) < minMatch || len(s) > window {
+		d.scanline(s, nil)
+		return
+	}
+	d.fold(len(s))
+	d.match(len(s), len(s))
+}
+
+// fold adds a scanline of n bytes whose sums are d.a and d.b to the
+// running checksum: s1 grows by a, and s2 by n times the old s1 and b.
+func (d *rowDeflater) fold(n int) {
+	d.s2 = uint32((uint64(d.s2) + uint64(n%adlerMod)*uint64(d.s1) + uint64(d.b)) % adlerMod)
+	d.s1 = (d.s1 + d.a) % adlerMod
+}
+
+// adlerSums returns Adler-32's two sums over s taken from zero: a the
+// sum of its bytes, b the sum of a after each byte, both modulo
+// adlerMod. Eight bytes at a time: a grows by their sum and b by 8
+// times a plus their sum weighted 8, 7, …, 1, both taken as dot
+// products of 16-bit lanes, the even bytes in one word and the odd in
+// another, with no lane reaching 2^16.
+func adlerSums(s []byte) (a, b uint32) {
+	const (
+		lanes = 0x00ff00ff00ff00ff
+		ones  = 0x0001000100010001
+		even  = 8<<48 | 6<<32 | 4<<16 | 2
+		odd   = 7<<48 | 5<<32 | 3<<16 | 1
+	)
+	var sa, sb uint64
+	for len(s) > 0 {
+		// Reduced every 64 KiB, long before b can overflow.
+		chunk := s[:min(len(s), 1<<16)]
+		s = s[len(chunk):]
+		for ; len(chunk) >= 8; chunk = chunk[8:] {
+			x := binary.LittleEndian.Uint64(chunk)
+			e, o := x&lanes, x>>8&lanes
+			sb += 8*sa + (e*even+o*odd)>>48
+			sa += (e + o) * ones >> 48
+		}
+		for _, c := range chunk {
+			sa += uint64(c)
+			sb += sa
+		}
+		sa, sb = sa%adlerMod, sb%adlerMod
+	}
+	return uint32(sa), uint32(sb)
+}
+
+// matchLen returns how many leading bytes of a equal those of b, which
+// is at least as long; 8 bytes at a time.
+func matchLen(a, b []byte) int {
+	n := 0
+	for ; len(a)-n >= 8; n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)/8
+		}
+	}
+	for n < len(a) && a[n] == b[n] {
+		n++
+	}
+	return n
+}
+
+func (d *rowDeflater) literal(c byte) {
+	d.litFreq[c]++
+	d.token(uint32(c))
+}
+
+// match emits l bytes, at least minMatch, copied from dist back, as
+// many matches as it takes, none shorter than minMatch.
+func (d *rowDeflater) match(l, dist int) {
+	dc := distCodeOf(uint32(dist - 1))
+	for l > 0 {
+		k := l
+		switch {
+		case l > maxMatch+minMatch || l == maxMatch:
+			k = maxMatch
+		case l > maxMatch:
+			k = l - minMatch
+		}
+		l -= k
+		d.litFreq[endOfBlock+1+int(lengthCode[k-minMatch])]++
+		d.distFreq[dc]++
+		d.token(matchFlag | uint32(k-minMatch)<<15 | uint32(dist-1))
+	}
+}
+
+func (d *rowDeflater) token(t uint32) {
+	d.toks[d.ntoks] = t
+	d.ntoks++
+	if d.ntoks == maxBlockTokens {
+		d.block(false)
+	}
+}
+
+// finish writes the last block, the checksum and the remaining IDAT.
+func (d *rowDeflater) finish() {
+	d.block(true)
+	for d.n > 0 {
+		d.out = append(d.out, uint8(d.acc))
+		d.acc >>= 8
+		d.n -= min(d.n, 8)
+	}
+	d.out = binary.BigEndian.AppendUint32(d.out, d.s2<<16|d.s1)
+	d.e.chunk("IDAT", d.out)
+}
+
+// bits writes the low n bits of v, n at most 32.
+func (d *rowDeflater) bits(v uint32, n uint) {
+	d.acc |= uint64(v) << d.n
+	d.n += n
+	if d.n >= 32 {
+		d.out = binary.LittleEndian.AppendUint32(d.out, uint32(d.acc))
+		d.acc >>= 32
+		d.n -= 32
+		if len(d.out) >= idatSize {
+			d.e.chunk("IDAT", d.out)
+			d.out = d.out[:0]
+		}
+	}
+}
+
+// block writes the tokens held as one block, with the tables that
+// code them in fewer bits, and starts the next block empty.
+func (d *rowDeflater) block(final bool) {
+	d.litFreq[endOfBlock]++
+	var (
+		litLen  [numLitLen]uint8
+		distLen [numDist]uint8
+		clLen   [numCodeLen]uint8
+		clFreq  [numCodeLen]uint32
+		lens    [numLitLen + numDist]uint8
+		cl      [numLitLen + numDist]uint16
+	)
+	huffLengths(d.litFreq[:], litLen[:], maxCodeBits)
+	huffLengths(d.distFreq[:], distLen[:], maxCodeBits)
+	nlit, ndist := numLitLen, numDist
+	for litLen[nlit-1] == 0 {
+		nlit--
+	}
+	for distLen[ndist-1] == 0 {
+		ndist--
+	}
+	copy(lens[:], litLen[:nlit])
+	copy(lens[nlit:], distLen[:ndist])
+	ncl := codeLengthTokens(lens[:nlit+ndist], cl[:])
+	for _, t := range cl[:ncl] {
+		clFreq[t&31]++
+	}
+	huffLengths(clFreq[:], clLen[:], maxCLBits)
+	nclen := numCodeLen
+	for nclen > 4 && clLen[codeLengthOrder[nclen-1]] == 0 {
+		nclen--
+	}
+
+	// Extra bits cost the same under either table, so neither count
+	// holds them.
+	dynamic := uint64(5 + 5 + 4 + 3*nclen)
+	for s, f := range clFreq {
+		dynamic += uint64(f) * uint64(clLen[s]+clExtra[s])
+	}
+	var fixed uint64
+	for s, f := range d.litFreq {
+		dynamic += uint64(f) * uint64(litLen[s])
+		fixed += uint64(f) * uint64(fixedLitLen[s])
+	}
+	for s, f := range d.distFreq {
+		dynamic += uint64(f) * uint64(distLen[s])
+		fixed += uint64(f) * 5
+	}
+
+	last := uint32(0)
+	if final {
+		last = 1
+	}
+	var litCodes [numLitLen]uint16
+	var distCodes [numDist]uint16
+	lit, litCode := fixedLitLen[:], fixedLitCode[:]
+	dist, distCode := fixedDistLen[:], fixedDistCode[:]
+	if fixed <= dynamic {
+		d.bits(last|1<<1, 3)
+	} else {
+		lit, litCode = litLen[:], litCodes[:]
+		dist, distCode = distLen[:], distCodes[:]
+		canonical(lit, litCode)
+		canonical(dist, distCode)
+		var clCode [numCodeLen]uint16
+		canonical(clLen[:], clCode[:])
+		d.bits(last|2<<1, 3)
+		d.bits(uint32(nlit-257)|uint32(ndist-1)<<5|uint32(nclen-4)<<10, 14)
+		for _, s := range codeLengthOrder[:nclen] {
+			d.bits(uint32(clLen[s]), 3)
+		}
+		for _, t := range cl[:ncl] {
+			s := t & 31
+			d.bits(uint32(clCode[s])|uint32(t>>5)<<clLen[s], uint(clLen[s]+clExtra[s]))
+		}
+	}
+
+	for _, t := range d.toks[:d.ntoks] {
+		if t < matchFlag {
+			d.bits(uint32(litCode[t]), uint(lit[t]))
+			continue
+		}
+		x, dx := t>>15&0xff, t&0x7fff
+		lc := uint32(lengthCode[x])
+		s := endOfBlock + 1 + lc
+		d.bits(uint32(litCode[s])|(x-lengthBase[lc])<<lit[s], uint(lit[s]+lengthExtra[lc]))
+		dc := distCodeOf(dx)
+		d.bits(uint32(distCode[dc])|(dx-distBase[dc])<<dist[dc], uint(dist[dc]+distExtra[dc]))
+	}
+	d.bits(uint32(litCode[endOfBlock]), uint(lit[endOfBlock]))
+
+	d.ntoks = 0
+	d.litFreq = [numLitLen]uint32{}
+	d.distFreq = [numDist]uint32{}
+}
+
+// codeLengthTokens writes lens as the code-length alphabet codes it
+// into out, one token a symbol with its extra bits above the low 5:
+// 16 repeats the previous length 3–6 times, 17 and 18 are 3–10 and
+// 11–138 zeros. It returns the number of tokens.
+func codeLengthTokens(lens []uint8, out []uint16) int {
+	n := 0
+	emit := func(sym, extra int) {
+		out[n] = uint16(sym | extra<<5)
+		n++
+	}
+	for i := 0; i < len(lens); {
+		l := lens[i]
+		run := 1
+		for i+run < len(lens) && lens[i+run] == l {
+			run++
+		}
+		i += run
+		if l == 0 {
+			for ; run >= 11; run -= min(run, 138) {
+				emit(18, min(run, 138)-11)
+			}
+			if run >= 3 {
+				emit(17, run-3)
+				run = 0
+			}
+		} else {
+			emit(int(l), 0)
+			for run--; run >= 3; run -= min(run, 6) {
+				emit(16, min(run, 6)-3)
+			}
+		}
+		for ; run > 0; run-- {
+			emit(int(l), 0)
+		}
+	}
+	return n
+}
+
+// huffLengths sets lens[s] to the length of symbol s's code in a
+// Huffman code for the frequencies freq, no code longer than limit
+// bits, and 0 for the symbols that do not occur. The code is complete:
+// one symbol, or none, gets a second of the same length beside it.
+// Past the limit, the frequencies are halved, small ones kept at 1,
+// until the tree fits; at worst they all become 1 and the tree
+// balanced.
+func huffLengths(freq []uint32, lens []uint8, limit uint16) {
+	var (
+		keys   [numLitLen]uint64 // frequency and symbol, sorted
+		w      [2 * numLitLen]uint32
+		parent [2 * numLitLen]uint16
+		depth  [2 * numLitLen]uint16
+	)
+	n := 0
+	for s, f := range freq {
+		if f != 0 {
+			keys[n] = uint64(f)<<16 | uint64(s)
+			n++
+		}
+	}
+	clear(lens)
+	if n < 2 {
+		s := 0
+		if n == 1 {
+			s = int(keys[0] & 0xffff)
+		}
+		other := 0
+		if s == 0 {
+			other = 1
+		}
+		lens[s], lens[other] = 1, 1
+		return
+	}
+	slices.Sort(keys[:n])
+	for shift := 0; ; shift++ {
+		for i, k := range keys[:n] {
+			w[i] = max(uint32(k>>16)>>shift, 1)
+		}
+		// Two queues, leaves in order of weight and internal nodes in
+		// the order they are made, which is also by weight: node k
+		// joins the two lightest heads.
+		l, q := 0, n
+		for k := n; k < 2*n-1; k++ {
+			w[k] = 0
+			for range 2 {
+				m := q
+				if l < n && (q == k || w[l] <= w[q]) {
+					m = l
+					l++
+				} else {
+					q++
+				}
+				parent[m], w[k] = uint16(k), w[k]+w[m]
+			}
+		}
+		depth[2*n-2] = 0
+		deepest := uint16(0)
+		for k := 2*n - 3; k >= 0; k-- {
+			depth[k] = depth[parent[k]] + 1
+			deepest = max(deepest, depth[k])
+		}
+		if deepest <= limit {
+			for i, k := range keys[:n] {
+				lens[k&0xffff] = uint8(depth[i])
+			}
+			return
+		}
+	}
+}
+
+// canonical assigns deflate's canonical codes to the lengths lens,
+// bit-reversed: deflate sends a code's first bit first, and the bit
+// writer sends the low bit first.
+func canonical(lens []uint8, codes []uint16) {
+	var count, next [maxCodeBits + 1]uint16
+	for _, l := range lens {
+		count[l]++
+	}
+	count[0] = 0
+	code := uint16(0)
+	for b := 1; b <= maxCodeBits; b++ {
+		code = (code + count[b-1]) << 1
+		next[b] = code
+	}
+	for s, l := range lens {
+		if l != 0 {
+			codes[s] = bits.Reverse16(next[l]) >> (16 - l)
+			next[l]++
+		}
+	}
+}
+
+// distCodeOf returns the distance code of x, a distance less 1.
+func distCodeOf(x uint32) uint32 {
+	if x < 4 {
+		return x
+	}
+	nb := uint32(bits.Len32(x)) - 1
+	return 2*nb + x>>(nb-1)&1
+}
+
+var (
+	// codeLengthOrder is the order the code-length code's lengths
+	// are sent in.
+	codeLengthOrder = [numCodeLen]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
+	clExtra         = [numCodeLen]uint8{16: 2, 17: 3, 18: 7}
+
+	// lengthCode maps a match length less minMatch to its code less
+	// 257; lengthBase and lengthExtra are the code's first length
+	// less minMatch and its extra bits.
+	lengthCode    [maxMatch - minMatch + 1]uint8
+	lengthBase    [29]uint32
+	lengthExtra   [29]uint8
+	distBase      [numDist]uint32
+	distExtra     [numDist]uint8
+	fixedLitLen   [288]uint8
+	fixedLitCode  [288]uint16
+	fixedDistLen  [numDist]uint8
+	fixedDistCode [numDist]uint16
+)
+
+func init() {
+	for c := range lengthBase {
+		switch {
+		case c < 8:
+			lengthBase[c] = uint32(c)
+		case c < 28:
+			lengthExtra[c] = uint8(c/4 - 1)
+			lengthBase[c] = (4 + uint32(c&3)) << lengthExtra[c]
+		default:
+			lengthBase[c] = maxMatch - minMatch
+		}
+	}
+	for c := len(lengthBase) - 1; c >= 0; c-- {
+		for x := lengthBase[c]; x < uint32(len(lengthCode)) && (c == len(lengthBase)-1 || x < lengthBase[c+1]); x++ {
+			lengthCode[x] = uint8(c)
+		}
+	}
+	for c := range distBase {
+		if c < 4 {
+			distBase[c] = uint32(c)
+			continue
+		}
+		distExtra[c] = uint8(c/2 - 1)
+		distBase[c] = (2 + uint32(c&1)) << distExtra[c]
+	}
+	for s := range fixedLitLen {
+		switch {
+		case s < 144:
+			fixedLitLen[s] = 8
+		case s < 256:
+			fixedLitLen[s] = 9
+		case s < 280:
+			fixedLitLen[s] = 7
+		default:
+			fixedLitLen[s] = 8
+		}
+	}
+	canonical(fixedLitLen[:], fixedLitCode[:])
+	for s := range fixedDistLen {
+		fixedDistLen[s] = 5
+	}
+	canonical(fixedDistLen[:], fixedDistCode[:])
+}

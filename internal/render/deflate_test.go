@@ -1,0 +1,128 @@
+package render
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/adler32"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/openstream"
+)
+
+// TestHuffLengths: the code lengths describe a complete prefix code —
+// the Kraft sum is exactly 1 — within the limit, for no symbol, one
+// symbol, and frequencies that grow like Fibonacci's, whose Huffman
+// tree is as deep as there are symbols and must be flattened.
+func TestHuffLengths(t *testing.T) {
+	fib := func(n int) []uint32 {
+		f := make([]uint32, n)
+		for i := range f {
+			f[i] = 1
+			if i > 1 {
+				f[i] = f[i-1] + f[i-2]
+			}
+		}
+		return f
+	}
+	one := make([]uint32, numDist)
+	one[7] = 40
+	for _, tc := range []struct {
+		name  string
+		freq  []uint32
+		limit uint16
+	}{
+		{"none", make([]uint32, numDist), maxCodeBits},
+		{"one", one, maxCodeBits},
+		{"fibonacci/literals", fib(numLitLen)[:25], maxCodeBits},
+		{"fibonacci/code lengths", fib(numCodeLen), maxCLBits},
+		{"even", slices.Repeat([]uint32{3}, numLitLen), maxCodeBits},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lens := make([]uint8, len(tc.freq))
+			huffLengths(tc.freq, lens, tc.limit)
+			kraft, used := 0.0, 0
+			for s, l := range lens {
+				if l > uint8(tc.limit) {
+					t.Fatalf("symbol %d has a %d-bit code, limit %d", s, l, tc.limit)
+				}
+				if tc.freq[s] != 0 && l == 0 {
+					t.Fatalf("symbol %d occurs but has no code", s)
+				}
+				if l != 0 {
+					kraft += 1 / float64(uint(1)<<l)
+					used++
+				}
+			}
+			if kraft != 1 || used < 2 {
+				t.Errorf("%d codes with Kraft sum %v, want a complete code of at least 2", used, kraft)
+			}
+		})
+	}
+}
+
+// TestAdlerSums: the two sums taken 8 bytes at a time are hash/adler32's,
+// for every length around a word and past the 64 KiB reduction.
+func TestAdlerSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 1<<17+9)
+	rng.Read(data)
+	for i := range data[:1<<16] {
+		data[i] |= 0xf0 // large bytes, so a late reduction would overflow
+	}
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 1000, 1<<16 - 1, 1 << 16, 1<<16 + 1, len(data)} {
+		s := data[:n]
+		a, b := adlerSums(s)
+		// adler32 starts from s1 = 1, which adds n to s2.
+		s1, s2 := (a+1)%adlerMod, (b+uint32(n%adlerMod))%adlerMod
+		if got, want := s2<<16|s1, adler32.Checksum(s); got != want {
+			t.Errorf("%d bytes: sums give %#08x, adler32 %#08x", n, got, want)
+		}
+	}
+}
+
+// TestEncodePNGBlockType: a block takes the fixed tables when they cost
+// fewer bits — a small image pays no table header — and its own tables
+// when not, as a timeline's does.
+func TestEncodePNGBlockType(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	timeline, _, err := Timeline(tr, TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		fb    *Framebuffer
+		btype byte
+	}{
+		{"ramp of 5 colours", colourRamp(5), 1},
+		{"timeline", timeline, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := tc.fb.EncodePNG(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if got := firstBlockType(t, buf.Bytes()); got != tc.btype {
+				t.Errorf("first block has type %d, want %d", got, tc.btype)
+			}
+		})
+	}
+}
+
+// firstBlockType returns BTYPE of the first deflate block in a PNG's
+// image data: bits 1–2 of the byte after the 2-byte zlib header.
+func firstBlockType(t *testing.T, png []byte) byte {
+	t.Helper()
+	for b := png[8:]; len(b) >= 12; {
+		n := binary.BigEndian.Uint32(b)
+		if string(b[4:8]) == "IDAT" && n >= 3 {
+			return b[8+2] >> 1 & 3
+		}
+		b = b[12+n:]
+	}
+	t.Fatal("no IDAT chunk")
+	return 0
+}

@@ -2,20 +2,16 @@ package render
 
 import (
 	"bytes"
-	"compress/zlib"
 	"errors"
 	"fmt"
 	"image"
 	"image/color"
 	"image/png"
-	"io"
 	"math/rand"
 	"runtime"
-	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
-	"weak"
 
 	"github.com/openstream/aftermath/internal/annotations"
 	"github.com/openstream/aftermath/internal/atmtest"
@@ -37,7 +33,9 @@ const (
 )
 
 // roundTrip encodes fb, decodes the result and compares every pixel
-// with fb.At. It returns the PNG's bit depth and colour type.
+// with fb.At, and the IHDR's bit depth and colour type with the ones
+// image/png picks for the same pixels. It returns the PNG's bit depth
+// and colour type.
 func roundTrip(t *testing.T, fb *Framebuffer) (depth, colourType byte) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -45,10 +43,18 @@ func roundTrip(t *testing.T, fb *Framebuffer) (depth, colourType byte) {
 		t.Fatalf("encode: %v", err)
 	}
 	b := buf.Bytes()
-	if want := stdlibPNG(t, fb); !bytes.Equal(b, want) {
-		t.Errorf("EncodePNG wrote %d bytes (bit depth %d, colour type %d), image/png writes %d (%d, %d) for the same pixels",
-			len(b), b[ihdrDepth], b[ihdrColourType], len(want), want[ihdrDepth], want[ihdrColourType])
+	decodesTo(t, b, fb)
+	if want := stdlibPNG(t, fb); b[ihdrDepth] != want[ihdrDepth] || b[ihdrColourType] != want[ihdrColourType] {
+		t.Errorf("EncodePNG wrote bit depth %d, colour type %d; image/png writes %d, %d for the same pixels",
+			b[ihdrDepth], b[ihdrColourType], want[ihdrDepth], want[ihdrColourType])
 	}
+	return b[ihdrDepth], b[ihdrColourType]
+}
+
+// decodesTo decodes the PNG b through image/png and compares its bounds
+// and every pixel with fb's.
+func decodesTo(t *testing.T, b []byte, fb *Framebuffer) {
+	t.Helper()
 	img, err := png.Decode(bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -64,13 +70,13 @@ func roundTrip(t *testing.T, fb *Framebuffer) (depth, colourType byte) {
 			}
 		}
 	}
-	return b[ihdrDepth], b[ihdrColourType]
 }
 
-// stdlibPNG is the reference the hand-written chunk writer is held to:
-// what image/png writes at BestSpeed for fb's pixels, read through At
-// — as an image.Paletted with the palette in order of first
-// appearance while fb is indexed, as an image.RGBA once it is not.
+// stdlibPNG is what image/png writes at BestSpeed for fb's pixels, read
+// through At — as an image.Paletted with the palette in order of first
+// appearance while fb is indexed, as an image.RGBA once it is not. Its
+// header is the one EncodePNG's is held to, and its length the one
+// EncodePNG's output is measured against.
 // (Which of the two fb should be is not decided here:
 // TestEncodePNGRoundTrip's table and TestFramebufferModel do that.)
 func stdlibPNG(t *testing.T, fb *Framebuffer) []byte {
@@ -245,13 +251,14 @@ func TestEncodePNGRoundTrip(t *testing.T) {
 	})
 }
 
-// TestEncodePNGMatchesStdlib: an indexed framebuffer leaves as the very
-// bytes image/png writes for the same pixels (roundTrip compares them,
-// so every view of TestEncodePNGRoundTrip is held to it as well). Here:
-// each side of every bit-depth edge, at widths whose rows end in a
-// partly filled byte at 1, 2 and 4 bits a pixel, and a palette whose
-// order of drawing is not its order of appearance and which holds
-// entries that were painted over.
+// TestEncodePNGMatchesStdlib: an indexed framebuffer decodes to its own
+// pixels, under the bit depth and colour type image/png picks for them
+// (roundTrip checks both, so every view of TestEncodePNGRoundTrip is
+// held to it as well). Here: each side of every bit-depth edge, at
+// widths whose rows end in a partly filled byte at 1, 2 and 4 bits a
+// pixel — and rows of fewer than 3 bytes, which hold no match of the
+// row above —, and a palette whose order of drawing is not its order
+// of appearance and which holds entries that were painted over.
 func TestEncodePNGMatchesStdlib(t *testing.T) {
 	for _, colours := range []int{1, 2, 3, 4, 5, 16, 17, 256} {
 		for _, w := range []int{1, 7, 47, 48, 49} {
@@ -266,6 +273,33 @@ func TestEncodePNGMatchesStdlib(t *testing.T) {
 			})
 		}
 	}
+	// Scanlines of 257–263 bytes: a repeated one is a match of 258 and
+	// a remainder of 0–5 bytes, and one of 259–261 splits so that no
+	// piece is shorter than 3. The first row, of one colour, is a run
+	// of 256–262 bytes, cut the same way.
+	for w := 256; w <= 262; w++ {
+		t.Run(fmt.Sprintf("stripes/w=%d", w), func(t *testing.T) {
+			fb := NewFramebuffer(w, 5)
+			for i := 1; i < 17; i++ {
+				fb.FillRect(w-2*i, 1, 1, 4, rampColour(i))
+			}
+			if depth, _ := roundTrip(t, fb); depth != 8 {
+				t.Errorf("bit depth %d, want 8", depth)
+			}
+		})
+	}
+	// A scanline longer than deflate's 32 KiB window has no row above
+	// to copy from, repeated or not; runs still reach.
+	t.Run("wider than the window", func(t *testing.T) {
+		fb := NewFramebuffer(window+5, 4)
+		for i := 1; i < 17; i++ {
+			fb.FillRect(2000*i, 0, 1000, 4, rampColour(i))
+		}
+		fb.FillRect(0, 2, 40, 1, rampColour(5))
+		if depth, _ := roundTrip(t, fb); depth != 8 {
+			t.Errorf("bit depth %d, want 8", depth)
+		}
+	})
 	t.Run("drawn in another order", func(t *testing.T) {
 		fb := NewFramebuffer(31, 9)
 		for i := 0; i < 20; i++ { // later colours further left, the first six painted over
@@ -317,21 +351,16 @@ func fuzzFramebuffer(data []byte) *Framebuffer {
 }
 
 // FuzzEncodePNG: whatever the width — a multiple of 8 or not —, the
-// palette size and how each row differs from the one above, EncodePNG
-// writes the bytes image/png writes. The rows reach blocks equal to
-// the one above, first appearances in the tail past the last whole
-// block, and colours whose only block differs from the one above by a
-// pixel; the 257th colour reaches the truecolour path.
+// palette size and how each row differs from the one above, what
+// EncodePNG writes decodes to the framebuffer's pixels under the
+// header image/png picks. The rows reach blocks equal to the one
+// above, whole rows equal to the one above, runs, first appearances in
+// the tail past the last whole block, and colours whose only block
+// differs from the one above by a pixel; the 257th colour reaches the
+// truecolour path.
 func FuzzEncodePNG(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fb := fuzzFramebuffer(data)
-		var buf bytes.Buffer
-		if err := fb.EncodePNG(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if want := stdlibPNG(t, fb); !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("%dx%d, %d colours: EncodePNG wrote %d bytes, image/png %d", fb.W(), fb.H(), distinctColours(fb), buf.Len(), len(want))
-		}
+		roundTrip(t, fuzzFramebuffer(data))
 	})
 }
 
@@ -525,9 +554,9 @@ func TestFramebufferModel(t *testing.T) {
 
 // TestEncodePNGDeterministic: the bytes depend on the pixels alone —
 // the harness's served-equals-direct audit, hot_revisit's body
-// equality and the singleflight followers rely on it — whether the
-// compressor is the spare or new, and an encode allocates per call,
-// but not per row or per pixel.
+// equality and the singleflight followers rely on it — however many
+// encodes run at once, and an encode allocates per call, but not per
+// row or per pixel.
 func TestEncodePNGDeterministic(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	render := func(w, h int) *Framebuffer {
@@ -593,65 +622,101 @@ func TestEncodePNGDeterministic(t *testing.T) {
 	}
 }
 
-// TestEncodePNGSpare: consecutive encodes share one compressor — 16 of
-// a 1000x400 timeline allocate at most two compressors' worth in all,
-// with no collection in between to clear the spare — the spare pins no
-// response, and it does not outlive the next collection.
-func TestEncodePNGSpare(t *testing.T) {
+// TestEncodePNGAllocatedBytes: the deflater holds its block on the
+// stack and allocates two rows and an IDAT buffer, so 16 encodes of a
+// 1000x400 timeline allocate less in all than the one zlib compressor
+// each encode allocated before.
+func TestEncodePNGAllocatedBytes(t *testing.T) {
+	const compressor = 1200 << 10
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	fb, _, err := Timeline(tr, TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocated := func(f func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		f()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
 	var out bytes.Buffer
 	out.Grow(1 << 20)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	compressor := allocated(func() {
-		zw, _ := zlib.NewWriterLevel(io.Discard, zlib.BestSpeed)
-		zw.Write([]byte{0})
-		zw.Close()
-	})
-	if got := allocated(func() {
-		for range 16 {
-			out.Reset()
-			if err := fb.EncodePNG(&out); err != nil {
-				t.Fatal(err)
-			}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range 16 {
+		out.Reset()
+		if err := fb.EncodePNG(&out); err != nil {
+			t.Fatal(err)
 		}
-	}); got > 2*compressor {
-		t.Errorf("16 encodes allocated %d bytes, more than two compressors' %d", got, 2*compressor)
 	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= compressor {
+		t.Errorf("16 encodes allocated %d bytes, not less than one zlib compressor's %d", got, compressor)
+	}
+}
 
-	held := func() *deflater {
-		spare.mu.Lock()
-		defer spare.mu.Unlock()
-		return spare.p.Value()
+// TestEncodePNGSize: over the six timeline modes of a NUMA trace at
+// 1000x400 and a plot, EncodePNG writes no more bytes in all than
+// image/png does at BestSpeed.
+func TestEncodePNGSize(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	var (
+		fbs   []*Framebuffer
+		names []string
+	)
+	for mode := ModeState; mode <= ModeNUMAHeat; mode++ {
+		fb, _, err := Timeline(tr, TimelineConfig{Width: 1000, Height: 400, Mode: mode, Labels: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fbs, names = append(fbs, fb), append(names, mode.String())
 	}
-	// Held alive, the spare keeps no writer it wrote into alive.
-	sink := new(bytes.Buffer)
-	if err := fb.EncodePNG(sink); err != nil {
+	plot, err := PlotSeries(PlotConfig{Width: 800, Height: 220, Title: "IDLE"},
+		metrics.Series{Name: "a", Times: []int64{0, 10, 20, 30, 40}, Values: []float64{0, 5, 2, 8, 3}},
+		metrics.Series{Name: "b", Times: []int64{0, 10, 20, 30, 40}, Values: []float64{3, 1, 7, 4, 6}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	written := weak.Make(sink)
-	d := held()
-	if d == nil {
-		t.Fatal("no spare compressor after an encode")
+	fbs, names = append(fbs, plot), append(names, "plot")
+	var got, want int
+	for i, fb := range fbs {
+		var buf bytes.Buffer
+		if err := fb.EncodePNG(&buf); err != nil {
+			t.Fatal(err)
+		}
+		decodesTo(t, buf.Bytes(), fb)
+		ref := len(stdlibPNG(t, fb))
+		t.Logf("%s: %d bytes, image/png %d", names[i], buf.Len(), ref)
+		got, want = got+buf.Len(), want+ref
 	}
-	runtime.GC()
-	if written.Value() != nil {
-		t.Error("the spare compressor keeps the last encode's writer alive")
+	if got > want {
+		t.Errorf("EncodePNG wrote %d bytes in all, image/png %d", got, want)
 	}
-	runtime.KeepAlive(d)
+}
 
-	runtime.GC()
-	if held() != nil {
-		t.Error("the spare compressor survived a collection")
+// TestEncodePNGScansDistinctRows: a row equal to the one above is one
+// compare of pixel rows, never tokenized, so the bytes the deflater
+// scans follow the distinct rows. A timeline four times as tall has
+// four times the rows and about as many distinct ones; a framebuffer
+// of one colour has one.
+func TestEncodePNGScansDistinctRows(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	scanned := func(fb *Framebuffer) int {
+		n, err := scannedBytes(fb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	timeline := func(h int) *Framebuffer {
+		fb, _, err := Timeline(tr, TimelineConfig{Width: 1000, Height: h, Mode: ModeState, Labels: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fb
+	}
+	short, tall := scanned(timeline(400)), scanned(timeline(1600))
+	if short == 0 || float64(tall) > 1.1*float64(short) {
+		t.Errorf("scanned %d bytes at 1000x400 and %d at 1000x1600: more than 1.1 times for 4 times the rows", short, tall)
+	}
+
+	flat := NewFramebuffer(1000, 400)
+	flat.Clear(rampColour(3))
+	if got, row := scanned(flat), 1+1000/8; got != row {
+		t.Errorf("a framebuffer of one colour scanned %d bytes, want one row's %d", got, row)
 	}
 }

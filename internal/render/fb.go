@@ -14,14 +14,16 @@
 // interactive HTTP viewer in internal/ui; the rendering algorithms are
 // unchanged by this substitution. Drawing goes to an indexed-colour
 // framebuffer — one palette byte per pixel, which is also what
-// EncodePNG deflates — that turns into a truecolour image the moment a
+// EncodePNG packs — that turns into a truecolour image the moment a
 // 257th or a translucent colour is drawn. The pixels read back the
-// same either way.
+// same either way. An indexed image is deflated by this package's own
+// compressor (deflate.go), whose only matches are the row above and a
+// run, so encoding costs what the distinct rows cost; what it writes
+// decodes to the framebuffer's pixels, and is not image/png's bytes.
 package render
 
 import (
-	"bufio"
-	"compress/zlib"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -30,8 +32,6 @@ import (
 	"image/png"
 	"io"
 	"os"
-	"sync"
-	"weak"
 )
 
 // Framebuffer is an image with drawing-operation accounting, used to
@@ -251,42 +251,48 @@ func (fb *Framebuffer) At(x, y int) color.RGBA {
 }
 
 // pngEncoder encodes what no palette holds: a truecolour framebuffer,
-// and the empty one, which it rejects by name. BestSpeed, like the
-// indexed writer below and for its reason.
+// and the empty one, which it rejects by name. BestSpeed, because a
+// tile is waited for.
 var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed}
 
 // EncodePNG writes the framebuffer as PNG: indexed-colour while it is
 // indexed, truecolour through image/png once it is not; the decoded
 // pixels are the framebuffer's either way. The indexed image is
 // written here — signature, IHDR, PLTE, the rows unfiltered at 1, 2, 4
-// or 8 bits a pixel by palette size, deflated into IDAT chunks cut by
-// a 32 KiB buffer, IEND — to the byte as image/png writes an indexed
-// image of these pixels (TestEncodePNGMatchesStdlib), but from the
-// index bytes as they lie, without a copy and without image/png's
-// interface call per pixel. BestSpeed, because a tile is waited for
-// and is small at any level: on a 900x380 timeline the default level
-// takes a quarter longer to turn 4.8 kB into 2.6.
+// or 8 bits a pixel by palette size (the depth and colour type
+// image/png would choose), IDAT, IEND — from the index bytes as they
+// lie, and deflated by rowDeflater, whose only matches are the row
+// above and a run: a pixel row equal to the one above costs one
+// compare and is neither packed nor scanned, so the work follows the
+// distinct rows, not the pixels.
 //
 // The palette is renumbered on the way out, in order of first
 // appearance in the pixels and without the entries no pixel holds any
 // more, so the bytes depend on the pixels alone, not on the order they
 // were drawn in. Nothing here writes to fb: encoding twice, or from
-// several goroutines, yields the same bytes. The compressor is an
-// earlier encode's when one is spare (see spare).
+// several goroutines, yields the same bytes.
 func (fb *Framebuffer) EncodePNG(w io.Writer) error {
+	_, err := fb.encodePNG(w)
+	return err
+}
+
+// encodePNG is EncodePNG, returning also how many scanline bytes the
+// deflater tokenized.
+func (fb *Framebuffer) encodePNG(w io.Writer) (scanned int, err error) {
 	if fb.rgba != nil {
-		return pngEncoder.Encode(w, fb.rgba)
+		return 0, pngEncoder.Encode(w, fb.rgba)
 	}
 	if fb.w == 0 || fb.h == 0 {
-		return pngEncoder.Encode(w, fb.RGBA())
+		return 0, pngEncoder.Encode(w, fb.RGBA())
 	}
 
 	// remap[i] is palette entry i's number on the wire; plte collects
-	// the entries in that order. Both loops below walk a row in blocks
-	// of 8 pixels and pass over a block equal to the one above it: none
-	// of its pixels appears first there, and its packed bytes are the
-	// ones the row buffer already holds. The w%8 pixels of the tail are
-	// never passed over.
+	// the entries in that order. Both loops below pass over a row equal
+	// to the one above, and walk any other in blocks of 8 pixels,
+	// passing over a block equal to the one above it: none of its
+	// pixels appears first there, and its packed bytes are the ones
+	// the row above packed to. The w%8 pixels of the tail are never
+	// passed over.
 	var (
 		remap [256]uint8
 		seen  [256]bool
@@ -303,9 +309,12 @@ func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 	}
 	blocks := fb.w &^ 7
 	for y := 0; y < fb.h && len(plte) < 3*len(fb.pal); y++ {
-		src := fb.pix[y*fb.w : (y+1)*fb.w]
+		src, up := fb.pix[y*fb.w:(y+1)*fb.w], fb.pix[max(y-1, 0)*fb.w:]
+		if y > 0 && bytes.Equal(src, up[:fb.w]) {
+			continue
+		}
 		for x := 0; x < blocks; x += 8 {
-			if y == 0 || !sameBlock(src[x:], fb.pix[(y-1)*fb.w+x:]) {
+			if y == 0 || !sameBlock(src[x:], up[x:]) {
 				appear(src[x : x+8])
 			}
 		}
@@ -321,7 +330,8 @@ func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 		depth = 4
 	}
 
-	e := chunkWriter{w: w}
+	d := rowDeflater{e: chunkWriter{w: w}}
+	e := &d.e
 	e.write([]byte("\x89PNG\r\n\x1a\n"))
 	var ihdr [13]byte
 	binary.BigEndian.PutUint32(ihdr[0:], uint32(fb.w))
@@ -330,20 +340,27 @@ func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 	e.chunk("IHDR", ihdr[:])
 	e.chunk("PLTE", plte)
 
-	d, err := takeDeflater(&e)
-	if err != nil {
-		return err
-	}
 	// One row on the wire: filter type 0, then the pixels packed most
 	// significant bits first, the last byte padded with zero bits. A
-	// block of 8 pixels packs into depth whole bytes.
+	// block of 8 pixels packs into depth whole bytes. above holds the
+	// last row packed, and a row packs over a copy of it. The IDAT
+	// buffer follows the two rows, with room past idatSize for the
+	// last bits and the checksum.
 	perByte := 8 / depth
-	row := make([]byte, 1+(fb.w+perByte-1)/perByte)
+	n := 1 + (fb.w+perByte-1)/perByte
+	rows := make([]byte, 2*n+idatSize+8)
+	above, row := rows[:n:n], rows[n:2*n:2*n]
+	d.start(rows[2*n : 2*n])
 	out := row[1:]
 	for y := 0; y < fb.h; y++ {
-		src := fb.pix[y*fb.w : (y+1)*fb.w]
+		src, up := fb.pix[y*fb.w:(y+1)*fb.w], fb.pix[max(y-1, 0)*fb.w:]
+		if y > 0 && bytes.Equal(src, up[:fb.w]) {
+			d.repeat(above)
+			continue
+		}
+		copy(row, above)
 		for x, o := 0, 0; x < blocks; x, o = x+8, o+depth {
-			if y > 0 && sameBlock(src[x:], fb.pix[(y-1)*fb.w+x:]) {
+			if y > 0 && sameBlock(src[x:], up[x:]) {
 				continue
 			}
 			b := src[x : x+8 : x+8]
@@ -365,74 +382,23 @@ func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 		for i, p := range src[blocks:] {
 			tail[i/perByte] |= remap[p] << (8 - depth - i%perByte*depth)
 		}
-		if _, err := d.zw.Write(row); err != nil {
-			return err
+		if y == 0 {
+			d.scanline(row, nil)
+		} else {
+			d.scanline(row, above)
 		}
+		above, row = row, above
+		out = row[1:]
 	}
-	if err := d.zw.Close(); err != nil {
-		return err
-	}
-	if err := d.bw.Flush(); err != nil {
-		return err
-	}
-	putDeflater(d)
+	d.finish()
 	e.chunk("IEND", nil)
-	return e.err
+	return d.scanned, e.err
 }
 
 // sameBlock reports whether the 8 pixels at the start of a equal those
 // at the start of b, in one compare.
 func sameBlock(a, b []uint8) bool {
 	return binary.LittleEndian.Uint64(a) == binary.LittleEndian.Uint64(b)
-}
-
-// deflater is the compressor EncodePNG deflates into, with the 32 KiB
-// buffer that cuts its output into IDAT chunks.
-type deflater struct {
-	zw *zlib.Writer
-	bw *bufio.Writer
-}
-
-// spare holds the deflater of the last encode to finish, weakly. A new
-// deflater allocates 1.2 MB and a Reset nothing, so an encode borrows
-// the spare when there is one; of two encodes that overlap, the second
-// allocates its own. It is not a sync.Pool: a pool's victim cache keeps
-// what it holds through one collection, so a server that has stopped
-// encoding would keep a compressor alive for nothing. The weak pointer
-// is cleared by the first collection after the spare was put back.
-var spare struct {
-	mu sync.Mutex
-	p  weak.Pointer[deflater]
-}
-
-// takeDeflater returns the spare, or a new deflater if there is none,
-// writing into e.
-func takeDeflater(e *chunkWriter) (*deflater, error) {
-	spare.mu.Lock()
-	d := spare.p.Value()
-	spare.p = weak.Pointer[deflater]{}
-	spare.mu.Unlock()
-	if d == nil {
-		bw := bufio.NewWriterSize(e, 1<<15)
-		zw, err := zlib.NewWriterLevel(bw, zlib.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
-		return &deflater{zw: zw, bw: bw}, nil
-	}
-	d.bw.Reset(e)
-	d.zw.Reset(d.bw)
-	return d, nil
-}
-
-// putDeflater makes d, closed and flushed, the spare. It is pointed at
-// io.Discard first, so the spare holds on to no caller's writer.
-func putDeflater(d *deflater) {
-	d.bw.Reset(io.Discard)
-	d.zw.Reset(io.Discard)
-	spare.mu.Lock()
-	spare.p = weak.Make(d)
-	spare.mu.Unlock()
 }
 
 // chunkWriter writes PNG chunks and keeps the first error.
@@ -457,16 +423,6 @@ func (e *chunkWriter) chunk(name string, data []byte) {
 	e.write(head[:])
 	e.write(data)
 	e.write(binary.BigEndian.AppendUint32(head[:0], crc))
-}
-
-// Write makes b one IDAT chunk; the deflate stream's buffer drains
-// through it.
-func (e *chunkWriter) Write(b []byte) (int, error) {
-	e.chunk("IDAT", b)
-	if e.err != nil {
-		return 0, e.err
-	}
-	return len(b), nil
 }
 
 // WritePNG writes the framebuffer to a PNG file.

@@ -1,6 +1,7 @@
 package ui
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -8,8 +9,10 @@ import (
 	"testing"
 
 	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/query"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -146,6 +149,48 @@ func TestTaskEndpoint(t *testing.T) {
 	resp, _ = get(t, srv, "/task?id=abc")
 	if resp.StatusCode != 400 {
 		t.Errorf("bad id status = %d", resp.StatusCode)
+	}
+}
+
+// TestTaskNeverExecuted: a task that was created but never ran — every
+// task of a live trace between its creation and its execution — is
+// answered with CPU and node -1 and no accesses, not a panic on
+// node[-1].
+func TestTaskNeverExecuted(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, err := range []error{
+		w.WriteTopology(trace.Topology{Name: "two", NodeOfCPU: []int32{0, 1}, Distance: []int32{0, 1, 1, 0}, NumNodes: 2}),
+		w.WriteTaskType(trace.TaskType{ID: 1, Name: "pending"}),
+		w.WriteTask(trace.Task{ID: 7, Type: 1, Created: 100, CreatorCPU: 1}),
+		w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateIdle, Start: 0, End: 1000}),
+		w.Flush(),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewServer(query.NewStatic(tr), "pending-test"))
+	t.Cleanup(srv.Close)
+	resp, body := get(t, srv, "/task?id=7")
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	var task struct {
+		CPU    int32 `json:"cpu"`
+		Node   int32 `json:"node"`
+		Reads  []any `json:"reads"`
+		Writes []any `json:"writes"`
+	}
+	if err := json.Unmarshal(body, &task); err != nil {
+		t.Fatal(err)
+	}
+	if task.CPU != -1 || task.Node != -1 || len(task.Reads)+len(task.Writes) != 0 {
+		t.Errorf("never-executed task = %s, want cpu and node -1 and no accesses", body)
 	}
 }
 
