@@ -40,6 +40,7 @@ import (
 	"github.com/openstream/aftermath/internal/ingest"
 	"github.com/openstream/aftermath/internal/stats"
 	"github.com/openstream/aftermath/internal/symbols"
+	"github.com/openstream/aftermath/internal/tmath"
 )
 
 func main() {
@@ -467,7 +468,7 @@ func run(path string, o runOptions) error {
 		par = float64(states[aftermath.StateTaskExec]) / float64(span)
 	}
 	fmt.Printf("parallelism: %.1f average\n", par)
-	loc := stats.LocalityFraction(tr, stats.ReadsAndWrites, tr.Span.Start, tr.Span.End+1)
+	loc := stats.LocalityFraction(tr, stats.ReadsAndWrites, tr.Span.Start, tmath.SatAdd(tr.Span.End, 1))
 	fmt.Printf("NUMA locality: %.1f%% of accessed bytes are node-local\n", 100*loc)
 	var total int64
 	for _, v := range states {

@@ -6,6 +6,7 @@ import (
 	"compress/gzip"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -354,4 +355,59 @@ func TestServerDropsStalledHeadersKeepsEventStreams(t *testing.T) {
 	}
 	lv.Publish()
 	nextEpoch("2")
+}
+
+// TestRunLocalityCoversSpanEnd is the span-end wrap regression of the
+// summary: its NUMA locality read [Span.Start, Span.End+1), an empty
+// window once the span ends at MaxInt64. CPU 0 (node 0) reads 64 bytes
+// homed on node 0 at time 10; CPU 1 (node 1) writes 64 bytes there at
+// MaxInt64, the end of its task: half the bytes are node-local.
+func TestRunLocalityCoversSpanEnd(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.WriteTopology(trace.Topology{
+		Name: "test", NumNodes: 2,
+		NodeOfCPU: []int32{0, 1},
+		Distance:  []int32{10, 20, 20, 10},
+	}))
+	must(w.WriteTaskType(trace.TaskType{ID: 1, Name: "work"}))
+	must(w.WriteTask(trace.Task{ID: 1, Type: 1}))
+	must(w.WriteTask(trace.Task{ID: 2, Type: 1}))
+	must(w.WriteRegion(trace.MemRegion{ID: 1, Addr: 0x1000, Size: 64, Node: 0}))
+	must(w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateTaskExec, Start: 0, End: 100, Task: 1}))
+	must(w.WriteComm(trace.CommEvent{Kind: trace.CommRead, CPU: 0, SrcCPU: -1, Time: 10, Task: 1, Addr: 0x1000, Size: 64}))
+	must(w.WriteState(trace.StateEvent{CPU: 1, State: trace.StateTaskExec, Start: 200, End: math.MaxInt64, Task: 2}))
+	must(w.WriteComm(trace.CommEvent{Kind: trace.CommWrite, CPU: 1, SrcCPU: -1, Time: math.MaxInt64, Task: 2, Addr: 0x1000, Size: 64}))
+	must(w.Flush())
+	path := filepath.Join(t.TempDir(), "end.atm")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = pw
+	runErr := run(path, runOptions{width: 40, rows: 2})
+	os.Stdout = stdout
+	pw.Close()
+	summary := string(<-out)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	if want := "NUMA locality: 50.0% of accessed bytes are node-local"; !strings.Contains(summary, want) {
+		t.Fatalf("summary lacks %q:\n%s", want, summary)
+	}
 }

@@ -8,7 +8,8 @@ import (
 )
 
 // TmathCheck flags raw int64 arithmetic on trace timestamps in the
-// pixel<->time mapping packages. Trace times are CPU cycle counts that
+// pixel<->time mapping packages and the analyses that cut a span into
+// windows or read it whole (anomaly, taskgraph). Trace times are CPU cycle counts that
 // reach the upper half of int64 (trace.Time is an alias of int64, so
 // the type system cannot carry the distinction — naming does), and two
 // whole PRs fixed overflows of exactly this shape: span*x in the
@@ -38,6 +39,8 @@ var TmathCheck = &Analyzer{
 		"internal/query",
 		"internal/ui",
 		"internal/metrics",
+		"internal/anomaly",
+		"internal/taskgraph",
 	),
 	Run: runTmathCheck,
 }

@@ -20,6 +20,7 @@ import (
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/par"
+	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -238,12 +239,13 @@ func (a Anomaly) String() string {
 }
 
 // windowBounds returns n+1 boundaries dividing iv into n equal
-// windows.
+// windows. The product span·i takes 128 bits, as in metrics.boundaries:
+// it outgrows int64 on a span near the top of the range.
 func windowBounds(iv core.Interval, n int) []trace.Time {
 	bs := make([]trace.Time, n+1)
 	span := iv.Duration()
 	for i := 0; i <= n; i++ {
-		bs[i] = iv.Start + span*int64(i)/int64(n)
+		bs[i] = iv.Start + tmath.MulDiv(span, int64(i), int64(n))
 	}
 	return bs
 }

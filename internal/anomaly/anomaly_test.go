@@ -302,6 +302,42 @@ func TestSpikeIgnoresUncoveredWindows(t *testing.T) {
 	}
 }
 
+// TestImbalanceWindowAtHugeTimes is the window-bounds overflow
+// regression: with timestamps scaled by 2^45 the window boundaries
+// span·i/n overflowed int64 and the imbalance finding came back with a
+// negative window. CPU 3 idles over [40000, 60000)·2^45 of a
+// [0, 100000)·2^45 span the other three CPUs spend busy, so the
+// finding is exactly that interval.
+func TestImbalanceWindowAtHugeTimes(t *testing.T) {
+	const unit = trace.Time(1) << 45
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	busy := func(cpu int32, start, end trace.Time) {
+		check(w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateTaskExec, Start: start * unit, End: end * unit}))
+	}
+	for cpu := int32(0); cpu < 3; cpu++ {
+		busy(cpu, 0, 100_000)
+	}
+	busy(3, 0, 40_000)
+	check(w.WriteState(trace.StateEvent{CPU: 3, State: trace.StateIdle, Start: 40_000 * unit, End: 60_000 * unit}))
+	busy(3, 60_000, 100_000)
+	check(w.Flush())
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := anomaly.ScanWith(tr, anomaly.Config{Windows: 50}, anomaly.ImbalanceDetector{})
+	want := core.Interval{Start: 1_407_374_883_553_280_000, End: 2_111_062_325_329_920_000}
+	if len(found) != 1 || found[0].CPU != 3 || found[0].Window != want {
+		t.Fatalf("imbalance findings %v, want one on cpu 3 over %v", found, want)
+	}
+}
+
 // TestParseKind round-trips every kind name.
 func TestParseKind(t *testing.T) {
 	for k := 0; k < anomaly.NumKinds; k++ {

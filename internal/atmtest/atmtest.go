@@ -129,6 +129,10 @@ func runToLive(tb testing.TB, p *openstream.Program, cfg openstream.Config, publ
 		if _, err := lv.Feed(sr); err != nil {
 			tb.Fatal(err)
 		}
+		// Wait for the feed's compaction, so the next publish stitches it.
+		if err := lv.Close(); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	if err := sr.Done(); err != nil {
 		tb.Fatal(err)
@@ -150,7 +154,7 @@ func SeidelLiveTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPol
 func SeidelSpilledTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy, publishes int) *core.Trace {
 	tb.Helper()
 	snap := seidelLive(tb, blocks, iters, sched, publishes,
-		core.RetentionPolicy{Dir: tb.TempDir(), SpillBytes: 1, Sync: true})
+		core.RetentionPolicy{Dir: tb.TempDir(), SpillBytes: 1})
 	if st, ok := snap.SpillStats(); !ok || st.Segments == 0 || st.Err != "" {
 		tb.Fatalf("snapshot did not spill: %+v", st)
 	}

@@ -356,7 +356,7 @@ func TestCounterTreesMatchScan(t *testing.T) {
 			}
 		}
 		sp := NewLive()
-		sp.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, MaxBytes: total / 3, Sync: true})
+		sp.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, MaxBytes: total / 3})
 		defer sp.Close()
 		for p := 0; p < parts; p++ {
 			b := c.batch(p, parts)
@@ -365,7 +365,7 @@ func TestCounterTreesMatchScan(t *testing.T) {
 				late.Value = math.MaxInt64 - int64(p)
 				b.Samples = append(b.Samples, late)
 			}
-			snap := publish(t, sp, b)
+			snap := publishSettled(t, sp, b)
 			checkOneBuild(t, ctx(fmt.Sprintf("spilled epoch %d", p)), snap)
 			checkCounterTrees(t, ctx(fmt.Sprintf("spilled epoch %d", p)), rng, snap, 8)
 			snaps = append(snaps, snap)

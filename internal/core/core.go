@@ -311,7 +311,8 @@ func (tr *Trace) DiscreteIn(cpu int32, t0, t1 trace.Time) []trace.DiscreteEvent 
 
 // CommIn returns the communication events on cpu with time in [t0, t1),
 // stitching spilled columns like StatesIn; nil for an empty or inverted
-// window.
+// window. A window ending at MaxInt64 includes events at MaxInt64, so
+// [Span.Start, SatAdd(Span.End, 1)) reads every event of the span.
 func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []trace.CommEvent {
 	if int(cpu) >= len(tr.CPUs) {
 		return nil

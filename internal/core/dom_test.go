@@ -319,14 +319,14 @@ func TestDomIndexScannedMatchesScan(t *testing.T) {
 	checkDomAgainstScan(t, "batch", batch, rng, 400)
 
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 	defer lv.Close()
 	var snap *Trace
 	for _, cut := range [][2]int{{0, 700}, {700, 1500}, {1500, 2900}, {2900, n}} {
 		b := &trace.RecordBatch{MaxCPU: 1}
 		b.States = append(b.States, cpus[0][cut[0]:cut[1]]...)
 		b.States = append(b.States, cpus[1][cut[0]:cut[1]]...)
-		snap = publish(t, lv, b)
+		snap = publishSettled(t, lv, b)
 	}
 	if st, ok := snap.SpillStats(); !ok || st.Segments < 2 {
 		t.Fatalf("snapshot not spilled into parts: %+v ok %v", st, ok)
@@ -446,11 +446,11 @@ func TestDomIndexOneConstructionPath(t *testing.T) {
 	for _, spill := range []bool{false, true} {
 		lv := NewLive()
 		if spill {
-			lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+			lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 		}
 		var snap *Trace
 		for _, cut := range [][2]int{{0, 1}, {1, 64}, {64, 5000}, {5000, len(states)}} {
-			snap = publish(t, lv, &trace.RecordBatch{States: states[cut[0]:cut[1]]})
+			snap = publishSettled(t, lv, &trace.RecordBatch{States: states[cut[0]:cut[1]]})
 		}
 		ctx := fmt.Sprintf("live (spill=%v)", spill)
 		if _, ok := snap.SpillStats(); ok != spill {
@@ -673,9 +673,9 @@ func TestSpillBoundCoversIndex(t *testing.T) {
 	}
 	rows := int64(n * (unsafe.Sizeof(trace.StateEvent{}) + unsafe.Sizeof(trace.CounterSample{})))
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 	defer lv.Close()
-	old := publish(t, lv, b) // captures the tail; the publish then spills and installs it
+	old := publishSettled(t, lv, b) // captures the tail; the publish then spills it, Close waits for the install
 	b = nil
 	fresh, _ := lv.Publish()
 	if st, ok := fresh.SpillStats(); !ok || st.Segments != 1 || st.Pending != 0 || len(fresh.CPUs[0].States) != 0 {

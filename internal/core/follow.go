@@ -31,23 +31,12 @@ type Follower struct {
 	closeErr  error
 }
 
-// Follow opens path for live tailing into lv with the native binary
-// decoder, performs the initial feed, and starts the poll loop. The
-// returned Follower must be closed to release the poll goroutine and
-// file handle. Format-detecting callers (the ingest layer) construct
-// the decoder themselves and use FollowDecoder.
-func Follow(lv *Live, path string, pollEvery time.Duration) (*Follower, error) {
-	rc, err := trace.OpenStream(path)
-	if err != nil {
-		return nil, err
-	}
-	return FollowDecoder(lv, path, rc, trace.NewStreamReader(rc), pollEvery)
-}
-
 // FollowDecoder tails path into lv through a caller-supplied decoder
-// reading from rc: the format-neutral follow entry point. The initial
-// feed runs synchronously (an error closes rc and fails construction);
-// the poll loop then owns rc, and Close releases it.
+// reading from rc; the ingest layer opens the file and picks the
+// decoder for its format. The initial feed runs synchronously (an error
+// closes rc and fails construction); the poll loop then owns rc, and
+// Close releases it. The returned Follower must be closed to release
+// the poll goroutine and the file handle.
 func FollowDecoder(lv *Live, path string, rc io.ReadCloser, dec trace.Decoder, pollEvery time.Duration) (*Follower, error) {
 	if pollEvery <= 0 {
 		pollEvery = 500 * time.Millisecond
@@ -67,9 +56,6 @@ func FollowDecoder(lv *Live, path string, rc io.ReadCloser, dec trace.Decoder, p
 	go f.run(pollEvery)
 	return f, nil
 }
-
-// Live returns the live trace the follower feeds.
-func (f *Follower) Live() *Live { return f.lv }
 
 // run is the poll loop: every tick checks the file for truncation and
 // feeds whatever was appended. It exits on the first ingest error

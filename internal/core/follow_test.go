@@ -8,7 +8,25 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/openstream/aftermath/internal/trace"
 )
+
+// follow tails the native trace at path into lv, polling every
+// millisecond: FollowDecoder as the ingest layer calls it for a native
+// file.
+func follow(t *testing.T, lv *Live, path string) *Follower {
+	t.Helper()
+	rc, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := FollowDecoder(lv, path, rc, trace.NewStreamReader(rc), time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
 
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -32,14 +50,8 @@ func TestFollowerTailsAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := NewLive()
-	f, err := Follow(lv, path, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := follow(t, lv, path)
 	defer f.Close()
-	if f.Live() != lv {
-		t.Fatal("Live() does not return the fed trace")
-	}
 	_, before := lv.Snapshot()
 
 	w, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
@@ -80,10 +92,7 @@ func TestFollowerDetectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := NewLive()
-	f, err := Follow(lv, path, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := follow(t, lv, path)
 	defer f.Close()
 	waitFor(t, "initial consumption", func() bool {
 		return f.sr.Consumed() == int64(len(data))
@@ -120,10 +129,7 @@ func TestFollowerDetectsDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := NewLive()
-	f, err := Follow(lv, path, time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := follow(t, lv, path)
 	defer f.Close()
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
@@ -146,11 +152,7 @@ func TestFollowerCloseReleasesResources(t *testing.T) {
 	for i := 0; i < n; i++ {
 		lv := NewLive()
 		lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
-		f, err := Follow(lv, path, time.Millisecond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		followers = append(followers, f)
+		followers = append(followers, follow(t, lv, path))
 	}
 	for _, f := range followers {
 		if err := f.Close(); err != nil {

@@ -113,7 +113,8 @@ func (tr *Trace) addHomeBytes(evs []trace.CommEvent, row []int64) {
 // bytes written to it; row must hold 2·NumNodes entries. Accesses whose
 // address lies in no region, or in a region homed outside the topology,
 // are not counted. Any cpu and any window are valid (an empty or
-// inverted window adds nothing).
+// inverted window adds nothing); like CommIn, a window ending at
+// MaxInt64 includes accesses at MaxInt64.
 //
 // On a batch-loaded or store-opened trace a window that spans two of
 // the CPU's checkpoint rows (any window of two strides, see homeIndex)

@@ -22,7 +22,9 @@ import (
 func scanHomeBytes(tr *Trace, col []trace.CommEvent, t0, t1 trace.Time, row []int64) {
 	n := tr.NumNodes()
 	for _, ev := range col {
-		if ev.Time < t0 || ev.Time >= t1 {
+		// A window ending at MaxInt64 runs through it (HomeBytes' contract).
+		through := t1 == math.MaxInt64 && t0 < t1
+		if ev.Time < t0 || ev.Time >= t1 && !through {
 			continue
 		}
 		at := 0
@@ -245,7 +247,7 @@ func (c *homeCase) live(t testing.TB, dir string) (*Live, *Trace) {
 	t.Helper()
 	lv := NewLive()
 	if dir != "" {
-		lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1, Sync: true})
+		lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1})
 	}
 	const parts = 4
 	for p := 0; p < parts; p++ {
@@ -253,6 +255,9 @@ func (c *homeCase) live(t testing.TB, dir string) (*Live, *Trace) {
 			t.Fatal(err)
 		}
 		lv.Publish()
+		if err := lv.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// A publish spills after it stored its snapshot: one more sees it.
 	snap, _ := lv.Publish()
@@ -575,7 +580,7 @@ func TestWindowAccessorsTotal(t *testing.T) {
 	ram := NewLive()
 	defer ram.Close()
 	spill := NewLive()
-	spill.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	spill.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 	defer spill.Close()
 	var resident, spilled *Trace
 	for k := 0; k < 3; k++ {
@@ -585,7 +590,7 @@ func TestWindowAccessorsTotal(t *testing.T) {
 			b.Discrete = append(b.Discrete, trace.DiscreteEvent{CPU: s.CPU, Time: s.Start})
 		}
 		resident = publish(t, ram, b)
-		publish(t, spill, b)
+		publishSettled(t, spill, b)
 	}
 	spilled, _ = spill.Publish()
 	if len(spilled.spilled[0].comm) < 2 {
@@ -628,6 +633,80 @@ func TestWindowAccessorsTotal(t *testing.T) {
 			arm.tr.HomeBytes(0, w.t0, w.t1, row)
 			if w.want == 0 && (row[0] != 0 || row[1] != 0) {
 				t.Errorf("%s, %s window: HomeBytes counted %v", arm.name, w.name, row)
+			}
+		}
+	}
+}
+
+// TestCommWindowThroughMaxInt64: a window ending at MaxInt64 reads the
+// accesses at MaxInt64 too — CommIn and HomeBytes, on a batch load
+// (answered from home-node rows) and on a spilled live snapshot — so
+// [Span.Start, SatAdd(Span.End, 1)) is the whole span; the window
+// [MaxInt64, MaxInt64) stays empty and one ending at MaxInt64-1 stops
+// short of them.
+func TestCommWindowThroughMaxInt64(t *testing.T) {
+	topo := trace.Topology{Name: "one", NumNodes: 1, NodeOfCPU: []int32{0}, Distance: []int32{10}}
+	region := trace.MemRegion{ID: 1, Addr: 0x1000, Size: 64}
+	// The span comes from the states: this one makes it end at MaxInt64.
+	idle := trace.StateEvent{State: trace.StateIdle, Start: 0, End: math.MaxInt64}
+	var reads []trace.CommEvent
+	for i := range 40 {
+		reads = append(reads, trace.CommEvent{Kind: trace.CommRead, SrcCPU: -1, Time: trace.Time(i), Addr: 0x1000, Size: 8})
+	}
+	last := trace.CommEvent{Kind: trace.CommWrite, SrcCPU: -1, Time: math.MaxInt64, Addr: 0x1000, Size: 8}
+
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.WriteTopology(topo))
+	must(w.WriteRegion(region))
+	must(w.WriteState(idle))
+	for _, ev := range append(reads, last) {
+		must(w.WriteComm(ev))
+	}
+	must(w.Flush())
+	batch, err := FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lv := NewLive()
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
+	defer lv.Close()
+	publishSettled(t, lv, &trace.RecordBatch{Topologies: []trace.Topology{topo}, Regions: []trace.MemRegion{region}, States: []trace.StateEvent{idle}, Comms: reads[:20], MaxCPU: 0})
+	publishSettled(t, lv, &trace.RecordBatch{Comms: append(reads[20:], last), MaxCPU: 0})
+	spilled, _ := lv.Publish()
+	if len(spilled.spilled[0].comm) < 2 {
+		t.Fatalf("precondition: cpu 0 spilled %d parts", len(spilled.spilled[0].comm))
+	}
+
+	for _, arm := range []struct {
+		name string
+		tr   *Trace
+	}{{"batch", batch}, {"spilled live", spilled}} {
+		if arm.tr.Span.End != math.MaxInt64 {
+			t.Fatalf("%s: precondition: span ends at %d", arm.name, arm.tr.Span.End)
+		}
+		for _, w := range []struct {
+			t0, t1        trace.Time
+			events, wrote int64
+		}{
+			{arm.tr.Span.Start, math.MaxInt64, 41, 8},
+			{math.MinInt64, math.MaxInt64, 41, 8},
+			{math.MinInt64, math.MaxInt64 - 1, 40, 0},
+			{math.MaxInt64, math.MaxInt64, 0, 0},
+		} {
+			if got := int64(len(arm.tr.CommIn(0, w.t0, w.t1))); got != w.events {
+				t.Errorf("%s: CommIn [%d, %d) = %d events, want %d", arm.name, w.t0, w.t1, got, w.events)
+			}
+			row := make([]int64, 2)
+			arm.tr.HomeBytes(0, w.t0, w.t1, row)
+			if want := []int64{8 * min(w.events, 40), w.wrote}; !slices.Equal(row, want) {
+				t.Errorf("%s: HomeBytes [%d, %d) = %v, want %v", arm.name, w.t0, w.t1, row, want)
 			}
 		}
 	}

@@ -165,8 +165,8 @@ func (lv *Live) Snapshot() (*Trace, uint64) {
 }
 
 // Epoch returns the current published epoch. The epoch increments on
-// every Publish, so it versions every derived artifact (cache keys,
-// memoized scans) computed from a snapshot.
+// every Publish, so it versions every derived artifact (cache keys)
+// computed from a snapshot.
 func (lv *Live) Epoch() uint64 {
 	return lv.snap.Load().epoch
 }
@@ -411,9 +411,10 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 // made; Trace.TaskByID builds it for the first reader who asks a
 // snapshot by ID. Nothing else is derived here: detector baselines and
 // communication totals are computed by whoever asks a snapshot for
-// them, by the scan of the window's accesses (anomaly/live.go memoizes
-// it per epoch) — a snapshot keeps no home-node sums (home.go): they
-// hold for one region table, and this one is still growing.
+// them, by the scan of the window's accesses (the viewer's response
+// cache keeps each answer for its epoch) — a snapshot keeps no
+// home-node sums (home.go): they hold for one region table, and this
+// one is still growing.
 //
 // The exception is a trace with a dirty state column (an out-of-order
 // producer; sticky): its execution spans have no stream order to apply

@@ -119,11 +119,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // unspilled reference.
 func TestSnapshotOfSpilledLive(t *testing.T) {
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 	defer lv.Close()
 	ref := NewLive()
 	for k := 0; k < 4; k++ {
-		publish(t, lv, spillBatch(2, 20, int64(10_000*k)))
+		publishSettled(t, lv, spillBatch(2, 20, int64(10_000*k)))
 		publish(t, ref, spillBatch(2, 20, int64(10_000*k)))
 	}
 	snap, _ := lv.Publish()

@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -40,7 +41,8 @@ import (
 
 // RetentionPolicy bounds the memory of a long-lived Live trace. The
 // zero value disables spilling entirely (the pre-spilling behavior:
-// everything stays in RAM forever).
+// everything stays in RAM forever). Segments compact to disk on a
+// background goroutine; Live.Close waits for them.
 type RetentionPolicy struct {
 	// Dir is the directory segment files are written to. Empty
 	// disables spilling.
@@ -56,9 +58,6 @@ type RetentionPolicy struct {
 	// MaxAge drops segments whose newest event is older than the
 	// current span end minus MaxAge. <= 0 means unlimited.
 	MaxAge trace.Time
-	// Sync compacts segments synchronously inside Publish instead of
-	// on a background goroutine. Deterministic; meant for tests.
-	Sync bool
 }
 
 func (p RetentionPolicy) enabled() bool { return p.Dir != "" && p.SpillBytes > 0 }
@@ -317,8 +316,11 @@ func sweepSpillDir(dir string) {
 }
 
 // Close waits for in-flight background segment compactions to finish.
-// The live trace remains usable afterwards; Close exists so tests and
-// shutdown paths do not leak goroutines or half-written files.
+// The live trace remains usable afterwards; the next publish sees every
+// compaction installed. Shutdown paths call it so they leak no
+// goroutine or half-written file, and it is how tests wait for a
+// compaction: Close after each publish leaves the builder where the
+// compaction of that publish's segment has finished.
 func (lv *Live) Close() error {
 	lv.spillWG.Wait()
 	return nil
@@ -341,36 +343,30 @@ func (lv *Live) tailBytesLocked() int64 {
 }
 
 // maybeSpillLocked runs after each publish: freezes the RAM tail into
-// a new segment when it exceeds the spill budget, kicks off (or, under
-// Sync, runs) its compaction to disk, and applies the retention
-// budget.
+// a new segment when it exceeds the spill budget, kicks off its
+// compaction to disk on a background goroutine, and applies the
+// retention budget.
 func (lv *Live) maybeSpillLocked() {
 	if !lv.ret.enabled() {
 		return
 	}
 	if lv.tailBytesLocked() >= lv.ret.SpillBytes {
 		if seg, p := lv.freezeTailsLocked(); seg != nil {
-			if lv.ret.Sync {
-				m, vp, path, err := writeSegment(lv.ret.Dir, seg.id, p)
+			// Capture the spill directory under mu: the goroutine
+			// outlives this critical section, and ret is guarded.
+			dir := lv.ret.Dir
+			lv.spillWG.Add(1)
+			go func() {
+				defer lv.spillWG.Done()
+				m, vp, path, err := writeSegment(dir, seg.id, p)
+				lv.mu.Lock()
 				lv.installLocked(seg, m, vp, path, err)
-				lv.notifyWatchers(TraceEvent{Epoch: lv.snap.Load().epoch, SpillChanged: true})
-			} else {
-				// Capture the spill directory under mu: the goroutine
-				// outlives this critical section, and ret is guarded.
-				dir := lv.ret.Dir
-				lv.spillWG.Add(1)
-				go func() {
-					defer lv.spillWG.Done()
-					m, vp, path, err := writeSegment(dir, seg.id, p)
-					lv.mu.Lock()
-					lv.installLocked(seg, m, vp, path, err)
-					lv.mu.Unlock()
-					// Background compaction changes the spill state (Pending,
-					// Err) without publishing an epoch: push it so status
-					// surfaces do not serve the pre-compaction state forever.
-					lv.notifyWatchers(TraceEvent{Epoch: lv.Epoch(), SpillChanged: true})
-				}()
-			}
+				lv.mu.Unlock()
+				// Background compaction changes the spill state (Pending,
+				// Err) without publishing an epoch: push it so status
+				// surfaces do not serve the pre-compaction state forever.
+				lv.notifyWatchers(TraceEvent{Epoch: lv.Epoch(), SpillChanged: true})
+			}()
 		}
 	}
 	lv.applyRetentionLocked()
@@ -647,7 +643,10 @@ func stateWin(t0, t1 trace.Time) func([]trace.StateEvent) (int, int) {
 // discreteWindow, commWindow and sampleWindow are the [lo, hi) index
 // windows of the events of one sorted run with time in [t0, t1). hi is
 // searched from lo, so lo <= hi on every window, empty and inverted
-// ones included.
+// ones included. commWindow reads a window ending at MaxInt64 as
+// running through it: no later instant exists to stand as the
+// exclusive end of a whole-span read, and writes are recorded at task
+// completion, which may be MaxInt64.
 func discreteWindow(s []trace.DiscreteEvent, t0, t1 trace.Time) (lo, hi int) {
 	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
 	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time >= t1 })
@@ -656,6 +655,9 @@ func discreteWindow(s []trace.DiscreteEvent, t0, t1 trace.Time) (lo, hi int) {
 
 func commWindow(s []trace.CommEvent, t0, t1 trace.Time) (lo, hi int) {
 	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
+	if t1 == math.MaxInt64 && t0 < t1 {
+		return lo, len(s)
+	}
 	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time >= t1 })
 	return lo, hi
 }

@@ -37,6 +37,18 @@ func publish(t *testing.T, lv *Live, b *trace.RecordBatch) *Trace {
 	return snap
 }
 
+// publishSettled is publish followed by Close: the compaction of the
+// segment this publish froze has finished and is installed in the
+// builder, where the next publish sees it.
+func publishSettled(t *testing.T, lv *Live, b *trace.RecordBatch) *Trace {
+	t.Helper()
+	snap := publish(t, lv, b)
+	if err := lv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
 // assertSameEvents compares a possibly-spilled snapshot against an
 // all-in-RAM reference through the stitched accessors.
 func assertSameEvents(t *testing.T, ctx string, got, want *Trace) {
@@ -84,21 +96,21 @@ func assertSameEvents(t *testing.T, ctx string, got, want *Trace) {
 	}
 }
 
-// TestSpillSyncSegments: with a 1-byte tail budget and synchronous
-// compaction every publish freezes the clean tails to a segment file,
+// TestSpillSyncSegments: with a 1-byte tail budget every publish
+// freezes the clean tails to a segment file — waited for by Close —
 // and the stitched snapshot stays identical to an unspilled Live fed
 // the same batches.
 func TestSpillSyncSegments(t *testing.T) {
 	dir := t.TempDir()
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1})
 	defer lv.Close()
 	ref := NewLive()
 
 	var snap *Trace
 	for k := 0; k < 5; k++ {
 		base := int64(10_000 * k)
-		snap = publish(t, lv, spillBatch(2, 20, base))
+		snap = publishSettled(t, lv, spillBatch(2, 20, base))
 		publish(t, ref, spillBatch(2, 20, base))
 	}
 	// Spilling runs after each publish stores its snapshot, so the last
@@ -115,7 +127,7 @@ func TestSpillSyncSegments(t *testing.T) {
 		t.Fatalf("compaction error: %s", st.Err)
 	}
 	if st.Pending != 0 {
-		t.Fatalf("%d segments pending under Sync", st.Pending)
+		t.Fatalf("%d segments pending after Close", st.Pending)
 	}
 	if st.SpilledBytes <= 0 {
 		t.Fatalf("SpilledBytes = %d, want > 0", st.SpilledBytes)
@@ -173,14 +185,14 @@ func TestSpillBackgroundCompaction(t *testing.T) {
 // unspilled Live fed the same disordered batches.
 func TestSpillUnspillOnDirtyProducer(t *testing.T) {
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 	defer lv.Close()
 	ref := NewLive()
 
-	publish(t, lv, spillBatch(2, 20, 0))
+	publishSettled(t, lv, spillBatch(2, 20, 0))
 	publish(t, ref, spillBatch(2, 20, 0))
 	// Second publish so the first segment is frozen and installed.
-	publish(t, lv, spillBatch(2, 20, 10_000))
+	publishSettled(t, lv, spillBatch(2, 20, 10_000))
 	publish(t, ref, spillBatch(2, 20, 10_000))
 	if st, ok := mustStats(t, lv); !ok || st.Segments == 0 {
 		t.Fatalf("precondition: nothing spilled (%+v)", st)
@@ -192,14 +204,14 @@ func TestSpillUnspillOnDirtyProducer(t *testing.T) {
 	late.Comms = append(late.Comms, trace.CommEvent{Kind: trace.CommWrite, CPU: 0, SrcCPU: -1, Time: -450, Task: 1, Addr: 0x2000, Size: 8})
 	late.Samples = append(late.Samples, trace.CounterSample{CPU: 0, Counter: 7, Time: -450, Value: 1})
 	late.CounterIDs = []trace.CounterID{7}
-	snap := publish(t, lv, late)
+	snap := publishSettled(t, lv, late)
 	publish(t, ref, late)
 
 	want, _ := ref.Snapshot()
 	assertSameEvents(t, "after out-of-order append", snap, want)
 	// CPU 0's families unspilled; CPU 1 may still hold segments. Either
 	// way another in-order round keeps matching.
-	snap = publish(t, lv, spillBatch(2, 20, 20_000))
+	snap = publishSettled(t, lv, spillBatch(2, 20, 20_000))
 	publish(t, ref, spillBatch(2, 20, 20_000))
 	want, _ = ref.Snapshot()
 	assertSameEvents(t, "after recovery round", snap, want)
@@ -220,13 +232,13 @@ func TestSpillRetentionDropsOldest(t *testing.T) {
 	lv := NewLive()
 	// Budget roughly two segments of the batch size used below.
 	const perBatchBytes = 2 * 20 * (stateEventBytes + commEventBytes + counterSampleBytes)
-	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1, MaxBytes: 2 * perBatchBytes, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1, MaxBytes: 2 * perBatchBytes})
 	defer lv.Close()
 
 	var snap *Trace
 	const rounds = 8
 	for k := 0; k < rounds; k++ {
-		snap = publish(t, lv, spillBatch(2, 20, int64(10_000*k)))
+		snap = publishSettled(t, lv, spillBatch(2, 20, int64(10_000*k)))
 	}
 	st, ok := snap.SpillStats()
 	if !ok {
@@ -279,11 +291,11 @@ func TestSpillRetentionDropsOldest(t *testing.T) {
 // event trails the span end by more than MaxAge.
 func TestSpillMaxAgeDrops(t *testing.T) {
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, MaxAge: 15_000, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, MaxAge: 15_000})
 	defer lv.Close()
 	var snap *Trace
 	for k := 0; k < 6; k++ {
-		snap = publish(t, lv, spillBatch(1, 20, int64(10_000*k)))
+		snap = publishSettled(t, lv, spillBatch(1, 20, int64(10_000*k)))
 	}
 	st, ok := snap.SpillStats()
 	if !ok || st.DroppedSegs == 0 {
@@ -307,12 +319,12 @@ func TestSpillMaxAgeDrops(t *testing.T) {
 func TestSpillErrSticky(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "missing", "nested")
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1})
 	defer lv.Close()
 	ref := NewLive()
 	var snap *Trace
 	for k := 0; k < 3; k++ {
-		snap = publish(t, lv, spillBatch(2, 20, int64(10_000*k)))
+		snap = publishSettled(t, lv, spillBatch(2, 20, int64(10_000*k)))
 		publish(t, ref, spillBatch(2, 20, int64(10_000*k)))
 	}
 	st, ok := snap.SpillStats()
@@ -418,7 +430,7 @@ func TestSpillSweepStaleFiles(t *testing.T) {
 		}
 	}
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1})
 	defer lv.Close()
 	for _, n := range stale {
 		if _, err := os.Stat(filepath.Join(dir, n)); !os.IsNotExist(err) {
@@ -429,9 +441,9 @@ func TestSpillSweepStaleFiles(t *testing.T) {
 		t.Fatalf("unrelated file swept: %v", err)
 	}
 	// Re-installing the policy must not sweep this trace's own segments.
-	publish(t, lv, spillBatch(2, 20, 0))
+	publishSettled(t, lv, spillBatch(2, 20, 0))
 	lv.Publish()
-	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1})
 	files, err := filepath.Glob(filepath.Join(dir, "seg-*.atms"))
 	if err != nil || len(files) == 0 {
 		t.Fatalf("no segment files after sweep + spill (err %v)", err)

@@ -85,13 +85,6 @@ func (lv *Live) Watch(ctx context.Context) <-chan TraceEvent {
 	return w.ch
 }
 
-// Notify wakes every subscriber with the current state, without
-// waiting for the next publish. Useful after out-of-band changes a
-// serving layer wants reflected promptly.
-func (lv *Live) Notify() {
-	lv.notifyWatchers(TraceEvent{Epoch: lv.Epoch(), Err: lv.Err()})
-}
-
 // notifyWatchers delivers ev to every subscriber, never blocking: a
 // full one-slot buffer is drained and merged, so the pending event a
 // slow consumer eventually reads describes the latest state. Safe to

@@ -130,25 +130,26 @@ func TestWatchCancel(t *testing.T) {
 	}
 }
 
-// TestWatchSpillChanged: a synchronous compaction pushes a spill event,
-// and Live.SpillStats reflects the post-compaction state.
+// TestWatchSpillChanged: a background compaction pushes a spill event,
+// and once Close has waited for it Live.SpillStats reflects the
+// post-compaction state.
 func TestWatchSpillChanged(t *testing.T) {
 	lv := NewLive()
-	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch := lv.Watch(ctx)
-	publish(t, lv, spillBatch(2, 50, 0))
+	publishSettled(t, lv, spillBatch(2, 50, 0))
 	ev := recvEvent(t, ch)
 	if !ev.SpillChanged {
-		t.Fatalf("event after a sync spill = %+v, want SpillChanged", ev)
+		t.Fatalf("event after a spill = %+v, want SpillChanged", ev)
 	}
 	st, ok := lv.SpillStats()
 	if !ok || st.Segments == 0 {
 		t.Fatalf("Live.SpillStats = (%+v, %v), want spilled segments", st, ok)
 	}
 	if st.Pending != 0 {
-		t.Fatalf("sync compaction left %d pending segments", st.Pending)
+		t.Fatalf("compaction left %d pending segments after Close", st.Pending)
 	}
 }
 
@@ -177,8 +178,8 @@ func TestWatchConcurrent(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ch := lv.Watch(ctx)
-	lv.Notify()
-	if ev := recvEvent(t, ch); ev.Epoch != 20 {
-		t.Fatalf("Notify delivered epoch %d, want 20", ev.Epoch)
+	publish(t, lv, spillBatch(2, 5, 20*10000))
+	if ev := recvEvent(t, ch); ev.Epoch != 21 {
+		t.Fatalf("final publish delivered epoch %d, want 21", ev.Epoch)
 	}
 }

@@ -223,24 +223,6 @@ func CommMatrixOf(tr *core.Trace, q *Query) *stats.CommMatrix {
 	return stats.CommMatrixOf(tr, kinds, t0, t1)
 }
 
-// AnomalyConfigOf translates the query into an anomaly scan
-// configuration. The window is attached only when the query sets one,
-// preserving the scan's own "zero window means full span" defaulting.
-func AnomalyConfigOf(tr *core.Trace, q *Query) anomaly.Config {
-	cfg := anomaly.Config{
-		Windows:    q.windows,
-		MinScore:   q.minScore,
-		MaxPerKind: q.maxPerKind,
-		Workers:    q.workers,
-		Filter:     FilterOf(tr, q),
-	}
-	if q.hasT0 || q.hasT1 {
-		t0, t1 := WindowOf(tr, q)
-		cfg.Window = core.Interval{Start: t0, End: t1}
-	}
-	return cfg
-}
-
 // SelectAnomalies applies the query's result selection (AnomalyKind,
 // Limit) to ranked scan findings.
 func SelectAnomalies(found []anomaly.Anomaly, q *Query) ([]anomaly.Anomaly, error) {
@@ -267,10 +249,21 @@ func SelectAnomalies(found []anomaly.Anomaly, q *Query) ([]anomaly.Anomaly, erro
 }
 
 // AnomaliesOf scans the snapshot and returns the ranked findings the
-// query selects.
+// query selects. The window is attached only when the query sets one,
+// preserving the scan's own "zero window means full span" defaulting.
 func AnomaliesOf(tr *core.Trace, q *Query) ([]anomaly.Anomaly, error) {
-	found := anomaly.Scan(tr, AnomalyConfigOf(tr, q))
-	return SelectAnomalies(found, q)
+	cfg := anomaly.Config{
+		Windows:    q.windows,
+		MinScore:   q.minScore,
+		MaxPerKind: q.maxPerKind,
+		Workers:    q.workers,
+		Filter:     FilterOf(tr, q),
+	}
+	if q.hasT0 || q.hasT1 {
+		t0, t1 := WindowOf(tr, q)
+		cfg.Window = core.Interval{Start: t0, End: t1}
+	}
+	return SelectAnomalies(anomaly.Scan(tr, cfg), q)
 }
 
 // taskFilterOf is FilterOf restricted, when the query sets a window,

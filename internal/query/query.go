@@ -38,10 +38,10 @@ import (
 )
 
 // Source yields epoch-versioned immutable trace snapshots. The epoch
-// versions every artifact derived from the snapshot (cache entries,
-// memoized scans): it increments whenever the underlying data changes,
-// and two snapshots with equal epochs are identical. core.Live
-// implements Source directly; NewStatic adapts a loaded batch trace.
+// versions every artifact derived from the snapshot (cache entries):
+// it increments whenever the underlying data changes, and two
+// snapshots with equal epochs are identical. core.Live implements
+// Source directly; NewStatic adapts a loaded batch trace.
 type Source interface {
 	// Snapshot returns the current immutable trace and its epoch.
 	// The returned trace must stay valid and constant even if the
@@ -356,8 +356,9 @@ func (q *Query) SeriesOnly(width, height int) *Query {
 // depends on: the window, the task filter and the scan parameters.
 // Result selection (Limit, AnomalyKind) and view-only fields (mode,
 // counter, dimensions, ...) are dropped — they select from or render
-// the response, not the scan — so serving layers memoize one scan per
-// epoch under this projection's canonical form.
+// the response, not the scan — so a serving layer that caches findings
+// under this projection plus the result selection keeps one entry per
+// distinct answer.
 func (q *Query) ScanOnly() *Query {
 	c := New()
 	q.copyWindow(c)

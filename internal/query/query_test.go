@@ -311,9 +311,9 @@ func TestStatsLiveEqualsBatch(t *testing.T) {
 	}
 }
 
-// TestScanOnlyProjection: the scan memo key keeps exactly the fields
-// an anomaly scan depends on — view-only and selection parameters
-// must not fragment the memo.
+// TestScanOnlyProjection: the projection keeps exactly the fields an
+// anomaly scan depends on — view-only and selection parameters must
+// not fragment the cache entries keyed on it.
 func TestScanOnlyProjection(t *testing.T) {
 	base := New().Window(0, 1000).Types("a").Durations(2, 9).AnomalyWindows(64).MinScore(0.5)
 	want := base.ScanOnly().Canonical()

@@ -13,6 +13,7 @@ import (
 	"sort"
 
 	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -46,7 +47,7 @@ func Reconstruct(tr *core.Trace) *Graph {
 	}
 	perRegion := make(map[uint64][]access)
 	for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
-		for _, ev := range tr.CommIn(cpu, tr.Span.Start, tr.Span.End+1) {
+		for _, ev := range tr.CommIn(cpu, tr.Span.Start, tmath.SatAdd(tr.Span.End, 1)) {
 			if ev.Kind != trace.CommRead && ev.Kind != trace.CommWrite {
 				continue
 			}

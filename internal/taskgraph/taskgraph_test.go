@@ -2,13 +2,16 @@ package taskgraph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/openstream/aftermath/internal/apps"
 	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/topology"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
 func TestReconstructChain(t *testing.T) {
@@ -50,6 +53,56 @@ func TestReconstructChain(t *testing.T) {
 	}
 	if g.CriticalPathLength() != n {
 		t.Errorf("critical path = %d, want %d", g.CriticalPathLength(), n)
+	}
+}
+
+// TestReconstructSpanEndingAtMaxInt64 is the span-end wrap regression:
+// Reconstruct read [Span.Start, Span.End+1), which wraps to an empty
+// window when the span ends at MaxInt64 and lost every edge. Task 1
+// writes region a that task 2 reads; task 2 writes region b at its
+// completion, MaxInt64, where task 3 reads it: both edges must be
+// found, the second from events at MaxInt64 itself.
+func TestReconstructSpanEndingAtMaxInt64(t *testing.T) {
+	const end = math.MaxInt64
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.WriteTaskType(trace.TaskType{ID: 1, Name: "work"}))
+	for id := trace.TaskID(1); id <= 3; id++ {
+		must(w.WriteTask(trace.Task{ID: id, Type: 1}))
+	}
+	must(w.WriteRegion(trace.MemRegion{ID: 1, Addr: 0x1000, Size: 64}))
+	must(w.WriteRegion(trace.MemRegion{ID: 2, Addr: 0x2000, Size: 64}))
+	access := func(kind trace.CommKind, cpu int32, at trace.Time, task trace.TaskID, addr uint64) {
+		must(w.WriteComm(trace.CommEvent{Kind: kind, CPU: cpu, SrcCPU: -1, Time: at, Task: task, Addr: addr, Size: 64}))
+	}
+	must(w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateTaskExec, Start: 0, End: 500, Task: 1}))
+	access(trace.CommWrite, 0, 500, 1, 0x1000)
+	must(w.WriteState(trace.StateEvent{CPU: 1, State: trace.StateTaskExec, Start: 600, End: end, Task: 2}))
+	access(trace.CommRead, 1, 600, 2, 0x1000)
+	access(trace.CommWrite, 1, end, 2, 0x2000)
+	must(w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateTaskExec, Start: 700, End: end, Task: 3}))
+	access(trace.CommRead, 0, end, 3, 0x2000)
+	must(w.Flush())
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Span.End != end {
+		t.Fatalf("precondition: span ends at %d, want MaxInt64", tr.Span.End)
+	}
+	g := Reconstruct(tr)
+	if g.NumEdges() != 2 {
+		t.Fatalf("edges = %d, want 2 (1→2 and, at MaxInt64, 2→3)", g.NumEdges())
+	}
+	for i, want := range []int{0, 1, 2} {
+		if d := g.Depths()[i]; int(d) != want {
+			t.Errorf("task %d depth %d, want %d", tr.Tasks[i].ID, d, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"compress/gzip"
-	"errors"
 	"io"
 	"os"
 	"strings"
@@ -54,10 +53,10 @@ var gzipMagic = [2]byte{0x1f, 0x8b}
 
 // SniffGzip reports whether head begins with the gzip stream
 // signature. This is the single gzip detection used everywhere —
-// transparent decompression in Open, the tail rejection in
-// openStreamFile and the ingest format registry — so a renamed or
-// extension-less compressed trace is recognized identically on every
-// path. A head shorter than the two magic bytes is never gzip.
+// transparent decompression in Open and the ingest format registry,
+// which also refuses to tail gzip — so a renamed or extension-less
+// compressed trace is recognized identically on every path. A head
+// shorter than the two magic bytes is never gzip.
 func SniffGzip(head []byte) bool {
 	return len(head) >= 2 && head[0] == gzipMagic[0] && head[1] == gzipMagic[1]
 }
@@ -90,28 +89,6 @@ func Open(path string) (io.ReadCloser, error) {
 		return &gzipReadCloser{gz: gz, file: f}, nil
 	}
 	return &bufReadCloser{r: br, file: f}, nil
-}
-
-// openStreamFile opens path for live tailing: the raw file handle is
-// returned (so later Reads observe appended bytes), after a
-// best-effort gzip rejection. A file that does not yet hold two bytes
-// is admitted — the StreamReader's own magic check catches a gzip
-// producer as soon as the header arrives.
-func openStreamFile(path string) (*os.File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var head [2]byte
-	if n, _ := io.ReadFull(f, head[:]); SniffGzip(head[:n]) {
-		f.Close()
-		return nil, errors.New("trace: cannot tail a gzip-compressed trace; decompress it first")
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return f, nil
 }
 
 // ReadFile reads all records of the trace file at path into h.

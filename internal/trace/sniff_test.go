@@ -82,28 +82,3 @@ func TestOpenShortFile(t *testing.T) {
 		rc.Close()
 	}
 }
-
-// TestOpenStreamShortFile: tailing admits files that do not yet hold
-// the two sniffable bytes — the producer may not have flushed its
-// header — but rejects a file that already starts with the gzip magic.
-func TestOpenStreamShortFile(t *testing.T) {
-	dir := t.TempDir()
-
-	short := filepath.Join(dir, "short")
-	if err := os.WriteFile(short, []byte{0x1f}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rc, err := OpenStream(short)
-	if err != nil {
-		t.Fatalf("OpenStream(1-byte file): %v", err)
-	}
-	rc.Close()
-
-	gzPath := filepath.Join(dir, "trace.gz")
-	if err := os.WriteFile(gzPath, []byte{0x1f, 0x8b, 0x08}, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenStream(gzPath); err == nil {
-		t.Fatal("OpenStream admitted a gzip file for tailing")
-	}
-}

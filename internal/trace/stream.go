@@ -16,8 +16,9 @@ import (
 //
 // The underlying reader must report io.EOF at the current end of data
 // and return fresh bytes on later Reads, as an *os.File does; a gzip
-// stream cannot be tailed (see OpenStream). Not safe for concurrent
-// use: callers serialize Polls (core.Live.Feed under its epoch lock).
+// stream cannot be tailed (ingest.OpenStream rejects it). Not safe for
+// concurrent use: callers serialize Polls (core.Live.Feed under its
+// epoch lock).
 type StreamReader struct {
 	f   *framer
 	t   *tally
@@ -89,16 +90,4 @@ func (sr *StreamReader) Poll(emit func(*RecordBatch) error) (int, error) {
 			return total, err
 		}
 	}
-}
-
-// OpenStream opens a trace file for tailing with a StreamReader.
-// Unlike Open it never buffers past the current end of file and
-// rejects gzip-compressed traces up front: a gzip stream cannot be
-// incrementally decoded while it is still being written.
-func OpenStream(path string) (io.ReadCloser, error) {
-	f, err := openStreamFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
 }

@@ -277,7 +277,9 @@ type anomaliesResponse struct {
 // echoed window and the cache key are exactly the interval scanned),
 // types/mindur/maxdur/rnodes/wnodes (task filter), kind (restrict to one anomaly
 // kind), n (max results, default 50), windows (analysis window count),
-// minscore (severity cutoff).
+// minscore (severity cutoff). The findings come from query.AnomaliesOf,
+// as in the library and the CLI; the response cache, keyed on the
+// epoch and this projection, is the only memo of a scan.
 func planAnomalies(rq request) (*query.Query, string, func() ([]byte, error)) {
 	tr, p := rq.tr, rq.p
 	n := p.Int("n", 50, 1, 1000)
@@ -289,20 +291,15 @@ func planAnomalies(rq request) (*query.Query, string, func() ([]byte, error)) {
 	// Project to the scan-relevant fields plus the result selection:
 	// view parameters (mode, counter, ...) change neither the scan
 	// nor the response, so they must not fragment the cache.
-	q := rq.q.AnomalyWindows(windows).MinScore(minScore).ScanOnly()
-	// The scan memo key is the scan-only projection alone: result
-	// selection (n, kind) does not change what is scanned, so requests
-	// differing only in those share one memoized scan per epoch.
-	scanKey := q.Canonical()
-	q.Limit(n).AnomalyKind(p.Str("kind", ""))
+	q := rq.q.AnomalyWindows(windows).MinScore(minScore).ScanOnly().
+		Limit(n).AnomalyKind(p.Str("kind", ""))
 	// Validate the kind selection up front — through its one
 	// definition site — so an invalid kind cannot trigger a scan.
 	if _, err := query.SelectAnomalies(nil, q); err != nil {
 		p.Reject(err)
 	}
 	return q, "", func() ([]byte, error) {
-		found := rq.srv.scanner.Scan(tr, rq.epoch, scanKey, query.AnomalyConfigOf(tr, q))
-		selected, err := query.SelectAnomalies(found, q)
+		selected, err := query.AnomaliesOf(tr, q)
 		if err != nil {
 			return nil, err
 		}

@@ -306,15 +306,18 @@ func TestEventsBehindWrappingWriter(t *testing.T) {
 	decodeError(t, "/events", res, rec.Body.Bytes(), 500)
 }
 
-// TestLiveSpillStatusFresh is the stale-status regression: with Sync
-// retention the spill happens inside the same publish that installed
-// the snapshot, so a status memoized purely per snapshot predates it
-// and /live would report no spill at all. The status must match the
-// live source's current state, not the snapshot's.
+// TestLiveSpillStatusFresh is the stale-status regression: the spill
+// starts after the publish that installed the snapshot, and once Close
+// has waited for its compaction a status memoized purely per snapshot
+// predates it and /live would report no spill at all. The status must
+// match the live source's current state, not the snapshot's.
 func TestLiveSpillStatusFresh(t *testing.T) {
 	lv := core.NewLive()
-	lv.SetRetention(core.RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
+	lv.SetRetention(core.RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 	if _, err := lv.Feed(trace.NewStreamReader(bytes.NewReader(liveTraceBytes(t)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := lv.Close(); err != nil {
 		t.Fatal(err)
 	}
 	st, ok := lv.SpillStats()
@@ -325,7 +328,7 @@ func TestLiveSpillStatusFresh(t *testing.T) {
 	t.Cleanup(srv.Close)
 	lr := getLive(t, srv)
 	if lr.Spill == nil {
-		t.Fatal("/live reports no spill state after a synchronous spill")
+		t.Fatal("/live reports no spill state after a finished spill")
 	}
 	if lr.Spill.Segments != st.Segments || lr.Spill.Pending != st.Pending {
 		t.Errorf("/live spill = %+v, want segments %d pending %d", lr.Spill, st.Segments, st.Pending)

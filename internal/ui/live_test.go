@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/openstream/aftermath/internal/anomaly"
 	"github.com/openstream/aftermath/internal/apps"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/openstream"
+	"github.com/openstream/aftermath/internal/query"
 	"github.com/openstream/aftermath/internal/topology"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -110,6 +112,96 @@ func TestLiveEndpointStatus(t *testing.T) {
 	if resp.StatusCode != 200 || !bytes.Contains(body, []byte("live")) {
 		t.Fatalf("index page missing live indicator (status %d)", resp.StatusCode)
 	}
+}
+
+// TestAnomaliesLiveHubOneMemo: on a live hub the response cache is the
+// one memo of an anomaly scan. Within an epoch a repeated /anomalies
+// request is a HIT, after a publish the same request is a MISS, and
+// every variant's body is the JSON built from query.AnomaliesOf — the
+// library's and the CLI's scan — on the snapshot it was served from.
+func TestAnomaliesLiveHubOneMemo(t *testing.T) {
+	data := liveTraceBytes(t)
+	g := &growingTraceReader{data: data, limit: len(data) / 2}
+	sr := trace.NewStreamReader(g)
+	lv := core.NewLive()
+	if _, err := lv.Feed(sr); err != nil {
+		t.Fatal(err)
+	}
+	hub := NewHub()
+	if err := hub.Add("run", lv); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(hub)
+	t.Cleanup(srv.Close)
+
+	first, _ := lv.Snapshot()
+	t0 := first.Span.Start + first.Span.Duration()/4
+	t1 := first.Span.Start + first.Span.Duration()/2
+	// The endpoint's defaults: 50 findings over DefaultWindows windows.
+	def := func() *query.Query { return query.New().Limit(50).AnomalyWindows(anomaly.DefaultWindows) }
+	variants := []struct {
+		params string
+		q      *query.Query
+	}{
+		{"", def()},
+		{"n=3", def().Limit(3)},
+		{"kind=load-imbalance&n=10", def().AnomalyKind("load-imbalance").Limit(10)},
+		{"minscore=0.5&windows=16", def().MinScore(0.5).AnomalyWindows(16)},
+		{"t0=" + itoa64(t0) + "&t1=" + itoa64(t1) + "&kind=duration-outlier", def().Window(t0, t1).AnomalyKind("duration-outlier")},
+	}
+	findings := 0
+	for epoch := uint64(1); epoch <= 2; epoch++ {
+		snap, e := lv.Snapshot()
+		if e != epoch {
+			t.Fatalf("live trace at epoch %d, want %d", e, epoch)
+		}
+		for _, v := range variants {
+			path := "/t/run/anomalies?" + v.params
+			resp, body := get(t, srv, path)
+			if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "MISS" {
+				t.Fatalf("epoch %d %s: status %d, X-Cache %q, want a 200 MISS: %s", epoch, path, resp.StatusCode, resp.Header.Get("X-Cache"), body)
+			}
+			again, body2 := get(t, srv, path)
+			if again.Header.Get("X-Cache") != "HIT" || !bytes.Equal(body, body2) {
+				t.Errorf("epoch %d %s: repeat is X-Cache %q (same body %v), want a HIT of the same body", epoch, path, again.Header.Get("X-Cache"), bytes.Equal(body, body2))
+			}
+			want, n := anomaliesJSON(t, snap, v.q)
+			findings += n
+			if !bytes.Equal(body, want) {
+				t.Errorf("epoch %d %s: body differs from query.AnomaliesOf:\n got %s\nwant %s", epoch, path, body, want)
+			}
+		}
+		g.limit = len(data)
+		if n, err := lv.Feed(sr); err != nil || (epoch == 1 && n == 0) {
+			t.Fatalf("second feed = (%d, %v)", n, err)
+		}
+	}
+	if findings == 0 {
+		t.Fatal("precondition: no variant found an anomaly")
+	}
+}
+
+// anomaliesJSON is the /anomalies body for q on tr, built from
+// query.AnomaliesOf, and the number of findings in it.
+func anomaliesJSON(t *testing.T, tr *core.Trace, q *query.Query) ([]byte, int) {
+	t.Helper()
+	found, err := query.AnomaliesOf(tr, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, end := query.WindowOf(tr, q)
+	resp := anomaliesResponse{Start: start, End: end, Count: len(found), Anomalies: []anomalyItem{}}
+	for _, a := range found {
+		resp.Anomalies = append(resp.Anomalies, anomalyItem{
+			Kind: a.Kind.String(), Score: a.Score, Start: a.Window.Start, End: a.Window.End,
+			CPU: a.CPU, Task: uint64(a.TaskID), Counter: a.Counter, Explanation: a.Explanation,
+		})
+	}
+	body, err := encodeJSON(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body, len(found)
 }
 
 // TestLiveEmptyTraceViewer: a live viewer registered before any data

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/ingest"
 )
 
 // TestHubCloseStopsFollowers is the hub-level leak check: followers
@@ -27,7 +28,7 @@ func TestHubCloseStopsFollowers(t *testing.T) {
 		}
 		lv := core.NewLive()
 		lv.SetRetention(core.RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
-		f, err := core.Follow(lv, path, time.Millisecond)
+		f, err := ingest.Follow(lv, path, time.Millisecond)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,14 +70,17 @@ func TestLiveSpillStatusOnLive(t *testing.T) {
 		t.Fatal(err)
 	}
 	lv := core.NewLive()
-	lv.SetRetention(core.RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, Sync: true})
-	f, err := core.Follow(lv, path, time.Millisecond)
+	lv.SetRetention(core.RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
+	f, err := ingest.Follow(lv, path, time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	// One extra publish so the post-feed spill is visible in the
-	// served snapshot.
+	// Wait for the initial feed's compaction, then one extra publish
+	// so the spill is visible in the served snapshot.
+	if err := lv.Close(); err != nil {
+		t.Fatal(err)
+	}
 	lv.Publish()
 
 	srv := httptest.NewServer(NewServer(lv, "run"))

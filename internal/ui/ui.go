@@ -38,7 +38,6 @@ import (
 	"time"
 
 	"github.com/openstream/aftermath/internal/annotations"
-	"github.com/openstream/aftermath/internal/anomaly"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/query"
 	"github.com/openstream/aftermath/internal/render"
@@ -64,9 +63,8 @@ type Server struct {
 	// Name is shown in the page title.
 	Name string
 
-	src     query.Source
-	scanner *anomaly.LiveScanner
-	cache   *responseCache
+	src   query.Source
+	cache *responseCache
 	// scope prefixes every cache key; a Hub gives each registered
 	// trace a distinct scope so many traces share one LRU without
 	// colliding.
@@ -138,11 +136,10 @@ func NewServer(src query.Source, name string) *Server {
 
 func newServer(src query.Source, name string, cache *responseCache, scope string) *Server {
 	s := &Server{
-		Name:    name,
-		src:     src,
-		scanner: anomaly.NewLiveScanner(),
-		cache:   cache,
-		scope:   scope,
+		Name:  name,
+		src:   src,
+		cache: cache,
+		scope: scope,
 	}
 	if st, ok := src.(query.StaticSource); ok {
 		s.Trace = st.StaticTrace()

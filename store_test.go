@@ -118,6 +118,10 @@ func followPeak(t *testing.T, data []byte, pol core.RetentionPolicy) int64 {
 		if _, err := lv.Feed(sr); err != nil {
 			t.Fatal(err)
 		}
+		// Measure with the feed's compaction finished.
+		if err := lv.Close(); err != nil {
+			t.Fatal(err)
+		}
 		peak = max(peak, int64(liveHeap())-base)
 	}
 	snap, _ := lv.Snapshot()
@@ -145,7 +149,6 @@ func TestFollowRetentionBoundsHeap(t *testing.T) {
 			Dir:        t.TempDir(),
 			SpillBytes: 256 << 10,
 			MaxBytes:   8 << 20,
-			Sync:       true,
 		})
 		t.Logf("%d events per CPU: peak heap %d bytes unbounded, %d spilling", perCPU, unbounded[i], spilled[i])
 	}

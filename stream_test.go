@@ -282,9 +282,9 @@ func assertSpilledEqualsBatch(t *testing.T, ctx string, snap, cold *core.Trace) 
 }
 
 // TestStreamEqualsBatchSpilled reruns the batch-equivalence harness
-// with epoch spilling forced at every publish (a 1-byte RAM budget and
-// synchronous compaction), so each randomized checkpoint boundary is
-// also a spill boundary. Snapshots whose columns are stitched from
+// with epoch spilling forced at every publish (a 1-byte RAM budget, and
+// Close after each feed waits for the compaction), so each randomized
+// checkpoint boundary is also a spill boundary. Snapshots whose columns are stitched from
 // mmap-backed segment files and the RAM tail must stay byte-identical
 // to cold loads of the consumed prefix across every layer.
 func TestStreamEqualsBatchSpilled(t *testing.T) {
@@ -298,7 +298,6 @@ func TestStreamEqualsBatchSpilled(t *testing.T) {
 			lv.SetRetention(core.RetentionPolicy{
 				Dir:        t.TempDir(),
 				SpillBytes: 1,
-				Sync:       true,
 			})
 			defer lv.Close()
 			const checkpoints = 12
@@ -314,6 +313,9 @@ func TestStreamEqualsBatchSpilled(t *testing.T) {
 				}
 				if _, err := lv.Feed(sr); err != nil {
 					t.Fatalf("checkpoint %d: feed: %v", k, err)
+				}
+				if err := lv.Close(); err != nil {
+					t.Fatalf("checkpoint %d: compaction: %v", k, err)
 				}
 				off := sr.Consumed()
 				if off == 0 {
@@ -338,7 +340,7 @@ func TestStreamEqualsBatchSpilled(t *testing.T) {
 				t.Fatalf("segment compaction failed: %s", st.Err)
 			}
 			if st.Pending != 0 {
-				t.Fatalf("%d segments still pending under Sync", st.Pending)
+				t.Fatalf("%d segments still pending after Close", st.Pending)
 			}
 		})
 	}
