@@ -175,19 +175,14 @@ func expandTraceArgs(args []string) ([]string, error) {
 }
 
 // tailable reports whether the file at path can be upgraded to live
-// tailing: its detected format has an incremental decoder. A still
-// empty file counts as tailable — the native producer simply has not
-// flushed its header yet, matching what -follow accepts directly.
+// tailing: ingest.OpenStream, what -follow opens it with, admits it.
 func tailable(path string) bool {
-	fm, err := ingest.DetectFile(path)
+	rc, _, err := ingest.OpenStream(path)
 	if err != nil {
 		return false
 	}
-	if fm == nil {
-		info, err := os.Stat(path)
-		return err == nil && info.Size() == 0
-	}
-	return fm.Tailable()
+	rc.Close()
+	return true
 }
 
 // cleanHubName replaces the characters Hub.Add rejects ('/', '?', '#')

@@ -7,7 +7,7 @@ import (
 
 // DeterminismCheck forbids nondeterminism sources in the golden-tested
 // output paths: the timeline renderer (byte-identical framebuffer
-// goldens), the exporters (CSV/Paraver golden files), the anomaly
+// goldens), the exporters (CSV golden files), the anomaly
 // engine (rankings asserted stable across runs and worker counts) and
 // the span importer's inference path (the inferred topology, call-style
 // votes and statistics are pinned by golden tests — a map iteration in

@@ -21,9 +21,9 @@ import (
 //
 // The check is syntactic over the assignment's left-hand chain: it
 // catches writes whose path visibly traverses a snapshot-typed value
-// (tr.Span.Start = 0, tr.CPUs[i].States[j].End = t,
-// c.PerCPU[cpu] = append(...)). Aliasing through a local slice
-// variable first (s := tr.CPUs[0].States; s[0] = x) is out of reach
+// (tr.Span.Start = 0, tr.CPUs[i].States.Rows[j].End = t,
+// c.PerCPU[cpu].Rows = append(...)). Aliasing through a local slice
+// variable first (s := tr.CPUs[0].States.Rows; s[0] = x) is out of reach
 // of a per-expression rule — the fixture documents the limitation.
 var SnapshotCheck = &Analyzer{
 	Name: "snapshotcheck",

@@ -8,9 +8,9 @@ import "github.com/openstream/aftermath/internal/core"
 // mutate stores through every snapshot type the rule covers.
 func mutate(tr *core.Trace, c *core.Counter) {
 	tr.Span.Start = 0                            // want "core.Trace"
-	tr.CPUs[0].States[0].End = 5                 // want "core.CPUData"
+	tr.CPUs[0].States.Rows[0].End = 5            // want "core.CPUData"
 	tr.Tasks[0].ExecCPU = -1                     // want "core.TaskInfo"
-	c.PerCPU[0] = nil                            // want "core.Counter"
+	c.PerCPU[0].Rows = nil                       // want "core.Counter"
 	tr.Span.End++                                // want "core.Trace"
 	tr.Tasks = append(tr.Tasks, core.TaskInfo{}) // want "core.Trace"
 }
@@ -36,6 +36,6 @@ func rebind(tr *core.Trace) core.Interval {
 // write. The race detector and TestStreamEqualsBatch remain the
 // backstop for this shape.
 func alias(tr *core.Trace) {
-	s := tr.CPUs[0].States
+	s := tr.CPUs[0].States.Rows
 	s[0].End = 9 // out of reach: no snapshot type in the target chain
 }

@@ -375,8 +375,8 @@ func TestCounterTreesMatchScan(t *testing.T) {
 		st, _ := last.SpillStats()
 		multi := 0
 		for _, tc := range last.Counters {
-			for cpu := range tc.spilled {
-				if len(tc.spilled[cpu]) >= 2 {
+			for cpu := range tc.PerCPU {
+				if len(tc.PerCPU[cpu].parts) >= 2 {
 					multi++
 				}
 			}
@@ -537,15 +537,15 @@ func FuzzCounterTrees(f *testing.F) {
 		slices.SortStableFunc(col, func(a, b trace.CounterSample) int { return cmp.Compare(a.Time, b.Time) })
 		// cuts picks the part boundaries: bit k cuts before sample k+1;
 		// the last part is the RAM tail.
-		c := &Counter{Desc: trace.CounterDesc{ID: 1}, PerCPU: make([][]trace.CounterSample, 1), spilled: make([][]colPart[trace.CounterSample], 1)}
+		c := &Counter{Desc: trace.CounterDesc{ID: 1}, PerCPU: make([]Column[trace.CounterSample], 1)}
 		from := 0
 		for k := 0; k < 8 && k+1 < len(col); k++ {
 			if cuts&(1<<k) != 0 {
-				c.spilled[0] = append(c.spilled[0], colPart[trace.CounterSample]{seg: &spillSeg{}, rows: col[from : k+1]})
+				c.PerCPU[0].parts = append(c.PerCPU[0].parts, colPart[trace.CounterSample]{seg: &spillSeg{}, rows: col[from : k+1]})
 				from = k + 1
 			}
 		}
-		c.PerCPU[0] = col[from:]
+		c.PerCPU[0].Rows = col[from:]
 		tr := &Trace{Counters: []*Counter{c}}
 		if !slices.Equal(c.Samples(0), col) {
 			t.Fatal("the split column does not read back")

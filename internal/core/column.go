@@ -8,6 +8,22 @@ import (
 	"github.com/openstream/aftermath/internal/trace"
 )
 
+// Column is one per-CPU event array or one (counter, CPU) sample array,
+// sorted by timestamp: the array Section VI-B-c of the paper keeps per
+// event family per CPU. A live trace that has spilled keeps the older
+// events of the array in parts, oldest first, each a run of rows on a
+// disk-backed segment (spill.go), and Rows holds the RAM-resident events
+// after them. Every other column — batch load, OpenStore, an unspilled
+// live snapshot, a hand-built trace — has no parts and is its Rows. The
+// Trace and Counter accessors read the whole array either way.
+//
+// A published Column is a value over shared, immutable storage: copy
+// it freely, never write through it.
+type Column[T any] struct {
+	Rows  []T
+	parts []colPart[T]
+}
+
 // colPart is one spilled run of a column: the events that left the RAM
 // tail together at one freeze, and the segment that carries them. rows
 // is the heap slice the tail was until the segment file is installed,
@@ -18,13 +34,87 @@ type colPart[T any] struct {
 	rows []T
 }
 
-// liveCol is the builder side of one time-sorted event array — a CPU's
-// states, discrete or communication events, or one (counter, CPU)
-// sample array. The logical array is the spilled parts, oldest first,
-// followed by the RAM tail, in stream order. Every builder operation
-// on every event family is a method of this one type.
+// runs returns the number of sorted runs of the column, and run the
+// k-th of them: the parts, oldest first, then Rows.
+func (c Column[T]) runs() int { return len(c.parts) + 1 }
+
+func (c Column[T]) run(k int) []T {
+	if k < len(c.parts) {
+		return c.parts[k].rows
+	}
+	return c.Rows
+}
+
+// len returns the event count of the column.
+func (c Column[T]) len() int {
+	n := len(c.Rows)
+	for _, p := range c.parts {
+		n += len(p.rows)
+	}
+	return n
+}
+
+// all returns the whole column as one slice: Rows itself when the
+// column has no parts, else a fresh concatenation of its runs.
+func (c Column[T]) all() []T {
+	if len(c.parts) == 0 {
+		return c.Rows
+	}
+	out := make([]T, 0, c.len())
+	for k := range c.runs() {
+		out = append(out, c.run(k)...)
+	}
+	return out
+}
+
+// leaves returns the column as one view, the way the indexes read it:
+// no allocation for a column without parts.
+func (c Column[T]) leaves() agg.Leaves[T] {
+	if len(c.parts) == 0 {
+		return agg.Over(c.Rows)
+	}
+	cols := make([][]T, 0, c.runs())
+	for k := range c.runs() {
+		cols = append(cols, c.run(k))
+	}
+	return agg.Over(cols...)
+}
+
+// win returns the events of the column in the [lo, hi) window that
+// search finds in each of its runs for [t0, t1): a view into the
+// column when the window lies in one run (always so without parts, and
+// the common case with them — viewer windows are small), a fresh
+// concatenation when it crosses a part boundary. Returns nil for an
+// empty window.
+func (c Column[T]) win(search func([]T, trace.Time, trace.Time) (int, int), t0, t1 trace.Time) []T {
+	var one []T
+	total, nonEmpty := 0, 0
+	for k := range c.runs() {
+		s := c.run(k)
+		if lo, hi := search(s, t0, t1); lo < hi {
+			one, total, nonEmpty = s[lo:hi], total+hi-lo, nonEmpty+1
+		}
+	}
+	if nonEmpty <= 1 {
+		return one
+	}
+	out := make([]T, 0, total)
+	for k := range c.runs() {
+		s := c.run(k)
+		if lo, hi := search(s, t0, t1); lo < hi {
+			out = append(out, s[lo:hi]...)
+		}
+	}
+	return out
+}
+
+// liveCol is the builder side of one column — a CPU's states, discrete
+// or communication events, or one (counter, CPU) sample array: the
+// Column it publishes, whose Rows is the RAM tail new events are pushed
+// onto, with the state of its order check. Every builder operation on
+// every event family is a method of this one type.
 //
-// A snapshot captures a column as the value (parts, tail) at publish
+// A snapshot captures the column as the Column value it is at publish
 // and must keep reading exactly those events while the writer goes on,
 // so no operation ever writes at an index a captured value covers:
 // push appends past the tail's length, freeze appends past the part
@@ -39,10 +129,7 @@ type colPart[T any] struct {
 //
 // All fields are guarded by Live.mu.
 type liveCol[T any] struct {
-	parts []colPart[T]
-	tail  []T
-	// nPart counts the events in parts: the tail's logical offset.
-	nPart int
+	Column[T]
 	// last is the latest pushed timestamp. seen arms the order check
 	// with the first push and keeps it armed while the tail is empty
 	// after a freeze.
@@ -60,15 +147,12 @@ func (c *liveCol[T]) push(v T, t trace.Time) (wentDirty bool) {
 		c.dirty, wentDirty = true, true
 	}
 	c.last, c.seen = t, true
-	c.tail = append(c.tail, v)
+	c.Rows = append(c.Rows, v)
 	return wentDirty
 }
 
-// len returns the logical event count.
-func (c *liveCol[T]) len() int { return c.nPart + len(c.tail) }
-
 // tailBytes returns the size of the RAM tail.
-func (c *liveCol[T]) tailBytes() int64 { return int64(len(c.tail)) * c.rowBytes() }
+func (c *liveCol[T]) tailBytes() int64 { return int64(len(c.Rows)) * c.rowBytes() }
 
 func (c *liveCol[T]) rowBytes() int64 {
 	var v T
@@ -80,30 +164,31 @@ func (c *liveCol[T]) rowBytes() int64 {
 // and returns the moved rows for the compaction writer. Dirty columns
 // never freeze, and return nil like empty ones.
 func (c *liveCol[T]) freeze(seg *spillSeg) []T {
-	rows := c.tail
+	rows := c.Rows
 	if c.dirty || len(rows) == 0 {
 		return nil
 	}
 	c.parts = append(c.parts, colPart[T]{seg, rows})
-	c.nPart += len(rows)
-	c.tail = nil
+	c.Rows = nil
 	seg.bytes += int64(len(rows)) * c.rowBytes()
 	return rows
 }
 
 // install swaps the heap rows of the part frozen into seg for view,
-// the same rows mapped back from the written segment file. Snapshots
-// that captured the old part list keep the heap rows. A column that
-// was unspilled or lost the part to retention meanwhile is left alone.
-func (c *liveCol[T]) install(seg *spillSeg, view []T) {
+// the same rows mapped back from the written segment file, and reports
+// whether it did. Snapshots that captured the old part list keep the
+// heap rows. A column that froze nothing into seg, was unspilled or
+// lost the part to retention meanwhile is left alone.
+func (c *liveCol[T]) install(seg *spillSeg, view []T) bool {
 	for i := range c.parts {
 		if c.parts[i].seg == seg && len(view) == len(c.parts[i].rows) {
 			parts := append([]colPart[T](nil), c.parts...)
 			parts[i].rows = view
 			c.parts = parts
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // drop ages out the leading parts frozen into segments older than
@@ -119,7 +204,6 @@ func (c *liveCol[T]) drop(keep int) (removed int) {
 		// A fresh list, not a reslice: the dropped parts (and their
 		// mappings) must not stay reachable through the backing array.
 		c.parts = append([]colPart[T](nil), c.parts[k:]...)
-		c.nPart -= removed
 	}
 	return removed
 }
@@ -130,25 +214,22 @@ func (c *liveCol[T]) unspill() {
 	if len(c.parts) == 0 {
 		return
 	}
-	merged := make([]T, 0, c.len())
 	for _, p := range c.parts {
-		merged = append(merged, p.rows...)
 		p.seg.bytes -= int64(len(p.rows)) * c.rowBytes()
 	}
-	c.tail = append(merged, c.tail...)
-	c.parts, c.nPart = nil, 0
+	c.Column = Column[T]{Rows: c.all()}
 }
 
 // snapshot captures the column for a published trace. A dirty column
 // (all in the tail, see push) is captured as a repaired copy: sorted
 // stably by key, leaving the builder's stream-order tail untouched.
-func (c *liveCol[T]) snapshot(key func(*T) trace.Time) ([]colPart[T], []T) {
+func (c *liveCol[T]) snapshot(key func(*T) trace.Time) Column[T] {
 	if !c.dirty {
-		return c.parts, c.tail
+		return c.Column
 	}
-	s := append([]T(nil), c.tail...)
+	s := append([]T(nil), c.Rows...)
 	sort.SliceStable(s, func(a, b int) bool { return key(&s[a]) < key(&s[b]) })
-	return nil, s
+	return Column[T]{Rows: s}
 }
 
 // Ordering timestamps of the four event families.
@@ -156,58 +237,3 @@ func stateTime(e *trace.StateEvent) trace.Time       { return e.Start }
 func discreteTime(e *trace.DiscreteEvent) trace.Time { return e.Time }
 func commTime(e *trace.CommEvent) trace.Time         { return e.Time }
 func sampleTime(e *trace.CounterSample) trace.Time   { return e.Time }
-
-// leavesOf returns the rows of parts followed by tail as one view, the
-// way the indexes read a column: no allocation for an unspilled one.
-func leavesOf[T any](parts []colPart[T], tail []T) agg.Leaves[T] {
-	if len(parts) == 0 {
-		return agg.Over(tail)
-	}
-	cols := make([][]T, 0, len(parts)+1)
-	for _, p := range parts {
-		cols = append(cols, p.rows)
-	}
-	return agg.Over(append(cols, tail)...)
-}
-
-// stitchWin collects the window slices of a column's spilled parts and
-// RAM tail into one slice: zero-copy when the window touches a single
-// part (the overwhelmingly common case — viewer windows are small), a
-// copy-concat when it crosses a part boundary. win returns the
-// [lo, hi) window of one sorted run. Returns nil for an empty window.
-func stitchWin[T any](parts []colPart[T], tail []T, win func([]T) (int, int)) []T {
-	var single []T
-	var runs [][]T
-	total := 0
-	add := func(s []T) {
-		if len(s) == 0 {
-			return
-		}
-		lo, hi := win(s)
-		if lo >= hi {
-			return
-		}
-		p := s[lo:hi]
-		switch {
-		case total == 0:
-			single = p
-		case runs == nil:
-			runs = [][]T{single, p}
-		default:
-			runs = append(runs, p)
-		}
-		total += len(p)
-	}
-	for _, p := range parts {
-		add(p.rows)
-	}
-	add(tail)
-	if runs == nil {
-		return single
-	}
-	out := make([]T, 0, total)
-	for _, p := range runs {
-		out = append(out, p...)
-	}
-	return out
-}

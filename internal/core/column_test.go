@@ -30,12 +30,11 @@ func modelEvTime(e *modelEv) trace.Time { return e.t }
 // capturedCol is a column value as a snapshot holds it, with the
 // contents it had at capture.
 type capturedCol struct {
-	parts []colPart[modelEv]
-	tail  []modelEv
-	want  []modelEv
+	col  Column[modelEv]
+	want []modelEv
 }
 
-func (s *capturedCol) read() []modelEv { return suffix(leavesOf(s.parts, s.tail), 0) }
+func (s *capturedCol) read() []modelEv { return suffix(s.col.leaves(), 0) }
 
 // suffix returns items [from, Len()) of a view.
 func suffix(lv agg.Leaves[modelEv], from int) []modelEv {
@@ -131,7 +130,7 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 		case op < 13: // freeze
 			seg := &spillSeg{id: nextSeg}
 			nextSeg++
-			tail := len(c.tail)
+			tail := len(c.Rows)
 			rows := c.freeze(seg)
 			if dirty || tail == 0 {
 				if rows != nil {
@@ -191,7 +190,7 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 			if dirty {
 				sort.SliceStable(s.want, func(a, b int) bool { return s.want[a].t < s.want[b].t })
 			}
-			s.parts, s.tail = c.snapshot(modelEvTime)
+			s.col = c.snapshot(modelEvTime)
 			caught = append(caught, s)
 			feed <- s
 		}
@@ -211,15 +210,15 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("seed %d step %d: segment %d charged %d bytes for %d rows", seed, step, partSeg[k].id, partSeg[k].bytes, n)
 			}
 		}
-		if len(c.parts) != len(partLen) || c.nPart != spilled || c.dirty != dirty {
-			t.Fatalf("seed %d step %d: %d parts / nPart %d / dirty %v, want %d / %d / %v",
-				seed, step, len(c.parts), c.nPart, c.dirty, len(partLen), spilled, dirty)
+		if len(c.parts) != len(partLen) || c.len()-len(c.Rows) != spilled || c.dirty != dirty {
+			t.Fatalf("seed %d step %d: %d parts / %d rows in parts / dirty %v, want %d / %d / %v",
+				seed, step, len(c.parts), c.len()-len(c.Rows), c.dirty, len(partLen), spilled, dirty)
 		}
 		if c.tailBytes() != int64(len(model)-spilled)*rowBytes {
 			t.Fatalf("seed %d step %d: tailBytes = %d for a %d-row tail", seed, step, c.tailBytes(), len(model)-spilled)
 		}
 		for _, i := range []int{0, rng.Intn(len(model) + 1), len(model)} {
-			if got := suffix(leavesOf(c.parts, c.tail), i); !slices.Equal(got, model[i:]) {
+			if got := suffix(c.leaves(), i); !slices.Equal(got, model[i:]) {
 				t.Fatalf("seed %d step %d: view from %d = %v, want %v", seed, step, i, got, model[i:])
 			}
 		}

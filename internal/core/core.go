@@ -5,9 +5,12 @@
 // The representation follows Section VI-B-c of the paper: each CPU
 // keeps one array per event family sorted by timestamp, so the slice
 // of events relevant to any time interval is found with a binary
-// search. Information not explicitly present in the trace (task
-// execution placement, the location of memory accesses) is derived
-// once at load time or on demand.
+// search. Every such array, and every (counter, CPU) sample array, is
+// one Column value on every path — batch load, OpenStore, live
+// snapshot: its Rows, after the spilled parts of a live trace that
+// has spilled (spill.go). Information not explicitly present in the
+// trace (task execution placement, the location of memory accesses)
+// is derived once at load time or on demand.
 package core
 
 import (
@@ -15,6 +18,8 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/openstream/aftermath/internal/mmtree"
+	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/store"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -57,25 +62,18 @@ func (t *TaskInfo) Duration() trace.Time {
 	return t.ExecEnd - t.ExecStart
 }
 
-// CPUData holds one CPU's event arrays, each sorted by timestamp.
+// CPUData holds one CPU's event columns, each sorted by timestamp.
 type CPUData struct {
-	States   []trace.StateEvent
-	Discrete []trace.DiscreteEvent
-	Comm     []trace.CommEvent
+	States   Column[trace.StateEvent]
+	Discrete Column[trace.DiscreteEvent]
+	Comm     Column[trace.CommEvent]
 }
 
-// Counter holds one performance counter's description and per-CPU
-// sample arrays sorted by time. For live traces with spilling enabled,
-// PerCPU holds only the RAM tail; the spilled parts live in spilled
-// and the accessors (Samples, SamplesIn, ValueAt, NumSamples) stitch
-// the two transparently.
+// Counter holds one performance counter's description and its sample
+// column on each CPU, sorted by time.
 type Counter struct {
 	Desc   trace.CounterDesc
-	PerCPU [][]trace.CounterSample
-
-	// spilled[cpu] lists the spilled parts of the sample column
-	// (spill.go); nil for traces that never spilled.
-	spilled [][]colPart[trace.CounterSample]
+	PerCPU []Column[trace.CounterSample]
 }
 
 // Trace is a fully loaded, indexed trace.
@@ -107,12 +105,9 @@ type Trace struct {
 	// fills the map as it reads.
 	taskIDOnce sync.Once
 
-	// spilled[cpu] holds the spilled parts of a CPU's event columns,
-	// for snapshots of a live trace that has spilled (spill.go); nil
-	// otherwise. The event accessors stitch them with the RAM-tail
-	// arrays in CPUs. spill is that trace's segment status.
-	spilled []cpuParts
-	spill   *SpillStats
+	// spill is the segment status of a snapshot of a live trace that
+	// has spilled (spill.go); nil otherwise.
+	spill *SpillStats
 
 	// backing is the mapped store file of an OpenStore trace (the
 	// event arrays above are views into it); Close releases it.
@@ -273,59 +268,57 @@ func (tr *Trace) NodeOfAddr(addr uint64) int32 {
 
 // StatesIn returns the state events on cpu overlapping [t0, t1), found
 // by binary search (state intervals per CPU are disjoint and sorted).
-// For spilled live traces, the result stitches the on-disk columns and
-// the RAM tail; it is a view into trace storage unless the window
-// crosses a spill boundary, in which case it is a fresh copy.
+// The result is a view into trace storage unless the window crosses a
+// spill boundary of the column, in which case it is a fresh copy.
 func (tr *Trace) StatesIn(cpu int32, t0, t1 trace.Time) []trace.StateEvent {
 	if int(cpu) >= len(tr.CPUs) {
 		return nil
 	}
-	states := tr.CPUs[cpu].States
-	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].states) > 0 {
-		return stitchWin(tr.spilled[cpu].states, states, stateWin(t0, t1))
-	}
-	lo, hi := stateWindow(states, t0, t1)
-	if lo >= hi {
-		return nil
-	}
-	return states[lo:hi]
+	return tr.CPUs[cpu].States.win(stateWindow, t0, t1)
 }
 
 // DiscreteIn returns the discrete events on cpu with time in [t0, t1),
-// stitching spilled columns like StatesIn; nil for an empty or inverted
-// window.
+// read like StatesIn; nil for an empty or inverted window.
 func (tr *Trace) DiscreteIn(cpu int32, t0, t1 trace.Time) []trace.DiscreteEvent {
 	if int(cpu) >= len(tr.CPUs) {
 		return nil
 	}
-	evs := tr.CPUs[cpu].Discrete
-	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].discrete) > 0 {
-		return stitchWin(tr.spilled[cpu].discrete, evs, discreteWin(t0, t1))
-	}
-	lo, hi := discreteWindow(evs, t0, t1)
-	if lo == hi {
-		return nil
-	}
-	return evs[lo:hi]
+	return tr.CPUs[cpu].Discrete.win(discreteWindow, t0, t1)
 }
 
 // CommIn returns the communication events on cpu with time in [t0, t1),
-// stitching spilled columns like StatesIn; nil for an empty or inverted
-// window. A window ending at MaxInt64 includes events at MaxInt64, so
+// read like StatesIn; nil for an empty or inverted window. A window
+// ending at MaxInt64 includes events at MaxInt64, so
 // [Span.Start, SatAdd(Span.End, 1)) reads every event of the span.
 func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []trace.CommEvent {
 	if int(cpu) >= len(tr.CPUs) {
 		return nil
 	}
-	evs := tr.CPUs[cpu].Comm
-	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].comm) > 0 {
-		return stitchWin(tr.spilled[cpu].comm, evs, commWin(t0, t1))
+	return tr.CPUs[cpu].Comm.win(commWindow, t0, t1)
+}
+
+// stateLeaves returns a CPU's state column as the dominance index reads
+// it.
+func (tr *Trace) stateLeaves(cpu int32) mragg.Leaves {
+	if int(cpu) >= len(tr.CPUs) {
+		return mragg.Leaves{}
 	}
-	lo, hi := commWindow(evs, t0, t1)
-	if lo == hi {
-		return nil
+	return mragg.Leaves{Leaves: tr.CPUs[cpu].States.leaves()}
+}
+
+// EventCounts returns the trace's total event count (states, discrete,
+// communication) and counter sample count.
+func (tr *Trace) EventCounts() (events, samples int64) {
+	for i := range tr.CPUs {
+		c := &tr.CPUs[i]
+		events += int64(c.States.len() + c.Discrete.len() + c.Comm.len())
 	}
-	return evs[lo:hi]
+	for _, c := range tr.Counters {
+		for cpu := range c.PerCPU {
+			samples += int64(c.PerCPU[cpu].len())
+		}
+	}
+	return events, samples
 }
 
 // noComm is the shared result for tasks without communication events,
@@ -341,14 +334,7 @@ func (tr *Trace) execComm(t *TaskInfo) []trace.CommEvent {
 	if cpu < 0 || int(cpu) >= len(tr.CPUs) {
 		return nil
 	}
-	evs := tr.CPUs[cpu].Comm
-	if int(cpu) < len(tr.spilled) && len(tr.spilled[cpu].comm) > 0 {
-		return stitchWin(tr.spilled[cpu].comm, evs, func(s []trace.CommEvent) (int, int) {
-			return commThrough(s, t.ExecStart, t.ExecEnd)
-		})
-	}
-	lo, hi := commThrough(evs, t.ExecStart, t.ExecEnd)
-	return evs[lo:hi]
+	return tr.CPUs[cpu].Comm.win(commThrough, t.ExecStart, t.ExecEnd)
 }
 
 // TaskComm returns the communication events belonging to a task's
@@ -383,66 +369,53 @@ func (tr *Trace) TaskComm(t *TaskInfo) []trace.CommEvent {
 	return out
 }
 
-// Samples returns the sample array of a counter on a CPU. For spilled
-// live counters the spilled columns and the RAM tail are concatenated
-// into a fresh slice; windowed callers should prefer SamplesIn, which
-// copies only across spill boundaries.
-func (c *Counter) Samples(cpu int32) []trace.CounterSample {
-	var tail []trace.CounterSample
+// column returns the counter's sample column on cpu, empty past the
+// table.
+func (c *Counter) column(cpu int32) Column[trace.CounterSample] {
 	if int(cpu) < len(c.PerCPU) {
-		tail = c.PerCPU[cpu]
+		return c.PerCPU[cpu]
 	}
-	if int(cpu) < len(c.spilled) && len(c.spilled[cpu]) > 0 {
-		out := make([]trace.CounterSample, 0, c.NumSamples(cpu))
-		for _, p := range c.spilled[cpu] {
-			out = append(out, p.rows...)
-		}
-		return append(out, tail...)
-	}
-	return tail
+	return Column[trace.CounterSample]{}
+}
+
+// Samples returns the sample array of a counter on a CPU: a view into
+// trace storage, or a fresh concatenation for a column with spilled
+// parts; windowed callers should prefer SamplesIn, which copies only
+// across spill boundaries.
+func (c *Counter) Samples(cpu int32) []trace.CounterSample {
+	return c.column(cpu).all()
 }
 
 // SamplesIn returns the samples of a counter on cpu with time in
-// [t0, t1), stitching spilled columns with the RAM tail; nil for an
-// empty or inverted window.
+// [t0, t1), read like Trace.StatesIn; nil for an empty or inverted
+// window.
 func (c *Counter) SamplesIn(cpu int32, t0, t1 trace.Time) []trace.CounterSample {
-	var tail []trace.CounterSample
-	if int(cpu) < len(c.PerCPU) {
-		tail = c.PerCPU[cpu]
-	}
-	if int(cpu) < len(c.spilled) && len(c.spilled[cpu]) > 0 {
-		return stitchWin(c.spilled[cpu], tail, sampleWin(t0, t1))
-	}
-	lo, hi := sampleWindow(tail, t0, t1)
-	if lo == hi {
-		return nil
-	}
-	return tail[lo:hi]
+	return c.column(cpu).win(sampleWindow, t0, t1)
 }
 
 // ValueAt returns the counter's value on cpu at time t: the value of
 // the latest sample at or before t. ok is false if no sample precedes
-// t. Spilled columns are searched newest-first after the RAM tail.
+// t. The column's runs are searched newest first.
 func (c *Counter) ValueAt(cpu int32, t trace.Time) (int64, bool) {
-	var tail []trace.CounterSample
-	if int(cpu) < len(c.PerCPU) {
-		tail = c.PerCPU[cpu]
-	}
-	i := sort.Search(len(tail), func(i int) bool { return tail[i].Time > t })
-	if i > 0 {
-		return tail[i-1].Value, true
-	}
-	if int(cpu) < len(c.spilled) {
-		parts := c.spilled[cpu]
-		for k := len(parts) - 1; k >= 0; k-- {
-			s := parts[k].rows
-			j := sort.Search(len(s), func(i int) bool { return s[i].Time > t })
-			if j > 0 {
-				return s[j-1].Value, true
-			}
+	col := c.column(cpu)
+	for k := col.runs() - 1; k >= 0; k-- {
+		s := col.run(k)
+		if i := sort.Search(len(s), func(i int) bool { return s[i].Time > t }); i > 0 {
+			return s[i-1].Value, true
 		}
 	}
 	return 0, false
+}
+
+// NumSamples returns the counter's sample count on a CPU.
+func (c *Counter) NumSamples(cpu int32) int {
+	return c.column(cpu).len()
+}
+
+// sampleLeaves returns a counter's sample column on a CPU as its
+// min/max trees read it.
+func (c *Counter) sampleLeaves(cpu int32) mmtree.Samples {
+	return c.column(cpu).leaves()
 }
 
 // counterFor returns the counter registered for id, creating and

@@ -294,7 +294,7 @@ func TestDomIndexScannedMatchesScan(t *testing.T) {
 	}
 
 	hand := newTrace()
-	hand.CPUs = []CPUData{{States: cpus[0]}, {States: cpus[1]}}
+	hand.CPUs = []CPUData{{States: Column[trace.StateEvent]{Rows: cpus[0]}}, {States: Column[trace.StateEvent]{Rows: cpus[1]}}}
 	hand.Span = Interval{Start: 0, End: cpus[1][n-1].End + 400}
 	assertShape("hand-built", hand)
 	checkDomAgainstScan(t, "hand-built", hand, rng, 400)
@@ -416,7 +416,7 @@ func TestDomIndexOneConstructionPath(t *testing.T) {
 	}
 
 	lazyTr := newTrace()
-	lazyTr.CPUs = []CPUData{{States: states}}
+	lazyTr.CPUs = []CPUData{{States: Column[trace.StateEvent]{Rows: states}}}
 	sameDomSets(t, "lazy", lazyTr.DomIndex().CPU(lazyTr, 0).domSets, want.domSets)
 
 	// Counted, then allocated: a batch build makes the sets, two columns
@@ -494,7 +494,7 @@ func TestDomIndexOverhead(t *testing.T) {
 			t.Fatalf("cpu %d is not pyramid-served", cpu)
 		}
 		index += domOverhead(dc)
-		states += int64(len(tr.CPUs[cpu].States)) * int64(unsafe.Sizeof(trace.StateEvent{}))
+		states += int64(len(tr.CPUs[cpu].States.Rows)) * int64(unsafe.Sizeof(trace.StateEvent{}))
 	}
 	if states == 0 {
 		t.Fatal("fixture has no states")
@@ -553,8 +553,8 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1 << 40})
 	defer lv.Close()
 	type frozen struct {
-		seg *spillSeg
-		p   *segPayload
+		seg  *spillSeg
+		frag *Trace
 	}
 	var parts []frozen
 	var snap *Trace
@@ -568,9 +568,9 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 		snap = publish(t, lv, b)
 		if k < len(cuts) {
 			lv.mu.Lock()
-			seg, p := lv.freezeTailsLocked()
+			seg, frag := lv.freezeTailsLocked()
 			lv.mu.Unlock()
-			parts = append(parts, frozen{seg, p})
+			parts = append(parts, frozen{seg, frag})
 		}
 		from = to
 	}
@@ -601,7 +601,7 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 
 	// (a) Frozen, not yet written: the parts are the heap rows.
 	snap, _ = lv.Publish()
-	for _, p := range snap.spilled[0].states {
+	for _, p := range snap.CPUs[0].States.parts {
 		if p.seg.m != nil {
 			t.Fatal("precondition: a part is mapped before its segment was installed")
 		}
@@ -610,16 +610,16 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 
 	// (b) Written and installed: the same rows, mapped.
 	for _, f := range parts {
-		m, vp, path, err := writeSegment(dir, f.seg.id, f.p)
+		m, view, path, err := writeSegment(dir, f.seg.id, f.frag)
 		lv.mu.Lock()
-		lv.installLocked(f.seg, m, vp, path, err)
+		lv.installLocked(f.seg, m, view, path, err)
 		lv.mu.Unlock()
 	}
 	mapped, _ := lv.Publish()
 	if st, ok := mapped.SpillStats(); !ok || st.Err != "" || st.Pending != 0 {
 		t.Fatalf("install: %+v", st)
 	}
-	for _, p := range mapped.spilled[0].states {
+	for _, p := range mapped.CPUs[0].States.parts {
 		if p.seg.m == nil {
 			t.Fatal("precondition: a part is still heap rows after install")
 		}
@@ -678,8 +678,8 @@ func TestSpillBoundCoversIndex(t *testing.T) {
 	old := publishSettled(t, lv, b) // captures the tail; the publish then spills it, Close waits for the install
 	b = nil
 	fresh, _ := lv.Publish()
-	if st, ok := fresh.SpillStats(); !ok || st.Segments != 1 || st.Pending != 0 || len(fresh.CPUs[0].States) != 0 {
-		t.Fatalf("precondition: cpu 0 not fully spilled: %+v, %d states in RAM", st, len(fresh.CPUs[0].States))
+	if st, ok := fresh.SpillStats(); !ok || st.Segments != 1 || st.Pending != 0 || len(fresh.CPUs[0].States.Rows) != 0 {
+		t.Fatalf("precondition: cpu 0 not fully spilled: %+v, %d states in RAM", st, len(fresh.CPUs[0].States.Rows))
 	}
 	dc := fresh.DomIndex().CPU(fresh, 0)
 	if _, _, indexed := dc.DominantState(0, 10*n); !indexed || dc.all.Len() != n {
@@ -691,8 +691,8 @@ func TestSpillBoundCoversIndex(t *testing.T) {
 		t.Errorf("the index of %d spilled states owns %d bytes, %.1f a state: want at most 16", n, got, float64(got)/n)
 	}
 	c := fresh.Counters[0]
-	if len(c.PerCPU[0]) != 0 || c.NumSamples(0) != n {
-		t.Fatalf("precondition: %d of %d samples still in RAM", len(c.PerCPU[0]), c.NumSamples(0))
+	if len(c.PerCPU[0].Rows) != 0 || c.NumSamples(0) != n {
+		t.Fatalf("precondition: %d of %d samples still in RAM", len(c.PerCPU[0].Rows), c.NumSamples(0))
 	}
 	ci := fresh.CounterIndex()
 	vt, rt := ci.Tree(c, 0), ci.RateTree(c, 0)

@@ -66,12 +66,14 @@ func homeStride(n int) int {
 }
 
 // rows returns the checkpoint rows of a CPU's communication column,
-// summing them on first use.
+// summing them on first use. A trace with the index has final tables,
+// so it is no live snapshot and its columns have no spilled parts: a
+// column is its Rows.
 func (hi *homeIndex) rows(tr *Trace, cpu int32, stride int) []int64 {
 	hi.once.Do(func() { hi.cpus = make([]homeCPU, len(tr.CPUs)) })
 	c := &hi.cpus[cpu]
 	c.once.Do(func() {
-		evs, w := tr.CPUs[cpu].Comm, 2*tr.NumNodes()
+		evs, w := tr.CPUs[cpu].Comm.Rows, 2*tr.NumNodes()
 		c.sums = make([]int64, len(evs)/stride*w)
 		for k := 0; (k+1)*w <= len(c.sums); k++ {
 			row := c.sums[k*w : (k+1)*w]
@@ -119,41 +121,39 @@ func (tr *Trace) addHomeBytes(evs []trace.CommEvent, row []int64) {
 // On a batch-loaded or store-opened trace a window that spans two of
 // the CPU's checkpoint rows (any window of two strides, see homeIndex)
 // is answered from their difference and only its edges are walked; a
-// live snapshot, a spilled column and a narrower window walk every
-// access. The result is the same to the bit.
+// live snapshot and a narrower window walk every access, run by run of
+// the column. The result is the same to the bit.
 func (tr *Trace) HomeBytes(cpu int32, t0, t1 trace.Time, row []int64) {
 	w := 2 * tr.NumNodes()
 	if cpu < 0 || int(cpu) >= len(tr.CPUs) || w <= 0 {
 		return
 	}
 	row = row[:w]
-	if int(cpu) < len(tr.spilled) {
-		for _, p := range tr.spilled[cpu].comm {
-			lo, hi := commWindow(p.rows, t0, t1)
-			tr.addHomeBytes(p.rows[lo:hi], row)
-		}
-	}
-	evs := tr.CPUs[cpu].Comm
-	lo, hi := commWindow(evs, t0, t1)
-	if tr.home != nil {
-		// Rows a and b are the first at or after lo and the last at or
-		// before hi; a window that holds no two of them builds nothing.
-		stride := homeStride(w / 2)
-		if a, b := (lo+stride-1)/stride, hi/stride; a < b {
-			sums := tr.home.rows(tr, cpu, stride)
-			tr.addHomeBytes(evs[lo:a*stride], row)
-			for i, s := range sums[(b-1)*w : b*w] {
-				row[i] += s
-			}
-			if a > 0 {
-				for i, s := range sums[(a-1)*w : a*w] {
-					row[i] -= s
+	col := &tr.CPUs[cpu].Comm
+	for k := range col.runs() {
+		evs := col.run(k)
+		lo, hi := commWindow(evs, t0, t1)
+		if tr.home != nil {
+			// The column is its Rows (homeIndex.rows). Rows a and b are
+			// the first at or after lo and the last at or before hi; a
+			// window that holds no two of them builds nothing.
+			stride := homeStride(w / 2)
+			if a, b := (lo+stride-1)/stride, hi/stride; a < b {
+				sums := tr.home.rows(tr, cpu, stride)
+				tr.addHomeBytes(evs[lo:a*stride], row)
+				for i, s := range sums[(b-1)*w : b*w] {
+					row[i] += s
 				}
+				if a > 0 {
+					for i, s := range sums[(a-1)*w : a*w] {
+						row[i] -= s
+					}
+				}
+				lo = b * stride
 			}
-			lo = b * stride
 		}
+		tr.addHomeBytes(evs[lo:hi], row)
 	}
-	tr.addHomeBytes(evs[lo:hi], row)
 }
 
 // TaskHome is what the NUMA read and write modes colour a task by

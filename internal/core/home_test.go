@@ -230,8 +230,8 @@ func (c *homeCase) resident() *Trace {
 	tr.CPUs = make([]CPUData, len(c.comm))
 	execs := make([][]execSpan, len(c.comm))
 	for cpu, col := range c.comm {
-		tr.CPUs[cpu].Comm = col
-		tr.CPUs[cpu].States = c.execs[cpu]
+		tr.CPUs[cpu].Comm.Rows = col
+		tr.CPUs[cpu].States.Rows = c.execs[cpu]
 		execs[cpu] = collectExecs(c.execs[cpu])
 	}
 	for _, task := range c.tasks {
@@ -289,13 +289,7 @@ func taskNodeBytes(tr *Trace, t *TaskInfo, kind trace.CommKind) map[int32]int64 
 	if t.ExecCPU < 0 || int(t.ExecCPU) >= len(tr.CPUs) {
 		return out
 	}
-	var col []trace.CommEvent
-	if int(t.ExecCPU) < len(tr.spilled) {
-		for _, p := range tr.spilled[t.ExecCPU].comm {
-			col = append(col, p.rows...)
-		}
-	}
-	for _, ev := range append(col, tr.CPUs[t.ExecCPU].Comm...) {
+	for _, ev := range tr.CPUs[t.ExecCPU].Comm.all() {
 		if ev.Task != t.ID || ev.Kind != kind || ev.Time < t.ExecStart || ev.Time > t.ExecEnd {
 			continue
 		}
@@ -435,8 +429,8 @@ func TestHomeBytesMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cpu, col := range c.comm {
-			if !slices.Equal(batch.CPUs[cpu].Comm, col) {
-				t.Fatalf("precondition: cpu %d loaded %d accesses, wrote %d", cpu, len(batch.CPUs[cpu].Comm), len(col))
+			if !slices.Equal(batch.CPUs[cpu].Comm.Rows, col) {
+				t.Fatalf("precondition: cpu %d loaded %d accesses, wrote %d", cpu, len(batch.CPUs[cpu].Comm.Rows), len(col))
 			}
 		}
 		path := filepath.Join(t.TempDir(), "home.atms")
@@ -452,7 +446,7 @@ func TestHomeBytesMatchesScan(t *testing.T) {
 		defer lv.Close()
 		sp, spilled := c.live(t, t.TempDir())
 		defer sp.Close()
-		if parts := len(spilled.spilled[len(lens)-1].comm); parts < 2 {
+		if parts := len(spilled.CPUs[len(lens)-1].Comm.parts); parts < 2 {
 			t.Fatalf("precondition: the longest column spilled into %d parts", parts)
 		}
 		arms := []struct {
@@ -559,7 +553,7 @@ func TestHomeSumsOverhead(t *testing.T) {
 		row := make([]int64, 2*tr.NumNodes())
 		for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
 			tr.HomeBytes(cpu, math.MinInt64, math.MaxInt64, row)
-			comm += int64(len(tr.CPUs[cpu].Comm)) * int64(unsafe.Sizeof(trace.CommEvent{}))
+			comm += int64(len(tr.CPUs[cpu].Comm.Rows)) * int64(unsafe.Sizeof(trace.CommEvent{}))
 		}
 		sums := homeSumBytes(tr)
 		t.Logf("%s: stride %d, %d bytes of sums over %d bytes of accesses, ratio %.3f", tc.name, homeStride(tr.NumNodes()), sums, comm, float64(sums)/float64(comm))
@@ -593,8 +587,8 @@ func TestWindowAccessorsTotal(t *testing.T) {
 		publishSettled(t, spill, b)
 	}
 	spilled, _ = spill.Publish()
-	if len(spilled.spilled[0].comm) < 2 {
-		t.Fatalf("precondition: cpu 0 spilled %d parts", len(spilled.spilled[0].comm))
+	if len(spilled.CPUs[0].Comm.parts) < 2 {
+		t.Fatalf("precondition: cpu 0 spilled %d parts", len(spilled.CPUs[0].Comm.parts))
 	}
 
 	const events = 60 // per CPU and family
@@ -680,8 +674,8 @@ func TestCommWindowThroughMaxInt64(t *testing.T) {
 	publishSettled(t, lv, &trace.RecordBatch{Topologies: []trace.Topology{topo}, Regions: []trace.MemRegion{region}, States: []trace.StateEvent{idle}, Comms: reads[:20], MaxCPU: 0})
 	publishSettled(t, lv, &trace.RecordBatch{Comms: append(reads[20:], last), MaxCPU: 0})
 	spilled, _ := lv.Publish()
-	if len(spilled.spilled[0].comm) < 2 {
-		t.Fatalf("precondition: cpu 0 spilled %d parts", len(spilled.spilled[0].comm))
+	if len(spilled.CPUs[0].Comm.parts) < 2 {
+		t.Fatalf("precondition: cpu 0 spilled %d parts", len(spilled.CPUs[0].Comm.parts))
 	}
 
 	for _, arm := range []struct {

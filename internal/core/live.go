@@ -17,7 +17,7 @@
 // and the not-yet-declared tasks), so a snapshot is — provably, see
 // TestStreamEqualsBatch and TestPublishIncrementalEqualsBatch —
 // byte-identical to a cold Load of the stream prefix consumed so far. A
-// snapshot captures each column as a (parts, tail) value and the region
+// snapshot captures each column as its Column value and the region
 // list as a (len == cap) prefix, sharing that storage with the
 // builder, which never writes at an index a captured value covers; the
 // task table is the one thing copied. So readers keep querying older
@@ -426,30 +426,24 @@ func (lv *Live) snapshotLocked() *Trace {
 	if !lv.hasTopo {
 		tr.Topology = synthTopology(lv.maxCPU)
 	}
-	spilled := lv.spill != nil
-	if spilled {
+	if lv.spill != nil {
 		st := lv.spill.stats()
 		tr.spill = &st
 	}
 
 	// Per-CPU arrays, padded to maxCPU+1 like the batch indexer: each
-	// column is captured as its (parts, tail) value; a column that
-	// violated per-CPU order is captured repaired — the identical
-	// stable sort index() performs.
+	// column is captured as its Column value; a column that violated
+	// per-CPU order is captured repaired — the identical stable sort
+	// index() performs.
 	dirty := false
 	if n := int(lv.maxCPU) + 1; n > 0 {
 		tr.CPUs = make([]CPUData, n)
-		if spilled {
-			tr.spilled = make([]cpuParts, n)
-		}
 		for i := range lv.cols {
-			cc, c := &lv.cols[i], &tr.CPUs[i]
-			var sp cpuParts
-			sp.states, c.States = cc.states.snapshot(stateTime)
-			sp.discrete, c.Discrete = cc.discrete.snapshot(discreteTime)
-			sp.comm, c.Comm = cc.comm.snapshot(commTime)
-			if spilled {
-				tr.spilled[i] = sp
+			cc := &lv.cols[i]
+			tr.CPUs[i] = CPUData{
+				States:   cc.states.snapshot(stateTime),
+				Discrete: cc.discrete.snapshot(discreteTime),
+				Comm:     cc.comm.snapshot(commTime),
 			}
 			dirty = dirty || cc.states.dirty
 		}
@@ -467,7 +461,7 @@ func (lv *Live) snapshotLocked() *Trace {
 		execs := make([][]execSpan, len(tr.CPUs))
 		for i := range lv.cols {
 			if lv.cols[i].states.dirty {
-				execs[i] = collectExecs(tr.CPUs[i].States)
+				execs[i] = collectExecs(tr.CPUs[i].States.Rows)
 			} else {
 				execs[i] = lv.execs[i]
 			}
@@ -495,17 +489,10 @@ func (lv *Live) snapshotLocked() *Trace {
 	for _, lc := range lv.counters {
 		c := &Counter{Desc: lc.desc}
 		if len(lc.per) > 0 {
-			c.PerCPU = make([][]trace.CounterSample, len(lc.per))
-			if spilled {
-				c.spilled = make([][]colPart[trace.CounterSample], len(lc.per))
-			}
+			c.PerCPU = make([]Column[trace.CounterSample], len(lc.per))
 			for cpu := range lc.per {
 				p := &lc.per[cpu]
-				parts, tail := p.col.snapshot(sampleTime)
-				c.PerCPU[cpu] = tail
-				if spilled {
-					c.spilled[cpu] = parts
-				}
+				c.PerCPU[cpu] = p.col.snapshot(sampleTime)
 				if p.tree != nil {
 					key := counterCPU{uint64(c.Desc.ID), int32(cpu), false}
 					ci.seed(key, p.tree, &entries[0])
@@ -625,7 +612,7 @@ func (lv *Live) extendTreesLocked() (pairs int) {
 				if p.tree == nil {
 					p.tree, p.rate = mmtree.Values(0), mmtree.Rates(0)
 				}
-				col := leavesOf(p.col.parts, p.col.tail)
+				col := p.col.leaves()
 				p.tree = p.tree.Append(col, nil)
 				p.rate = appendRates(p.rate, col)
 				p.treeN, p.moved = m, false

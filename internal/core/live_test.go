@@ -338,13 +338,13 @@ func TestLiveOutOfOrderProducer(t *testing.T) {
 
 	// The Writer enforces ordering, so a byte-level reference load is
 	// not constructible here; check the repaired invariants directly.
-	states := snap.CPUs[0].States
+	states := snap.CPUs[0].States.Rows
 	for i := 1; i < len(states); i++ {
 		if states[i].Start < states[i-1].Start {
 			t.Fatal("snapshot states not sorted after out-of-order append")
 		}
 	}
-	samples := snap.Counters[0].PerCPU[1]
+	samples := snap.Counters[0].PerCPU[1].Rows
 	for i := 1; i < len(samples); i++ {
 		if samples[i].Time < samples[i-1].Time {
 			t.Fatal("snapshot samples not sorted after out-of-order append")

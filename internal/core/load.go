@@ -148,14 +148,14 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, maxCPU int32, workers int
 	tr.CPUs = sized[CPUData](len(total))
 	par.Do(workers, len(total), func(cpu int) {
 		c, t := &tr.CPUs[cpu], &total[cpu]
-		c.States = sized[trace.StateEvent](t.States)
-		c.Discrete = sized[trace.DiscreteEvent](t.Discrete)
-		c.Comm = sized[trace.CommEvent](t.Comms)
+		c.States.Rows = sized[trace.StateEvent](t.States)
+		c.Discrete.Rows = sized[trace.DiscreteEvent](t.Discrete)
+		c.Comm.Rows = sized[trace.CommEvent](t.Comms)
 	})
 	par.Do(workers, len(samples), func(ci int) {
-		per := sized[[]trace.CounterSample](len(samples[ci]))
+		per := sized[Column[trace.CounterSample]](len(samples[ci]))
 		for cpu, n := range samples[ci] {
-			per[cpu] = sized[trace.CounterSample](n)
+			per[cpu].Rows = sized[trace.CounterSample](n)
 		}
 		tr.Counters[ci].PerCPU = per
 	})
@@ -188,28 +188,28 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, maxCPU int32, workers int
 				if s.CPU != e.CPU {
 					e = at[s.CPU]
 				}
-				tr.CPUs[s.CPU].States[e.States] = s
+				tr.CPUs[s.CPU].States.Rows[e.States] = s
 				e.States++
 			}
 			for _, ev := range b.Discrete {
 				if ev.CPU != e.CPU {
 					e = at[ev.CPU]
 				}
-				tr.CPUs[ev.CPU].Discrete[e.Discrete] = ev
+				tr.CPUs[ev.CPU].Discrete.Rows[e.Discrete] = ev
 				e.Discrete++
 			}
 			for _, ev := range b.Comms {
 				if ev.CPU != e.CPU {
 					e = at[ev.CPU]
 				}
-				tr.CPUs[ev.CPU].Comm[e.Comms] = ev
+				tr.CPUs[ev.CPU].Comm.Rows[e.Comms] = ev
 				e.Comms++
 			}
 			clear(rest)
 			ranges = ranges[:0]
 			for _, e := range b.SampleCounts {
 				rest[pair(e.Counter, e.CPU)] = len(ranges)
-				ranges = append(ranges, tr.Counters[tr.counterByID[e.Counter]].PerCPU[e.CPU][e.N:])
+				ranges = append(ranges, tr.Counters[tr.counterByID[e.Counter]].PerCPU[e.CPU].Rows[e.N:])
 			}
 			for _, s := range b.Samples {
 				r := &ranges[rest[pair(s.Counter, s.CPU)]]
@@ -444,18 +444,18 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 	}
 	perCPU := make([]cpuIndex, len(tr.CPUs))
 	par.Do(workers, len(tr.CPUs), func(i int) {
-		c := &tr.CPUs[i]
-		if !inOrder(c.States, stateTime) {
-			sort.SliceStable(c.States, func(a, b int) bool { return c.States[a].Start < c.States[b].Start })
+		states, discrete, comm := tr.CPUs[i].States.Rows, tr.CPUs[i].Discrete.Rows, tr.CPUs[i].Comm.Rows
+		if !inOrder(states, stateTime) {
+			sort.SliceStable(states, func(a, b int) bool { return states[a].Start < states[b].Start })
 		}
-		if !inOrder(c.Discrete, discreteTime) {
-			sort.SliceStable(c.Discrete, func(a, b int) bool { return c.Discrete[a].Time < c.Discrete[b].Time })
+		if !inOrder(discrete, discreteTime) {
+			sort.SliceStable(discrete, func(a, b int) bool { return discrete[a].Time < discrete[b].Time })
 		}
-		if !inOrder(c.Comm, commTime) {
-			sort.SliceStable(c.Comm, func(a, b int) bool { return c.Comm[a].Time < c.Comm[b].Time })
+		if !inOrder(comm, commTime) {
+			sort.SliceStable(comm, func(a, b int) bool { return comm[a].Time < comm[b].Time })
 		}
 		res := &perCPU[i]
-		for _, s := range c.States {
+		for _, s := range states {
 			if !res.has || s.Start < res.min {
 				res.min = s.Start
 			}
@@ -464,15 +464,15 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 			}
 			res.has = true
 		}
-		res.execs = collectExecs(c.States)
+		res.execs = collectExecs(states)
 		// Build the dominance pyramid over the freshly sorted states
 		// (Section VI-B: rendering cost proportional to pixels, not
 		// events), eagerly so the first viewer request pays nothing. A
 		// CPU without states gets none: ids are sparse, and DomIndex.CPU
 		// builds the empty entry for whoever asks.
-		if len(c.States) > 0 {
+		if len(states) > 0 {
 			res.dom = &DomCPU{}
-			res.dom.build(mragg.Over(c.States))
+			res.dom.build(mragg.Over(states))
 		}
 	})
 
@@ -484,13 +484,13 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 	var pairs []samplePair
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
-			if len(c.PerCPU[cpu]) > 1 {
+			if len(c.PerCPU[cpu].Rows) > 1 {
 				pairs = append(pairs, samplePair{c, cpu})
 			}
 		}
 	}
 	par.Do(workers, len(pairs), func(i int) {
-		s := pairs[i].c.PerCPU[pairs[i].cpu]
+		s := pairs[i].c.PerCPU[pairs[i].cpu].Rows
 		if !inOrder(s, sampleTime) {
 			sort.SliceStable(s, func(a, b int) bool { return s[a].Time < s[b].Time })
 		}
@@ -525,7 +525,7 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 	tr.Tasks = applyExecs(tr.Tasks, tr.taskByID, execs)
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
-			s := c.PerCPU[cpu]
+			s := c.PerCPU[cpu].Rows
 			if len(s) == 0 {
 				continue
 			}

@@ -55,10 +55,10 @@ func equalTraces(t *testing.T, want, got *Trace, label string) {
 	}
 	for i := range want.CPUs {
 		w, g := &want.CPUs[i], &got.CPUs[i]
-		if !sameSlice(w.States, g.States) || !sameSlice(w.Discrete, g.Discrete) || !sameSlice(w.Comm, g.Comm) {
+		if !sameSlice(w.States.Rows, g.States.Rows) || !sameSlice(w.Discrete.Rows, g.Discrete.Rows) || !sameSlice(w.Comm.Rows, g.Comm.Rows) {
 			t.Fatalf("%s: CPU %d event arrays differ (states %d/%d, discrete %d/%d, comm %d/%d)",
 				label, i,
-				len(g.States), len(w.States), len(g.Discrete), len(w.Discrete), len(g.Comm), len(w.Comm))
+				len(g.States.Rows), len(w.States.Rows), len(g.Discrete.Rows), len(w.Discrete.Rows), len(g.Comm.Rows), len(w.Comm.Rows))
 		}
 	}
 	if !reflect.DeepEqual(want.Types, got.Types) {
@@ -138,14 +138,14 @@ func assertExactColumns(t *testing.T, got *Trace, label string) {
 	}
 	for i := range got.CPUs {
 		g := &got.CPUs[i]
-		check("states", i, len(g.States), cap(g.States), g.States == nil)
-		check("discrete", i, len(g.Discrete), cap(g.Discrete), g.Discrete == nil)
-		check("comm", i, len(g.Comm), cap(g.Comm), g.Comm == nil)
+		check("states", i, len(g.States.Rows), cap(g.States.Rows), g.States.Rows == nil)
+		check("discrete", i, len(g.Discrete.Rows), cap(g.Discrete.Rows), g.Discrete.Rows == nil)
+		check("comm", i, len(g.Comm.Rows), cap(g.Comm.Rows), g.Comm.Rows == nil)
 	}
 	for _, c := range got.Counters {
 		check("counter "+c.Desc.Name, -1, len(c.PerCPU), cap(c.PerCPU), c.PerCPU == nil)
 		for cpu, per := range c.PerCPU {
-			check("samples of "+c.Desc.Name, cpu, len(per), cap(per), per == nil)
+			check("samples of "+c.Desc.Name, cpu, len(per.Rows), cap(per.Rows), per.Rows == nil)
 		}
 	}
 }
@@ -396,7 +396,7 @@ func TestLoadSparseCPUIDs(t *testing.T) {
 		}
 		events, samples := want.EventCounts()
 		arrays := uint64(events)*uint64(unsafe.Sizeof(trace.StateEvent{})) + uint64(samples)*uint64(unsafe.Sizeof(trace.CounterSample{})) +
-			(far+1)*uint64(unsafe.Sizeof(CPUData{})+unsafe.Sizeof([]trace.CounterSample{}))
+			(far+1)*uint64(unsafe.Sizeof(CPUData{})+unsafe.Sizeof(Column[trace.CounterSample]{}))
 		_, scattered := measure(t, "scatter", func() (*Trace, error) { tr.scatter(batches, far, 4); return tr, nil })
 		if limit := arrays + (far+1)*(32+8) + 1<<20; scattered > limit {
 			t.Errorf("scatter of %d batches allocated %d bytes for %d bytes of arrays (limit %d)", len(batches), scattered, arrays, limit)

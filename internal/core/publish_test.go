@@ -228,7 +228,7 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 		}
 		execs := make([][]execSpan, len(snap.CPUs))
 		for cpu := range snap.CPUs {
-			execs[cpu] = collectExecs(snap.CPUs[cpu].States)
+			execs[cpu] = collectExecs(snap.CPUs[cpu].States.Rows)
 		}
 		byID := make(map[trace.TaskID]int)
 		for i := range ref.Tasks {

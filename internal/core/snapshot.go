@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/openstream/aftermath/internal/agg"
 	"github.com/openstream/aftermath/internal/mmtree"
@@ -29,14 +28,14 @@ const snapshotFormatVersion = 5
 // event array, counter sample array and table dumped as raw columns,
 // plus the fully built aggregation pyramids (the dominance sets and
 // the counter min/max and rate trees), so OpenStore can map the file
-// and answer indexed queries without rebuilding anything. Spilled live
-// snapshots are stitched into single columns on the way out, making
-// SaveStore also the natural "compact a live session to one file"
-// path.
+// and answer indexed queries without rebuilding anything. Each column
+// is written whole, its spilled parts and its rows as one section,
+// making SaveStore also the natural "compact a live session to one
+// file" path.
 func SaveStore(tr *Trace, path string) (err error) {
-	// Build the indexes being persisted. For spilled snapshots the
-	// pyramids' leaf refs are logical indices into the stitched arrays,
-	// which is exactly the layout the columns are written in.
+	// Build the indexes being persisted. The pyramids' leaf refs are
+	// logical indices into whole columns, which is exactly the layout
+	// the columns are written in.
 	di := tr.DomIndex()
 	tr.BuildCounterIndex(0)
 
@@ -70,12 +69,12 @@ func SaveStore(tr *Trace, path string) (err error) {
 	e.Ref(store.Put(w, tr.Tasks))
 	e.Ref(store.Put(w, tr.Regions))
 
-	const lo, hi = math.MinInt64, math.MaxInt64
 	e.Int(len(tr.CPUs))
-	for cpu := int32(0); int(cpu) < len(tr.CPUs); cpu++ {
-		e.Ref(store.Put(w, tr.StatesIn(cpu, lo, hi)))
-		e.Ref(store.Put(w, tr.DiscreteIn(cpu, lo, hi)))
-		e.Ref(store.Put(w, tr.CommIn(cpu, lo, hi)))
+	for i := range tr.CPUs {
+		c := &tr.CPUs[i]
+		e.Ref(store.Put(w, c.States.all()))
+		e.Ref(store.Put(w, c.Discrete.all()))
+		e.Ref(store.Put(w, c.Comm.all()))
 	}
 
 	e.Int(len(tr.Counters))
@@ -89,7 +88,7 @@ func SaveStore(tr *Trace, path string) (err error) {
 		}
 		e.Int(len(c.PerCPU))
 		for cpu := range c.PerCPU {
-			e.Ref(store.Put(w, c.Samples(int32(cpu))))
+			e.Ref(store.Put(w, c.PerCPU[cpu].all()))
 		}
 	}
 
@@ -305,13 +304,14 @@ func OpenStore(path string) (tr *Trace, err error) {
 	}
 	tr.CPUs = make([]CPUData, nCPU)
 	for i := 0; i < nCPU; i++ {
-		if tr.CPUs[i].States, err = store.View[trace.StateEvent](m, d.Ref()); err != nil {
+		c := &tr.CPUs[i]
+		if c.States.Rows, err = store.View[trace.StateEvent](m, d.Ref()); err != nil {
 			return nil, err
 		}
-		if tr.CPUs[i].Discrete, err = store.View[trace.DiscreteEvent](m, d.Ref()); err != nil {
+		if c.Discrete.Rows, err = store.View[trace.DiscreteEvent](m, d.Ref()); err != nil {
 			return nil, err
 		}
-		if tr.CPUs[i].Comm, err = store.View[trace.CommEvent](m, d.Ref()); err != nil {
+		if c.Comm.Rows, err = store.View[trace.CommEvent](m, d.Ref()); err != nil {
 			return nil, err
 		}
 	}
@@ -327,9 +327,9 @@ func OpenStore(path string) (tr *Trace, err error) {
 			Name:      d.Str(),
 			Monotonic: d.Int() != 0,
 		}}
-		c.PerCPU = make([][]trace.CounterSample, d.Int())
+		c.PerCPU = make([]Column[trace.CounterSample], d.Int())
 		for cpu := range c.PerCPU {
-			if c.PerCPU[cpu], err = store.View[trace.CounterSample](m, d.Ref()); err != nil {
+			if c.PerCPU[cpu].Rows, err = store.View[trace.CounterSample](m, d.Ref()); err != nil {
 				return nil, err
 			}
 		}
@@ -340,7 +340,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 
 	di := NewDomIndex()
 	for cpu := int32(0); int(cpu) < nCPU; cpu++ {
-		states := tr.CPUs[cpu].States
+		states := tr.CPUs[cpu].States.Rows
 		all, err := viewAllSet(m, d, len(states))
 		if err != nil {
 			return nil, fmt.Errorf("store: cpu %d all-states dominance set: %w", cpu, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -143,6 +144,99 @@ func TestSnapshotOfSpilledLive(t *testing.T) {
 	assertSameEvents(t, "compacted spilled snapshot", got, want)
 	if _, ok := got.SpillStats(); ok {
 		t.Fatal("compacted snapshot still reports spill state")
+	}
+}
+
+// TestSaveStoreKeepsWholeColumns: SaveStore writes every column whole,
+// whatever its timestamps. A zero-length state at MinInt64 or at
+// MaxInt64, a discrete event, an access and a counter sample at
+// MaxInt64 all lie outside the half-open window [MinInt64, MaxInt64)
+// — the window a column read back through StatesIn and its siblings
+// would miss. Both a batch-loaded trace and a spilled live snapshot,
+// whose columns are parts and rows, must open from their snapshot file
+// with every column as it was.
+func TestSaveStoreKeepsWholeColumns(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	topo := trace.Topology{Name: "one", NumNodes: 1, NodeOfCPU: []int32{0}, Distance: []int32{10}}
+	states := []trace.StateEvent{
+		{State: trace.StateIdle, Start: lo, End: lo},
+		{State: trace.StateIdle, Start: 0, End: 10},
+		{State: trace.StateIdle, Start: hi, End: hi},
+	}
+	discrete := []trace.DiscreteEvent{{Kind: trace.EventTaskCreated, Time: 5}, {Kind: trace.EventTaskCreated, Time: hi}}
+	comm := []trace.CommEvent{{Kind: trace.CommRead, SrcCPU: -1, Time: 5, Size: 8}, {Kind: trace.CommWrite, SrcCPU: -1, Time: hi, Size: 8}}
+	samples := []trace.CounterSample{{Counter: 1, Time: 0, Value: 1}, {Counter: 1, Time: hi, Value: 2}}
+
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.WriteTopology(topo))
+	for i := range states {
+		must(w.WriteState(states[i]))
+	}
+	for i := range discrete {
+		must(w.WriteDiscrete(discrete[i]))
+	}
+	for i := range comm {
+		must(w.WriteComm(comm[i]))
+	}
+	for i := range samples {
+		must(w.WriteSample(samples[i]))
+	}
+	must(w.Flush())
+	batch, err := FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Each half of the records is published, then frozen into a segment
+	// of its own: the live snapshot's columns are two parts each.
+	lv := NewLive()
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
+	defer lv.Close()
+	publishSettled(t, lv, &trace.RecordBatch{Topologies: []trace.Topology{topo}, States: states[:2],
+		Discrete: discrete[:1], Comms: comm[:1], Samples: samples[:1], CounterIDs: []trace.CounterID{1}})
+	publishSettled(t, lv, &trace.RecordBatch{States: states[2:], Discrete: discrete[1:], Comms: comm[1:], Samples: samples[1:]})
+	spilled, _ := lv.Publish()
+	if c := &spilled.CPUs[0]; len(c.States.parts) != 2 || len(c.Discrete.parts) != 2 || len(c.Comm.parts) != 2 ||
+		len(spilled.Counters[0].PerCPU[0].parts) != 2 {
+		t.Fatal("precondition: the live snapshot's columns are not two parts each")
+	}
+
+	for _, arm := range []struct {
+		name string
+		tr   *Trace
+	}{{"batch", batch}, {"spilled live", spilled}} {
+		path := filepath.Join(t.TempDir(), "whole.atms")
+		if err := SaveStore(arm.tr, path); err != nil {
+			t.Fatalf("%s: %v", arm.name, err)
+		}
+		got, err := OpenStore(path)
+		if err != nil {
+			t.Fatalf("%s: open: %v", arm.name, err)
+		}
+		defer got.Close()
+		if len(got.CPUs) != 1 || len(got.Counters) != 1 || len(got.Counters[0].PerCPU) != 1 {
+			t.Fatalf("%s: reopened with %d CPUs and %d counters", arm.name, len(got.CPUs), len(got.Counters))
+		}
+		c := &got.CPUs[0]
+		if g := c.States.all(); !slices.Equal(g, states) {
+			t.Errorf("%s: states %+v, want %+v", arm.name, g, states)
+		}
+		if g := c.Discrete.all(); !slices.Equal(g, discrete) {
+			t.Errorf("%s: discrete events %+v, want %+v", arm.name, g, discrete)
+		}
+		if g := c.Comm.all(); !slices.Equal(g, comm) {
+			t.Errorf("%s: accesses %+v, want %+v", arm.name, g, comm)
+		}
+		if g := got.Counters[0].Samples(0); !slices.Equal(g, samples) {
+			t.Errorf("%s: samples %+v, want %+v", arm.name, g, samples)
+		}
 	}
 }
 

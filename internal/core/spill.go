@@ -1,27 +1,30 @@
 // Epoch spilling: bounded-memory live ingest.
 //
 // A long-lived -follow session accumulates per-CPU event arrays and
-// counter samples without bound. Every such array is a liveCol
-// (column.go): an ordered list of spilled parts followed by a RAM
-// tail. After a publish, once the tails together exceed the budget,
-// each clean tail is frozen into a new part of one new segment; a
-// background goroutine writes the segment's parts to an mmap-backed
-// columnar file (internal/store) and installs the mapped views in
-// place of the heap rows, which die with the snapshots that captured
-// them. Retention (RetentionPolicy) drops the oldest segments, and
-// with them the leading parts of every column, turning the live trace
-// into a sliding window over the run; a column whose producer breaks
-// timestamp order is unspilled — pulled back into its tail — because
-// its snapshot repair sorts the whole array. Reads stitch parts and
-// tail behind the unchanged Trace snapshot interface.
+// counter samples without bound. Every such array is one Column value
+// (column.go): its spilled parts, oldest first, then its rows, the RAM
+// tail. The builder keeps each as a liveCol. After a publish, once the
+// tails together exceed the budget, each clean tail is frozen into a
+// new part of one new segment; a background goroutine writes the
+// frozen rows to an mmap-backed columnar file (internal/store) and
+// installs the mapped views in place of the heap rows, which die with
+// the snapshots that captured them. Retention (RetentionPolicy) drops
+// the oldest segments, and with them the leading parts of every column,
+// turning the live trace into a sliding window over the run; a column
+// whose producer breaks timestamp order is unspilled — pulled back
+// into its tail — because its snapshot repair sorts the whole array. A
+// snapshot holds the columns as they are, parts and rows together, and
+// every accessor reads a column the one way whether it has parts or
+// not.
 //
 // Concurrency model: all builder mutation happens under Live.mu. A
-// published snapshot holds each column as the (parts, tail) value it
-// had at publish, and a column never writes at an index a captured
-// value covers (see liveCol), so readers of older epochs never
-// observe a mutation. Segment bookkeeping (spillState, spillSeg) is
-// builder state read only under the lock; a snapshot carries a copy
-// of the counters.
+// published snapshot holds each column as the Column value it had at
+// publish, and a column never writes at an index a captured value
+// covers (see liveCol), so readers of older epochs never observe a
+// mutation. Segment bookkeeping (spillState, spillSeg) is builder
+// state read only under the lock; a snapshot carries a copy of the
+// counters. What a freeze hands the background writer is a trace
+// fragment of its own, holding only the frozen rows.
 package core
 
 import (
@@ -63,8 +66,10 @@ type RetentionPolicy struct {
 func (p RetentionPolicy) enabled() bool { return p.Dir != "" && p.SpillBytes > 0 }
 
 // segFormatVersion versions the segment meta layout inside the store
-// container (which has its own magic + version).
-const segFormatVersion = 1
+// container (which has its own magic + version). Version 2 lists every
+// column of the builder, empty ones included; version 1 listed the
+// frozen ones with their CPU and counter.
+const segFormatVersion = 2
 
 // layoutHash fingerprints the in-memory layout of every record and
 // pyramid node type the store dumps raw, plus the word size. A file
@@ -167,14 +172,6 @@ func (sp *spillState) stats() SpillStats {
 	}
 }
 
-// cpuParts is the spilled half of one CPU's columns in a snapshot; the
-// RAM tails are the CPUData arrays.
-type cpuParts struct {
-	states   []colPart[trace.StateEvent]
-	discrete []colPart[trace.DiscreteEvent]
-	comm     []colPart[trace.CommEvent]
-}
-
 // SpillStats reports a snapshot's spill/retention state. ok is false
 // for traces that never spilled.
 type SpillStats struct {
@@ -204,34 +201,6 @@ func (tr *Trace) SpillStats() (s SpillStats, ok bool) {
 	return *tr.spill, true
 }
 
-// EventCounts returns the trace's total event count (states, discrete,
-// communication) and counter sample count, spilled columns included.
-func (tr *Trace) EventCounts() (events, samples int64) {
-	for i := range tr.CPUs {
-		c := &tr.CPUs[i]
-		events += int64(len(c.States) + len(c.Discrete) + len(c.Comm))
-	}
-	for i := range tr.spilled {
-		sp := &tr.spilled[i]
-		events += int64(partsLen(sp.states) + partsLen(sp.discrete) + partsLen(sp.comm))
-	}
-	for _, c := range tr.Counters {
-		for cpu := range c.PerCPU {
-			samples += int64(c.NumSamples(int32(cpu)))
-		}
-	}
-	return events, samples
-}
-
-// partsLen returns the event count of a column's spilled parts.
-func partsLen[T any](parts []colPart[T]) int {
-	n := 0
-	for _, p := range parts {
-		n += len(p.rows)
-	}
-	return n
-}
-
 // Close releases the file mapping of a store-backed trace (OpenStore).
 // Traces from Load, FromReader or live snapshots hold no mapping of
 // their own and Close is a no-op for them (live segment mappings are
@@ -241,46 +210,6 @@ func (tr *Trace) Close() error {
 		return tr.backing.Close()
 	}
 	return nil
-}
-
-// stateLeaves returns a CPU's state array as the dominance index reads
-// it: the spilled parts, then the RAM tail.
-func (tr *Trace) stateLeaves(cpu int32) mragg.Leaves {
-	if int(cpu) >= len(tr.CPUs) {
-		return mragg.Leaves{}
-	}
-	var parts []colPart[trace.StateEvent]
-	if int(cpu) < len(tr.spilled) {
-		parts = tr.spilled[cpu].states
-	}
-	return mragg.Leaves{Leaves: leavesOf(parts, tr.CPUs[cpu].States)}
-}
-
-// sampleLeaves returns a counter's sample array on a CPU as its min/max
-// trees read it: the spilled parts, then the RAM tail.
-func (c *Counter) sampleLeaves(cpu int32) mmtree.Samples {
-	var parts []colPart[trace.CounterSample]
-	var tail []trace.CounterSample
-	if int(cpu) < len(c.spilled) {
-		parts = c.spilled[cpu]
-	}
-	if int(cpu) < len(c.PerCPU) {
-		tail = c.PerCPU[cpu]
-	}
-	return leavesOf(parts, tail)
-}
-
-// NumSamples returns the counter's sample count on a CPU, spilled
-// parts included.
-func (c *Counter) NumSamples(cpu int32) int {
-	n := 0
-	if int(cpu) < len(c.PerCPU) {
-		n = len(c.PerCPU[cpu])
-	}
-	if int(cpu) < len(c.spilled) {
-		n += partsLen(c.spilled[cpu])
-	}
-	return n
 }
 
 // --- live-side spilling ---
@@ -351,16 +280,16 @@ func (lv *Live) maybeSpillLocked() {
 		return
 	}
 	if lv.tailBytesLocked() >= lv.ret.SpillBytes {
-		if seg, p := lv.freezeTailsLocked(); seg != nil {
+		if seg, frag := lv.freezeTailsLocked(); seg != nil {
 			// Capture the spill directory under mu: the goroutine
 			// outlives this critical section, and ret is guarded.
 			dir := lv.ret.Dir
 			lv.spillWG.Add(1)
 			go func() {
 				defer lv.spillWG.Done()
-				m, vp, path, err := writeSegment(dir, seg.id, p)
+				m, view, path, err := writeSegment(dir, seg.id, frag)
 				lv.mu.Lock()
-				lv.installLocked(seg, m, vp, path, err)
+				lv.installLocked(seg, m, view, path, err)
 				lv.mu.Unlock()
 				// Background compaction changes the spill state (Pending,
 				// Err) without publishing an epoch: push it so status
@@ -372,59 +301,39 @@ func (lv *Live) maybeSpillLocked() {
 	lv.applyRetentionLocked()
 }
 
-// segPayload lists the columns of one segment, for the compaction
-// writer (heap slices going in, mmap views coming back out).
-type segPayload struct {
-	cpus    []segCPU
-	samples []segSamples
-}
-
-type segCPU struct {
-	cpu      int32
-	states   []trace.StateEvent
-	discrete []trace.DiscreteEvent
-	comm     []trace.CommEvent
-}
-
-type segSamples struct {
-	counter int // counter table index
-	cpu     int32
-	samples []trace.CounterSample
-}
-
 // freezeTailsLocked freezes every clean, non-empty column tail into a
 // part of one new segment — O(columns) slice-header moves, no event is
-// copied — and returns the segment and its compaction payload. Returns
-// nil if nothing was freezable (every column empty or dirty).
-func (lv *Live) freezeTailsLocked() (*spillSeg, *segPayload) {
+// copied — and returns the segment and what it froze: a trace fragment
+// whose columns hold, as their Rows, the rows each column moved (none
+// for a column that froze nothing). Returns nil if nothing was
+// freezable (every column empty or dirty).
+func (lv *Live) freezeTailsLocked() (*spillSeg, *Trace) {
 	seg := &spillSeg{id: lv.segSeq}
-	p := &segPayload{}
+	frag := &Trace{CPUs: make([]CPUData, len(lv.cols))}
 	for cpu := range lv.cols {
-		c := &lv.cols[cpu]
-		sc := segCPU{cpu: int32(cpu)}
+		c, f := &lv.cols[cpu], &frag.CPUs[cpu]
 		if s := c.states.freeze(seg); s != nil {
 			seg.cover(s[0].Start, s[len(s)-1].End)
-			sc.states = s
+			f.States.Rows = s
 		}
 		if s := c.discrete.freeze(seg); s != nil {
 			seg.cover(s[0].Time, s[len(s)-1].Time)
-			sc.discrete = s
+			f.Discrete.Rows = s
 		}
 		if s := c.comm.freeze(seg); s != nil {
 			seg.cover(s[0].Time, s[len(s)-1].Time)
-			sc.comm = s
-		}
-		if sc.states != nil || sc.discrete != nil || sc.comm != nil {
-			p.cpus = append(p.cpus, sc)
+			f.Comm.Rows = s
 		}
 	}
-	for ci, lc := range lv.counters {
+	for _, lc := range lv.counters {
+		fc := &Counter{PerCPU: make([]Column[trace.CounterSample], len(lc.per))}
 		for cpu := range lc.per {
 			if s := lc.per[cpu].col.freeze(seg); s != nil {
 				seg.cover(s[0].Time, s[len(s)-1].Time)
-				p.samples = append(p.samples, segSamples{counter: ci, cpu: int32(cpu), samples: s})
+				fc.PerCPU[cpu].Rows = s
 			}
 		}
+		frag.Counters = append(frag.Counters, fc)
 	}
 	if seg.bytes == 0 {
 		return nil, nil
@@ -435,13 +344,13 @@ func (lv *Live) freezeTailsLocked() (*spillSeg, *segPayload) {
 	lv.spill.segs = append(lv.spill.segs, seg)
 	lv.spill.pending++
 	lv.segSeq++
-	return seg, p
+	return seg, frag
 }
 
 // writeSegment compacts a frozen segment's columns into a store file
 // (tmp+rename, so crashes never leave a torn segment) and maps it
-// back, returning the mapped payload whose slices mirror p's.
-func writeSegment(dir string, id int, p *segPayload) (*store.Mapped, *segPayload, string, error) {
+// back, returning the mapped fragment whose columns mirror frag's.
+func writeSegment(dir string, id int, frag *Trace) (*store.Mapped, *Trace, string, error) {
 	path := filepath.Join(dir, fmt.Sprintf("seg-%06d.atms", id))
 	w, err := store.Create(path)
 	if err != nil {
@@ -450,20 +359,19 @@ func writeSegment(dir string, id int, p *segPayload) (*store.Mapped, *segPayload
 	var enc store.Enc
 	enc.U64(segFormatVersion)
 	enc.U64(layoutHash())
-	enc.Int(len(p.cpus))
-	for i := range p.cpus {
-		sc := &p.cpus[i]
-		enc.I64(int64(sc.cpu))
-		enc.Ref(store.Put(w, sc.states))
-		enc.Ref(store.Put(w, sc.discrete))
-		enc.Ref(store.Put(w, sc.comm))
+	enc.Int(len(frag.CPUs))
+	for i := range frag.CPUs {
+		c := &frag.CPUs[i]
+		enc.Ref(store.Put(w, c.States.Rows))
+		enc.Ref(store.Put(w, c.Discrete.Rows))
+		enc.Ref(store.Put(w, c.Comm.Rows))
 	}
-	enc.Int(len(p.samples))
-	for i := range p.samples {
-		ss := &p.samples[i]
-		enc.Int(ss.counter)
-		enc.I64(int64(ss.cpu))
-		enc.Ref(store.Put(w, ss.samples))
+	enc.Int(len(frag.Counters))
+	for _, c := range frag.Counters {
+		enc.Int(len(c.PerCPU))
+		for cpu := range c.PerCPU {
+			enc.Ref(store.Put(w, c.PerCPU[cpu].Rows))
+		}
 	}
 	if err := w.Finish(enc.Bytes()); err != nil {
 		return nil, nil, "", err
@@ -473,17 +381,18 @@ func writeSegment(dir string, id int, p *segPayload) (*store.Mapped, *segPayload
 		os.Remove(path)
 		return nil, nil, "", err
 	}
-	vp, err := readSegment(m)
+	view, err := readSegment(m)
 	if err != nil {
 		m.Close()
 		os.Remove(path)
 		return nil, nil, "", err
 	}
-	return m, vp, path, nil
+	return m, view, path, nil
 }
 
-// readSegment decodes a segment file's meta into views of its columns.
-func readSegment(m *store.Mapped) (*segPayload, error) {
+// readSegment decodes a segment file's meta into a fragment whose
+// columns are views into the mapping.
+func readSegment(m *store.Mapped) (*Trace, error) {
 	d := store.NewDec(m.Meta())
 	if v := d.U64(); d.Err() == nil && v != segFormatVersion {
 		return nil, fmt.Errorf("store: unsupported segment format version %d", v)
@@ -491,44 +400,44 @@ func readSegment(m *store.Mapped) (*segPayload, error) {
 	if h := d.U64(); d.Err() == nil && h != layoutHash() {
 		return nil, fmt.Errorf("store: segment written with an incompatible event layout")
 	}
-	p := &segPayload{}
+	frag := &Trace{}
 	n := d.Int()
 	for i := 0; i < n && d.Err() == nil; i++ {
-		var sc segCPU
-		sc.cpu = int32(d.I64())
+		var c CPUData
 		var err error
-		if sc.states, err = store.View[trace.StateEvent](m, d.Ref()); err != nil {
+		if c.States.Rows, err = store.View[trace.StateEvent](m, d.Ref()); err != nil {
 			return nil, err
 		}
-		if sc.discrete, err = store.View[trace.DiscreteEvent](m, d.Ref()); err != nil {
+		if c.Discrete.Rows, err = store.View[trace.DiscreteEvent](m, d.Ref()); err != nil {
 			return nil, err
 		}
-		if sc.comm, err = store.View[trace.CommEvent](m, d.Ref()); err != nil {
+		if c.Comm.Rows, err = store.View[trace.CommEvent](m, d.Ref()); err != nil {
 			return nil, err
 		}
-		p.cpus = append(p.cpus, sc)
+		frag.CPUs = append(frag.CPUs, c)
 	}
 	n = d.Int()
 	for i := 0; i < n && d.Err() == nil; i++ {
-		var ss segSamples
-		ss.counter = d.Int()
-		ss.cpu = int32(d.I64())
-		var err error
-		if ss.samples, err = store.View[trace.CounterSample](m, d.Ref()); err != nil {
-			return nil, err
+		c := &Counter{}
+		for k := d.Int(); k > 0 && d.Err() == nil; k-- {
+			rows, err := store.View[trace.CounterSample](m, d.Ref())
+			if err != nil {
+				return nil, err
+			}
+			c.PerCPU = append(c.PerCPU, Column[trace.CounterSample]{Rows: rows})
 		}
-		p.samples = append(p.samples, ss)
+		frag.Counters = append(frag.Counters, c)
 	}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	return p, nil
+	return frag, nil
 }
 
 // installLocked swaps a compacted segment's heap rows for their mmap
 // views, column by column. A segment dropped by retention while
 // compacting is deleted again.
-func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, vp *segPayload, path string, err error) {
+func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, view *Trace, path string, err error) {
 	sp := lv.spill // non-nil: the freeze that made seg created it
 	sp.pending--
 	if err != nil {
@@ -546,20 +455,20 @@ func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, vp *segPayload, pa
 	}
 	seg.path = path
 	seg.m = m
-	for _, sc := range vp.cpus {
-		if int(sc.cpu) >= len(lv.cols) {
-			continue
-		}
-		c := &lv.cols[sc.cpu]
-		c.states.install(seg, sc.states)
-		c.discrete.install(seg, sc.discrete)
-		c.comm.install(seg, sc.comm)
+	// view was read back from a file, so its shape is checked against
+	// the builder's tables, which only grow, rather than trusted.
+	for cpu := range min(len(view.CPUs), len(lv.cols)) {
+		c, v := &lv.cols[cpu], &view.CPUs[cpu]
+		c.states.install(seg, v.States.Rows)
+		c.discrete.install(seg, v.Discrete.Rows)
+		c.comm.install(seg, v.Comm.Rows)
 	}
-	for _, ss := range vp.samples {
-		if ss.counter < len(lv.counters) && int(ss.cpu) < len(lv.counters[ss.counter].per) {
-			p := &lv.counters[ss.counter].per[ss.cpu]
-			p.col.install(seg, ss.samples)
-			p.moved = true
+	for ci := range min(len(view.Counters), len(lv.counters)) {
+		vc, per := view.Counters[ci], lv.counters[ci].per
+		for cpu := range min(len(vc.PerCPU), len(per)) {
+			if per[cpu].col.install(seg, vc.PerCPU[cpu].Rows) {
+				per[cpu].moved = true
+			}
 		}
 	}
 }
@@ -623,7 +532,8 @@ func (lv *Live) applyRetentionLocked() {
 	}
 }
 
-// Window search helpers shared by the stitched accessors (core.go).
+// Window searches of one sorted run, which the accessors (core.go)
+// hand to Column.win.
 
 // stateWindow is the [lo, hi) index window of the state events of one
 // sorted run overlapping [t0, t1); lo can exceed hi on an empty or
@@ -634,10 +544,6 @@ func stateWindow(s []trace.StateEvent, t0, t1 trace.Time) (lo, hi int) {
 	lo = sort.Search(len(s), func(i int) bool { return s[i].End > t0 })
 	hi = sort.Search(len(s), func(i int) bool { return s[i].Start >= t1 })
 	return lo, hi
-}
-
-func stateWin(t0, t1 trace.Time) func([]trace.StateEvent) (int, int) {
-	return func(s []trace.StateEvent) (int, int) { return stateWindow(s, t0, t1) }
 }
 
 // discreteWindow, commWindow and sampleWindow are the [lo, hi) index
@@ -674,16 +580,4 @@ func sampleWindow(s []trace.CounterSample, t0, t1 trace.Time) (lo, hi int) {
 	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
 	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time >= t1 })
 	return lo, hi
-}
-
-func discreteWin(t0, t1 trace.Time) func([]trace.DiscreteEvent) (int, int) {
-	return func(s []trace.DiscreteEvent) (int, int) { return discreteWindow(s, t0, t1) }
-}
-
-func commWin(t0, t1 trace.Time) func([]trace.CommEvent) (int, int) {
-	return func(s []trace.CommEvent) (int, int) { return commWindow(s, t0, t1) }
-}
-
-func sampleWin(t0, t1 trace.Time) func([]trace.CounterSample) (int, int) {
-	return func(s []trace.CounterSample) (int, int) { return sampleWindow(s, t0, t1) }
 }

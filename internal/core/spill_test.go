@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -342,19 +343,18 @@ func TestSpillErrSticky(t *testing.T) {
 // columns written, mapped back, and validated against the originals.
 func TestSegmentFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	p := &segPayload{}
+	frag := &Trace{CPUs: make([]CPUData, 3)}
 	for cpu := int32(0); cpu < 3; cpu++ {
-		sc := segCPU{cpu: cpu}
+		c := &frag.CPUs[cpu]
 		for i := 0; i < 10+int(cpu); i++ {
 			t0 := int64(100 * i)
-			sc.states = append(sc.states, trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: t0, End: t0 + 50})
-			sc.comm = append(sc.comm, trace.CommEvent{Kind: trace.CommRead, CPU: cpu, SrcCPU: -1, Time: t0, Size: 8})
+			c.States.Rows = append(c.States.Rows, trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: t0, End: t0 + 50})
+			c.Comm.Rows = append(c.Comm.Rows, trace.CommEvent{Kind: trace.CommRead, CPU: cpu, SrcCPU: -1, Time: t0, Size: 8})
 		}
-		p.cpus = append(p.cpus, sc)
 	}
-	p.samples = append(p.samples, segSamples{counter: 0, cpu: 1, samples: []trace.CounterSample{{CPU: 1, Counter: 7, Time: 5, Value: 9}}})
+	frag.Counters = []*Counter{{PerCPU: []Column[trace.CounterSample]{{}, {Rows: []trace.CounterSample{{CPU: 1, Counter: 7, Time: 5, Value: 9}}}}}}
 
-	m, vp, path, err := writeSegment(dir, 42, p)
+	m, view, path, err := writeSegment(dir, 42, frag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,26 +362,23 @@ func TestSegmentFileRoundTrip(t *testing.T) {
 	if filepath.Base(path) != "seg-000042.atms" {
 		t.Fatalf("segment path %q", path)
 	}
-	if len(vp.cpus) != len(p.cpus) || len(vp.samples) != 1 {
-		t.Fatalf("view shape: %d cpus, %d sample rows", len(vp.cpus), len(vp.samples))
+	if len(view.CPUs) != len(frag.CPUs) || len(view.Counters) != 1 || len(view.Counters[0].PerCPU) != 2 {
+		t.Fatalf("view shape: %d cpus, %d counters", len(view.CPUs), len(view.Counters))
 	}
-	for i, sc := range vp.cpus {
-		if sc.cpu != p.cpus[i].cpu || len(sc.states) != len(p.cpus[i].states) {
-			t.Fatalf("cpu row %d mismatch", i)
+	for i := range view.CPUs {
+		got, want := &view.CPUs[i], &frag.CPUs[i]
+		if !slices.Equal(got.States.Rows, want.States.Rows) {
+			t.Fatalf("cpu %d states differ after round trip", i)
 		}
-		for j := range sc.states {
-			if sc.states[j] != p.cpus[i].states[j] {
-				t.Fatalf("cpu %d state %d differs after round trip", i, j)
-			}
+		if len(got.Discrete.Rows) != 0 {
+			t.Fatalf("cpu %d: %d discrete events from an empty column", i, len(got.Discrete.Rows))
 		}
-		for j := range sc.comm {
-			if sc.comm[j] != p.cpus[i].comm[j] {
-				t.Fatalf("cpu %d comm %d differs after round trip", i, j)
-			}
+		if !slices.Equal(got.Comm.Rows, want.Comm.Rows) {
+			t.Fatalf("cpu %d comm differs after round trip", i)
 		}
 	}
-	if vp.samples[0].samples[0] != p.samples[0].samples[0] {
-		t.Fatal("sample row differs after round trip")
+	if got := view.Counters[0].PerCPU; len(got[0].Rows) != 0 || !slices.Equal(got[1].Rows, frag.Counters[0].PerCPU[1].Rows) {
+		t.Fatal("sample columns differ after round trip")
 	}
 
 	// A corrupted layout hash must refuse to load.

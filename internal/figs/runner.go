@@ -245,11 +245,6 @@ func (r *Runner) FreeSeidel() {
 	r.seidelRand, r.seidelNUMA = nil, nil
 }
 
-// FreeKMeans drops the cached k-means trace.
-func (r *Runner) FreeKMeans() {
-	r.kmeansCond = nil
-}
-
 // art returns the artifact path for name and records it in the report;
 // it returns "" when artifacts are disabled.
 func (r *Runner) art(rep *Report, name string) string {

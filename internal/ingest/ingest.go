@@ -88,9 +88,6 @@ func init() {
 	}
 }
 
-// Formats returns the registered formats in detection order.
-func Formats() []Format { return append([]Format(nil), formats...) }
-
 // Detect classifies a file head against the registry.
 func Detect(head []byte) (*Format, bool) {
 	for i := range formats {
@@ -208,12 +205,23 @@ func ImportSpans(r io.Reader) (*core.Trace, *otlp.Report, error) {
 	return tr, d.Report(), nil
 }
 
+// nativeHead is the header a native stream starts with, as
+// trace.Writer writes it.
+var nativeHead = func() []byte {
+	var b bytes.Buffer
+	trace.NewWriter(&b).Flush()
+	return b.Bytes()
+}()
+
 // OpenStream opens the trace file at path for live tailing and
 // returns the raw handle together with the format's incremental
 // decoder. Formats that cannot be decoded incrementally while growing
-// (gzip, store snapshots) are rejected; a file that is still empty is
-// admitted as a native stream, whose decoder waits for the header to
-// arrive (matching the pre-registry tailing semantics).
+// (gzip, store snapshots) are rejected. A file holding a proper prefix
+// of the native header — none of it, when the file is still empty — is
+// admitted as a native stream whose decoder waits for the rest of the
+// header: the producer has not flushed it whole yet. Those bytes are
+// also a prefix of the store magic, but a store file only appears by
+// rename, whole.
 func OpenStream(path string) (io.ReadCloser, trace.Decoder, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -232,10 +240,9 @@ func OpenStream(path string) (io.ReadCloser, trace.Decoder, error) {
 	}
 	fm, ok := Detect(head)
 	if !ok {
-		if n == 0 {
-			// Nothing written yet: assume the native producer has not
-			// flushed its header. The stream decoder's own magic check
-			// rejects whatever else eventually arrives.
+		if bytes.HasPrefix(nativeHead, head) {
+			// The stream decoder's own magic check rejects whatever else
+			// eventually arrives.
 			return f, trace.NewStreamReader(f), nil
 		}
 		f.Close()

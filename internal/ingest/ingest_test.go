@@ -207,6 +207,49 @@ func TestOpenStream(t *testing.T) {
 	}
 }
 
+// TestOpenStreamHeaderPrefix: a file holding 0–4 bytes is admitted
+// for tailing iff those bytes are a prefix of a native stream — its
+// producer has not flushed the whole header yet — and the admitted
+// stream decodes once the rest of the trace arrives. Other bytes,
+// including the first four of the store magic, are refused.
+func TestOpenStreamHeaderPrefix(t *testing.T) {
+	data := nativeTraceBytes(t)
+	for _, tc := range []struct {
+		head  string
+		admit bool
+	}{
+		{"", true}, {"A", true}, {"AT", true}, {"ATM", true}, {"ATMG", true},
+		{"B", false}, {"AX", false}, {"ATX", false}, {"TMG", false}, {"ATMS", false},
+	} {
+		path := writeFile(t, t.TempDir(), "grow.atm", []byte(tc.head))
+		rc, dec, err := OpenStream(path)
+		if !tc.admit {
+			if err == nil || !strings.Contains(err.Error(), "unrecognized trace format") {
+				t.Errorf("OpenStream(%q) = %v, want unrecognized-format error", tc.head, err)
+			}
+			if err == nil {
+				rc.Close()
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("OpenStream(%q): %v", tc.head, err)
+			continue
+		}
+		if !strings.HasPrefix(string(data), tc.head) {
+			t.Fatalf("precondition: %q is not a prefix of a native trace", tc.head)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		n, err := dec.Poll(func(*trace.RecordBatch) error { return nil })
+		rc.Close()
+		if err != nil || n == 0 {
+			t.Errorf("OpenStream(%q): tailing the grown file read %d records, %v", tc.head, n, err)
+		}
+	}
+}
+
 // TestDetectFile: unrecognized content is (nil, nil) so directory scans
 // can skip it, while recognized files report their format.
 func TestDetectFile(t *testing.T) {

@@ -10,8 +10,7 @@
 // concurrency), and per-(service, operation) duration and error
 // statistics are collected along the way. The result is a normalized
 // record stream: timelines, metrics, anomaly scans, the hub and the
-// Paraver exporter all run on an imported microservice trace
-// unmodified.
+// CSV exporters all run on an imported microservice trace unmodified.
 //
 // Both encodings are read by one validating scanner over the buffered
 // bytes (scan.go) with two small walkers on top of it (this file): a

@@ -27,8 +27,26 @@ func TestCheckSettles(t *testing.T) {
 	<-done
 }
 
+// settledCount returns the goroutine count once it has held still for
+// ten consecutive millisecond reads: goroutines that are still exiting
+// when a test starts — an earlier test's tRunner, or the goroutine an
+// earlier -count iteration unblocked — are gone by then. Read at once,
+// the count includes them, and a baseline that high hides a leak.
+func settledCount() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 10; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	return n
+}
+
 func TestCheckReportsLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := settledCount()
 	stop := make(chan struct{})
 	defer close(stop)
 	started := make(chan struct{})

@@ -10,8 +10,6 @@
 package metrics
 
 import (
-	"errors"
-
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/par"
@@ -266,27 +264,6 @@ func Derivative(s Series) Series {
 		}
 	}
 	return d
-}
-
-// Ratio divides two series pointwise; the series must share times.
-func Ratio(a, b Series) (Series, error) {
-	if a.Len() != b.Len() {
-		return Series{}, errors.New("metrics: series length mismatch")
-	}
-	out := Series{
-		Name:   a.Name + "_per_" + b.Name,
-		Times:  a.Times,
-		Values: make([]float64, a.Len()),
-	}
-	for i := range a.Values {
-		if a.Times[i] != b.Times[i] {
-			return Series{}, errors.New("metrics: series time mismatch")
-		}
-		if b.Values[i] != 0 {
-			out.Values[i] = a.Values[i] / b.Values[i]
-		}
-	}
-	return out, nil
 }
 
 // TaskDelta is the increase of a monotonic counter over one task's

@@ -32,7 +32,7 @@ func synthTrace(rng *rand.Rand, nCPU, n int, base int64, overlapped bool) *core.
 		if overlapped && c == 0 && len(states) > 4 {
 			states[1].End = states[3].End + 7
 		}
-		tr.CPUs[c].States = states
+		tr.CPUs[c].States.Rows = states
 		if c == 0 || states[0].Start < lo {
 			lo = states[0].Start
 		}

@@ -120,30 +120,6 @@ func TestDerivative(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	a := Series{Times: []trace.Time{0, 1}, Values: []float64{4, 9}}
-	b := Series{Times: []trace.Time{0, 1}, Values: []float64{2, 3}}
-	r, err := Ratio(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Values[0] != 2 || r.Values[1] != 3 {
-		t.Errorf("ratio = %v", r.Values)
-	}
-	// Division by zero yields zero, not Inf.
-	b.Values[0] = 0
-	r, err = Ratio(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Values[0] != 0 {
-		t.Errorf("ratio with zero denominator = %v", r.Values[0])
-	}
-	if _, err := Ratio(a, Series{}); err == nil {
-		t.Error("length mismatch must error")
-	}
-}
-
 func TestCounterDeltaPerTask(t *testing.T) {
 	tr := atmtest.KMeansTrace(t, 8, 1000, 3, false)
 	c, ok := tr.CounterByName(trace.CounterBranchMisses)

@@ -113,12 +113,12 @@ func overlappingCPUTrace(rng *rand.Rand) *core.Trace {
 					ID: ev.Task, Type: trace.TypeID(1 + rng.Intn(2)), ExecCPU: int32(c), ExecStart: ev.Start, ExecEnd: ev.End,
 				})
 			}
-			tr.CPUs[c].States = append(tr.CPUs[c].States, ev)
+			tr.CPUs[c].States.Rows = append(tr.CPUs[c].States.Rows, ev)
 			at += d
 		}
 		hi = max(hi, at)
 	}
-	last := tr.CPUs[nCPU-1].States
+	last := tr.CPUs[nCPU-1].States.Rows
 	last[0].End = last[n/2].End + 5
 	tr.Types = []trace.TaskType{{ID: 1, Name: "even"}, {ID: 2, Name: "odd"}}
 	tr.Span = core.Interval{Start: 1000, End: hi + 1}

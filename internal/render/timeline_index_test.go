@@ -46,7 +46,7 @@ func synthStateTrace(rng *rand.Rand, nCPU, n int, base, scale int64, shuffled bo
 			// "works"; the index must refuse and fall back).
 			states[0].End = states[len(states)/2].End + 5
 		}
-		tr.CPUs[c].States = states
+		tr.CPUs[c].States.Rows = states
 		if c == 0 || states[0].Start < lo {
 			lo = states[0].Start
 		}
@@ -130,7 +130,7 @@ func denseStateTrace(nCPU, events int) *core.Trace {
 			states[i] = trace.StateEvent{CPU: int32(c), State: st, Task: task, Start: t, End: t + d}
 			t += d
 		}
-		tr.CPUs[c].States = states
+		tr.CPUs[c].States.Rows = states
 		if t > hi {
 			hi = t
 		}
@@ -162,8 +162,8 @@ func TestTimelineIndexMatchesScan(t *testing.T) {
 	const soloBase, soloSpan = 1 << 40, 1 << 30
 	solo := &core.Trace{
 		CPUs: []core.CPUData{
-			{States: []trace.StateEvent{{CPU: 0, State: trace.StateTaskExec, Task: 1, Start: soloBase, End: soloBase + soloSpan}}},
-			{States: []trace.StateEvent{{CPU: 1, State: trace.StateSync, Start: soloBase + soloSpan/3, End: soloBase + soloSpan/2}}},
+			{States: core.Column[trace.StateEvent]{Rows: []trace.StateEvent{{CPU: 0, State: trace.StateTaskExec, Task: 1, Start: soloBase, End: soloBase + soloSpan}}}},
+			{States: core.Column[trace.StateEvent]{Rows: []trace.StateEvent{{CPU: 1, State: trace.StateSync, Start: soloBase + soloSpan/3, End: soloBase + soloSpan/2}}}},
 			{},
 		},
 		Span: core.Interval{Start: soloBase, End: soloBase + soloSpan},
@@ -376,10 +376,10 @@ func TestTimelineExtremeTimestamps(t *testing.T) {
 	span := int64(1) << 58
 	mid := base + span/2
 	tr := &core.Trace{
-		CPUs: []core.CPUData{{States: []trace.StateEvent{
+		CPUs: []core.CPUData{{States: core.Column[trace.StateEvent]{Rows: []trace.StateEvent{
 			{CPU: 0, State: trace.StateIdle, Start: base, End: mid},
 			{CPU: 0, State: trace.StateTaskExec, Task: 1, Start: mid, End: base + span},
-		}}},
+		}}}},
 		Span: core.Interval{Start: base, End: base + span},
 	}
 	const w = 100
@@ -423,10 +423,10 @@ func TestTimelineExtremeTimestamps(t *testing.T) {
 // one, so the Section VI-B ablation compares like with like.
 func TestNaiveTimelineWindowStraddle(t *testing.T) {
 	tr := &core.Trace{
-		CPUs: []core.CPUData{{States: []trace.StateEvent{
+		CPUs: []core.CPUData{{States: core.Column[trace.StateEvent]{Rows: []trace.StateEvent{
 			{CPU: 0, State: trace.StateIdle, Start: 0, End: 1000},
 			{CPU: 0, State: trace.StateTaskExec, Task: 1, Start: 1000, End: 2000},
-		}}},
+		}}}},
 		Span: core.Interval{Start: 0, End: 2000},
 	}
 	cfg := TimelineConfig{
@@ -478,7 +478,7 @@ func TestTimelineLabelsThinRows(t *testing.T) {
 	const nCPU = 200
 	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU)}
 	for c := 0; c < nCPU; c++ {
-		tr.CPUs[c].States = []trace.StateEvent{
+		tr.CPUs[c].States.Rows = []trace.StateEvent{
 			{CPU: int32(c), State: trace.StateIdle, Start: 0, End: 1000},
 		}
 	}

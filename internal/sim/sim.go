@@ -51,8 +51,6 @@ type Simulator struct {
 	events eventHeap
 	seq    uint64
 	rng    *rand.Rand
-	// processed counts dispatched events (exposed for budgeting).
-	processed uint64
 }
 
 // New returns a Simulator at time 0 with a deterministic RNG seeded
@@ -85,12 +83,6 @@ func (s *Simulator) After(d Time, fn func()) {
 	s.At(s.now+d, fn)
 }
 
-// Pending returns the number of scheduled events.
-func (s *Simulator) Pending() int { return len(s.events) }
-
-// Processed returns the number of events dispatched so far.
-func (s *Simulator) Processed() uint64 { return s.processed }
-
 // Step dispatches the next event and returns true, or returns false if
 // the queue is empty.
 func (s *Simulator) Step() bool {
@@ -99,7 +91,6 @@ func (s *Simulator) Step() bool {
 	}
 	ev := heap.Pop(&s.events).(event)
 	s.now = ev.at
-	s.processed++
 	ev.fn()
 	return true
 }
@@ -110,15 +101,4 @@ func (s *Simulator) Run() Time {
 	for s.Step() {
 	}
 	return s.now
-}
-
-// RunUntil dispatches events with timestamps <= t, then sets the clock
-// to t if it has not advanced that far.
-func (s *Simulator) RunUntil(t Time) {
-	for len(s.events) > 0 && s.events[0].at <= t {
-		s.Step()
-	}
-	if s.now < t {
-		s.now = t
-	}
 }

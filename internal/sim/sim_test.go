@@ -68,25 +68,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	New(1).After(-1, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	s := New(1)
-	fired := 0
-	s.At(10, func() { fired++ })
-	s.At(20, func() { fired++ })
-	s.At(30, func() { fired++ })
-	s.RunUntil(20)
-	if fired != 2 {
-		t.Errorf("fired = %d, want 2", fired)
-	}
-	if s.Now() != 20 {
-		t.Errorf("now = %d, want 20", s.Now())
-	}
-	s.RunUntil(100)
-	if fired != 3 || s.Now() != 100 {
-		t.Errorf("fired=%d now=%d, want 3/100", fired, s.Now())
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []int64 {
 		s := New(42)
@@ -135,21 +116,5 @@ func TestDispatchOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestProcessedAndPending(t *testing.T) {
-	s := New(1)
-	s.At(1, func() {})
-	s.At(2, func() {})
-	if s.Pending() != 2 {
-		t.Errorf("Pending = %d, want 2", s.Pending())
-	}
-	s.Run()
-	if s.Processed() != 2 {
-		t.Errorf("Processed = %d, want 2", s.Processed())
-	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending after run = %d, want 0", s.Pending())
 	}
 }

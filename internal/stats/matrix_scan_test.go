@@ -77,7 +77,7 @@ func TestCommMatrixMatchesScan(t *testing.T) {
 	}
 	for cpu := range odd.CPUs {
 		for i := 0; i < 40; i++ {
-			odd.CPUs[cpu].Comm = append(odd.CPUs[cpu].Comm, trace.CommEvent{
+			odd.CPUs[cpu].Comm.Rows = append(odd.CPUs[cpu].Comm.Rows, trace.CommEvent{
 				Kind: trace.CommKind(i % trace.NumCommKinds), CPU: int32(cpu), SrcCPU: -1, Time: trace.Time(10 * i),
 				Addr: uint64(i%6) << 12, Size: uint64(1 + i),
 			})

@@ -18,7 +18,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -180,20 +179,6 @@ type Mapped struct {
 
 // ErrNotStore reports that a file is not a columnar store file.
 var ErrNotStore = errors.New("store: not a columnar store file")
-
-// Sniff reports whether the file at path starts with the store magic.
-func Sniff(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	var m [8]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false
-	}
-	return string(m[:]) == Magic
-}
 
 // Open maps the store file at path.
 func Open(path string) (*Mapped, error) {

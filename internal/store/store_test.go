@@ -37,10 +37,6 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if !Sniff(path) {
-		t.Fatal("Sniff = false on a store file")
-	}
-
 	m, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -88,9 +84,6 @@ func TestStoreRejectsCorruptInput(t *testing.T) {
 	notStore := filepath.Join(dir, "plain.bin")
 	if err := os.WriteFile(notStore, []byte("this is not a store file, just bytes"), 0o644); err != nil {
 		t.Fatal(err)
-	}
-	if Sniff(notStore) {
-		t.Fatal("Sniff = true on a non-store file")
 	}
 	if _, err := Open(notStore); err == nil {
 		t.Fatal("Open accepted a non-store file")

@@ -413,8 +413,8 @@ func (s *Server) liveStatus() liveResponse {
 			Types:    len(tr.Types),
 			Counters: len(tr.Counters),
 		}
-		// EventCounts includes spilled columns, which the raw PerCPU
-		// array lengths no longer cover.
+		// EventCounts counts whole columns, a live trace's spilled
+		// parts included.
 		resp.Events, resp.Samples = tr.EventCounts()
 		s.statusSnap, s.statusResp = tr, resp
 	}

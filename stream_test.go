@@ -219,15 +219,15 @@ func assertSpilledEqualsBatch(t *testing.T, ctx string, snap, cold *core.Trace) 
 	}
 	const lo, hi = math.MinInt64, math.MaxInt64
 	for cpu := int32(0); int(cpu) < cold.NumCPUs(); cpu++ {
-		gs, ws := snap.StatesIn(cpu, lo, hi), cold.CPUs[cpu].States
+		gs, ws := snap.StatesIn(cpu, lo, hi), cold.CPUs[cpu].States.Rows
 		if len(gs) != len(ws) || (len(ws) > 0 && !reflect.DeepEqual(gs, ws)) {
 			t.Fatalf("%s: cpu %d states differ (%d vs %d)", ctx, cpu, len(gs), len(ws))
 		}
-		gd, wd := snap.DiscreteIn(cpu, lo, hi), cold.CPUs[cpu].Discrete
+		gd, wd := snap.DiscreteIn(cpu, lo, hi), cold.CPUs[cpu].Discrete.Rows
 		if len(gd) != len(wd) || (len(wd) > 0 && !reflect.DeepEqual(gd, wd)) {
 			t.Fatalf("%s: cpu %d discrete events differ (%d vs %d)", ctx, cpu, len(gd), len(wd))
 		}
-		gc, wc := snap.CommIn(cpu, lo, hi), cold.CPUs[cpu].Comm
+		gc, wc := snap.CommIn(cpu, lo, hi), cold.CPUs[cpu].Comm.Rows
 		if len(gc) != len(wc) || (len(wc) > 0 && !reflect.DeepEqual(gc, wc)) {
 			t.Fatalf("%s: cpu %d comm events differ (%d vs %d)", ctx, cpu, len(gc), len(wc))
 		}
@@ -241,7 +241,7 @@ func assertSpilledEqualsBatch(t *testing.T, ctx string, snap, cold *core.Trace) 
 		}
 		for cpu := range cold.Counters[i].PerCPU {
 			gs := snap.Counters[i].Samples(int32(cpu))
-			ws := cold.Counters[i].PerCPU[cpu]
+			ws := cold.Counters[i].PerCPU[cpu].Rows
 			if len(gs) != len(ws) || (len(ws) > 0 && !reflect.DeepEqual(gs, ws)) {
 				t.Fatalf("%s: counter %d cpu %d samples differ (%d vs %d)", ctx, i, cpu, len(gs), len(ws))
 			}
