@@ -7,7 +7,6 @@ import (
 	"github.com/openstream/aftermath/internal/hw"
 	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/stats"
-	"github.com/openstream/aftermath/internal/trace"
 )
 
 // numaMinBytes is the least data a task must touch before its access
@@ -78,24 +77,20 @@ type locSum struct {
 	worstNode int32
 }
 
-// taskLocalityOf computes a task's locSum by scanning its
-// communication events. The result is independent of event order:
-// total and remote are sums, and worstNode resolves to the argmax of
-// the final per-node byte counts with ties toward the lowest node id,
-// because a node can only take the lead when its running count
-// strictly exceeds the leader's (or equals it with a lower id), and
-// counts only grow.
+// taskLocalityOf computes a task's locSum by scanning its reads and
+// writes, each placed on its home node by core.Accesses. The result is
+// independent of event order: total and remote are sums, and worstNode
+// resolves to the argmax of the final per-node byte counts with ties
+// toward the lowest node id, because a node can only take the lead
+// when its running count strictly exceeds the leader's (or equals it
+// with a lower id), and counts only grow.
 func taskLocalityOf(tr *core.Trace, t *core.TaskInfo) locSum {
 	execNode := tr.NodeOfCPU(t.ExecCPU)
 	ls := locSum{worstNode: -1}
 	var worstBytes int64
 	var perNode map[int32]int64
-	for _, ev := range tr.TaskComm(t) {
-		if ev.Kind != trace.CommRead && ev.Kind != trace.CommWrite {
-			continue
-		}
-		home := tr.NodeOfAddr(ev.Addr)
-		if home < 0 {
+	for ev, home := range tr.TaskAccesses(t).Homes() {
+		if ev.Task != t.ID || home < 0 {
 			continue
 		}
 		n := int64(ev.Size)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/openstream/aftermath/internal/mmtree"
 	"github.com/openstream/aftermath/internal/mragg"
@@ -100,9 +101,11 @@ type Trace struct {
 	counterByName map[string]int
 
 	// A trace with tasks and no taskByID builds it under taskIDOnce at
-	// the first TaskByID call: OpenStore stays O(touched pages) instead
-	// of O(tasks), and a live publish copies no map. The batch loader
-	// fills the map as it reads.
+	// the first lookup taskIndex's dense slot misses: OpenStore stays
+	// O(touched pages) instead of O(tasks), and a live publish copies no
+	// map. The batch loader fills the map to dedupe task records while
+	// it reads and drops it at the end of the load: a native trace's
+	// dense table never asks it.
 	taskIDOnce sync.Once
 
 	// spill is the segment status of a snapshot of a live trace that
@@ -122,9 +125,14 @@ type Trace struct {
 	taskWinOnce sync.Once
 	taskWin     *taskWindows
 
-	// home is the home-node sums HomeBytes reads (home.go); nil on a
-	// snapshot of a live trace, whose region table is not final.
+	// home is the home-node column and sums the NUMA readers use
+	// (home.go); nil on a snapshot of a live trace, whose region table
+	// is not final.
 	home *homeIndex
+	// searched counts the accesses resolved through the region table:
+	// by the home-node column's build, and by every reader of a trace
+	// without one. Each adds its count once per call.
+	searched atomic.Int64
 }
 
 // NumCPUs returns the number of CPUs.
@@ -255,10 +263,14 @@ func (tr *Trace) RegionAt(addr uint64) (trace.MemRegion, bool) {
 
 // NodeOfAddr returns the NUMA node holding addr, or -1 if unknown: addr
 // lies in no region, or in one homed outside the topology's
-// [0, NumNodes). Every reader that resolves an access to its home —
-// HomeBytes and through it /matrix, /stats and the NUMA detector's
-// baseline, the detector's per-task scores, the NUMA timeline modes —
-// asks here, so none of them counts such an access.
+// [0, NumNodes). It searches the region table. Every reader that places
+// an access on its home — HomeBytes and through it /matrix, /stats and
+// the NUMA detector's baseline, TaskHomes, the detector's per-task
+// scores, the numa-heat mode, the read/write node filter and /task —
+// reads this answer through Accesses: off the home-node column, where
+// the trace keeps one, which holds it for every access (home.go), and
+// from here where it does not. So none of them counts an access it
+// cannot place.
 func (tr *Trace) NodeOfAddr(addr uint64) int32 {
 	if r, ok := tr.RegionAt(addr); ok && r.Node >= 0 && r.Node < tr.Topology.NumNodes {
 		return r.Node

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"iter"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -11,26 +13,35 @@ import (
 )
 
 // homeIndex is the trace's third lazily built per-CPU index, beside
-// DomIndex and CounterIndex: over each CPU's communication column,
-// checkpointed prefix sums of the accessed bytes per (read | write,
-// home node). Every stride events it keeps one row of 2·NumNodes
-// running totals, so HomeBytes answers a window as the difference of
-// two rows plus the fewer than 2·stride events at its edges, resolved
-// through the region table one by one. Sums subtract, so there is no
-// pyramid above the rows.
+// DomIndex and CounterIndex. Over each CPU's communication column it
+// keeps two things:
 //
-// A home node is NodeOfAddr through the region table, so a row is
-// valid for one region table and one topology only. The index therefore
-// exists only on traces whose tables are final — newTrace: batch loads
-// and OpenStore. A snapshot of a live trace has none (a producer still
-// grows its region table, a topology record replaces its nodes, and a
-// build per epoch would cost the history per publish) and answers from
-// the same event loop that resolves the edges; no caller can tell.
+//   - the home-node column: one byte per access, NodeOfAddr of the
+//     access's address, so every reader that places an access on a node
+//     (Section VI-A) reads a byte instead of searching the region table
+//     (see Accesses);
+//   - checkpointed prefix sums of the accessed bytes per (read | write,
+//     home node). Every stride events there is one row of 2·NumNodes
+//     running totals, so HomeBytes answers a window as the difference of
+//     two rows plus the fewer than 2·stride events at its edges. Sums
+//     subtract, so there is no pyramid above the rows.
 //
-// Nothing is built at load and nothing is stored in a snapshot file: a
-// CPU's rows are summed by the first HomeBytes call that could use them,
-// which walks the column once — what every call cost before the index
-// existed.
+// Both are filled by the first reader of the CPU, in one pass: the
+// column's bytes are resolved through the region table, once per
+// access over the trace's lifetime, and the rows are summed from them.
+// A topology whose node ids do not fit a byte (more than 128 nodes)
+// keeps no column; its readers and its row build search.
+//
+// A home node is NodeOfAddr through the region table, so the column and
+// the rows are valid for one region table and one topology only. The
+// index therefore exists only on traces whose tables are final —
+// newTrace: batch loads and OpenStore. A snapshot of a live trace has
+// none (a producer still grows its region table, a topology record
+// replaces its nodes, and a build per epoch would cost the history per
+// publish); its readers search the region table access by access, and
+// no caller can tell.
+//
+// Nothing is built at load and nothing is stored in a snapshot file.
 //
 // The same rule, and the same pointer, carry the trace's fourth index:
 // one TaskHome row per task of Tasks, which TaskHomes reads. Its rows are
@@ -46,12 +57,20 @@ type homeIndex struct {
 
 type homeCPU struct {
 	once sync.Once
+	// nodes is the home-node column, parallel to the CPU's Comm.Rows:
+	// NodeOfAddr of each read and write, -1 for every other kind. nil
+	// when the topology has more than maxColumnNodes nodes.
+	nodes []int8
 	// sums holds len(Comm)/stride rows of 2·NumNodes totals; row k-1 is
 	// the total over the column's first k·stride events (the all-zero
 	// row 0 is not stored). Totals wrap modulo 2⁶⁴ exactly as a running
 	// sum over the events does.
 	sums []int64
 }
+
+// maxColumnNodes is the most nodes whose ids, and -1, fit the column's
+// int8.
+const maxColumnNodes = math.MaxInt8 + 1
 
 // homeStride returns the number of events between two rows on a machine
 // of n nodes: the least power of two at which a row of 2n int64 is at
@@ -65,48 +84,145 @@ func homeStride(n int) int {
 	return 1 << bits.Len(uint(least-1))
 }
 
-// rows returns the checkpoint rows of a CPU's communication column,
-// summing them on first use. A trace with the index has final tables,
-// so it is no live snapshot and its columns have no spilled parts: a
-// column is its Rows.
-func (hi *homeIndex) rows(tr *Trace, cpu int32, stride int) []int64 {
+// cpu returns a CPU's whole communication column with its homes, and
+// its checkpoint rows, building the home-node column and the rows on
+// first use. A trace with the index has final tables, so it is no live
+// snapshot and its columns have no spilled parts: a column is its Rows.
+func (hi *homeIndex) cpu(tr *Trace, cpu int32) (Accesses, []int64) {
 	hi.once.Do(func() { hi.cpus = make([]homeCPU, len(tr.CPUs)) })
 	c := &hi.cpus[cpu]
+	evs := tr.CPUs[cpu].Comm.Rows
 	c.once.Do(func() {
-		evs, w := tr.CPUs[cpu].Comm.Rows, 2*tr.NumNodes()
+		if tr.NumNodes() <= maxColumnNodes {
+			c.nodes = make([]int8, len(evs))
+			var searched int64
+			for i := range evs {
+				c.nodes[i] = -1
+				if k := evs[i].Kind; k == trace.CommRead || k == trace.CommWrite {
+					c.nodes[i] = int8(tr.NodeOfAddr(evs[i].Addr))
+					searched++
+				}
+			}
+			tr.searched.Add(searched)
+		}
+		all := Accesses{Events: evs, homes: c.nodes, tr: tr}
+		w := 2 * tr.NumNodes()
+		stride := homeStride(w / 2)
 		c.sums = make([]int64, len(evs)/stride*w)
-		for k := 0; (k+1)*w <= len(c.sums); k++ {
+		for k := 0; w > 0 && (k+1)*w <= len(c.sums); k++ {
 			row := c.sums[k*w : (k+1)*w]
 			if k > 0 {
 				copy(row, c.sums[(k-1)*w:])
 			}
-			tr.addHomeBytes(evs[k*stride:(k+1)*stride], row)
+			tr.addHomeBytes(all.Slice(k*stride, (k+1)*stride), row)
 		}
 	})
-	return c.sums
+	return Accesses{Events: evs, homes: c.nodes, tr: tr}, c.sums
 }
 
-// addHomeBytes adds the sizes of the reads and writes among evs to row,
+// Accesses is a window of one CPU's communication events, in time
+// order, that knows the home node of each read and write. It is how
+// every reader places an access on a NUMA node (Section VI-A): the home
+// bytes and TaskHomes here, the numa-heat mode, the NUMA detector's
+// per-task scores, the read/write node filter and /task's access list.
+// The zero value holds no events.
+type Accesses struct {
+	// Events are the window's events, steals and pushes included; they
+	// alias trace storage and must not be modified.
+	Events []trace.CommEvent
+	// homes is the home-node column over Events; nil where the trace
+	// keeps none, and Homes searches the region table instead.
+	homes []int8
+	tr    *Trace
+}
+
+// Slice returns the accesses among Events[lo:hi].
+func (a Accesses) Slice(lo, hi int) Accesses {
+	a.Events = a.Events[lo:hi]
+	if a.homes != nil {
+		a.homes = a.homes[lo:hi]
+	}
+	return a
+}
+
+// Homes yields each read and write among Events, in order, with its
+// home node: NodeOfAddr's answer, -1 for an access it cannot place.
+// Other kinds are skipped. The home is read off the trace's column
+// where it keeps one and resolved through the region table where it
+// does not; the answer is the same.
+func (a Accesses) Homes() iter.Seq2[*trace.CommEvent, int32] {
+	return func(yield func(*trace.CommEvent, int32) bool) {
+		var searched int64
+		for i := range a.Events {
+			ev := &a.Events[i]
+			if ev.Kind != trace.CommRead && ev.Kind != trace.CommWrite {
+				continue
+			}
+			var home int32
+			if a.homes != nil {
+				home = int32(a.homes[i])
+			} else {
+				home = a.tr.NodeOfAddr(ev.Addr)
+				searched++
+			}
+			if !yield(ev, home) {
+				break
+			}
+		}
+		if searched > 0 {
+			a.tr.searched.Add(searched)
+		}
+	}
+}
+
+// AccessesIn returns the communication events on cpu with time in
+// [t0, t1), read like CommIn, with their homes. On a batch-loaded or
+// store-opened trace the first call for a CPU builds its home-node
+// column (see homeIndex).
+func (tr *Trace) AccessesIn(cpu int32, t0, t1 trace.Time) Accesses {
+	return tr.accessWin(cpu, commWindow, t0, t1)
+}
+
+// TaskAccesses returns the communication events on a task's CPU with
+// time in its execution window, both ends included — reads are recorded
+// at the start, writes at completion, which may be MaxInt64 — with their
+// homes. Other tasks' events may be among them: a reader of the task's
+// own accesses checks ev.Task. An unexecuted task has none.
+func (tr *Trace) TaskAccesses(t *TaskInfo) Accesses {
+	return tr.accessWin(t.ExecCPU, commThrough, t.ExecStart, t.ExecEnd)
+}
+
+// accessWin returns the accesses of cpu's column in the window search
+// finds for [t0, t1): off the home-node column on a trace that keeps
+// one, the column's events alone on a live snapshot.
+func (tr *Trace) accessWin(cpu int32, search func([]trace.CommEvent, trace.Time, trace.Time) (int, int), t0, t1 trace.Time) Accesses {
+	if cpu < 0 || int(cpu) >= len(tr.CPUs) {
+		return Accesses{}
+	}
+	if tr.home == nil {
+		return Accesses{Events: tr.CPUs[cpu].Comm.win(search, t0, t1), tr: tr}
+	}
+	all, _ := tr.home.cpu(tr, cpu)
+	lo, hi := search(all.Events, t0, t1)
+	return all.Slice(lo, hi)
+}
+
+// addHomeBytes adds the sizes of the reads and writes among a to row,
 // at the access's home node — row[home] for a read, row[n+home] for a
-// write, n = len(row)/2 = NumNodes. Other kinds and accesses NodeOfAddr
-// cannot place are skipped. This is the one loop that resolves an
-// access to its home (Section VI-A): the scan of a window and the build
-// of the sums both run it.
-func (tr *Trace) addHomeBytes(evs []trace.CommEvent, row []int64) {
+// write, n = len(row)/2 = NumNodes. Accesses NodeOfAddr cannot place
+// are skipped. The scan of a window and the build of the sums both run
+// it.
+func (tr *Trace) addHomeBytes(a Accesses, row []int64) {
 	n := len(row) / 2
-	for i := range evs {
-		ev := &evs[i]
-		at := 0
-		switch ev.Kind {
-		case trace.CommRead:
-		case trace.CommWrite:
-			at = n
-		default:
+	for ev, home := range a.Homes() {
+		if home < 0 {
 			continue
 		}
-		if home := tr.NodeOfAddr(ev.Addr); home >= 0 {
-			row[at+int(home)] += int64(ev.Size)
+		at := int(home)
+		if ev.Kind == trace.CommWrite {
+			at += n
 		}
+		row[at] += int64(ev.Size)
 	}
 }
 
@@ -120,39 +236,40 @@ func (tr *Trace) addHomeBytes(evs []trace.CommEvent, row []int64) {
 //
 // On a batch-loaded or store-opened trace a window that spans two of
 // the CPU's checkpoint rows (any window of two strides, see homeIndex)
-// is answered from their difference and only its edges are walked; a
-// live snapshot and a narrower window walk every access, run by run of
-// the column. The result is the same to the bit.
+// is answered from their difference and only its edges are walked,
+// reading the home-node column; a live snapshot walks every access, run
+// by run of the column, and searches each. The result is the same to
+// the bit.
 func (tr *Trace) HomeBytes(cpu int32, t0, t1 trace.Time, row []int64) {
 	w := 2 * tr.NumNodes()
 	if cpu < 0 || int(cpu) >= len(tr.CPUs) || w <= 0 {
 		return
 	}
 	row = row[:w]
+	stride := homeStride(w / 2)
 	col := &tr.CPUs[cpu].Comm
 	for k := range col.runs() {
-		evs := col.run(k)
-		lo, hi := commWindow(evs, t0, t1)
+		run, sums := Accesses{Events: col.run(k), tr: tr}, []int64(nil)
 		if tr.home != nil {
-			// The column is its Rows (homeIndex.rows). Rows a and b are
-			// the first at or after lo and the last at or before hi; a
-			// window that holds no two of them builds nothing.
-			stride := homeStride(w / 2)
-			if a, b := (lo+stride-1)/stride, hi/stride; a < b {
-				sums := tr.home.rows(tr, cpu, stride)
-				tr.addHomeBytes(evs[lo:a*stride], row)
-				for i, s := range sums[(b-1)*w : b*w] {
-					row[i] += s
-				}
-				if a > 0 {
-					for i, s := range sums[(a-1)*w : a*w] {
-						row[i] -= s
-					}
-				}
-				lo = b * stride
-			}
+			run, sums = tr.home.cpu(tr, cpu)
 		}
-		tr.addHomeBytes(evs[lo:hi], row)
+		lo, hi := commWindow(run.Events, t0, t1)
+		// Rows a and b are the first at or after lo and the last at or
+		// before hi; a window that holds no two of them, and a live
+		// snapshot, walk the window alone.
+		if a, b := (lo+stride-1)/stride, hi/stride; tr.home != nil && a < b {
+			tr.addHomeBytes(run.Slice(lo, a*stride), row)
+			for i, s := range sums[(b-1)*w : b*w] {
+				row[i] += s
+			}
+			if a > 0 {
+				for i, s := range sums[(a-1)*w : a*w] {
+					row[i] -= s
+				}
+			}
+			lo = b * stride
+		}
+		tr.addHomeBytes(run.Slice(lo, hi), row)
 	}
 }
 
@@ -208,19 +325,13 @@ type nodeBytes struct {
 func (tr *Trace) taskHomeOf(t *TaskInfo) TaskHome {
 	var buf [2][8]nodeBytes
 	sums := [2][]nodeBytes{buf[0][:0], buf[1][:0]}
-	for _, ev := range tr.execComm(t) {
-		k := 0
-		switch {
-		case ev.Task != t.ID:
-			continue
-		case ev.Kind == trace.CommWrite:
-			k = 1
-		case ev.Kind != trace.CommRead:
+	for ev, home := range tr.TaskAccesses(t).Homes() {
+		if ev.Task != t.ID || home < 0 {
 			continue
 		}
-		home := tr.NodeOfAddr(ev.Addr)
-		if home < 0 {
-			continue
+		k := 0
+		if ev.Kind == trace.CommWrite {
+			k = 1
 		}
 		at := slices.IndexFunc(sums[k], func(s nodeBytes) bool { return s.node == home })
 		if at < 0 {

@@ -69,7 +69,7 @@ type homeCase struct {
 // machine of the given node count. It holds what a simulated run never
 // does: regions homed on node -1 and on nodes the topology lacks, a
 // region registered again at the address of an earlier one on another
-// node, holes between regions, accesses below, between and past every
+// node, holes between regions, a page homed on the topology's last node, accesses below, between and past every
 // region, steals and pushes between the reads and writes, runs of equal
 // timestamps, and sizes whose running sum wraps.
 //
@@ -106,6 +106,13 @@ func genHomeCase(rng *rand.Rand, nodes int, lens []int) *homeCase {
 			Size: uint64(1 + rng.Intn(0x1000)),
 			Node: homes[rng.Intn(len(homes))],
 		})
+	}
+	if nodes > 0 {
+		// The last region registered at its address wins it, so a
+		// whole page of it is the topology's last node: the one an id
+		// type too narrow for the node count loses first.
+		last := &c.regions[len(c.regions)-1]
+		last.Node, last.Size = int32(nodes-1), 0x1000
 	}
 	sizes := []uint64{0, 1, 64, 4096, 1 << 62, 1 << 63, math.MaxUint64, math.MaxUint64 - 63}
 	kinds := []trace.CommKind{trace.CommRead, trace.CommRead, trace.CommRead, trace.CommWrite, trace.CommWrite, trace.CommSteal, trace.CommPush}
@@ -364,6 +371,17 @@ func checkTaskHomes(t testing.TB, ctx string, tr *Trace, cov *homeCover) {
 	}
 }
 
+// homeColumnBytes returns the bytes of home-node column tr has built.
+func homeColumnBytes(tr *Trace) (n int64) {
+	if tr.home == nil {
+		return 0
+	}
+	for i := range tr.home.cpus {
+		n += int64(len(tr.home.cpus[i].nodes))
+	}
+	return n
+}
+
 // taskRowBytes returns the bytes of task rows tr has built.
 func taskRowBytes(tr *Trace) int64 {
 	if tr.home == nil {
@@ -534,7 +552,9 @@ func TestHomeBytesFirstUseConcurrent(t *testing.T) {
 // index, as TestDomIndexOverhead pins the dominance index: at most a
 // twentieth (the paper's bound for its counter tree, Section VI-B-c) on
 // the Seidel fixture's two nodes and on a 32-node machine — the stride
-// follows the node count — and nothing on a trace nobody asked.
+// follows the node count. The home-node column, counted apart, is
+// exactly one byte per communication event. A trace nobody asked holds
+// neither.
 func TestHomeSumsOverhead(t *testing.T) {
 	seidel, err := FromReader(bytes.NewReader(seidelStream(t, 12, 6)))
 	if err != nil {
@@ -546,14 +566,18 @@ func TestHomeSumsOverhead(t *testing.T) {
 		tr   *Trace
 	}{{"seidel", seidel}, {"32 nodes", wide}} {
 		tr := tc.tr
-		if got := homeSumBytes(tr); got != 0 {
-			t.Errorf("%s: %d bytes of sums on a trace nobody asked", tc.name, got)
+		if sums, column := homeSumBytes(tr), homeColumnBytes(tr); sums != 0 || column != 0 {
+			t.Errorf("%s: %d bytes of sums and %d of column on a trace nobody asked", tc.name, sums, column)
 		}
-		var comm int64
+		var comm, events int64
 		row := make([]int64, 2*tr.NumNodes())
 		for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
 			tr.HomeBytes(cpu, math.MinInt64, math.MaxInt64, row)
-			comm += int64(len(tr.CPUs[cpu].Comm.Rows)) * int64(unsafe.Sizeof(trace.CommEvent{}))
+			events += int64(len(tr.CPUs[cpu].Comm.Rows))
+		}
+		comm = events * int64(unsafe.Sizeof(trace.CommEvent{}))
+		if column := homeColumnBytes(tr); column != events {
+			t.Errorf("%s: %d bytes of home-node column over %d communication events, want one byte each", tc.name, column, events)
 		}
 		sums := homeSumBytes(tr)
 		t.Logf("%s: stride %d, %d bytes of sums over %d bytes of accesses, ratio %.3f", tc.name, homeStride(tr.NumNodes()), sums, comm, float64(sums)/float64(comm))
@@ -704,42 +728,4 @@ func TestCommWindowThroughMaxInt64(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzHomeBytes: whatever the column's shape, the region table and the
-// window, the sums answer what the scan answers and nothing panics; and
-// every task's TaskHomes, from rows and on a live snapshot from the
-// scan, is the reference's. The
-// window is given as two event positions and nudged by up to one cycle,
-// so the fuzzer steers it onto checkpoint rows; the seeds sit on every
-// boundary the property test names.
-func FuzzHomeBytes(f *testing.F) {
-	for _, length := range []uint16{0, 1, 7, 8, 9, 16, 17, 40} { // one node: stride 8
-		for _, w := range [][2]uint16{{0, length}, {7, 9}, {8, 16}, {9, 15}, {1, 17}, {16, 8}} {
-			f.Add(int64(length), uint8(1), length, w[0], w[1], uint8(0))
-		}
-	}
-	f.Add(int64(3), uint8(3), uint16(100), uint16(31), uint16(65), uint8(5)) // three nodes: stride 32
-	f.Add(int64(4), uint8(0), uint16(20), uint16(0), uint16(20), uint8(0))   // no node at all
-	f.Fuzz(func(t *testing.T, seed int64, nodes uint8, length, lo, hi uint16, nudge uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		c := genHomeCase(rng, int(nodes%5), []int{int(length % 2048)})
-		col := c.comm[0]
-		at := func(i uint16) trace.Time {
-			if len(col) == 0 {
-				return trace.Time(i)
-			}
-			return col[min(int(i), len(col)-1)].Time
-		}
-		t0, t1 := at(lo)+trace.Time(nudge%3)-1, at(hi)+trace.Time(nudge/3%3)-1
-		tr := c.resident()
-		checkHomeWindow(t, "cold", tr, 0, col, t0, t1)
-		checkHomeWindow(t, "whole axis", tr, 0, col, math.MinInt64, math.MaxInt64)
-		checkHomeWindow(t, "warm", tr, 0, col, t0, t1)
-		var cov homeCover
-		checkTaskHomes(t, "rows", tr, &cov)
-		lv, live := c.live(t, "")
-		defer lv.Close()
-		checkTaskHomes(t, "live", live, &cov)
-	})
 }

@@ -413,8 +413,8 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 // communication totals are computed by whoever asks a snapshot for
 // them, by the scan of the window's accesses (the viewer's response
 // cache keeps each answer for its epoch) — a snapshot keeps no
-// home-node sums (home.go): they hold for one region table, and this
-// one is still growing.
+// home-node column or sums (home.go): they hold for one region table,
+// and this one is still growing.
 //
 // The exception is a trace with a dirty state column (an out-of-order
 // producer; sticky): its execution spans have no stream order to apply

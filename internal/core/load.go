@@ -108,6 +108,7 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 	}
 	tr.scatter(batches, maxCPU, workers)
 	tr.index(hasTopo, maxCPU, workers)
+	tr.taskByID = nil // rebuilt by the first lookup the dense slot misses
 	return tr, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -569,4 +570,35 @@ func itoa(v int) string {
 		return string(rune('0' + v))
 	}
 	return string(rune('0'+v/10)) + string(rune('0'+v%10))
+}
+
+// TestBatchLoadDropsTaskMap: the batch loader's task-ID map, which
+// dedupes task records while it reads, is gone once the load is done.
+// The loaded table is dense, so TaskByID answers every task from its
+// slot without building another map; an unknown ID is still not found.
+func TestBatchLoadDropsTaskMap(t *testing.T) {
+	tr, err := FromReader(bytes.NewReader(seidelStream(t, 4, 2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.taskByID != nil {
+		t.Fatalf("the load kept a task-ID map of %d entries", len(tr.taskByID))
+	}
+	first := tr.Tasks[0].ID
+	for i := range tr.Tasks {
+		if tr.Tasks[i].ID != first+trace.TaskID(i) {
+			t.Fatalf("precondition: task %d has ID %d, the table is not dense from %d", i, tr.Tasks[i].ID, first)
+		}
+		if got, ok := tr.TaskByID(tr.Tasks[i].ID); !ok || got != &tr.Tasks[i] {
+			t.Fatalf("TaskByID(%d) = (%p, %v), want entry %d", tr.Tasks[i].ID, got, ok, i)
+		}
+	}
+	if tr.taskByID != nil {
+		t.Fatal("TaskByID built a task-ID map on a dense table")
+	}
+	for _, id := range []trace.TaskID{first - 1, first + trace.TaskID(len(tr.Tasks)), math.MaxUint64} {
+		if got, ok := tr.TaskByID(id); ok {
+			t.Errorf("TaskByID(%d) of an unknown ID = %+v", id, *got)
+		}
+	}
 }

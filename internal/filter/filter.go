@@ -101,16 +101,14 @@ func (f *TaskFilter) Match(tr *core.Trace, t *core.TaskInfo) bool {
 	if f.ReadNodes != nil || f.WriteNodes != nil {
 		readOK := f.ReadNodes == nil
 		writeOK := f.WriteNodes == nil
-		for _, ev := range tr.TaskComm(t) {
-			switch ev.Kind {
-			case trace.CommRead:
-				if !readOK && slices.Contains(f.ReadNodes, tr.NodeOfAddr(ev.Addr)) {
-					readOK = true
-				}
-			case trace.CommWrite:
-				if !writeOK && slices.Contains(f.WriteNodes, tr.NodeOfAddr(ev.Addr)) {
-					writeOK = true
-				}
+		for ev, home := range tr.TaskAccesses(t).Homes() {
+			if ev.Task != t.ID {
+				continue
+			}
+			if ev.Kind == trace.CommRead {
+				readOK = readOK || slices.Contains(f.ReadNodes, home)
+			} else {
+				writeOK = writeOK || slices.Contains(f.WriteNodes, home)
 			}
 			if readOK && writeOK {
 				break

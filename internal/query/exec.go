@@ -125,9 +125,12 @@ type StatsResult struct {
 // count and the histogram's durations; the state cycles come from one
 // stats.StateTimes, whose task-execution entry is also the average
 // parallelism's numerator; the locality fraction reads each CPU's
-// bytes per home node off core.HomeBytes' prefix sums. On a loaded
-// trace nothing here walks the window's events; on a live snapshot,
-// which keeps no home-node sums, the locality fraction still does.
+// bytes per home node off core.HomeBytes' prefix sums, and the homes of
+// the accesses at the window's edges off the home-node column. On a
+// loaded trace nothing here walks the window's events or searches the
+// region table; on a live snapshot, which keeps neither sums nor
+// column, the locality fraction searches it for every access of the
+// window.
 func StatsOf(tr *core.Trace, q *Query) StatsResult {
 	t0, t1 := WindowOf(tr, q)
 	durs := filter.Durations(tr, FilterOf(tr, q).WithWindow(t0, t1))

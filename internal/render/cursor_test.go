@@ -274,7 +274,7 @@ func TestNUMAHeatCursor(t *testing.T) {
 				}
 
 				// The horizon property, on this row's events.
-				px.comm = tc.tr.CommIn(cpu, start, end)
+				px.comm = tc.tr.AccessesIn(cpu, start, end)
 				for q := 0; q < 20; q++ {
 					t0 := start + rng.Int63n(end-start)
 					t1 := t0 + 1 + rng.Int63n(min(end-t0, 4*tc.event))

@@ -357,9 +357,9 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 	// through one pixelizer, each start from their own first event. at
 	// is the dominance cursor (see dominance), numaHeat's is in px.
 	at := 0
-	px.comm, px.commAt = nil, 0
+	px.comm, px.commAt = core.Accesses{}, 0
 	if mode == ModeNUMAHeat {
-		px.comm = px.tr.CommIn(cpu, start, end)
+		px.comm = px.tr.AccessesIn(cpu, start, end)
 	}
 	flush := func(xEnd int) {
 		if runStart >= 0 {
@@ -404,11 +404,11 @@ type pixelizer struct {
 	dom      func(cpu int32) dominance
 	domEnt   dominance
 	domEntID int32
-	// comm holds the current row's communication events over the
-	// rendered interval (ModeNUMAHeat only) and commAt the first of them
-	// not before the last window asked about: numaHeat's forward cursor,
-	// which rowRuns resets per row.
-	comm   []trace.CommEvent
+	// comm holds the current row's accesses over the rendered interval
+	// (ModeNUMAHeat only) and commAt the first of them not before the
+	// last window asked about: numaHeat's forward cursor, which rowRuns
+	// resets per row.
+	comm   core.Accesses
 	commAt int
 }
 
@@ -517,21 +517,14 @@ func (p *pixelizer) domFor(cpu int32) dominance {
 // holding accesses answers for itself alone. from and the int returned
 // are the row's dominance cursor, which only DominantExec moves.
 func (p *pixelizer) numaHeat(cpu int32, from int, t0, t1 trace.Time) (color.RGBA, bool, trace.Time, int) {
-	evs := p.comm
+	evs := p.comm.Events
 	i := seekFrom(p.commAt, len(evs), func(i int) bool { return evs[i].Time >= t0 })
+	end := seekFrom(i, len(evs), func(i int) bool { return evs[i].Time >= t1 })
 	p.commAt = i
 	myNode := p.tr.NodeOfCPU(cpu)
 	var local, remote int64
-	for ; i < len(evs) && evs[i].Time < t1; i++ {
-		ev := &evs[i]
-		if ev.Kind != trace.CommRead && ev.Kind != trace.CommWrite {
-			continue
-		}
-		if p.keep != nil && !p.keep(ev.Task) {
-			continue
-		}
-		home := p.tr.NodeOfAddr(ev.Addr)
-		if home < 0 {
+	for ev, home := range p.comm.Slice(i, end).Homes() {
+		if home < 0 || p.keep != nil && !p.keep(ev.Task) {
 			continue
 		}
 		if home == myNode {
@@ -543,8 +536,8 @@ func (p *pixelizer) numaHeat(cpu int32, from int, t0, t1 trace.Time) (color.RGBA
 	total := local + remote
 	if total == 0 {
 		_, ok, until, next := p.domFor(cpu).DominantExec(from, t0, t1, p.keep)
-		if i < len(evs) {
-			until = min(until, evs[i].Time)
+		if end < len(evs) {
+			until = min(until, evs[end].Time)
 		}
 		if !ok {
 			return color.RGBA{}, false, until, next

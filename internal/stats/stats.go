@@ -178,13 +178,15 @@ const (
 )
 
 // CommMatrixOf accumulates the communication matrix over [t0, t1).
-// The home node of each access is derived by looking up the address in
-// the region table (Section VI-A); accesses to unknown regions are
-// skipped. Per CPU the bytes per home node come from core.HomeBytes,
-// which on a loaded trace reads them off checkpointed prefix sums and
-// resolves only the accesses at the window's two edges, so the cost
-// follows the CPU count, not the accesses in the window; on a live
-// snapshot it resolves every access of the window.
+// The home node of each access is its address's region's (Section
+// VI-A); accesses to unknown regions are skipped. Per CPU the bytes per
+// home node come from core.HomeBytes. On a loaded trace it reads them
+// off checkpointed prefix sums and walks only the accesses at the
+// window's two edges, reading their homes off the trace's home-node
+// column, so the cost follows the CPU count, not the accesses in the
+// window, and no access is searched in the region table twice. On a
+// live snapshot it searches the region table for every access of the
+// window.
 func CommMatrixOf(tr *core.Trace, kinds CommKinds, t0, t1 trace.Time) *CommMatrix {
 	return commMatrixOf(tr, kinds, t0, t1, par.Workers())
 }

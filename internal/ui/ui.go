@@ -339,16 +339,18 @@ func writeTask(w http.ResponseWriter, rq request) error {
 		End:      task.ExecEnd,
 		Duration: task.Duration(),
 	}
-	for _, ev := range tr.TaskComm(task) {
+	for ev, home := range tr.TaskAccesses(task).Homes() {
+		if ev.Task != task.ID {
+			continue
+		}
 		a := accessResponse{
 			Addr: fmt.Sprintf("0x%x", ev.Addr),
 			Size: ev.Size,
-			Node: tr.NodeOfAddr(ev.Addr),
+			Node: home,
 		}
-		switch ev.Kind {
-		case trace.CommRead:
+		if ev.Kind == trace.CommRead {
 			resp.Reads = append(resp.Reads, a)
-		case trace.CommWrite:
+		} else {
 			resp.Writes = append(resp.Writes, a)
 		}
 	}
