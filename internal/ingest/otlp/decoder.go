@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -26,15 +27,37 @@ const readChunk = 1 << 16
 // it for days.
 const maxDocSize = 1 << 28
 
+// handoffSpans is how many spans the scanner gathers before it hands
+// them to the caller: whole documents only, so a chunk ends at the
+// first document boundary past this many spans.
+const handoffSpans = 256
+
+// handoffs is how many span chunks there are: the scanner runs at most
+// this many chunks ahead of inference, and each of the two channels
+// they travel on holds them all, so a send never blocks.
+const handoffs = 4
+
 // Decoder incrementally parses a span stream (stdouttrace lines or
 // concatenated OTLP-JSON documents) and emits normalized record
 // batches; it implements trace.Decoder, so core.Live and the follow
 // loop ingest span files exactly like native traces.
 //
-// Bytes are read in place into one buffer and scanned there (scanDoc);
-// a span costs the strings it is the first to mention — service,
-// operation and trace id are interned — and its share of the record
-// batch. A partial document at the end of the available bytes stays
+// A poll is two stages, each on its own goroutine. The scanner, a
+// goroutine the poll starts and waits for, reads: bytes in place into
+// one buffer (fill), the JSON walk over them (scanDoc), timestamps and
+// ids parsed, and service, operation and trace-id strings interned, so
+// a span costs the strings it is the first to mention. It hands the
+// spans of whole documents over in stream order, in chunks of about
+// handoffSpans. The caller's goroutine infers: it folds each span into
+// the inference state (addSpan), cuts a record batch every flushSpans
+// spans and hands it to emit. emit stays on the caller because it is
+// core.Live's append under Feed's lock, which must run synchronously
+// inside Poll; and the stages share nothing but the chunks, since the
+// scanner writes no state inference reads. A poll that reads nothing
+// starts no scanner and allocates nothing; at GOMAXPROCS=1 the two
+// stages take turns through the same code.
+//
+// A partial document at the end of the available bytes stays
 // buffered until the producer appends the rest: Consumed advances only
 // over fully parsed documents, mirroring the native reader's
 // record-aligned accounting that the truncation check depends on. A
@@ -44,7 +67,10 @@ const maxDocSize = 1 << 28
 // what it delivered, not what is buffered, and a document what it
 // holds, however it arrives.
 type Decoder struct {
-	r   io.Reader
+	r io.Reader
+
+	// The scanner's state: while a poll runs, only its goroutine
+	// touches these, and the caller reads them once the poll is over.
 	buf []byte // buf[off:] is read and not consumed
 	off int
 	// partial says the document at buf[off] ran past the buffer when it
@@ -54,16 +80,33 @@ type Decoder struct {
 	consumed int64
 	scanned  int64 // bytes scanDoc and docEnd.find have looked at
 	maxDoc   int   // maxDocSize
-	err      error
-
-	s        scanner
-	interned map[string]string // service and operation names
-
-	st       *inferState
-	spanBuf  []span
 	sawDoc   bool
+	s        scanner
+	interned map[string]string // service and operation names, trace ids
+
+	// The handoff: chunks of spans from the scanner to the caller, and
+	// their buffers back; made by the first poll that reads anything.
+	// halt tells the scanner the caller has stopped taking spans.
+	full chan chunk
+	free chan []span
+	halt atomic.Bool
+
+	// The caller's state: inference and the batch being built.
+	err      error
+	st       *inferState
 	pollSeen int // spans folded since the last flush
 	batch    *trace.RecordBatch
+}
+
+// chunk is one handoff from the scanner: the spans of whole documents
+// in stream order and, on the last chunk of a poll, why the scanner
+// stopped — err for a read or parse error, panicked for a panic to
+// raise again on the caller.
+type chunk struct {
+	spans    []span
+	last     bool
+	err      error
+	panicked any
 }
 
 var _ trace.Decoder = (*Decoder)(nil)
@@ -79,32 +122,35 @@ func NewDecoder(r io.Reader) *Decoder {
 
 // Poll parses all complete documents currently available from the
 // reader, emitting record batches, and returns the number of spans
-// imported. Parse errors are sticky: span streams have no record
+// imported. emit runs on the caller's goroutine, batch after batch in
+// stream order. Parse errors are sticky: span streams have no record
 // framing to resynchronize on, so a malformed document poisons
 // everything after it.
 func (d *Decoder) Poll(emit func(*trace.RecordBatch) error) (int, error) {
 	if d.err != nil {
 		return 0, d.err
 	}
+	// The first read is the caller's, so an idle poll starts nothing.
+	nr, rerr := d.fill()
+	if rerr != nil && rerr != io.EOF {
+		d.err = rerr
+		return 0, rerr
+	}
 	total := 0
-	for {
-		nr, rerr := d.fill()
-		if rerr != nil && rerr != io.EOF {
-			d.err = rerr
-			return total, rerr
-		}
-		if nr > 0 {
-			n, err := d.parseBuffered(emit)
-			total += n
-			if err != nil {
-				d.err = err
-				return total, err
+	if nr > 0 {
+		if d.full == nil {
+			d.full, d.free = make(chan chunk, handoffs), make(chan []span, handoffs)
+			for range handoffs {
+				d.free <- make([]span, 0, handoffSpans)
 			}
 		}
 		// EOF is not sticky for the reader: a growing file yields EOF
 		// at its current end and more bytes on the next poll.
-		if rerr == io.EOF || nr == 0 {
-			break
+		go d.scan(rerr == nil)
+		var err error
+		if total, err = d.infer(emit); err != nil {
+			d.err = err
+			return total, err
 		}
 	}
 	if err := d.flush(emit); err != nil {
@@ -112,6 +158,63 @@ func (d *Decoder) Poll(emit func(*trace.RecordBatch) error) (int, error) {
 		return total, err
 	}
 	return total, nil
+}
+
+// scan is the scanner's goroutine: it scans what the poll's first read
+// buffered and, while more may follow, reads on, until the reader has
+// nothing more, an error stops it or the caller halts it. Its last
+// chunk says why it stopped, and nothing runs after that send.
+func (d *Decoder) scan(more bool) {
+	spans := <-d.free
+	var err error
+	defer func() {
+		d.full <- chunk{spans: spans, last: true, err: err, panicked: recover()}
+	}()
+	for {
+		if spans, err = d.scanBuffered(spans); err != nil || !more || d.halt.Load() {
+			return
+		}
+		var nr int
+		if nr, err = d.fill(); err == io.EOF {
+			err, more = nil, false
+		}
+		if err != nil || nr == 0 {
+			return
+		}
+	}
+}
+
+// infer is the caller's stage: it folds the scanner's spans into the
+// inference state in stream order, emitting a batch every flushSpans,
+// and returns once the scanner has stopped. After an emit error it
+// halts the scanner and folds nothing more; the chunks still on their
+// way are returned unread.
+func (d *Decoder) infer(emit func(*trace.RecordBatch) error) (total int, err error) {
+	for {
+		c := <-d.full
+		if c.panicked != nil {
+			d.err = fmt.Errorf("spans: scanner panicked: %v", c.panicked)
+			panic(c.panicked)
+		}
+		for i := 0; i < len(c.spans) && err == nil; i++ {
+			d.batch = d.st.addSpan(&c.spans[i], d.batch)
+			d.pollSeen++
+			total++
+			if d.pollSeen >= flushSpans {
+				if err = d.flush(emit); err != nil {
+					d.halt.Store(true)
+				}
+			}
+		}
+		d.free <- c.spans[:0]
+		if !c.last {
+			continue
+		}
+		if err == nil {
+			err = c.err
+		}
+		return total, err
+	}
 }
 
 // fill reads once, at most readChunk bytes, behind the buffered bytes.
@@ -135,11 +238,12 @@ func (d *Decoder) fill() (int, error) {
 	return n, err
 }
 
-// parseBuffered consumes complete JSON documents from the front of the
-// buffer, folding their spans into the inference state.
-func (d *Decoder) parseBuffered(emit func(*trace.RecordBatch) error) (int, error) {
-	total := 0
-	for {
+// scanBuffered consumes complete JSON documents from the front of the
+// buffer, appending their spans to spans and handing the chunk to the
+// caller each time it reaches handoffSpans; it stops early once the
+// caller has halted.
+func (d *Decoder) scanBuffered(spans []span) ([]span, error) {
+	for !d.halt.Load() {
 		// Whitespace between documents is consumed eagerly so the
 		// buffered tail is exactly the partial document.
 		for d.off < len(d.buf) && isJSONSpace(d.buf[d.off]) {
@@ -148,23 +252,25 @@ func (d *Decoder) parseBuffered(emit func(*trace.RecordBatch) error) (int, error
 		}
 		doc := d.buf[d.off:]
 		if len(doc) == 0 {
-			return total, nil
+			break
 		}
 		if d.partial {
 			before := d.end.pos
 			whole := d.end.find(d.buf)
 			d.scanned += int64(d.end.pos - before)
 			if !whole {
-				return total, d.tooLong(len(doc))
+				return spans, d.tooLong(len(doc))
 			}
 			doc = d.buf[d.off:d.end.pos]
 		}
-		spans, n, err := d.scanDoc(d.spanBuf[:0], doc)
-		d.spanBuf = spans[:0]
+		mark := len(spans)
+		var n int
+		var err error
+		spans, n, err = d.scanDoc(spans, doc)
 		d.scanned += int64(d.s.pos)
 		if err == errShort && !d.partial {
 			d.partial, d.end = true, docEnd{pos: d.off}
-			return total, d.tooLong(len(doc))
+			return spans, d.tooLong(len(doc))
 		}
 		if err != nil {
 			at := d.consumed
@@ -172,26 +278,21 @@ func (d *Decoder) parseBuffered(emit func(*trace.RecordBatch) error) (int, error
 			if errors.As(err, &syn) {
 				at += int64(syn.off)
 			}
-			return total, fmt.Errorf("spans: offset %d: %w", at, err)
+			return spans, fmt.Errorf("spans: offset %d: %w", at, err)
 		}
 		if err := d.tooLong(n); err != nil {
-			return total, err
+			return spans[:mark], err
 		}
 		d.partial = false
 		d.sawDoc = true
-		for i := range spans {
-			d.batch = d.st.addSpan(&spans[i], d.batch)
-			d.pollSeen++
-			total++
-			if d.pollSeen >= flushSpans {
-				if err := d.flush(emit); err != nil {
-					return total, err
-				}
-			}
-		}
 		d.off += n
 		d.consumed += int64(n)
+		if len(spans) >= handoffSpans {
+			d.full <- chunk{spans: spans}
+			spans = <-d.free
+		}
 	}
+	return spans, nil
 }
 
 // tooLong is the error for a document of n bytes, or n bytes of one so

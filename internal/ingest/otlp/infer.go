@@ -52,7 +52,7 @@ type inferState struct {
 	errsSeen    bool
 	descEmitted bool
 
-	traces map[string]string // every trace id seen, under itself
+	traces map[string]struct{} // every trace id imported
 
 	dropped int // duplicate span ids skipped
 
@@ -81,21 +81,20 @@ type laneState struct {
 }
 
 // spanState is what later spans need to know about an earlier one: the
-// lane it ran on (to place task-creation events), its interval and
-// type (for call-style voting by its parent), and its children.
+// lane it ran on (to place task-creation events), its interval (for
+// the call-style vote of its parent), its type, and its parent's index
+// in inferState.spans once that has arrived, -1 until then.
 type spanState struct {
-	cpu      int32
-	start    trace.Time
-	end      trace.Time
-	typeIdx  int
-	children []childRef
-}
-
-// childRef is a resolved parent->child edge.
-type childRef struct {
+	cpu     int32
+	parent  int32
 	start   trace.Time
 	end     trace.Time
 	typeIdx int
+}
+
+// childRef is one child's interval in a call-style vote.
+type childRef struct {
+	start, end trace.Time
 }
 
 // opState accumulates per-(service, operation) statistics.
@@ -122,7 +121,7 @@ func newInferState() *inferState {
 		opByKey:   make(map[opKey]int),
 		byID:      make(map[uint64]int32),
 		pending:   make(map[uint64][]uint64),
-		traces:    make(map[string]string),
+		traces:    make(map[string]struct{}),
 	}
 }
 
@@ -138,7 +137,7 @@ func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch
 		return b
 	}
 	if sp.TraceID != "" {
-		st.traces[sp.TraceID] = sp.TraceID
+		st.traces[sp.TraceID] = struct{}{}
 	}
 	if len(st.spans) == 0 || sp.Start < st.winStart {
 		st.winStart = sp.Start
@@ -196,16 +195,15 @@ func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch
 	// parent is already known; a task whose parent arrives later is
 	// re-emitted with the real creator then (task application is
 	// last-writer-wins), and a root keeps -1.
-	creator := int32(-1)
+	creator, parent := int32(-1), int32(-1)
 	if sp.Parent != 0 {
 		if pi, ok := st.byID[sp.Parent]; ok {
 			par := &st.spans[pi]
-			creator = par.cpu
+			creator, parent = par.cpu, pi
 			b.Discrete = append(b.Discrete, trace.DiscreteEvent{
 				CPU: par.cpu, Kind: trace.EventTaskCreated,
 				Time: sp.Start, Arg: sp.ID,
 			})
-			par.children = append(par.children, childRef{start: sp.Start, end: sp.End, typeIdx: typeIdx})
 			st.ops[par.typeIdx].addCall(typeIdx)
 		} else {
 			st.pending[sp.Parent] = append(st.pending[sp.Parent], sp.ID)
@@ -216,9 +214,9 @@ func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch
 		Created: sp.Start, CreatorCPU: creator,
 	})
 
-	st.byID[sp.ID] = int32(len(st.spans))
-	st.spans = append(st.spans, spanState{cpu: cpu, start: sp.Start, end: sp.End, typeIdx: typeIdx})
-	rec := &st.spans[len(st.spans)-1]
+	idx := int32(len(st.spans))
+	st.byID[sp.ID] = idx
+	st.spans = append(st.spans, spanState{cpu: cpu, parent: parent, start: sp.Start, end: sp.End, typeIdx: typeIdx})
 
 	// Resolve children that arrived before this span (stdouttrace
 	// emits a span at its end, so parents usually follow children).
@@ -234,7 +232,7 @@ func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch
 				ID: trace.TaskID(childID), Type: trace.TypeID(child.typeIdx),
 				Created: child.start, CreatorCPU: cpu,
 			})
-			rec.children = append(rec.children, childRef{start: child.start, end: child.end, typeIdx: child.typeIdx})
+			child.parent = idx
 			st.ops[typeIdx].addCall(child.typeIdx)
 		}
 	}
@@ -266,15 +264,6 @@ func (st *inferState) addSpan(sp *span, b *trace.RecordBatch) *trace.RecordBatch
 		})
 	}
 	return b
-}
-
-// traceID returns the string for a trace id: the one an imported span
-// already carries, a new one only for an id not seen before.
-func (st *inferState) traceID(b []byte) string {
-	if s, ok := st.traces[string(b)]; ok {
-		return s
-	}
-	return string(b)
 }
 
 // serviceIdx interns a service name; a new service becomes the next
@@ -423,24 +412,43 @@ type OpReport struct {
 // stream always yields the same report.
 func (st *inferState) report() *Report {
 	// Call-style election: every imported span with two or more
-	// children casts one vote for its operation.
+	// children casts one vote for its operation. The children are
+	// grouped by parent with a counting sort over the spans: at[p+1]
+	// counts p's children, then at[p] is where they start in kids, and
+	// once they are placed, where they end.
+	at := make([]int, len(st.spans)+1)
+	for i := range st.spans {
+		if p := st.spans[i].parent; p >= 0 {
+			at[p+1]++
+		}
+	}
+	for p := 1; p < len(at); p++ {
+		at[p] += at[p-1]
+	}
+	kids := make([]childRef, at[len(at)-1])
+	for i := range st.spans {
+		if c := &st.spans[i]; c.parent >= 0 {
+			kids[at[c.parent]] = childRef{start: c.start, end: c.end}
+			at[c.parent]++
+		}
+	}
 	parVotes := make([]int, len(st.ops))
 	seqVotes := make([]int, len(st.ops))
 	mixVotes := make([]int, len(st.ops))
-	var scratch []childRef // voteStyle sorts what it is given
-	for i := range st.spans {
-		rec := &st.spans[i]
-		if len(rec.children) < 2 {
+	lo := 0
+	for p := range st.spans {
+		children := kids[lo:at[p]]
+		lo = at[p]
+		if len(children) < 2 {
 			continue
 		}
-		scratch = append(scratch[:0], rec.children...)
-		switch voteStyle(scratch) {
+		switch ti := st.spans[p].typeIdx; voteStyle(children) {
 		case StyleParallel:
-			parVotes[rec.typeIdx]++
+			parVotes[ti]++
 		case StyleSequential:
-			seqVotes[rec.typeIdx]++
+			seqVotes[ti]++
 		default:
-			mixVotes[rec.typeIdx]++
+			mixVotes[ti]++
 		}
 	}
 

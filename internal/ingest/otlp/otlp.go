@@ -543,7 +543,7 @@ func (d *Decoder) normalize(sp *rawSpan, start, end trace.Time) (span, error) {
 		op = d.intern(sp.name)
 	}
 	return span{
-		TraceID: d.st.traceID(sp.traceID),
+		TraceID: d.intern(sp.traceID),
 		ID:      id,
 		Parent:  parent,
 		Op:      op,
@@ -560,8 +560,9 @@ func (d *Decoder) service(name []byte) string {
 	return d.intern(name)
 }
 
-// intern returns the string for a service or operation name, a new one
-// only the first time the name is seen: spans are many, names few.
+// intern returns the string for a service or operation name or a trace
+// id, a new one only the first time it is seen: spans are many, names
+// and traces few.
 func (d *Decoder) intern(b []byte) string {
 	if s, ok := d.interned[string(b)]; ok {
 		return s
