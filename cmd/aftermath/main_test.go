@@ -348,7 +348,7 @@ func TestServerDropsStalledHeadersKeepsEventStreams(t *testing.T) {
 
 	// The stream is now older than the header timeout; it must still
 	// be delivering.
-	if err := lv.Append(&trace.RecordBatch{MaxCPU: 1, States: []trace.StateEvent{
+	if err := lv.Append(&trace.RecordBatch{States: []trace.StateEvent{
 		{CPU: 1, State: trace.StateIdle, Start: 300, End: 400},
 	}}); err != nil {
 		t.Fatal(err)

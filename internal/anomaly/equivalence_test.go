@@ -67,7 +67,6 @@ func granularityScript() []*trace.RecordBatch {
 		// 1: two-node topology; tasks execute and access addresses no
 		// region covers yet.
 		{
-			MaxCPU: 3,
 			Topologies: []trace.Topology{{
 				NodeOfCPU: []int32{0, 0, 1, 1},
 				Distance:  []int32{0, 1, 1, 0},
@@ -89,13 +88,11 @@ func granularityScript() []*trace.RecordBatch {
 		},
 		// 2: the region table arrives after the accesses it homes.
 		{
-			MaxCPU:  -1,
 			Regions: []trace.MemRegion{{ID: 1, Addr: 0x1000, Size: 0x1000, Node: 1}},
 		},
 		// 3: communication into task 11's already-published window,
 		// plus a new task.
 		{
-			MaxCPU: -1,
 			Tasks:  []trace.Task{{ID: 14, Type: 1}},
 			States: []trace.StateEvent{exec(1, 14, 600, 900)},
 			Comms: []trace.CommEvent{
@@ -104,11 +101,10 @@ func granularityScript() []*trace.RecordBatch {
 			},
 		},
 		// 4: nothing appended.
-		{MaxCPU: -1},
+		{},
 		// 5: CPU 2's producer goes back in time (130 after 120 is in
 		// order; 105 is not), and a new task executes late.
 		{
-			MaxCPU: -1,
 			Tasks:  []trace.Task{{ID: 15, Type: 2}},
 			States: []trace.StateEvent{exec(3, 15, 1000, 1600)},
 			Comms: []trace.CommEvent{
@@ -119,13 +115,11 @@ func granularityScript() []*trace.RecordBatch {
 		},
 		// 6: task 13 re-executes on another CPU.
 		{
-			MaxCPU: -1,
 			States: []trace.StateEvent{exec(1, 13, 2000, 2800)},
 			Comms:  []trace.CommEvent{read(1, 13, 2100, 0x1800, 8192)},
 		},
 		// 7: topology replaced, node mapping inverted.
 		{
-			MaxCPU: -1,
 			Topologies: []trace.Topology{{
 				NodeOfCPU: []int32{1, 1, 0, 0},
 				Distance:  []int32{0, 1, 1, 0},

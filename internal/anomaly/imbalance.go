@@ -45,7 +45,7 @@ func (ImbalanceDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 			f := busy[c][w]
 			sum += f
 			if c == 0 || f < lo {
-				lo, loCPU = f, int32(c)
+				lo, loCPU = f, tr.CPUs[c].ID
 			}
 		}
 		mean := sum / float64(nCPU)

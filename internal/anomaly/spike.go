@@ -44,7 +44,7 @@ func (SpikeDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 
 func scanCounter(tr *core.Trace, c *core.Counter, cfg Config) []Anomaly {
 	bs := windowBounds(cfg.Window, cfg.Windows)
-	nCPU := len(c.PerCPU)
+	nCPU := tr.NumCPUs()
 
 	// Per-(cpu, window) mean rates, and the pooled sample for the
 	// baseline. Rates are per kilocycle to keep magnitudes readable.
@@ -119,7 +119,7 @@ func scanCounter(tr *core.Trace, c *core.Counter, cfg Config) []Anomaly {
 				Kind:        KindCounterSpike,
 				Score:       z,
 				Window:      win,
-				CPU:         int32(cpu),
+				CPU:         tr.CPUs[cpu].ID,
 				Counter:     c.Desc.Name,
 				Explanation: spikeExplanation(tr, ci, c, int32(cpu), win, med),
 			})
@@ -129,13 +129,13 @@ func scanCounter(tr *core.Trace, c *core.Counter, cfg Config) []Anomaly {
 	return out
 }
 
-// spikeExplanation quotes the window's peak instantaneous rate from
-// the shared min/max rate tree.
+// spikeExplanation quotes the window's peak instantaneous rate on row
+// cpu from the shared min/max rate tree.
 func spikeExplanation(tr *core.Trace, ci *core.CounterIndex, c *core.Counter, cpu int32, win core.Interval, med float64) string {
 	peak := 0.0
 	if _, mx, ok := ci.RateTree(c, cpu).MinMax(win.Start, win.End); ok {
 		peak = float64(mx) / core.RateScale
 	}
 	return fmt.Sprintf("%s rate on cpu %d peaked at %.2f/kcycle against a machine-wide median of %.2f/kcycle",
-		c.Desc.Name, cpu, peak, med)
+		c.Desc.Name, tr.CPUs[cpu].ID, peak, med)
 }

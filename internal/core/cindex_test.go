@@ -255,7 +255,7 @@ func (c *counterCase) stream(t testing.TB) []byte {
 // batch returns part p of parts of the case for a live trace: that share
 // of every column, the counter table with part 0.
 func (c *counterCase) batch(p, parts int) *trace.RecordBatch {
-	b := &trace.RecordBatch{MaxCPU: -1}
+	b := &trace.RecordBatch{}
 	if p == 0 {
 		b.CounterIDs = c.ids
 		for _, id := range c.ids {
@@ -263,12 +263,9 @@ func (c *counterCase) batch(p, parts int) *trace.RecordBatch {
 		}
 	}
 	for _, cols := range c.cols {
-		for cpu, col := range cols {
+		for _, col := range cols {
 			lo, hi := len(col)*p/parts, len(col)*(p+1)/parts
 			b.Samples = append(b.Samples, col[lo:hi]...)
-			if hi > lo {
-				b.MaxCPU = max(b.MaxCPU, int32(cpu))
-			}
 		}
 	}
 	return b
@@ -382,7 +379,7 @@ func TestCounterTreesMatchScan(t *testing.T) {
 			}
 		}
 		sp.mu.Lock()
-		unspilled := sp.counters[lk].per[lcpu].col
+		unspilled := sp.counters[lk].per[sp.slotOf[int32(lcpu)]].col
 		sp.mu.Unlock()
 		if st.DroppedSegs == 0 || multi == 0 || !unspilled.dirty || len(unspilled.parts) != 0 {
 			t.Fatalf("%s: precondition: %d segments dropped, %d pairs over two parts or more, the late column dirty %v in %d parts",

@@ -65,13 +65,17 @@ func (t *TaskInfo) Duration() trace.Time {
 
 // CPUData holds one CPU's event columns, each sorted by timestamp.
 type CPUData struct {
+	// ID is the CPU's id in the trace's records: its label. Every
+	// accessor of Trace and Counter takes the CPU's row, its index in
+	// Trace.CPUs; Trace.RowOf converts.
+	ID       int32
 	States   Column[trace.StateEvent]
 	Discrete Column[trace.DiscreteEvent]
 	Comm     Column[trace.CommEvent]
 }
 
 // Counter holds one performance counter's description and its sample
-// column on each CPU, sorted by time.
+// column on each CPU, sorted by time: one per row of the trace.
 type Counter struct {
 	Desc   trace.CounterDesc
 	PerCPU []Column[trace.CounterSample]
@@ -82,7 +86,9 @@ type Trace struct {
 	// Topology is the machine topology; if the trace had no topology
 	// record, a flat single-node topology is synthesized.
 	Topology trace.Topology
-	// CPUs holds per-CPU event arrays, indexed by CPU id.
+	// CPUs holds per-CPU event arrays, indexed by row: one row for each
+	// CPU a topology record declares and each CPU id a record names, in
+	// ascending id order. A trace whose ids are 0…n−1 has row == id.
 	CPUs []CPUData
 	// Types lists the task types, ordered by ID.
 	Types []trace.TaskType
@@ -141,8 +147,41 @@ func (tr *Trace) NumCPUs() int { return len(tr.CPUs) }
 // NumNodes returns the number of NUMA nodes.
 func (tr *Trace) NumNodes() int { return int(tr.Topology.NumNodes) }
 
+// RowOf returns the row of the CPU with the given id, -1 for an id
+// the trace holds no CPU for. Rows are in id order, so on a trace whose
+// ids are 0…n−1 the row is the id, which is looked at first; any other
+// id is searched for.
+func (tr *Trace) RowOf(id int32) int32 {
+	if uint(id) < uint(len(tr.CPUs)) && tr.CPUs[id].ID == id {
+		return id
+	}
+	return tr.searchRow(id)
+}
+
+// searchRow is RowOf's search, apart so that RowOf inlines.
+func (tr *Trace) searchRow(id int32) int32 {
+	r := sort.Search(len(tr.CPUs), func(i int) bool { return tr.CPUs[i].ID >= id })
+	if r == len(tr.CPUs) || tr.CPUs[r].ID != id {
+		return -1
+	}
+	return int32(r)
+}
+
+// noCPU is the row of an id the trace holds no CPU for: no events.
+var noCPU CPUData
+
+// row returns the CPU at a row, noCPU outside the table.
+func (tr *Trace) row(r int32) *CPUData {
+	if r < 0 || int(r) >= len(tr.CPUs) {
+		return &noCPU
+	}
+	return &tr.CPUs[r]
+}
+
 // NodeOfCPU returns the NUMA node of a CPU: -1 for a negative CPU —
 // a task's ExecCPU before it has run —, 0 past the topology's last.
+// cpu may be a row or an id, with one answer: the topology's CPUs are
+// rows 0…n−1, each its own id, and every CPU past them is on node 0.
 func (tr *Trace) NodeOfCPU(cpu int32) int32 {
 	if cpu < 0 {
 		return -1
@@ -278,44 +317,33 @@ func (tr *Trace) NodeOfAddr(addr uint64) int32 {
 	return -1
 }
 
-// StatesIn returns the state events on cpu overlapping [t0, t1), found
-// by binary search (state intervals per CPU are disjoint and sorted).
-// The result is a view into trace storage unless the window crosses a
-// spill boundary of the column, in which case it is a fresh copy.
+// StatesIn returns the state events on row cpu overlapping [t0, t1),
+// found by binary search (state intervals per CPU are disjoint and
+// sorted); nil for a row outside the trace. The result is a view into
+// trace storage unless the window crosses a spill boundary of the
+// column, in which case it is a fresh copy.
 func (tr *Trace) StatesIn(cpu int32, t0, t1 trace.Time) []trace.StateEvent {
-	if int(cpu) >= len(tr.CPUs) {
-		return nil
-	}
-	return tr.CPUs[cpu].States.win(stateWindow, t0, t1)
+	return tr.row(cpu).States.win(stateWindow, t0, t1)
 }
 
-// DiscreteIn returns the discrete events on cpu with time in [t0, t1),
+// DiscreteIn returns the discrete events on row cpu with time in [t0, t1),
 // read like StatesIn; nil for an empty or inverted window.
 func (tr *Trace) DiscreteIn(cpu int32, t0, t1 trace.Time) []trace.DiscreteEvent {
-	if int(cpu) >= len(tr.CPUs) {
-		return nil
-	}
-	return tr.CPUs[cpu].Discrete.win(discreteWindow, t0, t1)
+	return tr.row(cpu).Discrete.win(discreteWindow, t0, t1)
 }
 
-// CommIn returns the communication events on cpu with time in [t0, t1),
+// CommIn returns the communication events on row cpu with time in [t0, t1),
 // read like StatesIn; nil for an empty or inverted window. A window
 // ending at MaxInt64 includes events at MaxInt64, so
 // [Span.Start, SatAdd(Span.End, 1)) reads every event of the span.
 func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []trace.CommEvent {
-	if int(cpu) >= len(tr.CPUs) {
-		return nil
-	}
-	return tr.CPUs[cpu].Comm.win(commWindow, t0, t1)
+	return tr.row(cpu).Comm.win(commWindow, t0, t1)
 }
 
-// stateLeaves returns a CPU's state column as the dominance index reads
+// stateLeaves returns a row's state column as the dominance index reads
 // it.
 func (tr *Trace) stateLeaves(cpu int32) mragg.Leaves {
-	if int(cpu) >= len(tr.CPUs) {
-		return mragg.Leaves{}
-	}
-	return mragg.Leaves{Leaves: tr.CPUs[cpu].States.leaves()}
+	return mragg.Leaves{Leaves: tr.row(cpu).States.leaves()}
 }
 
 // EventCounts returns the trace's total event count (states, discrete,
@@ -333,64 +361,16 @@ func (tr *Trace) EventCounts() (events, samples int64) {
 	return events, samples
 }
 
-// noComm is the shared result for tasks without communication events,
-// so callers iterating many tasks do not allocate per call.
-var noComm = []trace.CommEvent{}
-
-// execComm returns the communication events on a task's CPU with time
-// in its execution window, both ends included — reads are recorded at
-// the start, writes at completion, which may be MaxInt64 — other tasks'
-// events among them; nil for an unexecuted task.
-func (tr *Trace) execComm(t *TaskInfo) []trace.CommEvent {
-	cpu := t.ExecCPU
-	if cpu < 0 || int(cpu) >= len(tr.CPUs) {
-		return nil
-	}
-	return tr.CPUs[cpu].Comm.win(commThrough, t.ExecStart, t.ExecEnd)
-}
-
-// TaskComm returns the communication events belonging to a task's
-// execution (reads recorded at start, writes at completion). The
-// result aliases trace storage where possible and must not be
-// modified.
-func (tr *Trace) TaskComm(t *TaskInfo) []trace.CommEvent {
-	if t.ExecCPU < 0 {
-		return nil
-	}
-	window := tr.execComm(t)
-	n := 0
-	for i := range window {
-		if window[i].Task == t.ID {
-			n++
-		}
-	}
-	switch n {
-	case 0:
-		return noComm
-	case len(window):
-		// The whole window belongs to the task (the common case):
-		// return the trace's own slice without copying.
-		return window
-	}
-	out := make([]trace.CommEvent, 0, n)
-	for i := range window {
-		if window[i].Task == t.ID {
-			out = append(out, window[i])
-		}
-	}
-	return out
-}
-
-// column returns the counter's sample column on cpu, empty past the
-// table.
+// column returns the counter's sample column on row cpu, empty outside
+// the table.
 func (c *Counter) column(cpu int32) Column[trace.CounterSample] {
-	if int(cpu) < len(c.PerCPU) {
+	if cpu >= 0 && int(cpu) < len(c.PerCPU) {
 		return c.PerCPU[cpu]
 	}
 	return Column[trace.CounterSample]{}
 }
 
-// Samples returns the sample array of a counter on a CPU: a view into
+// Samples returns the sample array of a counter on a row: a view into
 // trace storage, or a fresh concatenation for a column with spilled
 // parts; windowed callers should prefer SamplesIn, which copies only
 // across spill boundaries.
@@ -398,14 +378,14 @@ func (c *Counter) Samples(cpu int32) []trace.CounterSample {
 	return c.column(cpu).all()
 }
 
-// SamplesIn returns the samples of a counter on cpu with time in
+// SamplesIn returns the samples of a counter on row cpu with time in
 // [t0, t1), read like Trace.StatesIn; nil for an empty or inverted
 // window.
 func (c *Counter) SamplesIn(cpu int32, t0, t1 trace.Time) []trace.CounterSample {
 	return c.column(cpu).win(sampleWindow, t0, t1)
 }
 
-// ValueAt returns the counter's value on cpu at time t: the value of
+// ValueAt returns the counter's value on row cpu at time t: the value of
 // the latest sample at or before t. ok is false if no sample precedes
 // t. The column's runs are searched newest first.
 func (c *Counter) ValueAt(cpu int32, t trace.Time) (int64, bool) {
@@ -419,12 +399,12 @@ func (c *Counter) ValueAt(cpu int32, t trace.Time) (int64, bool) {
 	return 0, false
 }
 
-// NumSamples returns the counter's sample count on a CPU.
+// NumSamples returns the counter's sample count on a row.
 func (c *Counter) NumSamples(cpu int32) int {
 	return c.column(cpu).len()
 }
 
-// sampleLeaves returns a counter's sample column on a CPU as its
+// sampleLeaves returns a counter's sample column on a row as its
 // min/max trees read it.
 func (c *Counter) sampleLeaves(cpu int32) mmtree.Samples {
 	return c.column(cpu).leaves()

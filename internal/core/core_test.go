@@ -121,7 +121,7 @@ func TestTaskByIDDirectSlot(t *testing.T) {
 	top := []trace.TaskID{math.MaxUint64 - 3, math.MaxUint64 - 2, math.MaxUint64 - 1, math.MaxUint64, 1, 2, 3}
 
 	lv := NewLive()
-	b := &trace.RecordBatch{MaxCPU: 1}
+	b := &trace.RecordBatch{}
 	for i := 0; i < 40; i++ {
 		id := trace.TaskID(i + 1)
 		b.Tasks = append(b.Tasks, trace.Task{ID: id, Type: 1})
@@ -246,10 +246,21 @@ func TestCounterQueries(t *testing.T) {
 	}
 }
 
+// taskEvents returns the task's own events among its TaskAccesses.
+func taskEvents(tr *Trace, t *TaskInfo) []trace.CommEvent {
+	var out []trace.CommEvent
+	for _, ev := range tr.TaskAccesses(t).Events {
+		if ev.Task == t.ID {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
 func TestTaskComm(t *testing.T) {
 	tr := buildTestTrace(t)
 	task, _ := tr.TaskByID(10)
-	comm := tr.TaskComm(task)
+	comm := taskEvents(tr, task)
 	if len(comm) != 2 {
 		t.Fatalf("task comm = %d events, want 2", len(comm))
 	}
@@ -257,7 +268,7 @@ func TestTaskComm(t *testing.T) {
 		t.Errorf("comm kinds = %v, %v", comm[0].Kind, comm[1].Kind)
 	}
 	other, _ := tr.TaskByID(11)
-	if got := tr.TaskComm(other); len(got) != 0 {
+	if got := taskEvents(tr, other); len(got) != 0 {
 		t.Errorf("task 11 comm = %d events, want 0", len(got))
 	}
 }
@@ -275,8 +286,8 @@ func TestNoTopologySynthesized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.NumCPUs() != 6 {
-		t.Errorf("NumCPUs = %d, want 6", tr.NumCPUs())
+	if tr.NumCPUs() != 1 || tr.CPUs[0].ID != 5 || tr.RowOf(5) != 0 {
+		t.Errorf("NumCPUs = %d, want the one row of CPU 5", tr.NumCPUs())
 	}
 	if tr.NumNodes() != 1 {
 		t.Errorf("NumNodes = %d, want 1", tr.NumNodes())

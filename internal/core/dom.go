@@ -27,18 +27,20 @@ import (
 // costs in RAM after it was spilled is its share of the index and
 // nothing else.
 //
+// The index holds one entry per row of its trace, made with the trace.
 // Safe for concurrent use: each CPU's pyramid is built exactly once,
 // on first request, and different CPUs build in parallel. Batch loads
-// build every CPU eagerly at index time; live snapshots are seeded
-// with incrementally extended pyramids (mragg append mode). A CPU
-// whose state intervals violate the format's disjoint-sorted
-// guarantee gets no pyramid — its DomCPU answers from the event scan
-// instead, so malformed traces degrade in speed, never in correctness,
-// and no caller has to know which CPUs those are.
+// build every CPU with states eagerly at index time; live snapshots
+// and OpenStore seed entries with pyramids built before (mragg append
+// mode, or the stored ones). A CPU whose state intervals violate the
+// format's disjoint-sorted guarantee gets no pyramid — its DomCPU
+// answers from the event scan instead, so malformed traces degrade in
+// speed, never in correctness, and no caller has to know which CPUs
+// those are.
 //
-// CPU resolves one CPU's pyramids behind a single lock acquisition;
-// query loops (one per pixel, one per metric window) should resolve
-// once per CPU and query the returned DomCPU lock-free.
+// CPU resolves one CPU's pyramids; query loops (one per pixel, one per
+// metric window) should resolve once per CPU and query the returned
+// DomCPU lock-free.
 //
 // A loop over windows whose starts never decrease — a timeline row,
 // left to right — also threads a hint through DominantStateUntil and
@@ -49,8 +51,7 @@ import (
 // before it ends by the window's start, so no value can change an
 // answer (mragg's package doc).
 type DomIndex struct {
-	mu      sync.Mutex
-	entries map[int32]*DomCPU
+	cpus []DomCPU // by row
 }
 
 // DomCPU is one CPU's built pyramids and the view of the state array
@@ -81,9 +82,8 @@ type domSets struct {
 }
 
 // emptySets returns the pyramids of a CPU without state events — where
-// every chain starts — built once and shared (sets are immutable): CPU
-// ids are sparse, and a sweep over all of them may ask for a million
-// such CPUs.
+// every chain starts — built once and shared (sets are immutable): every
+// CPU that has no states, and every chain, starts from the same ones.
 var emptySets = sync.OnceValue(func() domSets {
 	sets := domSets{all: mragg.All(0)}
 	for k := range sets.byState {
@@ -152,47 +152,29 @@ func (ch *domChain) extend(lv *mragg.Leaves) {
 	ch.n = lv.Len()
 }
 
-// NewDomIndex returns an empty index; entries build lazily per CPU.
-func NewDomIndex() *DomIndex { return newDomIndex(0) }
-
-// newDomIndex returns an empty index whose map has room for n CPUs: the
-// entries its creator is about to seed.
+// newDomIndex returns an index of n entries, one per row, each built
+// on first use.
 func newDomIndex(n int) *DomIndex {
-	return &DomIndex{entries: make(map[int32]*DomCPU, n)}
+	return &DomIndex{cpus: make([]DomCPU, n)}
 }
 
-// entry returns the guarded slot for a CPU, creating it under the map
-// lock; the pyramids build outside the lock so CPUs build in parallel.
-func (di *DomIndex) entry(cpu int32) *DomCPU {
-	di.mu.Lock()
-	e, ok := di.entries[cpu]
-	if !ok {
-		e = &DomCPU{}
-		di.entries[cpu] = e
-	}
-	di.mu.Unlock()
-	return e
-}
-
-// seed installs e, a prebuilt entry, as a CPU's: not a copy, so that a
-// caller seeding many CPUs may hand their entries out of one slice. The
-// batch indexer uses it to publish the eagerly built pyramids, the live
-// ingest path to hand each snapshot the incrementally extended ones,
-// OpenStore to install the ones it adopted. Seeding precedes any
-// reader: a seeded CPU is new.
-func (di *DomIndex) seed(cpu int32, e *DomCPU) {
+// seed installs prebuilt pyramids over leaves as a row's entry. Seeding
+// precedes any reader: a seeded entry is new.
+func (di *DomIndex) seed(row int, leaves mragg.Leaves, sets domSets) {
+	e := &di.cpus[row]
+	e.leaves, e.domSets = leaves, sets
 	e.once.Do(func() {})
-	di.mu.Lock()
-	di.entries[cpu] = e
-	di.mu.Unlock()
 }
 
-// CPU returns the built pyramids for a CPU (building them from the
-// trace's sorted state array on first use — one lock acquisition;
-// the returned DomCPU queries lock-free). CPUs outside the trace
-// yield an empty, indexed entry, mirroring StatesIn's nil result.
+// CPU returns the built pyramids for a row, building them from the
+// trace's sorted state array on first use; the returned DomCPU queries
+// lock-free. Rows outside the trace yield an empty, indexed entry,
+// mirroring StatesIn's nil result.
 func (di *DomIndex) CPU(tr *Trace, cpu int32) *DomCPU {
-	e := di.entry(cpu)
+	if cpu < 0 || int(cpu) >= len(di.cpus) {
+		return &DomCPU{domSets: emptySets()}
+	}
+	e := &di.cpus[cpu]
 	e.once.Do(func() { e.build(tr.stateLeaves(cpu)) })
 	return e
 }
@@ -306,12 +288,12 @@ func (e *DomCPU) StateCover(state trace.WorkerState, t0, t1 trace.Time) trace.Ti
 }
 
 // DomIndex returns the trace's shared dominance index, creating it on
-// first use. Safe for concurrent callers. Batch loads seed it eagerly
-// at index time; live snapshots seed it with incrementally extended
-// pyramids; hand-built traces get a lazily filled one.
+// first use. Safe for concurrent callers. Batch loads build it at index
+// time; live snapshots and OpenStore seed it; hand-built traces get a
+// lazily filled one, sized by their CPUs at the first call.
 func (tr *Trace) DomIndex() *DomIndex {
 	tr.domOnce.Do(func() {
-		tr.dom = NewDomIndex()
+		tr.dom = newDomIndex(len(tr.CPUs))
 	})
 	return tr.dom
 }

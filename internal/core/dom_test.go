@@ -187,7 +187,7 @@ func TestDomIndexLiveMatchesScan(t *testing.T) {
 		nextStart[cpu] += d + int64(rng.Intn(3))
 		pending = append(pending, ev)
 		if len(pending) >= rng.Intn(400)+50 || i == 2999 {
-			b := &trace.RecordBatch{States: pending, MaxCPU: 3}
+			b := &trace.RecordBatch{States: pending}
 			if err := lv.Append(b); err != nil {
 				t.Fatal(err)
 			}
@@ -203,7 +203,7 @@ func TestDomIndexLiveMatchesScan(t *testing.T) {
 // rebuild over the repaired arrays or scan fallback).
 func TestDomIndexLiveOutOfOrder(t *testing.T) {
 	lv := NewLive()
-	b1 := &trace.RecordBatch{MaxCPU: 0, States: []trace.StateEvent{
+	b1 := &trace.RecordBatch{States: []trace.StateEvent{
 		{CPU: 0, State: trace.StateIdle, Start: 100, End: 200},
 		{CPU: 0, State: trace.StateTaskExec, Task: 1, Start: 200, End: 260},
 	}}
@@ -212,7 +212,7 @@ func TestDomIndexLiveOutOfOrder(t *testing.T) {
 	}
 	lv.Publish()
 	// Out of order: starts before the previous tail.
-	b2 := &trace.RecordBatch{MaxCPU: 0, States: []trace.StateEvent{
+	b2 := &trace.RecordBatch{States: []trace.StateEvent{
 		{CPU: 0, State: trace.StateSync, Start: 0, End: 50},
 	}}
 	if err := lv.Append(b2); err != nil {
@@ -233,7 +233,7 @@ func TestDomIndexLiveOutOfOrder(t *testing.T) {
 
 	// A third batch after the dirty flag: the dead chain must not be
 	// extended incorrectly either.
-	b3 := &trace.RecordBatch{MaxCPU: 0, States: []trace.StateEvent{
+	b3 := &trace.RecordBatch{States: []trace.StateEvent{
 		{CPU: 0, State: trace.StateIdle, Start: 300, End: 400},
 	}}
 	if err := lv.Append(b3); err != nil {
@@ -323,7 +323,7 @@ func TestDomIndexScannedMatchesScan(t *testing.T) {
 	defer lv.Close()
 	var snap *Trace
 	for _, cut := range [][2]int{{0, 700}, {700, 1500}, {1500, 2900}, {2900, n}} {
-		b := &trace.RecordBatch{MaxCPU: 1}
+		b := &trace.RecordBatch{}
 		b.States = append(b.States, cpus[0][cut[0]:cut[1]]...)
 		b.States = append(b.States, cpus[1][cut[0]:cut[1]]...)
 		snap = publishSettled(t, lv, b)
@@ -563,7 +563,7 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 		if k < len(cuts) {
 			to = cuts[k]
 		}
-		b := &trace.RecordBatch{MaxCPU: 1}
+		b := &trace.RecordBatch{}
 		b.States = append(append(b.States, cpus[0][from:to]...), cpus[1][from:to]...)
 		snap = publish(t, lv, b)
 		if k < len(cuts) {
@@ -666,7 +666,7 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 // captured them frees them.
 func TestSpillBoundCoversIndex(t *testing.T) {
 	const n = 100_000
-	b := &trace.RecordBatch{MaxCPU: 0, States: make([]trace.StateEvent, n), Samples: make([]trace.CounterSample, n), CounterIDs: []trace.CounterID{3}}
+	b := &trace.RecordBatch{States: make([]trace.StateEvent, n), Samples: make([]trace.CounterSample, n), CounterIDs: []trace.CounterID{3}}
 	for i := range b.States {
 		b.States[i] = trace.StateEvent{State: trace.WorkerState(i % trace.NumWorkerStates), Start: int64(10 * i), End: int64(10*i + 7)}
 		b.Samples[i] = trace.CounterSample{Counter: 3, Time: int64(10 * i), Value: int64(i * i % 1000)}

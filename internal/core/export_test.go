@@ -38,3 +38,9 @@ func CheckTaskHomes(t testing.TB, ctx string, tr *Trace) {
 // Searched returns the number of accesses tr resolved through its
 // region table.
 func (tr *Trace) Searched() int64 { return tr.searched.Load() }
+
+// RaceEnabled reports whether the tests run under the race detector.
+const RaceEnabled = raceEnabled
+
+// EqualTraces compares every externally observable part of two traces.
+var EqualTraces = equalTraces

@@ -175,7 +175,7 @@ func (a Accesses) Homes() iter.Seq2[*trace.CommEvent, int32] {
 	}
 }
 
-// AccessesIn returns the communication events on cpu with time in
+// AccessesIn returns the communication events on row cpu with time in
 // [t0, t1), read like CommIn, with their homes. On a batch-loaded or
 // store-opened trace the first call for a CPU builds its home-node
 // column (see homeIndex).
@@ -189,7 +189,7 @@ func (tr *Trace) AccessesIn(cpu int32, t0, t1 trace.Time) Accesses {
 // homes. Other tasks' events may be among them: a reader of the task's
 // own accesses checks ev.Task. An unexecuted task has none.
 func (tr *Trace) TaskAccesses(t *TaskInfo) Accesses {
-	return tr.accessWin(t.ExecCPU, commThrough, t.ExecStart, t.ExecEnd)
+	return tr.accessWin(tr.RowOf(t.ExecCPU), commThrough, t.ExecStart, t.ExecEnd)
 }
 
 // accessWin returns the accesses of cpu's column in the window search
@@ -226,7 +226,7 @@ func (tr *Trace) addHomeBytes(a Accesses, row []int64) {
 	}
 }
 
-// HomeBytes adds to row the bytes cpu accessed with time in [t0, t1),
+// HomeBytes adds to row the bytes row cpu accessed with time in [t0, t1),
 // by home node: row[h] the bytes read from node h, row[NumNodes+h] the
 // bytes written to it; row must hold 2·NumNodes entries. Accesses whose
 // address lies in no region, or in a region homed outside the topology,
@@ -282,7 +282,7 @@ type TaskHome struct {
 
 // TaskHomes returns the TaskHome of the task with the given ID. For each
 // kind, its node is the one whose accesses of that kind among the task's
-// events (TaskComm) add up to the most bytes — sizes summed in int64,
+// own events (TaskAccesses) add up to the most bytes — sizes summed in int64,
 // wrapping; ties to the lowest node; a node whose accesses are all of
 // size 0 still counts when no other is seen — and -1 when NodeOfAddr
 // places none. An unknown ID, or an unexecuted task, is (-1, -1).

@@ -207,7 +207,7 @@ func (c *homeCase) stream(t testing.TB) []byte {
 // of every column and of the region and task tables, the topology with
 // part 0.
 func (c *homeCase) batch(p, parts int) *trace.RecordBatch {
-	b := &trace.RecordBatch{MaxCPU: int32(len(c.comm) - 1)}
+	b := &trace.RecordBatch{}
 	if p == 0 {
 		b.Topologies = []trace.Topology{c.topo}
 	}
@@ -235,11 +235,12 @@ func (c *homeCase) resident() *Trace {
 	tr.Regions = slices.Clone(c.regions)
 	sortRegions(tr.Regions)
 	tr.CPUs = make([]CPUData, len(c.comm))
-	execs := make([][]execSpan, len(c.comm))
+	execs := make([]cpuExecs, len(c.comm))
 	for cpu, col := range c.comm {
+		tr.CPUs[cpu].ID = int32(cpu)
 		tr.CPUs[cpu].Comm.Rows = col
 		tr.CPUs[cpu].States.Rows = c.execs[cpu]
-		execs[cpu] = collectExecs(c.execs[cpu])
+		execs[cpu] = cpuExecs{int32(cpu), collectExecs(c.execs[cpu])}
 	}
 	for _, task := range c.tasks {
 		tr.Tasks = applyTask(tr.Tasks, tr.taskByID, task)
@@ -339,7 +340,7 @@ func checkTaskHomes(t testing.TB, ctx string, tr *Trace, cov *homeCover) {
 		if task.ExecCPU < 0 {
 			cov.unexecuted++
 		}
-		for _, ev := range tr.execComm(task) {
+		for _, ev := range tr.TaskAccesses(task).Events {
 			if ev.Task != task.ID {
 				cov.foreign++
 				break
@@ -695,8 +696,8 @@ func TestCommWindowThroughMaxInt64(t *testing.T) {
 	lv := NewLive()
 	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
 	defer lv.Close()
-	publishSettled(t, lv, &trace.RecordBatch{Topologies: []trace.Topology{topo}, Regions: []trace.MemRegion{region}, States: []trace.StateEvent{idle}, Comms: reads[:20], MaxCPU: 0})
-	publishSettled(t, lv, &trace.RecordBatch{Comms: append(reads[20:], last), MaxCPU: 0})
+	publishSettled(t, lv, &trace.RecordBatch{Topologies: []trace.Topology{topo}, Regions: []trace.MemRegion{region}, States: []trace.StateEvent{idle}, Comms: reads[:20]})
+	publishSettled(t, lv, &trace.RecordBatch{Comms: append(reads[20:], last)})
 	spilled, _ := lv.Publish()
 	if len(spilled.CPUs[0].Comm.parts) < 2 {
 		t.Fatalf("precondition: cpu 0 spilled %d parts", len(spilled.CPUs[0].Comm.parts))

@@ -5,28 +5,31 @@
 //
 // The design separates a mutable builder from immutable snapshots. The
 // builder accumulates the state a batch load accumulates — first-touch
-// task/type/counter tables, the region list, and one liveCol
-// (column.go) per per-CPU event array and per (counter, CPU) sample
-// array — guarded by a coarse epoch lock, and keeps the two tables a
-// batch load finalizes over its whole input finalized as it goes: the
-// region list stays address-sorted (a publish sorts the epoch's
-// arrivals and merges them in) and task placements are applied to the
-// task table once, as their execution spans arrive. Publish derives the
-// rest through the helpers the batch indexer uses (finalizeTypes,
-// buildCounterNameIndex; sortRegions and applyExecs for the arrivals
-// and the not-yet-declared tasks), so a snapshot is — provably, see
-// TestStreamEqualsBatch and TestPublishIncrementalEqualsBatch —
-// byte-identical to a cold Load of the stream prefix consumed so far. A
-// snapshot captures each column as its Column value and the region
-// list as a (len == cap) prefix, sharing that storage with the
-// builder, which never writes at an index a captured value covers; the
-// task table is the one thing copied. So readers keep querying older
-// epochs race-free while the writer appends, spills and ages data out.
+// task/type/counter tables, the region list, one slot per CPU in
+// arrival order, and one liveCol (column.go) per per-CPU event array
+// and per (counter, CPU) sample array — guarded by a coarse epoch lock,
+// and keeps the two tables a batch load finalizes over its whole input
+// finalized as it goes: the region list stays address-sorted (a publish
+// sorts the epoch's arrivals and merges them in) and task placements
+// are applied to the task table once, as their execution spans arrive.
+// Publish derives the rest through the helpers the batch indexer uses
+// (finalizeTypes, buildCounterNameIndex; sortRegions and applyExecs for
+// the arrivals and the not-yet-declared tasks), so a snapshot is —
+// provably, see TestStreamEqualsBatch and
+// TestPublishIncrementalEqualsBatch — byte-identical to a cold Load of
+// the stream prefix consumed so far. A snapshot captures each column as
+// its Column value and the region list as a (len == cap) prefix,
+// sharing that storage with the builder, which never writes at an index
+// a captured value covers; the task table is the one thing copied. So
+// readers keep querying older epochs race-free while the writer
+// appends, spills and ages data out.
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,19 +49,18 @@ type Live struct {
 	// Builder state, guarded by mu.
 	topo    trace.Topology
 	hasTopo bool
-	maxCPU  int32
 
-	// Per-CPU builder tables, guarded by mu. execs[cpu] lists the CPU's
-	// task execution spans in stream order; the first execDone[cpu] of
-	// them have been applied to tasks, except those whose task has no
-	// record yet, which wait in orphans[cpu] (placeExecsLocked). execs
-	// keeps its full history only for the dirty arm of snapshotLocked,
-	// which re-applies every placement, the aged-out ones included.
-	cols     []cpuCols
-	execs    [][]execSpan
-	execDone []int
-	orphans  [][]execSpan
-	doms     []domChain
+	// CPU slots, guarded by mu: one per CPU a topology record declares
+	// or a record names, in arrival order, so a slot never moves — spill
+	// segments and each counter's columns address CPUs by slot. slotOf
+	// maps an id to its slot; lastID and lastSlot memo the last look-up,
+	// as a CPU's records come in runs. rows lists the slots in id order,
+	// the rows of a snapshot; nil once a slot arrives (rowsLocked).
+	cpus     []liveCPU
+	slotOf   map[int32]int
+	lastID   int32
+	lastSlot int
+	rows     []int
 
 	// Type table, guarded by mu.
 	types    []trace.TaskType
@@ -113,15 +115,26 @@ type liveSnap struct {
 	epoch uint64
 }
 
-// cpuCols is one CPU's event columns.
-type cpuCols struct {
+// liveCPU is one CPU's builder slot: its id, its event columns and
+// dominance chain, and its task execution spans in stream order. The
+// first execDone of the spans have been applied to tasks, except those
+// whose task has no record yet, which wait in orphans
+// (placeExecsLocked). execs keeps its full history only for the dirty
+// arm of snapshotLocked, which re-applies every placement, the aged-out
+// ones included.
+type liveCPU struct {
+	id       int32
 	states   liveCol[trace.StateEvent]
 	discrete liveCol[trace.DiscreteEvent]
 	comm     liveCol[trace.CommEvent]
+	dom      domChain
+	execs    []execSpan
+	execDone int
+	orphans  []execSpan
 }
 
 // liveCounter is one counter's builder slot: its description and one
-// sample column per CPU.
+// sample column per CPU slot.
 type liveCounter struct {
 	desc trace.CounterDesc
 	per  []livePair
@@ -150,7 +163,8 @@ func NewLive() *Live {
 		typeByID:    make(map[trace.TypeID]int),
 		taskByID:    make(map[trace.TaskID]int),
 		counterByID: make(map[trace.CounterID]int),
-		maxCPU:      -1,
+		slotOf:      make(map[int32]int),
+		lastID:      -1,
 	}
 	lv.snap.Store(&liveSnap{tr: lv.snapshotLocked()})
 	return lv
@@ -233,20 +247,33 @@ func (lv *Live) Feed(sr trace.Decoder) (int, error) {
 	return n, err
 }
 
-// cpuLocked returns the columns of a CPU id, growing the per-CPU
-// tables as needed. Callers hold mu.
-func (lv *Live) cpuLocked(id int32) *cpuCols {
-	if n := int(id) + 1; n > len(lv.cols) {
-		lv.cols = padTo(lv.cols, n)
-		lv.execs = padTo(lv.execs, n)
-		lv.execDone = padTo(lv.execDone, n)
-		lv.orphans = padTo(lv.orphans, n)
-		lv.doms = padTo(lv.doms, n)
+// slotLocked returns the slot of a CPU id, making it at the id's first
+// record. Callers hold mu.
+func (lv *Live) slotLocked(id int32) int {
+	if id != lv.lastID {
+		s, ok := lv.slotOf[id]
+		if !ok {
+			s = len(lv.cpus)
+			lv.slotOf[id] = s
+			lv.cpus = append(lv.cpus, liveCPU{id: id})
+			lv.rows = nil
+		}
+		lv.lastID, lv.lastSlot = id, s
 	}
-	if id > lv.maxCPU {
-		lv.maxCPU = id
+	return lv.lastSlot
+}
+
+// rowsLocked returns the slots in id order: the rows of the next
+// snapshot. Callers hold mu.
+func (lv *Live) rowsLocked() []int {
+	if cpus := lv.cpus; lv.rows == nil {
+		lv.rows = make([]int, len(cpus))
+		for s := range lv.rows {
+			lv.rows[s] = s
+		}
+		slices.SortFunc(lv.rows, func(a, b int) int { return cmp.Compare(cpus[a].id, cpus[b].id) })
 	}
-	return &lv.cols[id]
+	return lv.rows
 }
 
 // counterForLocked returns the live slot for a counter, registering
@@ -310,9 +337,8 @@ func batchCPUErr(b *trace.RecordBatch) error {
 // appendLocked routes one batch into the builder — the streaming
 // counterpart of fromReader's callback and Trace.scatter. A batch is
 // applied whole or not at all: the only ways it can fail are a CPU id
-// the per-CPU tables must not be sized by and a topology whose node ids
-// the NUMA tables must not be indexed by, checked before the first
-// mutation.
+// no decoder would accept and a topology whose node ids the NUMA tables
+// must not be indexed by, checked before the first mutation.
 func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 	if err := batchCPUErr(b); err != nil {
 		return err
@@ -325,6 +351,9 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 	for _, t := range b.Topologies {
 		lv.topo = t
 		lv.hasTopo = true
+		for id := range int32(len(t.NodeOfCPU)) {
+			lv.slotLocked(id)
+		}
 	}
 	for _, t := range b.TaskTypes {
 		lv.types = registerType(lv.types, lv.typeByID, t)
@@ -341,39 +370,34 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 		lv.counterForLocked(d.ID).desc = d
 	}
 	lv.regionArrivals = append(lv.regionArrivals, b.Regions...)
-	if b.MaxCPU > lv.maxCPU {
-		lv.maxCPU = b.MaxCPU
-	}
 
 	for _, s := range b.States {
-		if c := &lv.cpuLocked(s.CPU).states; c.push(s, s.Start) {
-			c.unspill()
+		c := &lv.cpus[lv.slotLocked(s.CPU)]
+		if c.states.push(s, s.Start) {
+			c.states.unspill()
 		}
 		if s.State == trace.StateTaskExec && s.Task != trace.NoTask {
-			lv.execs[s.CPU] = append(lv.execs[s.CPU], execSpan{s.Task, s.Start, s.End})
+			c.execs = append(c.execs, execSpan{s.Task, s.Start, s.End})
 		}
 		lv.growSpanLocked(s.Start, s.End)
 	}
 	for _, ev := range b.Discrete {
-		if c := &lv.cpuLocked(ev.CPU).discrete; c.push(ev, ev.Time) {
+		if c := &lv.cpus[lv.slotLocked(ev.CPU)].discrete; c.push(ev, ev.Time) {
 			c.unspill()
 		}
 	}
 	for _, ev := range b.Comms {
-		if c := &lv.cpuLocked(ev.CPU).comm; c.push(ev, ev.Time) {
+		if c := &lv.cpus[lv.slotLocked(ev.CPU)].comm; c.push(ev, ev.Time) {
 			c.unspill()
 		}
 	}
 	for _, s := range b.Samples {
-		lc := lv.counterForLocked(s.Counter)
-		if n := int(s.CPU) + 1; n > len(lc.per) {
-			lc.per = padTo(lc.per, n)
+		lc, slot := lv.counterForLocked(s.Counter), lv.slotLocked(s.CPU)
+		if slot >= len(lc.per) {
+			lc.per = append(lc.per, make([]livePair, slot+1-len(lc.per))...)
 		}
-		if c := &lc.per[s.CPU].col; c.push(s, s.Time) {
+		if c := &lc.per[slot].col; c.push(s, s.Time) {
 			c.unspill()
-		}
-		if s.CPU > lv.maxCPU {
-			lv.maxCPU = s.CPU
 		}
 		lv.growSpanLocked(s.Time, s.Time)
 	}
@@ -422,31 +446,29 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 // of the tasks and copies the ID map — O(tasks + executions) per epoch,
 // on top of the column's own per-snapshot repair.
 func (lv *Live) snapshotLocked() *Trace {
+	rows := lv.rowsLocked()
 	tr := &Trace{Topology: lv.topo}
 	if !lv.hasTopo {
-		tr.Topology = synthTopology(lv.maxCPU)
+		tr.Topology = synthTopology(len(rows))
 	}
 	if lv.spill != nil {
 		st := lv.spill.stats()
 		tr.spill = &st
 	}
 
-	// Per-CPU arrays, padded to maxCPU+1 like the batch indexer: each
-	// column is captured as its Column value; a column that violated
-	// per-CPU order is captured repaired — the identical stable sort
-	// index() performs.
+	// Per-CPU arrays, one row per CPU in id order like the batch
+	// indexer: each column is captured as its Column value; a column that
+	// violated per-CPU order is captured repaired — the identical stable
+	// sort index() performs.
 	dirty := false
-	if n := int(lv.maxCPU) + 1; n > 0 {
-		tr.CPUs = make([]CPUData, n)
-		for i := range lv.cols {
-			cc := &lv.cols[i]
-			tr.CPUs[i] = CPUData{
-				States:   cc.states.snapshot(stateTime),
-				Discrete: cc.discrete.snapshot(discreteTime),
-				Comm:     cc.comm.snapshot(commTime),
-			}
-			dirty = dirty || cc.states.dirty
-		}
+	tr.CPUs = sized[CPUData](len(rows))
+	for r, s := range rows {
+		c, lc := &tr.CPUs[r], &lv.cpus[s]
+		c.ID = lc.id
+		c.States = lc.states.snapshot(stateTime)
+		c.Discrete = lc.discrete.snapshot(discreteTime)
+		c.Comm = lc.comm.snapshot(commTime)
+		dirty = dirty || lc.states.dirty
 	}
 
 	// Small tables: finalize copies so the builder keeps its
@@ -458,12 +480,11 @@ func (lv *Live) snapshotLocked() *Trace {
 	tr.Regions = lv.mergeRegionsLocked()
 
 	if dirty {
-		execs := make([][]execSpan, len(tr.CPUs))
-		for i := range lv.cols {
-			if lv.cols[i].states.dirty {
-				execs[i] = collectExecs(tr.CPUs[i].States.Rows)
-			} else {
-				execs[i] = lv.execs[i]
+		execs := make([]cpuExecs, len(rows))
+		for r, s := range rows {
+			execs[r] = cpuExecs{lv.cpus[s].id, lv.cpus[s].execs}
+			if lv.cpus[s].states.dirty {
+				execs[r].spans = collectExecs(tr.CPUs[r].States.Rows)
 			}
 		}
 		// The copies may carry placements from epochs before the column
@@ -477,8 +498,12 @@ func (lv *Live) snapshotLocked() *Trace {
 		// Spans still without a task record are the snapshot's alone:
 		// their tasks are synthesized past the declared ones, in CPU and
 		// event order, and declared by no later epoch's table.
+		orphaned := make([]cpuExecs, len(rows))
+		for r, s := range rows {
+			orphaned[r] = cpuExecs{lv.cpus[s].id, lv.cpus[s].orphans}
+		}
 		tasks := append(make([]TaskInfo, 0, len(lv.tasks)+orphans), lv.tasks...)
-		tr.Tasks = applyExecs(tasks, make(map[trace.TaskID]int), lv.orphans)
+		tr.Tasks = applyExecs(tasks, make(map[trace.TaskID]int), orphaned)
 	}
 
 	tr.counterByID = maps.Clone(lv.counterByID)
@@ -487,19 +512,19 @@ func (lv *Live) snapshotLocked() *Trace {
 	pairs := lv.extendTreesLocked()
 	ci, entries := newCounterIndex(2*pairs), make([]indexEntry, 2*pairs)
 	for _, lc := range lv.counters {
-		c := &Counter{Desc: lc.desc}
-		if len(lc.per) > 0 {
-			c.PerCPU = make([]Column[trace.CounterSample], len(lc.per))
-			for cpu := range lc.per {
-				p := &lc.per[cpu]
-				c.PerCPU[cpu] = p.col.snapshot(sampleTime)
-				if p.tree != nil {
-					key := counterCPU{uint64(c.Desc.ID), int32(cpu), false}
-					ci.seed(key, p.tree, &entries[0])
-					key.rate = true
-					ci.seed(key, p.rate, &entries[1])
-					entries = entries[2:]
-				}
+		c := &Counter{Desc: lc.desc, PerCPU: sized[Column[trace.CounterSample]](len(rows))}
+		for r, s := range rows {
+			if s >= len(lc.per) {
+				continue
+			}
+			p := &lc.per[s]
+			c.PerCPU[r] = p.col.snapshot(sampleTime)
+			if p.tree != nil {
+				key := counterCPU{uint64(c.Desc.ID), int32(r), false}
+				ci.seed(key, p.tree, &entries[0])
+				key.rate = true
+				ci.seed(key, p.rate, &entries[1])
+				entries = entries[2:]
 			}
 		}
 		tr.Counters = append(tr.Counters, c)
@@ -513,29 +538,22 @@ func (lv *Live) snapshotLocked() *Trace {
 	// (out-of-order producer) or whose intervals overlap goes dead and
 	// is never extended again — its snapshots fall back to the lazy
 	// build over their repaired arrays (or scan).
-	cpus := 0
-	for cpu := range lv.doms {
-		ch, c := &lv.doms[cpu], &lv.cols[cpu].states
-		if c.dirty {
+	di := newDomIndex(len(rows))
+	for r, s := range rows {
+		lc := &lv.cpus[s]
+		ch := &lc.dom
+		if lc.states.dirty {
 			*ch = domChain{dead: true}
 		}
-		if !ch.dead && c.len() > 0 {
-			cpus++
-		}
-	}
-	di, doms := newDomIndex(cpus), make([]DomCPU, cpus)
-	for cpu := range lv.doms {
-		ch := &lv.doms[cpu]
-		if ch.dead || lv.cols[cpu].states.len() == 0 {
+		if ch.dead || lc.states.len() == 0 {
 			continue
 		}
-		e := &doms[0]
-		e.leaves = tr.stateLeaves(int32(cpu))
-		ch.extend(&e.leaves)
-		if !ch.dead {
-			e.domSets = ch.domSets
-			di.seed(int32(cpu), e)
-			doms = doms[1:]
+		// The chain extends through the entry's own view: a local one
+		// would escape, an allocation per CPU and publish.
+		e := &di.cpus[r]
+		e.leaves = tr.stateLeaves(int32(r))
+		if ch.extend(&e.leaves); !ch.dead {
+			di.seed(r, e.leaves, ch.domSets)
 		}
 	}
 	tr.domOnce.Do(func() { tr.dom = di })
@@ -568,26 +586,26 @@ func (lv *Live) mergeRegionsLocked() []trace.MemRegion {
 // placeExecsLocked applies the execution spans appended since the last
 // publish to the task table and returns how many spans are orphaned,
 // their task still undeclared. A span on CPU c replaces a task's
-// placement iff c >= the task's ExecCPU. That is the batch loader's
+// placement iff c's id >= the task's ExecCPU. That is the batch loader's
 // last-writer-wins over (CPU, event) order whatever order the CPUs are
 // visited in, provided one CPU's spans are applied in event order —
 // which, for clean columns, is the stream order execs holds; so a
 // CPU's orphans, which are older than its new spans, are retried first.
 func (lv *Live) placeExecsLocked() (orphans int) {
-	for cpu, spans := range lv.execs {
-		waiting := lv.orphans[cpu]
-		kept := waiting[:0]
-		for _, run := range [2][]execSpan{waiting, spans[lv.execDone[cpu]:]} {
+	for s := range lv.cpus {
+		c := &lv.cpus[s]
+		kept := c.orphans[:0]
+		for _, run := range [2][]execSpan{c.orphans, c.execs[c.execDone:]} {
 			for _, e := range run {
 				i, ok := lv.taskByID[e.task]
 				if !ok {
 					kept = append(kept, e)
-				} else if ti := &lv.tasks[i]; int32(cpu) >= ti.ExecCPU {
-					ti.ExecCPU, ti.ExecStart, ti.ExecEnd = int32(cpu), e.start, e.end
+				} else if ti := &lv.tasks[i]; c.id >= ti.ExecCPU {
+					ti.ExecCPU, ti.ExecStart, ti.ExecEnd = c.id, e.start, e.end
 				}
 			}
 		}
-		lv.orphans[cpu], lv.execDone[cpu] = kept, len(spans)
+		c.orphans, c.execDone = kept, len(c.execs)
 		orphans += len(kept)
 	}
 	return orphans

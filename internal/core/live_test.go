@@ -320,7 +320,7 @@ func TestLiveEpochAdvances(t *testing.T) {
 // is repaired per snapshot exactly like a batch load repairs it.
 func TestLiveOutOfOrderProducer(t *testing.T) {
 	mk := func() *trace.RecordBatch {
-		b := &trace.RecordBatch{MaxCPU: 1}
+		b := &trace.RecordBatch{}
 		for i := 0; i < 50; i++ {
 			// Descending starts on CPU 0; samples descending on CPU 1.
 			t0 := int64(1000 - 10*i)
@@ -371,7 +371,6 @@ func TestAppendRejectsWholeBatch(t *testing.T) {
 	good := &trace.RecordBatch{
 		Tasks:  []trace.Task{{ID: 1, Type: 1}},
 		States: []trace.StateEvent{{CPU: 0, State: trace.StateTaskExec, Start: 0, End: 10, Task: 1}},
-		MaxCPU: 0,
 	}
 	if err := lv.Append(good); err != nil {
 		t.Fatal(err)
@@ -395,7 +394,6 @@ func TestAppendRejectsWholeBatch(t *testing.T) {
 			Tasks:      []trace.Task{{ID: 2, Type: 5}},
 			CounterIDs: []trace.CounterID{9},
 			States:     []trace.StateEvent{{CPU: 1, State: trace.StateIdle, Start: 10, End: 20}},
-			MaxCPU:     1,
 		}
 		poison(bad)
 		if err := lv.Append(bad); err == nil {

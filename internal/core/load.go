@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 
-	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -75,7 +74,6 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 	tr := newTrace()
 
 	var hasTopo bool
-	maxCPU := int32(-1)
 	var batches []*trace.RecordBatch
 	err := trace.ReadBatched(r, workers, func(b *trace.RecordBatch) error {
 		// Global records are rare; apply them in stream order here.
@@ -97,7 +95,6 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 		for _, d := range b.Descs {
 			tr.counterFor(d.ID).Desc = d
 		}
-		maxCPU = max(maxCPU, b.MaxCPU)
 		// The per-CPU families and the regions wait for the end of the
 		// stream, when their arrays can be allocated at their final size.
 		batches = append(batches, b)
@@ -106,57 +103,83 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	tr.scatter(batches, maxCPU, workers)
-	tr.index(hasTopo, maxCPU, workers)
+	tr.scatter(batches, workers)
+	tr.index(hasTopo, workers)
 	tr.taskByID = nil // rebuilt by the first lookup the dense slot misses
 	return tr, nil
 }
 
-// scatter builds the per-CPU event and sample arrays and the region
-// table from the batches of a whole stream, given in stream order with
-// the counts ReadBatched left on them: every array is allocated once at
-// its final length and every record copied once to its final place. The
-// counts of a batch are turned into the offsets its records start at (a
-// prefix sum in stream order), so batches write disjoint ranges, are
-// scattered concurrently, and per-CPU stream order holds by
-// construction. batches is consumed: a batch is dropped as soon as it is
-// scattered.
-func (tr *Trace) scatter(batches []*trace.RecordBatch, maxCPU int32, workers int) {
-	total := make([]trace.CPUCount, maxCPU+1)
-	samples := make([][]int, len(tr.Counters)) // [counter index][cpu]
+// scatter builds the row table, the per-CPU event and sample arrays
+// and the region table from the batches of a whole stream, given in
+// stream order with the counts ReadBatched left on them: every array is
+// allocated once at its final length and every record copied once to
+// its final place. The counts of a batch are turned into the offsets its
+// records start at (a prefix sum in stream order), so batches write
+// disjoint ranges, are scattered concurrently, and per-CPU stream order
+// holds by construction. The rows are every CPU a topology record
+// declares or a count names, in id order. batches is consumed: a batch
+// is dropped as soon as it is scattered.
+func (tr *Trace) scatter(batches []*trace.RecordBatch, workers int) {
+	seen := make(map[int32]bool)
+	var ids []int32
+	add := func(id int32) {
+		if !seen[id] {
+			seen[id] = true
+			ids = append(ids, id)
+		}
+	}
+	for _, b := range batches {
+		for _, t := range b.Topologies {
+			for id := range int32(len(t.NodeOfCPU)) {
+				add(id)
+			}
+		}
+		for _, e := range b.CPUCounts {
+			add(e.CPU)
+		}
+		for _, e := range b.SampleCounts {
+			add(e.CPU)
+		}
+	}
+	slices.Sort(ids)
+	tr.CPUs = sized[CPUData](len(ids))
+	for r, id := range ids {
+		tr.CPUs[r].ID = id
+	}
+
+	total := make([]trace.CPUCount, len(ids))
+	samples := make([][]int, len(tr.Counters)) // [counter index][row]
+	for ci := range samples {
+		samples[ci] = make([]int, len(ids))
+	}
 	regions := 0
 	for _, b := range batches {
 		for i := range b.CPUCounts {
 			e := &b.CPUCounts[i]
-			t := &total[e.CPU]
+			t := &total[tr.RowOf(e.CPU)]
 			e.States, t.States = t.States, t.States+e.States
 			e.Discrete, t.Discrete = t.Discrete, t.Discrete+e.Discrete
 			e.Comms, t.Comms = t.Comms, t.Comms+e.Comms
 		}
 		for i := range b.SampleCounts {
 			e := &b.SampleCounts[i]
-			ci := tr.counterByID[e.Counter]
-			if n := int(e.CPU) + 1; n > len(samples[ci]) {
-				samples[ci] = padTo(samples[ci], n)
-			}
-			t := &samples[ci][e.CPU]
+			t := &samples[tr.counterByID[e.Counter]][tr.RowOf(e.CPU)]
 			e.N, *t = *t, *t+e.N
 		}
 		regions += len(b.Regions)
 	}
 
 	// Allocation clears 40 bytes a record: worth the workers too.
-	tr.CPUs = sized[CPUData](len(total))
-	par.Do(workers, len(total), func(cpu int) {
-		c, t := &tr.CPUs[cpu], &total[cpu]
+	par.Do(workers, len(total), func(r int) {
+		c, t := &tr.CPUs[r], &total[r]
 		c.States.Rows = sized[trace.StateEvent](t.States)
 		c.Discrete.Rows = sized[trace.DiscreteEvent](t.Discrete)
 		c.Comm.Rows = sized[trace.CommEvent](t.Comms)
 	})
 	par.Do(workers, len(samples), func(ci int) {
-		per := sized[Column[trace.CounterSample]](len(samples[ci]))
-		for cpu, n := range samples[ci] {
-			per[cpu].Rows = sized[trace.CounterSample](n)
+		per := sized[Column[trace.CounterSample]](len(ids))
+		for r, n := range samples[ci] {
+			per[r].Rows = sized[trace.CounterSample](n)
 		}
 		tr.Counters[ci].PerCPU = per
 	})
@@ -184,33 +207,33 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, maxCPU int32, workers int
 				at[b.CPUCounts[j].CPU] = &b.CPUCounts[j]
 			}
 			// Records of one CPU come in runs: most look-ups repeat the last.
-			e := &trace.CPUCount{CPU: -1}
+			e, c := &trace.CPUCount{CPU: -1}, (*CPUData)(nil)
 			for _, s := range b.States {
 				if s.CPU != e.CPU {
-					e = at[s.CPU]
+					e, c = at[s.CPU], &tr.CPUs[tr.RowOf(s.CPU)]
 				}
-				tr.CPUs[s.CPU].States.Rows[e.States] = s
+				c.States.Rows[e.States] = s
 				e.States++
 			}
 			for _, ev := range b.Discrete {
 				if ev.CPU != e.CPU {
-					e = at[ev.CPU]
+					e, c = at[ev.CPU], &tr.CPUs[tr.RowOf(ev.CPU)]
 				}
-				tr.CPUs[ev.CPU].Discrete.Rows[e.Discrete] = ev
+				c.Discrete.Rows[e.Discrete] = ev
 				e.Discrete++
 			}
 			for _, ev := range b.Comms {
 				if ev.CPU != e.CPU {
-					e = at[ev.CPU]
+					e, c = at[ev.CPU], &tr.CPUs[tr.RowOf(ev.CPU)]
 				}
-				tr.CPUs[ev.CPU].Comm.Rows[e.Comms] = ev
+				c.Comm.Rows[e.Comms] = ev
 				e.Comms++
 			}
 			clear(rest)
 			ranges = ranges[:0]
 			for _, e := range b.SampleCounts {
 				rest[pair(e.Counter, e.CPU)] = len(ranges)
-				ranges = append(ranges, tr.Counters[tr.counterByID[e.Counter]].PerCPU[e.CPU].Rows[e.N:])
+				ranges = append(ranges, tr.Counters[tr.counterByID[e.Counter]].PerCPU[tr.RowOf(e.CPU)].Rows[e.N:])
 			}
 			for _, s := range b.Samples {
 				r := &ranges[rest[pair(s.Counter, s.CPU)]]
@@ -218,17 +241,6 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, maxCPU int32, workers int
 			}
 		}
 	})
-}
-
-// padTo returns s extended with zero values to length n > len(s): in
-// one allocation of that size when n is far past its capacity, doubling
-// when ids arrive one above the last. It is for tables that only grow,
-// whose spare capacity is therefore still zero.
-func padTo[T any](s []T, n int) []T {
-	if n > cap(s) {
-		s = append(make([]T, 0, max(n, 2*cap(s))), s...)
-	}
-	return s[:n]
 }
 
 // sized returns a slice of n zero records, nil for none: a CPU without
@@ -284,13 +296,20 @@ type execSpan struct {
 	start, end trace.Time
 }
 
+// cpuExecs is one CPU's execution spans, in event order, with the id
+// the placements name.
+type cpuExecs struct {
+	cpu   int32
+	spans []execSpan
+}
+
 // synthTopology returns the flat single-node topology synthesized for
-// traces without a topology record.
-func synthTopology(maxCPU int32) trace.Topology {
+// traces without a topology record, over a trace of n rows.
+func synthTopology(n int) trace.Topology {
 	return trace.Topology{
 		Name:      "unknown",
 		NumNodes:  1,
-		NodeOfCPU: make([]int32, max(int(maxCPU)+1, 1)),
+		NodeOfCPU: make([]int32, max(n, 1)),
 		Distance:  []int32{0},
 	}
 }
@@ -298,11 +317,12 @@ func synthTopology(maxCPU int32) trace.Topology {
 // applyExecs applies task execution placements onto tasks in CPU and
 // event order — the sequential last-writer-wins semantics of a batch
 // load — synthesizing entries for tasks the trace carries no record
-// for (Section VI-A tolerance). byID is updated for synthesized tasks;
-// the (possibly grown) task slice is returned.
-func applyExecs(tasks []TaskInfo, byID map[trace.TaskID]int, perCPU [][]execSpan) []TaskInfo {
-	for cpu := range perCPU {
-		for _, e := range perCPU[cpu] {
+// for (Section VI-A tolerance). perCPU lists the CPUs in row order. byID
+// is updated for synthesized tasks; the (possibly grown) task slice is
+// returned.
+func applyExecs(tasks []TaskInfo, byID map[trace.TaskID]int, perCPU []cpuExecs) []TaskInfo {
+	for _, c := range perCPU {
+		for _, e := range c.spans {
 			idx, ok := byID[e.task]
 			if !ok {
 				idx = len(tasks)
@@ -310,7 +330,7 @@ func applyExecs(tasks []TaskInfo, byID map[trace.TaskID]int, perCPU [][]execSpan
 				tasks = append(tasks, TaskInfo{ID: e.task, ExecCPU: -1})
 			}
 			ti := &tasks[idx]
-			ti.ExecCPU = int32(cpu)
+			ti.ExecCPU = c.cpu
 			ti.ExecStart = e.start
 			ti.ExecEnd = e.end
 		}
@@ -428,9 +448,9 @@ func buildCounterNameIndex(counters []*Counter) map[string]int {
 // per-CPU and per-(counter, cpu) passes run on up to workers
 // goroutines; their results merge serially in CPU order so the
 // outcome is identical to a sequential pass.
-func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
+func (tr *Trace) index(hasTopo bool, workers int) {
 	if !hasTopo {
-		tr.Topology = synthTopology(maxCPU)
+		tr.Topology = synthTopology(len(tr.CPUs))
 	}
 
 	// Per-CPU finalization: verify/repair event order (the format
@@ -440,10 +460,10 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 	type cpuIndex struct {
 		min, max trace.Time
 		has      bool
-		execs    []execSpan
-		dom      *DomCPU
 	}
 	perCPU := make([]cpuIndex, len(tr.CPUs))
+	execs := make([]cpuExecs, len(tr.CPUs))
+	di := newDomIndex(len(tr.CPUs))
 	par.Do(workers, len(tr.CPUs), func(i int) {
 		states, discrete, comm := tr.CPUs[i].States.Rows, tr.CPUs[i].Discrete.Rows, tr.CPUs[i].Comm.Rows
 		if !inOrder(states, stateTime) {
@@ -465,15 +485,14 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 			}
 			res.has = true
 		}
-		res.execs = collectExecs(states)
+		execs[i] = cpuExecs{tr.CPUs[i].ID, collectExecs(states)}
 		// Build the dominance pyramid over the freshly sorted states
 		// (Section VI-B: rendering cost proportional to pixels, not
 		// events), eagerly so the first viewer request pays nothing. A
-		// CPU without states gets none: ids are sparse, and DomIndex.CPU
-		// builds the empty entry for whoever asks.
+		// CPU without states is left to DomIndex.CPU, which builds the
+		// empty entry for whoever asks.
 		if len(states) > 0 {
-			res.dom = &DomCPU{}
-			res.dom.build(mragg.Over(states))
+			di.CPU(tr, int32(i))
 		}
 	})
 
@@ -519,10 +538,6 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 		}
 		first = false
 	}
-	execs := make([][]execSpan, len(perCPU))
-	for cpu := range perCPU {
-		execs[cpu] = perCPU[cpu].execs
-	}
 	tr.Tasks = applyExecs(tr.Tasks, tr.taskByID, execs)
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
@@ -543,11 +558,5 @@ func (tr *Trace) index(hasTopo bool, maxCPU int32, workers int) {
 	finalizeTypes(tr.Types, tr.typeByID)
 	tr.counterByName = buildCounterNameIndex(tr.Counters)
 
-	di := NewDomIndex()
-	for i := range perCPU {
-		if perCPU[i].dom != nil {
-			di.seed(int32(i), perCPU[i].dom)
-		}
-	}
 	tr.domOnce.Do(func() { tr.dom = di })
 }

@@ -194,8 +194,8 @@ func TestLoadParallelEdgeCases(t *testing.T) {
 	spliced := append(first, second[header:]...)
 	want, err := streamRef(spliced)
 	must(err)
-	if want.NumCPUs() != 6 {
-		t.Fatalf("NumCPUs = %d, want 6 (sample on CPU 5)", want.NumCPUs())
+	if want.NumCPUs() != 3 || want.RowOf(5) != 2 {
+		t.Fatalf("NumCPUs = %d, want 3 (CPUs 0 and 2, and the sample on CPU 5)", want.NumCPUs())
 	}
 	if _, ok := want.TaskByID(77); !ok {
 		t.Fatal("task 77 not synthesized")
@@ -265,21 +265,24 @@ func TestLoadParallelEdgeCases(t *testing.T) {
 	}
 }
 
-// domEntries returns how many CPUs a trace's dominance index holds an
-// entry for, without asking it anything.
+// domEntries returns how many CPUs a trace's dominance index has built
+// pyramids for, without asking it anything.
 func domEntries(tr *Trace) int {
-	di := tr.DomIndex()
-	di.mu.Lock()
-	defer di.mu.Unlock()
-	return len(di.entries)
+	n, di := 0, tr.DomIndex()
+	for i := range di.cpus {
+		if di.cpus[i].all != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLoadSparseCPUIDs: CPU ids are whatever the producer wrote, so a
 // stream may use CPUs as far apart as the decoder admits. What a load
 // keeps per batch must be sized by the batch's records, and what it
-// builds per CPU by the CPU's records, not by the largest id: the batch
+// builds per CPU by the CPUs it holds, not by the largest id: the batch
 // loader, inline and on workers, builds the same trace as the live
-// path, and no load indexes a CPU that has no states.
+// path, one row per CPU, and no load indexes a CPU that has no states.
 func TestLoadSparseCPUIDs(t *testing.T) {
 	const far = trace.MaxCPUID
 	// measure returns what open built and the bytes it allocated doing so.
@@ -308,8 +311,8 @@ func TestLoadSparseCPUIDs(t *testing.T) {
 		return func() (*Trace, error) { return fromReader(bytes.NewReader(data), workers) }
 	}
 
-	// Fifteen bytes of trace: every load pays for the per-CPU tables and
-	// for nothing per empty CPU, and the one row answers.
+	// Fifteen bytes of trace: one row, a load costs what the decode
+	// pipeline does, and the row answers.
 	t.Run("one record at MaxCPUID", func(t *testing.T) {
 		var buf bytes.Buffer
 		w := trace.NewWriter(&buf)
@@ -331,20 +334,23 @@ func TestLoadSparseCPUIDs(t *testing.T) {
 			{"workers=4", batch(data, 4)},
 		} {
 			tr, alloc := load(t, l.label, 1, l.open)
-			if alloc > 512<<20 {
-				t.Errorf("%s allocated %d bytes for a %d byte stream: over 512 MB", l.label, alloc, len(data))
+			if alloc > 1<<20 {
+				t.Errorf("%s allocated %d bytes for a %d byte stream: over 1 MB", l.label, alloc, len(data))
+			}
+			if tr.NumCPUs() != 1 || tr.CPUs[0].ID != far {
+				t.Errorf("%s: %d rows, want the one of CPU %d", l.label, tr.NumCPUs(), far)
 			}
 			if want == nil {
 				want = tr
 			} else {
 				equalTraces(t, want, tr, l.label)
 			}
-			got, ok, indexed := tr.DomIndex().CPU(tr, far).DominantState(0, 10)
+			got, ok, indexed := tr.DomIndex().CPU(tr, tr.RowOf(far)).DominantState(0, 10)
 			if !ok || !indexed || got != ev {
 				t.Errorf("%s: dominant state on the far CPU = %+v, %v, %v", l.label, got, ok, indexed)
 			}
-			if _, ok, indexed := tr.DomIndex().CPU(tr, 7).DominantState(0, 10); ok || !indexed {
-				t.Errorf("%s: an empty CPU answered %v, indexed %v", l.label, ok, indexed)
+			if _, ok, indexed := tr.DomIndex().CPU(tr, tr.RowOf(7)).DominantState(0, 10); ok || !indexed {
+				t.Errorf("%s: a CPU the trace does not hold answered %v, indexed %v", l.label, ok, indexed)
 			}
 		}
 	})
@@ -381,8 +387,8 @@ func TestLoadSparseCPUIDs(t *testing.T) {
 
 		// The per-CPU tables hide a small per-batch table in that
 		// comparison, so weigh the scatter alone: it may allocate the arrays
-		// themselves and the tables of totals per stream (32 bytes a CPU
-		// id, and 8 for the one counter's samples), not one per batch.
+		// themselves and the tables of totals per stream (32 bytes a CPU,
+		// and 8 for the one counter's samples), not one per batch.
 		tr := newTrace()
 		var batches []*trace.RecordBatch
 		err := trace.ReadBatched(bytes.NewReader(data), 4, func(b *trace.RecordBatch) error {
@@ -396,10 +402,14 @@ func TestLoadSparseCPUIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 		events, samples := want.EventCounts()
+		rows := uint64(want.NumCPUs())
+		if rows != 2 {
+			t.Fatalf("%d rows, want 2", rows)
+		}
 		arrays := uint64(events)*uint64(unsafe.Sizeof(trace.StateEvent{})) + uint64(samples)*uint64(unsafe.Sizeof(trace.CounterSample{})) +
-			(far+1)*uint64(unsafe.Sizeof(CPUData{})+unsafe.Sizeof(Column[trace.CounterSample]{}))
-		_, scattered := measure(t, "scatter", func() (*Trace, error) { tr.scatter(batches, far, 4); return tr, nil })
-		if limit := arrays + (far+1)*(32+8) + 1<<20; scattered > limit {
+			rows*uint64(unsafe.Sizeof(CPUData{})+unsafe.Sizeof(Column[trace.CounterSample]{}))
+		_, scattered := measure(t, "scatter", func() (*Trace, error) { tr.scatter(batches, 4); return tr, nil })
+		if limit := arrays + rows*(32+8) + 1<<20; scattered > limit {
 			t.Errorf("scatter of %d batches allocated %d bytes for %d bytes of arrays (limit %d)", len(batches), scattered, arrays, limit)
 		}
 	})
@@ -514,23 +524,26 @@ func TestCounterByNameIndexed(t *testing.T) {
 	}
 }
 
-// TestTaskCommShared checks the pre-sized/shared-slice TaskComm
-// contract.
+// TestTaskCommShared: a task's accesses are a view into the trace's
+// column, its own events among them, and asking for them allocates
+// nothing, also for a task that executed without communicating.
 func TestTaskCommShared(t *testing.T) {
 	tr := buildTestTrace(t)
 	task, ok := tr.TaskByID(10)
 	if !ok {
 		t.Fatal("task 10 missing")
 	}
-	evs := tr.TaskComm(task)
-	if len(evs) != 2 {
-		t.Fatalf("TaskComm = %d events, want 2", len(evs))
+	if evs := taskEvents(tr, task); len(evs) != 2 {
+		t.Fatalf("task 10 has %d own events, want 2", len(evs))
 	}
-	// Task 11 executes but has no communication: the result must be
-	// the shared empty slice, not a fresh allocation.
 	t11, _ := tr.TaskByID(11)
-	if got := tr.TaskComm(t11); len(got) != 0 || got == nil {
-		t.Fatalf("TaskComm(no comm) = %v, want shared empty slice", got)
+	if got := taskEvents(tr, t11); len(got) != 0 {
+		t.Fatalf("task 11 has own events %v, want none", got)
+	}
+	for _, tk := range []*TaskInfo{task, t11} {
+		if n := testing.AllocsPerRun(10, func() { tr.TaskAccesses(tk) }); n != 0 {
+			t.Errorf("TaskAccesses(task %d) allocated %v times", tk.ID, n)
+		}
 	}
 }
 

@@ -197,7 +197,7 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 	var clock [4]trace.Time
 	dirtyAt := 12
 	for epoch := 0; epoch < 30; epoch++ {
-		b := &trace.RecordBatch{MaxCPU: 3}
+		b := &trace.RecordBatch{}
 		for i := 0; i < 20; i++ {
 			cpu := int32(rng.Intn(4))
 			id := trace.TaskID(1 + rng.Intn(30))
@@ -223,12 +223,12 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap, _ := lv.Publish()
-		if dirty := lv.cols[2].states.dirty; dirty != (epoch >= dirtyAt) {
+		if dirty := lv.cpus[lv.slotOf[2]].states.dirty; dirty != (epoch >= dirtyAt) {
 			t.Fatalf("epoch %d: CPU 2's state column dirty = %v", epoch, dirty)
 		}
-		execs := make([][]execSpan, len(snap.CPUs))
+		execs := make([]cpuExecs, len(snap.CPUs))
 		for cpu := range snap.CPUs {
-			execs[cpu] = collectExecs(snap.CPUs[cpu].States.Rows)
+			execs[cpu] = cpuExecs{snap.CPUs[cpu].ID, collectExecs(snap.CPUs[cpu].States.Rows)}
 		}
 		byID := make(map[trace.TaskID]int)
 		for i := range ref.Tasks {
@@ -373,7 +373,7 @@ func TestLiveSnapshotTablesFrozen(t *testing.T) {
 	// CPU 1 and undeclared, and ascending regions until the builder's
 	// array has room to spare — so the next ascending region is written
 	// into the array snapshot k holds a prefix of.
-	first := &trace.RecordBatch{MaxCPU: 1}
+	first := &trace.RecordBatch{}
 	for i := 0; i < 50; i++ {
 		first.Tasks = append(first.Tasks, trace.Task{ID: trace.TaskID(i + 1), Type: 1, CreatorCPU: 0})
 		t0 := trace.Time(100 * i)
@@ -386,7 +386,7 @@ func TestLiveSnapshotTablesFrozen(t *testing.T) {
 		if regions > 64 {
 			t.Fatal("in-order regions never extend the builder's array in place: every publish replaces it")
 		}
-		k = publish(&trace.RecordBatch{MaxCPU: -1, Regions: []trace.MemRegion{region(regions)}})
+		k = publish(&trace.RecordBatch{Regions: []trace.MemRegion{region(regions)}})
 		regions++
 	}
 	wantTasks := append([]TaskInfo(nil), k.Tasks...)
@@ -426,7 +426,7 @@ func TestLiveSnapshotTablesFrozen(t *testing.T) {
 
 	clock := trace.Time(100 * 50)
 	for i := 0; i < 50; i++ {
-		b := &trace.RecordBatch{MaxCPU: 1}
+		b := &trace.RecordBatch{}
 		b.Regions = []trace.MemRegion{region(regions)}
 		regions++
 		b.States = []trace.StateEvent{{CPU: 0, State: trace.StateTaskExec, Start: clock, End: clock + 50, Task: trace.TaskID(i + 1)}}

@@ -20,9 +20,12 @@ import (
 // 3 also dumped every sample's time and value, twice). Every pyramid
 // level holds complete blocks only (since version 5; version 4 also
 // stored the node of each level's partial tail block). OpenStore binds
-// them to the mapped columns they index. Older snapshots must be
-// re-saved from their source trace.
-const snapshotFormatVersion = 5
+// them to the mapped columns they index. Per-CPU tables are stored by
+// row, and the CPU ids, one per row, as a column of their own; every
+// counter has one sample column per row (since version 6; version 5
+// stored one entry per id up to the largest).
+// Older snapshots must be re-saved from their source trace.
+const snapshotFormatVersion = 6
 
 // SaveStore writes the trace as a columnar snapshot: every per-CPU
 // event array, counter sample array and table dumped as raw columns,
@@ -69,7 +72,11 @@ func SaveStore(tr *Trace, path string) (err error) {
 	e.Ref(store.Put(w, tr.Tasks))
 	e.Ref(store.Put(w, tr.Regions))
 
-	e.Int(len(tr.CPUs))
+	ids := make([]int32, len(tr.CPUs))
+	for i := range tr.CPUs {
+		ids[i] = tr.CPUs[i].ID
+	}
+	e.Ref(store.Put(w, ids))
 	for i := range tr.CPUs {
 		c := &tr.CPUs[i]
 		e.Ref(store.Put(w, c.States.all()))
@@ -86,9 +93,8 @@ func SaveStore(tr *Trace, path string) (err error) {
 		} else {
 			e.Int(0)
 		}
-		e.Int(len(c.PerCPU))
-		for cpu := range c.PerCPU {
-			e.Ref(store.Put(w, c.PerCPU[cpu].all()))
+		for cpu := range tr.CPUs {
+			e.Ref(store.Put(w, c.column(int32(cpu)).all()))
 		}
 	}
 
@@ -109,7 +115,7 @@ func SaveStore(tr *Trace, path string) (err error) {
 	// samples, in table order.
 	ci := tr.CounterIndex()
 	for _, c := range tr.Counters {
-		for cpu := range c.PerCPU {
+		for cpu := range tr.CPUs {
 			if c.NumSamples(int32(cpu)) == 0 {
 				e.Int(0)
 				continue
@@ -298,13 +304,17 @@ func OpenStore(path string) (tr *Trace, err error) {
 		return nil, err
 	}
 
-	nCPU := d.Int()
-	if err := d.Err(); err != nil {
+	ids, err := store.View[int32](m, d.Ref())
+	if err != nil {
 		return nil, err
 	}
+	nCPU := len(ids)
 	tr.CPUs = make([]CPUData, nCPU)
 	for i := 0; i < nCPU; i++ {
 		c := &tr.CPUs[i]
+		if c.ID = ids[i]; c.ID < 0 || c.ID > trace.MaxCPUID || i > 0 && c.ID <= ids[i-1] {
+			return nil, fmt.Errorf("store: corrupt snapshot: CPU id %d at row %d", c.ID, i)
+		}
 		if c.States.Rows, err = store.View[trace.StateEvent](m, d.Ref()); err != nil {
 			return nil, err
 		}
@@ -327,7 +337,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 			Name:      d.Str(),
 			Monotonic: d.Int() != 0,
 		}}
-		c.PerCPU = make([]Column[trace.CounterSample], d.Int())
+		c.PerCPU = sized[Column[trace.CounterSample]](nCPU)
 		for cpu := range c.PerCPU {
 			if c.PerCPU[cpu].Rows, err = store.View[trace.CounterSample](m, d.Ref()); err != nil {
 				return nil, err
@@ -338,24 +348,23 @@ func OpenStore(path string) (tr *Trace, err error) {
 	}
 	tr.counterByName = buildCounterNameIndex(tr.Counters)
 
-	di := NewDomIndex()
-	for cpu := int32(0); int(cpu) < nCPU; cpu++ {
+	di := newDomIndex(nCPU)
+	for cpu := range nCPU {
 		states := tr.CPUs[cpu].States.Rows
-		all, err := viewAllSet(m, d, len(states))
-		if err != nil {
-			return nil, fmt.Errorf("store: cpu %d all-states dominance set: %w", cpu, err)
+		sets := domSets{}
+		if sets.all, err = viewAllSet(m, d, len(states)); err != nil {
+			return nil, fmt.Errorf("store: cpu %d all-states dominance set: %w", ids[cpu], err)
 		}
-		dc := &DomCPU{leaves: mragg.Over(states), domSets: domSets{all: all}}
 		for k := 0; k < trace.NumWorkerStates; k++ {
-			if dc.byState[k], err = viewSubSet(m, d, len(states)); err != nil {
-				return nil, fmt.Errorf("store: cpu %d state %d dominance set: %w", cpu, k, err)
+			if sets.byState[k], err = viewSubSet(m, d, len(states)); err != nil {
+				return nil, fmt.Errorf("store: cpu %d state %d dominance set: %w", ids[cpu], k, err)
 			}
 		}
 		// A stored nil all-set means the CPU was empty or unindexable;
 		// leave the entry to the lazy builder, which re-derives that
 		// verdict from the (possibly empty) column.
-		if all != nil {
-			di.seed(cpu, dc)
+		if sets.all != nil {
+			di.seed(cpu, mragg.Over(states), sets)
 		}
 	}
 	tr.domOnce.Do(func() { tr.dom = di })
@@ -368,7 +377,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 			}
 			vt, rt, err := viewTrees(m, d, c.sampleLeaves(int32(cpu)))
 			if err != nil {
-				return nil, fmt.Errorf("store: counter %d cpu %d trees: %w", c.Desc.ID, cpu, err)
+				return nil, fmt.Errorf("store: counter %d cpu %d trees: %w", c.Desc.ID, ids[cpu], err)
 			}
 			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), false}, vt, &indexEntry{})
 			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), true}, rt, &indexEntry{})

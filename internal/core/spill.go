@@ -259,8 +259,8 @@ func (lv *Live) Close() error {
 // sample columns.
 func (lv *Live) tailBytesLocked() int64 {
 	var n int64
-	for i := range lv.cols {
-		c := &lv.cols[i]
+	for i := range lv.cpus {
+		c := &lv.cpus[i]
 		n += c.states.tailBytes() + c.discrete.tailBytes() + c.comm.tailBytes()
 	}
 	for _, lc := range lv.counters {
@@ -309,9 +309,9 @@ func (lv *Live) maybeSpillLocked() {
 // freezable (every column empty or dirty).
 func (lv *Live) freezeTailsLocked() (*spillSeg, *Trace) {
 	seg := &spillSeg{id: lv.segSeq}
-	frag := &Trace{CPUs: make([]CPUData, len(lv.cols))}
-	for cpu := range lv.cols {
-		c, f := &lv.cols[cpu], &frag.CPUs[cpu]
+	frag := &Trace{CPUs: make([]CPUData, len(lv.cpus))}
+	for slot := range lv.cpus {
+		c, f := &lv.cpus[slot], &frag.CPUs[slot]
 		if s := c.states.freeze(seg); s != nil {
 			seg.cover(s[0].Start, s[len(s)-1].End)
 			f.States.Rows = s
@@ -457,8 +457,8 @@ func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, view *Trace, path 
 	seg.m = m
 	// view was read back from a file, so its shape is checked against
 	// the builder's tables, which only grow, rather than trusted.
-	for cpu := range min(len(view.CPUs), len(lv.cols)) {
-		c, v := &lv.cols[cpu], &view.CPUs[cpu]
+	for slot := range min(len(view.CPUs), len(lv.cpus)) {
+		c, v := &lv.cpus[slot], &view.CPUs[slot]
 		c.states.install(seg, v.States.Rows)
 		c.discrete.install(seg, v.Discrete.Rows)
 		c.comm.install(seg, v.Comm.Rows)
@@ -513,12 +513,12 @@ func (lv *Live) applyRetentionLocked() {
 	if len(sp.segs) > 0 {
 		keep = sp.segs[0].id
 	}
-	for cpu := range lv.cols {
-		c := &lv.cols[cpu]
+	for slot := range lv.cpus {
+		c := &lv.cpus[slot]
 		if c.states.drop(keep) > 0 {
 			// Logical state indices shifted: the dominance chain's leaf
 			// refs are stale. Rebuild over the remaining window.
-			lv.doms[cpu] = domChain{}
+			c.dom = domChain{}
 		}
 		c.discrete.drop(keep)
 		c.comm.drop(keep)

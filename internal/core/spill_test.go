@@ -15,7 +15,7 @@ import (
 // spillBatch builds one ordered batch: count states, comm events and
 // samples per CPU, starting at time base.
 func spillBatch(nCPU, count int, base int64) *trace.RecordBatch {
-	b := &trace.RecordBatch{MaxCPU: int32(nCPU - 1)}
+	b := &trace.RecordBatch{}
 	for cpu := int32(0); cpu < int32(nCPU); cpu++ {
 		for i := 0; i < count; i++ {
 			t0 := base + int64(100*i)
@@ -200,7 +200,7 @@ func TestSpillUnspillOnDirtyProducer(t *testing.T) {
 	}
 
 	// Now a batch whose events land before everything spilled.
-	late := &trace.RecordBatch{MaxCPU: 1}
+	late := &trace.RecordBatch{}
 	late.States = append(late.States, trace.StateEvent{CPU: 0, State: trace.StateIdle, Start: -500, End: -400})
 	late.Comms = append(late.Comms, trace.CommEvent{Kind: trace.CommWrite, CPU: 0, SrcCPU: -1, Time: -450, Task: 1, Addr: 0x2000, Size: 8})
 	late.Samples = append(late.Samples, trace.CounterSample{CPU: 0, Counter: 7, Time: -450, Value: 1})

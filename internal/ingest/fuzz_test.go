@@ -3,6 +3,7 @@ package ingest_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -14,10 +15,11 @@ import (
 	"github.com/openstream/aftermath/internal/ui"
 )
 
-// serveTrace writes a tiny native trace: two CPUs on two nodes, a task
-// per CPU that reads a region homed on regionNode and bumps a counter.
-// With topology nil the trace carries no topology record.
-func serveTrace(tb testing.TB, topology *trace.Topology, regionNode int32) []byte {
+// serveTrace writes a tiny native trace: two CPUs, 0 and second, on two
+// nodes, a task per CPU that reads a region homed on regionNode and
+// bumps a counter. With topology nil the trace carries no topology
+// record.
+func serveTrace(tb testing.TB, topology *trace.Topology, regionNode, second int32) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -33,7 +35,7 @@ func serveTrace(tb testing.TB, topology *trace.Topology, regionNode int32) []byt
 	must(w.WriteCounterDesc(trace.CounterDesc{ID: 3, Name: trace.CounterCacheMisses, Monotonic: true}))
 	must(w.WriteRegion(trace.MemRegion{ID: 1, Addr: 0x1000, Size: 4096, Node: regionNode}))
 	for i := 0; i < 8; i++ {
-		cpu, t0, id := int32(i%2), int64(100*i), trace.TaskID(i+1)
+		cpu, t0, id := []int32{0, second}[i%2], int64(100*i), trace.TaskID(i+1)
 		must(w.WriteTask(trace.Task{ID: id, Type: 1, Created: t0, CreatorCPU: cpu}))
 		must(w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateTaskExec, Start: t0, End: t0 + 80, Task: id}))
 		must(w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: t0 + 80, End: t0 + 100}))
@@ -51,7 +53,7 @@ func negativeNodeTrace(tb testing.TB) []byte {
 	topo := []byte{1, 'm', 2, 2}                   // name, 2 nodes, 2 CPUs
 	topo = binary.AppendUvarint(topo, 1<<32-1)     // CPU 0 on node -1
 	topo = append(topo, 0 /* CPU 1 */, 0, 1, 1, 0) // distances
-	rest := serveTrace(tb, nil, 1)
+	rest := serveTrace(tb, nil, 1, 1)
 	const header = 5 // magic and version
 	out := append([]byte(nil), rest[:header]...)
 	out = append(out, 1 /* topology record */, byte(len(topo)))
@@ -59,7 +61,10 @@ func negativeNodeTrace(tb testing.TB) []byte {
 	return append(out, rest[header:]...)
 }
 
-var twoNodes = trace.Topology{Name: "m", NumNodes: 2, NodeOfCPU: []int32{0, 1}, Distance: []int32{0, 1, 1, 0}}
+var (
+	twoNodes = trace.Topology{Name: "m", NumNodes: 2, NodeOfCPU: []int32{0, 1}, Distance: []int32{0, 1, 1, 0}}
+	fourCPUs = trace.Topology{Name: "m4", NumNodes: 2, NodeOfCPU: []int32{0, 0, 1, 1}, Distance: []int32{0, 1, 1, 0}}
+)
 
 // TestOpenReaderRejectsNegativeNode: the trace that crashed /matrix is
 // refused at open, by name.
@@ -77,11 +82,14 @@ func TestOpenReaderRejectsNegativeNode(t *testing.T) {
 // and arbitrary type and node counts decide how many colours a tile
 // has). Inputs it rejects only have to be rejected with an error.
 func FuzzOpenServe(f *testing.F) {
-	f.Add(serveTrace(f, &twoNodes, 1))
+	f.Add(serveTrace(f, &twoNodes, 1, 1))
 	f.Add(negativeNodeTrace(f))
-	f.Add(serveTrace(f, &twoNodes, 7)) // region homed on node 7 of 2
-	f.Add(serveTrace(f, nil, 1))       // no topology record
-	urls := []string{"/stats", "/matrix", "/anomalies", "/plot?kind=idle", "/plot?kind=avgdur", "/plot?kind=" + trace.CounterCacheMisses}
+	f.Add(serveTrace(f, &twoNodes, 7, 1))        // region homed on node 7 of 2
+	f.Add(serveTrace(f, nil, 1, 1))              // no topology record
+	f.Add(serveTrace(f, nil, 1, trace.MaxCPUID)) // CPUs 0 and MaxCPUID
+	f.Add(serveTrace(f, &fourCPUs, 1, 1000))     // a 4-CPU topology, CPUs 1-3 without records, and CPU 1000
+	urls := []string{"/stats", "/matrix", "/anomalies", "/plot?kind=idle", "/plot?kind=avgdur", "/plot?kind=" + trace.CounterCacheMisses,
+		"/task?cpu=1000&at=5", fmt.Sprintf("/task?cpu=%d&at=5", trace.MaxCPUID)}
 	for _, mode := range []string{"state", "heatmap", "typemap", "numa-read", "numa-write", "numa-heat"} {
 		urls = append(urls, "/render?w=160&h=60&counter="+trace.CounterCacheMisses+"&mode="+mode)
 	}

@@ -72,9 +72,10 @@ func importAll(t *testing.T, r interface {
 }) *Report {
 	t.Helper()
 	d := NewDecoder(r)
+	lanes := 0
 	for {
 		n, err := d.Poll(func(b *trace.RecordBatch) error {
-			checkBatch(t, b)
+			checkBatch(t, b, &lanes)
 			return nil
 		})
 		if err != nil {
@@ -91,13 +92,18 @@ func importAll(t *testing.T, r interface {
 }
 
 // checkBatch asserts the structural invariants every consumer of the
-// record stream relies on.
-func checkBatch(t *testing.T, b *trace.RecordBatch) {
+// record stream relies on. lanes is the CPU count of the latest
+// topology, which must cover every CPU a record names; a batch's
+// topologies apply before its per-CPU records.
+func checkBatch(t *testing.T, b *trace.RecordBatch, lanes *int) {
 	t.Helper()
+	for _, topo := range b.Topologies {
+		*lanes = len(topo.NodeOfCPU)
+	}
 	perCPU := map[int32]trace.Time{}
 	for _, s := range b.States {
-		if s.CPU < 0 || s.CPU > b.MaxCPU {
-			t.Fatalf("state on CPU %d outside MaxCPU %d", s.CPU, b.MaxCPU)
+		if s.CPU < 0 || int(s.CPU) >= *lanes {
+			t.Fatalf("state on CPU %d outside the topology's %d CPUs", s.CPU, *lanes)
 		}
 		if s.End < s.Start {
 			t.Fatalf("inverted state interval [%d,%d]", s.Start, s.End)
@@ -108,8 +114,8 @@ func checkBatch(t *testing.T, b *trace.RecordBatch) {
 		perCPU[s.CPU] = s.End
 	}
 	for _, d := range b.Discrete {
-		if d.CPU < 0 || d.CPU > b.MaxCPU {
-			t.Fatalf("discrete event on CPU %d outside MaxCPU %d", d.CPU, b.MaxCPU)
+		if d.CPU < 0 || int(d.CPU) >= *lanes {
+			t.Fatalf("discrete event on CPU %d outside the topology's %d CPUs", d.CPU, *lanes)
 		}
 	}
 	for _, topo := range b.Topologies {

@@ -304,12 +304,12 @@ func (o *opState) addCall(child int) {
 	}
 }
 
-// finishBatch completes a batch before it is emitted: stamps MaxCPU,
-// lists the counters it touches, and — when a span grew the service or
-// lane set — prepends the updated topology snapshot, whose CPU table
-// covers every lane allocated so far and therefore every CPU the
-// batch references (topology records are applied before per-CPU
-// records within a batch).
+// finishBatch completes a batch before it is emitted: lists the
+// counters it touches and — when a span grew the service or lane set —
+// prepends the updated topology snapshot, whose CPU table covers every
+// lane allocated so far and therefore every CPU the batch references
+// (topology records are applied before per-CPU records within a
+// batch).
 func (st *inferState) finishBatch(b *trace.RecordBatch) {
 	if st.topoDirty {
 		b.Topologies = append(b.Topologies, st.topology())
@@ -318,7 +318,6 @@ func (st *inferState) finishBatch(b *trace.RecordBatch) {
 	if len(b.Descs) > 0 || len(b.Samples) > 0 {
 		b.CounterIDs = append(b.CounterIDs, errCounterID)
 	}
-	b.MaxCPU = int32(len(st.nodeOfCPU)) - 1
 }
 
 // topology builds the current synthetic topology: one NUMA node per

@@ -289,8 +289,9 @@ func CounterDeltaPerTask(tr *core.Trace, c *core.Counter, f *filter.TaskFilter) 
 		if t.ExecCPU < 0 || !f.Match(tr, t) {
 			continue
 		}
-		before, ok1 := c.ValueAt(t.ExecCPU, t.ExecStart)
-		after, ok2 := c.ValueAt(t.ExecCPU, t.ExecEnd)
+		row := tr.RowOf(t.ExecCPU)
+		before, ok1 := c.ValueAt(row, t.ExecStart)
+		after, ok2 := c.ValueAt(row, t.ExecEnd)
 		if !ok1 || !ok2 {
 			continue
 		}

@@ -231,7 +231,7 @@ func (q *Query) Counter(name string) *Query { q.counter = name; return q }
 // cumulative values.
 func (q *Query) Rate(on bool) *Query { q.rateOff = !on; return q }
 
-// CPUs selects the visible CPUs of a timeline, in row order. A nil
+// CPUs selects the visible CPUs of a timeline by id, in row order. A nil
 // slice means all CPUs; a non-nil empty slice means none (the
 // renderer's distinction), so the choice survives the round trip.
 func (q *Query) CPUs(cpus ...int32) *Query {

@@ -29,13 +29,7 @@ func OverlayAnnotations(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, set
 	if end <= start {
 		return 0
 	}
-	cpus := cfg.CPUs
-	if cpus == nil {
-		cpus = make([]int32, tr.NumCPUs())
-		for i := range cpus {
-			cpus[i] = int32(i)
-		}
-	}
+	_, cpus := selectRows(tr, cfg.CPUs)
 	if len(cpus) == 0 {
 		return 0
 	}

@@ -40,13 +40,7 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 	if start == 0 && end == 0 {
 		start, end = tr.Span.Start, tr.Span.End
 	}
-	cpus := cfg.CPUs
-	if cpus == nil {
-		cpus = make([]int32, tr.NumCPUs())
-		for i := range cpus {
-			cpus[i] = int32(i)
-		}
-	}
+	cpus, _ := selectRows(tr, cfg.CPUs)
 	g, err := timelineGeometry(fb.H(), fb.W(), len(cpus), cfg.Labels)
 	if err != nil {
 		return st

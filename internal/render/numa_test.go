@@ -112,8 +112,8 @@ func TestRegionOutsideTopologyIgnored(t *testing.T) {
 }
 
 // TestTaskCommExecEndMaxInt64: a task whose execution ends at MaxInt64
-// keeps the write it records there. TaskComm used to ask for the window
-// up to ExecEnd+1, which wraps to MinInt64: the inverted window held
+// keeps the write it records there. A task's accesses were once asked
+// for up to ExecEnd+1, which wraps to MinInt64: the inverted window held
 // nothing, so the task lost both its accesses, the NUMA-write tile left
 // it blank and the NUMA detector never scored it.
 func TestTaskCommExecEndMaxInt64(t *testing.T) {
@@ -157,8 +157,14 @@ func TestTaskCommExecEndMaxInt64(t *testing.T) {
 	if !ok || task.ExecEnd != end {
 		t.Fatalf("precondition: task 2 = %+v, %v", task, ok)
 	}
-	if got := tr.TaskComm(task); len(got) != 2 || got[1].Time != end {
-		t.Fatalf("TaskComm = %+v, want the read at the start and the write at MaxInt64", got)
+	var got []trace.CommEvent
+	for _, ev := range tr.TaskAccesses(task).Events {
+		if ev.Task == task.ID {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 2 || got[1].Time != end {
+		t.Fatalf("task 2's accesses = %+v, want the read at the start and the write at MaxInt64", got)
 	}
 
 	for mode, node := range map[Mode]int{ModeNUMARead: 0, ModeNUMAWrite: 1} {

@@ -290,6 +290,7 @@ func TestOverlayBelowFold(t *testing.T) {
 	const nCPU, h = 64, 50
 	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU), Span: core.Interval{Start: 0, End: 1000}}
 	for c := range tr.CPUs {
+		tr.CPUs[c].ID = int32(c)
 		tr.CPUs[c].States.Rows = []trace.StateEvent{{CPU: int32(c), State: trace.StateIdle, Start: 0, End: 1000}}
 	}
 	cfg := TimelineConfig{Width: 300, Height: h, Mode: ModeState, Labels: true}

@@ -70,7 +70,7 @@ type TimelineConfig struct {
 	// full trace span. Zooming and scrolling are performed by
 	// re-rendering with a different interval.
 	Start, End trace.Time
-	// CPUs selects the visible CPUs in order; nil means all.
+	// CPUs selects the visible CPUs by id, in order; nil means all.
 	CPUs []int32
 	// Mode selects the timeline mode.
 	Mode Mode
@@ -116,6 +116,27 @@ func MinTimelineWidth(labels bool) int {
 // (see TestTimelineParallelMatchesSequential).
 func Timeline(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats, error) {
 	return timeline(tr, cfg, par.Workers(), indexResolver(tr))
+}
+
+// selectRows returns the trace rows of the CPUs ids selects, in order —
+// every row for nil ids — and the id each is labelled with. An id the
+// trace holds no CPU for selects row -1, which every accessor reads as
+// empty.
+func selectRows(tr *core.Trace, ids []int32) (rows, labels []int32) {
+	if ids != nil {
+		rows = make([]int32, len(ids))
+		for i, id := range ids {
+			rows[i] = tr.RowOf(id)
+		}
+		return rows, ids
+	}
+	n := tr.NumCPUs()
+	buf := make([]int32, 2*n)
+	rows, labels = buf[:n:n], buf[n:]
+	for r := range rows {
+		rows[r], labels[r] = int32(r), tr.CPUs[r].ID
+	}
+	return rows, labels
 }
 
 // dominance answers a CPU row's questions: which state, and which
@@ -167,13 +188,7 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int, dom func(cpu int3
 	if end <= start {
 		return nil, st, fmt.Errorf("render: empty interval [%d,%d)", start, end)
 	}
-	cpus := cfg.CPUs
-	if cpus == nil {
-		cpus = make([]int32, tr.NumCPUs())
-		for i := range cpus {
-			cpus[i] = int32(i)
-		}
-	}
+	cpus, labels := selectRows(tr, cfg.CPUs)
 	if len(cpus) == 0 {
 		return nil, st, fmt.Errorf("render: no CPUs selected")
 	}
@@ -217,7 +232,7 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int, dom func(cpu int3
 	for row := 0; row < g.visible; row++ {
 		y := row * g.rowH
 		if cfg.Labels && g.labeled(row) {
-			fb.DrawText(0, labelY(y, g.rowH), fmt.Sprintf("CPU %d", cpus[row]), TextColor)
+			fb.DrawText(0, labelY(y, g.rowH), fmt.Sprintf("CPU %d", labels[row]), TextColor)
 		}
 		for _, run := range rows[row] {
 			fb.FillRect(g.gutter+run.x0, y, run.x1-run.x0, g.drawH, run.c)
@@ -595,13 +610,7 @@ func NaiveTimelineState(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats
 	if end <= start {
 		return nil, st, fmt.Errorf("render: empty interval")
 	}
-	cpus := cfg.CPUs
-	if cpus == nil {
-		cpus = make([]int32, tr.NumCPUs())
-		for i := range cpus {
-			cpus[i] = int32(i)
-		}
-	}
+	cpus, labels := selectRows(tr, cfg.CPUs)
 	if len(cpus) == 0 {
 		return nil, st, fmt.Errorf("render: no CPUs selected")
 	}
@@ -615,7 +624,7 @@ func NaiveTimelineState(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats
 		cpu := cpus[row]
 		y := row * g.rowH
 		if cfg.Labels && g.labeled(row) {
-			fb.DrawText(0, labelY(y, g.rowH), fmt.Sprintf("CPU %d", cpu), TextColor)
+			fb.DrawText(0, labelY(y, g.rowH), fmt.Sprintf("CPU %d", labels[row]), TextColor)
 		}
 		for _, ev := range tr.StatesIn(cpu, start, end) {
 			s, e := ev.Start, ev.End

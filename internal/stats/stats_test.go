@@ -163,8 +163,8 @@ func TestDominantNode(t *testing.T) {
 		if n := tr.TaskHomes(task.ID).Read; n >= 0 {
 			found++
 			bytes := make(map[int32]int64)
-			for _, ev := range tr.TaskComm(task) {
-				if home := tr.NodeOfAddr(ev.Addr); home >= 0 && Reads.matches(ev.Kind) {
+			for _, ev := range tr.TaskAccesses(task).Events {
+				if home := tr.NodeOfAddr(ev.Addr); home >= 0 && ev.Task == task.ID && Reads.matches(ev.Kind) {
 					bytes[home] += int64(ev.Size)
 				}
 			}

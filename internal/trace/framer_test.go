@@ -15,8 +15,8 @@ import (
 )
 
 // reading is what one reader made of an input: the records it
-// delivered, per kind in stream order, and how it ended. MaxCPU and
-// CounterIDs are left out — Read has no counterpart for them.
+// delivered, per kind in stream order, and how it ended. CounterIDs
+// are left out — Read has no counterpart for them.
 type reading struct {
 	name string
 	recs RecordBatch
@@ -53,7 +53,6 @@ func pollAll(name string, data []byte, wrap func(io.Reader) io.Reader, chunk fun
 			break
 		}
 	}
-	rd.recs.MaxCPU = 0
 	return rd, nil
 }
 
@@ -68,7 +67,6 @@ func readEveryWay(data []byte) ([]reading, error) {
 		Discrete: c.discrete, Descs: c.descs, Samples: c.samples, Comms: c.comm, Regions: c.regions}, err}}
 	for _, workers := range []int{1, 4} {
 		got, err := collectAll(data, workers)
-		got.MaxCPU = 0
 		out = append(out, reading{fmt.Sprintf("ReadBatched/%d", workers), *got, err})
 	}
 	plain := func(r io.Reader) io.Reader { return r }

@@ -53,7 +53,7 @@ func fuzzSeedTrace(tb testing.TB) []byte {
 // record it delivered as one batch, after checking the counts each
 // batch carried against the batch itself. Any panic is the fuzz failure.
 func collectAll(data []byte, workers int) (*RecordBatch, error) {
-	all := &RecordBatch{MaxCPU: -1}
+	all := &RecordBatch{}
 	err := ReadBatched(bytes.NewReader(data), workers, func(b *RecordBatch) error {
 		if err := checkBatchCounts(b, workers > 1); err != nil {
 			return fmt.Errorf("ReadBatched(workers=%d): %w", workers, err)
@@ -67,14 +67,12 @@ func collectAll(data []byte, workers int) (*RecordBatch, error) {
 // checkBatchCounts recounts a batch ReadBatched emitted: CPUCounts and
 // SampleCounts must hold exactly one entry per CPU and per (counter,
 // CPU) pair the batch has records for, with the number of those
-// records, and MaxCPU the largest CPU among them. With sized set (the
+// records. With sized set (the
 // parallel reader, whose framer counted the run) every record slice
 // must also be exactly as long as its array, and nil when empty.
 func checkBatchCounts(b *RecordBatch, sized bool) error {
 	cpus := map[int32]*CPUCount{}
-	maxCPU := int32(-1)
 	cpu := func(id int32) *CPUCount {
-		maxCPU = max(maxCPU, id)
 		if cpus[id] == nil {
 			cpus[id] = &CPUCount{CPU: id}
 		}
@@ -99,7 +97,6 @@ func checkBatchCounts(b *RecordBatch, sized bool) error {
 	}
 	pairs := map[SampleCount]int{}
 	for _, s := range b.Samples {
-		maxCPU = max(maxCPU, s.CPU)
 		pairs[SampleCount{Counter: s.Counter, CPU: s.CPU}]++
 	}
 	if len(b.SampleCounts) != len(pairs) {
@@ -109,9 +106,6 @@ func checkBatchCounts(b *RecordBatch, sized bool) error {
 		if want := pairs[SampleCount{Counter: c.Counter, CPU: c.CPU}]; want != c.N {
 			return fmt.Errorf("SampleCounts entry %+v, recount %d", c, want)
 		}
-	}
-	if b.MaxCPU != maxCPU {
-		return fmt.Errorf("MaxCPU = %d, recount %d", b.MaxCPU, maxCPU)
 	}
 	if !sized {
 		return nil

@@ -27,9 +27,6 @@ type RecordBatch struct {
 	// consumer can reproduce the counter registration order of a
 	// sequential read.
 	CounterIDs []CounterID
-	// MaxCPU is the largest CPU id referenced by any record in the
-	// batch, or -1 if none.
-	MaxCPU int32
 	// CPUCounts and SampleCounts say where the batch's per-CPU records
 	// go: one entry per CPU with states, discrete events or
 	// communication in the batch, one per (counter, CPU) pair with
@@ -129,7 +126,6 @@ func (j *frameJob) newBatch() *RecordBatch {
 		Samples:    withCap[CounterSample](j.kinds[recCounterSample]),
 		Comms:      withCap[CommEvent](j.kinds[recComm]),
 		Regions:    withCap[MemRegion](j.kinds[recMemRegion]),
-		MaxCPU:     -1,
 	}
 }
 
@@ -353,7 +349,6 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, t *tally) error {
 		s.End = s.Start + int64(d.uvarint())
 		s.Task = TaskID(d.uvarint())
 		if d.err == nil {
-			b.MaxCPU = max(b.MaxCPU, s.CPU)
 			b.States = append(b.States, s)
 			if c := t.cpu(b, s.CPU); c != nil {
 				c.States++
@@ -366,7 +361,6 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, t *tally) error {
 		ev.Time = d.varint()
 		ev.Arg = d.uvarint()
 		if d.err == nil {
-			b.MaxCPU = max(b.MaxCPU, ev.CPU)
 			b.Discrete = append(b.Discrete, ev)
 			if c := t.cpu(b, ev.CPU); c != nil {
 				c.Discrete++
@@ -388,7 +382,6 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, t *tally) error {
 		s.Time = d.varint()
 		s.Value = d.varint()
 		if d.err == nil {
-			b.MaxCPU = max(b.MaxCPU, s.CPU)
 			t.sample(b, s.Counter, s.CPU)
 			b.Samples = append(b.Samples, s)
 		}
@@ -402,7 +395,6 @@ func decodeInto(kind uint64, payload []byte, b *RecordBatch, t *tally) error {
 		c.Addr = d.uvarint()
 		c.Size = d.uvarint()
 		if d.err == nil {
-			b.MaxCPU = max(b.MaxCPU, c.CPU)
 			b.Comms = append(b.Comms, c)
 			if n := t.cpu(b, c.CPU); n != nil {
 				n.Comms++

@@ -268,7 +268,7 @@ func TestReadMatchesBatched(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: ReadBatched(workers=%d): %v", tc.name, workers, err)
 			}
-			got.MaxCPU, got.CounterIDs = 0, nil // bookkeeping Read has no counterpart for
+			got.CounterIDs = nil // bookkeeping Read has no counterpart for
 			if !reflect.DeepEqual(*got, tc.want) {
 				t.Errorf("%s: ReadBatched(workers=%d) delivered\n %+v\nwant\n %+v", tc.name, workers, *got, tc.want)
 			}

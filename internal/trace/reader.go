@@ -32,9 +32,10 @@ var ErrBadMagic = errors.New("trace: bad magic (not an Aftermath trace)")
 var ErrTruncated = errors.New("trace: truncated record")
 
 // MaxCPUID bounds the CPU ids the decoders accept. The format stores
-// CPU ids as varints, so a corrupt stream can claim ids near 2^31;
-// consumers index per-CPU arrays by id, which such ids would blow up.
-// No machine the trace model targets comes near a million CPUs.
+// CPU ids as varints, so a corrupt stream can claim ids near 2^31. An
+// id is a label: core keeps one row per CPU a trace holds, whatever
+// its id. No machine the trace model targets comes near a million
+// CPUs.
 const MaxCPUID = 1 << 20
 
 // dec decodes a record payload.
@@ -100,8 +101,8 @@ func (d *dec) bool() bool {
 }
 
 // cpuID decodes a CPU id and rejects implausible values: ids above
-// MaxCPUID always (consumers size per-CPU arrays by id), and negative
-// ids unless the field admits the -1 "no CPU" sentinel.
+// MaxCPUID always, and negative ids unless the field admits the -1
+// "no CPU" sentinel.
 func (d *dec) cpuID(allowNone bool) int32 {
 	v := d.varint()
 	if d.err != nil {

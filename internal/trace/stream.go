@@ -56,7 +56,7 @@ func (sr *StreamReader) Poll(emit func(*RecordBatch) error) (int, error) {
 	if sr.err != nil {
 		return 0, sr.err
 	}
-	b := &RecordBatch{MaxCPU: -1}
+	b := &RecordBatch{}
 	// flush hands the current batch, if non-empty, to emit. It is gone
 	// even if emit fails: no batch is ever delivered twice.
 	flush := func() error {
@@ -64,7 +64,7 @@ func (sr *StreamReader) Poll(emit func(*RecordBatch) error) (int, error) {
 			return nil
 		}
 		full := b
-		b = &RecordBatch{MaxCPU: -1}
+		b = &RecordBatch{}
 		sr.t.reset(full)
 		return emit(full)
 	}

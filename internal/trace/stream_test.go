@@ -66,9 +66,6 @@ func collectBatches(dst *RecordBatch, b *RecordBatch) {
 	dst.Samples = append(dst.Samples, b.Samples...)
 	dst.Comms = append(dst.Comms, b.Comms...)
 	dst.Regions = append(dst.Regions, b.Regions...)
-	if b.MaxCPU > dst.MaxCPU {
-		dst.MaxCPU = b.MaxCPU
-	}
 }
 
 // TestStreamReaderChunked: feeding the stream in arbitrary chunk sizes
@@ -77,7 +74,6 @@ func collectBatches(dst *RecordBatch, b *RecordBatch) {
 func TestStreamReaderChunked(t *testing.T) {
 	data := streamTestTrace(t)
 	var want RecordBatch
-	want.MaxCPU = -1
 	if err := ReadBatched(bytes.NewReader(data), 1, func(b *RecordBatch) error {
 		collectBatches(&want, b)
 		return nil
@@ -90,7 +86,6 @@ func TestStreamReaderChunked(t *testing.T) {
 		g := &limitedReader{data: data}
 		sr := NewStreamReader(g)
 		var got RecordBatch
-		got.MaxCPU = -1
 		for g.limit < len(data) {
 			g.limit += 1 + rng.Intn(maxChunk)
 			if g.limit > len(data) {
@@ -314,7 +309,6 @@ func (r *eofReader) Read(p []byte) (int, error) {
 func TestStreamReaderDataWithEOF(t *testing.T) {
 	data := streamTestTrace(t)
 	var want RecordBatch
-	want.MaxCPU = -1
 	if err := ReadBatched(bytes.NewReader(data), 1, func(b *RecordBatch) error {
 		collectBatches(&want, b)
 		return nil
@@ -323,7 +317,6 @@ func TestStreamReaderDataWithEOF(t *testing.T) {
 	}
 	sr := NewStreamReader(&eofReader{data: data})
 	var got RecordBatch
-	got.MaxCPU = -1
 	if _, err := sr.Poll(func(b *RecordBatch) error {
 		collectBatches(&got, b)
 		return nil
@@ -390,8 +383,6 @@ func TestStreamReaderZeroByteReads(t *testing.T) {
 	if records == 0 {
 		t.Fatal("no records decoded")
 	}
-	var want RecordBatch
-	want.MaxCPU = -1
 	wantRecords := 0
 	if err := ReadBatched(bytes.NewReader(data), 1, func(b *RecordBatch) error {
 		wantRecords += len(b.Topologies) + len(b.TaskTypes) + len(b.Tasks) +

@@ -303,9 +303,8 @@ func writeTask(w http.ResponseWriter, rq request) error {
 	} else {
 		cpu := p.Int64("cpu", 0)
 		if cpu < 0 || cpu > trace.MaxCPUID {
-			// Reject before the int32 cast: a negative or implausible id
-			// would otherwise silently truncate into some other CPU's row
-			// (or a panic-prone negative index) instead of a clean error.
+			// Reject before the int32 cast: an implausible id would
+			// otherwise silently truncate into some other CPU's id.
 			p.Reject(&query.BadParamError{
 				Param:  "cpu",
 				Reason: fmt.Sprintf("cpu %d out of range [0, %d]", cpu, trace.MaxCPUID),
@@ -317,7 +316,7 @@ func writeTask(w http.ResponseWriter, rq request) error {
 		}
 		// Saturate the exclusive bound: at = MaxInt64 would overflow
 		// at+1 into an inverted window and silently find nothing.
-		for _, ev := range tr.StatesIn(int32(cpu), at, tmath.SatAdd(at, 1)) {
+		for _, ev := range tr.StatesIn(tr.RowOf(int32(cpu)), at, tmath.SatAdd(at, 1)) {
 			if ev.State == trace.StateTaskExec {
 				if t, ok := tr.TaskByID(ev.Task); ok {
 					task = t
