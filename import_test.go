@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	aftermath "github.com/openstream/aftermath"
+	"github.com/openstream/aftermath/internal/anomaly"
 )
 
 const spanFixture = "internal/ingest/otlp/testdata/spans.jsonl"
@@ -83,14 +84,8 @@ func TestImportTimelineDeterministic(t *testing.T) {
 func TestImportAnomaliesDeterministic(t *testing.T) {
 	tr, _ := importFixture(t)
 
-	one, _, err := aftermath.QueryAnomalies(aftermath.Static(tr), aftermath.NewQuery().Workers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	four, _, err := aftermath.QueryAnomalies(aftermath.Static(tr), aftermath.NewQuery().Workers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := anomaly.Scan(tr, anomaly.Config{Workers: 1})
+	four := anomaly.Scan(tr, anomaly.Config{Workers: 4})
 	if !reflect.DeepEqual(one, four) {
 		t.Fatalf("anomaly scan differs across worker counts:\n%+v\n%+v", one, four)
 	}

@@ -15,74 +15,83 @@ import (
 // as events per kilocycle times RateScale.
 const RateScale = 1 << 16
 
-// CounterIndex holds one min/max tree per (counter, cpu, rate) triple
-// — the index structure of Section VI-B-c. It is safe for concurrent
-// use: each tree is built exactly once, on first request, and
-// concurrent requests for different trees build in parallel. Traces
-// own one shared index (see Trace.CounterIndex), so every renderer,
-// overlay and viewer request reuses the same trees.
+// CounterIndex is the min/max tree index of Section VI-B-c: a value
+// and a rate tree per (counter, row). The trees live on the counter,
+// one entry per row of its PerCPU, found by index, so CounterIndex
+// holds nothing and every trace returns the same one. Safe for
+// concurrent use: each tree is built once, on first request, and
+// different trees build in parallel. A live snapshot and OpenStore seed
+// their entries with the trees built before (mmtree append mode, or the
+// stored ones); a row outside the table answers an empty tree.
 //
 // The index holds summaries, not a second copy of the samples: each
-// tree is a view of the (counter, CPU) sample column it indexes — one
+// tree is a view of the (counter, row) sample column it indexes — one
 // array, or a spilled live column's parts then its RAM tail — plus its
 // pyramid, and a rate tree owns its derived rates besides: 8 bytes a
 // sample and two pyramids for the pair, against the 24 of the sample.
-type CounterIndex struct {
-	mu      sync.Mutex
-	entries map[counterCPU]*indexEntry
+type CounterIndex struct{}
+
+// counterIndex is the one CounterIndex: the trees are the counters'.
+var counterIndex CounterIndex
+
+// counterTrees is one row's entry among its counter's trees. A seeded
+// entry holds its trees from the start; each once builds its tree only
+// where the entry holds none.
+type counterTrees struct {
+	valueOnce, rateOnce sync.Once
+	value, rate         *mmtree.Tree
 }
 
-type counterCPU struct {
-	counter uint64
-	cpu     int32
-	rate    bool
-}
+// emptyTree is the tree of a row outside a counter's table, value and
+// rate alike: it holds no entry.
+var emptyTree = mmtree.Values(0)
 
-type indexEntry struct {
-	once sync.Once
-	tree *mmtree.Tree
-}
-
-// NewCounterIndex returns an empty index; trees build lazily, with
-// mmtree's default arity.
-func NewCounterIndex() *CounterIndex { return newCounterIndex(0) }
-
-// newCounterIndex returns an empty index whose map has room for n keys:
-// the trees its creator is about to seed.
-func newCounterIndex(n int) *CounterIndex {
-	return &CounterIndex{entries: make(map[counterCPU]*indexEntry, n)}
-}
-
-// entry returns the guarded slot for a key, creating it under the map
-// lock; the tree itself is built outside the lock so different trees
-// build concurrently.
-func (ci *CounterIndex) entry(key counterCPU) *indexEntry {
-	ci.mu.Lock()
-	e, ok := ci.entries[key]
-	if !ok {
-		e = &indexEntry{}
-		ci.entries[key] = e
+// treesAt returns the counter's entry for row cpu, nil outside the
+// table. A counter no loader sized gets one entry per row of its PerCPU
+// here, at its first lookup.
+func (c *Counter) treesAt(cpu int32) *counterTrees {
+	c.treesOnce.Do(func() {
+		if c.trees == nil {
+			c.trees = make([]counterTrees, len(c.PerCPU))
+		}
+	})
+	if cpu < 0 || int(cpu) >= len(c.trees) {
+		return nil
 	}
-	ci.mu.Unlock()
-	return e
+	return &c.trees[cpu]
 }
 
-// Tree returns the min/max tree over the counter's raw values on cpu.
-func (ci *CounterIndex) Tree(c *Counter, cpu int32) *mmtree.Tree {
-	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, false})
-	e.once.Do(func() { e.tree = mmtree.Build(c.sampleLeaves(cpu), 0) })
-	return e.tree
+// Tree returns the min/max tree over the counter's raw values on row
+// cpu.
+func (*CounterIndex) Tree(c *Counter, cpu int32) *mmtree.Tree {
+	e := c.treesAt(cpu)
+	if e == nil {
+		return emptyTree
+	}
+	e.valueOnce.Do(func() {
+		if e.value == nil {
+			e.value = mmtree.Build(c.sampleLeaves(cpu), 0)
+		}
+	})
+	return e.value
 }
 
 // RateTree returns the min/max tree over the counter's discrete
-// derivative on cpu, in fixed-point events per kilocycle: the constant
-// interpolation per task of Figure 18 (counters are sampled
+// derivative on row cpu, in fixed-point events per kilocycle: the
+// constant interpolation per task of Figure 18 (counters are sampled
 // immediately before and after each task execution, so the rate is
 // constant over each execution).
-func (ci *CounterIndex) RateTree(c *Counter, cpu int32) *mmtree.Tree {
-	e := ci.entry(counterCPU{uint64(c.Desc.ID), cpu, true})
-	e.once.Do(func() { e.tree = appendRates(mmtree.Rates(0), c.sampleLeaves(cpu)) })
-	return e.tree
+func (*CounterIndex) RateTree(c *Counter, cpu int32) *mmtree.Tree {
+	e := c.treesAt(cpu)
+	if e == nil {
+		return emptyTree
+	}
+	e.rateOnce.Do(func() {
+		if e.rate == nil {
+			e.rate = appendRates(mmtree.Rates(0), c.sampleLeaves(cpu))
+		}
+	})
+	return e.rate
 }
 
 // appendRates extends a rate tree over col, the view of the column it
@@ -148,32 +157,12 @@ func clampRate(q uint64, neg bool) int64 {
 	return -int64(q)
 }
 
-// seed installs a prebuilt tree for a key, in e: an entry the caller
-// provides, so that a caller seeding many keys hands them out of one
-// slice. The live ingest path uses this to hand each published
-// snapshot the incrementally extended trees (mmtree append mode)
-// instead of letting the snapshot rebuild them from scratch, OpenStore
-// to install the trees it adopted; unseeded keys still build lazily on
-// first use. Seeding precedes any reader: a seeded key is new.
-func (ci *CounterIndex) seed(key counterCPU, t *mmtree.Tree, e *indexEntry) {
-	e.tree = t
-	e.once.Do(func() {})
-	ci.mu.Lock()
-	ci.entries[key] = e
-	ci.mu.Unlock()
-}
-
-// CounterIndex returns the trace's shared min/max tree index, creating
-// it on first use. Safe for concurrent callers.
-func (tr *Trace) CounterIndex() *CounterIndex {
-	tr.cindexOnce.Do(func() {
-		tr.cindex = NewCounterIndex()
-	})
-	return tr.cindex
-}
+// CounterIndex returns the trace's counter tree index: the handle
+// through which the trees on its counters are found.
+func (tr *Trace) CounterIndex() *CounterIndex { return &counterIndex }
 
 // BuildCounterIndex eagerly builds the value and rate trees for every
-// (counter, cpu) pair with samples, spreading the work over up to
+// (counter, row) pair with samples, spreading the work over up to
 // workers goroutines (<= 0 selects a worker per GOMAXPROCS). Useful
 // to warm the index right after loading, before serving viewer
 // traffic; lazy first-use construction remains available without it.

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"unsafe"
 
@@ -330,7 +331,7 @@ func TestCounterTreesMatchScan(t *testing.T) {
 		var snaps []*Trace
 		for p := 0; p < parts; p++ {
 			snap := publish(t, lv, c.batch(p, parts))
-			if len(snap.cindex.entries) == 0 {
+			if len(builtTrees(snap)) == 0 {
 				t.Fatalf("%s: precondition: the publish seeded no trees", ctx(fmt.Sprintf("live epoch %d", p)))
 			}
 			checkOneBuild(t, ctx(fmt.Sprintf("live epoch %d", p)), snap)
@@ -402,6 +403,212 @@ func TestCounterTreesMatchScan(t *testing.T) {
 	}
 }
 
+// treePair is one (counter, row) pair's two trees.
+type treePair struct{ value, rate *mmtree.Tree }
+
+// rowTrees is the trees a trace's counters hold, [counter][row], read
+// without building any: nil where a pair holds none yet.
+func rowTrees(tr *Trace) [][]treePair {
+	out := make([][]treePair, len(tr.Counters))
+	for k, c := range tr.Counters {
+		for i := range c.trees {
+			out[k] = append(out[k], treePair{c.trees[i].value, c.trees[i].rate})
+		}
+	}
+	return out
+}
+
+// chainHeads returns the chain heads lv's builder holds for each
+// (counter, row) pair of snap, [counter][row], nil where the pair has
+// no chain: the trees a publish that returned snap handed it, as long
+// as no publish has run since.
+func chainHeads(lv *Live, snap *Trace) [][]treePair {
+	lv.mu.Lock()
+	defer lv.mu.Unlock()
+	out := make([][]treePair, len(snap.Counters))
+	for k := range snap.Counters {
+		per := lv.counters[k].per
+		out[k] = make([]treePair, len(snap.CPUs))
+		for r := range snap.CPUs {
+			if s := lv.slotOf[snap.CPUs[r].ID]; s < len(per) && per[s].tree != nil {
+				out[k][r] = treePair{per[s].tree, per[s].rate}
+			}
+		}
+	}
+	return out
+}
+
+// TestCounterTreesFoundByRow: a (counter, row) pair's trees are found
+// by index on the counter, once. Goroutines take first use of every
+// pair of a batch load, an unspilled and a spilled live snapshot, an
+// OpenStore trace and a hand-built trace, each in its own order, and
+// every pair yields one pointer per tree to all of them (run under
+// -race this is the build-once guarantee). Seeded trees are never
+// rebuilt: a live snapshot's are the chain heads its publish handed
+// it, an OpenStore trace's the ones it adopted. Rows outside a
+// counter's table — −1, one past its last, MaxInt32 — answer the empty
+// tree and create no entry, and repeat lookups allocate nothing.
+func TestCounterTreesFoundByRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	c := genCounterCase(rng, 3, 5)
+	batch, err := FromReader(bytes.NewReader(c.stream(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "counters.atms")
+	if err := SaveStore(batch, path); err != nil {
+		t.Fatal(err)
+	}
+	batch, err = FromReader(bytes.NewReader(c.stream(t))) // SaveStore built the first one's trees
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+
+	const parts = 3
+	lv := NewLive()
+	defer lv.Close()
+	var live *Trace
+	for p := 0; p < parts; p++ {
+		live = publish(t, lv, c.batch(p, parts))
+	}
+	liveHeads := chainHeads(lv, live)
+	var total int64
+	for _, cols := range c.cols {
+		for _, col := range cols {
+			total += int64(len(col)) * counterSampleBytes
+		}
+	}
+	sp := NewLive()
+	sp.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1, MaxBytes: 4 * total})
+	defer sp.Close()
+	for p := 0; p < parts-1; p++ {
+		publishSettled(t, sp, c.batch(p, parts))
+	}
+	spilled := publish(t, sp, c.batch(parts-1, parts))
+	spillHeads := chainHeads(sp, spilled)
+	multi := 0
+	for _, tc := range spilled.Counters {
+		for cpu := range tc.PerCPU {
+			multi += len(tc.PerCPU[cpu].parts)
+		}
+	}
+
+	hand := &Trace{}
+	for k, id := range c.ids {
+		hc := &Counter{Desc: trace.CounterDesc{ID: id}}
+		for _, col := range c.cols[k] {
+			hc.PerCPU = append(hc.PerCPU, Column[trace.CounterSample]{Rows: col})
+		}
+		hand.Counters = append(hand.Counters, hc)
+	}
+
+	for _, arm := range []struct {
+		name string
+		tr   *Trace
+		// seeded is the trees the arm's trace must answer, nil where
+		// a pair builds its own.
+		seeded [][]treePair
+	}{
+		{"batch", batch, nil},
+		{"live", live, liveHeads},
+		{"spilled", spilled, spillHeads},
+		{"store", mapped, rowTrees(mapped)},
+		{"hand-built", hand, nil},
+	} {
+		tr, ci := arm.tr, arm.tr.CounterIndex()
+		type pairOf struct {
+			c   *Counter
+			row int32
+		}
+		var pairs []pairOf
+		for _, tc := range tr.Counters {
+			for r := range tc.PerCPU {
+				pairs = append(pairs, pairOf{tc, int32(r)})
+			}
+		}
+		if arm.name == "spilled" && multi == 0 {
+			t.Fatal("spilled: precondition: no column has a spilled part")
+		}
+		const goroutines = 8
+		got := make([][]treePair, goroutines)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g] = make([]treePair, len(pairs))
+				for i := range pairs {
+					j := (i + g*len(pairs)/goroutines) % len(pairs)
+					got[g][j] = treePair{ci.Tree(pairs[j].c, pairs[j].row), ci.RateTree(pairs[j].c, pairs[j].row)}
+				}
+			}()
+		}
+		wg.Wait()
+		seeded := 0
+		for j, p := range pairs {
+			want := got[0][j]
+			if want.value == nil || want.rate == nil || want.value == want.rate {
+				t.Fatalf("%s: counter %d row %d: trees %p and %p", arm.name, p.c.Desc.ID, p.row, want.value, want.rate)
+			}
+			for g := range got {
+				if got[g][j] != want {
+					t.Fatalf("%s: counter %d row %d: goroutine %d saw trees %p, %p; goroutine 0 %p, %p",
+						arm.name, p.c.Desc.ID, p.row, g, got[g][j].value, got[g][j].rate, want.value, want.rate)
+				}
+			}
+			if again := (treePair{ci.Tree(p.c, p.row), ci.RateTree(p.c, p.row)}); again != want {
+				t.Fatalf("%s: counter %d row %d: a later lookup found other trees", arm.name, p.c.Desc.ID, p.row)
+			}
+		}
+		for k, rows := range arm.seeded {
+			for r, head := range rows {
+				if head.value == nil {
+					continue
+				}
+				seeded++
+				tc := tr.Counters[k]
+				if ci.Tree(tc, int32(r)) != head.value || ci.RateTree(tc, int32(r)) != head.rate {
+					t.Fatalf("%s: counter %d row %d: the trees are not the ones seeded", arm.name, tc.Desc.ID, r)
+				}
+			}
+		}
+		if arm.seeded != nil && seeded == 0 {
+			t.Fatalf("%s: precondition: no pair holds a seeded tree", arm.name)
+		}
+		checkCounterTrees(t, arm.name, rng, tr, 4)
+
+		for _, tc := range tr.Counters {
+			for _, row := range []int32{-1, int32(len(tc.PerCPU)), math.MaxInt32} {
+				if vt, rt := ci.Tree(tc, row), ci.RateTree(tc, row); vt != emptyTree || rt != emptyTree || vt.Len() != 0 {
+					t.Fatalf("%s: counter %d row %d: trees of %d and %d entries, want the empty tree", arm.name, tc.Desc.ID, row, vt.Len(), rt.Len())
+				}
+			}
+			if len(tc.trees) != len(tc.PerCPU) {
+				t.Fatalf("%s: counter %d holds %d tree entries for %d rows", arm.name, tc.Desc.ID, len(tc.trees), len(tc.PerCPU))
+			}
+		}
+		n := testing.AllocsPerRun(10, func() {
+			for _, p := range pairs {
+				ci.Tree(p.c, p.row)
+				ci.RateTree(p.c, p.row)
+			}
+			for _, tc := range tr.Counters {
+				ci.Tree(tc, -1)
+				ci.RateTree(tc, int32(len(tc.PerCPU)))
+				ci.Tree(tc, math.MaxInt32)
+			}
+		})
+		if n != 0 {
+			t.Errorf("%s: repeat lookups allocated %v times", arm.name, n)
+		}
+	}
+}
+
 // TestCounterRatesDoNotWrap: a rate is the exact quotient, truncated
 // toward zero and clamped to int64, where Δv · 1000 · RateScale
 // overflows int64 — the int64 expression read the first case's rising
@@ -459,15 +666,25 @@ func TestCounterRatesDoNotWrap(t *testing.T) {
 	}
 }
 
-// counterIndexBytes returns what the trees tr's index has built own.
-func counterIndexBytes(tr *Trace) (n int64) {
-	ci := tr.CounterIndex()
-	ci.mu.Lock()
-	defer ci.mu.Unlock()
-	for _, e := range ci.entries {
-		if e.tree != nil {
-			n += e.tree.OverheadBytes()
+// builtTrees returns the trees tr's counters hold, built or seeded,
+// without building any.
+func builtTrees(tr *Trace) (trees []*mmtree.Tree) {
+	for _, c := range tr.Counters {
+		for i := range c.trees {
+			for _, t := range []*mmtree.Tree{c.trees[i].value, c.trees[i].rate} {
+				if t != nil {
+					trees = append(trees, t)
+				}
+			}
 		}
+	}
+	return trees
+}
+
+// counterIndexBytes returns what the trees tr's counters hold own.
+func counterIndexBytes(tr *Trace) (n int64) {
+	for _, t := range builtTrees(tr) {
+		n += t.OverheadBytes()
 	}
 	return n
 }
@@ -491,8 +708,8 @@ func TestCounterIndexOverhead(t *testing.T) {
 	if samples == 0 {
 		t.Fatal("fixture has no counter samples")
 	}
-	ci := tr.BuildCounterIndex(0)
-	index, trees := counterIndexBytes(tr), int64(len(ci.entries))
+	tr.BuildCounterIndex(0)
+	index, trees := counterIndexBytes(tr), int64(len(builtTrees(tr)))
 	t.Logf("counter index: %d bytes over %d samples in %d trees, %.2f a sample", index, samples, trees, float64(index)/float64(samples))
 	if bound := 17*samples/2 + int64(unsafe.Sizeof(mmtree.Tree{}))*trees; index > bound {
 		t.Errorf("the counter index owns %d bytes over %d samples in %d trees: want at most 8.5 a sample and a header a tree, %d", index, samples, trees, bound)

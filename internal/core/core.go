@@ -79,6 +79,18 @@ type CPUData struct {
 type Counter struct {
 	Desc   trace.CounterDesc
 	PerCPU []Column[trace.CounterSample]
+
+	// trees holds the min/max trees over each row's column (cindex.go),
+	// made with PerCPU by size, or under treesOnce at the first lookup
+	// of a counter no loader sized.
+	treesOnce sync.Once
+	trees     []counterTrees
+}
+
+// size gives the counter an empty sample column and tree entry per row.
+func (c *Counter) size(rows int) {
+	c.PerCPU = sized[Column[trace.CounterSample]](rows)
+	c.trees = make([]counterTrees, rows)
 }
 
 // Trace is a fully loaded, indexed trace.
@@ -121,9 +133,6 @@ type Trace struct {
 	// backing is the mapped store file of an OpenStore trace (the
 	// event arrays above are views into it); Close releases it.
 	backing *store.Mapped
-
-	cindexOnce sync.Once
-	cindex     *CounterIndex
 
 	domOnce sync.Once
 	dom     *DomIndex

@@ -12,8 +12,9 @@ import (
 	"github.com/openstream/aftermath/internal/trace"
 )
 
-// homeIndex is the trace's third lazily built per-CPU index, beside
-// DomIndex and CounterIndex. Over each CPU's communication column it
+// homeIndex is the trace's lazily built per-CPU index of where its
+// accesses land, beside DomIndex's pyramids and the counter trees
+// each Counter holds per row. Over each CPU's communication column it
 // keeps two things:
 //
 //   - the home-node column: one byte per access, NodeOfAddr of the

@@ -507,30 +507,23 @@ func (lv *Live) snapshotLocked() *Trace {
 	}
 
 	tr.counterByID = maps.Clone(lv.counterByID)
-	// The snapshot's indexes are seeded with the chains' heads, their
-	// entries handed out of one slice each and their maps sized for them.
-	pairs := lv.extendTreesLocked()
-	ci, entries := newCounterIndex(2*pairs), make([]indexEntry, 2*pairs)
+	// The snapshot's counter trees are seeded with the chains' heads; a
+	// pair without a chain builds its trees on first use.
+	lv.extendTreesLocked()
 	for _, lc := range lv.counters {
-		c := &Counter{Desc: lc.desc, PerCPU: sized[Column[trace.CounterSample]](len(rows))}
+		c := &Counter{Desc: lc.desc}
+		c.size(len(rows))
 		for r, s := range rows {
 			if s >= len(lc.per) {
 				continue
 			}
 			p := &lc.per[s]
 			c.PerCPU[r] = p.col.snapshot(sampleTime)
-			if p.tree != nil {
-				key := counterCPU{uint64(c.Desc.ID), int32(r), false}
-				ci.seed(key, p.tree, &entries[0])
-				key.rate = true
-				ci.seed(key, p.rate, &entries[1])
-				entries = entries[2:]
-			}
+			c.trees[r] = counterTrees{value: p.tree, rate: p.rate}
 		}
 		tr.Counters = append(tr.Counters, c)
 	}
 	tr.counterByName = buildCounterNameIndex(tr.Counters)
-	tr.cindexOnce.Do(func() { tr.cindex = ci })
 
 	// Dominance pyramids: extend the per-CPU chains by the appended
 	// events, read through the columns this snapshot captured, and seed
@@ -617,8 +610,8 @@ func (lv *Live) placeExecsLocked() (orphans int) {
 // their rates are derived — the per-epoch index cost is proportional to
 // the appended data, not the trace size, and an unspilled pair's view
 // allocates nothing. Pairs that went dirty fall back to the snapshot's
-// lazy per-epoch rebuild. It returns the number of pairs with trees.
-func (lv *Live) extendTreesLocked() (pairs int) {
+// lazy per-epoch rebuild.
+func (lv *Live) extendTreesLocked() {
 	for _, lc := range lv.counters {
 		for cpu := range lc.per {
 			p := &lc.per[cpu]
@@ -635,10 +628,6 @@ func (lv *Live) extendTreesLocked() (pairs int) {
 				p.rate = appendRates(p.rate, col)
 				p.treeN, p.moved = m, false
 			}
-			if p.tree != nil {
-				pairs++
-			}
 		}
 	}
-	return pairs
 }

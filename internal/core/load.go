@@ -177,11 +177,11 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, workers int) {
 		c.Comm.Rows = sized[trace.CommEvent](t.Comms)
 	})
 	par.Do(workers, len(samples), func(ci int) {
-		per := sized[Column[trace.CounterSample]](len(ids))
+		c := tr.Counters[ci]
+		c.size(len(ids))
 		for r, n := range samples[ci] {
-			per[r].Rows = sized[trace.CounterSample](n)
+			c.PerCPU[r].Rows = sized[trace.CounterSample](n)
 		}
-		tr.Counters[ci].PerCPU = per
 	})
 	tr.Regions = sized[trace.MemRegion](regions)[:0]
 	for _, b := range batches {

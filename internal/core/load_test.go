@@ -547,9 +547,9 @@ func TestTaskCommShared(t *testing.T) {
 	}
 }
 
-// TestCounterIndexConcurrent hammers the shared per-trace counter
-// index from many goroutines; run under -race this proves the
-// build-once guarantee.
+// TestCounterIndexConcurrent hammers one counter's trees on one row
+// from many goroutines; run under -race this proves the build-once
+// guarantee.
 func TestCounterIndexConcurrent(t *testing.T) {
 	tr := buildTestTrace(t)
 	c, ok := tr.CounterByName("ctr")

@@ -337,7 +337,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 			Name:      d.Str(),
 			Monotonic: d.Int() != 0,
 		}}
-		c.PerCPU = sized[Column[trace.CounterSample]](nCPU)
+		c.size(nCPU)
 		for cpu := range c.PerCPU {
 			if c.PerCPU[cpu].Rows, err = store.View[trace.CounterSample](m, d.Ref()); err != nil {
 				return nil, err
@@ -369,7 +369,6 @@ func OpenStore(path string) (tr *Trace, err error) {
 	}
 	tr.domOnce.Do(func() { tr.dom = di })
 
-	ci := NewCounterIndex()
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
 			if d.Int() == 0 {
@@ -379,11 +378,9 @@ func OpenStore(path string) (tr *Trace, err error) {
 			if err != nil {
 				return nil, fmt.Errorf("store: counter %d cpu %d trees: %w", c.Desc.ID, ids[cpu], err)
 			}
-			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), false}, vt, &indexEntry{})
-			ci.seed(counterCPU{uint64(c.Desc.ID), int32(cpu), true}, rt, &indexEntry{})
+			c.trees[cpu] = counterTrees{value: vt, rate: rt}
 		}
 	}
-	tr.cindexOnce.Do(func() { tr.cindex = ci })
 
 	if err := d.Err(); err != nil {
 		return nil, err

@@ -259,7 +259,6 @@ func AnomaliesOf(tr *core.Trace, q *Query) ([]anomaly.Anomaly, error) {
 		Windows:    q.windows,
 		MinScore:   q.minScore,
 		MaxPerKind: q.maxPerKind,
-		Workers:    q.workers,
 		Filter:     FilterOf(tr, q),
 	}
 	if q.hasT0 || q.hasT1 {

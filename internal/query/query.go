@@ -123,7 +123,6 @@ type Query struct {
 	windows    int
 	minScore   float64
 	maxPerKind int
-	workers    int
 	anomKind   string
 	limit      int
 }
@@ -294,10 +293,6 @@ func (q *Query) MinScore(s float64) *Query { q.minScore = s; return q }
 // MaxPerKind bounds the findings each detector may return (<0 means
 // unbounded).
 func (q *Query) MaxPerKind(n int) *Query { q.maxPerKind = n; return q }
-
-// Workers bounds a scan's parallelism (excluded from the canonical
-// form: results are deterministic across worker counts).
-func (q *Query) Workers(n int) *Query { q.workers = n; return q }
 
 // AnomalyKind restricts anomaly results to one kind name.
 func (q *Query) AnomalyKind(name string) *Query { q.anomKind = name; return q }

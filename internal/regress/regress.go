@@ -1,7 +1,6 @@
 // Package regress provides the statistics the paper computes with
 // SciPy in Section V: least-squares linear regression with the
-// coefficient of determination, plus means, standard deviations and
-// Pearson correlation.
+// coefficient of determination, plus means and standard deviations.
 package regress
 
 import (
@@ -89,24 +88,4 @@ func StdDev(xs []float64) float64 {
 		ss += (x - m) * (x - m)
 	}
 	return math.Sqrt(ss / float64(len(xs)))
-}
-
-// Pearson returns the Pearson correlation coefficient, or 0 when
-// undefined.
-func Pearson(xs, ys []float64) float64 {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return 0
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, syy, sxy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		syy += dy * dy
-		sxy += dx * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0
-	}
-	return sxy / math.Sqrt(sxx*syy)
 }

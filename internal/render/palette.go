@@ -10,9 +10,6 @@ import (
 // figures where gaps show the dark background).
 var Background = color.RGBA{0x10, 0x10, 0x10, 0xff}
 
-// GridColor separates CPU rows.
-var GridColor = color.RGBA{0x30, 0x30, 0x30, 0xff}
-
 // TextColor is used for labels.
 var TextColor = color.RGBA{0xe0, 0xe0, 0xe0, 0xff}
 

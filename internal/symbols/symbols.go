@@ -79,16 +79,6 @@ func (t *Table) Lookup(addr uint64) (Symbol, bool) {
 	return t.syms[i-1], true
 }
 
-// WriteNM writes the table in nm format.
-func (t *Table) WriteNM(w io.Writer) error {
-	for _, s := range t.syms {
-		if _, err := fmt.Fprintf(w, "%016x %c %s\n", s.Addr, s.Kind, s.Name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Resolve fills in missing task type names in a loaded trace from the
 // symbol table, keyed by work-function address. It returns the number
 // of names resolved.

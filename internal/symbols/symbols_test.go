@@ -1,7 +1,6 @@
 package symbols
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -49,24 +48,6 @@ func TestParseNMErrors(t *testing.T) {
 	tab, err := ParseNM(strings.NewReader(""))
 	if err != nil || tab.Len() != 0 {
 		t.Errorf("empty input: %v, %d", err, tab.Len())
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	tab, err := ParseNM(strings.NewReader(nmSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tab.WriteNM(&buf); err != nil {
-		t.Fatal(err)
-	}
-	tab2, err := ParseNM(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab2.Len() != tab.Len() {
-		t.Errorf("round trip lost symbols: %d vs %d", tab2.Len(), tab.Len())
 	}
 }
 

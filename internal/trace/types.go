@@ -138,9 +138,6 @@ const (
 	// EventPageFault fires when a first-touch write triggers
 	// physical allocation of a page; Arg is the page address.
 	EventPageFault
-
-	// NumEventKinds is the number of discrete event kinds.
-	NumEventKinds = int(EventPageFault) + 1
 )
 
 var eventKindNames = [...]string{
@@ -317,5 +314,4 @@ const (
 	CounterBranchMisses = "branch_mispredictions"
 	CounterOSSystemTime = "os_system_time_us"
 	CounterResidentKB   = "resident_kb"
-	CounterInstructions = "instructions"
 )
