@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"unsafe"
 
 	"github.com/openstream/aftermath/internal/agg"
@@ -118,37 +119,52 @@ func (c Column[T]) win(search func([]T, trace.Time, trace.Time) (int, int), t0, 
 // and must keep reading exactly those events while the writer goes on,
 // so no operation ever writes at an index a captured value covers:
 // push appends past the tail's length, freeze appends past the part
-// list's length and starts a new tail, and install, drop and unspill
-// replace this column's part list (or tail) with a fresh one instead
-// of editing it. That is the whole argument for readers of older
-// epochs being race-free; it involves no other column.
+// list's length and starts a new tail, and install, drop, unspill and
+// sort replace this column's part list (or tail) with a fresh one
+// instead of editing it. That is the whole argument for readers of
+// older epochs being race-free; it involves no other column.
 //
-// The format guarantees per-CPU timestamp order, so dirty stays false
-// in practice; a producer that violates it costs the column a copy and
-// stable sort per snapshot, the repair a batch load performs once.
+// The format guarantees per-CPU timestamp order. A producer that breaks
+// it marks the column disordered, and the next publish sorts it once —
+// the repair a batch load performs — after which it is an ordered
+// column like any other.
 //
 // All fields are guarded by Live.mu.
 type liveCol[T any] struct {
 	Column[T]
-	// last is the latest pushed timestamp. seen arms the order check
+	// last is the greatest timestamp pushed. seen arms the order check
 	// with the first push and keeps it armed while the tail is empty
-	// after a freeze.
-	last  trace.Time
-	seen  bool
-	dirty bool
+	// after a freeze. disordered marks a push behind last since the
+	// last publish.
+	last       trace.Time
+	seen       bool
+	disordered bool
 }
 
-// push appends v, whose ordering timestamp is t, and reports whether
-// this event took the column from clean to dirty. The caller then
-// unspills it: the snapshot repair sorts the whole array, so the whole
-// array has to be in RAM.
-func (c *liveCol[T]) push(v T, t trace.Time) (wentDirty bool) {
-	if c.seen && t < c.last && !c.dirty {
-		c.dirty, wentDirty = true, true
+// push appends v, whose ordering timestamp is t. An event behind the
+// column's last marks it disordered and unspills it: the sort at the
+// next publish needs the whole array in RAM.
+func (c *liveCol[T]) push(v T, t trace.Time) {
+	if c.seen && t < c.last {
+		c.disordered = true
+		c.unspill()
 	}
-	c.last, c.seen = t, true
+	c.last, c.seen = max(c.last, t), true
 	c.Rows = append(c.Rows, v)
-	return wentDirty
+}
+
+// sort replaces a disordered column with a stably sorted copy of itself
+// and reports whether it did. The stable sort of a column in (time,
+// arrival) order plus later events is the stable sort of the whole
+// stream, so the column is what a batch load of it holds.
+func (c *liveCol[T]) sort(key func(*T) trace.Time) bool {
+	if !c.disordered {
+		return false
+	}
+	rows := slices.Clone(c.Rows)
+	slices.SortStableFunc(rows, func(a, b T) int { return cmp.Compare(key(&a), key(&b)) })
+	c.Rows, c.disordered = rows, false
+	return true
 }
 
 // tailBytes returns the size of the RAM tail.
@@ -159,26 +175,28 @@ func (c *liveCol[T]) rowBytes() int64 {
 	return int64(unsafe.Sizeof(v))
 }
 
-// freeze moves a clean, non-empty tail into a new part of seg — a
-// slice-header move, no event is copied — charges it to the segment
-// and returns the moved rows for the compaction writer. Dirty columns
-// never freeze, and return nil like empty ones.
-func (c *liveCol[T]) freeze(seg *spillSeg) []T {
+// freeze moves a non-empty tail into a new part of seg — a slice-header
+// move, no event is copied — charges it to the segment, grows the
+// segment's time range to [lo of the first row, hi of the last] and
+// returns the moved rows for the compaction writer, or nil for an empty
+// tail. Only a publish freezes, after its sort, so the tail is in order.
+func (c *liveCol[T]) freeze(seg *spillSeg, lo, hi func(*T) trace.Time) []T {
 	rows := c.Rows
-	if c.dirty || len(rows) == 0 {
+	if len(rows) == 0 {
 		return nil
 	}
 	c.parts = append(c.parts, colPart[T]{seg, rows})
 	c.Rows = nil
 	seg.bytes += int64(len(rows)) * c.rowBytes()
+	seg.cover(lo(&rows[0]), hi(&rows[len(rows)-1]))
 	return rows
 }
 
 // install swaps the heap rows of the part frozen into seg for view,
 // the same rows mapped back from the written segment file, and reports
 // whether it did. Snapshots that captured the old part list keep the
-// heap rows. A column that froze nothing into seg, was unspilled or
-// lost the part to retention meanwhile is left alone.
+// heap rows. A column that was unspilled or lost the part to retention
+// meanwhile is left alone.
 func (c *liveCol[T]) install(seg *spillSeg, view []T) bool {
 	for i := range c.parts {
 		if c.parts[i].seg == seg && len(view) == len(c.parts[i].rows) {
@@ -209,7 +227,7 @@ func (c *liveCol[T]) drop(keep int) (removed int) {
 }
 
 // unspill pulls every part back in front of the tail, crediting the
-// rows to their segments. Called once, when the column goes dirty.
+// rows to their segments.
 func (c *liveCol[T]) unspill() {
 	if len(c.parts) == 0 {
 		return
@@ -220,20 +238,10 @@ func (c *liveCol[T]) unspill() {
 	c.Column = Column[T]{Rows: c.all()}
 }
 
-// snapshot captures the column for a published trace. A dirty column
-// (all in the tail, see push) is captured as a repaired copy: sorted
-// stably by key, leaving the builder's stream-order tail untouched.
-func (c *liveCol[T]) snapshot(key func(*T) trace.Time) Column[T] {
-	if !c.dirty {
-		return c.Column
-	}
-	s := append([]T(nil), c.Rows...)
-	sort.SliceStable(s, func(a, b int) bool { return key(&s[a]) < key(&s[b]) })
-	return Column[T]{Rows: s}
-}
-
-// Ordering timestamps of the four event families.
+// Ordering timestamps of the four event families, and the end of a
+// state.
 func stateTime(e *trace.StateEvent) trace.Time       { return e.Start }
 func discreteTime(e *trace.DiscreteEvent) trace.Time { return e.Time }
 func commTime(e *trace.CommEvent) trace.Time         { return e.Time }
 func sampleTime(e *trace.CounterSample) trace.Time   { return e.Time }
+func stateEnd(e *trace.StateEvent) trace.Time        { return e.End }

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"unsafe"
 
@@ -46,11 +46,12 @@ func suffix(lv agg.Leaves[modelEv], from int) []modelEv {
 // TestColumnModel drives a liveCol through seeded random sequences of
 // every builder operation and checks it after each step against a
 // plain slice: logical contents, len, the view an index reads it
-// through from every i on, the bytes charged to
-// segments — and that every snapshot value captured so far still reads
-// exactly what it read at capture, which a concurrent reader also
-// re-checks while the writer goes on (under -race that reader is the
-// proof that no operation writes at an index a captured value covers).
+// through from every i on, the bytes charged to segments, the sort a
+// publish makes of a column that took late events — and that every
+// snapshot value captured so far still reads exactly what it read at
+// capture, which a concurrent reader also re-checks while the writer
+// goes on (under -race that reader is the proof that no operation
+// writes at an index a captured value covers).
 func TestColumnModel(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		runColumnModel(t, seed, 600)
@@ -64,7 +65,7 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 		model   []modelEv // logical contents, stream order
 		partLen []int     // model of the part list: rows per part
 		partSeg []*spillSeg
-		dirty   bool
+		late    bool // a late push since the last publish
 		seen    bool
 		nextSeg int
 		nextID  int
@@ -99,21 +100,29 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 		<-readerDone
 	}()
 
+	// A late push unspills the column. seen and now survive freezes and
+	// drops emptying the column: neither may re-arm the first-event
+	// exemption, or the publish would find nothing to sort.
 	push := func(ts trace.Time) {
 		ev := modelEv{t: ts, id: nextID}
 		nextID++
-		went := c.push(ev, ts)
-		// seen and now survive freezes and drops emptying the column:
-		// neither may re-arm the first-event exemption.
-		if want := seen && ts < now && !dirty; went != want {
-			t.Fatalf("seed %d: push(%d) reported wentDirty=%v, want %v", seed, ts, went, want)
-		}
-		now, seen = ts, true
-		model = append(model, ev)
-		if went {
-			dirty = true
-			c.unspill()
+		c.push(ev, ts)
+		if seen && ts < now {
+			late = true
 			partLen, partSeg = nil, nil
+		}
+		now, seen = max(now, ts), true
+		model = append(model, ev)
+	}
+	// publish is what a publish does to the column before it captures,
+	// freezes or drops anything: sort it if it took late events.
+	publish := func() {
+		if sorted := c.sort(modelEvTime); sorted != late {
+			t.Fatalf("seed %d: sort after a publish with late events %v reported %v", seed, late, sorted)
+		}
+		if late {
+			slices.SortStableFunc(model, func(a, b modelEv) int { return cmp.Compare(a.t, b.t) })
+			late = false
 		}
 	}
 
@@ -123,18 +132,17 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 			for n := 1 + rng.Intn(5); n > 0; n-- {
 				push(now + trace.Time(rng.Intn(3)))
 			}
-		case op == 9: // a late event, in the last third of the run
-			if step > 2*steps/3 {
-				push(now - 1 - trace.Time(rng.Intn(5)))
-			}
-		case op < 13: // freeze
+		case op == 9: // a late event
+			push(now - 1 - trace.Time(rng.Intn(5)))
+		case op < 13: // publish and freeze
+			publish()
 			seg := &spillSeg{id: nextSeg}
 			nextSeg++
 			tail := len(c.Rows)
-			rows := c.freeze(seg)
-			if dirty || tail == 0 {
+			rows := c.freeze(seg, modelEvTime, modelEvTime)
+			if tail == 0 {
 				if rows != nil {
-					t.Fatalf("seed %d: froze a dirty or empty column", seed)
+					t.Fatalf("seed %d: froze an empty column", seed)
 				}
 				break
 			}
@@ -159,7 +167,8 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 			// Installing for a segment the column has no part of is a
 			// no-op.
 			c.install(&spillSeg{id: -1}, view)
-		case op < 16: // drop the oldest parts
+		case op < 16: // publish and drop the oldest parts
+			publish()
 			if len(partSeg) == 0 {
 				break
 			}
@@ -185,12 +194,9 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 				}
 			}
 			partLen, partSeg = nil, nil
-		default: // capture a snapshot value
-			s := &capturedCol{want: append([]modelEv(nil), model...)}
-			if dirty {
-				sort.SliceStable(s.want, func(a, b int) bool { return s.want[a].t < s.want[b].t })
-			}
-			s.col = c.snapshot(modelEvTime)
+		default: // publish and capture a snapshot value
+			publish()
+			s := &capturedCol{col: c.Column, want: append([]modelEv(nil), model...)}
 			caught = append(caught, s)
 			feed <- s
 		}
@@ -210,9 +216,9 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 				t.Fatalf("seed %d step %d: segment %d charged %d bytes for %d rows", seed, step, partSeg[k].id, partSeg[k].bytes, n)
 			}
 		}
-		if len(c.parts) != len(partLen) || c.len()-len(c.Rows) != spilled || c.dirty != dirty {
-			t.Fatalf("seed %d step %d: %d parts / %d rows in parts / dirty %v, want %d / %d / %v",
-				seed, step, len(c.parts), c.len()-len(c.Rows), c.dirty, len(partLen), spilled, dirty)
+		if len(c.parts) != len(partLen) || c.len()-len(c.Rows) != spilled {
+			t.Fatalf("seed %d step %d: %d parts / %d rows in parts, want %d / %d",
+				seed, step, len(c.parts), c.len()-len(c.Rows), len(partLen), spilled)
 		}
 		if c.tailBytes() != int64(len(model)-spilled)*rowBytes {
 			t.Fatalf("seed %d step %d: tailBytes = %d for a %d-row tail", seed, step, c.tailBytes(), len(model)-spilled)

@@ -98,10 +98,13 @@ var emptySets = sync.OnceValue(func() domSets {
 // chain extended once from empty; the live builder keeps one chain per
 // CPU across epochs and extends it through the view each publish
 // captures — the chain itself references no event, so it never keeps a
-// part's heap rows alive once the part is an mmap view or aged out. A
-// CPU whose intervals are disordered or overlap goes dead: it holds no
-// pyramids and is never extended again, and its snapshots fall back to
-// the lazy per-snapshot build (or, if still invalid, to DomCPU.scan).
+// part's heap rows alive once the part is an mmap view or aged out. The
+// builder restarts a chain from empty when its column's logical
+// indices change: a drop ages the leading states out, a publish sorts a
+// column that took late states. A CPU whose intervals overlap goes
+// dead: it holds no pyramids and is not extended again until such a
+// restart, and its snapshots fall back to the lazy build, which finds
+// the same overlap and leaves their queries to DomCPU.scan.
 type domChain struct {
 	domSets
 	n    int
@@ -179,11 +182,11 @@ func (di *DomIndex) CPU(tr *Trace, cpu int32) *DomCPU {
 	return e
 }
 
-// build constructs the entry's pyramids over the CPU's state array:
-// one sorted array for batch and unspilled traces; spilled parts then
-// the RAM tail for a spilled CPU whose incremental chain is unavailable
-// (dirty producer, post-drop rebuild). Disordered or overlapping
-// intervals leave all == nil: queries scan the columns.
+// build constructs the entry's pyramids over the CPU's state array on
+// first use: one sorted array for batch loads and hand-built traces,
+// spilled parts then the RAM tail for a live CPU whose chain is dead.
+// Disordered or overlapping intervals leave all == nil: queries scan
+// the columns.
 func (e *DomCPU) build(leaves mragg.Leaves) {
 	e.leaves = leaves
 	var ch domChain

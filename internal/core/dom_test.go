@@ -553,8 +553,8 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 	lv.SetRetention(RetentionPolicy{Dir: dir, SpillBytes: 1 << 40})
 	defer lv.Close()
 	type frozen struct {
-		seg  *spillSeg
-		frag *Trace
+		seg   *spillSeg
+		parts []segPart
 	}
 	var parts []frozen
 	var snap *Trace
@@ -568,9 +568,9 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 		snap = publish(t, lv, b)
 		if k < len(cuts) {
 			lv.mu.Lock()
-			seg, frag := lv.freezeTailsLocked()
+			seg, segParts := lv.freezeTailsLocked()
 			lv.mu.Unlock()
-			parts = append(parts, frozen{seg, frag})
+			parts = append(parts, frozen{seg, segParts})
 		}
 		from = to
 	}
@@ -610,9 +610,9 @@ func TestDomIndexSegmentedMatchesScan(t *testing.T) {
 
 	// (b) Written and installed: the same rows, mapped.
 	for _, f := range parts {
-		m, view, path, err := writeSegment(dir, f.seg.id, f.frag)
+		m, path, err := writeSegment(dir, f.seg.id, f.parts)
 		lv.mu.Lock()
-		lv.installLocked(f.seg, m, view, path, err)
+		lv.installLocked(f.seg, f.parts, m, path, err)
 		lv.mu.Unlock()
 	}
 	mapped, _ := lv.Publish()

@@ -67,7 +67,7 @@ type Live struct {
 	typeByID map[trace.TypeID]int
 
 	// Task table, guarded by mu: first-touch order, placements applied
-	// in place while every state column is clean.
+	// in place.
 	tasks    []TaskInfo
 	taskByID map[trace.TaskID]int
 
@@ -116,12 +116,9 @@ type liveSnap struct {
 }
 
 // liveCPU is one CPU's builder slot: its id, its event columns and
-// dominance chain, and its task execution spans in stream order. The
-// first execDone of the spans have been applied to tasks, except those
-// whose task has no record yet, which wait in orphans
-// (placeExecsLocked). execs keeps its full history only for the dirty
-// arm of snapshotLocked, which re-applies every placement, the aged-out
-// ones included.
+// dominance chain, the task execution spans appended since the last
+// publish, in event order, and the applied spans whose task has no
+// record yet, which wait in orphans (placeExecsLocked).
 type liveCPU struct {
 	id       int32
 	states   liveCol[trace.StateEvent]
@@ -129,7 +126,6 @@ type liveCPU struct {
 	comm     liveCol[trace.CommEvent]
 	dom      domChain
 	execs    []execSpan
-	execDone int
 	orphans  []execSpan
 }
 
@@ -144,10 +140,10 @@ type liveCounter struct {
 // extended min/max trees: tree and rate cover the first treeN logical
 // samples, read through a view of the column's parts and tail taken at
 // their last extension, and extend via mmtree append mode at publish;
-// nil trees build lazily in the snapshot instead (dirty pairs). moved
-// marks a pair one of whose parts was swapped for its mapped segment
-// since: the next publish rebinds the trees to the column as it is now,
-// so the chain stops holding the heap rows the part was.
+// a drop or a sort resets them to be built again over the whole column.
+// moved marks a pair one of whose parts was swapped for its mapped
+// segment since: the next publish rebinds the trees to the column as it
+// is now, so the chain stops holding the heap rows the part was.
 type livePair struct {
 	col   liveCol[trace.CounterSample]
 	tree  *mmtree.Tree
@@ -373,48 +369,67 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 
 	for _, s := range b.States {
 		c := &lv.cpus[lv.slotLocked(s.CPU)]
-		if c.states.push(s, s.Start) {
-			c.states.unspill()
-		}
+		c.states.push(s, s.Start)
 		if s.State == trace.StateTaskExec && s.Task != trace.NoTask {
 			c.execs = append(c.execs, execSpan{s.Task, s.Start, s.End})
 		}
 		lv.growSpanLocked(s.Start, s.End)
 	}
 	for _, ev := range b.Discrete {
-		if c := &lv.cpus[lv.slotLocked(ev.CPU)].discrete; c.push(ev, ev.Time) {
-			c.unspill()
-		}
+		lv.cpus[lv.slotLocked(ev.CPU)].discrete.push(ev, ev.Time)
 	}
 	for _, ev := range b.Comms {
-		if c := &lv.cpus[lv.slotLocked(ev.CPU)].comm; c.push(ev, ev.Time) {
-			c.unspill()
-		}
+		lv.cpus[lv.slotLocked(ev.CPU)].comm.push(ev, ev.Time)
 	}
 	for _, s := range b.Samples {
 		lc, slot := lv.counterForLocked(s.Counter), lv.slotLocked(s.CPU)
 		if slot >= len(lc.per) {
 			lc.per = append(lc.per, make([]livePair, slot+1-len(lc.per))...)
 		}
-		if c := &lc.per[slot].col; c.push(s, s.Time) {
-			c.unspill()
-		}
+		lc.per[slot].col.push(s, s.Time)
 		lv.growSpanLocked(s.Time, s.Time)
 	}
 	return nil
 }
 
-// publishLocked builds a snapshot, stores it as the next epoch and
-// applies the spill/retention policy to the builder (the published
-// snapshot keeps the pre-spill backing; the next one picks up the
-// compacted columns).
+// publishLocked sorts the disordered columns, builds a snapshot, stores
+// it as the next epoch and applies the spill/retention policy to the
+// builder (the published snapshot keeps the pre-spill backing; the next
+// one picks up the compacted columns).
 func (lv *Live) publishLocked() (*Trace, uint64) {
+	lv.sortDisorderedLocked()
 	tr := lv.snapshotLocked()
 	epoch := lv.snap.Load().epoch + 1
 	lv.snap.Store(&liveSnap{tr: tr, epoch: epoch})
 	lv.maybeSpillLocked()
 	lv.notifyWatchers(TraceEvent{Epoch: epoch, Err: lv.Err()})
 	return tr, epoch
+}
+
+// sortDisorderedLocked replaces every column that took an out-of-order
+// event since the last publish with a stably sorted copy of itself
+// (liveCol.sort) and resets what indexes it, the way
+// applyRetentionLocked does after a drop: a state column's dominance
+// chain restarts, and its execution spans are all applied again, in the
+// sorted order — under placeExecsLocked's rule that is the batch
+// loader's placement; a sample column's trees restart.
+func (lv *Live) sortDisorderedLocked() {
+	for s := range lv.cpus {
+		c := &lv.cpus[s]
+		if c.states.sort(stateTime) {
+			c.dom = domChain{}
+			c.execs, c.orphans = collectExecs(c.states.Rows), nil
+		}
+		c.discrete.sort(discreteTime)
+		c.comm.sort(commTime)
+	}
+	for _, lc := range lv.counters {
+		for cpu := range lc.per {
+			if p := &lc.per[cpu]; p.col.sort(sampleTime) {
+				p.tree, p.rate, p.treeN = nil, nil, 0
+			}
+		}
+	}
 }
 
 // snapshotLocked finalizes the builder state into an immutable Trace
@@ -440,11 +455,9 @@ func (lv *Live) publishLocked() (*Trace, uint64) {
 // home-node column or sums (home.go): they hold for one region table,
 // and this one is still growing.
 //
-// The exception is a trace with a dirty state column (an out-of-order
-// producer; sticky): its execution spans have no stream order to apply
-// incrementally, so every publish re-applies every placement to a copy
-// of the tasks and copies the ID map — O(tasks + executions) per epoch,
-// on top of the column's own per-snapshot repair.
+// A column an out-of-order producer disordered was sorted before this
+// (sortDisorderedLocked): once, O(its size), at the publish after the
+// late event, with its indexes rebuilt and its placements re-applied.
 func (lv *Live) snapshotLocked() *Trace {
 	rows := lv.rowsLocked()
 	tr := &Trace{Topology: lv.topo}
@@ -457,18 +470,14 @@ func (lv *Live) snapshotLocked() *Trace {
 	}
 
 	// Per-CPU arrays, one row per CPU in id order like the batch
-	// indexer: each column is captured as its Column value; a column that
-	// violated per-CPU order is captured repaired — the identical stable
-	// sort index() performs.
-	dirty := false
+	// indexer: each column is captured as its Column value.
 	tr.CPUs = sized[CPUData](len(rows))
 	for r, s := range rows {
 		c, lc := &tr.CPUs[r], &lv.cpus[s]
 		c.ID = lc.id
-		c.States = lc.states.snapshot(stateTime)
-		c.Discrete = lc.discrete.snapshot(discreteTime)
-		c.Comm = lc.comm.snapshot(commTime)
-		dirty = dirty || lc.states.dirty
+		c.States = lc.states.Column
+		c.Discrete = lc.discrete.Column
+		c.Comm = lc.comm.Column
 	}
 
 	// Small tables: finalize copies so the builder keeps its
@@ -479,20 +488,7 @@ func (lv *Live) snapshotLocked() *Trace {
 
 	tr.Regions = lv.mergeRegionsLocked()
 
-	if dirty {
-		execs := make([]cpuExecs, len(rows))
-		for r, s := range rows {
-			execs[r] = cpuExecs{lv.cpus[s].id, lv.cpus[s].execs}
-			if lv.cpus[s].states.dirty {
-				execs[r].spans = collectExecs(tr.CPUs[r].States.Rows)
-			}
-		}
-		// The copies may carry placements from epochs before the column
-		// went dirty; each came from a span, every span is re-applied,
-		// and applyExecs overwrites, so none survives as it stands.
-		tr.taskByID = maps.Clone(lv.taskByID)
-		tr.Tasks = applyExecs(append([]TaskInfo(nil), lv.tasks...), tr.taskByID, execs)
-	} else if orphans := lv.placeExecsLocked(); orphans == 0 {
+	if orphans := lv.placeExecsLocked(); orphans == 0 {
 		tr.Tasks = append([]TaskInfo(nil), lv.tasks...)
 	} else {
 		// Spans still without a task record are the snapshot's alone:
@@ -518,7 +514,7 @@ func (lv *Live) snapshotLocked() *Trace {
 				continue
 			}
 			p := &lc.per[s]
-			c.PerCPU[r] = p.col.snapshot(sampleTime)
+			c.PerCPU[r] = p.col.Column
 			c.trees[r] = counterTrees{value: p.tree, rate: p.rate}
 		}
 		tr.Counters = append(tr.Counters, c)
@@ -527,17 +523,13 @@ func (lv *Live) snapshotLocked() *Trace {
 
 	// Dominance pyramids: extend the per-CPU chains by the appended
 	// events, read through the columns this snapshot captured, and seed
-	// the snapshot's index with them. A CPU that went dirty
-	// (out-of-order producer) or whose intervals overlap goes dead and
-	// is never extended again — its snapshots fall back to the lazy
-	// build over their repaired arrays (or scan).
+	// the snapshot's index with them. A CPU whose intervals overlap goes
+	// dead until a drop or a sort restarts its chain; its snapshots fall
+	// back to the lazy build (which scans).
 	di := newDomIndex(len(rows))
 	for r, s := range rows {
 		lc := &lv.cpus[s]
 		ch := &lc.dom
-		if lc.states.dirty {
-			*ch = domChain{dead: true}
-		}
 		if ch.dead || lc.states.len() == 0 {
 			continue
 		}
@@ -577,18 +569,18 @@ func (lv *Live) mergeRegionsLocked() []trace.MemRegion {
 }
 
 // placeExecsLocked applies the execution spans appended since the last
-// publish to the task table and returns how many spans are orphaned,
-// their task still undeclared. A span on CPU c replaces a task's
-// placement iff c's id >= the task's ExecCPU. That is the batch loader's
-// last-writer-wins over (CPU, event) order whatever order the CPUs are
-// visited in, provided one CPU's spans are applied in event order —
-// which, for clean columns, is the stream order execs holds; so a
-// CPU's orphans, which are older than its new spans, are retried first.
+// publish to the task table, empties execs and returns how many spans
+// are orphaned, their task still undeclared. A span on CPU c replaces a
+// task's placement iff c's id >= the task's ExecCPU. That is the batch
+// loader's last-writer-wins over (CPU, event) order whatever order the
+// CPUs are visited in, provided one CPU's spans are applied in event
+// order — the order of its column, which execs holds; so a CPU's
+// orphans, which are older than its new spans, are retried first.
 func (lv *Live) placeExecsLocked() (orphans int) {
 	for s := range lv.cpus {
 		c := &lv.cpus[s]
 		kept := c.orphans[:0]
-		for _, run := range [2][]execSpan{c.orphans, c.execs[c.execDone:]} {
+		for _, run := range [2][]execSpan{c.orphans, c.execs} {
 			for _, e := range run {
 				i, ok := lv.taskByID[e.task]
 				if !ok {
@@ -598,7 +590,7 @@ func (lv *Live) placeExecsLocked() (orphans int) {
 				}
 			}
 		}
-		c.orphans, c.execDone = kept, len(c.execs)
+		c.orphans, c.execs = kept, c.execs[:0]
 		orphans += len(kept)
 	}
 	return orphans
@@ -609,16 +601,11 @@ func (lv *Live) placeExecsLocked() (orphans int) {
 // column through a view of it, so only new samples are read and only
 // their rates are derived — the per-epoch index cost is proportional to
 // the appended data, not the trace size, and an unspilled pair's view
-// allocates nothing. Pairs that went dirty fall back to the snapshot's
-// lazy per-epoch rebuild.
+// allocates nothing.
 func (lv *Live) extendTreesLocked() {
 	for _, lc := range lv.counters {
 		for cpu := range lc.per {
 			p := &lc.per[cpu]
-			if p.col.dirty {
-				p.tree, p.rate = nil, nil
-				continue
-			}
 			if m := p.col.len(); m != p.treeN || p.moved {
 				if p.tree == nil {
 					p.tree, p.rate = mmtree.Values(0), mmtree.Rates(0)

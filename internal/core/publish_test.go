@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,10 +189,11 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 		})
 	}
 
-	// The hand-over: batches appended directly, so a state column can go
-	// dirty mid-stream. The clean epochs before it and the re-applying
-	// epochs from it on must both equal applyExecs over the executions
-	// of the (repaired) columns the snapshot holds.
+	// The hand-over: batches appended directly, so a state column can
+	// take a late event mid-stream. The epochs before it, the one that
+	// sorts the column and re-applies its placements, and those after
+	// must all equal applyExecs over the executions of the sorted
+	// columns the snapshot holds.
 	rng := rand.New(rand.NewSource(42))
 	lv := NewLive()
 	ref := newTrace() // the declared tasks, by the appliers' applyTask
@@ -206,9 +209,9 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 				b.Tasks = append(b.Tasks, task)
 				ref.Tasks = applyTask(ref.Tasks, ref.taskByID, task)
 			}
-			// Task 77 runs on CPU 2 only: once in order, then — the event
-			// that takes the column dirty — once more back in time, which
-			// the repair sorts first, so the in-order run must win again.
+			// Task 77 runs on CPU 2 only: once in order, then — the late
+			// event — once more back in time, which the sort puts first,
+			// so the in-order run must win again.
 			if i == 10 && (epoch == 3 || epoch == dirtyAt) {
 				cpu, id = 2, 77
 			}
@@ -223,8 +226,10 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		snap, _ := lv.Publish()
-		if dirty := lv.cpus[lv.slotOf[2]].states.dirty; dirty != (epoch >= dirtyAt) {
-			t.Fatalf("epoch %d: CPU 2's state column dirty = %v", epoch, dirty)
+		for cpu := range snap.CPUs {
+			if !slices.IsSortedFunc(snap.CPUs[cpu].States.all(), func(a, b trace.StateEvent) int { return cmp.Compare(a.Start, b.Start) }) {
+				t.Fatalf("epoch %d: CPU %d's state column is out of order", epoch, snap.CPUs[cpu].ID)
+			}
 		}
 		execs := make([]cpuExecs, len(snap.CPUs))
 		for cpu := range snap.CPUs {

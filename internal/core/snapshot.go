@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"github.com/openstream/aftermath/internal/agg"
 	"github.com/openstream/aftermath/internal/mmtree"
@@ -11,21 +12,63 @@ import (
 )
 
 // snapshotFormatVersion is the columnar snapshot meta layout version.
-// Segment files (spill.go) version independently. Every index is stored
-// as what it owns, never a copy of the events it indexes: a dominance
-// set as per CPU the all-states pyramid, per worker state refs, cover
-// prefix sums and pyramid (since version 3; version 2 also dumped every
-// state's start and end, twice); a counter's value tree as its pyramid
-// and its rate tree as its rates and pyramid (since version 4; version
-// 3 also dumped every sample's time and value, twice). Every pyramid
-// level holds complete blocks only (since version 5; version 4 also
-// stored the node of each level's partial tail block). OpenStore binds
-// them to the mapped columns they index. Per-CPU tables are stored by
-// row, and the CPU ids, one per row, as a column of their own; every
+// Segment files (spill.go) carry no version: only the process that
+// wrote one maps it. Every index is stored as what it owns, never a
+// copy of the events it indexes: a dominance set as per CPU the
+// all-states pyramid, per worker state refs, cover prefix sums and
+// pyramid (since version 3; version 2 also dumped every state's start
+// and end, twice); a counter's value tree as its pyramid and its rate
+// tree as its rates and pyramid (since version 4; version 3 also
+// dumped every sample's time and value, twice). Every pyramid level
+// holds complete blocks only (since version 5; version 4 also stored
+// the node of each level's partial tail block). OpenStore binds them
+// to the mapped columns they index. Per-CPU tables are stored by row,
+// and the CPU ids, one per row, as a column of their own; every
 // counter has one sample column per row (since version 6; version 5
 // stored one entry per id up to the largest).
 // Older snapshots must be re-saved from their source trace.
 const snapshotFormatVersion = 6
+
+// layoutHash fingerprints the in-memory layout of every record and
+// pyramid node type the store dumps raw, plus the word size. A file
+// written by a build with a different field layout (or architecture)
+// fails to open instead of misparsing. Endianness is checked separately
+// by the store header probe.
+func layoutHash() uint64 {
+	var se trace.StateEvent
+	var de trace.DiscreteEvent
+	var ce trace.CommEvent
+	var cs trace.CounterSample
+	var mr trace.MemRegion
+	var ti TaskInfo
+	var mn mmtree.Node
+	var dn mragg.Node
+	h := uint64(1469598103934665603) // FNV-1a offset basis
+	mix := func(vs ...uintptr) {
+		for _, v := range vs {
+			h ^= uint64(v)
+			h *= 1099511628211
+		}
+	}
+	mix(unsafe.Sizeof(uintptr(0)))
+	mix(unsafe.Sizeof(se), unsafe.Offsetof(se.CPU), unsafe.Offsetof(se.State),
+		unsafe.Offsetof(se.Start), unsafe.Offsetof(se.End), unsafe.Offsetof(se.Task))
+	mix(unsafe.Sizeof(de), unsafe.Offsetof(de.CPU), unsafe.Offsetof(de.Kind),
+		unsafe.Offsetof(de.Time), unsafe.Offsetof(de.Arg))
+	mix(unsafe.Sizeof(ce), unsafe.Offsetof(ce.Kind), unsafe.Offsetof(ce.CPU),
+		unsafe.Offsetof(ce.SrcCPU), unsafe.Offsetof(ce.Time), unsafe.Offsetof(ce.Task),
+		unsafe.Offsetof(ce.Addr), unsafe.Offsetof(ce.Size))
+	mix(unsafe.Sizeof(cs), unsafe.Offsetof(cs.CPU), unsafe.Offsetof(cs.Counter),
+		unsafe.Offsetof(cs.Time), unsafe.Offsetof(cs.Value))
+	mix(unsafe.Sizeof(mr), unsafe.Offsetof(mr.ID), unsafe.Offsetof(mr.Addr),
+		unsafe.Offsetof(mr.Size), unsafe.Offsetof(mr.Node))
+	mix(unsafe.Sizeof(ti), unsafe.Offsetof(ti.ID), unsafe.Offsetof(ti.Type),
+		unsafe.Offsetof(ti.Created), unsafe.Offsetof(ti.CreatorCPU),
+		unsafe.Offsetof(ti.ExecCPU), unsafe.Offsetof(ti.ExecStart), unsafe.Offsetof(ti.ExecEnd))
+	mix(unsafe.Sizeof(mn), unsafe.Offsetof(mn.Min), unsafe.Offsetof(mn.Max))
+	mix(unsafe.Sizeof(dn), unsafe.Offsetof(dn.Max), unsafe.Offsetof(dn.Arg))
+	return h
+}
 
 // SaveStore writes the trace as a columnar snapshot: every per-CPU
 // event array, counter sample array and table dumped as raw columns,

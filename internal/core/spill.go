@@ -10,12 +10,13 @@
 // installs the mapped views in place of the heap rows, which die with
 // the snapshots that captured them. Retention (RetentionPolicy) drops
 // the oldest segments, and with them the leading parts of every column,
-// turning the live trace into a sliding window over the run; a column
-// whose producer breaks timestamp order is unspilled — pulled back
-// into its tail — because its snapshot repair sorts the whole array. A
-// snapshot holds the columns as they are, parts and rows together, and
-// every accessor reads a column the one way whether it has parts or
-// not.
+// turning the live trace into a sliding window over the run. A column
+// whose producer breaks timestamp order is unspilled — pulled back into
+// its tail — because the next publish sorts the whole array; after that
+// sort it is a column like any other and spills again, so the memory
+// bound holds. A snapshot holds the columns as they are, parts and rows
+// together, and every accessor reads a column the one way whether it
+// has parts or not.
 //
 // Concurrency model: all builder mutation happens under Live.mu. A
 // published snapshot holds each column as the Column value it had at
@@ -23,8 +24,8 @@
 // covers (see liveCol), so readers of older epochs never observe a
 // mutation. Segment bookkeeping (spillState, spillSeg) is builder
 // state read only under the lock; a snapshot carries a copy of the
-// counters. What a freeze hands the background writer is a trace
-// fragment of its own, holding only the frozen rows.
+// counters. What a freeze hands the background writer is the list of
+// parts it froze: their rows, and the columns they go back to.
 package core
 
 import (
@@ -34,10 +35,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"unsafe"
 
-	"github.com/openstream/aftermath/internal/mmtree"
-	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/store"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -64,53 +62,6 @@ type RetentionPolicy struct {
 }
 
 func (p RetentionPolicy) enabled() bool { return p.Dir != "" && p.SpillBytes > 0 }
-
-// segFormatVersion versions the segment meta layout inside the store
-// container (which has its own magic + version). Version 2 lists every
-// column of the builder, empty ones included; version 1 listed the
-// frozen ones with their CPU and counter.
-const segFormatVersion = 2
-
-// layoutHash fingerprints the in-memory layout of every record and
-// pyramid node type the store dumps raw, plus the word size. A file
-// written by a build with a different field layout (or architecture)
-// fails to open instead of misparsing. Endianness is checked separately
-// by the store header probe.
-func layoutHash() uint64 {
-	var se trace.StateEvent
-	var de trace.DiscreteEvent
-	var ce trace.CommEvent
-	var cs trace.CounterSample
-	var mr trace.MemRegion
-	var ti TaskInfo
-	var mn mmtree.Node
-	var dn mragg.Node
-	h := uint64(1469598103934665603) // FNV-1a offset basis
-	mix := func(vs ...uintptr) {
-		for _, v := range vs {
-			h ^= uint64(v)
-			h *= 1099511628211
-		}
-	}
-	mix(unsafe.Sizeof(uintptr(0)))
-	mix(unsafe.Sizeof(se), unsafe.Offsetof(se.CPU), unsafe.Offsetof(se.State),
-		unsafe.Offsetof(se.Start), unsafe.Offsetof(se.End), unsafe.Offsetof(se.Task))
-	mix(unsafe.Sizeof(de), unsafe.Offsetof(de.CPU), unsafe.Offsetof(de.Kind),
-		unsafe.Offsetof(de.Time), unsafe.Offsetof(de.Arg))
-	mix(unsafe.Sizeof(ce), unsafe.Offsetof(ce.Kind), unsafe.Offsetof(ce.CPU),
-		unsafe.Offsetof(ce.SrcCPU), unsafe.Offsetof(ce.Time), unsafe.Offsetof(ce.Task),
-		unsafe.Offsetof(ce.Addr), unsafe.Offsetof(ce.Size))
-	mix(unsafe.Sizeof(cs), unsafe.Offsetof(cs.CPU), unsafe.Offsetof(cs.Counter),
-		unsafe.Offsetof(cs.Time), unsafe.Offsetof(cs.Value))
-	mix(unsafe.Sizeof(mr), unsafe.Offsetof(mr.ID), unsafe.Offsetof(mr.Addr),
-		unsafe.Offsetof(mr.Size), unsafe.Offsetof(mr.Node))
-	mix(unsafe.Sizeof(ti), unsafe.Offsetof(ti.ID), unsafe.Offsetof(ti.Type),
-		unsafe.Offsetof(ti.Created), unsafe.Offsetof(ti.CreatorCPU),
-		unsafe.Offsetof(ti.ExecCPU), unsafe.Offsetof(ti.ExecStart), unsafe.Offsetof(ti.ExecEnd))
-	mix(unsafe.Sizeof(mn), unsafe.Offsetof(mn.Min), unsafe.Offsetof(mn.Max))
-	mix(unsafe.Sizeof(dn), unsafe.Offsetof(dn.Max), unsafe.Offsetof(dn.Arg))
-	return h
-}
 
 // spillSeg is one frozen epoch range: the column tails that left RAM
 // together at one publish (each as a colPart naming this segment). Its
@@ -280,16 +231,16 @@ func (lv *Live) maybeSpillLocked() {
 		return
 	}
 	if lv.tailBytesLocked() >= lv.ret.SpillBytes {
-		if seg, frag := lv.freezeTailsLocked(); seg != nil {
+		if seg, parts := lv.freezeTailsLocked(); seg != nil {
 			// Capture the spill directory under mu: the goroutine
 			// outlives this critical section, and ret is guarded.
 			dir := lv.ret.Dir
 			lv.spillWG.Add(1)
 			go func() {
 				defer lv.spillWG.Done()
-				m, view, path, err := writeSegment(dir, seg.id, frag)
+				m, path, err := writeSegment(dir, seg.id, parts)
 				lv.mu.Lock()
-				lv.installLocked(seg, m, view, path, err)
+				lv.installLocked(seg, parts, m, path, err)
 				lv.mu.Unlock()
 				// Background compaction changes the spill state (Pending,
 				// Err) without publishing an epoch: push it so status
@@ -301,41 +252,84 @@ func (lv *Live) maybeSpillLocked() {
 	lv.applyRetentionLocked()
 }
 
-// freezeTailsLocked freezes every clean, non-empty column tail into a
-// part of one new segment — O(columns) slice-header moves, no event is
-// copied — and returns the segment and what it froze: a trace fragment
-// whose columns hold, as their Rows, the rows each column moved (none
-// for a column that froze nothing). Returns nil if nothing was
-// freezable (every column empty or dirty).
-func (lv *Live) freezeTailsLocked() (*spillSeg, *Trace) {
+// segPart is one column's share of a segment: the rows its tail froze,
+// which put writes to the segment file and view replaces with their
+// mapped copy, and the column install puts that view back in.
+type segPart interface {
+	put(w *store.Writer) store.Ref
+	view(m *store.Mapped, ref store.Ref) error
+	install(cpus []liveCPU, seg *spillSeg)
+}
+
+// frozenRows is a part's rows.
+type frozenRows[T any] struct{ rows []T }
+
+func (f *frozenRows[T]) put(w *store.Writer) store.Ref { return store.Put(w, f.rows) }
+
+func (f *frozenRows[T]) view(m *store.Mapped, ref store.Ref) (err error) {
+	f.rows, err = store.View[T](m, ref)
+	return err
+}
+
+// cpuPart is the part of an event column of CPU slot, which col finds
+// in the builder's slots as they are at install: the slot table may
+// have grown, and moved, since the freeze.
+type cpuPart[T any] struct {
+	frozenRows[T]
+	slot int
+	col  func(cpus []liveCPU, slot int) *liveCol[T]
+}
+
+func (p *cpuPart[T]) install(cpus []liveCPU, seg *spillSeg) {
+	p.col(cpus, p.slot).install(seg, p.rows)
+}
+
+func statesOf(cpus []liveCPU, s int) *liveCol[trace.StateEvent]      { return &cpus[s].states }
+func discreteOf(cpus []liveCPU, s int) *liveCol[trace.DiscreteEvent] { return &cpus[s].discrete }
+func commOf(cpus []liveCPU, s int) *liveCol[trace.CommEvent]         { return &cpus[s].comm }
+
+// samplePart is the part of the sample column of counter lc on CPU
+// slot. Its install marks the pair to rebind its trees at the next
+// publish.
+type samplePart struct {
+	frozenRows[trace.CounterSample]
+	lc   *liveCounter
+	slot int
+}
+
+func (p *samplePart) install(_ []liveCPU, seg *spillSeg) {
+	if pair := &p.lc.per[p.slot]; pair.col.install(seg, p.rows) {
+		pair.moved = true
+	}
+}
+
+// freezeTailsLocked freezes every non-empty column tail into a part of
+// one new segment — O(columns) slice-header moves, no event is copied —
+// and returns the segment and its parts. Returns nil if every column
+// was empty.
+func (lv *Live) freezeTailsLocked() (*spillSeg, []segPart) {
 	seg := &spillSeg{id: lv.segSeq}
-	frag := &Trace{CPUs: make([]CPUData, len(lv.cpus))}
+	var parts []segPart
 	for slot := range lv.cpus {
-		c, f := &lv.cpus[slot], &frag.CPUs[slot]
-		if s := c.states.freeze(seg); s != nil {
-			seg.cover(s[0].Start, s[len(s)-1].End)
-			f.States.Rows = s
+		c := &lv.cpus[slot]
+		if rows := c.states.freeze(seg, stateTime, stateEnd); rows != nil {
+			parts = append(parts, &cpuPart[trace.StateEvent]{frozenRows[trace.StateEvent]{rows}, slot, statesOf})
 		}
-		if s := c.discrete.freeze(seg); s != nil {
-			seg.cover(s[0].Time, s[len(s)-1].Time)
-			f.Discrete.Rows = s
+		if rows := c.discrete.freeze(seg, discreteTime, discreteTime); rows != nil {
+			parts = append(parts, &cpuPart[trace.DiscreteEvent]{frozenRows[trace.DiscreteEvent]{rows}, slot, discreteOf})
 		}
-		if s := c.comm.freeze(seg); s != nil {
-			seg.cover(s[0].Time, s[len(s)-1].Time)
-			f.Comm.Rows = s
+		if rows := c.comm.freeze(seg, commTime, commTime); rows != nil {
+			parts = append(parts, &cpuPart[trace.CommEvent]{frozenRows[trace.CommEvent]{rows}, slot, commOf})
 		}
 	}
 	for _, lc := range lv.counters {
-		fc := &Counter{PerCPU: make([]Column[trace.CounterSample], len(lc.per))}
-		for cpu := range lc.per {
-			if s := lc.per[cpu].col.freeze(seg); s != nil {
-				seg.cover(s[0].Time, s[len(s)-1].Time)
-				fc.PerCPU[cpu].Rows = s
+		for slot := range lc.per {
+			if rows := lc.per[slot].col.freeze(seg, sampleTime, sampleTime); rows != nil {
+				parts = append(parts, &samplePart{frozenRows[trace.CounterSample]{rows}, lc, slot})
 			}
 		}
-		frag.Counters = append(frag.Counters, fc)
 	}
-	if seg.bytes == 0 {
+	if len(parts) == 0 {
 		return nil, nil
 	}
 	if lv.spill == nil {
@@ -344,100 +338,50 @@ func (lv *Live) freezeTailsLocked() (*spillSeg, *Trace) {
 	lv.spill.segs = append(lv.spill.segs, seg)
 	lv.spill.pending++
 	lv.segSeq++
-	return seg, frag
+	return seg, parts
 }
 
-// writeSegment compacts a frozen segment's columns into a store file
-// (tmp+rename, so crashes never leave a torn segment) and maps it
-// back, returning the mapped fragment whose columns mirror frag's.
-func writeSegment(dir string, id int, frag *Trace) (*store.Mapped, *Trace, string, error) {
+// writeSegment writes a frozen segment's parts, in order, into a store
+// file (tmp+rename, so crashes never leave a torn segment), maps it
+// back and turns each part's rows into its mapped view. Only this
+// process maps the file, straight after writing it, and SetRetention
+// sweeps every other segment from the directory, so the file carries
+// no layout of its own: the meta is the refs, which nothing parses.
+func writeSegment(dir string, id int, parts []segPart) (*store.Mapped, string, error) {
 	path := filepath.Join(dir, fmt.Sprintf("seg-%06d.atms", id))
 	w, err := store.Create(path)
 	if err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
+	refs := make([]store.Ref, len(parts))
 	var enc store.Enc
-	enc.U64(segFormatVersion)
-	enc.U64(layoutHash())
-	enc.Int(len(frag.CPUs))
-	for i := range frag.CPUs {
-		c := &frag.CPUs[i]
-		enc.Ref(store.Put(w, c.States.Rows))
-		enc.Ref(store.Put(w, c.Discrete.Rows))
-		enc.Ref(store.Put(w, c.Comm.Rows))
-	}
-	enc.Int(len(frag.Counters))
-	for _, c := range frag.Counters {
-		enc.Int(len(c.PerCPU))
-		for cpu := range c.PerCPU {
-			enc.Ref(store.Put(w, c.PerCPU[cpu].Rows))
-		}
+	for i, p := range parts {
+		refs[i] = p.put(w)
+		enc.Ref(refs[i])
 	}
 	if err := w.Finish(enc.Bytes()); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	m, err := store.Open(path)
-	if err != nil {
-		os.Remove(path)
-		return nil, nil, "", err
-	}
-	view, err := readSegment(m)
-	if err != nil {
-		m.Close()
-		os.Remove(path)
-		return nil, nil, "", err
-	}
-	return m, view, path, nil
-}
-
-// readSegment decodes a segment file's meta into a fragment whose
-// columns are views into the mapping.
-func readSegment(m *store.Mapped) (*Trace, error) {
-	d := store.NewDec(m.Meta())
-	if v := d.U64(); d.Err() == nil && v != segFormatVersion {
-		return nil, fmt.Errorf("store: unsupported segment format version %d", v)
-	}
-	if h := d.U64(); d.Err() == nil && h != layoutHash() {
-		return nil, fmt.Errorf("store: segment written with an incompatible event layout")
-	}
-	frag := &Trace{}
-	n := d.Int()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		var c CPUData
-		var err error
-		if c.States.Rows, err = store.View[trace.StateEvent](m, d.Ref()); err != nil {
-			return nil, err
-		}
-		if c.Discrete.Rows, err = store.View[trace.DiscreteEvent](m, d.Ref()); err != nil {
-			return nil, err
-		}
-		if c.Comm.Rows, err = store.View[trace.CommEvent](m, d.Ref()); err != nil {
-			return nil, err
-		}
-		frag.CPUs = append(frag.CPUs, c)
-	}
-	n = d.Int()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		c := &Counter{}
-		for k := d.Int(); k > 0 && d.Err() == nil; k-- {
-			rows, err := store.View[trace.CounterSample](m, d.Ref())
-			if err != nil {
-				return nil, err
+	if err == nil {
+		for i, p := range parts {
+			if err = p.view(m, refs[i]); err != nil {
+				m.Close()
+				break
 			}
-			c.PerCPU = append(c.PerCPU, Column[trace.CounterSample]{Rows: rows})
 		}
-		frag.Counters = append(frag.Counters, c)
 	}
-	if err := d.Err(); err != nil {
-		return nil, err
+	if err != nil {
+		os.Remove(path)
+		return nil, "", err
 	}
-	return frag, nil
+	return m, path, nil
 }
 
 // installLocked swaps a compacted segment's heap rows for their mmap
-// views, column by column. A segment dropped by retention while
-// compacting is deleted again.
-func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, view *Trace, path string, err error) {
+// views, part by part. A segment dropped by retention while compacting
+// is deleted again.
+func (lv *Live) installLocked(seg *spillSeg, parts []segPart, m *store.Mapped, path string, err error) {
 	sp := lv.spill // non-nil: the freeze that made seg created it
 	sp.pending--
 	if err != nil {
@@ -455,21 +399,8 @@ func (lv *Live) installLocked(seg *spillSeg, m *store.Mapped, view *Trace, path 
 	}
 	seg.path = path
 	seg.m = m
-	// view was read back from a file, so its shape is checked against
-	// the builder's tables, which only grow, rather than trusted.
-	for slot := range min(len(view.CPUs), len(lv.cpus)) {
-		c, v := &lv.cpus[slot], &view.CPUs[slot]
-		c.states.install(seg, v.States.Rows)
-		c.discrete.install(seg, v.Discrete.Rows)
-		c.comm.install(seg, v.Comm.Rows)
-	}
-	for ci := range min(len(view.Counters), len(lv.counters)) {
-		vc, per := view.Counters[ci], lv.counters[ci].per
-		for cpu := range min(len(vc.PerCPU), len(per)) {
-			if per[cpu].col.install(seg, vc.PerCPU[cpu].Rows) {
-				per[cpu].moved = true
-			}
-		}
+	for _, p := range parts {
+		p.install(lv.cpus, seg)
 	}
 }
 

@@ -1,14 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
-	"github.com/openstream/aftermath/internal/store"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -339,78 +336,62 @@ func TestSpillErrSticky(t *testing.T) {
 	assertSameEvents(t, "after failed compaction", snap, want)
 }
 
-// TestSegmentFileRoundTrip exercises writeSegment/readSegment directly:
-// columns written, mapped back, and validated against the originals.
+// TestSegmentFileRoundTrip: a segment is its frozen rows. The parts a
+// freeze returns are written to one file, mapped back and installed in
+// the columns they froze from, which then read the same events through
+// the mapping; an empty column freezes no part.
 func TestSegmentFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	frag := &Trace{CPUs: make([]CPUData, 3)}
+	lv := NewLive()
+	b := &trace.RecordBatch{CounterIDs: []trace.CounterID{7}}
 	for cpu := int32(0); cpu < 3; cpu++ {
-		c := &frag.CPUs[cpu]
 		for i := 0; i < 10+int(cpu); i++ {
 			t0 := int64(100 * i)
-			c.States.Rows = append(c.States.Rows, trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: t0, End: t0 + 50})
-			c.Comm.Rows = append(c.Comm.Rows, trace.CommEvent{Kind: trace.CommRead, CPU: cpu, SrcCPU: -1, Time: t0, Size: 8})
+			b.States = append(b.States, trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: t0, End: t0 + 50})
+			b.Comms = append(b.Comms, trace.CommEvent{Kind: trace.CommRead, CPU: cpu, SrcCPU: -1, Time: t0, Size: 8})
 		}
 	}
-	frag.Counters = []*Counter{{PerCPU: []Column[trace.CounterSample]{{}, {Rows: []trace.CounterSample{{CPU: 1, Counter: 7, Time: 5, Value: 9}}}}}}
+	b.Samples = []trace.CounterSample{{CPU: 1, Counter: 7, Time: 5, Value: 9}}
+	heap := publish(t, lv, b)
 
-	m, view, path, err := writeSegment(dir, 42, frag)
+	lv.mu.Lock()
+	lv.segSeq = 42
+	seg, parts := lv.freezeTailsLocked()
+	lv.mu.Unlock()
+	if want := 3*2 + 1; len(parts) != want {
+		t.Fatalf("froze %d parts, want %d: states and comm of 3 CPUs and one sample column", len(parts), want)
+	}
+	m, path, err := writeSegment(dir, seg.id, parts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
 	if filepath.Base(path) != "seg-000042.atms" {
 		t.Fatalf("segment path %q", path)
 	}
-	if len(view.CPUs) != len(frag.CPUs) || len(view.Counters) != 1 || len(view.Counters[0].PerCPU) != 2 {
-		t.Fatalf("view shape: %d cpus, %d counters", len(view.CPUs), len(view.Counters))
-	}
-	for i := range view.CPUs {
-		got, want := &view.CPUs[i], &frag.CPUs[i]
-		if !slices.Equal(got.States.Rows, want.States.Rows) {
-			t.Fatalf("cpu %d states differ after round trip", i)
-		}
-		if len(got.Discrete.Rows) != 0 {
-			t.Fatalf("cpu %d: %d discrete events from an empty column", i, len(got.Discrete.Rows))
-		}
-		if !slices.Equal(got.Comm.Rows, want.Comm.Rows) {
-			t.Fatalf("cpu %d comm differs after round trip", i)
-		}
-	}
-	if got := view.Counters[0].PerCPU; len(got[0].Rows) != 0 || !slices.Equal(got[1].Rows, frag.Counters[0].PerCPU[1].Rows) {
-		t.Fatal("sample columns differ after round trip")
-	}
+	lv.mu.Lock()
+	lv.installLocked(seg, parts, m, path, nil)
+	lv.mu.Unlock()
 
-	// A corrupted layout hash must refuse to load.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	mapped, _ := lv.Publish()
+	if st, ok := mapped.SpillStats(); !ok || st.Segments != 1 || st.Pending != 0 || st.Err != "" {
+		t.Fatalf("after install: %+v", st)
 	}
-	bad := filepath.Join(dir, "bad.atms")
-	// The layout hash lives in the meta section; flipping a bit in the
-	// last byte of the file corrupts meta (it is written after the
-	// columns).
-	raw[len(raw)-1] ^= 0xff
-	if err := os.WriteFile(bad, raw, 0o644); err != nil {
-		t.Fatal(err)
+	assertSameEvents(t, "mapped segment", mapped, heap)
+	for r := range mapped.CPUs {
+		got, was := &mapped.CPUs[r], &heap.CPUs[r]
+		if p := got.States.parts; len(p) != 1 || p[0].seg.m != m || &p[0].rows[0] == &was.States.Rows[0] {
+			t.Fatalf("cpu %d: the state column is not one mapped part", r)
+		}
+		if p := got.Comm.parts; len(p) != 1 || p[0].seg.m != m || &p[0].rows[0] == &was.Comm.Rows[0] {
+			t.Fatalf("cpu %d: the comm column is not one mapped part", r)
+		}
+		if len(got.Discrete.parts) != 0 {
+			t.Fatalf("cpu %d: an empty discrete column froze %d parts", r, len(got.Discrete.parts))
+		}
 	}
-	if m2, err := openSegment(bad); err == nil {
-		m2.Close()
-		t.Fatal("corrupted segment loaded without error")
+	if p := mapped.Counters[0].PerCPU[1].parts; len(p) != 1 || p[0].seg.m != m {
+		t.Fatal("the sample column's part is not its mapped view")
 	}
-}
-
-// openSegment maps a segment file and validates it via readSegment.
-func openSegment(path string) (*store.Mapped, error) {
-	m, err := store.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := readSegment(m); err != nil {
-		m.Close()
-		return nil, fmt.Errorf("readSegment: %w", err)
-	}
-	return m, nil
 }
 
 // TestSpillSweepStaleFiles: enabling retention on a reused spill

@@ -3,7 +3,6 @@ package openstream
 import (
 	"fmt"
 
-	"github.com/openstream/aftermath/internal/sim"
 	"github.com/openstream/aftermath/internal/topology"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -47,7 +46,7 @@ func (w *worker) qlen() int { return len(w.deque) - w.head }
 type engine struct {
 	cfg  *Config
 	p    *Program
-	s    *sim.Simulator
+	s    *simulator
 	em   *emitter
 	mach *topology.Machine
 	ncpu int
@@ -93,7 +92,7 @@ func Run(p *Program, cfg Config, w *trace.Writer) (Result, error) {
 	e := &engine{
 		cfg:  &cfg,
 		p:    p,
-		s:    sim.New(cfg.Seed),
+		s:    newSimulator(cfg.Seed),
 		mach: cfg.Machine,
 		ncpu: cfg.Machine.NumCPUs(),
 	}
@@ -107,7 +106,7 @@ func Run(p *Program, cfg Config, w *trace.Writer) (Result, error) {
 	// starting at time zero, then joins the worker pool.
 	e.workers[0].busy = true
 	e.createChildren(&e.workers[0], e.p.rootChildren, 0)
-	e.s.Run()
+	e.s.run()
 
 	return e.finish()
 }
@@ -263,7 +262,7 @@ func (e *engine) wakeOne(preferred int32) {
 		return
 	}
 	w := &e.workers[id]
-	e.s.After(e.cfg.Overhead.WakeLatency, func() { e.seekWork(w) })
+	e.s.after(e.cfg.Overhead.WakeLatency, func() { e.seekWork(w) })
 }
 
 // --- task readiness ---
@@ -277,7 +276,7 @@ func (e *engine) taskReady(t TaskRef, byWorker *worker) {
 	e.enqueued[t] = true
 	target := e.chooseWorker(t, byWorker)
 	e.em.discrete(trace.DiscreteEvent{
-		CPU: byWorker.id, Kind: trace.EventTaskReady, Time: e.s.Now(), Arg: taskArg(t),
+		CPU: byWorker.id, Kind: trace.EventTaskReady, Time: e.s.now(), Arg: taskArg(t),
 	})
 	e.pushTask(&e.workers[target], t)
 	e.wakeOne(target)
@@ -335,7 +334,7 @@ func (e *engine) seekWork(w *worker) {
 	if p := w.pending; p != nil && e.gateRemaining[p.children[p.idx]] == 0 {
 		w.pending = nil
 		e.gateOwner[p.children[p.idx]] = -1
-		e.createChildren(w, p.children[p.idx:], e.s.Now())
+		e.createChildren(w, p.children[p.idx:], e.s.now())
 		return
 	}
 	if t, ok := e.popTail(w); ok {
@@ -362,7 +361,7 @@ func (e *engine) attemptSteal(w *worker) {
 	fails := int64(0)
 	if e.cfg.Sched == SchedRandom {
 		p := float64(len(e.nonEmpty)) / float64(e.ncpu)
-		for fails < 8 && e.s.Rand().Float64() > p {
+		for fails < 8 && e.s.rng.Float64() > p {
 			fails++
 		}
 	}
@@ -370,7 +369,7 @@ func (e *engine) attemptSteal(w *worker) {
 	dist := int64(e.mach.Distance(int(w.node), int(e.workers[victim].node)))
 	cost := e.cfg.Overhead.StealAttempt*(fails+1) + e.cfg.Overhead.StealHop*dist
 	vw := &e.workers[victim]
-	e.s.After(cost, func() { e.completeSteal(w, vw) })
+	e.s.after(cost, func() { e.completeSteal(w, vw) })
 }
 
 func (e *engine) completeSteal(w, victim *worker) {
@@ -384,7 +383,7 @@ func (e *engine) completeSteal(w, victim *worker) {
 		return
 	}
 	e.res.Steals++
-	now := e.s.Now()
+	now := e.s.now()
 	e.em.discrete(trace.DiscreteEvent{CPU: w.id, Kind: trace.EventSteal, Time: now, Arg: taskArg(t)})
 	e.em.comm(trace.CommEvent{
 		Kind: trace.CommSteal, CPU: w.id, SrcCPU: victim.id, Time: now, Task: traceTaskID(t),
@@ -399,7 +398,7 @@ func (e *engine) pickVictim(w *worker) int32 {
 		return -1
 	}
 	if e.cfg.Sched == SchedRandom {
-		return e.nonEmpty[e.s.Rand().Intn(len(e.nonEmpty))]
+		return e.nonEmpty[e.s.rng.Intn(len(e.nonEmpty))]
 	}
 	// NUMA-aware: nearest node with a non-empty deque.
 	for _, node := range e.nodesByDist[w.node] {
@@ -407,7 +406,7 @@ func (e *engine) pickVictim(w *worker) int32 {
 			continue
 		}
 		cpus := e.mach.CPUsOfNode(node)
-		off := e.s.Rand().Intn(len(cpus))
+		off := e.s.rng.Intn(len(cpus))
 		for i := range cpus {
 			cpu := cpus[(off+i)%len(cpus)]
 			if e.nonEmptyPos[cpu] >= 0 {
@@ -420,7 +419,7 @@ func (e *engine) pickVictim(w *worker) int32 {
 
 // startExec begins executing task t on worker w at the current time.
 func (e *engine) startExec(w *worker, t TaskRef) {
-	now := e.s.Now()
+	now := e.s.now()
 	if now > w.freeSince {
 		e.emitState(w, trace.StateIdle, w.freeSince, now, trace.NoTask)
 	}
@@ -506,7 +505,7 @@ func (e *engine) startExec(w *worker, t TaskRef) {
 	e.emitState(w, trace.StateTaskExec, now, now+duration, traceTaskID(t))
 
 	end := now + duration
-	e.s.At(end, func() {
+	e.s.at(end, func() {
 		e.finishExec(w, t, execOutcome{
 			lines: lines, faultCycles: faultCycles,
 			residentDeltaKB: residentDeltaKB,
@@ -526,7 +525,7 @@ type execOutcome struct {
 // finishExec completes task t on worker w: update counters, resolve
 // dependences, create children, then look for more work.
 func (e *engine) finishExec(w *worker, t TaskRef, out execOutcome) {
-	now := e.s.Now()
+	now := e.s.now()
 	spec := &e.p.tasks[t]
 	e.finished[t] = true
 	e.executed++
@@ -611,7 +610,7 @@ func (e *engine) finishExec(w *worker, t TaskRef, out execOutcome) {
 func (e *engine) becomeFree(w *worker, t int64) {
 	w.busy = false
 	w.freeSince = t
-	e.s.At(t, func() { e.seekWork(w) })
+	e.s.at(t, func() { e.seekWork(w) })
 }
 
 // resumeGatedCreator wakes the worker whose creation sequence waits on
@@ -628,7 +627,7 @@ func (e *engine) resumeGatedCreator(g TaskRef) {
 	if e.isParked[owner] {
 		e.isParked[owner] = false
 	}
-	e.s.After(e.cfg.Overhead.WakeLatency, func() { e.seekWork(ow) })
+	e.s.after(e.cfg.Overhead.WakeLatency, func() { e.seekWork(ow) })
 }
 
 // createChildren makes w create the given tasks sequentially starting
@@ -659,7 +658,7 @@ func (e *engine) createChildren(w *worker, children []TaskRef, start int64) {
 		}
 		end := at + dur
 		e.emitState(w, trace.StateTaskCreate, at, end, trace.NoTask)
-		e.s.At(end, func() {
+		e.s.at(end, func() {
 			// Emit creation records for the whole chunk before any
 			// readiness processing: taskReady emits events at the
 			// chunk end, which must not precede per-child creation

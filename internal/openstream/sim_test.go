@@ -1,4 +1,4 @@
-package sim
+package openstream
 
 import (
 	"sort"
@@ -7,12 +7,12 @@ import (
 )
 
 func TestEventOrder(t *testing.T) {
-	s := New(1)
+	s := newSimulator(1)
 	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
-	if end := s.Run(); end != 30 {
+	s.at(30, func() { got = append(got, 3) })
+	s.at(10, func() { got = append(got, 1) })
+	s.at(20, func() { got = append(got, 2) })
+	if end := s.run(); end != 30 {
 		t.Errorf("final time = %d, want 30", end)
 	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
@@ -21,42 +21,42 @@ func TestEventOrder(t *testing.T) {
 }
 
 func TestFIFOAtSameInstant(t *testing.T) {
-	s := New(1)
+	s := newSimulator(1)
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		s.At(5, func() { got = append(got, i) })
+		s.at(5, func() { got = append(got, i) })
 	}
-	s.Run()
+	s.run()
 	if !sort.IntsAreSorted(got) {
 		t.Error("events at the same instant must dispatch in scheduling order")
 	}
 }
 
 func TestAfterAndNow(t *testing.T) {
-	s := New(1)
-	var at Time
-	s.After(100, func() {
-		at = s.Now()
-		s.After(50, func() { at = s.Now() })
+	s := newSimulator(1)
+	var at int64
+	s.after(100, func() {
+		at = s.now()
+		s.after(50, func() { at = s.now() })
 	})
-	s.Run()
+	s.run()
 	if at != 150 {
 		t.Errorf("nested After ended at %d, want 150", at)
 	}
 }
 
 func TestSchedulingInPastPanics(t *testing.T) {
-	s := New(1)
-	s.At(100, func() {
+	s := newSimulator(1)
+	s.at(100, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic for past scheduling")
 			}
 		}()
-		s.At(50, func() {})
+		s.at(50, func() {})
 	})
-	s.Run()
+	s.run()
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
@@ -65,22 +65,22 @@ func TestNegativeDelayPanics(t *testing.T) {
 			t.Error("expected panic for negative delay")
 		}
 	}()
-	New(1).After(-1, func() {})
+	newSimulator(1).after(-1, func() {})
 }
 
-func TestDeterminism(t *testing.T) {
+func TestSimulatorDeterminism(t *testing.T) {
 	run := func() []int64 {
-		s := New(42)
+		s := newSimulator(42)
 		var trace []int64
 		var step func()
 		step = func() {
-			trace = append(trace, s.Now())
+			trace = append(trace, s.now())
 			if len(trace) < 50 {
-				s.After(int64(s.Rand().Intn(100)+1), step)
+				s.after(int64(s.rng.Intn(100)+1), step)
 			}
 		}
-		s.At(0, step)
-		s.Run()
+		s.at(0, step)
+		s.run()
 		return trace
 	}
 	a, b := run(), run()
@@ -101,12 +101,12 @@ func TestDispatchOrderProperty(t *testing.T) {
 		if len(delays) == 0 {
 			return true
 		}
-		s := New(7)
-		var seen []Time
+		s := newSimulator(7)
+		var seen []int64
 		for _, d := range delays {
-			s.At(int64(d), func() { seen = append(seen, s.Now()) })
+			s.at(int64(d), func() { seen = append(seen, s.now()) })
 		}
-		s.Run()
+		s.run()
 		for i := 1; i < len(seen); i++ {
 			if seen[i] < seen[i-1] {
 				return false
