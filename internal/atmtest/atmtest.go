@@ -17,31 +17,39 @@ import (
 // RunToTrace simulates a program and loads the resulting trace.
 func RunToTrace(tb testing.TB, p *openstream.Program, cfg openstream.Config) *core.Trace {
 	tb.Helper()
-	tr, _, err := RunToTraceErr(p, cfg)
+	tr, err := core.FromReader(bytes.NewReader(runBytes(tb, p, cfg)))
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return tr
 }
 
-// RunToTraceErr simulates a program and loads the resulting trace,
-// returning errors instead of failing a test (for use outside tests).
-func RunToTraceErr(p *openstream.Program, cfg openstream.Config) (*core.Trace, openstream.Result, error) {
+// runBytes simulates a program and returns its native trace.
+func runBytes(tb testing.TB, p *openstream.Program, cfg openstream.Config) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	res, err := openstream.Run(p, cfg, w)
-	if err != nil {
-		return nil, res, err
+	if _, err := openstream.Run(p, cfg, w); err != nil {
+		tb.Fatal(err)
 	}
 	if err := w.Flush(); err != nil {
-		return nil, res, err
+		tb.Fatal(err)
 	}
-	tr, err := core.FromReader(&buf)
-	return tr, res, err
+	return buf.Bytes()
 }
 
 // SeidelTrace simulates a scaled seidel run on a small NUMA machine.
 func SeidelTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy) *core.Trace {
+	tb.Helper()
+	tr, err := core.FromReader(bytes.NewReader(SeidelBytes(tb, blocks, iters, sched)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// SeidelBytes is the native trace SeidelTrace loads.
+func SeidelBytes(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy) []byte {
 	tb.Helper()
 	p, err := apps.BuildSeidel(apps.ScaledSeidelConfig(blocks, iters))
 	if err != nil {
@@ -50,7 +58,7 @@ func SeidelTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy)
 	cfg := openstream.DefaultConfig(topology.Small(4, 4))
 	cfg.Sched = sched
 	cfg.Seed = 5
-	return RunToTrace(tb, p, cfg)
+	return runBytes(tb, p, cfg)
 }
 
 // KMeansTrace simulates a scaled k-means run.
@@ -85,47 +93,27 @@ func (g *prefixReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// RunToLiveTrace simulates a program and streams its trace through the
-// live ingest path in several publishes, returning the final snapshot
-// (RunToTrace is the batch load of the same bytes).
-func RunToLiveTrace(tb testing.TB, p *openstream.Program, cfg openstream.Config, publishes int) *core.Trace {
+// LiveTrace streams a native trace's bytes through the live ingest path
+// in several publishes and returns the final snapshot (core.FromReader
+// is the batch load of the same bytes). With spill, every publish
+// spills the tail it finds (a one-byte budget, in a directory removed,
+// with the live trace closed, when the test ends).
+func LiveTrace(tb testing.TB, data []byte, publishes int, spill bool) *core.Trace {
 	tb.Helper()
-	return runToLive(tb, p, cfg, publishes, core.RetentionPolicy{})
-}
-
-// runToLive is RunToLiveTrace under a retention policy; the zero policy
-// keeps everything in memory.
-func runToLive(tb testing.TB, p *openstream.Program, cfg openstream.Config, publishes int, policy core.RetentionPolicy) *core.Trace {
-	tb.Helper()
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	if _, err := openstream.Run(p, cfg, w); err != nil {
-		tb.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		tb.Fatal(err)
-	}
-	data := buf.Bytes()
-	if publishes < 1 {
-		publishes = 1
-	}
 	g := &prefixReader{data: data}
 	sr := trace.NewStreamReader(g)
 	lv := core.NewLive()
-	if policy.Dir != "" {
-		lv.SetRetention(policy)
+	if spill {
+		lv.SetRetention(core.RetentionPolicy{Dir: tb.TempDir(), SpillBytes: 1})
 		tb.Cleanup(func() {
 			if err := lv.Close(); err != nil {
 				tb.Error(err)
 			}
 		})
 	}
-	step := len(data)/publishes + 1
+	step := len(data)/max(publishes, 1) + 1
 	for g.limit < len(data) {
-		g.limit += step
-		if g.limit > len(data) {
-			g.limit = len(data)
-		}
+		g.limit = min(g.limit+step, len(data))
 		if _, err := lv.Feed(sr); err != nil {
 			tb.Fatal(err)
 		}
@@ -144,31 +132,5 @@ func runToLive(tb testing.TB, p *openstream.Program, cfg openstream.Config, publ
 // SeidelLiveTrace is SeidelTrace streamed through the live ingest path.
 func SeidelLiveTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy, publishes int) *core.Trace {
 	tb.Helper()
-	return seidelLive(tb, blocks, iters, sched, publishes, core.RetentionPolicy{})
-}
-
-// SeidelSpilledTrace is SeidelLiveTrace with every publish spilling the
-// tail it finds, so the final snapshot stitches most of its events from
-// segment files (removed, with the live trace closed, when the test
-// ends).
-func SeidelSpilledTrace(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy, publishes int) *core.Trace {
-	tb.Helper()
-	snap := seidelLive(tb, blocks, iters, sched, publishes,
-		core.RetentionPolicy{Dir: tb.TempDir(), SpillBytes: 1})
-	if st, ok := snap.SpillStats(); !ok || st.Segments == 0 || st.Err != "" {
-		tb.Fatalf("snapshot did not spill: %+v", st)
-	}
-	return snap
-}
-
-func seidelLive(tb testing.TB, blocks, iters int, sched openstream.SchedPolicy, publishes int, policy core.RetentionPolicy) *core.Trace {
-	tb.Helper()
-	p, err := apps.BuildSeidel(apps.ScaledSeidelConfig(blocks, iters))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	cfg := openstream.DefaultConfig(topology.Small(4, 4))
-	cfg.Sched = sched
-	cfg.Seed = 5
-	return runToLive(tb, p, cfg, publishes, policy)
+	return LiveTrace(tb, SeidelBytes(tb, blocks, iters, sched), publishes, false)
 }

@@ -171,7 +171,10 @@ func FuzzLiveDisorder(f *testing.F) {
 // the Seidel fixture in the same chunks, one also a late state on CPU 0
 // at epoch late. From then on that column freezes into segments again,
 // no publish keeps execution spans it applied, and each publish after
-// the sorting one allocates what the clean twin's does, within slack.
+// the sorting one allocates what the clean twin's does, within slack;
+// from the second on, no CPU holds more room for execution spans than
+// the clean twin's (the sort's re-collection of the column's spans is
+// not kept).
 // A column that stayed out of order for good — copied, sorted and its
 // CPU's placements re-applied at every publish — allocates well past
 // it: on this fixture 80 KB and more a publish, growing with the run.
@@ -196,6 +199,7 @@ func TestLateStateSpillsAgain(t *testing.T) {
 	var before, after runtime.MemStats
 	for k := 1; k <= chunks; k++ {
 		var alloc [2]uint64
+		var room [2]map[int32]int
 		for i, tw := range twins {
 			tw.g.limit = len(data) * k / chunks
 			var batches []*trace.RecordBatch
@@ -215,12 +219,20 @@ func TestLateStateSpillsAgain(t *testing.T) {
 			alloc[i] = after.TotalAlloc - before.TotalAlloc
 			tw.lv.Close()
 			tw.lv.mu.Lock()
+			room[i] = map[int32]int{}
 			for s := range tw.lv.cpus {
-				if n := len(tw.lv.cpus[s].execs); n != 0 {
-					t.Errorf("epoch %d, twin %d: CPU %d keeps %d applied execution spans", k, i, tw.lv.cpus[s].id, n)
+				c := &tw.lv.cpus[s]
+				if n := len(c.execs); n != 0 {
+					t.Errorf("epoch %d, twin %d: CPU %d keeps %d applied execution spans", k, i, c.id, n)
 				}
+				room[i][c.id] = cap(c.execs)
 			}
 			tw.lv.mu.Unlock()
+		}
+		for id, n := range room[1] {
+			if k >= late+2 && n > room[0][id] {
+				t.Errorf("epoch %d: CPU %d holds room for %d execution spans, the clean twin's for %d", k, id, n, room[0][id])
+			}
 		}
 		if k > late && alloc[1] > alloc[0]+slack {
 			t.Errorf("epoch %d: the publish allocated %d bytes, the clean twin's %d", k, alloc[1], alloc[0])

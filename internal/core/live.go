@@ -117,8 +117,9 @@ type liveSnap struct {
 
 // liveCPU is one CPU's builder slot: its id, its event columns and
 // dominance chain, the task execution spans appended since the last
-// publish, in event order, and the applied spans whose task has no
-// record yet, which wait in orphans (placeExecsLocked).
+// publish, in event order, and the spans that wait in orphans for the
+// next publish to apply them again (placeExecsLocked): those whose task
+// had no record yet, or every span of a column just sorted.
 type liveCPU struct {
 	id       int32
 	states   liveCol[trace.StateEvent]
@@ -418,7 +419,7 @@ func (lv *Live) sortDisorderedLocked() {
 		c := &lv.cpus[s]
 		if c.states.sort(stateTime) {
 			c.dom = domChain{}
-			c.execs, c.orphans = collectExecs(c.states.Rows), nil
+			c.orphans, c.execs = collectExecs(c.states.Rows), c.execs[:0]
 		}
 		c.discrete.sort(discreteTime)
 		c.comm.sort(commTime)
@@ -575,11 +576,13 @@ func (lv *Live) mergeRegionsLocked() []trace.MemRegion {
 // loader's last-writer-wins over (CPU, event) order whatever order the
 // CPUs are visited in, provided one CPU's spans are applied in event
 // order — the order of its column, which execs holds; so a CPU's
-// orphans, which are older than its new spans, are retried first.
+// orphans, which are older than its new spans, are retried first. The
+// orphans still waiting go to a fresh slice: after a sort the old one
+// holds every span of the column.
 func (lv *Live) placeExecsLocked() (orphans int) {
 	for s := range lv.cpus {
 		c := &lv.cpus[s]
-		kept := c.orphans[:0]
+		var kept []execSpan
 		for _, run := range [2][]execSpan{c.orphans, c.execs} {
 			for _, e := range run {
 				i, ok := lv.taskByID[e.task]

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/atmtest/oracle"
 	"github.com/openstream/aftermath/internal/ingest"
 	"github.com/openstream/aftermath/internal/query"
 	"github.com/openstream/aftermath/internal/trace"
@@ -80,7 +81,9 @@ func TestOpenReaderRejectsNegativeNode(t *testing.T) {
 // data endpoints — every render mode included — without a panic or a
 // 5xx, and every PNG among the answers decodes (out-of-range states
 // and arbitrary type and node counts decide how many colours a tile
-// has). Inputs it rejects only have to be rejected with an error.
+// has), and a 200 of /render, /stats, /matrix or /plot over a native
+// trace is the oracle's answer. Inputs it rejects only have to be
+// rejected with an error.
 func FuzzOpenServe(f *testing.F) {
 	f.Add(serveTrace(f, &twoNodes, 1, 1))
 	f.Add(negativeNodeTrace(f))
@@ -100,10 +103,14 @@ func FuzzOpenServe(f *testing.F) {
 		}
 		srv := ui.NewServer(query.NewStatic(tr), "fuzz")
 		defer srv.Close()
+		var j atmtest.Judge
+		if o, err := oracle.Read(data); err == nil {
+			j = o
+		}
 		for _, u := range urls {
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, httptest.NewRequest("GET", u, nil))
-			atmtest.CheckServed(t, u, rec)
+			atmtest.CheckServed(t, u, rec, j)
 		}
 	})
 }

@@ -10,6 +10,8 @@
 package metrics
 
 import (
+	"sort"
+
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/par"
@@ -157,72 +159,29 @@ func inStateFractions(tr *core.Trace, state trace.WorkerState, n int, t0, t1 tra
 
 // AverageTaskDuration computes, per interval, the mean execution
 // duration of the (filtered) tasks running during the interval — the
-// derived counter of Figure 8.
+// derived counter of Figure 8. A task runs during the intervals its
+// execution overlaps, an instantaneous one during the interval holding
+// it. Durations add in task order, so the series is the same on every
+// machine to the last bit.
 func AverageTaskDuration(tr *core.Trace, n int, f *filter.TaskFilter) Series {
-	return averageTaskDuration(tr, n, f, par.Workers())
-}
-
-func averageTaskDuration(tr *core.Trace, n int, f *filter.TaskFilter, workers int) Series {
 	bs := boundaries(tr, n)
-	s := Series{Name: "avg_task_duration", Times: bs[:len(bs)-1], Values: make([]float64, len(bs)-1)}
-	counts := make([]int64, len(bs)-1)
-	sums := make([]float64, len(bs)-1)
-	span := tr.Span.Duration()
-	if span <= 0 {
-		return s
-	}
-	nIv := int64(len(counts))
-	// Tasks partition into contiguous chunks accumulated in parallel;
-	// chunk results merge in chunk order, so the series is
-	// deterministic for a given GOMAXPROCS.
-	bounds := par.Chunks(workers, len(tr.Tasks))
-	nChunks := len(bounds) - 1
-	chunkCounts := make([][]int64, nChunks)
-	chunkSums := make([][]float64, nChunks)
-	par.Do(workers, nChunks, func(c int) {
-		cc := make([]int64, nIv)
-		cs := make([]float64, nIv)
-		for i := bounds[c]; i < bounds[c+1]; i++ {
-			t := &tr.Tasks[i]
-			if t.ExecCPU < 0 || !f.Match(tr, t) {
-				continue
-			}
-			// 128-bit interval mapping: offset*nIv overflows int64 on
-			// real cycle-count timestamps (the same class as the
-			// timeline's pixel mapping; see
-			// TestAverageTaskDurationExtremeTimestamps).
-			d0 := t.ExecStart - tr.Span.Start
-			d1 := t.ExecEnd - tr.Span.Start - 1
-			if d0 < 0 {
-				d0 = 0
-			}
-			if d1 < 0 {
-				d1 = 0
-			}
-			if d1 > span-1 {
-				d1 = span - 1
-			}
-			lo := tmath.MulDiv(d0, nIv, span)
-			hi := tmath.MulDiv(d1, nIv, span)
-			if hi >= nIv {
-				hi = nIv - 1
-			}
-			for iv := lo; iv <= hi; iv++ {
-				cc[iv]++
-				cs[iv] += float64(t.Duration())
-			}
+	n = len(bs) - 1
+	s := Series{Name: "avg_task_duration", Times: bs[:n], Values: make([]float64, n)}
+	counts := make([]int, n)
+	for i := range tr.Tasks {
+		t := &tr.Tasks[i]
+		if t.ExecCPU < 0 || !f.Match(tr, t) {
+			continue
 		}
-		chunkCounts[c], chunkSums[c] = cc, cs
-	})
-	for c := 0; c < nChunks; c++ {
-		for i := range counts {
-			counts[i] += chunkCounts[c][i]
-			sums[i] += chunkSums[c][i]
+		end := max(t.ExecEnd, tmath.SatAdd(t.ExecStart, 1))
+		for iv := sort.Search(n, func(i int) bool { return bs[i+1] > t.ExecStart }); iv < n && bs[iv] < end; iv++ {
+			counts[iv]++
+			s.Values[iv] += float64(t.Duration())
 		}
 	}
-	for i := range s.Values {
-		if counts[i] > 0 {
-			s.Values[i] = sums[i] / float64(counts[i])
+	for i, c := range counts {
+		if c > 0 {
+			s.Values[i] /= float64(c)
 		}
 	}
 	return s

@@ -1,11 +1,9 @@
 package metrics
 
 import (
-	"math"
 	"testing"
 
 	"github.com/openstream/aftermath/internal/atmtest"
-	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -27,27 +25,6 @@ func TestWorkersInStateParallelMatch(t *testing.T) {
 					t.Fatalf("state %v workers=%d: value[%d] = %v, want %v (must be bit-identical)",
 						state, workers, i, got.Values[i], want.Values[i])
 				}
-			}
-		}
-	}
-}
-
-// TestAverageTaskDurationParallelMatch: chunked float accumulation may
-// differ from the sequential order only by rounding; verify agreement
-// to a tight relative tolerance.
-func TestAverageTaskDurationParallelMatch(t *testing.T) {
-	tr := atmtest.SeidelTrace(t, 8, 4, openstream.SchedRandom)
-	f := filter.ByTypeNames(tr, "seidel_block")
-	want := averageTaskDuration(tr, 97, f, 1)
-	for _, workers := range []int{2, 4, 8} {
-		got := averageTaskDuration(tr, 97, f, workers)
-		for i := range want.Values {
-			a, b := want.Values[i], got.Values[i]
-			if a == b {
-				continue
-			}
-			if math.Abs(a-b) > 1e-9*math.Max(math.Abs(a), math.Abs(b)) {
-				t.Fatalf("workers=%d: value[%d] = %v, want %v", workers, i, b, a)
 			}
 		}
 	}

@@ -9,11 +9,9 @@ import (
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
-	"github.com/openstream/aftermath/internal/metrics"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/render"
 	"github.com/openstream/aftermath/internal/stats"
-	"github.com/openstream/aftermath/internal/trace"
 )
 
 // TestCanonicalOrderIndependence: equivalent queries canonicalize
@@ -183,27 +181,12 @@ func TestFromValuesErrors(t *testing.T) {
 }
 
 // TestExecutorsMatchDirectCalls: the query executors compute exactly
-// what the direct package calls compute.
+// what the direct package calls compute. (What /render, /stats,
+// /matrix and /plot serve through them is held to the oracle by
+// internal/ui's TestServedEqualsOracle.)
 func TestExecutorsMatchDirectCalls(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	q := New().Types("seidel_block").Intervals(64)
-
-	got, err := SeriesOf(tr, q.Clone().Metric("avgdur"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := metrics.AverageTaskDuration(tr, 64, filter.ByTypeNames(tr, "seidel_block"))
-	if !reflect.DeepEqual(got, want) {
-		t.Error("SeriesOf(avgdur) differs from metrics.AverageTaskDuration")
-	}
-
-	gotIdle, err := SeriesOf(tr, New().Intervals(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotIdle, metrics.WorkersInState(tr, trace.StateIdle, 64)) {
-		t.Error("SeriesOf(idle) differs from metrics.WorkersInState")
-	}
 
 	if _, err := SeriesOf(tr, New().Metric("bogus")); err == nil {
 		t.Error("SeriesOf accepted unknown metric")
@@ -257,21 +240,6 @@ func TestExecutorsMatchDirectCalls(t *testing.T) {
 		t.Errorf("nil CPU selection errored: %v", err)
 	}
 
-	fbQ, _, err := TimelineOf(tr, New().Mode(render.ModeHeat).Size(300, 120))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fbD, _, err := render.Timeline(tr, render.TimelineConfig{
-		Width: 300, Height: 120, Start: t0, End: t1,
-		Mode: render.ModeHeat, Labels: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fbQ, fbD) {
-		t.Error("TimelineOf differs from render.Timeline")
-	}
-
 	// A request still carrying the removed noindex switch parses as the
 	// same query without it: one cache entry, one rendering.
 	qv, err := FromValues(url.Values{"mode": {"state"}, "noindex": {"1"}})
@@ -287,25 +255,21 @@ func TestExecutorsMatchDirectCalls(t *testing.T) {
 	}
 }
 
-// TestStatsLiveEqualsBatch: the statistics panel (which carries the
-// locality fraction) and the communication matrix answer a snapshot
-// fed through the live path in 16 publishes exactly as they answer a
-// batch load of the same bytes, over the full span and a sub-window.
+// TestStatsLiveEqualsBatch: the communication matrix of each access
+// kind answers a snapshot fed through the live path in 16 publishes
+// exactly as it answers a batch load of the same bytes, over the full
+// span and a sub-window. (What /stats and /matrix serve, reads and
+// writes together, is held to the oracle on both by internal/ui's
+// TestServedEqualsOracle.)
 func TestStatsLiveEqualsBatch(t *testing.T) {
 	snap := atmtest.SeidelLiveTrace(t, 6, 4, openstream.SchedRandom, 16)
 	batch := atmtest.SeidelTrace(t, 6, 4, openstream.SchedRandom)
 	mid := snap.Span.Start + snap.Span.Duration()/2
 	for _, q := range []*Query{New(), New().Window(snap.Span.Start, mid)} {
-		if got, want := StatsOf(snap, q), StatsOf(batch, q); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: stats of the live snapshot = %+v, batch load %+v", q.Canonical(), got, want)
-		}
-		for _, kinds := range []stats.CommKinds{stats.Reads, stats.Writes, stats.ReadsAndWrites} {
+		for _, kinds := range []stats.CommKinds{stats.Reads, stats.Writes} {
 			got, want := CommMatrixOf(snap, q.Clone().Comm(kinds)), CommMatrixOf(batch, q.Clone().Comm(kinds))
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(got, want) || got.Total() == 0 {
 				t.Errorf("%s kinds %d: matrix of the live snapshot = %+v, batch load %+v", q.Canonical(), kinds, got, want)
-			}
-			if got.Total() == 0 {
-				t.Errorf("%s kinds %d: empty matrix; the equality above is vacuous", q.Canonical(), kinds)
 			}
 		}
 	}

@@ -9,17 +9,18 @@ import (
 	"github.com/openstream/aftermath/internal/anomaly"
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/openstream"
-	"github.com/openstream/aftermath/internal/stats"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
 // TestRegionOutsideTopologyIgnored: an access to a region homed on a
-// node the topology does not have counts nowhere — not in the
-// communication matrix, the locality fraction, the NUMA detector's
-// baseline or its per-task scores, nor in the NUMA tiles. A trace with
-// large such accesses in every task answers what the same trace
-// without them does.
+// node the topology does not have counts nowhere in the NUMA
+// detector's baseline or its per-task scores: a trace with large such
+// accesses in every task answers what the same trace without them
+// does. (The matrix, the locality fraction and the NUMA tiles of such
+// accesses are held to the oracle by internal/ui's
+// TestServedEqualsOracle.)
 func TestRegionOutsideTopologyIgnored(t *testing.T) {
 	const (
 		local0, local1, outside = 0x1000, 0x20000, 0x40000
@@ -76,16 +77,6 @@ func TestRegionOutsideTopologyIgnored(t *testing.T) {
 		t.Errorf("NodeOfAddr of a region on node %d of %d = %d, want -1", numNodes+2, numNodes, n)
 	}
 
-	for _, kinds := range []stats.CommKinds{stats.Reads, stats.Writes, stats.ReadsAndWrites} {
-		got, want := stats.CommMatrixOf(stray, kinds, 0, 4000), stats.CommMatrixOf(clean, kinds, 0, 4000)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("kinds %d: communication matrix %v, want %v", kinds, got.Bytes, want.Bytes)
-		}
-		if got, want := stats.LocalityFraction(stray, kinds, 0, 4000), stats.LocalityFraction(clean, kinds, 0, 4000); got != want {
-			t.Errorf("kinds %d: locality fraction %v, want %v", kinds, got, want)
-		}
-	}
-
 	scan := func(tr *core.Trace) []anomaly.Anomaly {
 		return anomaly.ScanWith(tr, anomaly.Config{MaxPerKind: -1}, anomaly.NUMADetector{})
 	}
@@ -95,19 +86,6 @@ func TestRegionOutsideTopologyIgnored(t *testing.T) {
 	}
 	if got := scan(stray); !reflect.DeepEqual(got, want) {
 		t.Errorf("NUMA findings %+v, want %+v", got, want)
-	}
-
-	for _, mode := range []Mode{ModeNUMARead, ModeNUMAWrite, ModeNUMAHeat} {
-		tile := func(tr *core.Trace) []byte {
-			fb, _, err := Timeline(tr, TimelineConfig{Width: 200, Height: 16, Start: 0, End: 4000, Mode: mode})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fb.RGBA().Pix
-		}
-		if !bytes.Equal(tile(stray), tile(clean)) {
-			t.Errorf("%v tile differs from the trace without the accesses", mode)
-		}
 	}
 }
 
@@ -198,7 +176,7 @@ func TestNUMATileAllocations(t *testing.T) {
 	start := tr.Span.Start + span/3
 	cfg := TimelineConfig{Width: 900, Height: 380, Mode: ModeNUMARead, Start: start, End: start + span/16}
 	render := func() {
-		if _, _, err := timeline(tr, cfg, 1, indexResolver(tr)); err != nil {
+		if _, _, err := timeline(tr, cfg, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,5 +188,61 @@ func TestNUMATileAllocations(t *testing.T) {
 	t.Logf("%.0f allocations a tile, %d tasks in view", allocs, visible)
 	if allocs > ceiling {
 		t.Errorf("a NUMA-read tile with %d tasks in view allocates %.0f times, want at most %d", visible, allocs, ceiling)
+	}
+}
+
+// TestNUMAHeatHonoursFilter: in numa-heat mode a filtered-out task
+// exposes the background like in the other task modes, accesses and
+// all. Two tasks of different types run side by side on one CPU, each
+// with a remote read at its start and a remote write just before its
+// end; filtering to one type must blank exactly the other's columns.
+func TestNUMAHeatHonoursFilter(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.WriteTopology(trace.Topology{Name: "two-node", NumNodes: 2, NodeOfCPU: []int32{0}, Distance: []int32{0, 1, 1, 0}}))
+	must(w.WriteTaskType(trace.TaskType{ID: 1, Name: "alpha"}))
+	must(w.WriteTaskType(trace.TaskType{ID: 2, Name: "beta"}))
+	must(w.WriteRegion(trace.MemRegion{ID: 1, Addr: 0x8000, Size: 4096, Node: 1}))
+	for i, typ := range []trace.TypeID{1, 2} {
+		id, t0 := trace.TaskID(i+1), int64(i)*1000
+		must(w.WriteTask(trace.Task{ID: id, Type: typ, Created: t0}))
+		must(w.WriteState(trace.StateEvent{CPU: 0, State: trace.StateTaskExec, Start: t0, End: t0 + 1000, Task: id}))
+		must(w.WriteComm(trace.CommEvent{Kind: trace.CommRead, CPU: 0, SrcCPU: -1, Time: t0 + 100, Task: id, Addr: 0x8000, Size: 64}))
+		must(w.WriteComm(trace.CommEvent{Kind: trace.CommWrite, CPU: 0, SrcCPU: -1, Time: t0 + 900, Task: id, Addr: 0x8000, Size: 64}))
+	}
+	must(w.Flush())
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 200 // ten cycles a column; task 1 is columns 0-99
+	render := func(f *filter.TaskFilter) *Framebuffer {
+		fb, _, err := Timeline(tr, TimelineConfig{Width: width, Height: 8, Start: 0, End: 2000, Mode: ModeNUMAHeat, Filter: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fb
+	}
+	all := render(nil)
+	if all.At(10, 0) != NUMAHeatShade(1) || all.At(50, 0) != NUMAHeatShade(0) || all.At(190, 0) != NUMAHeatShade(1) {
+		t.Fatalf("unfiltered: columns 10, 50, 190 = %v, %v, %v; want remote, local, remote", all.At(10, 0), all.At(50, 0), all.At(190, 0))
+	}
+	for i, name := range []string{"alpha", "beta"} {
+		fb := render(filter.ByTypeNames(tr, name))
+		for x := 0; x < width; x++ {
+			want := Background
+			if x/100 == i {
+				want = all.At(x, 0)
+			}
+			if got := fb.At(x, 0); got != want {
+				t.Errorf("types=%s: column %d = %v, want %v", name, x, got, want)
+			}
+		}
 	}
 }

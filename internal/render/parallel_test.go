@@ -44,12 +44,12 @@ func TestTimelineParallelMatchesSequential(t *testing.T) {
 		return bytes.Equal(pix[a*rowH*stride:(a+1)*rowH*stride], pix[b*rowH*stride:(b+1)*rowH*stride])
 	}
 	for _, cfg := range cfgs {
-		seqFB, seqStats, err := timeline(tr, cfg, 1, indexResolver(tr))
+		seqFB, seqStats, err := timeline(tr, cfg, 1)
 		if err != nil {
 			t.Fatalf("%v sequential: %v", cfg.Mode, err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			parFB, parStats, err := timeline(tr, cfg, workers, indexResolver(tr))
+			parFB, parStats, err := timeline(tr, cfg, workers)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", cfg.Mode, workers, err)
 			}
@@ -95,11 +95,11 @@ func TestTimelineParallelZoomed(t *testing.T) {
 		CPUs:  []int32{0, 2, 3},
 		Mode:  ModeState,
 	}
-	seqFB, seqStats, err := timeline(tr, cfg, 1, indexResolver(tr))
+	seqFB, seqStats, err := timeline(tr, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parFB, parStats, err := timeline(tr, cfg, 4, indexResolver(tr))
+	parFB, parStats, err := timeline(tr, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func MinTimelineWidth(labels bool) int {
 // worker pool; the output is byte-identical to a sequential rendering
 // (see TestTimelineParallelMatchesSequential).
 func Timeline(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats, error) {
-	return timeline(tr, cfg, par.Workers(), indexResolver(tr))
+	return timeline(tr, cfg, par.Workers())
 }
 
 // selectRows returns the trace rows of the CPUs ids selects, in order —
@@ -139,33 +139,6 @@ func selectRows(tr *core.Trace, ids []int32) (rows, labels []int32) {
 	return rows, labels
 }
 
-// dominance answers a CPU row's questions: which state, and which
-// admitted task execution, covers most of a pixel's window [t0, t1) —
-// and until when. A horizon until > t1 promises the same answer for
-// every window inside [t0, until), which lets rowRuns step over the
-// columns an event spans instead of asking once per column; until ==
-// t1 promises nothing. Timeline resolves each row to the trace's
-// *core.DomCPU, which decides on its own between pyramid and event
-// scan; the interface exists so tests can render the same rows from a
-// brute-force scan, which never looks past its pixel, and compare
-// pixels (TestTimelineIndexMatchesScan).
-//
-// Each question carries the row's cursor, from, and its answer names
-// the next one (core.DomIndex's hint). The cursor is an int passed by
-// value: a pointer handed through this interface would escape, and
-// every row would allocate its cursor.
-type dominance interface {
-	DominantStateUntil(from int, t0, t1 trace.Time) (ev trace.StateEvent, ok bool, until trace.Time, next int)
-	DominantExec(from int, t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool, until trace.Time, next int)
-}
-
-// indexResolver resolves CPUs against the trace's shared dominance
-// index.
-func indexResolver(tr *core.Trace) func(int32) dominance {
-	dom := tr.DomIndex()
-	return func(cpu int32) dominance { return dom.CPU(tr, cpu) }
-}
-
 // pixelRun is one aggregated run of identically colored pixels within
 // a row: plot-relative columns [x0, x1).
 type pixelRun struct {
@@ -173,10 +146,9 @@ type pixelRun struct {
 	c      color.RGBA
 }
 
-// timeline implements Timeline with an explicit worker count and
-// per-CPU dominance resolver (tests compare worker counts, and the
-// index against a scan, with each other).
-func timeline(tr *core.Trace, cfg TimelineConfig, workers int, dom func(cpu int32) dominance) (*Framebuffer, Stats, error) {
+// timeline implements Timeline with an explicit worker count (tests
+// compare worker counts with each other).
+func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, Stats, error) {
 	var st Stats
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, st, fmt.Errorf("render: invalid dimensions %dx%d", cfg.Width, cfg.Height)
@@ -187,6 +159,10 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int, dom func(cpu int3
 	}
 	if end <= start {
 		return nil, st, fmt.Errorf("render: empty interval [%d,%d)", start, end)
+	}
+	if end-start < 0 {
+		// The pixel mapping needs the span as an int64.
+		return nil, st, fmt.Errorf("render: interval [%d,%d) is more than 2^63-1 cycles wide", start, end)
 	}
 	cpus, labels := selectRows(tr, cfg.CPUs)
 	if len(cpus) == 0 {
@@ -219,11 +195,11 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int, dom func(cpu int3
 	rows := make([][]pixelRun, g.visible)
 	if workers > 1 {
 		par.Do(workers, g.visible, func(row int) {
-			px := newPixelizer(tr, keep, typeIdx, dom)
+			px := newPixelizer(tr, keep, typeIdx)
 			rows[row] = rowRuns(px, cfg.Mode, cpus[row], start, end, g.plotW, heatMin, heatMax, shades)
 		})
 	} else {
-		px := newPixelizer(tr, keep, typeIdx, dom)
+		px := newPixelizer(tr, keep, typeIdx)
 		for row := 0; row < g.visible; row++ {
 			rows[row] = rowRuns(px, cfg.Mode, cpus[row], start, end, g.plotW, heatMin, heatMax, shades)
 		}
@@ -370,8 +346,9 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 	// The cursors belong to this row, not to its CPU or its pixelizer:
 	// a CPU selected twice, and the rows a sequential rendering puts
 	// through one pixelizer, each start from their own first event. at
-	// is the dominance cursor (see dominance), numaHeat's is in px.
+	// is the dominance cursor (see pixelizer.dom), numaHeat's is in px.
 	at := 0
+	px.dom = px.tr.DomIndex().CPU(px.tr, cpu)
 	px.comm, px.commAt = core.Accesses{}, 0
 	if mode == ModeNUMAHeat {
 		px.comm = px.tr.AccessesIn(cpu, start, end)
@@ -406,19 +383,22 @@ func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW i
 }
 
 // pixelizer computes per-pixel colors for one renderer goroutine. Its
-// cursors are private to its goroutine; the type index, keep predicate
-// and dominance resolver are read-only and shared across all rows of a
-// rendering.
+// row state is private to its goroutine; the type index and keep
+// predicate are read-only and shared across all rows of a rendering.
 type pixelizer struct {
 	tr *core.Trace
 	// keep admits the tasks the filter matches; nil without a filter.
 	keep    func(trace.TaskID) bool
 	typeIdx map[trace.TypeID]int
-	// dom resolves a CPU's dominant-interval answers; domEnt memoizes
-	// the current CPU's so the per-pixel loop stays lock-free.
-	dom      func(cpu int32) dominance
-	domEnt   dominance
-	domEntID int32
+	// dom answers the current row's questions, lock-free: which state,
+	// and which admitted task execution, covers most of a pixel's
+	// window [t0, t1) — and until when. A horizon until > t1 promises
+	// the same answer for every window inside [t0, until), which lets
+	// rowRuns step over the columns an event spans instead of asking
+	// once per column; until == t1 promises nothing. Each question
+	// carries the row's cursor, and its answer names the next one
+	// (core.DomIndex's hint). rowRuns resolves it once per row.
+	dom *core.DomCPU
 	// comm holds the current row's accesses over the rendered interval
 	// (ModeNUMAHeat only) and commAt the first of them not before the
 	// last window asked about: numaHeat's forward cursor, which rowRuns
@@ -448,13 +428,13 @@ func keepOf(tr *core.Trace, f *filter.TaskFilter) func(trace.TaskID) bool {
 	}
 }
 
-func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trace.TypeID]int, dom func(cpu int32) dominance) *pixelizer {
-	return &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx, dom: dom}
+func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trace.TypeID]int) *pixelizer {
+	return &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx}
 }
 
 // pixelColor implements optimization (a) of Section VI-B: each pixel
 // is colored once, from the predominant state (or task) covered by its
-// interval. The time returned is the answer's horizon (see dominance):
+// interval. The time returned is the answer's horizon (see dom):
 // in five modes the color is a function of the dominant event, so it
 // reaches as far as the event's answer does; the NUMA heatmap's
 // depends on the accesses inside the pixel too (see numaHeat). from
@@ -462,7 +442,7 @@ func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trac
 func (p *pixelizer) pixelColor(mode Mode, cpu int32, from int, t0, t1 trace.Time, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool, trace.Time, int) {
 	switch mode {
 	case ModeState:
-		ev, ok, until, next := p.domFor(cpu).DominantStateUntil(from, t0, t1)
+		ev, ok, until, next := p.dom.DominantStateUntil(from, t0, t1)
 		if !ok {
 			return color.RGBA{}, false, until, next
 		}
@@ -470,7 +450,7 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, from int, t0, t1 trace.Time
 	case ModeNUMAHeat:
 		return p.numaHeat(cpu, from, t0, t1)
 	default:
-		ev, ok, until, next := p.domFor(cpu).DominantExec(from, t0, t1, p.keep)
+		ev, ok, until, next := p.dom.DominantExec(from, t0, t1, p.keep)
 		if !ok {
 			return color.RGBA{}, false, until, next
 		}
@@ -510,17 +490,6 @@ func (p *pixelizer) pixelColor(mode Mode, cpu int32, from int, t0, t1 trace.Time
 	return color.RGBA{}, false, t1, from
 }
 
-// domFor resolves a CPU's dominance answers, memoizing the last
-// resolution: rows render pixel by pixel over one CPU, so the
-// per-pixel path never touches the index's lock.
-func (p *pixelizer) domFor(cpu int32) dominance {
-	if p.domEnt == nil || p.domEntID != cpu {
-		p.domEnt = p.dom(cpu)
-		p.domEntID = cpu
-	}
-	return p.domEnt
-}
-
 // numaHeat returns the remote-access shade for the accesses in
 // [t0, t1) on cpu by the tasks keep admits, and the answer's horizon.
 // The row's events are walked with one forward cursor: rowRuns asks
@@ -550,7 +519,7 @@ func (p *pixelizer) numaHeat(cpu int32, from int, t0, t1 trace.Time) (color.RGBA
 	}
 	total := local + remote
 	if total == 0 {
-		_, ok, until, next := p.domFor(cpu).DominantExec(from, t0, t1, p.keep)
+		_, ok, until, next := p.dom.DominantExec(from, t0, t1, p.keep)
 		if end < len(evs) {
 			until = min(until, evs[end].Time)
 		}

@@ -3,257 +3,20 @@ package render
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"testing"
 
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
-	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/openstream"
-	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/trace"
 )
-
-// synthStateTrace hand-builds a trace of random disjoint state
-// intervals: nCPU rows starting at base, each with n events across
-// the worker states (task-execution events carry task IDs), with
-// occasional gaps and zero-length intervals. Events last up to 30
-// cycles times scale, gaps up to 4 times scale. shuffled marks one CPU
-// whose intervals overlap — the unindexable fallback case.
-func synthStateTrace(rng *rand.Rand, nCPU, n int, base, scale int64, shuffled bool) *core.Trace {
-	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU)}
-	var lo, hi int64
-	for c := 0; c < nCPU; c++ {
-		t := base + int64(rng.Intn(50))*scale
-		states := make([]trace.StateEvent, 0, n)
-		for i := 0; i < n; i++ {
-			t += int64(rng.Intn(4)) * scale
-			d := int64(rng.Intn(30)) * scale
-			if rng.Intn(16) == 0 {
-				d = 0
-			}
-			st := trace.WorkerState(rng.Intn(trace.NumWorkerStates))
-			ev := trace.StateEvent{CPU: int32(c), State: st, Start: t, End: t + d}
-			if st == trace.StateTaskExec {
-				ev.Task = trace.TaskID(rng.Intn(5) + 1)
-			}
-			states = append(states, ev)
-			t += d
-		}
-		if shuffled && c == nCPU-1 && len(states) > 2 {
-			// Make the last CPU overlap: stretch an early event over
-			// its successors (starts stay sorted, so StatesIn still
-			// "works"; the index must refuse and fall back).
-			states[0].End = states[len(states)/2].End + 5
-		}
-		tr.CPUs[c].States.Rows = states
-		if c == 0 || states[0].Start < lo {
-			lo = states[0].Start
-		}
-		if e := states[len(states)-1].End; c == 0 || e > hi {
-			hi = e
-		}
-	}
-	tr.Span = core.Interval{Start: lo, End: hi + 1}
-	return tr
-}
-
-// scanDominance answers the renderer's per-pixel questions for one CPU
-// with the pre-index renderer's inner loop: every event StatesIn
-// returns for the pixel, first strictly-greater clipped cover wins.
-// It is the reference the tests render through the timeline's resolver
-// seam.
-type scanDominance struct {
-	tr  *core.Trace
-	cpu int32
-}
-
-func scanResolver(tr *core.Trace) func(int32) dominance {
-	return func(cpu int32) dominance { return scanDominance{tr, cpu} }
-}
-
-func (s scanDominance) dominant(t0, t1 trace.Time, execOnly bool, keep func(trace.TaskID) bool) (trace.StateEvent, bool) {
-	var best trace.StateEvent
-	var bestCover trace.Time
-	for _, ev := range s.tr.StatesIn(s.cpu, t0, t1) {
-		if execOnly && (ev.State != trace.StateTaskExec || keep != nil && !keep(ev.Task)) {
-			continue
-		}
-		a, b := ev.Start, ev.End
-		if a < t0 {
-			a = t0
-		}
-		if b > t1 {
-			b = t1
-		}
-		if cover := b - a; cover > bestCover {
-			bestCover, best = cover, ev
-		}
-	}
-	return best, bestCover > 0
-}
-
-// A scan sees its pixel and nothing after it: until is always t1, so
-// rendering through it asks once per column — the per-pixel reference
-// the run sweep is held to. It ignores the row's cursor and names none.
-func (s scanDominance) DominantStateUntil(_ int, t0, t1 trace.Time) (trace.StateEvent, bool, trace.Time, int) {
-	ev, ok := s.dominant(t0, t1, false, nil)
-	return ev, ok, t1, 0
-}
-
-func (s scanDominance) DominantExec(_ int, t0, t1 trace.Time, keep func(trace.TaskID) bool) (trace.StateEvent, bool, trace.Time, int) {
-	ev, ok := s.dominant(t0, t1, true, keep)
-	return ev, ok, t1, 0
-}
-
-// denseStateTrace hand-builds a trace whose every CPU row carries
-// `events` short alternating state intervals — the dense-window shape
-// where a column's dominance query answers from the pyramid's upper
-// levels. Durations come from a deterministic LCG so runs are
-// reproducible.
-func denseStateTrace(nCPU, events int) *core.Trace {
-	tr := &core.Trace{CPUs: make([]core.CPUData, nCPU)}
-	var hi int64
-	for c := range tr.CPUs {
-		states := make([]trace.StateEvent, events)
-		t := int64(0)
-		seed := uint32(c + 1)
-		for i := range states {
-			seed = seed*1664525 + 1013904223
-			d := int64(seed%5) + 1
-			st := trace.StateIdle
-			var task trace.TaskID
-			if i%2 == 0 {
-				st = trace.StateTaskExec
-				task = trace.TaskID(i + 1)
-			}
-			states[i] = trace.StateEvent{CPU: int32(c), State: st, Task: task, Start: t, End: t + d}
-			t += d
-		}
-		tr.CPUs[c].States.Rows = states
-		if t > hi {
-			hi = t
-		}
-	}
-	tr.Span = core.Interval{Start: 0, End: hi}
-	return tr
-}
-
-// TestTimelineIndexMatchesScan is the golden equality test of the
-// dominance index and of the row sweep built on its horizons: for
-// every timeline mode, over simulated and randomized synthetic traces
-// (including extreme-coordinate and unindexable ones) with randomized
-// windows and filters, rendering through the trace's dominance index
-// (pyramid-served, or scanned inside core for the filtered and
-// unindexable cases) must produce a framebuffer byte-identical to
-// rendering the same rows through the per-pixel event scan
-// (scanDominance, which reports no horizon and so is asked about every
-// column), with identical draw-call accounting. The windows go where
-// the sweep does its stepping: deep enough that one event spans tens
-// to hundreds of columns, and narrower in cycles than the plot is in
-// columns, where pixelWindow widens each column to a cycle and
-// neighbours overlap.
-func TestTimelineIndexMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	seidel := atmtest.SeidelTrace(t, 6, 3, openstream.SchedRandom)
-	f := filter.ByTypeNames(seidel, "seidel_block")
-
-	// One event over the whole span, one over its middle, and nothing.
-	const soloBase, soloSpan = 1 << 40, 1 << 30
-	solo := &core.Trace{
-		CPUs: []core.CPUData{
-			{States: core.Column[trace.StateEvent]{Rows: []trace.StateEvent{{CPU: 0, State: trace.StateTaskExec, Task: 1, Start: soloBase, End: soloBase + soloSpan}}}},
-			{States: core.Column[trace.StateEvent]{Rows: []trace.StateEvent{{CPU: 1, State: trace.StateSync, Start: soloBase + soloSpan/3, End: soloBase + soloSpan/2}}}},
-			{},
-		},
-		Span: core.Interval{Start: soloBase, End: soloBase + soloSpan},
-	}
-
-	type tcase struct {
-		name string
-		tr   *core.Trace
-		f    *filter.TaskFilter
-		// event is the length of a typical event, which the deep windows
-		// are sized by.
-		event int64
-	}
-	cases := []tcase{
-		{"seidel", seidel, nil, seidel.Span.Duration() / 500},
-		{"seidel-filtered", seidel, f, seidel.Span.Duration() / 500},
-		{"synthetic", synthStateTrace(rng, 6, 800, 0, 1, false), nil, 15},
-		{"extreme-base", synthStateTrace(rng, 4, 500, math.MaxInt64/2, 1, false), nil, 15},
-		{"unindexable-cpu", synthStateTrace(rng, 4, 400, 1000, 1, true), nil, 15},
-		{"empty-cpu", &core.Trace{CPUs: make([]core.CPUData, 3), Span: core.Interval{Start: 0, End: 100}}, nil, 10},
-		{"wide-1e3", synthStateTrace(rng, 6, 800, 0, 1000, false), nil, 15_000},
-		{"wide-1e5", synthStateTrace(rng, 4, 300, 77, 35_000, false), nil, 500_000},
-		{"wide-extreme-base", synthStateTrace(rng, 4, 300, math.MaxInt64/2, 35_000, false), nil, 500_000},
-		{"wide-unindexable-cpu", synthStateTrace(rng, 3, 300, 1000, 1000, true), nil, 15_000},
-		{"single-event-row", solo, nil, soloSpan},
-		{"dense", denseStateTrace(2, 1<<18), nil, 3},
-	}
-	const (
-		fullSpan  = 0
-		anyWindow = 3 // trials 1..3
-		deep      = 6 // trials 4..6: a few events wide
-		subCycle  = 8 // trials 7..8: fewer cycles than columns
-	)
-	for _, tc := range cases {
-		span := tc.tr.Span.Duration()
-		for mode := ModeState; mode <= ModeNUMAHeat; mode++ {
-			for trial := 0; trial <= subCycle; trial++ {
-				cfg := TimelineConfig{
-					Width:  90 + rng.Intn(300),
-					Height: 30 + rng.Intn(100),
-					Mode:   mode,
-					Filter: tc.f,
-					Labels: trial%2 == 0,
-				}
-				if tc.name == "dense" {
-					// ~10k events a full-span column: every column's
-					// query climbs past the pyramid's first level.
-					cfg.Width = 24
-					if cfg.Labels {
-						cfg.Width += TextWidth("CPU 000 ")
-					}
-				}
-				if trial > fullSpan && span > 2 {
-					off := rng.Int63n(span)
-					cfg.Start = tc.tr.Span.Start + off
-					width := span - off
-					switch {
-					case trial > deep:
-						width = min(width, int64(cfg.Width))
-					case trial > anyWindow:
-						width = min(width, 8*tc.event)
-					}
-					cfg.End = cfg.Start + 1 + rng.Int63n(width)
-				}
-				idx, idxStats, err := Timeline(tc.tr, cfg)
-				if err != nil {
-					t.Fatalf("%s/%v: %v", tc.name, mode, err)
-				}
-				scan, scanStats, err := timeline(tc.tr, cfg, par.Workers(), scanResolver(tc.tr))
-				if err != nil {
-					t.Fatalf("%s/%v scan: %v", tc.name, mode, err)
-				}
-				if !bytes.Equal(idx.RGBA().Pix, scan.RGBA().Pix) {
-					t.Errorf("%s/%v trial %d (window [%d,%d), %d columns): indexed pixels differ from event scan",
-						tc.name, mode, trial, cfg.Start, cfg.End, cfg.Width)
-				}
-				if idxStats != scanStats {
-					t.Errorf("%s/%v: stats %+v != scan stats %+v", tc.name, mode, idxStats, scanStats)
-				}
-			}
-		}
-	}
-}
 
 // TestTimelineAllocations pins as counts what a state and a typemap tile
 // allocate over a sixteenth of a 16×8 Seidel run's span, rendered on
 // one worker and on two: the framebuffer, the type index and the rows'
-// runs, nothing a query or a pixel. The rows' dominance cursors are ints
-// handed through the dominance interface by value; by pointer they
-// would escape, one allocation a row (+16 here).
+// runs, nothing a query or a pixel. A row's dominance cursor is an int
+// local to rowRuns, handed to its CPU's *core.DomCPU by value; kept
+// behind a pointer it would escape, one allocation a row (+16 here).
 func TestTimelineAllocations(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 16, 8, openstream.SchedNUMA)
 	span := tr.Span.Duration()
@@ -263,14 +26,14 @@ func TestTimelineAllocations(t *testing.T) {
 		workers int
 		want    float64
 	}{
-		{ModeState, 1, 109},
-		{ModeState, 2, 114},
-		{ModeType, 1, 77},
-		{ModeType, 2, 82},
+		{ModeState, 1, 108},
+		{ModeState, 2, 113},
+		{ModeType, 1, 76},
+		{ModeType, 2, 81},
 	} {
 		cfg := TimelineConfig{Width: 900, Height: 380, Mode: c.mode, Start: start, End: start + span/16}
 		render := func() {
-			if _, _, err := timeline(tr, cfg, c.workers, indexResolver(tr)); err != nil {
+			if _, _, err := timeline(tr, cfg, c.workers); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -315,62 +78,12 @@ func TestTypemapUndeclaredType(t *testing.T) {
 	}
 }
 
-// TestColumnInverse: lastColumnBy is the exact inverse of pixelWindow
-// — the last column whose window ends at or before until — from plots
-// of one column to the widest /render accepts, over spans from fewer
-// cycles than columns (every window widened to a cycle) to 2^58
-// cycles at the far end of the time axis (span*x overflows int64).
-func TestColumnInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for _, w := range []int{1, 2, 952, 4000} {
-		spans := []int64{int64(w) - 1, int64(w), int64(w) + 1, 3 * int64(w) / 2, 7 * int64(w), 1_000_003, 1 << 40, 1 << 58}
-		for _, span := range spans {
-			if span < 1 {
-				continue
-			}
-			for _, start := range []int64{0, -span / 2, math.MaxInt64/2 - 12345} {
-				end := start + span
-				// The brute-force inverse, one pass over the columns:
-				// ends[x] is column x's t1.
-				ends := make([]int64, w)
-				for x := range ends {
-					_, ends[x] = pixelWindow(start, span, x, w)
-				}
-				check := func(until int64) {
-					t.Helper()
-					want := -1
-					for want+1 < w && ends[want+1] <= until {
-						want++
-					}
-					if got := lastColumnBy(start, end, until, w); got != want {
-						t.Fatalf("w=%d span=%d start=%d: lastColumnBy(until=start+%d) = %d, want %d", w, span, start, until-start, got, want)
-					}
-				}
-				// Every column boundary and its neighbours, then
-				// random instants, then everything past the end.
-				for x := 0; x < w; x += max(1, w/97) {
-					for d := int64(-1); d <= 1; d++ {
-						if u := ends[x] + d; u > start {
-							check(u)
-						}
-					}
-				}
-				for i := 0; i < 200; i++ {
-					check(start + 1 + rng.Int63n(span))
-				}
-				check(end)
-				check(end + 1)
-				check(math.MaxInt64)
-			}
-		}
-	}
-}
-
 // TestTimelineExtremeTimestamps is the MaxInt64/2 regression test for
 // the pixel->time mapping: with span*width > 2^63, the old
 // span*x/width arithmetic wrapped and colored pixels from garbage
 // windows. The trace has idle in its first half and task execution in
-// its second; every pixel must land on the correct side.
+// its second; the naive and ASCII renderers must put them each on its
+// side.
 func TestTimelineExtremeTimestamps(t *testing.T) {
 	base := int64(math.MaxInt64 / 2)
 	span := int64(1) << 58
@@ -382,27 +95,11 @@ func TestTimelineExtremeTimestamps(t *testing.T) {
 		}}}},
 		Span: core.Interval{Start: base, End: base + span},
 	}
-	const w = 100
-	for name, dom := range map[string]func(int32) dominance{"index": indexResolver(tr), "scan": scanResolver(tr)} {
-		fb, _, err := timeline(tr, TimelineConfig{Width: w, Height: 8, Mode: ModeState}, par.Workers(), dom)
-		if err != nil {
-			t.Fatal(err)
-		}
-		idle, exec := StateColor(trace.StateIdle), StateColor(trace.StateTaskExec)
-		for x := 0; x < w; x++ {
-			want := idle
-			if x >= w/2 {
-				want = exec
-			}
-			if got := fb.At(x, 0); got != want {
-				t.Fatalf("%s: pixel %d = %v, want %v (pixel->time mapping overflowed)", name, x, got, want)
-			}
-		}
-	}
-
-	// The naive ablation renderer shares the overflow-prone mapping
-	// ((ev.Start-start)*width overflows just the same).
-	fb, _, err := NaiveTimelineState(tr, TimelineConfig{Width: w, Height: 8, Mode: ModeState})
+	// (Timeline's own tiles at such windows are held to the oracle by
+	// internal/ui's TestServedEqualsOracle.) The naive ablation renderer
+	// shares the overflow-prone mapping ((ev.Start-start)*width
+	// overflows just the same).
+	fb, _, err := NaiveTimelineState(tr, TimelineConfig{Width: 100, Height: 8, Mode: ModeState})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,11 +182,11 @@ func TestTimelineLabelsThinRows(t *testing.T) {
 	tr.Span = core.Interval{Start: 0, End: 1000}
 	cfg := TimelineConfig{Width: 400, Height: 100, Mode: ModeState, Labels: true}
 
-	seqFB, _, err := timeline(tr, cfg, 1, indexResolver(tr))
+	seqFB, _, err := timeline(tr, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parFB, _, err := timeline(tr, cfg, 4, indexResolver(tr))
+	parFB, _, err := timeline(tr, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,36 +150,6 @@ func TestCommMatrixKinds(t *testing.T) {
 	}
 }
 
-// TestDominantNode: the node the NUMA read mode colours a Seidel block
-// task by holds at least as many of the bytes it read as any other node.
-func TestDominantNode(t *testing.T) {
-	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	found := 0
-	for i := range tr.Tasks {
-		task := &tr.Tasks[i]
-		if tr.TypeName(task.Type) != apps.SeidelBlockType {
-			continue
-		}
-		if n := tr.TaskHomes(task.ID).Read; n >= 0 {
-			found++
-			bytes := make(map[int32]int64)
-			for _, ev := range tr.TaskAccesses(task).Events {
-				if home := tr.NodeOfAddr(ev.Addr); home >= 0 && ev.Task == task.ID && Reads.matches(ev.Kind) {
-					bytes[home] += int64(ev.Size)
-				}
-			}
-			for other, b := range bytes {
-				if b > bytes[n] && other != n {
-					t.Fatalf("node %d has more bytes than dominant %d", other, n)
-				}
-			}
-		}
-	}
-	if found == 0 {
-		t.Error("no task had a dominant read node")
-	}
-}
-
 func TestLocalityFraction(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 2, openstream.SchedNUMA)
 	f := LocalityFraction(tr, ReadsAndWrites, tr.Span.Start, tr.Span.End+1)

@@ -16,11 +16,8 @@ import (
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
-	"github.com/openstream/aftermath/internal/metrics"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/query"
-	"github.com/openstream/aftermath/internal/render"
-	"github.com/openstream/aftermath/internal/stats"
 	"github.com/openstream/aftermath/internal/taskgraph"
 	"github.com/openstream/aftermath/internal/trace"
 )
@@ -606,17 +603,15 @@ func TestRenderAnnotationMarks(t *testing.T) {
 	}
 }
 
-// TestServedNodeFilters: rnodes= and wnodes= reach every verb the task
-// filter shapes. On a NUMA-scheduled trace, /stats, /anomalies,
-// /plot?kind=avgdur and a heat-mode /render with either parameter serve
-// exactly what the renderers and analyses below the query layer answer
-// for a hand-built TaskFilter naming node 0, and a node list is one
-// cache entry however it is spelled.
+// TestServedNodeFilters: rnodes= and wnodes= reach /anomalies: on a
+// NUMA-scheduled trace it serves exactly what the scan answers for a
+// hand-built TaskFilter naming node 0, and a node list is one cache
+// entry however it is spelled. (/stats, /plot and /render with either
+// parameter are held to the oracle by TestServedEqualsOracle.)
 func TestServedNodeFilters(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	srv := httptest.NewServer(NewServer(query.NewStatic(tr), "nodes"))
 	t.Cleanup(srv.Close)
-	t0, t1 := tr.Span.Start, tr.Span.End
 	node0 := []int32{0}
 	for _, c := range []struct {
 		param string
@@ -625,42 +620,7 @@ func TestServedNodeFilters(t *testing.T) {
 		{"rnodes", &filter.TaskFilter{ReadNodes: node0}},
 		{"wnodes", &filter.TaskFilter{WriteNodes: node0}},
 	} {
-		served := func(path string) []byte {
-			t.Helper()
-			resp, body := get(t, srv, path+"&"+c.param+"=0")
-			if resp.StatusCode != 200 {
-				t.Fatalf("%s %s=0: status %d: %s", path, c.param, resp.StatusCode, body)
-			}
-			return body
-		}
-
-		h := stats.NewHistogram(filter.Durations(tr, c.f.WithWindow(t0, t1)), 20, 0, 0)
-		times := stats.StateTimes(tr, t0, t1)
-		st := query.StatsResult{
-			Start: t0, End: t1,
-			Tasks:          len(filter.Tasks(tr, c.f.WithWindow(t0, t1))),
-			AvgParallelism: float64(times[trace.StateTaskExec]) / float64(t1-t0),
-			StateCycles:    map[string]int64{},
-			LocalFraction:  stats.LocalityFraction(tr, stats.ReadsAndWrites, t0, t1),
-			DurationHist:   h.Counts, HistMin: h.Min, HistMax: h.Max,
-		}
-		for s, v := range times {
-			if v > 0 {
-				st.StateCycles[trace.WorkerState(s).String()] = v
-			}
-		}
-		want, err := encodeJSON(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := served("/stats?t0=0&t1=0"); !bytes.Equal(got, want) {
-			t.Errorf("/stats %s=0:\n got %s\nwant %s", c.param, got, want)
-		}
-		if _, all := get(t, srv, "/stats?t0=0&t1=0"); bytes.Equal(all, want) {
-			t.Errorf("/stats %s=0 equals the unfiltered answer: the filter did nothing", c.param)
-		}
-
-		ar := anomaliesResponse{Start: t0, End: t1, Anomalies: []anomalyItem{}}
+		ar := anomaliesResponse{Start: tr.Span.Start, End: tr.Span.End, Anomalies: []anomalyItem{}}
 		found := anomaly.Scan(tr, anomaly.Config{Windows: anomaly.DefaultWindows, Filter: c.f})
 		for _, a := range found[:min(len(found), 50)] {
 			ar.Anomalies = append(ar.Anomalies, anomalyItem{
@@ -669,37 +629,13 @@ func TestServedNodeFilters(t *testing.T) {
 			})
 		}
 		ar.Count = len(ar.Anomalies)
-		if want, err = encodeJSON(ar); err != nil {
-			t.Fatal(err)
-		}
-		if got := served("/anomalies?n=50"); !bytes.Equal(got, want) {
-			t.Errorf("/anomalies %s=0:\n got %s\nwant %s", c.param, got, want)
-		}
-
-		series := metrics.AverageTaskDuration(tr, 200, c.f)
-		plot, err := render.PlotSeries(render.PlotConfig{Width: 800, Height: 220, Title: strings.ToUpper(series.Name)}, series)
+		want, err := encodeJSON(ar)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, err = encodePNG(plot); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(served("/plot?kind=avgdur"), want) {
-			t.Errorf("/plot?kind=avgdur %s=0 differs from the series of the hand-built filter", c.param)
-		}
-
-		fb, _, err := render.Timeline(tr, render.TimelineConfig{
-			Width: 600, Height: 200, Start: t0, End: t1,
-			Mode: render.ModeHeat, Shades: 10, Filter: c.f, Labels: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, err = encodePNG(fb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(served("/render?mode=heatmap&w=600&h=200"), want) {
-			t.Errorf("/render heat %s=0 differs from the timeline of the hand-built filter", c.param)
+		resp, got := get(t, srv, "/anomalies?n=50&"+c.param+"=0")
+		if resp.StatusCode != 200 || !bytes.Equal(got, want) {
+			t.Errorf("/anomalies %s=0: status %d\n got %s\nwant %s", c.param, resp.StatusCode, got, want)
 		}
 	}
 

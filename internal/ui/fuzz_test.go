@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/atmtest/oracle"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/query"
@@ -27,15 +28,32 @@ var gone = func() context.Context {
 	return ctx
 }()
 
+// seidelWithOracle loads a small simulated trace and reads its bytes
+// into the oracle.
+func seidelWithOracle(tb testing.TB) (*core.Trace, *oracle.Trace) {
+	data := atmtest.SeidelBytes(tb, 3, 2, openstream.SchedNUMA)
+	tr, err := core.FromReader(bytes.NewReader(data))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	o, err := oracle.Read(data)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tr, o
+}
+
 // FuzzEndpoints sends arbitrary raw query strings to every path of the
 // endpoint table a viewer over a small static trace answers. Whatever
 // the parameters say, the answer is a result or a client error: never
-// a panic, never a 5xx, and every PNG decodes (hostile w, h, shades and
-// cell reach the encoder's palette and bit-depth choices). The seed
+// a panic, never a 5xx, every PNG decodes (hostile w, h, shades and
+// cell reach the encoder's palette and bit-depth choices), and every
+// 200 of /render, /stats, /matrix and /plot is the oracle's answer. The seed
 // corpus (testdata/fuzz/FuzzEndpoints) is internal/query's
 // FuzzFromValues corpus, file for file (TestFuzzCorporaIdentical).
 func FuzzEndpoints(f *testing.F) {
-	srv := NewServer(query.NewStatic(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA)), "fuzz")
+	tr, o := seidelWithOracle(f)
+	srv := NewServer(query.NewStatic(tr), "fuzz")
 	f.Add("")
 	f.Fuzz(func(t *testing.T, raw string) {
 		for _, ep := range endpoints {
@@ -46,7 +64,7 @@ func FuzzEndpoints(f *testing.F) {
 			req.URL.RawQuery = raw
 			rec := httptest.NewRecorder()
 			srv.ServeHTTP(rec, req)
-			atmtest.CheckServed(t, ep.path+"?"+raw, rec)
+			atmtest.CheckServed(t, ep.path+"?"+raw, rec, o)
 		}
 	})
 }
@@ -92,14 +110,17 @@ func TestFuzzCorporaIdentical(t *testing.T) {
 // one batch and one live: trace names escaped or not, dot segments,
 // doubled and encoded slashes, a mount without its trailing slash,
 // unknown names and verbs. Every answer is a result or a client error,
-// and a redirect never leads out of a registered trace's /t/<name>/.
+// a 200 of a verb the oracle answers under the batch trace's mount is
+// the oracle's, and a redirect never leads out of a registered trace's
+// /t/<name>/.
 func FuzzHubRoutes(f *testing.F) {
 	lv := core.NewLive()
 	if _, err := lv.Feed(trace.NewStreamReader(bytes.NewReader(liveTraceBytes(f)))); err != nil {
 		f.Fatal(err)
 	}
 	h := NewHub()
-	if err := h.Add("batch", query.NewStatic(atmtest.SeidelTrace(f, 3, 2, openstream.SchedNUMA))); err != nil {
+	batch, o := seidelWithOracle(f)
+	if err := h.Add("batch", query.NewStatic(batch)); err != nil {
 		f.Fatal(err)
 	}
 	if err := h.Add("run 1", lv); err != nil {
@@ -124,7 +145,11 @@ func FuzzHubRoutes(f *testing.F) {
 		req.URL = u
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)
-		atmtest.CheckServed(t, raw, rec)
+		target, j := raw, atmtest.Judge(nil)
+		if verb, ok := strings.CutPrefix(u.Path, "/t/batch/"); ok {
+			target, j = "/"+verb+"?"+u.RawQuery, o
+		}
+		atmtest.CheckServed(t, target, rec, j)
 		if rec.Code < 300 || rec.Code >= 400 {
 			return
 		}

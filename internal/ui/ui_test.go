@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -216,30 +217,6 @@ func TestMatrixPlotAndDOT(t *testing.T) {
 	}
 }
 
-func itoa(v int) string { return itoa64(int64(v)) }
+func itoa(v int) string { return strconv.Itoa(v) }
 
-func itoa64(v int64) string {
-	return strings.TrimSpace(strings.Join([]string{}, "")) + fmtInt(v)
-}
-
-func fmtInt(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var b [20]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		b[i] = '-'
-	}
-	return string(b[i:])
-}
+func itoa64(v int64) string { return strconv.FormatInt(v, 10) }
