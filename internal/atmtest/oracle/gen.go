@@ -18,7 +18,8 @@ import (
 // a few dozen states each — one seed in eight gives CPU 0 thousands —
 // of every kind — zero-length ones, an out-of-range one now and
 // then — in units of one or of many cycles, from a time origin of 0,
-// 2⁴⁰, MinInt64 or just short of MaxInt64. Executions come with and
+// 2⁴⁰, MinInt64 or just short of MaxInt64, or with the first CPU's near
+// MinInt64 and the others' near MaxInt64. Executions come with and
 // without task records, some of a type no record declares, some of a
 // task executed twice. Accesses go to regions, to a re-registered
 // address, to a region homed outside the topology and to no region;
@@ -107,14 +108,25 @@ func Gen(seed int64) (data []byte, targets []string) {
 		samples = append(samples, trace.CounterSample{CPU: int32(len(ids)) + 2, Counter: 9, Time: int64(i) * extent / 5, Value: rng.Int63n(1 << 40)})
 	}
 
-	var origin int64
-	switch rng.Intn(4) {
+	// Every CPU's times are shifted to the origin — but in one case in
+	// five the first CPU's go near MinInt64 and the others' near
+	// MaxInt64, a span more than 2^63-1 cycles wide.
+	var origin, first int64
+	switch rng.Intn(5) {
 	case 1:
 		origin = 1 << 40
 	case 2:
 		origin = math.MinInt64 + rng.Int63n(3)
 	case 3:
 		origin = math.MaxInt64 - extent - rng.Int63n(2)
+	case 4:
+		origin, first = math.MaxInt64-extent-rng.Int63n(2), math.MinInt64+rng.Int63n(3)
+	}
+	shift := func(cpu int32) int64 {
+		if cpu == ids[0] && first != 0 {
+			return first
+		}
+		return origin
 	}
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
@@ -146,15 +158,15 @@ func Gen(seed int64) (data []byte, targets []string) {
 		must(w.WriteTask(t))
 	}
 	for _, s := range states {
-		s.Start, s.End = s.Start+origin, s.End+origin
+		s.Start, s.End = s.Start+shift(s.CPU), s.End+shift(s.CPU)
 		must(w.WriteState(s))
 	}
 	for _, ev := range comms {
-		ev.Time += origin
+		ev.Time += shift(ev.CPU)
 		must(w.WriteComm(ev))
 	}
 	for _, s := range samples {
-		s.Time += origin
+		s.Time += shift(s.CPU)
 		must(w.WriteSample(s))
 	}
 	must(w.WriteCounterDesc(trace.CounterDesc{ID: 9, Name: "events", Monotonic: true}))
@@ -164,7 +176,7 @@ func Gen(seed int64) (data []byte, targets []string) {
 		// One state the format forbids, appended raw: it overlaps or
 		// precedes its CPU's last state, or ends before it starts.
 		s := states[len(states)-1]
-		s.Start, s.End = s.Start+origin, s.End+origin
+		s.Start, s.End = s.Start+shift(s.CPU), s.End+shift(s.CPU)
 		switch rng.Intn(3) {
 		case 0:
 			s.Start -= 1 + rng.Int63n(scale)

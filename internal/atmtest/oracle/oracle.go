@@ -753,6 +753,9 @@ func (o *Trace) plot(v url.Values) answer {
 	if err := p.Err(); err != nil {
 		return answer{err: err}
 	}
+	if o.end-o.start < 0 {
+		return answer{err: fmt.Errorf("the span [%d, %d) is more than 2^63-1 cycles wide", o.start, o.end)}
+	}
 	bs := make([]trace.Time, n+1)
 	for i := range bs {
 		bs[i] = at(o.start, o.end, i, n)

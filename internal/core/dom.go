@@ -5,18 +5,18 @@ import (
 	"sync"
 
 	"github.com/openstream/aftermath/internal/mragg"
+	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
 // DomIndex holds the multi-resolution dominance pyramids over each
-// CPU's state intervals (internal/mragg) — the state-interval
-// counterpart of the counter min/max tree index. It answers the
-// renderer's per-pixel questions ("which state/task-execution
-// interval covers the largest part of this pixel?") and the derived
-// metrics' window sums ("how long was this CPU in state s during
-// this window?") in O(log events) instead of scanning every
-// overlapping event, with answers exactly equal to the sequential
-// scans they replace.
+// CPU's state intervals (internal/mragg), the state-interval
+// counterpart of the counter min/max tree index. A timeline row asks
+// it once — DomCPU.Row walks the row's columns left to right in one
+// pass over the CPU's events, jumping what one event or one gap
+// answers — and the derived metrics' window sums ("how long was this
+// CPU in state s?") cost O(log events); every answer is exactly the
+// sequential scan's.
 //
 // The index holds summaries, not a second copy of the states: per CPU
 // the all-states pyramid, and per worker state the refs of its
@@ -36,20 +36,7 @@ import (
 // format's disjoint-sorted guarantee gets no pyramid — its DomCPU
 // answers from the event scan instead, so malformed traces degrade in
 // speed, never in correctness, and no caller has to know which CPUs
-// those are.
-//
-// CPU resolves one CPU's pyramids; query loops (one per pixel, one per
-// metric window) should resolve once per CPU and query the returned
-// DomCPU lock-free.
-//
-// A loop over windows whose starts never decrease — a timeline row,
-// left to right — also threads a hint through DominantStateUntil and
-// DominantExec: each answer's next, handed to the following query,
-// lets its search gallop forward from the last window's first event
-// instead of searching the CPU's whole column. Any int is a valid hint,
-// and 0 is the full search: a hint is followed only when the event
-// before it ends by the window's start, so no value can change an
-// answer (mragg's package doc).
+// those are. CPU resolves one CPU's entry, to be queried lock-free.
 type DomIndex struct {
 	cpus []DomCPU // by row
 }
@@ -199,14 +186,13 @@ func (e *DomCPU) build(leaves mragg.Leaves) {
 }
 
 // scan is the one event loop behind every query the pyramids cannot
-// serve: unindexable CPUs, out-of-range states and filtered
-// task-execution queries. Per column it visits exactly StatesIn's
-// window (the same binary search, approximate on overlapping
-// intervals), restricted to one state (any when state < 0) and to the
-// tasks keep admits (all when nil), and returns the first event of
-// strictly greatest clipped cover with that cover, and the sum of the
-// positive clipped covers.
-func (e *DomCPU) scan(t0, t1 trace.Time, state int, keep func(trace.TaskID) bool) (best trace.StateEvent, bestCover, total trace.Time) {
+// serve: unindexable CPUs and out-of-range states. Per column it visits
+// exactly StatesIn's window (the same binary search, approximate on
+// overlapping intervals), restricted to one state (any when state < 0)
+// and to the tasks keep admits (all when nil), and returns the leaf of
+// the first event of strictly greatest clipped cover with that cover,
+// and the sum of the positive clipped covers.
+func (e *DomCPU) scan(t0, t1 trace.Time, state int, keep func(trace.TaskID) bool) (best int, bestCover, total trace.Time) {
 	for k := 0; k < e.leaves.Cols(); k++ {
 		col := e.leaves.Col(k)
 		lo, hi := stateWindow(col, t0, t1)
@@ -220,7 +206,7 @@ func (e *DomCPU) scan(t0, t1 trace.Time, state int, keep func(trace.TaskID) bool
 			}
 			cover := min(ev.End, t1) - max(ev.Start, t0)
 			if cover > bestCover {
-				bestCover, best = cover, *ev
+				bestCover, best = cover, e.leaves.Start(k)+i
 			}
 			if cover > 0 {
 				total += cover
@@ -231,51 +217,78 @@ func (e *DomCPU) scan(t0, t1 trace.Time, state int, keep func(trace.TaskID) bool
 }
 
 // DominantState returns the state event covering the largest part of
-// [t0, t1): the first of strictly greatest cover in event order.
-// indexed only reports whether a pyramid served the answer (false on
-// a CPU with malformed interval order, which is scanned); the answer
-// is the same either way.
+// [t0, t1): the first of strictly greatest cover in event order, as one
+// column of a row walk. indexed only reports whether a pyramid served
+// the answer (false on a CPU with malformed interval order, which is
+// scanned); the answer is the same either way.
 func (e *DomCPU) DominantState(t0, t1 trace.Time) (ev trace.StateEvent, ok, indexed bool) {
-	ev, ok, _, _ = e.DominantStateUntil(0, t0, t1)
+	if t1 > t0 {
+		row, run := e.Row(tmath.Columns{Start: t0, End: t1, W: 1}, false, nil), [1]mragg.Run{}
+		if p := row.Event(row.Next(run[:0])[0].Leaf); p != nil {
+			ev, ok = *p, true
+		}
+	}
 	return ev, ok, e.all != nil
 }
 
-// DominantStateUntil is DominantState for callers walking adjacent
-// windows, such as a row of pixels. until is mragg's horizon: when
-// until > t1, every window [a, b) with t0 <= a < b <= until has this
-// same answer, so none of them needs asking. from is a hint and next
-// the one for the following window (see DomIndex); no value of from
-// changes the answer. A scanned answer knows no horizon and says t1,
-// and names no hint: next is 0.
-func (e *DomCPU) DominantStateUntil(from int, t0, t1 trace.Time) (ev trace.StateEvent, ok bool, until trace.Time, next int) {
-	if e.all == nil {
-		ev, cover, _ := e.scan(t0, t1, -1, nil)
-		return ev, cover > 0, t1, 0
-	}
-	leaf, _, ok, until, next := e.all.Dominant(&e.leaves, from, t0, t1)
-	if !ok {
-		return trace.StateEvent{}, false, until, next
-	}
-	return *e.leaves.At(leaf), true, until, next
+// DomRow is one timeline row's walk over a DomCPU: see DomCPU.Row.
+type DomRow struct {
+	e    *DomCPU
+	walk mragg.Walk
+	// An unindexable CPU is scanned column by column instead: x is the
+	// next of w columns.
+	cur         tmath.Cursor
+	x, w, state int
+	keep        func(trace.TaskID) bool
 }
 
-// DominantExec is DominantStateUntil restricted to task-execution
-// intervals, and further to the tasks keep admits. A nil keep is the
-// unfiltered query the pyramid serves; the match set of a filter is
-// not known to the index, so a non-nil keep scans (until == t1,
-// next == 0).
-func (e *DomCPU) DominantExec(from int, t0, t1 trace.Time, keep func(trace.TaskID) bool) (ev trace.StateEvent, ok bool, until trace.Time, next int) {
-	set := e.byState[trace.StateTaskExec]
-	if set == nil || keep != nil {
-		ev, cover, _ := e.scan(t0, t1, int(trace.StateTaskExec), keep)
-		return ev, cover > 0, t1, 0
+// Row returns the walk over the columns of cols answering, per column,
+// the dominant state event, or with exec the dominant task execution
+// among those keep admits (all when nil). The pyramids serve it where
+// the CPU has them, the filter applied to the events the walk reads.
+// A plot of one column may be as wide as int64 allows.
+func (e *DomCPU) Row(cols tmath.Columns, exec bool, keep func(trace.TaskID) bool) DomRow {
+	set, state := e.all, -1
+	if exec {
+		set, state = e.byState[trace.StateTaskExec], int(trace.StateTaskExec)
 	}
-	leaf, _, ok, until, next := set.Dominant(&e.leaves, from, t0, t1)
-	if !ok {
-		return trace.StateEvent{}, false, until, next
+	r := DomRow{e: e, cur: cols.Cursor(), w: cols.W, state: state, keep: keep}
+	if set != nil {
+		r.walk = set.Walk(&e.leaves, cols, keep)
 	}
-	return *e.leaves.At(leaf), true, until, next
+	return r
 }
+
+// Next appends the row's next runs of columns to runs, as many as its
+// capacity holds, and returns it: empty once every column is answered
+// (mragg.Walk.Next). A run's leaf is the CPU's event Event names.
+func (r *DomRow) Next(runs []mragg.Run) []mragg.Run {
+	if r.e.all != nil {
+		return r.walk.Next(runs)
+	}
+	for ; r.x < r.w && len(runs) < cap(runs); r.x++ {
+		t0, t1 := r.cur.Window(r.x)
+		leaf, cover, _ := r.e.scan(t0, t1, r.state, r.keep)
+		if cover <= 0 {
+			leaf = -1
+		}
+		runs = append(runs, mragg.Run{X0: r.x, X1: r.x + 1, Leaf: leaf})
+	}
+	return runs
+}
+
+// Event returns the event of a run's leaf, nil for none. It is the
+// trace's own and must not be modified.
+func (r *DomRow) Event(leaf int) *trace.StateEvent {
+	if leaf < 0 {
+		return nil
+	}
+	return r.e.leaves.At(leaf)
+}
+
+// Work returns what the walk has read so far; a scanned row counts
+// nothing.
+func (r *DomRow) Work() mragg.Work { return r.walk.Work() }
 
 // StateCover returns the total time the CPU spent in state within
 // [t0, t1): the sum of the clipped covers of its intervals in that

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"github.com/openstream/aftermath/internal/mragg"
+	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -81,9 +82,9 @@ func checkDomAgainstScan(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, qu
 // pyramid-served or scanned, the caller cannot tell and must not need
 // to — against the brute-force scans over StatesIn: the dominant state,
 // the dominant task execution unfiltered and under a random keep
-// predicate, the cover of every state including one past the worker
-// states, every horizon a pyramid promises, and DomCPU.scan itself,
-// which has to agree whether or not it is what answered.
+// predicate along a row walk over a plot of the window, the cover of
+// every state including one past the worker states, and DomCPU.scan
+// itself, which has to agree whether or not it is what answered.
 func checkDomWindow(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, cpu int32, t0, t1 trace.Time) {
 	t.Helper()
 	dc := tr.DomIndex().CPU(tr, cpu)
@@ -93,49 +94,45 @@ func checkDomWindow(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, cpu int
 		t.Fatalf("%s: DominantState(%d, %d, %d) = (%+v, %v), scan wants (%+v, %v)",
 			ctx, cpu, t0, t1, ev, ok, wantEv, wantOK)
 	}
-	if sev, cover, _ := dc.scan(t0, t1, -1, nil); cover > 0 != wantOK || sev != wantEv {
-		t.Fatalf("%s: DomCPU.scan(%d, %d, %d) = (%+v, %d), StatesIn wants (%+v, %v)", ctx, cpu, t0, t1, sev, cover, wantEv, wantOK)
+	if leaf, cover, _ := dc.scan(t0, t1, -1, nil); cover > 0 != wantOK || wantOK && *dc.leaves.At(leaf) != wantEv {
+		t.Fatalf("%s: DomCPU.scan(%d, %d, %d) = (leaf %d, %d), StatesIn wants (%+v, %v)", ctx, cpu, t0, t1, leaf, cover, wantEv, wantOK)
 	}
-	// A horizon past t1 promises the same answer for every window
-	// inside [t0, until): try one, and the last cycle before until.
-	within := func(what string, until trace.Time, execOnly bool, ev trace.StateEvent, ok bool) {
-		if until <= t1 {
-			return
+	// A row walk over a plot of [t0, t1) answers every column as the
+	// scan of the column's window does: the dominant state, and the
+	// dominant task execution unfiltered and under a random keep
+	// predicate.
+	mod, rem := trace.TaskID(rng.Intn(4)+1), trace.TaskID(rng.Intn(2))
+	keep := func(id trace.TaskID) bool { return id%mod >= rem }
+	for _, q := range []struct {
+		exec bool
+		keep func(trace.TaskID) bool
+	}{{false, nil}, {true, nil}, {true, keep}} {
+		if t1 <= t0 {
+			break
 		}
-		hi := min(until, tr.Span.End+10)
-		a := t0 + rng.Int63n(hi-t0)
-		b := a + 1 + rng.Int63n(hi-a)
-		for _, w := range [][2]trace.Time{{a, b}, {hi - 1, hi}} {
-			if wantEv, wantOK := bruteDominant(tr, cpu, w[0], w[1], execOnly, nil); ok != wantOK || ev != wantEv {
-				t.Fatalf("%s: %s(%d, %d, %d) = (%+v, %v) until %d, but the scan of [%d, %d) wants (%+v, %v)",
-					ctx, what, cpu, t0, t1, ev, ok, until, w[0], w[1], wantEv, wantOK)
+		cols := tmath.Columns{Start: t0, End: t1, W: 1 + rng.Intn(40)}
+		row, at := dc.Row(cols, q.exec, q.keep), 0
+		buf := make([]mragg.Run, 0, 1+rng.Intn(4))
+		for runs := row.Next(buf); len(runs) > 0; runs = row.Next(buf) {
+			for _, run := range runs {
+				if run.X0 != at || run.X1 <= run.X0 {
+					t.Fatalf("%s: cpu %d: run [%d, %d) after column %d of %v", ctx, cpu, run.X0, run.X1, at, cols)
+				}
+				ev := row.Event(run.Leaf)
+				for x := run.X0; x < run.X1; x++ {
+					a, b := cols.Window(x)
+					wantEv, wantOK := bruteDominant(tr, cpu, a, b, q.exec, q.keep)
+					if (ev != nil) != wantOK || ev != nil && *ev != wantEv {
+						t.Fatalf("%s: cpu %d: column %d [%d, %d) of %v (exec %v, filtered %v) answers %+v, the scan wants (%+v, %v)",
+							ctx, cpu, x, a, b, cols, q.exec, q.keep != nil, ev, wantEv, wantOK)
+					}
+				}
+				at = run.X1
 			}
 		}
-	}
-	// Any hint gives the hint-free answer; next is the same either way.
-	hint := rng.Intn(dc.leaves.Len() + 3)
-	_, _, _, next0 := dc.DominantStateUntil(0, t0, t1)
-	if uev, uok, until, next := dc.DominantStateUntil(hint, t0, t1); uev != ev || uok != ok || until < t1 || next != next0 {
-		t.Fatalf("%s: DominantStateUntil(%d, %d, %d, %d) = (%+v, %v, %d, next %d), DominantState says (%+v, %v), hint 0 next %d",
-			ctx, hint, cpu, t0, t1, uev, uok, until, next, ev, ok, next0)
-	} else {
-		within("DominantStateUntil", until, false, ev, ok)
-	}
-	mod, rem := trace.TaskID(rng.Intn(4)+1), trace.TaskID(rng.Intn(2))
-	for _, keep := range []func(trace.TaskID) bool{nil, func(id trace.TaskID) bool { return id%mod >= rem }} {
-		ev, ok, until, next := dc.DominantExec(hint, t0, t1, keep)
-		wantEv, wantOK = bruteDominant(tr, cpu, t0, t1, true, keep)
-		if ok != wantOK || ev != wantEv {
-			t.Fatalf("%s: DominantExec(%d, %d, %d, %d, filtered=%v) = (%+v, %v), scan wants (%+v, %v)",
-				ctx, hint, cpu, t0, t1, keep != nil, ev, ok, wantEv, wantOK)
+		if at != cols.W {
+			t.Fatalf("%s: cpu %d: the walk stopped at column %d of %v", ctx, cpu, at, cols)
 		}
-		if _, _, _, next0 := dc.DominantExec(0, t0, t1, keep); next != next0 {
-			t.Fatalf("%s: DominantExec(%d, %d, %d, %d) names next %d, hint 0 names %d", ctx, hint, cpu, t0, t1, next, next0)
-		}
-		if keep != nil && (until != t1 || next != 0) {
-			t.Fatalf("%s: filtered DominantExec(%d, %d, %d) claims a horizon %d and a next %d; a scan has neither", ctx, cpu, t0, t1, until, next)
-		}
-		within("DominantExec", until, true, ev, ok)
 	}
 	for k := 0; k <= trace.NumWorkerStates; k++ { // ==: out-of-range state
 		st := trace.WorkerState(k)

@@ -342,11 +342,12 @@ func (lv *Live) freezeTailsLocked() (*spillSeg, []segPart) {
 }
 
 // writeSegment writes a frozen segment's parts, in order, into a store
-// file (tmp+rename, so crashes never leave a torn segment), maps it
-// back and turns each part's rows into its mapped view. Only this
-// process maps the file, straight after writing it, and SetRetention
-// sweeps every other segment from the directory, so the file carries
-// no layout of its own: the meta is the refs, which nothing parses.
+// file (tmp+rename, so no reader meets a torn segment), maps it back
+// and turns each part's rows into its mapped view. Only this process
+// maps the file, straight after writing it, and SetRetention sweeps
+// every other segment from the directory, so the file carries no
+// layout of its own — the meta is the refs, which nothing parses — and
+// is sealed without a sync: no segment is read after a crash.
 func writeSegment(dir string, id int, parts []segPart) (*store.Mapped, string, error) {
 	path := filepath.Join(dir, fmt.Sprintf("seg-%06d.atms", id))
 	w, err := store.Create(path)
@@ -359,7 +360,7 @@ func writeSegment(dir string, id int, parts []segPart) (*store.Mapped, string, e
 		refs[i] = p.put(w)
 		enc.Ref(refs[i])
 	}
-	if err := w.Finish(enc.Bytes()); err != nil {
+	if err := w.Seal(enc.Bytes()); err != nil {
 		return nil, "", err
 	}
 	m, err := store.Open(path)

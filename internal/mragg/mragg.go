@@ -1,75 +1,53 @@
 // Package mragg implements a multi-resolution dominance index over
-// disjoint time intervals — the state-interval counterpart of the
-// min/max sample trees in internal/mmtree. The renderer's per-pixel
-// question is "which interval covers the largest part of [t0, t1)?";
-// answering it by scanning every overlapping event makes dense pixels
-// cost O(events per pixel). This package answers it from a mip-level
-// pyramid instead: each level stores, per bucket of arity children,
-// the maximum interval duration below the bucket and the leftmost
-// interval achieving it, so a query touches O(arity · log_arity n)
-// buckets however many events the window covers.
+// disjoint time intervals, the state-interval counterpart of the
+// min/max sample trees in internal/mmtree. The renderer asks per pixel
+// column "which interval covers the largest part of [t0, t1)?", and a
+// pyramid answers: each level stores, per bucket of arity children,
+// the maximum interval duration below it and the leftmost interval
+// achieving it. Only the first and the last interval of a window can
+// be clipped, so its dominant interval is the best of (clipped first,
+// range-max over the middle, clipped last), tie-broken toward the
+// lowest index: exactly the sequential first-strictly-greater scan.
 //
-// The decomposition is exact, not approximate: for a query window,
-// only the first and last overlapping intervals can be clipped by the
-// window; every other overlapping interval contributes its full
-// duration. The dominant interval is therefore the best of (clipped
-// first, range-max over the fully-contained middle, clipped last),
-// tie-broken toward the lowest index — precisely the result of the
-// sequential first-strictly-greater scan the renderer used, which is
-// why replacing the scan keeps framebuffers byte-identical.
+// A timeline row asks its index once. Set.Walk answers every column of
+// a row in one left-to-right pass over the members and yields runs of
+// columns, each with the leaf that answers it: a member covering a
+// column whole answers every column up to its end and a gap every
+// column up to the next member's start, so the walk jumps them; a
+// column holding several members scans its middle when it holds at
+// most 2·arity of them and reads it off the pyramid otherwise. A row
+// costs O(min(members in view, columns · log n)), and Work counts the
+// members read and the range queries made. A filtered walk applies its
+// filter to every member it scans and never asks the pyramid.
 //
-// The index holds summaries, never a copy of an interval. The
-// intervals are a CPU's state events, read where they already live
-// through a Leaves view (one array, or the spilled parts of a live
-// column followed by its RAM tail), and every query is handed the view
-// its set was built over. A Set is one of two shapes of one type. The
-// identity set (All) spans every leaf of the view and owns its pyramid
-// and nothing else. A subset (Sub) picks leaves by ascending refs —
-// the intervals of one worker state — and owns refs, the prefix sums
-// of their durations and a pyramid: 12 bytes an interval plus
-// 16/(arity-1). Prefix sums answer "how much of [t0, t1) is covered?"
-// (per worker state: the derived metrics of paper Section III-A) in
-// O(log n), and give a subset's pyramid its leaf durations without
-// chasing a ref. Both shapes find a window by one pair of searches over
-// their own members, bounds read through refs for a subset: a subset of
-// a disjoint sorted set keeps its order, so what they find is exactly
-// the refs inside the view's window — without searching the whole view
-// for it first, which costs a sparse state three times its own search
-// (TestRankMapping holds the two equal).
+// The index holds summaries, never a copy of an interval: the events
+// are read where they live, through a Leaves view (one array, or a
+// live column's spilled parts then its RAM tail) handed to every query.
+// The identity set (All) spans every leaf of the view and owns its
+// pyramid alone. A subset (Sub) picks leaves by ascending refs — one
+// worker state's intervals — and owns refs, the prefix sums of their
+// durations and a pyramid: 12 bytes an interval plus 16/(arity-1).
+// Prefix sums answer "how much of [t0, t1) is covered?" (the derived
+// metrics of paper Section III-A) in O(log n). A subset searches its
+// own members through refs: a subset of a disjoint sorted set keeps its
+// order (TestRankMapping).
 //
-// A dominance query takes a hint, from, and returns the next one: the
-// window's first member. A caller asking about windows whose start
-// never decreases — a row of pixels, left to right — passes each
-// answer's next to the following query, whose lower bound then gallops
-// forward from it in O(log distance) instead of searching every member.
-// Any value is safe: the gallop is taken only when member from-1 ends
-// at or before the window's start, which puts the window's first member
-// at or past from; every other hint (0, past the end, or left over from
-// a later window) runs the full search. The answer never depends on the
-// hint, only its cost does.
-//
-// The index requires its intervals to be disjoint and sorted — the
-// ordering the trace format guarantees per CPU. Extend verifies the
-// invariant and returns nil when a producer violated it. The owner of
-// the sets and of the events under them (core.DomCPU) answers such a
-// CPU's queries from its event scan, so users of the index never branch
-// on it and a malformed trace degrades to the old cost instead of a
-// wrong answer.
-//
-// The pyramid is an instantiation of the generic aggregation framework
-// in internal/agg: the summary is a (max duration, lowest achieving
-// leaf index) Node, Combine keeps the larger duration tie-broken
-// toward the lower index (commutative and idempotent, so any range
-// decomposition yields byte-identical results), and an agg.Tree[Node]
-// holds the levels.
+// The intervals must be disjoint and sorted, as the trace format
+// guarantees per CPU. Extend verifies it and returns nil when a
+// producer broke it; the sets' owner (core.DomCPU) then scans instead,
+// so a malformed trace degrades in speed, never in correctness. The
+// pyramid is an agg.Tree[Node] of (max duration, lowest achieving leaf)
+// summaries, combined toward the larger duration and then the lower
+// index — commutative and idempotent, so any range decomposition gives
+// the same answer.
 package mragg
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"github.com/openstream/aftermath/internal/agg"
+	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -95,22 +73,19 @@ func Over(cols ...[]trace.StateEvent) Leaves {
 }
 
 // ordered reports whether leaves [from, Len()) keep the disjoint-sorted
-// invariant after leaf from-1: starts non-decreasing, ends
-// non-decreasing, no interval beginning before the previous one ended,
-// and no negative-length intervals.
+// invariant after leaf from-1: no negative-length interval, and none
+// beginning before the previous one ended — which keeps starts and ends
+// non-decreasing too.
 func (lv *Leaves) ordered(from int) bool {
-	var prevStart, prevEnd int64
-	has := from > 0
+	prevEnd, has, ok := int64(0), from > 0, true
 	if has {
-		prev := lv.At(from - 1)
-		prevStart, prevEnd = prev.Start, prev.End
+		prevEnd = lv.At(from - 1).End
 	}
-	ok := true
 	lv.Each(from, func(_ int, ev *trace.StateEvent) {
-		if ev.End < ev.Start || has && (ev.Start < prevStart || ev.End < prevEnd || ev.Start < prevEnd) {
+		if ev.End < ev.Start || has && ev.Start < prevEnd {
 			ok = false
 		}
-		prevStart, prevEnd, has = ev.Start, ev.End, true
+		prevEnd, has = ev.End, true
 	})
 	return ok
 }
@@ -185,10 +160,8 @@ func (a *viewAgg) Leaf(i int) Node {
 func (a *sumAgg) Leaf(i int) Node { return Node{Max: a.prefix[i+1] - a.prefix[i], Arg: int32(i)} }
 
 // Combine implements agg.Agg: the larger duration wins, ties break
-// toward the lower leaf index. In build folds the left operand always
-// carries the lower index, so ties keep the left summary — the
-// first-strictly-greater semantics of the sequential scan this index
-// replaces.
+// toward the lower leaf index — the first-strictly-greater scan's
+// choice.
 func (a *viewAgg) Combine(x, y Node) Node { return combine(x, y) }
 
 // Combine implements agg.Agg.
@@ -202,15 +175,12 @@ func combine(x, y Node) Node {
 }
 
 // Extend returns the identity set over every leaf of lv, which must be
-// the view s covers with leaves added at its end — the amortized
-// extension mode of the live streaming ingest path, mirroring
-// mmtree.Tree.Append; a build is the empty set extended once. Returns
-// nil if the added leaves break the disjoint-sorted invariant (the
-// caller then falls back to scanning).
-//
-// s itself stays valid and immutable: the pyramid only grows past its
-// level lengths (agg.Tree.Extend), which s never reads past. As with
-// mmtree, sets must form a linear chain — extend the latest set only.
+// the view s covers with leaves added at its end — the live ingest's
+// amortized extension, mirroring mmtree.Tree.Append; a build is the
+// empty set extended once. It returns nil if the added leaves break the
+// disjoint-sorted invariant. s stays valid and immutable: the pyramid
+// only grows past its level lengths (agg.Tree.Extend), so sets form a
+// linear chain — extend the latest set only.
 func (s *Set) Extend(lv *Leaves) *Set {
 	if s.prefix != nil {
 		panic("mragg: Extend on a subset")
@@ -227,13 +197,11 @@ func (s *Set) Extend(lv *Leaves) *Set {
 
 // Append returns the subset of lv's leaves refs, which must be s's
 // members with more appended: ascending, past s's last member, in a
-// view the identity set has accepted (a subset of a disjoint sorted set
-// is one itself, so nothing is left to verify). The caller appends the
-// new members to s's own refs (Columns) in place, and Append extends
-// the prefix sums and the pyramid the same way — amortized, each
-// allocated once at its size when the chain starts empty. s stays valid
-// and immutable, because nothing below its lengths is written; hence
-// subsets, like identity sets, form a linear chain.
+// view the identity set has accepted (so nothing is left to verify).
+// The caller appends the new members to s's own refs (Columns) in
+// place, and Append extends the prefix sums and the pyramid the same
+// way, amortized. s stays valid and immutable, as nothing below its
+// lengths is written: subsets, too, form a linear chain.
 func (s *Set) Append(lv *Leaves, refs []int32) *Set {
 	if s.prefix == nil {
 		panic("mragg: Append on the identity set")
@@ -302,162 +270,96 @@ func (s *Set) OverheadBytes() int64 {
 	return int64(len(s.refs))*4 + int64(len(s.prefix))*8 + s.pyramid.OverheadBytes()
 }
 
-// leaf returns the leaf of member i.
-func (s *Set) leaf(i int) int {
-	if s.prefix == nil {
-		return i
-	}
-	return int(s.refs[i])
+// reader reads a set's members through the view for one query or
+// walk. It keeps the view's column of the last leaf read — searches
+// close in on one column and walks move through it — so most reads are
+// an index or two, and counts them in Work.
+type reader struct {
+	s    *Set
+	lv   *Leaves
+	refs []int32
+	col  []trace.StateEvent // the view's column holding leaves [lo, lo+len(col))
+	lo   int
+	n    int
+	wide int // the most middle members a window scans: 2·arity
+	Work
+}
+
+// Work counts what a walk or a query did: the member intervals it read
+// and the pyramid range queries it made.
+type Work struct{ Members, Queries int }
+
+func (s *Set) reader(lv *Leaves) reader {
+	return reader{s: s, lv: lv, refs: s.refs, col: lv.Col(0), n: s.Len(), wide: 2 * s.pyramid.Arity()}
 }
 
 // at returns member i's interval.
-func (s *Set) at(lv *Leaves, i int) *trace.StateEvent { return lv.At(s.leaf(i)) }
-
-// dur returns the duration of member i: a subset reads it off its
-// prefix sums, chasing no ref.
-func (s *Set) dur(lv *Leaves, i int) int64 {
-	if s.prefix != nil {
-		return s.prefix[i+1] - s.prefix[i]
+func (r *reader) at(i int) *trace.StateEvent {
+	r.Members++
+	j := r.leaf(i) - r.lo
+	if uint(j) >= uint(len(r.col)) {
+		j = r.load(i)
 	}
-	ev := lv.At(i)
-	return ev.End - ev.Start
+	return &r.col[j]
+}
+
+// load moves the reader to the column holding member i and returns i's
+// index in it.
+func (r *reader) load(i int) int {
+	leaf := r.leaf(i)
+	k := r.lv.Locate(leaf)
+	r.col, r.lo = r.lv.Col(k), r.lv.Start(k)
+	return leaf - r.lo
+}
+
+// leaf returns the leaf of member i.
+func (r *reader) leaf(i int) int {
+	if r.refs != nil {
+		return int(r.refs[i])
+	}
+	return i
+}
+
+// search returns the first member in [i, hi) past t — ending after t,
+// or with start, starting at or after t; both grow with the member
+// index — or hi, and its interval: ev is member hi's, nil past the last.
+func (r *reader) search(i, hi int, ev *trace.StateEvent, t int64, start bool) (int, *trace.StateEvent) {
+	for i < hi {
+		m := int(uint(i+hi) >> 1)
+		if e := r.at(m); start && e.Start >= t || !start && e.End > t {
+			hi, ev = m, e
+		} else {
+			i = m + 1
+		}
+	}
+	return i, ev
+}
+
+// seek is search over [i, Len()) for a cursor moving forward, no member
+// before i past t: it gallops out from i, paying O(log distance moved).
+func (r *reader) seek(i int, t int64, start bool) (int, *trace.StateEvent) {
+	for p, step := i, 1; p < r.n; p, step = p+step, step<<1 {
+		if ev := r.at(p); start && ev.Start >= t || !start && ev.End > t {
+			return r.search(i, p, ev, t, start)
+		}
+		i = p + 1
+	}
+	return r.search(i, r.n, nil, t, start)
 }
 
 // span returns the member range [lo, hi) overlapping [t0, t1): lo is
 // the first member ending after t0, hi the first from lo on starting at
-// or after t1. Both bounds grow with the member index, in a subset as
-// in the view. The lower bound gallops forward from the hint when
-// member from-1 ends at or before t0 — every member before it then does
-// too — and is searched for among all members otherwise. The upper
-// bound gallops from the lower one: a pixel's window holds few members
-// however many the set does.
-func (s *Set) span(lv *Leaves, from int, t0, t1 int64) (lo, hi int) {
-	// Member i's interval, with what the set and the view fix hoisted
-	// out of the probes: on a one-column view it is an index or two.
-	one, refs, flat := lv.Col(0), s.refs, lv.Cols() <= 1
-	cols := colCursor{lv: lv}
-	at := func(i int) *trace.StateEvent {
-		if refs != nil {
-			i = int(refs[i])
-		}
-		if flat {
-			return &one[i]
-		}
-		return cols.at(i)
-	}
-	n := s.Len()
-	hi = n
-	if 0 < from && from <= n && at(from-1).End <= t0 {
-		step := 1
-		for lo = from; lo+step <= n && at(lo+step-1).End <= t0; step <<= 1 {
-			lo += step
-		}
-		hi = min(lo+step-1, n)
-	}
-	for lo < hi {
-		if m := int(uint(lo+hi) >> 1); at(m).End > t0 {
-			hi = m
-		} else {
-			lo = m + 1
-		}
-	}
-	up, step := lo, 1
-	for up+step <= n && at(up+step-1).Start < t1 {
-		up += step
-		step <<= 1
-	}
-	hi = min(up+step-1, n)
-	for up < hi {
-		if m := int(uint(up+hi) >> 1); at(m).Start >= t1 {
-			hi = m
-		} else {
-			up = m + 1
-		}
-	}
-	return lo, up
-}
-
-// colCursor reads the leaves of a view of several columns, keeping the
-// column of the last leaf read: a search's probes close in on one
-// column, so most of them skip the column lookup.
-type colCursor struct {
-	lv     *Leaves
-	col    []trace.StateEvent
-	lo, hi int // the logical range of col
-}
-
-func (c *colCursor) at(i int) *trace.StateEvent {
-	if i < c.lo || i >= c.hi {
-		k := c.lv.Locate(i)
-		c.col, c.lo = c.lv.Col(k), c.lv.Start(k)
-		c.hi = c.lo + len(c.col)
-	}
-	return &c.col[i-c.lo]
+// or after t1.
+func (s *Set) span(lv *Leaves, t0, t1 int64) (lo, hi int) {
+	r := s.reader(lv)
+	lo, _ = r.search(0, r.n, nil, t0, false)
+	hi, _ = r.seek(lo, t1, true)
+	return lo, hi
 }
 
 // clip returns the length of ev's overlap with [t0, t1).
 func clip(ev *trace.StateEvent, t0, t1 int64) int64 {
 	return max(min(ev.End, t1)-max(ev.Start, t0), 0)
-}
-
-// Dominant returns the leaf of lv — the view s was built over — whose
-// interval covers the largest part of [t0, t1) among the set's, and
-// that cover. Ties break toward the lowest index, and ok is false when
-// no interval covers a positive amount — exactly the semantics of a
-// sequential scan that keeps the first interval with a strictly greater
-// cover.
-//
-// until tells how far the answer reaches, for callers walking
-// adjacent windows: when until > t1, every window [a, b) with
-// t0 <= a < b <= until has this same answer (the same leaf, or the same
-// !ok). That is the case when one interval covers [t0, t1) whole —
-// disjointness leaves it alone up to its end — and when nothing
-// overlaps it, up to the next interval's start. Every other answer
-// depends on where the window's edges fall and says until == t1.
-//
-// from is the hint and next the one to pass on (see the package doc):
-// next is the window's first member, where the search for any window
-// starting at or after t0 may begin. No value of from changes the
-// answer.
-func (s *Set) Dominant(lv *Leaves, from int, t0, t1 int64) (leaf int, cover int64, ok bool, until int64, next int) {
-	lo, hi := s.span(lv, from, t0, t1)
-	if lo >= hi {
-		until = math.MaxInt64
-		if lo < s.Len() {
-			until = s.at(lv, lo).Start
-		}
-		return 0, 0, false, until, lo
-	}
-	// Only the first and last overlapping intervals can be clipped by
-	// the window; the middle contributes full durations, walked when
-	// they are few enough to beat setting up the pyramid walk and
-	// answered by the pyramid otherwise. Taken in index order, a
-	// strictly greater cover is the lowest index of the greatest.
-	first := s.at(lv, lo)
-	if hi-lo == 1 && first.Start <= t0 && t1 <= first.End && t0 < t1 {
-		return s.leaf(lo), t1 - t0, true, first.End, lo
-	}
-	best, at := clip(first, t0, t1), lo
-	if mlo, mhi := lo+1, hi-1; mhi-mlo > s.pyramid.Arity() {
-		if d := s.rangeMax(lv, mlo, mhi); d.Max > best {
-			best, at = d.Max, int(d.Arg)
-		}
-	} else {
-		for i := mlo; i < mhi; i++ {
-			if d := s.dur(lv, i); d > best {
-				best, at = d, i
-			}
-		}
-	}
-	if hi-1 > lo {
-		if c := clip(s.at(lv, hi-1), t0, t1); c > best {
-			best, at = c, hi-1
-		}
-	}
-	if best <= 0 {
-		return 0, 0, false, t1, lo
-	}
-	return s.leaf(at), best, true, t1, lo
 }
 
 // rangeMax returns the maximum duration among members [lo, hi) and the
@@ -471,12 +373,87 @@ func (s *Set) rangeMax(lv *Leaves, lo, hi int) Node {
 	return d
 }
 
+// Run is a run of a row's columns [X0, X1) that one leaf of the view
+// answers, or none when Leaf is -1.
+type Run struct{ X0, X1, Leaf int }
+
+// Walk is one row's pass over a set's members: see Set.Walk.
+type Walk struct {
+	r    reader
+	cols tmath.Columns
+	cur  tmath.Cursor
+	keep func(trace.TaskID) bool
+	// x is the next column, i its cursor — every member before i ends by
+	// the column's start — and ev member i's interval, nil past the last.
+	x, i  int
+	ev    *trace.StateEvent
+	dense bool // the last column's middle went to the pyramid
+}
+
+// Walk returns the walk over the columns of cols, a plot of the view
+// lv that s was built over. It answers each column with the member of
+// greatest clipped cover among those keep admits (all when nil), the
+// first of them on a tie, or none when no member covers any of it: the
+// sequential scan's answer (see the package doc). A plot of one column
+// may span more than 2^63-1 cycles.
+func (s *Set) Walk(lv *Leaves, cols tmath.Columns, keep func(trace.TaskID) bool) Walk {
+	w := Walk{r: s.reader(lv), cols: cols, cur: cols.Cursor(), keep: keep}
+	w.i, w.ev = w.r.search(0, w.r.n, nil, cols.Start, false)
+	return w
+}
+
+// Next appends the row's next runs to runs, as many as its capacity
+// holds, and returns it: empty once every column is answered. Runs are
+// consecutive; two in a row may carry the same leaf.
+func (w *Walk) Next(runs []Run) []Run {
+	r, cur, x1, i, ev, dense, keep := &w.r, w.cur, w.x, w.i, w.ev, w.dense, w.keep
+	for x1 < w.cols.W && len(runs) < cap(runs) {
+		x0, leaf := x1, -1
+		t0, t1 := cur.Window(x0)
+		if ev != nil && ev.End <= t0 {
+			i, ev = r.seek(i+1, t0, false)
+		}
+		switch x1 = x0 + 1; {
+		case ev == nil:
+			x1 = w.cols.W
+		case ev.Start >= t1:
+			x1 = w.cols.LastBy(ev.Start) + 1
+		case ev.Start <= t0 && t1 <= ev.End:
+			// Disjointness leaves it alone up to its end.
+			x1 = w.cols.LastBy(ev.End) + 1
+			if keep == nil || keep(ev.Task) {
+				leaf = r.leaf(i)
+			}
+		default:
+			lo := i
+			var at int
+			var last *trace.StateEvent
+			if at, i, last, ev = r.weigh(i, ev, t0, t1, keep, dense); at >= 0 {
+				leaf = r.leaf(at)
+			}
+			// The next window starts at t1 — columns narrower than a
+			// cycle are one cycle wide, and one member covers such a
+			// column whole if any does — so the last member is its first
+			// if it reaches past t1.
+			if dense = i-lo-2 > r.wide; last.End > t1 {
+				i, ev = i-1, last
+			}
+		}
+		runs = append(runs, Run{X0: x0, X1: x1, Leaf: leaf})
+	}
+	w.x, w.cur, w.i, w.ev, w.dense = x1, cur, i, ev, dense
+	return runs
+}
+
+// Work returns what the walk has done so far.
+func (w *Walk) Work() Work { return w.r.Work }
+
 // Cover returns the total time of [t0, t1) covered by the intervals of
 // a subset of lv: prefix sums over its members in the window, less what
 // the window clips off the first and the last. Exact, O(log n). The
 // identity set keeps no prefix sums and cannot be asked.
 func (s *Set) Cover(lv *Leaves, t0, t1 int64) int64 {
-	lo, hi := s.span(lv, 0, t0, t1)
+	lo, hi := s.span(lv, t0, t1)
 	if lo >= hi || t1 <= t0 {
 		// An inverted window can sit inside one interval, which then is
 		// both bounds' answer; it covers nothing.
@@ -490,4 +467,66 @@ func (s *Set) Cover(lv *Leaves, t0, t1 int64) int64 {
 		total -= last.End - t1
 	}
 	return total
+}
+
+// weigh answers window [t0, t1) from its first member i, whose interval
+// is ev. It returns the first member of strictly greatest clipped cover
+// that keep admits, -1 for none; hi, the first member starting at or
+// after t1; and the intervals of members hi-1 and hi (nil past the
+// last). Only the first and the last member can be clipped, so the
+// middle's covers are whole durations: unfiltered, a middle of more
+// than 2·arity members is read off the pyramid — the scan stops short,
+// right after the first member when the last window was as dense, and
+// searches on for hi. A filter is unknown to the pyramid: with keep
+// every member is scanned.
+func (r *reader) weigh(i int, ev *trace.StateEvent, t0, t1 int64, keep func(trace.TaskID) bool, dense bool) (at, hi int, last, _ *trace.StateEvent) {
+	stop, refs, col, off, lo := r.n, r.refs, r.col, r.lo, i
+	if keep == nil && dense {
+		stop = i + 1
+	} else if keep == nil {
+		stop = min(r.n, i+r.wide+2)
+	}
+	var best int64
+	for at = -1; ; {
+		c := clip(ev, t0, t1)
+		if keep != nil && !keep(ev.Task) {
+			c = 0
+		}
+		if c > best { // a conditional move, not a branch
+			best, at = c, i
+		}
+		if last, i = ev, i+1; i == stop {
+			break
+		}
+		// r.at(i), inlined while the member lies in col.
+		j := i
+		if refs != nil {
+			j = int(refs[i])
+		}
+		if j -= off; uint(j) >= uint(len(col)) {
+			j, col, off = r.load(i), r.col, r.lo
+		}
+		if ev = &col[j]; ev.Start >= t1 {
+			r.Members += i - lo
+			return at, i, last, ev
+		}
+	}
+	if r.Members += i - lo - 1; i == r.n {
+		return at, i, last, nil
+	}
+	// Members [mid, hi-1) are the rest of the middle, hi-1 the last.
+	mid := i
+	if hi, ev = r.seek(mid, t1, true); hi-lo-2 > r.wide {
+		r.Queries++
+		if d := r.s.rangeMax(r.lv, mid, hi-1); d.Max > best {
+			best, at = d.Max, int(d.Arg)
+		}
+		mid = hi - 1
+	}
+	for j := mid; j < hi; j++ {
+		if last = r.at(j); clip(last, t0, t1) > best {
+			best, at = clip(last, t0, t1), j
+		}
+	}
+	return at, hi, last, ev
 }

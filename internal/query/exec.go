@@ -60,6 +60,9 @@ func FilterOf(tr *core.Trace, q *Query) *filter.TaskFilter {
 // running tasks), or a counter name (machine-wide rate). An empty
 // metric defaults to "idle"; an unknown one is an error.
 func SeriesOf(tr *core.Trace, q *Query) (metrics.Series, error) {
+	if err := sampleable(tr.Span); err != nil {
+		return metrics.Series{}, err
+	}
 	n := q.intervals
 	if n <= 0 {
 		n = 200
@@ -261,11 +264,28 @@ func AnomaliesOf(tr *core.Trace, q *Query) ([]anomaly.Anomaly, error) {
 		MaxPerKind: q.maxPerKind,
 		Filter:     FilterOf(tr, q),
 	}
+	scanned := tr.Span // what the scan samples: the window clamped to the span, if that holds time
 	if q.hasT0 || q.hasT1 {
 		t0, t1 := WindowOf(tr, q)
 		cfg.Window = core.Interval{Start: t0, End: t1}
+		if in := (core.Interval{Start: max(t0, tr.Span.Start), End: min(t1, tr.Span.End)}); cfg.Window.Duration() > 0 && in.Duration() > 0 {
+			scanned = in
+		}
+	}
+	if err := sampleable(scanned); err != nil {
+		return nil, err
 	}
 	return SelectAnomalies(anomaly.Scan(tr, cfg), q)
+}
+
+// sampleable refuses an interval more than 2^63-1 cycles wide, such as
+// the span of a trace with times near both ends of int64: series and
+// scans cut it into windows by its width as an int64.
+func sampleable(iv core.Interval) error {
+	if iv.End-iv.Start < 0 {
+		return fmt.Errorf("query: interval [%d, %d) is more than 2^63-1 cycles wide", iv.Start, iv.End)
+	}
+	return nil
 }
 
 // taskFilterOf is FilterOf restricted, when the query sets a window,

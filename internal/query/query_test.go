@@ -1,6 +1,8 @@
 package query
 
 import (
+	"bytes"
+	"math"
 	"net/url"
 	"reflect"
 	"strings"
@@ -12,6 +14,7 @@ import (
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/render"
 	"github.com/openstream/aftermath/internal/stats"
+	"github.com/openstream/aftermath/internal/trace"
 )
 
 // TestCanonicalOrderIndependence: equivalent queries canonicalize
@@ -383,5 +386,40 @@ func TestLevelCoarsens(t *testing.T) {
 	// SeriesOnly — the plot cache projection — must carry the level.
 	if a, b := exact.SeriesOnly(800, 220).Canonical(), coarse.SeriesOnly(800, 220).Canonical(); a == b {
 		t.Fatalf("SeriesOnly drops the level: both canonicalize to %q", a)
+	}
+}
+
+// TestWideSpanRefused: a trace with times near both ends of int64 spans
+// more than 2^63-1 cycles. Its series and a scan of its whole span are
+// refused with an error — the 400 of /plot and /anomalies — instead of
+// panicking on the span's width; a scan of a window inside it runs.
+func TestWideSpanRefused(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, s := range []trace.StateEvent{
+		{CPU: 0, State: trace.StateIdle, Start: math.MinInt64, End: math.MinInt64 + 10},
+		{CPU: 1, State: trace.StateTaskExec, Start: math.MaxInt64 - 10, End: math.MaxInt64},
+	} {
+		if err := w.WriteState(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"idle", "avgdur"} {
+		if _, err := SeriesOf(tr, New().Metric(kind)); err == nil || !strings.Contains(err.Error(), "2^63-1") {
+			t.Errorf("SeriesOf(%s) over a span wider than int64: error %v", kind, err)
+		}
+	}
+	if _, err := AnomaliesOf(tr, New()); err == nil || !strings.Contains(err.Error(), "2^63-1") {
+		t.Errorf("AnomaliesOf over a span wider than int64: error %v", err)
+	}
+	if _, err := AnomaliesOf(tr, New().Window(math.MaxInt64-10, math.MaxInt64)); err != nil {
+		t.Errorf("AnomaliesOf over a window inside the span: %v", err)
 	}
 }

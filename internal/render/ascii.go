@@ -4,6 +4,8 @@ import (
 	"strings"
 
 	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/mragg"
+	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -30,8 +32,8 @@ func StateChar(s trace.WorkerState) byte {
 }
 
 // ASCIITimeline renders the state-mode timeline as text, one row per
-// CPU, using the same per-pixel dominant-state algorithm as the
-// graphical renderer. maxRows caps the number of CPU rows (0 = all);
+// CPU, using the same dominant-state row walk as the graphical
+// renderer. maxRows caps the number of CPU rows (0 = all);
 // when capped, CPUs are sampled evenly.
 func ASCIITimeline(tr *core.Trace, width, maxRows int) string {
 	if width < 1 {
@@ -46,19 +48,22 @@ func ASCIITimeline(tr *core.Trace, width, maxRows int) string {
 	if end <= start {
 		return ""
 	}
-	dom := tr.DomIndex()
+	dom, cols := tr.DomIndex(), tmath.Columns{Start: start, End: end, W: width}
 	var b strings.Builder
+	line := make([]byte, width)
+	var buf [64]mragg.Run
 	for r := 0; r < rows; r++ {
-		cpu := int32(r * n / rows)
-		dc := dom.CPU(tr, cpu)
-		line := make([]byte, width)
-		for x := 0; x < width; x++ {
-			ev, ok, _ := dc.DominantState(pixelWindow(start, end-start, x, width))
-			if !ok {
-				line[x] = ' '
-				continue
+		row := dom.CPU(tr, int32(r*n/rows)).Row(cols, false, nil)
+		for runs := row.Next(buf[:0]); len(runs) > 0; runs = row.Next(buf[:0]) {
+			for _, run := range runs {
+				c := byte(' ')
+				if ev := row.Event(run.Leaf); ev != nil {
+					c = StateChar(ev.State)
+				}
+				for x := run.X0; x < run.X1; x++ {
+					line[x] = c
+				}
 			}
-			line[x] = StateChar(ev.State)
 		}
 		b.Write(line)
 		b.WriteByte('\n')

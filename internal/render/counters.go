@@ -81,9 +81,9 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 		// One forward cursor over the row's samples: lo is the first at
 		// or after the column's t0, found from the last column's.
 		st.PixelColumns += g.plotW
-		n := tree.Len()
+		n, cols := tree.Len(), tmath.Columns{Start: start, End: end, W: g.plotW}.Cursor()
 		for x, lo := 0, 0; x < g.plotW; {
-			t0, t1 := pixelWindow(start, end-start, x, g.plotW)
+			t0, t1 := cols.Window(x)
 			lo = tree.SeekTime(t0, lo)
 			if lo == n {
 				break
@@ -92,7 +92,7 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 			if lo == hi {
 				// No sample here, nor in any column that ends by the
 				// next sample's time: go to the column holding it.
-				x = max(x, lastColumnBy(start, end, tree.Time(lo), g.plotW)) + 1
+				x = max(x, cols.LastBy(tree.Time(lo))) + 1
 				continue
 			}
 			mn, mx, _ := tree.MinMaxIndex(lo, hi)

@@ -3,10 +3,10 @@ package render
 import (
 	"fmt"
 	"image/color"
-	"sort"
 
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
+	"github.com/openstream/aftermath/internal/mragg"
 	"github.com/openstream/aftermath/internal/par"
 	"github.com/openstream/aftermath/internal/tmath"
 	"github.com/openstream/aftermath/internal/trace"
@@ -97,6 +97,10 @@ type Stats struct {
 	// Rects is the number of rectangle fill calls issued; rectangle
 	// aggregation makes this much smaller than PixelColumns.
 	Rects int
+	// Members is the number of state events the rows' dominance walks
+	// read and Queries the pyramid range queries they made
+	// (mragg.Work): what the rows cost, to hold against their pixels.
+	Members, Queries int
 }
 
 // MinTimelineWidth is the smallest width Timeline accepts: with
@@ -188,33 +192,40 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, St
 	keep := keepOf(tr, cfg.Filter)
 
 	// Phase 1: compute each row's aggregated pixel runs. Rows are
-	// independent (per-row dominance caches suffice: a task executes
-	// on a single CPU), so they fan out over the worker pool. Phase 2
-	// applies labels and fills serially in row order, so the pixels
-	// and draw-call accounting match a sequential rendering exactly.
-	rows := make([][]pixelRun, g.visible)
+	// independent (a task executes on a single CPU), so they fan out
+	// over the worker pool. Phase 2 applies labels and fills serially
+	// in row order, so the pixels and draw-call accounting match a
+	// sequential rendering exactly.
+	cols := tmath.Columns{Start: start, End: end, W: g.plotW}
+	type rowOut struct {
+		runs pixelRuns
+		work mragg.Work
+	}
+	rows := make([]rowOut, g.visible)
 	if workers > 1 {
 		par.Do(workers, g.visible, func(row int) {
-			px := newPixelizer(tr, keep, typeIdx)
-			rows[row] = rowRuns(px, cfg.Mode, cpus[row], start, end, g.plotW, heatMin, heatMax, shades)
+			px := &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx}
+			rows[row].runs, rows[row].work = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
 		})
 	} else {
-		px := newPixelizer(tr, keep, typeIdx)
-		for row := 0; row < g.visible; row++ {
-			rows[row] = rowRuns(px, cfg.Mode, cpus[row], start, end, g.plotW, heatMin, heatMax, shades)
+		px := &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx}
+		for row := range rows {
+			rows[row].runs, rows[row].work = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
 		}
 	}
 
-	for row := 0; row < g.visible; row++ {
+	for row := range rows {
 		y := row * g.rowH
 		if cfg.Labels && g.labeled(row) {
 			fb.DrawText(0, labelY(y, g.rowH), fmt.Sprintf("CPU %d", labels[row]), TextColor)
 		}
-		for _, run := range rows[row] {
+		for _, run := range rows[row].runs {
 			fb.FillRect(g.gutter+run.x0, y, run.x1-run.x0, g.drawH, run.c)
 			st.Rects++
 		}
 		st.PixelColumns += g.plotW
+		st.Members += rows[row].work.Members
+		st.Queries += rows[row].work.Queries
 	}
 	return fb, st, nil
 }
@@ -279,132 +290,71 @@ func labelY(y, rowH int) int {
 	return ty
 }
 
-// pixelWindow returns the time window [t0, t1) of column x of a
-// w-column plot over span cycles from start — the one pixel->time
-// mapping of the timeline, its counter overlay and the ASCII
-// renderer. The 128-bit multiply keeps it exact where span*x
-// overflows int64, which real cycle-count timestamps reach (see
-// TestTimelineExtremeTimestamps); a column narrower than a cycle
-// widens to one.
-func pixelWindow(start, span trace.Time, x, w int) (t0, t1 trace.Time) {
-	t0 = start + tmath.MulDiv(span, int64(x), int64(w))
-	t1 = start + tmath.MulDiv(span, int64(x+1), int64(w))
-	if t1 <= t0 {
-		t1 = tmath.SatAdd(t0, 1)
+// pixelRuns is a row's runs, in column order.
+type pixelRuns []pixelRun
+
+// add paints columns [x0, x1) c, or leaves them to the background when
+// !ok, extending the last run where it ends at x0 in the same color:
+// rectangle aggregation, optimization (b) of Section VI-B.
+func (rs *pixelRuns) add(x0, x1 int, c color.RGBA, ok bool) {
+	if !ok {
+		return
 	}
-	return t0, t1
+	if n := len(*rs) - 1; n >= 0 && (*rs)[n].x1 == x0 && (*rs)[n].c == c {
+		(*rs)[n].x1 = x1
+		return
+	}
+	*rs = append(*rs, pixelRun{x0, x1, c})
 }
 
-// lastColumnBy returns the last column of a w-column plot over
-// [start, end) whose window ends at or before until, or -1 when not
-// even column 0's does: the inverse of pixelWindow. until must lie
-// past start.
-func lastColumnBy(start, end, until trace.Time, w int) int {
-	if until >= end {
-		return w - 1
+// rowRuns paints one CPU row from one walk over its columns
+// (core.DomCPU.Row): each run of columns the walk answers with one
+// event is mapped to a color once — optimization (a) of Section VI-B,
+// every pixel colored from its predominant state or task — and runs of
+// one color merge. It returns the runs and what the walk read.
+func rowRuns(px *pixelizer, mode Mode, cpu int32, cols tmath.Columns, heatMin, heatMax trace.Time, shades int) (pixelRuns, mragg.Work) {
+	var runs pixelRuns
+	var keep func(trace.TaskID) bool
+	if mode != ModeState {
+		keep = px.keep
 	}
-	// The column until falls into. Every later one starts at or past
-	// until, so it ends past it; this one or the one before is the
-	// answer, and pixelWindow itself (rounding, and the widening of
-	// columns narrower than a cycle) says which.
-	x := int(tmath.MulDiv(until-start, int64(w), end-start))
-	for ; x >= 0; x-- {
-		if _, t1 := pixelWindow(start, end-start, x, w); t1 <= until {
-			break
-		}
-	}
-	return x
-}
-
-// seekFrom returns the least i in [from, n) for which ge holds, or n
-// when it holds for none; ge must be false and then true over that
-// range. It gallops out from from, so a cursor moving forward a column
-// at a time pays O(log distance moved) rather than a search over all n.
-func seekFrom(from, n int, ge func(int) bool) int {
-	if from >= n || ge(from) {
-		return from
-	}
-	lo, step := from, 1
-	for lo+step < n && !ge(lo+step) {
-		lo += step
-		step <<= 1
-	}
-	hi := min(lo+step, n)
-	return lo + 1 + sort.Search(hi-lo-1, func(i int) bool { return ge(lo + 1 + i) })
-}
-
-// rowRuns walks one CPU row's pixels, aggregating runs of identical
-// color into single rectangle spans (optimization b of Section VI-B).
-// It asks once per answer, not once per column: where the answer
-// reaches past the pixel's window, the columns it covers are stepped
-// over — they would have extended the open run, or left none open,
-// exactly as the asked column did.
-func rowRuns(px *pixelizer, mode Mode, cpu int32, start, end trace.Time, plotW int, heatMin, heatMax trace.Time, shades int) []pixelRun {
-	var runs []pixelRun
-	runStart := -1
-	var runColor color.RGBA
-	// The cursors belong to this row, not to its CPU or its pixelizer:
-	// a CPU selected twice, and the rows a sequential rendering puts
-	// through one pixelizer, each start from their own first event. at
-	// is the dominance cursor (see pixelizer.dom), numaHeat's is in px.
-	at := 0
-	px.dom = px.tr.DomIndex().CPU(px.tr, cpu)
-	px.comm, px.commAt = core.Accesses{}, 0
+	// The access cursor belongs to this row, not to its CPU or its
+	// pixelizer: a CPU selected twice, and the rows a sequential
+	// rendering puts through one pixelizer, each start from their own.
+	px.comm, px.commAt, px.cur = core.Accesses{}, 0, cols.Cursor()
 	if mode == ModeNUMAHeat {
-		px.comm = px.tr.AccessesIn(cpu, start, end)
+		px.comm = px.tr.AccessesIn(cpu, cols.Start, cols.End)
 	}
-	flush := func(xEnd int) {
-		if runStart >= 0 {
-			runs = append(runs, pixelRun{runStart, xEnd, runColor})
-			runStart = -1
+	row := px.tr.DomIndex().CPU(px.tr, cpu).Row(cols, mode != ModeState, keep)
+	var buf [64]mragg.Run
+	for batch := row.Next(buf[:0]); len(batch) > 0; batch = row.Next(buf[:0]) {
+		for _, run := range batch {
+			c, ok := px.color(mode, row.Event(run.Leaf), heatMin, heatMax, shades)
+			if mode == ModeNUMAHeat {
+				px.numaHeat(&runs, cpu, run.X0, run.X1, c, ok)
+			} else {
+				runs.add(run.X0, run.X1, c, ok)
+			}
 		}
 	}
-	for x := 0; x < plotW; {
-		t0, t1 := pixelWindow(start, end-start, x, plotW)
-		c, ok, until, next := px.pixelColor(mode, cpu, at, t0, t1, heatMin, heatMax, shades)
-		at = next
-		if !ok {
-			flush(x)
-		} else if runStart < 0 {
-			runStart = x
-			runColor = c
-		} else if c != runColor {
-			flush(x)
-			runStart = x
-			runColor = c
-		}
-		x++
-		if until > t1 {
-			x = max(x, lastColumnBy(start, end, until, plotW)+1)
-		}
-	}
-	flush(plotW)
-	return runs
+	return runs, row.Work()
 }
 
-// pixelizer computes per-pixel colors for one renderer goroutine. Its
-// row state is private to its goroutine; the type index and keep
-// predicate are read-only and shared across all rows of a rendering.
+// pixelizer colors the rows of one renderer goroutine. Its row state is
+// private to its goroutine; the type index and keep predicate are
+// read-only and shared across all rows of a rendering.
 type pixelizer struct {
 	tr *core.Trace
 	// keep admits the tasks the filter matches; nil without a filter.
 	keep    func(trace.TaskID) bool
 	typeIdx map[trace.TypeID]int
-	// dom answers the current row's questions, lock-free: which state,
-	// and which admitted task execution, covers most of a pixel's
-	// window [t0, t1) — and until when. A horizon until > t1 promises
-	// the same answer for every window inside [t0, until), which lets
-	// rowRuns step over the columns an event spans instead of asking
-	// once per column; until == t1 promises nothing. Each question
-	// carries the row's cursor, and its answer names the next one
-	// (core.DomIndex's hint). rowRuns resolves it once per row.
-	dom *core.DomCPU
 	// comm holds the current row's accesses over the rendered interval
 	// (ModeNUMAHeat only) and commAt the first of them not before the
-	// last window asked about: numaHeat's forward cursor, which rowRuns
-	// resets per row.
+	// last column asked about: numaHeat's forward cursor, which rowRuns
+	// resets per row with cur, the row's column cursor.
 	comm   core.Accesses
 	commAt int
+	cur    tmath.Cursor
 }
 
 // typeIndexOf maps type IDs to their position in tr.Types, for stable
@@ -428,107 +378,96 @@ func keepOf(tr *core.Trace, f *filter.TaskFilter) func(trace.TaskID) bool {
 	}
 }
 
-func newPixelizer(tr *core.Trace, keep func(trace.TaskID) bool, typeIdx map[trace.TypeID]int) *pixelizer {
-	return &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx}
-}
-
-// pixelColor implements optimization (a) of Section VI-B: each pixel
-// is colored once, from the predominant state (or task) covered by its
-// interval. The time returned is the answer's horizon (see dom):
-// in five modes the color is a function of the dominant event, so it
-// reaches as far as the event's answer does; the NUMA heatmap's
-// depends on the accesses inside the pixel too (see numaHeat). from
-// and the int returned are the row's dominance cursor.
-func (p *pixelizer) pixelColor(mode Mode, cpu int32, from int, t0, t1 trace.Time, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool, trace.Time, int) {
+// color returns the color of the pixels whose predominant event — state
+// or admitted task execution, by mode — is ev, and false where they
+// show the background: no event, or a task without a home node.
+func (p *pixelizer) color(mode Mode, ev *trace.StateEvent, heatMin, heatMax trace.Time, shades int) (color.RGBA, bool) {
+	if ev == nil {
+		return color.RGBA{}, false
+	}
 	switch mode {
 	case ModeState:
-		ev, ok, until, next := p.dom.DominantStateUntil(from, t0, t1)
-		if !ok {
-			return color.RGBA{}, false, until, next
+		return StateColor(ev.State), true
+	case ModeHeat:
+		d := ev.Duration()
+		var frac float64
+		if heatMax > heatMin {
+			// Subtract in float64: the heat bounds are raw request
+			// parameters, so d-heatMin (and the bound spread) wrap in
+			// int64 when a bound sits at the far end of the range; the
+			// float mapping is monotone and plenty accurate for <=64
+			// shades.
+			frac = (float64(d) - float64(heatMin)) / (float64(heatMax) - float64(heatMin))
 		}
-		return StateColor(ev.State), true, until, next
+		return HeatShade(frac, shades), true
+	case ModeType:
+		i, declared := p.typeIdx[taskType(p.tr, ev.Task)]
+		if !declared {
+			// Such as the type 0 of an execution whose task record never
+			// arrived, on a trace whose types start at 1.
+			return unknownColor, true
+		}
+		return CategoryColor(i), true
+	case ModeNUMARead, ModeNUMAWrite:
+		home := p.tr.TaskHomes(ev.Task)
+		node := home.Read
+		if mode == ModeNUMAWrite {
+			node = home.Write
+		}
+		return CategoryColor(int(node)), node >= 0
 	case ModeNUMAHeat:
-		return p.numaHeat(cpu, from, t0, t1)
-	default:
-		ev, ok, until, next := p.dom.DominantExec(from, t0, t1, p.keep)
-		if !ok {
-			return color.RGBA{}, false, until, next
-		}
-		switch mode {
-		case ModeHeat:
-			d := ev.Duration()
-			var frac float64
-			if heatMax > heatMin {
-				// Subtract in float64: the heat bounds are raw request
-				// parameters, so d-heatMin (and the bound spread) wrap
-				// in int64 when a bound sits at the far end of the
-				// range; the float mapping is monotone and plenty
-				// accurate for <=64 shades.
-				frac = (float64(d) - float64(heatMin)) / (float64(heatMax) - float64(heatMin))
-			}
-			return HeatShade(frac, shades), true, until, next
-		case ModeType:
-			i, declared := p.typeIdx[taskType(p.tr, ev.Task)]
-			if !declared {
-				// Such as the type 0 of an execution whose task record
-				// never arrived, on a trace whose types start at 1.
-				return unknownColor, true, until, next
-			}
-			return CategoryColor(i), true, until, next
-		case ModeNUMARead, ModeNUMAWrite:
-			home := p.tr.TaskHomes(ev.Task)
-			node := home.Read
-			if mode == ModeNUMAWrite {
-				node = home.Write
-			}
-			if node < 0 {
-				return color.RGBA{}, false, until, next
-			}
-			return CategoryColor(int(node)), true, until, next
-		}
+		// A running task shows as fully local where it made no access.
+		return NUMAHeatShade(0), true
 	}
-	return color.RGBA{}, false, t1, from
+	return color.RGBA{}, false
 }
 
-// numaHeat returns the remote-access shade for the accesses in
-// [t0, t1) on cpu by the tasks keep admits, and the answer's horizon.
-// The row's events are walked with one forward cursor: rowRuns asks
-// about windows whose t0 never decreases, so the first event at or
-// after t0 is found from where the last window's was. A window holding
-// no access shows a running task as fully local, and that answer holds
-// as far as DominantExec's does or up to the next event on the row,
-// whichever comes first, so rowRuns steps over the stretch; a window
-// holding accesses answers for itself alone. from and the int returned
-// are the row's dominance cursor, which only DominantExec moves.
-func (p *pixelizer) numaHeat(cpu int32, from int, t0, t1 trace.Time) (color.RGBA, bool, trace.Time, int) {
+// numaHeat paints columns [x0, x1) of cpu's row, which the walk answers
+// with one task execution — c, or the background when !ok. A column
+// holding accesses by the tasks keep admits is shaded by their remote
+// share instead, whether a task runs there or not. The row's accesses
+// are walked with one forward cursor, stepped an access at a time:
+// columns are asked about in order, and only columns without accesses
+// are stepped over — a stretch of them is painted at once, up to the
+// column holding the next access — so no access is passed more than
+// twice, once to end a column and once to start the next.
+func (p *pixelizer) numaHeat(runs *pixelRuns, cpu int32, x0, x1 int, c color.RGBA, ok bool) {
 	evs := p.comm.Events
-	i := seekFrom(p.commAt, len(evs), func(i int) bool { return evs[i].Time >= t0 })
-	end := seekFrom(i, len(evs), func(i int) bool { return evs[i].Time >= t1 })
-	p.commAt = i
 	myNode := p.tr.NodeOfCPU(cpu)
-	var local, remote int64
-	for ev, home := range p.comm.Slice(i, end).Homes() {
-		if home < 0 || p.keep != nil && !p.keep(ev.Task) {
+	for x := x0; x < x1; {
+		t0, t1 := p.cur.Window(x)
+		i := p.commAt
+		for i < len(evs) && evs[i].Time < t0 {
+			i++
+		}
+		end := i
+		for end < len(evs) && evs[end].Time < t1 {
+			end++
+		}
+		p.commAt = i
+		var local, remote int64
+		for ev, home := range p.comm.Slice(i, end).Homes() {
+			if home < 0 || p.keep != nil && !p.keep(ev.Task) {
+				continue
+			}
+			if home == myNode {
+				local += int64(ev.Size)
+			} else {
+				remote += int64(ev.Size)
+			}
+		}
+		if total := local + remote; total > 0 {
+			runs.add(x, x+1, NUMAHeatShade(float64(remote)/float64(total)), true)
+			x++
 			continue
 		}
-		if home == myNode {
-			local += int64(ev.Size)
-		} else {
-			remote += int64(ev.Size)
-		}
-	}
-	total := local + remote
-	if total == 0 {
-		_, ok, until, next := p.dom.DominantExec(from, t0, t1, p.keep)
+		next := x1
 		if end < len(evs) {
-			until = min(until, evs[end].Time)
+			next = min(next, max(x+1, p.cur.LastBy(evs[end].Time)+1))
 		}
-		if !ok {
-			return color.RGBA{}, false, until, next
-		}
-		return NUMAHeatShade(0), true, until, next
+		runs.add(x, next, c, ok)
+		x = next
 	}
-	return NUMAHeatShade(float64(remote) / float64(total)), true, t1, from
 }
 
 func taskType(tr *core.Trace, id trace.TaskID) trace.TypeID {

@@ -7,38 +7,53 @@ import (
 
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/filter"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
-// TestTimelineAllocations pins as counts what a state and a typemap tile
-// allocate over a sixteenth of a 16×8 Seidel run's span, rendered on
-// one worker and on two: the framebuffer, the type index and the rows'
-// runs, nothing a query or a pixel. A row's dominance cursor is an int
-// local to rowRuns, handed to its CPU's *core.DomCPU by value; kept
-// behind a pointer it would escape, one allocation a row (+16 here).
+// TestTimelineAllocations pins as counts what a tile allocates over a
+// sixteenth of a 16×8 Seidel run's span — a state tile, a typemap
+// tile plain and types= filtered — and over the whole span in the
+// NUMA heat mode, rendered on one worker and on two: the framebuffer,
+// the type index and the rows' runs, nothing a query, a run or a
+// pixel. A row's walk (core.DomRow) and its batch of runs live on
+// rowRuns' stack; a walk or a batch that escaped would cost an
+// allocation a row (+16 here).
 func TestTimelineAllocations(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 16, 8, openstream.SchedNUMA)
 	span := tr.Span.Duration()
 	start := tr.Span.Start + span/3
 	for _, c := range []struct {
-		mode    Mode
-		workers int
-		want    float64
+		mode           Mode
+		filtered, full bool
+		workers        int
+		want           float64
 	}{
-		{ModeState, 1, 108},
-		{ModeState, 2, 113},
-		{ModeType, 1, 76},
-		{ModeType, 2, 81},
+		{ModeState, false, false, 1, 108},
+		{ModeState, false, false, 2, 113},
+		{ModeType, false, false, 1, 76},
+		{ModeType, false, false, 2, 81},
+		{ModeType, true, false, 1, 77},
+		{ModeType, true, false, 2, 82},
+		{ModeNUMAHeat, false, true, 1, 146},
+		{ModeNUMAHeat, false, true, 2, 151},
 	} {
 		cfg := TimelineConfig{Width: 900, Height: 380, Mode: c.mode, Start: start, End: start + span/16}
+		if c.full {
+			cfg.Start, cfg.End = 0, 0
+		}
+		if c.filtered {
+			cfg.Filter = filter.ByTypeNames(tr, "seidel_block")
+		}
 		render := func() {
 			if _, _, err := timeline(tr, cfg, c.workers); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if got := testing.AllocsPerRun(10, render); got != c.want {
-			t.Errorf("a %v tile on %d workers allocates %.0f times, want %.0f", c.mode, c.workers, got, c.want)
+			t.Errorf("a %v tile (filtered %v, full span %v) on %d workers allocates %.0f times, want %.0f",
+				c.mode, c.filtered, c.full, c.workers, got, c.want)
 		}
 	}
 }

@@ -111,8 +111,30 @@ func Put[T any](w *Writer, s []T) Ref {
 }
 
 // Finish writes the metadata blob, seals the header, syncs and renames
-// the file into place.
+// the file into place: a crash leaves the old file at the path or the
+// whole new one.
 func (w *Writer) Finish(meta []byte) error {
+	if err := w.seal(meta); err != nil {
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
+		w.Abort()
+		return err
+	}
+	return w.rename()
+}
+
+// Seal is Finish without the sync, for a file nothing reads after a
+// crash: a live trace's spill segment, which the next start sweeps.
+func (w *Writer) Seal(meta []byte) error {
+	if err := w.seal(meta); err != nil {
+		return err
+	}
+	return w.rename()
+}
+
+// seal writes the metadata blob and the header.
+func (w *Writer) seal(meta []byte) error {
 	if w.err != nil {
 		err := w.err
 		w.Abort()
@@ -137,10 +159,11 @@ func (w *Writer) Finish(meta []byte) error {
 		w.Abort()
 		return err
 	}
-	if err := w.f.Sync(); err != nil {
-		w.Abort()
-		return err
-	}
+	return nil
+}
+
+// rename closes the sealed file and moves it into place.
+func (w *Writer) rename() error {
 	if err := w.f.Close(); err != nil {
 		os.Remove(w.tmp)
 		return err

@@ -272,3 +272,38 @@ func FuzzViewRef(f *testing.F) {
 		_ = got[0] + got[len(got)-1] // in-bounds views are readable end to end
 	})
 }
+
+// TestSealEqualsFinish: a file sealed without a sync is the file
+// Finish writes, byte for byte, in place under its name with no
+// temporary left beside it.
+func TestSealEqualsFinish(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, done func(*Writer, []byte) error) []byte {
+		w, err := Create(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		Put(w, []int64{1, 2, 3})
+		w.Raw([]byte("abc"))
+		if err := done(w, []byte("meta")); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	finished, sealed := write("a.atms", (*Writer).Finish), write("b.atms", (*Writer).Seal)
+	if !reflect.DeepEqual(finished, sealed) {
+		t.Error("Seal wrote another file than Finish")
+	}
+	if m, err := Open(filepath.Join(dir, "b.atms")); err != nil || string(m.Meta()) != "meta" {
+		t.Fatalf("sealed file: %v", err)
+	} else {
+		m.Close()
+	}
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Errorf("%d files left in the directory, want the two written", len(ents))
+	}
+}

@@ -135,3 +135,52 @@ func TestMulDivPanics(t *testing.T) {
 	mustPanic("negative b", func() { MulDiv(1, -2, 3) })
 	mustPanic("zero den", func() { MulDiv(1, 2, 0) })
 }
+
+// TestColumns: Window's columns start where the plot does and end where
+// it ends, never empty; LastBy inverts Window; and a Cursor asked about
+// columns in any order — the next one, a jump forward, a step back —
+// answers what Window does. Plots are narrower and wider than their
+// span in cycles (whose columns widen and overlap), near both ends of
+// int64 and as wide as an int64 span gets.
+func TestColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for round := 0; round < 300; round++ {
+		span := rng.Int63n(5000) + 1
+		switch round % 4 {
+		case 1:
+			span = rng.Int63n(math.MaxInt64/2) + 1
+		case 2:
+			span = math.MaxInt64 - rng.Int63n(3)
+		}
+		start := min([]int64{0, math.MinInt64, math.MaxInt64, rng.Int63n(1 << 40)}[rng.Intn(4)], math.MaxInt64-span)
+		c := Columns{Start: start, End: start + span, W: 1 + rng.Intn(4000)}
+		if t0, _ := c.Window(0); t0 != c.Start {
+			t.Fatalf("%+v: column 0 starts at %d", c, t0)
+		}
+		if _, t1 := c.Window(c.W - 1); t1 != c.End {
+			t.Fatalf("%+v: the last column ends at %d", c, t1)
+		}
+		k := c.Cursor()
+		for q, x := 0, 0; q < 200; q++ {
+			switch rng.Intn(4) {
+			case 0:
+				x = rng.Intn(c.W)
+			case 1:
+				x = max(x-1, 0)
+			default:
+				x = min(x+1, c.W-1)
+			}
+			t0, t1 := c.Window(x)
+			if k0, k1 := k.Window(x); k0 != t0 || k1 != t1 || t1 <= t0 {
+				t.Fatalf("%+v: column %d is [%d, %d), the cursor says [%d, %d)", c, x, t0, t1, k0, k1)
+			}
+			// The last column ending by until, and the first not to.
+			until := SatAdd(t1, rng.Int63n(3)-1)
+			last := c.LastBy(until)
+			endsBy := func(x int) bool { _, e := c.Window(x); return e <= until }
+			if last >= 0 && !endsBy(last) || last+1 < c.W && endsBy(last+1) {
+				t.Fatalf("%+v: LastBy(%d) = %d", c, until, last)
+			}
+		}
+	}
+}
