@@ -679,7 +679,7 @@ func (o *Trace) stats(v url.Values) answer {
 			res.StateCycles[st.String()] = sum
 		}
 		if st == trace.StateTaskExec && t1 > t0 {
-			res.AvgParallelism = float64(sum) / float64(t1-t0)
+			res.AvgParallelism = float64(sum) / float64(uint64(t1-t0))
 		}
 	}
 	m := o.commMatrix(t0, t1)

@@ -145,7 +145,9 @@ func StatsOf(tr *core.Trace, q *Query) StatsResult {
 	}
 	times := stats.StateTimes(tr, t0, t1)
 	if t1 > t0 {
-		resp.AvgParallelism = float64(times[trace.StateTaskExec]) / float64(t1-t0)
+		// The width as unsigned: a window more than 2^63-1 cycles wide
+		// wraps t1-t0 negative.
+		resp.AvgParallelism = float64(times[trace.StateTaskExec]) / float64(uint64(t1-t0))
 	}
 	for st, v := range times {
 		if v > 0 {

@@ -11,11 +11,13 @@ import (
 // compressor hashes every byte to find its matches; a picture drawn in
 // rectangles has two kinds worth finding, and both are known without
 // a search: the row above, at a distance of one scanline, and a run of
-// the byte before, at a distance of 1. A scanline equal to the one
-// above is all one match, found by the caller's compare of the pixel
-// rows and never scanned here; any other scanline is tokenized
-// greedily with those two candidates at each position. The tokens of
-// a block are coded with Huffman tables built from the block's own
+// the byte before, at a distance of 1. A scanline comes as runs of
+// bytes, and is tokenized greedily with those two candidates at each
+// position, a run at a time: how far either reaches is read off the
+// runs, a part shared with the scanline above reaches to its end
+// unread, and the checksum of a run is taken in closed form. A
+// scanline equal to the one above is all one match. The tokens of a
+// block are coded with Huffman tables built from the block's own
 // histogram, or with deflate's fixed tables when those cost fewer
 // bits.
 
@@ -55,23 +57,43 @@ const matchFlag = 1 << 31
 // allocates nothing for it but out.
 type rowDeflater struct {
 	e   chunkWriter
+	n   int    // the bytes of a scanline
 	out []byte // compressed bytes not yet written as IDAT
 	acc uint64 // bits not yet in out, the first in the low bit
-	n   uint   // how many bits acc holds, below 32 between writes
+	nb  uint   // how many bits acc holds, below 32 between writes
 
-	// The Adler-32 of the scanlines so far (s1, s2), and the sums of
-	// the last one tokenized, taken from zero (a, b): a repeated
-	// scanline folds those in without reading a byte.
+	// The Adler-32 of the scanlines so far.
 	s1, s2 uint32
-	a, b   uint32
 
 	toks     [maxBlockTokens]uint32
 	ntoks    int
 	litFreq  [numLitLen]uint32
 	distFreq [numDist]uint32
 
-	// scanned counts the scanline bytes tokenized.
-	scanned int
+	// runs counts the byte runs tokenized.
+	runs int
+}
+
+// byteRun is n bytes of value b.
+type byteRun struct {
+	n int32
+	b byte
+}
+
+// part is a stretch of a scanline as byte runs, with Adler-32's two
+// sums over its n bytes taken from zero.
+type part struct {
+	runs []byteRun
+	a, b uint32
+	n    int
+}
+
+// scanline is one scanline as the deflater reads it: its head, then
+// its tail. Scanlines of one key ≥ 0 have equal heads' lengths and one
+// tail.
+type scanline struct {
+	head, tail part
+	key        int
 }
 
 // start writes the zlib header: deflate with a 32 KiB window, no
@@ -81,85 +103,247 @@ func (d *rowDeflater) start(out []byte) {
 	d.s1, d.s2 = 1, 0
 }
 
-// scanline tokenizes s, the next scanline, and adds it to the
-// checksum. above is the scanline before it, or nil for the first.
-func (d *rowDeflater) scanline(s, above []byte) {
-	d.scanned += len(s)
-	d.a, d.b = adlerSums(s)
-	d.fold(len(s))
-	if len(s) < minMatch || len(s) > window {
+// line tokenizes s, the next scanline, and adds it to the checksum.
+// above is the scanline before it, or nil for the first. At each
+// position the longer of the match of the row above and the run of the
+// byte before is taken, the row above on a tie, and a literal where
+// neither reaches minMatch.
+func (d *rowDeflater) line(s, above *scanline) {
+	d.fold(s)
+	if d.n < minMatch || d.n > window {
 		above = nil
 	}
-	for i := 0; i < len(s); {
+	c, u := cursor{runs: s.head.runs, tail: s.tail.runs}, cursor{}
+	shared := false
+	if above != nil {
+		u = cursor{runs: above.head.runs, tail: above.tail.runs}
+		shared = s.key >= 0 && s.key == above.key
+	}
+	var cc, uu cursor // c and u past the match of the row above
+	for i := 0; i < d.n; {
+		v, left := c.runs[0].b, int(c.runs[0].n-c.off)
 		best, dist := 0, 0
-		if above != nil && s[i] == above[i] {
-			best, dist = matchLen(s[i:], above[i:]), len(s)
+		if above != nil && u.runs[0].b == v {
+			cc, uu = c, u
+			best, dist = common(&cc, &uu, shared, d.n-i), d.n
 		}
-		if i > 0 && s[i] == s[i-1] {
-			if l := matchLen(s[i:], s[i-1:len(s)-1]); l > best {
+		if i > 0 && c.last == v {
+			l := left
+			if len(c.runs) == 1 {
+				l = c.run(v)
+			}
+			if l > best {
 				best, dist = l, 1
 			}
 		}
 		if best < minMatch {
-			d.literal(s[i])
-			i++
+			d.literal(v)
+			best, dist = 1, 0
+		} else {
+			d.match(best, dist)
+		}
+		i += best
+		if dist == d.n {
+			c, u = cc, uu
 			continue
 		}
-		d.match(best, dist)
-		i += best
+		if i == d.n {
+			break
+		}
+		switch {
+		case best < left:
+			c.off += int32(best)
+			c.last = v
+		case best == left && len(c.runs) > 1:
+			c.runs, c.off, c.last = c.runs[1:], 0, v
+			c.steps++
+		default:
+			c.skip(best)
+		}
+		if above != nil {
+			if best < int(u.runs[0].n-u.off) {
+				u.off += int32(best)
+			} else {
+				u.skip(best)
+			}
+		}
 	}
+	d.runs += 1 + c.steps
 }
 
 // repeat deflates a scanline equal to s, the last one deflated: one
 // match of the row above, cut into pieces deflate can hold, unless the
 // row above is out of reach.
-func (d *rowDeflater) repeat(s []byte) {
-	if len(s) < minMatch || len(s) > window {
-		d.scanline(s, nil)
+func (d *rowDeflater) repeat(s *scanline) {
+	if d.n < minMatch || d.n > window {
+		d.line(s, nil)
 		return
 	}
-	d.fold(len(s))
-	d.match(len(s), len(s))
+	d.fold(s)
+	d.match(d.n, d.n)
 }
 
-// fold adds a scanline of n bytes whose sums are d.a and d.b to the
-// running checksum: s1 grows by a, and s2 by n times the old s1 and b.
-func (d *rowDeflater) fold(n int) {
-	d.s2 = uint32((uint64(d.s2) + uint64(n%adlerMod)*uint64(d.s1) + uint64(d.b)) % adlerMod)
-	d.s1 = (d.s1 + d.a) % adlerMod
-}
-
-// adlerSums returns Adler-32's two sums over s taken from zero: a the
-// sum of its bytes, b the sum of a after each byte, both modulo
-// adlerMod. Eight bytes at a time: a grows by their sum and b by 8
-// times a plus their sum weighted 8, 7, …, 1, both taken as dot
-// products of 16-bit lanes, the even bytes in one word and the odd in
-// another, with no lane reaching 2^16.
-func adlerSums(s []byte) (a, b uint32) {
-	const (
-		lanes = 0x00ff00ff00ff00ff
-		ones  = 0x0001000100010001
-		even  = 8<<48 | 6<<32 | 4<<16 | 2
-		odd   = 7<<48 | 5<<32 | 3<<16 | 1
-	)
-	var sa, sb uint64
-	for len(s) > 0 {
-		// Reduced every 64 KiB, long before b can overflow.
-		chunk := s[:min(len(s), 1<<16)]
-		s = s[len(chunk):]
-		for ; len(chunk) >= 8; chunk = chunk[8:] {
-			x := binary.LittleEndian.Uint64(chunk)
-			e, o := x&lanes, x>>8&lanes
-			sb += 8*sa + (e*even+o*odd)>>48
-			sa += (e + o) * ones >> 48
-		}
-		for _, c := range chunk {
-			sa += uint64(c)
-			sb += sa
-		}
-		sa, sb = sa%adlerMod, sb%adlerMod
+// fold adds scanline s to the running checksum, a part at a time: s1
+// grows by the part's a, and s2 by n times the old s1 and b.
+func (d *rowDeflater) fold(s *scanline) {
+	for _, p := range [2]*part{&s.head, &s.tail} {
+		d.s2 = uint32((uint64(d.s2) + uint64(p.n%adlerMod)*uint64(d.s1) + uint64(p.b)) % adlerMod)
+		d.s1 = (d.s1 + p.a) % adlerMod
 	}
-	return uint32(sa), uint32(sb)
+}
+
+// cursor reads a scanline's byte runs: runs[0] holds the next byte,
+// off of its bytes read, and tail follows runs until it is entered.
+type cursor struct {
+	runs, tail []byteRun
+	off        int32
+	inTail     bool
+	last       byte // the byte read last
+	steps      int  // the runs left behind
+}
+
+// skip reads k bytes, which the scanline holds.
+func (c *cursor) skip(k int) {
+	for k > 0 {
+		c.last = c.runs[0].b
+		r := int(c.runs[0].n - c.off)
+		if k < r {
+			c.off += int32(k)
+			return
+		}
+		k -= r
+		c.runs, c.off = c.runs[1:], 0
+		c.steps++
+		if len(c.runs) == 0 && !c.inTail {
+			c.runs, c.inTail = c.tail, true
+		}
+	}
+}
+
+// run returns how many bytes from c on are v.
+func (c cursor) run(v byte) (n int) {
+	for len(c.runs) > 0 && c.runs[0].b == v {
+		k := int(c.runs[0].n - c.off)
+		n += k
+		c.skip(k)
+	}
+	return n
+}
+
+// common returns how many of the next n bytes from c on equal those
+// from u on, and leaves both past them. When shared, the two
+// scanlines' tails are one, so from where both have entered it the
+// rest is equal unread (and c and u are left where they entered it).
+func common(c, u *cursor, shared bool, n int) int {
+	for m := 0; m < n; {
+		if shared && c.inTail && u.inTail {
+			return n
+		}
+		if c.runs[0].b != u.runs[0].b {
+			return m
+		}
+		k := min(int(c.runs[0].n-c.off), int(u.runs[0].n-u.off), n-m)
+		m += k
+		c.skip(k)
+		u.skip(k)
+	}
+	return n
+}
+
+// runSums returns Adler-32's two sums over runs taken from zero, and
+// the bytes they hold. n bytes of v add n·v to a, and to b n times a
+// and v·n(n+1)/2 — zlib's adler32_combine, for a run. With a reduced,
+// a run adds less than 2^16 a byte and 2^24 a run to b, so b holds any
+// scanline's (fewer than 2^31 bytes) unreduced.
+func runSums(runs []byteRun) (a, b uint32, n int) {
+	var sa, sb uint64
+	for _, r := range runs {
+		k, v := uint64(r.n), uint64(r.b)
+		sb += k*sa + v*(k*(k+1)/2%adlerMod)
+		sa = (sa + k*v) % adlerMod
+		n += int(r.n)
+	}
+	return uint32(sa), uint32(sb % adlerMod), n
+}
+
+// packer packs pixels into byte runs, 1<<shift pixels a byte, most
+// significant bits first, numbering each palette entry by remap. A
+// byte of pixels of entry p is p times fill.
+type packer struct {
+	shift, depth uint
+	fill         uint8
+	remap        *[256]uint8
+	out          []byteRun
+	acc          byte // the byte being filled
+	k            uint // the pixels acc holds
+}
+
+// part packs the pixels of columns [from, to) — the runs shifted by
+// off, the background (palette entry 0) between them — into dst, behind
+// a filter byte of 0 when filter is set, the last byte padded with zero
+// bits.
+func (pk *packer) part(dst []byteRun, runs []pixelRun, off, from, to int, filter bool) part {
+	pk.out = dst[:0]
+	if filter {
+		pk.emit(0, 1)
+	}
+	x := from
+	for _, r := range runs {
+		x0, x1 := max(r.x0+off, x), min(r.x1+off, to)
+		if x0 >= to {
+			break
+		}
+		if x0 < x1 {
+			if x0 > x {
+				pk.add(x0-x, 0)
+			}
+			pk.add(x1-x0, r.p)
+			x = x1
+		}
+	}
+	if x < to {
+		pk.add(to-x, 0)
+	}
+	if pk.k > 0 {
+		pk.emit(pk.acc, 1)
+		pk.k = 0
+	}
+	a, b, n := runSums(pk.out)
+	return part{pk.out, a, b, n}
+}
+
+// add packs n pixels of palette entry p: into the byte being filled,
+// then as whole bytes of p repeated, then into the next byte.
+func (pk *packer) add(n int, p uint8) {
+	d, per := pk.depth, uint(1)<<pk.shift
+	rep := pk.remap[p] * pk.fill
+	if per == 1 {
+		pk.emit(rep, n)
+		return
+	}
+	if pk.k > 0 {
+		t := min(uint(n), per-pk.k)
+		pk.acc |= rep & uint8((1<<(t*d)-1)<<(8-(pk.k+t)*d))
+		if pk.k += t; pk.k < per {
+			return
+		}
+		pk.emit(pk.acc, 1)
+		n -= int(t)
+	}
+	if whole := n >> pk.shift; whole > 0 {
+		pk.emit(rep, whole)
+	}
+	pk.k = uint(n) & (per - 1)
+	pk.acc = rep &^ (0xff >> (pk.k * d))
+}
+
+// emit appends n bytes of b, to the last run when it is of b.
+func (pk *packer) emit(b byte, n int) {
+	if i := len(pk.out) - 1; i >= 0 && pk.out[i].b == b {
+		pk.out[i].n += int32(n)
+		return
+	}
+	pk.out = append(pk.out, byteRun{int32(n), b})
 }
 
 // matchLen returns how many leading bytes of a equal those of b, which
@@ -212,10 +396,10 @@ func (d *rowDeflater) token(t uint32) {
 // finish writes the last block, the checksum and the remaining IDAT.
 func (d *rowDeflater) finish() {
 	d.block(true)
-	for d.n > 0 {
+	for d.nb > 0 {
 		d.out = append(d.out, uint8(d.acc))
 		d.acc >>= 8
-		d.n -= min(d.n, 8)
+		d.nb -= min(d.nb, 8)
 	}
 	d.out = binary.BigEndian.AppendUint32(d.out, d.s2<<16|d.s1)
 	d.e.chunk("IDAT", d.out)
@@ -223,12 +407,12 @@ func (d *rowDeflater) finish() {
 
 // bits writes the low n bits of v, n at most 32.
 func (d *rowDeflater) bits(v uint32, n uint) {
-	d.acc |= uint64(v) << d.n
-	d.n += n
-	if d.n >= 32 {
+	d.acc |= uint64(v) << d.nb
+	d.nb += n
+	if d.nb >= 32 {
 		d.out = binary.LittleEndian.AppendUint32(d.out, uint32(d.acc))
 		d.acc >>= 32
-		d.n -= 32
+		d.nb -= 32
 		if len(d.out) >= idatSize {
 			d.e.chunk("IDAT", d.out)
 			d.out = d.out[:0]

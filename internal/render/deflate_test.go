@@ -63,22 +63,31 @@ func TestHuffLengths(t *testing.T) {
 	}
 }
 
-// TestAdlerSums: the two sums taken 8 bytes at a time are hash/adler32's,
-// for every length around a word and past the 64 KiB reduction.
+// TestAdlerSums: the two sums taken a run at a time in closed form are
+// hash/adler32's, for runs of large bytes of every length around a
+// word, the modulus and the 5552 bytes zlib sums before it reduces,
+// long enough that n(n+1)/2 alone passes the modulus many times, and
+// for a scanline of 2^17 short runs, whose b is reduced only once.
 func TestAdlerSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	data := make([]byte, 1<<17+9)
-	rng.Read(data)
-	for i := range data[:1<<16] {
-		data[i] |= 0xf0 // large bytes, so a late reduction would overflow
-	}
-	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 1000, 1<<16 - 1, 1 << 16, 1<<16 + 1, len(data)} {
-		s := data[:n]
-		a, b := adlerSums(s)
+	lengths := []int{1, 2, 3, 7, 8, 9, 5552, adlerMod - 1, adlerMod, adlerMod + 1, 1 << 17}
+	for i := range 41 {
+		var runs []byteRun
+		var data []byte
+		count, lens := i%7, lengths
+		if i == 40 {
+			count, lens = 1<<17+9, lengths[:3]
+		}
+		for range count {
+			n, b := lens[rng.Intn(len(lens))], byte(0xf0|rng.Intn(16))
+			runs = append(runs, byteRun{int32(n), b})
+			data = append(data, bytes.Repeat([]byte{b}, n)...)
+		}
+		a, b, n := runSums(runs)
 		// adler32 starts from s1 = 1, which adds n to s2.
 		s1, s2 := (a+1)%adlerMod, (b+uint32(n%adlerMod))%adlerMod
-		if got, want := s2<<16|s1, adler32.Checksum(s); got != want {
-			t.Errorf("%d bytes: sums give %#08x, adler32 %#08x", n, got, want)
+		if got, want := s2<<16|s1, adler32.Checksum(data); got != want || n != len(data) {
+			t.Errorf("%d runs: sums give %#08x over %d bytes, adler32 %#08x over %d", len(runs), got, n, want, len(data))
 		}
 	}
 }

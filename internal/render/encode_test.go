@@ -7,6 +7,7 @@ import (
 	"image"
 	"image/color"
 	"image/png"
+	"io"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -436,9 +437,9 @@ func (m *plainImage) text(x, y int, s string, c color.RGBA) {
 		if r >= 'a' && r <= 'z' {
 			r += 'A' - 'a'
 		}
-		g, ok := glyphs[r]
-		if !ok {
-			g = glyphs['?']
+		g := glyphs['?']
+		if r >= 0 && r < 128 && (r == ' ' || glyphs[r] != [7]byte{}) {
+			g = glyphs[r]
 		}
 		m.ops++
 		for row, bits := range g {
@@ -688,35 +689,65 @@ func TestEncodePNGSize(t *testing.T) {
 	}
 }
 
-// TestEncodePNGScansDistinctRows: a row equal to the one above is one
-// compare of pixel rows, never tokenized, so the bytes the deflater
-// scans follow the distinct rows. A timeline four times as tall has
-// four times the rows and about as many distinct ones; a framebuffer
-// of one colour has one.
-func TestEncodePNGScansDistinctRows(t *testing.T) {
+// TestEncodeWorkTracksRuns: the deflater reads byte runs, not bytes,
+// and a scanline equal to the one above, or the part of one it shares
+// with the one above, not at all; so a tile's encode work follows its
+// runs and its distinct scanlines. A zoomed tile four times as wide
+// shows the same states in as many runs, and one four times as tall
+// the same rows, labels included, in four times the scanlines; a
+// painted framebuffer of one colour is one run, on the one scanline
+// that differs from the one above it.
+func TestEncodeWorkTracksRuns(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	scanned := func(fb *Framebuffer) int {
-		n, err := scannedBytes(fb)
+	span := tr.Span.Duration()
+	work := func(w, h int) (int, Stats) {
+		start := tr.Span.Start + span/3
+		fb, st, err := Timeline(tr, TimelineConfig{Width: w, Height: h, Mode: ModeState, Labels: true, Start: start, End: start + span/64})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n
-	}
-	timeline := func(h int) *Framebuffer {
-		fb, _, err := Timeline(tr, TimelineConfig{Width: 1000, Height: h, Mode: ModeState, Labels: true})
+		n, err := encodeWork(fb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fb
+		return n, st
 	}
-	short, tall := scanned(timeline(400)), scanned(timeline(1600))
-	if short == 0 || float64(tall) > 1.1*float64(short) {
-		t.Errorf("scanned %d bytes at 1000x400 and %d at 1000x1600: more than 1.1 times for 4 times the rows", short, tall)
+	narrow, st := work(1000, 400)
+	wide, wst := work(4000, 400)
+	if st.Rects != wst.Rects {
+		t.Fatalf("%d runs at width 1000 and %d at 4000: the tiles do not show the same states", st.Rects, wst.Rects)
 	}
+	if narrow == 0 || float64(wide) > 1.2*float64(narrow) {
+		t.Errorf("encoding read %d runs at 1000x400 and %d at 4000x400: more than 1.2 times for 4 times the pixels", narrow, wide)
+	}
+	if tall, _ := work(1000, 1600); float64(tall) > 1.1*float64(narrow) {
+		t.Errorf("encoding read %d runs at 1000x400 and %d at 1000x1600: more than 1.1 times for 4 times the scanlines", narrow, tall)
+	}
+	t.Logf("%d runs tokenized for %d rectangles at 1000x400, %d at 4000x400", narrow, st.Rects, wide)
 
 	flat := NewFramebuffer(1000, 400)
 	flat.Clear(rampColour(3))
-	if got, row := scanned(flat), 1+1000/8; got != row {
-		t.Errorf("a framebuffer of one colour scanned %d bytes, want one row's %d", got, row)
+	if got, err := encodeWork(flat); err != nil || got != 1 {
+		t.Errorf("a framebuffer of one colour: %d runs tokenized (%v), want 1", got, err)
+	}
+
+	// Two scanlines of one row share its 500 runs: the second reads its
+	// own head, and the row's runs not at all.
+	partOf := func(runs ...byteRun) part {
+		a, b, n := runSums(runs)
+		return part{runs, a, b, n}
+	}
+	var row []byteRun
+	for i := range 500 {
+		row = append(row, byteRun{int32(1 + i%3), byte(i % 7)})
+	}
+	first := scanline{head: partOf(byteRun{1, 0}, byteRun{4, 9}), tail: partOf(row...), key: 3}
+	second := scanline{head: partOf(byteRun{3, 0}, byteRun{1, 5}, byteRun{1, 9}), tail: first.tail, key: 3}
+	d := rowDeflater{e: chunkWriter{w: io.Discard}, n: first.head.n + first.tail.n}
+	d.start(nil)
+	d.line(&first, nil)
+	before := d.runs
+	if d.line(&second, &first); d.runs-before > len(second.head.runs)+1 {
+		t.Errorf("a scanline sharing its row's %d runs with the one above read %d runs, its head holds %d", len(row), d.runs-before, len(second.head.runs))
 	}
 }

@@ -12,14 +12,19 @@
 //
 // The paper's GTK+/Cairo GUI is replaced by PNG/PPM output and the
 // interactive HTTP viewer in internal/ui; the rendering algorithms are
-// unchanged by this substitution. Drawing goes to an indexed-colour
-// framebuffer — one palette byte per pixel, which is also what
-// EncodePNG packs — that turns into a truecolour image the moment a
-// 257th or a translucent colour is drawn. The pixels read back the
-// same either way. An indexed image is deflated by this package's own
-// compressor (deflate.go), whose only matches are the row above and a
-// run, so encoding costs what the distinct rows cost; what it writes
-// decodes to the framebuffer's pixels, and is not image/png's bytes.
+// unchanged by this substitution. A timeline leaves Timeline as its
+// rows' runs and labels, unpainted; the first drawing call on it (a
+// counter overlay, an annotation) paints it. Everything else draws on
+// an indexed-colour framebuffer — one palette byte per pixel — that
+// turns into a truecolour image the moment a 257th or a translucent
+// colour is drawn. The pixels read back the same every way. An
+// indexed image is encoded from runs: a kept tile's as they are, a
+// painted one's scanned off its distinct scanlines, packed into runs of
+// bytes and deflated by this package's own compressor (deflate.go),
+// one tokenizer over runs whose only matches are the row above and a
+// run, so encoding costs what the runs and the distinct scanlines
+// cost; what it writes decodes to the framebuffer's pixels, and is not
+// image/png's bytes.
 package render
 
 import (
@@ -40,7 +45,9 @@ import (
 // been drawn since the last Clear — every timeline mode, plots, an
 // ordinary matrix — and an *image.RGBA from the first colour that does
 // not fit, for good. FillRect and set are the only two places that
-// know which; every other primitive draws through them.
+// know which; every other primitive draws through them. A framebuffer
+// from Timeline holds a tile instead, until Clear, FillRect or set
+// first touches it.
 type Framebuffer struct {
 	w, h int
 	// pix holds w*h indices into pal, row by row; nil once rgba is set.
@@ -57,6 +64,10 @@ type Framebuffer struct {
 	lastIdx uint8
 	// rgba replaces pix and pal after the conversion.
 	rgba *image.RGBA
+	// tile, while it holds rows, is the picture instead of pix: a
+	// timeline as Timeline leaves it, which the first drawing call
+	// paints (paint) and EncodePNG reads as it is.
+	tile tile
 	// Ops counts drawing calls (rectangle fills, lines, glyphs).
 	Ops int
 }
@@ -85,6 +96,9 @@ func (fb *Framebuffer) H() int { return fb.h }
 // so an opaque clear of an indexed framebuffer starts the palette over
 // with c as its only entry.
 func (fb *Framebuffer) Clear(c color.RGBA) {
+	if fb.tile.rows != nil {
+		fb.paint()
+	}
 	if fb.rgba == nil && c.A == 0xff {
 		fb.pal = fb.pal[:0]
 		fb.keys = [palSlots]uint32{}
@@ -134,6 +148,11 @@ func (fb *Framebuffer) RGBA() *image.RGBA {
 		copy(img.Pix, fb.rgba.Pix)
 		return img
 	}
+	if fb.tile.rows != nil {
+		painted := Framebuffer{w: fb.w, h: fb.h, tile: fb.tile}
+		painted.paint()
+		return painted.RGBA()
+	}
 	for i, p := range fb.pix {
 		c := fb.pal[p]
 		px := img.Pix[4*i : 4*i+4 : 4*i+4]
@@ -153,6 +172,9 @@ func (fb *Framebuffer) FillRect(x, y, w, h int, c color.RGBA) {
 		return
 	}
 	fb.Ops++
+	if fb.tile.rows != nil {
+		fb.paint()
+	}
 	if fb.rgba == nil {
 		if idx, ok := fb.index(c); ok {
 			first := fb.pix[y0*fb.w+x0 : y0*fb.w+x1]
@@ -228,6 +250,9 @@ func (fb *Framebuffer) set(x, y int, c color.RGBA) {
 	if x < 0 || y < 0 || x >= fb.w || y >= fb.h {
 		return
 	}
+	if fb.tile.rows != nil {
+		fb.paint()
+	}
 	if fb.rgba == nil {
 		if idx, ok := fb.index(c); ok {
 			fb.pix[y*fb.w+x] = idx
@@ -247,6 +272,9 @@ func (fb *Framebuffer) At(x, y int) color.RGBA {
 	if fb.rgba != nil {
 		return fb.rgba.RGBAAt(x, y)
 	}
+	if fb.tile.rows != nil {
+		return fb.pal[fb.tile.at(x, y)]
+	}
 	return fb.pal[fb.pix[y*fb.w+x]]
 }
 
@@ -260,25 +288,30 @@ var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed}
 // pixels are the framebuffer's either way. The indexed image is
 // written here — signature, IHDR, PLTE, the rows unfiltered at 1, 2, 4
 // or 8 bits a pixel by palette size (the depth and colour type
-// image/png would choose), IDAT, IEND — from the index bytes as they
-// lie, and deflated by rowDeflater, whose only matches are the row
-// above and a run: a pixel row equal to the one above costs one
-// compare and is neither packed nor scanned, so the work follows the
-// distinct rows, not the pixels.
+// image/png would choose), IDAT, IEND — and its input is runs: a kept
+// timeline tile's rows of runs as they are, a painted picture's runs
+// scanned off its pixels once per scanline that differs from the one
+// above. The runs are packed into runs of bytes, and rowDeflater
+// tokenizes those, with the row above and a run as its only matches:
+// a scanline's part shared with the scanline above is one match, and
+// a scanline equal to the one above is neither packed nor read, so
+// the work follows the runs and the distinct scanlines, not the
+// pixels.
 //
 // The palette is renumbered on the way out, in order of first
 // appearance in the pixels and without the entries no pixel holds any
 // more, so the bytes depend on the pixels alone, not on the order they
-// were drawn in. Nothing here writes to fb: encoding twice, or from
-// several goroutines, yields the same bytes.
+// were drawn in, nor on whether a tile was painted. Nothing here
+// writes to fb: encoding twice, or from several goroutines, yields the
+// same bytes.
 func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 	_, err := fb.encodePNG(w)
 	return err
 }
 
-// encodePNG is EncodePNG, returning also how many scanline bytes the
+// encodePNG is EncodePNG, returning also how many byte runs the
 // deflater tokenized.
-func (fb *Framebuffer) encodePNG(w io.Writer) (scanned int, err error) {
+func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 	if fb.rgba != nil {
 		return 0, pngEncoder.Encode(w, fb.rgba)
 	}
@@ -286,51 +319,71 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (scanned int, err error) {
 		return 0, pngEncoder.Encode(w, fb.RGBA())
 	}
 
+	// A scanline is read as its head, columns [0, split), and its tail,
+	// the runs of the tile row it shows from split on (key: the row).
+	// A painted picture's scanline is all head.
+	split, off := fb.w, fb.tile.g.gutter
+	if fb.tile.rows != nil {
+		split = fb.tile.split
+	}
+	start := lines{fb: fb, head: make([]pixelRun, 0, split), key: -2}
+	if fb.tile.rows != nil {
+		px := make([]uint8, 2*split)
+		start.px, start.prev = px[:split:split], px[split:]
+	}
+
 	// remap[i] is palette entry i's number on the wire; plte collects
-	// the entries in that order. Both loops below pass over a row equal
-	// to the one above, and walk any other in blocks of 8 pixels,
-	// passing over a block equal to the one above it: none of its
-	// pixels appears first there, and its packed bytes are the ones
-	// the row above packed to. The w%8 pixels of the tail are never
-	// passed over.
+	// the entries in that order.
 	var (
 		remap [256]uint8
 		seen  [256]bool
 		plte  = make([]byte, 0, 3*len(fb.pal))
 	)
-	appear := func(px []uint8) {
-		for _, p := range px {
-			if !seen[p] {
-				seen[p], remap[p] = true, uint8(len(plte)/3)
-				c := fb.pal[p]
-				plte = append(plte, c.R, c.G, c.B)
-			}
+	appear := func(p uint8) {
+		if !seen[p] {
+			seen[p], remap[p] = true, uint8(len(plte)/3)
+			c := fb.pal[p]
+			plte = append(plte, c.R, c.G, c.B)
 		}
 	}
-	blocks := fb.w &^ 7
+	l := start
 	for y := 0; y < fb.h && len(plte) < 3*len(fb.pal); y++ {
-		src, up := fb.pix[y*fb.w:(y+1)*fb.w], fb.pix[max(y-1, 0)*fb.w:]
-		if y > 0 && bytes.Equal(src, up[:fb.w]) {
+		key := l.key
+		if l.next(y) {
 			continue
 		}
-		for x := 0; x < blocks; x += 8 {
-			if y == 0 || !sameBlock(src[x:], up[x:]) {
-				appear(src[x : x+8])
+		for _, r := range l.head {
+			appear(r.p)
+		}
+		if l.key == key {
+			continue
+		}
+		// The tail: its runs shifted by off, the background between.
+		x := split
+		for _, r := range l.tail {
+			if r.x1+off > x {
+				if r.x0+off > x {
+					appear(0)
+				}
+				appear(r.p)
+				x = r.x1 + off
 			}
 		}
-		appear(src[blocks:])
+		if x < fb.w {
+			appear(0)
+		}
 	}
-	depth := 8
+	depth, shift := 8, uint(0) // 1<<shift pixels a byte
 	switch n := len(plte) / 3; {
 	case n <= 2:
-		depth = 1
+		depth, shift = 1, 3
 	case n <= 4:
-		depth = 2
+		depth, shift = 2, 2
 	case n <= 16:
-		depth = 4
+		depth, shift = 4, 1
 	}
 
-	d := rowDeflater{e: chunkWriter{w: w}}
+	d := rowDeflater{e: chunkWriter{w: w}, n: 1 + (fb.w*depth+7)/8}
 	e := &d.e
 	e.write([]byte("\x89PNG\r\n\x1a\n"))
 	var ihdr [13]byte
@@ -340,65 +393,99 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (scanned int, err error) {
 	e.chunk("IHDR", ihdr[:])
 	e.chunk("PLTE", plte)
 
-	// One row on the wire: filter type 0, then the pixels packed most
-	// significant bits first, the last byte padded with zero bits. A
-	// block of 8 pixels packs into depth whole bytes. above holds the
-	// last row packed, and a row packs over a copy of it. The IDAT
-	// buffer follows the two rows, with room past idatSize for the
-	// last bits and the checksum.
-	perByte := 8 / depth
-	n := 1 + (fb.w+perByte-1)/perByte
-	rows := make([]byte, 2*n+idatSize+8)
-	above, row := rows[:n:n], rows[n:2*n:2*n]
-	d.start(rows[2*n : 2*n])
-	out := row[1:]
+	// One scanline on the wire: filter type 0, then the pixels packed
+	// most significant bits first, the last byte padded with zero bits.
+	// Its head is packed into one of two buffers and its tail into one
+	// of two slots, each the one the scanline above does not hold; a
+	// slot that holds the tail already is not packed again. The IDAT
+	// buffer has room past idatSize for the last bits and the checksum.
+	hn := 1 + (split*depth+7)/8 // a head's bytes, so its most runs
+	tn := d.n - hn + 1
+	buf := make([]byteRun, 2*(hn+tn))
+	headBufs := [2][]byteRun{buf[:0:hn], buf[hn : hn : 2*hn]}
+	var tails [2]struct {
+		part
+		key int
+	}
+	tails[0].runs, tails[1].runs, tails[0].key, tails[1].key = buf[2*hn:2*hn:2*hn+tn], buf[2*hn+tn:2*hn+tn], -2, -2
+	pk := packer{shift: shift, depth: uint(depth), fill: uint8(0xff / (1<<depth - 1)), remap: &remap}
+	d.start(make([]byte, 0, idatSize+8))
+	var cur, above scanline
+	slot, hi := 1, 0
+	l = start
 	for y := 0; y < fb.h; y++ {
-		src, up := fb.pix[y*fb.w:(y+1)*fb.w], fb.pix[max(y-1, 0)*fb.w:]
-		if y > 0 && bytes.Equal(src, up[:fb.w]) {
-			d.repeat(above)
+		if l.next(y) {
+			d.repeat(&above)
 			continue
 		}
-		copy(row, above)
-		for x, o := 0, 0; x < blocks; x, o = x+8, o+depth {
-			if y > 0 && sameBlock(src[x:], up[x:]) {
-				continue
-			}
-			b := src[x : x+8 : x+8]
-			r0, r1, r2, r3 := remap[b[0]], remap[b[1]], remap[b[2]], remap[b[3]]
-			r4, r5, r6, r7 := remap[b[4]], remap[b[5]], remap[b[6]], remap[b[7]]
-			switch p := out[o : o+depth : o+depth]; depth {
-			case 8:
-				p[0], p[1], p[2], p[3], p[4], p[5], p[6], p[7] = r0, r1, r2, r3, r4, r5, r6, r7
-			case 4:
-				p[0], p[1], p[2], p[3] = r0<<4|r1, r2<<4|r3, r4<<4|r5, r6<<4|r7
-			case 2:
-				p[0], p[1] = r0<<6|r1<<4|r2<<2|r3, r4<<6|r5<<4|r6<<2|r7
-			default:
-				p[0] = r0<<7 | r1<<6 | r2<<5 | r3<<4 | r4<<3 | r5<<2 | r6<<1 | r7
-			}
+		cur.head = pk.part(headBufs[hi], l.head, 0, 0, split, true)
+		hi ^= 1
+		cur.key = l.key
+		if tails[1-slot].key == l.key {
+			slot = 1 - slot
+		} else if tails[slot].key != l.key {
+			slot = 1 - slot
+			tails[slot].part = pk.part(tails[slot].runs, l.tail, off, split, fb.w, false)
+			tails[slot].key = l.key
 		}
-		tail := out[blocks/perByte:]
-		clear(tail)
-		for i, p := range src[blocks:] {
-			tail[i/perByte] |= remap[p] << (8 - depth - i%perByte*depth)
-		}
+		cur.tail = tails[slot].part
 		if y == 0 {
-			d.scanline(row, nil)
+			d.line(&cur, nil)
 		} else {
-			d.scanline(row, above)
+			d.line(&cur, &above)
 		}
-		above, row = row, above
-		out = row[1:]
+		above = cur
 	}
 	d.finish()
 	e.chunk("IEND", nil)
-	return d.scanned, e.err
+	return d.runs, e.err
 }
 
-// sameBlock reports whether the 8 pixels at the start of a equal those
-// at the start of b, in one compare.
-func sameBlock(a, b []uint8) bool {
-	return binary.LittleEndian.Uint64(a) == binary.LittleEndian.Uint64(b)
+// lines reads a framebuffer for the encoder a scanline at a time, in
+// order from the top: its head, the pixels of columns [0, split) — a
+// painted picture's scanline, a tile's gutter and labels, painted
+// (tile.head) — scanned into runs of palette entries; and its tail,
+// the runs of the tile row it shows, in plot columns, shared by every
+// scanline of the same key.
+type lines struct {
+	fb       *Framebuffer
+	px, prev []uint8 // a tile's scanline heads, this one's and the last
+	head     []pixelRun
+	tail     []pixelRun
+	key      int
+}
+
+// next reads scanline y and reports whether it equals scanline y-1; if
+// so, its head is not scanned.
+func (l *lines) next(y int) (same bool) {
+	fb, t := l.fb, &l.fb.tile
+	var px []uint8
+	if t.rows == nil {
+		px = fb.pix[y*fb.w : (y+1)*fb.w]
+		same = y > 0 && bytes.Equal(px, fb.pix[(y-1)*fb.w:y*fb.w])
+		l.key = -1
+	} else {
+		l.px, l.prev = l.prev, l.px
+		px = l.px
+		key := t.head(px, y)
+		l.tail = nil
+		if key >= 0 {
+			l.tail = t.rows[key]
+		} else {
+			key = len(t.rows)
+		}
+		same = y > 0 && key == l.key && bytes.Equal(px, l.prev)
+		l.key = key
+	}
+	if !same {
+		l.head = l.head[:0]
+		for x := 0; x < len(px); {
+			end := x + 1 + matchLen(px[x+1:], px[x:len(px)-1])
+			l.head = append(l.head, pixelRun{x0: x, x1: end, p: px[x]})
+			x = end
+		}
+	}
+	return same
 }
 
 // chunkWriter writes PNG chunks and keeps the first error.

@@ -1,0 +1,281 @@
+package render
+
+import (
+	"bytes"
+	"fmt"
+	"image"
+	"image/png"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/core"
+	"github.com/openstream/aftermath/internal/openstream"
+	"github.com/openstream/aftermath/internal/trace"
+)
+
+// fuzzTimeline builds the tile FuzzTimelineEncode encodes from data: a
+// configuration — one of the six modes with 2–64 heat shades, 1–4000
+// pixels wide, 1–120 high, labels on or off, over the span or a part
+// of it — and a trace of one to five CPUs, ids from 0 to MaxCPUID (a
+// label as wide as "CPU 1048576" overhangs the gutter), each with up to
+// 240 states, the executions of tasks of one to 300 types that read and
+// write regions on four nodes. Missing bytes read as zero. It returns
+// nil where Timeline refuses the configuration.
+func fuzzTimeline(t *testing.T, data []byte) (*Framebuffer, TimelineConfig) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	cfg := TimelineConfig{
+		Width:  1 + (next()|next()<<8)%4000,
+		Height: 1 + next()%120,
+		Mode:   Mode(next() % 6),
+		Shades: 2 + next()%63,
+		Labels: next()%2 == 0,
+	}
+	window, from, part := next()%2 == 1, int64(next()), int64(1+next()%8)
+	ids := []int32{0, 1, 7, 999, 1000, 12345, trace.MaxCPUID}
+	ntypes := []int{1, 2, 3, 15, 16, 17, 255, 300}[next()%8]
+
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ty := 1; ty <= ntypes; ty++ {
+		must(w.WriteTaskType(trace.TaskType{ID: trace.TypeID(ty), Name: fmt.Sprintf("t%d", ty)}))
+	}
+	nodes := make([]int32, 16)
+	for cpu := range nodes {
+		nodes[cpu] = int32(cpu % 4)
+	}
+	must(w.WriteTopology(trace.Topology{NodeOfCPU: nodes, NumNodes: 4, Distance: make([]int32, 16)}))
+	for node := int32(0); node < 4; node++ {
+		must(w.WriteRegion(trace.MemRegion{ID: trace.RegionID(node + 1), Addr: uint64(node+1) << 20, Size: 1 << 20, Node: node}))
+	}
+	task, first := trace.TaskID(0), next()
+	for c, n := 0, 1+next()%5; c < n; c++ {
+		cpu := ids[(first+c)%len(ids)]
+		at := int64(next())
+		for k := next() % 61 * 4; k > 0; k-- {
+			s := trace.StateEvent{CPU: cpu, State: trace.WorkerState(next() % trace.NumWorkerStates), Start: at, End: at + int64(next()%40)}
+			if next()%2 == 0 {
+				task++
+				s.State, s.Task = trace.StateTaskExec, task
+				must(w.WriteTask(trace.Task{ID: task, Type: trace.TypeID(1 + (next()|next()<<8)%ntypes), CreatorCPU: cpu}))
+				for _, kind := range []trace.CommKind{trace.CommRead, trace.CommWrite} {
+					must(w.WriteComm(trace.CommEvent{Kind: kind, CPU: cpu, SrcCPU: -1, Time: s.Start, Task: task,
+						Addr: uint64(1+next()%4)<<20 + 64, Size: uint64(8 << (next() % 6))}))
+				}
+			}
+			must(w.WriteState(s))
+			at = s.End + int64(next()%8)
+		}
+	}
+	must(w.Flush())
+	tr, err := core.FromReader(&buf)
+	if err != nil || tr.NumCPUs() == 0 {
+		return nil, cfg
+	}
+	if span := tr.Span.End - tr.Span.Start; window && span > 4 {
+		cfg.Start = tr.Span.Start + from*span/1024
+		cfg.End = cfg.Start + 1 + span/part
+	}
+	fb, _, err := Timeline(tr, cfg)
+	if err != nil {
+		return nil, cfg
+	}
+	return fb, cfg
+}
+
+// fuzzSeed is a configuration's bytes for fuzzTimeline followed by
+// seeded random ones for the trace.
+func fuzzSeed(config ...byte) []byte {
+	trace := make([]byte, 2000)
+	rand.New(rand.NewSource(int64(len(config)) + int64(config[0]))).Read(trace)
+	return append(config, trace...)
+}
+
+// FuzzTimelineEncode: the tile Timeline keeps as runs encodes to the
+// very bytes it encodes to once painted, as the first drawing call
+// paints it, and those decode to its pixels — whatever the mode, the
+// width (a multiple of 8 or not, 1–4000), the labels, however far they
+// overhang the gutter, and the palette, across the bit depths' edges.
+// A tile of more than 256 colours is painted at once and truecolour.
+func FuzzTimelineEncode(f *testing.F) {
+	f.Add(fuzzSeed(0xe8, 3, 99, 0, 9, 0, 0, 0, 0, 0, 4, 4))    // state, 1000 wide, labels up to CPU 1048576
+	f.Add(fuzzSeed(0xd0, 7, 49, 2, 9, 0, 1, 100, 2, 7, 0, 2))  // typemap of 300 types, 2000 wide, a window
+	f.Add(fuzzSeed(0x4d, 1, 96, 2, 9, 0, 0, 0, 0, 5, 5, 3))    // typemap of 17 types, 334 wide
+	f.Add(fuzzSeed(0x9f, 0xf, 119, 5, 9, 1, 0, 0, 0, 0, 0, 4)) // numa-heat, 4000 wide, no labels
+	f.Add(fuzzSeed(48, 0, 6, 1, 14, 0, 1, 30, 3, 3, 6, 4))     // heatmap, 49 wide, rows 1 high
+	f.Add(fuzzSeed(7, 0, 20, 3, 9, 1, 0, 0, 0, 1, 2, 1))       // numa-read, 8 wide
+	f.Add(fuzzSeed(0x2b, 2, 60, 2, 1, 0, 0, 0, 0, 1, 3, 4))    // typemap of 2 types, 556 wide
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fb, cfg := fuzzTimeline(t, data)
+		if fb == nil {
+			return
+		}
+		var kept, painted bytes.Buffer
+		if err := fb.EncodePNG(&kept); err != nil {
+			t.Fatal(err)
+		}
+		if !paintTile(fb) && (fb.rgba == nil || kept.Bytes()[ihdrColourType] != pngTruecolour) {
+			t.Fatalf("%+v: a tile painted by Timeline is not truecolour", cfg)
+		}
+		if err := fb.EncodePNG(&painted); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(kept.Bytes(), painted.Bytes()) {
+			t.Fatalf("%+v: the kept tile encodes to %d bytes, painted to %d other ones", cfg, kept.Len(), painted.Len())
+		}
+		if got := decodedPix(t, painted.Bytes()); !bytes.Equal(got, fb.RGBA().Pix) {
+			t.Fatalf("%+v: the PNG does not decode to the tile's pixels", cfg)
+		}
+	})
+}
+
+// decodedPix decodes the PNG b through image/png and returns its pixels
+// as an image.RGBA's, a palette entry's bytes looked up once.
+func decodedPix(t *testing.T, b []byte) []byte {
+	img, err := png.Decode(bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	switch m := img.(type) {
+	case *image.Paletted:
+		var pal [256][4]byte
+		for i, c := range m.Palette {
+			r, g, b, a := c.RGBA()
+			pal[i] = [4]byte{uint8(r >> 8), uint8(g >> 8), uint8(b >> 8), uint8(a >> 8)}
+		}
+		pix := make([]byte, 0, 4*len(m.Pix))
+		for _, p := range m.Pix {
+			pix = append(pix, pal[p][:]...)
+		}
+		return pix
+	case *image.RGBA:
+		return m.Pix
+	}
+	t.Fatalf("decoded a %T", img)
+	return nil
+}
+
+// TestTileManyColours: a typemap of 300 task types draws more colours
+// than a palette holds, so Timeline paints it — truecolour, as
+// FillRect would have made it — and it encodes through image/png.
+func TestTileManyColours(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for i := 1; i <= 300; i++ {
+		for _, err := range []error{
+			w.WriteTaskType(trace.TaskType{ID: trace.TypeID(i), Name: fmt.Sprintf("t%d", i)}),
+			w.WriteTask(trace.Task{ID: trace.TaskID(i), Type: trace.TypeID(i)}),
+			w.WriteState(trace.StateEvent{State: trace.StateTaskExec, Task: trace.TaskID(i), Start: int64(10 * i), End: int64(10*i + 10)}),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fb, _, err := Timeline(tr, TimelineConfig{Width: 1200, Height: 20, Mode: ModeType, Labels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fb.tile.rows != nil || fb.rgba == nil {
+		t.Fatalf("%d colours drawn: the tile is kept %v, truecolour %v", distinctColours(fb), fb.tile.rows != nil, fb.rgba != nil)
+	}
+	if _, ct := roundTrip(t, fb); ct != pngTruecolour {
+		t.Errorf("colour type %d, want truecolour", ct)
+	}
+}
+
+// TestTileAllocatedBytes: a 1000x400 state tile with labels, from
+// Timeline to its PNG bytes, allocates less than the w*h bytes the
+// framebuffer it is never painted into would take alone.
+func TestTileAllocatedBytes(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	cfg := TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true}
+	const rounds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range rounds {
+		fb, _, err := Timeline(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := fb.EncodePNG(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got >= uint64(cfg.Width*cfg.Height) {
+		t.Errorf("a tile allocates %d bytes from Timeline to PNG, not less than its %d pixels", got, cfg.Width*cfg.Height)
+	} else {
+		t.Logf("%d bytes a tile", got)
+	}
+}
+
+// TestKeptTileReadOnly: At, RGBA, WritePPM and EncodePNG read a kept
+// tile without painting it, so they run at once from several
+// goroutines (the race detector watches) and agree with each other and
+// with the tile once painted.
+func TestKeptTileReadOnly(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	fb, _, err := Timeline(tr, TimelineConfig{Width: 301, Height: 97, Mode: ModeType, Labels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type reading struct{ png, ppm, rgba []byte }
+	got := make([]reading, 6)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var p, q bytes.Buffer
+			if err := fb.EncodePNG(&p); err != nil {
+				t.Error(err)
+			}
+			if err := fb.WritePPM(&q); err != nil {
+				t.Error(err)
+			}
+			for y := 0; y < fb.H(); y += 7 {
+				for x := 0; x < fb.W(); x++ {
+					fb.At(x, y)
+				}
+			}
+			got[i] = reading{p.Bytes(), q.Bytes(), fb.RGBA().Pix}
+		}()
+	}
+	wg.Wait()
+	if fb.tile.rows == nil || fb.pix != nil {
+		t.Fatal("reading the tile painted it")
+	}
+	for i, r := range got {
+		if !bytes.Equal(r.png, got[0].png) || !bytes.Equal(r.ppm, got[0].ppm) || !bytes.Equal(r.rgba, got[0].rgba) {
+			t.Fatalf("goroutine %d read the tile differently", i)
+		}
+	}
+	paintTile(fb)
+	if !bytes.Equal(fb.RGBA().Pix, got[0].rgba) {
+		t.Error("the tile's RGBA differs from the painted framebuffer's")
+	}
+	decodesTo(t, got[0].png, fb)
+}

@@ -3,6 +3,8 @@ package render
 import (
 	"fmt"
 	"image/color"
+	"sort"
+	"strconv"
 
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
@@ -144,10 +146,12 @@ func selectRows(tr *core.Trace, ids []int32) (rows, labels []int32) {
 }
 
 // pixelRun is one aggregated run of identically colored pixels within
-// a row: plot-relative columns [x0, x1).
+// a row: plot-relative columns [x0, x1), of color c, palette entry p
+// once a framebuffer holds it.
 type pixelRun struct {
 	x0, x1 int
 	c      color.RGBA
+	p      uint8
 }
 
 // timeline implements Timeline with an explicit worker count (tests
@@ -177,8 +181,7 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, St
 		shades = 10
 	}
 
-	fb := NewFramebuffer(cfg.Width, cfg.Height)
-	g, err := timelineGeometry(fb.H(), cfg.Width, len(cpus), cfg.Labels)
+	g, err := timelineGeometry(cfg.Height, cfg.Width, len(cpus), cfg.Labels)
 	if err != nil {
 		return nil, st, err
 	}
@@ -193,41 +196,155 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, St
 
 	// Phase 1: compute each row's aggregated pixel runs. Rows are
 	// independent (a task executes on a single CPU), so they fan out
-	// over the worker pool. Phase 2 applies labels and fills serially
-	// in row order, so the pixels and draw-call accounting match a
-	// sequential rendering exactly.
+	// over the worker pool. Phase 2 keeps them in row order as the
+	// framebuffer's tile, with the draw-call accounting of a
+	// sequential painting.
 	cols := tmath.Columns{Start: start, End: end, W: g.plotW}
-	type rowOut struct {
-		runs pixelRuns
-		work mragg.Work
-	}
-	rows := make([]rowOut, g.visible)
+	runs := make([]pixelRuns, g.visible)
+	work := make([]mragg.Work, g.visible)
 	if workers > 1 {
 		par.Do(workers, g.visible, func(row int) {
 			px := &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx}
-			rows[row].runs, rows[row].work = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
+			runs[row], work[row] = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
 		})
 	} else {
 		px := &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx}
-		for row := range rows {
-			rows[row].runs, rows[row].work = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
+		for row := range runs {
+			runs[row], work[row] = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
 		}
 	}
 
-	for row := range rows {
-		y := row * g.rowH
-		if cfg.Labels && g.labeled(row) {
-			fb.DrawText(0, labelY(y, g.rowH), fmt.Sprintf("CPU %d", labels[row]), TextColor)
+	// The palette holds what painting would draw: the background, the
+	// label color where a label reaches the picture (its first glyph
+	// row, whose 'C' has pixels in the gutter) and every run's color.
+	// A 257th color paints the tile at once, which turns it truecolour.
+	fb := &Framebuffer{w: cfg.Width, h: cfg.Height}
+	fb.index(Background)
+	fb.tile = tile{g: g, rows: runs, split: g.gutter}
+	fits := true
+	if cfg.Labels {
+		fb.tile.labels = labels
+		var text [24]byte
+		for row := range runs {
+			if g.labeled(row) {
+				n := len(labelText(text[:0], labels[row]))
+				fb.tile.split, fb.Ops = max(fb.tile.split, n*GlyphWidth), fb.Ops+n
+				if labelY(row*g.rowH, g.rowH) < fb.h {
+					fb.tile.text, _ = fb.index(TextColor)
+				}
+			}
 		}
-		for _, run := range rows[row].runs {
-			fb.FillRect(g.gutter+run.x0, y, run.x1-run.x0, g.drawH, run.c)
-			st.Rects++
+		// A whole number of bytes at every depth.
+		fb.tile.split = min(fb.w, (fb.tile.split+7)&^7)
+	}
+	for row, rs := range runs {
+		for i := range rs {
+			var ok bool
+			rs[i].p, ok = fb.index(rs[i].c)
+			fits = fits && ok
 		}
+		fb.Ops += len(rs)
+		st.Rects += len(rs)
 		st.PixelColumns += g.plotW
-		st.Members += rows[row].work.Members
-		st.Queries += rows[row].work.Queries
+		st.Members += work[row].Members
+		st.Queries += work[row].Queries
+	}
+	if !fits {
+		fb.paint()
 	}
 	return fb, st, nil
+}
+
+// tile is a timeline not yet painted: its rows' runs and labels in
+// rowGeometry. Painting it (paint) draws a label then the runs row by
+// row over the background, so a pixel shows the run that covers it,
+// else a label's glyph, else the background, palette entry 0.
+type tile struct {
+	g    rowGeometry
+	rows []pixelRuns // nil: no tile
+	// labels holds the rows' CPU ids, nil without labels; text is the
+	// label color's palette entry.
+	labels []int32
+	text   uint8
+	// split is where EncodePNG cuts scanlines into a head and the row's
+	// runs: past the gutter and every label, on a byte boundary, so at
+	// most 96 (a label is at most 15 glyphs).
+	split int
+}
+
+// paint turns the framebuffer's tile into pixels, drawn as Timeline
+// always drew them, and leaves Ops as they were counted.
+func (fb *Framebuffer) paint() {
+	t, ops := fb.tile, fb.Ops
+	fb.tile, fb.pix = tile{}, make([]uint8, fb.w*fb.h)
+	fb.Clear(Background)
+	var text [24]byte
+	for row, runs := range t.rows {
+		y := row * t.g.rowH
+		if t.labels != nil && t.g.labeled(row) {
+			fb.DrawText(0, labelY(y, t.g.rowH), string(labelText(text[:0], t.labels[row])), TextColor)
+		}
+		for _, run := range runs {
+			fb.FillRect(t.g.gutter+run.x0, y, run.x1-run.x0, t.g.drawH, run.c)
+		}
+	}
+	fb.Ops = ops
+}
+
+// labelText appends the label of the row of CPU id.
+func labelText(dst []byte, id int32) []byte {
+	return strconv.AppendInt(append(dst, "CPU "...), int64(id), 10)
+}
+
+// head paints scanline y's columns [0, len(px)), len(px) <= t.split,
+// into px: its row's runs, and a label's glyph row where they leave
+// the background. Labels stand at least GlyphHeight+1 apart, so at most
+// one reaches y. It returns the row whose runs y shows, -1 where y is
+// a grid line or below the last row.
+func (t *tile) head(px []uint8, y int) (row int) {
+	clear(px)
+	g, r := t.g, y/t.g.rowH
+	for l := min(r, len(t.rows)-1); t.labels != nil && l >= 0 && (l+1)*g.rowH+GlyphHeight > y; l-- {
+		if ty := labelY(l*g.rowH, g.rowH); ty <= y && y < ty+GlyphHeight-1 && g.labeled(l) {
+			var text [24]byte
+			for i, c := range labelText(text[:0], t.labels[l]) {
+				for col, bits := 0, glyph(rune(c))[y-ty]; col < 5; col++ {
+					if x := i*GlyphWidth + col; bits&(0x10>>col) != 0 && x < len(px) {
+						px[x] = t.text
+					}
+				}
+			}
+			break
+		}
+	}
+	if r >= len(t.rows) || y-r*g.rowH >= g.drawH {
+		return -1
+	}
+	for _, run := range t.rows[r] {
+		if run.x0+g.gutter >= len(px) {
+			break
+		}
+		for x := run.x0 + g.gutter; x < min(run.x1+g.gutter, len(px)); x++ {
+			px[x] = run.p
+		}
+	}
+	return r
+}
+
+// at returns the palette entry of pixel (x, y) of the picture.
+func (t *tile) at(x, y int) uint8 {
+	var head [128]uint8
+	r := t.head(head[:t.split], y)
+	if x < t.split {
+		return head[x]
+	}
+	if r >= 0 {
+		runs, px := t.rows[r], x-t.g.gutter
+		if i := sort.Search(len(runs), func(i int) bool { return runs[i].x1 > px }); i < len(runs) && runs[i].x0 <= px {
+			return runs[i].p
+		}
+	}
+	return 0
 }
 
 // rowGeometry is the shared row/gutter layout of Timeline, its counter
@@ -304,7 +421,7 @@ func (rs *pixelRuns) add(x0, x1 int, c color.RGBA, ok bool) {
 		(*rs)[n].x1 = x1
 		return
 	}
-	*rs = append(*rs, pixelRun{x0, x1, c})
+	*rs = append(*rs, pixelRun{x0: x0, x1: x1, c: c})
 }
 
 // rowRuns paints one CPU row from one walk over its columns
