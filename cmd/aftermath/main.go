@@ -445,7 +445,9 @@ func run(path string, o runOptions) error {
 		printImportReport(rep)
 	}
 	fmt.Printf("machine:  %s (%d CPUs, %d NUMA nodes)\n", tr.Topology.Name, tr.NumCPUs(), tr.NumNodes())
-	fmt.Printf("span:     %.3f Gcycles\n", float64(tr.Span.Duration())/1e9)
+	// The width unsigned: a span may be wider than 2^63-1 cycles.
+	span := float64(uint64(tr.Span.End - tr.Span.Start))
+	fmt.Printf("span:     %.3f Gcycles\n", span/1e9)
 	fmt.Printf("tasks:    %d in %d types\n", len(tr.Tasks), len(tr.Types))
 	// One counting pass over the tasks, not one per type: kernels
 	// traced at fine granularity easily reach thousands of types and
@@ -459,8 +461,8 @@ func run(path string, o runOptions) error {
 	}
 	states := stats.StateTimes(tr, tr.Span.Start, tr.Span.End)
 	var par float64
-	if span := tr.Span.Duration(); span > 0 {
-		par = float64(states[aftermath.StateTaskExec]) / float64(span)
+	if tr.Span.End > tr.Span.Start {
+		par = float64(states[aftermath.StateTaskExec]) / span
 	}
 	fmt.Printf("parallelism: %.1f average\n", par)
 	loc := stats.LocalityFraction(tr, stats.ReadsAndWrites, tr.Span.Start, tmath.SatAdd(tr.Span.End, 1))

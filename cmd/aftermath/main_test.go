@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	aftermath "github.com/openstream/aftermath"
+	"github.com/openstream/aftermath/internal/atmtest/oracle"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
@@ -409,5 +411,48 @@ func TestRunLocalityCoversSpanEnd(t *testing.T) {
 	}
 	if want := "NUMA locality: 50.0% of accessed bytes are node-local"; !strings.Contains(summary, want) {
 		t.Fatalf("summary lacks %q:\n%s", want, summary)
+	}
+}
+
+// TestRunWideSpan: the summary of a trace whose span is wider than
+// 2^63-1 cycles (oracle.Gen(6): the first CPU's states near MinInt64,
+// the others' near MaxInt64) prints the span over the unsigned width
+// and an empty ASCII timeline, where it printed a negative span and
+// then panicked in the timeline's pixel mapping.
+func TestRunWideSpan(t *testing.T) {
+	data, _ := oracle.Gen(6)
+	path := filepath.Join(t.TempDir(), "wide.atm")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- b
+	}()
+	stdout := os.Stdout
+	os.Stdout = pw
+	runErr := run(path, runOptions{width: 40, rows: 2})
+	os.Stdout = stdout
+	pw.Close()
+	summary := string(<-out)
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	var gcycles, par float64
+	for _, l := range strings.Split(summary, "\n") {
+		fmt.Sscanf(l, "span: %f Gcycles", &gcycles)
+		fmt.Sscanf(l, "parallelism: %f average", &par)
+	}
+	if gcycles < math.MaxInt64/1e9 || par < 0 {
+		t.Errorf("span %v Gcycles and parallelism %v, want more than 2^63-1 cycles and no negative average:\n%s", gcycles, par, summary)
+	}
+	_, timeline, _ := strings.Cut(summary, "timeline (")
+	if _, rows, _ := strings.Cut(timeline, "\n"); strings.ContainsAny(rows, "#.") {
+		t.Errorf("a timeline was drawn over a span no column maps to:\n%s", summary)
 	}
 }

@@ -61,16 +61,9 @@ func OverlayAnnotations(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, set
 		}
 		fb.VLine(x, y0, y1, AnnotationColor)
 		// Flag: a short horizontal tick at the marker top.
-		fb.HLine(x, minInt(x+4, fb.W()-1), y0, AnnotationColor)
-		fb.HLine(x, minInt(x+3, fb.W()-1), y0+1, AnnotationColor)
+		fb.HLine(x, min(x+4, fb.W()-1), y0, AnnotationColor)
+		fb.HLine(x, min(x+3, fb.W()-1), y0+1, AnnotationColor)
 		drawn++
 	}
 	return drawn
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

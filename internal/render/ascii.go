@@ -34,7 +34,8 @@ func StateChar(s trace.WorkerState) byte {
 // ASCIITimeline renders the state-mode timeline as text, one row per
 // CPU, using the same dominant-state row walk as the graphical
 // renderer. maxRows caps the number of CPU rows (0 = all);
-// when capped, CPUs are sampled evenly.
+// when capped, CPUs are sampled evenly. A span no column can map to —
+// empty, or wider than 2^63-1 cycles — renders as "".
 func ASCIITimeline(tr *core.Trace, width, maxRows int) string {
 	if width < 1 {
 		width = 80
@@ -44,8 +45,8 @@ func ASCIITimeline(tr *core.Trace, width, maxRows int) string {
 	if maxRows > 0 && maxRows < n {
 		rows = maxRows
 	}
-	start, end := tr.Span.Start, tr.Span.End
-	if end <= start {
+	start, end, err := timeWindow(tr, TimelineConfig{})
+	if err != nil {
 		return ""
 	}
 	dom, cols := tr.DomIndex(), tmath.Columns{Start: start, End: end, W: width}

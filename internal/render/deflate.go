@@ -278,31 +278,16 @@ type packer struct {
 	k            uint // the pixels acc holds
 }
 
-// part packs the pixels of columns [from, to) — the runs shifted by
-// off, the background (palette entry 0) between them — into dst, behind
-// a filter byte of 0 when filter is set, the last byte padded with zero
-// bits.
-func (pk *packer) part(dst []byteRun, runs []pixelRun, off, from, to int, filter bool) part {
+// part packs runs, which cover a stretch of a scanline, into dst,
+// behind a filter byte of 0 when filter is set, the last byte padded
+// with zero bits.
+func (pk *packer) part(dst []byteRun, runs []pixelRun, filter bool) part {
 	pk.out = dst[:0]
 	if filter {
 		pk.emit(0, 1)
 	}
-	x := from
 	for _, r := range runs {
-		x0, x1 := max(r.x0+off, x), min(r.x1+off, to)
-		if x0 >= to {
-			break
-		}
-		if x0 < x1 {
-			if x0 > x {
-				pk.add(x0-x, 0)
-			}
-			pk.add(x1-x0, r.p)
-			x = x1
-		}
-	}
-	if x < to {
-		pk.add(to-x, 0)
+		pk.add(int(r.x1-r.x0), r.p)
 	}
 	if pk.k > 0 {
 		pk.emit(pk.acc, 1)
@@ -344,21 +329,6 @@ func (pk *packer) emit(b byte, n int) {
 		return
 	}
 	pk.out = append(pk.out, byteRun{int32(n), b})
-}
-
-// matchLen returns how many leading bytes of a equal those of b, which
-// is at least as long; 8 bytes at a time.
-func matchLen(a, b []byte) int {
-	n := 0
-	for ; len(a)-n >= 8; n += 8 {
-		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
-			return n + bits.TrailingZeros64(x)/8
-		}
-	}
-	for n < len(a) && a[n] == b[n] {
-		n++
-	}
-	return n
 }
 
 func (d *rowDeflater) literal(c byte) {

@@ -16,6 +16,7 @@ import (
 
 	"github.com/openstream/aftermath/internal/annotations"
 	"github.com/openstream/aftermath/internal/atmtest"
+	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/metrics"
 	"github.com/openstream/aftermath/internal/openstream"
 	"github.com/openstream/aftermath/internal/stats"
@@ -97,7 +98,7 @@ func stdlibPNG(t *testing.T, fb *Framebuffer) []byte {
 		}
 	}
 	var img image.Image = rgba
-	if fb.rgba == nil {
+	if !fb.truecolour {
 		img = indexed
 	}
 	var buf bytes.Buffer
@@ -460,11 +461,30 @@ func (m *plainImage) text(x, y int, s string, c color.RGBA) {
 // every pixel, the operation count and the representation agree: the
 // framebuffer turns truecolour exactly when the model has drawn its
 // 257th distinct or its first non-opaque colour since the last opaque
-// clear, and allocates no RGBA image before. What it encodes decodes
-// to the model.
+// clear. What it encodes decodes to the model.
+//
+// Seeds 1–12 start from NewFramebuffer, seeds 13–18 from a Timeline
+// tile, whose scanlines share their row's runs, and its model drawn as
+// drawTile draws it: labels overhanging the gutter (CPU 1048576), rows
+// one pixel high, a typemap of up to 255 types (near 256 colours), and
+// NUMA heat. A draw into one scanline of a row must not reach the
+// others that share its runs.
 func TestFramebufferModel(t *testing.T) {
 	translucent := []color.RGBA{{0x80, 0x80, 0x80, 0x80}, {0, 0, 0, 0x80}, {}}
-	for seed := int64(1); seed <= 12; seed++ {
+	fuzzed := func(config ...byte) func() (*core.Trace, TimelineConfig) {
+		return func() (*core.Trace, TimelineConfig) { return fuzzTimeline(t, fuzzSeed(config...)) }
+	}
+	tiles := map[int64]func() (*core.Trace, TimelineConfig){
+		13: fuzzed(89, 0, 119, 0, 9, 0, 0, 0, 0, 0, 6, 2), // state, 90x120, 17 rows, CPU 1048576 labelled
+		14: fuzzed(69, 0, 3, 2, 9, 0, 0, 0, 0, 3, 0, 4),   // typemap, 70x4: rows 1 high
+		15: fuzzed(43, 1, 23, 2, 9, 0, 0, 0, 0, 6, 2, 4),  // typemap of 255 types, 300x24, CPU 12345 labelled
+		16: fuzzed(99, 0, 24, 5, 9, 0, 1, 40, 2, 0, 3, 3), // numa-heat, 100x25, a window
+		17: fuzzed(59, 0, 19, 1, 5, 0, 0, 0, 0, 0, 5, 4),  // heatmap, 60x20
+		18: func() (*core.Trace, TimelineConfig) { // 250 colours of 250 types, and 2 more
+			return typesTrace(t, 250), TimelineConfig{Width: 300, Height: 12, Mode: ModeType, Labels: true}
+		},
+	}
+	for seed := int64(1); seed <= 18; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pool := make([]color.RGBA, []int{3, 40, 300, 40}[seed%4])
 		// Long enough for the pool of 300 to put its 257th colour on
@@ -481,7 +501,36 @@ func TestFramebufferModel(t *testing.T) {
 		m := &plainImage{img: image.NewRGBA(image.Rect(0, 0, w, h)), drawn: map[color.RGBA]bool{}}
 		m.clear(Background)
 		m.ops = 0
+		if start, ok := tiles[seed]; ok {
+			tr, cfg := start()
+			var err error
+			if fb, _, err = Timeline(tr, cfg); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			w, h, m = cfg.Width, cfg.Height, tileModel(t, tr, cfg)
+		}
 
+		// agree checks every pixel, the operation count and the
+		// representation against the model.
+		agree := func(step int, what string, c color.RGBA) {
+			if fb.Ops != m.ops {
+				t.Fatalf("seed %d step %d (%s): %d operations counted, model has %d", seed, step, what, fb.Ops, m.ops)
+			}
+			if got := fb.truecolour; got != m.truecolour {
+				t.Fatalf("seed %d step %d (%s of %v): truecolour=%v with %d colours drawn since the last clear, model says %v",
+					seed, step, what, c, got, len(m.drawn), m.truecolour)
+			}
+			for py := -1; py <= h; py++ {
+				for px := -1; px <= w; px++ {
+					// Outside, both read the zero colour.
+					if got, want := fb.At(px, py), m.img.RGBAAt(px, py); got != want {
+						t.Fatalf("seed %d step %d (%s): pixel (%d,%d) = %v, model has %v", seed, step, what, px, py, got, want)
+					}
+				}
+			}
+		}
+		agree(-1, "the start", Background)
+		roundTrip(t, fb)
 		for step := 0; step < steps; step++ {
 			// Colours come round in pool order, give or take: a random
 			// pick would take thousands of steps to show 257 of 300.
@@ -519,21 +568,7 @@ func TestFramebufferModel(t *testing.T) {
 				fb.DrawText(x, y, s, c)
 				m.text(x, y, s, c)
 			}
-			if fb.Ops != m.ops {
-				t.Fatalf("seed %d step %d (%s): %d operations counted, model has %d", seed, step, what, fb.Ops, m.ops)
-			}
-			if got := fb.rgba != nil; got != m.truecolour {
-				t.Fatalf("seed %d step %d (%s of %v): truecolour=%v with %d colours drawn since the last clear, model says %v",
-					seed, step, what, c, got, len(m.drawn), m.truecolour)
-			}
-			for py := -1; py <= h; py++ {
-				for px := -1; px <= w; px++ {
-					// Outside, both read the zero colour.
-					if got, want := fb.At(px, py), m.img.RGBAAt(px, py); got != want {
-						t.Fatalf("seed %d step %d (%s): pixel (%d,%d) = %v, model has %v", seed, step, what, px, py, got, want)
-					}
-				}
-			}
+			agree(step, what, c)
 			if step%100 == 99 {
 				roundTrip(t, fb)
 				if !bytes.Equal(fb.RGBA().Pix, m.img.Pix) {
@@ -695,8 +730,9 @@ func TestEncodePNGSize(t *testing.T) {
 // runs and its distinct scanlines. A zoomed tile four times as wide
 // shows the same states in as many runs, and one four times as tall
 // the same rows, labels included, in four times the scanlines; a
-// painted framebuffer of one colour is one run, on the one scanline
-// that differs from the one above it.
+// cleared framebuffer of one colour is two runs, the filter byte of its
+// empty head and its shared run, on the one scanline that differs from
+// the one above it.
 func TestEncodeWorkTracksRuns(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	span := tr.Span.Duration()
@@ -727,8 +763,8 @@ func TestEncodeWorkTracksRuns(t *testing.T) {
 
 	flat := NewFramebuffer(1000, 400)
 	flat.Clear(rampColour(3))
-	if got, err := encodeWork(flat); err != nil || got != 1 {
-		t.Errorf("a framebuffer of one colour: %d runs tokenized (%v), want 1", got, err)
+	if got, err := encodeWork(flat); err != nil || got != 2 {
+		t.Errorf("a framebuffer of one colour: %d runs tokenized (%v), want 2", got, err)
 	}
 
 	// Two scanlines of one row share its 500 runs: the second reads its

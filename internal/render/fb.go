@@ -12,23 +12,22 @@
 //
 // The paper's GTK+/Cairo GUI is replaced by PNG/PPM output and the
 // interactive HTTP viewer in internal/ui; the rendering algorithms are
-// unchanged by this substitution. A timeline leaves Timeline as its
-// rows' runs and labels, unpainted; the first drawing call on it (a
-// counter overlay, an annotation) paints it. Everything else draws on
-// an indexed-colour framebuffer — one palette byte per pixel — that
-// turns into a truecolour image the moment a 257th or a translucent
-// colour is drawn. The pixels read back the same every way. An
-// indexed image is encoded from runs: a kept tile's as they are, a
-// painted one's scanned off its distinct scanlines, packed into runs of
-// bytes and deflated by this package's own compressor (deflate.go),
-// one tokenizer over runs whose only matches are the row above and a
-// run, so encoding costs what the runs and the distinct scanlines
-// cost; what it writes decodes to the framebuffer's pixels, and is not
+// unchanged by this substitution. Every picture is held one way: as
+// scanlines of runs of one colour. A timeline's scanlines share their
+// row's runs; a drawing call (a counter overlay, an annotation, a
+// plot's line, a glyph) splices its span into each scanline it
+// touches, which copies the shared runs left of the span's end into a
+// head of its own. Colours are numbered in a palette as they are drawn,
+// until a 257th or a translucent one makes the picture truecolour. An
+// indexed picture is encoded from its runs, packed into runs of bytes
+// and deflated by this package's own compressor (deflate.go), one
+// tokenizer over runs whose only matches are the row above and a run,
+// so encoding costs what the runs and the distinct scanlines cost;
+// what it writes decodes to the framebuffer's pixels, and is not
 // image/png's bytes.
 package render
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -36,23 +35,35 @@ import (
 	"image/color"
 	"image/png"
 	"io"
+	"math"
 	"os"
+	"slices"
 )
 
 // Framebuffer is an image with drawing-operation accounting, used to
-// verify the rectangle aggregation optimization. It holds one palette
-// index per pixel for as long as at most 256 colours, all opaque, have
-// been drawn since the last Clear — every timeline mode, plots, an
-// ordinary matrix — and an *image.RGBA from the first colour that does
-// not fit, for good. FillRect and set are the only two places that
-// know which; every other primitive draws through them. A framebuffer
-// from Timeline holds a tile instead, until Clear, FillRect or set
-// first touches it.
+// verify the rectangle aggregation optimization. It is a list of
+// scanlines, each a head of runs it owns followed by the runs it
+// shares with the other scanlines of its row (line). A colour is
+// numbered in the palette when it is drawn, for as long as at most 256
+// colours, all opaque, have been drawn since the last Clear — every
+// timeline mode, plots, an ordinary matrix — and the framebuffer is
+// truecolour from the first colour that does not fit, for good. run is
+// the one place that knows which; every primitive draws through span.
 type Framebuffer struct {
-	w, h int
-	// pix holds w*h indices into pal, row by row; nil once rgba is set.
-	pix []uint8
-	pal []color.RGBA
+	w, h  int
+	lines []line
+	// off shifts the shared runs' columns: a timeline's runs are in
+	// plot columns, right of the label gutter.
+	off int32
+	// clear is the run Clear shares with every scanline.
+	clear [1]pixelRun
+	// arena is the space heads are carved from (grow).
+	arena []pixelRun
+	// truecolour is set by the first colour pal cannot hold; pal is nil
+	// from then on. pal lives in palette.
+	truecolour bool
+	pal        []color.RGBA
+	palette    [256]color.RGBA
 	// The palette's lookup table, open-addressed: 512 slots for at most
 	// 256 keys, so load stays at or below one half. A key is the
 	// colour's four bytes; an opaque colour's is never 0, which marks
@@ -62,25 +73,29 @@ type Framebuffer struct {
 	vals    [palSlots]uint8
 	last    uint32
 	lastIdx uint8
-	// rgba replaces pix and pal after the conversion.
-	rgba *image.RGBA
-	// tile, while it holds rows, is the picture instead of pix: a
-	// timeline as Timeline leaves it, which the first drawing call
-	// paints (paint) and EncodePNG reads as it is.
-	tile tile
 	// Ops counts drawing calls (rectangle fills, lines, glyphs).
 	Ops int
+}
+
+// line is one scanline: head, the runs it owns over columns [0, cut),
+// every column covered, then from cut on tail, the runs it shares with
+// its row in columns shifted by the framebuffer's off, the background
+// where none covers a column — palette entry 0 of a timeline, the only
+// picture with gaps. A tail drops its runs that end by cut.
+type line struct {
+	head, tail []pixelRun
+	cut        int32
 }
 
 const palSlots = 512
 
 // NewFramebuffer allocates a w x h framebuffer cleared to the
-// background color.
+// background color. A run's columns are 32-bit, so w is below 2^31.
 func NewFramebuffer(w, h int) *Framebuffer {
-	if w < 0 || h < 0 {
-		panic(fmt.Sprintf("render: negative framebuffer size %dx%d", w, h))
+	if w < 0 || h < 0 || w > math.MaxInt32 {
+		panic(fmt.Sprintf("render: framebuffer size %dx%d out of range", w, h))
 	}
-	fb := &Framebuffer{w: w, h: h, pix: make([]uint8, w*h)}
+	fb := &Framebuffer{w: w, h: h, lines: make([]line, h)}
 	fb.Clear(Background)
 	fb.Ops = 0
 	return fb
@@ -92,19 +107,24 @@ func (fb *Framebuffer) W() int { return fb.w }
 // H returns the height in pixels.
 func (fb *Framebuffer) H() int { return fb.h }
 
-// Clear fills the whole framebuffer. Nothing drawn before survives it,
-// so an opaque clear of an indexed framebuffer starts the palette over
-// with c as its only entry.
+// Clear fills the whole framebuffer: every scanline becomes one shared
+// run of c. Nothing drawn before survives it, so an opaque clear of an
+// indexed framebuffer starts the palette over with c as its only entry.
 func (fb *Framebuffer) Clear(c color.RGBA) {
-	if fb.tile.rows != nil {
-		fb.paint()
-	}
-	if fb.rgba == nil && c.A == 0xff {
-		fb.pal = fb.pal[:0]
+	if !fb.truecolour && c.A == 0xff {
+		fb.pal = fb.palette[:0]
 		fb.keys = [palSlots]uint32{}
 		fb.last = 0
 	}
-	fb.FillRect(0, 0, fb.w, fb.h, c)
+	if fb.w == 0 || fb.h == 0 {
+		return
+	}
+	fb.Ops++
+	fb.clear[0] = fb.run(0, fb.w, c)
+	fb.off, fb.arena = 0, fb.arena[:0]
+	for y := range fb.lines {
+		fb.lines[y] = line{tail: fb.clear[:]}
+	}
 }
 
 // index returns c's palette index, entering c on first sight. ok is
@@ -134,29 +154,74 @@ func (fb *Framebuffer) index(c color.RGBA) (idx uint8, ok bool) {
 	return fb.lastIdx, true
 }
 
-// truecolour converts the framebuffer to an RGBA image holding the
-// pixels drawn so far, and gives up the indices and the palette.
-func (fb *Framebuffer) truecolour() {
-	fb.rgba = fb.RGBA()
-	fb.pix, fb.pal = nil, nil
+// run returns the run of columns [x0, x1) in c, numbered in the palette
+// while the framebuffer is indexed; a colour the palette cannot hold
+// makes it truecolour.
+func (fb *Framebuffer) run(x0, x1 int, c color.RGBA) pixelRun {
+	r := pixelRun{x0: int32(x0), x1: int32(x1), c: c}
+	if !fb.truecolour {
+		var ok bool
+		if r.p, ok = fb.index(c); !ok {
+			fb.truecolour, fb.pal = true, nil
+		}
+	}
+	return r
+}
+
+// runs appends scanline l's runs over columns [from, to) to dst: its
+// head's, then its tail's, the background between them, adjacent runs
+// of one colour merged.
+func (fb *Framebuffer) runs(dst []pixelRun, l *line, from, to int32) []pixelRun {
+	x := from
+	for i := 0; x < min(to, l.cut); i++ {
+		if r := l.head[i]; r.x1 > x {
+			r.x0, r.x1 = x, min(r.x1, to)
+			dst, x = put(dst, r), r.x1
+		}
+	}
+	for _, r := range l.tail {
+		x0, x1 := max(r.x0+fb.off, x), min(r.x1+fb.off, to)
+		if x0 >= to {
+			break
+		}
+		if x0 < x1 {
+			if x0 > x {
+				dst = put(dst, pixelRun{x0: x, x1: x0, c: Background})
+			}
+			r.x0, r.x1 = x0, x1
+			dst, x = put(dst, r), x1
+		}
+	}
+	if x < to {
+		dst = put(dst, pixelRun{x0: x, x1: to, c: Background})
+	}
+	return dst
+}
+
+// put appends r to runs, merged into the last run where that one ends
+// at r.x0 in r's colour: rectangle aggregation, optimization (b) of
+// Section VI-B.
+func put(runs []pixelRun, r pixelRun) []pixelRun {
+	if n := len(runs) - 1; n >= 0 && runs[n].x1 == r.x0 && runs[n].c == r.c {
+		runs[n].x1 = r.x1
+		return runs
+	}
+	return append(runs, r)
 }
 
 // RGBA returns a copy of the framebuffer as an RGBA image.
 func (fb *Framebuffer) RGBA() *image.RGBA {
 	img := image.NewRGBA(image.Rect(0, 0, fb.w, fb.h))
-	if fb.rgba != nil {
-		copy(img.Pix, fb.rgba.Pix)
-		return img
-	}
-	if fb.tile.rows != nil {
-		painted := Framebuffer{w: fb.w, h: fb.h, tile: fb.tile}
-		painted.paint()
-		return painted.RGBA()
-	}
-	for i, p := range fb.pix {
-		c := fb.pal[p]
-		px := img.Pix[4*i : 4*i+4 : 4*i+4]
-		px[0], px[1], px[2], px[3] = c.R, c.G, c.B, c.A
+	var rs []pixelRun
+	for y := range fb.lines {
+		rs = fb.runs(rs[:0], &fb.lines[y], 0, int32(fb.w))
+		pix := img.Pix[y*img.Stride:]
+		for _, r := range rs {
+			for x := int(r.x0); x < int(r.x1); x++ {
+				px := pix[4*x : 4*x+4 : 4*x+4]
+				px[0], px[1], px[2], px[3] = r.c.R, r.c.G, r.c.B, r.c.A
+			}
+		}
 	}
 	return img
 }
@@ -172,30 +237,9 @@ func (fb *Framebuffer) FillRect(x, y, w, h int, c color.RGBA) {
 		return
 	}
 	fb.Ops++
-	if fb.tile.rows != nil {
-		fb.paint()
-	}
-	if fb.rgba == nil {
-		if idx, ok := fb.index(c); ok {
-			first := fb.pix[y0*fb.w+x0 : y0*fb.w+x1]
-			for i := range first {
-				first[i] = idx
-			}
-			for yy := y0 + 1; yy < y1; yy++ {
-				copy(fb.pix[yy*fb.w+x0:yy*fb.w+x1], first)
-			}
-			return
-		}
-		fb.truecolour()
-	}
+	r := fb.run(x0, x1, c)
 	for yy := y0; yy < y1; yy++ {
-		row := fb.rgba.Pix[yy*fb.rgba.Stride+4*x0 : yy*fb.rgba.Stride+4*x1]
-		for i := 0; i < len(row); i += 4 {
-			row[i] = c.R
-			row[i+1] = c.G
-			row[i+2] = c.B
-			row[i+3] = c.A
-		}
+		fb.span(&fb.lines[yy], r)
 	}
 }
 
@@ -250,17 +294,107 @@ func (fb *Framebuffer) set(x, y int, c color.RGBA) {
 	if x < 0 || y < 0 || x >= fb.w || y >= fb.h {
 		return
 	}
-	if fb.tile.rows != nil {
-		fb.paint()
-	}
-	if fb.rgba == nil {
-		if idx, ok := fb.index(c); ok {
-			fb.pix[y*fb.w+x] = idx
-			return
+	fb.span(&fb.lines[y], fb.run(x, x+1, c))
+}
+
+// span draws r, a run inside the picture, into scanline l. A span at
+// or right of cut is appended, after the shared runs left of it, merged
+// with the last run where that one is of its colour: a scanline drawn
+// left to right only ever appends. One left of cut replaces the head's
+// runs i up to j under it but for what they show left and right of
+// it, merged with its neighbours of its colour.
+func (fb *Framebuffer) span(l *line, r pixelRun) {
+	if r.x0 >= l.cut {
+		fb.own(l, r.x0)
+		if len(l.head) == cap(l.head) {
+			l.head = fb.grow(l.head, 1)
 		}
-		fb.truecolour()
+		l.head, l.cut = put(l.head, r), r.x1
+		fb.trim(l)
+		return
 	}
-	fb.rgba.SetRGBA(x, y, c)
+	h := l.head
+	i := len(h)
+	for i > 0 && h[i-1].x1 > r.x0 {
+		i--
+	}
+	k := i
+	for k < len(h) && h[k].x1 <= r.x1 {
+		k++
+	}
+	var seg [3]pixelRun
+	n, j := 0, k
+	if i < len(h) && h[i].x0 < r.x0 && h[i].c != r.c {
+		seg[0], n = h[i], 1
+		seg[0].x1 = r.x0
+	} else if i < len(h) && h[i].x0 < r.x0 {
+		r.x0 = h[i].x0
+	} else if i > 0 && h[i-1].c == r.c {
+		i--
+		r.x0 = h[i].x0
+	}
+	right := k < len(h) && h[k].c != r.c
+	if k < len(h) {
+		j = k + 1
+		if !right {
+			r.x1 = h[k].x1
+		}
+	}
+	seg[n], n = r, n+1
+	if right {
+		seg[n], n = h[k], n+1
+		seg[n-1].x0 = r.x1
+	}
+	if more := n - (j - i); len(h)+more > cap(h) {
+		h = fb.grow(h, more)
+	}
+	l.head, l.cut = slices.Replace(h, i, j, seg[:n]...), max(l.cut, r.x1)
+	fb.trim(l)
+}
+
+// trim drops the shared runs of l that end by cut.
+func (fb *Framebuffer) trim(l *line) {
+	for len(l.tail) > 0 && l.tail[0].x1+fb.off <= l.cut {
+		l.tail = l.tail[1:]
+	}
+}
+
+// own copies the shared runs over columns [cut, x) into l's head, the
+// background between them, and moves cut to x. The head is grown once,
+// for the runs and the gaps counted first.
+func (fb *Framebuffer) own(l *line, x int32) {
+	if x <= l.cut {
+		return
+	}
+	n, at := 0, l.cut
+	for i := 0; i < len(l.tail) && l.tail[i].x0+fb.off < x; i++ {
+		if l.tail[i].x0+fb.off > at {
+			n++
+		}
+		n, at = n+1, l.tail[i].x1+fb.off
+	}
+	if at < x {
+		n++
+	}
+	if len(l.head)+n > cap(l.head) {
+		l.head = fb.grow(l.head, n)
+	}
+	l.head, l.cut = fb.runs(l.head, l, l.cut, x), x
+}
+
+// grow returns head moved to arena space with room for n more runs and
+// at least twice its old room. The arena is carved a head at a time,
+// from chunks that double in size, so a framebuffer's heads cost a
+// handful of allocations; the space a moved head leaves is not reused
+// before Clear.
+func (fb *Framebuffer) grow(head []pixelRun, n int) []pixelRun {
+	c := max(2*cap(head), len(head)+n, 4)
+	if a := len(fb.arena); a+c > cap(fb.arena) {
+		fb.arena = make([]pixelRun, 0, max(2*cap(fb.arena), c, 4*fb.h))
+	}
+	a := len(fb.arena)
+	fb.arena = fb.arena[:a+c]
+	return append(fb.arena[a:a:a+c], head...)
 }
 
 // At returns the pixel color at (x, y), the zero color outside the
@@ -269,13 +403,8 @@ func (fb *Framebuffer) At(x, y int) color.RGBA {
 	if x < 0 || y < 0 || x >= fb.w || y >= fb.h {
 		return color.RGBA{}
 	}
-	if fb.rgba != nil {
-		return fb.rgba.RGBAAt(x, y)
-	}
-	if fb.tile.rows != nil {
-		return fb.pal[fb.tile.at(x, y)]
-	}
-	return fb.pal[fb.pix[y*fb.w+x]]
+	var px [1]pixelRun
+	return fb.runs(px[:0], &fb.lines[y], int32(x), int32(x)+1)[0].c
 }
 
 // pngEncoder encodes what no palette holds: a truecolour framebuffer,
@@ -288,22 +417,20 @@ var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed}
 // pixels are the framebuffer's either way. The indexed image is
 // written here — signature, IHDR, PLTE, the rows unfiltered at 1, 2, 4
 // or 8 bits a pixel by palette size (the depth and colour type
-// image/png would choose), IDAT, IEND — and its input is runs: a kept
-// timeline tile's rows of runs as they are, a painted picture's runs
-// scanned off its pixels once per scanline that differs from the one
-// above. The runs are packed into runs of bytes, and rowDeflater
-// tokenizes those, with the row above and a run as its only matches:
-// a scanline's part shared with the scanline above is one match, and
-// a scanline equal to the one above is neither packed nor read, so
-// the work follows the runs and the distinct scanlines, not the
-// pixels.
+// image/png would choose), IDAT, IEND — from the scanlines' runs. Each
+// scanline is cut in two at split, the first byte boundary past every
+// head: its head part, packed for every scanline, and its tail, its
+// shared runs alone, packed once for the scanlines that share them.
+// rowDeflater tokenizes those byte runs, with the row above and a run
+// as its only matches: a tail shared with the scanline above is one
+// match, and a scanline equal to the one above is not read, so the
+// work follows the runs and the distinct scanlines, not the pixels.
 //
 // The palette is renumbered on the way out, in order of first
 // appearance in the pixels and without the entries no pixel holds any
 // more, so the bytes depend on the pixels alone, not on the order they
-// were drawn in, nor on whether a tile was painted. Nothing here
-// writes to fb: encoding twice, or from several goroutines, yields the
-// same bytes.
+// were drawn in. Nothing here writes to fb: encoding twice, or from
+// several goroutines, yields the same bytes.
 func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 	_, err := fb.encodePNG(w)
 	return err
@@ -312,25 +439,19 @@ func (fb *Framebuffer) EncodePNG(w io.Writer) error {
 // encodePNG is EncodePNG, returning also how many byte runs the
 // deflater tokenized.
 func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
-	if fb.rgba != nil {
-		return 0, pngEncoder.Encode(w, fb.rgba)
-	}
-	if fb.w == 0 || fb.h == 0 {
+	if fb.truecolour || fb.w == 0 || fb.h == 0 {
 		return 0, pngEncoder.Encode(w, fb.RGBA())
 	}
-
-	// A scanline is read as its head, columns [0, split), and its tail,
-	// the runs of the tile row it shows from split on (key: the row).
-	// A painted picture's scanline is all head.
-	split, off := fb.w, fb.tile.g.gutter
-	if fb.tile.rows != nil {
-		split = fb.tile.split
+	// hs and ts hold a scanline's runs either side of split: at most
+	// one a column, and past every cut at most its tail's runs and the
+	// gaps around them.
+	split, most := 0, 0
+	for _, l := range fb.lines {
+		split, most = max(split, int(l.cut)), max(most, 2*len(l.tail)+1)
 	}
-	start := lines{fb: fb, head: make([]pixelRun, 0, split), key: -2}
-	if fb.tile.rows != nil {
-		px := make([]uint8, 2*split)
-		start.px, start.prev = px[:split:split], px[split:]
-	}
+	split = min(fb.w, (split+7)&^7)
+	scratch := make([]pixelRun, split+most)
+	hs, ts := scratch[:0:split], scratch[split:split]
 
 	// remap[i] is palette entry i's number on the wire; plte collects
 	// the entries in that order.
@@ -339,38 +460,19 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 		seen  [256]bool
 		plte  = make([]byte, 0, 3*len(fb.pal))
 	)
-	appear := func(p uint8) {
-		if !seen[p] {
-			seen[p], remap[p] = true, uint8(len(plte)/3)
-			c := fb.pal[p]
-			plte = append(plte, c.R, c.G, c.B)
-		}
-	}
-	l := start
 	for y := 0; y < fb.h && len(plte) < 3*len(fb.pal); y++ {
-		key := l.key
-		if l.next(y) {
-			continue
+		hs = fb.runs(hs[:0], &fb.lines[y], 0, int32(split))
+		if y == 0 || !sameTail(fb.lines[y].tail, fb.lines[y-1].tail) {
+			ts = fb.runs(ts[:0], &fb.lines[y], int32(split), int32(fb.w))
 		}
-		for _, r := range l.head {
-			appear(r.p)
-		}
-		if l.key == key {
-			continue
-		}
-		// The tail: its runs shifted by off, the background between.
-		x := split
-		for _, r := range l.tail {
-			if r.x1+off > x {
-				if r.x0+off > x {
-					appear(0)
+		for _, rs := range [2][]pixelRun{hs, ts} {
+			for _, r := range rs {
+				if !seen[r.p] {
+					seen[r.p], remap[r.p] = true, uint8(len(plte)/3)
+					c := fb.pal[r.p]
+					plte = append(plte, c.R, c.G, c.B)
 				}
-				appear(r.p)
-				x = r.x1 + off
 			}
-		}
-		if x < fb.w {
-			appear(0)
 		}
 	}
 	depth, shift := 8, uint(0) // 1<<shift pixels a byte
@@ -397,38 +499,37 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 	// most significant bits first, the last byte padded with zero bits.
 	// Its head is packed into one of two buffers and its tail into one
 	// of two slots, each the one the scanline above does not hold; a
-	// slot that holds the tail already is not packed again. The IDAT
-	// buffer has room past idatSize for the last bits and the checksum.
+	// tail is packed only where it differs from the one above, a key
+	// apart. The IDAT buffer has room past idatSize for the last bits
+	// and the checksum.
 	hn := 1 + (split*depth+7)/8 // a head's bytes, so its most runs
 	tn := d.n - hn + 1
 	buf := make([]byteRun, 2*(hn+tn))
-	headBufs := [2][]byteRun{buf[:0:hn], buf[hn : hn : 2*hn]}
-	var tails [2]struct {
-		part
-		key int
-	}
-	tails[0].runs, tails[1].runs, tails[0].key, tails[1].key = buf[2*hn:2*hn:2*hn+tn], buf[2*hn+tn:2*hn+tn], -2, -2
+	heads := [2][]byteRun{buf[:0:hn], buf[hn : hn : 2*hn]}
+	var tails [2]part
+	tails[0].runs, tails[1].runs = buf[2*hn:2*hn:2*hn+tn], buf[2*hn+tn:2*hn+tn]
 	pk := packer{shift: shift, depth: uint(depth), fill: uint8(0xff / (1<<depth - 1)), remap: &remap}
 	d.start(make([]byte, 0, idatSize+8))
 	var cur, above scanline
-	slot, hi := 1, 0
-	l = start
+	hi, slot := 0, 1
 	for y := 0; y < fb.h; y++ {
-		if l.next(y) {
+		cur.key = above.key
+		if y > 0 && !sameTail(fb.lines[y].tail, fb.lines[y-1].tail) {
+			cur.key++
+		}
+		hs = fb.runs(hs[:0], &fb.lines[y], 0, int32(split))
+		cur.head = pk.part(heads[hi], hs, true)
+		if y > 0 && cur.key == above.key && slices.Equal(cur.head.runs, above.head.runs) {
 			d.repeat(&above)
 			continue
 		}
-		cur.head = pk.part(headBufs[hi], l.head, 0, 0, split, true)
 		hi ^= 1
-		cur.key = l.key
-		if tails[1-slot].key == l.key {
-			slot = 1 - slot
-		} else if tails[slot].key != l.key {
-			slot = 1 - slot
-			tails[slot].part = pk.part(tails[slot].runs, l.tail, off, split, fb.w, false)
-			tails[slot].key = l.key
+		if y == 0 || cur.key != above.key {
+			slot ^= 1
+			ts = fb.runs(ts[:0], &fb.lines[y], int32(split), int32(fb.w))
+			tails[slot] = pk.part(tails[slot].runs, ts, false)
 		}
-		cur.tail = tails[slot].part
+		cur.tail = tails[slot]
 		if y == 0 {
 			d.line(&cur, nil)
 		} else {
@@ -441,51 +542,14 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 	return d.runs, e.err
 }
 
-// lines reads a framebuffer for the encoder a scanline at a time, in
-// order from the top: its head, the pixels of columns [0, split) — a
-// painted picture's scanline, a tile's gutter and labels, painted
-// (tile.head) — scanned into runs of palette entries; and its tail,
-// the runs of the tile row it shows, in plot columns, shared by every
-// scanline of the same key.
-type lines struct {
-	fb       *Framebuffer
-	px, prev []uint8 // a tile's scanline heads, this one's and the last
-	head     []pixelRun
-	tail     []pixelRun
-	key      int
-}
-
-// next reads scanline y and reports whether it equals scanline y-1; if
-// so, its head is not scanned.
-func (l *lines) next(y int) (same bool) {
-	fb, t := l.fb, &l.fb.tile
-	var px []uint8
-	if t.rows == nil {
-		px = fb.pix[y*fb.w : (y+1)*fb.w]
-		same = y > 0 && bytes.Equal(px, fb.pix[(y-1)*fb.w:y*fb.w])
-		l.key = -1
-	} else {
-		l.px, l.prev = l.prev, l.px
-		px = l.px
-		key := t.head(px, y)
-		l.tail = nil
-		if key >= 0 {
-			l.tail = t.rows[key]
-		} else {
-			key = len(t.rows)
-		}
-		same = y > 0 && key == l.key && bytes.Equal(px, l.prev)
-		l.key = key
+// sameTail reports whether two scanlines share their tails: both have
+// none left, or both end in the same run. Past both cuts they show
+// the same pixels.
+func sameTail(a, b []pixelRun) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return len(a) == len(b)
 	}
-	if !same {
-		l.head = l.head[:0]
-		for x := 0; x < len(px); {
-			end := x + 1 + matchLen(px[x+1:], px[x:len(px)-1])
-			l.head = append(l.head, pixelRun{x0: x, x1: end, p: px[x]})
-			x = end
-		}
-	}
-	return same
+	return &a[len(a)-1] == &b[len(b)-1]
 }
 
 // chunkWriter writes PNG chunks and keeps the first error.
@@ -532,11 +596,13 @@ func (fb *Framebuffer) WritePPM(w io.Writer) error {
 		return err
 	}
 	buf := make([]byte, 0, fb.W()*3)
+	var rs []pixelRun
 	for y := 0; y < fb.H(); y++ {
-		buf = buf[:0]
-		for x := 0; x < fb.W(); x++ {
-			c := fb.At(x, y)
-			buf = append(buf, c.R, c.G, c.B)
+		buf, rs = buf[:0], fb.runs(rs[:0], &fb.lines[y], 0, int32(fb.w))
+		for _, r := range rs {
+			for range int(r.x1 - r.x0) {
+				buf = append(buf, r.c.R, r.c.G, r.c.B)
+			}
 		}
 		if _, err := w.Write(buf); err != nil {
 			return err
@@ -546,19 +612,7 @@ func (fb *Framebuffer) WritePPM(w io.Writer) error {
 }
 
 func clipRect(x0, y0, x1, y1, w, h int) (int, int, int, int) {
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 > w {
-		x1 = w
-	}
-	if y1 > h {
-		y1 = h
-	}
-	return x0, y0, x1, y1
+	return max(x0, 0), max(y0, 0), min(x1, w), min(y1, h)
 }
 
 func abs(v int) int {

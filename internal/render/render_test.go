@@ -154,6 +154,9 @@ func TestTimelineValidation(t *testing.T) {
 	if _, _, err := Timeline(tr, TimelineConfig{Width: 0, Height: 10}); err == nil {
 		t.Error("zero width accepted")
 	}
+	if _, _, err := Timeline(tr, TimelineConfig{Width: 1 << 31, Height: 10}); err == nil {
+		t.Error("a width past 32-bit columns accepted")
+	}
 	if _, _, err := Timeline(tr, TimelineConfig{Width: 10, Height: 10, Start: 100, End: 50}); err == nil {
 		t.Error("inverted interval accepted")
 	}

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"image"
+	"image/color"
 	"image/png"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,8 +26,8 @@ import (
 // label as wide as "CPU 1048576" overhangs the gutter), each with up to
 // 240 states, the executions of tasks of one to 300 types that read and
 // write regions on four nodes. Missing bytes read as zero. It returns
-// nil where Timeline refuses the configuration.
-func fuzzTimeline(t *testing.T, data []byte) (*Framebuffer, TimelineConfig) {
+// a nil trace where the bytes make none.
+func fuzzTimeline(t *testing.T, data []byte) (*core.Trace, TimelineConfig) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -90,11 +93,7 @@ func fuzzTimeline(t *testing.T, data []byte) (*Framebuffer, TimelineConfig) {
 		cfg.Start = tr.Span.Start + from*span/1024
 		cfg.End = cfg.Start + 1 + span/part
 	}
-	fb, _, err := Timeline(tr, cfg)
-	if err != nil {
-		return nil, cfg
-	}
-	return fb, cfg
+	return tr, cfg
 }
 
 // fuzzSeed is a configuration's bytes for fuzzTimeline followed by
@@ -105,12 +104,45 @@ func fuzzSeed(config ...byte) []byte {
 	return append(config, trace...)
 }
 
-// FuzzTimelineEncode: the tile Timeline keeps as runs encodes to the
-// very bytes it encodes to once painted, as the first drawing call
-// paints it, and those decode to its pixels — whatever the mode, the
-// width (a multiple of 8 or not, 1–4000), the labels, however far they
-// overhang the gutter, and the palette, across the bit depths' edges.
-// A tile of more than 256 colours is painted at once and truecolour.
+// drawTile draws the picture Timeline makes of tr under cfg with the
+// calls a painter makes: each labelled row's label with text, then the
+// row's runs with fill.
+func drawTile(t *testing.T, tr *core.Trace, cfg TimelineConfig, text func(x, y int, s string, c color.RGBA), fill func(x, y, w, h int, c color.RGBA)) {
+	t.Helper()
+	g, rows, labels, _, err := timelineRuns(tr, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for row := range rows {
+		y := row * g.rowH
+		if labels != nil && g.labeled(row) {
+			text(0, labelY(y, g.rowH), fmt.Sprintf("CPU %d", labels[row]), TextColor)
+		}
+		for _, r := range rows[row].runs {
+			fill(g.gutter+int(r.x0), y, int(r.x1-r.x0), g.drawH, r.c)
+		}
+	}
+}
+
+// tileModel is the plainImage of the picture Timeline makes of tr under
+// cfg, drawn as drawTile draws it.
+func tileModel(t *testing.T, tr *core.Trace, cfg TimelineConfig) *plainImage {
+	m := &plainImage{img: image.NewRGBA(image.Rect(0, 0, cfg.Width, cfg.Height)), drawn: map[color.RGBA]bool{}}
+	m.clear(Background)
+	m.ops = 0
+	drawTile(t, tr, cfg, m.text, m.fill)
+	return m
+}
+
+// FuzzTimelineEncode: the tile Timeline makes, whose scanlines share
+// their rows' runs, encodes to the very bytes of the same picture drawn
+// from NewFramebuffer with DrawText and FillRect, whose scanlines own
+// every run; and those bytes decode to the pixels of a plainImage drawn
+// with the same calls. Tile, drawing and model agree on the operation
+// count and on truecolour — whatever the mode, the width (a multiple
+// of 8 or not, 1–4000), the labels, however far they overhang the
+// gutter, and the palette, across the bit depths' edges and past 256
+// colours.
 func FuzzTimelineEncode(f *testing.F) {
 	f.Add(fuzzSeed(0xe8, 3, 99, 0, 9, 0, 0, 0, 0, 0, 4, 4))    // state, 1000 wide, labels up to CPU 1048576
 	f.Add(fuzzSeed(0xd0, 7, 49, 2, 9, 0, 1, 100, 2, 7, 0, 2))  // typemap of 300 types, 2000 wide, a window
@@ -119,26 +151,35 @@ func FuzzTimelineEncode(f *testing.F) {
 	f.Add(fuzzSeed(48, 0, 6, 1, 14, 0, 1, 30, 3, 3, 6, 4))     // heatmap, 49 wide, rows 1 high
 	f.Add(fuzzSeed(7, 0, 20, 3, 9, 1, 0, 0, 0, 1, 2, 1))       // numa-read, 8 wide
 	f.Add(fuzzSeed(0x2b, 2, 60, 2, 1, 0, 0, 0, 0, 1, 3, 4))    // typemap of 2 types, 556 wide
+	f.Add(fuzzSeed(43, 1, 10, 1, 14, 1, 0, 0, 0, 3, 0, 4))     // heatmap, 300 wide, rows 1 high, no labels
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fb, cfg := fuzzTimeline(t, data)
-		if fb == nil {
+		tr, cfg := fuzzTimeline(t, data)
+		if tr == nil {
 			return
 		}
-		var kept, painted bytes.Buffer
-		if err := fb.EncodePNG(&kept); err != nil {
+		tile, _, err := Timeline(tr, cfg)
+		if err != nil {
+			return
+		}
+		drawn := NewFramebuffer(cfg.Width, cfg.Height)
+		drawTile(t, tr, cfg, drawn.DrawText, drawn.FillRect)
+		m := tileModel(t, tr, cfg)
+		if tile.Ops != m.ops || drawn.Ops != m.ops || tile.truecolour != m.truecolour || drawn.truecolour != m.truecolour {
+			t.Fatalf("%+v: tile %d operations, truecolour %v; drawn %d, %v; model %d, %v",
+				cfg, tile.Ops, tile.truecolour, drawn.Ops, drawn.truecolour, m.ops, m.truecolour)
+		}
+		var shared, owned bytes.Buffer
+		if err := tile.EncodePNG(&shared); err != nil {
 			t.Fatal(err)
 		}
-		if !paintTile(fb) && (fb.rgba == nil || kept.Bytes()[ihdrColourType] != pngTruecolour) {
-			t.Fatalf("%+v: a tile painted by Timeline is not truecolour", cfg)
-		}
-		if err := fb.EncodePNG(&painted); err != nil {
+		if err := drawn.EncodePNG(&owned); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(kept.Bytes(), painted.Bytes()) {
-			t.Fatalf("%+v: the kept tile encodes to %d bytes, painted to %d other ones", cfg, kept.Len(), painted.Len())
+		if !bytes.Equal(shared.Bytes(), owned.Bytes()) {
+			t.Fatalf("%+v: the tile encodes to %d bytes, the drawn picture to %d other ones", cfg, shared.Len(), owned.Len())
 		}
-		if got := decodedPix(t, painted.Bytes()); !bytes.Equal(got, fb.RGBA().Pix) {
-			t.Fatalf("%+v: the PNG does not decode to the tile's pixels", cfg)
+		if got := decodedPix(t, shared.Bytes()); !bytes.Equal(got, m.img.Pix) {
+			t.Fatalf("%+v: the PNG does not decode to the model's pixels", cfg)
 		}
 	})
 }
@@ -169,13 +210,12 @@ func decodedPix(t *testing.T, b []byte) []byte {
 	return nil
 }
 
-// TestTileManyColours: a typemap of 300 task types draws more colours
-// than a palette holds, so Timeline paints it — truecolour, as
-// FillRect would have made it — and it encodes through image/png.
-func TestTileManyColours(t *testing.T) {
+// typesTrace is a trace of n task types, each executed once, one after
+// the other on CPU 0.
+func typesTrace(t *testing.T, n int) *core.Trace {
 	var buf bytes.Buffer
 	w := trace.NewWriter(&buf)
-	for i := 1; i <= 300; i++ {
+	for i := 1; i <= n; i++ {
 		for _, err := range []error{
 			w.WriteTaskType(trace.TaskType{ID: trace.TypeID(i), Name: fmt.Sprintf("t%d", i)}),
 			w.WriteTask(trace.Task{ID: trace.TaskID(i), Type: trace.TypeID(i)}),
@@ -193,12 +233,19 @@ func TestTileManyColours(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, _, err := Timeline(tr, TimelineConfig{Width: 1200, Height: 20, Mode: ModeType, Labels: true})
+	return tr
+}
+
+// TestTileManyColours: a typemap of 300 task types draws more colours
+// than a palette holds, so Timeline makes it truecolour, as FillRect
+// would have made it, and it encodes through image/png.
+func TestTileManyColours(t *testing.T) {
+	fb, _, err := Timeline(typesTrace(t, 300), TimelineConfig{Width: 1200, Height: 20, Mode: ModeType, Labels: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fb.tile.rows != nil || fb.rgba == nil {
-		t.Fatalf("%d colours drawn: the tile is kept %v, truecolour %v", distinctColours(fb), fb.tile.rows != nil, fb.rgba != nil)
+	if !fb.truecolour {
+		t.Fatalf("%d colours drawn: the tile is not truecolour", distinctColours(fb))
 	}
 	if _, ct := roundTrip(t, fb); ct != pngTruecolour {
 		t.Errorf("colour type %d, want truecolour", ct)
@@ -206,42 +253,61 @@ func TestTileManyColours(t *testing.T) {
 }
 
 // TestTileAllocatedBytes: a 1000x400 state tile with labels, from
-// Timeline to its PNG bytes, allocates less than the w*h bytes the
-// framebuffer it is never painted into would take alone.
+// Timeline to its PNG bytes, allocates less than the w*h bytes a pixel
+// buffer of it would take alone — plain, and with the counter overlay
+// drawn into it.
 func TestTileAllocatedBytes(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	cfg := TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true}
-	const rounds = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range rounds {
-		fb, _, err := Timeline(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out bytes.Buffer
-		if err := fb.EncodePNG(&out); err != nil {
-			t.Fatal(err)
-		}
+	c, ok := tr.CounterByName(trace.CounterBranchMisses)
+	if !ok {
+		t.Fatal("missing counter")
 	}
-	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got >= uint64(cfg.Width*cfg.Height) {
-		t.Errorf("a tile allocates %d bytes from Timeline to PNG, not less than its %d pixels", got, cfg.Width*cfg.Height)
-	} else {
-		t.Logf("%d bytes a tile", got)
+	cfg := TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true}
+	for _, overlay := range []bool{false, true} {
+		const rounds = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			fb, _, err := Timeline(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if overlay {
+				OverlayCounter(fb, tr, cfg, OverlayConfig{Counter: c, Rate: true, Color: CategoryColor(7)}, tr.CounterIndex())
+			}
+			var out bytes.Buffer
+			if err := fb.EncodePNG(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got >= uint64(cfg.Width*cfg.Height) {
+			t.Errorf("overlay %v: a tile allocates %d bytes from Timeline to PNG, not less than its %d pixels", overlay, got, cfg.Width*cfg.Height)
+		} else {
+			t.Logf("overlay %v: %d bytes a tile", overlay, got)
+		}
 	}
 }
 
-// TestKeptTileReadOnly: At, RGBA, WritePPM and EncodePNG read a kept
-// tile without painting it, so they run at once from several
-// goroutines (the race detector watches) and agree with each other and
-// with the tile once painted.
+// TestKeptTileReadOnly: At, RGBA, WritePPM and EncodePNG read a tile
+// without writing to it, so they run at once from several goroutines
+// (the race detector watches) and agree with each other and with the
+// same picture drawn from NewFramebuffer.
 func TestKeptTileReadOnly(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
-	fb, _, err := Timeline(tr, TimelineConfig{Width: 301, Height: 97, Mode: ModeType, Labels: true})
+	cfg := TimelineConfig{Width: 301, Height: 97, Mode: ModeType, Labels: true}
+	fb, _, err := Timeline(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	copyOf := func() []line {
+		ls := make([]line, len(fb.lines))
+		for y, l := range fb.lines {
+			ls[y] = line{slices.Clone(l.head), slices.Clone(l.tail), l.cut}
+		}
+		return ls
+	}
+	before := copyOf()
 	type reading struct{ png, ppm, rgba []byte }
 	got := make([]reading, 6)
 	var wg sync.WaitGroup
@@ -265,17 +331,18 @@ func TestKeptTileReadOnly(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if fb.tile.rows == nil || fb.pix != nil {
-		t.Fatal("reading the tile painted it")
+	if !reflect.DeepEqual(copyOf(), before) {
+		t.Fatal("reading the tile wrote to it")
 	}
 	for i, r := range got {
 		if !bytes.Equal(r.png, got[0].png) || !bytes.Equal(r.ppm, got[0].ppm) || !bytes.Equal(r.rgba, got[0].rgba) {
 			t.Fatalf("goroutine %d read the tile differently", i)
 		}
 	}
-	paintTile(fb)
-	if !bytes.Equal(fb.RGBA().Pix, got[0].rgba) {
-		t.Error("the tile's RGBA differs from the painted framebuffer's")
+	drawn := NewFramebuffer(cfg.Width, cfg.Height)
+	drawTile(t, tr, cfg, drawn.DrawText, drawn.FillRect)
+	if !bytes.Equal(drawn.RGBA().Pix, got[0].rgba) {
+		t.Error("the tile's RGBA differs from the drawn framebuffer's")
 	}
-	decodesTo(t, got[0].png, fb)
+	decodesTo(t, got[0].png, drawn)
 }

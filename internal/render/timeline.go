@@ -3,7 +3,8 @@ package render
 import (
 	"fmt"
 	"image/color"
-	"sort"
+	"math"
+	"math/bits"
 	"strconv"
 
 	"github.com/openstream/aftermath/internal/core"
@@ -146,10 +147,10 @@ func selectRows(tr *core.Trace, ids []int32) (rows, labels []int32) {
 }
 
 // pixelRun is one aggregated run of identically colored pixels within
-// a row: plot-relative columns [x0, x1), of color c, palette entry p
-// once a framebuffer holds it.
+// a scanline: columns [x0, x1) — plot-relative in a timeline row — of
+// color c, palette entry p once a framebuffer holds it. 16 bytes.
 type pixelRun struct {
-	x0, x1 int
+	x0, x1 int32
 	c      color.RGBA
 	p      uint8
 }
@@ -157,33 +158,45 @@ type pixelRun struct {
 // timeline implements Timeline with an explicit worker count (tests
 // compare worker counts with each other).
 func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, Stats, error) {
-	var st Stats
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return nil, st, fmt.Errorf("render: invalid dimensions %dx%d", cfg.Width, cfg.Height)
+	g, rows, labels, st, err := timelineRuns(tr, cfg, workers)
+	if err != nil {
+		return nil, st, err
 	}
-	start, end := cfg.Start, cfg.End
-	if start == 0 && end == 0 {
-		start, end = tr.Span.Start, tr.Span.End
+	return newTile(cfg.Width, cfg.Height, g, rows, labels), st, nil
+}
+
+// tileRow is one timeline row: its runs, and what its walk read.
+type tileRow struct {
+	runs pixelRuns
+	work mragg.Work
+}
+
+// timelineRuns computes what Timeline draws: the row geometry, each
+// visible row, and the rows' CPU ids where they are labelled (nil
+// without labels).
+func timelineRuns(tr *core.Trace, cfg TimelineConfig, workers int) (g rowGeometry, rows []tileRow, labels []int32, st Stats, err error) {
+	if cfg.Width <= 0 || cfg.Height <= 0 || cfg.Width > math.MaxInt32 {
+		return g, nil, nil, st, fmt.Errorf("render: invalid dimensions %dx%d", cfg.Width, cfg.Height)
 	}
-	if end <= start {
-		return nil, st, fmt.Errorf("render: empty interval [%d,%d)", start, end)
+	start, end, err := timeWindow(tr, cfg)
+	if err != nil {
+		return g, nil, nil, st, err
 	}
-	if end-start < 0 {
-		// The pixel mapping needs the span as an int64.
-		return nil, st, fmt.Errorf("render: interval [%d,%d) is more than 2^63-1 cycles wide", start, end)
-	}
-	cpus, labels := selectRows(tr, cfg.CPUs)
+	cpus, ids := selectRows(tr, cfg.CPUs)
 	if len(cpus) == 0 {
-		return nil, st, fmt.Errorf("render: no CPUs selected")
+		return g, nil, nil, st, fmt.Errorf("render: no CPUs selected")
+	}
+	if cfg.Labels {
+		labels = ids
 	}
 	shades := cfg.Shades
 	if shades <= 0 {
 		shades = 10
 	}
 
-	g, err := timelineGeometry(cfg.Height, cfg.Width, len(cpus), cfg.Labels)
+	g, err = timelineGeometry(cfg.Height, cfg.Width, len(cpus), cfg.Labels)
 	if err != nil {
-		return nil, st, err
+		return g, nil, nil, st, err
 	}
 
 	heatMin, heatMax := cfg.HeatMin, cfg.HeatMax
@@ -194,157 +207,132 @@ func timeline(tr *core.Trace, cfg TimelineConfig, workers int) (*Framebuffer, St
 	typeIdx := typeIndexOf(tr)
 	keep := keepOf(tr, cfg.Filter)
 
-	// Phase 1: compute each row's aggregated pixel runs. Rows are
-	// independent (a task executes on a single CPU), so they fan out
-	// over the worker pool. Phase 2 keeps them in row order as the
-	// framebuffer's tile, with the draw-call accounting of a
-	// sequential painting.
+	// Each row's aggregated pixel runs. Rows are independent (a task
+	// executes on a single CPU), so they fan out over the worker pool.
 	cols := tmath.Columns{Start: start, End: end, W: g.plotW}
-	runs := make([]pixelRuns, g.visible)
-	work := make([]mragg.Work, g.visible)
+	out := make([]tileRow, g.visible)
 	if workers > 1 {
 		par.Do(workers, g.visible, func(row int) {
 			px := &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx}
-			runs[row], work[row] = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
+			out[row].runs, out[row].work = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
 		})
 	} else {
 		px := &pixelizer{tr: tr, keep: keep, typeIdx: typeIdx}
-		for row := range runs {
-			runs[row], work[row] = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
+		for row := range out {
+			out[row].runs, out[row].work = rowRuns(px, cfg.Mode, cpus[row], cols, heatMin, heatMax, shades)
 		}
 	}
-
-	// The palette holds what painting would draw: the background, the
-	// label color where a label reaches the picture (its first glyph
-	// row, whose 'C' has pixels in the gutter) and every run's color.
-	// A 257th color paints the tile at once, which turns it truecolour.
-	fb := &Framebuffer{w: cfg.Width, h: cfg.Height}
-	fb.index(Background)
-	fb.tile = tile{g: g, rows: runs, split: g.gutter}
-	fits := true
-	if cfg.Labels {
-		fb.tile.labels = labels
-		var text [24]byte
-		for row := range runs {
-			if g.labeled(row) {
-				n := len(labelText(text[:0], labels[row]))
-				fb.tile.split, fb.Ops = max(fb.tile.split, n*GlyphWidth), fb.Ops+n
-				if labelY(row*g.rowH, g.rowH) < fb.h {
-					fb.tile.text, _ = fb.index(TextColor)
-				}
-			}
-		}
-		// A whole number of bytes at every depth.
-		fb.tile.split = min(fb.w, (fb.tile.split+7)&^7)
-	}
-	for row, rs := range runs {
-		for i := range rs {
-			var ok bool
-			rs[i].p, ok = fb.index(rs[i].c)
-			fits = fits && ok
-		}
-		fb.Ops += len(rs)
-		st.Rects += len(rs)
+	for _, r := range out {
+		st.Rects += len(r.runs)
 		st.PixelColumns += g.plotW
-		st.Members += work[row].Members
-		st.Queries += work[row].Queries
+		st.Members += r.work.Members
+		st.Queries += r.work.Queries
 	}
-	if !fits {
-		fb.paint()
-	}
-	return fb, st, nil
+	return g, out, labels, st, nil
 }
 
-// tile is a timeline not yet painted: its rows' runs and labels in
-// rowGeometry. Painting it (paint) draws a label then the runs row by
-// row over the background, so a pixel shows the run that covers it,
-// else a label's glyph, else the background, palette entry 0.
-type tile struct {
-	g    rowGeometry
-	rows []pixelRuns // nil: no tile
-	// labels holds the rows' CPU ids, nil without labels; text is the
-	// label color's palette entry.
-	labels []int32
-	text   uint8
-	// split is where EncodePNG cuts scanlines into a head and the row's
-	// runs: past the gutter and every label, on a byte boundary, so at
-	// most 96 (a label is at most 15 glyphs).
-	split int
+// timeWindow returns the interval cfg selects, and an error where no
+// column can map to it: an empty one, or one wider than 2^63-1 cycles
+// (the pixel mapping needs its span as an int64).
+func timeWindow(tr *core.Trace, cfg TimelineConfig) (start, end trace.Time, err error) {
+	start, end = cfg.Start, cfg.End
+	if start == 0 && end == 0 {
+		start, end = tr.Span.Start, tr.Span.End
+	}
+	if end <= start {
+		return start, end, fmt.Errorf("render: empty interval [%d,%d)", start, end)
+	}
+	if end-start < 0 {
+		return start, end, fmt.Errorf("render: interval [%d,%d) is more than 2^63-1 cycles wide", start, end)
+	}
+	return start, end, nil
 }
 
-// paint turns the framebuffer's tile into pixels, drawn as Timeline
-// always drew them, and leaves Ops as they were counted.
-func (fb *Framebuffer) paint() {
-	t, ops := fb.tile, fb.Ops
-	fb.tile, fb.pix = tile{}, make([]uint8, fb.w*fb.h)
-	fb.Clear(Background)
+// newTile returns the picture of a timeline of w x h pixels: every
+// scanline of a row shares the row's runs, and a scanline that a
+// label's glyph row reaches owns a head over the label's columns, the
+// glyphs under the row's runs. Its operations are counted as drawing
+// each label, then its row's runs, would count them.
+func newTile(w, h int, g rowGeometry, rows []tileRow, labels []int32) *Framebuffer {
+	fb := &Framebuffer{w: w, h: h, lines: make([]line, h), off: int32(g.gutter)}
+	fb.pal = fb.palette[:0]
+	fb.index(Background)
+	for y := range fb.lines {
+		if r := y / g.rowH; r < len(rows) && y-r*g.rowH < g.drawH {
+			fb.lines[y].tail = rows[r].runs
+		}
+	}
+	for _, row := range rows {
+		for i, r := range row.runs {
+			row.runs[i] = fb.run(int(r.x0), int(r.x1), r.c)
+		}
+		fb.Ops += len(row.runs)
+	}
+	// The label heads are carved from one chunk of about what a glyph
+	// row takes, 16 runs, for each of a label's 7.
+	labelled := 0
+	for row := range rows {
+		if labels != nil && g.labeled(row) {
+			labelled++
+		}
+	}
+	fb.arena = make([]pixelRun, 0, 16*(GlyphHeight-1)*labelled)
 	var text [24]byte
-	for row, runs := range t.rows {
-		y := row * t.g.rowH
-		if t.labels != nil && t.g.labeled(row) {
-			fb.DrawText(0, labelY(y, t.g.rowH), string(labelText(text[:0], t.labels[row])), TextColor)
+	for row := range rows {
+		if labels == nil || !g.labeled(row) {
+			continue
 		}
-		for _, run := range runs {
-			fb.FillRect(t.g.gutter+run.x0, y, run.x1-run.x0, t.g.drawH, run.c)
+		s, ty := labelText(text[:0], labels[row]), labelY(row*g.rowH, g.rowH)
+		fb.Ops += len(s)
+		for gy := 0; gy < GlyphHeight-1 && ty+gy < h; gy++ {
+			fb.label(&fb.lines[ty+gy], s, gy, fb.run(0, 0, TextColor))
 		}
 	}
-	fb.Ops = ops
+	return fb
+}
+
+// label gives scanline l its head over the gutter and text's columns:
+// glyph row gy of text in ink's colour over the background, a run
+// ending where a glyph's ink starts or stops, then the runs l shares
+// with its row spliced over it where the text overhangs the gutter.
+func (fb *Framebuffer) label(l *line, text []byte, gy int, ink pixelRun) {
+	var buf [96]pixelRun // a label is at most 15 glyphs
+	cut := min(int32(fb.w), max(fb.off, int32(len(text)*GlyphWidth)))
+	head, r, inked := buf[:0], pixelRun{c: Background}, false
+	for i, c := range text {
+		// The cell's ink in bits 5–1, its spacing column in bit 0, so a
+		// cell starts and ends on the background. A set bit of t is a
+		// column where the ink starts or stops.
+		cell := uint(glyph(rune(c))[gy]) << 1
+		for t := cell ^ cell>>1; t != 0; t &^= 1 << (bits.Len(t) - 1) {
+			x := int32(i*GlyphWidth + 6 - bits.Len(t))
+			if x >= cut {
+				break
+			}
+			if r.x1 = x; x > r.x0 {
+				head = append(head, r)
+			}
+			if r, inked = (pixelRun{c: Background}), !inked; inked {
+				r = ink
+			}
+			r.x0 = x
+		}
+	}
+	r.x1 = cut
+	l.head, l.cut = append(fb.grow(nil, len(head)+1), append(head, r)...), cut
+	for _, t := range l.tail {
+		if t.x0+fb.off >= cut {
+			break
+		}
+		t.x0, t.x1 = t.x0+fb.off, min(t.x1+fb.off, cut)
+		fb.span(l, t)
+	}
+	fb.trim(l)
 }
 
 // labelText appends the label of the row of CPU id.
 func labelText(dst []byte, id int32) []byte {
 	return strconv.AppendInt(append(dst, "CPU "...), int64(id), 10)
-}
-
-// head paints scanline y's columns [0, len(px)), len(px) <= t.split,
-// into px: its row's runs, and a label's glyph row where they leave
-// the background. Labels stand at least GlyphHeight+1 apart, so at most
-// one reaches y. It returns the row whose runs y shows, -1 where y is
-// a grid line or below the last row.
-func (t *tile) head(px []uint8, y int) (row int) {
-	clear(px)
-	g, r := t.g, y/t.g.rowH
-	for l := min(r, len(t.rows)-1); t.labels != nil && l >= 0 && (l+1)*g.rowH+GlyphHeight > y; l-- {
-		if ty := labelY(l*g.rowH, g.rowH); ty <= y && y < ty+GlyphHeight-1 && g.labeled(l) {
-			var text [24]byte
-			for i, c := range labelText(text[:0], t.labels[l]) {
-				for col, bits := 0, glyph(rune(c))[y-ty]; col < 5; col++ {
-					if x := i*GlyphWidth + col; bits&(0x10>>col) != 0 && x < len(px) {
-						px[x] = t.text
-					}
-				}
-			}
-			break
-		}
-	}
-	if r >= len(t.rows) || y-r*g.rowH >= g.drawH {
-		return -1
-	}
-	for _, run := range t.rows[r] {
-		if run.x0+g.gutter >= len(px) {
-			break
-		}
-		for x := run.x0 + g.gutter; x < min(run.x1+g.gutter, len(px)); x++ {
-			px[x] = run.p
-		}
-	}
-	return r
-}
-
-// at returns the palette entry of pixel (x, y) of the picture.
-func (t *tile) at(x, y int) uint8 {
-	var head [128]uint8
-	r := t.head(head[:t.split], y)
-	if x < t.split {
-		return head[x]
-	}
-	if r >= 0 {
-		runs, px := t.rows[r], x-t.g.gutter
-		if i := sort.Search(len(runs), func(i int) bool { return runs[i].x1 > px }); i < len(runs) && runs[i].x0 <= px {
-			return runs[i].p
-		}
-	}
-	return 0
 }
 
 // rowGeometry is the shared row/gutter layout of Timeline, its counter
@@ -391,7 +379,7 @@ func timelineGeometry(fbH, width, nCPU int, labels bool) (rowGeometry, error) {
 // labeled reports whether a row carries a CPU label: every row when
 // the row fits the font, a sparse subset otherwise.
 func (g rowGeometry) labeled(row int) bool {
-	return g.rowH >= GlyphHeight || row%(GlyphHeight/maxInt(g.rowH, 1)+1) == 0
+	return g.rowH >= GlyphHeight || row%(GlyphHeight/max(g.rowH, 1)+1) == 0
 }
 
 // labelY returns the text y for a CPU row label starting at y: the
@@ -411,17 +399,11 @@ func labelY(y, rowH int) int {
 type pixelRuns []pixelRun
 
 // add paints columns [x0, x1) c, or leaves them to the background when
-// !ok, extending the last run where it ends at x0 in the same color:
-// rectangle aggregation, optimization (b) of Section VI-B.
+// !ok.
 func (rs *pixelRuns) add(x0, x1 int, c color.RGBA, ok bool) {
-	if !ok {
-		return
+	if ok {
+		*rs = put(*rs, pixelRun{x0: int32(x0), x1: int32(x1), c: c})
 	}
-	if n := len(*rs) - 1; n >= 0 && (*rs)[n].x1 == x0 && (*rs)[n].c == c {
-		(*rs)[n].x1 = x1
-		return
-	}
-	*rs = append(*rs, pixelRun{x0: x0, x1: x1, c: c})
 }
 
 // rowRuns paints one CPU row from one walk over its columns
@@ -628,12 +610,9 @@ func NaiveTimelineState(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return nil, st, fmt.Errorf("render: invalid dimensions %dx%d", cfg.Width, cfg.Height)
 	}
-	start, end := cfg.Start, cfg.End
-	if start == 0 && end == 0 {
-		start, end = tr.Span.Start, tr.Span.End
-	}
-	if end <= start {
-		return nil, st, fmt.Errorf("render: empty interval")
+	start, end, err := timeWindow(tr, cfg)
+	if err != nil {
+		return nil, st, err
 	}
 	cpus, labels := selectRows(tr, cfg.CPUs)
 	if len(cpus) == 0 {
@@ -669,11 +648,4 @@ func NaiveTimelineState(tr *core.Trace, cfg TimelineConfig) (*Framebuffer, Stats
 		}
 	}
 	return fb, st, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

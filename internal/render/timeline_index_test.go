@@ -5,19 +5,22 @@ import (
 	"math"
 	"testing"
 
+	"github.com/openstream/aftermath/internal/annotations"
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/filter"
+	"github.com/openstream/aftermath/internal/metrics"
 	"github.com/openstream/aftermath/internal/openstream"
+	"github.com/openstream/aftermath/internal/stats"
 	"github.com/openstream/aftermath/internal/trace"
 )
 
 // TestTimelineAllocations pins as counts what a tile allocates over a
 // sixteenth of a 16×8 Seidel run's span — a state tile, a typemap
 // tile plain and types= filtered — and over the whole span in the
-// NUMA heat mode, rendered on one worker and on two: the framebuffer,
-// the type index and the rows' runs, nothing a query, a run or a
-// pixel. A row's walk (core.DomRow) and its batch of runs live on
+// NUMA heat mode, rendered on one worker and on two: the framebuffer
+// (its palette inside it), its scanlines, the type index and the rows'
+// runs, nothing a query, a run or a pixel. A row's walk (core.DomRow) and its batch of runs live on
 // rowRuns' stack; a walk or a batch that escaped would cost an
 // allocation a row (+16 here).
 func TestTimelineAllocations(t *testing.T) {
@@ -30,14 +33,14 @@ func TestTimelineAllocations(t *testing.T) {
 		workers        int
 		want           float64
 	}{
-		{ModeState, false, false, 1, 108},
-		{ModeState, false, false, 2, 113},
-		{ModeType, false, false, 1, 76},
-		{ModeType, false, false, 2, 81},
-		{ModeType, true, false, 1, 77},
-		{ModeType, true, false, 2, 82},
-		{ModeNUMAHeat, false, true, 1, 146},
-		{ModeNUMAHeat, false, true, 2, 151},
+		{ModeState, false, false, 1, 105},
+		{ModeState, false, false, 2, 110},
+		{ModeType, false, false, 1, 75},
+		{ModeType, false, false, 2, 80},
+		{ModeType, true, false, 1, 76},
+		{ModeType, true, false, 2, 81},
+		{ModeNUMAHeat, false, true, 1, 142},
+		{ModeNUMAHeat, false, true, 2, 147},
 	} {
 		cfg := TimelineConfig{Width: 900, Height: 380, Mode: c.mode, Start: start, End: start + span/16}
 		if c.full {
@@ -54,6 +57,85 @@ func TestTimelineAllocations(t *testing.T) {
 		if got := testing.AllocsPerRun(10, render); got != c.want {
 			t.Errorf("a %v tile (filtered %v, full span %v) on %d workers allocates %.0f times, want %.0f",
 				c.mode, c.filtered, c.full, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestDrawnAllocations pins as counts what a drawn picture allocates
+// from its first drawing call to its PNG bytes: a 1000x400 state tile
+// with labels on one worker, with the counter overlay and with
+// annotations, at the full span, an eighth and a sixty-fourth of a
+// 16x8 Seidel run; the matrix of a 4x3 run at a cell of 14; and the
+// 800x220 plot of the 16x8 run's idle workers. Drawing splices runs
+// into scanlines whose heads are carved from a per-framebuffer arena,
+// so a picture costs a handful of allocations, not one a scanline.
+// parent is the count where a framebuffer was a pixel buffer; a count
+// may exceed it by 4. The counts are the plain build's.
+func TestDrawnAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector moves the encoder's buffers to the heap")
+	}
+	tr := atmtest.SeidelTrace(t, 16, 8, openstream.SchedNUMA)
+	c, ok := tr.CounterByName(trace.CounterBranchMisses)
+	if !ok {
+		t.Fatal("missing counter")
+	}
+	span := tr.Span.Duration()
+	numa := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	m := stats.CommMatrixOf(numa, stats.ReadsAndWrites, numa.Span.Start, numa.Span.End+1)
+	idle := metrics.WorkersInState(tr, trace.StateIdle, 200)
+	var out bytes.Buffer
+	out.Grow(1 << 20)
+	encode := func(fb *Framebuffer) {
+		out.Reset()
+		if err := fb.EncodePNG(&out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tile := func(part int64, overlay bool) func() {
+		cfg := TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true}
+		if part > 1 {
+			cfg.Start = tr.Span.Start + span/3
+			cfg.End = cfg.Start + span/part
+		}
+		marks := &annotations.Set{}
+		marks.Add(annotations.Annotation{Time: tr.Span.Start + span/3 + span/part/2, CPU: -1, Text: "global"})
+		marks.Add(annotations.Annotation{Time: tr.Span.Start + span/3 + span/part/3, CPU: 2, Text: "row"})
+		return func() {
+			fb, _, err := timeline(tr, cfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if overlay {
+				OverlayCounter(fb, tr, cfg, OverlayConfig{Counter: c, Rate: true, Color: CategoryColor(7)}, tr.CounterIndex())
+			} else if OverlayAnnotations(fb, tr, cfg, marks) == 0 {
+				t.Fatal("no annotation drawn")
+			}
+			encode(fb)
+		}
+	}
+	for _, c := range []struct {
+		name         string
+		draw         func()
+		want, parent float64
+	}{
+		{"overlay tile, full span", tile(1, true), 113, 113},
+		{"overlay tile, 1/8", tile(8, true), 118, 120},
+		{"overlay tile, 1/64", tile(64, true), 95, 97},
+		{"annotated tile, full span", tile(1, false), 116, 116},
+		{"annotated tile, 1/8", tile(8, false), 123, 123},
+		{"annotated tile, 1/64", tile(64, false), 99, 100},
+		{"matrix", func() { encode(RenderMatrix(m, 14)) }, 15, 15},
+		{"plot", func() {
+			fb, err := PlotSeries(PlotConfig{Width: 800, Height: 220, Title: "IDLE"}, idle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			encode(fb)
+		}, 18, 17},
+	} {
+		if got := testing.AllocsPerRun(10, c.draw); got != c.want || got > c.parent+4 {
+			t.Errorf("%s allocates %.0f times, want %.0f (a pixel buffer: %.0f)", c.name, got, c.want, c.parent)
 		}
 	}
 }
@@ -126,6 +208,28 @@ func TestTimelineExtremeTimestamps(t *testing.T) {
 	out := ASCIITimeline(tr, 60, 1)
 	if out[10] != StateChar(trace.StateIdle) || out[50] != StateChar(trace.StateTaskExec) {
 		t.Errorf("ASCII timeline misplaced events at extreme timestamps: %q", out)
+	}
+
+	// A span wider than 2^63-1 cycles maps to no column: Timeline and
+	// the naive renderer refuse it with one error, and the ASCII
+	// renderer draws nothing, as for an empty span.
+	wide := &core.Trace{
+		CPUs: []core.CPUData{{States: core.Column[trace.StateEvent]{Rows: []trace.StateEvent{
+			{CPU: 0, State: trace.StateIdle, Start: math.MinInt64, End: math.MinInt64 + 10},
+			{CPU: 0, State: trace.StateTaskExec, Task: 1, Start: math.MaxInt64 - 10, End: math.MaxInt64},
+		}}}},
+		Span: core.Interval{Start: math.MinInt64, End: math.MaxInt64},
+	}
+	cfg := TimelineConfig{Width: 100, Height: 8, Mode: ModeState}
+	_, _, want := Timeline(wide, cfg)
+	if want == nil {
+		t.Fatal("Timeline drew a span more than 2^63-1 cycles wide")
+	}
+	if _, _, err := NaiveTimelineState(wide, cfg); err == nil || err.Error() != want.Error() {
+		t.Errorf("naive renderer over a span more than 2^63-1 cycles wide: %v, want Timeline's %v", err, want)
+	}
+	if out := ASCIITimeline(wide, 60, 1); out != "" {
+		t.Errorf("ASCII timeline over a span more than 2^63-1 cycles wide: %q, want none", out)
 	}
 }
 
