@@ -2,6 +2,7 @@ package render
 
 import (
 	"image/color"
+	"slices"
 
 	"github.com/openstream/aftermath/internal/core"
 	"github.com/openstream/aftermath/internal/mmtree"
@@ -70,7 +71,14 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 	}
 
 	// Rows below the framebuffer's bottom would clip to nothing; the
-	// auto-scale above still covers every selected CPU.
+	// auto-scale above still covers every selected CPU. A row's columns
+	// are found first, then drawn a scanline at a time (vlines).
+	var vs vlines
+	if !ov.Naive {
+		// A row has a line a column at most, within its scanlines.
+		w, buf := g.plotW, make([]int32, 3*g.plotW+g.rowH+1)
+		vs.ls, vs.order, vs.active, vs.next, vs.at = make([]vline, 0, w), buf[:0:w], buf[w:w:2*w], buf[2*w:2*w:3*w], buf[3*w:]
+	}
 	for row, cpu := range cpus[:g.visible] {
 		y := row * g.rowH
 		tree := overlayTree(ci, ov, cpu)
@@ -81,9 +89,10 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 		// One forward cursor over the row's samples: lo is the first at
 		// or after the column's t0, found from the last column's.
 		st.PixelColumns += g.plotW
-		n, cols := tree.Len(), tmath.Columns{Start: start, End: end, W: g.plotW}.Cursor()
+		n, cur := tree.Len(), tmath.Columns{Start: start, End: end, W: g.plotW}.Cursor()
+		vs.ls = vs.ls[:0]
 		for x, lo := 0, 0; x < g.plotW; {
-			t0, t1 := cols.Window(x)
+			t0, t1 := cur.Window(x)
 			lo = tree.SeekTime(t0, lo)
 			if lo == n {
 				break
@@ -92,18 +101,95 @@ func OverlayCounter(fb *Framebuffer, tr *core.Trace, cfg TimelineConfig, ov Over
 			if lo == hi {
 				// No sample here, nor in any column that ends by the
 				// next sample's time: go to the column holding it.
-				x = max(x, cols.LastBy(tree.Time(lo))) + 1
+				x = max(x, cur.LastBy(tree.Time(lo))) + 1
 				continue
 			}
 			mn, mx, _ := tree.MinMaxIndex(lo, hi)
 			y0 := valueToY(float64(mx), vmin, vmax, y, g.rowH)
 			y1 := valueToY(float64(mn), vmin, vmax, y, g.rowH)
-			fb.VLine(g.gutter+x, y0, y1, ov.Color)
+			vs.ls = append(vs.ls, vline{int32(g.gutter + x), int32(y0), int32(y1)})
 			st.Rects++
 			x++
 		}
+		fb.vlines(&vs, ov.Color)
 	}
 	return st
+}
+
+// vline is a vertical line from (x, y0) to (x, y1), y0 <= y1, in a
+// column of the picture.
+type vline struct{ x, y0, y1 int32 }
+
+// vlines is a row's vertical lines, ls in order of x, and the space
+// vlines draws them in, reused from row to row: the lines by the
+// scanline they start on (order, where at says), and the lines that
+// cover a scanline, in order of x (active, and next for the scanline
+// after it).
+type vlines struct {
+	ls                      []vline
+	at, order, active, next []int32
+}
+
+// vlines draws the lines of vs as VLine draws each, but a scanline at
+// a time: each scanline's head is drawn left to right while it is the
+// last carved from the arena, so it grows in place. Going down, a
+// scanline's lines are the ones above that still cover it merged with
+// the ones that start on it, all in order of x, so the work is the
+// pixels the lines cover and the space the lines.
+func (fb *Framebuffer) vlines(vs *vlines, c color.RGBA) {
+	top, bottom, n := int32(fb.h), int32(-1), 0
+	for i := range vs.ls {
+		v := &vs.ls[i]
+		if v.y1 = min(v.y1, int32(fb.h)-1); v.y0 <= v.y1 {
+			fb.Ops++
+			top, bottom, n = min(top, v.y0), max(bottom, v.y1), n+1
+		}
+	}
+	if top > bottom {
+		return
+	}
+	// at counts the lines starting on each scanline, then sums them up
+	// to where its lines start in order; filling order moves each to
+	// where the next scanline's start.
+	k := int(bottom-top) + 1
+	at := slices.Grow(vs.at[:0], k+1)[:k+1]
+	clear(at)
+	for _, v := range vs.ls {
+		if v.y0 <= v.y1 {
+			at[v.y0-top+1]++
+		}
+	}
+	for j := 1; j <= k; j++ {
+		at[j] += at[j-1]
+	}
+	order := slices.Grow(vs.order[:0], n)[:n]
+	for i, v := range vs.ls {
+		if v.y0 <= v.y1 {
+			order[at[v.y0-top]] = int32(i)
+			at[v.y0-top]++
+		}
+	}
+	active, next := slices.Grow(vs.active[:0], n), slices.Grow(vs.next[:0], n)
+	r := fb.run(0, 1, c)
+	for j, lo := 0, int32(0); j < k; j++ {
+		y, starts := top+int32(j), order[lo:at[j]]
+		lo, next = at[j], next[:0]
+		for a, b := 0, 0; a < len(active) || b < len(starts); {
+			var i int32
+			if b == len(starts) || a < len(active) && active[a] < starts[b] {
+				if i, a = active[a], a+1; vs.ls[i].y1 < y {
+					continue
+				}
+			} else {
+				i, b = starts[b], b+1
+			}
+			next = append(next, i)
+			r.x0, r.x1 = vs.ls[i].x, vs.ls[i].x+1
+			fb.span(&fb.lines[y], r)
+		}
+		active, next = next, active
+	}
+	vs.at, vs.order, vs.active, vs.next = at, order, active, next
 }
 
 func overlayTree(ci *core.CounterIndex, ov OverlayConfig, cpu int32) *mmtree.Tree {

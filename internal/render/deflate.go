@@ -104,32 +104,71 @@ func (d *rowDeflater) start(out []byte) {
 }
 
 // line tokenizes s, the next scanline, and adds it to the checksum.
-// above is the scanline before it, or nil for the first. At each
-// position the longer of the match of the row above and the run of the
-// byte before is taken, the row above on a tie, and a literal where
-// neither reaches minMatch.
+// above is the scanline before it, or nil for the first.
 func (d *rowDeflater) line(s, above *scanline) {
 	d.fold(s)
+	d.tokens(s, above, mark{}, false)
+}
+
+// resume deflates s as line does, where the tokens of its head up to m
+// are toks: they go through token one by one, as line would emit them,
+// and tokenizing goes on from m.
+func (d *rowDeflater) resume(s, above *scanline, toks []uint32, m mark) {
+	d.fold(s)
+	for _, t := range toks {
+		d.token(t)
+	}
+	d.tokens(s, above, m, false)
+}
+
+// mark is where tokenizing stands in a scanline's head: i bytes in; c
+// and u, the runs of its head and of the head above left behind (all
+// of them once in the tail); cOff and uOff, the bytes read of the next
+// run of each; last, the byte before i. A mark is kept for a label
+// gutter's heads, a few dozen bytes each, so its fields are 16 bits.
+type mark struct {
+	i, c, cOff, u, uOff uint16
+	last                byte
+}
+
+// tokens tokenizes s from m on. At each position the longer of the
+// match of the row above and the run of the byte before is taken, the
+// row above on a tie, and a literal where neither reaches minMatch.
+// With stop, it stops before the first token whose search reads a byte
+// past s's head, and returns where: the tokens before it do not depend
+// on the tail. It returns the zero mark where it does not stop.
+func (d *rowDeflater) tokens(s, above *scanline, m mark, stop bool) mark {
 	if d.n < minMatch || d.n > window {
 		above = nil
 	}
-	c, u := cursor{runs: s.head.runs, tail: s.tail.runs}, cursor{}
+	c, u := resumeAt(&s.head, &s.tail, m.c, m.cOff), cursor{}
+	c.last = m.last
 	shared := false
 	if above != nil {
-		u = cursor{runs: above.head.runs, tail: above.tail.runs}
+		u = resumeAt(&above.head, &above.tail, m.u, m.uOff)
 		shared = s.key >= 0 && s.key == above.key
 	}
 	var cc, uu cursor // c and u past the match of the row above
-	for i := 0; i < d.n; {
+	i := int(m.i)
+	for i < d.n {
+		if stop && c.inTail {
+			return d.markAt(i, s, above, &c, &u)
+		}
 		v, left := c.runs[0].b, int(c.runs[0].n-c.off)
 		best, dist := 0, 0
 		if above != nil && u.runs[0].b == v {
 			cc, uu = c, u
 			best, dist = common(&cc, &uu, shared, d.n-i), d.n
+			if stop && cc.inTail {
+				return d.markAt(i, s, above, &c, &u)
+			}
 		}
 		if i > 0 && c.last == v {
 			l := left
 			if len(c.runs) == 1 {
+				if stop && !c.inTail {
+					return d.markAt(i, s, above, &c, &u)
+				}
 				l = c.run(v)
 			}
 			if l > best {
@@ -169,6 +208,34 @@ func (d *rowDeflater) line(s, above *scanline) {
 		}
 	}
 	d.runs += 1 + c.steps
+	return mark{}
+}
+
+// markAt returns the mark of cursors c over s and u over above, i bytes
+// into s, and counts the runs c has left behind.
+func (d *rowDeflater) markAt(i int, s, above *scanline, c, u *cursor) mark {
+	d.runs += c.steps
+	m := mark{i: uint16(i), c: uint16(len(s.head.runs)), last: c.last}
+	if !c.inTail {
+		m.c, m.cOff = m.c-uint16(len(c.runs)), uint16(c.off)
+	}
+	if above != nil {
+		m.u = uint16(len(above.head.runs))
+		if !u.inTail {
+			m.u, m.uOff = m.u-uint16(len(u.runs)), uint16(u.off)
+		}
+	}
+	return m
+}
+
+// resumeAt returns a cursor over the scanline of head and tail, past k
+// runs of head and off bytes of the next.
+func resumeAt(head, tail *part, k, off uint16) cursor {
+	c := cursor{runs: head.runs[k:], tail: tail.runs, off: int32(off)}
+	if len(c.runs) == 0 {
+		c.runs, c.inTail = c.tail, true
+	}
+	return c
 }
 
 // repeat deflates a scanline equal to s, the last one deflated: one
@@ -272,7 +339,7 @@ func runSums(runs []byteRun) (a, b uint32, n int) {
 type packer struct {
 	shift, depth uint
 	fill         uint8
-	remap        *[256]uint8
+	remap        [256]uint8
 	out          []byteRun
 	acc          byte // the byte being filled
 	k            uint // the pixels acc holds
@@ -332,14 +399,12 @@ func (pk *packer) emit(b byte, n int) {
 }
 
 func (d *rowDeflater) literal(c byte) {
-	d.litFreq[c]++
 	d.token(uint32(c))
 }
 
 // match emits l bytes, at least minMatch, copied from dist back, as
 // many matches as it takes, none shorter than minMatch.
 func (d *rowDeflater) match(l, dist int) {
-	dc := distCodeOf(uint32(dist - 1))
 	for l > 0 {
 		k := l
 		switch {
@@ -349,13 +414,19 @@ func (d *rowDeflater) match(l, dist int) {
 			k = l - minMatch
 		}
 		l -= k
-		d.litFreq[endOfBlock+1+int(lengthCode[k-minMatch])]++
-		d.distFreq[dc]++
 		d.token(matchFlag | uint32(k-minMatch)<<15 | uint32(dist-1))
 	}
 }
 
+// token counts t in the block's histograms and holds it; a full block
+// is written out.
 func (d *rowDeflater) token(t uint32) {
+	if t < matchFlag {
+		d.litFreq[t]++
+	} else {
+		d.litFreq[endOfBlock+1+int(lengthCode[t>>15&0xff])]++
+		d.distFreq[distCodeOf(t&0x7fff)]++
+	}
 	d.toks[d.ntoks] = t
 	d.ntoks++
 	if d.ntoks == maxBlockTokens {

@@ -135,3 +135,57 @@ func firstBlockType(t *testing.T, png []byte) byte {
 	t.Fatal("no IDAT chunk")
 	return 0
 }
+
+// TestTokensResume: the tokens of a scanline's head up to where its
+// tokenizing stops (tokens with stop, over a stand-in tail of zeros),
+// put through resume with the scanline's real tail and the row above,
+// are the tokens line emits: whatever the head, its last run, the tail,
+// whether the scanline above shares it, and with no scanline above.
+func TestTokensResume(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	// runsOf returns n bytes as runs of one of three bytes each, no two
+	// neighbours alike, as the packer makes them.
+	runsOf := func(n int) []byteRun {
+		var rs []byteRun
+		for n > 0 {
+			k := min(n, 1+rng.Intn(4))
+			b := byte(rng.Intn(3))
+			if len(rs) > 0 && rs[len(rs)-1].b == b {
+				b = (b + 1) % 3
+			}
+			rs, n = append(rs, byteRun{int32(k), b}), n-k
+		}
+		return rs
+	}
+	partOf := func(rs []byteRun) part {
+		a, b, n := runSums(rs)
+		return part{rs, a, b, n}
+	}
+	var live, cold, warm rowDeflater
+	for i := range 4000 {
+		hn, tn := 1+rng.Intn(10), 1+rng.Intn(10)
+		s := scanline{head: partOf(runsOf(hn)), tail: partOf(runsOf(tn)), key: 1}
+		up := &scanline{head: partOf(runsOf(hn)), tail: partOf(runsOf(tn)), key: 2}
+		switch rng.Intn(4) {
+		case 0:
+			up = nil
+		case 1:
+			up.tail, up.key = s.tail, s.key
+		}
+		live.n, live.ntoks = hn+tn, 0
+		live.line(&s, up)
+
+		zeros := part{runs: []byteRun{{n: int32(tn)}}, n: tn}
+		stub, stubUp := scanline{head: s.head, tail: zeros, key: -1}, (*scanline)(nil)
+		if up != nil {
+			stubUp = &scanline{head: up.head, tail: zeros, key: -1}
+		}
+		cold.n, cold.ntoks = hn+tn, 0
+		m := cold.tokens(&stub, stubUp, mark{}, true)
+		warm.n, warm.ntoks = hn+tn, 0
+		warm.resume(&s, up, cold.toks[:cold.ntoks], m)
+		if !slices.Equal(warm.toks[:warm.ntoks], live.toks[:live.ntoks]) {
+			t.Fatalf("case %d: resumed at %+v, %d tokens cached, the tokens differ from line's", i, m, cold.ntoks)
+		}
+	}
+}

@@ -732,21 +732,50 @@ func TestEncodePNGSize(t *testing.T) {
 // the same rows, labels included, in four times the scanlines; a
 // cleared framebuffer of one colour is two runs, the filter byte of its
 // empty head and its shared run, on the one scanline that differs from
-// the one above it.
+// the one above it. The first tile of a shape (cold), which records
+// its label gutter's code, reads every run an encode without the gutter
+// reads; the second (warm) reads, of each head, only the runs past
+// where its cached tokens end.
 func TestEncodeWorkTracksRuns(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	span := tr.Span.Duration()
 	work := func(w, h int) (int, Stats) {
 		start := tr.Span.Start + span/3
-		fb, st, err := Timeline(tr, TimelineConfig{Width: w, Height: h, Mode: ModeState, Labels: true, Start: start, End: start + span/64})
-		if err != nil {
-			t.Fatal(err)
+		cfg := TimelineConfig{Width: w, Height: h, Mode: ModeState, Labels: true, Start: start, End: start + span/64}
+		resetGutters()
+		var runs [2]int
+		var st Stats
+		for i, gutter := range []string{"cold", "warm"} {
+			fb, s, err := Timeline(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := encodeWork(fb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, live, err := encodeLive(fb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm, each scanline tokenized, not repeated, starts
+			// reading its head where its cached tokens end.
+			gc, cached := fb.gutter.codes[0], 0
+			for y := range fb.lines {
+				if y == 0 || !gc.lines[y].same || !sameTail(fb.lines[y].tail, fb.lines[y-1].tail) {
+					cached += int(gc.lines[y].at.c)
+				}
+			}
+			if gutter == "cold" {
+				cached = 0
+			}
+			if gc.lines[h-1].toks == 0 || n != live-cached {
+				t.Errorf("%dx%d, %s gutter: %d runs read, want %d: %d without the gutter, less %d its code read",
+					w, h, gutter, n, live-cached, live, cached)
+			}
+			runs[i], st = n, s
 		}
-		n, err := encodeWork(fb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n, st
+		return runs[1], st
 	}
 	narrow, st := work(1000, 400)
 	wide, wst := work(4000, 400)

@@ -1,9 +1,31 @@
 package render
 
-import "io"
+import (
+	"bytes"
+	"io"
+)
 
 // encodeWork encodes fb and returns how many byte runs the deflater
 // tokenized.
 func encodeWork(fb *Framebuffer) (int, error) {
 	return fb.encodePNG(io.Discard)
+}
+
+// resetGutters empties the label gutter cache: the next tile of every
+// shape is cold, and builds its gutter and codes.
+func resetGutters() {
+	gutterCache.Lock()
+	gutterCache.list = nil
+	gutterCache.Unlock()
+}
+
+// encodeLive encodes fb as though it had no label gutter, every head
+// packed and tokenized, and returns the bytes and how many byte runs the
+// deflater tokenized.
+func encodeLive(fb *Framebuffer) ([]byte, int, error) {
+	live := *fb
+	live.gutter = nil
+	var buf bytes.Buffer
+	n, err := live.encodePNG(&buf)
+	return buf.Bytes(), n, err
 }

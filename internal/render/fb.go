@@ -24,7 +24,15 @@
 // tokenizer over runs whose only matches are the row above and a run,
 // so encoding costs what the runs and the distinct scanlines cost;
 // what it writes decodes to the framebuffer's pixels, and is not
-// image/png's bytes.
+// image/png's bytes. The CPU labels left of a timeline's plot are the
+// same on every tile of one shape (size, row geometry, labelled CPUs):
+// the first tile of a shape keeps them as a label gutter (gutter.go),
+// whose heads the next tiles copy, and the first encode at each bit
+// depth and wire numbering of its two colours records the heads packed
+// and tokenized up to where a token reads the plot. A tile encodes from
+// that as long as nothing has been drawn into it; an overlaid or
+// annotated tile, and one whose labels overhang the gutter, encodes
+// every head itself. The bytes are the same either way.
 package render
 
 import (
@@ -57,8 +65,14 @@ type Framebuffer struct {
 	off int32
 	// clear is the run Clear shares with every scanline.
 	clear [1]pixelRun
-	// arena is the space heads are carved from (grow).
+	// arena is the space heads are carved from (grow); tip is the
+	// scanline whose head was carved last, which grows in place.
 	arena []pixelRun
+	tip   *line
+	// gutter is the label gutter of a Timeline tile's shape, whose heads
+	// the tile's are, for as long as nothing has been drawn since (span,
+	// Clear).
+	gutter *gutter
 	// truecolour is set by the first colour pal cannot hold; pal is nil
 	// from then on. pal lives in palette.
 	truecolour bool
@@ -121,7 +135,7 @@ func (fb *Framebuffer) Clear(c color.RGBA) {
 	}
 	fb.Ops++
 	fb.clear[0] = fb.run(0, fb.w, c)
-	fb.off, fb.arena = 0, fb.arena[:0]
+	fb.off, fb.arena, fb.tip, fb.gutter = 0, fb.arena[:0], nil, nil
 	for y := range fb.lines {
 		fb.lines[y] = line{tail: fb.clear[:]}
 	}
@@ -304,10 +318,11 @@ func (fb *Framebuffer) set(x, y int, c color.RGBA) {
 // runs i up to j under it but for what they show left and right of
 // it, merged with its neighbours of its colour.
 func (fb *Framebuffer) span(l *line, r pixelRun) {
+	fb.gutter = nil
 	if r.x0 >= l.cut {
 		fb.own(l, r.x0)
 		if len(l.head) == cap(l.head) {
-			l.head = fb.grow(l.head, 1)
+			fb.grow(l, 1)
 		}
 		l.head, l.cut = put(l.head, r), r.x1
 		fb.trim(l)
@@ -346,7 +361,8 @@ func (fb *Framebuffer) span(l *line, r pixelRun) {
 		seg[n-1].x0 = r.x1
 	}
 	if more := n - (j - i); len(h)+more > cap(h) {
-		h = fb.grow(h, more)
+		fb.grow(l, more)
+		h = l.head
 	}
 	l.head, l.cut = slices.Replace(h, i, j, seg[:n]...), max(l.cut, r.x1)
 	fb.trim(l)
@@ -377,24 +393,33 @@ func (fb *Framebuffer) own(l *line, x int32) {
 		n++
 	}
 	if len(l.head)+n > cap(l.head) {
-		l.head = fb.grow(l.head, n)
+		fb.grow(l, n)
 	}
 	l.head, l.cut = fb.runs(l.head, l, l.cut, x), x
 }
 
-// grow returns head moved to arena space with room for n more runs and
-// at least twice its old room. The arena is carved a head at a time,
-// from chunks that double in size, so a framebuffer's heads cost a
-// handful of allocations; the space a moved head leaves is not reused
-// before Clear.
-func (fb *Framebuffer) grow(head []pixelRun, n int) []pixelRun {
-	c := max(2*cap(head), len(head)+n, 4)
+// grow gives l's head room for n more runs in arena space. The arena is
+// carved a head at a time from chunks that double in size, so a
+// framebuffer's heads cost a handful of allocations. The head carved
+// last, the tip, grows in place by just the room it needs while its
+// chunk has it: a scanline drawn left to right before the next
+// (OverlayCounter) is not moved as it grows. Any other head moves, to
+// at least twice its old room; the space it leaves is not reused before
+// Clear.
+func (fb *Framebuffer) grow(l *line, n int) {
+	h := l.head
+	if a := len(fb.arena) - cap(h); l == fb.tip && a+len(h)+n <= cap(fb.arena) {
+		fb.arena = fb.arena[:a+len(h)+n]
+		l.head = fb.arena[a : a+len(h) : a+len(h)+n]
+		return
+	}
+	c := max(2*cap(h), len(h)+n, 4)
 	if a := len(fb.arena); a+c > cap(fb.arena) {
 		fb.arena = make([]pixelRun, 0, max(2*cap(fb.arena), c, 4*fb.h))
 	}
 	a := len(fb.arena)
 	fb.arena = fb.arena[:a+c]
-	return append(fb.arena[a:a:a+c], head...)
+	l.head, fb.tip = append(fb.arena[a:a:a+c], h...), l
 }
 
 // At returns the pixel color at (x, y), the zero color outside the
@@ -426,6 +451,17 @@ var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed}
 // match, and a scanline equal to the one above is not read, so the
 // work follows the runs and the distinct scanlines, not the pixels.
 //
+// A Timeline tile nothing has been drawn into since, whose labels fit
+// the gutter, has its shape's label gutter: its heads are not packed or
+// tokenized here, but read from the gutter's code for the tile's bit
+// depth and the wire numbers of Background and TextColor, up to where a
+// token's search reaches the plot; tokenizing goes on from there. The
+// first such encode of a shape and numbering packs and tokenizes every
+// head, and records the code as it goes. Where the gutter does not
+// apply — an overlay, annotations, a label overhanging the gutter, any
+// other picture — every head is packed and tokenized, to the same
+// bytes.
+//
 // The palette is renumbered on the way out, in order of first
 // appearance in the pixels and without the entries no pixel holds any
 // more, so the bytes depend on the pixels alone, not on the order they
@@ -452,13 +488,22 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 	split = min(fb.w, (split+7)&^7)
 	scratch := make([]pixelRun, split+most)
 	hs, ts := scratch[:0:split], scratch[split:split]
+	// A tile whose heads are still its label gutter's is encoded with
+	// what the gutter's code holds of them.
+	gt := fb.gutter
+	if gt != nil && split != gt.g.gutter {
+		gt = nil
+	}
 
 	// remap[i] is palette entry i's number on the wire; plte collects
-	// the entries in that order.
+	// the entries in that order. The bytes an encode writes from are
+	// one allocation: plte, the chunk writer's 21 and the IDAT buffer,
+	// which has room past idatSize for the last bits and the checksum.
+	out := make([]byte, 3*len(fb.pal)+21+idatSize+8)
 	var (
 		remap [256]uint8
 		seen  [256]bool
-		plte  = make([]byte, 0, 3*len(fb.pal))
+		plte  = out[: 0 : 3*len(fb.pal)]
 	)
 	for y := 0; y < fb.h && len(plte) < 3*len(fb.pal); y++ {
 		hs = fb.runs(hs[:0], &fb.lines[y], 0, int32(split))
@@ -484,15 +529,15 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 	case n <= 16:
 		depth, shift = 4, 1
 	}
-
-	d := rowDeflater{e: chunkWriter{w: w}, n: 1 + (fb.w*depth+7)/8}
+	out = out[3*len(fb.pal):]
+	d := rowDeflater{e: chunkWriter{w: w, buf: out[:21]}, n: 1 + (fb.w*depth+7)/8}
 	e := &d.e
-	e.write([]byte("\x89PNG\r\n\x1a\n"))
-	var ihdr [13]byte
+	e.write(pngSignature)
+	ihdr := e.buf[8:]
 	binary.BigEndian.PutUint32(ihdr[0:], uint32(fb.w))
 	binary.BigEndian.PutUint32(ihdr[4:], uint32(fb.h))
 	ihdr[8], ihdr[9] = uint8(depth), 3 // indexed colour; deflate, filter method 0, no interlace
-	e.chunk("IHDR", ihdr[:])
+	e.chunk("IHDR", ihdr)
 	e.chunk("PLTE", plte)
 
 	// One scanline on the wire: filter type 0, then the pixels packed
@@ -500,16 +545,26 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 	// Its head is packed into one of two buffers and its tail into one
 	// of two slots, each the one the scanline above does not hold; a
 	// tail is packed only where it differs from the one above, a key
-	// apart. The IDAT buffer has room past idatSize for the last bits
-	// and the checksum.
+	// apart. With a gutter code, a head is the code's, and its tokens
+	// up to where they reach the tail are too.
 	hn := 1 + (split*depth+7)/8 // a head's bytes, so its most runs
 	tn := d.n - hn + 1
+	// gc is the code the heads are read from; else rec is the one this
+	// encode records, the first of its kind, which the deflater's row
+	// above must reach.
+	var gc, rec *gutterCode
+	if gt != nil {
+		gc = gt.code(uint(depth), remap[0], remap[1])
+		if gc == nil && d.n >= minMatch && d.n <= window {
+			rec = gt.newCode(uint(depth), remap[0], remap[1], hn)
+		}
+	}
 	buf := make([]byteRun, 2*(hn+tn))
 	heads := [2][]byteRun{buf[:0:hn], buf[hn : hn : 2*hn]}
 	var tails [2]part
 	tails[0].runs, tails[1].runs = buf[2*hn:2*hn:2*hn+tn], buf[2*hn+tn:2*hn+tn]
-	pk := packer{shift: shift, depth: uint(depth), fill: uint8(0xff / (1<<depth - 1)), remap: &remap}
-	d.start(make([]byte, 0, idatSize+8))
+	pk := packer{shift: shift, depth: uint(depth), fill: uint8(0xff / (1<<depth - 1)), remap: remap}
+	d.start(out[21:21])
 	var cur, above scanline
 	hi, slot := 0, 1
 	for y := 0; y < fb.h; y++ {
@@ -517,9 +572,18 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 		if y > 0 && !sameTail(fb.lines[y].tail, fb.lines[y-1].tail) {
 			cur.key++
 		}
-		hs = fb.runs(hs[:0], &fb.lines[y], 0, int32(split))
-		cur.head = pk.part(heads[hi], hs, true)
-		if y > 0 && cur.key == above.key && slices.Equal(cur.head.runs, above.head.runs) {
+		var same bool
+		if gc != nil {
+			cur.head, same = gc.head(y), gc.lines[y].same
+		} else {
+			hs = fb.runs(hs[:0], &fb.lines[y], 0, int32(split))
+			cur.head = pk.part(heads[hi], hs, true)
+			same = slices.Equal(cur.head.runs, above.head.runs)
+			if rec != nil {
+				rec.addHead(y, cur.head, y > 0 && same)
+			}
+		}
+		if y > 0 && cur.key == above.key && same {
 			d.repeat(&above)
 			continue
 		}
@@ -530,12 +594,31 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 			tails[slot] = pk.part(tails[slot].runs, ts, false)
 		}
 		cur.tail = tails[slot]
+		up := &above
 		if y == 0 {
-			d.line(&cur, nil)
-		} else {
-			d.line(&cur, &above)
+			up = nil
+		}
+		switch {
+		case gc != nil:
+			d.resume(&cur, up, gc.tokens(y), gc.lines[y].at)
+		case rec != nil && d.ntoks+hn < maxBlockTokens:
+			// The head's tokens up to the mark, fewer than its bytes,
+			// are recorded from the block, which they do not fill. A
+			// scanline repeated, or tokenized near a block's end,
+			// records none: resumed from the zero mark, it is
+			// tokenized whole.
+			d.fold(&cur)
+			n := d.ntoks
+			at := d.tokens(&cur, up, mark{}, true)
+			rec.addTokens(y, d.toks[n:d.ntoks], at)
+			d.tokens(&cur, up, at, false)
+		default:
+			d.line(&cur, up)
 		}
 		above = cur
+	}
+	if rec != nil {
+		gt.keepCode(rec)
 	}
 	d.finish()
 	e.chunk("IEND", nil)
@@ -552,10 +635,17 @@ func sameTail(a, b []pixelRun) bool {
 	return &a[len(a)-1] == &b[len(b)-1]
 }
 
-// chunkWriter writes PNG chunks and keeps the first error.
+// pngSignature is the first 8 bytes of every PNG.
+var pngSignature = []byte("\x89PNG\r\n\x1a\n")
+
+// chunkWriter writes PNG chunks and keeps the first error. A chunk's
+// length and name, then its CRC, are written from buf's first 8 bytes,
+// so an encode allocates them once; IHDR's data follows them. buf is
+// 21 bytes.
 type chunkWriter struct {
 	w   io.Writer
 	err error
+	buf []byte
 }
 
 func (e *chunkWriter) write(b []byte) {
@@ -567,11 +657,11 @@ func (e *chunkWriter) write(b []byte) {
 // chunk writes one chunk: length, name, data, and the CRC of name and
 // data.
 func (e *chunkWriter) chunk(name string, data []byte) {
-	var head [8]byte
+	head := e.buf[:8]
 	binary.BigEndian.PutUint32(head[:4], uint32(len(data)))
 	copy(head[4:], name)
 	crc := crc32.Update(crc32.ChecksumIEEE(head[4:]), crc32.IEEETable, data)
-	e.write(head[:])
+	e.write(head)
 	e.write(data)
 	e.write(binary.BigEndian.AppendUint32(head[:0], crc))
 }

@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
@@ -142,7 +143,10 @@ func tileModel(t *testing.T, tr *core.Trace, cfg TimelineConfig) *plainImage {
 // count and on truecolour — whatever the mode, the width (a multiple
 // of 8 or not, 1–4000), the labels, however far they overhang the
 // gutter, and the palette, across the bit depths' edges and past 256
-// colours.
+// colours. So does the tile of a shape whose label gutter is cold (the
+// first, which keeps it and records its code) and one whose gutter is
+// warm (the second, which copies its heads and reads its code), each
+// encoded also as though no gutter were cached.
 func FuzzTimelineEncode(f *testing.F) {
 	f.Add(fuzzSeed(0xe8, 3, 99, 0, 9, 0, 0, 0, 0, 0, 4, 4))    // state, 1000 wide, labels up to CPU 1048576
 	f.Add(fuzzSeed(0xd0, 7, 49, 2, 9, 0, 1, 100, 2, 7, 0, 2))  // typemap of 300 types, 2000 wide, a window
@@ -157,28 +161,43 @@ func FuzzTimelineEncode(f *testing.F) {
 		if tr == nil {
 			return
 		}
-		tile, _, err := Timeline(tr, cfg)
-		if err != nil {
+		if _, _, err := Timeline(tr, cfg); err != nil {
 			return
 		}
 		drawn := NewFramebuffer(cfg.Width, cfg.Height)
 		drawTile(t, tr, cfg, drawn.DrawText, drawn.FillRect)
 		m := tileModel(t, tr, cfg)
-		if tile.Ops != m.ops || drawn.Ops != m.ops || tile.truecolour != m.truecolour || drawn.truecolour != m.truecolour {
-			t.Fatalf("%+v: tile %d operations, truecolour %v; drawn %d, %v; model %d, %v",
-				cfg, tile.Ops, tile.truecolour, drawn.Ops, drawn.truecolour, m.ops, m.truecolour)
+		if drawn.Ops != m.ops || drawn.truecolour != m.truecolour {
+			t.Fatalf("%+v: drawn %d operations, truecolour %v; model %d, %v", cfg, drawn.Ops, drawn.truecolour, m.ops, m.truecolour)
 		}
-		var shared, owned bytes.Buffer
-		if err := tile.EncodePNG(&shared); err != nil {
-			t.Fatal(err)
-		}
+		var owned bytes.Buffer
 		if err := drawn.EncodePNG(&owned); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(shared.Bytes(), owned.Bytes()) {
-			t.Fatalf("%+v: the tile encodes to %d bytes, the drawn picture to %d other ones", cfg, shared.Len(), owned.Len())
+		resetGutters()
+		for _, gutter := range []string{"cold", "warm"} {
+			tile, _, err := Timeline(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tile.Ops != m.ops || tile.truecolour != m.truecolour {
+				t.Fatalf("%+v, %s gutter: tile %d operations, truecolour %v; model %d, %v",
+					cfg, gutter, tile.Ops, tile.truecolour, m.ops, m.truecolour)
+			}
+			var shared bytes.Buffer
+			if err := tile.EncodePNG(&shared); err != nil {
+				t.Fatal(err)
+			}
+			live, _, err := encodeLive(tile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(shared.Bytes(), owned.Bytes()) || !bytes.Equal(live, owned.Bytes()) {
+				t.Fatalf("%+v, %s gutter: the tile encodes to %d bytes (%d without the gutter), the drawn picture to %d other ones",
+					cfg, gutter, shared.Len(), len(live), owned.Len())
+			}
 		}
-		if got := decodedPix(t, shared.Bytes()); !bytes.Equal(got, m.img.Pix) {
+		if got := decodedPix(t, owned.Bytes()); !bytes.Equal(got, m.img.Pix) {
 			t.Fatalf("%+v: the PNG does not decode to the model's pixels", cfg)
 		}
 	})
@@ -255,7 +274,10 @@ func TestTileManyColours(t *testing.T) {
 // TestTileAllocatedBytes: a 1000x400 state tile with labels, from
 // Timeline to its PNG bytes, allocates less than the w*h bytes a pixel
 // buffer of it would take alone — plain, and with the counter overlay
-// drawn into it.
+// drawn into it, the first tile of its shape (its label gutter cold) and
+// the second (warm). And the arena the overlay's scanlines are carved
+// from holds at most twice the runs they keep: each scanline's head
+// grows in place as the overlay draws it.
 func TestTileAllocatedBytes(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
 	c, ok := tr.CounterByName(trace.CounterBranchMisses)
@@ -263,28 +285,150 @@ func TestTileAllocatedBytes(t *testing.T) {
 		t.Fatal("missing counter")
 	}
 	cfg := TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true}
+	ov := OverlayConfig{Counter: c, Rate: true, Color: CategoryColor(7)}
 	for _, overlay := range []bool{false, true} {
-		const rounds = 8
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for range rounds {
-			fb, _, err := Timeline(tr, cfg)
-			if err != nil {
-				t.Fatal(err)
+		for _, gutter := range []string{"cold", "warm"} {
+			const rounds = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range rounds {
+				if gutter == "cold" {
+					resetGutters()
+				}
+				fb, _, err := Timeline(tr, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if overlay {
+					OverlayCounter(fb, tr, cfg, ov, tr.CounterIndex())
+				}
+				var out bytes.Buffer
+				if err := fb.EncodePNG(&out); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if overlay {
-				OverlayCounter(fb, tr, cfg, OverlayConfig{Counter: c, Rate: true, Color: CategoryColor(7)}, tr.CounterIndex())
-			}
-			var out bytes.Buffer
-			if err := fb.EncodePNG(&out); err != nil {
-				t.Fatal(err)
+			runtime.ReadMemStats(&after)
+			if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got >= uint64(cfg.Width*cfg.Height) {
+				t.Errorf("overlay %v, %s gutter: a tile allocates %d bytes from Timeline to PNG, not less than its %d pixels", overlay, gutter, got, cfg.Width*cfg.Height)
+			} else {
+				t.Logf("overlay %v, %s gutter: %d bytes a tile", overlay, gutter, got)
 			}
 		}
+	}
+
+	noisy := noisyTrace(t, 16)
+	if ov.Counter, ok = noisy.CounterByName("noise"); !ok {
+		t.Fatal("missing counter")
+	}
+	fb, _, err := Timeline(noisy, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	OverlayCounter(fb, noisy, cfg, ov, noisy.CounterIndex())
+	runtime.ReadMemStats(&after)
+	live := 0
+	for _, l := range fb.lines {
+		live += len(l.head)
+	}
+	run := uint64(unsafe.Sizeof(pixelRun{}))
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*run*uint64(live) {
+		t.Errorf("the overlay allocates %d bytes, %.1f times the %d runs its scanlines keep", got, float64(got)/float64(run*uint64(live)), live)
+	} else {
+		t.Logf("the overlay allocates %d bytes for %d runs", got, live)
+	}
+}
+
+// noisyTrace is a trace of cpus CPUs, each in one state for 100 000
+// cycles, with a counter "noise" sampled every 50 cycles at seeded
+// random values: its overlay draws most columns of every row, each over
+// a part of the row of its own.
+func noisyTrace(t *testing.T, cpus int32) *core.Trace {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	must := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(w.WriteCounterDesc(trace.CounterDesc{ID: 1, Name: "noise"}))
+	rng := rand.New(rand.NewSource(1))
+	for cpu := range cpus {
+		must(w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: 0, End: 100_000}))
+		for at := int64(0); at < 100_000; at += 50 {
+			must(w.WriteSample(trace.CounterSample{CPU: cpu, Counter: 1, Time: at, Value: rng.Int63n(1000)}))
+		}
+	}
+	must(w.Flush())
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// TestOverlayTallRows: a noisy counter's overlay on 4 CPUs at
+// 4000x2000, rows 500 scanlines tall, allocates about as often as on
+// 64 CPUs at 4000x400, rows 6 tall, and at most twice the bytes of the
+// runs its scanlines keep. And vlines, which
+// draws a row's lines a scanline at a time, draws what VLine draws line
+// by line.
+func TestOverlayTallRows(t *testing.T) {
+	ov := OverlayConfig{Rate: true, Color: CategoryColor(7)}
+	allocs := func(cpus int32, h int) (float64, uint64, int) {
+		tr := noisyTrace(t, cpus)
+		var ok bool
+		if ov.Counter, ok = tr.CounterByName("noise"); !ok {
+			t.Fatal("missing counter")
+		}
+		cfg := TimelineConfig{Width: 4000, Height: h, Mode: ModeState, Labels: true}
+		n := testing.AllocsPerRun(4, func() {
+			OverlayCounter(mustTimeline(t, tr, cfg), tr, cfg, ov, tr.CounterIndex())
+		})
+		fb := mustTimeline(t, tr, cfg)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		OverlayCounter(fb, tr, cfg, ov, tr.CounterIndex())
 		runtime.ReadMemStats(&after)
-		if got := (after.TotalAlloc - before.TotalAlloc) / rounds; got >= uint64(cfg.Width*cfg.Height) {
-			t.Errorf("overlay %v: a tile allocates %d bytes from Timeline to PNG, not less than its %d pixels", overlay, got, cfg.Width*cfg.Height)
-		} else {
-			t.Logf("overlay %v: %d bytes a tile", overlay, got)
+		runs := 0
+		for _, l := range fb.lines {
+			runs += len(l.head)
+		}
+		return n, after.TotalAlloc - before.TotalAlloc, runs
+	}
+	short, _, _ := allocs(64, 400)
+	tall, bytes, runs := allocs(4, 2000)
+	if tall > short+2 {
+		t.Errorf("the overlay at 4 rows of 500 scanlines allocates %.0f times, at 64 rows of 6 %.0f", tall, short)
+	}
+	if run := uint64(unsafe.Sizeof(pixelRun{})); bytes > 2*run*uint64(runs) {
+		t.Errorf("the tall overlay allocates %d bytes, %.1f times the %d runs its scanlines keep", bytes, float64(bytes)/float64(run*uint64(runs)), runs)
+	}
+	t.Logf("tall rows: %.0f allocations (short rows %.0f), %d bytes for %d runs", tall, short, bytes, runs)
+
+	rng := rand.New(rand.NewSource(3))
+	for round := range 20 {
+		lines, drawn := NewFramebuffer(300, 200), NewFramebuffer(300, 200)
+		lines.Clear(Background)
+		drawn.Clear(Background)
+		var vs vlines
+		for x := int32(0); x < 300; x += 1 + rng.Int31n(3) {
+			y0 := rng.Int31n(220)
+			y1 := y0 + rng.Int31n(200)
+			vs.ls = append(vs.ls, vline{x, y0, y1})
+			drawn.VLine(int(x), int(y0), int(y1), CategoryColor(round))
+		}
+		lines.vlines(&vs, CategoryColor(round))
+		if lines.Ops != drawn.Ops {
+			t.Fatalf("round %d: vlines counts %d operations, VLine %d", round, lines.Ops, drawn.Ops)
+		}
+		for y := range 200 {
+			for x := range 300 {
+				if lines.At(x, y) != drawn.At(x, y) {
+					t.Fatalf("round %d: (%d, %d) is %v drawn by vlines, %v by VLine", round, x, y, lines.At(x, y), drawn.At(x, y))
+				}
+			}
 		}
 	}
 }

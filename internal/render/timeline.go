@@ -252,11 +252,19 @@ func timeWindow(tr *core.Trace, cfg TimelineConfig) (start, end trace.Time, err 
 // scanline of a row shares the row's runs, and a scanline that a
 // label's glyph row reaches owns a head over the label's columns, the
 // glyphs under the row's runs. Its operations are counted as drawing
-// each label, then its row's runs, would count them.
+// each label, then its row's runs, would count them. Background and
+// TextColor are the palette's first two entries, so that where no
+// label overhangs the gutter, the heads are the label gutter of the
+// tile's shape (gutterOf): the first tile of a shape draws its labels
+// and keeps a copy of them as the shape's gutter, and the next ones
+// copy the gutter's heads.
 func newTile(w, h int, g rowGeometry, rows []tileRow, labels []int32) *Framebuffer {
 	fb := &Framebuffer{w: w, h: h, lines: make([]line, h), off: int32(g.gutter)}
 	fb.pal = fb.palette[:0]
 	fb.index(Background)
+	if labels != nil {
+		fb.index(TextColor)
+	}
 	for y := range fb.lines {
 		if r := y / g.rowH; r < len(rows) && y-r*g.rowH < g.drawH {
 			fb.lines[y].tail = rows[r].runs
@@ -268,27 +276,43 @@ func newTile(w, h int, g rowGeometry, rows []tileRow, labels []int32) *Framebuff
 		}
 		fb.Ops += len(row.runs)
 	}
-	// The label heads are carved from one chunk of about what a glyph
-	// row takes, 16 runs, for each of a label's 7.
+	if labels == nil {
+		return fb
+	}
+	ops := fb.Ops
+	gt, drew := gutterOf(w, h, g, labels, func() *gutter {
+		fb.labels(len(rows), labels, g)
+		return fb.newGutter(g, labels, fb.Ops-ops)
+	})
+	if !drew {
+		fb.copyHeads(gt)
+	}
+	fb.gutter = gt
+	return fb
+}
+
+// labels draws the label of each labelled one of the first n rows of g
+// into a framebuffer without heads. The heads are carved from one chunk
+// of about what a glyph row takes, 16 runs, for each of a label's 7.
+func (fb *Framebuffer) labels(n int, labels []int32, g rowGeometry) {
 	labelled := 0
-	for row := range rows {
-		if labels != nil && g.labeled(row) {
+	for row := range n {
+		if g.labeled(row) {
 			labelled++
 		}
 	}
 	fb.arena = make([]pixelRun, 0, 16*(GlyphHeight-1)*labelled)
 	var text [24]byte
-	for row := range rows {
-		if labels == nil || !g.labeled(row) {
+	for row := range n {
+		if !g.labeled(row) {
 			continue
 		}
 		s, ty := labelText(text[:0], labels[row]), labelY(row*g.rowH, g.rowH)
 		fb.Ops += len(s)
-		for gy := 0; gy < GlyphHeight-1 && ty+gy < h; gy++ {
+		for gy := 0; gy < GlyphHeight-1 && ty+gy < fb.h; gy++ {
 			fb.label(&fb.lines[ty+gy], s, gy, fb.run(0, 0, TextColor))
 		}
 	}
-	return fb
 }
 
 // label gives scanline l its head over the gutter and text's columns:
@@ -319,7 +343,9 @@ func (fb *Framebuffer) label(l *line, text []byte, gy int, ink pixelRun) {
 		}
 	}
 	r.x1 = cut
-	l.head, l.cut = append(fb.grow(nil, len(head)+1), append(head, r)...), cut
+	l.head = nil
+	fb.grow(l, len(head)+1)
+	l.head, l.cut = append(append(l.head, head...), r), cut
 	for _, t := range l.tail {
 		if t.x0+fb.off >= cut {
 			break

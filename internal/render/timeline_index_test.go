@@ -16,33 +16,44 @@ import (
 )
 
 // TestTimelineAllocations pins as counts what a tile allocates over a
-// sixteenth of a 16×8 Seidel run's span — a state tile, a typemap
-// tile plain and types= filtered — and over the whole span in the
-// NUMA heat mode, rendered on one worker and on two: the framebuffer
-// (its palette inside it), its scanlines, the type index and the rows'
-// runs, nothing a query, a run or a pixel. A row's walk (core.DomRow) and its batch of runs live on
-// rowRuns' stack; a walk or a batch that escaped would cost an
-// allocation a row (+16 here).
+// sixteenth of a 16×8 Seidel run's span — a state tile, a typemap tile
+// plain and types= filtered — and over the whole span in the NUMA heat
+// mode, without labels and with, rendered on one worker and on two: the
+// framebuffer (its palette inside it), its scanlines, the type index
+// and the rows' runs, nothing a query, a run or a pixel. A row's walk
+// (core.DomRow) and its batch of runs live on rowRuns' stack; a walk or
+// a batch that escaped would cost an allocation a row (+16 here). Each
+// is pinned cold, the first tile of its shape, which draws its labels
+// and keeps them as the shape's label gutter, and warm, the second,
+// which copies the gutter's heads; without labels the two are one.
 func TestTimelineAllocations(t *testing.T) {
 	tr := atmtest.SeidelTrace(t, 16, 8, openstream.SchedNUMA)
 	span := tr.Span.Duration()
 	start := tr.Span.Start + span/3
 	for _, c := range []struct {
-		mode           Mode
-		filtered, full bool
-		workers        int
-		want           float64
+		mode                   Mode
+		filtered, full, labels bool
+		workers                int
+		cold, warm             float64
 	}{
-		{ModeState, false, false, 1, 105},
-		{ModeState, false, false, 2, 110},
-		{ModeType, false, false, 1, 75},
-		{ModeType, false, false, 2, 80},
-		{ModeType, true, false, 1, 76},
-		{ModeType, true, false, 2, 81},
-		{ModeNUMAHeat, false, true, 1, 142},
-		{ModeNUMAHeat, false, true, 2, 147},
+		{ModeState, false, false, false, 1, 105, 105},
+		{ModeState, false, false, false, 2, 110, 110},
+		{ModeType, false, false, false, 1, 75, 75},
+		{ModeType, false, false, false, 2, 80, 80},
+		{ModeType, true, false, false, 1, 76, 76},
+		{ModeType, true, false, false, 2, 81, 81},
+		{ModeNUMAHeat, false, true, false, 1, 142, 142},
+		{ModeNUMAHeat, false, true, false, 2, 147, 147},
+		{ModeState, false, false, true, 1, 106, 102},
+		{ModeState, false, false, true, 2, 111, 107},
+		{ModeType, false, false, true, 1, 77, 73},
+		{ModeType, false, false, true, 2, 82, 78},
+		{ModeType, true, false, true, 1, 78, 74},
+		{ModeType, true, false, true, 2, 83, 79},
+		{ModeNUMAHeat, false, true, true, 1, 147, 143},
+		{ModeNUMAHeat, false, true, true, 2, 152, 148},
 	} {
-		cfg := TimelineConfig{Width: 900, Height: 380, Mode: c.mode, Start: start, End: start + span/16}
+		cfg := TimelineConfig{Width: 900, Height: 380, Mode: c.mode, Labels: c.labels, Start: start, End: start + span/16}
 		if c.full {
 			cfg.Start, cfg.End = 0, 0
 		}
@@ -54,23 +65,31 @@ func TestTimelineAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if got := testing.AllocsPerRun(10, render); got != c.want {
-			t.Errorf("a %v tile (filtered %v, full span %v) on %d workers allocates %.0f times, want %.0f",
-				c.mode, c.filtered, c.full, c.workers, got, c.want)
+		cold := testing.AllocsPerRun(10, func() {
+			resetGutters()
+			render()
+		})
+		if warm := testing.AllocsPerRun(10, render); cold != c.cold || warm != c.warm {
+			t.Errorf("a %v tile (filtered %v, full span %v, labels %v) on %d workers allocates %.0f times cold and %.0f warm, want %.0f and %.0f",
+				c.mode, c.filtered, c.full, c.labels, c.workers, cold, warm, c.cold, c.warm)
 		}
 	}
 }
 
 // TestDrawnAllocations pins as counts what a drawn picture allocates
 // from its first drawing call to its PNG bytes: a 1000x400 state tile
-// with labels on one worker, with the counter overlay and with
+// with labels on one worker, plain, with the counter overlay and with
 // annotations, at the full span, an eighth and a sixty-fourth of a
 // 16x8 Seidel run; the matrix of a 4x3 run at a cell of 14; and the
 // 800x220 plot of the 16x8 run's idle workers. Drawing splices runs
 // into scanlines whose heads are carved from a per-framebuffer arena,
-// so a picture costs a handful of allocations, not one a scanline.
-// parent is the count where a framebuffer was a pixel buffer; a count
-// may exceed it by 4. The counts are the plain build's.
+// so a picture costs a handful of allocations, not one a scanline. A
+// tile is pinned cold, the first of its shape, which keeps the label
+// gutter (and, plain, records the gutter's code at the tile's bit
+// depth), and warm, the second, which copies the gutter's heads. before
+// is the count before label gutters were kept: a warm tile allocates no
+// more, and a cold one at most one more (the cache's lists, made anew
+// after the reset). The counts are the plain build's.
 func TestDrawnAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector moves the encoder's buffers to the heap")
@@ -92,7 +111,8 @@ func TestDrawnAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	tile := func(part int64, overlay bool) func() {
+	const plain, overlay, annotated = 0, 1, 2
+	tile := func(part int64, draw int) func() {
 		cfg := TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true}
 		if part > 1 {
 			cfg.Start = tr.Span.Start + span/3
@@ -106,36 +126,46 @@ func TestDrawnAllocations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if overlay {
+			switch draw {
+			case overlay:
 				OverlayCounter(fb, tr, cfg, OverlayConfig{Counter: c, Rate: true, Color: CategoryColor(7)}, tr.CounterIndex())
-			} else if OverlayAnnotations(fb, tr, cfg, marks) == 0 {
-				t.Fatal("no annotation drawn")
+			case annotated:
+				if OverlayAnnotations(fb, tr, cfg, marks) == 0 {
+					t.Fatal("no annotation drawn")
+				}
 			}
 			encode(fb)
 		}
 	}
 	for _, c := range []struct {
-		name         string
-		draw         func()
-		want, parent float64
+		name               string
+		draw               func()
+		cold, warm, before float64
 	}{
-		{"overlay tile, full span", tile(1, true), 113, 113},
-		{"overlay tile, 1/8", tile(8, true), 118, 120},
-		{"overlay tile, 1/64", tile(64, true), 95, 97},
-		{"annotated tile, full span", tile(1, false), 116, 116},
-		{"annotated tile, 1/8", tile(8, false), 123, 123},
-		{"annotated tile, 1/64", tile(64, false), 99, 100},
-		{"matrix", func() { encode(RenderMatrix(m, 14)) }, 15, 15},
+		{"plain tile, full span", tile(1, plain), 110, 101, 109},
+		{"plain tile, 1/8", tile(8, plain), 117, 108, 116},
+		{"plain tile, 1/64", tile(64, plain), 94, 85, 93},
+		{"overlay tile, full span", tile(1, overlay), 110, 107, 113},
+		{"overlay tile, 1/8", tile(8, overlay), 116, 112, 118},
+		{"overlay tile, 1/64", tile(64, overlay), 92, 89, 95},
+		{"annotated tile, full span", tile(1, annotated), 111, 108, 116},
+		{"annotated tile, 1/8", tile(8, annotated), 118, 115, 123},
+		{"annotated tile, 1/64", tile(64, annotated), 95, 92, 99},
+		{"matrix", func() { encode(RenderMatrix(m, 14)) }, 7, 7, 15},
 		{"plot", func() {
 			fb, err := PlotSeries(PlotConfig{Width: 800, Height: 220, Title: "IDLE"}, idle)
 			if err != nil {
 				t.Fatal(err)
 			}
 			encode(fb)
-		}, 18, 17},
+		}, 10, 10, 18},
 	} {
-		if got := testing.AllocsPerRun(10, c.draw); got != c.want || got > c.parent+4 {
-			t.Errorf("%s allocates %.0f times, want %.0f (a pixel buffer: %.0f)", c.name, got, c.want, c.parent)
+		cold := testing.AllocsPerRun(10, func() {
+			resetGutters()
+			c.draw()
+		})
+		if warm := testing.AllocsPerRun(10, c.draw); cold != c.cold || warm != c.warm || cold > c.before+1 || warm > c.before {
+			t.Errorf("%s allocates %.0f times cold and %.0f warm, want %.0f and %.0f (before label gutters: %.0f)", c.name, cold, warm, c.cold, c.warm, c.before)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"path"
 	"strconv"
 	"strings"
+	"time"
 
 	"github.com/openstream/aftermath/internal/anomaly"
 	"github.com/openstream/aftermath/internal/core"
@@ -37,11 +38,13 @@ const (
 )
 
 // request is what serve hands an entry: who answers (srv, or hub at
-// its root), the pinned snapshot (a Server's), the shared parameters
-// with the window resolved, and the reader for the entry's own.
+// its root), the response being written, the pinned snapshot (a
+// Server's), the shared parameters with the window resolved, and the
+// reader for the entry's own.
 type request struct {
 	srv   *Server
 	hub   *Hub
+	w     http.ResponseWriter
 	r     *http.Request
 	tr    *core.Trace
 	epoch uint64
@@ -121,7 +124,7 @@ func serve(w http.ResponseWriter, r *http.Request, sub string, rq request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	rq.r, rq.q, rq.p = r, q, query.NewParams(v)
+	rq.w, rq.r, rq.q, rq.p = w, r, q, query.NewParams(v)
 	if ep.plan == nil {
 		w.Header().Set("Content-Type", ep.contentType)
 		if err := ep.write(w, rq); err != nil {
@@ -177,7 +180,7 @@ func encodeJSON(v interface{}) ([]byte, error) {
 }
 
 func planRender(rq request) (*query.Query, string, func() ([]byte, error)) {
-	tr, q, p := rq.tr, rq.q, rq.p
+	tr, q, p, w := rq.tr, rq.q, rq.p, rq.w
 	q.Size(p.Int("w", 1000, 100, 4000), p.Int("h", 400, 50, 2000)).
 		Heat(p.Int64("heatmin", 0), p.Int64("heatmax", 0)).
 		Shades(p.Int("shades", 10, 2, 64)).
@@ -196,6 +199,7 @@ func planRender(rq request) (*query.Query, string, func() ([]byte, error)) {
 		q.Marks(marks)
 	}
 	return q, "|a" + strconv.Itoa(annsVer), func() ([]byte, error) {
+		t0 := time.Now()
 		fb, _, err := query.TimelineOf(tr, q)
 		if err != nil {
 			return nil, err
@@ -203,8 +207,25 @@ func planRender(rq request) (*query.Query, string, func() ([]byte, error)) {
 		if marks && anns != nil {
 			render.OverlayAnnotations(fb, tr, query.TimelineConfigOf(tr, q), anns)
 		}
-		return encodePNG(fb)
+		t1 := time.Now()
+		body, err := encodePNG(fb)
+		if err == nil {
+			w.Header().Set("Server-Timing", serverTiming(t1.Sub(t0), time.Since(t1)))
+		}
+		return body, err
 	}
+}
+
+// serverTiming is the Server-Timing header of a tile built on a miss:
+// its raster and encode durations, in milliseconds. A HIT builds
+// nothing and carries none.
+func serverTiming(raster, encode time.Duration) string {
+	var b [64]byte
+	s := append(b[:0], "raster;dur="...)
+	s = strconv.AppendFloat(s, float64(raster.Microseconds())/1e3, 'f', 3, 64)
+	s = append(s, ", encode;dur="...)
+	s = strconv.AppendFloat(s, float64(encode.Microseconds())/1e3, 'f', 3, 64)
+	return string(s)
 }
 
 func planMatrix(rq request) (*query.Query, string, func() ([]byte, error)) {

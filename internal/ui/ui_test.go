@@ -97,6 +97,36 @@ func TestRenderWithFilterZoomAndOverlay(t *testing.T) {
 	}
 }
 
+// TestRenderServerTiming: a tile built on a miss says how long its
+// raster and its encode took in a Server-Timing header; the same tile
+// served from the cache builds nothing and says nothing.
+func TestRenderServerTiming(t *testing.T) {
+	srv := newTestServer(t)
+	const path = "/render?mode=state&w=600&h=200"
+	resp, _ := get(t, srv, path)
+	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "MISS" {
+		t.Fatalf("status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	st := resp.Header.Get("Server-Timing")
+	metrics := strings.Split(st, ", ")
+	if len(metrics) != 2 {
+		t.Fatalf("Server-Timing %q: want a raster and an encode duration", st)
+	}
+	for i, name := range []string{"raster", "encode"} {
+		dur, ok := strings.CutPrefix(metrics[i], name+";dur=")
+		if ms, err := strconv.ParseFloat(dur, 64); !ok || err != nil || ms < 0 {
+			t.Errorf("Server-Timing %q: metric %d is not %s;dur=<ms>", st, i, name)
+		}
+	}
+	resp, _ = get(t, srv, path)
+	if resp.Header.Get("X-Cache") != "HIT" {
+		t.Fatalf("second request X-Cache %q, want HIT", resp.Header.Get("X-Cache"))
+	}
+	if st, ok := resp.Header["Server-Timing"]; ok {
+		t.Errorf("a HIT carries Server-Timing %q", st)
+	}
+}
+
 func TestStatsEndpoint(t *testing.T) {
 	srv := newTestServer(t)
 	resp, body := get(t, srv, "/stats")
