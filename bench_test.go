@@ -282,12 +282,12 @@ var scanSink int64
 
 // ablationSamples returns the 2^20-sample counter column of the tree
 // ablations, and its last time.
-func ablationSamples(rng *rand.Rand) ([]trace.CounterSample, int64) {
-	samples := make([]trace.CounterSample, 1<<20)
+func ablationSamples(rng *rand.Rand) ([]mmtree.Sample, int64) {
+	samples := make([]mmtree.Sample, 1<<20)
 	t := int64(0)
 	for i := range samples {
 		t += int64(rng.Intn(20) + 1)
-		samples[i] = trace.CounterSample{Time: t, Value: rng.Int63n(1 << 30)}
+		samples[i] = mmtree.Sample{Time: t, Value: rng.Int63n(1 << 30)}
 	}
 	return samples, t
 }

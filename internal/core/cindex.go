@@ -8,7 +8,6 @@ import (
 
 	"github.com/openstream/aftermath/internal/mmtree"
 	"github.com/openstream/aftermath/internal/par"
-	"github.com/openstream/aftermath/internal/trace"
 )
 
 // RateScale is the fixed-point scale for rate trees: rates are stored
@@ -110,7 +109,7 @@ func appendRates(t *mmtree.Tree, col mmtree.Samples) *mmtree.Tree {
 	if from, n := t.Len(), col.Len()-1-t.Len(); n > 0 {
 		rates = slices.Grow(rates, n)
 		prev := col.At(from)
-		col.Each(from+1, func(_ int, s *trace.CounterSample) {
+		col.Each(from+1, func(_ int, s *Sample) {
 			rates = append(rates, rate(prev, s))
 			prev = s
 		})
@@ -125,7 +124,7 @@ func appendRates(t *mmtree.Tree, col mmtree.Samples) *mmtree.Tree {
 // truncates and clamped to int64: the int64 expression wraps once
 // |Δv| exceeds 2^63 / (1000 * RateScale), about 1.4e11, and equals this
 // wherever it does not.
-func rate(a, b *trace.CounterSample) int64 {
+func rate(a, b *Sample) int64 {
 	if b.Time <= a.Time {
 		return 0
 	}

@@ -22,7 +22,7 @@ import (
 // refRate is the rate of samples a → b in exact arithmetic: the
 // math/big quotient of Δv · 1000 · RateScale by Δt, truncated toward
 // zero and clamped to int64, 0 unless b is later than a.
-func refRate(a, b trace.CounterSample) int64 {
+func refRate(a, b Sample) int64 {
 	if b.Time <= a.Time {
 		return 0
 	}
@@ -45,7 +45,7 @@ type treeEntry struct{ time, value int64 }
 
 // wantEntries returns what the value and the rate tree over a column
 // must hold: its samples, and refRate between each consecutive pair.
-func wantEntries(s []trace.CounterSample) (values, rates []treeEntry) {
+func wantEntries(s []Sample) (values, rates []treeEntry) {
 	for i, x := range s {
 		values = append(values, treeEntry{x.Time, x.Value})
 		if i+1 < len(s) {
@@ -282,7 +282,7 @@ func checkCaseColumns(t testing.TB, ctx string, tr *Trace, c *counterCase) {
 			t.Fatalf("%s: counter %d missing", ctx, id)
 		}
 		for cpu, col := range c.cols[k] {
-			if got := tc.SamplesIn(int32(cpu), math.MinInt64, math.MaxInt64); !slices.Equal(got, col) {
+			if got := tc.SamplesIn(int32(cpu), math.MinInt64, math.MaxInt64); !slices.Equal(got, sampleRows(col)) {
 				t.Fatalf("%s: counter %d cpu %d holds %d samples, %d were written", ctx, id, cpu, len(got), len(col))
 			}
 		}
@@ -507,7 +507,7 @@ func TestCounterTreesFoundByRow(t *testing.T) {
 	for k, id := range c.ids {
 		hc := &Counter{Desc: trace.CounterDesc{ID: id}}
 		for _, col := range c.cols[k] {
-			hc.PerCPU = append(hc.PerCPU, Column[trace.CounterSample]{Rows: col})
+			hc.PerCPU = append(hc.PerCPU, Column[Sample]{Rows: sampleRows(col)})
 		}
 		hand.Counters = append(hand.Counters, hc)
 	}
@@ -663,7 +663,7 @@ func TestCounterRatesDoNotWrap(t *testing.T) {
 				t.Errorf("%s, %s: rates %v, want %v", tc.name, arm.name, got, tc.want)
 			}
 			for i := range got {
-				if r := refRate(col[i], col[i+1]); r != got[i] {
+				if r := refRate(toSample(&col[i]), toSample(&col[i+1])); r != got[i] {
 					t.Errorf("%s, %s: rate %d is %d, the math/big reference %d", tc.name, arm.name, i, got[i], r)
 				}
 			}
@@ -746,21 +746,21 @@ func FuzzCounterTrees(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, cuts uint8, t0, t1 int64) {
 		// Each 16 bytes are a (time, value) pair; times are sorted, as the
 		// loader sorts them.
-		var col []trace.CounterSample
+		var col []Sample
 		for i := 0; i+16 <= len(raw) && len(col) < 4096; i += 16 {
-			col = append(col, trace.CounterSample{
+			col = append(col, Sample{
 				Time:  int64(binary.LittleEndian.Uint64(raw[i:])),
 				Value: int64(binary.LittleEndian.Uint64(raw[i+8:])),
 			})
 		}
-		slices.SortStableFunc(col, func(a, b trace.CounterSample) int { return cmp.Compare(a.Time, b.Time) })
+		slices.SortStableFunc(col, func(a, b Sample) int { return cmp.Compare(a.Time, b.Time) })
 		// cuts picks the part boundaries: bit k cuts before sample k+1;
 		// the last part is the RAM tail.
-		c := &Counter{Desc: trace.CounterDesc{ID: 1}, PerCPU: make([]Column[trace.CounterSample], 1)}
+		c := &Counter{Desc: trace.CounterDesc{ID: 1}, PerCPU: make([]Column[Sample], 1)}
 		from := 0
 		for k := 0; k < 8 && k+1 < len(col); k++ {
 			if cuts&(1<<k) != 0 {
-				c.PerCPU[0].parts = append(c.PerCPU[0].parts, colPart[trace.CounterSample]{seg: &spillSeg{}, rows: col[from : k+1]})
+				c.PerCPU[0].parts = append(c.PerCPU[0].parts, colPart[Sample]{seg: &spillSeg{}, rows: col[from : k+1]})
 				from = k + 1
 			}
 		}

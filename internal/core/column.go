@@ -11,12 +11,14 @@ import (
 
 // Column is one per-CPU event array or one (counter, CPU) sample array,
 // sorted by timestamp: the array Section VI-B-c of the paper keeps per
-// event family per CPU. A live trace that has spilled keeps the older
-// events of the array in parts, oldest first, each a run of rows on a
-// disk-backed segment (spill.go), and Rows holds the RAM-resident events
-// after them. Every other column — batch load, OpenStore, an unspilled
-// live snapshot, a hand-built trace — has no parts and is its Rows. The
-// Trace and Counter accessors read the whole array either way.
+// event family per CPU. Its records carry no key the column implies:
+// Comm has no CPU, Sample no counter or CPU. A live trace that has
+// spilled keeps the older events of the array in parts, oldest first,
+// each a run of rows on a disk-backed segment (spill.go), and Rows
+// holds the RAM-resident events after them. Every other column — batch
+// load, OpenStore, an unspilled live snapshot, a hand-built trace — has
+// no parts and is its Rows. The Trace and Counter accessors read the
+// whole array either way.
 //
 // A published Column is a value over shared, immutable storage: copy
 // it freely, never write through it.
@@ -242,6 +244,6 @@ func (c *liveCol[T]) unspill() {
 // state.
 func stateTime(e *trace.StateEvent) trace.Time       { return e.Start }
 func discreteTime(e *trace.DiscreteEvent) trace.Time { return e.Time }
-func commTime(e *trace.CommEvent) trace.Time         { return e.Time }
-func sampleTime(e *trace.CounterSample) trace.Time   { return e.Time }
+func commTime(e *Comm) trace.Time                    { return e.Time }
+func sampleTime(e *Sample) trace.Time                { return e.Time }
 func stateEnd(e *trace.StateEvent) trace.Time        { return e.End }

@@ -15,9 +15,47 @@ import (
 // segment per event — for sizing retention budgets in the spill tests.
 const (
 	stateEventBytes    = int64(unsafe.Sizeof(trace.StateEvent{}))
-	commEventBytes     = int64(unsafe.Sizeof(trace.CommEvent{}))
-	counterSampleBytes = int64(unsafe.Sizeof(trace.CounterSample{}))
+	commEventBytes     = int64(unsafe.Sizeof(Comm{}))
+	counterSampleBytes = int64(unsafe.Sizeof(Sample{}))
 )
+
+// TestRecordSizes pins the bytes a row of each event column takes: a
+// column's records carry no key its position gives, so a sample is its
+// time and value and a communication event packs without its CPU.
+// States and discrete events keep their CPU: without it they would pad
+// to the same size.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Sample", unsafe.Sizeof(Sample{}), 16},
+		{"Comm", unsafe.Sizeof(Comm{}), 40},
+		{"trace.StateEvent", unsafe.Sizeof(trace.StateEvent{}), 32},
+		{"trace.DiscreteEvent", unsafe.Sizeof(trace.DiscreteEvent{}), 24},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// sampleRows and commRows return records as their columns hold them.
+func sampleRows(s []trace.CounterSample) []Sample {
+	out := make([]Sample, len(s))
+	for i := range s {
+		out[i] = toSample(&s[i])
+	}
+	return out
+}
+
+func commRows(s []trace.CommEvent) []Comm {
+	out := make([]Comm, len(s))
+	for i := range s {
+		out[i] = toComm(&s[i])
+	}
+	return out
+}
 
 // modelEv is the small event type the column model test runs on.
 type modelEv struct {

@@ -8,9 +8,15 @@
 // search. Every such array, and every (counter, CPU) sample array, is
 // one Column value on every path — batch load, OpenStore, live
 // snapshot: its Rows, after the spilled parts of a live trace that
-// has spilled (spill.go). Information not explicitly present in the
-// trace (task execution placement, the location of memory accesses)
-// is derived once at load time or on demand.
+// has spilled (spill.go). A column's records omit the keys their
+// position gives: a communication event (Comm) is stored without its
+// CPU and a sample (Sample) without its counter and CPU. A reader that
+// needs the CPU's id takes it from the row, CPUs[row].ID; the
+// trace package's records stay the wire and stream format, and the
+// loaders drop the keys as they copy each record into its column.
+// Information not explicitly present in the trace (task execution
+// placement, the location of memory accesses) is derived once at load
+// time or on demand.
 package core
 
 import (
@@ -67,18 +73,49 @@ func (t *TaskInfo) Duration() trace.Time {
 type CPUData struct {
 	// ID is the CPU's id in the trace's records: its label. Every
 	// accessor of Trace and Counter takes the CPU's row, its index in
-	// Trace.CPUs; Trace.RowOf converts.
+	// Trace.CPUs; Trace.RowOf converts. A communication event or a
+	// sample in a row's column carries no CPU: it is this ID.
 	ID       int32
 	States   Column[trace.StateEvent]
 	Discrete Column[trace.DiscreteEvent]
-	Comm     Column[trace.CommEvent]
+	Comm     Column[Comm]
 }
+
+// Comm is a communication event as its row's column holds it: a
+// trace.CommEvent without the CPU, which is the row's ID. It packs to
+// 40 bytes where the record is 48. SrcCPU stays an id.
+type Comm struct {
+	Kind trace.CommKind
+	// SrcCPU is the id of the source worker for steal/push events, -1
+	// otherwise.
+	SrcCPU int32
+	Time   trace.Time
+	// Task is the task performing the access, or the transferred task.
+	Task trace.TaskID
+	// Addr is the starting address of the access (reads/writes).
+	Addr uint64
+	// Size is the number of bytes accessed or transferred.
+	Size uint64
+}
+
+// toComm returns a communication record as its row's column holds it.
+func toComm(ev *trace.CommEvent) Comm {
+	return Comm{Kind: ev.Kind, SrcCPU: ev.SrcCPU, Time: ev.Time, Task: ev.Task, Addr: ev.Addr, Size: ev.Size}
+}
+
+// Sample is a counter sample as its (counter, row) column holds it: a
+// trace.CounterSample without the counter and the CPU, which are the
+// column's. 16 bytes where the record is 24.
+type Sample = mmtree.Sample
+
+// toSample returns a sample record as its column holds it.
+func toSample(s *trace.CounterSample) Sample { return Sample{Time: s.Time, Value: s.Value} }
 
 // Counter holds one performance counter's description and its sample
 // column on each CPU, sorted by time: one per row of the trace.
 type Counter struct {
 	Desc   trace.CounterDesc
-	PerCPU []Column[trace.CounterSample]
+	PerCPU []Column[Sample]
 
 	// trees holds the min/max trees over each row's column (cindex.go),
 	// made with PerCPU by size, or under treesOnce at the first lookup
@@ -89,7 +126,7 @@ type Counter struct {
 
 // size gives the counter an empty sample column and tree entry per row.
 func (c *Counter) size(rows int) {
-	c.PerCPU = sized[Column[trace.CounterSample]](rows)
+	c.PerCPU = sized[Column[Sample]](rows)
 	c.trees = make([]counterTrees, rows)
 }
 
@@ -345,7 +382,7 @@ func (tr *Trace) DiscreteIn(cpu int32, t0, t1 trace.Time) []trace.DiscreteEvent 
 // read like StatesIn; nil for an empty or inverted window. A window
 // ending at MaxInt64 includes events at MaxInt64, so
 // [Span.Start, SatAdd(Span.End, 1)) reads every event of the span.
-func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []trace.CommEvent {
+func (tr *Trace) CommIn(cpu int32, t0, t1 trace.Time) []Comm {
 	return tr.row(cpu).Comm.win(commWindow, t0, t1)
 }
 
@@ -372,25 +409,25 @@ func (tr *Trace) EventCounts() (events, samples int64) {
 
 // column returns the counter's sample column on row cpu, empty outside
 // the table.
-func (c *Counter) column(cpu int32) Column[trace.CounterSample] {
+func (c *Counter) column(cpu int32) Column[Sample] {
 	if cpu >= 0 && int(cpu) < len(c.PerCPU) {
 		return c.PerCPU[cpu]
 	}
-	return Column[trace.CounterSample]{}
+	return Column[Sample]{}
 }
 
 // Samples returns the sample array of a counter on a row: a view into
 // trace storage, or a fresh concatenation for a column with spilled
 // parts; windowed callers should prefer SamplesIn, which copies only
 // across spill boundaries.
-func (c *Counter) Samples(cpu int32) []trace.CounterSample {
+func (c *Counter) Samples(cpu int32) []Sample {
 	return c.column(cpu).all()
 }
 
 // SamplesIn returns the samples of a counter on row cpu with time in
 // [t0, t1), read like Trace.StatesIn; nil for an empty or inverted
 // window.
-func (c *Counter) SamplesIn(cpu int32, t0, t1 trace.Time) []trace.CounterSample {
+func (c *Counter) SamplesIn(cpu int32, t0, t1 trace.Time) []Sample {
 	return c.column(cpu).win(sampleWindow, t0, t1)
 }
 

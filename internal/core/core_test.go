@@ -247,8 +247,8 @@ func TestCounterQueries(t *testing.T) {
 }
 
 // taskEvents returns the task's own events among its TaskAccesses.
-func taskEvents(tr *Trace, t *TaskInfo) []trace.CommEvent {
-	var out []trace.CommEvent
+func taskEvents(tr *Trace, t *TaskInfo) []Comm {
+	var out []Comm
 	for _, ev := range tr.TaskAccesses(t).Events {
 		if ev.Task == t.ID {
 			out = append(out, ev)

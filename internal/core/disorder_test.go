@@ -68,7 +68,7 @@ func oneRun(tr *Trace) *Trace {
 	}
 	flat.Counters = make([]*Counter, len(tr.Counters))
 	for i, c := range tr.Counters {
-		fc := &Counter{Desc: c.Desc, PerCPU: make([]Column[trace.CounterSample], len(c.PerCPU))}
+		fc := &Counter{Desc: c.Desc, PerCPU: make([]Column[Sample], len(c.PerCPU))}
 		for r := range c.PerCPU {
 			fc.PerCPU[r] = runOf(c.PerCPU[r])
 		}

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"github.com/openstream/aftermath/internal/trace"
-)
+import "testing"
 
 // The home-node case generator and checks, and the region-search count,
 // for the external tests of this package (readers_test.go): they drive
@@ -18,8 +14,9 @@ var (
 	CheckHomeWindow = checkHomeWindow
 )
 
-// Column returns the communication column the case gave cpu.
-func (c *homeCase) Column(cpu int) []trace.CommEvent { return c.comm[cpu] }
+// Column returns the communication column the case gave cpu, as the
+// trace holds it.
+func (c *homeCase) Column(cpu int) []Comm { return commRows(c.comm[cpu]) }
 
 // Stream writes the case as a native trace.
 func (c *homeCase) Stream(t testing.TB) []byte { return c.stream(t) }

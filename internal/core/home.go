@@ -80,7 +80,7 @@ const maxColumnNodes = math.MaxInt8 + 1
 // 32-node one.
 func homeStride(n int) int {
 	rowBytes := 2 * n * int(unsafe.Sizeof(int64(0)))
-	evBytes := int(unsafe.Sizeof(trace.CommEvent{}))
+	evBytes := int(unsafe.Sizeof(Comm{}))
 	least := max((20*rowBytes+evBytes-1)/evBytes, 1)
 	return 1 << bits.Len(uint(least-1))
 }
@@ -130,7 +130,7 @@ func (hi *homeIndex) cpu(tr *Trace, cpu int32) (Accesses, []int64) {
 type Accesses struct {
 	// Events are the window's events, steals and pushes included; they
 	// alias trace storage and must not be modified.
-	Events []trace.CommEvent
+	Events []Comm
 	// homes is the home-node column over Events; nil where the trace
 	// keeps none, and Homes searches the region table instead.
 	homes []int8
@@ -151,8 +151,8 @@ func (a Accesses) Slice(lo, hi int) Accesses {
 // Other kinds are skipped. The home is read off the trace's column
 // where it keeps one and resolved through the region table where it
 // does not; the answer is the same.
-func (a Accesses) Homes() iter.Seq2[*trace.CommEvent, int32] {
-	return func(yield func(*trace.CommEvent, int32) bool) {
+func (a Accesses) Homes() iter.Seq2[*Comm, int32] {
+	return func(yield func(*Comm, int32) bool) {
 		var searched int64
 		for i := range a.Events {
 			ev := &a.Events[i]
@@ -196,7 +196,7 @@ func (tr *Trace) TaskAccesses(t *TaskInfo) Accesses {
 // accessWin returns the accesses of cpu's column in the window search
 // finds for [t0, t1): off the home-node column on a trace that keeps
 // one, the column's events alone on a live snapshot.
-func (tr *Trace) accessWin(cpu int32, search func([]trace.CommEvent, trace.Time, trace.Time) (int, int), t0, t1 trace.Time) Accesses {
+func (tr *Trace) accessWin(cpu int32, search func([]Comm, trace.Time, trace.Time) (int, int), t0, t1 trace.Time) Accesses {
 	if cpu < 0 || int(cpu) >= len(tr.CPUs) {
 		return Accesses{}
 	}

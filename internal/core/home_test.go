@@ -19,7 +19,7 @@ import (
 // kept as the reference HomeBytes is held to. It is handed the column
 // and tests every access's time itself, so it shares no window search
 // with what it checks.
-func scanHomeBytes(tr *Trace, col []trace.CommEvent, t0, t1 trace.Time, row []int64) {
+func scanHomeBytes(tr *Trace, col []Comm, t0, t1 trace.Time, row []int64) {
 	n := tr.NumNodes()
 	for _, ev := range col {
 		// A window ending at MaxInt64 runs through it (HomeBytes' contract).
@@ -238,7 +238,7 @@ func (c *homeCase) resident() *Trace {
 	execs := make([]cpuExecs, len(c.comm))
 	for cpu, col := range c.comm {
 		tr.CPUs[cpu].ID = int32(cpu)
-		tr.CPUs[cpu].Comm.Rows = col
+		tr.CPUs[cpu].Comm.Rows = commRows(col)
 		tr.CPUs[cpu].States.Rows = c.execs[cpu]
 		execs[cpu] = cpuExecs{int32(cpu), collectExecs(c.execs[cpu])}
 	}
@@ -274,7 +274,7 @@ func (c *homeCase) live(t testing.TB, dir string) (*Live, *Trace) {
 
 // checkHomeWindow holds HomeBytes on tr to the scan of col, the column
 // cpu was given (nil for a CPU the trace lacks), for one window.
-func checkHomeWindow(t testing.TB, ctx string, tr *Trace, cpu int32, col []trace.CommEvent, t0, t1 trace.Time) {
+func checkHomeWindow(t testing.TB, ctx string, tr *Trace, cpu int32, col []Comm, t0, t1 trace.Time) {
 	t.Helper()
 	w := 2 * tr.NumNodes()
 	got, ref := make([]int64, w), make([]int64, w)
@@ -394,7 +394,7 @@ func taskRowBytes(tr *Trace) int64 {
 // homeWindows returns the windows a column is asked: the whole axis,
 // empty and inverted ones, every window whose ends sit on the events one
 // before, at and one after a multiple of stride, and count random ones.
-func homeWindows(rng *rand.Rand, col []trace.CommEvent, stride, count int) [][2]trace.Time {
+func homeWindows(rng *rand.Rand, col []Comm, stride, count int) [][2]trace.Time {
 	wins := [][2]trace.Time{
 		{math.MinInt64, math.MaxInt64}, {math.MaxInt64, math.MinInt64}, {0, 0}, {5, 3},
 	}
@@ -448,7 +448,7 @@ func TestHomeBytesMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		for cpu, col := range c.comm {
-			if !slices.Equal(batch.CPUs[cpu].Comm.Rows, col) {
+			if !slices.Equal(batch.CPUs[cpu].Comm.Rows, commRows(col)) {
 				t.Fatalf("precondition: cpu %d loaded %d accesses, wrote %d", cpu, len(batch.CPUs[cpu].Comm.Rows), len(col))
 			}
 		}
@@ -479,9 +479,9 @@ func TestHomeBytesMatchesScan(t *testing.T) {
 				t.Fatalf("%s: %d bytes of sums and rows before any question", ctx, got)
 			}
 			for cpu := int32(-1); int(cpu) <= len(lens); cpu++ { // -1 and len: no such CPU
-				var col []trace.CommEvent
+				var col []Comm
 				if cpu >= 0 && int(cpu) < len(lens) {
-					col = c.comm[cpu]
+					col = commRows(c.comm[cpu])
 				}
 				for _, w := range homeWindows(rng, col, stride, 60) {
 					checkHomeWindow(t, ctx, arm.tr, cpu, col, w[0], w[1])
@@ -530,7 +530,8 @@ func TestHomeBytesFirstUseConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for cpu, col := range c.comm {
+			for cpu, evs := range c.comm {
+				col := commRows(evs)
 				for _, w := range homeWindows(rng, col, stride, 20) {
 					got, ref := make([]int64, 2*nodes), make([]int64, 2*nodes)
 					cold.HomeBytes(int32(cpu), w[0], w[1], got)
@@ -576,7 +577,7 @@ func TestHomeSumsOverhead(t *testing.T) {
 			tr.HomeBytes(cpu, math.MinInt64, math.MaxInt64, row)
 			events += int64(len(tr.CPUs[cpu].Comm.Rows))
 		}
-		comm = events * int64(unsafe.Sizeof(trace.CommEvent{}))
+		comm = events * int64(unsafe.Sizeof(Comm{}))
 		if column := homeColumnBytes(tr); column != events {
 			t.Errorf("%s: %d bytes of home-node column over %d communication events, want one byte each", tc.name, column, events)
 		}

@@ -124,7 +124,7 @@ type liveCPU struct {
 	id       int32
 	states   liveCol[trace.StateEvent]
 	discrete liveCol[trace.DiscreteEvent]
-	comm     liveCol[trace.CommEvent]
+	comm     liveCol[Comm]
 	dom      domChain
 	execs    []execSpan
 	orphans  []execSpan
@@ -146,7 +146,7 @@ type liveCounter struct {
 // segment since: the next publish rebinds the trees to the column as it
 // is now, so the chain stops holding the heap rows the part was.
 type livePair struct {
-	col   liveCol[trace.CounterSample]
+	col   liveCol[Sample]
 	tree  *mmtree.Tree
 	rate  *mmtree.Tree
 	treeN int
@@ -380,14 +380,14 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 		lv.cpus[lv.slotLocked(ev.CPU)].discrete.push(ev, ev.Time)
 	}
 	for _, ev := range b.Comms {
-		lv.cpus[lv.slotLocked(ev.CPU)].comm.push(ev, ev.Time)
+		lv.cpus[lv.slotLocked(ev.CPU)].comm.push(toComm(&ev), ev.Time)
 	}
 	for _, s := range b.Samples {
 		lc, slot := lv.counterForLocked(s.Counter), lv.slotLocked(s.CPU)
 		if slot >= len(lc.per) {
 			lc.per = append(lc.per, make([]livePair, slot+1-len(lc.per))...)
 		}
-		lc.per[slot].col.push(s, s.Time)
+		lc.per[slot].col.push(toSample(&s), s.Time)
 		lv.growSpanLocked(s.Time, s.Time)
 	}
 	return nil

@@ -25,9 +25,12 @@ import (
 // to the mapped columns they index. Per-CPU tables are stored by row,
 // and the CPU ids, one per row, as a column of their own; every
 // counter has one sample column per row (since version 6; version 5
-// stored one entry per id up to the largest).
+// stored one entry per id up to the largest). A communication event is
+// stored without its CPU and a sample without its counter and CPU, the
+// keys their column implies (since version 7; version 6 stored the
+// trace records whole).
 // Older snapshots must be re-saved from their source trace.
-const snapshotFormatVersion = 6
+const snapshotFormatVersion = 7
 
 // layoutHash fingerprints the in-memory layout of every record and
 // pyramid node type the store dumps raw, plus the word size. A file
@@ -37,8 +40,8 @@ const snapshotFormatVersion = 6
 func layoutHash() uint64 {
 	var se trace.StateEvent
 	var de trace.DiscreteEvent
-	var ce trace.CommEvent
-	var cs trace.CounterSample
+	var ce Comm
+	var cs Sample
 	var mr trace.MemRegion
 	var ti TaskInfo
 	var mn mmtree.Node
@@ -55,11 +58,10 @@ func layoutHash() uint64 {
 		unsafe.Offsetof(se.Start), unsafe.Offsetof(se.End), unsafe.Offsetof(se.Task))
 	mix(unsafe.Sizeof(de), unsafe.Offsetof(de.CPU), unsafe.Offsetof(de.Kind),
 		unsafe.Offsetof(de.Time), unsafe.Offsetof(de.Arg))
-	mix(unsafe.Sizeof(ce), unsafe.Offsetof(ce.Kind), unsafe.Offsetof(ce.CPU),
+	mix(unsafe.Sizeof(ce), unsafe.Offsetof(ce.Kind),
 		unsafe.Offsetof(ce.SrcCPU), unsafe.Offsetof(ce.Time), unsafe.Offsetof(ce.Task),
 		unsafe.Offsetof(ce.Addr), unsafe.Offsetof(ce.Size))
-	mix(unsafe.Sizeof(cs), unsafe.Offsetof(cs.CPU), unsafe.Offsetof(cs.Counter),
-		unsafe.Offsetof(cs.Time), unsafe.Offsetof(cs.Value))
+	mix(unsafe.Sizeof(cs), unsafe.Offsetof(cs.Time), unsafe.Offsetof(cs.Value))
 	mix(unsafe.Sizeof(mr), unsafe.Offsetof(mr.ID), unsafe.Offsetof(mr.Addr),
 		unsafe.Offsetof(mr.Size), unsafe.Offsetof(mr.Node))
 	mix(unsafe.Sizeof(ti), unsafe.Offsetof(ti.ID), unsafe.Offsetof(ti.Type),
@@ -364,7 +366,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 		if c.Discrete.Rows, err = store.View[trace.DiscreteEvent](m, d.Ref()); err != nil {
 			return nil, err
 		}
-		if c.Comm.Rows, err = store.View[trace.CommEvent](m, d.Ref()); err != nil {
+		if c.Comm.Rows, err = store.View[Comm](m, d.Ref()); err != nil {
 			return nil, err
 		}
 	}
@@ -382,7 +384,7 @@ func OpenStore(path string) (tr *Trace, err error) {
 		}}
 		c.size(nCPU)
 		for cpu := range c.PerCPU {
-			if c.PerCPU[cpu].Rows, err = store.View[trace.CounterSample](m, d.Ref()); err != nil {
+			if c.PerCPU[cpu].Rows, err = store.View[Sample](m, d.Ref()); err != nil {
 				return nil, err
 			}
 		}

@@ -231,10 +231,10 @@ func TestSaveStoreKeepsWholeColumns(t *testing.T) {
 		if g := c.Discrete.all(); !slices.Equal(g, discrete) {
 			t.Errorf("%s: discrete events %+v, want %+v", arm.name, g, discrete)
 		}
-		if g := c.Comm.all(); !slices.Equal(g, comm) {
+		if g := c.Comm.all(); !slices.Equal(g, commRows(comm)) {
 			t.Errorf("%s: accesses %+v, want %+v", arm.name, g, comm)
 		}
-		if g := got.Counters[0].Samples(0); !slices.Equal(g, samples) {
+		if g := got.Counters[0].Samples(0); !slices.Equal(g, sampleRows(samples)) {
 			t.Errorf("%s: samples %+v, want %+v", arm.name, g, samples)
 		}
 	}
@@ -265,6 +265,38 @@ func TestSnapshotRejectsWrongFormat(t *testing.T) {
 	if _, err := OpenStore(old); err == nil || !strings.Contains(err.Error(), "version 4") ||
 		!strings.Contains(err.Error(), "re-save the snapshot from its source trace") {
 		t.Fatalf("format-4 snapshot: %v", err)
+	}
+	// Version 6 stored every communication event with its CPU and every
+	// sample with its counter and CPU: its columns would misparse as
+	// version 7's rows.
+	tamperMeta(t, cur, old, func(v []uint64, _ []byte) []uint64 { v[0] = 6; return v })
+	if _, err := OpenStore(old); err == nil || !strings.Contains(err.Error(), "format version 6, this build reads version 7") ||
+		!strings.Contains(err.Error(), "re-save the snapshot from its source trace") {
+		t.Fatalf("format-6 snapshot: %v", err)
+	}
+}
+
+// TestStoreFileSize pins the bytes of a fixed trace's snapshot file:
+// the store writes every column as its rows, so the file's size follows
+// the row types and nothing else. Of its 200 communication events and
+// 200 samples, each is 8 bytes smaller than the trace record it was
+// loaded from — the CPU, and the counter and CPU, its column implies.
+func TestStoreFileSize(t *testing.T) {
+	tr := loadLive(t)
+	if ev, samples := tr.EventCounts(); ev != 600 || samples != 200 {
+		t.Fatalf("precondition: %d events and %d samples", ev, samples)
+	}
+	path := filepath.Join(t.TempDir(), "fixed.atms")
+	if err := SaveStore(tr, path); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 40966
+	if fi.Size() != want {
+		t.Errorf("the snapshot is %d bytes, want %d", fi.Size(), want)
 	}
 }
 

@@ -286,13 +286,13 @@ func (p *cpuPart[T]) install(cpus []liveCPU, seg *spillSeg) {
 
 func statesOf(cpus []liveCPU, s int) *liveCol[trace.StateEvent]      { return &cpus[s].states }
 func discreteOf(cpus []liveCPU, s int) *liveCol[trace.DiscreteEvent] { return &cpus[s].discrete }
-func commOf(cpus []liveCPU, s int) *liveCol[trace.CommEvent]         { return &cpus[s].comm }
+func commOf(cpus []liveCPU, s int) *liveCol[Comm]                    { return &cpus[s].comm }
 
 // samplePart is the part of the sample column of counter lc on CPU
 // slot. Its install marks the pair to rebind its trees at the next
 // publish.
 type samplePart struct {
-	frozenRows[trace.CounterSample]
+	frozenRows[Sample]
 	lc   *liveCounter
 	slot int
 }
@@ -319,13 +319,13 @@ func (lv *Live) freezeTailsLocked() (*spillSeg, []segPart) {
 			parts = append(parts, &cpuPart[trace.DiscreteEvent]{frozenRows[trace.DiscreteEvent]{rows}, slot, discreteOf})
 		}
 		if rows := c.comm.freeze(seg, commTime, commTime); rows != nil {
-			parts = append(parts, &cpuPart[trace.CommEvent]{frozenRows[trace.CommEvent]{rows}, slot, commOf})
+			parts = append(parts, &cpuPart[Comm]{frozenRows[Comm]{rows}, slot, commOf})
 		}
 	}
 	for _, lc := range lv.counters {
 		for slot := range lc.per {
 			if rows := lc.per[slot].col.freeze(seg, sampleTime, sampleTime); rows != nil {
-				parts = append(parts, &samplePart{frozenRows[trace.CounterSample]{rows}, lc, slot})
+				parts = append(parts, &samplePart{frozenRows[Sample]{rows}, lc, slot})
 			}
 		}
 	}
@@ -491,7 +491,7 @@ func discreteWindow(s []trace.DiscreteEvent, t0, t1 trace.Time) (lo, hi int) {
 	return lo, hi
 }
 
-func commWindow(s []trace.CommEvent, t0, t1 trace.Time) (lo, hi int) {
+func commWindow(s []Comm, t0, t1 trace.Time) (lo, hi int) {
 	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
 	if t1 == math.MaxInt64 && t0 < t1 {
 		return lo, len(s)
@@ -502,13 +502,13 @@ func commWindow(s []trace.CommEvent, t0, t1 trace.Time) (lo, hi int) {
 
 // commThrough is commWindow over the closed interval [t0, t1], which
 // reaches an event at MaxInt64.
-func commThrough(s []trace.CommEvent, t0, t1 trace.Time) (lo, hi int) {
+func commThrough(s []Comm, t0, t1 trace.Time) (lo, hi int) {
 	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
 	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time > t1 })
 	return lo, hi
 }
 
-func sampleWindow(s []trace.CounterSample, t0, t1 trace.Time) (lo, hi int) {
+func sampleWindow(s []Sample, t0, t1 trace.Time) (lo, hi int) {
 	lo = sort.Search(len(s), func(i int) bool { return s[i].Time >= t0 })
 	hi = lo + sort.Search(len(s)-lo, func(i int) bool { return s[lo+i].Time >= t1 })
 	return lo, hi

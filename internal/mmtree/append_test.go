@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/openstream/aftermath/internal/agg"
-	"github.com/openstream/aftermath/internal/trace"
 )
 
 // TestAppendEqualsBuild: a chain of Appends, each over the column grown
@@ -21,7 +20,7 @@ func TestAppendEqualsBuild(t *testing.T) {
 			// Build incrementally in random chunks (including empty ones),
 			// each chunk a part of the growing view.
 			tree := Values(arity)
-			var parts [][]trace.CounterSample
+			var parts [][]Sample
 			for off := 0; off < total; {
 				k := rng.Intn(total/3 + 2)
 				if off+k > total {

@@ -35,8 +35,15 @@ import (
 // DefaultArity is the paper's tree arity.
 const DefaultArity = 100
 
+// Sample is one counter sample as its column holds it: its time and
+// value. The counter and the CPU are the column's, not the sample's.
+type Sample struct {
+	Time  trace.Time
+	Value int64
+}
+
 // Samples is the view of a sample column a tree reads.
-type Samples = agg.Leaves[trace.CounterSample]
+type Samples = agg.Leaves[Sample]
 
 // Tree is an immutable n-ary min/max tree over a time-sorted sample
 // column: its values (a value tree) or the rates derived between them
@@ -265,7 +272,7 @@ func (t *Tree) SeekTime(x int64, from int) int {
 // probes at doubling distances, then a bisection of the last step; past
 // 31 samples a wide window bisects the rest — and from s's start, with
 // no cursor to start from, it bisects s.
-func seek(s []trace.CounterSample, x int64, from int) int {
+func seek(s []Sample, x int64, from int) int {
 	lo, hi := from, len(s)
 	if from > 0 {
 		hi = from

@@ -6,27 +6,26 @@ import (
 	"testing/quick"
 
 	"github.com/openstream/aftermath/internal/agg"
-	"github.com/openstream/aftermath/internal/trace"
 )
 
 // randomSamples returns n samples with non-decreasing times.
-func randomSamples(rng *rand.Rand, n int) []trace.CounterSample {
-	s := make([]trace.CounterSample, n)
+func randomSamples(rng *rand.Rand, n int) []Sample {
+	s := make([]Sample, n)
 	t := int64(0)
 	for i := range s {
 		t += int64(rng.Intn(10))
-		s[i] = trace.CounterSample{Time: t, Value: int64(rng.Intn(2000) - 1000)}
+		s[i] = Sample{Time: t, Value: int64(rng.Intn(2000) - 1000)}
 	}
 	return s
 }
 
-func buildRandom(n int, arity int, seed int64) (*Tree, []trace.CounterSample) {
+func buildRandom(n int, arity int, seed int64) (*Tree, []Sample) {
 	s := randomSamples(rand.New(rand.NewSource(seed)), n)
 	return Build(agg.Over(s), arity), s
 }
 
 // rangeOf is the brute-force reference: the value range of s.
-func rangeOf(s []trace.CounterSample) (min, max int64, ok bool) {
+func rangeOf(s []Sample) (min, max int64, ok bool) {
 	for _, x := range s {
 		if !ok || x.Value < min {
 			min = x.Value
@@ -41,7 +40,7 @@ func rangeOf(s []trace.CounterSample) (min, max int64, ok bool) {
 
 // naiveMinMax is the brute-force reference: the value range of the
 // samples with time in [t0, t1).
-func naiveMinMax(s []trace.CounterSample, t0, t1 int64) (min, max int64, ok bool) {
+func naiveMinMax(s []Sample, t0, t1 int64) (min, max int64, ok bool) {
 	for _, x := range s {
 		if x.Time < t0 || x.Time >= t1 {
 			continue
@@ -93,7 +92,7 @@ func TestMinMaxFullRange(t *testing.T) {
 }
 
 func TestEmptyAndOutOfRange(t *testing.T) {
-	for _, tree := range []*Tree{Build(agg.Leaves[trace.CounterSample]{}, 100), Rates(100)} {
+	for _, tree := range []*Tree{Build(agg.Leaves[Sample]{}, 100), Rates(100)} {
 		if _, _, ok := tree.MinMax(0, 100); ok || tree.Len() != 0 {
 			t.Error("empty tree must report no samples")
 		}
@@ -111,7 +110,7 @@ func TestEmptyAndOutOfRange(t *testing.T) {
 }
 
 func TestSingleSample(t *testing.T) {
-	col := agg.Over([]trace.CounterSample{{Time: 42, Value: -7}})
+	col := agg.Over([]Sample{{Time: 42, Value: -7}})
 	tree := Build(col, 100)
 	min, max, ok := tree.MinMax(0, 100)
 	if !ok || min != -7 || max != -7 {
@@ -139,7 +138,7 @@ func TestOverheadBelowFivePercent(t *testing.T) {
 // that do not pair up the column, or rates handed to a value tree, are
 // a caller's bug and panic instead of indexing out of range later.
 func TestMismatchedLengthsPanic(t *testing.T) {
-	col := agg.Over([]trace.CounterSample{{Time: 1}, {Time: 2}, {Time: 3}})
+	col := agg.Over([]Sample{{Time: 1}, {Time: 2}, {Time: 3}})
 	for name, f := range map[string]func(){
 		"one rate short":    func() { Rates(100).Append(col, []int64{1}) },
 		"one rate too many": func() { Rates(100).Append(col, []int64{1, 2, 3}) },
@@ -157,7 +156,7 @@ func TestMismatchedLengthsPanic(t *testing.T) {
 }
 
 func TestInvalidArityFallsBack(t *testing.T) {
-	col := agg.Over([]trace.CounterSample{{Time: 1}, {Time: 2}, {Time: 3}})
+	col := agg.Over([]Sample{{Time: 1}, {Time: 2}, {Time: 3}})
 	for _, tree := range []*Tree{Build(col, 0), Rates(1).Append(col, []int64{0, 0})} {
 		if tree.Arity() != DefaultArity {
 			t.Errorf("arity = %d, want %d", tree.Arity(), DefaultArity)

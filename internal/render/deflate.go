@@ -434,7 +434,8 @@ func (d *rowDeflater) token(t uint32) {
 	}
 }
 
-// finish writes the last block, the checksum and the remaining IDAT.
+// finish writes the last block, the checksum, the remaining IDAT and
+// IEND.
 func (d *rowDeflater) finish() {
 	d.block(true)
 	for d.nb > 0 {
@@ -443,7 +444,7 @@ func (d *rowDeflater) finish() {
 		d.nb -= min(d.nb, 8)
 	}
 	d.out = binary.BigEndian.AppendUint32(d.out, d.s2<<16|d.s1)
-	d.e.chunk("IDAT", d.out)
+	d.e.end(d.out)
 }
 
 // bits writes the low n bits of v, n at most 32.
@@ -455,7 +456,7 @@ func (d *rowDeflater) bits(v uint32, n uint) {
 		d.acc >>= 32
 		d.nb -= 32
 		if len(d.out) >= idatSize {
-			d.e.chunk("IDAT", d.out)
+			d.e.idat(d.out)
 			d.out = d.out[:0]
 		}
 	}

@@ -658,6 +658,50 @@ func TestEncodePNGDeterministic(t *testing.T) {
 	}
 }
 
+// TestPNGBytes: PNGBytes returns what EncodePNG writes, in a slice of
+// exactly its length, for a tile whose compressed pixels fit one IDAT
+// chunk, a noisy picture that takes several, and a truecolour picture.
+// TestPNGTailAllocs (internal/ui) pins what the body costs.
+func TestPNGBytes(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	tile, _, err := Timeline(tr, TimelineConfig{Width: 1000, Height: 400, Mode: ModeState, Labels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	noisy := NewFramebuffer(400, 200)
+	for y := range noisy.H() {
+		for x := range noisy.W() {
+			noisy.FillRect(x, y, 1, 1, rampColour(rng.Intn(16)))
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		fb        *Framebuffer
+		minChunks int
+	}{
+		{"tile", tile, 1},
+		{"noisy", noisy, 3},
+		{"truecolour", colourRamp(300), 1},
+	} {
+		var want bytes.Buffer
+		if err := c.fb.EncodePNG(&want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.fb.PNGBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) || cap(got) != len(got) {
+			t.Errorf("%s: PNGBytes returned %d bytes (room for %d), EncodePNG wrote %d, not the same",
+				c.name, len(got), cap(got), want.Len())
+		}
+		if n := bytes.Count(got, []byte("IDAT")); n < c.minChunks {
+			t.Errorf("%s: %d IDAT chunks, the case wants at least %d", c.name, n, c.minChunks)
+		}
+	}
+}
+
 // TestEncodePNGAllocatedBytes: the deflater holds its block on the
 // stack and allocates two rows and an IDAT buffer, so 16 encodes of a
 // 1000x400 timeline allocate less in all than the one zlib compressor

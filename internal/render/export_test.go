@@ -8,7 +8,8 @@ import (
 // encodeWork encodes fb and returns how many byte runs the deflater
 // tokenized.
 func encodeWork(fb *Framebuffer) (int, error) {
-	return fb.encodePNG(io.Discard)
+	_, n, err := fb.encodePNG(io.Discard)
+	return n, err
 }
 
 // resetGutters empties the label gutter cache: the next tile of every
@@ -26,6 +27,6 @@ func encodeLive(fb *Framebuffer) ([]byte, int, error) {
 	live := *fb
 	live.gutter = nil
 	var buf bytes.Buffer
-	n, err := live.encodePNG(&buf)
+	_, n, err := live.encodePNG(&buf)
 	return buf.Bytes(), n, err
 }

@@ -36,6 +36,7 @@
 package render
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -468,15 +469,33 @@ var pngEncoder = png.Encoder{CompressionLevel: png.BestSpeed}
 // were drawn in. Nothing here writes to fb: encoding twice, or from
 // several goroutines, yields the same bytes.
 func (fb *Framebuffer) EncodePNG(w io.Writer) error {
-	_, err := fb.encodePNG(w)
+	_, _, err := fb.encodePNG(w)
 	return err
 }
 
-// encodePNG is EncodePNG, returning also how many byte runs the
-// deflater tokenized.
-func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
+// PNGBytes returns the bytes EncodePNG writes, in a slice of exactly
+// their length. An indexed image's is allocated once, when its pixels
+// are compressed and so its length known, and is not copied again.
+func (fb *Framebuffer) PNGBytes() ([]byte, error) {
+	body, _, err := fb.encodePNG(nil)
+	return body, err
+}
+
+// encodePNG is EncodePNG into w, or where w is nil into the body it
+// returns (PNGBytes), returning also how many byte runs the deflater
+// tokenized.
+func (fb *Framebuffer) encodePNG(w io.Writer) (body []byte, runs int, err error) {
 	if fb.truecolour || fb.w == 0 || fb.h == 0 {
-		return 0, pngEncoder.Encode(w, fb.RGBA())
+		if w != nil {
+			return nil, 0, pngEncoder.Encode(w, fb.RGBA())
+		}
+		var buf bytes.Buffer
+		if err := pngEncoder.Encode(&buf, fb.RGBA()); err != nil {
+			return nil, 0, err
+		}
+		body = make([]byte, buf.Len())
+		copy(body, buf.Bytes())
+		return body, 0, nil
 	}
 	// hs and ts hold a scanline's runs either side of split: at most
 	// one a column, and past every cut at most its tail's runs and the
@@ -530,15 +549,11 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 		depth, shift = 4, 1
 	}
 	out = out[3*len(fb.pal):]
-	d := rowDeflater{e: chunkWriter{w: w, buf: out[:21]}, n: 1 + (fb.w*depth+7)/8}
+	d := rowDeflater{e: chunkWriter{w: w, buf: out[:21], ihdr: out[8:21], plte: plte}, n: 1 + (fb.w*depth+7)/8}
 	e := &d.e
-	e.write(pngSignature)
-	ihdr := e.buf[8:]
-	binary.BigEndian.PutUint32(ihdr[0:], uint32(fb.w))
-	binary.BigEndian.PutUint32(ihdr[4:], uint32(fb.h))
-	ihdr[8], ihdr[9] = uint8(depth), 3 // indexed colour; deflate, filter method 0, no interlace
-	e.chunk("IHDR", ihdr)
-	e.chunk("PLTE", plte)
+	binary.BigEndian.PutUint32(e.ihdr[0:], uint32(fb.w))
+	binary.BigEndian.PutUint32(e.ihdr[4:], uint32(fb.h))
+	e.ihdr[8], e.ihdr[9] = uint8(depth), 3 // indexed colour; deflate, filter method 0, no interlace
 
 	// One scanline on the wire: filter type 0, then the pixels packed
 	// most significant bits first, the last byte padded with zero bits.
@@ -621,8 +636,7 @@ func (fb *Framebuffer) encodePNG(w io.Writer) (runs int, err error) {
 		gt.keepCode(rec)
 	}
 	d.finish()
-	e.chunk("IEND", nil)
-	return d.runs, e.err
+	return e.body, d.runs, e.err
 }
 
 // sameTail reports whether two scanlines share their tails: both have
@@ -638,21 +652,65 @@ func sameTail(a, b []pixelRun) bool {
 // pngSignature is the first 8 bytes of every PNG.
 var pngSignature = []byte("\x89PNG\r\n\x1a\n")
 
-// chunkWriter writes PNG chunks and keeps the first error. A chunk's
-// length and name, then its CRC, are written from buf's first 8 bytes,
-// so an encode allocates them once; IHDR's data follows them. buf is
-// 21 bytes.
+// chunkWriter writes PNG chunks to w, or where w is nil appends them to
+// body, and keeps the first error. A chunk's length and name, then its
+// CRC, are written from buf's first 8 bytes, so an encode allocates
+// them once; IHDR's data follows them. buf is 21 bytes.
+//
+// The signature, IHDR and PLTE wait, their data in ihdr and plte, until
+// the first IDAT chunk, and the last IDAT chunk goes out with IEND
+// (end). So a PNG whose compressed pixels fit one IDAT chunk, as most
+// tiles' do, has nothing in body before end, which allocates body at
+// the PNG's length; a longer one's body grows as its IDAT chunks come
+// and is copied once, at end, into one of its length.
 type chunkWriter struct {
-	w   io.Writer
-	err error
-	buf []byte
+	w          io.Writer
+	body       []byte
+	err        error
+	buf        []byte
+	ihdr, plte []byte
 }
 
 func (e *chunkWriter) write(b []byte) {
-	if e.err == nil {
+	switch {
+	case e.err != nil:
+	case e.w == nil:
+		e.body = append(e.body, b...)
+	default:
 		_, e.err = e.w.Write(b)
 	}
 }
+
+// idat writes one IDAT chunk, after the chunks that wait for the first.
+func (e *chunkWriter) idat(data []byte) {
+	if e.ihdr != nil {
+		e.write(pngSignature)
+		e.chunk("IHDR", e.ihdr)
+		e.chunk("PLTE", e.plte)
+		e.ihdr = nil
+	}
+	e.chunk("IDAT", data)
+}
+
+// end writes the last IDAT chunk and IEND; into body, after making
+// body's room exactly what they and any chunks still waiting take.
+func (e *chunkWriter) end(data []byte) {
+	if e.w == nil {
+		n := len(e.body) + chunkBytes(data) + chunkBytes(nil)
+		if e.ihdr != nil {
+			n += len(pngSignature) + chunkBytes(e.ihdr) + chunkBytes(e.plte)
+		}
+		body := make([]byte, len(e.body), n)
+		copy(body, e.body)
+		e.body = body
+	}
+	e.idat(data)
+	e.chunk("IEND", nil)
+}
+
+// chunkBytes is the length of a chunk of data on the wire: length,
+// name, data and CRC.
+func chunkBytes(data []byte) int { return 12 + len(data) }
 
 // chunk writes one chunk: length, name, data, and the CRC of name and
 // data.

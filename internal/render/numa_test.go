@@ -135,7 +135,7 @@ func TestTaskCommExecEndMaxInt64(t *testing.T) {
 	if !ok || task.ExecEnd != end {
 		t.Fatalf("precondition: task 2 = %+v, %v", task, ok)
 	}
-	var got []trace.CommEvent
+	var got []core.Comm
 	for _, ev := range tr.TaskAccesses(task).Events {
 		if ev.Task == task.ID {
 			got = append(got, ev)

@@ -160,13 +160,14 @@ func exactBody(buf *bytes.Buffer) []byte {
 	return body
 }
 
-// encodePNG is the tail of every PNG producer.
+// encodePNG is the tail of every PNG producer. The body is exactly
+// sized by the encoder itself (PNGBytes), as exactBody sizes others.
 func encodePNG(fb *render.Framebuffer) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := fb.EncodePNG(&buf); err != nil {
+	body, err := fb.PNGBytes()
+	if err != nil {
 		return nil, serverError{err}
 	}
-	return exactBody(&buf), nil
+	return body, nil
 }
 
 // encodeJSON is the tail of every cached JSON producer: one value, one

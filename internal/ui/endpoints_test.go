@@ -649,3 +649,33 @@ func TestServedNodeFilters(t *testing.T) {
 		}
 	}
 }
+
+// TestPNGTailAllocs: the PNG tail of a /render miss (encodePNG) makes
+// one allocation beyond what the encoder makes writing nowhere — the
+// body, sized by the encoder once the pixels are compressed — and
+// returns the bytes EncodePNG writes, in a body of exactly their
+// length. A body grown by doubling and then copied to its length would
+// cost five allocations more on a 1000×400 tile.
+func TestPNGTailAllocs(t *testing.T) {
+	tr := atmtest.SeidelTrace(t, 4, 3, openstream.SchedNUMA)
+	fb, _, err := query.TimelineOf(tr, query.New().Size(1000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := fb.EncodePNG(&want); err != nil {
+		t.Fatal(err)
+	}
+	body, err := encodePNG(fb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) || cap(body) != len(body) {
+		t.Fatalf("the body is %d bytes (room for %d), EncodePNG wrote %d, not the same", len(body), cap(body), want.Len())
+	}
+	encoder := testing.AllocsPerRun(20, func() { fb.EncodePNG(io.Discard) })
+	tail := testing.AllocsPerRun(20, func() { encodePNG(fb) })
+	if tail != encoder+1 {
+		t.Errorf("the PNG tail of a /render miss makes %.0f allocations, the encoder %.0f: want one more, the body", tail, encoder)
+	}
+}
