@@ -42,12 +42,10 @@ func (DurationDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 	slices.Sort(typeOrder)
 
 	// Type groups are independent; score them in parallel, one result
-	// slot per type, each group first put back in task order.
+	// slot per type.
 	perType := make([][]Anomaly, len(typeOrder))
 	par.Do(cfg.Workers, len(typeOrder), func(i int) {
-		tasks := byType[typeOrder[i]]
-		slices.SortFunc(tasks, taskOrder)
-		perType[i] = scoreTypeDurations(tr, typeOrder[i], tasks, cfg.MinScore)
+		perType[i] = scoreTypeDurations(tr, typeOrder[i], byType[typeOrder[i]], cfg.MinScore)
 	})
 	var out []Anomaly
 	for _, as := range perType {
@@ -62,9 +60,9 @@ func taskOrder(a, b *core.TaskInfo) int {
 	return cmp.Compare(uintptr(unsafe.Pointer(a)), uintptr(unsafe.Pointer(b)))
 }
 
-// scoreTypeDurations scores one type group against its own median and
-// robust spread, building a finding only for a score of at least
-// minScore.
+// scoreTypeDurations scores one type group, in any order, against its
+// own median and robust spread, building a finding only for a score of
+// at least minScore; the findings come in task order.
 func scoreTypeDurations(tr *core.Trace, typ trace.TypeID, tasks []*core.TaskInfo, minScore float64) []Anomaly {
 	if len(tasks) < minGroupSize {
 		return nil
@@ -84,21 +82,25 @@ func scoreTypeDurations(tr *core.Trace, typ trace.TypeID, tasks []*core.TaskInfo
 	if spread <= 0 {
 		return nil
 	}
-	var out []Anomaly
+	var kept []*core.TaskInfo
 	for i, t := range tasks {
-		z := stats.RobustZ(durs[i], med, spread)
-		if z <= 0 || z < minScore {
-			continue
+		if z := stats.RobustZ(durs[i], med, spread); z > 0 && z >= minScore {
+			kept = append(kept, t)
 		}
-		out = append(out, Anomaly{
+	}
+	slices.SortFunc(kept, taskOrder)
+	out := make([]Anomaly, len(kept))
+	for i, t := range kept {
+		dur := float64(t.Duration())
+		out[i] = Anomaly{
 			Kind:   KindDurationOutlier,
-			Score:  z,
+			Score:  stats.RobustZ(dur, med, spread),
 			Window: core.Interval{Start: t.ExecStart, End: t.ExecEnd},
 			CPU:    t.ExecCPU,
 			TaskID: t.ID,
 			Explanation: fmt.Sprintf("task %d (%s) ran %.0f cycles, %.1fx the type median of %.0f (n=%d)",
-				t.ID, tr.TypeName(typ), durs[i], durs[i]/maxf(med, 1), med, len(tasks)),
-		})
+				t.ID, tr.TypeName(typ), dur, dur/maxf(med, 1), med, len(tasks)),
+		}
 	}
 	return out
 }

@@ -88,7 +88,10 @@ func taskLocalityOf(tr *core.Trace, t *core.TaskInfo) locSum {
 	execNode := tr.NodeOfCPU(t.ExecCPU)
 	ls := locSum{worstNode: -1}
 	var worstBytes int64
-	var perNode map[int32]int64
+	// The remote bytes per node, in a stack array for the few nodes a
+	// task reaches, as core's task-home rows sum theirs.
+	var buf [8]nodeBytes
+	perNode := buf[:0]
 	for ev, home := range tr.TaskAccesses(t).Homes() {
 		if ev.Task != t.ID || home < 0 {
 			continue
@@ -97,16 +100,26 @@ func taskLocalityOf(tr *core.Trace, t *core.TaskInfo) locSum {
 		ls.total += n
 		if home != execNode {
 			ls.remote += n
-			if perNode == nil {
-				perNode = make(map[int32]int64)
+			at := 0
+			for at < len(perNode) && perNode[at].node != home {
+				at++
 			}
-			perNode[home] += n
-			if b := perNode[home]; b > worstBytes || (b == worstBytes && home < ls.worstNode) {
+			if at == len(perNode) {
+				perNode = append(perNode, nodeBytes{node: home})
+			}
+			perNode[at].bytes += n
+			if b := perNode[at].bytes; b > worstBytes || (b == worstBytes && home < ls.worstNode) {
 				ls.worstNode, worstBytes = home, b
 			}
 		}
 	}
 	return ls
+}
+
+// nodeBytes is a number of bytes homed on one node.
+type nodeBytes struct {
+	node  int32
+	bytes int64
 }
 
 // scoreTaskLocality scores a task's remote-access summary against the

@@ -151,16 +151,16 @@ type Trace struct {
 	Span Interval
 
 	typeByID      map[trace.TypeID]int
-	taskByID      map[trace.TaskID]int
 	counterByID   map[trace.CounterID]int
 	counterByName map[string]int
 
-	// A trace with tasks and no taskByID builds it under taskIDOnce at
-	// the first lookup taskIndex's dense slot misses: OpenStore stays
-	// O(touched pages) instead of O(tasks), and a live publish copies no
-	// map. The batch loader fills the map to dedupe task records while
-	// it reads and drops it at the end of the load: a native trace's
-	// dense table never asks it.
+	// taskOff maps the id of each task off its slot to its position in
+	// Tasks (taskTable): nil for a native trace's dense table. The batch
+	// loader hands over the one it built; any other trace builds it under
+	// taskIDOnce at the first lookup the slot misses, so OpenStore stays
+	// O(touched pages) instead of O(tasks) and a live publish copies no
+	// map.
+	taskOff    map[trace.TaskID]int
 	taskIDOnce sync.Once
 
 	// spill is the segment status of a snapshot of a live trace that
@@ -274,31 +274,111 @@ func (tr *Trace) TaskByID(id trace.TaskID) (*TaskInfo, bool) {
 	return &tr.Tasks[i], true
 }
 
-// taskIndex returns the position in Tasks of the task with the given ID.
-// A table whose IDs were handed out densely in table order — every
-// native trace's — holds task id at id − Tasks[0].ID, so that slot is
-// looked at first and taken when it holds id: IDs in Tasks are unique,
-// so a match is the task, whatever the table. Any other table, such as
-// a span import's random IDs, misses it and asks the ID map, built on
-// the first miss.
+// taskIndex returns the position in Tasks of the task with the given ID,
+// by taskTable's rule over Tasks and taskOff.
 func (tr *Trace) taskIndex(id trace.TaskID) (int, bool) {
-	if len(tr.Tasks) > 0 {
-		if i := uint64(id - tr.Tasks[0].ID); i < uint64(len(tr.Tasks)) && tr.Tasks[i].ID == id {
+	if i, ok := (&taskTable{tasks: tr.Tasks}).find(id); ok {
+		return i, true
+	}
+	tr.taskIDOnce.Do(func() {
+		if tr.taskOff == nil {
+			tr.taskOff = offSlot(tr.Tasks)
+		}
+	})
+	i, ok := tr.taskOff[id]
+	return i, ok
+}
+
+// taskTable is a task table in first-touch order and the index that
+// finds a task in it by ID. A table whose IDs were handed out densely in
+// table order — every native trace's — holds task id at id − tasks[0].ID,
+// its slot, so a task whose ID lands on its slot is found there and only
+// the tasks off their slot are kept in off: none for a native trace, all
+// of them for a span import's random IDs. IDs in a table are unique, so
+// a slot that holds the ID asked is that task's, whatever the table.
+// Every applier builds its task table through this type: the batch
+// loader, the live builder and a snapshot's synthesis of orphaned tasks.
+type taskTable struct {
+	tasks []TaskInfo
+	off   map[trace.TaskID]int
+}
+
+// slot returns where the table's dense layout puts id: id − tasks[0].ID,
+// wrapping below tasks[0].ID onto positions no table reaches.
+func slot(tasks []TaskInfo, id trace.TaskID) uint64 { return uint64(id - tasks[0].ID) }
+
+// find returns the position of the task with the given ID.
+func (tt *taskTable) find(id trace.TaskID) (int, bool) {
+	if len(tt.tasks) > 0 {
+		if i := slot(tt.tasks, id); i < uint64(len(tt.tasks)) && tt.tasks[i].ID == id {
 			return int(i), true
 		}
 	}
-	tr.taskIDOnce.Do(func() {
-		if tr.taskByID != nil || len(tr.Tasks) == 0 {
-			return
-		}
-		m := make(map[trace.TaskID]int, len(tr.Tasks))
-		for i := range tr.Tasks {
-			m[tr.Tasks[i].ID] = i
-		}
-		tr.taskByID = m
-	})
-	i, ok := tr.taskByID[id]
+	i, ok := tt.off[id]
 	return i, ok
+}
+
+// add appends a task the table does not hold and returns its position.
+func (tt *taskTable) add(ti TaskInfo) int {
+	n := len(tt.tasks)
+	tt.tasks = append(tt.tasks, ti)
+	if slot(tt.tasks, ti.ID) != uint64(n) {
+		if tt.off == nil {
+			tt.off = make(map[trace.TaskID]int)
+		}
+		tt.off[ti.ID] = n
+	}
+	return n
+}
+
+// apply merges one task record into the table: the first record for an
+// ID creates the entry, later ones update its metadata.
+func (tt *taskTable) apply(t trace.Task) {
+	if i, ok := tt.find(t.ID); ok {
+		ti := &tt.tasks[i]
+		ti.Type, ti.Created, ti.CreatorCPU = t.Type, t.Created, t.CreatorCPU
+		return
+	}
+	tt.add(TaskInfo{ID: t.ID, Type: t.Type, Created: t.Created, CreatorCPU: t.CreatorCPU, ExecCPU: -1})
+}
+
+// applyExecs applies task execution placements in CPU and event order —
+// the sequential last-writer-wins semantics of a batch load —
+// synthesizing entries for tasks the trace carries no record for
+// (Section VI-A tolerance). perCPU lists the CPUs in row order.
+func (tt *taskTable) applyExecs(perCPU []cpuExecs) {
+	for _, c := range perCPU {
+		for _, e := range c.spans {
+			i, ok := tt.find(e.task)
+			if !ok {
+				i = tt.add(TaskInfo{ID: e.task, ExecCPU: -1})
+			}
+			ti := &tt.tasks[i]
+			ti.ExecCPU, ti.ExecStart, ti.ExecEnd = c.cpu, e.start, e.end
+		}
+	}
+}
+
+// offSlot returns the off map a taskTable holding tasks would have built:
+// the positions of the tasks off their slot, nil for none. The map is
+// made at its final size, counted first.
+func offSlot(tasks []TaskInfo) map[trace.TaskID]int {
+	n := 0
+	for i := range tasks {
+		if slot(tasks, tasks[i].ID) != uint64(i) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	off := make(map[trace.TaskID]int, n)
+	for i := range tasks {
+		if slot(tasks, tasks[i].ID) != uint64(i) {
+			off[tasks[i].ID] = i
+		}
+	}
+	return off
 }
 
 // CounterByID returns the counter with the given ID.

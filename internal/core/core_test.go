@@ -163,8 +163,8 @@ func TestTaskByIDDirectSlot(t *testing.T) {
 		for i := range c.tr.Tasks {
 			ask(c.tr.Tasks[i].ID)
 		}
-		if c.slot && c.tr.taskByID != nil {
-			t.Errorf("%s: the slot answers every ID, yet the ID map was built", c.name)
+		if c.slot && len(c.tr.taskOff) != 0 {
+			t.Errorf("%s: the slot answers every ID, yet the ID map holds %d entries", c.name, len(c.tr.taskOff))
 		}
 		for id := range want {
 			ask(id + 1)

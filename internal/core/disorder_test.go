@@ -86,8 +86,8 @@ func runOf[T any](c Column[T]) Column[T] {
 
 // checkDisorder feeds the batches data decodes to a Live, publishing
 // where they say, spilling under a budget of spillBytes (none if 0).
-// Every snapshot's tasks must be applyExecs over the declared tasks and
-// that snapshot's own (sorted) columns, and the last snapshot must
+// Every snapshot's tasks must be the map reference's placement of that
+// snapshot's own (sorted) columns over the declared tasks, and the last snapshot must
 // equal one publish of every batch.
 func checkDisorder(t *testing.T, data []byte, spillBytes int64) {
 	batches, publishAt := disorderBatches(data)
@@ -101,13 +101,13 @@ func checkDisorder(t *testing.T, data []byte, spillBytes int64) {
 	if spillBytes > 0 {
 		lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: spillBytes})
 	}
-	declared := newTrace()
+	var declared refTasks
 	for i, b := range batches {
 		if err := lv.Append(b); err != nil {
 			t.Fatal(err)
 		}
 		for _, task := range b.Tasks {
-			declared.Tasks = applyTask(declared.Tasks, declared.taskByID, task)
+			declared.apply(task)
 		}
 		if !publishAt[i] {
 			continue
@@ -118,12 +118,8 @@ func checkDisorder(t *testing.T, data []byte, spillBytes int64) {
 		for r := range snap.CPUs {
 			execs[r] = cpuExecs{snap.CPUs[r].ID, collectExecs(snap.CPUs[r].States.all())}
 		}
-		byID := make(map[trace.TaskID]int, len(declared.Tasks))
-		for k := range declared.Tasks {
-			byID[declared.Tasks[k].ID] = k
-		}
-		if placed := applyExecs(append([]TaskInfo(nil), declared.Tasks...), byID, execs); !reflect.DeepEqual(snap.Tasks, placed) {
-			t.Fatalf("spill budget %d, epoch %d: tasks differ from applyExecs over the snapshot's columns:\n got %+v\nwant %+v", spillBytes, epoch, snap.Tasks, placed)
+		if placed := declared.placed(execs); !reflect.DeepEqual(snap.Tasks, placed) {
+			t.Fatalf("spill budget %d, epoch %d: tasks differ from the executions of the snapshot's columns placed over the declared tasks:\n got %+v\nwant %+v", spillBytes, epoch, snap.Tasks, placed)
 		}
 	}
 	last, _ := lv.Snapshot()

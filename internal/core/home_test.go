@@ -242,10 +242,11 @@ func (c *homeCase) resident() *Trace {
 		tr.CPUs[cpu].States.Rows = c.execs[cpu]
 		execs[cpu] = cpuExecs{int32(cpu), collectExecs(c.execs[cpu])}
 	}
+	var tasks refTasks
 	for _, task := range c.tasks {
-		tr.Tasks = applyTask(tr.Tasks, tr.taskByID, task)
+		tasks.apply(task)
 	}
-	tr.Tasks = applyExecs(tr.Tasks, tr.taskByID, execs)
+	tr.Tasks = tasks.placed(execs)
 	return tr
 }
 

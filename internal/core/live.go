@@ -13,8 +13,9 @@
 // sorts the epoch's arrivals and merges them in) and task placements
 // are applied to the task table once, as their execution spans arrive.
 // Publish derives the rest through the helpers the batch indexer uses
-// (finalizeTypes, buildCounterNameIndex; sortRegions and applyExecs for
-// the arrivals and the not-yet-declared tasks), so a snapshot is —
+// (finalizeTypes, buildCounterNameIndex; sortRegions and
+// taskTable.applyExecs for the arrivals and the not-yet-declared
+// tasks), so a snapshot is —
 // provably, see TestStreamEqualsBatch and
 // TestPublishIncrementalEqualsBatch — byte-identical to a cold Load of
 // the stream prefix consumed so far. A snapshot captures each column as
@@ -68,12 +69,18 @@ type Live struct {
 
 	// Task table, guarded by mu: first-touch order, placements applied
 	// in place.
-	tasks    []TaskInfo
-	taskByID map[trace.TaskID]int
+	tasks taskTable
 
 	// Counter table, guarded by mu.
 	counters    []*liveCounter
 	counterByID map[trace.CounterID]int
+
+	// Sample columns, guarded by mu: pairs numbers every (counter, CPU)
+	// pair the stream has sampled, in first-touch order, and pairCol
+	// holds pair k's column at pairCol[k], so a sample finds its column
+	// by position.
+	pairs   trace.PairIndex
+	pairCol []pairSlot
 
 	// Region table, guarded by mu: regions is address-sorted and shared
 	// with the snapshots that captured a prefix of it, so it is only
@@ -130,6 +137,11 @@ type liveCPU struct {
 	orphans  []execSpan
 }
 
+// pairSlot places a (counter, CPU) pair's sample column: the counter's
+// index in Live.counters and the CPU's slot, the column's index in the
+// counter's per.
+type pairSlot struct{ counter, slot int }
+
 // liveCounter is one counter's builder slot: its description and one
 // sample column per CPU slot.
 type liveCounter struct {
@@ -158,10 +170,10 @@ type livePair struct {
 func NewLive() *Live {
 	lv := &Live{
 		typeByID:    make(map[trace.TypeID]int),
-		taskByID:    make(map[trace.TaskID]int),
 		counterByID: make(map[trace.CounterID]int),
 		slotOf:      make(map[int32]int),
 		lastID:      -1,
+		pairCol:     make([]pairSlot, 0, 64), // a machine's pairs, as trace.PairIndex starts with
 	}
 	lv.snap.Store(&liveSnap{tr: lv.snapshotLocked()})
 	return lv
@@ -273,16 +285,30 @@ func (lv *Live) rowsLocked() []int {
 	return lv.rows
 }
 
-// counterForLocked returns the live slot for a counter, registering
+// counterLocked returns the index of a counter's live slot, registering
 // it in first-touch order exactly like a batch load. Callers hold mu.
-func (lv *Live) counterForLocked(id trace.CounterID) *liveCounter {
-	if i, ok := lv.counterByID[id]; ok {
-		return lv.counters[i]
+func (lv *Live) counterLocked(id trace.CounterID) int {
+	i, ok := lv.counterByID[id]
+	if !ok {
+		i = len(lv.counters)
+		lv.counterByID[id] = i
+		lv.counters = append(lv.counters, &liveCounter{desc: trace.CounterDesc{ID: id, Monotonic: true}})
 	}
-	lc := &liveCounter{desc: trace.CounterDesc{ID: id, Monotonic: true}}
-	lv.counterByID[id] = len(lv.counters)
-	lv.counters = append(lv.counters, lc)
-	return lc
+	return i
+}
+
+// pairSlotLocked places the sample column of a pair the stream samples
+// for the first time, registering its counter and CPU. A counter's
+// columns grow to every CPU slot known so far, or to twice their number.
+// Callers hold mu.
+func (lv *Live) pairSlotLocked(id trace.CounterID, cpu int32) pairSlot {
+	c, slot := lv.counterLocked(id), lv.slotLocked(cpu)
+	if lc := lv.counters[c]; slot >= len(lc.per) {
+		per := make([]livePair, max(len(lv.cpus), 2*len(lc.per)))
+		copy(per, lc.per)
+		lc.per = per
+	}
+	return pairSlot{c, slot}
 }
 
 // growSpanLocked extends the incremental span, under mu. For sorted
@@ -356,15 +382,15 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 		lv.types = registerType(lv.types, lv.typeByID, t)
 	}
 	for _, t := range b.Tasks {
-		lv.tasks = applyTask(lv.tasks, lv.taskByID, t)
+		lv.tasks.apply(t)
 	}
 	// Register counters in first-touch order, then apply descriptions,
 	// reproducing the counter table order of a sequential read.
 	for _, id := range b.CounterIDs {
-		lv.counterForLocked(id)
+		lv.counterLocked(id)
 	}
 	for _, d := range b.Descs {
-		lv.counterForLocked(d.ID).desc = d
+		lv.counters[lv.counterLocked(d.ID)].desc = d
 	}
 	lv.regionArrivals = append(lv.regionArrivals, b.Regions...)
 
@@ -382,12 +408,14 @@ func (lv *Live) appendLocked(b *trace.RecordBatch) error {
 	for _, ev := range b.Comms {
 		lv.cpus[lv.slotLocked(ev.CPU)].comm.push(toComm(&ev), ev.Time)
 	}
-	for _, s := range b.Samples {
-		lc, slot := lv.counterForLocked(s.Counter), lv.slotLocked(s.CPU)
-		if slot >= len(lc.per) {
-			lc.per = append(lc.per, make([]livePair, slot+1-len(lc.per))...)
+	for i := range b.Samples {
+		s := &b.Samples[i]
+		k, added := lv.pairs.Find(s.Counter, s.CPU)
+		if added {
+			lv.pairCol = append(lv.pairCol, lv.pairSlotLocked(s.Counter, s.CPU))
 		}
-		lc.per[slot].col.push(toSample(&s), s.Time)
+		at := lv.pairCol[k]
+		lv.counters[at.counter].per[at.slot].col.push(toSample(s), s.Time)
 		lv.growSpanLocked(s.Time, s.Time)
 	}
 	return nil
@@ -490,17 +518,21 @@ func (lv *Live) snapshotLocked() *Trace {
 	tr.Regions = lv.mergeRegionsLocked()
 
 	if orphans := lv.placeExecsLocked(); orphans == 0 {
-		tr.Tasks = append([]TaskInfo(nil), lv.tasks...)
+		tr.Tasks = append([]TaskInfo(nil), lv.tasks.tasks...)
 	} else {
 		// Spans still without a task record are the snapshot's alone:
 		// their tasks are synthesized past the declared ones, in CPU and
-		// event order, and declared by no later epoch's table.
+		// event order, and declared by no later epoch's table. The table
+		// they are applied to leaves out the declared tasks' off map: an
+		// orphan's ID is none of theirs, so no lookup of it could find a
+		// declared task by slot or by map.
 		orphaned := make([]cpuExecs, len(rows))
 		for r, s := range rows {
 			orphaned[r] = cpuExecs{lv.cpus[s].id, lv.cpus[s].orphans}
 		}
-		tasks := append(make([]TaskInfo, 0, len(lv.tasks)+orphans), lv.tasks...)
-		tr.Tasks = applyExecs(tasks, make(map[trace.TaskID]int), orphaned)
+		tasks := taskTable{tasks: append(make([]TaskInfo, 0, len(lv.tasks.tasks)+orphans), lv.tasks.tasks...)}
+		tasks.applyExecs(orphaned)
+		tr.Tasks = tasks.tasks
 	}
 
 	tr.counterByID = maps.Clone(lv.counterByID)
@@ -585,10 +617,10 @@ func (lv *Live) placeExecsLocked() (orphans int) {
 		var kept []execSpan
 		for _, run := range [2][]execSpan{c.orphans, c.execs} {
 			for _, e := range run {
-				i, ok := lv.taskByID[e.task]
+				i, ok := lv.tasks.find(e.task)
 				if !ok {
 					kept = append(kept, e)
-				} else if ti := &lv.tasks[i]; c.id >= ti.ExecCPU {
+				} else if ti := &lv.tasks.tasks[i]; c.id >= ti.ExecCPU {
 					ti.ExecCPU, ti.ExecStart, ti.ExecEnd = c.id, e.start, e.end
 				}
 			}

@@ -25,23 +25,25 @@ func Load(path string) (*Trace, error) {
 // Loading writes each per-CPU record twice and allocates each array
 // once. The decode stage turns the byte stream into typed record batches
 // (trace.ReadBatched: the trace package's one framer cuts runs of whole
-// records on its own goroutine, counting them by kind, and decode
-// workers turn each run into a batch whose slices are allocated at that
-// count and which carries how many of its records belong to each CPU
-// and each counter on each CPU). The calling goroutine applies the
-// global records (topology, types, tasks, counter registrations) in
-// stream order and keeps the batches. At the end of the stream the
-// counts are summed, every per-CPU state, discrete, communication and
-// sample array is allocated at its final length, each batch learns the
-// offsets its records start at by a prefix sum in stream order, and the
-// batches are scattered into the arrays concurrently — they write
-// disjoint ranges, so every per-CPU array comes out in trace order
-// without merging (Trace.scatter). Then Trace.index. This is the one
-// batch loader at every worker count: with one worker ReadBatched
-// frames and decodes inline on the calling goroutine, and the scatter
-// and the index run their loops inline through par.Do. FromDecoder is
-// the other way to a Trace, the pollable trace.StreamReader fed through
-// the live ingest path.
+// records, counting them by kind, and each run is decoded into a batch
+// whose slices are allocated at that count and which carries how many
+// of its records belong to each CPU and each counter on each CPU, the
+// latter found through a trace.PairIndex). The calling goroutine
+// applies the global records (topology, types, tasks, counter
+// registrations) in stream order and keeps the batches; a task record
+// finds its entry by its slot in the dense task table (taskTable), not
+// by a map. At the end of the stream the counts are summed, every
+// per-CPU state, discrete, communication and sample array is allocated
+// at its final length, each batch learns the offsets its records start
+// at by a prefix sum in stream order, and the batches are scattered
+// into the arrays concurrently — they write disjoint ranges, so every
+// per-CPU array comes out in trace order without merging
+// (Trace.scatter). Then Trace.index. This is the one batch loader at
+// every worker count: with one worker ReadBatched frames and decodes
+// inline on the calling goroutine, and the scatter and the index run
+// their loops inline through par.Do. FromDecoder is the other way to a
+// Trace, the pollable trace.StreamReader fed through the live ingest
+// path.
 func FromReader(r io.Reader) (*Trace, error) {
 	return fromReader(r, par.Workers())
 }
@@ -74,6 +76,7 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 	tr := newTrace()
 
 	var hasTopo bool
+	var tasks taskTable
 	var batches []*trace.RecordBatch
 	err := trace.ReadBatched(r, workers, func(b *trace.RecordBatch) error {
 		// Global records are rare; apply them in stream order here.
@@ -85,7 +88,7 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 			tr.Types = registerType(tr.Types, tr.typeByID, t)
 		}
 		for _, t := range b.Tasks {
-			tr.Tasks = applyTask(tr.Tasks, tr.taskByID, t)
+			tasks.apply(t)
 		}
 		// Register counters in first-touch order, as the live applier
 		// does, then apply the descriptions.
@@ -104,8 +107,9 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 		return nil, err
 	}
 	tr.scatter(batches, workers)
-	tr.index(hasTopo, workers)
-	tr.taskByID = nil // rebuilt by the first lookup the dense slot misses
+	tr.index(hasTopo, &tasks, workers)
+	tr.Tasks = tasks.tasks
+	tr.taskIDOnce.Do(func() { tr.taskOff = tasks.off })
 	return tr, nil
 }
 
@@ -116,9 +120,10 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 // its final place. The counts of a batch are turned into the offsets its
 // records start at (a prefix sum in stream order), so batches write
 // disjoint ranges, are scattered concurrently, and per-CPU stream order
-// holds by construction. The rows are every CPU a topology record
-// declares or a count names, in id order. batches is consumed: a batch
-// is dropped as soon as it is scattered.
+// holds by construction. A sample finds its (counter, CPU) pair's range
+// through a per-batch trace.PairIndex, by position. The rows are every
+// CPU a topology record declares or a count names, in id order. batches
+// is consumed: a batch is dropped as soon as it is scattered.
 func (tr *Trace) scatter(batches []*trace.RecordBatch, workers int) {
 	seen := make(map[int32]bool)
 	var ids []int32
@@ -189,15 +194,14 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, workers int) {
 	}
 
 	// Each worker takes a contiguous share of the batches, so its look-up
-	// tables are allocated once: at, where a CPU's offsets are, and rest,
-	// which of ranges is what remains of a (counter, CPU) pair's range.
-	// The pair is packed into one integer: built as a struct in memory it
-	// stalls every look-up behind the stores of the sample before.
-	pair := func(id trace.CounterID, cpu int32) uint64 { return uint64(id)<<32 | uint64(uint32(cpu)) }
+	// tables are allocated once: at, where a CPU's offsets are, and pairs,
+	// which numbers a batch's (counter, CPU) pairs as its SampleCounts
+	// lists them, so ranges[k] is what remains of pair k's range and a
+	// sample finds its pair by position (trace.PairIndex).
 	bounds := par.Chunks(workers, len(batches))
 	par.Do(workers, len(bounds)-1, func(chunk int) {
 		at := make(map[int32]*trace.CPUCount)
-		rest := make(map[uint64]int)
+		var pairs trace.PairIndex
 		var ranges [][]Sample
 		for i := bounds[chunk]; i < bounds[chunk+1]; i++ {
 			b := batches[i]
@@ -232,15 +236,16 @@ func (tr *Trace) scatter(batches []*trace.RecordBatch, workers int) {
 				c.Comm.Rows[e.Comms] = toComm(ev)
 				e.Comms++
 			}
-			clear(rest)
+			pairs.Reset()
 			ranges = ranges[:0]
 			for _, e := range b.SampleCounts {
-				rest[pair(e.Counter, e.CPU)] = len(ranges)
+				pairs.Find(e.Counter, e.CPU)
 				ranges = append(ranges, tr.Counters[tr.counterByID[e.Counter]].PerCPU[tr.RowOf(e.CPU)].Rows[e.N:])
 			}
 			for i := range b.Samples {
 				s := &b.Samples[i]
-				r := &ranges[rest[pair(s.Counter, s.CPU)]]
+				k, _ := pairs.Find(s.Counter, s.CPU)
+				r := &ranges[k]
 				(*r)[0], *r = toSample(s), (*r)[1:]
 			}
 		}
@@ -259,7 +264,6 @@ func sized[T any](n int) []T {
 func newTrace() *Trace {
 	return &Trace{
 		typeByID:    make(map[trace.TypeID]int),
-		taskByID:    make(map[trace.TaskID]int),
 		counterByID: make(map[trace.CounterID]int),
 		home:        &homeIndex{},
 	}
@@ -276,25 +280,9 @@ func registerType(types []trace.TaskType, byID map[trace.TypeID]int, t trace.Tas
 	return append(types, t)
 }
 
-// applyTask merges one task record into a task table: the first record
-// for an ID creates the entry, later ones update its metadata. byID is
-// updated; the (possibly grown) table is returned.
-func applyTask(tasks []TaskInfo, byID map[trace.TaskID]int, t trace.Task) []TaskInfo {
-	if i, ok := byID[t.ID]; ok {
-		ti := &tasks[i]
-		ti.Type, ti.Created, ti.CreatorCPU = t.Type, t.Created, t.CreatorCPU
-		return tasks
-	}
-	byID[t.ID] = len(tasks)
-	return append(tasks, TaskInfo{
-		ID: t.ID, Type: t.Type, Created: t.Created,
-		CreatorCPU: t.CreatorCPU, ExecCPU: -1,
-	})
-}
-
 // execSpan is one task execution interval collected from a CPU's
 // state events, in event order. Both the batch indexer and the live
-// snapshot path apply these through applyExecs.
+// snapshot path apply these through taskTable.applyExecs.
 type execSpan struct {
 	task       trace.TaskID
 	start, end trace.Time
@@ -316,30 +304,6 @@ func synthTopology(n int) trace.Topology {
 		NodeOfCPU: make([]int32, max(n, 1)),
 		Distance:  []int32{0},
 	}
-}
-
-// applyExecs applies task execution placements onto tasks in CPU and
-// event order — the sequential last-writer-wins semantics of a batch
-// load — synthesizing entries for tasks the trace carries no record
-// for (Section VI-A tolerance). perCPU lists the CPUs in row order. byID
-// is updated for synthesized tasks; the (possibly grown) task slice is
-// returned.
-func applyExecs(tasks []TaskInfo, byID map[trace.TaskID]int, perCPU []cpuExecs) []TaskInfo {
-	for _, c := range perCPU {
-		for _, e := range c.spans {
-			idx, ok := byID[e.task]
-			if !ok {
-				idx = len(tasks)
-				byID[e.task] = idx
-				tasks = append(tasks, TaskInfo{ID: e.task, ExecCPU: -1})
-			}
-			ti := &tasks[idx]
-			ti.ExecCPU = c.cpu
-			ti.ExecStart = e.start
-			ti.ExecEnd = e.end
-		}
-	}
-	return tasks
 }
 
 // collectExecs returns the task execution intervals of a sorted state
@@ -448,11 +412,11 @@ func buildCounterNameIndex(counters []*Counter) map[string]int {
 
 // index finalizes the loaded trace: synthesizes a topology if absent,
 // repairs ordering if a producer violated it, sorts the region table,
-// derives task execution placement and computes the time span. The
+// applies task execution placement to tasks and computes the time span. The
 // per-CPU and per-(counter, cpu) passes run on up to workers
 // goroutines; their results merge serially in CPU order so the
 // outcome is identical to a sequential pass.
-func (tr *Trace) index(hasTopo bool, workers int) {
+func (tr *Trace) index(hasTopo bool, tasks *taskTable, workers int) {
 	if !hasTopo {
 		tr.Topology = synthTopology(len(tr.CPUs))
 	}
@@ -542,7 +506,7 @@ func (tr *Trace) index(hasTopo bool, workers int) {
 		}
 		first = false
 	}
-	tr.Tasks = applyExecs(tr.Tasks, tr.taskByID, execs)
+	tasks.applyExecs(execs)
 	for _, c := range tr.Counters {
 		for cpu := range c.PerCPU {
 			s := c.PerCPU[cpu].Rows

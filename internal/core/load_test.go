@@ -440,6 +440,32 @@ func TestLoadAllocationPin(t *testing.T) {
 	}
 }
 
+// TestLoadAllocationCount pins how many times a batch load of a fixed
+// 16×8 Seidel trace allocates, inline and on two workers. When task
+// records found their entry through a map, samples their pair through
+// another, and the inline reader grew its batches by append, the load
+// allocated 1 099 times inline and 602 times on two workers; it now
+// allocates 533 and 559. The race detector's instrumentation allocates
+// more, so the pin holds only without it.
+func TestLoadAllocationCount(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	data := seidelStream(t, 16, 8)
+	for _, c := range []struct{ workers, ceiling int }{{1, 560}, {2, 580}} {
+		load := func() {
+			if _, err := fromReader(bytes.NewReader(data), c.workers); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := testing.AllocsPerRun(5, load)
+		t.Logf("%d workers: %.0f allocations a load", c.workers, allocs)
+		if allocs > float64(c.ceiling) {
+			t.Errorf("a load on %d workers allocates %.0f times, want at most %d", c.workers, allocs, c.ceiling)
+		}
+	}
+}
+
 // TestLoadNegativeCPU: the batch loader, inline and on workers, and the
 // live path must reject a corrupt record with a negative CPU id with an
 // error, not a panic.
@@ -585,17 +611,17 @@ func itoa(v int) string {
 	return string(rune('0'+v/10)) + string(rune('0'+v%10))
 }
 
-// TestBatchLoadDropsTaskMap: the batch loader's task-ID map, which
-// dedupes task records while it reads, is gone once the load is done.
-// The loaded table is dense, so TaskByID answers every task from its
-// slot without building another map; an unknown ID is still not found.
+// TestBatchLoadDropsTaskMap: a native trace's task table is dense, so
+// the batch loader finds every task record's entry by its slot and keeps
+// no task-ID map, and TaskByID answers every task from its slot without
+// building one; an unknown ID is still not found.
 func TestBatchLoadDropsTaskMap(t *testing.T) {
 	tr, err := FromReader(bytes.NewReader(seidelStream(t, 4, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.taskByID != nil {
-		t.Fatalf("the load kept a task-ID map of %d entries", len(tr.taskByID))
+	if tr.taskOff != nil {
+		t.Fatalf("the load kept a task-ID map of %d entries", len(tr.taskOff))
 	}
 	first := tr.Tasks[0].ID
 	for i := range tr.Tasks {
@@ -606,12 +632,12 @@ func TestBatchLoadDropsTaskMap(t *testing.T) {
 			t.Fatalf("TaskByID(%d) = (%p, %v), want entry %d", tr.Tasks[i].ID, got, ok, i)
 		}
 	}
-	if tr.taskByID != nil {
-		t.Fatal("TaskByID built a task-ID map on a dense table")
-	}
 	for _, id := range []trace.TaskID{first - 1, first + trace.TaskID(len(tr.Tasks)), math.MaxUint64} {
 		if got, ok := tr.TaskByID(id); ok {
 			t.Errorf("TaskByID(%d) of an unknown ID = %+v", id, *got)
 		}
+	}
+	if tr.taskOff != nil {
+		t.Fatalf("TaskByID built a task-ID map of %d entries on a dense table", len(tr.taskOff))
 	}
 }

@@ -192,11 +192,11 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 	// The hand-over: batches appended directly, so a state column can
 	// take a late event mid-stream. The epochs before it, the one that
 	// sorts the column and re-applies its placements, and those after
-	// must all equal applyExecs over the executions of the sorted
-	// columns the snapshot holds.
+	// must all equal the map reference's placement of the executions of
+	// the sorted columns the snapshot holds.
 	rng := rand.New(rand.NewSource(42))
 	lv := NewLive()
-	ref := newTrace() // the declared tasks, by the appliers' applyTask
+	var ref refTasks // the declared tasks
 	var clock [4]trace.Time
 	dirtyAt := 12
 	for epoch := 0; epoch < 30; epoch++ {
@@ -207,7 +207,7 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				task := trace.Task{ID: id, Type: 1, Created: trace.Time(rng.Intn(100)), CreatorCPU: cpu}
 				b.Tasks = append(b.Tasks, task)
-				ref.Tasks = applyTask(ref.Tasks, ref.taskByID, task)
+				ref.apply(task)
 			}
 			// Task 77 runs on CPU 2 only: once in order, then — the late
 			// event — once more back in time, which the sort puts first,
@@ -235,13 +235,8 @@ func TestPublishIncrementalEqualsBatch(t *testing.T) {
 		for cpu := range snap.CPUs {
 			execs[cpu] = cpuExecs{snap.CPUs[cpu].ID, collectExecs(snap.CPUs[cpu].States.Rows)}
 		}
-		byID := make(map[trace.TaskID]int)
-		for i := range ref.Tasks {
-			byID[ref.Tasks[i].ID] = i
-		}
-		want := applyExecs(append([]TaskInfo(nil), ref.Tasks...), byID, execs)
-		if !reflect.DeepEqual(snap.Tasks, want) {
-			t.Fatalf("epoch %d (dirty from %d): tasks differ from applyExecs over the snapshot's columns", epoch, dirtyAt)
+		if want := ref.placed(execs); !reflect.DeepEqual(snap.Tasks, want) {
+			t.Fatalf("epoch %d (dirty from %d): tasks differ from the executions of the snapshot's columns placed over the declared tasks", epoch, dirtyAt)
 		}
 		assertTaskByID(t, "hand-over", snap, 0, 99, 1<<40)
 		if ti, ok := snap.TaskByID(77); epoch >= dirtyAt && (!ok || ti.ExecStart == 5) {

@@ -315,7 +315,6 @@ func OpenStore(path string) (tr *Trace, err error) {
 	}
 
 	tr = newTrace()
-	tr.taskByID = nil // built by the first TaskByID
 	tr.backing = m
 	tr.Span.Start = d.I64()
 	tr.Span.End = d.I64()

@@ -15,8 +15,8 @@ import (
 )
 
 // reading is what one reader made of an input: the records it
-// delivered, per kind in stream order, and how it ended. CounterIDs
-// are left out — Read has no counterpart for them.
+// delivered, per kind in stream order, the counters in first-touch order
+// (CounterIDs; Read's from the records it handed out), and how it ended.
 type reading struct {
 	name string
 	recs RecordBatch
@@ -35,7 +35,7 @@ func pollAll(name string, data []byte, wrap func(io.Reader) io.Reader, chunk fun
 		g.limit = min(g.limit+chunk(i), len(data))
 		var miscounted error
 		_, rd.err = sr.Poll(func(b *RecordBatch) error {
-			miscounted = cmp.Or(miscounted, checkBatchCounts(b, false))
+			miscounted = cmp.Or(miscounted, checkBatchCounts(b))
 			collectBatches(&rd.recs, b)
 			return nil
 		})
@@ -64,7 +64,7 @@ func readEveryWay(data []byte) ([]reading, error) {
 	var c collect
 	err := Read(bytes.NewReader(data), c.handler())
 	out := []reading{{"Read", RecordBatch{Topologies: c.topo, TaskTypes: c.types, Tasks: c.tasks, States: c.states,
-		Discrete: c.discrete, Descs: c.descs, Samples: c.samples, Comms: c.comm, Regions: c.regions}, err}}
+		Discrete: c.discrete, Descs: c.descs, Samples: c.samples, Comms: c.comm, Regions: c.regions, CounterIDs: c.counterIDs}, err}}
 	for _, workers := range []int{1, 4} {
 		got, err := collectAll(data, workers)
 		out = append(out, reading{fmt.Sprintf("ReadBatched/%d", workers), *got, err})

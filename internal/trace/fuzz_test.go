@@ -49,13 +49,49 @@ func fuzzSeedTrace(tb testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// manyCountersStream writes 40 counters sampled interleaved across CPUs
+// 0, 7, 12345 and MaxCPUID, half of them described before their first
+// sample and half after it, so a batch's pairs fall both in the pair
+// index's table and past it, and its CounterIDs take their order from
+// descriptions and samples alike.
+func manyCountersStream(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	desc := func(id CounterID) error {
+		return w.WriteCounterDesc(CounterDesc{ID: id, Name: fmt.Sprintf("c%d", id), Monotonic: id%3 == 0})
+	}
+	const counters = 40
+	var err error
+	for id := CounterID(0); id < counters; id += 2 {
+		err = cmp.Or(err, desc(id*5))
+	}
+	for round := range 3 {
+		for k, cpu := range []int32{0, 7, 12345, MaxCPUID} {
+			for i := range CounterID(counters) {
+				id := (i*7 + CounterID(k)) % counters * 5 // a different order on each CPU
+				err = cmp.Or(err, w.WriteSample(CounterSample{CPU: cpu, Counter: id, Time: int64(round*100 + int(i)), Value: int64(i)}))
+			}
+		}
+		if round == 0 {
+			for id := CounterID(1); id < counters; id += 2 {
+				err = cmp.Or(err, desc(id*5))
+			}
+		}
+	}
+	if err = cmp.Or(err, w.Flush()); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // collectAll reads data through the batched reader and returns every
 // record it delivered as one batch, after checking the counts each
 // batch carried against the batch itself. Any panic is the fuzz failure.
 func collectAll(data []byte, workers int) (*RecordBatch, error) {
 	all := &RecordBatch{}
 	err := ReadBatched(bytes.NewReader(data), workers, func(b *RecordBatch) error {
-		if err := checkBatchCounts(b, workers > 1); err != nil {
+		if err := checkBatchCounts(b); err != nil {
 			return fmt.Errorf("ReadBatched(workers=%d): %w", workers, err)
 		}
 		collectBatches(all, b)
@@ -64,13 +100,14 @@ func collectAll(data []byte, workers int) (*RecordBatch, error) {
 	return all, err
 }
 
-// checkBatchCounts recounts a batch ReadBatched emitted: CPUCounts and
-// SampleCounts must hold exactly one entry per CPU and per (counter,
-// CPU) pair the batch has records for, with the number of those
-// records. With sized set (the
-// parallel reader, whose framer counted the run) every record slice
-// must also be exactly as long as its array, and nil when empty.
-func checkBatchCounts(b *RecordBatch, sized bool) error {
+// checkBatchCounts recounts a batch a batched or streaming reader
+// emitted: CPUCounts and SampleCounts must hold exactly one entry per
+// CPU and per (counter, CPU) pair the batch has records for, with the
+// number of those records, and CounterIDs each counter the batch's
+// descriptions and samples name, once. Every reader counts a run of
+// records before it decodes them, so every record slice must also be
+// exactly as long as its array, and nil when empty.
+func checkBatchCounts(b *RecordBatch) error {
 	cpus := map[int32]*CPUCount{}
 	cpu := func(id int32) *CPUCount {
 		if cpus[id] == nil {
@@ -107,8 +144,22 @@ func checkBatchCounts(b *RecordBatch, sized bool) error {
 			return fmt.Errorf("SampleCounts entry %+v, recount %d", c, want)
 		}
 	}
-	if !sized {
-		return nil
+	named := map[CounterID]bool{}
+	for _, d := range b.Descs {
+		named[d.ID] = true
+	}
+	for _, s := range b.Samples {
+		named[s.Counter] = true
+	}
+	listed := map[CounterID]bool{}
+	for _, id := range b.CounterIDs {
+		if listed[id] || !named[id] {
+			return fmt.Errorf("CounterIDs %v lists %d twice or for no record", b.CounterIDs, id)
+		}
+		listed[id] = true
+	}
+	if len(listed) != len(named) {
+		return fmt.Errorf("CounterIDs %v, but the records name %d counters", b.CounterIDs, len(named))
 	}
 	return cmp.Or(tight("Topologies", b.Topologies), tight("TaskTypes", b.TaskTypes), tight("Tasks", b.Tasks),
 		tight("States", b.States), tight("Discrete", b.Discrete), tight("Descs", b.Descs),
@@ -131,8 +182,9 @@ func tight[T any](name string, s []T) error {
 // corrupt length field rather than to the input. The readers accept or
 // reject an input together, with the same class of error, and agree
 // record by record on what they accept; every batch a batched or
-// streaming reader emits carries counts equal to a recount of it, and
-// the parallel reader's slices are exactly sized.
+// streaming reader emits carries counts and CounterIDs equal to a
+// recount of it, its slices are exactly sized, and every reader's
+// CounterIDs, joined over the stream, give Read's first-touch order.
 func FuzzReadTrace(f *testing.F) {
 	valid := fuzzSeedTrace(f)
 	f.Add(valid)
@@ -148,6 +200,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("ATMG\x01\x63\x02\x01\x02"))                   // unknown record kind 0x63, skipped
 	f.Add(append(append([]byte{}, valid...), 0x04, 0x02, 0x01)) // valid trace + trailing truncated record
 	f.Add(farCPUStream(f, 40))                                  // records alternating CPU 0 and MaxCPUID
+	f.Add(manyCountersStream(f))                                // 40 counters across near and far CPUs
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var rs []reading

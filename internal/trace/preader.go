@@ -104,6 +104,14 @@ type frameJob struct {
 // kindCounts holds a number of records per record kind, indexed by kind.
 type kindCounts [recMemRegion + 1]int
 
+// add counts a record of a kind; kinds it does not know decode to
+// nothing and are not counted.
+func (k *kindCounts) add(kind uint64) {
+	if kind < uint64(len(k)) {
+		k[kind]++
+	}
+}
+
 // withCap returns an empty slice with room for exactly n records, nil
 // for none: a kind absent from a run stays nil in its batch.
 func withCap[T any](n int) []T {
@@ -127,6 +135,37 @@ func (j *frameJob) newBatch() *RecordBatch {
 		Comms:      withCap[CommEvent](j.kinds[recComm]),
 		Regions:    withCap[MemRegion](j.kinds[recMemRegion]),
 	}
+}
+
+// decode decodes the run into a batch built by newBatch, t keeping the
+// batch's counts, and returns the batch, the number of records decoded
+// and the first decode error; the records before it are in the batch.
+func (j *frameJob) decode(t *tally) (b *RecordBatch, n int, err error) {
+	b = j.newBatch()
+	for run := j.run; len(run) > 0; n++ { // whole records: cutRecord cannot fail
+		kind, payload, size, _ := cutRecord(run)
+		if err = decodeInto(kind, payload, b, t); err != nil {
+			break
+		}
+		run = run[size:]
+	}
+	t.reset(b)
+	return b, n, err
+}
+
+// clip trims every record slice of b to its length, nil when empty: what
+// a run that failed to decode part way leaves is exactly sized too.
+func (b *RecordBatch) clip() {
+	b.Topologies, b.TaskTypes, b.Tasks = clipped(b.Topologies), clipped(b.TaskTypes), clipped(b.Tasks)
+	b.States, b.Discrete, b.Descs = clipped(b.States), clipped(b.Discrete), clipped(b.Descs)
+	b.Samples, b.Comms, b.Regions = clipped(b.Samples), clipped(b.Comms), clipped(b.Regions)
+}
+
+func clipped[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s[:len(s):len(s)]
 }
 
 type decoded struct {
@@ -182,9 +221,7 @@ func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) err
 				frameErr <- err
 				return
 			}
-			if kind < uint64(len(kinds)) {
-				kinds[kind]++
-			}
+			kinds.add(kind)
 			if nrec++; nrec >= batchRecords || f.off-f.lo >= batchBytes {
 				if nrec = 0; !send() {
 					return
@@ -198,14 +235,7 @@ func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) err
 		go func() {
 			t := newTally()
 			for job := range jobs {
-				b := job.newBatch()
-				var err error
-				for run := job.run; len(run) > 0 && err == nil; { // whole records: cutRecord cannot fail
-					kind, payload, n, _ := cutRecord(run)
-					err = decodeInto(kind, payload, b, t)
-					run = run[n:]
-				}
-				t.reset(b)
+				b, _, err := job.decode(t)
 				job.out <- decoded{batch: b, err: err}
 			}
 		}()
@@ -227,13 +257,16 @@ func readBatchedPar(r io.Reader, workers int, emit func(*RecordBatch) error) err
 // tally is the bookkeeping a decoder keeps beside the batch it is
 // filling: which counters the batch already lists in CounterIDs, where
 // each CPU's entry sits in CPUCounts and each (counter, CPU) pair's in
-// SampleCounts. Maps, not tables indexed by CPU id: an id may be
-// anything up to MaxCPUID and a batch is a few thousand records.
+// SampleCounts. A map for the CPUs, asked once per run of one CPU's
+// records, not a table indexed by CPU id: an id may be anything up to
+// MaxCPUID and a batch is a few thousand records.
 type tally struct {
-	// pairs maps pairKey(id, cpu) to the pair's entry in SampleCounts;
-	// pairKey(id, noCPU) only marks counter id as listed.
-	pairs map[uint64]int
-	cpus  map[int32]int
+	// pairs numbers the batch's (counter, CPU) pairs as SampleCounts
+	// lists them, so a sample finds its entry by position.
+	pairs PairIndex
+	// listed holds the counters CounterIDs lists.
+	listed map[CounterID]struct{}
+	cpus   map[int32]int
 	// last is the CPUCounts entry of the record before, the one most
 	// records want: a CPU's records come in runs.
 	last int
@@ -242,18 +275,14 @@ type tally struct {
 	nCPU, nPair int
 }
 
-const noCPU = -1
-
-// pairKey packs a counter and a CPU into one map key.
-func pairKey(id CounterID, cpu int32) uint64 { return uint64(id)<<32 | uint64(uint32(cpu)) }
-
 func newTally() *tally {
-	return &tally{pairs: make(map[uint64]int), cpus: make(map[int32]int)}
+	return &tally{listed: make(map[CounterID]struct{}), cpus: make(map[int32]int)}
 }
 
 // reset forgets the finished batch b.
 func (t *tally) reset(b *RecordBatch) {
-	clear(t.pairs)
+	t.pairs.Reset()
+	clear(t.listed)
 	clear(t.cpus)
 	t.last, t.nCPU, t.nPair = 0, len(b.CPUCounts), len(b.SampleCounts)
 }
@@ -263,9 +292,8 @@ func (t *tally) counter(b *RecordBatch, id CounterID) {
 	if t == nil {
 		return
 	}
-	k := pairKey(id, noCPU)
-	if _, ok := t.pairs[k]; !ok {
-		t.pairs[k] = 0
+	if _, ok := t.listed[id]; !ok {
+		t.listed[id] = struct{}{}
 		b.CounterIDs = append(b.CounterIDs, id)
 	}
 }
@@ -275,15 +303,12 @@ func (t *tally) sample(b *RecordBatch, id CounterID, cpu int32) {
 	if t == nil {
 		return
 	}
-	k := pairKey(id, cpu)
-	i, ok := t.pairs[k]
-	if !ok {
+	i, added := t.pairs.Find(id, cpu)
+	if added {
 		t.counter(b, id)
 		if b.SampleCounts == nil {
 			b.SampleCounts = make([]SampleCount, 0, t.nPair)
 		}
-		i = len(b.SampleCounts)
-		t.pairs[k] = i
 		b.SampleCounts = append(b.SampleCounts, SampleCount{Counter: id, CPU: cpu})
 	}
 	b.SampleCounts[i].N++

@@ -335,7 +335,7 @@ func twoCPUStream(tb testing.TB, n int, far int32) []byte {
 }
 
 // TestBatchCountsMatchRecount: every batch ReadBatched emits carries
-// counts equal to a recount of its own slices; decoded on several
+// counts equal to a recount of its own slices; decoded inline or on
 // workers its slices are exactly as long as their arrays and nil for
 // the kinds the run did not hold; and the counts stay as small as the
 // batch whatever the CPU ids are.
@@ -357,7 +357,7 @@ func TestBatchCountsMatchRecount(t *testing.T) {
 					t.Errorf("%s: %d CPU and %d pair entries on a batch of %d events and %d samples",
 						name, len(b.CPUCounts), len(b.SampleCounts), n, len(b.Samples))
 				}
-				return checkBatchCounts(b, workers > 1)
+				return checkBatchCounts(b)
 			})
 			if err != nil {
 				t.Fatalf("%s, workers=%d: %v", name, workers, err)

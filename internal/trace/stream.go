@@ -6,13 +6,14 @@ import (
 )
 
 // StreamReader incrementally decodes a trace that is still being
-// written: the framer plus batch building. Each Poll decodes the whole
-// records among the bytes currently available into RecordBatch values
-// (stream order, flushed at batchRecords) and leaves the partial record
-// at the end with the framer for the next Poll. It is the decode layer
-// of the live ingest path — a follower polls it and feeds the batches
-// to core.Live.Append — and, told to read to io.EOF, ReadBatched's
-// one-worker reader.
+// written: the framer plus batch building. Each Poll cuts the whole
+// records among the bytes currently available into runs, counted by
+// kind, and decodes each run into a RecordBatch sized at those counts,
+// as ReadBatched's decode workers do (frameJob); it leaves the partial
+// record at the end with the framer for the next Poll. It is the decode
+// layer of the live ingest path — a follower polls it and feeds the
+// batches to core.Live.Append — and, told to read to io.EOF,
+// ReadBatched's one-worker reader.
 //
 // The underlying reader must report io.EOF at the current end of data
 // and return fresh bytes on later Reads, as an *os.File does; a gzip
@@ -47,45 +48,62 @@ func (sr *StreamReader) Done() error { return cmp.Or(sr.err, sr.f.end()) }
 
 // Poll decodes every complete record among the bytes currently
 // available and delivers them as batches to emit in stream order; it
-// returns the number of records decoded. Reading and decoding
-// interleave, so attaching to a large trace never buffers more than one
-// read plus a partial record. Running out of data mid-record is not an
-// error — the partial record waits for the next Poll; framing and
-// decode errors, and errors returned by emit, are sticky.
+// returns the number of records decoded. It cuts runs of whole records
+// out of the buffered bytes, counting them by kind as the parallel
+// reader's framer does, and decodes each run, before the next read
+// reuses its bytes, into a batch built by frameJob.newBatch: every slice
+// allocated once at its length. A run ends at batchRecords records or
+// where the buffered bytes do, so attaching to a large trace never
+// buffers more than one read plus a partial record. Running out of data
+// mid-record is not an error — the partial record waits for the next
+// Poll; framing and decode errors, and errors returned by emit, are
+// sticky, and the records decoded before a failure are delivered first.
 func (sr *StreamReader) Poll(emit func(*RecordBatch) error) (int, error) {
 	if sr.err != nil {
 		return 0, sr.err
 	}
-	b := &RecordBatch{}
-	// flush hands the current batch, if non-empty, to emit. It is gone
-	// even if emit fails: no batch is ever delivered twice.
+	total, nrec := 0, 0
+	var kinds kindCounts
+	// flush decodes the records cut since the last flush into one batch
+	// and hands it to emit. It is gone even if emit fails: no batch is
+	// ever delivered twice.
 	flush := func() error {
-		if b.empty() {
+		job := frameJob{run: sr.f.release(), kinds: kinds}
+		kinds, nrec = kindCounts{}, 0
+		if len(job.run) == 0 {
 			return nil
 		}
-		full := b
-		b = &RecordBatch{}
-		sr.t.reset(full)
-		return emit(full)
+		b, n, err := job.decode(sr.t)
+		total += n
+		if err != nil {
+			b.clip() // the records decoded before the failure are valid
+		}
+		var emitErr error
+		if !b.empty() {
+			emitErr = emit(b)
+		}
+		return cmp.Or(err, emitErr)
 	}
-	total := 0
 	for {
-		kind, payload, ok, err := sr.f.next()
-		if ok {
-			if err = decodeInto(kind, payload, b, sr.t); err == nil {
-				if total++; total%batchRecords == 0 {
-					err = flush()
+		kind, _, ok, err := sr.f.next()
+		switch {
+		case ok:
+			kinds.add(kind)
+			if nrec++; nrec == batchRecords {
+				err = flush()
+			}
+		case err == nil:
+			if err = flush(); err == nil {
+				if err = sr.f.read(); err == io.EOF {
+					return total, nil
 				}
 			}
-		} else if err == nil {
-			sr.f.release()
-			if err = sr.f.read(); err == io.EOF {
-				sr.err = flush()
-				return total, sr.err
-			}
+		default:
+			// What was cut before the failure goes out first: an earlier
+			// decode error wins.
+			err = cmp.Or(flush(), err)
 		}
 		if err != nil {
-			_ = flush() // the records decoded before the failure are valid
 			sr.err = err
 			return total, err
 		}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -55,8 +56,14 @@ func streamTestTrace(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// collectBatches merges emitted batches into one, preserving order.
+// collectBatches merges emitted batches into one, preserving order; the
+// merged CounterIDs list each counter once, at its first batch.
 func collectBatches(dst *RecordBatch, b *RecordBatch) {
+	for _, id := range b.CounterIDs {
+		if !slices.Contains(dst.CounterIDs, id) {
+			dst.CounterIDs = append(dst.CounterIDs, id)
+		}
+	}
 	dst.Topologies = append(dst.Topologies, b.Topologies...)
 	dst.TaskTypes = append(dst.TaskTypes, b.TaskTypes...)
 	dst.Tasks = append(dst.Tasks, b.Tasks...)

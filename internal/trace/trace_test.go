@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -23,6 +24,17 @@ type collect struct {
 	comm     []CommEvent
 	regions  []MemRegion
 	unknown  []uint64
+	// counterIDs lists the counters descriptions and samples name, in
+	// first-touch stream order: the order a batch reader's CounterIDs,
+	// concatenated and deduplicated over the stream, must give.
+	counterIDs []CounterID
+}
+
+// touch lists a counter at its first description or sample.
+func (c *collect) touch(id CounterID) {
+	if !slices.Contains(c.counterIDs, id) {
+		c.counterIDs = append(c.counterIDs, id)
+	}
 }
 
 func (c *collect) handler() Handler {
@@ -32,8 +44,8 @@ func (c *collect) handler() Handler {
 		Task:        func(t Task) error { c.tasks = append(c.tasks, t); return nil },
 		State:       func(s StateEvent) error { c.states = append(c.states, s); return nil },
 		Discrete:    func(d DiscreteEvent) error { c.discrete = append(c.discrete, d); return nil },
-		CounterDesc: func(d CounterDesc) error { c.descs = append(c.descs, d); return nil },
-		Sample:      func(s CounterSample) error { c.samples = append(c.samples, s); return nil },
+		CounterDesc: func(d CounterDesc) error { c.touch(d.ID); c.descs = append(c.descs, d); return nil },
+		Sample:      func(s CounterSample) error { c.touch(s.Counter); c.samples = append(c.samples, s); return nil },
 		Comm:        func(e CommEvent) error { c.comm = append(c.comm, e); return nil },
 		Region:      func(r MemRegion) error { c.regions = append(c.regions, r); return nil },
 		Unknown:     func(k uint64, _ []byte) error { c.unknown = append(c.unknown, k); return nil },
