@@ -302,6 +302,44 @@ func TestSpikeIgnoresUncoveredWindows(t *testing.T) {
 	}
 }
 
+// TestSpikeInFirstCoveredWindow: the first window a counter's samples
+// cover is rated and scored like any other. The counter is enabled at
+// 80 % of the span, exactly on a window bound, on four CPUs at a
+// constant rate; CPU 2's counter leaps within that first window, which
+// is the one finding.
+func TestSpikeInFirstCoveredWindow(t *testing.T) {
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	check := func(err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cpu := int32(0); cpu < 4; cpu++ {
+		check(w.WriteState(trace.StateEvent{CPU: cpu, State: trace.StateIdle, Start: 0, End: spanEnd}))
+	}
+	check(w.WriteCounterDesc(trace.CounterDesc{ID: 1, Name: "late_counter", Monotonic: true}))
+	for cpu := int32(0); cpu < 4; cpu++ {
+		v := int64(0)
+		for ts := trace.Time(80_000); ts <= spanEnd; ts += 1000 {
+			if cpu == 2 && ts == 81_000 {
+				v += 5000
+			}
+			check(w.WriteSample(trace.CounterSample{CPU: cpu, Counter: 1, Time: ts, Value: v}))
+			v += 10
+		}
+	}
+	check(w.Flush())
+	tr, err := core.FromReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := anomaly.ScanWith(tr, testConfig(0), anomaly.SpikeDetector{})
+	if len(found) != 1 || found[0].CPU != 2 || found[0].Window != (core.Interval{Start: 80_000, End: 82_000}) {
+		t.Fatalf("findings %+v, want one on cpu 2 over [80000, 82000)", found)
+	}
+}
+
 // TestImbalanceWindowAtHugeTimes is the window-bounds overflow
 // regression: with timestamps scaled by 2^45 the window boundaries
 // span·i/n overflowed int64 and the imbalance finding came back with a

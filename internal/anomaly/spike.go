@@ -13,7 +13,8 @@ import (
 // monotonic counter's rate on one CPU (cache misses, branch
 // mispredictions, system time, ...) far exceeds the counter's typical
 // rate across all CPUs and windows. Window rates come from the counter
-// deltas at window boundaries; the peak instantaneous rate quoted in
+// deltas at window boundaries, read in one forward walk over each CPU's
+// samples (core.Counter.ValuesAt); the peak instantaneous rate quoted in
 // the explanation is answered by the trace's shared min/max rate tree
 // index (Section VI-B-c) without scanning samples. Consecutive
 // anomalous windows on the same (counter, CPU) merge.
@@ -44,34 +45,39 @@ func (SpikeDetector) Detect(tr *core.Trace, cfg Config) []Anomaly {
 
 func scanCounter(tr *core.Trace, c *core.Counter, cfg Config) []Anomaly {
 	bs := windowBounds(cfg.Window, cfg.Windows)
-	nCPU := tr.NumCPUs()
+	nCPU, nw := tr.NumCPUs(), cfg.Windows
 
 	// Per-(cpu, window) mean rates, and the pooled sample for the
 	// baseline. Rates are per kilocycle to keep magnitudes readable.
 	// Windows the counter's samples do not cover stay NaN and enter
 	// neither the baseline nor the scoring: pooling them as zero would
 	// collapse the baseline for counters sampled over only part of
-	// the scan window.
+	// the scan window. The counter's values at the bounds are read in
+	// one forward walk per CPU, into one buffer; the rows share one
+	// array.
+	sampled := 0
+	for cpu := 0; cpu < nCPU; cpu++ {
+		if c.NumSamples(int32(cpu)) >= 2 {
+			sampled++
+		}
+	}
 	rates := make([][]float64, nCPU)
-	var pooled []float64
+	slab, vals := make([]float64, sampled*nw), make([]int64, len(bs))
+	pooled := make([]float64, 0, sampled*nw)
 	for cpu := 0; cpu < nCPU; cpu++ {
 		if c.NumSamples(int32(cpu)) < 2 {
 			continue
 		}
-		row := make([]float64, cfg.Windows)
-		for w := 0; w < cfg.Windows; w++ {
+		row := slab[:nw:nw]
+		slab = slab[nw:]
+		from := c.ValuesAt(int32(cpu), bs, vals)
+		for w := range row {
 			row[w] = math.NaN()
-			t0, t1 := bs[w], bs[w+1]
-			if t1 <= t0 {
-				continue
+			// A window before the first sample has no value to start at.
+			if t0, t1 := bs[w], bs[w+1]; t1 > t0 && w >= from {
+				row[w] = float64(vals[w+1]-vals[w]) * 1000 / float64(t1-t0)
+				pooled = append(pooled, row[w])
 			}
-			v0, ok0 := c.ValueAt(int32(cpu), t0)
-			v1, ok1 := c.ValueAt(int32(cpu), t1)
-			if !ok0 || !ok1 {
-				continue
-			}
-			row[w] = float64(v1-v0) * 1000 / float64(t1-t0)
-			pooled = append(pooled, row[w])
 		}
 		rates[cpu] = row
 	}
@@ -95,6 +101,7 @@ func scanCounter(tr *core.Trace, c *core.Counter, cfg Config) []Anomaly {
 		if rates[cpu] == nil {
 			continue
 		}
+		first := len(out)
 		var cur *Anomaly
 		for w := 0; w < cfg.Windows; w++ {
 			if math.IsNaN(rates[cpu][w]) {
@@ -111,19 +118,20 @@ func scanCounter(tr *core.Trace, c *core.Counter, cfg Config) []Anomaly {
 				if z > cur.Score {
 					cur.Score = z
 				}
-				cur.Explanation = spikeExplanation(tr, ci, c, int32(cpu), cur.Window, med)
 				continue
 			}
-			win := core.Interval{Start: bs[w], End: bs[w+1]}
 			out = append(out, Anomaly{
-				Kind:        KindCounterSpike,
-				Score:       z,
-				Window:      win,
-				CPU:         tr.CPUs[cpu].ID,
-				Counter:     c.Desc.Name,
-				Explanation: spikeExplanation(tr, ci, c, int32(cpu), win, med),
+				Kind:    KindCounterSpike,
+				Score:   z,
+				Window:  core.Interval{Start: bs[w], End: bs[w+1]},
+				CPU:     tr.CPUs[cpu].ID,
+				Counter: c.Desc.Name,
 			})
 			cur = &out[len(out)-1]
+		}
+		// The CPU's findings have stopped growing: explain each once.
+		for i := first; i < len(out); i++ {
+			out[i].Explanation = spikeExplanation(tr, ci, c, int32(cpu), out[i].Window, med)
 		}
 	}
 	return out

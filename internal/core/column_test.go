@@ -274,3 +274,53 @@ func runColumnModel(t *testing.T, seed int64, steps int) {
 		}
 	}
 }
+
+// TestValuesAtMatchesValueAt: the one forward walk of ValuesAt answers
+// every time of a non-decreasing row as ValueAt does — before the first
+// sample, on repeated timestamps, on equal times, past the last sample
+// and across the parts of a spilled column — and leaves the times before
+// the first sample untouched.
+func TestValuesAtMatchesValueAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	lv := NewLive()
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
+	defer lv.Close()
+	var snap *Trace
+	at := int64(100)
+	for part := 0; part < 6; part++ {
+		b := &trace.RecordBatch{CounterIDs: []trace.CounterID{4}}
+		for i := rng.Intn(40); i >= 0; i-- {
+			at += int64(rng.Intn(3)) * 10 // repeated timestamps, also across parts
+			b.Samples = append(b.Samples, trace.CounterSample{CPU: 0, Counter: 4, Time: at, Value: rng.Int63n(1000)})
+		}
+		snap = publishSettled(t, lv, b)
+	}
+	c := snap.Counters[0]
+	if c.PerCPU[0].runs() < 4 {
+		t.Fatalf("precondition: the column has %d runs, want a spilled one", c.PerCPU[0].runs())
+	}
+	batch := &Counter{PerCPU: []Column[Sample]{{Rows: c.Samples(0)}}}
+	for _, tc := range []struct {
+		name string
+		c    *Counter
+		cpu  int32
+	}{{"spilled", c, 0}, {"one run", batch, 0}, {"no samples", batch, 1}} {
+		for q := 0; q < 200; q++ {
+			ts := []trace.Time{int64(rng.Intn(int(at) + 200))}
+			for i := rng.Intn(70); i > 0; i-- {
+				ts = append(ts, ts[len(ts)-1]+int64(rng.Intn(3)*rng.Intn(int(at)/20+1)))
+			}
+			vals := make([]int64, len(ts))
+			for i := range vals {
+				vals[i] = -1
+			}
+			from := tc.c.ValuesAt(tc.cpu, ts, vals)
+			for i, ti := range ts {
+				v, ok := tc.c.ValueAt(tc.cpu, ti)
+				if ok != (i >= from) || ok && vals[i] != v || !ok && vals[i] != -1 {
+					t.Fatalf("%s: ValuesAt(%v) from %d: time %d answers %d, ValueAt (%d, %v)", tc.name, ts, from, ti, vals[i], v, ok)
+				}
+			}
+		}
+	}
+}

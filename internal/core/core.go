@@ -525,6 +525,43 @@ func (c *Counter) ValueAt(cpu int32, t trace.Time) (int64, bool) {
 	return 0, false
 }
 
+// ValuesAt writes to vals[i] the counter's value on row cpu at ts[i],
+// ValueAt's answer, for non-decreasing times ts, in one forward walk
+// over the column's runs: each time is sought, galloping, from where
+// the last one was found. It returns how many leading times come
+// before the first sample; their vals are left as they were.
+func (c *Counter) ValuesAt(cpu int32, ts []trace.Time, vals []int64) (from int) {
+	col := c.column(cpu)
+	k, j, from := 0, 0, len(ts) // samples [0, j) of run k are at or before t
+	var v int64
+	for i, t := range ts {
+		for ; k < col.runs(); k, j = k+1, 0 {
+			s := col.run(k)
+			if n := upTo(s[j:], t); n > 0 {
+				j, v, from = j+n, s[j+n-1].Value, min(from, i)
+			}
+			if j < len(s) {
+				break
+			}
+		}
+		if i >= from {
+			vals[i] = v
+		}
+	}
+	return from
+}
+
+// upTo returns how many leading samples of s are at or before t,
+// galloping out from the first.
+func upTo(s []Sample, t trace.Time) int {
+	hi := 1
+	for hi <= len(s) && s[hi-1].Time <= t {
+		hi <<= 1
+	}
+	lo, end := hi>>1, min(hi-1, len(s))
+	return lo + sort.Search(end-lo, func(i int) bool { return s[lo+i].Time > t })
+}
+
 // NumSamples returns the counter's sample count on a row.
 func (c *Counter) NumSamples(cpu int32) int {
 	return c.column(cpu).len()

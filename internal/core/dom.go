@@ -15,8 +15,10 @@ import (
 // it once — DomCPU.Row walks the row's columns left to right in one
 // pass over the CPU's events, jumping what one event or one gap
 // answers — and the derived metrics' window sums ("how long was this
-// CPU in state s?") cost O(log events); every answer is exactly the
-// sequential scan's.
+// CPU in state s?") cost O(log events): a narrow window's for every
+// state in one sweep over its events (StateTimes), a row of adjacent
+// windows' in one pass over a state's intervals (StateCovers). Every
+// answer is exactly the sequential scan's.
 //
 // The index holds summaries, not a second copy of the states: per CPU
 // the all-states pyramid, and per worker state the refs of its
@@ -301,6 +303,37 @@ func (e *DomCPU) StateCover(state trace.WorkerState, t0, t1 trace.Time) trace.Ti
 	}
 	_, _, total := e.scan(t0, t1, int(state), nil)
 	return total
+}
+
+// StateTimes adds to out[s] the time the CPU spent in each worker state
+// s within [t0, t1), what StateCover answers for each, in one call. A
+// window holding at most 2·arity events is one sweep over them in the
+// all-states set (mragg.Set.Sweep); a wider one is read off each state's
+// prefix sums, and an unindexable CPU is scanned.
+func (e *DomCPU) StateTimes(t0, t1 trace.Time, out *[trace.NumWorkerStates]trace.Time) {
+	if e.all != nil && e.all.Sweep(&e.leaves, t0, t1, out[:]) {
+		return
+	}
+	for st := range out {
+		out[st] += e.StateCover(trace.WorkerState(st), t0, t1)
+	}
+}
+
+// StateCovers writes to out[i] the time the CPU spent in state within
+// [bounds[i], bounds[i+1]), StateCover's answer, for each adjacent
+// window of the non-decreasing bounds: from the state's set in one pass
+// over its members (mragg.Set.Covers), by a scan per window where the
+// CPU or the state has none.
+func (e *DomCPU) StateCovers(state trace.WorkerState, bounds, out []trace.Time) {
+	if int(state) < trace.NumWorkerStates {
+		if set := e.byState[state]; set != nil {
+			set.Covers(&e.leaves, bounds, out)
+			return
+		}
+	}
+	for i := range out {
+		_, _, out[i] = e.scan(bounds[i], bounds[i+1], int(state), nil)
+	}
 }
 
 // DomIndex returns the trace's shared dominance index, creating it on

@@ -134,8 +134,21 @@ func checkDomWindow(t *testing.T, ctx string, tr *Trace, rng *rand.Rand, cpu int
 			t.Fatalf("%s: cpu %d: the walk stopped at column %d of %v", ctx, cpu, at, cols)
 		}
 	}
+	checkStateTimes(t, ctx, tr, dc, cpu, t0, t1)
+	// A row of adjacent windows cut from [t0, t1), empty ones included.
+	bounds := []trace.Time{t0}
+	for w := rng.Intn(8); w >= 0; w-- {
+		bounds = append(bounds, bounds[len(bounds)-1]+rng.Int63n(max(t1-t0, 0)/4+2))
+	}
+	covers := make([]trace.Time, len(bounds)-1)
 	for k := 0; k <= trace.NumWorkerStates; k++ { // ==: out-of-range state
 		st := trace.WorkerState(k)
+		dc.StateCovers(st, bounds, covers)
+		for i, got := range covers {
+			if want := bruteCover(tr, cpu, st, bounds[i], bounds[i+1]); got != want {
+				t.Fatalf("%s: StateCovers(%d, %v, %v) window %d = %d, scan wants %d", ctx, cpu, st, bounds, i, got, want)
+			}
+		}
 		cover := dc.StateCover(st, t0, t1)
 		if want := bruteCover(tr, cpu, st, t0, t1); cover != want {
 			t.Fatalf("%s: StateCover(%d, %v, %d, %d) = %d, scan wants %d", ctx, cpu, st, t0, t1, cover, want)
@@ -335,6 +348,100 @@ func TestDomIndexScannedMatchesScan(t *testing.T) {
 	}
 	assertShape("spilled", snap)
 	checkDomAgainstScan(t, "spilled", snap, rng, 600)
+}
+
+// checkStateTimes holds DomCPU.StateTimes over [t0, t1) to the eight
+// StateCovers and to the scan.
+func checkStateTimes(t *testing.T, ctx string, tr *Trace, dc *DomCPU, cpu int32, t0, t1 trace.Time) {
+	t.Helper()
+	var times [trace.NumWorkerStates]trace.Time
+	dc.StateTimes(t0, t1, &times)
+	for k, got := range times {
+		st := trace.WorkerState(k)
+		if want := dc.StateCover(st, t0, t1); got != want || got != bruteCover(tr, cpu, st, t0, t1) {
+			t.Fatalf("%s: StateTimes(%d, %d, %d)[%v] = %d, StateCover says %d, the scan %d",
+				ctx, cpu, t0, t1, st, got, want, bruteCover(tr, cpu, st, t0, t1))
+		}
+	}
+}
+
+// TestStateTimesSweepBoundary: a window of at most 2·arity events is
+// answered by one sweep over them, a wider one by the states' prefix
+// sums, and either way StateTimes is the eight StateCovers. Windows of
+// 2·arity−1, 2·arity and 2·arity+1 events, each starting and ending
+// inside an event so that both are clipped, are checked on a batch
+// load and on a spilled live snapshot (whose windows cross part
+// boundaries), for a well-formed CPU and one with overlapping intervals
+// (unindexable, scanned); events in a state past the worker states
+// belong to no state's time.
+func TestStateTimesSweepBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	const n = 2000
+	cpus := [][]trace.StateEvent{
+		scanCaseStates(rng, 0, n, 50, false),
+		scanCaseStates(rng, 1, n, 0, true),
+	}
+	var buf bytes.Buffer
+	w := trace.NewWriter(&buf)
+	for _, states := range cpus {
+		for _, ev := range states {
+			if err := w.WriteState(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	batch, err := FromReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lv := NewLive()
+	lv.SetRetention(RetentionPolicy{Dir: t.TempDir(), SpillBytes: 1})
+	defer lv.Close()
+	var spilled *Trace
+	for from := 0; from < n; from += 150 {
+		b := &trace.RecordBatch{}
+		for _, states := range cpus {
+			b.States = append(b.States, states[from:min(from+150, n)]...)
+		}
+		spilled = publishSettled(t, lv, b)
+	}
+	if dc := spilled.DomIndex().CPU(spilled, 0); dc.leaves.Cols() < 4 {
+		t.Fatalf("precondition: cpu 0 resolves through %d columns, want a segmented view", dc.leaves.Cols())
+	}
+	wide := 2 * mragg.DefaultArity
+	for _, tr := range []*Trace{batch, spilled} {
+		for cpu := int32(0); cpu < 2; cpu++ {
+			dc, evs := tr.DomIndex().CPU(tr, cpu), cpus[cpu]
+			if indexed := dc.all != nil; indexed != (cpu == 0) {
+				t.Fatalf("precondition: cpu %d indexed %v", cpu, indexed)
+			}
+			checked := 0
+			for i := 0; i+wide+1 < n && checked < 60; i += 1 + rng.Intn(40) {
+				for _, m := range []int{wide - 1, wide, wide + 1} {
+					first, last := evs[i], evs[i+m-1]
+					if first.End-first.Start < 2 || last.End-last.Start < 2 {
+						continue
+					}
+					// [t0, t1) overlaps events i … i+m-1 of a well-formed
+					// CPU, clipping the first and the last.
+					t0, t1 := first.Start+1, last.End-1
+					if cpu == 0 {
+						if lo, hi := stateWindow(evs, t0, t1); hi-lo != m {
+							t.Fatalf("precondition: window [%d, %d) holds %d events, want %d", t0, t1, hi-lo, m)
+						}
+					}
+					checkStateTimes(t, fmt.Sprintf("%d-event window", m), tr, dc, cpu, t0, t1)
+					checked++
+				}
+			}
+			if checked < 30 {
+				t.Fatalf("cpu %d: only %d windows checked", cpu, checked)
+			}
+		}
+	}
 }
 
 // sameSet asserts two dominance sets are structurally identical: refs,

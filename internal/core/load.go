@@ -29,10 +29,11 @@ func Load(path string) (*Trace, error) {
 // whose slices are allocated at that count and which carries how many
 // of its records belong to each CPU and each counter on each CPU, the
 // latter found through a trace.PairIndex). The calling goroutine
-// applies the global records (topology, types, tasks, counter
-// registrations) in stream order and keeps the batches; a task record
-// finds its entry by its slot in the dense task table (taskTable), not
-// by a map. At the end of the stream the counts are summed, every
+// applies the global records (topology, types, counter registrations)
+// in stream order and keeps the batches. At the end of the stream the
+// task records are applied in stream order to a task table made once
+// at their count; a task record finds its entry by its slot in the
+// dense table (taskTable), not by a map. Then the counts are summed, every
 // per-CPU state, discrete, communication and sample array is allocated
 // at its final length, each batch learns the offsets its records start
 // at by a prefix sum in stream order, and the batches are scattered
@@ -76,7 +77,6 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 	tr := newTrace()
 
 	var hasTopo bool
-	var tasks taskTable
 	var batches []*trace.RecordBatch
 	err := trace.ReadBatched(r, workers, func(b *trace.RecordBatch) error {
 		// Global records are rare; apply them in stream order here.
@@ -86,9 +86,6 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 		}
 		for _, t := range b.TaskTypes {
 			tr.Types = registerType(tr.Types, tr.typeByID, t)
-		}
-		for _, t := range b.Tasks {
-			tasks.apply(t)
 		}
 		// Register counters in first-touch order, as the live applier
 		// does, then apply the descriptions.
@@ -105,6 +102,18 @@ func fromReader(r io.Reader, workers int) (*Trace, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	// The task records are applied at the end of the stream, in stream
+	// order, to a table made once at their count.
+	n := 0
+	for _, b := range batches {
+		n += len(b.Tasks)
+	}
+	tasks := taskTable{tasks: slices.Grow([]TaskInfo(nil), n)}
+	for _, b := range batches {
+		for _, t := range b.Tasks {
+			tasks.apply(t)
+		}
 	}
 	tr.scatter(batches, workers)
 	tr.index(hasTopo, &tasks, workers)

@@ -53,13 +53,14 @@ func (s Series) MinMax() (min, max float64) {
 // The 128-bit multiply keeps the boundaries exact for spans where
 // span*n exceeds 2^63 (large cycle-count timestamps).
 func boundaries(tr *core.Trace, n int) []trace.Time {
-	if n < 1 {
-		n = 1
-	}
+	return cut(tr.Span.Start, tr.Span.Duration(), max(n, 1))
+}
+
+// cut returns the n+1 bounds of n equal windows from start over span.
+func cut(start, span trace.Time, n int) []trace.Time {
 	ts := make([]trace.Time, n+1)
-	span := tr.Span.Duration()
-	for i := 0; i <= n; i++ {
-		ts[i] = tr.Span.Start + tmath.MulDiv(span, int64(i), int64(n))
+	for i := range ts {
+		ts[i] = start + tmath.MulDiv(span, int64(i), int64(n))
 	}
 	return ts
 }
@@ -68,7 +69,8 @@ func boundaries(tr *core.Trace, n int) []trace.Time {
 // in the given state for each of n intervals — the derived counter of
 // Section III-A used for Figure 3 (number of idle workers): per
 // interval, the time each worker spent in the state is summed over all
-// workers and divided by the interval duration.
+// workers and divided by the interval duration. A worker's windows
+// cost one left-to-right pass over its intervals in the state.
 func WorkersInState(tr *core.Trace, state trace.WorkerState, n int) Series {
 	return workersInState(tr, state, n, par.Workers())
 }
@@ -81,34 +83,25 @@ func workersInState(tr *core.Trace, state trace.WorkerState, n, workers int) Ser
 		Values: make([]float64, len(bs)-1),
 	}
 	// The per-CPU interval queries are independent; fan them out and
-	// accumulate integer in-state times per CPU (core.DomCPU.StateCover:
-	// O(log events) per window from the cover pyramids, the equal
-	// clipped-cover event sum on a CPU that has none). The float merge
-	// then runs serially in CPU order, so the result is bit-identical
-	// to a sequential pass.
-	nCPU := tr.NumCPUs()
+	// accumulate integer in-state times per CPU (core.DomCPU.StateCovers:
+	// one pass over the state's intervals from the cover pyramids, the
+	// equal clipped-cover event sum on a CPU that has none), each CPU
+	// into its share of one scratch array. The float merge then runs
+	// serially in CPU order, so the result is bit-identical to a
+	// sequential pass.
+	nCPU, n := tr.NumCPUs(), len(bs)-1
 	dom := tr.DomIndex()
-	inState := make([][]trace.Time, nCPU)
+	inState := make([]trace.Time, nCPU*n)
 	par.Do(workers, nCPU, func(c int) {
-		cpu := int32(c)
-		dc := dom.CPU(tr, cpu)
-		in := make([]trace.Time, len(bs)-1)
-		for i := 0; i < len(bs)-1; i++ {
-			t0, t1 := bs[i], bs[i+1]
-			if t1 <= t0 {
-				continue
-			}
-			in[i] = dc.StateCover(state, t0, t1)
-		}
-		inState[c] = in
+		dom.CPU(tr, int32(c)).StateCovers(state, bs, inState[c*n:(c+1)*n])
 	})
 	for cpu := 0; cpu < nCPU; cpu++ {
-		for i := 0; i < len(bs)-1; i++ {
+		for i, in := range inState[cpu*n : (cpu+1)*n] {
 			t0, t1 := bs[i], bs[i+1]
 			if t1 <= t0 {
 				continue
 			}
-			s.Values[i] += float64(inState[cpu][i]) / float64(t1-t0)
+			s.Values[i] += float64(in) / float64(t1-t0)
 		}
 	}
 	return s
@@ -118,10 +111,11 @@ func workersInState(tr *core.Trace, state trace.WorkerState, n, workers int) Ser
 // equal windows of [t0, t1) that the CPU spent in the given state:
 // result[cpu][w] in [0, 1]. It is the per-CPU decomposition of the
 // WorkersInState accounting (summing result columns over CPUs yields
-// that series), used by the load-imbalance anomaly detector. The
-// per-CPU window scans fan out over the worker pool; each CPU's row is
-// written to its own slot, so the result is independent of the worker
-// count.
+// that series), used by the load-imbalance anomaly detector. A CPU's
+// windows are one pass over its intervals in the state
+// (core.DomCPU.StateCovers); the CPUs fan out over the worker pool, and
+// each CPU's row is its own share of one array, so the result is
+// independent of the worker count.
 func InStateFractions(tr *core.Trace, state trace.WorkerState, n int, t0, t1 trace.Time) [][]float64 {
 	return inStateFractions(tr, state, n, t0, t1, par.Workers())
 }
@@ -138,19 +132,16 @@ func inStateFractions(tr *core.Trace, state trace.WorkerState, n int, t0, t1 tra
 		}
 		return out
 	}
-	span := t1 - t0
+	bs := cut(t0, t1-t0, n)
 	dom := tr.DomIndex()
+	covers, fracs := make([]trace.Time, nCPU*n), make([]float64, nCPU*n)
 	par.Do(workers, nCPU, func(c int) {
-		cpu := int32(c)
-		dc := dom.CPU(tr, cpu)
-		row := make([]float64, n)
-		for w := 0; w < n; w++ {
-			w0 := t0 + tmath.MulDiv(span, int64(w), int64(n))
-			w1 := t0 + tmath.MulDiv(span, int64(w+1), int64(n))
-			if w1 <= w0 {
-				continue
+		in, row := covers[c*n:(c+1)*n], fracs[c*n:(c+1)*n:(c+1)*n]
+		dom.CPU(tr, int32(c)).StateCovers(state, bs, in)
+		for w, cover := range in {
+			if w0, w1 := bs[w], bs[w+1]; w1 > w0 {
+				row[w] = float64(cover) / float64(w1-w0)
 			}
-			row[w] = float64(dc.StateCover(state, w0, w1)) / float64(w1-w0)
 		}
 		out[c] = row
 	})
@@ -190,14 +181,15 @@ func AverageTaskDuration(tr *core.Trace, n int, f *filter.TaskFilter) Series {
 // AggregateCounter sums a counter's value across all CPUs at n+1
 // boundary points — the aggregating derived counter used to turn
 // per-worker getrusage statistics into global ones (Section III-B).
+// A CPU's values at the boundaries are one forward walk over its
+// samples.
 func AggregateCounter(tr *core.Trace, c *core.Counter, n int) Series {
 	bs := boundaries(tr, n)
 	s := Series{Name: "sum_" + c.Desc.Name, Times: bs, Values: make([]float64, len(bs))}
+	vals := make([]int64, len(bs))
 	for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
-		for i, t := range bs {
-			if v, ok := c.ValueAt(cpu, t); ok {
-				s.Values[i] += float64(v)
-			}
+		for i := c.ValuesAt(cpu, bs, vals); i < len(bs); i++ {
+			s.Values[i] += float64(vals[i])
 		}
 	}
 	return s

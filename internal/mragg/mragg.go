@@ -28,7 +28,13 @@
 // worker state's intervals — and owns refs, the prefix sums of their
 // durations and a pyramid: 12 bytes an interval plus 16/(arity-1).
 // Prefix sums answer "how much of [t0, t1) is covered?" (the derived
-// metrics of paper Section III-A) in O(log n). A subset searches its
+// metrics of paper Section III-A) in O(log n), less what the window
+// clips off its first and last member (Cover); a row of adjacent
+// windows is one left-to-right pass, each window's first member sought
+// from the last window's (Covers). A window of at most 2·arity members
+// — the rule by which a walk scans a window's middle — is cheaper
+// swept: the identity set's Sweep adds every member's clipped cover to
+// its state's sum, every state's time in one pass. A subset searches its
 // own members through refs: a subset of a disjoint sorted set keeps its
 // order (TestRankMapping).
 //
@@ -347,16 +353,6 @@ func (r *reader) seek(i int, t int64, start bool) (int, *trace.StateEvent) {
 	return r.search(i, r.n, nil, t, start)
 }
 
-// span returns the member range [lo, hi) overlapping [t0, t1): lo is
-// the first member ending after t0, hi the first from lo on starting at
-// or after t1.
-func (s *Set) span(lv *Leaves, t0, t1 int64) (lo, hi int) {
-	r := s.reader(lv)
-	lo, _ = r.search(0, r.n, nil, t0, false)
-	hi, _ = r.seek(lo, t1, true)
-	return lo, hi
-}
-
 // clip returns the length of ev's overlap with [t0, t1).
 func clip(ev *trace.StateEvent, t0, t1 int64) int64 {
 	return max(min(ev.End, t1)-max(ev.Start, t0), 0)
@@ -453,20 +449,82 @@ func (w *Walk) Work() Work { return w.r.Work }
 // the window clips off the first and the last. Exact, O(log n). The
 // identity set keeps no prefix sums and cannot be asked.
 func (s *Set) Cover(lv *Leaves, t0, t1 int64) int64 {
-	lo, hi := s.span(lv, t0, t1)
-	if lo >= hi || t1 <= t0 {
-		// An inverted window can sit inside one interval, which then is
-		// both bounds' answer; it covers nothing.
-		return 0
+	var out [1]int64
+	s.Covers(lv, []int64{t0, t1}, out[:])
+	return out[0]
+}
+
+// Covers writes to out[i] what Cover answers for window
+// [bounds[i], bounds[i+1]), for each of the len(bounds)-1 adjacent
+// windows the non-decreasing bounds cut, in one left-to-right pass: a
+// window's first member is sought from the last window's last, its last
+// galloping on from there, so a row of windows costs a search each over
+// the members it moves past, not two over the whole set. Equal bounds
+// make an empty window, which covers nothing; bounds that fall make an
+// inverted one, which covers nothing either, and restart the pass.
+func (s *Set) Covers(lv *Leaves, bounds, out []int64) {
+	r := s.reader(lv)
+	lo, hi := 0, 0
+	if len(out) > 0 {
+		lo, _ = r.search(0, r.n, nil, bounds[0], false)
 	}
-	total := s.prefix[hi] - s.prefix[lo]
-	if first := lv.At(int(s.refs[lo])); first.Start < t0 {
-		total -= t0 - first.Start
+	for i := range out {
+		t0, t1 := bounds[i], bounds[i+1]
+		// Members before max(lo, hi-1) end by the last window's end, t0.
+		var first *trace.StateEvent
+		lo, first = r.seek(max(lo, hi-1), t0, false)
+		hi, _ = r.seek(lo, t1, true)
+		if out[i] = 0; lo >= hi || t1 <= t0 {
+			// An inverted window can sit inside one interval, which then
+			// is both bounds' answer; it covers nothing.
+			if t1 < t0 {
+				lo, hi = 0, 0 // bounds that fall restart the pass
+			}
+			continue
+		}
+		total := s.prefix[hi] - s.prefix[lo]
+		if first.Start < t0 {
+			total -= t0 - first.Start
+		}
+		if last := r.at(hi - 1); last.End > t1 {
+			total -= last.End - t1
+		}
+		out[i] = total
 	}
-	if last := lv.At(int(s.refs[hi-1])); last.End > t1 {
-		total -= last.End - t1
+}
+
+// Sweep adds to out[ev.State] the clipped cover of every leaf ev of
+// the identity set overlapping [t0, t1) whose state indexes out, and
+// reports true, when the window holds at most 2·arity leaves — the rule
+// by which weigh scans a window's middle. A wider window is the
+// subsets' prefix sums' to answer (Cover): Sweep adds nothing and
+// reports false.
+func (s *Set) Sweep(lv *Leaves, t0, t1 int64, out []int64) bool {
+	if s.prefix != nil {
+		panic("mragg: Sweep on a subset")
 	}
-	return total
+	if t1 <= t0 {
+		return true
+	}
+	r := s.reader(lv)
+	lo, _ := r.search(0, r.n, nil, t0, false)
+	end := lo + r.wide
+	if end < r.n && r.at(end).Start < t1 {
+		return false
+	}
+	hi, _ := r.search(lo, min(end, r.n), nil, t1, true)
+	// Leaf i is member i: sweep the view's columns in place.
+	for i := lo; i < hi; {
+		r.at(i)
+		col := r.col[i-r.lo : min(hi-r.lo, len(r.col))]
+		for j := range col {
+			if ev := &col[j]; int(ev.State) < len(out) {
+				out[ev.State] += clip(ev, t0, t1)
+			}
+		}
+		i += len(col)
+	}
+	return true
 }
 
 // weigh answers window [t0, t1) from its first member i, whose interval

@@ -241,6 +241,10 @@ func checkWalk(t *testing.T, ctx string, s *Set, lv *Leaves, evs []trace.StateEv
 // and its arity), the filter, the plot's width and its window — near
 // either end of int64, and as wide as an int64 span gets — every column
 // of the row walk answers what the brute-force scan of its window does.
+// So do the identity set's Sweep of the window, every state's at once,
+// and one state's Covers over a row of non-decreasing bounds from the
+// window's start: empty windows, windows outside the events and
+// windows saturated at the end of int64 included.
 func FuzzRowWalk(f *testing.F) {
 	f.Add([]byte{0, 5, 1, 2, 7, 0, 0, 0, 1, 3, 9, 1}, []byte{2}, uint8(1), uint8(0), uint16(7), uint8(0), int64(3), int64(9))
 	f.Add([]byte{1, 30, 8, 0, 0, 1, 4, 12, 1, 0, 3, 0, 2, 2, 1}, []byte{0, 1, 1}, uint8(0x38), uint8(0x5a), uint16(3999), uint8(1), int64(-7), int64(40))
@@ -275,7 +279,8 @@ func FuzzRowWalk(f *testing.F) {
 		}
 		lv := Over(append(cols, rest)...)
 		arity := 2 + int(set>>4)%7
-		member, s := every, All(arity).Extend(&lv)
+		all := All(arity).Extend(&lv)
+		member, s := every, all
 		if k := int(set&15) % (trace.NumWorkerStates + 1); k < trace.NumWorkerStates {
 			member = inState(evs, trace.WorkerState(k))
 			s = buildSub(&lv, evs, member, arity)
@@ -295,7 +300,108 @@ func FuzzRowWalk(f *testing.F) {
 			return
 		}
 		checkWalk(t, "fuzz", s, &lv, evs, member, tmath.Columns{Start: t0, End: t1, W: 1 + int(width)%4000}, keep)
+		checkSweep(t, "fuzz", all, &lv, evs, t0, t1)
+		// A row of adjacent windows from t0 on, stepping by the event
+		// bytes read again: zero steps make empty windows, and the row
+		// may start before the first event and run past the last.
+		bounds := []int64{t0}
+		for i := 0; i < len(raw) && len(bounds) <= 1+int(width)%64; i++ {
+			step := int64(raw[i] % 16)
+			if raw[i]&0x80 != 0 {
+				step *= at/8 + 1
+			}
+			bounds = append(bounds, tmath.SatAdd(bounds[len(bounds)-1], step))
+		}
+		st := trace.WorkerState(int(set&15) % trace.NumWorkerStates)
+		checkCovers(t, "fuzz", buildSub(&lv, evs, inState(evs, st), arity), &lv, evs, inState(evs, st), bounds)
 	})
+}
+
+// checkCovers holds Covers over the adjacent windows of bounds to
+// bruteCover of each.
+func checkCovers(t *testing.T, ctx string, s *Set, lv *Leaves, evs []trace.StateEvent, member func(int) bool, bounds []int64) {
+	t.Helper()
+	out := make([]int64, len(bounds)-1)
+	for i := range out {
+		out[i] = -1 // every window is written
+	}
+	s.Covers(lv, bounds, out)
+	for i, got := range out {
+		if want := bruteCover(evs, member, bounds[i], bounds[i+1]); got != want {
+			t.Fatalf("%s: Covers over %v: window %d [%d, %d) = %d, want %d", ctx, bounds, i, bounds[i], bounds[i+1], got, want)
+		}
+	}
+}
+
+// checkSweep holds the identity set's Sweep of [t0, t1) to bruteCover
+// of every state, and requires it to answer a window of at most
+// 2·arity members.
+func checkSweep(t *testing.T, ctx string, all *Set, lv *Leaves, evs []trace.StateEvent, t0, t1 int64) {
+	t.Helper()
+	var out [trace.NumWorkerStates]int64
+	ok := all.Sweep(lv, t0, t1, out[:])
+	in := 0
+	for i := range evs {
+		if evs[i].End > t0 && evs[i].Start < t1 {
+			in++
+		}
+	}
+	if narrow := in <= 2*all.pyramid.Arity() || t1 <= t0; ok != narrow {
+		t.Fatalf("%s: Sweep(%d, %d) over %d members answers %v", ctx, t0, t1, in, ok)
+	}
+	for k, got := range out {
+		want := int64(0)
+		if ok {
+			want = bruteCover(evs, inState(evs, trace.WorkerState(k)), t0, t1)
+		}
+		if got != want {
+			t.Fatalf("%s: Sweep(%d, %d) of state %d = %d, want %d", ctx, t0, t1, k, got, want)
+		}
+	}
+}
+
+// TestCoversAndSweepMatchScan: on randomized event arrays, one column
+// or a segmented view, for several arities, every state's Covers over
+// random rows of non-decreasing bounds — empty windows, windows before
+// the first event and past the last, and windows holding many members
+// included, and rows whose bounds now and then fall — and the identity
+// set's Sweep of random windows equal the brute-force scan.
+func TestCoversAndSweepMatchScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 40; round++ {
+		evs := randEvents(rng, rng.Intn(600)+1, int64(rng.Intn(1000)))
+		arity := []int{2, 3, 8, 64}[round%4]
+		lv := Over(evs)
+		if round%2 == 0 {
+			lv = Over(split(rng, evs)...)
+		}
+		all := All(arity).Extend(&lv)
+		span := evs[len(evs)-1].End - evs[0].Start + 10
+		for q := 0; q < 40; q++ {
+			t0 := evs[0].Start - 5 + rng.Int63n(span)
+			checkSweep(t, "sweep", all, &lv, evs, t0, t0+rng.Int63n([]int64{8, 60, span}[q%3]))
+			bounds := []int64{evs[0].Start - 20 + rng.Int63n(span)}
+			for w := rng.Intn(30); w >= 0; w-- {
+				step := rng.Int63n([]int64{2, 30, span / 4}[q%3] + 1)
+				if q%5 == 4 && rng.Intn(4) == 0 {
+					step = -step
+				}
+				bounds = append(bounds, bounds[len(bounds)-1]+step)
+			}
+			st := trace.WorkerState(rng.Intn(trace.NumWorkerStates))
+			checkCovers(t, "covers", buildSub(&lv, evs, inState(evs, st), arity), &lv, evs, inState(evs, st), bounds)
+		}
+	}
+}
+
+// span returns the member range [lo, hi) overlapping [t0, t1): lo is
+// the first member ending after t0, hi the first from lo on starting at
+// or after t1.
+func (s *Set) span(lv *Leaves, t0, t1 int64) (lo, hi int) {
+	r := s.reader(lv)
+	lo, _ = r.search(0, r.n, nil, t0, false)
+	hi, _ = r.seek(lo, t1, true)
+	return lo, hi
 }
 
 // TestLeavesSegmentedEqualsFlat: a view over every split of an array —

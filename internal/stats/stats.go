@@ -102,22 +102,21 @@ func (h *Histogram) Peaks(minCount int) []int {
 
 // StateTimes aggregates the time spent in each worker state across all
 // CPUs over [t0, t1): per CPU and state, the sum of the intervals'
-// clipped covers, which core.DomCPU.StateCover reads off the state's
-// prefix sums (and scans for on a CPU it could not index), so the cost
-// follows the CPU count, not the events in the window.
+// clipped covers, which one core.DomCPU.StateTimes call per CPU answers
+// for every state — one sweep over a narrow window's events, the
+// states' prefix sums over a wider one (a scan on a CPU it could not
+// index) — so the cost follows the CPU count, not the events in the
+// window.
 func StateTimes(tr *core.Trace, t0, t1 trace.Time) []trace.Time {
-	out := make([]trace.Time, trace.NumWorkerStates)
+	out := new([trace.NumWorkerStates]trace.Time)
 	if t1 <= t0 {
-		return out
+		return out[:]
 	}
 	dom := tr.DomIndex()
 	for cpu := int32(0); int(cpu) < tr.NumCPUs(); cpu++ {
-		d := dom.CPU(tr, cpu)
-		for st := range out {
-			out[st] += d.StateCover(trace.WorkerState(st), t0, t1)
-		}
+		dom.CPU(tr, cpu).StateTimes(t0, t1, out)
 	}
-	return out
+	return out[:]
 }
 
 // CommMatrix is the NUMA communication incidence matrix (Figure 15):

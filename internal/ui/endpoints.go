@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 
 	"github.com/openstream/aftermath/internal/anomaly"
 	"github.com/openstream/aftermath/internal/core"
@@ -211,22 +212,39 @@ func planRender(rq request) (*query.Query, string, func() ([]byte, error)) {
 		t1 := time.Now()
 		body, err := encodePNG(fb)
 		if err == nil {
-			w.Header().Set("Server-Timing", serverTiming(t1.Sub(t0), time.Since(t1)))
+			setServerTiming(w.Header(), stage{"raster", t1.Sub(t0)}, stage{"encode", time.Since(t1)})
 		}
 		return body, err
 	}
 }
 
-// serverTiming is the Server-Timing header of a tile built on a miss:
-// its raster and encode durations, in milliseconds. A HIT builds
-// nothing and carries none.
-func serverTiming(raster, encode time.Duration) string {
-	var b [64]byte
-	s := append(b[:0], "raster;dur="...)
-	s = strconv.AppendFloat(s, float64(raster.Microseconds())/1e3, 'f', 3, 64)
-	s = append(s, ", encode;dur="...)
-	s = strconv.AppendFloat(s, float64(encode.Microseconds())/1e3, 'f', 3, 64)
-	return string(s)
+// stage is one named step of a response built on a miss and how long
+// it took.
+type stage struct {
+	name string
+	dur  time.Duration
+}
+
+// setServerTiming sets the Server-Timing header of a response built on
+// a miss: each stage's duration, in milliseconds, in build order. A HIT
+// builds nothing and carries none. The value and the one-string list
+// the header keeps it in are one allocation: the value is the list's
+// neighbour, written once before the header holds it.
+func setServerTiming(h http.Header, stages ...stage) {
+	v := new(struct {
+		list [1]string
+		b    [96]byte
+	})
+	s := v.b[:0]
+	for i, st := range stages {
+		if i > 0 {
+			s = append(s, ", "...)
+		}
+		s = append(append(s, st.name...), ";dur="...)
+		s = strconv.AppendFloat(s, float64(st.dur.Microseconds())/1e3, 'f', 3, 64)
+	}
+	v.list[0] = unsafe.String(unsafe.SliceData(s), len(s))
+	h["Server-Timing"] = v.list[:]
 }
 
 func planMatrix(rq request) (*query.Query, string, func() ([]byte, error)) {
@@ -249,10 +267,12 @@ func planPlot(rq request) (*query.Query, string, func() ([]byte, error)) {
 	// plotted series.
 	q := rq.q.SeriesOnly(width, height)
 	return q, "", func() ([]byte, error) {
+		t0 := time.Now()
 		series, err := query.SeriesOf(rq.tr, q)
 		if err != nil {
 			return nil, err
 		}
+		t1 := time.Now()
 		fb, err := render.PlotSeries(render.PlotConfig{
 			Width: width, Height: height,
 			Title: strings.ToUpper(series.Name),
@@ -260,7 +280,12 @@ func planPlot(rq request) (*query.Query, string, func() ([]byte, error)) {
 		if err != nil {
 			return nil, err
 		}
-		return encodePNG(fb)
+		t2 := time.Now()
+		body, err := encodePNG(fb)
+		if err == nil {
+			setServerTiming(rq.w.Header(), stage{"series", t1.Sub(t0)}, stage{"plot", t2.Sub(t1)}, stage{"encode", time.Since(t2)})
+		}
+		return body, err
 	}
 }
 
@@ -269,7 +294,12 @@ func planStats(rq request) (*query.Query, string, func() ([]byte, error)) {
 	// parameters do not change the summary.
 	q := rq.q.StatsOnly()
 	return q, "", func() ([]byte, error) {
-		return encodeJSON(query.StatsOf(rq.tr, q))
+		t0 := time.Now()
+		body, err := encodeJSON(query.StatsOf(rq.tr, q))
+		if err == nil {
+			setServerTiming(rq.w.Header(), stage{"stats", time.Since(t0)})
+		}
+		return body, err
 	}
 }
 

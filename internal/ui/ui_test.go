@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/openstream/aftermath/internal/atmtest"
 	"github.com/openstream/aftermath/internal/core"
@@ -97,33 +98,50 @@ func TestRenderWithFilterZoomAndOverlay(t *testing.T) {
 	}
 }
 
-// TestRenderServerTiming: a tile built on a miss says how long its
-// raster and its encode took in a Server-Timing header; the same tile
-// served from the cache builds nothing and says nothing.
-func TestRenderServerTiming(t *testing.T) {
+// TestServerTiming: a tile, a statistics panel or a plot built on a
+// miss says how long each of its stages took in a Server-Timing header;
+// the same response served from the cache builds nothing and says
+// nothing. The header costs the miss one allocation.
+func TestServerTiming(t *testing.T) {
 	srv := newTestServer(t)
-	const path = "/render?mode=state&w=600&h=200"
-	resp, _ := get(t, srv, path)
-	if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "MISS" {
-		t.Fatalf("status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
-	}
-	st := resp.Header.Get("Server-Timing")
-	metrics := strings.Split(st, ", ")
-	if len(metrics) != 2 {
-		t.Fatalf("Server-Timing %q: want a raster and an encode duration", st)
-	}
-	for i, name := range []string{"raster", "encode"} {
-		dur, ok := strings.CutPrefix(metrics[i], name+";dur=")
-		if ms, err := strconv.ParseFloat(dur, 64); !ok || err != nil || ms < 0 {
-			t.Errorf("Server-Timing %q: metric %d is not %s;dur=<ms>", st, i, name)
+	for _, c := range []struct {
+		path   string
+		stages []string
+	}{
+		{"/render?mode=state&w=600&h=200", []string{"raster", "encode"}},
+		{"/stats?t0=1000&t1=900000", []string{"stats"}},
+		{"/plot?kind=idle&n=50", []string{"series", "plot", "encode"}},
+	} {
+		resp, _ := get(t, srv, c.path)
+		if resp.StatusCode != 200 || resp.Header.Get("X-Cache") != "MISS" {
+			t.Fatalf("%s: status %d, X-Cache %q", c.path, resp.StatusCode, resp.Header.Get("X-Cache"))
+		}
+		st := resp.Header.Get("Server-Timing")
+		metrics := strings.Split(st, ", ")
+		if len(metrics) != len(c.stages) {
+			t.Fatalf("%s: Server-Timing %q: want the durations of %v", c.path, st, c.stages)
+		}
+		for i, name := range c.stages {
+			dur, ok := strings.CutPrefix(metrics[i], name+";dur=")
+			if ms, err := strconv.ParseFloat(dur, 64); !ok || err != nil || ms < 0 {
+				t.Errorf("%s: Server-Timing %q: metric %d is not %s;dur=<ms>", c.path, st, i, name)
+			}
+		}
+		resp, _ = get(t, srv, c.path)
+		if resp.Header.Get("X-Cache") != "HIT" {
+			t.Fatalf("%s: second request X-Cache %q, want HIT", c.path, resp.Header.Get("X-Cache"))
+		}
+		if st, ok := resp.Header["Server-Timing"]; ok {
+			t.Errorf("%s: a HIT carries Server-Timing %q", c.path, st)
 		}
 	}
-	resp, _ = get(t, srv, path)
-	if resp.Header.Get("X-Cache") != "HIT" {
-		t.Fatalf("second request X-Cache %q, want HIT", resp.Header.Get("X-Cache"))
+	h := http.Header{}
+	stages := []stage{{"series", 1234 * time.Microsecond}, {"plot", 56 * time.Millisecond}, {"encode", 7 * time.Second}}
+	if allocs := testing.AllocsPerRun(20, func() { setServerTiming(h, stages...) }); allocs > 1 {
+		t.Errorf("setting Server-Timing allocates %.0f times, want 1", allocs)
 	}
-	if st, ok := resp.Header["Server-Timing"]; ok {
-		t.Errorf("a HIT carries Server-Timing %q", st)
+	if got, want := h.Get("Server-Timing"), "series;dur=1.234, plot;dur=56.000, encode;dur=7000.000"; got != want {
+		t.Errorf("Server-Timing %q, want %q", got, want)
 	}
 }
 
